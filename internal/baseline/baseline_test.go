@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 	"time"
@@ -361,5 +363,42 @@ func TestMegaReduceShellsInfeasibleStart(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("infeasible start accepted")
+	}
+}
+
+// supplyBytes is a supply vector's exact content.
+func supplyBytes(v []float64) []byte {
+	b := make([]byte, 0, 8*len(v))
+	for _, x := range v {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+	}
+	return b
+}
+
+// Regression for Supply depending on goroutine scheduling: it used to add
+// each satellite's coverage into the result as that satellite's goroutine
+// finished, so with SubSamples > 1 — fractional shares, whose sums depend on
+// their order — two runs on the same inputs disagreed in the last bits. The
+// satellites are now added in index order whatever the worker count.
+func TestSupplyIsDeterministic(t *testing.T) {
+	cfg := SupplyConfig{Grid: geo.MustGrid(10), Slots: 6, SlotSeconds: 900, SubSamples: 3, Parallelism: 4}
+	sats := WalkerConfig{53, 1200, 16, 16, 1}.Satellites()
+	first := supplyBytes(Supply(cfg, sats))
+	for run := 1; run < 5; run++ {
+		cfg.Parallelism = 1 + run%4
+		if got := supplyBytes(Supply(cfg, sats)); !bytes.Equal(got, first) {
+			t.Fatalf("run %d (%d workers) computed a different supply", run, cfg.Parallelism)
+		}
+	}
+	// The per-satellite rows MegaReduceShells caches are the same numbers.
+	cfg.fillDefaults()
+	sum := make([]float64, len(first)/8)
+	for _, r := range perSatSupplyRows(cfg, sats) {
+		for i, k := range r.idx {
+			sum[k] += r.val[i]
+		}
+	}
+	if !bytes.Equal(supplyBytes(sum), first) {
+		t.Error("per-satellite rows do not add up to Supply, bit for bit")
 	}
 }

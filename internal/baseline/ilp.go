@@ -71,14 +71,14 @@ func SolveILP(cfg ILPConfig) (*ILPResult, error) {
 	s.maxSat = 0
 	for j := 0; j < cfg.Library.NumTracks(); j++ {
 		sat := 0.0
-		cfg.Library.TrackRow(j, func(k int, frac float64) {
-			y := cfg.Demand[k]
-			if frac < y {
-				sat += frac
+		idx, fracs := cfg.Library.TrackRow(j)
+		for i, k := range idx {
+			if y := cfg.Demand[k]; fracs[i] < y {
+				sat += fracs[i]
 			} else {
 				sat += y
 			}
-		})
+		}
 		if sat > s.maxSat {
 			s.maxSat = sat
 		}
@@ -133,21 +133,22 @@ func (s *ilpSolver) availability() float64 {
 func (s *ilpSolver) apply(j, add int) []undoEntry {
 	var undo []undoEntry
 	fx := float64(add)
-	s.cfg.Library.TrackRow(j, func(k int, frac float64) {
+	idx, fracs := s.cfg.Library.TrackRow(j)
+	for i, k := range idx {
 		r := s.residual[k]
 		if r <= 0 {
-			return
+			continue
 		}
-		dec := fx * frac
+		dec := fx * fracs[i]
 		if dec > r {
 			dec = r
 		}
 		if dec != 0 {
-			undo = append(undo, undoEntry{k, dec})
+			undo = append(undo, undoEntry{int(k), dec})
 			s.residual[k] = r - dec
 			s.remain -= dec
 		}
-	})
+	}
 	return undo
 }
 
@@ -190,11 +191,13 @@ func (s *ilpSolver) dfs(depth int) {
 			continue
 		}
 		satis, dot, norm := 0.0, 0.0, 0.0
-		s.cfg.Library.TrackRow(j, func(k int, frac float64) {
+		idx, fracs := s.cfg.Library.TrackRow(j)
+		for i, k := range idx {
 			r := s.residual[k]
 			if r <= 0 {
-				return
+				continue
 			}
+			frac := fracs[i]
 			if frac < r {
 				satis += frac
 			} else {
@@ -202,7 +205,7 @@ func (s *ilpSolver) dfs(depth int) {
 			}
 			dot += frac * r
 			norm += frac * frac
-		})
+		}
 		if satis > bestSatis {
 			bestJ, bestSatis, bestDot, bestNorm = j, satis, dot, norm
 		}

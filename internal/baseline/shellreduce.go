@@ -250,49 +250,17 @@ type satRow struct {
 func perSatSupplyRows(cfg SupplyConfig, sats []orbit.Elements) []satRow {
 	rows := make([]satRow, len(sats))
 	m := cfg.Grid.NumCells()
-	inc := 1.0 / float64(cfg.SubSamples)
+	ras, lam := cfg.newRasterizer(), cfg.footprintRadii(sats)
 	for si, el := range sats {
-		lam := cfg.Coverage.FootprintRadius(el.Altitude())
-		acc := map[int]float64{}
+		var r satRow
 		for s := 0; s < cfg.Slots; s++ {
-			slotCells := map[int]int{}
-			total := 0
-			for ss := 0; ss < cfg.SubSamples; ss++ {
-				t := (float64(s) + float64(ss)*inc) * cfg.SlotSeconds
-				sub := el.SubSatellitePoint(t)
-				for _, cell := range cfg.Grid.CellsWithin(sub, lam) {
-					slotCells[cell]++
-					total++
-				}
+			cells, total := ras.Slot(el, lam[si], s)
+			for _, c := range cells {
+				r.idx = append(r.idx, int32(s*m+c))
+				r.val = append(r.val, cfg.share(ras.Hits(c), total))
 			}
-			if total == 0 {
-				continue
-			}
-			for cell, n := range slotCells {
-				if cfg.CountSatellites {
-					acc[s*m+cell] += float64(n) * inc
-				} else {
-					acc[s*m+cell] += float64(n) / float64(total)
-				}
-			}
-		}
-		r := satRow{idx: make([]int32, 0, len(acc)), val: make([]float64, 0, len(acc))}
-		for k := range acc {
-			r.idx = append(r.idx, int32(k))
-		}
-		sortInt32(r.idx)
-		for _, k := range r.idx {
-			r.val = append(r.val, acc[int(k)])
 		}
 		rows[si] = r
 	}
 	return rows
-}
-
-func sortInt32(a []int32) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/orbit"
+	"repro/internal/texture"
 )
 
 // SupplyConfig parameterizes supply evaluation of a concrete constellation
@@ -50,6 +51,34 @@ func (c *SupplyConfig) fillDefaults() {
 	}
 }
 
+// newRasterizer returns a footprint rasterizer sampling c's instants.
+func (c SupplyConfig) newRasterizer() *texture.Rasterizer {
+	inc := 1.0 / float64(c.SubSamples)
+	offsets := make([]float64, c.SubSamples)
+	for ss := range offsets {
+		offsets[ss] = float64(ss) * inc
+	}
+	return texture.NewRasterizer(c.Grid, c.SlotSeconds, offsets)
+}
+
+// footprintRadii returns each satellite's footprint radius under c.Coverage.
+func (c SupplyConfig) footprintRadii(sats []orbit.Elements) []float64 {
+	lam := make([]float64, len(sats))
+	for i, el := range sats {
+		lam[i] = c.Coverage.FootprintRadius(el.Altitude())
+	}
+	return lam
+}
+
+// share is what a satellite supplies to a cell it covered at hits of a
+// slot's sample instants, its footprints having covered total cells then.
+func (c SupplyConfig) share(hits, total int) float64 {
+	if c.CountSatellites {
+		return float64(hits) * (1.0 / float64(c.SubSamples))
+	}
+	return float64(hits) / float64(total)
+}
+
 // Supply computes the unfolded supply vector (length slots × cells) of a
 // concrete satellite list: entry [t·m+i] is the number of satellites
 // (fractionally weighted by sub-slot presence) covering cell i at slot t.
@@ -57,46 +86,27 @@ func Supply(cfg SupplyConfig, sats []orbit.Elements) []float64 {
 	cfg.fillDefaults()
 	m := cfg.Grid.NumCells()
 	out := make([]float64, cfg.Slots*m)
-	var mu sync.Mutex
+	// Each worker owns a range of slots, hence of out, and adds the
+	// satellites in index order: no lock, and float sums that do not depend
+	// on which goroutine finishes first.
+	lam := cfg.footprintRadii(sats)
+	workers := min(cfg.Parallelism, cfg.Slots)
+	chunk := (cfg.Slots + workers - 1) / workers
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Parallelism)
-	for _, el := range sats {
+	for lo := 0; lo < cfg.Slots; lo += chunk {
 		wg.Add(1)
-		sem <- struct{}{}
-		go func(el orbit.Elements) {
+		go func(lo, hi int) {
 			defer wg.Done()
-			defer func() { <-sem }()
-			local := map[int]float64{}
-			lam := cfg.Coverage.FootprintRadius(el.Altitude())
-			inc := 1.0 / float64(cfg.SubSamples)
-			for s := 0; s < cfg.Slots; s++ {
-				slotCells := map[int]int{}
-				total := 0
-				for ss := 0; ss < cfg.SubSamples; ss++ {
-					t := (float64(s) + float64(ss)*inc) * cfg.SlotSeconds
-					sub := el.SubSatellitePoint(t)
-					for _, cell := range cfg.Grid.CellsWithin(sub, lam) {
-						slotCells[cell]++
-						total++
-					}
-				}
-				if total == 0 {
-					continue
-				}
-				for cell, n := range slotCells {
-					if cfg.CountSatellites {
-						local[s*m+cell] += float64(n) * inc
-					} else {
-						local[s*m+cell] += float64(n) / float64(total)
+			ras := cfg.newRasterizer()
+			for s := lo; s < hi; s++ {
+				for i, el := range sats {
+					cells, total := ras.Slot(el, lam[i], s)
+					for _, c := range cells {
+						out[s*m+c] += cfg.share(ras.Hits(c), total)
 					}
 				}
 			}
-			mu.Lock()
-			for k, v := range local {
-				out[k] += v
-			}
-			mu.Unlock()
-		}(el)
+		}(lo, min(lo+chunk, cfg.Slots))
 	}
 	wg.Wait()
 	return out

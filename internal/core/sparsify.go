@@ -57,7 +57,8 @@ type Problem struct {
 	// a single track (0 = 1, pure greedy — measurably sparser solutions;
 	// raise it to trade solution quality for solver speed).
 	MaxAddPerIteration int
-	// Parallelism bounds the argmax scan workers (0 = NumCPU).
+	// Parallelism bounds the workers of the scan that scores every track
+	// before the first iteration (0 = NumCPU).
 	Parallelism int
 	// DisablePrune skips the backward-elimination refinement pass that
 	// removes satellites the greedy selection over-provisioned (the
@@ -145,13 +146,14 @@ func prune(p Problem, res *Result, floor []int) {
 	// satellite of track j.
 	satisfiedDelta := func(j int) float64 {
 		d := 0.0
-		lib.TrackRow(j, func(k int, frac float64) {
+		idx, fracs := lib.TrackRow(j)
+		for i, k := range idx {
 			y := p.Demand[k]
 			if y == 0 {
-				return
+				continue
 			}
 			before := supply[k]
-			after := before - frac
+			after := before - fracs[i]
 			ob, oa := before, after
 			if ob > y {
 				ob = y
@@ -160,7 +162,7 @@ func prune(p Problem, res *Result, floor []int) {
 				oa = y
 			}
 			d += oa - ob // ≤ 0
-		})
+		}
 		return d
 	}
 	for {
@@ -181,7 +183,10 @@ func prune(p Problem, res *Result, floor []int) {
 		res.Pruned++
 		obsPruned.Inc()
 		satisfied += bestDelta
-		lib.TrackRow(bestJ, func(k int, frac float64) { supply[k] -= frac })
+		idx, fracs := lib.TrackRow(bestJ)
+		for i, k := range idx {
+			supply[k] -= fracs[i]
+		}
 	}
 	if total > 0 {
 		res.Availability = satisfied / total
@@ -231,6 +236,10 @@ type solverState struct {
 	total    float64   // ‖ỹ‖₁
 	remain   float64   // ‖r‖₁
 	workers  int
+	// applied counts apply calls; a candidate scored at the current count
+	// is fresh. queue is nil until the first argmax.
+	applied int
+	queue   candidateHeap
 }
 
 func newSolverState(p Problem) *solverState {
@@ -252,38 +261,51 @@ func newSolverState(p Problem) *solverState {
 // apply places x satellites on track j, decrementing the clamped residual.
 func (st *solverState) apply(j, x int) {
 	fx := float64(x)
-	st.p.Library.TrackRow(j, func(k int, frac float64) {
+	idx, fracs := st.p.Library.TrackRow(j)
+	for i, k := range idx {
 		r := st.residual[k]
 		if r <= 0 {
-			return
+			continue
 		}
-		dec := fx * frac
+		dec := fx * fracs[i]
 		if dec > r {
 			dec = r
 		}
 		st.residual[k] = r - dec
 		st.remain -= dec
-	})
+	}
+	st.applied++
+}
+
+// candidate is one track's score against the residual as it stood after
+// `applied` apply calls.
+type candidate struct {
+	j                       int
+	satisfiable, dot, norm2 float64
+	applied                 int
 }
 
 // score returns how much residual demand one satellite on track j would
 // satisfy (Σ_k min(A_jk, r_k)) together with the raw dot product A_jᵀr and
 // ‖A_j‖² restricted to unsatisfied entries, used for the add count.
-func (st *solverState) score(j int) (satisfiable, dot, norm2 float64) {
-	st.p.Library.TrackRow(j, func(k int, frac float64) {
+func (st *solverState) score(j int) candidate {
+	c := candidate{j: j, applied: st.applied}
+	idx, fracs := st.p.Library.TrackRow(j)
+	for i, k := range idx {
 		r := st.residual[k]
 		if r <= 0 {
-			return
+			continue
 		}
+		frac := fracs[i]
 		if frac < r {
-			satisfiable += frac
+			c.satisfiable += frac
 		} else {
-			satisfiable += r
+			c.satisfiable += r
 		}
-		dot += frac * r
-		norm2 += frac * frac
-	})
-	return
+		c.dot += frac * r
+		c.norm2 += frac * frac
+	}
+	return c
 }
 
 func (st *solverState) run(res *Result) error {
@@ -303,14 +325,15 @@ func (st *solverState) run(res *Result) error {
 	defer span.End()
 	for res.Iterations < maxIter && st.remain > target+1e-9 {
 		iterStart := time.Now()
-		j, satisfiable, dot, norm2 := st.argmax(n)
+		best := st.argmax()
+		j, satisfiable := best.j, best.satisfiable
 		if satisfiable <= 1e-12 {
 			res.Availability = st.availability()
 			return fmt.Errorf("%w: %.4f of demand satisfied", ErrNoProgress, res.Availability)
 		}
 		// Least-squares coefficient, clamped to [1, maxAdd]; never add more
 		// than needed to close the availability gap on this track alone.
-		add := int(math.Ceil(dot / norm2))
+		add := int(math.Ceil(best.dot / best.norm2))
 		if add < 1 {
 			add = 1
 		}
@@ -366,52 +389,92 @@ func (st *solverState) availability() float64 {
 	return 1 - st.remain/st.total
 }
 
-// argmax scans all tracks in parallel for the one whose single satellite
-// satisfies the most residual demand (Algorithm 1 lines 6–7, parallelized
-// as in §5 "we have also parallelized Algorithm 1's demand matching of all
-// orbit candidates").
-func (st *solverState) argmax(n int) (best int, satisfiable, dot, norm2 float64) {
-	type cand struct {
-		j                      int
-		satisfiable, dot, norm float64
+// argmax returns the track whose single satellite satisfies the most
+// residual demand, the lowest-numbered of equals (Algorithm 1 lines 6–7), and
+// a zero candidate when no track satisfies any.
+//
+// It is a lazy-greedy selection and it is exact. The residual only ever
+// shrinks, and score sums one track's terms in one fixed order — each term no
+// larger than when it was last computed, or dropped — so, floating-point
+// addition being monotone, a score taken against an earlier residual is an
+// upper bound on the track's score now. The tracks wait in a heap ordered by
+// their last score, then by index; only the top is ever re-scored, and once
+// the top is fresh every other track's bound, hence its true score, orders
+// after it. The full scan this replaces returned the same track. A track
+// whose score reaches zero can never be chosen again and leaves the heap.
+func (st *solverState) argmax() candidate {
+	if st.queue == nil {
+		st.queue = st.scoreAll()
 	}
-	workers := st.workers
-	if workers > n {
-		workers = n
+	q := st.queue
+	for len(q) > 0 && q[0].applied != st.applied {
+		if q[0] = st.score(q[0].j); q[0].satisfiable == 0 {
+			q[0] = q[len(q)-1]
+			q = q[:len(q)-1]
+		}
+		q.down(0)
 	}
-	results := make([]cand, workers)
-	var wg sync.WaitGroup
+	st.queue = q
+	if len(q) == 0 {
+		return candidate{}
+	}
+	return q[0]
+}
+
+// scoreAll scores every track against the current residual in parallel (§5:
+// "we have also parallelized Algorithm 1's demand matching of all orbit
+// candidates") and returns those that satisfy any demand as a heap.
+func (st *solverState) scoreAll() candidateHeap {
+	n := st.p.Library.NumTracks()
+	all := make(candidateHeap, n)
+	workers := min(st.workers, n)
 	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
+	var wg sync.WaitGroup
+	for lo := 0; lo < n; lo += chunk {
 		wg.Add(1)
-		go func(w int) {
+		go func(lo, hi int) {
 			defer wg.Done()
-			lo, hi := w*chunk, (w+1)*chunk
-			if hi > n {
-				hi = n
-			}
-			local := cand{j: -1}
 			for j := lo; j < hi; j++ {
-				s, d, nn := st.score(j)
-				if s > local.satisfiable {
-					local = cand{j: j, satisfiable: s, dot: d, norm: nn}
-				}
+				all[j] = st.score(j)
 			}
-			results[w] = local
-		}(w)
+		}(lo, min(lo+chunk, n))
 	}
 	wg.Wait()
-	bestCand := cand{j: -1}
-	for _, c := range results {
-		if c.j >= 0 && (bestCand.j < 0 || c.satisfiable > bestCand.satisfiable ||
-			(c.satisfiable == bestCand.satisfiable && c.j < bestCand.j)) {
-			bestCand = c
+	q := all[:0]
+	for _, c := range all {
+		if c.satisfiable > 0 {
+			q = append(q, c)
 		}
 	}
-	if bestCand.j < 0 {
-		return 0, 0, 0, 1
+	for i := len(q)/2 - 1; i >= 0; i-- {
+		q.down(i)
 	}
-	return bestCand.j, bestCand.satisfiable, bestCand.dot, bestCand.norm
+	return q
+}
+
+// candidateHeap is a binary max-heap by (satisfiable, then lower j).
+type candidateHeap []candidate
+
+func (q candidateHeap) before(a, b int) bool {
+	return q[a].satisfiable > q[b].satisfiable || (q[a].satisfiable == q[b].satisfiable && q[a].j < q[b].j)
+}
+
+// down restores the heap below i.
+func (q candidateHeap) down(i int) {
+	for {
+		top := 2*i + 1
+		if top >= len(q) {
+			return
+		}
+		if r := top + 1; r < len(q) && q.before(r, top) {
+			top = r
+		}
+		if !q.before(top, i) {
+			return
+		}
+		q[i], q[top] = q[top], q[i]
+		i = top
+	}
 }
 
 // Verify recomputes availability of a result against a demand vector from

@@ -10,6 +10,7 @@ package geo
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/geom"
 )
@@ -19,6 +20,12 @@ import (
 type Grid struct {
 	cellDeg    float64
 	nLat, nLon int
+
+	// The footprint rasterizer's tables, filled on its first use: every
+	// cell center as a unit vector and cos(latitude) of every row's centers.
+	rasterOnce sync.Once
+	units      []geom.Vec3
+	rowCos     []float64
 }
 
 // DefaultCellSizeDeg reproduces the paper's 4,050-cell partition.
@@ -128,13 +135,20 @@ func (g *Grid) Neighbors4(id int) []int {
 }
 
 // CellsWithin returns the IDs of every cell whose center lies within the
-// great-circle angular radius (radians) of p. This is the footprint rasterizer
-// used to build coverage matrices, so it avoids scanning the whole grid:
-// only latitude rows within the radius are visited, and within each row
-// only the longitude span that can possibly be in range.
+// great-circle angular radius (radians) of p.
 func (g *Grid) CellsWithin(p geom.LatLon, radius float64) []int {
+	return g.AppendCellsWithin([]int{}, p, radius)
+}
+
+// AppendCellsWithin appends to dst what CellsWithin returns, in the same
+// order, and returns the extended slice. This is the footprint rasterizer
+// used to build coverage matrices, so it allocates nothing beyond dst's
+// growth and avoids scanning the whole grid: only latitude rows within the
+// radius are visited, and within each row only the longitude span that can
+// possibly be in range.
+func (g *Grid) AppendCellsWithin(dst []int, p geom.LatLon, radius float64) []int {
+	g.rasterOnce.Do(g.fillRasterTables)
 	radDeg := geom.Rad2Deg(radius)
-	out := []int{}
 	rowLo := int((p.Lat - radDeg + 90) / g.cellDeg)
 	rowHi := int((p.Lat + radDeg + 90) / g.cellDeg)
 	if rowLo < 0 {
@@ -144,41 +158,47 @@ func (g *Grid) CellsWithin(p geom.LatLon, radius float64) []int {
 		rowHi = g.nLat - 1
 	}
 	pu := p.ToUnit()
-	cosR := math.Cos(radius)
+	cosR, sinR := math.Cos(radius), math.Sin(radius)
+	colC := int((geom.NormalizeLon(p.Lon) + 180) / g.cellDeg)
 	for row := rowLo; row <= rowHi; row++ {
-		lat := -90 + (float64(row)+0.5)*g.cellDeg
 		// Longitude half-span at this latitude band (degrees). The
 		// sin(radius)/cos(lat) bound only holds for radius ≤ π/2; larger
 		// radii (hemisphere-plus) scan the full circle. Guard the cos for
 		// near-polar rows where every longitude is in range.
-		cosLat := math.Cos(geom.Deg2Rad(lat))
 		spanDeg := 180.0
-		if radius < math.Pi/2 && cosLat > 1e-6 {
-			s := math.Sin(radius) / cosLat
-			if s < 1 {
+		if cosLat := g.rowCos[row]; radius < math.Pi/2 && cosLat > 1e-6 {
+			if s := sinR / cosLat; s < 1 {
 				// A slightly inflated span to be safe; exact check below.
 				spanDeg = geom.Rad2Deg(math.Asin(s)) + g.cellDeg
 			}
 		}
-		colC := int((geom.NormalizeLon(p.Lon) + 180) / g.cellDeg)
 		halfCols := int(spanDeg/g.cellDeg) + 1
 		if halfCols*2 >= g.nLon {
-			for col := 0; col < g.nLon; col++ {
-				id := g.CellID(row, col)
-				if g.Center(id).ToUnit().Dot(pu) >= cosR {
-					out = append(out, id)
+			for id := row * g.nLon; id < (row+1)*g.nLon; id++ {
+				if g.units[id].Dot(pu) >= cosR {
+					dst = append(dst, id)
 				}
 			}
 			continue
 		}
 		for dc := -halfCols; dc <= halfCols; dc++ {
-			id := g.CellID(row, colC+dc)
-			if g.Center(id).ToUnit().Dot(pu) >= cosR {
-				out = append(out, id)
+			if id := g.CellID(row, colC+dc); g.units[id].Dot(pu) >= cosR {
+				dst = append(dst, id)
 			}
 		}
 	}
-	return out
+	return dst
+}
+
+func (g *Grid) fillRasterTables() {
+	g.units = make([]geom.Vec3, g.NumCells())
+	for id := range g.units {
+		g.units[id] = g.Center(id).ToUnit()
+	}
+	g.rowCos = make([]float64, g.nLat)
+	for row := range g.rowCos {
+		g.rowCos[row] = math.Cos(geom.Deg2Rad(-90 + (float64(row)+0.5)*g.cellDeg))
+	}
 }
 
 // CenterDistance returns the great-circle distance (m) between the centers

@@ -3,6 +3,7 @@ package geo
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/geom"
@@ -179,5 +180,70 @@ func TestCellsWithinGlobalRadius(t *testing.T) {
 	ids := g.CellsWithin(geom.LatLon{Lat: 0, Lon: 0}, math.Pi)
 	if len(ids) != g.NumCells() {
 		t.Errorf("π radius covered %d of %d cells", len(ids), g.NumCells())
+	}
+}
+
+// cellsWithinReference is CellsWithin as it stood before the rasterizer's
+// tables (commit 7fe4e5f): every center and unit vector computed per call.
+// AppendCellsWithin must return the same cells in the same order, because
+// that order is the order floating-point sums over a footprint are taken in.
+func cellsWithinReference(g *Grid, p geom.LatLon, radius float64) []int {
+	radDeg := geom.Rad2Deg(radius)
+	out := []int{}
+	rowLo := max(int((p.Lat-radDeg+90)/g.cellDeg), 0)
+	rowHi := min(int((p.Lat+radDeg+90)/g.cellDeg), g.nLat-1)
+	pu := p.ToUnit()
+	cosR := math.Cos(radius)
+	for row := rowLo; row <= rowHi; row++ {
+		lat := -90 + (float64(row)+0.5)*g.cellDeg
+		cosLat := math.Cos(geom.Deg2Rad(lat))
+		spanDeg := 180.0
+		if radius < math.Pi/2 && cosLat > 1e-6 {
+			if s := math.Sin(radius) / cosLat; s < 1 {
+				spanDeg = geom.Rad2Deg(math.Asin(s)) + g.cellDeg
+			}
+		}
+		colC := int((geom.NormalizeLon(p.Lon) + 180) / g.cellDeg)
+		halfCols := int(spanDeg/g.cellDeg) + 1
+		lo, hi := colC-halfCols, colC+halfCols
+		if halfCols*2 >= g.nLon {
+			lo, hi = 0, g.nLon-1
+		}
+		for col := lo; col <= hi; col++ {
+			if id := g.CellID(row, col); g.Center(id).ToUnit().Dot(pu) >= cosR {
+				out = append(out, id)
+			}
+		}
+	}
+	return out
+}
+
+func TestAppendCellsWithinMatchesCellsWithin(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, deg := range []float64{4, 6, 10, 20} {
+		g := MustGrid(deg)
+		points := []geom.LatLon{
+			{Lat: 90, Lon: 0}, {Lat: -90, Lon: 37}, {Lat: 89.9, Lon: -120}, {Lat: -88, Lon: 179.9}, // poles
+			{Lat: 0, Lon: 180}, {Lat: 12, Lon: -180}, {Lat: -40, Lon: 179.999}, {Lat: 55, Lon: -179.999}, {Lat: 3, Lon: 541}, // antimeridian
+			{Lat: 0, Lon: 0}, {Lat: g.Center(7).Lat, Lon: g.Center(7).Lon},
+		}
+		for i := 0; i < 40; i++ {
+			points = append(points, geom.LatLon{Lat: rng.Float64()*180 - 90, Lon: rng.Float64()*360 - 180})
+		}
+		radii := []float64{0, geom.Deg2Rad(1), geom.Deg2Rad(8.5), geom.Deg2Rad(25), geom.Deg2Rad(70),
+			math.Pi/2 - 1e-9, math.Pi / 2, math.Pi/2 + 0.1, 2.5, math.Pi}
+		scratch := []int{-1, -2}
+		for _, p := range points {
+			for _, radius := range radii {
+				want := cellsWithinReference(g, p, radius)
+				if got := g.CellsWithin(p, radius); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v° grid, p=%v r=%v: CellsWithin = %v, reference %v", deg, p, radius, got, want)
+				}
+				scratch = g.AppendCellsWithin(scratch[:2], p, radius)
+				if scratch[0] != -1 || scratch[1] != -2 || !reflect.DeepEqual(scratch[2:], want) {
+					t.Fatalf("%v° grid, p=%v r=%v: AppendCellsWithin = %v, reference %v after the prefix", deg, p, radius, scratch, want)
+				}
+			}
+		}
 	}
 }

@@ -150,7 +150,8 @@ type Controller struct {
 	// reconnects). The delta enforcer uses it to force a full-snapshot
 	// re-sync for a reconnected agent, whose dataplane view may have
 	// missed deltas. Called from the connection's read loop without
-	// internal locks held; set before agents connect.
+	// internal locks held, before the hello-ack is written; set before
+	// agents connect.
 	OnRegister func(satID uint32)
 
 	// reg is the controller's always-enabled telemetry registry (the
@@ -292,6 +293,13 @@ func (c *Controller) serve(conn net.Conn) {
 			c.agents[satID] = conn
 			c.hellos[satID]++
 			delete(c.unreachable, satID)
+			// The hello-ack is counted with the registration, not after
+			// its write below: whoever sees the gauge include this agent
+			// also sees both halves of its handshake in the message
+			// counters. An ack whose write then fails stays counted; the
+			// connection is dropped and the gauge falls back.
+			ack := &Message{Type: MsgHelloAck, SatID: satID, Seq: m.Seq}
+			c.countTx(ack)
 			c.connected.Set(float64(len(c.agents)))
 			// At-least-once across reconnects: everything still pending
 			// for this satellite goes out again on the fresh connection.
@@ -315,15 +323,16 @@ func (c *Controller) serve(conn net.Conn) {
 					"sat", strconv.FormatUint(uint64(satID), 10),
 					"addr", conn.RemoteAddr().String())
 			}
-			ack := &Message{Type: MsgHelloAck, SatID: satID, Seq: m.Seq}
-			if err := c.writeTo(conn, ack); err != nil {
-				return
-			}
-			c.countTx(ack)
-			c.deliverResends(resends)
+			// The hook runs before the agent learns it is registered, so
+			// what it does (the delta enforcer's re-sync mark) cannot
+			// land after the first command the dialer's caller sends.
 			if c.OnRegister != nil {
 				c.OnRegister(satID)
 			}
+			if err := c.writeTo(conn, ack); err != nil {
+				return
+			}
+			c.deliverResends(resends)
 		case MsgFailureReport:
 			if flightrec.Enabled() {
 				flightrec.Emit(flightrec.CompSouthbound, "failure_report",

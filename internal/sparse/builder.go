@@ -110,7 +110,10 @@ func (m *Matrix) ToDense() [][]float64 {
 	d := make([][]float64, m.rows)
 	for i := range d {
 		d[i] = make([]float64, m.cols)
-		m.Row(i, func(j int, v float64) { d[i][j] = v })
+		cols, vals := m.Row(i)
+		for k, j := range cols {
+			d[i][j] = vals[k]
+		}
 	}
 	return d
 }

@@ -5,10 +5,7 @@
 // coverage matrix A_t using compressed sparse row matrices").
 package sparse
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Matrix is an immutable CSR sparse matrix of float64 values.
 type Matrix struct {
@@ -27,22 +24,12 @@ func (m *Matrix) Cols() int { return m.cols }
 // NNZ returns the number of stored (non-zero) entries.
 func (m *Matrix) NNZ() int { return len(m.vals) }
 
-// At returns the value at (i, j) using binary search within row i.
-func (m *Matrix) At(i, j int) float64 {
+// Row returns row i's stored entries as two aligned views into the matrix,
+// column indices in increasing order and their values. The caller must not
+// modify them.
+func (m *Matrix) Row(i int) (cols []int32, vals []float64) {
 	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-	seg := m.colIdx[lo:hi]
-	k := sort.Search(len(seg), func(k int) bool { return seg[k] >= int32(j) })
-	if k < len(seg) && seg[k] == int32(j) {
-		return m.vals[int(lo)+k]
-	}
-	return 0
-}
-
-// Row calls f(j, v) for each stored entry in row i, in column order.
-func (m *Matrix) Row(i int, f func(j int, v float64)) {
-	for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-		f(int(m.colIdx[k]), m.vals[k])
-	}
+	return m.colIdx[lo:hi:hi], m.vals[lo:hi:hi]
 }
 
 // RowNNZ returns the number of stored entries in row i.
@@ -91,17 +78,6 @@ func (m *Matrix) MulVecT(x, dst []float64) []float64 {
 	return dst
 }
 
-// Transpose returns Mᵀ as a new CSR matrix (i.e. CSC view materialized).
-func (m *Matrix) Transpose() *Matrix {
-	b := NewBuilder(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			b.Set(int(m.colIdx[k]), i, m.vals[k])
-		}
-	}
-	return b.Build()
-}
-
 // VStack stacks matrices vertically (all must share the column count). This
 // implements the paper's temporal unfolding Ã = [A₁; A₂; …; A_Tmax].
 func VStack(ms ...*Matrix) *Matrix {
@@ -133,49 +109,4 @@ func VStack(ms ...*Matrix) *Matrix {
 		out.vals = append(out.vals, m.vals...)
 	}
 	return out
-}
-
-// ColumnNormsSquared returns ‖A_j‖² for every column j (used for the
-// least-squares MP coefficient).
-func (m *Matrix) ColumnNormsSquared() []float64 {
-	out := make([]float64, m.cols)
-	for k, j := range m.colIdx {
-		out[j] += m.vals[k] * m.vals[k]
-	}
-	return out
-}
-
-// ColumnSums returns Σ_i A_ij for every column j.
-func (m *Matrix) ColumnSums() []float64 {
-	out := make([]float64, m.cols)
-	for k, j := range m.colIdx {
-		out[j] += m.vals[k]
-	}
-	return out
-}
-
-// AddScaledColumn computes dst += s·A_j for dense dst of length Rows().
-// It requires the transpose matrix (column-major access); see Transposed.
-func (t *Transposed) AddScaledColumn(j int, s float64, dst []float64) {
-	t.m.Row(j, func(i int, v float64) { dst[i] += s * v })
-}
-
-// Transposed wraps Mᵀ to give cheap column access into M's row space.
-type Transposed struct{ m *Matrix }
-
-// NewTransposed materializes the transpose of m for column operations.
-func NewTransposed(m *Matrix) *Transposed { return &Transposed{m: m.Transpose()} }
-
-// Column calls f(i, v) for each stored entry of column j of the original
-// matrix.
-func (t *Transposed) Column(j int, f func(i int, v float64)) { t.m.Row(j, f) }
-
-// ColNNZ returns the number of stored entries in original column j.
-func (t *Transposed) ColNNZ(j int) int { return t.m.RowNNZ(j) }
-
-// DotColumn returns A_jᵀ·x for dense x over the original row space.
-func (t *Transposed) DotColumn(j int, x []float64) float64 {
-	s := 0.0
-	t.m.Row(j, func(i int, v float64) { s += v * x[i] })
-	return s
 }

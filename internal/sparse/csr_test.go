@@ -42,6 +42,17 @@ func vecApprox(a, b []float64, tol float64) bool {
 	return true
 }
 
+// at looks (i, j) up through the row view; 0 when nothing is stored there.
+func at(m *Matrix, i, j int) float64 {
+	cols, vals := m.Row(i)
+	for k, c := range cols {
+		if int(c) == j {
+			return vals[k]
+		}
+	}
+	return 0
+}
+
 func TestBuildAndAt(t *testing.T) {
 	b := NewBuilder(3, 4)
 	b.Set(0, 1, 2)
@@ -55,10 +66,10 @@ func TestBuildAndAt(t *testing.T) {
 	if m.NNZ() != 3 {
 		t.Fatalf("nnz = %d", m.NNZ())
 	}
-	if m.At(0, 1) != 5 || m.At(1, 0) != 5 || m.At(2, 3) != -1 {
-		t.Errorf("wrong values: %v %v %v", m.At(0, 1), m.At(1, 0), m.At(2, 3))
+	if at(m, 0, 1) != 5 || at(m, 1, 0) != 5 || at(m, 2, 3) != -1 {
+		t.Errorf("wrong values: %v %v %v", at(m, 0, 1), at(m, 1, 0), at(m, 2, 3))
 	}
-	if m.At(0, 0) != 0 || m.At(2, 0) != 0 {
+	if at(m, 0, 0) != 0 || at(m, 2, 0) != 0 {
 		t.Errorf("phantom values")
 	}
 }
@@ -72,7 +83,7 @@ func TestBuildPruned(t *testing.T) {
 	if m.NNZ() != 1 {
 		t.Errorf("pruned nnz = %d", m.NNZ())
 	}
-	if m.At(1, 1) != 2 {
+	if at(m, 1, 1) != 2 {
 		t.Errorf("surviving value wrong")
 	}
 }
@@ -128,7 +139,15 @@ func TestMulVecTAgainstTransposeDense(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		want := m.Transpose().MulVec(x, nil)
+		d := m.ToDense()
+		dt := make([][]float64, cols)
+		for j := range dt {
+			dt[j] = make([]float64, rows)
+			for i := range d {
+				dt[j][i] = d[i][j]
+			}
+		}
+		want := denseMulVec(dt, x)
 		got := m.MulVecT(x, nil)
 		if !vecApprox(got, want, 1e-9) {
 			t.Fatalf("MulVecT mismatch trial %d", trial)
@@ -151,15 +170,6 @@ func TestMulVecReusesDst(t *testing.T) {
 	gt := m.MulVecT([]float64{1, 0}, dt)
 	if gt[0] != 1 || gt[1] != 2 {
 		t.Errorf("MulVecT with dirty dst = %v", gt)
-	}
-}
-
-func TestTransposeInvolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	m := randMatrix(rng, 15, 9, 0.25)
-	tt := m.Transpose().Transpose()
-	if !reflect.DeepEqual(m.ToDense(), tt.ToDense()) {
-		t.Error("double transpose differs")
 	}
 }
 
@@ -189,35 +199,6 @@ func TestVStackEmptyAndMismatch(t *testing.T) {
 	VStack(FromDense([][]float64{{1}}), FromDense([][]float64{{1, 2}}))
 }
 
-func TestColumnNormsAndSums(t *testing.T) {
-	m := FromDense([][]float64{{1, 2}, {3, 0}, {0, -4}})
-	norms := m.ColumnNormsSquared()
-	if norms[0] != 10 || norms[1] != 20 {
-		t.Errorf("norms = %v", norms)
-	}
-	sums := m.ColumnSums()
-	if sums[0] != 4 || sums[1] != -2 {
-		t.Errorf("sums = %v", sums)
-	}
-}
-
-func TestTransposedColumnOps(t *testing.T) {
-	m := FromDense([][]float64{{1, 2}, {3, 0}, {0, -4}})
-	tr := NewTransposed(m)
-	if tr.ColNNZ(0) != 2 || tr.ColNNZ(1) != 2 {
-		t.Errorf("ColNNZ wrong")
-	}
-	x := []float64{1, 1, 1}
-	if got := tr.DotColumn(0, x); got != 4 {
-		t.Errorf("DotColumn(0) = %v", got)
-	}
-	dst := make([]float64, 3)
-	tr.AddScaledColumn(1, 2, dst)
-	if dst[0] != 4 || dst[1] != 0 || dst[2] != -8 {
-		t.Errorf("AddScaledColumn = %v", dst)
-	}
-}
-
 func TestBuilderPanicsOutOfRange(t *testing.T) {
 	b := NewBuilder(2, 2)
 	for _, fn := range []func(){
@@ -242,13 +223,15 @@ func TestRowIterationOrdered(t *testing.T) {
 		m := randMatrix(rng, 10, 10, 0.4)
 		ok := true
 		for i := 0; i < m.Rows(); i++ {
-			last := -1
-			m.Row(i, func(j int, v float64) {
-				if j <= last {
+			cols, vals := m.Row(i)
+			if len(cols) != len(vals) || len(cols) != m.RowNNZ(i) {
+				ok = false
+			}
+			for k := 1; k < len(cols); k++ {
+				if cols[k] <= cols[k-1] {
 					ok = false
 				}
-				last = j
-			})
+			}
 		}
 		return ok
 	}

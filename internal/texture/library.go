@@ -8,7 +8,9 @@ package texture
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/geo"
 	"repro/internal/geom"
@@ -146,19 +148,31 @@ func Build(cfg Config) (*Library, error) {
 		Coverage:    cfg.Coverage,
 	}
 
+	// A fixed pool of workers, each with its own rasterizer and row
+	// scratch, takes tracks off a shared counter; a finished row is copied
+	// out exactly sized, so the build's garbage is one copy of the matrix.
 	m := cfg.Grid.NumCells()
 	rows := make([][]int32, len(tracks))
 	vals := make([][]float64, len(tracks))
+	offsets := make([]float64, cfg.SubSamples)
+	for ss := range offsets {
+		offsets[ss] = float64(ss) / float64(cfg.SubSamples)
+	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Parallelism)
-	for j := range tracks {
+	for w := 0; w < min(cfg.Parallelism, len(tracks)); w++ {
 		wg.Add(1)
-		sem <- struct{}{}
-		go func(j int) {
+		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			rows[j], vals[j] = coverageRow(cfg, tracks[j].Elements, m)
-		}(j)
+			ras := NewRasterizer(cfg.Grid, cfg.SlotSeconds, offsets)
+			var cols []int32
+			var fracs []float64
+			for j := int(next.Add(1)) - 1; j < len(tracks); j = int(next.Add(1)) - 1 {
+				cols, fracs = appendCoverageRow(cols[:0], fracs[:0], ras, cfg, tracks[j].Elements, m)
+				rows[j] = append(make([]int32, 0, len(cols)), cols...)
+				vals[j] = append(make([]float64, 0, len(fracs)), fracs...)
+			}
+		}()
 	}
 	wg.Wait()
 
@@ -167,56 +181,71 @@ func Build(cfg Config) (*Library, error) {
 	return lib, nil
 }
 
-// coverageRow computes one track's unfolded coverage: sorted column indices
-// slot*m+cell with fractional values. Per the paper's supply model, A_t(i,j)
-// is the fraction of satellite j's radio-link capacity over cell i, so each
-// satellite's coverage sums to 1 per slot (its capacity is one satellite
-// unit regardless of footprint size): a wide footprint spreads capacity
-// thinner, it does not multiply it.
-func coverageRow(cfg Config, el orbit.Elements, m int) ([]int32, []float64) {
+// appendCoverageRow appends one track's unfolded coverage to cols and fracs:
+// sorted column indices slot*m+cell with fractional values. Per the paper's
+// supply model, A_t(i,j) is the fraction of satellite j's radio-link capacity
+// over cell i, so each satellite's coverage sums to 1 per slot (its capacity
+// is one satellite unit regardless of footprint size): a wide footprint
+// spreads capacity thinner, it does not multiply it.
+func appendCoverageRow(cols []int32, fracs []float64, ras *Rasterizer, cfg Config, el orbit.Elements, m int) ([]int32, []float64) {
 	lam := cfg.Coverage.FootprintRadius(el.Altitude())
-	var cols []int32
-	var vals []float64
-	counts := map[int]int{}
 	for s := 0; s < cfg.Slots; s++ {
-		for k := range counts {
-			delete(counts, k)
-		}
-		total := 0
-		for ss := 0; ss < cfg.SubSamples; ss++ {
-			t := (float64(s) + float64(ss)/float64(cfg.SubSamples)) * cfg.SlotSeconds
-			sub := el.SubSatellitePoint(t)
-			for _, cell := range cfg.Grid.CellsWithin(sub, lam) {
-				counts[cell]++
-				total++
-			}
-		}
-		if total == 0 {
-			continue
-		}
-		// Emit this slot's cells in ascending order, capacity-normalized.
-		base := s * m
-		cells := make([]int, 0, len(counts))
-		for c := range counts {
-			cells = append(cells, c)
-		}
-		sortInts(cells)
+		cells, total := ras.Slot(el, lam, s)
 		for _, c := range cells {
-			cols = append(cols, int32(base+c))
-			vals = append(vals, float64(counts[c])/float64(total))
+			cols = append(cols, int32(s*m+c))
+			fracs = append(fracs, float64(ras.Hits(c))/float64(total))
 		}
 	}
-	return cols, vals
+	return cols, fracs
 }
 
-func sortInts(a []int) {
-	// insertion sort: footprints are tiny (≈10–40 cells).
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
+// Rasterizer samples a satellite's radio footprint over the cell grid one
+// slot at a time: which cells the footprint covers at the slot's sub-sample
+// instants, and at how many of them. It is the one slot → sub-sample →
+// cells-within → count loop behind the library's rows and the supply of a
+// concrete constellation (internal/baseline). A Rasterizer is scratch: one
+// goroutine owns it, and a Slot call invalidates what the previous returned.
+type Rasterizer struct {
+	grid        *geo.Grid
+	slotSeconds float64
+	offsets     []float64
+	hits        []int32 // per cell, zero outside cells
+	cells       []int   // the cells the current slot's samples cover
+	within      []int   // one sample's footprint
 }
+
+// NewRasterizer returns a rasterizer over grid that samples slot s at
+// (s + offsets[i]) × slotSeconds.
+func NewRasterizer(grid *geo.Grid, slotSeconds float64, offsets []float64) *Rasterizer {
+	return &Rasterizer{grid: grid, slotSeconds: slotSeconds, offsets: offsets, hits: make([]int32, grid.NumCells())}
+}
+
+// Slot samples the footprint (angular radius lam) of a satellite on el during
+// slot s. It returns the covered cells in ascending order and the total of
+// their Hits.
+func (r *Rasterizer) Slot(el orbit.Elements, lam float64, s int) (cells []int, total int) {
+	for _, c := range r.cells {
+		r.hits[c] = 0
+	}
+	r.cells = r.cells[:0]
+	for _, off := range r.offsets {
+		t := (float64(s) + off) * r.slotSeconds
+		r.within = r.grid.AppendCellsWithin(r.within[:0], el.SubSatellitePoint(t), lam)
+		for _, c := range r.within {
+			if r.hits[c] == 0 {
+				r.cells = append(r.cells, c)
+			}
+			r.hits[c]++
+		}
+		total += len(r.within)
+	}
+	slices.Sort(r.cells)
+	return r.cells, total
+}
+
+// Hits returns at how many of the last Slot's sample instants cell was
+// covered.
+func (r *Rasterizer) Hits(cell int) int { return int(r.hits[cell]) }
 
 // NumTracks returns the number of candidate tracks.
 func (l *Library) NumTracks() int { return len(l.Tracks) }
@@ -228,12 +257,16 @@ func (l *Library) UnfoldedLen() int { return l.Slots * l.Grid.NumCells() }
 // (slot, cell, fraction) triples.
 func (l *Library) TrackCoverage(j int, f func(slot, cell int, frac float64)) {
 	m := l.Grid.NumCells()
-	l.mat.Row(j, func(k int, v float64) { f(k/m, k%m, v) })
+	idx, frac := l.mat.Row(j)
+	for i, k := range idx {
+		f(int(k)/m, int(k)%m, frac[i])
+	}
 }
 
-// TrackRow iterates track j's coverage over the flattened slot*m+cell space.
-func (l *Library) TrackRow(j int, f func(idx int, frac float64)) {
-	l.mat.Row(j, f)
+// TrackRow returns track j's coverage over the flattened slot*m+cell space
+// as two aligned read-only views: ascending indices and their fractions.
+func (l *Library) TrackRow(j int) (idx []int32, frac []float64) {
+	return l.mat.Row(j)
 }
 
 // TrackNNZ returns the number of (slot, cell) pairs track j covers.
@@ -251,7 +284,10 @@ func (l *Library) Supply(x []int) []float64 {
 			continue
 		}
 		fn := float64(n)
-		l.mat.Row(j, func(k int, v float64) { out[k] += fn * v })
+		idx, frac := l.mat.Row(j)
+		for i, k := range idx {
+			out[k] += fn * frac[i]
+		}
 	}
 	return out
 }

@@ -63,11 +63,12 @@ func TestCoverageValuesAreFractions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := 0; j < lib.NumTracks(); j++ {
-		lib.TrackRow(j, func(idx int, frac float64) {
+		idx, fracs := lib.TrackRow(j)
+		for i, frac := range fracs {
 			if frac <= 0 || frac > 1+1e-12 {
-				t.Fatalf("track %d idx %d frac %v", j, idx, frac)
+				t.Fatalf("track %d idx %d frac %v", j, idx[i], frac)
 			}
-		})
+		}
 	}
 }
 

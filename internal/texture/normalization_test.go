@@ -20,9 +20,10 @@ func TestCoverageCapacityNormalized(t *testing.T) {
 	m := lib.Grid.NumCells()
 	for j := 0; j < lib.NumTracks(); j++ {
 		perSlot := make([]float64, lib.Slots)
-		lib.TrackRow(j, func(idx int, frac float64) {
-			perSlot[idx/m] += frac
-		})
+		idx, fracs := lib.TrackRow(j)
+		for i, k := range idx {
+			perSlot[int(k)/m] += fracs[i]
+		}
 		for s, sum := range perSlot {
 			if sum == 0 {
 				continue // footprint missed every cell center this slot
@@ -62,7 +63,10 @@ func TestHighAltitudeDoesNotMultiplyCapacity(t *testing.T) {
 	}
 	sum := func(j int) float64 {
 		s := 0.0
-		lib.TrackRow(j, func(_ int, v float64) { s += v })
+		_, fracs := lib.TrackRow(j)
+		for _, v := range fracs {
+			s += v
+		}
 		return s
 	}
 	// Total capacity over the horizon differs by at most the number of
