@@ -6,15 +6,14 @@
 //
 //	tinyleo-bench [-scale small|paper] [-run all|table1|fig3|fig4|fig9|fig13|
 //	               fig14|fig15|fig15d|fig15e|fig16|fig17|fig17d|fig18|fig19a|
-//	               fig19bcd|horizon|delta|chaos|southbound|fleet] [-horizon N]
-//	               [-workers N] [-delta-slots N] [-chaos-scenario all|NAME]
-//	               [-chaos-seed N] [-chaos-fleet-out f.json] [-chaos-delta]
-//	               [-csv] [-bench-json out.json] [-metrics-addr host:port]
-//	               [-trace-out file.jsonl] [-record-out flight.jsonl.gz]
-//	               [-pprof]
+//	               fig19bcd|delta|chaos|southbound|fleet]
+//	               [-chaos-scenario all|NAME] [-chaos-seed N]
+//	               [-chaos-fleet-out f.json] [-csv] [-bench-json out.json]
+//	               [-metrics-addr host:port] [-trace-out file.jsonl]
+//	               [-record-out flight.jsonl.gz] [-pprof]
 //
 // -run delta measures the incremental MPC compiler (mpc.DeltaCompile): a
-// full Compile chain versus a warm-started delta chain over the same
+// full Compile chain versus a warm-started delta chain over the same 12
 // control slots at the 529-satellite scenario, verifying byte-identical
 // plans and reporting the warm-slot speedup, warm-hit ratio, and the
 // southbound bytes of per-satellite slot-delta batches versus per-link
@@ -24,11 +23,10 @@
 // ISL failures, loss storms, agent crashes, southbound connection drops,
 // and demand surges driven through MPC repair, southbound enforcement, and
 // data-plane failover, scored against the flight recorder's SLO rules.
-// Same -chaos-seed → byte-identical results, including the fleet
+// Each round's repair diff is enforced as per-satellite slot-delta
+// batches. Same -chaos-seed → byte-identical results, including the fleet
 // telemetry health view (-chaos-fleet-out dumps each scenario's final
-// constellation summary as a deterministic JSON artifact); -chaos-delta
-// swaps per-link SetISL enforcement for per-satellite slot-delta batches
-// without breaking that determinism.
+// constellation summary as a deterministic JSON artifact).
 //
 // -run fleet benchmarks the fleet telemetry plane itself: agents hammer
 // their registries while flushing delta reports into a controller-side
@@ -56,7 +54,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -72,14 +69,10 @@ import (
 
 func main() {
 	scaleName := flag.String("scale", "small", "experiment scale: small or paper")
-	run := flag.String("run", "all", "comma-separated experiment list (all, table1, fig3, fig4, fig9, fig13, fig14, fig15, fig15d, fig15e, fig16, fig17, fig17d, fig18, fig19a, fig19bcd, horizon, delta, chaos, southbound, fleet, ablations, discussion)")
-	horizonSlots := flag.Int("horizon", 0, "control slots per horizon window for -run horizon (0 = the scale's ControlSlots)")
-	workers := flag.Int("workers", runtime.NumCPU(), "worker goroutines for the parallel horizon compile")
-	deltaSlots := flag.Int("delta-slots", 0, "control slots for the -run delta incremental-compile sweep (0 = 12)")
+	run := flag.String("run", "all", "comma-separated experiment list (all, table1, fig3, fig4, fig9, fig13, fig14, fig15, fig15d, fig15e, fig16, fig17, fig17d, fig18, fig19a, fig19bcd, delta, chaos, southbound, fleet, ablations, discussion)")
 	chaosScenario := flag.String("chaos-scenario", "all", "chaos scenario for -run chaos (all, baseline, isl-storm, agent-crash, conn-flap, surge, mixed)")
 	chaosSeed := flag.Int64("chaos-seed", 42, "campaign seed for -run chaos (same seed => identical results)")
 	chaosFleetOut := flag.String("chaos-fleet-out", "", "write each chaos scenario's final fleet telemetry summary as JSON to this file (deterministic for a given -chaos-seed)")
-	chaosDelta := flag.Bool("chaos-delta", false, "enforce chaos repair diffs as per-satellite slot-delta batches instead of per-link SetISL commands")
 	sbAgents := flag.Int("sb-agents", 4, "in-process agents for -run southbound")
 	sbCmds := flag.Int("sb-cmds", 2000, "commands to push for -run southbound")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
@@ -293,22 +286,15 @@ func main() {
 		}
 		emit(tabs...)
 	}
-	if want("horizon") {
-		tab, err := experiments.HorizonThroughput(scale, *horizonSlots, *workers)
-		if err != nil {
-			fail("horizon", err)
-		}
-		emit(tab)
-	}
 	if want("delta") {
-		tab, err := experiments.DeltaCompileSweep(*deltaSlots)
+		tab, err := experiments.DeltaCompileSweep()
 		if err != nil {
 			fail("delta", err)
 		}
 		emit(tab)
 	}
 	if want("chaos") {
-		tabs, fleets, err := experiments.ChaosCampaign(scale, *chaosScenario, *chaosSeed, *chaosDelta)
+		tabs, fleets, err := experiments.ChaosCampaign(scale, *chaosScenario, *chaosSeed)
 		if err != nil {
 			fail("chaos", err)
 		}

@@ -3,13 +3,15 @@
 // orbital MPC every control slot, pushes ISL/ring configuration to the
 // connected satellite agents, and repairs reported failures (§4.2, §5).
 //
-// Slots are compiled by the horizon planner: -workers goroutines compile
-// future slots ahead of enforcement (the plan is identical to sequential
-// compilation, only earlier).
+// The control loop has one path: each slot is compiled warm from the
+// previous one (mpc.DeltaCompile, byte-identical to a cold Compile), diffed
+// against it, and the diff is pushed as one slot-delta batch per changed
+// satellite; an agent that (re)connects or loses a command is re-synced
+// with a full snapshot of its desired peer set.
 //
 // Run one tinyleo-ctl and any number of tinyleo-sat agents against it:
 //
-//	tinyleo-ctl -listen 127.0.0.1:7601 -agents 8 -slots 4 -dt 300 -workers 4
+//	tinyleo-ctl -listen 127.0.0.1:7601 -agents 8 -slots 4 -dt 300
 //
 // Telemetry: -metrics-addr serves live Prometheus text on /metrics —
 // merging the process-wide registry (MPC compile/repair series) with the
@@ -58,7 +60,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"time"
 
@@ -189,8 +190,6 @@ func runController() {
 	agents := flag.Int("agents", 4, "number of satellite agents to wait for")
 	slots := flag.Int("slots", 4, "control slots to run")
 	dt := flag.Float64("dt", 300, "control slot duration (seconds of orbital time)")
-	workers := flag.Int("workers", runtime.NumCPU(), "worker goroutines compiling future slots ahead of enforcement")
-	delta := flag.Bool("delta", false, "compile slots incrementally (DeltaCompile) and enforce them as per-satellite slot-delta batches with full-snapshot re-sync (agents must also run -delta)")
 	wait := flag.Duration("wait", 30*time.Second, "how long to wait for agents")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, /trace, /slo on this address (empty = telemetry off)")
 	traceOut := flag.String("trace-out", "", "write the span trace as JSONL to this file on exit")
@@ -232,10 +231,7 @@ func runController() {
 	// The delta enforcer chains onto OnRegister/OnCommandFailed, so it is
 	// installed before any agent can connect: a reconnect at any point
 	// forces that agent's next push to be a full-snapshot re-sync.
-	var enf *southbound.DeltaEnforcer
-	if *delta {
-		enf = southbound.NewDeltaEnforcer(ctl)
-	}
+	enf := southbound.NewDeltaEnforcer(ctl)
 
 	// Fleet aggregation is always on: agents that never push telemetry
 	// cost nothing, and the /fleet view plus the rollup registry are what
@@ -359,24 +355,22 @@ func runController() {
 		cli.Fatalf("tinyleo-ctl: %v\n", err)
 	}
 
-	// Failure hook: greedily re-link the reporter to the best alternative.
+	// Failure hook: tear the reported link down on the reporter, through the
+	// enforcer so its desired set and the agent's applied set stay equal.
 	ctl.OnFailure = func(report *southbound.Message) []*southbound.Message {
 		fmt.Printf("failure report from sat %d (peer %d); repairing\n", report.SatID, report.Peer)
-		return []*southbound.Message{
-			{Type: southbound.MsgSetISL, SatID: report.SatID, Peer: report.Peer, Up: false},
+		if err := enf.Push(report.SatID, nil, []uint32{report.Peer}, time.Now(), obs.SpanContext{}); err != nil {
+			fmt.Fprintf(os.Stderr, "tinyleo-ctl: repair push to sat %d: %v\n", report.SatID, err)
 		}
+		return nil
 	}
 
-	// The horizon planner compiles future slots across a worker pool while
-	// the delivery callback (this goroutine) enforces the current one, so
-	// southbound pushes overlap compilation of later slots. With -delta,
-	// compilation is instead a sequential DeltaCompile chain (each slot
-	// warm-starts from the previous snapshot) and enforcement sends one
-	// slot-delta batch per changed satellite instead of one command per
-	// link endpoint.
+	// Each slot warm-starts from the previous snapshot and is enforced as
+	// one slot-delta batch per changed satellite.
 	var prev *mpc.Snapshot
-	deliver := func(s int, snap *mpc.Snapshot) {
-		t := snap.Time
+	for s := 0; s < *slots; s++ {
+		t := float64(s) * *dt
+		snap := compiler.DeltaCompile(prev, t)
 		added, removed := mpc.DiffLinks(prev, snap)
 		prev = snap
 		fmt.Printf("slot %d (t=%.0fs): %d inter-cell ISLs, %d ring ISLs, %d changes, enforcement %.2f\n",
@@ -390,67 +384,14 @@ func runController() {
 			"slot", fmt.Sprint(s), "t", fmt.Sprintf("%.0f", t))
 		emitted := time.Now()
 		pushed := 0
-		if enf != nil {
-			// Group the slot's link ops into one batch per satellite,
-			// pushed in ascending satellite order for determinism.
-			adds, dels := map[int][]uint32{}, map[int][]uint32{}
-			for _, l := range added {
-				for _, end := range []int{l[0], l[1]} {
-					adds[end] = append(adds[end], uint32(l.Peer(end)))
-				}
-			}
-			for _, l := range removed {
-				for _, end := range []int{l[0], l[1]} {
-					dels[end] = append(dels[end], uint32(l.Peer(end)))
-				}
-			}
-			sats := make([]int, 0, len(adds)+len(dels))
-			for sat := range adds {
-				sats = append(sats, sat)
-			}
-			for sat := range dels {
-				if _, ok := adds[sat]; !ok {
-					sats = append(sats, sat)
-				}
-			}
-			sort.Ints(sats)
-			for _, sat := range sats {
-				if err := enf.Push(uint32(sat), adds[sat], dels[sat], emitted, emit.Context()); err == nil {
-					pushed++
-				}
-			}
-		} else {
-			push := func(end int, peer uint32, up bool) {
-				m := &southbound.Message{
-					Type: southbound.MsgSetISL, SatID: uint32(end),
-					Peer: peer, Up: up,
-					Trace: emit.Context(), Emitted: emitted,
-				}
-				if err := ctl.Send(m); err == nil {
-					pushed++
-				}
-			}
-			for _, l := range added {
-				for _, end := range []int{l[0], l[1]} {
-					push(end, uint32(l.Peer(end)), true)
-				}
-			}
-			for _, l := range removed {
-				for _, end := range []int{l[0], l[1]} {
-					push(end, uint32(l.Peer(end)), false)
-				}
+		for _, b := range mpc.BatchBySatellite(added, removed) {
+			if err := enf.Push(uint32(b.Sat), b.Add, b.Del, emitted, emit.Context()); err == nil {
+				pushed++
 			}
 		}
 		emit.End()
 		fmt.Printf("  pushed %d commands to connected agents\n", pushed)
 		time.Sleep(200 * time.Millisecond)
-	}
-	if *delta {
-		for s := 0; s < *slots; s++ {
-			deliver(s, compiler.DeltaCompile(prev, float64(s)**dt))
-		}
-	} else {
-		compiler.HorizonStream(0, *dt, *slots, *workers, deliver)
 	}
 	fmt.Printf("totals: %d southbound messages\n", ctl.TotalMessages())
 	if *hold > 0 {

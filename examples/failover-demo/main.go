@@ -136,16 +136,17 @@ func mpcCompileRepair() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Horizon planner: both slots compile across a worker pool, delivered
-	// in order (output identical to sequential Compile calls).
+	// The second slot warm-starts from the first (DeltaCompile's output is
+	// identical to a cold Compile of the same time).
 	var prev *tinyleo.Snapshot
-	ctrl.HorizonStream(0, 300, 2, 2, func(slot int, snap *tinyleo.Snapshot) {
+	for slot := 0; slot < 2; slot++ {
+		snap := ctrl.DeltaCompile(prev, float64(slot)*300)
 		added, removed := mpc.DiffLinks(prev, snap)
 		prev = snap
 		fmt.Printf("slot %d: %d inter-cell ISLs, %d ring ISLs, %d changes, enforcement %.2f\n",
 			slot, len(snap.InterLinks), len(snap.RingLinks), len(added)+len(removed),
 			ctrl.EnforcementRatio(snap))
-	})
+	}
 	if len(prev.InterLinks) > 0 {
 		repaired, stats := ctrl.Repair(prev, prev.InterLinks[:1], nil, 83800*time.Microsecond)
 		fmt.Printf("repair: %d new ISLs, %d messages, %v end-to-end (enforcement %.2f)\n",

@@ -3,6 +3,8 @@ package chaos
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // testTestbed is sized for test speed: big enough for a multi-cell intent
@@ -50,49 +52,62 @@ func TestCampaignDeterministic(t *testing.T) {
 	}
 }
 
-// Delta enforcement changes only the wire framing (batched slot-delta
-// messages instead of per-link SetISL), so a delta campaign must stay
-// byte-deterministic and land the same topology-driven outcomes as the
-// SetISL campaign for the same seed.
+// Slot-delta enforcement batches a round's repair diff: every change the
+// engine addresses to one satellite rides in one message. The campaign
+// stays byte-deterministic, sends fewer messages than it has link
+// changes, and never sends one satellite two batches in a round.
 func TestCampaignDeltaDeterministic(t *testing.T) {
-	delta := testCampaign(detScenario, 42)
-	delta.Delta = true
 	var canon [][]byte
-	var reps []*Report
+	var rep *Report
+	tr := &obs.Tracer{}
 	for i := 0; i < 2; i++ {
-		rep, err := Run(delta)
-		if err != nil {
-			t.Fatalf("delta run %d: %v", i, err)
+		c := testCampaign(detScenario, 42)
+		if i == 0 {
+			c.Tracer = tr
+		}
+		var err error
+		if rep, err = Run(c); err != nil {
+			t.Fatalf("run %d: %v", i, err)
 		}
 		b, err := rep.CanonicalJSON()
 		if err != nil {
 			t.Fatalf("canonical json: %v", err)
 		}
 		canon = append(canon, b)
-		reps = append(reps, rep)
 	}
 	if !bytes.Equal(canon[0], canon[1]) {
-		t.Fatalf("same seed produced different delta reports:\n--- run 0 ---\n%s\n--- run 1 ---\n%s",
+		t.Fatalf("same seed produced different reports:\n--- run 0 ---\n%s\n--- run 1 ---\n%s",
 			canon[0], canon[1])
 	}
-	plain, err := Run(testCampaign(detScenario, 42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reps[0].DeliveryRatio != plain.DeliveryRatio || reps[0].Unrecovered != plain.Unrecovered {
-		t.Fatalf("delta campaign diverged from SetISL campaign: delivery %.3f vs %.3f, unrecovered %d vs %d",
-			reps[0].DeliveryRatio, plain.DeliveryRatio, reps[0].Unrecovered, plain.Unrecovered)
-	}
-	sent := func(r *Report) int {
-		n := 0
-		for _, rr := range r.Rounds {
-			n += rr.CommandsSent
+	sent, changes := 0, 0
+	for _, rr := range rep.Rounds {
+		// The engine addresses each changed link to one of its endpoints,
+		// so a round has one link-endpoint change per added or removed link.
+		n := rr.LinksAdded + rr.LinksRemoved
+		if got := rr.CommandsSent + rr.CommandsUnknown; got > n {
+			t.Errorf("round %d: %d messages for %d link-endpoint changes", rr.Round, got, n)
 		}
-		return n
+		sent += rr.CommandsSent
+		changes += n
 	}
-	if ds, ps := sent(reps[0]), sent(plain); ps > 0 && ds >= ps {
-		t.Fatalf("delta campaign sent %d messages, SetISL %d — batching should send fewer",
-			ds, ps)
+	if sent == 0 || sent >= changes {
+		t.Fatalf("campaign sent %d messages for %d link-endpoint changes — batching should send fewer", sent, changes)
+	}
+	// One message per target satellite per round: no two slot-delta sends
+	// under the same mpc.emit root name the same satellite.
+	seen := map[[2]string]bool{}
+	for _, ev := range tr.Events() {
+		if ev.Name != "sb.send" || ev.Attrs["type"] != "slot-delta" || ev.Attrs["err"] != "" {
+			continue
+		}
+		key := [2]string{ev.Parent, ev.Attrs["sat"]}
+		if seen[key] {
+			t.Errorf("round emit %s sent satellite %s two slot-delta batches", ev.Parent, ev.Attrs["sat"])
+		}
+		seen[key] = true
+	}
+	if len(seen) != sent {
+		t.Errorf("trace holds %d slot-delta sends, reports count %d", len(seen), sent)
 	}
 }
 

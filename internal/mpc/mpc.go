@@ -169,9 +169,8 @@ func (s *Snapshot) LinkSet() map[Link]bool {
 }
 
 // Controller compiles intents slot by slot. Compile and Repair are safe
-// for concurrent use (HorizonCompile runs one goroutine per slot): the
-// config is read-only after New and all slot geometry flows through a
-// concurrency-safe propagation cache.
+// for concurrent use: the config is read-only after New and all slot
+// geometry flows through a concurrency-safe propagation cache.
 type Controller struct {
 	cfg Config
 	// geo memoizes orbit propagation, pairwise ISL lifetimes, and
@@ -269,7 +268,7 @@ func New(cfg Config) (*Controller, error) {
 }
 
 // CacheStats reports the propagation cache's cumulative hit/miss/prune
-// counters (the planner's cache-effectiveness telemetry reads this).
+// counters.
 func (c *Controller) CacheStats() orbit.CacheStats { return c.geo.Stats() }
 
 // Compile produces the satellite topology snapshot enforcing the intent at
@@ -668,21 +667,17 @@ func (c *Controller) meanLifetime(sg *orbit.SlotGeom, s int, vSats []int) float6
 	return sum / float64(len(vSats))
 }
 
-// DiffLinks returns the ISLs added and removed between snapshots: the
-// reconfiguration commands the controller must send (2 messages per change,
-// one to each endpoint satellite).
+// DiffLinks returns the ISLs added and removed between snapshots, each in
+// canonical link order: the reconfiguration the controller must enforce.
+// A nil prev is the bootstrap diff, where every link of cur is added. Both
+// sides go through LinkSet, so a pair a repaired snapshot lists as both an
+// inter-cell and a ring link is reported once.
 func DiffLinks(prev, cur *Snapshot) (added, removed []Link) {
-	if prev == nil {
-		// Bootstrap path: sort exactly like the steady-state path below.
-		// Links() concatenates inter then ring links, which is not
-		// canonical link order, and delta enforcement depends on every
-		// diff arriving in the same canonical command order.
-		added = cur.Links()
-		sort.Slice(added, func(a, b int) bool { return lessLink(added[a], added[b]) })
-		obsLinksAdded.Add(int64(len(added)))
-		return added, nil
+	var ps map[Link]bool
+	if prev != nil {
+		ps = prev.LinkSet()
 	}
-	ps, cs := prev.LinkSet(), cur.LinkSet()
+	cs := cur.LinkSet()
 	for l := range cs {
 		if !ps[l] {
 			added = append(added, l)
@@ -698,6 +693,47 @@ func DiffLinks(prev, cur *Snapshot) (added, removed []Link) {
 	obsLinksAdded.Add(int64(len(added)))
 	obsLinksRemoved.Add(int64(len(removed)))
 	return
+}
+
+// SatBatch is one satellite's share of a link diff: the peers to
+// establish and to tear down, each in the diff's link order.
+type SatBatch struct {
+	Sat      int
+	Add, Del []uint32
+}
+
+// BatchBySatellite groups a link diff by endpoint — every link appears in
+// both of its endpoints' batches — and returns one batch per touched
+// satellite, satellites ascending: the unit slot-delta enforcement sends
+// (southbound.DeltaEnforcer.Push takes exactly these three fields).
+func BatchBySatellite(added, removed []Link) []SatBatch {
+	bySat := map[int]*SatBatch{}
+	batch := func(sat int) *SatBatch {
+		b := bySat[sat]
+		if b == nil {
+			b = &SatBatch{Sat: sat}
+			bySat[sat] = b
+		}
+		return b
+	}
+	for _, l := range added {
+		for _, end := range l {
+			b := batch(end)
+			b.Add = append(b.Add, uint32(l.Peer(end)))
+		}
+	}
+	for _, l := range removed {
+		for _, end := range l {
+			b := batch(end)
+			b.Del = append(b.Del, uint32(l.Peer(end)))
+		}
+	}
+	out := make([]SatBatch, 0, len(bySat))
+	for _, b := range bySat {
+		out = append(out, *b)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Sat < out[j].Sat })
+	return out
 }
 
 // EnforcementRatio reports what fraction of the intent's total edge ISL

@@ -83,6 +83,9 @@ func (q *eventQueue) Pop() any {
 	old := *q
 	n := len(old)
 	x := old[n-1]
+	// Clear the vacated slot: the slice's spare capacity would otherwise
+	// keep the event — and whatever packet its closure captured — alive.
+	old[n-1] = nil
 	*q = old[:n-1]
 	return x
 }

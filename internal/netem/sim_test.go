@@ -67,6 +67,30 @@ func TestRunStopsAtHorizon(t *testing.T) {
 	}
 }
 
+// A drained queue must not pin its events: Pop used to shrink the slice
+// and leave the popped *event (and the packet its closure captured)
+// reachable through the backing array's spare capacity.
+func TestDrainedQueueReleasesEvents(t *testing.T) {
+	s := NewSim()
+	for i := 0; i < 64; i++ {
+		payload := make([]byte, 1200)
+		s.Schedule(float64(i%7), func() { _ = payload })
+	}
+	s.Run(10)
+	if s.events.Len() != 0 {
+		t.Fatalf("%d events left after Run", s.events.Len())
+	}
+	backing := s.events[:cap(s.events)]
+	if len(backing) < 64 {
+		t.Fatalf("backing array holds %d slots, want >= 64", len(backing))
+	}
+	for i, ev := range backing {
+		if ev != nil {
+			t.Errorf("slot %d of the drained queue still holds an event", i)
+		}
+	}
+}
+
 func TestNegativeDelayPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

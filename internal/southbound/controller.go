@@ -351,17 +351,15 @@ func (c *Controller) serve(conn net.Conn) {
 		case MsgAck:
 			now := c.now()
 			c.mu.Lock()
-			p, tracked := c.pending[m.Seq]
-			if tracked {
-				delete(c.pending, m.Seq)
+			if p, tracked := c.pending[m.Seq]; tracked {
 				c.ackRTT.ObserveDuration(now.Sub(p.firstSent))
 				if !p.msg.Emitted.IsZero() {
 					c.cmdE2E.ObserveDuration(now.Sub(p.msg.Emitted))
 				}
-			}
-			delete(c.unreachable, m.SatID)
-			c.mu.Unlock()
-			if tracked {
+				// The ack's span and event are recorded before the entry
+				// leaves the pending table (both under c.mu): whoever sees
+				// PendingAcks() reach zero also finds every command's
+				// sb.ack in the trace and command_applied in the recording.
 				if tr := c.tracer(); tr.Enabled() && !p.sc.IsZero() {
 					sp := tr.StartSpanCtx(p.sc, "sb.ack",
 						"sat", strconv.FormatUint(uint64(m.SatID), 10),
@@ -381,7 +379,10 @@ func (c *Controller) serve(conn net.Conn) {
 					}
 					flightrec.Emit(flightrec.CompSouthbound, "command_applied", attrs...)
 				}
+				delete(c.pending, m.Seq)
 			}
+			delete(c.unreachable, m.SatID)
+			c.mu.Unlock()
 			if c.OnAck != nil {
 				c.OnAck(m)
 			}

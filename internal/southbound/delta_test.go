@@ -313,3 +313,49 @@ func TestDeltaResyncOnReconnect(t *testing.T) {
 		t.Error("no slot-delta messages were ever sent")
 	}
 }
+
+// TestFailureTeardownThroughEnforcer is the regression test for a failure
+// hook that answered a report with a raw SetISL: the agent tore the link
+// down while the enforcer still listed the peer, and the two stayed apart
+// until an unrelated re-sync. Routed through Push (as tinyleo-ctl's
+// OnFailure does), the teardown leaves the enforcer's desired set and the
+// agent's applied set equal.
+func TestFailureTeardownThroughEnforcer(t *testing.T) {
+	c := startController(t)
+	e := NewDeltaEnforcer(c)
+	c.OnFailure = func(report *Message) []*Message {
+		if err := e.Push(report.SatID, nil, []uint32{report.Peer}, time.Time{}, obs.SpanContext{}); err != nil {
+			t.Errorf("teardown push: %v", err)
+		}
+		return nil
+	}
+	view := newSatView()
+	a, err := DialAgent(c.Addr(), 42, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	a.OnCommand = func(m *Message) { view.apply(t, m) }
+
+	if err := e.Push(42, []uint32{3, 7, 9}, nil, time.Time{}, obs.SpanContext{}); err != nil {
+		t.Fatal(err)
+	}
+	view.waitFor(t, 9)
+	if err := a.ReportFailure(7); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for view.snapshot()[7] && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	want := []uint32{3, 9}
+	if got := e.Desired(42); !reflect.DeepEqual(got, want) {
+		t.Errorf("Desired after the report = %v, want %v", got, want)
+	}
+	if got := view.snapshot(); !reflect.DeepEqual(got, map[uint32]bool{3: true, 9: true}) {
+		t.Errorf("agent applied %v, enforcer desires %v", got, want)
+	}
+	if n := c.Count("tx-set-isl"); n != 0 {
+		t.Errorf("teardown sent %d SetISL commands, want 0", n)
+	}
+}

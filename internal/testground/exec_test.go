@@ -6,11 +6,15 @@ package testground
 // show the fault observed (a silent agent) and the SLO rules passing.
 
 import (
+	"encoding/json"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/obs/fleet"
+	"repro/internal/southbound"
 )
 
 // buildBinaries compiles tinyleo-ctl and tinyleo-sat into a temp dir.
@@ -88,6 +92,45 @@ func TestRunExecKillsAgentOnSchedule(t *testing.T) {
 		if !seen {
 			t.Errorf("artifact %s missing from inventory: %+v", name, rep.Artifacts)
 		}
+	}
+
+	// The real process pair enforced by slot-delta: the agents' first
+	// contact was a full-snapshot re-sync, at least one snapshot reached
+	// the wire, and the controller never sent a per-link SetISL.
+	raw, err := os.ReadFile(filepath.Join(dir, "ctl-metrics.json"))
+	if err != nil {
+		t.Fatalf("controller metrics artifact: %v", err)
+	}
+	var doc struct {
+		Series []obs.Sample `json:"series"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("controller metrics artifact: %v", err)
+	}
+	value := func(name string, labels ...string) float64 {
+	next:
+		for _, s := range doc.Series {
+			if s.Name != name {
+				continue
+			}
+			for i := 0; i < len(labels); i += 2 {
+				if s.Labels[labels[i]] != labels[i+1] {
+					continue next
+				}
+			}
+			return s.Value
+		}
+		t.Errorf("series %s%v missing from ctl-metrics.json", name, labels)
+		return 0
+	}
+	if v := value(southbound.MetricDeltaMessages, "kind", "snapshot"); v <= 0 {
+		t.Errorf("%s{kind=snapshot} = %v, want > 0 (first-contact re-syncs)", southbound.MetricDeltaMessages, v)
+	}
+	if v := value(southbound.MetricMessages, "dir", "tx", "type", "slot-snapshot"); v <= 0 {
+		t.Errorf("tx slot-snapshot = %v, want > 0", v)
+	}
+	if v := value(southbound.MetricMessages, "dir", "tx", "type", "set-isl"); v != 0 {
+		t.Errorf("tx set-isl = %v, want 0: nothing enforces a slot with SetISL", v)
 	}
 
 	// The scored report file exists and reads back.

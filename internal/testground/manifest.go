@@ -93,8 +93,6 @@ type Manifest struct {
 	// SlotSeconds is the control slot duration in orbital seconds
 	// (default 300).
 	SlotSeconds float64 `json:"slot_seconds,omitempty"`
-	// Workers is the horizon planner's worker pool size (default 2).
-	Workers int `json:"workers,omitempty"`
 
 	// Exec-mode process knobs.
 	//
@@ -162,9 +160,6 @@ func (m Manifest) FillDefaults() Manifest {
 	}
 	if m.SlotSeconds == 0 {
 		m.SlotSeconds = 300
-	}
-	if m.Workers == 0 {
-		m.Workers = 2
 	}
 	if m.RunForS == 0 {
 		m.RunForS = 120
@@ -268,9 +263,6 @@ func (m *Manifest) Validate() error {
 	}
 	if m.SlotSeconds <= 0 {
 		return fmt.Errorf("testground: manifest %q: slot_seconds = %g, want > 0", m.Name, m.SlotSeconds)
-	}
-	if m.Workers < 1 {
-		return fmt.Errorf("testground: manifest %q: workers = %d, want >= 1", m.Name, m.Workers)
 	}
 	for i, f := range m.Faults {
 		switch m.Mode {

@@ -76,7 +76,7 @@ func TestFillDefaults(t *testing.T) {
 	if m.Mode != ModeExec {
 		t.Errorf("mode = %q, want exec", m.Mode)
 	}
-	if m.Seed != 42 || m.Agents != 3 || m.Slots != 2 || m.SlotSeconds != 300 || m.Workers != 2 {
+	if m.Seed != 42 || m.Agents != 3 || m.Slots != 2 || m.SlotSeconds != 300 {
 		t.Errorf("core defaults: %+v", m)
 	}
 	if m.RunForS != 120 || m.FleetIntervalMS != 200 || m.FleetLagS != 2 || m.FleetSilentS != 5 {
@@ -141,7 +141,6 @@ func TestValidateRejects(t *testing.T) {
 		{"agents low", func(m *Manifest) { m.Agents = 0 }, "agents"},
 		{"agents high", func(m *Manifest) { m.Agents = 5000 }, "agents"},
 		{"slots", func(m *Manifest) { m.Slots = 0 }, "slots"},
-		{"workers", func(m *Manifest) { m.Workers = -1 }, "workers"},
 		{"negative fault time", func(m *Manifest) {
 			m.Faults = []FaultSpec{{AtS: -1, Kind: FaultKill}}
 		}, "at_s"},

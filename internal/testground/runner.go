@@ -90,7 +90,6 @@ func RunExec(m *Manifest, cfg ExecConfig) (*RunReport, error) {
 		"-agents", fmt.Sprint(m.Agents),
 		"-slots", fmt.Sprint(m.Slots),
 		"-dt", fmt.Sprint(m.SlotSeconds),
-		"-workers", fmt.Sprint(m.Workers),
 		"-hold", fmt.Sprintf("%gs", m.HoldS),
 		"-fleet-lag", fmt.Sprintf("%gs", m.FleetLagS),
 		"-fleet-silent", fmt.Sprintf("%gs", m.FleetSilentS),

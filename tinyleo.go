@@ -264,10 +264,10 @@ type ISL = mpc.Link
 // effectiveness (MPCController.CacheStats).
 type OrbitCacheStats = orbit.CacheStats
 
-// NewController validates the config and creates an orbital MPC. The
-// controller's HorizonCompile/HorizonStream methods compile windows of
-// future slots across a worker pool with output identical to sequential
-// Compile calls.
+// NewController validates the config and creates an orbital MPC.
+// Compile(t) is the cold reference; a control loop compiles a window as
+// the chain snap = DeltaCompile(prev, t), which warm-starts each slot
+// from the previous one with output identical to Compile(t).
 func NewController(cfg MPCConfig) (*MPCController, error) { return mpc.New(cfg) }
 
 // ---- Data plane (§4.3) ----
