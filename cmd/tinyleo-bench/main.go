@@ -9,8 +9,8 @@
 //	               fig19bcd|delta|chaos|southbound|fleet]
 //	               [-chaos-scenario all|NAME] [-chaos-seed N]
 //	               [-chaos-fleet-out f.json] [-csv] [-bench-json out.json]
-//	               [-metrics-addr host:port] [-trace-out file.jsonl]
-//	               [-record-out flight.jsonl.gz] [-pprof]
+//	               [-metrics-addr host:port] [-record-out flight.jsonl.gz]
+//	               [-pprof]
 //
 // -run delta measures the incremental MPC compiler (mpc.DeltaCompile): a
 // full Compile chain versus a warm-started delta chain over the same 12
@@ -39,11 +39,11 @@
 // net/http/pprof under /debug/pprof/ on the -metrics-addr listener.
 //
 // Telemetry: -metrics-addr serves live Prometheus text on /metrics (plus
-// /metrics.json, /healthz, /trace, /trace.chrome) while the experiments
-// run — solver iterations, MPC compile latency, data-plane counters move
-// in real time; -trace-out writes the span ring as JSONL when done;
-// -record-out writes a flight recording for tinyleo-ctl inspect;
-// -bench-json flattens every emitted table into a
+// /metrics.json, /healthz, /trace) while the experiments run — solver
+// iterations, MPC compile latency, data-plane counters move in real time;
+// -record-out writes the run's one record file when done (spans, events,
+// slot snapshots, SLO status: tinyleo-ctl inspect and tinyleo-ctl trace
+// both read it); -bench-json flattens every emitted table into a
 // [{"name","value","unit"}] array (schema: EXPERIMENTS.md) for
 // continuous-benchmarking dashboards. All output files flush on
 // SIGINT/SIGTERM, so an interrupted sweep keeps its partial results.
@@ -62,8 +62,6 @@ import (
 	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/obs"
-	"repro/internal/obs/flightrec"
 	"repro/internal/texture"
 )
 
@@ -77,7 +75,6 @@ func main() {
 	sbCmds := flag.Int("sb-cmds", 2000, "commands to push for -run southbound")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, /trace on this address while experiments run (empty = telemetry off)")
-	traceOut := flag.String("trace-out", "", "write the span trace as JSONL to this file when done")
 	recordOut := flag.String("record-out", "", "write a flight recording to this file when done (.gz = gzip)")
 	benchJSON := flag.String("bench-json", "", "write every emitted table as a flat [{name,value,unit}] JSON array to this file")
 	pprof := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on -metrics-addr")
@@ -86,52 +83,10 @@ func main() {
 	defer cli.Flush()
 	cli.TrapSignals()
 
-	if *metricsAddr != "" || *traceOut != "" || *recordOut != "" {
-		obs.Enable()
-		obs.EnableTracing(0)
-	}
-	if *pprof {
-		if *metricsAddr == "" {
-			cli.Fatalf("tinyleo-bench: -pprof needs -metrics-addr to serve on\n")
-		}
-		obs.EnablePprof()
-	}
-	if *recordOut != "" {
-		if err := flightrec.Enable(flightrec.Options{}); err != nil {
-			cli.Fatalf("tinyleo-bench: flight recorder: %v\n", err)
-		}
-		cli.AtExit(func() {
-			summary, err := flightrec.SaveRecording(*recordOut, "tinyleo-bench")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "tinyleo-bench: recording: %v\n", err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "recording: wrote %s to %s\n", summary, *recordOut)
-		})
-	}
-	if *metricsAddr != "" {
-		srv, err := obs.Serve(*metricsAddr, obs.Default())
-		if err != nil {
-			cli.Fatalf("tinyleo-bench: %v\n", err)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "telemetry on http://%s/metrics\n", srv.Addr())
-	}
-	if *traceOut != "" {
-		cli.AtExit(func() {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "tinyleo-bench: trace: %v\n", err)
-				return
-			}
-			defer f.Close()
-			if err := obs.Trace().WriteJSONL(f); err != nil {
-				fmt.Fprintf(os.Stderr, "tinyleo-bench: trace: %v\n", err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "trace: wrote %s to %s\n", obs.Trace().WriteFileSummary(), *traceOut)
-		})
-	}
+	cli.Telemetry{
+		Process: "tinyleo-bench", MetricsAddr: *metricsAddr, RecordOut: *recordOut, Pprof: *pprof,
+		Out: os.Stderr, // stdout carries the tables
+	}.Start()
 
 	scale, ok := experiments.ScaleByName(*scaleName)
 	if !ok {

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -42,32 +41,26 @@ func fetchFleet(addr string) (*fleet.View, error) {
 	return &v, nil
 }
 
-// fetchEventsSince tails the controller's /events ring incrementally via
-// the ?since=<seq> cursor, returning only events newer than since.
-func fetchEventsSince(addr string, since uint64) ([]flightrec.Event, error) {
-	resp, err := http.Get(fmt.Sprintf("http://%s/events?since=%d", addr, since))
+// fetchEventsSince tails the controller's record ring incrementally via
+// the /trace?since=<seq> cursor: it returns the instant events newer than
+// since, and the newest sequence number seen (spans advance it too).
+func fetchEventsSince(addr string, since uint64) ([]obs.Event, uint64, error) {
+	resp, err := http.Get(fmt.Sprintf("http://%s/trace?since=%d", addr, since))
 	if err != nil {
-		return nil, err
+		return nil, since, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET /events: %s", resp.Status)
+		return nil, since, fmt.Errorf("GET /trace: %s", resp.Status)
 	}
-	var events []flightrec.Event
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var ev flightrec.Event
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			return events, err
-		}
-		events = append(events, ev)
+	rec, err := flightrec.ReadRecording(resp.Body)
+	if err != nil {
+		return nil, since, err
 	}
-	return events, sc.Err()
+	if n := len(rec.Records); n > 0 {
+		since = rec.Records[n-1].Seq
+	}
+	return rec.Events(), since, nil
 }
 
 // runFleet implements `tinyleo-ctl fleet snapshot`: fetch the live /fleet
@@ -109,7 +102,7 @@ func runFleet(args []string) {
 
 // runTop implements `tinyleo-ctl top`: a live refreshing terminal view of
 // per-agent health rows plus fleet aggregates, polling /fleet and tailing
-// /events?since= incrementally.
+// /trace?since= incrementally.
 func runTop(args []string) {
 	fs := flag.NewFlagSet("tinyleo-ctl top", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:9100", "controller telemetry address (the -metrics-addr of a running tinyleo-ctl)")
@@ -120,20 +113,18 @@ func runTop(args []string) {
 	fs.Parse(args)
 
 	var lastEventSeq uint64
-	var recent []flightrec.Event
+	var recent []obs.Event
 	frame := func() error {
 		v, err := fetchFleet(*addr)
 		if err != nil {
 			return err
 		}
-		// Event tailing is best-effort: /events only exists when the
-		// controller runs with the flight recorder on.
-		if events, err := fetchEventsSince(*addr, lastEventSeq); err == nil {
+		// Event tailing is best-effort: southbound events are recorded only
+		// when the controller runs with the flight recorder on.
+		if events, seq, err := fetchEventsSince(*addr, lastEventSeq); err == nil {
+			lastEventSeq = seq
 			for _, ev := range events {
-				if ev.Seq > lastEventSeq {
-					lastEventSeq = ev.Seq
-				}
-				if ev.Component == flightrec.CompFleet || ev.Component == flightrec.CompSouthbound {
+				if comp, _ := flightrec.SplitEventName(ev.Name); comp == flightrec.CompFleet || comp == flightrec.CompSouthbound {
 					recent = append(recent, ev)
 				}
 			}
@@ -163,7 +154,7 @@ func runTop(args []string) {
 
 // renderTop writes one `tinyleo-ctl top` frame: a fleet summary line,
 // per-agent health rows, the top fleet aggregates, and recent events.
-func renderTop(w io.Writer, addr string, v *fleet.View, events []flightrec.Event, maxSeries int) {
+func renderTop(w io.Writer, addr string, v *fleet.View, events []obs.Event, maxSeries int) {
 	states := make([]string, 0, len(v.States))
 	for s := range v.States {
 		states = append(states, s)
@@ -207,12 +198,8 @@ func renderTop(w io.Writer, addr string, v *fleet.View, events []flightrec.Event
 	if len(events) > 0 {
 		fmt.Fprintf(w, "\nrecent events\n")
 		for _, ev := range events {
-			attrs := make([]string, 0, len(ev.Attrs)/2)
-			for i := 0; i+1 < len(ev.Attrs); i += 2 {
-				attrs = append(attrs, ev.Attrs[i]+"="+ev.Attrs[i+1])
-			}
-			fmt.Fprintf(w, "  +%9.3fs %-10s %-16s %s\n",
-				float64(ev.TimeUS)/1e6, ev.Component, ev.Type, strings.Join(attrs, " "))
+			fmt.Fprintf(w, "  +%9.3fs %-28s %s\n",
+				float64(ev.StartUS)/1e6, ev.Name, obs.AttrString(ev.Attrs))
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/fleet"
-	"repro/internal/obs/flightrec"
 )
 
 func TestRenderTop(t *testing.T) {
@@ -23,9 +22,9 @@ func TestRenderTop(t *testing.T) {
 				Labels: map[string]string{"dir": "rx"}},
 		},
 	}
-	events := []flightrec.Event{
-		{Seq: 3, TimeUS: 1_500_000, Component: flightrec.CompFleet, Type: "agent_silent",
-			Attrs: []string{"agent", "2", "from", "lagging", "to", "silent"}},
+	events := []obs.Event{
+		{Seq: 3, StartUS: 1_500_000, Name: "fleet.agent_silent", Instant: true,
+			Attrs: map[string]string{"agent": "2", "from": "lagging", "to": "silent"}},
 	}
 	var sb strings.Builder
 	renderTop(&sb, "127.0.0.1:9100", v, events, 10)

@@ -16,12 +16,12 @@
 // Telemetry: -metrics-addr serves live Prometheus text on /metrics —
 // merging the process-wide registry (MPC compile/repair series) with the
 // southbound controller's registry (per-type message counters, connected
-// agents, ack RTT) — plus /metrics.json, /healthz, /trace; -trace-out
-// writes the span ring as JSONL on exit. -record-out captures a flight
-// recording (per-slot compiled topologies, typed events, SLO status) and
-// -slo overrides the objective thresholds; with -metrics-addr the live
-// SLO status is also served on /slo. Output files flush on
-// SIGINT/SIGTERM too.
+// agents, ack RTT) — plus /metrics.json, /healthz, /trace. -record-out
+// writes the process's one record file on exit: the tracer's ring (spans
+// and typed events on one clock), the per-slot compiled topologies and
+// the SLO status. -slo overrides the objective thresholds; with
+// -metrics-addr the live SLO status is also served on /slo. Output files
+// flush on SIGINT/SIGTERM too.
 //
 //	tinyleo-ctl -listen 127.0.0.1:7601 -agents 8 -metrics-addr 127.0.0.1:9100 \
 //	    -record-out flight.jsonl.gz -slo 'availability>=0.95,deficit_ratio<=0.1'
@@ -33,14 +33,15 @@
 //	tinyleo-ctl inspect -in flight.jsonl.gz
 //	tinyleo-ctl inspect -in flight.jsonl.gz -events -max-links 16
 //
-// Distributed tracing: with -trace-out on the controller and every agent,
-// the trace subcommand merges the per-process JSONL dumps into one
-// timeline — correcting clock skew from the send→ack brackets — and
-// renders it as a Chrome trace (chrome://tracing, Perfetto) or the
-// deterministic canonical text form:
+// Distributed tracing: with -record-out on the controller and every
+// agent, the trace subcommand merges the per-process recordings — the
+// same files inspect reads — into one timeline of spans and events,
+// correcting clock skew from the send→ack brackets, and renders it as a
+// Chrome trace (chrome://tracing, Perfetto) or the deterministic
+// canonical text form:
 //
-//	tinyleo-ctl trace -o merged.json ctl.jsonl sat3.jsonl sat4.jsonl
-//	tinyleo-ctl trace -canonical ctl.jsonl sat3.jsonl sat4.jsonl
+//	tinyleo-ctl trace -o merged.json flight.jsonl.gz sat3.jsonl.gz sat4.jsonl.gz
+//	tinyleo-ctl trace -canonical flight.jsonl.gz sat3.jsonl.gz sat4.jsonl.gz
 //
 // Fleet telemetry: agents running with -fleet-interval push delta-encoded
 // registry reports over the southbound session; the controller aggregates
@@ -97,14 +98,15 @@ func main() {
 	runController()
 }
 
-// runTraceMerge implements `tinyleo-ctl trace`: merge per-process trace
-// dumps (controller + agents) into one skew-corrected timeline.
+// runTraceMerge implements `tinyleo-ctl trace`: merge per-process record
+// files (controller + agents: -record-out recordings, /trace dumps) into
+// one skew-corrected timeline.
 func runTraceMerge(args []string) {
 	fs := flag.NewFlagSet("tinyleo-ctl trace", flag.ExitOnError)
 	out := fs.String("o", "", "output file (default stdout)")
 	canonical := fs.Bool("canonical", false, "emit the deterministic canonical text form instead of a Chrome trace")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: tinyleo-ctl trace [-o merged.json] [-canonical] dump.jsonl...")
+		fmt.Fprintln(os.Stderr, "usage: tinyleo-ctl trace [-o merged.json] [-canonical] recording.jsonl[.gz]...")
 		fs.PrintDefaults()
 	}
 	fs.Parse(args)
@@ -112,9 +114,9 @@ func runTraceMerge(args []string) {
 		fs.Usage()
 		os.Exit(2)
 	}
-	var dumps []*tracemerge.Dump
+	var dumps []*flightrec.Recording
 	for _, path := range fs.Args() {
-		d, err := tracemerge.ReadFile(path)
+		d, err := flightrec.ReadRecordingFile(path)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tinyleo-ctl trace: %s: %v\n", path, err)
 			os.Exit(1)
@@ -123,7 +125,8 @@ func runTraceMerge(args []string) {
 	}
 	m := tracemerge.Merge(dumps...)
 	anchor, offsets := m.Offsets()
-	fmt.Fprintf(os.Stderr, "merged %d dumps, %d spans; clock anchor %q\n", len(dumps), len(m.Spans), anchor)
+	fmt.Fprintf(os.Stderr, "merged %d dumps, %d spans, %d events; clock anchor %q\n",
+		len(dumps), len(m.Spans), len(m.Events), anchor)
 	procs := make([]string, 0, len(offsets))
 	for proc := range offsets {
 		if proc != anchor {
@@ -192,7 +195,6 @@ func runController() {
 	dt := flag.Float64("dt", 300, "control slot duration (seconds of orbital time)")
 	wait := flag.Duration("wait", 30*time.Second, "how long to wait for agents")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, /trace, /slo on this address (empty = telemetry off)")
-	traceOut := flag.String("trace-out", "", "write the span trace as JSONL to this file on exit")
 	recordOut := flag.String("record-out", "", "write a flight recording to this file on exit (.gz = gzip)")
 	sloSpec := flag.String("slo", "", "SLO rule spec, e.g. 'availability>=0.95,repair_p99<=0.2' (empty = defaults)")
 	pprof := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on -metrics-addr")
@@ -211,18 +213,6 @@ func runController() {
 	defer cli.Flush()
 	cli.TrapSignals()
 
-	if *metricsAddr != "" || *traceOut != "" || *recordOut != "" || *sloSpec != "" {
-		// Recording implies telemetry: the SLO engine reads registry
-		// metrics (enforcement ratio, repair latency, ack RTT).
-		obs.Enable()
-		obs.EnableTracing(0)
-	}
-	if *pprof {
-		if *metricsAddr == "" {
-			cli.Fatalf("tinyleo-ctl: -pprof needs -metrics-addr to serve on\n")
-		}
-		obs.EnablePprof()
-	}
 	ctl, err := southbound.ListenController(*listen)
 	if err != nil {
 		cli.Fatalf("tinyleo-ctl: %v\n", err)
@@ -261,43 +251,9 @@ func runController() {
 			fmt.Printf("fleet: wrote snapshot to %s\n", out)
 		})
 	}
-	if *recordOut != "" || *sloSpec != "" {
-		rules := flightrec.DefaultRules()
-		if *sloSpec != "" {
-			rules, err = flightrec.ParseRules(*sloSpec)
-			if err != nil {
-				cli.Fatalf("tinyleo-ctl: -slo: %v\n", err)
-			}
-		}
-		opts := flightrec.Options{
-			Rules:      rules,
-			Registries: []flightrec.RegistrySource{obs.Default(), ctl.Metrics(), agg.Registry()},
-		}
-		if err := flightrec.Enable(opts); err != nil {
-			cli.Fatalf("tinyleo-ctl: flight recorder: %v\n", err)
-		}
-		if *recordOut != "" {
-			out := *recordOut
-			cli.AtExit(func() {
-				summary, err := flightrec.SaveRecording(out, "tinyleo-ctl")
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "tinyleo-ctl: recording: %v\n", err)
-					return
-				}
-				fmt.Printf("recording: wrote %s to %s\n", summary, out)
-			})
-		}
-	}
-	servedMetrics := ""
-	if *metricsAddr != "" {
-		srv, err := obs.Serve(*metricsAddr, obs.Default(), ctl.Metrics(), agg.Registry())
-		if err != nil {
-			cli.Fatalf("tinyleo-ctl: %v\n", err)
-		}
-		defer srv.Close()
-		servedMetrics = srv.Addr()
-		fmt.Printf("telemetry on http://%s/metrics\n", servedMetrics)
-	}
+	servedMetrics := cli.Telemetry{
+		Process: "tinyleo-ctl", MetricsAddr: *metricsAddr, RecordOut: *recordOut, SLO: *sloSpec, Pprof: *pprof,
+	}.Start(obs.Default(), ctl.Metrics(), agg.Registry())
 	if *syncURL != "" {
 		// Publish the actual bound addresses (both flags accept :0) so the
 		// testground runner and the agents can find this controller.
@@ -311,22 +267,6 @@ func runController() {
 			}
 		}
 		fmt.Printf("published addresses to sync service %s\n", *syncURL)
-	}
-	if *traceOut != "" {
-		out := *traceOut
-		cli.AtExit(func() {
-			f, err := os.Create(out)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "tinyleo-ctl: trace: %v\n", err)
-				return
-			}
-			defer f.Close()
-			if err := obs.Trace().WriteJSONL(f); err != nil {
-				fmt.Fprintf(os.Stderr, "tinyleo-ctl: trace: %v\n", err)
-				return
-			}
-			fmt.Printf("trace: wrote %s to %s\n", obs.Trace().WriteFileSummary(), out)
-		})
 	}
 	fmt.Printf("controller listening on %s, waiting for %d agents...\n", ctl.Addr(), *agents)
 	if err := ctl.WaitForAgents(*agents, *wait); err != nil {

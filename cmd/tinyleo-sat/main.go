@@ -10,15 +10,14 @@
 //	tinyleo-sat -controller 127.0.0.1:7601 -id 3 -fail-peer 7 -fail-after 2s
 //
 // Telemetry: -metrics-addr serves live Prometheus text on /metrics (plus
-// /metrics.json, /healthz, /trace, /trace.chrome) for the duration of the
-// run; -trace-out writes the span ring as JSONL on exit; -record-out
-// writes a flight recording (events + SLO status) for tinyleo-ctl
-// inspect. All output files also flush on SIGINT/SIGTERM, so an
-// interrupted run still yields a usable postmortem.
+// /metrics.json, /healthz, /trace) for the duration of the run;
+// -record-out writes the process's one record file on exit — its spans,
+// events and SLO status — which both tinyleo-ctl inspect and tinyleo-ctl
+// trace read. It also flushes on SIGINT/SIGTERM, so an interrupted run
+// still yields a usable postmortem.
 //
 //	tinyleo-sat -controller 127.0.0.1:7601 -id 3 \
-//	    -metrics-addr 127.0.0.1:9103 -trace-out sat3-trace.jsonl \
-//	    -record-out sat3-flight.jsonl.gz
+//	    -metrics-addr 127.0.0.1:9103 -record-out sat3-flight.jsonl.gz
 //
 // Fleet telemetry: unless -fleet-interval is 0, the agent delta-encodes
 // its registry once per interval and pushes the report to the controller
@@ -28,7 +27,7 @@
 // Commands carry the controller's trace context over the wire; the agent
 // applies each one to a local data-plane view and records the install as
 // a span continuing that trace, so `tinyleo-ctl trace` can merge the
-// controller's and agents' dumps into one cross-process timeline. -pprof
+// controller's and agents' recordings into one cross-process timeline. -pprof
 // serves net/http/pprof under /debug/pprof/ on the -metrics-addr
 // listener.
 package main
@@ -43,7 +42,6 @@ import (
 	"repro/internal/dataplane"
 	"repro/internal/obs"
 	"repro/internal/obs/fleet"
-	"repro/internal/obs/flightrec"
 	"repro/internal/southbound"
 	"repro/internal/testground"
 )
@@ -55,7 +53,6 @@ func main() {
 	failAfter := flag.Duration("fail-after", 2*time.Second, "when to report the failure")
 	runFor := flag.Duration("run-for", 10*time.Second, "how long to stay up")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, /trace on this address (empty = telemetry off)")
-	traceOut := flag.String("trace-out", "", "write the span trace as JSONL to this file on exit")
 	recordOut := flag.String("record-out", "", "write a flight recording to this file on exit (.gz = gzip)")
 	pprof := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on -metrics-addr")
 	fleetInterval := flag.Duration("fleet-interval", time.Second, "push fleet telemetry reports to the controller at this interval (0 = off)")
@@ -65,47 +62,13 @@ func main() {
 	defer cli.Flush()
 	cli.TrapSignals()
 
-	if *metricsAddr != "" || *traceOut != "" || *recordOut != "" {
-		obs.Enable()
-		obs.EnableTracing(0)
-	}
+	cli.Telemetry{
+		Process:     fmt.Sprintf("tinyleo-sat-%d", *id),
+		MetricsAddr: *metricsAddr, RecordOut: *recordOut, Pprof: *pprof,
+	}.Start()
 	if *fleetInterval > 0 {
 		// Fleet reporting snapshots the default registry, so it must record.
 		obs.Enable()
-	}
-	if *pprof {
-		if *metricsAddr == "" {
-			cli.Fatalf("tinyleo-sat: -pprof needs -metrics-addr to serve on\n")
-		}
-		obs.EnablePprof()
-	}
-	if *recordOut != "" {
-		if err := flightrec.Enable(flightrec.Options{}); err != nil {
-			cli.Fatalf("tinyleo-sat: flight recorder: %v\n", err)
-		}
-		cli.AtExit(func() {
-			summary, err := flightrec.SaveRecording(*recordOut, "tinyleo-sat")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "tinyleo-sat: recording: %v\n", err)
-				return
-			}
-			fmt.Printf("recording: wrote %s to %s\n", summary, *recordOut)
-		})
-	}
-	if *metricsAddr != "" {
-		srv, err := obs.Serve(*metricsAddr, obs.Default())
-		if err != nil {
-			cli.Fatalf("tinyleo-sat: %v\n", err)
-		}
-		defer srv.Close()
-		fmt.Printf("sat %d telemetry on http://%s/metrics\n", *id, srv.Addr())
-	}
-	if *traceOut != "" {
-		cli.AtExit(func() {
-			if err := writeTrace(*traceOut); err != nil {
-				fmt.Fprintf(os.Stderr, "tinyleo-sat: trace: %v\n", err)
-			}
-		})
 	}
 
 	if *syncURL != "" {
@@ -227,17 +190,4 @@ func main() {
 		})
 	}
 	time.Sleep(*runFor)
-}
-
-func writeTrace(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := obs.Trace().WriteJSONL(f); err != nil {
-		return err
-	}
-	fmt.Printf("trace: wrote %s to %s\n", obs.Trace().WriteFileSummary(), path)
-	return nil
 }

@@ -29,14 +29,16 @@
 //	go run ./examples/failover-demo -metrics-addr 127.0.0.1:9100 -hold 1m
 //
 // With -record-out the whole run is captured by the constellation flight
-// recorder — per-slot compiled topologies, typed failure/repair events,
-// SLO status — and written as a recording that `tinyleo-ctl inspect`
-// renders into a postmortem; -slo overrides the objective thresholds
-// (live status on /slo when -metrics-addr is set too):
+// recorder — spans and typed failure/repair events on one clock, per-slot
+// compiled topologies, SLO status — and written at exit as the one record
+// file that `tinyleo-ctl inspect` renders into a postmortem and
+// `tinyleo-ctl trace` into a timeline; -slo overrides the objective
+// thresholds (live status on /slo when -metrics-addr is set too):
 //
 //	go run ./examples/failover-demo -record-out flight.jsonl.gz \
 //	    -slo 'availability>=0.99,deficit_ratio<=0.01'
 //	go run ./cmd/tinyleo-ctl inspect -in flight.jsonl.gz
+//	go run ./cmd/tinyleo-ctl trace -canonical flight.jsonl.gz
 package main
 
 import (
@@ -48,6 +50,7 @@ import (
 
 	tinyleo "repro"
 
+	"repro/internal/cli"
 	"repro/internal/mpc"
 	"repro/internal/southbound"
 )
@@ -63,49 +66,30 @@ func main() {
 		"SLO rule spec, e.g. 'availability>=0.95,repair_p99<=0.2' (empty = defaults)")
 	flag.Parse()
 
-	if *metricsAddr != "" || *recordOut != "" || *sloSpec != "" {
-		// The flight recorder's SLO engine reads registry metrics
-		// (enforcement ratio, repair latency), so recording implies
-		// telemetry.
-		tinyleo.EnableTelemetry()
-		tinyleo.EnableTraceSpans(0)
+	defer cli.Flush()
+	cli.TrapSignals()
+
+	// The repair loop's controller is created first, so that its registry is
+	// served, and read by the SLO engine, beside the process-wide one.
+	ctl, err := tinyleo.ListenSouthbound("127.0.0.1:0")
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *recordOut != "" || *sloSpec != "" {
-		rules := tinyleo.DefaultSLORules()
-		if *sloSpec != "" {
-			var err error
-			rules, err = tinyleo.ParseSLORules(*sloSpec)
-			if err != nil {
-				log.Fatalf("-slo: %v", err)
-			}
-		}
-		if err := tinyleo.EnableFlightRecorder(tinyleo.FlightRecorderOptions{
-			Rules:      rules,
-			Registries: []*tinyleo.TelemetryRegistry{tinyleo.Telemetry()},
-		}); err != nil {
-			log.Fatal(err)
-		}
-	}
+	defer ctl.Close()
+	served := cli.Telemetry{
+		Process: "failover-demo", MetricsAddr: *metricsAddr, RecordOut: *recordOut, SLO: *sloSpec,
+	}.Start(tinyleo.Telemetry(), ctl.Metrics())
+
 	emulatedFailover()
 	mpcCompileRepair()
 	southboundReliability()
-	ctlMetrics := southboundRepair()
-	tinyleo.AddSLORegistries(ctlMetrics)
+	southboundRepair(ctl)
 	if *recordOut != "" {
-		summary, err := tinyleo.SaveFlightRecording(*recordOut, "failover-demo")
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("== flight recording ==\nwrote %s to %s\ninspect with: go run ./cmd/tinyleo-ctl inspect -in %s\n",
-			summary, *recordOut, *recordOut)
+		fmt.Printf("== flight recording ==\nwritten to %s at exit; inspect with: go run ./cmd/tinyleo-ctl inspect -in %s\n",
+			*recordOut, *recordOut)
 	}
-	if *metricsAddr != "" {
-		srv, err := tinyleo.ServeTelemetry(*metricsAddr, tinyleo.Telemetry(), ctlMetrics)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer srv.Close()
-		fmt.Printf("== telemetry ==\nserving http://%s/metrics (SLO status on /slo) for %v\n", srv.Addr(), *hold)
+	if served != "" {
+		fmt.Printf("== telemetry ==\nserving http://%s/metrics (SLO status on /slo) for %v\n", served, *hold)
 		time.Sleep(*hold)
 	}
 }
@@ -317,15 +301,10 @@ func southboundReliability() {
 }
 
 // southboundRepair runs the failure-report → repair-command loop over a
-// real localhost TCP session. It returns the controller's telemetry
-// registry so main can serve its message counters after the session ends.
-func southboundRepair() *tinyleo.TelemetryRegistry {
+// real localhost TCP session against main's controller (whose message
+// counters main serves).
+func southboundRepair(ctl *tinyleo.SouthboundController) {
 	fmt.Println("== southbound TCP repair loop ==")
-	ctl, err := tinyleo.ListenSouthbound("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer ctl.Close()
 	ctl.OnFailure = func(report *tinyleo.SouthboundMessage) []*tinyleo.SouthboundMessage {
 		// Repair policy: tear down the dead ISL, bring up a spare.
 		return []*tinyleo.SouthboundMessage{
@@ -359,5 +338,4 @@ func southboundRepair() *tinyleo.TelemetryRegistry {
 			log.Fatal("controller never repaired")
 		}
 	}
-	return ctl.Metrics()
 }

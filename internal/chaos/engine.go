@@ -231,7 +231,7 @@ func (r *runner) start() error {
 	}
 
 	// The fleet aggregator runs on the campaign's virtual clock with a
-	// private (disabled) flight-recorder log: health transitions surface
+	// private (disabled) tracer for its events: health transitions surface
 	// only through OnTransition → r.event, so they land in the
 	// deterministic report exactly once. Tick runs on the engine
 	// goroutine (flushFleet), which makes r.event safe to call here.
@@ -239,7 +239,7 @@ func (r *runner) start() error {
 		Clock:       r.vc.Now,
 		LagAfter:    campaignFleetLag,
 		SilentAfter: campaignFleetSilent,
-		Log:         new(flightrec.Log),
+		Tracer:      new(obs.Tracer),
 		OnTransition: func(agent uint32, from, to fleet.State) {
 			typ := "agent_" + string(to)
 			if to == fleet.StateHealthy {

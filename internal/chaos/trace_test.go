@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/obs/flightrec"
 	"repro/internal/obs/tracemerge"
 )
 
@@ -27,7 +28,7 @@ func TestCampaignTraceDeterministic(t *testing.T) {
 		if err := tr.WriteJSONL(&jsonl); err != nil {
 			t.Fatal(err)
 		}
-		d, err := tracemerge.ReadJSONL(&jsonl)
+		d, err := flightrec.ReadRecording(&jsonl)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,16 +1,20 @@
 // Package cli holds shared plumbing for the tinyleo command-line
-// binaries: exit-time flush hooks (trace and flight-recording writers)
-// that also run on SIGINT/SIGTERM, so -trace-out and -record-out files
-// survive an interrupted run instead of being skipped with the deferred
-// writers.
+// binaries: exit-time flush hooks that also run on SIGINT/SIGTERM, so a
+// -record-out file survives an interrupted run instead of being skipped
+// with the deferred writers, and the telemetry wiring behind the
+// -metrics-addr/-record-out/-slo/-pprof flags every binary defines.
 package cli
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sync"
 	"syscall"
+
+	"repro/internal/obs"
+	"repro/internal/obs/flightrec"
 )
 
 var (
@@ -77,4 +81,83 @@ func TrapSignals() {
 			Exit(code)
 		}()
 	})
+}
+
+// Telemetry holds the parsed values of the telemetry flags. The flag
+// definitions stay in each main (tinyleo-docscheck reads them per binary
+// from there); a binary without one of the flags leaves its field zero.
+type Telemetry struct {
+	// Process names the binary in messages and the process in the record
+	// stream ("tinyleo-ctl", "tinyleo-sat-3").
+	Process string
+	// MetricsAddr (-metrics-addr) serves /metrics, /healthz, /trace and
+	// /slo there; empty serves nothing.
+	MetricsAddr string
+	// RecordOut (-record-out) writes the flight recording there at exit.
+	RecordOut string
+	// SLO (-slo) is the rule spec; empty means the default rules.
+	SLO string
+	// Pprof (-pprof) adds /debug/pprof/ to the MetricsAddr listener.
+	Pprof bool
+	// Out receives the status lines (nil = os.Stdout).
+	Out io.Writer
+}
+
+// Start switches on what the flags ask for and returns the bound
+// telemetry address ("" when nothing is served). Any of the flags turns
+// on the default registry and the process tracer; -record-out or -slo
+// turns on the flight recorder over regs (none = obs.Default() alone),
+// which are also the registries served. The recording is written, and
+// the server closed, by AtExit hooks; a bad flag value is Fatalf.
+func (t Telemetry) Start(regs ...*obs.Registry) string {
+	out := t.Out
+	if out == nil {
+		out = os.Stdout
+	}
+	if len(regs) == 0 {
+		regs = []*obs.Registry{obs.Default()}
+	}
+	if t.Pprof {
+		if t.MetricsAddr == "" {
+			Fatalf("%s: -pprof needs -metrics-addr to serve on\n", t.Process)
+		}
+		obs.EnablePprof()
+	}
+	record := t.RecordOut != "" || t.SLO != ""
+	if t.MetricsAddr == "" && !record {
+		return ""
+	}
+	// Recording implies telemetry: the SLO engine reads registry metrics
+	// (enforcement ratio, repair latency, ack RTT).
+	obs.Enable()
+	obs.Trace().SetProcess(t.Process)
+	if record {
+		rules, err := flightrec.ParseRules(t.SLO) // "" parses to none: the defaults
+		if err != nil {
+			Fatalf("%s: -slo: %v\n", t.Process, err)
+		}
+		flightrec.Enable(flightrec.Options{Rules: rules, Registries: regs})
+	} else {
+		obs.EnableTracing(0)
+	}
+	if t.RecordOut != "" {
+		AtExit(func() {
+			summary, err := flightrec.SaveRecording(t.RecordOut)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "%s: recording: %v\n", t.Process, err)
+				return
+			}
+			fmt.Fprintf(out, "recording: wrote %s to %s\n", summary, t.RecordOut)
+		})
+	}
+	if t.MetricsAddr == "" {
+		return ""
+	}
+	srv, err := obs.Serve(t.MetricsAddr, regs...)
+	if err != nil {
+		Fatalf("%s: %v\n", t.Process, err)
+	}
+	AtExit(func() { _ = srv.Close() })
+	fmt.Fprintf(out, "telemetry on http://%s/metrics\n", srv.Addr())
+	return srv.Addr()
 }

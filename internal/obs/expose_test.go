@@ -131,8 +131,8 @@ func TestHTTPEndpoints(t *testing.T) {
 	if code, _ := get("/trace"); code != 200 {
 		t.Errorf("/trace: %d", code)
 	}
-	if code, body := get("/trace.chrome"); code != 200 || !strings.HasPrefix(strings.TrimSpace(body), "[") {
-		t.Errorf("/trace.chrome: %d %q", code, body)
+	if code, _ := get("/trace?since=banana"); code != 400 {
+		t.Errorf("/trace with a malformed cursor: %d, want 400", code)
 	}
 }
 

@@ -42,9 +42,9 @@ type Options struct {
 	// SilentAfter is the silence duration after which an agent is silent
 	// (default DefaultSilentAfter).
 	SilentAfter time.Duration
-	// Log receives agent_lagging/agent_silent/agent_recovered flight events
-	// (default: the process-wide flightrec log).
-	Log *flightrec.Log
+	// Tracer receives the fleet.agent_lagging/agent_silent/agent_recovered
+	// events (default: the process tracer, obs.Trace()).
+	Tracer *obs.Tracer
 	// OnTransition, when set, is called (from Tick, in agent-ID order)
 	// for every state change.
 	OnTransition func(agent uint32, from, to State)
@@ -110,7 +110,7 @@ type Aggregator struct {
 	clock        func() time.Time
 	lagAfter     time.Duration
 	silentAfter  time.Duration
-	log          *flightrec.Log
+	tracer       *obs.Tracer
 	onTransition func(uint32, State, State)
 
 	rollup *obs.Registry
@@ -140,14 +140,14 @@ func NewAggregator(o Options) *Aggregator {
 			o.SilentAfter = 3 * o.LagAfter
 		}
 	}
-	if o.Log == nil {
-		o.Log = flightrec.DefaultLog()
+	if o.Tracer == nil {
+		o.Tracer = obs.Trace()
 	}
 	a := &Aggregator{
 		clock:        o.Clock,
 		lagAfter:     o.LagAfter,
 		silentAfter:  o.SilentAfter,
-		log:          o.Log,
+		tracer:       o.Tracer,
 		onTransition: o.OnTransition,
 		rollup:       obs.NewRegistry(true),
 		agents:       map[uint32]*agentState{},
@@ -366,8 +366,8 @@ func (a *Aggregator) Tick() {
 		if t.to == StateHealthy {
 			typ = "agent_recovered"
 		}
-		if a.log.Enabled() {
-			a.log.Emit(flightrec.CompFleet, typ,
+		if a.tracer.Enabled() {
+			a.tracer.Emit(flightrec.EventName(flightrec.CompFleet, typ),
 				"agent", strconv.FormatUint(uint64(t.id), 10),
 				"from", string(t.from), "to", string(t.to))
 		}

@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/fleet"
-	"repro/internal/obs/flightrec"
 	"repro/internal/southbound"
 )
 
@@ -182,14 +181,14 @@ func TestFleetEndToEndThreeProcesses(t *testing.T) {
 	}
 	defer ctl.Close()
 
-	var log flightrec.Log
+	var log obs.Tracer
 	log.Enable(256)
 	var mu sync.Mutex
 	transitions := map[uint32][]fleet.State{}
 	agg := fleet.NewAggregator(fleet.Options{
 		LagAfter:    300 * time.Millisecond,
 		SilentAfter: 900 * time.Millisecond,
-		Log:         &log,
+		Tracer:      &log,
 		OnTransition: func(agent uint32, from, to fleet.State) {
 			mu.Lock()
 			transitions[agent] = append(transitions[agent], to)
@@ -291,8 +290,8 @@ func TestFleetEndToEndThreeProcesses(t *testing.T) {
 	// The flight recorder saw the same ladder as typed events.
 	var types []string
 	for _, ev := range log.Events() {
-		if ev.Component == flightrec.CompFleet && ev.Attr("agent") == strconv.FormatUint(uint64(victim.id), 10) {
-			types = append(types, ev.Type)
+		if typ, ok := strings.CutPrefix(ev.Name, "fleet."); ok && ev.Attrs["agent"] == strconv.FormatUint(uint64(victim.id), 10) {
+			types = append(types, typ)
 		}
 	}
 	if len(types) != 2 || types[0] != "agent_lagging" || types[1] != "agent_silent" {

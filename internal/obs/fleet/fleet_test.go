@@ -3,12 +3,12 @@ package fleet
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/flightrec"
 )
 
 // apply merges a payload sequence into a fresh dict the way the
@@ -166,18 +166,18 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 }
 
-func newTestAggregator(now *time.Time, log *flightrec.Log) *Aggregator {
+func newTestAggregator(now *time.Time, log *obs.Tracer) *Aggregator {
 	return NewAggregator(Options{
 		Clock:       func() time.Time { return *now },
 		LagAfter:    3 * time.Second,
 		SilentAfter: 9 * time.Second,
-		Log:         log,
+		Tracer:      log,
 	})
 }
 
 func TestAggregatorRollupEqualsAgentSums(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
-	agg := newTestAggregator(&now, &flightrec.Log{})
+	agg := newTestAggregator(&now, &obs.Tracer{})
 
 	type ag struct {
 		reg *obs.Registry
@@ -250,7 +250,7 @@ func TestAggregatorRollupEqualsAgentSums(t *testing.T) {
 
 func TestAggregatorBaselineReshipDoesNotDoubleCount(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
-	agg := newTestAggregator(&now, &flightrec.Log{})
+	agg := newTestAggregator(&now, &obs.Tracer{})
 	reg := obs.NewRegistry(true)
 	c := reg.Counter("x_total")
 	h := reg.Histogram("h_s", []float64{1})
@@ -282,14 +282,14 @@ func TestAggregatorBaselineReshipDoesNotDoubleCount(t *testing.T) {
 
 func TestAggregatorStalenessTransitions(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
-	var log flightrec.Log
+	var log obs.Tracer
 	log.Enable(64)
 	var transitions []string
 	agg := NewAggregator(Options{
 		Clock:       func() time.Time { return now },
 		LagAfter:    3 * time.Second,
 		SilentAfter: 9 * time.Second,
-		Log:         &log,
+		Tracer:      &log,
 		OnTransition: func(agent uint32, from, to State) {
 			transitions = append(transitions, string(from)+">"+string(to))
 		},
@@ -338,8 +338,8 @@ func TestAggregatorStalenessTransitions(t *testing.T) {
 	}
 	var types []string
 	for _, ev := range log.Events() {
-		if ev.Component == flightrec.CompFleet {
-			types = append(types, ev.Type)
+		if typ, ok := strings.CutPrefix(ev.Name, "fleet."); ok {
+			types = append(types, typ)
 		}
 	}
 	wantEv := []string{"agent_lagging", "agent_silent", "agent_recovered"}
@@ -355,7 +355,7 @@ func TestAggregatorStalenessTransitions(t *testing.T) {
 
 func TestAggregatorSeqGapsAndStaleDrops(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
-	agg := newTestAggregator(&now, &flightrec.Log{})
+	agg := newTestAggregator(&now, &obs.Tracer{})
 	reg := obs.NewRegistry(true)
 	c := reg.Counter("x_total")
 	enc := NewEncoder(reg)
@@ -390,7 +390,7 @@ func TestAggregatorSeqGapsAndStaleDrops(t *testing.T) {
 
 func TestAggregatorMalformedCountsDecodeError(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
-	agg := newTestAggregator(&now, &flightrec.Log{})
+	agg := newTestAggregator(&now, &obs.Tracer{})
 	if err := agg.HandleReport(1, []byte{99}); err == nil {
 		t.Fatal("malformed report accepted")
 	}
@@ -401,7 +401,7 @@ func TestAggregatorMalformedCountsDecodeError(t *testing.T) {
 
 func TestFleetViewHTTP(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
-	agg := newTestAggregator(&now, &flightrec.Log{})
+	agg := newTestAggregator(&now, &obs.Tracer{})
 	reg := obs.NewRegistry(true)
 	reg.Counter("x_total").Add(3)
 	enc := NewEncoder(reg)
@@ -494,7 +494,7 @@ func TestReporterRunStop(t *testing.T) {
 	reg := obs.NewRegistry(true)
 	c := reg.Counter("x_total")
 	now := time.Unix(1_700_000_000, 0)
-	agg := newTestAggregator(&now, &flightrec.Log{})
+	agg := newTestAggregator(&now, &obs.Tracer{})
 	rep := NewReporter(NewEncoder(reg), func(p []byte) error {
 		return agg.HandleReport(1, p)
 	})

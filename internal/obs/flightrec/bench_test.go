@@ -12,14 +12,16 @@ package flightrec
 import (
 	"strconv"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func BenchmarkEnabledCheckDisabled(b *testing.B) {
-	var l Log
+	var l obs.Tracer
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if l.Enabled() {
-			b.Fatal("log should be disabled")
+			b.Fatal("tracer should be disabled")
 		}
 	}
 }
@@ -28,22 +30,22 @@ func BenchmarkEnabledCheckDisabled(b *testing.B) {
 // check Enabled() before building attributes, so the disabled cost is
 // one atomic load and zero allocations.
 func BenchmarkGuardedEmitDisabled(b *testing.B) {
-	var l Log
+	var l obs.Tracer
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if l.Enabled() {
-			l.Emit(CompDataplane, "drop", "sat", strconv.Itoa(i), "reason", "bench")
+			l.Emit("dataplane.drop", "sat", strconv.Itoa(i), "reason", "bench")
 		}
 	}
 }
 
 func BenchmarkGuardedEmitDisabledParallel(b *testing.B) {
-	var l Log
+	var l obs.Tracer
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			if l.Enabled() {
-				l.Emit(CompDataplane, "drop", "reason", "bench")
+				l.Emit("dataplane.drop", "reason", "bench")
 			}
 		}
 	})
@@ -64,28 +66,26 @@ func BenchmarkDefaultEnabledCheckDisabled(b *testing.B) {
 }
 
 func BenchmarkEmitEnabled(b *testing.B) {
-	var l Log
+	var l obs.Tracer
 	l.Enable(8192)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		l.Emit(CompDataplane, "drop", "reason", "bench")
+		l.Emit("dataplane.drop", "reason", "bench")
 	}
 }
 
 func BenchmarkEmitEnabledWithFormatting(b *testing.B) {
-	var l Log
+	var l obs.Tracer
 	l.Enable(8192)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		l.Emit(CompDataplane, "drop", "sat", strconv.Itoa(i), "reason", "bench")
+		l.Emit("dataplane.drop", "sat", strconv.Itoa(i), "reason", "bench")
 	}
 }
 
 func BenchmarkRecordSlotEnabled(b *testing.B) {
 	var s Snapshotter
-	if err := s.enable(256, ""); err != nil {
-		b.Fatal(err)
-	}
+	s.enable()
 	st := SlotState{Time: 1, Kind: "compile",
 		InterLinks: [][2]int{{1, 2}, {3, 4}, {5, 6}},
 		RingLinks:  [][2]int{{1, 3}},

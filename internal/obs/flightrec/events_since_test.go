@@ -1,11 +1,10 @@
 package flightrec
 
-// Coverage for the /events?since=<seq> incremental cursor and the
-// EventsSince primitive behind it.
+// Coverage for the /trace?since=<seq> incremental cursor and the
+// EventsSince primitive behind it, on the tracer ring the recorder's
+// events ride.
 
 import (
-	"bufio"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -15,10 +14,10 @@ import (
 )
 
 func TestEventsSince(t *testing.T) {
-	var l Log
+	var l obs.Tracer
 	l.Enable(8)
 	for i := 1; i <= 5; i++ {
-		l.Emit(CompChaos, "e"+strconv.Itoa(i))
+		l.Emit(EventName(CompChaos, "e"+strconv.Itoa(i)))
 	}
 	cases := []struct {
 		since     uint64
@@ -44,10 +43,10 @@ func TestEventsSince(t *testing.T) {
 }
 
 func TestEventsSinceAfterWrap(t *testing.T) {
-	var l Log
+	var l obs.Tracer
 	l.Enable(4)
 	for i := 1; i <= 10; i++ { // ring keeps seqs 7..10
-		l.Emit(CompChaos, "e"+strconv.Itoa(i))
+		l.Emit(EventName(CompChaos, "e"+strconv.Itoa(i)))
 	}
 	got := l.EventsSince(5)
 	if len(got) != 4 || got[0].Seq != 7 {
@@ -59,6 +58,8 @@ func TestEventsSinceAfterWrap(t *testing.T) {
 	}
 }
 
+// readEventSeqs fetches a /trace body with the one reader and returns the
+// sequence numbers of its instant events.
 func readEventSeqs(t *testing.T, url string) []uint64 {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -69,51 +70,46 @@ func readEventSeqs(t *testing.T, url string) []uint64 {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
 	}
+	rec, err := ReadRecording(resp.Body)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	if rec.EpochUS == 0 {
+		t.Fatalf("GET %s: body has no meta record", url)
+	}
 	var seqs []uint64
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("event line: %v", err)
-		}
+	for _, ev := range rec.Events() {
 		seqs = append(seqs, ev.Seq)
 	}
 	return seqs
 }
 
 func TestEventsEndpointSinceCursor(t *testing.T) {
-	if err := Enable(Options{EventCapacity: 64}); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := Disable(); err != nil {
-			t.Fatal(err)
-		}
-	}()
+	Enable(Options{})
+	defer Disable()
+	defer obs.Trace().Disable()
 	for i := 1; i <= 6; i++ {
 		Emit(CompFleet, "tick", "i", strconv.Itoa(i))
+		obs.StartSpan("sb.send").End() // spans interleave and advance the cursor too
 	}
 	srv := httptest.NewServer(obs.NewHandler(obs.NewRegistry(false)))
 	defer srv.Close()
 
-	all := readEventSeqs(t, srv.URL+"/events")
+	all := readEventSeqs(t, srv.URL+"/trace")
 	if len(all) != 6 {
-		t.Fatalf("/events returned %d events, want 6", len(all))
+		t.Fatalf("/trace returned %d events, want 6", len(all))
 	}
 	// Incremental poll from the middle.
-	tail := readEventSeqs(t, srv.URL+"/events?since="+strconv.FormatUint(all[3], 10))
-	if len(tail) != 2 || tail[0] != all[4] {
-		t.Fatalf("/events?since=%d = %v, want %v", all[3], tail, all[4:])
+	tail := readEventSeqs(t, srv.URL+"/trace?since="+strconv.FormatUint(all[3], 10))
+	if len(tail) != 2 || tail[0] != all[4] || all[4] != all[3]+2 {
+		t.Fatalf("/trace?since=%d = %v, want %v", all[3], tail, all[4:])
 	}
 	// Cursor at the newest event: empty body, still 200.
-	if got := readEventSeqs(t, srv.URL+"/events?since="+strconv.FormatUint(all[5], 10)); len(got) != 0 {
-		t.Fatalf("/events at head returned %v, want none", got)
+	if got := readEventSeqs(t, srv.URL+"/trace?since="+strconv.FormatUint(all[5], 10)); len(got) != 0 {
+		t.Fatalf("/trace at head returned %v, want none", got)
 	}
 	// Malformed cursor: 400.
-	resp, err := http.Get(srv.URL + "/events?since=banana")
+	resp, err := http.Get(srv.URL + "/trace?since=banana")
 	if err != nil {
 		t.Fatal(err)
 	}

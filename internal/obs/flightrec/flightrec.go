@@ -1,13 +1,21 @@
-// Package flightrec is TinyLEO's constellation flight recorder: a
-// structured, typed event log, a per-slot topology state snapshotter, and
-// a declarative SLO engine, all ring-buffered in memory and serializable
-// as one JSONL "recording" that the postmortem inspector
-// (tinyleo-ctl inspect) renders into per-slot diffs and failure
-// timelines.
+// Package flightrec is TinyLEO's constellation flight recorder: typed
+// events, a per-slot topology state snapshotter, and a declarative SLO
+// engine, serializable as one JSONL "recording" that the postmortem
+// inspector (tinyleo-ctl inspect) renders into per-slot diffs and failure
+// timelines, and that the trace merger (tinyleo-ctl trace) places on one
+// cross-process timeline.
+//
+// The recorder keeps no event store of its own. Emit writes instant
+// events named "component.type" into the process tracer (obs.Trace()), so
+// events and spans share one ring, one epoch and one (injectable) clock;
+// a recording is that tracer's JSONL followed by the slot snapshots and
+// the final SLO status (see ReadRecording for the line schema). Only the
+// slot states keep a ring of their own: one is O(constellation) bytes, not
+// the ~100 bytes of a span or event, so it cannot share their budget.
 //
 // The recorder complements the numeric registry in internal/obs: where
-// counters answer "how many deficits", the event log answers *which*
-// slot, *which* cell, and *what happened just before* — the per-snapshot
+// counters answer "how many deficits", the events answer *which* slot,
+// *which* cell, and *what happened just before* — the per-snapshot
 // reasoning the paper's own evaluation uses (§4.2 topology compilation,
 // §4.3 failover, §6 repair timelines).
 //
@@ -25,16 +33,15 @@
 package flightrec
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
+
+	"repro/internal/obs"
 )
 
-// Component names used by the built-in instrumentation.
+// Component names used by the built-in instrumentation: the first half of
+// an event's "component.type" name.
 const (
 	CompMPC        = "mpc"
 	CompSouthbound = "southbound"
@@ -45,258 +52,67 @@ const (
 	CompFleet      = "fleet"
 )
 
-// Event is one typed entry in the flight-recorder log.
-type Event struct {
-	// Seq is a monotonically increasing sequence number (survives ring
-	// wrap-around, so gaps reveal overwritten history).
-	Seq uint64
-	// TimeUS is microseconds since the recorder was enabled.
-	TimeUS int64
-	// Component is the emitting subsystem (mpc, southbound, dataplane,
-	// core, slo).
-	Component string
-	// Type is the event type within the component (slot_compiled,
-	// isl_fail, repair, agent_connect, slo_breach, ...).
-	Type string
-	// Attrs are key/value pairs (flat, in emission order).
-	Attrs []string
+// EventName joins a component and an event type into the record name.
+func EventName(component, typ string) string { return component + "." + typ }
+
+// SplitEventName splits a "component.type" record name.
+func SplitEventName(name string) (component, typ string) {
+	component, typ, _ = strings.Cut(name, ".")
+	return component, typ
 }
 
-// Attr returns the value of the named attribute, or "".
-func (e *Event) Attr(key string) string {
-	for i := 0; i+1 < len(e.Attrs); i += 2 {
-		if e.Attrs[i] == key {
-			return e.Attrs[i+1]
+// isFailure reports whether ev is one of the injected-failure events the
+// failure sequences and the failure_events SLO count.
+func isFailure(ev *obs.Event) bool {
+	switch _, typ := SplitEventName(ev.Name); typ {
+	case "isl_fail", "sat_fail", "failure_report":
+		return ev.Instant
+	}
+	return false
+}
+
+// instants returns the instant events among records (the spans sharing
+// the ring are dropped).
+func instants(records []obs.Event) []obs.Event {
+	var out []obs.Event
+	for _, ev := range records {
+		if ev.Instant {
+			out = append(out, ev)
 		}
 	}
-	return ""
-}
-
-// eventJSON is the wire form of Event (attrs as an object).
-type eventJSON struct {
-	Seq       uint64            `json:"seq"`
-	TimeUS    int64             `json:"t_us"`
-	Component string            `json:"component"`
-	Type      string            `json:"type"`
-	Attrs     map[string]string `json:"attrs,omitempty"`
-}
-
-// MarshalJSON renders attrs as a JSON object.
-func (e Event) MarshalJSON() ([]byte, error) {
-	out := eventJSON{Seq: e.Seq, TimeUS: e.TimeUS, Component: e.Component, Type: e.Type}
-	if len(e.Attrs) > 0 {
-		out.Attrs = make(map[string]string, len(e.Attrs)/2)
-		for i := 0; i+1 < len(e.Attrs); i += 2 {
-			out.Attrs[e.Attrs[i]] = e.Attrs[i+1]
-		}
-	}
-	return json.Marshal(out)
-}
-
-// UnmarshalJSON is the inverse of MarshalJSON; attrs come back sorted by
-// key (object order is not preserved by JSON).
-func (e *Event) UnmarshalJSON(b []byte) error {
-	var in eventJSON
-	if err := json.Unmarshal(b, &in); err != nil {
-		return err
-	}
-	*e = Event{Seq: in.Seq, TimeUS: in.TimeUS, Component: in.Component, Type: in.Type}
-	if len(in.Attrs) > 0 {
-		keys := make([]string, 0, len(in.Attrs))
-		for k := range in.Attrs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		e.Attrs = make([]string, 0, 2*len(keys))
-		for _, k := range keys {
-			e.Attrs = append(e.Attrs, k, in.Attrs[k])
-		}
-	}
-	return nil
-}
-
-// DefaultEventCapacity is the event ring size used by Enable when
-// Options.EventCapacity is zero.
-const DefaultEventCapacity = 8192
-
-// Log is a fixed-capacity ring of typed events: the newest events win, so
-// a long emulation keeps the recent history leading up to a failure
-// without unbounded memory. A disabled log drops emissions at the cost of
-// one atomic load.
-type Log struct {
-	on atomic.Bool
-
-	mu sync.Mutex
-	//tinyleo:guardedby mu
-	buf []Event
-	//tinyleo:guardedby mu
-	next int
-	//tinyleo:guardedby mu
-	wrapped bool
-	//tinyleo:guardedby mu
-	dropped uint64
-	//tinyleo:guardedby mu
-	seq uint64
-	//tinyleo:guardedby mu
-	epoch time.Time
-}
-
-// Enable (re)enables the log with the given ring capacity
-// (0 = DefaultEventCapacity). Re-enabling resets the ring and epoch.
-func (l *Log) Enable(capacity int) {
-	if capacity <= 0 {
-		capacity = DefaultEventCapacity
-	}
-	l.mu.Lock()
-	l.buf = make([]Event, capacity)
-	l.next, l.wrapped, l.dropped, l.seq = 0, false, 0, 0
-	l.epoch = time.Now()
-	l.mu.Unlock()
-	l.on.Store(true)
-}
-
-// Enabled reports whether emissions are recorded.
-func (l *Log) Enabled() bool { return l.on.Load() }
-
-// Disable stops recording; the ring stays readable.
-func (l *Log) Disable() { l.on.Store(false) }
-
-// Emit appends one event; attrs are key/value pairs. No-op when disabled.
-func (l *Log) Emit(component, typ string, attrs ...string) {
-	if !l.on.Load() {
-		return
-	}
-	now := time.Now()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.buf) == 0 {
-		return
-	}
-	if l.wrapped {
-		l.dropped++
-	}
-	l.seq++
-	l.buf[l.next] = Event{
-		Seq:       l.seq,
-		TimeUS:    now.Sub(l.epoch).Microseconds(),
-		Component: component,
-		Type:      typ,
-		Attrs:     attrs,
-	}
-	l.next++
-	if l.next == len(l.buf) {
-		l.next = 0
-		l.wrapped = true
-	}
-}
-
-// Events returns the ring contents oldest-first.
-func (l *Log) Events() []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.wrapped {
-		return append([]Event(nil), l.buf[:l.next]...)
-	}
-	out := make([]Event, 0, len(l.buf))
-	out = append(out, l.buf[l.next:]...)
-	out = append(out, l.buf[:l.next]...)
 	return out
 }
 
-// EventsSince returns the ring contents with Seq > since, oldest-first.
-// Sequence numbers are monotonic, so a poller passing its last-seen Seq
-// tails the log incrementally; events already overwritten by ring
-// wrap-around are gone regardless of the cursor.
-func (l *Log) EventsSince(since uint64) []Event {
-	events := l.Events()
-	// Seqs ascend oldest→newest; binary search the first one past the
-	// cursor.
-	lo, hi := 0, len(events)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if events[mid].Seq <= since {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return events[lo:]
-}
-
-// Dropped returns how many events were overwritten by ring wrap-around.
-func (l *Log) Dropped() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
-}
-
-// WriteJSONL writes one JSON object per event, oldest-first (the /events
-// endpoint body).
-func (l *Log) WriteJSONL(w io.Writer) error {
-	return l.WriteJSONLSince(w, 0)
-}
-
-// WriteJSONLSince writes the events with Seq > since as JSONL — the
-// /events?since=<seq> incremental poll body.
-func (l *Log) WriteJSONLSince(w io.Writer, since uint64) error {
-	enc := json.NewEncoder(w)
-	for _, ev := range l.EventsSince(since) {
-		if err := enc.Encode(ev); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Summary returns a short human-readable ring description, used by the
-// CLI when flushing -record-out.
-func (l *Log) Summary() string {
-	l.mu.Lock()
-	n := l.next
-	if l.wrapped {
-		n = len(l.buf)
-	}
-	dropped := l.dropped
-	l.mu.Unlock()
-	return fmt.Sprintf("%d events (%d overwritten)", n, dropped)
-}
+// RingCapacity sizes the process tracer's ring when the recorder enables
+// it: spans and events share it.
+const RingCapacity = 16384
 
 // ---- Process-wide default recorder ----
 
 var (
-	defaultLog         Log
+	on                 atomic.Bool
 	defaultSnapshotter Snapshotter
 
 	engineMu      sync.RWMutex
 	defaultEngine *Engine
 )
 
-// DefaultLog returns the process-wide event log (disabled until Enable).
-func DefaultLog() *Log { return &defaultLog }
-
-// DefaultSnapshotter returns the process-wide slot snapshotter.
-func DefaultSnapshotter() *Snapshotter { return &defaultSnapshotter }
-
 // Enabled reports whether the process-wide recorder is on. Hot paths
 // guard attribute formatting behind it; the disabled cost is one atomic
 // load.
-func Enabled() bool { return defaultLog.on.Load() }
+func Enabled() bool { return on.Load() }
 
-// Emit appends one event to the process-wide log (no-op while disabled).
+// Emit records one "component.type" event in the process tracer (no-op
+// while the recorder is disabled).
 func Emit(component, typ string, attrs ...string) {
-	defaultLog.Emit(component, typ, attrs...)
+	if !on.Load() {
+		return
+	}
+	obs.Trace().Emit(EventName(component, typ), attrs...)
 }
 
 // Options parameterizes Enable.
 type Options struct {
-	// EventCapacity sizes the event ring (0 = DefaultEventCapacity).
-	EventCapacity int
-	// SlotCapacity sizes the slot-snapshot ring (0 = DefaultSlotCapacity).
-	SlotCapacity int
-	// SpillPath, when non-empty, appends every recorded slot snapshot to
-	// this file as JSONL (gzip-compressed when the name ends in .gz), so
-	// runs longer than the ring keep full history on disk.
-	SpillPath string
 	// Rules are the SLO rules to evaluate each recorded slot (and on
 	// /slo requests). See ParseRules for the spec syntax.
 	Rules []Rule
@@ -305,30 +121,26 @@ type Options struct {
 	Registries []RegistrySource
 }
 
-// Enable turns on the process-wide flight recorder: event log, slot
-// snapshotter, and SLO engine, and registers the /slo and /events
-// telemetry endpoints. It is the switch behind the -record-out CLI
-// flags.
-func Enable(o Options) error {
-	defaultLog.Enable(o.EventCapacity)
-	if err := defaultSnapshotter.enable(o.SlotCapacity, o.SpillPath); err != nil {
-		return err
-	}
-	eng := NewEngine(&defaultLog, o.Rules...)
+// Enable turns on the process-wide flight recorder — events into the
+// process tracer (which it (re)enables with RingCapacity, resetting ring
+// and epoch), the slot snapshotter, and the SLO engine — and registers
+// the /slo telemetry endpoint. It is the switch behind the -record-out
+// CLI flags.
+func Enable(o Options) {
+	obs.EnableTracing(RingCapacity)
+	defaultSnapshotter.enable()
+	eng := NewEngine(obs.Trace(), o.Rules...)
 	eng.SetRegistries(o.Registries...)
 	engineMu.Lock()
 	defaultEngine = eng
 	engineMu.Unlock()
 	registerHTTP()
-	return nil
+	on.Store(true)
 }
 
-// Disable stops the process-wide recorder (rings stay readable) and
-// closes any snapshot spill file.
-func Disable() error {
-	defaultLog.Disable()
-	return defaultSnapshotter.disable()
-}
+// Disable stops the process-wide recorder; the tracer keeps running (and
+// its ring and the slot ring stay readable).
+func Disable() { on.Store(false) }
 
 // DefaultSLOEngine returns the process-wide SLO engine installed by the
 // last Enable, or nil.
@@ -341,10 +153,7 @@ func DefaultSLOEngine() *Engine {
 // AddSLORegistries appends metric registries for the default SLO engine
 // to read (e.g. a southbound controller's private registry).
 func AddSLORegistries(regs ...RegistrySource) {
-	engineMu.RLock()
-	eng := defaultEngine
-	engineMu.RUnlock()
-	if eng != nil {
+	if eng := DefaultSLOEngine(); eng != nil {
 		eng.AddRegistries(regs...)
 	}
 }
@@ -357,10 +166,7 @@ func RecordSlot(st SlotState) {
 		return
 	}
 	defaultSnapshotter.RecordSlot(st)
-	engineMu.RLock()
-	eng := defaultEngine
-	engineMu.RUnlock()
-	if eng != nil {
+	if eng := DefaultSLOEngine(); eng != nil {
 		eng.Eval()
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"math"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -20,76 +19,94 @@ func newTestRegistry(t *testing.T) *obs.Registry {
 	return obs.NewRegistry(true)
 }
 
+// The ring behind the recorder is the tracer's: events and spans share it,
+// the newest records win, and sequence numbers count both kinds.
 func TestLogRingKeepsNewestAndCountsDrops(t *testing.T) {
-	var l Log
-	l.Enable(4)
-	for i := 0; i < 10; i++ {
-		l.Emit(CompMPC, "tick", "i", string(rune('0'+i)))
+	var tr obs.Tracer
+	tr.Enable(4)
+	for i := 0; i < 9; i++ {
+		tr.Emit(EventName(CompMPC, "tick"), "i", string(rune('0'+i)))
 	}
-	evs := l.Events()
+	tr.StartSpan("mpc.emit").End() // a span takes a slot like an event does
+	evs := tr.Events()
 	if len(evs) != 4 {
-		t.Fatalf("ring kept %d events, want 4", len(evs))
+		t.Fatalf("ring kept %d records, want 4", len(evs))
 	}
 	// Newest-wins: the survivors are seq 7..10, in order.
 	for i, ev := range evs {
 		if want := uint64(7 + i); ev.Seq != want {
-			t.Fatalf("event %d has seq %d, want %d", i, ev.Seq, want)
+			t.Fatalf("record %d has seq %d, want %d", i, ev.Seq, want)
 		}
 	}
-	if got := l.Dropped(); got != 6 {
-		t.Fatalf("Dropped() = %d, want 6", got)
+	if got := instants(evs); len(got) != 3 || got[2].Attrs["i"] != "8" {
+		t.Fatalf("instants = %+v, want the events 6..8", got)
 	}
-	if s := l.Summary(); !strings.Contains(s, "4 events") || !strings.Contains(s, "6 overwritten") {
-		t.Fatalf("Summary() = %q", s)
+	if got := tr.Dropped(); got != 6 {
+		t.Fatalf("Dropped() = %d, want 6", got)
 	}
 }
 
 func TestLogDisabledEmitIsNoop(t *testing.T) {
-	var l Log
-	l.Emit(CompMPC, "tick")
-	if n := len(l.Events()); n != 0 {
-		t.Fatalf("disabled log recorded %d events", n)
+	var tr obs.Tracer
+	tr.Emit(EventName(CompMPC, "tick"))
+	if n := len(tr.Events()); n != 0 {
+		t.Fatalf("disabled tracer recorded %d events", n)
 	}
-	l.Enable(8)
-	l.Disable()
-	l.Emit(CompMPC, "tick")
-	if n := len(l.Events()); n != 0 {
-		t.Fatalf("re-disabled log recorded %d events", n)
+	tr.Enable(8)
+	tr.Disable()
+	tr.Emit(EventName(CompMPC, "tick"))
+	if n := len(tr.Events()); n != 0 {
+		t.Fatalf("re-disabled tracer recorded %d events", n)
+	}
+	// The package-level spelling is gated by the recorder's own switch,
+	// whatever the process tracer's state.
+	if Enabled() {
+		t.Skip("process-wide recorder enabled by another test")
+	}
+	obs.EnableTracing(8)
+	defer obs.Trace().Disable()
+	Emit(CompMPC, "tick")
+	if n := len(obs.Trace().Events()); n != 0 {
+		t.Fatalf("disabled recorder emitted %d events", n)
 	}
 }
 
 func TestEventJSONRoundTrip(t *testing.T) {
-	in := Event{Seq: 7, TimeUS: 1234, Component: CompDataplane, Type: "drop",
-		Attrs: []string{"sat", "3", "reason", "hop limit"}}
-	b, err := json.Marshal(in)
+	in := obs.Event{Seq: 7, StartUS: 1234, Name: EventName(CompDataplane, "drop"), Instant: true,
+		Attrs: map[string]string{"sat": "3", "reason": "hop limit"}}
+	b, err := json.Marshal(line{Event: &in})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Attrs render as an object, not a flat array.
-	if !strings.Contains(string(b), `"attrs":{`) {
-		t.Fatalf("marshal = %s", b)
+	// A record line is the event's own keys, nothing wrapped around them.
+	for _, want := range []string{`"name":"dataplane.drop"`, `"instant":true`, `"seq":7`, `"attrs":{`} {
+		if !strings.Contains(string(b), want) {
+			t.Fatalf("marshal = %s, want %s in it", b, want)
+		}
 	}
-	var out Event
-	if err := json.Unmarshal(b, &out); err != nil {
+	if strings.Contains(string(b), `"slot":`) || strings.Contains(string(b), `"slo":`) {
+		t.Fatalf("record line carries another payload: %s", b)
+	}
+	var ln line
+	if err := json.Unmarshal(b, &ln); err != nil {
 		t.Fatal(err)
 	}
-	if out.Seq != in.Seq || out.TimeUS != in.TimeUS || out.Component != in.Component || out.Type != in.Type {
+	out := ln.Event
+	if out == nil || out.Seq != in.Seq || out.StartUS != in.StartUS || out.Name != in.Name || !out.Instant {
 		t.Fatalf("round trip = %+v, want %+v", out, in)
 	}
-	if out.Attr("reason") != "hop limit" || out.Attr("sat") != "3" {
+	if out.Attrs["reason"] != "hop limit" || out.Attrs["sat"] != "3" {
 		t.Fatalf("attrs lost: %+v", out.Attrs)
 	}
-	if out.Attr("missing") != "" {
-		t.Fatal("Attr(missing) should be empty")
+	if comp, typ := SplitEventName(out.Name); comp != CompDataplane || typ != "drop" {
+		t.Fatalf("SplitEventName = %q, %q", comp, typ)
 	}
 }
 
-func TestSnapshotterRingAndGzipSpill(t *testing.T) {
-	spill := filepath.Join(t.TempDir(), "slots.jsonl.gz")
+func TestSnapshotterRing(t *testing.T) {
 	var s Snapshotter
-	if err := s.enable(3, spill); err != nil {
-		t.Fatal(err)
-	}
+	s.enable()
+	s.buf = s.buf[:3]
 	for i := 0; i < 5; i++ {
 		s.RecordSlot(SlotState{Time: float64(i) * 100, Kind: "compile",
 			InterLinks: [][2]int{{i, i + 1}}})
@@ -104,39 +121,11 @@ func TestSnapshotterRingAndGzipSpill(t *testing.T) {
 			t.Fatalf("slot %d numbered %d, want %d", i, st.Slot, want)
 		}
 	}
-	if got := s.Recorded(); got != 5 {
-		t.Fatalf("Recorded() = %d, want 5", got)
-	}
-	if err := s.disable(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SpillErr(); err != nil {
-		t.Fatal(err)
-	}
-	// The spill file holds ALL 5 slots, gzip-compressed, one JSON per line.
-	f, err := os.Open(spill)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	gz, err := gzip.NewReader(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec := json.NewDecoder(gz)
-	n := 0
-	for dec.More() {
-		var st SlotState
-		if err := dec.Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-		if st.Slot != n {
-			t.Fatalf("spilled slot %d numbered %d", n, st.Slot)
-		}
-		n++
-	}
-	if n != 5 {
-		t.Fatalf("spill holds %d slots, want 5", n)
+	// Re-enabling starts an empty ring numbered from 0.
+	s.enable()
+	s.RecordSlot(SlotState{Kind: "compile"})
+	if slots := s.Slots(); len(slots) != 1 || slots[0].Slot != 0 {
+		t.Fatalf("after re-enable: %+v", slots)
 	}
 }
 
@@ -151,8 +140,18 @@ func TestEdgeKeyRoundTrip(t *testing.T) {
 }
 
 func sampleRecording() *Recording {
+	ev := func(seq uint64, us int64, comp, typ string, attrs ...string) obs.Event {
+		e := obs.Event{Seq: seq, StartUS: us, Name: EventName(comp, typ), Instant: true}
+		if len(attrs) > 0 {
+			e.Attrs = map[string]string{}
+			for i := 0; i+1 < len(attrs); i += 2 {
+				e.Attrs[attrs[i]] = attrs[i+1]
+			}
+		}
+		return e
+	}
 	return &Recording{
-		Meta: Meta{Version: RecordingVersion, Binary: "test"},
+		Proc: "test", EpochUS: 1_700_000_000_000_000, Dropped: 2,
 		Slots: []SlotState{
 			{Slot: 0, Time: 0, Kind: "compile",
 				InterLinks: [][2]int{{1, 2}, {3, 4}}, RingLinks: [][2]int{{1, 3}},
@@ -162,13 +161,13 @@ func sampleRecording() *Recording {
 				InterLinks: [][2]int{{1, 2}, {5, 6}}, RingLinks: [][2]int{{1, 3}},
 				CellSats: map[int][]int{10: {1}, 20: {3, 4}}},
 		},
-		Events: []Event{
-			{Seq: 1, TimeUS: 10, Component: CompMPC, Type: "slot_compiled", Attrs: []string{"t", "0"}},
-			{Seq: 2, TimeUS: 20, Component: CompMPC, Type: "isl_fail", Attrs: []string{"a", "3", "b", "4"}},
-			{Seq: 3, TimeUS: 30, Component: CompSLO, Type: "slo_breach",
-				Attrs: []string{"rule", "availability", "expr", "availability>=0.99", "value", "0.5"}},
-			{Seq: 4, TimeUS: 40, Component: CompMPC, Type: "repair", Attrs: []string{"new_links", "1"}},
-			{Seq: 5, TimeUS: 50, Component: CompMPC, Type: "recovered", Attrs: []string{"inter", "2"}},
+		Records: []obs.Event{
+			ev(1, 10, CompMPC, "slot_compiled", "t", "0"),
+			ev(2, 20, CompMPC, "isl_fail", "a", "3", "b", "4"),
+			{Seq: 3, StartUS: 15, DurUS: 20, Name: "mpc.repair", Trace: "aa", Span: "bb"}, // a span, not the repair event
+			ev(4, 30, CompSLO, "slo_breach", "rule", "availability", "expr", "availability>=0.99", "value", "0.5"),
+			ev(5, 40, CompMPC, "repair", "new_links", "1"),
+			ev(6, 50, CompMPC, "recovered", "inter", "2"),
 		},
 		SLO: []RuleStatus{{
 			Rule:  Rule{Name: "availability", Kind: SLOAvailability, Op: ">=", Threshold: 0.99},
@@ -196,11 +195,14 @@ func TestRecordingRoundTripPlainAndGzip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if len(got.Slots) != 2 || len(got.Events) != 5 || len(got.SLO) != 1 {
-			t.Fatalf("%s: read %d slots, %d events, %d slo", name,
-				len(got.Slots), len(got.Events), len(got.SLO))
+		if len(got.Slots) != 2 || len(got.Records) != 6 || len(got.Events()) != 5 || len(got.SLO) != 1 {
+			t.Fatalf("%s: read %d slots, %d records, %d events, %d slo", name,
+				len(got.Slots), len(got.Records), len(got.Events()), len(got.SLO))
 		}
-		if got.Slots[1].Kind != "repair" || got.Events[1].Attr("a") != "3" {
+		if got.Proc != "test" || got.EpochUS != rec.EpochUS || got.Dropped != 2 {
+			t.Fatalf("%s: meta mangled: %+v", name, got)
+		}
+		if got.Slots[1].Kind != "repair" || got.Events()[1].Attrs["a"] != "3" || got.Records[2].Span != "bb" {
 			t.Fatalf("%s: payload mangled: %+v", name, got.Slots[1])
 		}
 		if !got.SLO[0].Breached || got.SLO[0].Value != 0.5 {
@@ -262,7 +264,7 @@ func TestParseRules(t *testing.T) {
 func TestEngineBreachAndRecoveryTransitions(t *testing.T) {
 	reg := newTestRegistry(t)
 	avail := reg.Gauge("tinyleo_mpc_enforcement_ratio")
-	var log Log
+	var log obs.Tracer
 	log.Enable(64)
 	eng := NewEngine(&log, Rule{Name: "availability", Kind: SLOAvailability, Op: ">=", Threshold: 0.95})
 	eng.SetRegistries(reg)
@@ -281,14 +283,12 @@ func TestEngineBreachAndRecoveryTransitions(t *testing.T) {
 	if st = eng.Eval(); st[0].Breached {
 		t.Fatalf("above threshold still breached: %+v", st[0])
 	}
-	var types []string
+	var names []string
 	for _, ev := range log.Events() {
-		if ev.Component == CompSLO {
-			types = append(types, ev.Type)
-		}
+		names = append(names, ev.Name)
 	}
-	if len(types) != 2 || types[0] != "slo_breach" || types[1] != "slo_recovered" {
-		t.Fatalf("SLO events = %v, want [slo_breach slo_recovered]", types)
+	if len(names) != 2 || names[0] != "slo.slo_breach" || names[1] != "slo.slo_recovered" {
+		t.Fatalf("SLO events = %v, want [slo.slo_breach slo.slo_recovered]", names)
 	}
 }
 
@@ -332,10 +332,11 @@ func TestFailureSequences(t *testing.T) {
 		t.Fatalf("got %d sequences, want 1", len(seqs))
 	}
 	s := seqs[0]
-	if len(s.Failures) != 1 || s.Failures[0].Type != "isl_fail" {
+	if len(s.Failures) != 1 || s.Failures[0].Name != "mpc.isl_fail" {
 		t.Fatalf("failures = %+v", s.Failures)
 	}
-	if s.Repair == nil || s.Outcome == nil || s.Outcome.Type != "recovered" {
+	// The mpc.repair *span* between them is not the repair event.
+	if s.Repair == nil || !s.Repair.Instant || s.Outcome == nil || s.Outcome.Name != "mpc.recovered" {
 		t.Fatalf("sequence incomplete: repair=%v outcome=%v", s.Repair, s.Outcome)
 	}
 }
@@ -375,7 +376,9 @@ func TestWriteReportSections(t *testing.T) {
 		"== per-slot topology ==",
 		"slot 1 (t=300s, repair)",
 		"== failure sequences ==",
-		"mpc/isl_fail",
+		`process "test"`,
+		"5 events, 1 spans (2 older records overwritten)",
+		"mpc.isl_fail a=3 b=4",
 		"== SLO breaches ==",
 		"availability>=0.99",
 		"== final SLO status ==",
@@ -390,29 +393,38 @@ func TestWriteReportSections(t *testing.T) {
 
 func TestSaveAndReadRecordingFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "flight.jsonl.gz")
-	if err := Enable(Options{EventCapacity: 64, SlotCapacity: 8}); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := Disable(); err != nil {
-			t.Fatal(err)
-		}
-	}()
+	obs.Trace().SetProcess("flightrec-test")
+	defer obs.Trace().SetProcess("")
+	Enable(Options{})
+	defer Disable()
+	defer obs.Trace().Disable()
+	sp := obs.StartSpan("mpc.emit", "slot", "0")
 	Emit(CompMPC, "slot_compiled", "t", "0")
+	sp.End()
 	RecordSlot(SlotState{Time: 0, Kind: "compile", InterLinks: [][2]int{{1, 2}}})
-	summary, err := SaveRecording(path, "flightrec-test")
+	summary, err := SaveRecording(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(summary, "1 slots") {
+	if !strings.Contains(summary, "1 slots, 1 events, 1 spans") {
 		t.Fatalf("summary = %q", summary)
 	}
 	rec, err := ReadRecordingFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Meta.Binary != "flightrec-test" || rec.Meta.Version != RecordingVersion {
-		t.Fatalf("meta = %+v", rec.Meta)
+	if rec.Proc != "flightrec-test" || rec.EpochUS != obs.Trace().EpochUnixMicros() {
+		t.Fatalf("meta = %+v", rec)
+	}
+	// One ring, one clock: the event was emitted inside the span, and the
+	// file places it there.
+	if len(rec.Records) != 2 {
+		t.Fatalf("records = %+v", rec.Records)
+	}
+	ev, span := rec.Records[0], rec.Records[1]
+	if !ev.Instant || ev.Name != "mpc.slot_compiled" || span.Name != "mpc.emit" ||
+		ev.StartUS < span.StartUS || ev.StartUS > span.StartUS+span.DurUS {
+		t.Fatalf("event %+v not inside span %+v", ev, span)
 	}
 	if len(rec.Slots) != 1 || rec.Slots[0].InterLinks[0] != [2]int{1, 2} {
 		t.Fatalf("slots = %+v", rec.Slots)
@@ -426,5 +438,70 @@ func TestSaveAndReadRecordingFile(t *testing.T) {
 		if st.Breached {
 			t.Fatalf("empty-registry indicator breached: %+v", st)
 		}
+	}
+}
+
+// The one reader takes what every writer of the format produces: a
+// span-only tracer dump (bench/, /trace), the meta record anywhere or
+// absent, gzip, and lines longer than any fixed scanner cap.
+func TestReadJSONLMetaAndErrors(t *testing.T) {
+	in := `{"name":"` + obs.MetaEventName + `","attrs":{"proc":"p1","epoch_unix_us":"123"}}
+{"name":"x","start_us":5,"dur_us":2}
+`
+	d, err := ReadRecording(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Proc != "p1" || d.EpochUS != 123 || len(d.Records) != 1 || len(d.Events()) != 0 || d.Records[0].DurUS != 2 {
+		t.Fatalf("dump = %+v", d)
+	}
+	if _, err := ReadRecording(strings.NewReader("not json\n")); err == nil {
+		t.Error("malformed JSONL accepted")
+	} else if !strings.Contains(err.Error(), "line 1") {
+		t.Errorf("error %q does not name the line", err)
+	}
+	// No meta record, no trailing newline: epoch 0, unnamed.
+	d, err = ReadRecording(strings.NewReader(`{"name":"x","start_us":5,"dur_us":2}`))
+	if err != nil || d.Proc != "" || d.EpochUS != 0 || len(d.Records) != 1 {
+		t.Fatalf("meta-less dump = %+v, %v", d, err)
+	}
+
+	// What Tracer.WriteJSONL writes (the span-only files bench/ emits).
+	var tr obs.Tracer
+	tr.SetProcess("bench/loop-plan")
+	tr.Enable(8)
+	root := tr.StartSpan("op")
+	tr.StartSpanCtx(root.Context(), "mpc.compile").End()
+	root.End()
+	var dump bytes.Buffer
+	if err := tr.WriteJSONL(&dump); err != nil {
+		t.Fatal(err)
+	}
+	d, err = ReadRecording(&dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Proc != "bench/loop-plan" || d.EpochUS != tr.EpochUnixMicros() || len(d.Records) != 2 ||
+		d.Records[0].Parent != d.Records[1].Span || len(d.Slots) != 0 || d.SLO != nil {
+		t.Fatalf("tracer dump = %+v", d)
+	}
+
+	// A slot line over 4 MiB (the old scanner's cap), gzip-compressed.
+	edge := strings.Repeat("9", 5<<20) + "->1"
+	big := SlotState{Slot: 3, Kind: "compile", Deficits: map[string]int{edge: 2}}
+	var gzBuf bytes.Buffer
+	gz := gzip.NewWriter(&gzBuf)
+	if err := (&Recording{Proc: "big", Slots: []SlotState{big}}).Write(gz); err != nil {
+		t.Fatal(err)
+	}
+	if err := gz.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, err = ReadRecording(&gzBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Slots) != 1 || d.Slots[0].Slot != 3 || d.Slots[0].Deficits[edge] != 2 {
+		t.Fatalf("big slot line: %d slots", len(d.Slots))
 	}
 }

@@ -1,7 +1,7 @@
 package flightrec
 
 // Concurrency coverage for the flight recorder's telemetry endpoints:
-// /slo evaluates the SLO engine and /events streams the ring while the
+// /slo evaluates the SLO engine and /trace streams the ring while the
 // recorder is being written from multiple goroutines — part of the
 // `go test -race ./internal/obs/...` tier.
 
@@ -21,22 +21,15 @@ func TestSLOAndEventsEndpointsUnderConcurrentWrites(t *testing.T) {
 	reg := obs.NewRegistry(true)
 	avail := reg.Gauge("tinyleo_mpc_enforcement_ratio")
 	avail.Set(1)
-	if err := Enable(Options{
-		EventCapacity: 256,
-		SlotCapacity:  32,
+	Enable(Options{
 		Rules: []Rule{
 			{Name: "availability", Kind: SLOAvailability, Op: ">=", Threshold: 0.95},
 			{Name: "failure_events", Kind: SLOFailureEvents, Op: "<=", Threshold: 1e9},
 		},
 		Registries: []RegistrySource{reg},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := Disable(); err != nil {
-			t.Fatal(err)
-		}
-	}()
+	})
+	defer Disable()
+	defer obs.Trace().Disable()
 	srv := httptest.NewServer(obs.NewHandler(reg))
 	defer srv.Close()
 
@@ -83,7 +76,7 @@ func TestSLOAndEventsEndpointsUnderConcurrentWrites(t *testing.T) {
 					t.Errorf("/slo rules = %d, want 2", len(doc.Rules))
 					return
 				}
-				resp, err = http.Get(srv.URL + "/events")
+				resp, err = http.Get(srv.URL + "/trace?since=5")
 				if err != nil {
 					t.Error(err)
 					return

@@ -6,27 +6,20 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/obs"
 )
 
-// SlotDelta is the link-level change between two slot link sets — the
-// reusable diff core shared by the postmortem inspector and the
-// southbound delta-enforcement path (which turns a SlotDelta into
-// per-satellite add/remove op batches instead of re-pushing every
-// endpoint). Added and Removed are in canonical ascending link order,
-// so identical inputs always produce identical deltas.
+// SlotDelta is the link-level change between two slot link sets, as the
+// postmortem inspector prints it. Added and Removed are in canonical
+// ascending link order, so identical inputs always produce identical
+// deltas.
 type SlotDelta struct {
 	Added, Removed [][2]int
 }
 
 // Size returns the number of link operations the delta carries.
 func (d SlotDelta) Size() int { return len(d.Added) + len(d.Removed) }
-
-// DiffLinkSets computes the SlotDelta from prev to cur.
-func DiffLinkSets(prev, cur [][2]int) SlotDelta {
-	var d SlotDelta
-	d.Added, d.Removed = diffLinks(prev, cur)
-	return d
-}
 
 // SlotDiff is the change between two consecutive recorded slots: the
 // postmortem unit the inspector prints.
@@ -51,8 +44,8 @@ func (d *SlotDiff) Churn() int {
 // DiffSlots computes the change from prev to cur.
 func DiffSlots(prev, cur *SlotState) *SlotDiff {
 	d := &SlotDiff{Prev: prev, Cur: cur, CellsShrunk: map[int]int{}}
-	d.Inter = DiffLinkSets(prev.InterLinks, cur.InterLinks)
-	d.Ring = DiffLinkSets(prev.RingLinks, cur.RingLinks)
+	d.Inter = diffLinks(prev.InterLinks, cur.InterLinks)
+	d.Ring = diffLinks(prev.RingLinks, cur.RingLinks)
 	cells := map[int]bool{}
 	for u := range prev.CellSats {
 		cells[u] = true
@@ -77,7 +70,8 @@ func DiffSlots(prev, cur *SlotState) *SlotDiff {
 	return d
 }
 
-func diffLinks(prev, cur [][2]int) (added, removed [][2]int) {
+// diffLinks computes the SlotDelta from prev to cur.
+func diffLinks(prev, cur [][2]int) (d SlotDelta) {
 	ps := make(map[[2]int]bool, len(prev))
 	for _, l := range prev {
 		ps[l] = true
@@ -86,17 +80,17 @@ func diffLinks(prev, cur [][2]int) (added, removed [][2]int) {
 	for _, l := range cur {
 		cs[l] = true
 		if !ps[l] {
-			added = append(added, l)
+			d.Added = append(d.Added, l)
 		}
 	}
 	for _, l := range prev {
 		if !cs[l] {
-			removed = append(removed, l)
+			d.Removed = append(d.Removed, l)
 		}
 	}
-	sortLinks(added)
-	sortLinks(removed)
-	return
+	sortLinks(d.Added)
+	sortLinks(d.Removed)
+	return d
 }
 
 func sortLinks(ls [][2]int) {
@@ -112,26 +106,29 @@ func sortLinks(ls [][2]int) {
 // failure events, the repair that answered them, and the recovery (or
 // degradation) outcome.
 type FailureSequence struct {
-	Failures []Event // isl_fail / sat_fail / failure_report
-	Repair   *Event  // mpc repair event, if any
-	Outcome  *Event  // recovered / degraded, if any
+	Failures []obs.Event // isl_fail / sat_fail / failure_report
+	Repair   *obs.Event  // mpc repair event, if any
+	Outcome  *obs.Event  // recovered / degraded, if any
 }
 
 // FailureSequences groups the recording's failure-related events into
 // ordered timelines: a run of failure events, then the next repair, then
 // its outcome.
 func (rec *Recording) FailureSequences() []FailureSequence {
+	events := rec.Events()
 	var out []FailureSequence
 	var cur *FailureSequence
-	for i := range rec.Events {
-		ev := &rec.Events[i]
-		switch ev.Type {
-		case "isl_fail", "sat_fail", "failure_report":
+	for i := range events {
+		ev := &events[i]
+		if isFailure(ev) {
 			if cur == nil || cur.Repair != nil || cur.Outcome != nil {
 				out = append(out, FailureSequence{})
 				cur = &out[len(out)-1]
 			}
 			cur.Failures = append(cur.Failures, *ev)
+			continue
+		}
+		switch _, typ := SplitEventName(ev.Name); typ {
 		case "repair":
 			if cur != nil && cur.Repair == nil {
 				cur.Repair = ev
@@ -167,23 +164,24 @@ func (rec *Recording) WriteReport(w io.Writer, opt InspectOptions) error {
 		opt.Context = 6
 	}
 	bw := &reportWriter{w: w}
+	events := rec.Events()
 
 	bw.section("recording")
-	created := time.UnixMilli(rec.Meta.CreatedUnixMS).UTC().Format(time.RFC3339)
-	bw.printf("version %d, created %s, binary %q\n", rec.Meta.Version, created, rec.Meta.Binary)
-	bw.printf("%d slot snapshots, %d events", len(rec.Slots), len(rec.Events))
-	if rec.Meta.EventsDropped > 0 {
-		bw.printf(" (%d older events overwritten)", rec.Meta.EventsDropped)
+	epoch := time.UnixMicro(rec.EpochUS).UTC().Format(time.RFC3339)
+	bw.printf("process %q, epoch %s\n", rec.Proc, epoch)
+	bw.printf("%d slot snapshots, %d events, %d spans", len(rec.Slots), len(events), len(rec.Records)-len(events))
+	if rec.Dropped > 0 {
+		bw.printf(" (%d older records overwritten)", rec.Dropped)
 	}
-	if rec.Meta.SlotsRecorded > len(rec.Slots) {
-		bw.printf(" (%d older slots overwritten)", rec.Meta.SlotsRecorded-len(rec.Slots))
+	if len(rec.Slots) > 0 && rec.Slots[0].Slot > 0 {
+		bw.printf(" (%d older slots overwritten)", rec.Slots[0].Slot)
 	}
 	bw.printf("\n")
-	if n := len(rec.Events); n > 0 {
+	if n := len(events); n > 0 {
 		bw.printf("event span: t=%.3fs .. t=%.3fs\n",
-			float64(rec.Events[0].TimeUS)/1e6, float64(rec.Events[n-1].TimeUS)/1e6)
+			float64(events[0].StartUS)/1e6, float64(events[n-1].StartUS)/1e6)
 	}
-	bw.eventHistogram(rec.Events)
+	bw.eventHistogram(events)
 
 	bw.section("per-slot topology")
 	for i := range rec.Slots {
@@ -249,21 +247,17 @@ func (rec *Recording) WriteReport(w io.Writer, opt InspectOptions) error {
 
 	bw.section("SLO breaches")
 	breaches := 0
-	for i := range rec.Events {
-		ev := &rec.Events[i]
-		if ev.Type != "slo_breach" {
+	for i := range events {
+		ev := &events[i]
+		if ev.Name != EventName(CompSLO, "slo_breach") {
 			continue
 		}
 		breaches++
 		bw.printf("breach %d: rule %s (%s) value %s at t=%.3fs\n",
-			breaches, ev.Attr("rule"), ev.Attr("expr"), ev.Attr("value"),
-			float64(ev.TimeUS)/1e6)
-		lo := i - opt.Context
-		if lo < 0 {
-			lo = 0
-		}
-		for j := lo; j < i; j++ {
-			bw.event("  ↳ preceded by ", &rec.Events[j])
+			breaches, ev.Attrs["rule"], ev.Attrs["expr"], ev.Attrs["value"],
+			float64(ev.StartUS)/1e6)
+		for j := max(i-opt.Context, 0); j < i; j++ {
+			bw.event("  ↳ preceded by ", &events[j])
 		}
 	}
 	if breaches == 0 {
@@ -284,8 +278,8 @@ func (rec *Recording) WriteReport(w io.Writer, opt InspectOptions) error {
 
 	if opt.Events {
 		bw.section("event log")
-		for i := range rec.Events {
-			bw.event("", &rec.Events[i])
+		for i := range events {
+			bw.event("", &events[i])
 		}
 	}
 	return bw.err
@@ -338,14 +332,14 @@ func (b *reportWriter) section(title string) {
 	b.printf("== %s ==\n", title)
 }
 
-// eventHistogram prints a component/type count summary of the log.
-func (b *reportWriter) eventHistogram(events []Event) {
+// eventHistogram prints a count of the events by name.
+func (b *reportWriter) eventHistogram(events []obs.Event) {
 	if len(events) == 0 {
 		return
 	}
 	counts := map[string]int{}
 	for i := range events {
-		counts[events[i].Component+"/"+events[i].Type]++
+		counts[events[i].Name]++
 	}
 	keys := make([]string, 0, len(counts))
 	for k := range counts {
@@ -359,10 +353,10 @@ func (b *reportWriter) eventHistogram(events []Event) {
 	b.printf("\n")
 }
 
-func (b *reportWriter) event(prefix string, ev *Event) {
-	b.printf("%st=%8.3fs  %s/%s", prefix, float64(ev.TimeUS)/1e6, ev.Component, ev.Type)
-	for i := 0; i+1 < len(ev.Attrs); i += 2 {
-		b.printf(" %s=%s", ev.Attrs[i], ev.Attrs[i+1])
+func (b *reportWriter) event(prefix string, ev *obs.Event) {
+	b.printf("%st=%8.3fs  %s", prefix, float64(ev.StartUS)/1e6, ev.Name)
+	if len(ev.Attrs) > 0 {
+		b.printf(" %s", obs.AttrString(ev.Attrs))
 	}
 	b.printf("\n")
 }

@@ -2,77 +2,86 @@ package flightrec
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
-	"time"
+
+	"repro/internal/obs"
 )
 
-// RecordingVersion is the current recording format version.
-const RecordingVersion = 1
-
-// Meta is the recording header line.
-type Meta struct {
-	Version       int    `json:"version"`
-	CreatedUnixMS int64  `json:"created_unix_ms"`
-	Binary        string `json:"binary,omitempty"`
-	// EventsDropped / SlotsRecorded describe ring wrap-around at save
-	// time, so the inspector can flag truncated history.
-	EventsDropped uint64 `json:"events_dropped,omitempty"`
-	SlotsRecorded int    `json:"slots_recorded,omitempty"`
-}
-
-// Recording is one loaded flight recording.
+// Recording is one loaded record file: a process's tracer dump (what
+// obs.Tracer.WriteJSONL, the /trace endpoint and bench/ write) or a full
+// flight recording, which is the same dump followed by slot snapshots and
+// the final SLO status.
 type Recording struct {
-	Meta   Meta
-	Slots  []SlotState
-	Events []Event
-	SLO    []RuleStatus
+	// Proc names the process ("" if the meta record carried no name).
+	Proc string
+	// EpochUS is the tracer epoch — the zero of every record's StartUS —
+	// in Unix microseconds.
+	EpochUS int64
+	// Dropped counts records the ring overwrote before the dump.
+	Dropped int64
+	// Records are the spans and instant events, in ring (commit) order.
+	Records []obs.Event
+	// Slots are the slot snapshots oldest-first; SLO the final statuses.
+	Slots []SlotState
+	SLO   []RuleStatus
 }
 
-// record is the JSONL line wrapper; exactly one payload field is set.
-type record struct {
-	Rec   string       `json:"rec"`
-	Meta  *Meta        `json:"meta,omitempty"`
-	Slot  *SlotState   `json:"slot,omitempty"`
-	Event *Event       `json:"event,omitempty"`
-	SLO   []RuleStatus `json:"slo,omitempty"`
+// Events returns the recording's instant events, oldest-first.
+func (rec *Recording) Events() []obs.Event { return instants(rec.Records) }
+
+// line is one line of the record file. It is a JSON object holding exactly
+// one of:
+//
+//   - a record: obs.Event's keys inline — name, start_us, dur_us, seq, and
+//     for a span trace/span/parent, for an instant event "instant":true;
+//     the first line is the meta record, named obs.MetaEventName, whose
+//     attrs carry proc, epoch_unix_us and dropped;
+//   - "slot": one SlotState;
+//   - "slo": the final []RuleStatus.
+//
+// A tracer dump has only record lines, so it is a recording with no slots.
+type line struct {
+	*obs.Event
+	Slot *SlotState   `json:"slot,omitempty"`
+	SLO  []RuleStatus `json:"slo,omitempty"`
 }
 
-// Write serializes the recording as JSONL: one meta line, then slots
-// oldest-first, events oldest-first, and a final SLO status line.
+// Write serializes the recording as JSONL: the meta line, the records,
+// the slots oldest-first, and a final SLO status line.
 func (rec *Recording) Write(w io.Writer) error {
 	enc := json.NewEncoder(w)
-	meta := rec.Meta
-	if meta.Version == 0 {
-		meta.Version = RecordingVersion
-	}
-	if err := enc.Encode(record{Rec: "meta", Meta: &meta}); err != nil {
+	meta := obs.MetaEvent(rec.Proc, rec.EpochUS, rec.Dropped)
+	if err := enc.Encode(line{Event: &meta}); err != nil {
 		return err
 	}
-	for i := range rec.Slots {
-		if err := enc.Encode(record{Rec: "slot", Slot: &rec.Slots[i]}); err != nil {
+	for i := range rec.Records {
+		if err := enc.Encode(line{Event: &rec.Records[i]}); err != nil {
 			return err
 		}
 	}
-	for i := range rec.Events {
-		if err := enc.Encode(record{Rec: "event", Event: &rec.Events[i]}); err != nil {
+	for i := range rec.Slots {
+		if err := enc.Encode(line{Slot: &rec.Slots[i]}); err != nil {
 			return err
 		}
 	}
 	if len(rec.SLO) > 0 {
-		if err := enc.Encode(record{Rec: "slo", SLO: rec.SLO}); err != nil {
-			return err
-		}
+		return enc.Encode(line{SLO: rec.SLO})
 	}
 	return nil
 }
 
-// ReadRecording parses a JSONL recording stream (plain or gzip; sniffed
-// by magic bytes, not file name).
+// ReadRecording parses a record stream — a tracer dump or a flight
+// recording, plain or gzip (sniffed by magic bytes, not file name), lines
+// of any length. The meta record is accepted anywhere; a stream without
+// one reads as epoch 0 with an empty process name.
 func ReadRecording(r io.Reader) (*Recording, error) {
 	br := bufio.NewReader(r)
 	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
@@ -84,70 +93,71 @@ func ReadRecording(r io.Reader) (*Recording, error) {
 		br = bufio.NewReader(gz)
 	}
 	rec := &Recording{}
-	dec := json.NewDecoder(br)
-	for {
-		var line record
-		if err := dec.Decode(&line); err != nil {
-			if err == io.EOF {
-				break
+	for n := 1; ; n++ {
+		text, err := br.ReadBytes('\n')
+		if text = bytes.TrimSpace(text); len(text) > 0 {
+			var ln line
+			if jerr := json.Unmarshal(text, &ln); jerr != nil {
+				return nil, fmt.Errorf("flightrec: line %d: %w", n, jerr)
 			}
-			return nil, fmt.Errorf("flightrec: parse recording: %w", err)
+			switch {
+			case ln.Slot != nil:
+				rec.Slots = append(rec.Slots, *ln.Slot)
+			case ln.SLO != nil:
+				rec.SLO = ln.SLO
+			case ln.Event == nil:
+				// Not a line this reader knows: skipped.
+			case ln.Name == obs.MetaEventName:
+				rec.Proc = ln.Attrs["proc"]
+				rec.EpochUS, _ = strconv.ParseInt(ln.Attrs["epoch_unix_us"], 10, 64)
+				rec.Dropped, _ = strconv.ParseInt(ln.Attrs["dropped"], 10, 64)
+			default:
+				rec.Records = append(rec.Records, *ln.Event)
+			}
 		}
-		switch line.Rec {
-		case "meta":
-			if line.Meta != nil {
-				rec.Meta = *line.Meta
-			}
-		case "slot":
-			if line.Slot != nil {
-				rec.Slots = append(rec.Slots, *line.Slot)
-			}
-		case "event":
-			if line.Event != nil {
-				rec.Events = append(rec.Events, *line.Event)
-			}
-		case "slo":
-			rec.SLO = line.SLO
+		if err == io.EOF {
+			return rec, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("flightrec: line %d: %w", n, err)
 		}
 	}
-	return rec, nil
 }
 
-// ReadRecordingFile loads a recording from path.
+// ReadRecordingFile loads a recording from path. One with an empty Proc
+// is named after the file, so merged views stay distinguishable.
 func ReadRecordingFile(path string) (*Recording, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadRecording(f)
+	rec, err := ReadRecording(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if rec.Proc == "" {
+		rec.Proc = strings.TrimSuffix(strings.TrimSuffix(filepath.Base(path), ".gz"), ".jsonl")
+	}
+	return rec, nil
 }
 
-// CurrentRecording assembles a Recording from the process-wide log,
-// snapshotter, and SLO engine.
-func CurrentRecording(binary string) *Recording {
+// SaveRecording writes the process-wide recorder state — the process
+// tracer's ring, the slot snapshots, a final SLO evaluation — to path as
+// JSONL (gzip-compressed when the name ends in .gz). It is the
+// -record-out flush and returns a one-line summary for the CLI.
+func SaveRecording(path string) (string, error) {
+	tr := obs.Trace()
 	rec := &Recording{
-		Meta: Meta{
-			Version:       RecordingVersion,
-			CreatedUnixMS: time.Now().UnixMilli(),
-			Binary:        binary,
-			EventsDropped: defaultLog.Dropped(),
-			SlotsRecorded: defaultSnapshotter.Recorded(),
-		},
-		Slots:  defaultSnapshotter.Slots(),
-		Events: defaultLog.Events(),
+		Proc:    tr.Process(),
+		EpochUS: tr.EpochUnixMicros(),
+		Slots:   defaultSnapshotter.Slots(),
 	}
 	if eng := DefaultSLOEngine(); eng != nil {
 		rec.SLO = eng.Eval()
 	}
-	return rec
-}
-
-// SaveRecording writes the process-wide recorder state to path as JSONL
-// (gzip-compressed when the name ends in .gz). It is the -record-out
-// flush and returns a one-line summary for the CLI.
-func SaveRecording(path, binary string) (string, error) {
-	rec := CurrentRecording(binary)
+	// After Eval, so that a breach it finds is in the file.
+	rec.Records, rec.Dropped = tr.Events(), tr.Dropped()
 	f, err := os.Create(path)
 	if err != nil {
 		return "", err
@@ -170,6 +180,7 @@ func SaveRecording(path, binary string) (string, error) {
 	if werr != nil {
 		return "", werr
 	}
-	return fmt.Sprintf("%d slots, %d events, %d SLO rules",
-		len(rec.Slots), len(rec.Events), len(rec.SLO)), nil
+	events := len(rec.Events())
+	return fmt.Sprintf("%d slots, %d events, %d spans (%d records overwritten), %d SLO rules",
+		len(rec.Slots), events, len(rec.Records)-events, rec.Dropped, len(rec.SLO)), nil
 }

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -77,7 +76,8 @@ type RuleStatus struct {
 	Breached bool `json:"breached"`
 	// Breaches counts healthy→breached transitions since engine start.
 	Breaches int64 `json:"breaches_total"`
-	// EvalUS is the recorder-relative evaluation time (µs).
+	// EvalUS is the evaluation time in µs since the record stream's epoch
+	// (0 from an engine without a tracer, and from EvalRules).
 	EvalUS int64 `json:"eval_us"`
 }
 
@@ -187,28 +187,27 @@ func ParseRules(spec string) ([]Rule, error) {
 }
 
 // Engine evaluates SLO rules against rolling registry metrics and the
-// event log, emits slo_breach/slo_recovered events on transitions, and
-// serves /slo. All methods are safe for concurrent use.
+// tracer's events, emits slo.slo_breach/slo.slo_recovered events on
+// transitions, and serves /slo. All methods are safe for concurrent use.
 type Engine struct {
-	log *Log
+	tracer *obs.Tracer
 
 	mu sync.Mutex
 	//tinyleo:guardedby mu
 	regs []RegistrySource
 	//tinyleo:guardedby mu
 	status []RuleStatus
-	//tinyleo:guardedby mu
-	start time.Time
 }
 
-// NewEngine builds an engine over the given event log and rules (empty
-// rules = DefaultRules). Registries default to obs.Default(); add more
-// with AddRegistries.
-func NewEngine(log *Log, rules ...Rule) *Engine {
+// NewEngine builds an engine over the given tracer — the stream it reads
+// failure events from and writes transitions to; nil for neither — and
+// rules (empty rules = DefaultRules). Registries default to
+// obs.Default(); add more with AddRegistries.
+func NewEngine(tracer *obs.Tracer, rules ...Rule) *Engine {
 	if len(rules) == 0 {
 		rules = DefaultRules()
 	}
-	e := &Engine{log: log, regs: []RegistrySource{obs.Default()}, start: time.Now()}
+	e := &Engine{tracer: tracer, regs: []RegistrySource{obs.Default()}}
 	e.status = make([]RuleStatus, len(rules))
 	for i, r := range rules {
 		e.status[i] = RuleStatus{Rule: r, Value: math.NaN()}
@@ -238,16 +237,28 @@ func (e *Engine) AddRegistries(regs ...RegistrySource) {
 func (e *Engine) Eval() []RuleStatus {
 	e.mu.Lock()
 	regs := append([]RegistrySource(nil), e.regs...)
-	start := e.start
 	e.mu.Unlock()
 	samples := obs.Snapshot(regs...)
-	now := time.Since(start).Microseconds()
+	now := int64(0)
+	if e.tracer != nil {
+		now = e.tracer.NowUS()
+	}
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	var events []obs.Event // read from the ring by the first rule that needs them
 	for i := range e.status {
 		st := &e.status[i]
-		v := e.indicator(st.Rule, samples)
+		v := math.NaN()
+		switch {
+		case st.Kind != SLOFailureEvents:
+			v = evalIndicator(st.Rule, samples, nil)
+		case e.tracer != nil:
+			if events == nil {
+				events = instants(e.tracer.Events())
+			}
+			v = evalIndicator(st.Rule, samples, events)
+		}
 		wasBreached := st.Breached
 		breached := false
 		if !math.IsNaN(v) {
@@ -262,21 +273,23 @@ func (e *Engine) Eval() []RuleStatus {
 		if breached && !wasBreached {
 			st.Breaches++
 			obs.Default().Counter("tinyleo_slo_breaches_total", "rule", st.Name).Inc()
-			if e.log != nil {
-				e.log.Emit(CompSLO, "slo_breach",
-					"rule", st.Name,
-					"expr", st.Rule.Expr(),
-					"value", strconv.FormatFloat(v, 'g', 6, 64))
-			}
+			e.emit("slo_breach",
+				"rule", st.Name,
+				"expr", st.Rule.Expr(),
+				"value", strconv.FormatFloat(v, 'g', 6, 64))
 		} else if !breached && wasBreached {
-			if e.log != nil {
-				e.log.Emit(CompSLO, "slo_recovered",
-					"rule", st.Name,
-					"value", strconv.FormatFloat(v, 'g', 6, 64))
-			}
+			e.emit("slo_recovered",
+				"rule", st.Name,
+				"value", strconv.FormatFloat(v, 'g', 6, 64))
 		}
 	}
 	return append([]RuleStatus(nil), e.status...)
+}
+
+func (e *Engine) emit(typ string, attrs ...string) {
+	if e.tracer != nil {
+		e.tracer.Emit(EventName(CompSLO, typ), attrs...)
+	}
 }
 
 // Status returns the latest evaluation without re-evaluating.
@@ -286,13 +299,13 @@ func (e *Engine) Status() []RuleStatus {
 	return append([]RuleStatus(nil), e.status...)
 }
 
-// EvalRules evaluates rules against a static sample snapshot (plus an
-// optional event log for the event-window kinds), without engine state:
+// EvalRules evaluates rules against a static sample snapshot (plus
+// optional instant events for the event-window kinds), without engine state:
 // no breach transitions are tracked, no events are emitted, and EvalUS
 // stays zero. It is the scoring path for artifacts — a fleet snapshot or
 // a collected metrics dump can be judged long after the run ended — and
 // is what the testground report scorer uses.
-func EvalRules(rules []Rule, samples []obs.Sample, events []Event) []RuleStatus {
+func EvalRules(rules []Rule, samples []obs.Sample, events []obs.Event) []RuleStatus {
 	out := make([]RuleStatus, len(rules))
 	for i, r := range rules {
 		v := evalIndicator(r, samples, events)
@@ -310,23 +323,10 @@ func EvalRules(rules []Rule, samples []obs.Sample, events []Event) []RuleStatus 
 	return out
 }
 
-// indicator computes one rule's current value from the metric samples
-// (and, for event-window kinds, the event log). NaN means "not yet
-// observable".
-func (e *Engine) indicator(r Rule, samples []obs.Sample) float64 {
-	if r.Kind == SLOFailureEvents && e.log == nil {
-		return math.NaN()
-	}
-	var events []Event
-	if e.log != nil {
-		events = e.log.Events()
-	}
-	return evalIndicator(r, samples, events)
-}
-
-// evalIndicator is the engine-independent indicator computation shared by
-// Engine.Eval and EvalRules.
-func evalIndicator(r Rule, samples []obs.Sample, events []Event) float64 {
+// evalIndicator computes one rule's current value from the metric samples
+// (and, for event-window kinds, the instant events). NaN means "not yet
+// observable". Engine.Eval and EvalRules share it.
+func evalIndicator(r Rule, samples []obs.Sample, events []obs.Event) float64 {
 	switch r.Kind {
 	case SLOAvailability:
 		return gaugeValue(samples, "tinyleo_mpc_enforcement_ratio")
@@ -362,14 +362,10 @@ func evalIndicator(r Rule, samples []obs.Sample, events []Event) float64 {
 		if len(events) == 0 {
 			return 0
 		}
-		cutoff := events[len(events)-1].TimeUS - int64(window*1e6)
+		cutoff := events[len(events)-1].StartUS - int64(window*1e6)
 		n := 0
-		for _, ev := range events {
-			if ev.TimeUS < cutoff {
-				continue
-			}
-			switch ev.Type {
-			case "isl_fail", "sat_fail", "failure_report":
+		for i := range events {
+			if events[i].StartUS >= cutoff && isFailure(&events[i]) {
 				n++
 			}
 		}
@@ -483,9 +479,9 @@ func (e *Engine) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 
 var httpOnce sync.Once
 
-// registerHTTP mounts /slo and /events on the obs telemetry surface. The
-// handlers resolve the default engine/log at request time, so re-Enable
-// swaps recordings without re-registration.
+// registerHTTP mounts /slo on the obs telemetry surface. The handler
+// resolves the default engine at request time, so re-Enable swaps
+// recordings without re-registration.
 func registerHTTP() {
 	httpOnce.Do(func() {
 		obs.RegisterHandler("/slo", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -495,22 +491,6 @@ func registerHTTP() {
 				return
 			}
 			eng.ServeHTTP(w, r)
-		}))
-		obs.RegisterHandler("/events", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			// ?since=<seq> is an incremental cursor: only events with
-			// Seq > since are returned, so pollers (tinyleo-ctl top) can
-			// tail the ring without refetching it whole.
-			since := uint64(0)
-			if s := r.URL.Query().Get("since"); s != "" {
-				v, err := strconv.ParseUint(s, 10, 64)
-				if err != nil {
-					http.Error(w, "bad since cursor: "+s, http.StatusBadRequest)
-					return
-				}
-				since = v
-			}
-			w.Header().Set("Content-Type", "application/jsonl")
-			_ = DefaultLog().WriteJSONLSince(w, since)
 		}))
 	})
 }

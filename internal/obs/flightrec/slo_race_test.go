@@ -3,16 +3,17 @@ package flightrec
 import (
 	"sync"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestEngineEvalConcurrent drives Eval, AddRegistries, and Status from
-// concurrent goroutines. Regression for the guardedby sweep: Eval read
-// e.start between its two locked regions, off the declared mu contract —
-// under -race this test pins the fixed locking discipline.
+// concurrent goroutines: under -race it pins the engine's locking
+// discipline (regs and status under mu, the tracer locked inside it).
 func TestEngineEvalConcurrent(t *testing.T) {
-	var log Log
+	var log obs.Tracer
 	log.Enable(64)
-	e := NewEngine(&log)
+	e := NewEngine(&log, Rule{Name: "failure_events", Kind: SLOFailureEvents, Op: "<=", Threshold: 1e9})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

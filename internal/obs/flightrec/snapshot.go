@@ -1,10 +1,7 @@
 package flightrec
 
 import (
-	"compress/gzip"
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 	"sync"
 )
@@ -68,85 +65,32 @@ func (s *SlotState) DeficitTotal() int {
 	return total
 }
 
-// DefaultSlotCapacity is the snapshot ring size used by Enable when
-// Options.SlotCapacity is zero.
-const DefaultSlotCapacity = 256
+// SlotCapacity is the snapshot ring size: the newest SlotCapacity control
+// slots are kept.
+const SlotCapacity = 256
 
-// Snapshotter keeps a bounded ring of per-slot states with optional
-// JSONL file spill (gzip'd when the path ends in .gz). RecordSlot
+// Snapshotter keeps a bounded ring of per-slot states. RecordSlot
 // allocates O(snapshot) per control slot; nothing here is on a
 // per-packet path.
 type Snapshotter struct {
 	mu sync.Mutex
 	//tinyleo:guardedby mu
 	buf []SlotState
-	//tinyleo:guardedby mu
-	next int
-	//tinyleo:guardedby mu
-	wrapped bool
+	// seq counts the slots ever recorded: the next slot's number, and
+	// (mod capacity) the next ring position to write.
 	//tinyleo:guardedby mu
 	seq int
-	//tinyleo:guardedby mu
-	spill *os.File
-	//tinyleo:guardedby mu
-	spillGz *gzip.Writer
-	//tinyleo:guardedby mu
-	spillEnc *json.Encoder
-	//tinyleo:guardedby mu
-	spillErr error
 }
 
-func (s *Snapshotter) enable(capacity int, spillPath string) error {
-	if capacity <= 0 {
-		capacity = DefaultSlotCapacity
-	}
+// enable (re)starts the ring empty.
+func (s *Snapshotter) enable() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.closeSpillLocked(); err != nil {
-		return err
-	}
-	s.buf = make([]SlotState, capacity)
-	s.next, s.wrapped, s.seq, s.spillErr = 0, false, 0, nil
-	if spillPath != "" {
-		f, err := os.Create(spillPath)
-		if err != nil {
-			return fmt.Errorf("flightrec: spill: %w", err)
-		}
-		s.spill = f
-		if strings.HasSuffix(spillPath, ".gz") {
-			s.spillGz = gzip.NewWriter(f)
-			s.spillEnc = json.NewEncoder(s.spillGz)
-		} else {
-			s.spillEnc = json.NewEncoder(f)
-		}
-	}
-	return nil
+	s.buf = make([]SlotState, SlotCapacity)
+	s.seq = 0
 }
 
-func (s *Snapshotter) disable() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closeSpillLocked()
-}
-
-func (s *Snapshotter) closeSpillLocked() error {
-	var err error
-	if s.spillGz != nil {
-		err = s.spillGz.Close()
-		s.spillGz = nil
-	}
-	if s.spill != nil {
-		if cerr := s.spill.Close(); err == nil {
-			err = cerr
-		}
-		s.spill = nil
-	}
-	s.spillEnc = nil
-	return err
-}
-
-// RecordSlot appends one slot state, assigning its Slot sequence number,
-// and spills it to the configured file.
+// RecordSlot appends one slot state, assigning its Slot sequence number.
 func (s *Snapshotter) RecordSlot(st SlotState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -154,42 +98,19 @@ func (s *Snapshotter) RecordSlot(st SlotState) {
 		return
 	}
 	st.Slot = s.seq
+	s.buf[s.seq%len(s.buf)] = st
 	s.seq++
-	s.buf[s.next] = st
-	s.next++
-	if s.next == len(s.buf) {
-		s.next = 0
-		s.wrapped = true
-	}
-	if s.spillEnc != nil && s.spillErr == nil {
-		s.spillErr = s.spillEnc.Encode(st)
-	}
 }
 
-// Slots returns the ring contents oldest-first.
+// Slots returns the ring contents oldest-first. A first slot numbered
+// above 0 means that many older slots were overwritten.
 func (s *Snapshotter) Slots() []SlotState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.wrapped {
-		return append([]SlotState(nil), s.buf[:s.next]...)
+	n := min(s.seq, len(s.buf))
+	out := make([]SlotState, 0, n)
+	for i := s.seq - n; i < s.seq; i++ {
+		out = append(out, s.buf[i%len(s.buf)])
 	}
-	out := make([]SlotState, 0, len(s.buf))
-	out = append(out, s.buf[s.next:]...)
-	out = append(out, s.buf[:s.next]...)
 	return out
-}
-
-// Recorded returns how many slots were ever recorded (including any
-// overwritten by ring wrap-around).
-func (s *Snapshotter) Recorded() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
-}
-
-// SpillErr reports the first error hit while spilling snapshots, if any.
-func (s *Snapshotter) SpillErr() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.spillErr
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -12,7 +13,7 @@ import (
 var processStart = time.Now()
 
 // Extension handlers registered by sibling subsystems (e.g.
-// internal/obs/flightrec mounts /slo and /events). They are resolved at
+// internal/obs/flightrec mounts /slo). They are resolved at
 // request time, so registration order relative to NewHandler does not
 // matter.
 var (
@@ -35,11 +36,11 @@ func RegisterHandler(path string, h http.Handler) {
 //	/metrics       Prometheus text exposition (version 0.0.4)
 //	/metrics.json  JSON snapshot of every series
 //	/healthz       liveness: {"status":"ok","uptime_s":...}
-//	/trace         span ring as JSONL
-//	/trace.chrome  span ring as a Chrome trace_event array
+//	/trace         the record ring (spans and events) as JSONL;
+//	               ?since=<seq> returns only records newer than seq
 //
 // plus any extension paths mounted via RegisterHandler (the flight
-// recorder adds /slo and /events when enabled).
+// recorder adds /slo when enabled).
 func NewHandler(regs ...*Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -57,13 +58,20 @@ func NewHandler(regs ...*Registry) http.Handler {
 			"uptime_s": time.Since(processStart).Seconds(),
 		})
 	})
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, _ *http.Request) {
+	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
+		// ?since=<seq> is an incremental cursor, so pollers (tinyleo-ctl
+		// top) tail the ring without refetching it whole.
+		since := uint64(0)
+		if s := r.URL.Query().Get("since"); s != "" {
+			v, err := strconv.ParseUint(s, 10, 64)
+			if err != nil {
+				http.Error(w, "bad since cursor: "+s, http.StatusBadRequest)
+				return
+			}
+			since = v
+		}
 		w.Header().Set("Content-Type", "application/jsonl")
-		_ = Trace().WriteJSONL(w)
-	})
-	mux.HandleFunc("/trace.chrome", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = Trace().WriteChromeTrace(w)
+		_ = Trace().WriteSince(w, since)
 	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		extMu.RLock()

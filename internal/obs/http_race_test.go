@@ -39,7 +39,7 @@ func TestHandlerEndpointsUnderConcurrentWrites(t *testing.T) {
 			}
 		}(w)
 	}
-	paths := []string{"/metrics", "/metrics.json", "/healthz", "/trace", "/trace.chrome", "/no-such-ext"}
+	paths := []string{"/metrics", "/metrics.json", "/healthz", "/trace", "/trace?since=3", "/no-such-ext"}
 	errs := make(chan error, readers*len(paths))
 	for r := 0; r < readers; r++ {
 		wg.Add(1)

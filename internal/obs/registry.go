@@ -1,7 +1,8 @@
 // Package obs is TinyLEO's runtime telemetry subsystem: a concurrency-safe
-// metrics registry (counters, gauges, fixed-bucket histograms), lightweight
-// span tracing into a ring buffer, and exposition in Prometheus text,
-// JSON-snapshot, Chrome trace_event, and expvar formats.
+// metrics registry (counters, gauges, fixed-bucket histograms), a tracer
+// whose one ring buffer holds spans and instant events on one clock, and
+// exposition in Prometheus text, JSON-snapshot, record JSONL (see Event),
+// and expvar formats.
 //
 // Design goals, in order:
 //
@@ -10,8 +11,8 @@
 //     nanoseconds — so instrumentation can live unconditionally in the MPC
 //     compile loop, the southbound read loop, and the per-packet forwarder
 //     (see bench_test.go).
-//  2. Zero dependencies: exposition speaks the Prometheus text format and
-//     the Chrome trace_event JSON format directly, with only the stdlib.
+//  2. Zero dependencies: exposition speaks the Prometheus text format
+//     directly, with only the stdlib.
 //  3. One registry per scope: a process-wide Default() registry (disabled
 //     until Enable()) for package-level instrumentation, plus per-component
 //     registries (e.g. one per southbound Controller) that are always

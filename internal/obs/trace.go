@@ -2,38 +2,70 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
+	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Event is one completed span in the trace ring. Trace/Span/Parent are
-// hex-encoded causal identifiers (empty on spans recorded before tracing
-// carried context, and on the _meta record).
+// Event is one record in the trace ring: a completed span, or — with
+// Instant set — a point event (Tracer.Emit; the flight recorder's typed
+// events are named "component.type"). Both kinds share the ring, the
+// epoch and the clock, so an event can be placed among the spans around
+// it. Trace/Span/Parent are hex-encoded causal identifiers (empty on
+// events and on the meta record).
+//
+// One Event is one line of the record file (WriteJSONL, the /trace
+// endpoint, a flight recording); the JSON keys below are that line's
+// schema.
 type Event struct {
 	Name string `json:"name"`
-	// StartUS/DurUS are microseconds since tracer enable / span duration.
+	// StartUS/DurUS are microseconds since tracer enable / span duration
+	// (0 for an instant event).
 	StartUS int64             `json:"start_us"`
 	DurUS   int64             `json:"dur_us"`
 	Trace   string            `json:"trace,omitempty"`
 	Span    string            `json:"span,omitempty"`
 	Parent  string            `json:"parent,omitempty"`
 	Attrs   map[string]string `json:"attrs,omitempty"`
+	// Seq numbers every record of the ring in commit order, from 1. It
+	// survives wrap-around, so a gap reveals overwritten history and a
+	// poller passing its last-seen Seq tails the ring (/trace?since=).
+	Seq uint64 `json:"seq,omitempty"`
+	// Instant marks a point event rather than a span.
+	Instant bool `json:"instant,omitempty"`
 }
 
 // MetaEventName names the pseudo-event WriteJSONL emits first: it carries
-// the process name and the tracer epoch in absolute microseconds, which
-// the cross-process merger (internal/obs/tracemerge) needs to place this
-// dump on a shared timeline.
+// the process name, the tracer epoch in absolute microseconds (which the
+// cross-process merger, internal/obs/tracemerge, needs to place this dump
+// on a shared timeline) and how many records the ring has overwritten.
 const MetaEventName = "_tinyleo_trace_meta"
 
-// Tracer records spans into a fixed-capacity ring buffer: the newest
-// events win, so a long-running emulation keeps the recent control-loop
-// history without unbounded memory. Disabled tracers drop spans at the
-// cost of one atomic load.
+// MetaEvent builds the meta record of a dump: process name (omitted when
+// empty), epoch in Unix microseconds, overwritten-record count (omitted
+// when zero).
+func MetaEvent(proc string, epochUS, dropped int64) Event {
+	meta := Event{
+		Name:  MetaEventName,
+		Attrs: map[string]string{"epoch_unix_us": strconv.FormatInt(epochUS, 10)},
+	}
+	if proc != "" {
+		meta.Attrs["proc"] = proc
+	}
+	if dropped > 0 {
+		meta.Attrs["dropped"] = strconv.FormatInt(dropped, 10)
+	}
+	return meta
+}
+
+// Tracer records spans and instant events into one fixed-capacity ring
+// buffer: the newest records win, so a long-running emulation keeps the
+// recent control-loop history without unbounded memory. Disabled tracers
+// drop both at the cost of one atomic load.
 //
 // Spans carry causal identity (TraceID/SpanID/parent) so a trace started
 // in one process can be continued in another: StartSpanCtx continues a
@@ -54,13 +86,11 @@ type Tracer struct {
 	//tinyleo:guardedby mu
 	proc string
 	//tinyleo:guardedby mu
-	buf []Event
+	buf []record
+	// seq counts the records ever committed: the newest one's sequence
+	// number, and (mod capacity) the next slot to write.
 	//tinyleo:guardedby mu
-	next int
-	//tinyleo:guardedby mu
-	wrapped bool
-	//tinyleo:guardedby mu
-	dropped int64
+	seq uint64
 	//tinyleo:guardedby mu
 	epoch time.Time
 }
@@ -106,6 +136,13 @@ func (t *Tracer) SetProcess(name string) {
 	t.mu.Unlock()
 }
 
+// Process returns the name set by SetProcess.
+func (t *Tracer) Process() string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.proc
+}
+
 // SeedIDs makes span/trace ID generation a pure function of seed and
 // allocation order (campaign determinism). Resets the sequence; sticky
 // across Enable.
@@ -132,8 +169,8 @@ func (t *Tracer) Enable(capacity int) {
 	}
 	epoch := t.now()
 	t.mu.Lock()
-	t.buf = make([]Event, capacity)
-	t.next, t.wrapped, t.dropped = 0, false, 0
+	t.buf = make([]record, capacity)
+	t.seq = 0
 	t.epoch = epoch
 	if !t.seeded {
 		t.idSeed.Store(mix64(uint64(epoch.UnixNano())))
@@ -143,7 +180,7 @@ func (t *Tracer) Enable(capacity int) {
 	t.on.Store(true)
 }
 
-// Enabled reports whether spans are recorded.
+// Enabled reports whether spans and events are recorded.
 func (t *Tracer) Enabled() bool { return t.on.Load() }
 
 // Disable stops recording; the ring stays readable.
@@ -210,7 +247,10 @@ func (s Span) End() {
 	if s.t == nil {
 		return
 	}
-	s.t.record(s.name, s.start, s.t.now().Sub(s.start), s.sc, s.parent, s.attrs)
+	s.t.commit(record{
+		name: s.name, durUS: s.t.now().Sub(s.start).Microseconds(),
+		sc: s.sc, parent: s.parent, attrs: attrMap(s.attrs),
+	}, s.start)
 }
 
 // Attr appends a key/value pair to an in-flight span (no-op when inert).
@@ -220,140 +260,143 @@ func (s *Span) Attr(k, v string) {
 	}
 }
 
-func (t *Tracer) record(name string, start time.Time, dur time.Duration, sc SpanContext, parent SpanID, attrs []string) {
-	var m map[string]string
-	if len(attrs) > 0 {
-		m = make(map[string]string, (len(attrs)+1)/2)
-		for i := 0; i+1 < len(attrs); i += 2 {
-			m[attrs[i]] = attrs[i+1]
+// record is one ring slot: an Event before its identifiers are rendered as
+// hex and its sequence number (implied by the slot's position) filled in.
+type record struct {
+	name           string
+	startUS, durUS int64
+	sc             SpanContext
+	parent         SpanID
+	attrs          map[string]string
+	instant        bool
+}
+
+// Emit records an instant event at the tracer's current time; attrs are
+// key/value pairs. No-op when disabled. Callers on hot paths guard the
+// call (and the formatting of its arguments) behind Enabled().
+func (t *Tracer) Emit(name string, attrs ...string) {
+	if !t.on.Load() {
+		return
+	}
+	t.commit(record{name: name, attrs: attrMap(attrs), instant: true}, t.now())
+}
+
+// AttrString renders attrs as "k=v k=v" in key order — the deterministic
+// form the canonical trace, the inspector and `tinyleo-ctl top` print.
+func AttrString(attrs map[string]string) string {
+	keys := make([]string, 0, len(attrs))
+	for k := range attrs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var sb strings.Builder
+	for i, k := range keys {
+		if i > 0 {
+			sb.WriteByte(' ')
 		}
+		sb.WriteString(k + "=" + attrs[k])
 	}
-	ev := Event{
-		Name:  name,
-		DurUS: dur.Microseconds(),
-		Attrs: m,
+	return sb.String()
+}
+
+func attrMap(attrs []string) map[string]string {
+	if len(attrs) < 2 {
+		return nil
 	}
-	if !sc.IsZero() {
-		ev.Trace = sc.TraceID.String()
-		ev.Span = sc.SpanID.String()
-		if !parent.IsZero() {
-			ev.Parent = parent.String()
-		}
+	m := make(map[string]string, len(attrs)/2)
+	for i := 0; i+1 < len(attrs); i += 2 {
+		m[attrs[i]] = attrs[i+1]
 	}
+	return m
+}
+
+// commit stamps r with its epoch-relative start and stores it in the ring.
+func (t *Tracer) commit(r record, start time.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.buf) == 0 {
 		return
 	}
-	ev.StartUS = start.Sub(t.epoch).Microseconds()
-	if t.wrapped {
-		t.dropped++
-	}
-	t.buf[t.next] = ev
-	t.next++
-	if t.next == len(t.buf) {
-		t.next = 0
-		t.wrapped = true
-	}
+	r.startUS = start.Sub(t.epoch).Microseconds()
+	t.buf[t.seq%uint64(len(t.buf))] = r
+	t.seq++
 }
 
-// Events returns the ring contents oldest-first.
-func (t *Tracer) Events() []Event {
+// Events returns the ring contents (spans and instant events)
+// oldest-first.
+func (t *Tracer) Events() []Event { return t.EventsSince(0) }
+
+// EventsSince returns the ring contents with Seq > since, oldest-first.
+// Records already overwritten by wrap-around are gone regardless of the
+// cursor.
+func (t *Tracer) EventsSince(since uint64) []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.wrapped {
-		return append([]Event(nil), t.buf[:t.next]...)
+	if since >= t.seq {
+		return nil
 	}
-	out := make([]Event, 0, len(t.buf))
-	out = append(out, t.buf[t.next:]...)
-	out = append(out, t.buf[:t.next]...)
+	// The ring holds the newest min(seq, capacity) records; skip those at
+	// or before the cursor.
+	first := max(since, t.seq-min(t.seq, uint64(len(t.buf)))) + 1
+	out := make([]Event, 0, t.seq-first+1)
+	for seq := first; seq <= t.seq; seq++ {
+		r := &t.buf[(seq-1)%uint64(len(t.buf))]
+		ev := Event{
+			Name: r.name, StartUS: r.startUS, DurUS: r.durUS,
+			Attrs: r.attrs, Seq: seq, Instant: r.instant,
+		}
+		if !r.sc.IsZero() {
+			ev.Trace = r.sc.TraceID.String()
+			ev.Span = r.sc.SpanID.String()
+			if !r.parent.IsZero() {
+				ev.Parent = r.parent.String()
+			}
+		}
+		out = append(out, ev)
+	}
 	return out
 }
 
-// Dropped returns how many events were overwritten by ring wrap-around.
+// Dropped returns how many records were overwritten by ring wrap-around.
 func (t *Tracer) Dropped() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.dropped
+	return t.droppedLocked()
 }
 
-// WriteJSONL writes one JSON object per event, oldest-first, preceded by
-// a MetaEventName record carrying the process name and absolute epoch
-// (what tracemerge needs to align dumps from different processes).
-func (t *Tracer) WriteJSONL(w io.Writer) error {
+func (t *Tracer) droppedLocked() int64 {
+	return int64(t.seq - min(t.seq, uint64(len(t.buf))))
+}
+
+// NowUS returns the tracer's current time in microseconds since its
+// epoch — the time base of Event.StartUS.
+func (t *Tracer) NowUS() int64 {
+	now := t.now()
 	t.mu.Lock()
-	meta := Event{
-		Name: MetaEventName,
-		Attrs: map[string]string{
-			"epoch_unix_us": strconv.FormatInt(t.epoch.UnixMicro(), 10),
-		},
-	}
-	if t.proc != "" {
-		meta.Attrs["proc"] = t.proc
-	}
+	defer t.mu.Unlock()
+	return now.Sub(t.epoch).Microseconds()
+}
+
+// WriteJSONL writes one JSON object per record, oldest-first, preceded by
+// a MetaEventName record carrying the process name, the absolute epoch
+// (what tracemerge needs to align dumps from different processes) and the
+// overwritten-record count.
+func (t *Tracer) WriteJSONL(w io.Writer) error { return t.WriteSince(w, 0) }
+
+// WriteSince is WriteJSONL restricted to records with Seq > since — the
+// /trace?since=<seq> incremental poll body.
+func (t *Tracer) WriteSince(w io.Writer, since uint64) error {
+	t.mu.Lock()
+	meta := MetaEvent(t.proc, t.epoch.UnixMicro(), t.droppedLocked())
 	t.mu.Unlock()
 	enc := json.NewEncoder(w)
 	if err := enc.Encode(meta); err != nil {
 		return err
 	}
-	for _, ev := range t.Events() {
+	for _, ev := range t.EventsSince(since) {
 		if err := enc.Encode(ev); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// chromeEvent is Chrome's trace_event "complete" (ph=X) record, loadable
-// in chrome://tracing and Perfetto.
-type chromeEvent struct {
-	Name string            `json:"name"`
-	Ph   string            `json:"ph"`
-	PID  int               `json:"pid"`
-	TID  int               `json:"tid"`
-	TS   int64             `json:"ts"`
-	Dur  int64             `json:"dur"`
-	Args map[string]string `json:"args,omitempty"`
-}
-
-// WriteChromeTrace writes the ring as a Chrome trace_event JSON array.
-// Causal ids ride in args; merged multi-process views come from
-// `tinyleo-ctl trace` (internal/obs/tracemerge), which also draws flow
-// arrows between processes.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	events := t.Events()
-	out := make([]chromeEvent, len(events))
-	for i, ev := range events {
-		args := ev.Attrs
-		if ev.Trace != "" {
-			args = make(map[string]string, len(ev.Attrs)+3)
-			for k, v := range ev.Attrs {
-				args[k] = v
-			}
-			args["trace"] = ev.Trace
-			args["span"] = ev.Span
-			if ev.Parent != "" {
-				args["parent"] = ev.Parent
-			}
-		}
-		out[i] = chromeEvent{
-			Name: ev.Name, Ph: "X", PID: 1, TID: 1,
-			TS: ev.StartUS, Dur: ev.DurUS, Args: args,
-		}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
-}
-
-// WriteFileSummary returns a short human-readable description of the ring
-// state, used by the CLI when flushing -trace-out.
-func (t *Tracer) WriteFileSummary() string {
-	t.mu.Lock()
-	n := t.next
-	if t.wrapped {
-		n = len(t.buf)
-	}
-	dropped := t.dropped
-	t.mu.Unlock()
-	return fmt.Sprintf("%d spans (%d overwritten)", n, dropped)
 }

@@ -53,8 +53,18 @@ func TestTracerRingWraps(t *testing.T) {
 	if d := tr.Dropped(); d != 6 {
 		t.Errorf("dropped = %d, want 6", d)
 	}
-	if !strings.Contains(tr.WriteFileSummary(), "4 spans") {
-		t.Errorf("summary = %q", tr.WriteFileSummary())
+	// Sequence numbers survive the wrap: the survivors are 7..10.
+	for i, ev := range tr.Events() {
+		if want := uint64(7 + i); ev.Seq != want {
+			t.Errorf("event %d has seq %d, want %d", i, ev.Seq, want)
+		}
+	}
+	var jsonl strings.Builder
+	if err := tr.WriteJSONL(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(jsonl.String(), `"dropped":"6"`) {
+		t.Errorf("meta record lacks the drop count:\n%s", jsonl.String())
 	}
 }
 
@@ -63,6 +73,7 @@ func TestTraceJSONLAndChrome(t *testing.T) {
 	tr.Enable(16)
 	tr.StartSpan("a", "k", "v").End()
 	tr.StartSpan("b").End()
+	tr.Emit("southbound.agent_connect", "sat", "3")
 
 	var jsonl strings.Builder
 	if err := tr.WriteJSONL(&jsonl); err != nil {
@@ -79,27 +90,22 @@ func TestTraceJSONLAndChrome(t *testing.T) {
 	}
 	// Meta record first (proc/epoch for the cross-process merger), then
 	// the two spans.
-	if len(evs) != 3 {
-		t.Fatalf("JSONL lines = %d, want 3 (meta + 2 spans)", len(evs))
+	if len(evs) != 4 {
+		t.Fatalf("JSONL lines = %d, want 4 (meta + 2 spans + 1 event)", len(evs))
 	}
 	if evs[0].Name != MetaEventName || evs[0].Attrs["epoch_unix_us"] == "" {
 		t.Errorf("meta record = %+v", evs[0])
 	}
-	if evs[1].Name != "a" || evs[1].Trace == "" || evs[1].Span == "" {
+	if evs[1].Name != "a" || evs[1].Trace == "" || evs[1].Span == "" || evs[1].Instant || evs[1].Seq != 1 {
 		t.Errorf("span record missing ids: %+v", evs[1])
 	}
+	if ev := evs[3]; !ev.Instant || ev.Name != "southbound.agent_connect" || ev.Attrs["sat"] != "3" ||
+		ev.Seq != 3 || ev.Span != "" || ev.DurUS != 0 {
+		t.Errorf("event record = %+v", ev)
+	}
 
-	var chrome strings.Builder
-	if err := tr.WriteChromeTrace(&chrome); err != nil {
-		t.Fatal(err)
-	}
-	var arr []map[string]any
-	if err := json.Unmarshal([]byte(chrome.String()), &arr); err != nil {
-		t.Fatalf("chrome trace invalid JSON: %v", err)
-	}
-	if len(arr) != 2 || arr[0]["ph"] != "X" || arr[0]["name"] != "a" {
-		t.Errorf("chrome trace = %v", arr)
-	}
+	// The Chrome view comes from `tinyleo-ctl trace` over this same file
+	// (tracemerge.Merged.WriteChromeTrace); the tracer has no second writer.
 }
 
 func TestSpanContextPropagation(t *testing.T) {
@@ -219,6 +225,17 @@ func TestInjectedClockTimestamps(t *testing.T) {
 	}
 	if evs[0].StartUS != 0 || evs[0].DurUS != 1500 {
 		t.Errorf("event start=%d dur=%d, want 0/1500", evs[0].StartUS, evs[0].DurUS)
+	}
+	// An instant event reads the same injected clock and epoch as the
+	// spans around it, and so does NowUS.
+	now = now.Add(250 * time.Microsecond)
+	tr.Emit("mpc.repair", "new_links", "1")
+	evs = tr.Events()
+	if len(evs) != 2 || !evs[1].Instant || evs[1].StartUS != 1750 || evs[1].DurUS != 0 {
+		t.Errorf("event on the injected clock = %+v, want instant at 1750", evs[len(evs)-1])
+	}
+	if got := tr.NowUS(); got != 1750 {
+		t.Errorf("NowUS = %d, want 1750", got)
 	}
 	if got := tr.EpochUnixMicros(); got != time.Unix(1_700_000_000, 0).UnixMicro() {
 		t.Errorf("epoch = %d", got)

@@ -5,76 +5,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
+	"math"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/obs"
+	"repro/internal/obs/flightrec"
 )
 
-// Dump is one process's trace ring: the meta record's identity plus its
-// span events, timestamps still relative to the dump's own epoch.
-type Dump struct {
-	Proc    string // process name from the meta record ("" if unnamed)
-	EpochUS int64  // tracer epoch in Unix microseconds
-	Events  []obs.Event
-}
-
-// ReadJSONL parses one /trace dump. The MetaEventName record (first in
-// well-formed dumps, but accepted anywhere) supplies Proc and EpochUS;
-// dumps without one merge at epoch 0 with an empty name.
-func ReadJSONL(r io.Reader) (*Dump, error) {
-	d := &Dump{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		var ev obs.Event
-		if err := json.Unmarshal([]byte(text), &ev); err != nil {
-			return nil, fmt.Errorf("tracemerge: line %d: %w", line, err)
-		}
-		if ev.Name == obs.MetaEventName {
-			d.Proc = ev.Attrs["proc"]
-			d.EpochUS, _ = strconv.ParseInt(ev.Attrs["epoch_unix_us"], 10, 64)
-			continue
-		}
-		d.Events = append(d.Events, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// ReadFile reads a JSONL dump from disk. A dump with an empty Proc is
-// named after its file basename, so merged views stay distinguishable.
-func ReadFile(path string) (*Dump, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	d, err := ReadJSONL(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if d.Proc == "" {
-		base := path
-		if i := strings.LastIndexByte(base, '/'); i >= 0 {
-			base = base[i+1:]
-		}
-		d.Proc = strings.TrimSuffix(base, ".jsonl")
-	}
-	return d, nil
-}
-
-// Span is one event on the merged timeline: absolute, skew-corrected
+// Span is one record on the merged timeline — a span, or an instant
+// event with DurUS 0 and no identifiers — at absolute, skew-corrected
 // microsecond timestamps.
 type Span struct {
 	Proc    string
@@ -87,9 +26,12 @@ type Span struct {
 	Attrs   map[string]string
 }
 
-// Merged is the cross-process timeline produced by Merge.
+// Merged is the cross-process timeline produced by Merge. Events are the
+// processes' instant events, shifted by the same per-process correction as
+// the spans around them.
 type Merged struct {
 	Spans   []Span
+	Events  []Span
 	offsets map[string]int64 // proc → applied correction (µs)
 	anchor  string
 }
@@ -101,9 +43,10 @@ func (m *Merged) Offsets() (anchor string, offsets map[string]int64) {
 	return m.anchor, m.offsets
 }
 
-// Merge places every dump on one absolute timeline and corrects
-// per-process clock skew. The anchor is the dump with the most sb.send
-// spans (the controller); for every other process, each command traced
+// Merge places every recording (read with flightrec.ReadRecording: a
+// tracer dump or a full flight recording) on one absolute timeline and
+// corrects per-process clock skew. The anchor is the recording with the
+// most sb.send spans (the controller); for every other process, each command traced
 // across the boundary yields an NTP-style offset sample
 //
 //	offset = ((apply.start − send.start) + (apply.end − ack.end)) / 2
@@ -111,13 +54,13 @@ func (m *Merged) Offsets() (anchor string, offsets map[string]int64) {
 // (positive = that process's clock runs ahead of the anchor's), and the
 // median sample is subtracted from all of its timestamps. Processes that
 // share no command with the anchor are left uncorrected.
-func Merge(dumps ...*Dump) *Merged {
+func Merge(dumps ...*flightrec.Recording) *Merged {
 	m := &Merged{offsets: map[string]int64{}}
 	// Anchor = most sb.send spans; ties break on name for determinism.
 	bestSends := -1
 	for _, d := range dumps {
 		sends := 0
-		for _, ev := range d.Events {
+		for _, ev := range d.Records {
 			if ev.Name == "sb.send" {
 				sends++
 			}
@@ -136,7 +79,7 @@ func Merge(dumps ...*Dump) *Merged {
 		if d.Proc != m.anchor {
 			continue
 		}
-		for _, ev := range d.Events {
+		for _, ev := range d.Records {
 			abs := d.EpochUS + ev.StartUS
 			switch ev.Name {
 			case "sb.send":
@@ -160,7 +103,7 @@ func Merge(dumps ...*Dump) *Merged {
 		offset := int64(0)
 		if d.Proc != m.anchor {
 			var samples []int64
-			for _, ev := range d.Events {
+			for _, ev := range d.Records {
 				if ev.Name != "agent.apply" {
 					continue
 				}
@@ -178,8 +121,8 @@ func Merge(dumps ...*Dump) *Merged {
 			}
 		}
 		m.offsets[d.Proc] = offset
-		for _, ev := range d.Events {
-			m.Spans = append(m.Spans, Span{
+		for _, ev := range d.Records {
+			s := Span{
 				Proc:    d.Proc,
 				Name:    ev.Name,
 				StartUS: d.EpochUS + ev.StartUS - offset,
@@ -188,11 +131,22 @@ func Merge(dumps ...*Dump) *Merged {
 				Span:    ev.Span,
 				Parent:  ev.Parent,
 				Attrs:   ev.Attrs,
-			})
+			}
+			if ev.Instant {
+				m.Events = append(m.Events, s)
+			} else {
+				m.Spans = append(m.Spans, s)
+			}
 		}
 	}
-	sort.SliceStable(m.Spans, func(i, j int) bool {
-		a, b := m.Spans[i], m.Spans[j]
+	sortTimeline(m.Spans)
+	sortTimeline(m.Events)
+	return m
+}
+
+func sortTimeline(spans []Span) {
+	sort.SliceStable(spans, func(i, j int) bool {
+		a, b := spans[i], spans[j]
 		if a.StartUS != b.StartUS {
 			return a.StartUS < b.StartUS
 		}
@@ -202,50 +156,31 @@ func Merge(dumps ...*Dump) *Merged {
 		if a.Name != b.Name {
 			return a.Name < b.Name
 		}
-		return attrKey(a.Attrs) < attrKey(b.Attrs)
+		return obs.AttrString(a.Attrs) < obs.AttrString(b.Attrs)
 	})
-	return m
 }
 
-func attrKey(attrs map[string]string) string {
-	if len(attrs) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(attrs))
-	for k := range attrs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	for _, k := range keys {
-		sb.WriteString(k)
-		sb.WriteByte('=')
-		sb.WriteString(attrs[k])
-		sb.WriteByte(' ')
-	}
-	return strings.TrimRight(sb.String(), " ")
-}
-
-// chromeEvent mirrors the trace_event JSON schema (complete spans plus
-// flow s/f pairs and process_name metadata).
+// chromeEvent mirrors the trace_event JSON schema (complete spans,
+// instant events, flow s/f pairs and process_name metadata).
 type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Cat  string         `json:"cat,omitempty"`
-	ID   string         `json:"id,omitempty"`
-	BP   string         `json:"bp,omitempty"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	TS   int64          `json:"ts"`
-	Dur  int64          `json:"dur,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
+	Name  string         `json:"name"`
+	Ph    string         `json:"ph"`
+	Cat   string         `json:"cat,omitempty"`
+	ID    string         `json:"id,omitempty"`
+	BP    string         `json:"bp,omitempty"`
+	Scope string         `json:"s,omitempty"`
+	PID   int            `json:"pid"`
+	TID   int            `json:"tid"`
+	TS    int64          `json:"ts"`
+	Dur   int64          `json:"dur,omitempty"`
+	Args  map[string]any `json:"args,omitempty"`
 }
 
 // WriteChromeTrace renders the merged timeline for chrome://tracing /
 // Perfetto: one pid per process (named via process_name metadata),
-// timestamps rebased to the earliest span, and a flow arrow for every
+// timestamps rebased to the earliest record, a flow arrow for every
 // parent→child edge that crosses a process boundary (controller send →
-// agent apply).
+// agent apply), and an instant marker per event.
 func (m *Merged) WriteChromeTrace(w io.Writer) error {
 	procs := make([]string, 0, len(m.offsets))
 	for p := range m.offsets {
@@ -261,10 +196,11 @@ func (m *Merged) WriteChromeTrace(w io.Writer) error {
 			Args: map[string]any{"name": p},
 		})
 	}
-	var t0 int64
-	for i, s := range m.Spans {
-		if i == 0 || s.StartUS < t0 {
-			t0 = s.StartUS
+	// Both lists are sorted: the timeline starts at the earlier head.
+	t0 := int64(math.MaxInt64)
+	for _, list := range [][]Span{m.Spans, m.Events} {
+		if len(list) > 0 {
+			t0 = min(t0, list[0].StartUS)
 		}
 	}
 	// Where does each span live? Needed to detect cross-process edges.
@@ -299,7 +235,7 @@ func (m *Merged) WriteChromeTrace(w io.Writer) error {
 			out = append(out, chromeEvent{
 				Name: "causal", Ph: "s", Cat: "sb", ID: s.Span,
 				PID: pid[spanProc[s.Parent]], TID: 1,
-				TS: min64(spanEnd[s.Parent]-t0, s.StartUS-t0),
+				TS: min(spanEnd[s.Parent], s.StartUS) - t0,
 			})
 			out = append(out, chromeEvent{
 				Name: "causal", Ph: "f", BP: "e", Cat: "sb", ID: s.Span,
@@ -307,23 +243,31 @@ func (m *Merged) WriteChromeTrace(w io.Writer) error {
 			})
 		}
 	}
+	for _, e := range m.Events {
+		var args map[string]any
+		if len(e.Attrs) > 0 {
+			args = make(map[string]any, len(e.Attrs))
+			for k, v := range e.Attrs {
+				args[k] = v
+			}
+		}
+		// A process-scoped instant: a vertical marker across the pid's rows.
+		out = append(out, chromeEvent{
+			Name: e.Name, Ph: "i", Scope: "p", PID: pid[e.Proc], TID: 1,
+			TS: e.StartUS - t0, Args: args,
+		})
+	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // WriteCanonical renders the merged timeline in a deterministic text form
 // for run-twice comparisons: traces and spans are renumbered in sorted
 // order (raw span IDs depend on concurrent allocation order even under a
 // seeded tracer, so they are not printed), and every line carries the
-// process, timing, and attributes. Two campaigns with the same seed and
-// virtual clock produce byte-identical canonical dumps.
+// process, timing, and attributes; the instant events follow in timeline
+// order. Two campaigns with the same seed and virtual clock produce
+// byte-identical canonical dumps.
 func (m *Merged) WriteCanonical(w io.Writer) error {
 	// Group spans by trace; untraced spans form a pseudo-group keyed "".
 	byTrace := map[string][]Span{}
@@ -339,7 +283,7 @@ func (m *Merged) WriteCanonical(w io.Writer) error {
 	for tr, spans := range byTrace {
 		// m.Spans is globally sorted, so spans within a group are too.
 		first := spans[0]
-		key := fmt.Sprintf("%016d %s %s", first.StartUS, first.Name, attrKey(first.Attrs))
+		key := fmt.Sprintf("%016d %s %s", first.StartUS, first.Name, obs.AttrString(first.Attrs))
 		groups = append(groups, group{key: key, trace: tr, spans: spans})
 	}
 	sort.Slice(groups, func(i, j int) bool {
@@ -367,7 +311,13 @@ func (m *Merged) WriteCanonical(w io.Writer) error {
 				}
 			}
 			fmt.Fprintf(bw, "  s%d %s proc=%s parent=%s start=%d dur=%d %s\n",
-				si, s.Name, s.Proc, parent, s.StartUS, s.DurUS, attrKey(s.Attrs))
+				si, s.Name, s.Proc, parent, s.StartUS, s.DurUS, obs.AttrString(s.Attrs))
+		}
+	}
+	if len(m.Events) > 0 {
+		fmt.Fprintf(bw, "events n=%d\n", len(m.Events))
+		for _, e := range m.Events {
+			fmt.Fprintf(bw, "  %s proc=%s t=%d %s\n", e.Name, e.Proc, e.StartUS, obs.AttrString(e.Attrs))
 		}
 	}
 	return bw.Flush()

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/flightrec"
 	"repro/internal/southbound"
 )
 
@@ -22,13 +23,13 @@ func procTracer(name string, skew time.Duration) *obs.Tracer {
 	return tr
 }
 
-func dumpOf(t *testing.T, tr *obs.Tracer) *Dump {
+func dumpOf(t *testing.T, tr *obs.Tracer) *flightrec.Recording {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	d, err := ReadJSONL(&buf)
+	d, err := flightrec.ReadRecording(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,9 @@ func dumpOf(t *testing.T, tr *obs.Tracer) *Dump {
 // skewed clocks (+10s and −7s), one command each, one retransmit. The
 // merged timeline must put every command in a single causal tree spanning
 // both processes, with apply timestamps pulled back inside the controller's
-// send→ack bracket by the skew correction.
+// send→ack bracket by the skew correction — and each process's instant
+// events, which ride the same ring on the same clock, must stay inside the
+// spans they were emitted in.
 func TestMergeControllerTwoAgents(t *testing.T) {
 	ctlTr := procTracer("ctl", 0)
 	aTr := procTracer("sat-5", 10*time.Second)
@@ -63,6 +66,8 @@ func TestMergeControllerTwoAgents(t *testing.T) {
 	wg.Add(1)
 	a.OnCommand = func(m *southbound.Message) {
 		defer wg.Done()
+		// Inside the agent.apply span, on the agent's (+10s) clock.
+		aTr.Emit("southbound.agent_reconnect", "sat", "5", "attempt", "1")
 		<-block // hold the first command unacked long enough to retransmit
 	}
 	b, err := southbound.DialAgentOptions(c.Addr(), 6, time.Second, southbound.AgentOptions{Tracer: bTr})
@@ -80,6 +85,8 @@ func TestMergeControllerTwoAgents(t *testing.T) {
 		Trace: emit.Context(), Emitted: time.Now()}); err != nil {
 		t.Fatal(err)
 	}
+	// Inside the mpc.emit root, on the controller's clock.
+	ctlTr.Emit("southbound.command_applied", "sat", "6", "type", "set-isl")
 	emit.End()
 
 	// Force at least one retransmit of sat 5's command while it is held.
@@ -175,6 +182,39 @@ func TestMergeControllerTwoAgents(t *testing.T) {
 		t.Error("merged trace has no sb.retransmit span")
 	}
 
+	// One timeline: after correction every event still lies inside the
+	// span of its own process that enclosed it when it was emitted — the
+	// agent's inside its apply (pulled back 10 s with it), the
+	// controller's inside the mpc.emit root.
+	enclosing := map[string]string{
+		"southbound.agent_reconnect": "agent.apply",
+		"southbound.command_applied": "mpc.emit",
+	}
+	if len(m.Events) != 2 {
+		t.Fatalf("merged events = %+v, want 2", m.Events)
+	}
+	for _, e := range m.Events {
+		if e.DurUS != 0 || e.Span != "" {
+			t.Errorf("event %s carries span fields: %+v", e.Name, e)
+		}
+		inside := false
+		for _, s := range m.Spans {
+			if s.Proc == e.Proc && s.Name == enclosing[e.Name] &&
+				s.StartUS <= e.StartUS && e.StartUS <= s.StartUS+s.DurUS+1 { // start and duration each truncate to 1µs
+				inside = true
+			}
+		}
+		if !inside {
+			t.Errorf("event %s (proc %s, t=%d) is outside every %s span of its process",
+				e.Name, e.Proc, e.StartUS, enclosing[e.Name])
+		}
+	}
+	// Raw clocks put the agent's event 10 s after the controller's; on the
+	// merged timeline they are within the sub-second command window.
+	if d := m.Events[1].StartUS - m.Events[0].StartUS; d < -1_000_000 || d > 1_000_000 {
+		t.Errorf("corrected events %dµs apart, want < 1s", d)
+	}
+
 	// Chrome rendering: three named processes, flow arrows crossing the
 	// boundary, valid JSON.
 	var chrome bytes.Buffer
@@ -185,13 +225,15 @@ func TestMergeControllerTwoAgents(t *testing.T) {
 	if err := json.Unmarshal(chrome.Bytes(), &arr); err != nil {
 		t.Fatalf("chrome trace invalid JSON: %v", err)
 	}
-	names, flows := 0, 0
+	names, flows, instants := 0, 0, 0
 	for _, ev := range arr {
 		switch ev["ph"] {
 		case "M":
 			names++
 		case "s":
 			flows++
+		case "i":
+			instants++
 		}
 	}
 	if names != 3 {
@@ -199,6 +241,9 @@ func TestMergeControllerTwoAgents(t *testing.T) {
 	}
 	if flows == 0 {
 		t.Error("no flow arrows in chrome trace")
+	}
+	if instants != 2 {
+		t.Errorf("chrome instant events = %d, want 2", instants)
 	}
 
 	// Canonical form is a pure function of the merged dumps.
@@ -214,6 +259,17 @@ func TestMergeControllerTwoAgents(t *testing.T) {
 	}
 	if !strings.Contains(c1.String(), "agent.apply") || !strings.Contains(c1.String(), "parent=") {
 		t.Errorf("canonical form missing expected content:\n%s", c1.String())
+	}
+	// The events print after the traces, in timeline order, attributes
+	// sorted by key.
+	tail := c1.String()[strings.Index(c1.String(), "events n=2\n"):]
+	lines := strings.Split(strings.TrimSpace(tail), "\n")
+	if len(lines) != 3 ||
+		!strings.HasPrefix(lines[1], "  "+m.Events[0].Name+" proc="+m.Events[0].Proc+" t=") ||
+		!strings.HasPrefix(lines[2], "  "+m.Events[1].Name+" proc="+m.Events[1].Proc+" t=") ||
+		!strings.Contains(tail, "southbound.agent_reconnect proc=sat-5 ") ||
+		!strings.Contains(tail, " attempt=1 sat=5\n") {
+		t.Errorf("canonical events section:\n%s", tail)
 	}
 }
 
@@ -270,7 +326,7 @@ func TestMergeFourProcessesAsymmetricSkew(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	dumps := []*Dump{dumpOf(t, ctlTr)}
+	dumps := []*flightrec.Recording{dumpOf(t, ctlTr)}
 	for _, id := range []uint32{7, 8, 9} {
 		dumps = append(dumps, dumpOf(t, trs[id]))
 	}
@@ -365,21 +421,5 @@ func TestMergeFourProcessesAsymmetricSkew(t *testing.T) {
 	}
 	if c1.String() != c2.String() {
 		t.Error("canonical form differs across identical merges")
-	}
-}
-
-func TestReadJSONLMetaAndErrors(t *testing.T) {
-	in := `{"name":"` + obs.MetaEventName + `","attrs":{"proc":"p1","epoch_unix_us":"123"}}
-{"name":"x","start_us":5,"dur_us":2}
-`
-	d, err := ReadJSONL(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Proc != "p1" || d.EpochUS != 123 || len(d.Events) != 1 {
-		t.Fatalf("dump = %+v", d)
-	}
-	if _, err := ReadJSONL(strings.NewReader("not json\n")); err == nil {
-		t.Error("malformed JSONL accepted")
 	}
 }

@@ -231,21 +231,26 @@ func (e *DeltaEnforcer) Push(sat uint32, add, del []uint32, emitted time.Time, t
 	if synced {
 		m.Type = MsgSlotDelta
 		m.Payload = EncodeSlotDelta(ops)
-		e.deltaMsgs.Inc()
-		e.opsSent.Add(int64(len(ops)))
 	} else {
 		m.Type = MsgSlotSnapshot
 		m.Payload = EncodeSlotSnapshot(sortedPeers(d))
-		e.snapMsgs.Inc()
-		e.resyncs.Inc()
 		e.synced[sat] = true
 	}
-	e.bytesSent.Add(int64(len(m.Payload)))
 	e.mu.Unlock()
 	if err := e.c.Send(m); err != nil {
 		e.MarkUnsynced(sat)
 		return err
 	}
+	// Counted only once the message has left: a push to a satellite with no
+	// agent fails in Send and must not show up as traffic.
+	if synced {
+		e.deltaMsgs.Inc()
+		e.opsSent.Add(int64(len(ops)))
+	} else {
+		e.snapMsgs.Inc()
+		e.resyncs.Inc()
+	}
+	e.bytesSent.Add(int64(len(m.Payload)))
 	return nil
 }
 

@@ -204,6 +204,66 @@ func TestDeltaEnforcerPush(t *testing.T) {
 	}
 }
 
+// TestDeltaPushCountsOnlySentMessages: a push to a satellite with no agent
+// fails in Send and is rolled back, so none of the four delta series may
+// move (they counted it before, as traffic that never left); the next push
+// to that satellite, once its agent is there, is a snapshot. A push to a
+// registered satellite counts exactly as before.
+func TestDeltaPushCountsOnlySentMessages(t *testing.T) {
+	c := startController(t)
+	e := NewDeltaEnforcer(c)
+	series := func() [5]int64 {
+		reg := c.Metrics()
+		return [5]int64{
+			reg.Counter(MetricDeltaMessages, "kind", "snapshot").Value(),
+			reg.Counter(MetricDeltaMessages, "kind", "delta").Value(),
+			reg.Counter(MetricDeltaOps).Value(),
+			reg.Counter(MetricDeltaResyncs).Value(),
+			reg.Counter(MetricDeltaBytes).Value(),
+		}
+	}
+
+	if err := e.Push(42, []uint32{7, 3}, nil, time.Time{}, obs.SpanContext{}); err == nil {
+		t.Fatal("push to an unregistered satellite succeeded")
+	}
+	if got := series(); got != [5]int64{} {
+		t.Errorf("series after a push that never left = %v, want all zero", got)
+	}
+	// The desired set kept the change; the satellite is unsynced.
+	if got := e.Desired(42); !reflect.DeepEqual(got, []uint32{3, 7}) {
+		t.Errorf("Desired = %v", got)
+	}
+
+	view := newSatView()
+	a, err := DialAgent(c.Addr(), 42, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	a.OnCommand = func(m *Message) { view.apply(t, m) }
+	if err := e.Push(42, []uint32{9}, nil, time.Time{}, obs.SpanContext{}); err != nil {
+		t.Fatal(err)
+	}
+	view.waitFor(t, 9)
+	if got := view.snapshot(); !reflect.DeepEqual(got, map[uint32]bool{3: true, 7: true, 9: true}) {
+		t.Errorf("view after the first push that left = %v, want the full snapshot", got)
+	}
+	snapBytes := int64(len(EncodeSlotSnapshot([]uint32{3, 7, 9})))
+	if got, want := series(), ([5]int64{1, 0, 0, 1, snapBytes}); got != want {
+		t.Errorf("series after the snapshot = %v, want %v", got, want)
+	}
+
+	// Registered and synced: a delta, counted as it always was.
+	if err := e.Push(42, []uint32{11}, []uint32{3}, time.Time{}, obs.SpanContext{}); err != nil {
+		t.Fatal(err)
+	}
+	view.waitFor(t, 11)
+	deltaBytes := int64(len(EncodeSlotDelta([]SlotDeltaOp{{Peer: 3}, {Peer: 11, Up: true}})))
+	if got, want := series(), ([5]int64{1, 1, 2, 1, snapBytes + deltaBytes}); got != want {
+		t.Errorf("series after the delta = %v, want %v", got, want)
+	}
+}
+
 // TestDeltaResyncOnReconnect is the convergence half of the delta
 // property test: a delta-enforced agent that restarts mid-horizon (fresh
 // process, empty dataplane view — the worst case for composing per-op

@@ -4,7 +4,7 @@
 // in-tree counterpart of running a TestGround-style testbed against
 // the TinyLEO control plane.
 //
-// A plan (Manifest, parsed from JSON or TOML by Load) declares what to
+// A plan (Manifest, parsed from JSON by Load) declares what to
 // launch (agent count, control slots, constellation shape), what to
 // break when (a fault schedule), and what "good" means (a flight
 // recorder SLO rule spec). Two modes execute it:
@@ -15,9 +15,11 @@
 //     startup — the controller publishes its :0-bound addresses, every
 //     agent resolves them and rendezvouses at the start barrier before
 //     dialing. Faults are delivered as process signals (kill, term,
-//     stop, cont) on schedule. Artifacts (fleet snapshot, flight
-//     recordings, traces, process logs) are collected into a run
-//     directory and the run is scored over the final fleet snapshot.
+//     stop, cont) on schedule. Artifacts (fleet snapshot, one flight
+//     recording per process — the file both `tinyleo-ctl trace` and
+//     `tinyleo-ctl inspect` read — and process logs) are collected into
+//     a run directory and the run is scored over the final fleet
+//     snapshot.
 //
 //   - virtual (RunVirtual): the same plan drives the in-process chaos
 //     engine (internal/chaos) on a virtual clock. Same manifest + seed

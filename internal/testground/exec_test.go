@@ -10,10 +10,13 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
 	"repro/internal/obs/fleet"
+	"repro/internal/obs/flightrec"
+	"repro/internal/obs/tracemerge"
 	"repro/internal/southbound"
 )
 
@@ -81,16 +84,68 @@ func TestRunExecKillsAgentOnSchedule(t *testing.T) {
 	}
 	wantArtifacts := map[string]bool{
 		"fleet.json": false, "ctl.log": false, "ctl-flight.jsonl.gz": false,
-		"ctl-trace.jsonl": false, "sat-0-flight.jsonl.gz": false,
+		"sat-0-flight.jsonl.gz": false, "sat-2-flight.jsonl.gz": false,
 	}
 	for _, a := range rep.Artifacts {
 		if _, ok := wantArtifacts[a.Name]; ok {
 			wantArtifacts[a.Name] = true
 		}
+		// One record file per process: nothing writes a second format.
+		if strings.Contains(a.Name, "trace") {
+			t.Errorf("artifact %s: a process left a second record file", a.Name)
+		}
 	}
 	for name, seen := range wantArtifacts {
 		if !seen {
 			t.Errorf("artifact %s missing from inventory: %+v", name, rep.Artifacts)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "sat-1-flight.jsonl.gz")); err == nil {
+		t.Error("the SIGKILLed agent left a recording")
+	}
+
+	// The same controller file serves both commands: spans (with the
+	// agents' files, one merged timeline) to the trace reader, slots and
+	// the agent_connect events to inspect.
+	var recs []*flightrec.Recording
+	for _, name := range []string{"ctl-flight.jsonl.gz", "sat-0-flight.jsonl.gz", "sat-2-flight.jsonl.gz"} {
+		rec, err := flightrec.ReadRecordingFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatalf("recording %s: %v", name, err)
+		}
+		recs = append(recs, rec)
+	}
+	ctlRec := recs[0]
+	if ctlRec.Proc != "tinyleo-ctl" || recs[1].Proc != "tinyleo-sat-0" || ctlRec.EpochUS == 0 {
+		t.Errorf("recording identities: %q %q epoch %d", ctlRec.Proc, recs[1].Proc, ctlRec.EpochUS)
+	}
+	merged := tracemerge.Merge(recs...)
+	spanNames := map[string]int{}
+	for _, s := range merged.Spans {
+		spanNames[s.Proc+"/"+s.Name]++
+	}
+	if spanNames["tinyleo-ctl/mpc.emit"] != m.Slots || spanNames["tinyleo-ctl/sb.send"] == 0 || spanNames["tinyleo-sat-0/agent.apply"] == 0 {
+		t.Errorf("merged spans: %v", spanNames)
+	}
+	if anchor, _ := merged.Offsets(); anchor != "tinyleo-ctl" {
+		t.Errorf("clock anchor = %q", anchor)
+	}
+	connects := 0
+	for _, ev := range ctlRec.Events() {
+		if ev.Name == "southbound.agent_connect" {
+			connects++
+		}
+	}
+	if len(ctlRec.Slots) < 1 || connects != m.Agents {
+		t.Errorf("controller recording: %d slots, %d agent_connect events, want ≥ 1 and %d", len(ctlRec.Slots), connects, m.Agents)
+	}
+	var report strings.Builder
+	if err := ctlRec.WriteReport(&report, flightrec.InspectOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"== per-slot topology ==", "slot 0 (t=0s", "== failure sequences ==", "== final SLO status =="} {
+		if !strings.Contains(report.String(), want) {
+			t.Errorf("inspect report lacks %q:\n%s", want, report.String())
 		}
 	}
 

@@ -298,30 +298,10 @@ func (m *Manifest) Validate() error {
 	return nil
 }
 
-// Parse decodes a manifest from data. Format is "json" or "toml";
-// unknown keys are errors in both, so typos fail loudly instead of
-// silently running a default.
-func Parse(data []byte, format string) (*Manifest, error) {
-	var raw any
-	switch format {
-	case "json":
-		raw = json.RawMessage(data)
-	case "toml":
-		doc, err := parseTOML(data)
-		if err != nil {
-			return nil, err
-		}
-		raw = doc
-	default:
-		return nil, fmt.Errorf("testground: unknown manifest format %q (want json or toml)", format)
-	}
-	// TOML decodes to a generic document first; funneling both formats
-	// through JSON gives one set of field names and one strictness rule.
-	buf, err := json.Marshal(raw)
-	if err != nil {
-		return nil, fmt.Errorf("testground: manifest: %v", err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(buf))
+// Parse decodes a JSON manifest. Unknown keys are errors, so typos fail
+// loudly instead of silently running a default.
+func Parse(data []byte) (*Manifest, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var m Manifest
 	if err := dec.Decode(&m); err != nil {
@@ -330,23 +310,16 @@ func Parse(data []byte, format string) (*Manifest, error) {
 	return &m, nil
 }
 
-// Load reads, defaults, and validates a manifest file; the format comes
-// from the extension (.json or .toml).
+// Load reads, defaults, and validates a manifest file (.json).
 func Load(path string) (*Manifest, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var format string
-	switch ext := filepath.Ext(path); ext {
-	case ".json":
-		format = "json"
-	case ".toml":
-		format = "toml"
-	default:
-		return nil, fmt.Errorf("testground: %s: unknown manifest extension %q (want .json or .toml)", path, ext)
+	if ext := filepath.Ext(path); ext != ".json" {
+		return nil, fmt.Errorf("testground: %s: unknown manifest extension %q (want .json)", path, ext)
 	}
-	m, err := Parse(data, format)
+	m, err := Parse(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

@@ -1,6 +1,7 @@
 package testground
 
 import (
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -31,31 +32,15 @@ func TestLoadGoldenValid(t *testing.T) {
 	}
 }
 
-// TestTOMLEquivalence pins the format contract: the TOML twin of a JSON
-// plan parses to the identical manifest.
-func TestTOMLEquivalence(t *testing.T) {
-	j, err := Load(filepath.Join("testdata", "valid-exec.json"))
-	if err != nil {
-		t.Fatalf("json: %v", err)
-	}
-	tm, err := Load(filepath.Join("testdata", "valid-exec.toml"))
-	if err != nil {
-		t.Fatalf("toml: %v", err)
-	}
-	if !reflect.DeepEqual(j, tm) {
-		t.Errorf("json and toml twins diverge:\n json: %+v\n toml: %+v", j, tm)
-	}
-}
-
 func TestLoadGoldenInvalid(t *testing.T) {
 	cases := []struct {
 		file string
 		want string // substring of the error
 	}{
 		{"invalid-unknown-key.json", "unknown field"},
-		{"invalid-fault-kind.toml", "unknown exec fault kind"},
+		{"invalid-fault-kind.json", "unknown exec fault kind"},
 		{"invalid-agent-range.json", "out of range"},
-		{"invalid-slo.toml", "slo"},
+		{"invalid-slo.json", "slo"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.file, func(t *testing.T) {
@@ -164,60 +149,16 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
-func TestParseTOMLSubset(t *testing.T) {
-	doc, err := parseTOML([]byte(`
-# full line comment
-s = "a # not-a-comment \"quoted\""
-i = -3
-f = 0.5
-b = true
-arr = ["x", "y"]  # trailing comment
-
-[t]
-k = 1
-
-[t.nested]
-k = 2
-
-[[rows]]
-v = 1
-[[rows]]
-v = 2
-`))
-	if err != nil {
-		t.Fatalf("parseTOML: %v", err)
-	}
-	if doc["s"] != `a # not-a-comment "quoted"` || doc["i"] != int64(-3) || doc["f"] != 0.5 || doc["b"] != true {
-		t.Errorf("scalars: %+v", doc)
-	}
-	if !reflect.DeepEqual(doc["arr"], []any{"x", "y"}) {
-		t.Errorf("arr: %+v", doc["arr"])
-	}
-	tbl := doc["t"].(map[string]any)
-	if tbl["k"] != int64(1) || tbl["nested"].(map[string]any)["k"] != int64(2) {
-		t.Errorf("tables: %+v", tbl)
-	}
-	rows := doc["rows"].([]any)
-	if len(rows) != 2 || rows[1].(map[string]any)["v"] != int64(2) {
-		t.Errorf("rows: %+v", rows)
-	}
-}
-
-func TestParseTOMLErrors(t *testing.T) {
-	for _, bad := range []string{
-		"key",                  // no =
-		"a.b = 1",              // dotted assignment key
-		"k = ",                 // missing value
-		"k = [1,\n2]",          // multi-line array
-		"[t\nk = 1",            // unterminated header
-		"k = 1\nk = 2",         // duplicate key
-		"k = 1\n[k]\nv = 2",    // table conflicts with value
-		"[[r]]\nv=1\n[r]\nv=2", // table conflicts with array
-		"k = 2026-08-08",       // dates unsupported
-		`k = """multi`,         // multi-line string
-	} {
-		if _, err := parseTOML([]byte(bad)); err == nil {
-			t.Errorf("parseTOML(%q): wanted an error", bad)
+// The in-tree TOML subset is gone: a .toml plan is refused by extension,
+// before anything is parsed.
+func TestLoadRejectsOtherExtensions(t *testing.T) {
+	for _, name := range []string{"plan.toml", "plan.yaml", "plan"} {
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, []byte(`{"name":"x"}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "unknown manifest extension") {
+			t.Errorf("Load(%s) = %v, want the unknown-extension error", name, err)
 		}
 	}
 }

@@ -89,7 +89,7 @@ type RunReport struct {
 // Score evaluates the plan's SLO rules over the given samples and
 // events, filling SLO, SLOBreached, and Passed. EvalUS is zeroed so
 // verdict rows carry no wall clock.
-func (r *RunReport) Score(samples []obs.Sample, events []flightrec.Event) error {
+func (r *RunReport) Score(samples []obs.Sample, events []obs.Event) error {
 	rules, err := flightrec.ParseRules(r.Plan.SLO)
 	if err != nil {
 		return err

@@ -95,7 +95,6 @@ func RunExec(m *Manifest, cfg ExecConfig) (*RunReport, error) {
 		"-fleet-silent", fmt.Sprintf("%gs", m.FleetSilentS),
 		"-fleet-out", filepath.Join(cfg.Dir, "fleet.json"),
 		"-record-out", filepath.Join(cfg.Dir, "ctl-flight.jsonl.gz"),
-		"-trace-out", filepath.Join(cfg.Dir, "ctl-trace.jsonl"),
 		"-planes", fmt.Sprint(m.Constellation.Planes),
 		"-sats-per-plane", fmt.Sprint(m.Constellation.SatsPerPlane),
 		"-inclination", fmt.Sprint(m.Constellation.InclinationDeg),
@@ -147,7 +146,6 @@ func RunExec(m *Manifest, cfg ExecConfig) (*RunReport, error) {
 			"-run-for", fmt.Sprintf("%gs", m.RunForS),
 			"-fleet-interval", fmt.Sprintf("%dms", m.FleetIntervalMS),
 			"-record-out", filepath.Join(cfg.Dir, fmt.Sprintf("sat-%d-flight.jsonl.gz", i)),
-			"-trace-out", filepath.Join(cfg.Dir, fmt.Sprintf("sat-%d-trace.jsonl", i)),
 		)
 		if err != nil {
 			return nil, err

@@ -56,7 +56,7 @@ func Telemetry() *TelemetryRegistry { return obs.Default() }
 func EnableTelemetry() { obs.Enable() }
 
 // EnableTraceSpans turns on span tracing with a ring buffer of the given
-// capacity (0 = default). Spans are served on /trace and /trace.chrome.
+// capacity (0 = default). Spans are served on /trace.
 func EnableTraceSpans(capacity int) { obs.EnableTracing(capacity) }
 
 // ServeTelemetry serves Prometheus text, JSON snapshots, health, and span
@@ -69,16 +69,16 @@ func ServeTelemetry(addr string, regs ...*TelemetryRegistry) (*TelemetryServer, 
 // ---- Flight recorder and SLOs (internal/obs/flightrec) ----
 
 // FlightRecorderOptions configures the constellation flight recorder:
-// event-log and slot-snapshot ring capacities, an optional spill file for
-// evicted snapshots, SLO rules, and extra registries for SLO evaluation.
+// SLO rules, and extra registries for SLO evaluation.
 type FlightRecorderOptions = flightrec.Options
 
-// FlightRecording is a loaded or captured recording: per-slot topology
-// states, the structured event log, and final SLO status.
+// FlightRecording is a loaded or captured recording: the process's spans
+// and events, per-slot topology states, and final SLO status.
 type FlightRecording = flightrec.Recording
 
-// FlightEvent is one structured event (component, type, attributes).
-type FlightEvent = flightrec.Event
+// FlightEvent is one record of the process's trace ring: a span, or —
+// with Instant set — a structured event named "component.type".
+type FlightEvent = obs.Event
 
 // SLORule is one declarative service-level objective over registry
 // metrics or event windows, e.g. availability ≥ 0.95.
@@ -87,19 +87,20 @@ type SLORule = flightrec.Rule
 // SLOStatus is the latest evaluation of one rule.
 type SLOStatus = flightrec.RuleStatus
 
-// EnableFlightRecorder turns on the process-wide flight recorder. Once
-// enabled, the MPC, southbound, data-plane, and sparsifier emit typed
-// events and per-slot snapshots; obs.Serve endpoints gain /slo and
-// /events routes.
-func EnableFlightRecorder(o FlightRecorderOptions) error { return flightrec.Enable(o) }
+// EnableFlightRecorder turns on the process-wide flight recorder (and the
+// span tracer whose ring it shares, reset). Once enabled, the MPC,
+// southbound, data-plane, and sparsifier emit typed events and per-slot
+// snapshots; the events appear on /trace beside the spans and obs.Serve
+// endpoints gain a /slo route.
+func EnableFlightRecorder(o FlightRecorderOptions) { flightrec.Enable(o) }
 
-// DisableFlightRecorder stops recording and closes any spill file.
-func DisableFlightRecorder() error { return flightrec.Disable() }
+// DisableFlightRecorder stops recording events and slots.
+func DisableFlightRecorder() { flightrec.Disable() }
 
 // SaveFlightRecording writes the current recording (gzip JSONL when path
 // ends in .gz) and returns a human-readable summary.
-func SaveFlightRecording(path, binary string) (string, error) {
-	return flightrec.SaveRecording(path, binary)
+func SaveFlightRecording(path string) (string, error) {
+	return flightrec.SaveRecording(path)
 }
 
 // ReadFlightRecording loads a recording written by SaveFlightRecording,
