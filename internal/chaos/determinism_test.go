@@ -13,17 +13,21 @@ import (
 // — home cells, ring successors, and ISL peers per satellite — in a
 // canonical order.
 func networkFingerprint(n *dataplane.Network) string {
+	var b strings.Builder
+	for _, id := range sortedSats(n) {
+		s := n.Sats[id]
+		fmt.Fprintf(&b, "sat %d cell %d ring %d peers %v\n", id, s.Cell, s.RingNext, s.Peers())
+	}
+	return b.String()
+}
+
+func sortedSats(n *dataplane.Network) []int {
 	ids := make([]int, 0, len(n.Sats))
 	for id := range n.Sats {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	var b strings.Builder
-	for _, id := range ids {
-		s := n.Sats[id]
-		fmt.Fprintf(&b, "sat %d cell %d ring %d peers %v\n", id, s.Cell, s.RingNext, s.Peers())
-	}
-	return b.String()
+	return ids
 }
 
 // Regression for testbed construction depending on map iteration order:

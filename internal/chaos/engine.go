@@ -300,8 +300,9 @@ func (r *runner) start() error {
 	return nil
 }
 
-// pickFlows selects the campaign's measured flows: sorted cell pairs with
-// a ≥3-cell intent route whose probe packet actually delivers.
+// pickFlows selects the campaign's measured flows: the first sorted cell
+// pairs with a ≥3-cell intent route whose probe packet actually delivers
+// (it runs before the measurement hooks are installed).
 func (r *runner) pickFlows() error {
 	for _, src := range r.tb.Cells {
 		for _, dst := range r.tb.Cells {
@@ -315,11 +316,8 @@ func (r *runner) pickFlows() error {
 			if err != nil || len(route.Cells) < 3 {
 				continue
 			}
-			gw, ok := gatewayOf(r.tb.Topo, r.snap, src)
-			if !ok {
-				continue
-			}
-			if !r.probeDelivers(gw, route.Cells) {
+			gw, ok := r.tb.GatewayOf(src)
+			if !ok || !r.tb.ProbeDelivers(gw, route.Cells) {
 				continue
 			}
 			r.flows = append(r.flows, flow{src: src, dst: dst, route: route.Cells, gw: gw})
@@ -329,23 +327,6 @@ func (r *runner) pickFlows() error {
 		return fmt.Errorf("chaos: no deliverable flows in testbed")
 	}
 	return nil
-}
-
-// probeDelivers checks a sentinel packet traverses the route end to end
-// (run before the measurement hooks are installed; the sentinel flow ID
-// keeps any late-buffered probe out of the round accounting).
-func (r *runner) probeDelivers(gw int, route []int) bool {
-	delivered := false
-	r.tb.Net.OnDeliver = func(s *dataplane.Satellite, p *dataplane.Packet) { delivered = true }
-	p, err := dataplane.NewGeoPacket(uint32(gw), route, ^uint32(0), 0, nil)
-	if err != nil {
-		r.tb.Net.OnDeliver = nil
-		return false
-	}
-	r.tb.Net.Inject(gw, p)
-	r.tb.Net.Sim.Run(r.tb.Net.Sim.Now() + 5)
-	r.tb.Net.OnDeliver = nil
-	return delivered
 }
 
 // installHooks attaches the round accounting to the data plane. Both hooks
@@ -431,8 +412,8 @@ func (r *runner) runRound(round int) error {
 	}
 	r.snap = newSnap
 
-	// Phase 5: apply acknowledged changes to the live network, rebuild the
-	// gateway rings, and flush §4.3's repair buffers.
+	// Phase 5: apply acknowledged changes to the live network and flush
+	// §4.3's repair buffers.
 	r.applyTopology(newSnap)
 	r.tb.Net.FlushBuffers()
 
@@ -895,8 +876,8 @@ func (r *runner) commandTarget(l mpc.Link) (target, other int, ok bool) {
 	return 0, 0, false
 }
 
-// applyTopology applies the round's acknowledged link changes to the
-// emulated network and rebuilds the gateway rings from the new snapshot.
+// applyTopology applies the round's acknowledged link changes, in send
+// order, to the emulated network (Testbed.apply owns the how).
 func (r *runner) applyTopology(snap *mpc.Snapshot) {
 	r.mu.Lock()
 	seqs := make([]int, 0, len(r.actions))
@@ -911,42 +892,7 @@ func (r *runner) applyTopology(snap *mpc.Snapshot) {
 		}
 	}
 	r.mu.Unlock()
-	for _, a := range acts {
-		if a.up {
-			if r.ensureSat(snap, a.link[0]) && r.ensureSat(snap, a.link[1]) {
-				r.tb.Net.EnsureLink(a.link[0], a.link[1], r.tb.linkDelay(a.link, snap.Time))
-			}
-		} else if nl := r.tb.Net.Link(a.link[0], a.link[1]); nl != nil && nl.IsUp() {
-			nl.Down()
-		}
-	}
-	for _, cell := range snapshotCells(snap) {
-		if ring := ringOrder(r.tb.Net, snap, cell); len(ring) >= 2 {
-			r.tb.Net.SetRing(ring)
-		}
-	}
-}
-
-// ensureSat makes sure a repair-introduced gateway satellite exists in the
-// network, homed to its snapshot cell.
-func (r *runner) ensureSat(snap *mpc.Snapshot, id int) bool {
-	if r.tb.Net.Sats[id] != nil {
-		return true
-	}
-	cells := make([]int, 0, len(snap.CellSats))
-	for c := range snap.CellSats {
-		cells = append(cells, c)
-	}
-	sort.Ints(cells)
-	for _, c := range cells {
-		for _, s := range snap.CellSats[c] {
-			if s == id {
-				r.tb.Net.AddSatellite(id, c)
-				return true
-			}
-		}
-	}
-	return false
+	r.tb.apply(snap, acts)
 }
 
 // finish aggregates counters and scores the campaign's SLOs.

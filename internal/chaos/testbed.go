@@ -51,9 +51,10 @@ func (c *TestbedConfig) fillDefaults() {
 	}
 }
 
-// Testbed is the campaign's system under test: a constellation, its mesh
-// intent, the orbital MPC, one compiled snapshot, and the emulated data
-// plane built from it.
+// Testbed is the one system under test of this repository: a constellation,
+// its mesh intent, the orbital MPC, one compiled snapshot, and the emulated
+// data plane built from it. The campaign engine, the control- and data-plane
+// figures of internal/experiments and the bench/ ledger all run on it.
 type Testbed struct {
 	Cfg  TestbedConfig
 	Sats []orbit.Elements
@@ -66,21 +67,23 @@ type Testbed struct {
 	Cells []int
 }
 
-// NewTestbed builds the system under test: a Walker constellation, the
-// mesh intent its coverage guarantees (§4.2's geographic invariant), a
-// compiled slot-0 topology, and the emulated network.
+// NewTestbed builds the system under test. At a few hundred satellites a
+// slimmed multi-shell layout guarantees no cell a minimum satellite count,
+// so the constellation is a dense single-shell Walker at 1,200 km whose wide
+// footprints make §4.2's geographic invariant hold; the mesh intent is what
+// that constellation guarantees over the supply horizon, compiled at slot 0
+// and materialized by BuildNetwork.
 func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 	cfg.fillDefaults()
-	side := int(math.Sqrt(float64(cfg.Sats)))
-	if side < 2 {
-		side = 2
-	}
+	side := max(2, int(math.Sqrt(float64(cfg.Sats))))
 	sats := baseline.WalkerConfig{
 		InclinationDeg: 53, AltitudeKm: 1200,
 		Planes: side, SatsPerPlane: side, PhasingF: 1,
 	}.Satellites()
 
 	g := geo.MustGrid(cfg.CellDeg)
+	// Half the default minimum elevation: the widened footprint is what lets
+	// so few satellites guarantee cells.
 	cov := orbit.CoverageParams{MinElevation: orbit.DefaultCoverageParams.MinElevation / 2}
 	supply := baseline.Supply(baseline.SupplyConfig{
 		Grid: g, Slots: cfg.Slots, SlotSeconds: cfg.SlotSeconds, SubSamples: 1,
@@ -88,8 +91,9 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 	}, sats)
 	guaranteed := intent.GuaranteedFromSupply(g, cfg.Slots, supply)
 
-	// Grow a connected intent region from the best-guaranteed cell, capped
-	// so gateway demand stays within the constellation's terminal budget.
+	// Grow a connected intent region from the best-guaranteed cell. A K-cell
+	// mesh has ≈2K edges needing ≈4K gateway satellites; the cap keeps that
+	// well under the constellation's budget of one gateway terminal each.
 	qualified := map[int]int{}
 	seed, bestG := -1, 0
 	for u := 0; u < g.NumCells(); u++ {
@@ -103,10 +107,7 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 	if seed < 0 {
 		return nil, fmt.Errorf("chaos: no cells qualify for the testbed intent")
 	}
-	maxCells := len(sats) / 32
-	if maxCells < 6 {
-		maxCells = 6
-	}
+	maxCells := max(6, len(sats)/32)
 	region := map[int]int{seed: qualified[seed]}
 	frontier := []int{seed}
 	for len(frontier) > 0 && len(region) < maxCells {
@@ -140,7 +141,7 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 	snap := ctl.Compile(0)
 
 	tb := &Testbed{Cfg: cfg, Sats: sats, Topo: topo, Ctl: ctl, Snap: snap}
-	tb.Net = tb.buildNetwork(snap)
+	tb.Net = BuildNetwork(snap, sats, cfg.ISLRateBps, cfg.QueueLimit)
 	for cell, members := range snap.CellSats {
 		if len(members) > 0 {
 			tb.Cells = append(tb.Cells, cell)
@@ -153,71 +154,115 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 	return tb, nil
 }
 
-// buildNetwork materializes a snapshot as an emulated data plane:
-// gateway satellites homed to their duty cells, ISLs with physical
-// propagation delays, and the per-cell gateway rings.
-func (tb *Testbed) buildNetwork(snap *mpc.Snapshot) *dataplane.Network {
+// BuildNetwork is the one snapshot→network builder: it materializes a
+// compiled snapshot as an emulated data plane of gateway satellites in
+// their home cells (non-gateway satellites hold no ISL and are omitted),
+// ISLs with the speed-of-light delay at the snapshot's time — inter-cell
+// links first, then ring links, each in snapshot order, which is the
+// creation order seeded callers index into — and the per-cell gateway
+// rings. A rate or queue limit ≤ 0 keeps dataplane.NewNetwork's default.
+func BuildNetwork(snap *mpc.Snapshot, sats []orbit.Elements, rateBps float64, queueLimit int) *dataplane.Network {
 	n := dataplane.NewNetwork()
-	n.ISLRateBps = tb.Cfg.ISLRateBps
-	n.QueueLimit = tb.Cfg.QueueLimit
-	// Gateway keys sorted: a satellite can hold duty under more than one
-	// edge key (repair can double-book), and the first key seen decides
-	// its home cell — iterating the map here made the emulated network
-	// differ run to run.
-	gwKeys := make([][2]int, 0, len(snap.Gateways))
-	for key := range snap.Gateways {
-		gwKeys = append(gwKeys, key)
+	if rateBps > 0 {
+		n.ISLRateBps = rateBps
 	}
-	sort.Slice(gwKeys, func(i, j int) bool {
-		if gwKeys[i][0] != gwKeys[j][0] {
-			return gwKeys[i][0] < gwKeys[j][0]
-		}
-		return gwKeys[i][1] < gwKeys[j][1]
-	})
-	for _, key := range gwKeys {
-		for _, s := range snap.Gateways[key] {
-			if n.Sats[s] == nil {
-				n.AddSatellite(s, key[0])
-			}
-		}
+	if queueLimit > 0 {
+		n.QueueLimit = queueLimit
 	}
+	placeGateways(n, snap)
 	for _, l := range snap.Links() {
 		if n.Sats[l[0]] == nil || n.Sats[l[1]] == nil || n.Link(l[0], l[1]) != nil {
 			continue
 		}
-		n.Connect(l[0], l[1], tb.linkDelay(l, snap.Time))
+		n.Connect(l[0], l[1], linkDelay(sats, l, snap.Time))
 	}
-	for _, cell := range snapshotCells(snap) {
-		if ring := ringOrder(n, snap, cell); len(ring) >= 2 {
-			n.SetRing(ring)
-		}
-	}
+	installRings(n, snap)
 	return n
 }
 
-// linkDelay is the speed-of-light one-way delay of a candidate ISL at t.
-func (tb *Testbed) linkDelay(l mpc.Link, t float64) float64 {
-	return orbit.PropagationDelay(
-		tb.Sats[l[0]].PositionECI(t), tb.Sats[l[1]].PositionECI(t))
+// apply brings the live network to snap the incremental way, link
+// statistics and in-flight packets intact: the gateways snap introduces are
+// placed, the given link changes applied in order — the engine passes those
+// its agents acknowledged — and the rings reinstalled. With every change of
+// DiffLinks(previous, snap) applied, the satellite→cell map, the ring
+// pointers and the set of up links are those of BuildNetwork(snap).
+func (tb *Testbed) apply(snap *mpc.Snapshot, acts []islAction) {
+	n := tb.Net
+	placeGateways(n, snap)
+	for _, a := range acts {
+		if !a.up {
+			if l := n.Link(a.link[0], a.link[1]); l != nil && l.IsUp() {
+				l.Down()
+			}
+		} else if n.Sats[a.link[0]] != nil && n.Sats[a.link[1]] != nil {
+			n.EnsureLink(a.link[0], a.link[1], linkDelay(tb.Sats, a.link, snap.Time))
+		}
+	}
+	installRings(n, snap)
 }
 
-// snapshotCells returns the snapshot's gateway home cells, ascending.
-func snapshotCells(snap *mpc.Snapshot) []int {
-	seen := map[int]bool{}
+// placeGateways is the home-cell rule, written once: a satellite's
+// forwarding identity is the cell whose gateway duty it holds, and where
+// repair double-booked it under several edge keys, the first key in sorted
+// order decides (iterating the map here made the network differ run to
+// run). Gateways n lacks are added; one whose duty moved is re-homed.
+func placeGateways(n *dataplane.Network, snap *mpc.Snapshot) {
+	placed := map[int]bool{}
+	for _, key := range gatewayKeys(snap) {
+		for _, s := range snap.Gateways[key] {
+			if placed[s] {
+				continue
+			}
+			placed[s] = true
+			if sat := n.Sats[s]; sat != nil {
+				sat.Cell = key[0]
+			} else {
+				n.AddSatellite(s, key[0])
+			}
+		}
+	}
+}
+
+// gatewayKeys returns the snapshot's directed edge keys {home cell,
+// neighbour cell} in lexicographic order.
+func gatewayKeys(snap *mpc.Snapshot) [][2]int {
+	keys := make([][2]int, 0, len(snap.Gateways))
 	for key := range snap.Gateways {
-		seen[key[0]] = true
+		keys = append(keys, key)
 	}
-	out := make([]int, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i][0] != keys[j][0] {
+			return keys[i][0] < keys[j][0]
+		}
+		return keys[i][1] < keys[j][1]
+	})
+	return keys
+}
+
+// installRings is the ring rule, written once: every ring pointer is
+// cleared, then each home cell's ring is walked out of snap.RingLinks and
+// installed.
+func installRings(n *dataplane.Network, snap *mpc.Snapshot) {
+	for _, s := range n.Sats {
+		s.RingNext = -1
 	}
-	sort.Ints(out)
-	return out
+	keys := gatewayKeys(snap)
+	for i, key := range keys {
+		if i == 0 || keys[i-1][0] != key[0] {
+			n.SetRing(ringOrder(n, snap, key[0]))
+		}
+	}
+}
+
+// linkDelay is the speed-of-light one-way delay of an ISL at t.
+func linkDelay(sats []orbit.Elements, l mpc.Link, t float64) float64 {
+	return orbit.PropagationDelay(sats[l[0]].PositionECI(t), sats[l[1]].PositionECI(t))
 }
 
 // ringOrder reconstructs the cyclic order of a cell's gateway ring from
 // the snapshot's ring links, using the network's home-cell assignment for
-// membership.
+// membership: from the lowest-numbered member, towards its first neighbour
+// in ring-link order.
 func ringOrder(n *dataplane.Network, snap *mpc.Snapshot, cell int) []int {
 	inCell := map[int]bool{}
 	for id, s := range n.Sats {
@@ -263,13 +308,33 @@ func ringOrder(n *dataplane.Network, snap *mpc.Snapshot, cell int) []int {
 	return order
 }
 
-// gatewayOf returns an injection satellite for a cell under snap: one of
-// its gateway ring members (only gateways hold ISLs).
-func gatewayOf(topo *intent.Topology, snap *mpc.Snapshot, cell int) (int, bool) {
-	for _, v := range topo.Neighbors(cell) {
-		if g := snap.Gateways[[2]int{cell, v}]; len(g) > 0 {
+// GatewayOf returns an injection satellite for a cell under the testbed's
+// snapshot: one of its gateway ring members (only gateways hold ISLs).
+func (tb *Testbed) GatewayOf(cell int) (int, bool) {
+	for _, v := range tb.Topo.Neighbors(cell) {
+		if g := tb.Snap.Gateways[[2]int{cell, v}]; len(g) > 0 {
 			return g[0], true
 		}
 	}
 	return -1, false
+}
+
+// ProbeDelivers reports whether a geo-segment packet injected at gw
+// traverses the cell route end to end. It advances the emulator by 5 s and
+// restores the delivery hook; the sentinel flow ID keeps a late-buffered
+// probe out of any per-flow accounting installed afterwards. Which routes
+// to probe, and which of the delivering ones to keep, is the caller's
+// policy.
+func (tb *Testbed) ProbeDelivers(gw int, route []int) bool {
+	p, err := dataplane.NewGeoPacket(uint32(gw), route, ^uint32(0), 0, nil)
+	if err != nil {
+		return false
+	}
+	delivered := false
+	save := tb.Net.OnDeliver
+	tb.Net.OnDeliver = func(*dataplane.Satellite, *dataplane.Packet) { delivered = true }
+	tb.Net.Inject(gw, p)
+	tb.Net.Sim.Run(tb.Net.Sim.Now() + 5)
+	tb.Net.OnDeliver = save
+	return delivered
 }

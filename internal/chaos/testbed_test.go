@@ -1,0 +1,191 @@
+package chaos
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"repro/internal/dataplane"
+	"repro/internal/mpc"
+)
+
+// Regression for the builder assigning home cells in map iteration order:
+// satellite 5 below holds gateway duty under two edge keys with different
+// home cells, so the pre-fix code homed it to cell 1 or cell 3 depending on
+// which key the runtime yielded first.
+func TestNetworkFromSnapshotIsDeterministic(t *testing.T) {
+	snap := &mpc.Snapshot{
+		Gateways: map[[2]int][]int{
+			{1, 2}: {5, 7},
+			{3, 4}: {5, 8},
+			{2, 1}: {6},
+		},
+	}
+	first := networkFingerprint(BuildNetwork(snap, nil, 0, 0))
+	if !strings.Contains(first, "sat 5 cell 1") {
+		t.Fatalf("satellite 5 not homed to the lowest edge key's cell:\n%s", first)
+	}
+	for run := 1; run < 10; run++ {
+		if got := networkFingerprint(BuildNetwork(snap, nil, 0, 0)); got != first {
+			t.Fatalf("run %d built a different network:\n--- first\n%s--- run %d\n%s", run, first, run, got)
+		}
+	}
+}
+
+// testbedDigest is a sha256 over everything a caller can observe of the
+// testbed's structure: satellite count, intent cells and edges, the slot-0
+// snapshot's links and gateway sets, every network satellite's home cell
+// and ring successor, and every link — in creation order, which seeded
+// callers index into — with its delay bits.
+func testbedDigest(tb *Testbed) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "sats %d\ncells %v\n", len(tb.Sats), tb.Topo.Cells())
+	for _, e := range tb.Topo.EdgeList() {
+		fmt.Fprintf(h, "edge %v %d\n", e, tb.Topo.Edges[e])
+	}
+	fmt.Fprintf(h, "inter %v\nring %v\n", tb.Snap.InterLinks, tb.Snap.RingLinks)
+	for _, k := range gatewayKeys(tb.Snap) {
+		fmt.Fprintf(h, "gw %v %v\n", k, tb.Snap.Gateways[k])
+	}
+	for _, id := range sortedSats(tb.Net) {
+		fmt.Fprintf(h, "sat %d cell %d next %d\n", id, tb.Net.Sats[id].Cell, tb.Net.Sats[id].RingNext)
+	}
+	for _, l := range tb.Net.Links() {
+		fmt.Fprintf(h, "link %d %d %x\n", l.A, l.B, math.Float64bits(l.Delay))
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// The digests were recorded at the commit before internal/experiments and
+// bench/ came to share this builder (PR 15's parent), from NewTestbed and,
+// for the last row, from the experiments' own newDataPlaneTestbed(Small):
+// they show that neither the ledger's inputs nor the figures' moved. Link
+// rate and queue limit are not part of the digest, which is why the rows
+// of one size agree.
+func TestTestbedIsPinned(t *testing.T) {
+	const (
+		sats256  = "b7b7ce5cbd6adf26c125663436a81a7c84032c6271d0d9375f7e0c5319c7c740"
+		sats529  = "dddca2226986a4a9b48b2a1ceb60834e2946ba2c08e49b9f6a5d980a9e0f91d2"
+		sats1764 = "a703ed264ae5ca37c60b2a3c8154c94f2dd38bffcbb6adac0de219c50a042bcd"
+	)
+	for _, c := range []struct {
+		name string
+		cfg  TestbedConfig
+		want string
+	}{
+		{"campaign default", TestbedConfig{Sats: 256}, sats256},
+		{"bench enforce-churn", TestbedConfig{Sats: 529}, sats529},
+		{"bench forward-mix", TestbedConfig{Sats: 529, ISLRateBps: dataplane.ISLRateBpsDefault, QueueLimit: 4096}, sats529},
+		{"bench control-steady", TestbedConfig{Sats: 1764, SlotSeconds: 150}, sats1764},
+		{"experiments small", TestbedConfig{
+			Sats: 256, CellDeg: 10, Slots: 8, SlotSeconds: 300,
+			ISLRateBps: dataplane.ISLRateBpsDefault, QueueLimit: 4096,
+		}, sats256},
+	} {
+		tb, err := NewTestbed(c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := testbedDigest(tb); got != c.want {
+			t.Errorf("%s: testbed digest %s, pinned %s", c.name, got, c.want)
+		}
+		for _, l := range tb.Net.Links() {
+			if l.RateBps != tb.Cfg.ISLRateBps || l.QueueLimit != tb.Cfg.QueueLimit {
+				t.Fatalf("%s: link %d-%d has rate %g queue %d, config says %g and %d",
+					c.name, l.A, l.B, l.RateBps, l.QueueLimit, tb.Cfg.ISLRateBps, tb.Cfg.QueueLimit)
+			}
+		}
+	}
+}
+
+// liveFingerprint renders the part of a live network a fresh build can be
+// compared on: the given satellites' home cell, ring successor and up peers.
+func liveFingerprint(n *dataplane.Network, ids []int) string {
+	var b strings.Builder
+	for _, id := range ids {
+		s := n.Sats[id]
+		if s == nil {
+			fmt.Fprintf(&b, "sat %d missing\n", id)
+			continue
+		}
+		var up []int
+		for _, p := range s.Peers() {
+			if n.Link(id, p).IsUp() {
+				up = append(up, p)
+			}
+		}
+		fmt.Fprintf(&b, "sat %d cell %d ring %d up %v\n", id, s.Cell, s.RingNext, up)
+	}
+	return b.String()
+}
+
+// Applying a repair's link diff to the live network the engine's way and
+// building a network from the repaired snapshot are two routes to one
+// state. Before the testbed owned the home-cell rule, the engine homed a
+// repair-introduced gateway to its lowest-numbered covered cell (13 of 14
+// replacements at 256 satellites), so anycast never used the replacement
+// link the campaign then scored.
+func TestIncrementalApplyMatchesFullBuild(t *testing.T) {
+	for _, sats := range []int{256, 529} {
+		tb, err := NewTestbed(TestbedConfig{Sats: sats})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(sats)))
+		snap := tb.Snap
+		introduced, rehomed := 0, 0
+		for round := 0; round < 20; round++ {
+			var failed []mpc.Link
+			for _, i := range rng.Perm(len(snap.InterLinks))[:max(1, len(snap.InterLinks)/10)] {
+				l := snap.InterLinks[i]
+				tb.Net.Link(l[0], l[1]).Down()
+				failed = append(failed, l)
+			}
+			next, _ := tb.Ctl.Repair(snap, failed, nil, 0)
+			added, removed := mpc.DiffLinks(snap, next)
+			var acts []islAction
+			for _, l := range added {
+				acts = append(acts, islAction{l, true})
+			}
+			for _, l := range removed {
+				acts = append(acts, islAction{l, false})
+			}
+			before := map[int]int{}
+			for id, s := range tb.Net.Sats {
+				before[id] = s.Cell
+			}
+			tb.apply(next, acts)
+
+			fresh := BuildNetwork(next, tb.Sats, tb.Cfg.ISLRateBps, tb.Cfg.QueueLimit)
+			ids := sortedSats(fresh)
+			if got, want := liveFingerprint(tb.Net, ids), liveFingerprint(fresh, ids); got != want {
+				t.Fatalf("%d satellites, round %d: live network differs from a fresh build\n--- live\n%s--- fresh\n%s",
+					sats, round, got, want)
+			}
+			for _, id := range sortedSats(tb.Net) {
+				s := tb.Net.Sats[id]
+				if fresh.Sats[id] != nil {
+					if cell, was := before[id]; !was {
+						introduced++
+					} else if cell != s.Cell {
+						rehomed++
+					}
+					continue
+				}
+				// A satellite the snapshot no longer lists holds no duty: no
+				// up link, no ring pointer.
+				if fp := liveFingerprint(tb.Net, []int{id}); !strings.HasSuffix(fp, "ring -1 up []\n") {
+					t.Fatalf("%d satellites, round %d: retired gateway still wired: %s", sats, round, fp)
+				}
+			}
+			snap = next
+		}
+		if introduced == 0 {
+			t.Errorf("%d satellites: no repair introduced a gateway; the property was not exercised", sats)
+		}
+		t.Logf("%d satellites: %d gateways introduced, %d re-homed over 20 repairs", sats, introduced, rehomed)
+	}
+}

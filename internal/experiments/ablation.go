@@ -91,8 +91,7 @@ func AblationLibraryRichness(scale Scale) (*metrics.Table, error) {
 // matching (§4.2's τ) against distance-preference matching: the lifetime
 // preference should yield fewer ISL reconfigurations across slots.
 func AblationMPCLifetime(scale Scale) (*metrics.Table, error) {
-	sats := controlConstellation(scale)
-	topo, err := controlIntent(scale, sats)
+	tb, err := newTestbed(scale)
 	if err != nil {
 		return nil, err
 	}
@@ -101,10 +100,10 @@ func AblationMPCLifetime(scale Scale) (*metrics.Table, error) {
 	dt := scale.ControlDt / 5
 	slots := scale.ControlSlots * 3
 	churnWith := func(horizon float64) (int, error) {
-		ctl, err := mpc.New(mpc.Config{
-			Topo: topo, Sats: sats, Coverage: controlCoverage(),
-			LifetimeHorizon: horizon, LifetimeStep: dt / 2,
-		})
+		// The testbed's controller with only the τ window changed.
+		cfg := tb.Ctl.Config()
+		cfg.LifetimeHorizon, cfg.LifetimeStep = horizon, dt/2
+		ctl, err := mpc.New(cfg)
 		if err != nil {
 			return 0, err
 		}
@@ -175,7 +174,7 @@ func DiscussionFederation(scale Scale, lib *texture.Library) (*metrics.Table, er
 	tab.AddRow("federated total", fed.Satellites, "-")
 	tab.AddRow("independent total", fed.IndependentSatellites, "-")
 	tab.AddRow("sharing gain", fed.SharingGain,
-		fmt.Sprintf("%.1f%%", 100*float64(fed.SharingGain)/float64(maxI(1, fed.IndependentSatellites))))
+		fmt.Sprintf("%.1f%%", 100*float64(fed.SharingGain)/float64(max(1, fed.IndependentSatellites))))
 	return tab, nil
 }
 

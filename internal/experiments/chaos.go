@@ -20,12 +20,6 @@ func ChaosCampaign(scale Scale, scenarioName string, seed int64) ([]*metrics.Tab
 	if scenarioName != "" && scenarioName != "all" {
 		names = []string{scenarioName}
 	}
-	cfg := chaos.TestbedConfig{
-		Sats:        scale.ControlSats,
-		CellDeg:     scale.CellDeg,
-		Slots:       scale.ControlSlots,
-		SlotSeconds: scale.ControlDt,
-	}
 	summary := metrics.NewTable(
 		fmt.Sprintf("Chaos campaigns (seed %d, %s scale)", seed, scale.Name),
 		"scenario", "rounds", "faults", "delivery ratio", "recovery p50 (ms)",
@@ -42,7 +36,7 @@ func ChaosCampaign(scale Scale, scenarioName string, seed int64) ([]*metrics.Tab
 		if err != nil {
 			return nil, nil, err
 		}
-		rep, err := chaos.Run(chaos.Campaign{Scenario: s, Seed: seed, Testbed: cfg})
+		rep, err := chaos.Run(chaos.Campaign{Scenario: s, Seed: seed, Testbed: scale.testbedConfig()})
 		if err != nil {
 			return nil, nil, fmt.Errorf("experiments: chaos %s: %w", name, err)
 		}

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/baseline"
+	"repro/internal/chaos"
+	"repro/internal/dataplane"
 	"repro/internal/metrics"
 	"repro/internal/texture"
 )
@@ -53,6 +55,42 @@ func renderAll(t *testing.T, tabs ...*metrics.Table) string {
 	out := sb.String()
 	t.Log("\n" + out)
 	return out
+}
+
+// The figures' system under test is chaos's testbed at exactly this
+// config; internal/chaos TestTestbedIsPinned pins what it builds to the
+// digest of what this package's own newDataPlaneTestbed(Small) built before
+// the two were one. NetworkFromSnapshot, which bench/'s loop-plan calls, is
+// the same builder with the same link defaults.
+func TestFigureTestbedIsThePinnedOne(t *testing.T) {
+	tb, err := newTestbed(Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := chaos.TestbedConfig{
+		Sats: 256, CellDeg: 10, Slots: 8, SlotSeconds: 300,
+		ISLRateBps: dataplane.ISLRateBpsDefault, QueueLimit: 4096,
+	}
+	if tb.Cfg != want {
+		t.Fatalf("figure testbed config %+v, pinned %+v", tb.Cfg, want)
+	}
+	n := NetworkFromSnapshot(tb.Snap, tb.Sats)
+	if len(n.Sats) != len(tb.Net.Sats) || len(n.Links()) != len(tb.Net.Links()) {
+		t.Fatalf("NetworkFromSnapshot built %d satellites and %d links, the testbed %d and %d",
+			len(n.Sats), len(n.Links()), len(tb.Net.Sats), len(tb.Net.Links()))
+	}
+	for id, s := range tb.Net.Sats {
+		if got := n.Sats[id]; got == nil || got.Cell != s.Cell || got.RingNext != s.RingNext {
+			t.Fatalf("satellite %d: NetworkFromSnapshot built %+v, the testbed cell %d ring %d", id, got, s.Cell, s.RingNext)
+		}
+	}
+	for i, l := range tb.Net.Links() {
+		if got := n.Links()[i]; got.A != l.A || got.B != l.B || got.Delay != l.Delay ||
+			got.RateBps != l.RateBps || got.QueueLimit != l.QueueLimit {
+			t.Fatalf("link %d: NetworkFromSnapshot built %d-%d, the testbed %d-%d (or delay, rate or queue differ)",
+				i, got.A, got.B, l.A, l.B)
+		}
+	}
 }
 
 func TestScaleByName(t *testing.T) {

@@ -163,7 +163,7 @@ func Figure15a(outs []*SparsifyOutcome) *metrics.Table {
 			ilp += "*"
 		}
 		tab.AddRow(o.Scenario, o.TinyLEO.Satellites, ilp, mr, len(o.Starlink),
-			fmt.Sprintf("%.1fx", float64(len(o.Starlink))/float64(maxI(1, o.TinyLEO.Satellites))))
+			fmt.Sprintf("%.1fx", float64(len(o.Starlink))/float64(max(1, o.TinyLEO.Satellites))))
 	}
 	return tab
 }
@@ -196,7 +196,7 @@ func Figure15c(outs []*SparsifyOutcome) *metrics.Table {
 		"scenario", "satellites", "availability")
 	for _, o := range outs {
 		tr := o.TinyLEO.Trace
-		step := maxI(1, len(tr)/8)
+		step := max(1, len(tr)/8)
 		for i := 0; i < len(tr); i += step {
 			tab.AddRow(o.Scenario, tr[i].Satellites, fmt.Sprintf("%.4f", tr[i].Availability))
 		}

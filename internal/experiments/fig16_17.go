@@ -5,111 +5,19 @@ import (
 	"math/rand"
 	"time"
 
-	"math"
-
-	"repro/internal/baseline"
-	"repro/internal/intent"
 	"repro/internal/metrics"
 	"repro/internal/mpc"
-	"repro/internal/orbit"
 	"repro/internal/tssdn"
 )
-
-// controlConstellation builds the shared satellite set for the
-// control/data-plane experiments. At small scales a slimmed multi-shell
-// layout cannot guarantee any cell a minimum satellite count, so the
-// testbed uses a dense single-shell Walker at 1,200 km whose wide
-// footprints make the §4.2 geographic invariant hold with few satellites;
-// at Paper scale this converges to a mega-constellation-sized network.
-func controlConstellation(scale Scale) []orbit.Elements {
-	side := int(math.Sqrt(float64(scale.ControlSats)))
-	if side < 2 {
-		side = 2
-	}
-	return baseline.WalkerConfig{
-		InclinationDeg: 53, AltitudeKm: 1200,
-		Planes: side, SatsPerPlane: side, PhasingF: 1,
-	}.Satellites()
-}
-
-// controlIntent derives an enforceable mesh intent from what the
-// constellation actually guarantees over the horizon (§4.2's geographic
-// invariant). The mesh is grown from the best-guaranteed cell and capped
-// so its gateway demand (2 satellites per intent edge) stays within the
-// constellation's budget of one gateway terminal per satellite.
-func controlIntent(scale Scale, sats []orbit.Elements) (*intent.Topology, error) {
-	g := scale.Grid()
-	supply := baseline.Supply(baseline.SupplyConfig{
-		Grid: g, Slots: scale.ControlSlots,
-		SlotSeconds: scale.ControlDt, SubSamples: 1,
-		Coverage: controlCoverage(), Parallelism: scale.Parallelism,
-		// The §4.2 invariant counts visible satellites per cell.
-		CountSatellites: true,
-	}, sats)
-	guaranteed := intent.GuaranteedFromSupply(g, scale.ControlSlots, supply)
-	qualified := map[int]int{}
-	seed, bestG := -1, 0
-	for u := 0; u < g.NumCells(); u++ { // deterministic scan order
-		n := guaranteed[u]
-		if n >= 3 {
-			qualified[u] = n
-			if n > bestG {
-				seed, bestG = u, n
-			}
-		}
-	}
-	if seed < 0 {
-		return nil, fmt.Errorf("experiments: no cells qualify for the control intent")
-	}
-	// Grow a connected region: a K-cell mesh has ≈2K edges needing ≈4K
-	// gateway satellites; keep 4K well under the satellite count.
-	maxCells := maxI(6, len(sats)/32)
-	region := map[int]int{seed: qualified[seed]}
-	frontier := []int{seed}
-	for len(frontier) > 0 && len(region) < maxCells {
-		u := frontier[0]
-		frontier = frontier[1:]
-		for _, v := range g.Neighbors4(u) {
-			if _, ok := region[v]; ok {
-				continue
-			}
-			if n, ok := qualified[v]; ok {
-				region[v] = n
-				frontier = append(frontier, v)
-				if len(region) >= maxCells {
-					break
-				}
-			}
-		}
-	}
-	topo := intent.MeshIntent(g, region, 1, 1)
-	if len(topo.Cells()) < 2 || len(topo.Edges) == 0 {
-		return nil, fmt.Errorf("experiments: control intent region degenerate (%d cells)", len(topo.Cells()))
-	}
-	return topo, nil
-}
-
-// controlCoverage widens the footprint for small-scale control runs so the
-// slimmed constellation still guarantees cells.
-func controlCoverage() orbit.CoverageParams {
-	return orbit.CoverageParams{MinElevation: orbit.DefaultCoverageParams.MinElevation / 2}
-}
 
 // Figure16 demonstrates dynamic enforcement of a fixed geographic intent:
 // the intent never changes while the compiled satellite topology evolves.
 func Figure16(scale Scale) ([]*metrics.Table, []*mpc.Snapshot, error) {
-	sats := controlConstellation(scale)
-	topo, err := controlIntent(scale, sats)
+	tb, err := newTestbed(scale)
 	if err != nil {
 		return nil, nil, err
 	}
-	ctl, err := mpc.New(mpc.Config{
-		Topo: topo, Sats: sats, Coverage: controlCoverage(),
-		LifetimeHorizon: 2 * scale.ControlDt, LifetimeStep: scale.ControlDt / 5,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
+	ctl := tb.Ctl
 	tab := metrics.NewTable("Figure 16: dynamic enforcement of a fixed geographic intent",
 		"minute", "inter-cell ISLs", "ring ISLs", "enforcement", "ISL changes vs prev")
 	var snaps []*mpc.Snapshot
@@ -124,9 +32,9 @@ func Figure16(scale Scale) ([]*metrics.Table, []*mpc.Snapshot, error) {
 		prev = snap
 	}
 	meta := metrics.NewTable("Figure 16 (context)", "metric", "value")
-	meta.AddRow("intent cells (fixed over the run)", len(topo.Cells()))
-	meta.AddRow("intent edges (fixed over the run)", len(topo.Edges))
-	meta.AddRow("satellites", len(sats))
+	meta.AddRow("intent cells (fixed over the run)", len(tb.Topo.Cells()))
+	meta.AddRow("intent edges (fixed over the run)", len(tb.Topo.Edges))
+	meta.AddRow("satellites", len(tb.Sats))
 	return []*metrics.Table{meta, tab}, snaps, nil
 }
 
@@ -134,18 +42,11 @@ func Figure16(scale Scale) ([]*metrics.Table, []*mpc.Snapshot, error) {
 // commands, zero route updates thanks to geo segment anycast) versus
 // TS-SDN with and without route aggregation on the same constellation.
 func Figure17(scale Scale) ([]*metrics.Table, error) {
-	sats := controlConstellation(scale)
-	topo, err := controlIntent(scale, sats)
+	tb, err := newTestbed(scale)
 	if err != nil {
 		return nil, err
 	}
-	ctl, err := mpc.New(mpc.Config{
-		Topo: topo, Sats: sats, Coverage: controlCoverage(),
-		LifetimeHorizon: 2 * scale.ControlDt, LifetimeStep: scale.ControlDt / 5,
-	})
-	if err != nil {
-		return nil, err
-	}
+	sats, ctl := tb.Sats, tb.Ctl
 	plain, err := tssdn.New(tssdn.Config{Sats: sats})
 	if err != nil {
 		return nil, err
@@ -192,19 +93,11 @@ func Figure17(scale Scale) ([]*metrics.Table, error) {
 // report RTT + MPC compute + instruction RTT (paper: 83.8 ms average,
 // 83.5 ms of it RTT).
 func Figure17d(scale Scale, failures int) (*metrics.Table, error) {
-	sats := controlConstellation(scale)
-	topo, err := controlIntent(scale, sats)
+	tb, err := newTestbed(scale)
 	if err != nil {
 		return nil, err
 	}
-	ctl, err := mpc.New(mpc.Config{
-		Topo: topo, Sats: sats, Coverage: controlCoverage(),
-		LifetimeHorizon: 2 * scale.ControlDt, LifetimeStep: scale.ControlDt / 5,
-	})
-	if err != nil {
-		return nil, err
-	}
-	snap := ctl.Compile(0)
+	ctl, snap := tb.Ctl, tb.Snap
 	if len(snap.InterLinks) == 0 {
 		return nil, fmt.Errorf("experiments: no links to fail")
 	}

@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/baseline"
+	"repro/internal/chaos"
 	"repro/internal/dataplane"
 	"repro/internal/geom"
 	"repro/internal/intent"
@@ -15,48 +15,9 @@ import (
 	"repro/internal/tssdn"
 )
 
-// dataPlaneTestbed is the shared §6.3 setup: a constellation, its mesh
-// intent, one compiled snapshot, and the emulated network.
-type dataPlaneTestbed struct {
-	Sats  []orbit.Elements
-	Topo  *intent.Topology
-	Ctl   *mpc.Controller
-	Snap  *mpc.Snapshot
-	Net   *dataplane.Network
-	Cells []int // intent cells with at least one homed satellite
-}
-
-func newDataPlaneTestbed(scale Scale) (*dataPlaneTestbed, error) {
-	sats := controlConstellation(scale)
-	topo, err := controlIntent(scale, sats)
-	if err != nil {
-		return nil, err
-	}
-	ctl, err := mpc.New(mpc.Config{
-		Topo: topo, Sats: sats, Coverage: controlCoverage(),
-		LifetimeHorizon: 2 * scale.ControlDt, LifetimeStep: scale.ControlDt / 5,
-	})
-	if err != nil {
-		return nil, err
-	}
-	snap := ctl.Compile(0)
-	net := NetworkFromSnapshot(snap, sats)
-	tb := &dataPlaneTestbed{Sats: sats, Topo: topo, Ctl: ctl, Snap: snap, Net: net}
-	for cell, members := range snap.CellSats {
-		if len(members) > 0 {
-			tb.Cells = append(tb.Cells, cell)
-		}
-	}
-	sort.Ints(tb.Cells)
-	if len(tb.Cells) < 2 {
-		return nil, fmt.Errorf("experiments: data-plane testbed has %d populated cells", len(tb.Cells))
-	}
-	return tb, nil
-}
-
 // findWorkingRoute returns (srcCell, dstCell, route) for the longest
 // intent route whose packets actually deliver in the emulated network.
-func (tb *dataPlaneTestbed) findWorkingRoute(minHops int) (int, int, intent.Route, bool) {
+func findWorkingRoute(tb *chaos.Testbed, minHops int) (int, int, intent.Route, bool) {
 	type candidate struct {
 		src, dst int
 		r        intent.Route
@@ -73,7 +34,7 @@ func (tb *dataPlaneTestbed) findWorkingRoute(minHops int) (int, int, intent.Rout
 				continue
 			}
 			if !found || len(r.Cells) > len(best.r.Cells) {
-				if tb.deliverProbe(src, r) {
+				if gw, ok := tb.GatewayOf(src); ok && tb.ProbeDelivers(gw, r.Cells) {
 					best = candidate{src, dst, r}
 					found = true
 				}
@@ -83,45 +44,13 @@ func (tb *dataPlaneTestbed) findWorkingRoute(minHops int) (int, int, intent.Rout
 	return best.src, best.dst, best.r, found
 }
 
-// gatewayOf returns an injection satellite for a cell: a gateway satellite
-// (ring member), since only gateways participate in inter-cell forwarding.
-func (tb *dataPlaneTestbed) gatewayOf(cell int) (int, bool) {
-	for _, v := range tb.Topo.Neighbors(cell) {
-		if g := tb.Snap.Gateways[[2]int{cell, v}]; len(g) > 0 {
-			return g[0], true
-		}
-	}
-	return -1, false
-}
-
-// deliverProbe checks a probe packet actually arrives along the route.
-func (tb *dataPlaneTestbed) deliverProbe(src int, r intent.Route) bool {
-	gw0, ok := tb.gatewayOf(src)
-	if !ok {
-		return false
-	}
-	gw := []int{gw0}
-	delivered := false
-	save := tb.Net.OnDeliver
-	tb.Net.OnDeliver = func(s *dataplane.Satellite, p *dataplane.Packet) { delivered = true }
-	p, err := dataplane.NewGeoPacket(1, r.Cells, 0xFFFF, 0, nil)
-	if err != nil {
-		tb.Net.OnDeliver = save
-		return false
-	}
-	tb.Net.Inject(gw[0], p)
-	tb.Net.Sim.Run(tb.Net.Sim.Now() + 5)
-	tb.Net.OnDeliver = save
-	return delivered
-}
-
 // Figure18 enforces three routing policies and verifies delivery.
 func Figure18(scale Scale) (*metrics.Table, error) {
-	tb, err := newDataPlaneTestbed(scale)
+	tb, err := newTestbed(scale)
 	if err != nil {
 		return nil, err
 	}
-	src, dst, shortest, ok := tb.findWorkingRoute(2)
+	src, dst, shortest, ok := findWorkingRoute(tb, 2)
 	if !ok {
 		return nil, fmt.Errorf("experiments: no deliverable route in testbed")
 	}
@@ -158,11 +87,11 @@ func Figure18(scale Scale) (*metrics.Table, error) {
 		// mesh edges may carry a gateway deficit, so flag those instead of
 		// sending into a known-unenforced hop (the control plane would
 		// repair them before installing the route).
-		if !tb.routeEnforced(pr.r) {
+		if !routeEnforced(tb, pr.r) {
 			tab.AddRow(pr.name, len(pr.r.Cells), "skipped (unenforced hop)", "-", "-")
 			continue
 		}
-		delivered, hops, delay := tb.sendOnce(src, pr.r)
+		delivered, hops, delay := sendOnce(tb, src, pr.r)
 		tab.AddRow(pr.name, len(pr.r.Cells), delivered, hops, fmt.Sprintf("%.2f", delay*1e3))
 	}
 	return tab, nil
@@ -170,7 +99,7 @@ func Figure18(scale Scale) (*metrics.Table, error) {
 
 // routeEnforced reports whether every hop of the route has gateway
 // satellites on both sides in the compiled snapshot.
-func (tb *dataPlaneTestbed) routeEnforced(r intent.Route) bool {
+func routeEnforced(tb *chaos.Testbed, r intent.Route) bool {
 	for i := 1; i < len(r.Cells); i++ {
 		u, v := r.Cells[i-1], r.Cells[i]
 		if len(tb.Snap.Gateways[[2]int{u, v}]) == 0 || len(tb.Snap.Gateways[[2]int{v, u}]) == 0 {
@@ -180,8 +109,8 @@ func (tb *dataPlaneTestbed) routeEnforced(r intent.Route) bool {
 	return true
 }
 
-func (tb *dataPlaneTestbed) sendOnce(srcCell int, r intent.Route) (bool, int, float64) {
-	gw, ok := tb.gatewayOf(srcCell)
+func sendOnce(tb *chaos.Testbed, srcCell int, r intent.Route) (bool, int, float64) {
+	gw, ok := tb.GatewayOf(srcCell)
 	if !ok {
 		return false, 0, 0
 	}
@@ -290,8 +219,8 @@ func scaledShells(scale Scale) []baseline.Shell {
 	out := make([]baseline.Shell, len(shells))
 	for i, sh := range shells {
 		w := sh.Config
-		w.Planes = maxI(1, int(float64(w.Planes)*sqrtF(f)))
-		w.SatsPerPlane = maxI(2, int(float64(w.SatsPerPlane)*sqrtF(f)))
+		w.Planes = max(1, int(float64(w.Planes)*math.Sqrt(f)))
+		w.SatsPerPlane = max(2, int(float64(w.SatsPerPlane)*math.Sqrt(f)))
 		out[i] = baseline.Shell{Name: sh.Name, Config: w}
 	}
 	return out
@@ -326,11 +255,11 @@ func nearestSat(sats []orbit.Elements, p geom.LatLon, t float64) int {
 // fixed route (19b), full-speed link utilization (19c), and local reroute
 // latency under ISL failure versus the legacy control-plane path (19d).
 func Figure19bcd(scale Scale) ([]*metrics.Table, error) {
-	tb, err := newDataPlaneTestbed(scale)
+	tb, err := newTestbed(scale)
 	if err != nil {
 		return nil, err
 	}
-	src, _, route, ok := tb.findWorkingRoute(2)
+	src, _, route, ok := findWorkingRoute(tb, 2)
 	if !ok {
 		return nil, fmt.Errorf("experiments: no deliverable route")
 	}
@@ -339,11 +268,11 @@ func Figure19bcd(scale Scale) ([]*metrics.Table, error) {
 	// geo packets vs legacy IPv6 routing tables over the same path).
 	rttTab := metrics.NewTable("Figure 19b: end-to-end RTT over the route",
 		"second", "TinyLEO SRv6 RTT (ms)", "legacy IPv6 RTT (ms)")
-	gw, gwOK := tb.gatewayOf(src)
+	gw, gwOK := tb.GatewayOf(src)
 	if !gwOK {
 		return nil, fmt.Errorf("experiments: 19b source cell has no gateway")
 	}
-	legacyPath, legacyDst := tb.installLegacyRoute(gw, route)
+	legacyPath, legacyDst := installLegacyRoute(tb, gw, route)
 	var srvRTTs, legacyRTTs []float64
 	for sec := 0; sec < 20; sec++ {
 		var srvDelay, legDelay float64
@@ -380,7 +309,7 @@ func Figure19bcd(scale Scale) ([]*metrics.Table, error) {
 
 	// --- 19c: full-speed forwarding utilization. Use a slow-link copy of
 	// the first hop so the event count stays tractable.
-	utilTab, err := figure19c(tb, gw, route)
+	utilTab, err := figure19c()
 	if err != nil {
 		return nil, err
 	}
@@ -395,7 +324,7 @@ func Figure19bcd(scale Scale) ([]*metrics.Table, error) {
 
 // installLegacyRoute installs per-satellite routing-table entries along
 // the geo route's gateway chain; returns the path and destination sat.
-func (tb *dataPlaneTestbed) installLegacyRoute(gw int, r intent.Route) ([]int, int) {
+func installLegacyRoute(tb *chaos.Testbed, gw int, r intent.Route) ([]int, int) {
 	// Discover the concrete satellite path a geo packet takes, then pin it
 	// into routing tables.
 	var path []int
@@ -421,7 +350,7 @@ func (tb *dataPlaneTestbed) installLegacyRoute(gw int, r intent.Route) ([]int, i
 }
 
 // figure19c measures ISL utilization under a saturating flow.
-func figure19c(tb *dataPlaneTestbed, gw int, route intent.Route) (*metrics.Table, error) {
+func figure19c() (*metrics.Table, error) {
 	// Re-create a small copy of the first two hops with a slow link so the
 	// DES event count stays small while utilization math is exact.
 	net := dataplane.NewNetwork()
@@ -454,27 +383,27 @@ func figure19c(tb *dataPlaneTestbed, gw int, route intent.Route) (*metrics.Table
 // TinyLEO's local anycast failover versus the legacy plane waiting for the
 // control plane (83.8 ms average repair, Figure 17d).
 func figure19d(scale Scale) (*metrics.Table, error) {
-	tb, err := newDataPlaneTestbed(scale)
+	tb, err := newTestbed(scale)
 	if err != nil {
 		return nil, err
 	}
-	src, _, route, ok := tb.findWorkingRoute(2)
+	src, _, route, ok := findWorkingRoute(tb, 2)
 	if !ok {
 		return nil, fmt.Errorf("experiments: no deliverable route for 19d")
 	}
 
 	measureGap := func(legacy bool) (float64, error) {
-		tb2, err := newDataPlaneTestbed(scale)
+		tb2, err := newTestbed(scale)
 		if err != nil {
 			return 0, err
 		}
-		gw2, gwOK2 := tb2.gatewayOf(src)
+		gw2, gwOK2 := tb2.GatewayOf(src)
 		if !gwOK2 {
 			return 0, fmt.Errorf("experiments: 19d source cell has no gateway")
 		}
 		var legacyDst int
 		if legacy {
-			_, legacyDst = tb2.installLegacyRoute(gw2, route)
+			_, legacyDst = installLegacyRoute(tb2, gw2, route)
 		}
 		var deliveries []float64
 		tb2.Net.OnDeliver = func(s *dataplane.Satellite, p *dataplane.Packet) {

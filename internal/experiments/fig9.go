@@ -23,7 +23,7 @@ func Figure9(scale Scale, tinySats, uniformSats []orbit.Elements) []*metrics.Tab
 
 	// Sample O-D satellite pairs for path-churn accounting.
 	rng := rand.New(rand.NewSource(42))
-	pairs := samplePairs(rng, min2(len(tinySats), len(uniformSats)), 40)
+	pairs := samplePairs(rng, min(len(tinySats), len(uniformSats)), 40)
 
 	var prevTiny, prevUni *graphPair
 	for s := 0; s < scale.ControlSlots; s++ {
@@ -42,12 +42,9 @@ func Figure9(scale Scale, tinySats, uniformSats []orbit.Elements) []*metrics.Tab
 }
 
 type graphPair struct {
-	g     *graphT
+	g     *routing.Graph
 	links int
 }
-
-type graphAlias = routing.Graph
-type graphT = graphAlias
 
 // buildVisibilityGraph counts and records all establishable ISLs
 // (visibility + range) at time t.
@@ -56,7 +53,7 @@ func buildVisibilityGraph(sats []orbit.Elements, t float64) *graphPair {
 	for i, e := range sats {
 		pos[i] = e.PositionECI(t)
 	}
-	g := newGraph(len(sats))
+	g := routing.NewGraph(len(sats))
 	links := 0
 	p := orbit.DefaultISLParams
 	for i := range sats {
@@ -105,13 +102,6 @@ func samplePairs(rng *rand.Rand, n, k int) [][2]int {
 		}
 	}
 	return pairs
-}
-
-func min2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // ISLChurnSummary compares per-slot ISL-set stability between a

@@ -9,6 +9,8 @@
 package experiments
 
 import (
+	"repro/internal/chaos"
+	"repro/internal/dataplane"
 	"repro/internal/demand"
 	"repro/internal/geo"
 	"repro/internal/orbit"
@@ -118,6 +120,26 @@ func (s Scale) ScenarioOptions() demand.ScenarioOptions {
 		Slots:       s.Slots,
 		SlotSeconds: s.SlotSeconds,
 	}
+}
+
+// testbedConfig maps a Scale onto the one system under test
+// (chaos.NewTestbed); the emulated links keep the testbed's deliberately
+// narrow campaign defaults.
+func (s Scale) testbedConfig() chaos.TestbedConfig {
+	return chaos.TestbedConfig{
+		Sats:        s.ControlSats,
+		CellDeg:     s.CellDeg,
+		Slots:       s.ControlSlots,
+		SlotSeconds: s.ControlDt,
+	}
+}
+
+// newTestbed builds the system under test of the control- and data-plane
+// figures: the Scale-sized testbed with the paper's 200 Gbps laser ISLs.
+func newTestbed(scale Scale) (*chaos.Testbed, error) {
+	cfg := scale.testbedConfig()
+	cfg.ISLRateBps, cfg.QueueLimit = dataplane.ISLRateBpsDefault, 4096
+	return chaos.NewTestbed(cfg)
 }
 
 // BuildLibrary builds the texture library (cached per scale by callers).

@@ -121,7 +121,7 @@ func Figure4(scale Scale) []*metrics.Table {
 			ratios = append(ratios, 1000) // fully wasted cell, capped
 			continue
 		}
-		r := (sup - minF(sup, ddm)) / minF(sup, ddm)
+		r := (sup - min(sup, ddm)) / min(sup, ddm)
 		ratios = append(ratios, r)
 	}
 	s := metrics.Summarize(ratios)
@@ -156,32 +156,11 @@ func scaledShellSatellites(shells []baseline.Shell, scale Scale) []orbit.Element
 	var out []orbit.Elements
 	for _, sh := range shells {
 		w := sh.Config
-		w.Planes = maxI(1, int(float64(w.Planes)*sqrtF(f)))
-		w.SatsPerPlane = maxI(1, int(float64(w.SatsPerPlane)*sqrtF(f)))
+		w.Planes = max(1, int(float64(w.Planes)*math.Sqrt(f)))
+		w.SatsPerPlane = max(1, int(float64(w.SatsPerPlane)*math.Sqrt(f)))
 		out = append(out, w.Satellites()...)
 	}
 	return out
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func sqrtF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return math.Sqrt(x)
 }
 
 func countF(xs []float64, pred func(float64) bool) int {

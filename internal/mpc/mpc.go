@@ -267,6 +267,10 @@ func New(cfg Config) (*Controller, error) {
 	return c, nil
 }
 
+// Config returns the controller's configuration with its defaults filled
+// in: what New needs to build the same controller with one field changed.
+func (c *Controller) Config() Config { return c.cfg }
+
 // CacheStats reports the propagation cache's cumulative hit/miss/prune
 // counters.
 func (c *Controller) CacheStats() orbit.CacheStats { return c.geo.Stats() }
