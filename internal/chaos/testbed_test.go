@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -187,5 +189,77 @@ func TestIncrementalApplyMatchesFullBuild(t *testing.T) {
 			t.Errorf("%d satellites: no repair introduced a gateway; the property was not exercised", sats)
 		}
 		t.Logf("%d satellites: %d gateways introduced, %d re-homed over 20 repairs", sats, introduced, rehomed)
+	}
+}
+
+// cellRings splits a snapshot's ring links by home cell: for each intent
+// cell, its gateway set (sorted) and the ring links among those gateways.
+func cellRings(tb *Testbed, snap *mpc.Snapshot) (members map[int][]int, rings map[int][]mpc.Link) {
+	members, rings = map[int][]int{}, map[int][]mpc.Link{}
+	for _, u := range tb.Topo.Cells() {
+		in := map[int]bool{}
+		for _, v := range tb.Topo.Neighbors(u) {
+			for _, s := range snap.Gateways[[2]int{u, v}] {
+				in[s] = true
+			}
+		}
+		for s := range in {
+			members[u] = append(members[u], s)
+		}
+		sort.Ints(members[u])
+		for _, l := range snap.RingLinks {
+			if in[l[0]] && in[l[1]] {
+				rings[u] = append(rings[u], l)
+			}
+		}
+	}
+	return members, rings
+}
+
+// Compile and Repair close rings with one function, so a repair with
+// nothing failed is the identity (it used to re-sort every ring of four or
+// more gateways from longitude order to satellite-ID order: 10 links
+// rewired and 20 messages billed on this testbed, none at 256 satellites),
+// and a repair of one failed link moves ring links only in the cells whose
+// gateway set it changed.
+func TestRepairLeavesUntouchedRingsAlone(t *testing.T) {
+	tb, err := NewTestbed(TestbedConfig{Sats: 529})
+	if err != nil {
+		t.Fatal(err)
+	}
+	same, stats := tb.Ctl.Repair(tb.Snap, nil, nil, 0)
+	if !reflect.DeepEqual(same.InterLinks, tb.Snap.InterLinks) || !reflect.DeepEqual(same.RingLinks, tb.Snap.RingLinks) {
+		added, removed := mpc.DiffLinks(tb.Snap, same)
+		t.Errorf("no-failure repair added %v and removed %v", added, removed)
+	}
+	if stats.Messages != 0 || len(stats.NewLinks) != 0 || stats.Unrepaired != 0 {
+		t.Errorf("no-failure repair billed %+v", stats)
+	}
+
+	wasMembers, wasRings := cellRings(tb, tb.Snap)
+	moved := 0
+	for _, victim := range tb.Snap.InterLinks {
+		next, stats := tb.Ctl.Repair(tb.Snap, []mpc.Link{victim}, nil, 0)
+		if next.LinkSet()[victim] {
+			t.Fatalf("failing %v: the repaired snapshot still lists it", victim)
+		}
+		// One report, and two instructions per link to establish.
+		ringAdded, _ := mpc.DiffLinks(&mpc.Snapshot{RingLinks: tb.Snap.RingLinks}, &mpc.Snapshot{RingLinks: next.RingLinks})
+		if want := 1 + 2*len(stats.NewLinks) + 2*len(ringAdded); stats.Messages != want {
+			t.Fatalf("failing %v: %d messages billed for %d new inter-cell and %d new ring links, want %d",
+				victim, stats.Messages, len(stats.NewLinks), len(ringAdded), want)
+		}
+		members, rings := cellRings(tb, next)
+		for _, u := range tb.Topo.Cells() {
+			if !reflect.DeepEqual(members[u], wasMembers[u]) {
+				moved++
+			} else if !reflect.DeepEqual(rings[u], wasRings[u]) {
+				t.Fatalf("failing %v: cell %d kept gateways %v but its ring went from %v to %v",
+					victim, u, members[u], wasRings[u], rings[u])
+			}
+		}
+	}
+	if moved == 0 {
+		t.Error("no single-link repair changed a gateway set; the property was not exercised")
 	}
 }

@@ -512,43 +512,8 @@ func (c *Controller) compile(t float64, ds *deltaState) *Snapshot {
 	}
 	sort.Slice(snap.InterLinks, func(a, b int) bool { return lessLink(snap.InterLinks[a], snap.InterLinks[b]) })
 
-	// Stage 3: intra-cell ring over each cell's gateway satellites, ordered
-	// by orbital phase for short ring hops.
-	for _, u := range cells {
-		ringSet := map[int]bool{}
-		for _, v := range cfg.Topo.Neighbors(u) {
-			for _, s := range snap.Gateways[[2]int{u, v}] {
-				ringSet[s] = true
-			}
-		}
-		if len(ringSet) < 2 {
-			continue
-		}
-		members := make([]int, 0, len(ringSet))
-		for s := range ringSet {
-			members = append(members, s)
-		}
-		// Order by sub-satellite longitude then latitude for a short ring.
-		sort.Slice(members, func(a, b int) bool {
-			pa := sg.SubPoint(members[a])
-			pb := sg.SubPoint(members[b])
-			if pa.Lon != pb.Lon {
-				return pa.Lon < pb.Lon
-			}
-			if pa.Lat != pb.Lat {
-				return pa.Lat < pb.Lat
-			}
-			return members[a] < members[b]
-		})
-		if len(members) == 2 {
-			snap.RingLinks = append(snap.RingLinks, MakeLink(members[0], members[1]))
-			continue
-		}
-		for i := range members {
-			snap.RingLinks = append(snap.RingLinks, MakeLink(members[i], members[(i+1)%len(members)]))
-		}
-	}
-	sort.Slice(snap.RingLinks, func(a, b int) bool { return lessLink(snap.RingLinks[a], snap.RingLinks[b]) })
+	// Stage 3: intra-cell ring over each cell's gateway satellites.
+	snap.RingLinks = c.ringLinks(sg, snap.Gateways, nil)
 	obsCompiles.Inc()
 	//lint:tinyleo-ignore wall-clock compile latency feeds telemetry only, never the snapshot
 	obsCompileSeconds.ObserveDuration(time.Since(start))
@@ -938,9 +903,10 @@ func (c *Controller) Repair(s *Snapshot, failedLinks []Link, failedSats []int, r
 	}
 	sort.Slice(out.InterLinks, func(a, b int) bool { return lessLink(out.InterLinks[a], out.InterLinks[b]) })
 	// Rebuild rings from the (possibly changed) gateway sets.
-	c.rebuildRings(out)
-	// Ring changes are also instructions.
-	_, ringAdded := DiffLinks(&Snapshot{InterLinks: s.RingLinks}, &Snapshot{InterLinks: out.RingLinks})
+	out.RingLinks = c.ringLinks(sg, out.Gateways, failSet)
+	// Ring links to establish are also instructions (the second result of
+	// DiffLinks is the removed links, which used to be billed here).
+	ringAdded, _ := DiffLinks(&Snapshot{InterLinks: s.RingLinks}, &Snapshot{InterLinks: out.RingLinks})
 	stats.Messages += 2 * len(ringAdded)
 	//lint:tinyleo-ignore RepairStats.ComputeTime reports measured wall latency; topology outputs do not depend on it
 	stats.ComputeTime = time.Since(start)
@@ -1036,34 +1002,56 @@ func (c *Controller) bestReplacement(sg *orbit.SlotGeom, s *Snapshot, e [2]int, 
 	return bestA, bestB, found
 }
 
-func (c *Controller) rebuildRings(s *Snapshot) {
-	s.RingLinks = nil
+// ringLinks closes §4.3's intra-cell ring over each cell's gateway
+// satellites — the one place gateway sets become ring links, for a compiled
+// slot and for a repaired one alike, so that a repair moves ring links only
+// in cells whose gateway set changed or that held a failed link. Members
+// are ordered by sub-satellite longitude, then latitude, for short ring
+// hops. A pair in failed is left open (the ring degrades to a chain): the
+// two ends of a failed inter-cell link can come back as neighbours on one
+// cell's ring, and a repair must not instruct the link it was told is gone.
+func (c *Controller) ringLinks(sg *orbit.SlotGeom, gateways map[[2]int][]int, failed map[Link]bool) []Link {
+	var links []Link
+	closeRing := func(a, b int) {
+		if l := MakeLink(a, b); !failed[l] {
+			links = append(links, l)
+		}
+	}
 	for _, u := range c.cfg.Topo.Cells() {
 		ringSet := map[int]bool{}
 		for _, v := range c.cfg.Topo.Neighbors(u) {
-			for _, g := range s.Gateways[[2]int{u, v}] {
-				if g >= 0 {
-					ringSet[g] = true
-				}
+			for _, s := range gateways[[2]int{u, v}] {
+				ringSet[s] = true
 			}
 		}
 		if len(ringSet) < 2 {
 			continue
 		}
 		members := make([]int, 0, len(ringSet))
-		for g := range ringSet {
-			members = append(members, g)
+		for s := range ringSet {
+			members = append(members, s)
 		}
-		sort.Ints(members)
+		sort.Slice(members, func(a, b int) bool {
+			pa := sg.SubPoint(members[a])
+			pb := sg.SubPoint(members[b])
+			if pa.Lon != pb.Lon {
+				return pa.Lon < pb.Lon
+			}
+			if pa.Lat != pb.Lat {
+				return pa.Lat < pb.Lat
+			}
+			return members[a] < members[b]
+		})
 		if len(members) == 2 {
-			s.RingLinks = append(s.RingLinks, MakeLink(members[0], members[1]))
+			closeRing(members[0], members[1])
 			continue
 		}
 		for i := range members {
-			s.RingLinks = append(s.RingLinks, MakeLink(members[i], members[(i+1)%len(members)]))
+			closeRing(members[i], members[(i+1)%len(members)])
 		}
 	}
-	sort.Slice(s.RingLinks, func(a, b int) bool { return lessLink(s.RingLinks[a], s.RingLinks[b]) })
+	sort.Slice(links, func(a, b int) bool { return lessLink(links[a], links[b]) })
+	return links
 }
 
 func appendUnique(list []int, v int) []int {

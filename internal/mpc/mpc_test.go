@@ -274,3 +274,37 @@ func TestRingConnectsGateways(t *testing.T) {
 		}
 	}
 }
+
+// The ring builder leaves a failed pair open: the two ends of a failed
+// inter-cell link can come back as longitude neighbours on one cell's ring,
+// and a repair must not instruct the link it was told is gone.
+func TestRingLinksLeaveAFailedPairOpen(t *testing.T) {
+	c, cells := newController(t)
+	snap := c.Compile(0)
+	u := cells[1]
+	if len(snap.CellSats[u]) < 4 {
+		t.Fatalf("cell %d has %d satellites overhead, need 4", u, len(snap.CellSats[u]))
+	}
+	nb := c.cfg.Topo.Neighbors(u)
+	gateways := map[[2]int][]int{
+		{u, nb[0]}: snap.CellSats[u][0:2],
+		{u, nb[1]}: snap.CellSats[u][2:4],
+	}
+	sg := c.geo.Slot(0)
+	ring := c.ringLinks(sg, gateways, nil)
+	if len(ring) != 4 {
+		t.Fatalf("ring over 4 gateways has %d links: %v", len(ring), ring)
+	}
+	for i, gone := range ring {
+		want := append(append([]Link(nil), ring[:i]...), ring[i+1:]...)
+		got := c.ringLinks(sg, gateways, map[Link]bool{gone: true})
+		if len(got) != len(want) {
+			t.Fatalf("with %v failed the ring is %v, want %v", gone, got, want)
+		}
+		for k := range got {
+			if got[k] != want[k] {
+				t.Fatalf("with %v failed the ring is %v, want %v", gone, got, want)
+			}
+		}
+	}
+}
