@@ -20,6 +20,13 @@
 //
 // # Surfaces
 //
+// NewTestbed builds the system under test — constellation, mesh intent,
+// controller, slot-0 snapshot, emulated network — and is the only place
+// this repository builds it: the figures of internal/experiments and the
+// bench/ ledger run on the same Testbed the campaigns do. BuildNetwork is
+// its snapshot→network step on its own; Testbed.GatewayOf and
+// Testbed.ProbeDelivers are the injection point and the delivery probe.
+//
 // Scenarios / ScenarioByName / ScenarioNames enumerate the built-in
 // fault compositions; Campaign configures one seeded run (scenario,
 // seed, testbed size, offered load, optional virtual-clock Tracer) and

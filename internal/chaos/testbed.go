@@ -13,8 +13,8 @@ import (
 	"repro/internal/orbit"
 )
 
-// TestbedConfig sizes the campaign testbed. Zero values take defaults
-// chosen so a campaign runs in a few seconds.
+// TestbedConfig sizes the testbed. Zero values take defaults chosen so a
+// campaign runs in a few seconds.
 type TestbedConfig struct {
 	// Sats is the Walker constellation size (rounded down to a square).
 	Sats int

@@ -904,8 +904,7 @@ func (c *Controller) Repair(s *Snapshot, failedLinks []Link, failedSats []int, r
 	sort.Slice(out.InterLinks, func(a, b int) bool { return lessLink(out.InterLinks[a], out.InterLinks[b]) })
 	// Rebuild rings from the (possibly changed) gateway sets.
 	out.RingLinks = c.ringLinks(sg, out.Gateways, failSet)
-	// Ring links to establish are also instructions (the second result of
-	// DiffLinks is the removed links, which used to be billed here).
+	// Ring links to establish are also instructions.
 	ringAdded, _ := DiffLinks(&Snapshot{InterLinks: s.RingLinks}, &Snapshot{InterLinks: out.RingLinks})
 	stats.Messages += 2 * len(ringAdded)
 	//lint:tinyleo-ignore RepairStats.ComputeTime reports measured wall latency; topology outputs do not depend on it

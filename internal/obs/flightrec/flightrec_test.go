@@ -417,13 +417,14 @@ func TestSaveAndReadRecordingFile(t *testing.T) {
 		t.Fatalf("meta = %+v", rec)
 	}
 	// One ring, one clock: the event was emitted inside the span, and the
-	// file places it there.
+	// file places it there — to the microsecond a span's start and its
+	// duration, each truncated on its own, can lose.
 	if len(rec.Records) != 2 {
 		t.Fatalf("records = %+v", rec.Records)
 	}
 	ev, span := rec.Records[0], rec.Records[1]
 	if !ev.Instant || ev.Name != "mpc.slot_compiled" || span.Name != "mpc.emit" ||
-		ev.StartUS < span.StartUS || ev.StartUS > span.StartUS+span.DurUS {
+		ev.StartUS < span.StartUS || ev.StartUS > span.StartUS+span.DurUS+1 {
 		t.Fatalf("event %+v not inside span %+v", ev, span)
 	}
 	if len(rec.Slots) != 1 || rec.Slots[0].InterLinks[0] != [2]int{1, 2} {
