@@ -5,8 +5,9 @@
 //  1. TinyLEO's data plane reroutes locally (anycast + gateway ring) in
 //     milliseconds when an ISL dies mid-flow.
 //
-//  2. A legacy routing-table plane must buffer and wait ~84 ms for the
-//     remote control plane (Figure 17d/19d).
+//  2. The routing-table baseline (internal/baseline, plugged into the
+//     network's next-hop seam) must buffer and wait ~84 ms for the remote
+//     control plane (Figure 17d/19d).
 //
 //  3. The orbital MPC compiles a chain intent over a Walker
 //     constellation and repairs a synthetic ISL failure (§4.2).
@@ -50,6 +51,7 @@ import (
 
 	tinyleo "repro"
 
+	"repro/internal/baseline"
 	"repro/internal/cli"
 	"repro/internal/mpc"
 	"repro/internal/southbound"
@@ -164,9 +166,10 @@ func emulatedFailover() {
 
 	run := func(name string, legacy bool) {
 		n := build()
+		var tables *baseline.TableRouter
 		if legacy {
-			n.Sats[0].RoutingTable = map[uint32]int{4: 2}
-			n.Sats[2].RoutingTable = map[uint32]int{4: 4}
+			tables = baseline.RouteByTables(n)
+			tables.InstallPath([]int{0, 2, 4})
 		}
 		var deliveries []float64
 		n.OnDeliver = func(s *tinyleo.Satellite, p *tinyleo.Packet) {
@@ -177,10 +180,7 @@ func emulatedFailover() {
 		if legacy {
 			// Remote control plane repairs after the paper's 83.8 ms.
 			n.Sim.Schedule(0.050+0.0838, func() {
-				n.Sats[0].RoutingTable[4] = 1
-				n.Sats[1].RoutingTable = map[uint32]int{4: 3}
-				n.Sats[3].RoutingTable = map[uint32]int{4: 5}
-				n.Sats[5].RoutingTable = map[uint32]int{4: 4}
+				tables.InstallPath([]int{0, 1, 3, 5, 4})
 				n.FlushBuffers()
 			})
 		}
@@ -189,12 +189,7 @@ func emulatedFailover() {
 			i := i
 			n.Sim.Schedule(float64(i)*0.010, func() {
 				if legacy {
-					p := &tinyleo.Packet{}
-					p.Base.Ver = 1
-					p.Base.HopLimit = 32
-					p.Base.FlowID = 4
-					p.SentAt = n.Sim.Now()
-					n.Inject(0, p)
+					n.Inject(0, baseline.TablePacket(4, nil))
 					return
 				}
 				p, err := tinyleo.NewGeoPacket(0, []int{20, 30}, 1, uint32(i), nil)

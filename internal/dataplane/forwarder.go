@@ -39,17 +39,9 @@ type Satellite struct {
 	links    map[int]*netem.Link
 	RingNext int // successor on the intra-cell gateway ring, -1 if none
 
-	// RoutingTable is the legacy baseline's per-destination next hop
-	// (destination *satellite* ID → peer satellite ID). Only consulted for
-	// packets without a geo segment header.
-	RoutingTable map[uint32]int
-
 	// Buffer holds packets waiting for control-plane repair (§4.3 worst
 	// case: the ring is disconnected).
 	Buffer []*Packet
-
-	// multipath holds installed multipath groups by destination cell.
-	multipath map[int]*MultipathGroup
 
 	// Stats
 	Forwarded int64 // packets sent onward
@@ -60,32 +52,51 @@ type Satellite struct {
 	Failovers int64 // forwards that bypassed a down/absent primary link
 }
 
+// Verb is what a Router decided to do with one packet at one satellite.
+type Verb uint8
+
+const (
+	Deliver Verb = iota // hand the packet to the ground segment here
+	Forward             // send it over the ISL toward Decision.Peer
+	Buffer              // hold it until the control plane repairs topology
+	Drop                // discard it for Decision.Reason
+)
+
+// Decision is a Router's by-value answer for one packet at one satellite.
+type Decision struct {
+	Verb     Verb
+	Peer     int    // Forward: the ISL peer to send to
+	Reason   string // Drop: why
+	NextCell int    // Forward, Buffer: the cell the packet is heading to
+	Failover bool   // Forward, Buffer: a down ISL toward NextCell was bypassed
+	Ring     bool   // Forward: Peer is the ring successor, not a NextCell gateway
+}
+
+// Router is the one next-hop seam: given a packet at a satellite, decide
+// what happens to it; Satellite.Receive does everything else. Anycast is the
+// production router and nothing in production sets another; a scheme compared
+// against it (internal/baseline's routing tables) replaces Network.Router.
+type Router interface {
+	Route(s *Satellite, p *Packet) Decision
+}
+
 // Receive processes a packet arriving at (or injected into) the satellite.
 //
 //tinyleo:hotpath
 func (s *Satellite) Receive(p *Packet) {
 	p.HopTrace = append(p.HopTrace, s.ID)
-	if p.Geo != nil {
-		s.forwardGeo(p)
-		return
-	}
-	s.forwardLegacy(p)
+	s.forward(p)
 }
 
-// forwardGeo implements §4.3's geographic segment anycast.
+// forward asks the network's router what happens to p here and does it: the
+// hop limit, counters, flight events, hooks and the send, once for every
+// router. FlushBuffers re-enters here, so a buffered hop is recorded once.
 //
 //tinyleo:hotpath
-func (s *Satellite) forwardGeo(p *Packet) {
-	g := p.Geo
-	// Consume every segment this satellite's cell satisfies (a route may
-	// legitimately enter the cell that several segments point at after
-	// anycast shortcuts).
-	for g.CurrentSegment() == s.Cell {
-		g.Advance()
-	}
-	if g.SegmentsLeft == 0 {
-		// Final segment reached: this satellite covers the destination
-		// cell; hand off to the ground segment.
+func (s *Satellite) forward(p *Packet) {
+	d := s.net.Router.Route(s, p)
+	switch d.Verb {
+	case Deliver:
 		s.Delivered++
 		dpDelivered.Inc()
 		dpHops.Observe(float64(len(p.HopTrace)))
@@ -93,114 +104,95 @@ func (s *Satellite) forwardGeo(p *Packet) {
 			s.net.OnDeliver(s, p)
 		}
 		return
+	case Drop:
+		s.drop(p, d.Reason)
+		return
 	}
 	if p.Base.HopLimit == 0 {
 		s.drop(p, "hop limit")
 		return
 	}
 	p.Base.HopLimit--
-
-	next := g.CurrentSegment()
-	// Primary: any up ISL to a satellite covering the next-hop cell.
-	// Anycast: any such gateway works; pick deterministically (lowest peer
-	// ID) among up links, counting a failover if a down link was skipped.
-	var candidates []int
-	sawDown := false
-	for peer, l := range s.links {
-		ps := s.net.Sats[peer]
-		if ps == nil || ps.Cell != next {
-			continue
-		}
-		if !l.IsUp() {
-			sawDown = true
-			continue
-		}
-		candidates = append(candidates, peer)
-	}
-	if len(candidates) > 0 {
-		sort.Ints(candidates)
-		if sawDown {
-			s.Failovers++
-			dpFailovers.Inc()
-			if flightrec.Enabled() {
-				s.emitEvent("failover", "next_cell", strconv.Itoa(next),
-					"via", strconv.Itoa(candidates[0]))
-			}
-		}
-		s.send(candidates[0], p)
-		return
-	}
-	if sawDown {
+	if d.Failover {
 		s.Failovers++
 		dpFailovers.Inc()
 		if flightrec.Enabled() {
-			s.emitEvent("failover", "next_cell", strconv.Itoa(next))
-		}
-	}
-	// Fallback: pass clockwise along the intra-cell gateway ring; the ring
-	// visits every gateway of this cell, one of which has the ISL toward
-	// the next cell (§4.3 delivery guarantee).
-	if s.RingNext >= 0 {
-		if l := s.links[s.RingNext]; l != nil && l.IsUp() {
-			s.RingHops++
-			dpRingHops.Inc()
-			if flightrec.Enabled() {
-				s.emitEvent("ring_fallback", "next_cell", strconv.Itoa(next),
-					"ring_next", strconv.Itoa(s.RingNext))
+			if d.Verb == Forward && !d.Ring {
+				s.emitEvent("failover", "next_cell", strconv.Itoa(d.NextCell), "via", strconv.Itoa(d.Peer))
+			} else {
+				s.emitEvent("failover", "next_cell", strconv.Itoa(d.NextCell))
 			}
-			s.send(s.RingNext, p)
-			return
 		}
 	}
-	// Worst case: ring disconnected by failures. Buffer until the MPC
-	// repairs the topology (§4.3).
-	s.Buffered++
-	dpBuffered.Inc()
-	if flightrec.Enabled() {
-		s.emitEvent("buffered", "next_cell", strconv.Itoa(next))
-	}
-	s.Buffer = append(s.Buffer, p)
-}
-
-// forwardLegacy implements the routing-table baseline: no anycast, no
-// local failover — a down next-hop link means the packet waits for the
-// remote control plane (we buffer it, mirroring Figure 19d's comparison).
-//
-//tinyleo:hotpath
-func (s *Satellite) forwardLegacy(p *Packet) {
-	dstSat := p.Base.FlowID // legacy mode: FlowID carries the destination satellite
-	if uint32(s.ID) == dstSat {
-		s.Delivered++
-		dpDelivered.Inc()
-		dpHops.Observe(float64(len(p.HopTrace)))
-		if s.net.OnDeliver != nil {
-			s.net.OnDeliver(s, p)
-		}
-		return
-	}
-	if p.Base.HopLimit == 0 {
-		s.drop(p, "hop limit")
-		return
-	}
-	p.Base.HopLimit--
-	nh, ok := s.RoutingTable[dstSat]
-	if !ok {
-		s.drop(p, "no route")
-		return
-	}
-	l := s.links[nh]
-	if l == nil || !l.IsUp() {
-		// Legacy data plane cannot reroute locally; wait for control plane.
+	if d.Verb == Buffer {
 		s.Buffered++
 		dpBuffered.Inc()
+		if flightrec.Enabled() {
+			s.emitEvent("buffered", "next_cell", strconv.Itoa(d.NextCell))
+		}
 		s.Buffer = append(s.Buffer, p)
 		return
 	}
-	s.send(nh, p)
+	if d.Ring {
+		s.RingHops++
+		dpRingHops.Inc()
+		if flightrec.Enabled() {
+			s.emitEvent("ring_fallback", "next_cell", strconv.Itoa(d.NextCell), "ring_next", strconv.Itoa(d.Peer))
+		}
+	}
+	s.send(d.Peer, p)
 }
 
-// send forwards p over the ISL toward peer, dropping on down links and
-// full queues.
+// Anycast is §4.3's geographic segment anycast, the production router:
+// consume the segments this satellite's cell satisfies, deliver on the
+// last, else forward to any up gateway of the next cell, else pass
+// clockwise along the intra-cell gateway ring, else buffer.
+type Anycast struct{}
+
+// Route implements Router.
+//
+//tinyleo:hotpath
+func (Anycast) Route(s *Satellite, p *Packet) Decision {
+	g := p.Geo
+	if g == nil { // Decode legitimately yields a packet with no segment list
+		return Decision{Verb: Drop, Reason: "no route"}
+	}
+	// Consume every segment this satellite's cell satisfies (after anycast
+	// shortcuts a route may enter the cell several segments point at).
+	for g.CurrentSegment() == s.Cell {
+		g.Advance()
+	}
+	if g.SegmentsLeft == 0 { // this satellite covers the destination cell
+		return Decision{Verb: Deliver}
+	}
+	// Primary: any up ISL to a gateway of the next cell works; pick the
+	// lowest peer ID, noting a failover if a down link was skipped.
+	d := Decision{Verb: Forward, Peer: -1, NextCell: g.CurrentSegment()}
+	for peer, l := range s.links {
+		if ps := s.net.Sats[peer]; ps == nil || ps.Cell != d.NextCell {
+			continue
+		}
+		if !l.IsUp() {
+			d.Failover = true
+		} else if d.Peer < 0 || peer < d.Peer {
+			d.Peer = peer
+		}
+	}
+	if d.Peer >= 0 {
+		return d
+	}
+	// Fallback: the ring visits every gateway of this cell, one of which
+	// has the ISL toward the next cell (§4.3 delivery guarantee).
+	if l := s.links[s.RingNext]; l != nil && l.IsUp() {
+		d.Peer, d.Ring = s.RingNext, true
+		return d
+	}
+	// Worst case, ring disconnected: buffer until the MPC repairs (§4.3).
+	d.Verb = Buffer
+	return d
+}
+
+// send forwards p over the ISL toward peer, or drops it (down link, full queue).
 //
 //tinyleo:hotpath
 func (s *Satellite) send(peer int, p *Packet) {
@@ -225,8 +217,8 @@ func (s *Satellite) drop(p *Packet, reason string) {
 	if c, ok := dpDropped[reason]; ok {
 		c.Inc()
 	} else if obs.Default().Enabled() {
-		// Uncommon reason string: the label lookup allocates, so pay it
-		// only while telemetry is on.
+		// A router's own reason: the label lookup allocates, so pay it only
+		// while telemetry is on.
 		obs.Default().Counter("tinyleo_dataplane_dropped_total", "reason", reason).Inc()
 	}
 	if flightrec.Enabled() {
@@ -237,11 +229,10 @@ func (s *Satellite) drop(p *Packet, reason string) {
 	}
 }
 
-// emitEvent records a flight-recorder event for this satellite. Call
-// sites guard with flightrec.Enabled() BEFORE formatting attributes, so
-// the per-packet forwarder pays a single atomic load while recording is
-// off; drops, failovers, ring fallbacks, and buffering are rare relative
-// to forwards, keeping the enabled cost off the common path too.
+// emitEvent records a flight-recorder event for this satellite. Call sites
+// guard with flightrec.Enabled() BEFORE formatting attributes, so forwarding
+// pays one atomic load while recording is off; drops, failovers, ring
+// fallbacks and buffering are rare, so the enabled cost is off the common path.
 func (s *Satellite) emitEvent(typ string, attrs ...string) {
 	flightrec.Emit(flightrec.CompDataplane, typ,
 		append([]string{"sat", strconv.Itoa(s.ID), "cell", strconv.Itoa(s.Cell)}, attrs...)...)

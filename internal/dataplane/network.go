@@ -7,10 +7,12 @@ import (
 )
 
 // Network is an emulated satellite data plane: satellites joined by netem
-// links, forwarding geo-segment (TinyLEO) or legacy routed packets.
+// links, forwarding geo-segment packets hop by hop as its Router decides.
 type Network struct {
 	Sim  *netem.Sim
 	Sats map[int]*Satellite
+	// Router is the next-hop seam: Anycast, unless a baseline replaced it.
+	Router Router
 	// OnDeliver fires when a packet reaches a satellite covering its final
 	// segment cell (i.e. is handed to the ground segment).
 	OnDeliver func(sat *Satellite, p *Packet)
@@ -31,6 +33,7 @@ func NewNetwork() *Network {
 	return &Network{
 		Sim:        netem.NewSim(),
 		Sats:       map[int]*Satellite{},
+		Router:     Anycast{},
 		ISLRateBps: ISLRateBpsDefault,
 		QueueLimit: 4096,
 	}
@@ -85,11 +88,9 @@ func (n *Network) Links() []*netem.Link { return n.links }
 // deliver is the netem receive hook: hand the packet to the receiving
 // satellite's forwarder.
 func (n *Network) deliver(at, from int, payload any) {
-	s := n.Sats[at]
-	if s == nil {
-		return
+	if s := n.Sats[at]; s != nil {
+		s.Receive(payload.(*Packet))
 	}
-	s.Receive(payload.(*Packet))
 }
 
 // Inject starts a packet at satellite sat (e.g. received from a ground
@@ -117,15 +118,15 @@ func (n *Network) SetRing(members []int) {
 	}
 }
 
-// FlushBuffers re-attempts forwarding of every buffered packet (called
-// after the control plane repairs topology, §4.3's "buffered until MPC
-// repairs the ring").
+// FlushBuffers re-runs the routing decision for every buffered packet
+// (called after the control plane repairs topology, §4.3's "buffered until
+// MPC repairs the ring"); the buffering satellite is already on its trace.
 func (n *Network) FlushBuffers() {
 	for _, s := range n.Sats {
 		buf := s.Buffer
 		s.Buffer = nil
 		for _, p := range buf {
-			s.Receive(p)
+			s.forward(p)
 		}
 	}
 }

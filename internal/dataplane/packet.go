@@ -4,8 +4,9 @@
 // forwarder that delivers packets segment by segment via any satellite
 // covering the next cell, an intra-cell gateway-ring fallback, local
 // failover around dead ISLs, and buffering when a ring is partitioned.
-// A legacy per-satellite routing-table forwarder is included as the
-// baseline (Figure 19).
+// Satellite.Receive is the one forwarding path; Anycast, behind the Router
+// seam, decides each hop (Figure 19's routing-table baseline plugs in there
+// from internal/baseline).
 //
 // The wire format follows the layered-decoding discipline of gopacket:
 // each header type owns its Marshal/Unmarshal pair, headers chain via a
@@ -45,11 +46,9 @@ type BaseHeader struct {
 	PayloadLen uint16
 }
 
-// Flag bits.
-const (
-	// FlagControl marks control-plane packets (failure reports etc.).
-	FlagControl = 1 << 0
-)
+// FlagControl is the Flags bit marking control-plane packets (failure
+// reports etc.).
+const FlagControl = 1 << 0
 
 // Marshal appends the encoded header to dst and returns the result.
 func (h *BaseHeader) Marshal(dst []byte) []byte {
@@ -168,7 +167,7 @@ func (g *GeoSegmentHeader) Advance() {
 // the southbound TCP path).
 type Packet struct {
 	Base    BaseHeader
-	Geo     *GeoSegmentHeader // nil for legacy packets
+	Geo     *GeoSegmentHeader // nil when the wire form carried no segment list
 	Payload []byte
 
 	// Emulation metadata (not on the wire).

@@ -187,14 +187,67 @@ func TestPacketRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestDecodeGarbageNeverPanics(t *testing.T) {
+// garbageVectors returns n seeded random buffers of up to 64 bytes, each
+// given a chance past the version check.
+func garbageVectors(n int) [][]byte {
 	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 2000; i++ {
+	out := make([][]byte, n)
+	for i := range out {
 		b := make([]byte, rng.Intn(64))
 		rng.Read(b)
 		if len(b) > 0 {
-			b[0] = Version // give it a chance past the version check
+			b[0] = Version
 		}
+		out[i] = b
+	}
+	return out
+}
+
+func TestDecodeGarbageNeverPanics(t *testing.T) {
+	for _, b := range garbageVectors(2000) {
 		_, _ = Decode(b) // must not panic
 	}
+}
+
+// FuzzDecode feeds the packet codec arbitrary bytes, as a socket would. It
+// must not panic; what it decodes must fit inside the input (the segment
+// list and payload are sized by length fields, which must never promise
+// more than the bytes present); and Decode→Encode→Decode must be a fixed
+// point.
+func FuzzDecode(f *testing.F) {
+	geo, _ := NewGeoPacket(42, []int{100, 200, 300}, 7, 1, []byte("payload!"))
+	wire, _ := geo.Encode()
+	f.Add(wire)
+	f.Add(wire[:len(wire)-1])
+	f.Add(wire[:BaseHeaderLen+3])
+	for _, nh := range []uint8{NextHeaderPayload, NextHeaderNone, 0x77} {
+		h := BaseHeader{Ver: Version, NextHeader: nh, HopLimit: 16, PayloadLen: 2}
+		f.Add(append(h.Marshal(nil), "hi"...))
+	}
+	for _, b := range garbageVectors(64) {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p, err := Decode(b)
+		if err != nil {
+			return
+		}
+		if p.WireSize() > len(b) {
+			t.Fatalf("decoded %d wire bytes from a %d-byte input", p.WireSize(), len(b))
+		}
+		if p.Geo != nil && cap(p.Geo.Segments) > (len(b)-BaseHeaderLen-4)/2 {
+			t.Fatalf("segment list of capacity %d from a %d-byte input", cap(p.Geo.Segments), len(b))
+		}
+		again, err := p.Encode()
+		if err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		q, err := Decode(again)
+		if err != nil {
+			t.Fatalf("decode of re-encoded packet: %v", err)
+		}
+		if !reflect.DeepEqual(p, q) {
+			t.Fatalf("round trip changed the packet:\n%+v\n%+v", p, q)
+		}
+	})
 }

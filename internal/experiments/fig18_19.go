@@ -55,7 +55,7 @@ func Figure18(scale Scale) (*metrics.Table, error) {
 		return nil, fmt.Errorf("experiments: no deliverable route in testbed")
 	}
 	tab := metrics.NewTable("Figure 18: enforcement of routing policies",
-		"policy", "route cells", "delivered", "sat hops", "delay (ms)")
+		"policy", "route cells", "delivered", "sat hops", "delay (ms)", "stretch")
 
 	type policyRoute struct {
 		name string
@@ -88,13 +88,30 @@ func Figure18(scale Scale) (*metrics.Table, error) {
 		// sending into a known-unenforced hop (the control plane would
 		// repair them before installing the route).
 		if !routeEnforced(tb, pr.r) {
-			tab.AddRow(pr.name, len(pr.r.Cells), "skipped (unenforced hop)", "-", "-")
+			tab.AddRow(pr.name, len(pr.r.Cells), "skipped (unenforced hop)", "-", "-", "-")
 			continue
 		}
-		delivered, hops, delay := sendOnce(tb, src, pr.r)
-		tab.AddRow(pr.name, len(pr.r.Cells), delivered, hops, fmt.Sprintf("%.2f", delay*1e3))
+		p, delay := sendOnce(tb, src, pr.r)
+		if p == nil {
+			tab.AddRow(pr.name, len(pr.r.Cells), false, "-", "-", "-")
+			continue
+		}
+		tab.AddRow(pr.name, len(pr.r.Cells), true, len(p.HopTrace)-1,
+			fmt.Sprintf("%.2f", delay*1e3), fmt.Sprintf("%.3f", stretch(tb, p, delay)))
 	}
 	return tab, nil
+}
+
+// stretch is a delivered packet's one-way delay over the propagation delay
+// of the shortest path through every compiled ISL between the satellite it
+// entered at and the one that delivered it (1 when they are the same).
+func stretch(tb *chaos.Testbed, p *dataplane.Packet, delay float64) float64 {
+	from, to := p.HopTrace[0], p.HopTrace[len(p.HopTrace)-1]
+	best, _, ok := PathDelayOverLinks(tb.Sats, tb.Snap.Links(), from, to, tb.Snap.Time)
+	if !ok || best == 0 {
+		return 1
+	}
+	return delay / best
 }
 
 // routeEnforced reports whether every hop of the route has gateway
@@ -109,28 +126,26 @@ func routeEnforced(tb *chaos.Testbed, r intent.Route) bool {
 	return true
 }
 
-func sendOnce(tb *chaos.Testbed, srcCell int, r intent.Route) (bool, int, float64) {
+// sendOnce injects one 256 B geo-segment packet along r at srcCell's
+// gateway and returns it with its one-way delay, or nil if undelivered.
+func sendOnce(tb *chaos.Testbed, srcCell int, r intent.Route) (*dataplane.Packet, float64) {
 	gw, ok := tb.GatewayOf(srcCell)
 	if !ok {
-		return false, 0, 0
-	}
-	delivered := false
-	hops := 0
-	var delay float64
-	start := tb.Net.Sim.Now()
-	tb.Net.OnDeliver = func(s *dataplane.Satellite, p *dataplane.Packet) {
-		delivered = true
-		hops = len(p.HopTrace) - 1
-		delay = tb.Net.Sim.Now() - start
+		return nil, 0
 	}
 	p, err := dataplane.NewGeoPacket(uint32(gw), r.Cells, 1, 1, make([]byte, 256))
 	if err != nil {
-		return false, 0, 0
+		return nil, 0
+	}
+	var got *dataplane.Packet
+	var delay float64
+	tb.Net.OnDeliver = func(_ *dataplane.Satellite, q *dataplane.Packet) {
+		got, delay = q, tb.Net.Sim.Now()-q.SentAt
 	}
 	tb.Net.Inject(gw, p)
-	tb.Net.Sim.Run(start + 5)
+	tb.Net.Sim.Run(tb.Net.Sim.Now() + 5)
 	tb.Net.OnDeliver = nil
-	return delivered, hops, delay
+	return got, delay
 }
 
 // Figure19a compares routing stretch: TinyLEO's sparse network versus a
@@ -272,7 +287,7 @@ func Figure19bcd(scale Scale) ([]*metrics.Table, error) {
 	if !gwOK {
 		return nil, fmt.Errorf("experiments: 19b source cell has no gateway")
 	}
-	legacyPath, legacyDst := installLegacyRoute(tb, gw, route)
+	legacyDst := installLegacyRoute(tb, src, route)
 	var srvRTTs, legacyRTTs []float64
 	for sec := 0; sec < 20; sec++ {
 		var srvDelay, legDelay float64
@@ -287,10 +302,7 @@ func Figure19bcd(scale Scale) ([]*metrics.Table, error) {
 		}
 		gp, _ := dataplane.NewGeoPacket(uint32(gw), route.Cells, 2, uint32(sec), make([]byte, 128))
 		tb.Net.Inject(gw, gp)
-		lp := &dataplane.Packet{Base: dataplane.BaseHeader{
-			Ver: dataplane.Version, HopLimit: 64, FlowID: uint32(legacyDst),
-		}, Payload: make([]byte, 128)}
-		tb.Net.Inject(gw, lp)
+		tb.Net.Inject(gw, baseline.TablePacket(legacyDst, make([]byte, 128)))
 		tb.Net.Sim.Run(tb.Net.Sim.Now() + 1)
 		if delivered == 2 {
 			srvRTTs = append(srvRTTs, 2*srvDelay*1e3)
@@ -305,7 +317,6 @@ func Figure19bcd(scale Scale) ([]*metrics.Table, error) {
 	summary19b := metrics.NewTable("Figure 19b (summary)", "plane", "mean RTT (ms)", "paper")
 	summary19b.AddRow("TinyLEO SRv6", fmt.Sprintf("%.2f", metrics.Mean(srvRTTs)), "≈ propagation delay")
 	summary19b.AddRow("legacy IPv6", fmt.Sprintf("%.2f", metrics.Mean(legacyRTTs)), "comparable to SRv6")
-	_ = legacyPath
 
 	// --- 19c: full-speed forwarding utilization. Use a slow-link copy of
 	// the first hop so the event count stays tractable.
@@ -322,31 +333,18 @@ func Figure19bcd(scale Scale) ([]*metrics.Table, error) {
 	return []*metrics.Table{rttTab, summary19b, utilTab, failTab}, nil
 }
 
-// installLegacyRoute installs per-satellite routing-table entries along
-// the geo route's gateway chain; returns the path and destination sat.
-func installLegacyRoute(tb *chaos.Testbed, gw int, r intent.Route) ([]int, int) {
-	// Discover the concrete satellite path a geo packet takes, then pin it
-	// into routing tables.
-	var path []int
-	tb.Net.OnDeliver = func(s *dataplane.Satellite, p *dataplane.Packet) {
-		path = append([]int(nil), p.HopTrace...)
+// installLegacyRoute plugs the routing-table baseline into tb's network and
+// pins the concrete satellite path a geo packet takes along r from srcCell
+// into its tables; returns the destination satellite.
+func installLegacyRoute(tb *chaos.Testbed, srcCell int, r intent.Route) int {
+	tables := baseline.RouteByTables(tb.Net)
+	p, _ := sendOnce(tb, srcCell, r)
+	if p == nil || len(p.HopTrace) < 2 {
+		gw, _ := tb.GatewayOf(srcCell)
+		return gw
 	}
-	p, _ := dataplane.NewGeoPacket(uint32(gw), r.Cells, 3, 0, nil)
-	tb.Net.Inject(gw, p)
-	tb.Net.Sim.Run(tb.Net.Sim.Now() + 5)
-	tb.Net.OnDeliver = nil
-	if len(path) < 2 {
-		return nil, gw
-	}
-	dst := path[len(path)-1]
-	for i := 0; i < len(path)-1; i++ {
-		s := tb.Net.Sats[path[i]]
-		if s.RoutingTable == nil {
-			s.RoutingTable = map[uint32]int{}
-		}
-		s.RoutingTable[uint32(dst)] = path[i+1]
-	}
-	return path, dst
+	tables.InstallPath(p.HopTrace)
+	return p.HopTrace[len(p.HopTrace)-1]
 }
 
 // figure19c measures ISL utilization under a saturating flow.
@@ -403,7 +401,7 @@ func figure19d(scale Scale) (*metrics.Table, error) {
 		}
 		var legacyDst int
 		if legacy {
-			_, legacyDst = installLegacyRoute(tb2, gw2, route)
+			legacyDst = installLegacyRoute(tb2, src, route)
 		}
 		var deliveries []float64
 		tb2.Net.OnDeliver = func(s *dataplane.Satellite, p *dataplane.Packet) {
@@ -445,11 +443,7 @@ func figure19d(scale Scale) (*metrics.Table, error) {
 			i := i
 			tb2.Net.Sim.Schedule(float64(i)*0.010, func() {
 				if legacy {
-					lp := &dataplane.Packet{Base: dataplane.BaseHeader{
-						Ver: dataplane.Version, HopLimit: 64, FlowID: uint32(legacyDst),
-					}}
-					lp.SentAt = tb2.Net.Sim.Now()
-					tb2.Net.Inject(gw2, lp)
+					tb2.Net.Inject(gw2, baseline.TablePacket(legacyDst, nil))
 					return
 				}
 				gp, _ := dataplane.NewGeoPacket(uint32(gw2), route.Cells, 6, uint32(i), nil)

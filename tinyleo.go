@@ -279,7 +279,7 @@ type Network = dataplane.Network
 // Satellite is one forwarding node.
 type Satellite = dataplane.Satellite
 
-// Packet is a data-plane packet (geo segment or legacy).
+// Packet is a data-plane packet.
 type Packet = dataplane.Packet
 
 // NewNetwork creates an empty emulated network.
