@@ -48,17 +48,6 @@ func BenchmarkCompileSlot(b *testing.B) {
 	}
 }
 
-// BenchmarkCompileSlotWarm measures a fully memoized re-compile of the
-// same slot — the upper bound the propagation cache buys.
-func BenchmarkCompileSlotWarm(b *testing.B) {
-	c := benchController(b)
-	c.Compile(0)
-	b.ReportAllocs()
-	for b.Loop() {
-		c.Compile(0)
-	}
-}
-
 // BenchmarkRepair measures incremental failover repair against a compiled
 // slot whose geometry is already cached (the paper's §4.2 fast path).
 func BenchmarkRepair(b *testing.B) {

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/orbit"
 )
 
 // compareSnaps fails the test unless two snapshots are byte-identical
@@ -107,11 +109,12 @@ func TestDeltaCompileNilPrev(t *testing.T) {
 // comparison downstream).
 func TestMeanLifetimeEmptyCell(t *testing.T) {
 	c, _ := newController(t)
-	sg := c.geo.Slot(0)
-	if tau := c.meanLifetime(sg, 0, nil); tau != 0 || math.IsNaN(tau) {
+	var lt orbit.LifeTable
+	lt.Reset(c.geo.Slot(0), nil)
+	if tau := meanLifetime(&lt, 0, nil); tau != 0 || math.IsNaN(tau) {
 		t.Errorf("meanLifetime over empty cell = %v, want 0", tau)
 	}
-	if tau := c.meanLifetime(sg, 0, []int{}); tau != 0 || math.IsNaN(tau) {
+	if tau := meanLifetime(&lt, 0, []int{}); tau != 0 || math.IsNaN(tau) {
 		t.Errorf("meanLifetime over empty slice = %v, want 0", tau)
 	}
 }

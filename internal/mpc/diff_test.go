@@ -81,10 +81,12 @@ func TestDiffLinksBatchBySatellite(t *testing.T) {
 	}
 }
 
-// TestDeltaCompileConcurrentRepair runs a DeltaCompile chain and the
-// incremental Repair path on one controller — and so one propagation
-// cache — at the same time; under -race it is the data-race regression
-// test for the only two control paths a running controller overlaps.
+// TestDeltaCompileConcurrentRepair runs a DeltaCompile chain, cold
+// Compiles and the incremental Repair path on one controller — and so one
+// propagation cache, whose slot geometries the chain evicts as it goes —
+// at the same time; under -race it is the data-race regression test for
+// the control paths a running controller overlaps. Only the chain shares
+// a τ table between its slots; every other compile owns its own.
 func TestDeltaCompileConcurrentRepair(t *testing.T) {
 	c, _ := newController(t)
 	ref, _ := newController(t)
@@ -95,14 +97,21 @@ func TestDeltaCompileConcurrentRepair(t *testing.T) {
 
 	const slots, dt = 4, 300.0
 	chain := make([]*Snapshot, slots)
+	cold := make([]*Snapshot, slots)
 	var wg sync.WaitGroup
-	wg.Add(2)
+	wg.Add(3)
 	go func() {
 		defer wg.Done()
 		var prev *Snapshot
 		for s := range chain {
 			prev = c.DeltaCompile(prev, float64(s)*dt)
 			chain[s] = prev
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for s := range cold {
+			cold[s] = c.Compile(float64(s) * dt)
 		}
 	}()
 	go func() {
@@ -116,8 +125,35 @@ func TestDeltaCompileConcurrentRepair(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	// The overlapping repairs must not have leaked into the chain.
-	for s, snap := range chain {
-		compareSnaps(t, s, ref.Compile(float64(s)*dt), snap)
+	// The overlapping repairs and compiles must not have leaked into each
+	// other.
+	for s := range chain {
+		want := ref.Compile(float64(s) * dt)
+		compareSnaps(t, s, want, chain[s])
+		compareSnaps(t, s, want, cold[s])
 	}
+}
+
+// TestDeltaChainDropsOldSlotGeometry: a DeltaCompile chain keeps the slot
+// geometry of prev and of the slot it compiles and drops what is older, so
+// a long-running controller's cache does not grow with the slot count; a
+// Repair of a snapshot whose geometry is gone rebuilds it and answers as
+// it did before the eviction.
+func TestDeltaChainDropsOldSlotGeometry(t *testing.T) {
+	c, _ := newController(t)
+	first := c.Compile(0)
+	if len(first.InterLinks) == 0 {
+		t.Fatal("no inter-links to fail over")
+	}
+	fail := []Link{first.InterLinks[0]}
+	want, _ := c.Repair(first, fail, nil, 0)
+	prev := first
+	for s := 1; s <= 200; s++ {
+		prev = c.DeltaCompile(prev, float64(s)*30)
+		if n := c.geo.NumSlots(); n > 3 {
+			t.Fatalf("slot %d: cache retains %d slot geometries, want at most 3", s, n)
+		}
+	}
+	got, _ := c.Repair(first, fail, nil, 0)
+	compareSnaps(t, 0, want, got)
 }

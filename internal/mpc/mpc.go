@@ -43,16 +43,16 @@ var (
 	obsLinksAdded   = obs.Default().Counter("tinyleo_mpc_links_changed_total", "op", "added")
 	obsLinksRemoved = obs.Default().Counter("tinyleo_mpc_links_changed_total", "op", "removed")
 
-	// Delta-compile telemetry: how much of each incremental compile was
-	// reused from the previous slot (cells/edges whose matching inputs
-	// were bit-identical) versus rematched, and how many cells' visible
-	// sets actually changed between the two slots.
+	// Delta-compile telemetry: incremental compiles, how many cells'
+	// visible sets changed between the last two slots, and the stage-1
+	// matchings run. The last keeps the name and label it had when a
+	// second outcome, "reused", existed: the frozen bench/ ledger reads
+	// both by name (mpc.cells_reused_ratio, now always 0) and its smoke
+	// test needs the ratio's denominator; the next [benchmark] PR drops
+	// the row and this counter with it.
 	obsDeltaCompiles     = obs.Default().Counter("tinyleo_mpc_delta_compile_total")
 	obsDeltaChangedCells = obs.Default().Gauge("tinyleo_mpc_delta_changed_cells")
-	obsDeltaCellsReused  = obs.Default().Counter("tinyleo_mpc_delta_cells_total", "outcome", "reused")
 	obsDeltaCellsMatched = obs.Default().Counter("tinyleo_mpc_delta_cells_total", "outcome", "rematched")
-	obsDeltaEdgesReused  = obs.Default().Counter("tinyleo_mpc_delta_edges_total", "outcome", "reused")
-	obsDeltaEdgesMatched = obs.Default().Counter("tinyleo_mpc_delta_edges_total", "outcome", "rematched")
 
 	obsRepairs      = obs.Default().Counter("tinyleo_mpc_repair_total")
 	obsRepairStage  = map[string]*obs.Histogram{} // report|compute|instruct|total
@@ -173,82 +173,88 @@ func (s *Snapshot) LinkSet() map[Link]bool {
 // geometry flows through a concurrency-safe propagation cache.
 type Controller struct {
 	cfg Config
-	// geo memoizes orbit propagation, pairwise ISL lifetimes, and
+	// geo memoizes orbit propagation, per-pair visibility runs and
 	// per-slot geometry across slots (and across Compile/Repair).
 	geo *orbit.PropCache
 	// footprint[s] is satellite s's coverage angular radius, constant
 	// over time for circular orbits.
 	footprint []float64
-	// deltaMu serializes DeltaCompile calls: the delta state carries
-	// per-cell and per-edge matching records from the previous delta
-	// slot, so incremental compiles are inherently sequential.
+	// topo is everything the slot pipeline needs that depends on cfg.Topo
+	// alone, computed once because the config is read-only after New.
+	topo topoPlan
+	// deltaMu serializes DeltaCompile calls: the chain compiles every slot
+	// in the one scratch it keeps.
 	deltaMu sync.Mutex
 	//tinyleo:guardedby deltaMu
-	delta *deltaState
+	delta slotScratch
 }
 
-// deltaState is the warm-start memory a DeltaCompile chain carries from
-// slot to slot: the last slot's coverage (for the changed-cell diff) and
-// the matching records reuse is gated on. Reuse never trusts temporal
-// coherence alone — a record is only replayed when every input the
-// matching consumed (available satellites and the full τ weight matrix)
-// is bit-identical to the recorded one, which makes the delta path's
-// output byte-identical to a full compile by construction.
-type deltaState struct {
-	prev  *Snapshot
-	cover [][]int
-	cells map[int]*cellMatch
-	edges map[[2]int]*edgeMatch
-	// changed is the most recent slot-over-slot changed-cell count.
-	changed int
+// slotScratch is the working memory of one slot compile: the slot's τ
+// table and the matching stages' buffers, none of which outlives the
+// compile. Compile allocates one per call; the DeltaCompile chain keeps
+// one and reuses it, so a warm slot allocates only what its snapshot and
+// the matchings' own results hold.
+type slotScratch struct {
+	life  orbit.LifeTable
+	taken []bool // per satellite: already holds a gateway assignment
+	sats  []int  // the current cell's unassigned satellites
+	w, rw matrix // τ weights of the current matching, and their transpose
 }
 
-// cellMatch records one cell's stage-1 many-to-one matching: the inputs
-// it was computed from and the per-neighbor gateway assignment it
-// produced.
-type cellMatch struct {
-	sats []int
-	w    [][]float64
-	gws  [][]int
+// matrix is a weight matrix whose rows share one reusable backing slice.
+type matrix struct {
+	rows [][]float64
+	buf  []float64
 }
 
-// edgeMatch records one intent edge's stage-2 one-to-one matching: the
-// two gateway sets, their pairwise τ matrix, and the concrete ISLs.
-type edgeMatch struct {
-	gu, gv []int
-	w      [][]float64
-	links  []Link
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// shape returns m as r rows of n columns. The contents are whatever the
+// last use left: the caller writes every element.
+func (m *matrix) shape(r, n int) [][]float64 {
+	if cap(m.buf) < r*n {
+		m.buf = make([]float64, r*n)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	m.rows = m.rows[:0]
+	for i := 0; i < r; i++ {
+		m.rows = append(m.rows, m.buf[i*n:(i+1)*n:(i+1)*n])
+	}
+	return m.rows
+}
+
+// topoPlan is the slot-invariant half of a compile: the intent's cells,
+// their centres, neighbour lists and edge demands, the stage-1 matching
+// order, and the sorted edge list. Per-cell slices are aligned with cells.
+type topoPlan struct {
+	cells     []int         // declared cells, ascending
+	centers   []geom.LatLon // cell centres, the stage-0 coverage query
+	neighbors [][]int       // neighbors[ci]: cells adjacent to cells[ci], ascending
+	demand    [][]int       // demand[ci][j]: ISLs required toward neighbors[ci][j]
+	// order lists indices into cells, largest total gateway demand first
+	// (then lowest cell ID), so shared satellites go where they are
+	// scarcest.
+	order []int
+	edges [][2]int // intent edges (u < v), lexicographic
+}
+
+func newTopoPlan(topo *intent.Topology) topoPlan {
+	tp := topoPlan{cells: topo.Cells(), edges: topo.EdgeList()}
+	n := len(tp.cells)
+	tp.centers = make([]geom.LatLon, n)
+	tp.neighbors = make([][]int, n)
+	tp.demand = make([][]int, n)
+	tp.order = make([]int, n)
+	total := make([]int, n)
+	for ci, u := range tp.cells {
+		tp.centers[ci] = topo.Grid.Center(u)
+		tp.neighbors[ci] = topo.Neighbors(u)
+		tp.demand[ci] = make([]int, len(tp.neighbors[ci]))
+		for j, v := range tp.neighbors[ci] {
+			tp.demand[ci][j] = topo.EdgeDemand(u, v)
+			total[ci] += tp.demand[ci][j]
 		}
+		tp.order[ci] = ci
 	}
-	return true
-}
-
-// weightsEqual compares τ matrices by float64 bit pattern: reuse demands
-// exact input identity, not numeric closeness.
-func weightsEqual(a, b [][]float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if math.Float64bits(a[i][j]) != math.Float64bits(b[i][j]) {
-				return false
-			}
-		}
-	}
-	return true
+	sort.SliceStable(tp.order, func(a, b int) bool { return total[tp.order[a]] > total[tp.order[b]] })
+	return tp
 }
 
 // New validates the config and creates a controller.
@@ -260,6 +266,7 @@ func New(cfg Config) (*Controller, error) {
 		cfg:       cfg,
 		geo:       orbit.NewPropCache(cfg.Sats, cfg.ISL, cfg.LifetimeHorizon, cfg.LifetimeStep),
 		footprint: make([]float64, len(cfg.Sats)),
+		topo:      newTopoPlan(cfg.Topo),
 	}
 	for i, e := range cfg.Sats {
 		c.footprint[i] = cfg.Coverage.FootprintRadius(e.Altitude())
@@ -278,18 +285,16 @@ func (c *Controller) CacheStats() orbit.CacheStats { return c.geo.Stats() }
 // Compile produces the satellite topology snapshot enforcing the intent at
 // time t.
 func (c *Controller) Compile(t float64) *Snapshot {
-	return c.compile(t, nil)
+	return c.compile(t, &slotScratch{}, nil)
 }
 
 // DeltaCompile produces the snapshot Compile(t) would — byte for byte —
-// but warm-starts from the previous slot: pair-lifetime predictions skip
-// visibility samples a prior evaluation already observed (the dominant
-// compile cost), and a cell's or edge's stable matching is replayed from
-// the previous slot's record whenever every matching input (available
-// satellites, gateway sets, and the full τ weight matrix) is
-// bit-identical. prev anchors the changed-cell diff; passing nil falls
-// back to a full compile. Calls are serialized per controller — the
-// warm-start state is a slot-to-slot chain — while Compile and Repair
+// as one slot of a chain: pair-lifetime predictions skip visibility
+// samples the previous slots' evaluations already observed (the dominant
+// geometry cost), the slot's working memory is the chain's own, reused
+// from slot to slot, and slot geometries older than prev are dropped.
+// prev anchors the changed-cell gauge; passing nil falls back to a full
+// compile. Calls are serialized per controller, while Compile and Repair
 // may still run concurrently.
 func (c *Controller) DeltaCompile(prev *Snapshot, t float64) *Snapshot {
 	if prev == nil {
@@ -298,31 +303,27 @@ func (c *Controller) DeltaCompile(prev *Snapshot, t float64) *Snapshot {
 	c.geo.EnableWarmLifetimes()
 	c.deltaMu.Lock()
 	defer c.deltaMu.Unlock()
-	if c.delta == nil {
-		c.delta = &deltaState{cells: map[int]*cellMatch{}, edges: map[[2]int]*edgeMatch{}}
-	}
-	c.delta.prev = prev
-	snap := c.compile(t, c.delta)
+	// prev's geometry stays for a Repair of prev; older slots are never
+	// compiled again (Repair rebuilds one it still needs).
+	c.geo.DropSlotsBefore(math.Min(prev.Time, t))
+	snap := c.compile(t, &c.delta, prev)
 	obsDeltaCompiles.Inc()
-	obsDeltaChangedCells.Set(float64(c.delta.changed))
 	return snap
 }
 
-// compile is the shared three-stage pipeline behind Compile and
-// DeltaCompile. A nil ds runs the full path; a non-nil ds additionally
-// consults and refreshes the delta chain's matching records. Both paths
-// execute the identical stage structure, so their snapshots are
-// byte-identical by construction.
-func (c *Controller) compile(t float64, ds *deltaState) *Snapshot {
+// compile is the three-stage pipeline behind Compile and DeltaCompile,
+// run in scratch sc. A non-nil prev marks a slot of the delta chain: it
+// changes the telemetry, never the snapshot.
+func (c *Controller) compile(t float64, sc *slotScratch, prev *Snapshot) *Snapshot {
 	kind := "compile"
-	if ds != nil {
+	if prev != nil {
 		kind = "delta"
 	}
 	span := obs.StartSpan("mpc.compile", "t", strconv.FormatFloat(t, 'f', 0, 64), "kind", kind)
 	//lint:tinyleo-ignore wall-clock compile latency feeds telemetry only, never the snapshot
 	start := time.Now()
 	defer func() { span.End() }()
-	cfg := &c.cfg
+	tp := &c.topo
 	snap := &Snapshot{
 		Time:     t,
 		CellSats: map[int][]int{},
@@ -335,182 +336,102 @@ func (c *Controller) compile(t float64, ds *deltaState) *Snapshot {
 	// enforces the terminal budget by assigning each satellite to at most
 	// one cell's gateway duty. Slot geometry (positions, sub-satellite
 	// points, the ISL-range pruning grid) comes from the propagation
-	// cache and is shared with every other slot of a horizon compile and
-	// with Repair at the same slot time.
+	// cache and is shared with Repair at the same slot time.
 	sg := c.geo.Slot(t)
-	cells := cfg.Topo.Cells()
-	centers := make([]geom.LatLon, len(cells))
-	for ci, u := range cells {
-		centers[ci] = cfg.Topo.Grid.Center(u)
-	}
-	cover := sg.Coverage(centers, c.footprint)
-	for ci, u := range cells {
+	cover := sg.Coverage(tp.centers, c.footprint)
+	for ci, u := range tp.cells {
 		if len(cover[ci]) > 0 {
 			snap.CellSats[u] = cover[ci]
 		}
 	}
-	if ds != nil {
-		// The changed-cell set is a cheap diff on cached geometry: cells
-		// outside it kept their visible-satellite set and are the reuse
-		// candidates the matching records below capitalize on.
-		prevCover := make([][]int, len(cells))
-		for ci, u := range cells {
-			prevCover[ci] = ds.prev.CellSats[u]
+	// Every τ the matching stages consult is between two satellites of
+	// these coverage lists, at this one slot time.
+	lt := &sc.life
+	lt.Reset(sg, cover)
+	if prev != nil {
+		prevCover := make([][]int, len(tp.cells))
+		for ci, u := range tp.cells {
+			prevCover[ci] = prev.CellSats[u]
 		}
-		ds.changed = len(orbit.ChangedCells(prevCover, cover))
-		ds.cover = cover
+		obsDeltaChangedCells.Set(float64(len(orbit.ChangedCells(prevCover, cover))))
 	}
+	matched := 0
 
 	// Stage 1: per-cell many-to-one gateway matching. Satellites already
 	// holding a gateway assignment from an earlier cell are excluded, so
 	// each satellite spends at most one terminal on gateway duty (plus two
-	// on its home cell's ring). Cells with the largest gateway demand match
-	// first so shared satellites go where they are scarcest.
-	order := append([]int(nil), cells...)
-	demandOf := func(u int) int {
-		d := 0
-		for _, v := range cfg.Topo.Neighbors(u) {
-			d += cfg.Topo.EdgeDemand(u, v)
-		}
-		return d
+	// on its home cell's ring). Cells are matched in topoPlan.order.
+	if len(sc.taken) != len(c.cfg.Sats) {
+		sc.taken = make([]bool, len(c.cfg.Sats))
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		da, db := demandOf(order[a]), demandOf(order[b])
-		if da != db {
-			return da > db
-		}
-		return order[a] < order[b]
-	})
-	taken := make(map[int]bool)
-	for _, u := range order {
-		var sats []int
-		for _, s := range snap.CellSats[u] {
-			if !taken[s] {
+	clear(sc.taken)
+	for _, ci := range tp.order {
+		u, neighbors, caps := tp.cells[ci], tp.neighbors[ci], tp.demand[ci]
+		sats := sc.sats[:0]
+		for _, s := range cover[ci] {
+			if !sc.taken[s] {
 				sats = append(sats, s)
 			}
 		}
-		neighbors := cfg.Topo.Neighbors(u)
+		sc.sats = sats
 		if len(sats) == 0 || len(neighbors) == 0 {
-			for _, v := range neighbors {
-				snap.Deficits[[2]int{u, v}] += cfg.Topo.EdgeDemand(u, v)
+			for j, v := range neighbors {
+				snap.Deficits[[2]int{u, v}] += caps[j]
 			}
 			continue
 		}
 		// Preference weights: τ_{s,v} = mean predicted ISL lifetime from s
 		// to the satellites currently homed in v (Equation in §4.2).
-		w := make([][]float64, len(sats))
+		// Neighbor cells rank satellites by the same lifetime.
+		w, rw := sc.w.shape(len(sats), len(neighbors)), sc.rw.shape(len(neighbors), len(sats))
 		for i, s := range sats {
-			w[i] = make([]float64, len(neighbors))
 			for j, v := range neighbors {
-				w[i][j] = c.meanLifetime(sg, s, snap.CellSats[v])
+				w[i][j] = meanLifetime(lt, s, snap.CellSats[v])
+				rw[j][i] = w[i][j]
 			}
 		}
-		// Warm start: the matching is a pure function of (sats, w, caps)
-		// — caps is the static intent demand — so a record with
-		// bit-identical inputs replays its assignment without running
-		// Gale–Shapley again.
-		var assignedGws [][]int
-		if ds != nil {
-			if rec := ds.cells[u]; rec != nil && intsEqual(rec.sats, sats) && weightsEqual(rec.w, w) {
-				assignedGws = rec.gws
-				obsDeltaCellsReused.Inc()
-			}
-		}
-		if assignedGws == nil {
-			satPrefs := stablematch.PrefsFromWeights(w, 0)
-			// Neighbor cells rank satellites by the same lifetime.
-			rw := make([][]float64, len(neighbors))
-			caps := make([]int, len(neighbors))
-			for j, v := range neighbors {
-				rw[j] = make([]float64, len(sats))
-				for i := range sats {
-					rw[j][i] = w[i][j]
-				}
-				caps[j] = cfg.Topo.EdgeDemand(u, v)
-			}
-			rPrefs := stablematch.PrefsFromWeights(rw, 0)
-			rRank := stablematch.RanksFromPrefs(rPrefs, len(sats))
-			_, assigned := stablematch.ManyToOne(satPrefs, rRank, caps)
-			assignedGws = make([][]int, len(neighbors))
-			for j, held := range assigned {
-				gws := make([]int, 0, len(held))
-				for _, i := range held {
-					gws = append(gws, sats[i])
-				}
-				assignedGws[j] = gws
-			}
-			if ds != nil {
-				ds.cells[u] = &cellMatch{sats: append([]int(nil), sats...), w: w, gws: assignedGws}
-				obsDeltaCellsMatched.Inc()
-			}
-		}
+		matched++
+		rRank := stablematch.RanksFromPrefs(stablematch.PrefsFromWeights(rw, 0), len(sats))
+		_, assigned := stablematch.ManyToOne(stablematch.PrefsFromWeights(w, 0), rRank, caps)
 		for j, v := range neighbors {
-			gws := make([]int, 0, len(assignedGws[j]))
-			gws = append(gws, assignedGws[j]...)
-			for _, g := range gws {
-				taken[g] = true
+			gws := make([]int, 0, len(assigned[j]))
+			for _, i := range assigned[j] {
+				gws = append(gws, sats[i])
+				sc.taken[sats[i]] = true
 			}
 			snap.Gateways[[2]int{u, v}] = gws
-			if d := cfg.Topo.EdgeDemand(u, v) - len(gws); d > 0 {
+			if d := caps[j] - len(gws); d > 0 {
 				snap.Deficits[[2]int{u, v}] += d
 			}
 		}
 	}
+	if prev != nil {
+		obsDeltaCellsMatched.Add(int64(matched))
+	}
 
 	// Stage 2: one-to-one matching of gateway sets across each edge.
-	seen := map[[2]int]bool{}
-	for key := range snap.Gateways {
-		u, v := key[0], key[1]
-		ek := [2]int{min(u, v), max(u, v)}
-		if seen[ek] {
-			continue
-		}
-		seen[ek] = true
-		gu := snap.Gateways[[2]int{ek[0], ek[1]}]
-		gv := snap.Gateways[[2]int{ek[1], ek[0]}]
+	for _, e := range tp.edges {
+		gu := snap.Gateways[[2]int{e[0], e[1]}]
+		gv := snap.Gateways[[2]int{e[1], e[0]}]
 		if len(gu) == 0 || len(gv) == 0 {
 			continue
 		}
-		w := make([][]float64, len(gu))
+		w, rw := sc.w.shape(len(gu), len(gv)), sc.rw.shape(len(gv), len(gu))
 		for i, s := range gu {
-			w[i] = make([]float64, len(gv))
 			for j, s2 := range gv {
-				w[i][j] = c.pairLifetime(sg, s, s2)
-			}
-		}
-		if ds != nil {
-			if rec := ds.edges[ek]; rec != nil && intsEqual(rec.gu, gu) && intsEqual(rec.gv, gv) && weightsEqual(rec.w, w) {
-				snap.InterLinks = append(snap.InterLinks, rec.links...)
-				obsDeltaEdgesReused.Inc()
-				continue
-			}
-		}
-		pPrefs := stablematch.PrefsFromWeights(w, 0)
-		rw := make([][]float64, len(gv))
-		for j := range gv {
-			rw[j] = make([]float64, len(gu))
-			for i := range gu {
+				w[i][j] = lt.Lifetime(s, s2)
 				rw[j][i] = w[i][j]
 			}
 		}
 		rRank := stablematch.RanksFromPrefs(stablematch.PrefsFromWeights(rw, 0), len(gu))
-		match := stablematch.OneToOne(pPrefs, rRank)
-		var links []Link
-		for i, j := range match {
+		for i, j := range stablematch.OneToOne(stablematch.PrefsFromWeights(w, 0), rRank) {
 			if j >= 0 {
-				links = append(links, MakeLink(gu[i], gv[j]))
+				snap.InterLinks = append(snap.InterLinks, MakeLink(gu[i], gv[j]))
 			}
-		}
-		snap.InterLinks = append(snap.InterLinks, links...)
-		if ds != nil {
-			ds.edges[ek] = &edgeMatch{
-				gu: append([]int(nil), gu...), gv: append([]int(nil), gv...),
-				w: w, links: links,
-			}
-			obsDeltaEdgesMatched.Inc()
 		}
 	}
 	sort.Slice(snap.InterLinks, func(a, b int) bool { return lessLink(snap.InterLinks[a], snap.InterLinks[b]) })
+	lt.Flush()
 
 	// Stage 3: intra-cell ring over each cell's gateway satellites.
 	snap.RingLinks = c.ringLinks(sg, snap.Gateways, nil)
@@ -607,31 +528,15 @@ func lessLink(a, b Link) bool {
 	return a[1] < b[1]
 }
 
-// lifetime predicts τ_{s,s'}: how long an ISL between satellites s and s'
-// established at t would last. Served from the propagation cache.
-func (c *Controller) lifetime(s, s2 int, t float64) float64 {
-	return c.geo.Lifetime(s, s2, t)
-}
-
-// pairLifetime is lifetime with the slot's spatial-grid prune in front:
-// a pair the grid rejects is out of ISL range at the slot time, so its τ
-// is exactly 0 and no propagation is spent on it.
-func (c *Controller) pairLifetime(sg *orbit.SlotGeom, s, s2 int) float64 {
-	if !sg.InRange(s, s2) {
-		return 0
-	}
-	return c.geo.Lifetime(s, s2, sg.Time)
-}
-
-// meanLifetime is τ_{s,v} = (1/n_v)·Σ_{s'∈v} τ_{s,s'}, with out-of-range
-// pairs pruned by the slot's spatial grid (they contribute exactly 0).
-func (c *Controller) meanLifetime(sg *orbit.SlotGeom, s int, vSats []int) float64 {
+// meanLifetime is τ_{s,v} = (1/n_v)·Σ_{s'∈v} τ_{s,s'}, each τ from the
+// slot's table (out-of-range pairs contribute exactly 0).
+func meanLifetime(lt *orbit.LifeTable, s int, vSats []int) float64 {
 	if len(vSats) == 0 {
 		return 0
 	}
 	sum := 0.0
 	for _, s2 := range vSats {
-		sum += c.pairLifetime(sg, s, s2)
+		sum += lt.Lifetime(s, s2)
 	}
 	return sum / float64(len(vSats))
 }
@@ -857,24 +762,15 @@ func (c *Controller) Repair(s *Snapshot, failedLinks []Link, failedSats []int, r
 		return n
 	}
 	// Reuse the compiled slot's cached geometry: Repair runs at the same
-	// slot time as the Compile that produced s, so the spatial grid and
-	// every pair lifetime it consults are already memoized.
+	// slot time as the Compile that produced s (a geometry the delta chain
+	// has since evicted is rebuilt). The few candidate τ it needs are
+	// computed directly.
 	sg := c.geo.Slot(s.Time)
 	// Iterate intent edges in a fixed order: replacement satellites are a
 	// shared resource (the busy map), so map-order iteration would let the
 	// runtime's randomized order decide which edge wins a scarce satellite
 	// and produce different repaired topologies for identical inputs.
-	edges := make([][2]int, 0, len(c.cfg.Topo.Edges))
-	for e := range c.cfg.Topo.Edges {
-		edges = append(edges, e)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
-		}
-		return edges[i][1] < edges[j][1]
-	})
-	for _, e := range edges {
+	for _, e := range c.topo.edges {
 		n := c.cfg.Topo.Edges[e]
 		have := countEdgeLinks(e)
 		for have < n {
@@ -993,7 +889,7 @@ func (c *Controller) bestReplacement(sg *orbit.SlotGeom, s *Snapshot, e [2]int, 
 			if failSet[MakeLink(a, b)] {
 				continue
 			}
-			if tau := c.pairLifetime(sg, a, b); tau > bestTau {
+			if tau := sg.Lifetime(a, b); tau > bestTau {
 				bestTau, bestA, bestB, found = tau, a, b, true
 			}
 		}
@@ -1016,9 +912,9 @@ func (c *Controller) ringLinks(sg *orbit.SlotGeom, gateways map[[2]int][]int, fa
 			links = append(links, l)
 		}
 	}
-	for _, u := range c.cfg.Topo.Cells() {
+	for ci, u := range c.topo.cells {
 		ringSet := map[int]bool{}
-		for _, v := range c.cfg.Topo.Neighbors(u) {
+		for _, v := range c.topo.neighbors[ci] {
 			for _, s := range gateways[[2]int{u, v}] {
 				ringSet[s] = true
 			}

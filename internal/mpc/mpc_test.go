@@ -142,11 +142,11 @@ func TestLifetimePreferenceFavorsStableLinks(t *testing.T) {
 	// τ must be positive for an adjacent co-orbital pair and zero for an
 	// occluded pair.
 	c, _ := newController(t)
-	if tau := c.lifetime(0, 1, 0); tau <= 0 {
+	if tau := c.geo.Lifetime(0, 1, 0); tau <= 0 {
 		t.Errorf("co-orbital neighbors lifetime = %v", tau)
 	}
 	n := len(c.cfg.Sats)
-	if tau := c.lifetime(0, n/2, 0); tau != 0 {
+	if tau := c.geo.Lifetime(0, n/2, 0); tau != 0 {
 		// Opposite side of the constellation: should be invisible.
 		t.Logf("lifetime to far satellite = %v (may be visible depending on geometry)", tau)
 	}

@@ -1,0 +1,85 @@
+package mpc_test
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"sort"
+	"testing"
+
+	"repro/internal/chaos"
+	"repro/internal/mpc"
+	"repro/internal/orbit"
+)
+
+// TestDeltaChainLifetimesMatchDirect is the slot table's property test on
+// the 529-satellite testbed: over a DeltaCompile chain whose active set
+// changes every slot, every τ the table holds after a slot — the ones the
+// compile consulted, served back as hits, and the rest of the active
+// pairs — equals orbit.ISLLifetime bit for bit in either argument order,
+// and every slot equals a fresh controller's cold Compile.
+func TestDeltaChainLifetimesMatchDirect(t *testing.T) {
+	for _, dt := range []float64{30, 300} {
+		t.Run(fmt.Sprintf("dt=%v", dt), func(t *testing.T) {
+			tb, err := chaos.NewTestbed(chaos.TestbedConfig{Sats: 529})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := tb.Ctl.Config()
+			cold, err := mpc.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct := func(i, j int, t0 float64) float64 {
+				return orbit.ISLLifetime(cfg.Sats[i], cfg.Sats[j], t0, cfg.LifetimeHorizon, cfg.LifetimeStep, cfg.ISL)
+			}
+			var lastActive []int
+			setsChanged := 0
+			snap := tb.Snap
+			for slot := 1; slot <= 30; slot++ {
+				t0 := float64(slot) * dt
+				hits0 := tb.Ctl.CacheStats().LifeHits
+				snap = tb.Ctl.DeltaCompile(snap, t0)
+				if !reflect.DeepEqual(snap, cold.Compile(t0)) {
+					t.Fatalf("slot %d: delta chain diverged from a cold compile", slot)
+				}
+				if tb.Ctl.CacheStats().LifeHits == hits0 {
+					t.Fatalf("slot %d: the compile served no τ from its table", slot)
+				}
+				active := activeSats(snap)
+				if !reflect.DeepEqual(active, lastActive) {
+					setsChanged++
+				}
+				lastActive = active
+				lt := tb.Ctl.DeltaLifeTable()
+				for _, i := range active {
+					for _, j := range active {
+						want := direct(i, j, t0)
+						if got := lt.Lifetime(i, j); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("slot %d pair (%d,%d): table τ %v != direct %v", slot, i, j, got, want)
+						}
+					}
+				}
+			}
+			if setsChanged < 25 {
+				t.Errorf("active set changed on %d of 30 slots; the chain should reindex nearly every slot", setsChanged)
+			}
+		})
+	}
+}
+
+// activeSats is the union of a snapshot's coverage lists, ascending.
+func activeSats(s *mpc.Snapshot) []int {
+	seen := map[int]bool{}
+	var out []int
+	for _, sats := range s.CellSats {
+		for _, sat := range sats {
+			if !seen[sat] {
+				seen[sat] = true
+				out = append(out, sat)
+			}
+		}
+	}
+	sort.Ints(out)
+	return out
+}

@@ -8,22 +8,26 @@ import (
 	"repro/internal/geom"
 )
 
-// This file implements the propagation cache behind TinyLEO's horizon
+// This file implements the propagation cache behind TinyLEO's slot
 // compile (paper §4.2: the MPC "precomputes each satellite's serving
-// cells" offline and only assembles topologies online). Orbit propagation
-// and pairwise ISL-lifetime prediction dominate the compile cost; both
-// are pure functions of (satellite, time), so a constellation-wide
-// memo — shared by every control slot of a planning horizon and by
-// incremental Repair — removes the redundant geometry work without
-// changing a single output bit.
+// cells" offline and only assembles topologies online). What it keeps is
+// what consecutive control slots share: ECI positions, which the lifetime
+// windows of neighbouring slots sample at bit-identical times, and each
+// pair's last visibility run. Both are pure functions of their key, so
+// neither changes a single output bit. Pair lifetimes τ are not kept
+// here: their key includes a slot time that never recurs, so one slot
+// compile holds them in a LifeTable and drops them with the slot.
 
-// cacheShards spreads the memo maps over independently locked shards so
-// the horizon planner's worker pool does not serialize on one mutex.
+// cacheShards spreads the position and visibility-run maps over
+// independently locked shards: Compile, DeltaCompile and Repair may run
+// on one controller at the same time and should not meet on one mutex.
 const cacheShards = 64
 
 // maxShardEntries bounds each shard; a shard that grows past the bound is
-// reset wholesale (memoization is a pure cache, so dropping entries only
-// costs recomputation).
+// reset wholesale (both maps are pure caches, so dropping entries only
+// costs recomputation). A slot samples each active satellite at up to
+// horizon/step new times, so without the bound the position map would
+// grow for as long as the controller runs.
 const maxShardEntries = 1 << 14
 
 // posKey identifies a memoized propagation: satellite index and the exact
@@ -35,23 +39,10 @@ type posKey struct {
 	tbits uint64
 }
 
-// pairKey identifies a memoized ISL lifetime: a normalized satellite pair
-// (a < b) and the establishment time's bit pattern.
-type pairKey struct {
-	a, b  int32
-	tbits uint64
-}
-
 type posShard struct {
 	mu sync.RWMutex
 	//tinyleo:guardedby mu
 	m map[posKey]geom.Vec3
-}
-
-type lifeShard struct {
-	mu sync.RWMutex
-	//tinyleo:guardedby mu
-	m map[pairKey]float64
 }
 
 // visRun records the outcome of one lifetime evaluation for a satellite
@@ -76,9 +67,9 @@ type runShard struct {
 }
 
 // PropCache memoizes orbit propagation for a fixed satellite set: ECI
-// positions keyed by (satellite, quantized time), predicted ISL lifetimes
-// keyed by (pair, quantized time), and per-slot geometry (sub-satellite
-// points plus a spatial pruning grid) keyed by slot time.
+// positions keyed by (satellite, quantized time), each pair's last
+// visibility run, and per-slot geometry (sub-satellite points plus a
+// spatial pruning grid) keyed by slot time.
 //
 // The ISL parameters and the lifetime prediction window (horizon, step)
 // are fixed at construction, matching their lifecycle in mpc.Config; a
@@ -93,8 +84,7 @@ type PropCache struct {
 	horizon float64 // lifetime prediction horizon (s)
 	step    float64 // lifetime prediction step (s)
 
-	pos  [cacheShards]posShard
-	life [cacheShards]lifeShard
+	pos [cacheShards]posShard
 
 	// warm gates the per-pair visibility-run reuse in computeLifetime;
 	// offs precomputes the stepping loop's accumulated sample offsets so
@@ -134,9 +124,6 @@ func NewPropCache(sats []Elements, isl ISLParams, lifetimeHorizon, lifetimeStep 
 	}
 	for i := range pc.pos {
 		pc.pos[i].m = map[posKey]geom.Vec3{}
-	}
-	for i := range pc.life {
-		pc.life[i].m = map[pairKey]float64{}
 	}
 	for i := range pc.runs {
 		pc.runs[i].m = map[[2]int32]visRun{}
@@ -193,38 +180,21 @@ func (pc *PropCache) PositionECI(i int, t float64) geom.Vec3 {
 }
 
 // Lifetime returns the predicted ISL lifetime τ between satellites i and
-// j established at time t0, memoized per (pair, time). It equals
-// ISLLifetime(sats[i], sats[j], t0, horizon, step, isl) bit for bit: the
-// stepping loop below mirrors ISLLifetime's accumulation exactly, only
-// sourcing positions from the memo.
+// j established at time t0, computed on every call (a slot compile keeps
+// its τ in a LifeTable; Repair asks for too few to need one). It equals
+// ISLLifetime(sats[i], sats[j], t0, horizon, step, isl) bit for bit.
 func (pc *PropCache) Lifetime(i, j int, t0 float64) float64 {
-	if i > j {
-		i, j = j, i
-	}
-	k := pairKey{a: int32(i), b: int32(j), tbits: math.Float64bits(t0)}
-	sh := &pc.life[shardIndex(k.a, k.b, k.tbits)]
-	sh.mu.RLock()
-	v, ok := sh.m[k]
-	sh.mu.RUnlock()
-	if ok {
-		pc.lifeHits.Add(1)
-		return v
-	}
 	pc.lifeMisses.Add(1)
-	v = pc.computeLifetime(i, j, t0)
-	sh.mu.Lock()
-	if len(sh.m) >= maxShardEntries {
-		sh.m = make(map[pairKey]float64, maxShardEntries/4)
-	}
-	sh.m[k] = v
-	sh.mu.Unlock()
-	return v
+	return pc.computeLifetime(i, j, t0)
 }
 
 // computeLifetime is ISLLifetime with memoized propagation. The loop
 // structure (t += dt accumulation, <= horizon bound) must stay identical
 // to ISLLifetime so both paths evaluate the same float64 times.
 func (pc *PropCache) computeLifetime(i, j int, t0 float64) float64 {
+	if i > j {
+		i, j = j, i
+	}
 	if pc.warm.Load() {
 		return pc.warmLifetime(i, j, t0)
 	}
@@ -327,16 +297,24 @@ func (pc *PropCache) Slot(t float64) *SlotGeom {
 }
 
 // DropSlotsBefore evicts slot geometries older than t (long-running
-// controllers compile an unbounded slot sequence; position/lifetime memos
-// are already bounded by per-shard resets).
+// controllers compile an unbounded slot sequence; the position and
+// visibility-run maps are already bounded by per-shard resets). A holder
+// of an evicted geometry keeps using it, and Slot rebuilds one on demand.
 func (pc *PropCache) DropSlotsBefore(t float64) {
 	pc.slotMu.Lock()
 	defer pc.slotMu.Unlock()
-	for key, e := range pc.slots {
-		if math.Float64frombits(key) < t && e.g != nil {
+	for key := range pc.slots {
+		if math.Float64frombits(key) < t {
 			delete(pc.slots, key)
 		}
 	}
+}
+
+// NumSlots returns how many slot geometries the cache retains.
+func (pc *PropCache) NumSlots() int {
+	pc.slotMu.Lock()
+	defer pc.slotMu.Unlock()
+	return len(pc.slots)
 }
 
 func (pc *PropCache) buildSlot(t float64) *SlotGeom {
@@ -386,10 +364,11 @@ func (pc *PropCache) Stats() CacheStats {
 }
 
 // CacheStats reports PropCache effectiveness: memo hits and misses for
-// positions and pair lifetimes, candidate pairs the spatial grid pruned
-// without any propagation, and — when warm lifetimes are enabled — how
-// many visibility samples were evaluated and how many of those were
-// resolved from a prior run's record without calling Visible.
+// positions and pair lifetimes (a lifetime hit is a τ served from a slot's
+// LifeTable, a miss one that was computed), candidate pairs the spatial
+// grid pruned without any propagation, and — when warm lifetimes are
+// enabled — how many visibility samples were evaluated and how many of
+// those were resolved from a prior run's record without calling Visible.
 type CacheStats struct {
 	PosHits, PosMisses     uint64
 	LifeHits, LifeMisses   uint64
@@ -532,4 +511,15 @@ func (g *SlotGeom) InRange(i, j int) bool {
 		return false
 	}
 	return true
+}
+
+// Lifetime returns the predicted lifetime τ of an ISL between satellites
+// i and j established at the slot time: exactly 0 for a pair InRange
+// rejects, on which no propagation is spent, and PropCache.Lifetime
+// otherwise.
+func (g *SlotGeom) Lifetime(i, j int) float64 {
+	if !g.InRange(i, j) {
+		return 0
+	}
+	return g.cache.Lifetime(i, j, g.Time)
 }

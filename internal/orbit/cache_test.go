@@ -56,28 +56,79 @@ func TestPropCachePositionsMatchDirect(t *testing.T) {
 	}
 }
 
-// TestPropCacheLifetimeMatchesDirect: the memoized pair lifetime equals
-// ISLLifetime bit for bit (same stepping loop, memoized positions).
+// allActive is a coverage list naming every satellite of pc, which makes
+// every pair a LifeTable entry.
+func allActive(pc *PropCache) [][]int {
+	all := make([]int, pc.NumSats())
+	for i := range all {
+		all[i] = i
+	}
+	return [][]int{all}
+}
+
+// TestPropCacheLifetimeMatchesDirect: a slot table's pair lifetime equals
+// ISLLifetime bit for bit (same stepping loop, memoized positions), in
+// either argument order and for a satellite paired with itself, and a
+// repeated lookup is served from the table.
 func TestPropCacheLifetimeMatchesDirect(t *testing.T) {
 	pc := newTestCache(5, 5)
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 400; trial++ {
-		i, j := rng.Intn(pc.NumSats()), rng.Intn(pc.NumSats())
-		if i == j {
-			continue
+	var lt LifeTable
+	var lookups, computed uint64
+	for slot := 0; slot < 20; slot++ {
+		t0 := float64(slot) * 150
+		lt.Reset(pc.Slot(t0), allActive(pc))
+		seen := map[[2]int]bool{}
+		for trial := 0; trial < 40; trial++ {
+			i, j := rng.Intn(pc.NumSats()), rng.Intn(pc.NumSats())
+			got := lt.Lifetime(i, j)
+			want := ISLLifetime(pc.sats[i], pc.sats[j], t0, pc.horizon, pc.step, pc.isl)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("pair (%d,%d) t0=%v: table %v != direct %v", i, j, t0, got, want)
+			}
+			if sym := lt.Lifetime(j, i); math.Float64bits(sym) != math.Float64bits(got) {
+				t.Fatalf("pair (%d,%d): asymmetric lifetimes %v vs %v", i, j, got, sym)
+			}
+			lookups += 2
+			if k := [2]int{min(i, j), max(i, j)}; !seen[k] {
+				seen[k] = true
+				computed++
+			}
 		}
-		t0 := float64(rng.Intn(20)) * 150
-		got := pc.Lifetime(i, j, t0)
-		want := ISLLifetime(pc.sats[i], pc.sats[j], t0, pc.horizon, pc.step, pc.isl)
-		if got != want {
-			t.Fatalf("pair (%d,%d) t0=%v: cached %v != direct %v", i, j, t0, got, want)
-		}
-		if sym := pc.Lifetime(j, i, t0); sym != got {
-			t.Fatalf("pair (%d,%d): asymmetric lifetimes %v vs %v", i, j, got, sym)
-		}
+		lt.Flush()
 	}
-	if st := pc.Stats(); st.LifeHits == 0 {
-		t.Errorf("symmetric re-lookups should hit, got %+v", st)
+	// Every distinct pair of a slot is computed or pruned exactly once;
+	// every other lookup is a hit.
+	st := pc.Stats()
+	if st.LifeHits != lookups-computed {
+		t.Errorf("LifeHits %d, want %d lookups - %d distinct pairs", st.LifeHits, lookups, computed)
+	}
+	if st.LifeMisses+st.PrunedPairs != computed {
+		t.Errorf("computed %d + pruned %d, want %d distinct pairs", st.LifeMisses, st.PrunedPairs, computed)
+	}
+}
+
+// TestLifeTableOutsideActiveSet: a satellite no coverage list names has no
+// table entry; a pair with one is computed directly — same τ, never an
+// index out of range — and a table reused for a slot with another active
+// set serves that slot's τ, none of the previous one's.
+func TestLifeTableOutsideActiveSet(t *testing.T) {
+	pc := newTestCache(5, 5)
+	n := pc.NumSats()
+	var lt LifeTable
+	for slot, cover := range [][][]int{{{0, 1, 2}, {2, 7}}, {{3}}, nil, {{n - 1, 0, 12}}} {
+		t0 := float64(slot) * 60
+		lt.Reset(pc.Slot(t0), cover)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				want := ISLLifetime(pc.sats[i], pc.sats[j], t0, pc.horizon, pc.step, pc.isl)
+				for rep := 0; rep < 2; rep++ {
+					if got := lt.Lifetime(i, j); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("slot %d pair (%d,%d): table %v != direct %v", slot, i, j, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -111,6 +162,7 @@ func TestSlotGeomInRangeConservative(t *testing.T) {
 	pc := newTestCache(6, 6)
 	sg := pc.Slot(0)
 	pruned, kept := 0, 0
+	rejected := map[[2]int]bool{}
 	for i := 0; i < pc.NumSats(); i++ {
 		for j := i + 1; j < pc.NumSats(); j++ {
 			in := sg.InRange(i, j)
@@ -120,6 +172,7 @@ func TestSlotGeomInRangeConservative(t *testing.T) {
 			}
 			if !in {
 				pruned++
+				rejected[[2]int{i, j}] = true
 				if tau := pc.Lifetime(i, j, 0); tau != 0 {
 					t.Fatalf("pruned pair (%d,%d) has lifetime %v", i, j, tau)
 				}
@@ -136,6 +189,22 @@ func TestSlotGeomInRangeConservative(t *testing.T) {
 	}
 	if st := pc.Stats(); st.PrunedPairs != uint64(pruned) {
 		t.Errorf("pruned counter %d != observed %d", st.PrunedPairs, pruned)
+	}
+	// A slot table asks the grid once per pair, however often the pair is
+	// looked up: the counter moves by the rejected pairs, not the lookups.
+	var lt LifeTable
+	lt.Reset(sg, allActive(pc))
+	for rep := 0; rep < 3; rep++ {
+		for i := 0; i < pc.NumSats(); i++ {
+			for j := i + 1; j < pc.NumSats(); j++ {
+				if tau := lt.Lifetime(i, j); rejected[[2]int{i, j}] && tau != 0 {
+					t.Fatalf("pruned pair (%d,%d) has table lifetime %v", i, j, tau)
+				}
+			}
+		}
+	}
+	if st := pc.Stats(); st.PrunedPairs != 2*uint64(pruned) {
+		t.Errorf("pruned counter %d after the table pass, want %d", st.PrunedPairs, 2*pruned)
 	}
 }
 
@@ -195,6 +264,9 @@ func TestDropSlotsBefore(t *testing.T) {
 	old := pc.Slot(0)
 	kept := pc.Slot(600)
 	pc.DropSlotsBefore(300)
+	if n := pc.NumSlots(); n != 1 {
+		t.Errorf("%d slots retained after eviction, want 1", n)
+	}
 	if pc.Slot(600) != kept {
 		t.Error("slot at t=600 should have survived eviction")
 	}

@@ -9,10 +9,10 @@ import (
 )
 
 // TestWarmLifetimeBitIdentical is the warm path's core contract: with
-// visibility-run reuse enabled, every Lifetime result is bit-identical
-// to a cold cache's, across slot-aligned chains (where reuse actually
-// fires) and arbitrary random times (where the bitwise sample guard
-// must reject reuse rather than corrupt a result).
+// visibility-run reuse enabled, every τ is bit-identical to a cold
+// cache's, across slot-aligned chains of slot tables (where reuse
+// actually fires) and arbitrary random times (where the bitwise sample
+// guard must reject reuse rather than corrupt a result).
 func TestWarmLifetimeBitIdentical(t *testing.T) {
 	warm := newTestCache(6, 6)
 	warm.EnableWarmLifetimes()
@@ -20,16 +20,20 @@ func TestWarmLifetimeBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	n := warm.NumSats()
 	// Slot-aligned chain: consecutive establishment times one step
-	// apart, the delta compiler's access pattern.
+	// apart, one table reset per slot — the delta compiler's access
+	// pattern.
+	var wt, ct LifeTable
 	for slot := 0; slot < 8; slot++ {
 		t0 := float64(slot) * 60
+		wt.Reset(warm.Slot(t0), allActive(warm))
+		ct.Reset(cold.Slot(t0), allActive(cold))
 		for trial := 0; trial < 200; trial++ {
 			i, j := rng.Intn(n), rng.Intn(n)
 			if i == j {
 				continue
 			}
-			got := warm.Lifetime(i, j, t0)
-			want := cold.Lifetime(i, j, t0)
+			got := wt.Lifetime(i, j)
+			want := ct.Lifetime(i, j)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("pair (%d,%d) t0=%v: warm %v != cold %v", i, j, t0, got, want)
 			}
