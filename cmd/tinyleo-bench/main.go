@@ -6,7 +6,7 @@
 //
 //	tinyleo-bench [-scale small|paper] [-run all|table1|fig3|fig4|fig9|fig13|
 //	               fig14|fig15|fig15d|fig15e|fig16|fig17|fig17d|fig18|fig19a|
-//	               fig19bcd|delta|chaos|southbound|fleet]
+//	               fig19bcd|delta|chaos|fleet]
 //	               [-chaos-scenario all|NAME] [-chaos-seed N]
 //	               [-chaos-fleet-out f.json] [-csv] [-bench-json out.json]
 //	               [-metrics-addr host:port] [-record-out flight.jsonl.gz]
@@ -16,27 +16,23 @@
 // full Compile chain versus a warm-started delta chain over the same 12
 // control slots at the 529-satellite scenario, verifying byte-identical
 // plans and reporting the warm-slot speedup, warm-hit ratio, and the
-// southbound bytes of per-satellite slot-delta batches versus per-link
-// SetISL pushes; its rows feed the CI regression gate via -bench-json.
+// payload bytes per slot of enforcing the plan through a DeltaEnforcer.
 //
 // -run chaos executes the seeded fault-injection campaigns (internal/chaos):
 // ISL failures, loss storms, agent crashes, southbound connection drops,
 // and demand surges driven through MPC repair, southbound enforcement, and
 // data-plane failover, scored against the flight recorder's SLO rules.
-// Each round's repair diff is enforced as per-satellite slot-delta
-// batches. Same -chaos-seed → byte-identical results, including the fleet
+// Each round's repair diff goes through the DeltaEnforcer tinyleo-ctl uses
+// and ends by checking that every live agent applied exactly its desired
+// peer set. Same -chaos-seed → byte-identical results, including the fleet
 // telemetry health view (-chaos-fleet-out dumps each scenario's final
 // constellation summary as a deterministic JSON artifact).
 //
 // -run fleet benchmarks the fleet telemetry plane itself: agents hammer
 // their registries while flushing delta reports into a controller-side
-// aggregator over real TCP, once with telemetry off and once on; the
-// reported overhead ratio feeds the CI regression gate via -bench-json.
-//
-// -run southbound benchmarks the real-TCP southbound command path twice
-// (tracing off, then on) and reports the tracing overhead ratio; its
-// rows feed the CI regression gate via -bench-json. -pprof serves
-// net/http/pprof under /debug/pprof/ on the -metrics-addr listener.
+// aggregator over real TCP, once with telemetry off and once on, and
+// reports the overhead ratio. -pprof serves net/http/pprof under
+// /debug/pprof/ on the -metrics-addr listener.
 //
 // Telemetry: -metrics-addr serves live Prometheus text on /metrics (plus
 // /metrics.json, /healthz, /trace) while the experiments run — solver
@@ -67,12 +63,12 @@ import (
 
 func main() {
 	scaleName := flag.String("scale", "small", "experiment scale: small or paper")
-	run := flag.String("run", "all", "comma-separated experiment list (all, table1, fig3, fig4, fig9, fig13, fig14, fig15, fig15d, fig15e, fig16, fig17, fig17d, fig18, fig19a, fig19bcd, delta, chaos, southbound, fleet, ablations, discussion)")
+	run := flag.String("run", "all", "comma-separated experiment list (all, table1, fig3, fig4, fig9, fig13, fig14, fig15, fig15d, fig15e, fig16, fig17, fig17d, fig18, fig19a, fig19bcd, delta, chaos, fleet, ablations, discussion)")
 	chaosScenario := flag.String("chaos-scenario", "all", "chaos scenario for -run chaos (all, baseline, isl-storm, agent-crash, conn-flap, surge, mixed)")
 	chaosSeed := flag.Int64("chaos-seed", 42, "campaign seed for -run chaos (same seed => identical results)")
 	chaosFleetOut := flag.String("chaos-fleet-out", "", "write each chaos scenario's final fleet telemetry summary as JSON to this file (deterministic for a given -chaos-seed)")
-	sbAgents := flag.Int("sb-agents", 4, "in-process agents for -run southbound")
-	sbCmds := flag.Int("sb-cmds", 2000, "commands to push for -run southbound")
+	sbAgents := flag.Int("sb-agents", 4, "in-process agents for -run fleet")
+	sbCmds := flag.Int("sb-cmds", 2000, "commands to push for -run fleet")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, /trace on this address while experiments run (empty = telemetry off)")
 	recordOut := flag.String("record-out", "", "write a flight recording to this file when done (.gz = gzip)")
@@ -261,13 +257,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "chaos-fleet: wrote %d scenario snapshots to %s\n",
 				len(fleets), *chaosFleetOut)
 		}
-	}
-	if want("southbound") {
-		tab, err := experiments.SouthboundRoundtrip(*sbAgents, *sbCmds)
-		if err != nil {
-			fail("southbound", err)
-		}
-		emit(tab)
 	}
 	if want("fleet") {
 		tab, err := experiments.FleetAggregation(*sbAgents, *sbCmds)

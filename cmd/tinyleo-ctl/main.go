@@ -329,6 +329,8 @@ func runController() {
 				pushed++
 			}
 		}
+		// Agents that (re)registered get their snapshot even with no change.
+		pushed += enf.Resync(emitted, emit.Context())
 		emit.End()
 		fmt.Printf("  pushed %d commands to connected agents\n", pushed)
 		time.Sleep(200 * time.Millisecond)

@@ -111,68 +111,33 @@ func main() {
 	// emit → send → apply → install end to end.
 	view := dataplane.NewNetwork()
 	self := view.AddSatellite(int(*id), 0)
-	// up tracks which ISL peers this agent believes are established —
-	// the state a slot-snapshot reconciles against. OnCommand runs
-	// serially on the agent's read loop, so no lock is needed.
-	up := map[uint32]bool{}
-	setISL := func(peer uint32, isUp bool) {
-		if isUp {
-			if view.Sats[int(peer)] == nil {
-				view.AddSatellite(int(peer), 0)
-			}
-			view.EnsureLink(int(*id), int(peer), 0.003)
-			up[peer] = true
-			return
-		}
-		if l := view.Link(int(*id), int(peer)); l != nil {
-			l.Down()
-		}
-		delete(up, peer)
-	}
+	var applied southbound.PeerSet // the ISL peers the controller has commanded
 	agent.OnCommand = func(m *southbound.Message) {
 		sp := obs.StartSpanCtx(m.Trace, "dataplane.install",
 			"sat", fmt.Sprint(*id), "seq", fmt.Sprint(m.Seq), "type", m.Type.String())
 		defer sp.End()
 		switch m.Type {
-		case southbound.MsgSetISL:
-			state := "down"
-			if m.Up {
-				state = "up"
-			}
-			setISL(m.Peer, m.Up)
-			fmt.Printf("sat %d: ISL to %d -> %s (seq %d)\n", *id, m.Peer, state, m.Seq)
-		case southbound.MsgSlotDelta:
-			ops, err := southbound.DecodeSlotDelta(m.Payload)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "tinyleo-sat: slot-delta: %v\n", err)
+		case southbound.MsgSlotDelta, southbound.MsgSlotSnapshot:
+			if err := applied.Apply(m); err != nil {
+				fmt.Fprintf(os.Stderr, "tinyleo-sat: %s: %v\n", m.Type, err)
 				return
 			}
-			for _, op := range ops {
-				setISL(op.Peer, op.Up)
+			// The local links follow the set: raise what it holds, lower
+			// the rest.
+			want := map[int]bool{}
+			for _, p := range applied.Peers() {
+				want[int(p)] = true
+				if view.Sats[int(p)] == nil {
+					view.AddSatellite(int(p), 0)
+				}
+				view.EnsureLink(int(*id), int(p), 0.003)
 			}
-			fmt.Printf("sat %d: slot delta applied, %d ops (seq %d)\n", *id, len(ops), m.Seq)
-		case southbound.MsgSlotSnapshot:
-			peers, err := southbound.DecodeSlotSnapshot(m.Payload)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "tinyleo-sat: slot-snapshot: %v\n", err)
-				return
-			}
-			// Full re-sync: reconcile the local view against the desired
-			// peer set — tear down everything absent, raise everything
-			// present.
-			want := make(map[uint32]bool, len(peers))
-			for _, p := range peers {
-				want[p] = true
-			}
-			for p := range up {
-				if !want[p] {
-					setISL(p, false)
+			for _, p := range self.Peers() {
+				if l := view.Link(int(*id), p); !want[p] && l.IsUp() {
+					l.Down()
 				}
 			}
-			for _, p := range peers {
-				setISL(p, true)
-			}
-			fmt.Printf("sat %d: slot snapshot applied, %d peers (seq %d)\n", *id, len(peers), m.Seq)
+			fmt.Printf("sat %d: %s applied, %d ISLs up (seq %d)\n", *id, m.Type, len(want), m.Seq)
 		case southbound.MsgSetRing:
 			self.RingNext = int(m.Peer)
 			fmt.Printf("sat %d: ring successor -> %d (seq %d)\n", *id, m.Peer, m.Seq)

@@ -12,13 +12,11 @@
 //  3. The orbital MPC compiles a chain intent over a Walker
 //     constellation and repairs a synthetic ISL failure (§4.2).
 //
-//  4. The reliable southbound session rides out trouble: a slow agent
-//     forces at-least-once retransmission (applied once thanks to the
-//     agent's dedup window), and a severed transport heals through the
-//     agent's exponential-backoff reconnect.
-//
-//  5. The same failure report travels over a real TCP southbound session
-//     to a controller that answers with repair commands.
+//  4. The reliable southbound session rides out trouble over real TCP: a
+//     slow agent forces at-least-once retransmission (applied once thanks
+//     to the agent's dedup window), a severed transport heals through the
+//     agent's exponential-backoff reconnect and a snapshot re-sync, and a
+//     failure report is answered with a slot-delta repair.
 //
 //     go run ./examples/failover-demo
 //
@@ -46,7 +44,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"sync/atomic"
 	"time"
 
 	tinyleo "repro"
@@ -54,6 +51,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/cli"
 	"repro/internal/mpc"
+	"repro/internal/obs"
 	"repro/internal/southbound"
 )
 
@@ -84,8 +82,7 @@ func main() {
 
 	emulatedFailover()
 	mpcCompileRepair()
-	southboundReliability()
-	southboundRepair(ctl)
+	southboundSession(ctl)
 	if *recordOut != "" {
 		fmt.Printf("== flight recording ==\nwritten to %s at exit; inspect with: go run ./cmd/tinyleo-ctl inspect -in %s\n",
 			*recordOut, *recordOut)
@@ -213,22 +210,27 @@ func emulatedFailover() {
 	run("legacy routing tables:", true)
 }
 
-// southboundReliability exercises the reliable southbound session: a slow
-// agent forces at-least-once retransmission (with duplicate suppression on
-// the agent side), and a severed transport heals through the agent's
-// backoff reconnect with the command flow resuming afterwards.
-func southboundReliability() {
-	fmt.Println("== reliable southbound session ==")
-	ctl, err := tinyleo.ListenSouthbound("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer ctl.Close()
+// southboundSession drives one agent through the reliable southbound
+// session against main's controller (whose message counters main serves),
+// every ISL command framed by one DeltaEnforcer: a slow apply forces
+// at-least-once retransmission (the agent's dedup window applies it once),
+// a severed transport heals through the agent's backoff reconnect and is
+// answered with a snapshot re-sync instead of trusting deltas to compose,
+// and a failure report is repaired with one slot-delta.
+func southboundSession(ctl *tinyleo.SouthboundController) {
+	fmt.Println("== southbound session: retransmission, re-sync, repair ==")
 	ctl.RetransmitInterval = 25 * time.Millisecond
-	acked := make(chan uint32, 8)
-	ctl.OnAck = func(m *tinyleo.SouthboundMessage) { acked <- m.Seq }
-
-	var applied atomic.Int64
+	enf := southbound.NewDeltaEnforcer(ctl)
+	push := func(add, del []uint32) {
+		if err := enf.Push(9, add, del, time.Now(), obs.SpanContext{}); err != nil {
+			log.Fatal(err)
+		}
+	}
+	ctl.OnFailure = func(report *tinyleo.SouthboundMessage) []*tinyleo.SouthboundMessage {
+		// Repair policy: tear down the dead ISL, bring up a spare.
+		push([]uint32{report.Peer + 1}, []uint32{report.Peer})
+		return nil
+	}
 	agent, err := tinyleo.DialSouthboundReliable(ctl.Addr(), 9, 2*time.Second,
 		tinyleo.SouthboundAgentOptions{
 			Reconnect:   true,
@@ -239,98 +241,59 @@ func southboundReliability() {
 		log.Fatal(err)
 	}
 	defer agent.Close()
+	var applied southbound.PeerSet
+	commands := make(chan *tinyleo.SouthboundMessage, 4)
+	applies := 0
 	agent.OnCommand = func(m *tinyleo.SouthboundMessage) {
-		if applied.Add(1) == 1 {
+		if applies++; applies == 1 {
 			// The first command applies slowly, so its ack misses several
 			// retransmit deadlines: the controller resends, the agent's
 			// dedup window re-acks the copies without re-applying.
 			time.Sleep(100 * time.Millisecond)
 		}
+		if err := applied.Apply(m); err != nil {
+			log.Fatal(err)
+		}
+		commands <- m
 	}
-
-	// Duplicate commands are re-acked by the agent, so acks for an older
-	// sequence number can trail in; wait for the one we sent.
-	waitAck := func(stage string, want uint32) {
+	// next returns the next command the agent applied, driving
+	// retransmission while it waits.
+	next := func(stage string) *tinyleo.SouthboundMessage {
 		deadline := time.After(2 * time.Second)
 		for {
 			select {
-			case seq := <-acked:
-				if seq == want {
-					return
-				}
+			case m := <-commands:
+				return m
 			case <-deadline:
-				log.Fatalf("%s: command never acked", stage)
+				log.Fatalf("%s: command never applied", stage)
 			case <-time.After(5 * time.Millisecond):
-				ctl.SweepPending() // drive retransmission while waiting
+				ctl.SweepPending()
 			}
 		}
 	}
 
-	up := &tinyleo.SouthboundMessage{Type: southbound.MsgSetISL, SatID: 9, Peer: 17, Up: true}
-	if err := ctl.Send(up); err != nil {
-		log.Fatal(err)
-	}
-	waitAck("slow apply", up.Seq)
-	rtx := ctl.Metrics().Counter(southbound.MetricRetransmits).Value()
-	fmt.Printf("slow agent: command acked after %d retransmissions, applied %d time(s)\n",
-		rtx, applied.Load())
+	push([]uint32{17, 18}, nil)
+	m := next("slow apply")
+	fmt.Printf("slow agent: %s retransmitted %d times, applied %d time(s), ISLs %v\n",
+		m.Type, ctl.Metrics().Counter(southbound.MetricRetransmits).Value(), applies, applied.Peers())
 
-	// Sever the transport; the agent re-dials with exponential backoff and
-	// re-registers, after which commands flow again.
 	regs := ctl.Registrations(9)
 	agent.DropConn()
-	deadline := time.Now().Add(2 * time.Second)
-	for ctl.Registrations(9) == regs {
+	for deadline := time.Now().Add(2 * time.Second); ctl.Registrations(9) == regs; time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			log.Fatal("agent never re-registered after DropConn")
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	down := &tinyleo.SouthboundMessage{Type: southbound.MsgSetISL, SatID: 9, Peer: 17, Up: false}
-	if err := ctl.Send(down); err != nil {
-		log.Fatal(err)
-	}
-	waitAck("post-reconnect", down.Seq)
-	fmt.Printf("transport drop: healed after %d reconnect(s), post-reconnect command acked (applied %d total)\n",
-		agent.Reconnects(), applied.Load())
-}
-
-// southboundRepair runs the failure-report → repair-command loop over a
-// real localhost TCP session against main's controller (whose message
-// counters main serves).
-func southboundRepair(ctl *tinyleo.SouthboundController) {
-	fmt.Println("== southbound TCP repair loop ==")
-	ctl.OnFailure = func(report *tinyleo.SouthboundMessage) []*tinyleo.SouthboundMessage {
-		// Repair policy: tear down the dead ISL, bring up a spare.
-		return []*tinyleo.SouthboundMessage{
-			{Type: southbound.MsgSetISL, SatID: report.SatID, Peer: report.Peer, Up: false},
-			{Type: southbound.MsgSetISL, SatID: report.SatID, Peer: report.Peer + 1, Up: true},
-		}
-	}
-	agent, err := tinyleo.DialSouthbound(ctl.Addr(), 7, 2*time.Second)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer agent.Close()
-
-	repaired := make(chan *tinyleo.SouthboundMessage, 2)
-	agent.OnCommand = func(m *tinyleo.SouthboundMessage) { repaired <- m }
+	push(nil, []uint32{17})
+	m = next("post-reconnect")
+	fmt.Printf("transport drop: healed after %d reconnect(s), re-synced by a %s, ISLs %v\n",
+		agent.Reconnects(), m.Type, applied.Peers())
 
 	start := time.Now()
-	if err := agent.ReportFailure(42); err != nil {
+	if err := agent.ReportFailure(18); err != nil {
 		log.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		select {
-		case m := <-repaired:
-			state := "down"
-			if m.Up {
-				state = "up"
-			}
-			fmt.Printf("repair command %d: ISL to %d -> %s (after %v)\n",
-				i+1, m.Peer, state, time.Since(start).Round(time.Microsecond))
-		case <-time.After(2 * time.Second):
-			log.Fatal("controller never repaired")
-		}
-	}
+	m = next("repair")
+	fmt.Printf("failure report: repaired by one %s after %v, agent applied %v, enforcer desires %v\n",
+		m.Type, time.Since(start).Round(time.Microsecond), applied.Peers(), enf.Desired(9))
 }

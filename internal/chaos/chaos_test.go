@@ -2,9 +2,13 @@ package chaos
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/southbound"
 )
 
 // testTestbed is sized for test speed: big enough for a multi-cell intent
@@ -52,10 +56,12 @@ func TestCampaignDeterministic(t *testing.T) {
 	}
 }
 
-// Slot-delta enforcement batches a round's repair diff: every change the
-// engine addresses to one satellite rides in one message. The campaign
-// stays byte-deterministic, sends fewer messages than it has link
-// changes, and never sends one satellite two batches in a round.
+// Slot-delta enforcement batches a round's repair diff: every change to
+// one satellite's links rides in one message, both endpoints of a link get
+// one (as tinyleo-ctl addresses them), and an agent that reconnected or
+// lost a command is re-synced with a snapshot. The campaign stays
+// byte-deterministic, sends fewer messages than it has link-endpoint
+// changes, and never sends one satellite two messages in a round.
 func TestCampaignDeltaDeterministic(t *testing.T) {
 	var canon [][]byte
 	var rep *Report
@@ -81,33 +87,39 @@ func TestCampaignDeltaDeterministic(t *testing.T) {
 	}
 	sent, changes := 0, 0
 	for _, rr := range rep.Rounds {
-		// The engine addresses each changed link to one of its endpoints,
-		// so a round has one link-endpoint change per added or removed link.
-		n := rr.LinksAdded + rr.LinksRemoved
-		if got := rr.CommandsSent + rr.CommandsUnknown; got > n {
-			t.Errorf("round %d: %d messages for %d link-endpoint changes", rr.Round, got, n)
-		}
 		sent += rr.CommandsSent
-		changes += n
+		changes += 2 * (rr.LinksAdded + rr.LinksRemoved) // a link changes at both endpoints
 	}
-	if sent == 0 || sent >= changes {
-		t.Fatalf("campaign sent %d messages for %d link-endpoint changes — batching should send fewer", sent, changes)
-	}
-	// One message per target satellite per round: no two slot-delta sends
-	// under the same mpc.emit root name the same satellite.
+	// One message per satellite per round: no two sends under the same
+	// mpc.emit root name the same satellite. Priming sends have no root.
 	seen := map[[2]string]bool{}
+	deltas, snapshots := 0, 0
 	for _, ev := range tr.Events() {
-		if ev.Name != "sb.send" || ev.Attrs["type"] != "slot-delta" || ev.Attrs["err"] != "" {
+		if ev.Name != "sb.send" || ev.Parent == "" || ev.Attrs["err"] != "" {
+			continue
+		}
+		switch ev.Attrs["type"] {
+		case "slot-delta":
+			deltas++
+		case "slot-snapshot":
+			snapshots++
+		default:
 			continue
 		}
 		key := [2]string{ev.Parent, ev.Attrs["sat"]}
 		if seen[key] {
-			t.Errorf("round emit %s sent satellite %s two slot-delta batches", ev.Parent, ev.Attrs["sat"])
+			t.Errorf("round emit %s sent satellite %s two messages", ev.Parent, ev.Attrs["sat"])
 		}
 		seen[key] = true
 	}
 	if len(seen) != sent {
-		t.Errorf("trace holds %d slot-delta sends, reports count %d", len(seen), sent)
+		t.Errorf("trace holds %d enforcement sends, reports count %d", len(seen), sent)
+	}
+	if deltas == 0 || deltas >= changes {
+		t.Errorf("campaign sent %d slot-delta messages for %d link-endpoint changes — batching should send fewer", deltas, changes)
+	}
+	if snapshots == 0 {
+		t.Error("conn drops and abandoned commands, but no slot-snapshot re-sync was sent")
 	}
 }
 
@@ -230,6 +242,75 @@ func TestConnDropReconnects(t *testing.T) {
 	}
 	if rep.AckTimeouts != 0 {
 		t.Fatalf("conn drops with empty pending tables should not abandon commands, got %d", rep.AckTimeouts)
+	}
+}
+
+// The re-sync gap, campaign form: conn-flap changes no link, so before
+// DeltaEnforcer.Resync a reconnected agent was never re-synced and no
+// campaign ever sent a slot-snapshot. Now every reconnect is answered by
+// one within the round, and the convergence invariant (checked by Run
+// after every round) holds throughout.
+func TestConnFlapResyncsEveryReconnect(t *testing.T) {
+	s, err := ScenarioByName("conn-flap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := testCampaign(s, 42)
+	c.Tracer = &obs.Tracer{}
+	rep, err := Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Reconnects != int64(2*s.Rounds) {
+		t.Fatalf("reconnects = %d, want %d (two conn drops a round)", rep.Reconnects, 2*s.Rounds)
+	}
+	snapshots := int64(0)
+	for _, ev := range c.Tracer.Events() {
+		if ev.Name == "sb.send" && ev.Parent != "" && ev.Attrs["type"] == "slot-snapshot" && ev.Attrs["err"] == "" {
+			snapshots++
+		}
+	}
+	if snapshots < rep.Reconnects {
+		t.Errorf("%d slot-snapshot re-syncs for %d reconnects", snapshots, rep.Reconnects)
+	}
+	if rep.EnforcementRatio != 1 {
+		t.Errorf("enforcement ratio %.3f: a re-sync went unacknowledged", rep.EnforcementRatio)
+	}
+}
+
+// Seeded mutation for the convergence invariant: one op of one slot-delta
+// batch is lost between the wire and the agent's PeerSet. The enforcer
+// believes the satellite holds the link change, the agent does not, and
+// Run must fail naming the satellite and the peer.
+func TestDroppedOpIsCaught(t *testing.T) {
+	var mu sync.Mutex
+	var sat, peer uint32
+	dropped := false
+	tamper = func(m *southbound.Message) {
+		mu.Lock()
+		defer mu.Unlock()
+		ops, err := southbound.DecodeSlotDelta(m.Payload)
+		if dropped || m.Type != southbound.MsgSlotDelta || err != nil || len(ops) == 0 {
+			return
+		}
+		dropped, sat, peer = true, m.SatID, ops[0].Peer
+		m.Payload = southbound.EncodeSlotDelta(ops[1:])
+	}
+	defer func() { tamper = nil }()
+	s, err := ScenarioByName("isl-storm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(testCampaign(s, 11))
+	if !dropped {
+		t.Fatal("campaign sent no slot-delta to tamper with")
+	}
+	if err == nil {
+		t.Fatalf("satellite %d lost the op for peer %d and the campaign passed", sat, peer)
+	}
+	if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("satellite %d diverged", sat)) ||
+		!strings.Contains(msg, fmt.Sprintf("[%d]", peer)) {
+		t.Errorf("error does not name satellite %d and peer %d: %v", sat, peer, err)
 	}
 }
 

@@ -2,8 +2,9 @@
 // composes failure scenarios — ISL loss and flap storms, satellite/agent
 // crashes, southbound connection drops, regional demand surges — and
 // drives them through the full control loop (MPC repair §4.2 → southbound
-// enforcement §5 → data-plane failover §4.3), scoring each campaign with
-// the flight recorder's SLO engine.
+// enforcement §5 through tinyleo-ctl's DeltaEnforcer, every round checked
+// for agents that diverged from it → data-plane failover §4.3), scoring
+// each campaign with the flight recorder's SLO engine.
 //
 // Failure is the default test mode here: every scenario injects faults
 // and asserts the system degrades gracefully (recovery time, delivery

@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -92,18 +93,20 @@ type flow struct {
 	gw       int   // injection gateway satellite
 }
 
-// islAction is one topology change of an acknowledged slot-delta batch.
-type islAction struct {
-	link mpc.Link
-	up   bool
-}
+// tamper, when a test sets it, rewrites a command between an agent's wire
+// and its PeerSet: the seeded mutation the convergence invariant must catch.
+var tamper func(m *southbound.Message)
 
 type runner struct {
 	c   Campaign
 	tb  *Testbed
 	ctl *southbound.Controller
+	enf *southbound.DeltaEnforcer
 	vc  *VClock
 	rng *rand.Rand
+	// sent is the round's fault accounting, filled by the enforcer's per-send
+	// hook: satellite → seq of the message carrying the round's state to it.
+	sent map[int]uint32
 
 	// mu guards everything the southbound callbacks (controller and agent
 	// goroutines) share with the engine goroutine.
@@ -115,22 +118,20 @@ type runner struct {
 	//tinyleo:guardedby mu
 	wedgedEntered map[int]bool // gated agents that reached their blocking callback
 	//tinyleo:guardedby mu
-	acked map[uint32]bool // slot-delta/probe seqs acknowledged
-	//tinyleo:guardedby mu
-	actions map[uint32][]islAction // this round's seq → the topology changes its slot-delta batch carries
-	//tinyleo:guardedby mu
-	abandonedRound int // OnCommandFailed count this round
+	acked map[uint32]bool // command seqs acknowledged
 	//tinyleo:guardedby mu
 	reconnects int64 // successful agent reconnections
 
 	// Fleet telemetry plane: one always-enabled private registry +
 	// reporter per agent feeding a virtual-clock aggregator, so the
 	// campaign's constellation health view is part of the deterministic
-	// report. fleetApplied/fleetReps are written once in start() and
-	// read-only afterwards.
+	// report. fleetApplied/fleetReps/applied (each agent's ISL peer set,
+	// which the invariant compares with the enforcer's) are written once in
+	// start() and read-only afterwards.
 	agg          *fleet.Aggregator
 	fleetApplied map[int]*obs.Counter
 	fleetReps    map[int]*fleet.Reporter
+	applied      map[int]*southbound.PeerSet
 
 	flows   []flow
 	snap    *mpc.Snapshot
@@ -169,8 +170,10 @@ func Run(c Campaign) (*Report, error) {
 		gates:         map[int]chan struct{}{},
 		wedgedEntered: map[int]bool{},
 		acked:         map[uint32]bool{},
+		sent:          map[int]uint32{},
 		fleetApplied:  map[int]*obs.Counter{},
 		fleetReps:     map[int]*fleet.Reporter{},
+		applied:       map[int]*southbound.PeerSet{},
 		impair:        map[*netem.Link]*netem.Impairment{},
 		crashed:       map[int]bool{},
 		snap:          tb.Snap,
@@ -197,8 +200,9 @@ func Run(c Campaign) (*Report, error) {
 	return r.report, nil
 }
 
-// start brings up the southbound plane: a controller on a virtual clock
-// and one reconnecting agent per network satellite.
+// start brings up the southbound plane: a controller on a virtual clock,
+// one reconnecting agent per network satellite, and the compiled snapshot
+// enforced on them.
 func (r *runner) start() error {
 	ctl, err := southbound.ListenController("127.0.0.1:0")
 	if err != nil {
@@ -224,11 +228,9 @@ func (r *runner) start() error {
 		r.acked[m.Seq] = true
 		r.mu.Unlock()
 	}
-	ctl.OnCommandFailed = func(m *southbound.Message) {
-		r.mu.Lock()
-		r.abandonedRound++
-		r.mu.Unlock()
-	}
+	// Before any agent dials, so that a first hello marks it unsynced.
+	r.enf = southbound.NewDeltaEnforcer(ctl)
+	r.enf.OnSent = func(m *southbound.Message) { r.sent[int(m.SatID)] = m.Seq }
 
 	// The fleet aggregator runs on the campaign's virtual clock with a
 	// private (disabled) tracer for its events: health transitions surface
@@ -263,6 +265,7 @@ func (r *runner) start() error {
 		id := id
 		reg := obs.NewRegistry(true)
 		applied := reg.Counter(MetricAgentApplied)
+		peers := &southbound.PeerSet{}
 		a, err := southbound.DialAgentOptions(ctl.Addr(), uint32(id), 2*time.Second,
 			southbound.AgentOptions{
 				Reconnect:   true,
@@ -289,15 +292,55 @@ func (r *runner) start() error {
 			if gate != nil {
 				<-gate // blackholed: wedge until the round releases it
 			}
+			if tamper != nil {
+				tamper(m)
+			}
+			_ = peers.Apply(m) // a rejected payload shows up as a divergence
 			applied.Inc()
 		}
 		r.mu.Lock()
 		r.agents[id] = a
 		r.mu.Unlock()
+		r.applied[id] = peers
 		r.fleetApplied[id] = applied
 		r.fleetReps[id] = fleet.NewReporter(fleet.NewEncoder(reg), a.SendTelemetry)
 	}
+	// Prime the enforcer and every agent with the compiled snapshot, as
+	// tinyleo-ctl's slot 0 does: a first push is a snapshot of the desired set.
+	for _, b := range mpc.BatchBySatellite(r.tb.Snap.Links(), nil) {
+		if err := r.enf.Push(uint32(b.Sat), b.Add, nil, r.vc.Now(), obs.SpanContext{}); err != nil {
+			return fmt.Errorf("chaos: prime satellite %d: %w", b.Sat, err)
+		}
+	}
+	return r.waitCond(func() bool { return r.ctl.PendingAcks() == 0 }, "priming acks")
+}
+
+// checkConverged is §5's contract as an executable invariant: once a
+// round's commands have settled, every live agent has applied exactly the
+// peer set the enforcer desires for it. The first divergence is an
+// enforcement_diverged event and fails the campaign.
+func (r *runner) checkConverged() error {
+	for _, id := range r.agentIDs(false) {
+		want, got := r.enf.Desired(uint32(id)), r.applied[id].Peers()
+		if missing, extra := peersNotIn(want, got), peersNotIn(got, want); len(missing)+len(extra) > 0 {
+			r.event("enforcement_diverged", "sat", fmt.Sprint(id),
+				"missing", fmt.Sprint(missing), "extra", fmt.Sprint(extra))
+			return fmt.Errorf("chaos: round %d: satellite %d diverged from the enforcer: missing peers %v, extra peers %v",
+				r.round, id, missing, extra)
+		}
+	}
 	return nil
+}
+
+// peersNotIn returns the members of a absent from b (both ascending).
+func peersNotIn(a, b []uint32) []uint32 {
+	var out []uint32
+	for _, p := range a {
+		if _, found := slices.BinarySearch(b, p); !found {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // pickFlows selects the campaign's measured flows: the first sorted cell
@@ -371,10 +414,7 @@ func (r *runner) runRound(round int) error {
 	r.curRR = &rr
 	r.firstDelivery = map[int]float64{}
 	r.surged = map[int]bool{}
-	r.mu.Lock()
-	r.actions = map[uint32][]islAction{}
-	r.abandonedRound = 0
-	r.mu.Unlock()
+	r.sent = map[int]uint32{}
 
 	// Phase 1: inject this round's faults.
 	failedLinks, crashedNow, err := r.injectFaults(&rr)
@@ -406,15 +446,20 @@ func (r *runner) runRound(round int) error {
 		"removed", fmt.Sprint(len(removed)),
 		"unrepaired", fmt.Sprint(rstats.Unrepaired))
 
-	// Phase 4: southbound enforcement with at-least-once delivery.
-	if err := r.enforce(&rr, added, removed); err != nil {
+	// Phase 4: southbound enforcement with at-least-once delivery, then
+	// the convergence invariant over what the agents applied.
+	acked, err := r.enforce(&rr, added, removed)
+	if err != nil {
+		return err
+	}
+	if err := r.checkConverged(); err != nil {
 		return err
 	}
 	r.snap = newSnap
 
 	// Phase 5: apply acknowledged changes to the live network and flush
 	// §4.3's repair buffers.
-	r.applyTopology(newSnap)
+	r.tb.apply(newSnap, added, removed, acked)
 	r.tb.Net.FlushBuffers()
 
 	// Phase 6: offered load after repair.
@@ -450,13 +495,7 @@ func (r *runner) runRound(round int) error {
 // sweep. All aggregator reads below happen after this settles, so the
 // health view is a pure function of (seed, scenario).
 func (r *runner) flushFleet() error {
-	r.mu.Lock()
-	ids := make([]int, 0, len(r.agents))
-	for id := range r.agents {
-		ids = append(ids, id)
-	}
-	r.mu.Unlock()
-	sort.Ints(ids)
+	ids := r.agentIDs(false)
 	type flushed struct {
 		id  int
 		seq uint64
@@ -505,14 +544,15 @@ func (r *runner) upInterLinks() []mpc.Link {
 	return out
 }
 
-// liveAgentIDs lists connected, non-blackholed agents in ascending order:
-// the crash / conn-drop / blackhole target pool. Caller must not hold r.mu.
-func (r *runner) liveAgentIDs() []int {
+// agentIDs lists, ascending, the agents that have not crashed; as a fault's
+// target pool (crash, conn-drop, blackhole) it leaves out the blackholed
+// ones. Caller must not hold r.mu.
+func (r *runner) agentIDs(targets bool) []int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]int, 0, len(r.agents))
 	for id := range r.agents {
-		if r.gates[id] == nil {
+		if !targets || r.gates[id] == nil {
 			out = append(out, id)
 		}
 	}
@@ -560,7 +600,7 @@ func (r *runner) injectFaults(rr *RoundReport) ([]mpc.Link, []int, error) {
 
 		case FaultSatCrash:
 			var cands []int
-			for _, id := range r.liveAgentIDs() {
+			for _, id := range r.agentIDs(true) {
 				if s := r.tb.Net.Sats[id]; s != nil && len(s.Peers()) > 0 {
 					cands = append(cands, id)
 				}
@@ -583,7 +623,7 @@ func (r *runner) injectFaults(rr *RoundReport) ([]mpc.Link, []int, error) {
 			r.crashed[id] = true
 			crashedNow = append(crashedNow, id)
 			if err := r.waitCond(func() bool {
-				return r.ctl.AgentCount() == r.agentCount()
+				return r.ctl.AgentCount() == len(r.agentIDs(false))
 			}, "crash deregistration"); err != nil {
 				return nil, nil, err
 			}
@@ -591,7 +631,7 @@ func (r *runner) injectFaults(rr *RoundReport) ([]mpc.Link, []int, error) {
 			r.event(string(FaultSatCrash), "sat", fmt.Sprint(id))
 
 		case FaultConnDrop:
-			cands := r.liveAgentIDs()
+			cands := r.agentIDs(true)
 			if len(cands) == 0 {
 				continue
 			}
@@ -611,27 +651,24 @@ func (r *runner) injectFaults(rr *RoundReport) ([]mpc.Link, []int, error) {
 
 		case FaultBlackhole:
 			// Prefer wedging an agent the repair loop is about to command:
-			// the addressed endpoint of a link already failed this round
-			// (commandTarget prefers the lower endpoint). Falling back to
-			// any live agent keeps the fault meaningful in fault pools
+			// an endpoint of a link already failed this round. Falling back
+			// to any live agent keeps the fault meaningful in fault pools
 			// without a topology failure.
 			var cands []int
 			live := map[int]bool{}
-			for _, id := range r.liveAgentIDs() {
+			for _, id := range r.agentIDs(true) {
 				live[id] = true
 			}
-			seen := map[int]bool{}
 			for _, l := range failedLinks {
-				for _, end := range []int{l[0], l[1]} {
-					if live[end] && !seen[end] {
-						seen[end] = true
+				for _, end := range l {
+					if live[end] {
+						live[end] = false
 						cands = append(cands, end)
-						break // only the endpoint commandTarget would pick
 					}
 				}
 			}
 			if len(cands) == 0 {
-				cands = r.liveAgentIDs()
+				cands = r.agentIDs(true)
 			}
 			if len(cands) == 0 {
 				continue
@@ -665,12 +702,6 @@ func (r *runner) injectFaults(rr *RoundReport) ([]mpc.Link, []int, error) {
 		}
 	}
 	return failedLinks, crashedNow, nil
-}
-
-func (r *runner) agentCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.agents)
 }
 
 // injectWindow offers one window of load on every flow and runs the sim
@@ -717,76 +748,44 @@ func (r *runner) injectWindow(rr *RoundReport) {
 // ack over TCP; blackholed agents are driven through retransmission and
 // ack-timeout abandonment on the virtual clock; the unreachable set is
 // drained before gates release so late acknowledgements cannot leak into
-// the next round's failure input.
-func (r *runner) enforce(rr *RoundReport, added, removed []mpc.Link) error {
-	type cmd struct {
-		l  mpc.Link
-		up bool
-	}
-	var cmds []cmd
-	for _, l := range added {
-		cmds = append(cmds, cmd{l, true})
-	}
-	for _, l := range removed {
-		cmds = append(cmds, cmd{l, false})
-	}
+// the next round's failure input. It returns, for every satellite a message
+// was sent to, whether the satellite acknowledged it.
+func (r *runner) enforce(rr *RoundReport, added, removed []mpc.Link) (map[int]bool, error) {
 	// One mpc.emit root per round: every enforced command's causal tree
 	// (send → retransmits → apply → ack) hangs off it in the merged trace.
 	var emit obs.Span
 	if r.c.Tracer != nil && r.c.Tracer.Enabled() {
 		emit = r.c.Tracer.StartSpanCtx(obs.SpanContext{}, "mpc.emit",
 			"round", fmt.Sprint(r.round),
-			"commands", fmt.Sprint(len(cmds)))
+			"commands", fmt.Sprint(len(added)+len(removed)))
 	}
 	defer emit.End()
-	gatedSends := 0
+	timeouts := r.ctl.Metrics().Counter(southbound.MetricAckTimeouts)
+	abandonedBefore := timeouts.Value()
+	// tinyleo-ctl's slot: one batch per changed satellite, then a re-sync of
+	// whoever re-registered or lost a command. A push to a satellite with no
+	// agent (crashed, or a gateway the repair introduced) fails in Send.
+	for _, b := range mpc.BatchBySatellite(added, removed) {
+		if err := r.enf.Push(uint32(b.Sat), b.Add, b.Del, r.vc.Now(), emit.Context()); err != nil {
+			rr.CommandsUnknown++
+		}
+	}
+	r.enf.Resync(r.vc.Now(), emit.Context())
+	rr.CommandsSent = len(r.sent)
 	gatedTargets := map[int]bool{}
-	// One slot-delta batch per target satellite, ops in command order,
-	// targets in ascending order. The engine sends the batches itself
-	// rather than through a DeltaEnforcer: fault accounting is keyed by the
-	// sequence number of each send.
-	batchOps := map[int][]southbound.SlotDeltaOp{}
-	batchActs := map[int][]islAction{}
-	var targets []int
-	for _, c := range cmds {
-		target, other, ok := r.commandTarget(c.l)
-		if !ok {
-			rr.CommandsUnknown++
-			continue
-		}
-		if _, seen := batchOps[target]; !seen {
-			targets = append(targets, target)
-		}
-		batchOps[target] = append(batchOps[target], southbound.SlotDeltaOp{Peer: uint32(other), Up: c.up})
-		batchActs[target] = append(batchActs[target], islAction{link: c.l, up: c.up})
-	}
-	sort.Ints(targets)
-	for _, target := range targets {
-		m := &southbound.Message{
-			Type: southbound.MsgSlotDelta, SatID: uint32(target),
-			Payload: southbound.EncodeSlotDelta(batchOps[target]),
-			Trace:   emit.Context(), Emitted: r.vc.Now(),
-		}
-		if err := r.ctl.Send(m); err != nil {
-			rr.CommandsUnknown++
-			continue
-		}
-		rr.CommandsSent++
-		r.mu.Lock()
-		r.actions[m.Seq] = batchActs[target]
-		gated := r.gates[target] != nil
-		r.mu.Unlock()
-		if gated {
-			gatedSends++
-			gatedTargets[target] = true
+	r.mu.Lock()
+	for sat := range r.sent {
+		if r.gates[sat] != nil {
+			gatedTargets[sat] = true
 		}
 	}
+	r.mu.Unlock()
 
 	// Healthy agents ack promptly over real TCP.
 	if err := r.waitCond(func() bool {
-		return r.ctl.PendingAcks() <= gatedSends
+		return r.ctl.PendingAcks() <= len(gatedTargets)
 	}, "command acks"); err != nil {
-		return err
+		return nil, err
 	}
 	// Wedged agents must have reached their blocking callback before the
 	// virtual clock moves: their apply span starts (and the trace's
@@ -803,7 +802,7 @@ func (r *runner) enforce(rr *RoundReport, added, removed []mpc.Link) error {
 			}
 			return true
 		}, "wedged agents entering apply"); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	// Anything still pending targets a wedged agent: retransmit on the
@@ -824,8 +823,8 @@ func (r *runner) enforce(rr *RoundReport, added, removed []mpc.Link) error {
 		r.prevUnreachable = append(r.prevUnreachable, int(id))
 		r.event("unreachable", "sat", fmt.Sprint(id))
 	}
+	rr.CommandsAbandoned = int(timeouts.Value() - abandonedBefore)
 	r.mu.Lock()
-	rr.CommandsAbandoned = r.abandonedRound
 	released := make([]int, 0, len(r.gates))
 	for id, gate := range r.gates {
 		close(gate)
@@ -849,50 +848,18 @@ func (r *runner) enforce(rr *RoundReport, added, removed []mpc.Link) error {
 	if err := r.waitCond(func() bool {
 		return r.ctl.PendingAcks() == 0
 	}, "flush barrier"); err != nil {
-		return err
+		return nil, err
 	}
+	acked := make(map[int]bool, len(r.sent))
 	r.mu.Lock()
-	for seq := range r.actions {
-		if r.acked[seq] {
+	for sat, seq := range r.sent {
+		acked[sat] = r.acked[seq]
+		if acked[sat] {
 			rr.CommandsAcked++
 		}
 	}
 	r.mu.Unlock()
-	return nil
-}
-
-// commandTarget picks the agent a change to l is addressed to: the lower
-// endpoint's live agent, else the other endpoint's. ok is false when
-// neither endpoint is reachable (the change is unenforceable this round).
-func (r *runner) commandTarget(l mpc.Link) (target, other int, ok bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.agents[l[0]] != nil {
-		return l[0], l[1], true
-	}
-	if r.agents[l[1]] != nil {
-		return l[1], l[0], true
-	}
-	return 0, 0, false
-}
-
-// applyTopology applies the round's acknowledged link changes, in send
-// order, to the emulated network (Testbed.apply owns the how).
-func (r *runner) applyTopology(snap *mpc.Snapshot) {
-	r.mu.Lock()
-	seqs := make([]int, 0, len(r.actions))
-	for seq := range r.actions {
-		seqs = append(seqs, int(seq))
-	}
-	sort.Ints(seqs)
-	acts := make([]islAction, 0, len(seqs))
-	for _, seq := range seqs {
-		if r.acked[uint32(seq)] {
-			acts = append(acts, r.actions[uint32(seq)]...)
-		}
-	}
-	r.mu.Unlock()
-	r.tb.apply(snap, acts)
+	return acked, nil
 }
 
 // finish aggregates counters and scores the campaign's SLOs.
@@ -982,16 +949,12 @@ func (r *runner) waitCond(cond func() bool, what string) error {
 // shutdown releases any held gates (a wedged agent cannot close while its
 // OnCommand is blocked) and tears the southbound plane down.
 func (r *runner) shutdown() {
+	ids := r.agentIDs(false)
 	r.mu.Lock()
 	for _, gate := range r.gates {
 		close(gate)
 	}
 	r.gates = map[int]chan struct{}{}
-	ids := make([]int, 0, len(r.agents))
-	for id := range r.agents {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
 	agents := make([]*southbound.Agent, 0, len(ids))
 	for _, id := range ids {
 		agents = append(agents, r.agents[id])

@@ -182,20 +182,30 @@ func BuildNetwork(snap *mpc.Snapshot, sats []orbit.Elements, rateBps float64, qu
 
 // apply brings the live network to snap the incremental way, link
 // statistics and in-flight packets intact: the gateways snap introduces are
-// placed, the given link changes applied in order — the engine passes those
-// its agents acknowledged — and the rings reinstalled. With every change of
-// DiffLinks(previous, snap) applied, the satellite→cell map, the ring
-// pointers and the set of up links are those of BuildNetwork(snap).
-func (tb *Testbed) apply(snap *mpc.Snapshot, acts []islAction) {
+// placed, the enforced changes of the diff (previous → snap) applied, and
+// the rings reinstalled. With every change enforced, the satellite→cell map,
+// the ring pointers and the set of up links are those of BuildNetwork(snap).
+//
+// The enforcement rule, written once: acked holds every satellite that was
+// sent its share of the diff, and whether it acknowledged; a link change
+// reaches the network when at least one of its endpoints was sent to and
+// every one that was has acknowledged (the others have no live agent).
+func (tb *Testbed) apply(snap *mpc.Snapshot, added, removed []mpc.Link, acked map[int]bool) {
+	enforced := func(l mpc.Link) bool {
+		ok0, sent0 := acked[l[0]]
+		ok1, sent1 := acked[l[1]]
+		return (sent0 || sent1) && ok0 == sent0 && ok1 == sent1
+	}
 	n := tb.Net
 	placeGateways(n, snap)
-	for _, a := range acts {
-		if !a.up {
-			if l := n.Link(a.link[0], a.link[1]); l != nil && l.IsUp() {
-				l.Down()
-			}
-		} else if n.Sats[a.link[0]] != nil && n.Sats[a.link[1]] != nil {
-			n.EnsureLink(a.link[0], a.link[1], linkDelay(tb.Sats, a.link, snap.Time))
+	for _, l := range removed {
+		if nl := n.Link(l[0], l[1]); nl != nil && nl.IsUp() && enforced(l) {
+			nl.Down()
+		}
+	}
+	for _, l := range added {
+		if n.Sats[l[0]] != nil && n.Sats[l[1]] != nil && enforced(l) {
+			n.EnsureLink(l[0], l[1], linkDelay(tb.Sats, l, snap.Time))
 		}
 	}
 	installRings(n, snap)

@@ -148,18 +148,16 @@ func TestIncrementalApplyMatchesFullBuild(t *testing.T) {
 			}
 			next, _ := tb.Ctl.Repair(snap, failed, nil, 0)
 			added, removed := mpc.DiffLinks(snap, next)
-			var acts []islAction
-			for _, l := range added {
-				acts = append(acts, islAction{l, true})
-			}
-			for _, l := range removed {
-				acts = append(acts, islAction{l, false})
+			// Both-endpoint addressing, every agent alive and acknowledging.
+			acked := map[int]bool{}
+			for _, b := range mpc.BatchBySatellite(added, removed) {
+				acked[b.Sat] = true
 			}
 			before := map[int]int{}
 			for id, s := range tb.Net.Sats {
 				before[id] = s.Cell
 			}
-			tb.apply(next, acts)
+			tb.apply(next, added, removed, acked)
 
 			fresh := BuildNetwork(next, tb.Sats, tb.Cfg.ISLRateBps, tb.Cfg.QueueLimit)
 			ids := sortedSats(fresh)

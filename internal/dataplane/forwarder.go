@@ -146,7 +146,8 @@ func (s *Satellite) forward(p *Packet) {
 // Anycast is §4.3's geographic segment anycast, the production router:
 // consume the segments this satellite's cell satisfies, deliver on the
 // last, else forward to any up gateway of the next cell, else pass
-// clockwise along the intra-cell gateway ring, else buffer.
+// clockwise along the intra-cell gateway ring, else — the ring is broken, or
+// the packet has been all the way round it — buffer.
 type Anycast struct{}
 
 // Route implements Router.
@@ -182,12 +183,19 @@ func (Anycast) Route(s *Satellite, p *Packet) Decision {
 		return d
 	}
 	// Fallback: the ring visits every gateway of this cell, one of which
-	// has the ISL toward the next cell (§4.3 delivery guarantee).
-	if l := s.links[s.RingNext]; l != nil && l.IsUp() {
+	// has the ISL toward the next cell (§4.3 delivery guarantee). Back at the
+	// member where this segment's ring pass began, none has.
+	fresh := p.ringFrom == 0 || p.ringLeft != g.SegmentsLeft
+	if l := s.links[s.RingNext]; l != nil && l.IsUp() && (fresh || p.ringFrom != int32(s.ID+1)) {
+		if fresh {
+			p.ringFrom, p.ringLeft = int32(s.ID+1), g.SegmentsLeft
+		}
 		d.Peer, d.Ring = s.RingNext, true
 		return d
 	}
-	// Worst case, ring disconnected: buffer until the MPC repairs (§4.3).
+	// Worst case, ring disconnected or exhausted: buffer until the MPC
+	// repairs (§4.3). The flush gets one more pass round the ring.
+	p.ringFrom = 0
 	d.Verb = Buffer
 	return d
 }

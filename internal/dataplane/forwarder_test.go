@@ -161,26 +161,58 @@ func TestBufferWhenRingBroken(t *testing.T) {
 }
 
 func TestHopLimitDrops(t *testing.T) {
-	// Two satellites in the same cell pointing at each other as ring
-	// would loop forever without the hop limit... but same-cell segments
-	// are consumed, so build a 2-cell ping-pong instead: route to a cell
-	// with no gateway anywhere reachable.
-	n := NewNetwork()
-	n.AddSatellite(0, 10)
-	n.AddSatellite(1, 10)
-	n.Connect(0, 1, 0.001)
-	n.SetRing([]int{0, 1})
-	dropped := false
+	// A packet with one hop to spend on a two-hop route is dropped where
+	// the budget runs out, not forwarded further.
+	n := chainNet()
+	var at *Satellite
 	reason := ""
-	n.OnDrop = func(s *Satellite, p *Packet, r string) { dropped, reason = true, r }
-	p, _ := NewGeoPacket(99, []int{20}, 1, 1, nil) // cell 20 does not exist
+	n.OnDrop = func(s *Satellite, p *Packet, r string) { at, reason = s, r }
+	n.OnDeliver = func(s *Satellite, p *Packet) { t.Error("delivered past its hop limit") }
+	p, _ := NewGeoPacket(99, []int{20, 30}, 1, 1, nil)
+	p.Base.HopLimit = 1
 	n.Inject(0, p)
 	n.Sim.Run(5)
-	if !dropped {
-		t.Fatal("looping packet never dropped")
+	if at == nil || at.Cell != 20 || reason != "hop limit" {
+		t.Errorf("dropped at %+v for %q, want in cell 20 for hop limit", at, reason)
 	}
-	if reason != "hop limit" {
-		t.Errorf("reason = %q", reason)
+}
+
+func TestRingPassStopsAfterOneCircle(t *testing.T) {
+	// Cell 10's ring 0→1→2→0 is intact but its only ISL toward cell 20 is
+	// down. The packet goes round once and is buffered where the ring pass
+	// began (§4.3), instead of circling until the hop limit; the repair's
+	// flush sends it round again, to the member whose ISL came back.
+	n := NewNetwork()
+	for id := 0; id < 3; id++ {
+		n.AddSatellite(id, 10)
+	}
+	n.AddSatellite(3, 20)
+	n.Connect(0, 1, 0.001)
+	n.Connect(1, 2, 0.001)
+	n.Connect(2, 0, 0.001)
+	n.Connect(1, 3, 0.005)
+	n.SetRing([]int{0, 1, 2})
+	n.Link(1, 3).Down()
+	var got *Packet
+	n.OnDeliver = func(s *Satellite, p *Packet) { got = p }
+	n.OnDrop = func(s *Satellite, p *Packet, r string) { t.Errorf("dropped at %d: %s", s.ID, r) }
+	p, _ := NewGeoPacket(99, []int{20}, 1, 1, nil)
+	n.Inject(0, p)
+	n.Sim.Run(5)
+	if got != nil || len(n.Sats[0].Buffer) != 1 {
+		t.Fatalf("after one circle: delivered %v, %d buffered at the entry member", got != nil, len(n.Sats[0].Buffer))
+	}
+	if want := []int{0, 1, 2, 0}; !slices.Equal(p.HopTrace, want) {
+		t.Errorf("trace = %v, want one circle %v", p.HopTrace, want)
+	}
+	n.Link(1, 3).Up()
+	n.FlushBuffers()
+	n.Sim.Run(10)
+	if got == nil {
+		t.Fatal("buffered packet not delivered after repair")
+	}
+	if want := []int{0, 1, 2, 0, 1, 3}; !slices.Equal(got.HopTrace, want) {
+		t.Errorf("trace = %v, want %v", got.HopTrace, want)
 	}
 }
 

@@ -173,6 +173,12 @@ type Packet struct {
 	// Emulation metadata (not on the wire).
 	SentAt   float64
 	HopTrace []int // satellite IDs traversed
+
+	// Anycast's ring-pass state: the member (ID+1, 0 = none) where the packet
+	// first fell back to the ring while ringLeft segments were left. Eight
+	// bytes, so that Packet stays in its 96-byte allocation class.
+	ringFrom int32
+	ringLeft uint8
 }
 
 // Encode produces the full wire form.

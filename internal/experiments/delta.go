@@ -10,6 +10,7 @@ import (
 	"repro/internal/intent"
 	"repro/internal/metrics"
 	"repro/internal/mpc"
+	"repro/internal/obs"
 	"repro/internal/orbit"
 	"repro/internal/southbound"
 )
@@ -54,9 +55,9 @@ const deltaSlotDt = 30.0
 // the two plans are byte-identical slot by slot, and reports the
 // warm-slot speedup (slot 0 excluded: the first delta compile has no
 // previous snapshot to reuse), the visibility-sample warm-hit ratio,
-// and the southbound bytes per slot of delta enforcement (one
-// slot-delta batch per changed satellite) versus full per-endpoint
-// SetISL pushes.
+// and the southbound payload bytes per warm slot of enforcing the plan
+// (one slot-delta batch per changed satellite), as the DeltaEnforcer
+// that framed them counted them.
 func DeltaCompileSweep() (*metrics.Table, error) {
 	const slots = 12 // the compiled window
 	type chain struct {
@@ -117,28 +118,9 @@ func DeltaCompileSweep() (*metrics.Table, error) {
 			}
 		}
 	}
-	// Wire footprint per warm slot: delta enforcement sends one
-	// slot-delta batch per changed satellite; full enforcement sends one
-	// SetISL per link endpoint. Both are derived from the same canonical
-	// snapshot diff, so the numbers are deterministic.
-	var fullBytes, deltaBytes int
-	for s := 1; s < len(full.snaps); s++ {
-		added, removed := mpc.DiffLinks(full.snaps[s-1], full.snaps[s])
-		for _, b := range mpc.BatchBySatellite(added, removed) {
-			ops := make([]southbound.SlotDeltaOp, 0, len(b.Add)+len(b.Del))
-			for _, p := range b.Del {
-				ops = append(ops, southbound.SlotDeltaOp{Peer: p, Up: false})
-			}
-			for _, p := range b.Add {
-				ops = append(ops, southbound.SlotDeltaOp{Peer: p, Up: true})
-			}
-			for _, op := range ops {
-				setISL := &southbound.Message{Type: southbound.MsgSetISL, SatID: uint32(b.Sat), Peer: op.Peer, Up: op.Up}
-				fullBytes += setISL.WireSize()
-			}
-			m := &southbound.Message{Type: southbound.MsgSlotDelta, SatID: uint32(b.Sat), Payload: southbound.EncodeSlotDelta(ops)}
-			deltaBytes += m.WireSize()
-		}
+	deltaBytes, err := enforcedBytes(dc.snaps)
+	if err != nil {
+		return nil, err
 	}
 	const warmSlots = slots - 1
 
@@ -148,12 +130,48 @@ func DeltaCompileSweep() (*metrics.Table, error) {
 	}
 	tab := metrics.NewTable("Delta: incremental MPC compile + enforcement",
 		"run", "satellites", "slots", "wall (s)", "warm wall (s)", "speedup (x)",
-		"warm hit ratio", "bytes per slot (B)")
+		"warm hit ratio", "enforced bytes per slot (B)")
 	tab.AddRow("full", nSats, slots, fmt.Sprintf("%.3f", full.wall),
 		fmt.Sprintf("%.3f", full.warm), fmt.Sprintf("%.2f", 1.0),
-		fmt.Sprintf("%.3f", full.stats.WarmHitRatio()), fullBytes/warmSlots)
+		fmt.Sprintf("%.3f", full.stats.WarmHitRatio()), "-")
 	tab.AddRow("delta", nSats, slots, fmt.Sprintf("%.3f", dc.wall),
 		fmt.Sprintf("%.3f", dc.warm), fmt.Sprintf("%.2f", speedup),
 		fmt.Sprintf("%.3f", dc.stats.WarmHitRatio()), deltaBytes/warmSlots)
 	return tab, nil
+}
+
+// enforcedBytes enforces a chain of slot snapshots the way tinyleo-ctl
+// does, over loopback TCP to one agent per planned satellite, and returns
+// the payload bytes the enforcer counted after slot 0 (whose pushes are all
+// first-contact snapshots). The diff is canonical, so it is deterministic.
+func enforcedBytes(snaps []*mpc.Snapshot) (int64, error) {
+	ctl, err := southbound.ListenController("127.0.0.1:0")
+	if err != nil {
+		return 0, err
+	}
+	defer ctl.Close()
+	enf := southbound.NewDeltaEnforcer(ctl)
+	sent := ctl.Metrics().Counter(southbound.MetricDeltaBytes)
+	var prev *mpc.Snapshot
+	var slot0 int64
+	for s, snap := range snaps {
+		added, removed := mpc.DiffLinks(prev, snap)
+		prev = snap
+		for _, b := range mpc.BatchBySatellite(added, removed) {
+			if ctl.Registrations(uint32(b.Sat)) == 0 {
+				a, err := southbound.DialAgent(ctl.Addr(), uint32(b.Sat), 5*time.Second)
+				if err != nil {
+					return 0, err
+				}
+				defer a.Close()
+			}
+			if err := enf.Push(uint32(b.Sat), b.Add, b.Del, time.Time{}, obs.SpanContext{}); err != nil {
+				return 0, err
+			}
+		}
+		if s == 0 {
+			slot0 = sent.Value()
+		}
+	}
+	return sent.Value() - slot0, nil
 }

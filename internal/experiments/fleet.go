@@ -12,13 +12,13 @@ import (
 
 // FleetAggregation measures what the fleet telemetry plane costs the
 // southbound command path (tinyleo-bench -run fleet): one controller,
-// `agents` in-process agents applying `cmds` SetISL commands round-robin
-// over real loopback TCP, each agent bumping instruments in its private
-// registry per command. The run executes twice — telemetry off, then on
-// with every agent streaming delta reports into a controller-side
-// aggregator at a tight interval — and reports the wall-clock ratio as
-// an explicit "overhead (x)" column, which CI gates alongside the
-// tracing-overhead and horizon numbers. The telemetry-on phase also
+// `agents` in-process agents applying `cmds` one-link changes pushed
+// round-robin through a DeltaEnforcer over real loopback TCP, each agent
+// bumping instruments in its private registry per command. The run
+// executes twice — telemetry off, then on with every agent streaming
+// delta reports into a controller-side aggregator at a tight interval —
+// and reports the wall-clock ratio as an explicit "overhead (x)" column.
+// The telemetry-on phase also
 // verifies the rollup: the aggregated applied counter must equal the
 // commands delivered, or the experiment errors.
 //
@@ -69,6 +69,7 @@ func fleetPhase(agents, cmds int, telemetry bool) (wall float64, reports, bytes 
 		return 0, 0, 0, err
 	}
 	defer ctl.Close()
+	enf := southbound.NewDeltaEnforcer(ctl)
 	var agg *fleet.Aggregator
 	if telemetry {
 		agg = fleet.NewAggregator(fleet.Options{})
@@ -82,8 +83,7 @@ func fleetPhase(agents, cmds int, telemetry bool) (wall float64, reports, bytes 
 		c := reg.Counter("tinyleo_bench_applied_total")
 		h := reg.Histogram("tinyleo_bench_apply_delay_s", nil)
 		perAgent[i] = c
-		a, err := southbound.DialAgentOptions(ctl.Addr(), uint32(i), 5*time.Second,
-			southbound.AgentOptions{})
+		a, err := southbound.DialAgent(ctl.Addr(), uint32(i), 5*time.Second)
 		if err != nil {
 			return 0, 0, 0, err
 		}
@@ -101,11 +101,8 @@ func fleetPhase(agents, cmds int, telemetry bool) (wall float64, reports, bytes 
 	//lint:tinyleo-ignore the measured wall time IS this experiment's result
 	start := time.Now()
 	for i := 0; i < cmds; i++ {
-		m := &southbound.Message{
-			Type: southbound.MsgSetISL, SatID: uint32(i % agents),
-			Peer: uint32((i + 1) % agents), Up: true,
-		}
-		if err := ctl.Send(m); err != nil {
+		// A new peer every time, so that every push is one message.
+		if err := enf.Push(uint32(i%agents), []uint32{uint32(agents + i)}, nil, time.Time{}, obs.SpanContext{}); err != nil {
 			return 0, 0, 0, err
 		}
 	}

@@ -62,11 +62,10 @@ func enforcedRoutes(tb *chaos.Testbed) []intent.Route {
 // `ps.Cell != d.NextCell` filter: the third route's packet wanders off the
 // route until the hop limit).
 //
-// Under a seeded 10 % ISL-failure set only what §4.3 promises is asserted:
-// every packet is delivered, buffered or queue-dropped, never `no route`.
-// The ring pass has no stop condition, so a packet whose cell has lost every
-// ISL toward the next cell circles the ring until HopLimit; that count is
-// logged, not asserted (ROADMAP "Known defects").
+// Under a seeded 10 % ISL-failure set what §4.3 promises is asserted: every
+// packet is delivered, buffered or queue-dropped, never `no route` and never
+// `hop limit` — a packet whose cell has lost every ISL toward the next cell
+// goes round the gateway ring once and is buffered for the repair.
 func TestAnycastForwardingProperties(t *testing.T) {
 	tb, err := chaos.NewTestbed(chaos.TestbedConfig{
 		Sats: 529, ISLRateBps: dataplane.ISLRateBpsDefault, QueueLimit: 4096,
@@ -126,12 +125,12 @@ func TestAnycastForwardingProperties(t *testing.T) {
 		buffered += len(s.Buffer)
 	}
 	queued := drops["link down or queue full"]
-	t.Logf("%d routes, %d of %d ISLs down: %d delivered, %d buffered, %d queue-dropped, %d hop-limit drops",
-		len(routes), len(links)/10, len(links), delivered, buffered, queued, drops["hop limit"])
-	if drops["no route"] != 0 || drops["missing link"] != 0 || watch.regressed != 0 {
-		t.Errorf("under failures: drops %v, %d segment-cursor regressions", drops, watch.regressed)
+	t.Logf("%d routes, %d of %d ISLs down: %d delivered, %d buffered, %d queue-dropped",
+		len(routes), len(links)/10, len(links), delivered, buffered, queued)
+	if len(drops) > 1 || len(drops) == 1 && queued == 0 || watch.regressed != 0 {
+		t.Errorf("under failures: drops %v (only queue drops are allowed), %d segment-cursor regressions", drops, watch.regressed)
 	}
-	if got := delivered + buffered + queued + drops["hop limit"]; got != len(routes) {
+	if got := delivered + buffered + queued; got != len(routes) {
 		t.Errorf("%d of %d packets accounted for (drops %v)", got, len(routes), drops)
 	}
 }

@@ -77,16 +77,16 @@ func TestMergeControllerTwoAgents(t *testing.T) {
 	defer b.Close()
 
 	emit := ctlTr.StartSpan("mpc.emit", "round", "0")
-	if err := c.Send(&southbound.Message{Type: southbound.MsgSetISL, SatID: 5, Peer: 6, Up: true,
+	if err := c.Send(&southbound.Message{Type: southbound.MsgSetRing, SatID: 5, Peer: 6,
 		Trace: emit.Context(), Emitted: time.Now()}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Send(&southbound.Message{Type: southbound.MsgSetISL, SatID: 6, Peer: 5, Up: true,
+	if err := c.Send(&southbound.Message{Type: southbound.MsgSetRing, SatID: 6, Peer: 5,
 		Trace: emit.Context(), Emitted: time.Now()}); err != nil {
 		t.Fatal(err)
 	}
 	// Inside the mpc.emit root, on the controller's clock.
-	ctlTr.Emit("southbound.command_applied", "sat", "6", "type", "set-isl")
+	ctlTr.Emit("southbound.command_applied", "sat", "6", "type", "set-ring")
 	emit.End()
 
 	// Force at least one retransmit of sat 5's command while it is held.
@@ -312,8 +312,8 @@ func TestMergeFourProcessesAsymmetricSkew(t *testing.T) {
 	emit := ctlTr.StartSpan("mpc.emit", "round", "0")
 	for i := 0; i < 3; i++ {
 		for _, id := range []uint32{7, 8, 9} {
-			if err := c.Send(&southbound.Message{Type: southbound.MsgSetISL, SatID: id,
-				Peer: id + 1, Up: true, Trace: emit.Context(), Emitted: time.Now()}); err != nil {
+			if err := c.Send(&southbound.Message{Type: southbound.MsgSetRing, SatID: id,
+				Peer: id + 1, Trace: emit.Context(), Emitted: time.Now()}); err != nil {
 				t.Fatal(err)
 			}
 		}

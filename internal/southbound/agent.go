@@ -30,7 +30,7 @@ var agentMetrics = struct {
 
 func init() {
 	for t := MsgHello; t <= MsgSlotSnapshot; t++ {
-		if t == MsgTelemetry {
+		if t == MsgTelemetry || t == msgRetired {
 			continue
 		}
 		agentMetrics.rx[t] = obs.Default().Counter(
@@ -111,8 +111,9 @@ type Agent struct {
 	seenRing []uint32
 	seenHead int
 
-	// OnCommand is invoked for every controller command (SetISL, SetRing,
-	// InstallRoute). The agent auto-acks after the callback returns.
+	// OnCommand is invoked for every controller command (SlotDelta,
+	// SlotSnapshot, SetRing, InstallRoute), once per sequence number. The
+	// agent auto-acks after the callback returns.
 	OnCommand func(m *Message)
 
 	helloAck chan struct{}
@@ -226,7 +227,7 @@ func (a *Agent) readLoop() {
 				a.acked = true
 				close(a.helloAck)
 			}
-		case MsgSetISL, MsgSetRing, MsgInstallRoute, MsgSlotDelta, MsgSlotSnapshot:
+		case MsgSetRing, MsgInstallRoute, MsgSlotDelta, MsgSlotSnapshot:
 			if a.isDuplicate(m.Seq) {
 				// Retransmission of a command already applied: re-ack so
 				// the controller stops resending, but do not re-apply.

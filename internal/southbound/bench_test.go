@@ -26,12 +26,12 @@ func benchRoundTrip(b *testing.B, m *Message) {
 // Serialization cost of a typical command without trace context — the
 // pre-tracing wire format.
 func BenchmarkMessageRoundTrip(b *testing.B) {
-	benchRoundTrip(b, &Message{Type: MsgSetISL, SatID: 7, Seq: 42, Peer: 9, Up: true})
+	benchRoundTrip(b, &Message{Type: MsgSetRing, SatID: 7, Seq: 42, Peer: 9})
 }
 
 // The same command carrying the 25-byte trace trailer: the regression
 // gate watches the ratio of these two.
 func BenchmarkMessageRoundTripTraced(b *testing.B) {
-	benchRoundTrip(b, &Message{Type: MsgSetISL, SatID: 7, Seq: 42, Peer: 9, Up: true,
+	benchRoundTrip(b, &Message{Type: MsgSetRing, SatID: 7, Seq: 42, Peer: 9,
 		Trace: obs.SpanContext{TraceID: obs.TraceID{1, 2}, SpanID: obs.SpanID{3, 4}}})
 }

@@ -196,6 +196,9 @@ func ListenController(addr string) (*Controller, error) {
 		untracked:   reg.Counter(MetricUntracked),
 	}
 	for t := MsgHello; t <= MsgSlotSnapshot; t++ {
+		if t == msgRetired {
+			continue
+		}
 		c.rx[t] = reg.Counter(MetricMessages, "dir", "rx", "type", t.String())
 		c.tx[t] = reg.Counter(MetricMessages, "dir", "tx", "type", t.String())
 	}
@@ -468,7 +471,7 @@ func (c *Controller) countTx(m *Message) {
 
 // Count returns the number of messages recorded under key: "rx-" or "tx-"
 // followed by the message type name (e.g. "rx-failure-report",
-// "tx-set-isl"), matching the telemetry series' {dir, type} labels.
+// "tx-slot-delta"), matching the telemetry series' {dir, type} labels.
 func (c *Controller) Count(key string) int64 {
 	dir, typ, ok := strings.Cut(key, "-")
 	if !ok {
@@ -659,6 +662,13 @@ func (c *Controller) TakeUnreachable() []uint32 {
 	c.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// hasAgent reports whether satID has a registered agent right now.
+func (c *Controller) hasAgent(satID uint32) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.agents[satID] != nil
 }
 
 // AgentCount returns the number of registered agents.

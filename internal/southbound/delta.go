@@ -119,15 +119,20 @@ func DecodeSlotSnapshot(p []byte) ([]uint32, error) {
 // no longer be trusted — the agent re-registered (its dataplane may have
 // missed deltas applied while it was away... or it restarted entirely),
 // a command to it was abandoned after AckTimeout, or the satellite has
-// never been pushed to — the next Push falls back to one MsgSlotSnapshot
-// carrying the full desired peer set, which re-syncs the agent and
-// restores delta eligibility.
+// never been pushed to — the next Push to it, or the next Resync, sends one
+// MsgSlotSnapshot carrying the full desired peer set, which re-syncs the
+// agent and restores delta eligibility.
 //
 // Construct with NewDeltaEnforcer before agents connect: it chains onto
 // the controller's OnRegister and OnCommandFailed hooks (preserving any
 // already installed).
 type DeltaEnforcer struct {
 	c *Controller
+
+	// OnSent observes every message the enforcer sent, after the send
+	// succeeded (so Seq is assigned), on the goroutine that pushed it. Set
+	// before the first Push.
+	OnSent func(m *Message)
 
 	mu sync.Mutex
 	//tinyleo:guardedby mu
@@ -172,10 +177,10 @@ func NewDeltaEnforcer(c *Controller) *DeltaEnforcer {
 	return e
 }
 
-// MarkUnsynced forces the next Push to sat to be a full-snapshot
-// re-sync. Called automatically on agent (re-)registration and on
-// abandoned commands; callers may also invoke it directly (e.g. a chaos
-// fault that is known to wipe an agent's dataplane).
+// MarkUnsynced forces the next Push to sat (or Resync) to be a
+// full-snapshot re-sync. Called automatically on agent (re-)registration
+// and on abandoned commands; callers may also invoke it directly (e.g. a
+// chaos fault that is known to wipe an agent's dataplane).
 func (e *DeltaEnforcer) MarkUnsynced(sat uint32) {
 	e.mu.Lock()
 	delete(e.synced, sat)
@@ -251,7 +256,34 @@ func (e *DeltaEnforcer) Push(sat uint32, add, del []uint32, emitted time.Time, t
 		e.resyncs.Inc()
 	}
 	e.bytesSent.Add(int64(len(m.Payload)))
+	if e.OnSent != nil {
+		e.OnSent(m)
+	}
 	return nil
+}
+
+// Resync re-syncs, in ascending order, every satellite that is unsynced,
+// has a tracked desired set and a registered agent — one MsgSlotSnapshot
+// each — and returns how many. Without it an agent that re-registers is
+// re-synced only when one of its own links next changes; the control loop
+// calls it once per slot, after the slot's batches.
+func (e *DeltaEnforcer) Resync(emitted time.Time, trace obs.SpanContext) int {
+	e.mu.Lock()
+	var sats []uint32
+	for sat := range e.desired {
+		if !e.synced[sat] {
+			sats = append(sats, sat)
+		}
+	}
+	e.mu.Unlock()
+	sort.Slice(sats, func(i, j int) bool { return sats[i] < sats[j] })
+	n := 0
+	for _, sat := range sats {
+		if e.c.hasAgent(sat) && e.Push(sat, nil, nil, emitted, trace) == nil {
+			n++
+		}
+	}
+	return n
 }
 
 // sortedPeers flattens a peer set in ascending order.

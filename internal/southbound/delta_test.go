@@ -4,7 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
-	"sync"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -90,63 +91,21 @@ func TestSlotDeltaCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// satView is a test stand-in for an agent's ISL dataplane view, applying
-// slot-delta / slot-snapshot commands the way tinyleo-sat does.
-type satView struct {
-	mu    sync.Mutex
-	peers map[uint32]bool
-}
-
-func newSatView() *satView { return &satView{peers: map[uint32]bool{}} }
-
-func (v *satView) apply(t *testing.T, m *Message) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	switch m.Type {
-	case MsgSlotDelta:
-		ops, err := DecodeSlotDelta(m.Payload)
-		if err != nil {
-			t.Errorf("decode delta: %v", err)
-			return
-		}
-		for _, op := range ops {
-			if op.Up {
-				v.peers[op.Peer] = true
-			} else {
-				delete(v.peers, op.Peer)
-			}
-		}
-	case MsgSlotSnapshot:
-		peers, err := DecodeSlotSnapshot(m.Payload)
-		if err != nil {
-			t.Errorf("decode snapshot: %v", err)
-			return
-		}
-		v.peers = map[uint32]bool{}
-		for _, p := range peers {
-			v.peers[p] = true
+// applyTo installs view as a's applied peer set: every command is folded
+// through PeerSet.Apply, as tinyleo-sat and the chaos agents do.
+func applyTo(t *testing.T, a *Agent, view *PeerSet) {
+	a.OnCommand = func(m *Message) {
+		if err := view.Apply(m); err != nil {
+			t.Errorf("apply %s: %v", m.Type, err)
 		}
 	}
 }
 
-func (v *satView) snapshot() map[uint32]bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	out := make(map[uint32]bool, len(v.peers))
-	for p := range v.peers {
-		out[p] = true
-	}
-	return out
-}
-
-func (v *satView) waitFor(t *testing.T, peer uint32) {
+func waitForPeer(t *testing.T, view *PeerSet, peer uint32) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		v.mu.Lock()
-		ok := v.peers[peer]
-		v.mu.Unlock()
-		if ok {
+		if slices.Contains(view.Peers(), peer) {
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -161,19 +120,19 @@ func (v *satView) waitFor(t *testing.T, peer uint32) {
 func TestDeltaEnforcerPush(t *testing.T) {
 	c := startController(t)
 	e := NewDeltaEnforcer(c)
-	view := newSatView()
+	view := &PeerSet{}
 	a, err := DialAgent(c.Addr(), 42, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	a.OnCommand = func(m *Message) { view.apply(t, m) }
+	applyTo(t, a, view)
 
 	if err := e.Push(42, []uint32{7, 3}, nil, time.Time{}, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
-	view.waitFor(t, 7)
-	if got := view.snapshot(); !reflect.DeepEqual(got, map[uint32]bool{3: true, 7: true}) {
+	waitForPeer(t, view, 7)
+	if got := view.Peers(); !reflect.DeepEqual(got, []uint32{3, 7}) {
 		t.Errorf("view after bootstrap = %v", got)
 	}
 	if n := c.Count("tx-slot-snapshot"); n != 1 {
@@ -183,8 +142,8 @@ func TestDeltaEnforcerPush(t *testing.T) {
 	if err := e.Push(42, []uint32{9}, []uint32{3}, time.Time{}, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
-	view.waitFor(t, 9)
-	if got := view.snapshot(); !reflect.DeepEqual(got, map[uint32]bool{7: true, 9: true}) {
+	waitForPeer(t, view, 9)
+	if got := view.Peers(); !reflect.DeepEqual(got, []uint32{7, 9}) {
 		t.Errorf("view after delta = %v", got)
 	}
 	if n := c.Count("tx-slot-delta"); n != 1 {
@@ -234,18 +193,18 @@ func TestDeltaPushCountsOnlySentMessages(t *testing.T) {
 		t.Errorf("Desired = %v", got)
 	}
 
-	view := newSatView()
+	view := &PeerSet{}
 	a, err := DialAgent(c.Addr(), 42, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	a.OnCommand = func(m *Message) { view.apply(t, m) }
+	applyTo(t, a, view)
 	if err := e.Push(42, []uint32{9}, nil, time.Time{}, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
-	view.waitFor(t, 9)
-	if got := view.snapshot(); !reflect.DeepEqual(got, map[uint32]bool{3: true, 7: true, 9: true}) {
+	waitForPeer(t, view, 9)
+	if got := view.Peers(); !reflect.DeepEqual(got, []uint32{3, 7, 9}) {
 		t.Errorf("view after the first push that left = %v, want the full snapshot", got)
 	}
 	snapBytes := int64(len(EncodeSlotSnapshot([]uint32{3, 7, 9})))
@@ -257,7 +216,7 @@ func TestDeltaPushCountsOnlySentMessages(t *testing.T) {
 	if err := e.Push(42, []uint32{11}, []uint32{3}, time.Time{}, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
-	view.waitFor(t, 11)
+	waitForPeer(t, view, 11)
 	deltaBytes := int64(len(EncodeSlotDelta([]SlotDeltaOp{{Peer: 3}, {Peer: 11, Up: true}})))
 	if got, want := series(), ([5]int64{1, 1, 2, 1, snapBytes + deltaBytes}); got != want {
 		t.Errorf("series after the delta = %v, want %v", got, want)
@@ -275,14 +234,14 @@ func TestDeltaResyncOnReconnect(t *testing.T) {
 	e := NewDeltaEnforcer(c)
 
 	const deltaSat, snapSat = 42, 43
-	deltaView, snapView := newSatView(), newSatView()
-	dial := func(sat uint32, view *satView) *Agent {
+	deltaView, snapView := &PeerSet{}, &PeerSet{}
+	dial := func(sat uint32, view *PeerSet) *Agent {
 		t.Helper()
 		a, err := DialAgent(c.Addr(), sat, 2*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a.OnCommand = func(m *Message) { view.apply(t, m) }
+		applyTo(t, a, view)
 		return a
 	}
 	deltaAgent := dial(deltaSat, deltaView)
@@ -314,7 +273,7 @@ func TestDeltaResyncOnReconnect(t *testing.T) {
 			// before. OnRegister must force the enforcer to re-sync.
 			waitAcked()
 			deltaAgent.Close()
-			deltaView = newSatView()
+			deltaView = &PeerSet{}
 			deltaAgent = dial(deltaSat, deltaView)
 		}
 		var add, del []uint32
@@ -352,16 +311,21 @@ func TestDeltaResyncOnReconnect(t *testing.T) {
 	if err := e.Push(snapSat, []uint32{sentinel}, nil, time.Time{}, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
-	deltaView.waitFor(t, sentinel)
-	snapView.waitFor(t, sentinel)
+	waitForPeer(t, deltaView, sentinel)
+	waitForPeer(t, snapView, sentinel)
 	expected[sentinel] = true
 
-	dv, sv := deltaView.snapshot(), snapView.snapshot()
+	dv, sv := deltaView.Peers(), snapView.Peers()
 	if !reflect.DeepEqual(dv, sv) {
 		t.Errorf("delta view %v != snapshot view %v", dv, sv)
 	}
-	if !reflect.DeepEqual(dv, expected) {
-		t.Errorf("delta view %v != expected %v", dv, expected)
+	want := make([]uint32, 0, len(expected))
+	for p := range expected {
+		want = append(want, p)
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	if !reflect.DeepEqual(dv, want) {
+		t.Errorf("delta view %v != expected %v", dv, want)
 	}
 	// The restart actually exercised the re-sync path: at least two
 	// snapshots went to the delta satellite (bootstrap + post-restart),
@@ -375,7 +339,7 @@ func TestDeltaResyncOnReconnect(t *testing.T) {
 }
 
 // TestFailureTeardownThroughEnforcer is the regression test for a failure
-// hook that answered a report with a raw SetISL: the agent tore the link
+// hook that answered a report with a raw per-link command: the agent tore the link
 // down while the enforcer still listed the peer, and the two stayed apart
 // until an unrelated re-sync. Routed through Push (as tinyleo-ctl's
 // OnFailure does), the teardown leaves the enforcer's desired set and the
@@ -389,33 +353,30 @@ func TestFailureTeardownThroughEnforcer(t *testing.T) {
 		}
 		return nil
 	}
-	view := newSatView()
+	view := &PeerSet{}
 	a, err := DialAgent(c.Addr(), 42, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	a.OnCommand = func(m *Message) { view.apply(t, m) }
+	applyTo(t, a, view)
 
 	if err := e.Push(42, []uint32{3, 7, 9}, nil, time.Time{}, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
-	view.waitFor(t, 9)
+	waitForPeer(t, view, 9)
 	if err := a.ReportFailure(7); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for view.snapshot()[7] && time.Now().Before(deadline) {
+	for slices.Contains(view.Peers(), uint32(7)) && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	want := []uint32{3, 9}
 	if got := e.Desired(42); !reflect.DeepEqual(got, want) {
 		t.Errorf("Desired after the report = %v, want %v", got, want)
 	}
-	if got := view.snapshot(); !reflect.DeepEqual(got, map[uint32]bool{3: true, 9: true}) {
+	if got := view.Peers(); !reflect.DeepEqual(got, []uint32{3, 9}) {
 		t.Errorf("agent applied %v, enforcer desires %v", got, want)
-	}
-	if n := c.Count("tx-set-isl"); n != 0 {
-		t.Errorf("teardown sent %d SetISL commands, want 0", n)
 	}
 }

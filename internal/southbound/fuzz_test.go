@@ -1,0 +1,97 @@
+package southbound
+
+import (
+	"bytes"
+	"reflect"
+	"testing"
+
+	"repro/internal/obs"
+)
+
+// frame is m's wire form.
+func frame(tb testing.TB, m *Message) []byte {
+	var buf bytes.Buffer
+	if err := WriteMessage(&buf, m); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzReadMessage feeds arbitrary bytes to the frame reader: it may
+// reject them, but must not panic, must not allocate past maxFrame on the
+// say-so of a length prefix, and whatever it accepts must survive
+// encode → decode unchanged (frame, trace trailer and payload trailer).
+func FuzzReadMessage(f *testing.F) {
+	trace := obs.SpanContext{TraceID: obs.TraceID{1}, SpanID: obs.SpanID{2}}
+	for _, m := range []*Message{
+		{Type: MsgHello, SatID: 7, Seq: 1},
+		{Type: MsgSetRing, SatID: 7, Seq: 4, Peer: 11},
+		{Type: MsgInstallRoute, SatID: 7, Seq: 5, Cells: []uint16{10, 20, 30, 4049}},
+		{Type: MsgFailureReport, SatID: 7, Peer: 0xFFFFFFFF},
+		{Type: MsgSetRing, SatID: 1, Seq: 2, Peer: 3, Trace: trace},
+		{Type: MsgTelemetry, SatID: 4, Payload: []byte("fleet report")},
+		{Type: MsgSlotDelta, SatID: 7, Seq: 3, Trace: trace,
+			Payload: EncodeSlotDelta([]SlotDeltaOp{{Peer: 9}, {Peer: 0xFFFFFFFF}})},
+		{Type: MsgSlotSnapshot, SatID: 7, Seq: 6, Payload: EncodeSlotSnapshot([]uint32{3, 1, 4})},
+	} {
+		f.Add(frame(f, m))
+	}
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add(frame(f, &Message{Type: MsgHello, SatID: 1})[:20])
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		m, err := ReadMessage(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		if n := m.WireSize(); n > 4+maxFrame || n > len(raw) {
+			t.Fatalf("decoded a %d-byte message from %d input bytes (maxFrame %d)", n, len(raw), maxFrame)
+		}
+		again, err := ReadMessage(bytes.NewReader(frame(t, m)))
+		if err != nil || !reflect.DeepEqual(again, m) {
+			t.Fatalf("decode → encode → decode changed the message: %+v → %+v (%v)", m, again, err)
+		}
+	})
+}
+
+// FuzzSlotPayloads feeds arbitrary bytes to the two ISL payload decoders
+// and to PeerSet.Apply, which must agree: what decodes re-encodes to the
+// same bytes and is applied, what does not is rejected and leaves the set
+// untouched.
+func FuzzSlotPayloads(f *testing.F) {
+	f.Add(EncodeSlotDelta([]SlotDeltaOp{{Peer: 9}, {Peer: 0xFFFFFFFF}, {Peer: 0}}))
+	f.Add(EncodeSlotDelta(nil))
+	f.Add(EncodeSlotSnapshot([]uint32{3, 1, 4, 1<<31 + 5}))
+	for _, corrupt := range [][]byte{nil, {1, 2}, {0, 0, 0, 5, 1}, {0xFF, 0xFF, 0xFF, 0xFF}} {
+		f.Add(corrupt)
+	}
+	f.Fuzz(func(t *testing.T, p []byte) {
+		before := []uint32{1, 2}
+		ops, deltaErr := DecodeSlotDelta(p)
+		// An op's direction is one byte on the wire; only 0 and 1 re-encode
+		// to themselves.
+		canonical := true
+		for i := range ops {
+			canonical = canonical && p[4+slotDeltaOpLen*i] <= 1
+		}
+		if deltaErr == nil && canonical && !bytes.Equal(EncodeSlotDelta(ops), p) {
+			t.Fatalf("slot-delta %x decoded to %v, which encodes to %x", p, ops, EncodeSlotDelta(ops))
+		}
+		peers, snapErr := DecodeSlotSnapshot(p)
+		if snapErr == nil && !bytes.Equal(EncodeSlotSnapshot(peers), p) {
+			t.Fatalf("slot-snapshot %x decoded to %v, which encodes to %x", p, peers, EncodeSlotSnapshot(peers))
+		}
+		for typ, decodeErr := range map[MsgType]error{MsgSlotDelta: deltaErr, MsgSlotSnapshot: snapErr} {
+			var set PeerSet
+			if err := set.Apply(&Message{Type: MsgSlotSnapshot, Payload: EncodeSlotSnapshot(before)}); err != nil {
+				t.Fatal(err)
+			}
+			err := set.Apply(&Message{Type: typ, Payload: p})
+			if (err != nil) != (decodeErr != nil) {
+				t.Fatalf("%s %x: Apply error %v, decoder error %v", typ, p, err, decodeErr)
+			}
+			if err != nil && !reflect.DeepEqual(set.Peers(), before) {
+				t.Fatalf("%s %x: rejected payload changed the set to %v", typ, p, set.Peers())
+			}
+		}
+	})
+}

@@ -77,7 +77,7 @@ func TestObsCountersAndAckRTT(t *testing.T) {
 
 	const sends = 3
 	for i := 0; i < sends; i++ {
-		if err := c.Send(&Message{Type: MsgSetISL, SatID: 8, Peer: uint32(i), Up: true}); err != nil {
+		if err := c.Send(&Message{Type: MsgSetRing, SatID: 8, Peer: uint32(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -89,8 +89,8 @@ func TestObsCountersAndAckRTT(t *testing.T) {
 		}
 	}
 
-	if got := reg.Counter(MetricMessages, "dir", "tx", "type", "set-isl").Value(); got != sends {
-		t.Errorf("tx set-isl = %d, want %d", got, sends)
+	if got := reg.Counter(MetricMessages, "dir", "tx", "type", "set-ring").Value(); got != sends {
+		t.Errorf("tx set-ring = %d, want %d", got, sends)
 	}
 	if got := reg.Counter(MetricMessages, "dir", "rx", "type", "ack").Value(); got != sends {
 		t.Errorf("rx ack = %d, want %d", got, sends)
@@ -104,8 +104,8 @@ func TestObsCountersAndAckRTT(t *testing.T) {
 	}
 
 	// The legacy string-keyed accessors stay consistent with the registry.
-	if c.Count("tx-set-isl") != sends {
-		t.Errorf("Count(tx-set-isl) = %d", c.Count("tx-set-isl"))
+	if c.Count("tx-set-ring") != sends {
+		t.Errorf("Count(tx-set-ring) = %d", c.Count("tx-set-ring"))
 	}
 	if c.TotalMessages() != obs.SumCounters(MetricMessages, reg) {
 		t.Error("TotalMessages diverges from registry sum")
@@ -117,7 +117,7 @@ func TestObsCountersAndAckRTT(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		`tinyleo_southbound_messages_total{dir="tx",type="set-isl"} 3`,
+		`tinyleo_southbound_messages_total{dir="tx",type="set-ring"} 3`,
 		`tinyleo_southbound_connected_agents 1`,
 		`tinyleo_southbound_ack_rtt_seconds_count 3`,
 	} {

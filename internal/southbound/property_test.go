@@ -10,11 +10,11 @@ import (
 
 // TestPropertyMessageRoundTrip: any well-formed message survives the wire.
 func TestPropertyMessageRoundTrip(t *testing.T) {
-	f := func(typ uint8, sat, seq, peer uint32, up bool, nCells uint16, seed int64) bool {
+	f := func(typ uint8, sat, seq, peer uint32, nCells uint16, seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := &Message{
 			Type:  MsgType(typ%7 + 1),
-			SatID: sat, Seq: seq, Peer: peer, Up: up,
+			SatID: sat, Seq: seq, Peer: peer,
 		}
 		n := int(nCells) % 64
 		if n > 0 {
@@ -67,7 +67,6 @@ func TestPropertyFrameStreamResync(t *testing.T) {
 			m := &Message{
 				Type:  MsgType(rng.Intn(7) + 1),
 				SatID: rng.Uint32(), Seq: rng.Uint32(), Peer: rng.Uint32(),
-				Up: rng.Intn(2) == 0,
 			}
 			if rng.Intn(3) == 0 {
 				m.Cells = []uint16{uint16(rng.Intn(4050))}

@@ -4,6 +4,9 @@
 // implementation uses a length-prefixed binary protocol over TCP with the
 // same message vocabulary). The controller pushes ISL/ring/route
 // configuration; agents report failures and acknowledge commands.
+// ISL configuration has one implementation per half: DeltaEnforcer frames
+// it (MsgSlotDelta batches, a MsgSlotSnapshot to re-sync an agent) and
+// PeerSet folds both into a satellite's applied peer set.
 package southbound
 
 import (
@@ -24,8 +27,9 @@ const (
 	MsgHello MsgType = iota + 1
 	// MsgHelloAck confirms registration.
 	MsgHelloAck
-	// MsgSetISL instructs a satellite to (dis)establish an ISL to Peer.
-	MsgSetISL
+	// msgRetired (3) was the per-link ISL command, replaced by MsgSlotDelta
+	// and MsgSlotSnapshot; the number stays reserved so the rest keep theirs.
+	msgRetired
 	// MsgSetRing instructs a satellite that its intra-cell ring successor
 	// is Peer.
 	MsgSetRing
@@ -58,8 +62,6 @@ func (t MsgType) String() string {
 		return "hello"
 	case MsgHelloAck:
 		return "hello-ack"
-	case MsgSetISL:
-		return "set-isl"
 	case MsgSetRing:
 		return "set-ring"
 	case MsgInstallRoute:
@@ -84,7 +86,6 @@ type Message struct {
 	SatID uint32 // subject satellite
 	Seq   uint32 // command sequence / ack correlation
 	Peer  uint32 // peer satellite for ISL/ring messages
-	Up    bool   // ISL establish (true) or teardown (false)
 	Cells []uint16
 
 	// Trace is the causal context of the span that produced this message.
@@ -105,7 +106,7 @@ type Message struct {
 }
 
 const (
-	headerLen = 4 + 1 + 4 + 4 + 4 + 1 + 2 // length prefix + fields + cell count
+	headerLen = 4 + 1 + 4 + 4 + 4 + 1 + 2 // length prefix, type, sat, seq, peer, reserved zero byte, cell count
 	// MaxCells bounds route length on the wire.
 	MaxCells = 1024
 	// traceMarker tags the optional trace-context trailer after the cell
@@ -168,9 +169,6 @@ func WriteMessage(w io.Writer, m *Message) error {
 	binary.BigEndian.PutUint32(buf[5:], m.SatID)
 	binary.BigEndian.PutUint32(buf[9:], m.Seq)
 	binary.BigEndian.PutUint32(buf[13:], m.Peer)
-	if m.Up {
-		buf[17] = 1
-	}
 	binary.BigEndian.PutUint16(buf[18:], uint16(len(m.Cells)))
 	for i, c := range m.Cells {
 		binary.BigEndian.PutUint16(buf[20+2*i:], c)
@@ -212,9 +210,11 @@ func ReadMessage(r io.Reader) (*Message, error) {
 		SatID: binary.BigEndian.Uint32(buf[1:]),
 		Seq:   binary.BigEndian.Uint32(buf[5:]),
 		Peer:  binary.BigEndian.Uint32(buf[9:]),
-		Up:    buf[13] == 1,
 	}
 	count := int(binary.BigEndian.Uint16(buf[14:]))
+	if count > MaxCells {
+		return nil, fmt.Errorf("southbound: %d cells exceed max %d", count, MaxCells)
+	}
 	if len(buf) < 16+2*count {
 		return nil, fmt.Errorf("southbound: cell list truncated (%d cells, %d bytes)", count, len(buf))
 	}

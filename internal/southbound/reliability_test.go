@@ -60,7 +60,7 @@ func TestSendWriteErrorClearsPending(t *testing.T) {
 	c.agents[7] = server
 	c.mu.Unlock()
 
-	if err := c.Send(&Message{Type: MsgSetISL, SatID: 7, Peer: 8, Up: true}); err == nil {
+	if err := c.Send(&Message{Type: MsgSetRing, SatID: 7, Peer: 8}); err == nil {
 		t.Fatal("Send on closed conn succeeded")
 	}
 	if n := c.PendingAcks(); n != 0 {
@@ -104,7 +104,7 @@ func TestUntrackedCommandCounted(t *testing.T) {
 	for i := 0; i < maxPendingAcks; i++ {
 		seq := uint32(1_000_000 + i)
 		c.pending[seq] = &pendingCmd{
-			msg:       &Message{Type: MsgSetISL, SatID: 99, Seq: seq},
+			msg:       &Message{Type: MsgSetRing, SatID: 99, Seq: seq},
 			firstSent: vc.Now(), lastSent: vc.Now(), attempts: 1,
 		}
 	}
@@ -213,7 +213,7 @@ func TestAgentReconnectResendsPending(t *testing.T) {
 		<-release
 	}
 
-	if err := c.Send(&Message{Type: MsgSetISL, SatID: 9, Peer: 10, Up: true}); err != nil {
+	if err := c.Send(&Message{Type: MsgSetRing, SatID: 9, Peer: 10}); err != nil {
 		t.Fatal(err)
 	}
 	<-entered
@@ -309,7 +309,7 @@ func TestSweepRateLimit(t *testing.T) {
 	// retransmit, so lastSweep is the only observable.
 	c.mu.Lock()
 	c.pending[99] = &pendingCmd{
-		msg:       &Message{Type: MsgSetISL, SatID: 1, Seq: 99},
+		msg:       &Message{Type: MsgSetRing, SatID: 1, Seq: 99},
 		firstSent: vc.Now(), lastSent: vc.Now(), attempts: 1,
 	}
 	c.mu.Unlock()

@@ -2,6 +2,7 @@ package southbound
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"sync"
@@ -12,8 +13,9 @@ import (
 func TestMessageRoundTrip(t *testing.T) {
 	msgs := []*Message{
 		{Type: MsgHello, SatID: 7, Seq: 1},
-		{Type: MsgSetISL, SatID: 7, Seq: 2, Peer: 9, Up: true},
-		{Type: MsgSetISL, SatID: 7, Seq: 3, Peer: 9, Up: false},
+		{Type: MsgSlotDelta, SatID: 7, Seq: 2, Payload: EncodeSlotDelta([]SlotDeltaOp{{Peer: 9}})},
+		{Type: MsgSlotSnapshot, SatID: 7, Seq: 3, Payload: EncodeSlotSnapshot([]uint32{9})},
+		{Type: MsgSetRing, SatID: 7, Seq: 6, Peer: 9},
 		{Type: MsgSetRing, SatID: 7, Seq: 4, Peer: 11},
 		{Type: MsgInstallRoute, SatID: 7, Seq: 5, Cells: []uint16{10, 20, 30, 4049}},
 		{Type: MsgFailureReport, SatID: 7, Peer: 0xFFFFFFFF},
@@ -48,6 +50,15 @@ func TestMessageLimits(t *testing.T) {
 	if _, err := ReadMessage(&hostile); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("hostile frame: %v", err)
 	}
+	// A frame within maxFrame that declares more cells than a writer may
+	// send: the reader refuses what WriteMessage refuses.
+	long := make([]byte, 4+16+2*(MaxCells+1))
+	binary.BigEndian.PutUint32(long, uint32(len(long)-4))
+	long[4] = byte(MsgInstallRoute)
+	binary.BigEndian.PutUint16(long[18:], MaxCells+1)
+	if _, err := ReadMessage(bytes.NewReader(long)); err == nil {
+		t.Error("reader accepted a route longer than MaxCells")
+	}
 	// Truncated stream.
 	var trunc bytes.Buffer
 	WriteMessage(&trunc, &Message{Type: MsgHello, SatID: 1})
@@ -58,7 +69,7 @@ func TestMessageLimits(t *testing.T) {
 }
 
 func TestMsgTypeString(t *testing.T) {
-	if MsgSetISL.String() != "set-isl" || MsgType(200).String() == "" {
+	if MsgSlotDelta.String() != "slot-delta" || msgRetired.String() != "msgtype(3)" || MsgType(200).String() == "" {
 		t.Error("String broken")
 	}
 }
@@ -113,7 +124,7 @@ func TestCommandDeliveryAndAck(t *testing.T) {
 	acked := make(chan uint32, 8)
 	c.OnAck = func(m *Message) { acked <- m.Seq }
 
-	cmd := &Message{Type: MsgSetISL, SatID: 42, Peer: 7, Up: true}
+	cmd := &Message{Type: MsgSetRing, SatID: 42, Peer: 7}
 	if err := c.Send(cmd); err != nil {
 		t.Fatal(err)
 	}
@@ -127,14 +138,14 @@ func TestCommandDeliveryAndAck(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(received) != 1 || received[0].Peer != 7 || !received[0].Up {
+	if len(received) != 1 || received[0].Peer != 7 {
 		t.Errorf("received = %+v", received)
 	}
 }
 
 func TestSendToUnknownAgent(t *testing.T) {
 	c := startController(t)
-	err := c.Send(&Message{Type: MsgSetISL, SatID: 999})
+	err := c.Send(&Message{Type: MsgSetRing, SatID: 999})
 	if !errors.Is(err, ErrUnknownAgent) {
 		t.Errorf("err = %v", err)
 	}
@@ -149,7 +160,7 @@ func TestFailureReportTriggersRepair(t *testing.T) {
 	c.OnFailure = func(report *Message) []*Message {
 		// Repair: tell the reporting satellite to re-link to peer+1.
 		return []*Message{{
-			Type: MsgSetISL, SatID: report.SatID, Peer: report.Peer + 1, Up: true,
+			Type: MsgSetRing, SatID: report.SatID, Peer: report.Peer + 1,
 		}}
 	}
 	a, err := DialAgent(c.Addr(), 5, 2*time.Second)
@@ -165,7 +176,7 @@ func TestFailureReportTriggersRepair(t *testing.T) {
 	}
 	select {
 	case m := <-repaired:
-		if m.Type != MsgSetISL || m.Peer != 78 || !m.Up {
+		if m.Type != MsgSetRing || m.Peer != 78 {
 			t.Errorf("repair = %+v", m)
 		}
 		if elapsed := time.Since(start); elapsed > time.Second {

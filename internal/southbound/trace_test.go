@@ -72,7 +72,7 @@ func TestMessageTraceRoundTrip(t *testing.T) {
 // A frame whose trailing bytes lack the trace marker (e.g. future protocol
 // extensions) must not be misread as a span context.
 func TestTraceTrailerRequiresMarker(t *testing.T) {
-	m := &Message{Type: MsgSetISL, SatID: 1, Seq: 2, Peer: 3, Up: true,
+	m := &Message{Type: MsgSetRing, SatID: 1, Seq: 2, Peer: 3,
 		Trace: obs.SpanContext{TraceID: obs.TraceID{1}, SpanID: obs.SpanID{2}}}
 	var buf bytes.Buffer
 	if err := WriteMessage(&buf, m); err != nil {
@@ -113,7 +113,7 @@ func TestCommandTraceCausalTree(t *testing.T) {
 	a.OnCommand = func(m *Message) { applied <- m.Trace }
 
 	root := ctlTr.StartSpan("mpc.emit")
-	m := &Message{Type: MsgSetISL, SatID: 5, Peer: 6, Up: true,
+	m := &Message{Type: MsgSetRing, SatID: 5, Peer: 6,
 		Trace: root.Context(), Emitted: time.Now()}
 	if err := c.Send(m); err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestCommandTraceCausalTree(t *testing.T) {
 	if send.Parent != root.Context().SpanID.String() {
 		t.Errorf("sb.send parent = %s, want mpc.emit span %s", send.Parent, root.Context().SpanID)
 	}
-	if send.Attrs["sat"] != "5" || send.Attrs["type"] != "set-isl" || send.Attrs["seq"] == "" {
+	if send.Attrs["sat"] != "5" || send.Attrs["type"] != "set-ring" || send.Attrs["seq"] == "" {
 		t.Errorf("sb.send attrs = %v", send.Attrs)
 	}
 
@@ -279,7 +279,7 @@ func TestReconnectResendLinksOriginalTrace(t *testing.T) {
 		"raw agent never registered")
 
 	root := ctlTr.StartSpan("mpc.emit")
-	if err := c.Send(&Message{Type: MsgSetISL, SatID: 9, Peer: 10, Up: true, Trace: root.Context()}); err != nil {
+	if err := c.Send(&Message{Type: MsgSetRing, SatID: 9, Peer: 10, Trace: root.Context()}); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
