@@ -29,7 +29,7 @@
 // constellation summary as a deterministic JSON artifact).
 //
 // -run fleet benchmarks the fleet telemetry plane itself: agents hammer
-// their registries while flushing delta reports into a controller-side
+// their registries while flushing changed-row reports into a controller-side
 // aggregator over real TCP, once with telemetry off and once on, and
 // reports the overhead ratio. -pprof serves net/http/pprof under
 // /debug/pprof/ on the -metrics-addr listener.

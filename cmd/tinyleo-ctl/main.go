@@ -43,12 +43,12 @@
 //	tinyleo-ctl trace -o merged.json flight.jsonl.gz sat3.jsonl.gz sat4.jsonl.gz
 //	tinyleo-ctl trace -canonical flight.jsonl.gz sat3.jsonl.gz sat4.jsonl.gz
 //
-// Fleet telemetry: agents running with -fleet-interval push delta-encoded
-// registry reports over the southbound session; the controller aggregates
-// them into a rollup registry (served on /metrics and /fleet) and tracks
-// per-agent staleness. The top subcommand renders the live constellation
-// health view, and fleet snapshot dumps the /fleet document as a per-run
-// artifact (-fleet-out does the same automatically on exit):
+// Fleet telemetry: agents running with -fleet-interval push the changed
+// rows of their /metrics.json over the southbound session; the controller
+// aggregates them into a rollup registry (served on /metrics and /fleet)
+// and tracks per-agent staleness. The top subcommand renders the live
+// constellation health view, and fleet snapshot dumps the /fleet document
+// as a per-run artifact (-fleet-out does the same automatically on exit):
 //
 //	tinyleo-ctl top -addr 127.0.0.1:9100
 //	tinyleo-ctl fleet snapshot -addr 127.0.0.1:9100 -o fleet.json

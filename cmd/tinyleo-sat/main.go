@@ -19,8 +19,8 @@
 //	tinyleo-sat -controller 127.0.0.1:7601 -id 3 \
 //	    -metrics-addr 127.0.0.1:9103 -record-out sat3-flight.jsonl.gz
 //
-// Fleet telemetry: unless -fleet-interval is 0, the agent delta-encodes
-// its registry once per interval and pushes the report to the controller
+// Fleet telemetry: unless -fleet-interval is 0, the agent pushes the rows
+// of its /metrics.json that changed, once per interval, to the controller
 // over the southbound session, feeding the controller's /fleet rollup and
 // `tinyleo-ctl top`.
 //

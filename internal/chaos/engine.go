@@ -904,27 +904,9 @@ func (r *runner) finish(wallStart time.Time) error {
 // belongs in CanonicalJSON.
 func (r *runner) fleetSummary() *FleetSummary {
 	v := r.agg.View()
-	fs := &FleetSummary{
-		Agents:       len(v.Agents),
-		States:       v.States,
-		DecodeErrors: v.DecodeErrors,
-		Totals:       v.Totals,
-	}
-	for _, ag := range v.Agents {
-		fs.Reports += ag.Reports
-		fs.Bytes += ag.Bytes
-		fs.Gaps += ag.Gaps
-		if ag.State == fleet.StateSilent {
-			fs.Silent = append(fs.Silent, int(ag.ID))
-		}
-	}
-	ids := make([]int, 0, len(r.fleetApplied))
-	for id := range r.fleetApplied {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		fs.AppliedTotal += r.fleetApplied[id].Value()
+	fs := &FleetSummary{Summary: v.Summary(), Totals: v.Totals}
+	for _, applied := range r.fleetApplied {
+		fs.AppliedTotal += applied.Value()
 	}
 	return fs
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/obs"
+	"repro/internal/obs/fleet"
 	"repro/internal/obs/flightrec"
 )
 
@@ -37,25 +38,13 @@ type RoundReport struct {
 
 // FleetSummary is the campaign's final constellation health view,
 // derived from the fleet telemetry plane (internal/obs/fleet): every
-// agent pushes delta-encoded registry reports over the southbound
+// agent pushes the changed rows of its registry over the southbound
 // session, and a virtual-clock aggregator merges them. All fields are
 // functions of (seed, scenario), so the summary is part of
-// CanonicalJSON.
+// CanonicalJSON. An agent crashed before its first round-end flush never
+// appears in Agents; DecodeErrors is always 0 for a healthy encoder.
 type FleetSummary struct {
-	// Agents counts agents that reported at least once (an agent crashed
-	// before its first round-end flush never appears).
-	Agents int `json:"agents"`
-	// Reports / Bytes / Gaps are fleet-wide report accounting sums.
-	Reports uint64 `json:"reports"`
-	Bytes   uint64 `json:"bytes"`
-	Gaps    uint64 `json:"gaps"`
-	// States counts agents per health state at campaign end.
-	States map[string]int `json:"states"`
-	// Silent lists the agent IDs silent at campaign end, ascending.
-	Silent []int `json:"silent,omitempty"`
-	// DecodeErrors counts reports dropped as malformed (always 0 for a
-	// healthy wire implementation).
-	DecodeErrors int64 `json:"decode_errors"`
+	fleet.Summary
 	// AppliedTotal is the fleet-wide MetricAgentApplied sum read from the
 	// agents' own registries — the ground truth the telemetry rollup is
 	// compared against.
@@ -163,10 +152,13 @@ func (r *Report) score(spec string) error {
 	// Fleet telemetry health, scoreable via the raw-metric rule kind
 	// (e.g. "tinyleo_fleet_agents_silent<=0").
 	if r.Fleet != nil {
-		reg.Gauge("tinyleo_fleet_agents").Set(float64(r.Fleet.Agents))
-		reg.Gauge("tinyleo_fleet_agents_silent").Set(float64(len(r.Fleet.Silent)))
-		reg.Counter("tinyleo_fleet_reports_total").Add(int64(r.Fleet.Reports))
-		reg.Counter("tinyleo_fleet_decode_errors_total").Add(r.Fleet.DecodeErrors)
+		for _, s := range r.Fleet.Samples() {
+			if s.Kind == obs.KindGauge {
+				reg.Gauge(s.Name).Set(s.Value)
+			} else {
+				reg.Counter(s.Name).Add(int64(s.Value))
+			}
+		}
 	}
 
 	eng := flightrec.NewEngine(nil, rules...)

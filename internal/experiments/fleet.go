@@ -15,12 +15,12 @@ import (
 // `agents` in-process agents applying `cmds` one-link changes pushed
 // round-robin through a DeltaEnforcer over real loopback TCP, each agent
 // bumping instruments in its private registry per command. The run
-// executes twice — telemetry off, then on with every agent streaming
-// delta reports into a controller-side aggregator at a tight interval —
-// and reports the wall-clock ratio as an explicit "overhead (x)" column.
-// The telemetry-on phase also
-// verifies the rollup: the aggregated applied counter must equal the
-// commands delivered, or the experiment errors.
+// executes twice — telemetry off, then on with every agent streaming its
+// changed registry rows into a controller-side aggregator at a tight
+// interval — and reports the wall-clock ratio as an explicit "overhead
+// (x)" column. The telemetry-on phase also verifies the rollup: the
+// aggregated applied counter must equal the commands delivered, or the
+// experiment errors.
 //
 // This is a wall-clock benchmark of a real network path, not a
 // deterministic computation; its numbers are excluded from any canonical
@@ -143,10 +143,9 @@ func fleetPhase(agents, cmds int, telemetry bool) (wall float64, reports, bytes 
 			//lint:tinyleo-ignore polling a real TCP benchmark path, not part of any deterministic output
 			time.Sleep(time.Millisecond)
 		}
-		for _, av := range agg.Agents() {
-			reports += av.Reports
-			bytes += av.Bytes
-		}
+		v := agg.View()
+		sum := v.Summary()
+		reports, bytes = sum.Reports, sum.Bytes
 	}
 	return wall, reports, bytes, nil
 }

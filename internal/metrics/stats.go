@@ -88,57 +88,3 @@ func Sum(xs []float64) float64 {
 	}
 	return s
 }
-
-// CDF is an empirical cumulative distribution function.
-type CDF struct {
-	xs []float64 // sorted
-}
-
-// NewCDF builds an empirical CDF over xs.
-func NewCDF(xs []float64) *CDF {
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return &CDF{xs: sorted}
-}
-
-// N returns the sample count.
-func (c *CDF) N() int { return len(c.xs) }
-
-// At returns P(X ≤ x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.xs) == 0 {
-		return math.NaN()
-	}
-	i := sort.SearchFloat64s(c.xs, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.xs))
-}
-
-// Quantile returns the smallest sample value v with P(X ≤ v) ≥ q, q∈(0,1].
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.xs) == 0 {
-		return math.NaN()
-	}
-	i := int(math.Ceil(q*float64(len(c.xs)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(c.xs) {
-		i = len(c.xs) - 1
-	}
-	return c.xs[i]
-}
-
-// Points returns n evenly spaced (x, F(x)) pairs spanning the sample range,
-// suitable for plotting a figure's CDF curve.
-func (c *CDF) Points(n int) [][2]float64 {
-	if len(c.xs) == 0 || n < 2 {
-		return nil
-	}
-	lo, hi := c.xs[0], c.xs[len(c.xs)-1]
-	out := make([][2]float64, n)
-	for i := 0; i < n; i++ {
-		x := lo + (hi-lo)*float64(i)/float64(n-1)
-		out[i] = [2]float64{x, c.At(x)}
-	}
-	return out
-}

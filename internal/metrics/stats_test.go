@@ -3,7 +3,6 @@ package metrics
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -62,65 +61,6 @@ func TestPercentileMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCDF(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 2, 3})
-	if c.N() != 4 {
-		t.Fatalf("n = %d", c.N())
-	}
-	if got := c.At(0); got != 0 {
-		t.Errorf("At(0) = %v", got)
-	}
-	if got := c.At(2); got != 0.75 {
-		t.Errorf("At(2) = %v", got)
-	}
-	if got := c.At(3); got != 1 {
-		t.Errorf("At(3) = %v", got)
-	}
-	if got := c.Quantile(0.5); got != 2 {
-		t.Errorf("Q(0.5) = %v", got)
-	}
-	if got := c.Quantile(1.0); got != 3 {
-		t.Errorf("Q(1) = %v", got)
-	}
-}
-
-func TestCDFQuantileInverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	xs := make([]float64, 200)
-	for i := range xs {
-		xs[i] = rng.ExpFloat64()
-	}
-	c := NewCDF(xs)
-	for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
-		v := c.Quantile(q)
-		if c.At(v) < q {
-			t.Errorf("At(Quantile(%v)) = %v < %v", q, c.At(v), q)
-		}
-	}
-}
-
-func TestCDFPoints(t *testing.T) {
-	c := NewCDF([]float64{0, 1, 2, 3, 4, 5})
-	pts := c.Points(11)
-	if len(pts) != 11 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	if pts[0][0] != 0 || pts[10][0] != 5 {
-		t.Errorf("range wrong: %v %v", pts[0], pts[10])
-	}
-	if !sort.SliceIsSorted(pts, func(i, j int) bool { return pts[i][1] < pts[j][1] }) {
-		// Non-strict check: CDF values must be non-decreasing.
-		for i := 1; i < len(pts); i++ {
-			if pts[i][1] < pts[i-1][1] {
-				t.Fatal("CDF not monotone")
-			}
-		}
-	}
-	if pts[10][1] != 1 {
-		t.Errorf("final CDF value = %v", pts[10][1])
 	}
 }
 

@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// Undefined statistics (empty-sample percentiles, CDF quantiles) are NaN;
+// Undefined statistics (empty-sample percentiles and means) are NaN;
 // they must render as "-" in tables and CSV, never as "NaN".
 func TestTableNaNRendersPlaceholder(t *testing.T) {
 	tab := NewTable("Fig", "name", "p50", "p99")
-	tab.AddRow("empty", Percentile(nil, 50), NewCDF(nil).Quantile(0.99))
+	tab.AddRow("empty", Percentile(nil, 50), Mean(nil))
 	tab.AddRow("inf", math.Inf(1), math.Inf(-1))
 
 	var txt, csv strings.Builder

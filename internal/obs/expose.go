@@ -1,15 +1,14 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"math"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // Sample is one exported series in a Snapshot.
@@ -25,6 +24,62 @@ type Sample struct {
 	Sum     float64   `json:"sum,omitempty"`
 	Bounds  []float64 `json:"bounds,omitempty"`
 	Buckets []int64   `json:"buckets,omitempty"`
+}
+
+// Key is the series' canonical identity — name, then label pairs sorted by
+// key, NUL-separated: the registry's index key, and what fleet aggregation
+// matches an agent's rows by.
+func (s *Sample) Key() string {
+	labels := make([]labelPair, 0, len(s.Labels))
+	for k, v := range s.Labels {
+		labels = append(labels, labelPair{k, v})
+	}
+	sort.Slice(labels, func(a, b int) bool { return labels[a].k < labels[b].k })
+	return seriesKey(s.Name, labels)
+}
+
+// Doc is the system's one sample document. /metrics.json serves it with
+// every series of the process; a fleet report (internal/obs/fleet) is the
+// same document restricted to the rows that changed, plus the report's
+// sequence number. Values are absolute in both.
+type Doc struct {
+	Seq    uint64   `json:"seq,omitempty"`
+	Series []Sample `json:"series"`
+}
+
+// EncodeDoc renders samples as a compact Doc and returns it with the
+// indexes of the samples it holds. A sample with a non-finite gauge value
+// or histogram sum has no JSON form and costs only itself: it is left out.
+// With budget > 0 a row that would take the document past budget bytes is
+// left out too, so the caller can ship it in a later document.
+func EncodeDoc(seq uint64, samples []Sample, budget int) (doc []byte, rows []int) {
+	doc = append(doc, '{')
+	if seq != 0 {
+		doc = strconv.AppendUint(append(doc, `"seq":`...), seq, 10)
+		doc = append(doc, ',')
+	}
+	doc = append(doc, `"series":[`...)
+	for i := range samples {
+		row, err := json.Marshal(&samples[i])
+		if err != nil || budget > 0 && len(doc)+len(row)+len(",]}") > budget {
+			continue
+		}
+		if len(rows) > 0 {
+			doc = append(doc, ',')
+		}
+		doc = append(doc, row...)
+		rows = append(rows, i)
+	}
+	return append(doc, "]}"...), rows
+}
+
+// DecodeDoc parses a Doc: a /metrics.json body or a fleet report.
+func DecodeDoc(b []byte) (*Doc, error) {
+	var d Doc
+	if err := json.Unmarshal(b, &d); err != nil {
+		return nil, fmt.Errorf("obs: sample document: %w", err)
+	}
+	return &d, nil
 }
 
 // Snapshot captures every series of the given registries in registration
@@ -123,17 +178,16 @@ func WritePrometheus(w io.Writer, regs ...*Registry) error {
 	return nil
 }
 
-// WriteJSON renders the snapshot as one indented JSON document.
+// WriteJSON renders the snapshot as one indented Doc.
 func WriteJSON(w io.Writer, regs ...*Registry) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	samples := Snapshot(regs...)
-	if samples == nil {
-		samples = []Sample{}
+	doc, _ := EncodeDoc(0, Snapshot(regs...), 0)
+	var out bytes.Buffer
+	if err := json.Indent(&out, doc, "", "  "); err != nil {
+		return err
 	}
-	return enc.Encode(struct {
-		Series []Sample `json:"series"`
-	}{samples})
+	out.WriteByte('\n')
+	_, err := w.Write(out.Bytes())
+	return err
 }
 
 // promLabels renders a label set (plus an optional le bound for histogram
@@ -180,18 +234,4 @@ func promFloat(v float64) string {
 		return "-Inf"
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-var expvarOnce sync.Once
-
-// PublishExpvar publishes the registries' JSON snapshot under the expvar
-// name "tinyleo" (alongside the stock memstats/cmdline vars on
-// /debug/vars). Safe to call more than once; only the first call's
-// registry list is published.
-func PublishExpvar(regs ...*Registry) {
-	expvarOnce.Do(func() {
-		expvar.Publish("tinyleo", expvar.Func(func() any {
-			return Snapshot(regs...)
-		}))
-	})
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -67,10 +68,8 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 	if err := WriteJSON(&b, exampleRegistry()); err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		Series []Sample `json:"series"`
-	}
-	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
+	doc, err := DecodeDoc([]byte(b.String()))
+	if err != nil {
 		t.Fatalf("snapshot JSON invalid: %v", err)
 	}
 	if len(doc.Series) != 4 {
@@ -85,6 +84,42 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 	}
 	if s := byName["tinyleo_compile_seconds/"]; s.Count != 3 || len(s.Buckets) != 3 {
 		t.Errorf("histogram sample = %+v", s)
+	}
+}
+
+// One series with no JSON form must not blank the document: /metrics.json
+// serves every other series (WriteJSON used to fail with "json: unsupported
+// value" and an empty body).
+func TestMetricsJSONSkipsNonFiniteSeries(t *testing.T) {
+	r := exampleRegistry()
+	r.Gauge("tinyleo_ratio").Set(math.NaN())
+	r.Histogram("tinyleo_wait_seconds", []float64{1}).Observe(math.Inf(1))
+	srv := httptest.NewServer(NewHandler(r))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/metrics.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	doc, err := DecodeDoc(body)
+	if err != nil || resp.StatusCode != 200 {
+		t.Fatalf("/metrics.json with a NaN gauge: status %d, %v, body %q", resp.StatusCode, err, body)
+	}
+	if len(doc.Series) != 4 {
+		t.Fatalf("series = %d, want the 4 finite ones: %+v", len(doc.Series), doc.Series)
+	}
+	// A budget leaves whole rows out and says which went in.
+	samples := Snapshot(r)
+	small, rows := EncodeDoc(7, samples, 200)
+	got, err := DecodeDoc(small)
+	if err != nil || len(small) > 200 || got.Seq != 7 || len(rows) == 0 || len(rows) >= 4 || len(got.Series) != len(rows) {
+		t.Fatalf("budgeted document %q (%d bytes, rows %v): %v", small, len(small), rows, err)
+	}
+	for i, at := range rows {
+		if got.Series[i].Key() != samples[at].Key() {
+			t.Fatalf("row %d is %q, want sample %d %q", i, got.Series[i].Key(), at, samples[at].Key())
+		}
 	}
 }
 

@@ -2,7 +2,9 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -50,54 +52,31 @@ type Options struct {
 	OnTransition func(agent uint32, from, to State)
 }
 
-// instrument is a resolved handle into the rollup registry.
-type instrument struct {
-	kind obs.Kind
+// ErrMalformed reports a fleet report that is not a valid sample document.
+var ErrMalformed = errors.New("fleet: malformed report")
+
+// seriesState is one agent series in the rollup: the rollup instrument
+// (nil when the series' kind clashes with the rollup's) and the last
+// absolute row the agent reported. A report row folds in as row − last.
+type seriesState struct {
 	c    *obs.Counter
 	g    *obs.Gauge
 	h    *obs.Histogram
-}
-
-// seriesState is one agent series' persistent aggregation state: the
-// resolved rollup instrument plus the accumulated agent-absolute values.
-// It outlives encoder sessions — a baseline re-ship after a reconnect is
-// applied as (absolute - accumulated), so nothing double counts.
-type seriesState struct {
-	desc    Desc
-	inst    instrument
-	counter int64
-	histCnt int64
-	histSum float64
-	histBkt []int64
+	last obs.Sample
 }
 
 // agentState is everything the aggregator tracks per reporting agent.
 type agentState struct {
-	id uint32
-	// dict maps session series IDs to series state; reset on baselines.
-	dict []*seriesState
-	// series is the persistent per-series state, keyed by canonical
-	// series identity (name + sorted labels).
+	// series is keyed by obs.Sample.Key.
 	series map[string]*seriesState
 
 	state      State
 	lastReport time.Time
 	lastSeq    uint64
-	reports    uint64
-	bytes      uint64
 	gaps       uint64
-
-	reportsC *obs.Counter
-	bytesC   *obs.Counter
-}
-
-// descKey is the canonical identity of a described series.
-func descKey(d *Desc) string {
-	key := d.Name
-	for _, s := range d.Labels {
-		key += "\x00" + s
-	}
-	return key
+	// reports and bytes are the agent's rollup meta series.
+	reports *obs.Counter
+	bytes   *obs.Counter
 }
 
 // Aggregator merges per-agent fleet reports into one always-enabled
@@ -168,150 +147,153 @@ func NewAggregator(o Options) *Aggregator {
 // the controller's telemetry surface and SLO engine.
 func (a *Aggregator) Registry() *obs.Registry { return a.rollup }
 
-// resolveLocked returns the rollup instrument for desc under agent id,
-// or an empty instrument when the descriptor clashes with an existing
-// series kind (the report entry is then skipped, not fatal). Callers
-// hold a.mu.
-func (a *Aggregator) resolveLocked(id uint32, d Desc) instrument {
-	if k, ok := a.kinds[d.Name]; ok && k != d.Kind {
-		return instrument{}
+// decode parses a report and checks it against the report limits. The
+// rollup registry panics on unsorted histogram bounds and Histogram.Merge
+// needs one bucket per bound plus +Inf, so both are checked here, once.
+func decode(payload []byte) (*obs.Doc, error) {
+	if len(payload) > MaxReportBytes {
+		return nil, fmt.Errorf("%w: %d bytes", ErrMalformed, len(payload))
 	}
-	a.kinds[d.Name] = d.Kind
-	kvs := make([]string, 0, len(d.Labels)+2)
-	kvs = append(kvs, d.Labels...)
-	kvs = append(kvs, "agent", strconv.FormatUint(uint64(id), 10))
-	in := instrument{kind: d.Kind}
-	switch d.Kind {
-	case obs.KindCounter:
-		in.c = a.rollup.Counter(d.Name, kvs...)
-	case obs.KindGauge:
-		in.g = a.rollup.Gauge(d.Name, kvs...)
-	case obs.KindHistogram:
-		in.h = a.rollup.Histogram(d.Name, d.Bounds, kvs...)
+	doc, err := obs.DecodeDoc(payload)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
-	return in
+	if doc.Seq == 0 || len(doc.Series) > MaxReportSeries {
+		return nil, fmt.Errorf("%w: seq %d, %d series", ErrMalformed, doc.Seq, len(doc.Series))
+	}
+	for i := range doc.Series {
+		s := &doc.Series[i]
+		ok := len(s.Name) <= MaxStringLen && len(s.Labels) <= MaxLabels
+		for k, v := range s.Labels {
+			ok = ok && len(k) <= MaxStringLen && len(v) <= MaxStringLen
+		}
+		switch s.Kind {
+		case obs.KindCounter:
+			ok = ok && s.Value >= 0 && s.Value < 1<<63 && s.Value == math.Trunc(s.Value)
+		case obs.KindGauge:
+			ok = ok && finite(s.Value)
+		case obs.KindHistogram:
+			ok = ok && s.Count >= 0 && finite(s.Sum) && len(s.Bounds) <= MaxBounds && len(s.Buckets) == len(s.Bounds)+1 &&
+				sort.Float64sAreSorted(s.Bounds)
+			for _, b := range s.Buckets {
+				ok = ok && b >= 0
+			}
+		default:
+			ok = false
+		}
+		if !ok {
+			return nil, fmt.Errorf("%w: series %d (%q)", ErrMalformed, i, s.Name)
+		}
+	}
+	return doc, nil
 }
 
-// HandleReport decodes and merges one agent report. It is the
-// (*southbound.Controller).OnTelemetry callback. Malformed reports are
-// counted and dropped; the error return is for tests and logs.
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+// resolveLocked binds an agent series to its rollup instrument, labeled
+// agent=<id> (the label is the rollup's; an agent's own is dropped). A
+// series whose kind clashes with the rollup's series of that name gets
+// none (its rows are then skipped, not fatal). Callers hold a.mu.
+func (a *Aggregator) resolveLocked(id uint32, s *obs.Sample) *seriesState {
+	ss := &seriesState{}
+	if k, ok := a.kinds[s.Name]; ok && k != s.Kind {
+		return ss
+	}
+	a.kinds[s.Name] = s.Kind
+	kvs := make([]string, 0, 2*len(s.Labels)+2)
+	for k, v := range s.Labels {
+		if k != "agent" {
+			//lint:tinyleo-ignore the registry sorts label pairs by key before it uses them
+			kvs = append(kvs, k, v)
+		}
+	}
+	kvs = append(kvs, "agent", strconv.FormatUint(uint64(id), 10))
+	switch s.Kind {
+	case obs.KindCounter:
+		ss.c = a.rollup.Counter(s.Name, kvs...)
+	case obs.KindGauge:
+		ss.g = a.rollup.Gauge(s.Name, kvs...)
+	case obs.KindHistogram:
+		ss.h = a.rollup.Histogram(s.Name, s.Bounds, kvs...)
+	}
+	return ss
+}
+
+// fold merges one absolute row into the rollup as its difference from the
+// agent's last row. A count that went backwards is an agent restart: the
+// new process counts from zero, so the row contributes its full value.
+func (ss *seriesState) fold(s *obs.Sample) {
+	last := ss.last
+	ss.last = *s
+	switch {
+	case s.Kind == obs.KindCounter && ss.c != nil:
+		if s.Value < last.Value {
+			last.Value = 0
+		}
+		ss.c.Add(int64(s.Value) - int64(last.Value))
+	case s.Kind == obs.KindGauge && ss.g != nil:
+		ss.g.Set(s.Value)
+	case s.Kind == obs.KindHistogram && ss.h != nil:
+		restarted := s.Count < last.Count || len(s.Buckets) != len(last.Buckets)
+		for i := 0; !restarted && i < len(s.Buckets); i++ {
+			restarted = s.Buckets[i] < last.Buckets[i]
+		}
+		if restarted {
+			last = obs.Sample{Buckets: make([]int64, len(s.Buckets))}
+		}
+		d := make([]int64, len(s.Buckets))
+		for i, b := range s.Buckets {
+			d[i] = b - last.Buckets[i]
+		}
+		ss.h.Merge(s.Count-last.Count, s.Sum-last.Sum, d)
+	}
+}
+
+// HandleReport decodes, validates and merges one agent report. It is the
+// (*southbound.Controller).OnTelemetry callback. A malformed report is
+// counted and dropped whole; the error return is for tests and logs.
+//
+// Rows are absolute, so the protocol keeps no session: a duplicate folds
+// to nothing, a lost report is healed by the next one that touches the
+// series, and a sequence number that went backwards is a restarted agent
+// (one agent's reports arrive in order: it has one session at a time).
 func (a *Aggregator) HandleReport(agent uint32, payload []byte) error {
+	doc, err := decode(payload)
+	if err != nil {
+		a.decodeErrs.Inc()
+		return fmt.Errorf("fleet: agent %d report: %w", agent, err)
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	st := a.agents[agent]
 	if st == nil {
 		agl := strconv.FormatUint(uint64(agent), 10)
 		st = &agentState{
-			id:       agent,
-			state:    StateHealthy,
-			series:   map[string]*seriesState{},
-			reportsC: a.rollup.Counter("tinyleo_fleet_reports_total", "agent", agl),
-			bytesC:   a.rollup.Counter("tinyleo_fleet_report_bytes_total", "agent", agl),
+			state:   StateHealthy,
+			series:  map[string]*seriesState{},
+			reports: a.rollup.Counter("tinyleo_fleet_reports_total", "agent", agl),
+			bytes:   a.rollup.Counter("tinyleo_fleet_report_bytes_total", "agent", agl),
 		}
 		a.agents[agent] = st
 	}
-	dict := make([]Desc, len(st.dict))
-	for i, ss := range st.dict {
-		dict[i] = ss.desc
-	}
-	rep, err := Decode(payload, dict)
-	if err != nil {
-		a.decodeErrs.Inc()
-		return fmt.Errorf("fleet: agent %d report: %w", agent, err)
-	}
-	if rep.Baseline {
-		// Session restart: fresh session dictionary. Per-series state in
-		// st.series persists, so re-shipped absolutes rebase instead of
-		// double counting.
-		st.dict = nil
-	} else if rep.Seq <= st.lastSeq {
-		// Stale or duplicate delivery: deltas were already applied.
-		st.lastReport = a.clock()
-		return nil
-	}
-	if st.lastSeq != 0 && rep.Seq > st.lastSeq+1 {
-		st.gaps += rep.Seq - st.lastSeq - 1
-	}
-	st.lastSeq = rep.Seq
 	st.lastReport = a.clock()
-	st.reports++
-	st.bytes += uint64(len(payload))
-	st.reportsC.Inc()
-	st.bytesC.Add(int64(len(payload)))
-
-	// Grow the session dictionary with this report's new descriptors (IDs
-	// are dense and ordered by Decode's contract), binding each to its
-	// persistent series state.
-	for id := len(st.dict); ; id++ {
-		d, ok := rep.NewDescs[id]
-		if !ok {
-			break
+	if doc.Seq != st.lastSeq { // a duplicate delivery is not a second report
+		if st.lastSeq != 0 && doc.Seq > st.lastSeq+1 {
+			st.gaps += doc.Seq - st.lastSeq - 1
 		}
-		key := descKey(&d)
+		st.lastSeq = doc.Seq
+		st.reports.Inc()
+		st.bytes.Add(int64(len(payload)))
+	}
+	for i := range doc.Series {
+		s := &doc.Series[i]
+		key := s.Key()
 		ss := st.series[key]
 		if ss == nil {
-			ss = &seriesState{
-				desc:    d,
-				inst:    a.resolveLocked(agent, d),
-				histBkt: make([]int64, len(d.Bounds)+1),
-			}
+			ss = a.resolveLocked(agent, s)
 			st.series[key] = ss
 		}
-		st.dict = append(st.dict, ss)
-	}
-	for _, e := range rep.Entries {
-		if e.ID < 0 || e.ID >= len(st.dict) {
-			continue
-		}
-		ss := st.dict[e.ID]
-		switch ss.inst.kind {
-		case obs.KindCounter:
-			d := e.CounterDelta
-			if rep.Baseline {
-				// Baseline carries absolutes; apply only what we have not
-				// already merged (an agent restart, absolute < accumulated,
-				// contributes nothing — rollup counters are monotonic).
-				d = e.CounterDelta - ss.counter
-				ss.counter = e.CounterDelta
-				if d < 0 {
-					continue
-				}
-			} else {
-				ss.counter += d
-			}
-			ss.inst.c.Add(d)
-		case obs.KindGauge:
-			ss.inst.g.Set(e.GaugeValue)
-		case obs.KindHistogram:
-			dc, ds, db := e.CountDelta, e.SumDelta, e.BucketDeltas
-			if rep.Baseline {
-				dc -= ss.histCnt
-				ds -= ss.histSum
-				if dc < 0 || len(db) != len(ss.histBkt) {
-					ss.histCnt, ss.histSum = e.CountDelta, e.SumDelta
-					copy(ss.histBkt, db)
-					continue
-				}
-				rebased := make([]int64, len(db))
-				for i := range db {
-					rebased[i] = db[i] - ss.histBkt[i]
-				}
-				ss.histCnt, ss.histSum = e.CountDelta, e.SumDelta
-				copy(ss.histBkt, e.BucketDeltas)
-				db = rebased
-			} else {
-				ss.histCnt += dc
-				ss.histSum += ds
-				for i := range db {
-					if i < len(ss.histBkt) {
-						ss.histBkt[i] += db[i]
-					}
-				}
-			}
-			if ss.inst.h != nil {
-				ss.inst.h.Merge(dc, ds, db)
-			}
-		}
+		ss.fold(s)
 	}
 	return nil
 }
@@ -417,16 +399,16 @@ func (a *Aggregator) Agents() []AgentView {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	out := make([]AgentView, 0, len(a.agents))
-	for _, st := range a.agents {
+	for id, st := range a.agents {
 		out = append(out, AgentView{
-			ID:        st.id,
+			ID:        id,
 			State:     st.state,
 			LastSeq:   st.lastSeq,
-			Reports:   st.reports,
-			Bytes:     st.bytes,
+			Reports:   uint64(st.reports.Value()),
+			Bytes:     uint64(st.bytes.Value()),
 			Gaps:      st.gaps,
 			SilenceMS: now.Sub(st.lastReport).Milliseconds(),
-			Series:    len(st.dict),
+			Series:    len(st.series),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -446,29 +428,18 @@ func (a *Aggregator) Samples() []obs.Sample {
 // stripped and equal series merged (counters and gauges add; histograms
 // add count/sum/buckets when bounds match). Sorted by name then labels.
 func (a *Aggregator) TotalsSamples() []obs.Sample {
-	in := obs.Snapshot(a.rollup)
 	idx := map[string]int{}
 	var out []obs.Sample
-	for _, s := range in {
-		labels := make(map[string]string, len(s.Labels))
-		for k, v := range s.Labels {
-			if k == "agent" {
-				continue
-			}
-			labels[k] = v
+	for _, s := range obs.Snapshot(a.rollup) { // label maps and buckets are the snapshot's own
+		delete(s.Labels, "agent")
+		if len(s.Labels) == 0 {
+			s.Labels = nil
 		}
-		if len(labels) == 0 {
-			labels = nil
-		}
-		t := s
-		t.Labels = labels
-		key := sampleKey(&t)
+		key := s.Key()
 		i, ok := idx[key]
 		if !ok {
-			t.Bounds = append([]float64(nil), s.Bounds...)
-			t.Buckets = append([]int64(nil), s.Buckets...)
 			idx[key] = len(out)
-			out = append(out, t)
+			out = append(out, s)
 			continue
 		}
 		dst := &out[i]
@@ -493,16 +464,14 @@ func (a *Aggregator) TotalsSamples() []obs.Sample {
 // View assembles the full /fleet document.
 func (a *Aggregator) View() View {
 	v := View{
-		Agents: a.Agents(),
-		States: map[string]int{},
-		Totals: a.TotalsSamples(),
+		Agents:       a.Agents(),
+		States:       map[string]int{},
+		DecodeErrors: a.decodeErrs.Value(),
+		Totals:       a.TotalsSamples(),
 	}
 	for _, ag := range v.Agents {
 		v.States[string(ag.State)]++
 	}
-	a.mu.Lock()
-	v.DecodeErrors = a.decodeErrs.Value()
-	a.mu.Unlock()
 	return v
 }
 
@@ -518,23 +487,8 @@ func (a *Aggregator) RegisterHTTP() {
 	obs.RegisterHandler("/fleet", a)
 }
 
-func sampleKey(s *obs.Sample) string {
-	key := s.Name
-	if len(s.Labels) > 0 {
-		keys := make([]string, 0, len(s.Labels))
-		for k := range s.Labels {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			key += "\x00" + k + "\x00" + s.Labels[k]
-		}
-	}
-	return key
-}
-
 func sortSamples(ss []obs.Sample) {
 	sort.SliceStable(ss, func(i, j int) bool {
-		return sampleKey(&ss[i]) < sampleKey(&ss[j])
+		return ss[i].Key() < ss[j].Key()
 	})
 }

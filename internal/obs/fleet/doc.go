@@ -1,25 +1,30 @@
 // Package fleet is TinyLEO's constellation-wide telemetry plane: agents
-// snapshot their obs registries, delta-encode the changes into compact
-// sequence-numbered binary reports, and push them to the controller over
+// push the rows of their /metrics.json document that changed — obs.Doc,
+// absolute values plus a report sequence number — to the controller over
 // the southbound session as Telemetry messages; the controller-side
-// Aggregator merges every agent's stream into one rollup registry keyed
-// by series with per-agent labels, tracks report staleness through
+// Aggregator folds every agent's rows into one rollup registry keyed by
+// series with per-agent labels, tracks report staleness through
 // healthy → lagging → silent states, and serves the combined view as
 // /fleet JSON on the obs mux.
 //
 // Design constraints, in order:
 //
-//  1. Coalescing: increments between flushes collapse into one delta, so
+//  1. Coalescing: increments between flushes collapse into one row, so
 //     the wire cost is bounded by flush rate × changed series, never by
 //     event rate. A report with no changed series is still sent — an
 //     empty report is the liveness heartbeat staleness tracking feeds on.
-//  2. Self-describing sessions: a series' descriptor (kind, name, labels,
-//     histogram bounds) rides the wire exactly once per session, on the
-//     series' first appearance; later reports reference it by index. A
-//     baseline report (sent first, and again after any send failure or
-//     reconnect) restarts the session with absolute values, so the
-//     decoder never needs out-of-band state.
-//  3. Determinism: encoding snapshots series in registration order and
+//  2. No session: a row is the series' whole identity and its absolute
+//     value, so the aggregator needs nothing but the agent's previous
+//     row to fold it (row − last). A re-shipped or duplicated row folds
+//     to nothing, a lost report is healed by the next one that touches
+//     the series, a count that went backwards is a restarted agent and
+//     contributes its full new value, and Encoder.Reset just forgets what
+//     was sent. There is no format of the fleet's own to decode: the
+//     codec is obs.EncodeDoc / obs.DecodeDoc, the one /metrics.json uses,
+//     and everything else here is validation of the decoded document.
+//  3. Bounded: a report never exceeds southbound.MaxTelemetryPayload or
+//     MaxReportSeries rows; what does not fit rides the next report.
+//  4. Determinism: encoding snapshots series in registration order and
 //     the aggregator exposes sorted views, so chaos campaigns aggregating
 //     over a virtual clock stay byte-reproducible.
 //
@@ -27,13 +32,14 @@
 //
 // Agent side: NewEncoder wraps a registry, NewReporter flushes encoded
 // reports through a send function at a bounded rate (Reporter.Run /
-// Reporter.Stop). Controller side: NewAggregator decodes reports
-// (HandleReport), sweeps staleness (Tick), and exposes the rollup as a
-// Registry, per-agent rows (Agents), fleet-wide totals (TotalsSamples),
-// and the /fleet document (View, RegisterHTTP).
+// Reporter.Stop). Controller side: NewAggregator validates and folds
+// reports (HandleReport), sweeps staleness (Tick), and exposes the rollup
+// as a Registry, per-agent rows (Agents), fleet-wide totals
+// (TotalsSamples), and the /fleet document (View, RegisterHTTP).
 //
 // Artifacts: View.WriteFile / Aggregator.WriteSnapshotFile persist the
-// /fleet document; ReadViewFile loads it back, and View.SLOSamples turns
-// it into the sample set the flightrec SLO engine scores — how a
+// /fleet document; ReadViewFile loads it back, and View.Summary condenses
+// its agent rows into the accounting chaos and testground reports carry
+// and (Summary.Samples) the flightrec SLO engine scores — how a
 // testground run is judged after its processes have exited.
 package fleet

@@ -1,21 +1,22 @@
 package fleet_test
 
-// End-to-end fleet telemetry: three real tinyleo-sat processes stream
-// delta-encoded registry reports over real TCP into an in-test
+// End-to-end fleet telemetry: three real tinyleo-sat processes stream the
+// changed rows of their registries over real TCP into an in-test
 // controller+aggregator. The rollup must converge to EXACT equality with
-// the satellites' own /metrics.json registries, and killing one process
-// must walk its health state healthy → lagging → silent with the
-// matching flight events.
+// the satellites' own /metrics.json documents, and killing one process
+// must end with it silent, the matching flight events recorded, and the
+// survivors untouched. (The healthy → lagging → silent ladder itself is
+// checked on a virtual clock by TestAggregatorStalenessTransitions and
+// chaos's TestCampaignCrashDrivesAgentSilent.)
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -77,7 +78,7 @@ func startSat(t *testing.T, bin, ctlAddr string, id uint32) *satProc {
 	}
 }
 
-// fetchSeries reads a satellite's /metrics.json snapshot.
+// fetchSeries reads a satellite's /metrics.json document.
 func fetchSeries(t *testing.T, addr string) []obs.Sample {
 	t.Helper()
 	resp, err := http.Get("http://" + addr + "/metrics.json")
@@ -85,27 +86,15 @@ func fetchSeries(t *testing.T, addr string) []obs.Sample {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var doc struct {
-		Series []obs.Sample `json:"series"`
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+	doc, err := obs.DecodeDoc(body)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return doc.Series
-}
-
-// seriesKey canonicalizes a sample's identity (name + sorted labels).
-func seriesKey(s *obs.Sample) string {
-	key := s.Name
-	keys := make([]string, 0, len(s.Labels))
-	for k := range s.Labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		key += "|" + k + "=" + s.Labels[k]
-	}
-	return key
 }
 
 // sumSeries merges samples across satellites the same way the aggregator
@@ -114,7 +103,7 @@ func sumSeries(all [][]obs.Sample) map[string]obs.Sample {
 	out := map[string]obs.Sample{}
 	for _, samples := range all {
 		for _, s := range samples {
-			key := seriesKey(&s)
+			key := s.Key()
 			cur, ok := out[key]
 			if !ok {
 				s.Buckets = append([]int64(nil), s.Buckets...)
@@ -145,17 +134,17 @@ func rollupMatches(agg *fleet.Aggregator, want map[string]obs.Sample) (bool, str
 			continue
 		}
 		got++
-		w, ok := want[seriesKey(&s)]
+		w, ok := want[s.Key()]
 		if !ok {
-			return false, fmt.Sprintf("rollup has unexpected series %s", seriesKey(&s))
+			return false, fmt.Sprintf("rollup has unexpected series %s", s.Key())
 		}
 		if s.Value != w.Value || s.Count != w.Count || s.Sum != w.Sum {
 			return false, fmt.Sprintf("series %s: rollup value=%v count=%d sum=%v, want value=%v count=%d sum=%v",
-				seriesKey(&s), s.Value, s.Count, s.Sum, w.Value, w.Count, w.Sum)
+				s.Key(), s.Value, s.Count, s.Sum, w.Value, w.Count, w.Sum)
 		}
 		for i, b := range s.Buckets {
 			if i >= len(w.Buckets) || w.Buckets[i] != b {
-				return false, fmt.Sprintf("series %s: bucket %d mismatch", seriesKey(&s), i)
+				return false, fmt.Sprintf("series %s: bucket %d mismatch", s.Key(), i)
 			}
 		}
 	}
@@ -185,9 +174,12 @@ func TestFleetEndToEndThreeProcesses(t *testing.T) {
 	log.Enable(256)
 	var mu sync.Mutex
 	transitions := map[uint32][]fleet.State{}
+	// Forty report intervals of silence before lagging: a survivor on a
+	// loaded 2-vCPU machine does not stall that long, the victim is dead
+	// for good.
 	agg := fleet.NewAggregator(fleet.Options{
-		LagAfter:    300 * time.Millisecond,
-		SilentAfter: 900 * time.Millisecond,
+		LagAfter:    2 * time.Second,
+		SilentAfter: 3 * time.Second,
 		Tracer:      &log,
 		OnTransition: func(agent uint32, from, to fleet.State) {
 			mu.Lock()
@@ -251,56 +243,51 @@ func TestFleetEndToEndThreeProcesses(t *testing.T) {
 		}
 	}
 
-	// Kill sat 2 and let its silence age it through the staleness ladder.
+	// Kill sat 2 and wait for the transition hook to report it silent. The
+	// hook fires after Tick has published the state, so the state row is
+	// not the thing to wait on: the record of the hook is.
 	victim := sats[1]
 	if err := victim.cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
 	_, _ = victim.cmd.Process.Wait()
-	deadline = time.Now().Add(10 * time.Second)
-	for {
-		views := agg.Agents()
-		var vs fleet.State
-		for _, av := range views {
-			if av.ID == victim.id {
-				vs = av.State
-			}
+	var ladder []fleet.State
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(25 * time.Millisecond) {
+		mu.Lock()
+		ladder = append(ladder[:0], transitions[victim.id]...)
+		others := len(transitions) - 1
+		mu.Unlock()
+		if others > 0 {
+			t.Fatalf("a surviving agent changed state: %v", transitions)
 		}
-		if vs == fleet.StateSilent {
+		if n := len(ladder); n > 0 && ladder[n-1] == fleet.StateSilent {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("killed sat %d never went silent: %+v", victim.id, views)
+			t.Fatalf("killed sat %d never went silent: transitions %v, agents %+v", victim.id, ladder, agg.Agents())
 		}
-		time.Sleep(25 * time.Millisecond)
 	}
-
-	mu.Lock()
-	ladder := append([]fleet.State(nil), transitions[victim.id]...)
-	mu.Unlock()
-	want := []fleet.State{fleet.StateLagging, fleet.StateSilent}
-	if len(ladder) != len(want) {
-		t.Fatalf("victim transitions = %v, want %v", ladder, want)
-	}
-	for i := range want {
-		if ladder[i] != want[i] {
-			t.Fatalf("victim transitions = %v, want %v", ladder, want)
-		}
+	// A tick that ran late may skip lagging; nothing else may appear.
+	if n := len(ladder); n > 2 || n == 2 && ladder[0] != fleet.StateLagging {
+		t.Fatalf("victim transitions = %v, want [lagging silent] or [silent]", ladder)
 	}
 	// The flight recorder saw the same ladder as typed events.
-	var types []string
+	var types []fleet.State
 	for _, ev := range log.Events() {
-		if typ, ok := strings.CutPrefix(ev.Name, "fleet."); ok && ev.Attrs["agent"] == strconv.FormatUint(uint64(victim.id), 10) {
-			types = append(types, typ)
+		if typ, ok := strings.CutPrefix(ev.Name, "fleet.agent_"); ok && ev.Attrs["agent"] == strconv.FormatUint(uint64(victim.id), 10) {
+			types = append(types, fleet.State(typ))
 		}
 	}
-	if len(types) != 2 || types[0] != "agent_lagging" || types[1] != "agent_silent" {
-		t.Fatalf("flight events for victim = %v, want [agent_lagging agent_silent]", types)
+	if fmt.Sprint(types) != fmt.Sprint(ladder) {
+		t.Fatalf("flight events for victim = %v, transitions %v", types, ladder)
 	}
-	// The survivors stay healthy throughout.
 	for _, av := range agg.Agents() {
-		if av.ID != victim.id && av.State != fleet.StateHealthy {
-			t.Fatalf("surviving agent %d degraded to %s", av.ID, av.State)
+		want := fleet.StateHealthy
+		if av.ID == victim.id {
+			want = fleet.StateSilent
+		}
+		if av.State != want {
+			t.Fatalf("agent %d is %s, want %s", av.ID, av.State, want)
 		}
 	}
 }

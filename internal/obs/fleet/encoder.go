@@ -1,25 +1,42 @@
 package fleet
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/southbound"
 )
 
-// histLast is the encoder's remembered histogram state for one series.
-type histLast struct {
-	count   int64
-	sum     float64
-	buckets []int64
+// Report limits. A report beyond these is malformed (or hostile) and is
+// rejected whole — a fleet report is advisory telemetry, never worth a
+// controller allocation blowup.
+const (
+	// MaxReportBytes bounds a report: what one southbound Telemetry
+	// message carries. The encoder never exceeds it; rows that do not fit
+	// ride the next report.
+	MaxReportBytes = southbound.MaxTelemetryPayload
+	// MaxReportSeries bounds rows per report.
+	MaxReportSeries = 4096
+	// MaxStringLen bounds name/label byte lengths.
+	MaxStringLen = 512
+	// MaxLabels bounds label pairs per series.
+	MaxLabels = 32
+	// MaxBounds bounds histogram bucket bounds per series.
+	MaxBounds = 256
+)
+
+// sentRow is what the encoder remembers of a series' last shipped row:
+// enough to tell whether the series moved since.
+type sentRow struct {
+	value, sum float64
+	count      int64
 }
 
 // Encoder turns successive snapshots of a fixed set of registries into
-// delta-encoded, sequence-numbered wire reports. It remembers the last
-// values it shipped per series, so increments between calls coalesce into
-// one delta and unchanged series cost zero wire bytes. The first report
-// (and the first after Reset) is a baseline: full dictionary, absolute
-// values.
+// sequence-numbered reports: the rows of /metrics.json that changed since
+// the last report, with absolute values. Increments between calls
+// coalesce into one row and an unchanged series costs no bytes. The first
+// report (and the first after Reset) carries every series.
 //
 // Encoder is safe for concurrent use, though typically one Reporter owns
 // it.
@@ -30,50 +47,22 @@ type Encoder struct {
 	//tinyleo:guardedby mu
 	seq uint64
 	//tinyleo:guardedby mu
-	ids map[string]int // series key → session ID
-	// next report starts a fresh session (first report, or after Reset).
-	//tinyleo:guardedby mu
-	baseline bool
-
-	//tinyleo:guardedby mu
-	lastCounter map[int]int64
-	//tinyleo:guardedby mu
-	lastGauge map[int]float64
-	//tinyleo:guardedby mu
-	lastHist map[int]*histLast
-	// gaugeSent marks gauges shipped at least once this session, so a
-	// gauge that never changes still rides the baseline exactly once.
-	//tinyleo:guardedby mu
-	gaugeSent map[int]bool
+	sent map[string]sentRow // series key → last shipped row
 }
 
 // NewEncoder creates an encoder over the given registries (snapshotted in
 // argument order on every Encode).
 func NewEncoder(regs ...*obs.Registry) *Encoder {
-	e := &Encoder{regs: regs}
-	e.resetLocked()
-	return e
+	return &Encoder{regs: regs, sent: map[string]sentRow{}}
 }
 
-// resetLocked starts a fresh session. Callers hold e.mu (NewEncoder
-// calls it before the encoder escapes the constructor).
-func (e *Encoder) resetLocked() {
-	e.ids = map[string]int{}
-	e.baseline = true
-	e.lastCounter = map[int]int64{}
-	e.lastGauge = map[int]float64{}
-	e.lastHist = map[int]*histLast{}
-	e.gaugeSent = map[int]bool{}
-}
-
-// Reset discards the session: the next Encode emits a baseline report
-// (full dictionary, absolute values). Call it after a send failure or a
-// transport reconnect — the re-shipped absolutes give the receiver a
-// consistent basis whatever it missed. The sequence number keeps
-// increasing across resets, so the receiver can still see gaps.
+// Reset forgets what was sent: the next Encode ships every series again.
+// Call it after a send failure or a transport reconnect. Values are
+// absolute, so the receiver needs no notice; the sequence number keeps
+// increasing, so it still sees the gap.
 func (e *Encoder) Reset() {
 	e.mu.Lock()
-	e.resetLocked()
+	e.sent = map[string]sentRow{}
 	e.mu.Unlock()
 }
 
@@ -84,127 +73,34 @@ func (e *Encoder) Seq() uint64 {
 	return e.seq
 }
 
-// seriesKey is the canonical identity of a sample: name plus sorted
-// label pairs, NUL-separated (labels are already canonical in a Sample).
-func seriesKey(s *obs.Sample) (string, []string) {
-	if len(s.Labels) == 0 {
-		return s.Name, nil
-	}
-	keys := make([]string, 0, len(s.Labels))
-	for k := range s.Labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	flat := make([]string, 0, 2*len(keys))
-	key := s.Name
-	for _, k := range keys {
-		flat = append(flat, k, s.Labels[k])
-		key += "\x00" + k + "\x00" + s.Labels[k]
-	}
-	return key, flat
-}
-
-// Encode snapshots the registries and returns one wire report carrying
-// everything that changed since the previous call (every series, with
-// absolute values, when the session is fresh), plus the report's sequence
-// number. An unchanged snapshot yields a valid empty report — the
-// heartbeat the aggregator's staleness tracking relies on.
+// Encode snapshots the registries and returns one report — every series
+// that moved since it was last shipped, in registration order — plus the
+// report's sequence number. An unchanged snapshot yields a report with no
+// rows: the heartbeat the aggregator's staleness tracking relies on. A row
+// left out for MaxReportBytes or MaxReportSeries stays unsent and rides a
+// later report; a non-finite one is retried until it has a JSON form.
 func (e *Encoder) Encode() (payload []byte, seq uint64) {
 	samples := obs.Snapshot(e.regs...)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.seq++
-	flags := byte(0)
-	if e.baseline {
-		flags |= flagBaseline
-	}
-	buf := make([]byte, 0, 256)
-	buf = append(buf, Version, flags)
-	buf = putUvarint(buf, e.seq)
-	countAt := len(buf) // entry count patched in afterwards
-	entries := 0
-	var body []byte
+	var changed []obs.Sample
+	var keys []string
 	for i := range samples {
 		s := &samples[i]
-		key, flat := seriesKey(s)
-		id, seen := e.ids[key]
-		if !seen {
-			if len(e.ids) >= MaxReportSeries {
-				continue // session full; drop excess series
-			}
-			id = len(e.ids)
-			e.ids[key] = id
-		}
-		var entry []byte
-		switch s.Kind {
-		case obs.KindCounter:
-			v := int64(s.Value)
-			delta := v - e.lastCounter[id]
-			if delta == 0 && seen {
-				continue
-			}
-			if delta < 0 {
-				// A counter moved backwards (registry swapped out from
-				// under us); rebase without emitting a negative delta.
-				e.lastCounter[id] = v
-				continue
-			}
-			entry = putUvarint(entry, uint64(delta))
-			e.lastCounter[id] = v
-		case obs.KindGauge:
-			if seen && e.gaugeSent[id] && s.Value == e.lastGauge[id] {
-				continue
-			}
-			entry = putFloat(entry, s.Value)
-			e.lastGauge[id] = s.Value
-			e.gaugeSent[id] = true
-		case obs.KindHistogram:
-			last := e.lastHist[id]
-			if last == nil {
-				last = &histLast{buckets: make([]int64, len(s.Buckets))}
-				e.lastHist[id] = last
-			}
-			dCount := s.Count - last.count
-			if dCount == 0 && seen {
-				continue
-			}
-			if dCount < 0 || len(s.Buckets) != len(last.buckets) {
-				last.count, last.sum = s.Count, s.Sum
-				last.buckets = append(last.buckets[:0], s.Buckets...)
-				continue
-			}
-			entry = putUvarint(entry, uint64(dCount))
-			entry = putFloat(entry, s.Sum-last.sum)
-			entry = putUvarint(entry, uint64(len(s.Buckets)))
-			ok := true
-			for j, b := range s.Buckets {
-				d := b - last.buckets[j]
-				if d < 0 {
-					ok = false
-					break
-				}
-				entry = putUvarint(entry, uint64(d))
-			}
-			if !ok {
-				last.count, last.sum = s.Count, s.Sum
-				last.buckets = append(last.buckets[:0], s.Buckets...)
-				continue
-			}
-			last.count, last.sum = s.Count, s.Sum
-			last.buckets = append(last.buckets[:0], s.Buckets...)
-		default:
+		key := s.Key()
+		if last, ok := e.sent[key]; ok && last == (sentRow{s.Value, s.Sum, s.Count}) {
 			continue
 		}
-		body = putUvarint(body, uint64(id))
-		if !seen {
-			body = appendDesc(body, Desc{Kind: s.Kind, Name: s.Name, Labels: flat, Bounds: s.Bounds})
+		changed, keys = append(changed, *s), append(keys, key)
+		if len(changed) == MaxReportSeries {
+			break
 		}
-		body = append(body, entry...)
-		entries++
 	}
-	buf = putUvarint(buf, uint64(entries))
-	_ = countAt
-	buf = append(buf, body...)
-	e.baseline = false
-	return buf, e.seq
+	payload, rows := obs.EncodeDoc(e.seq, changed, MaxReportBytes)
+	for _, i := range rows {
+		s := &changed[i]
+		e.sent[keys[i]] = sentRow{s.Value, s.Sum, s.Count}
+	}
+	return payload, e.seq
 }

@@ -2,7 +2,13 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -11,97 +17,95 @@ import (
 	"repro/internal/obs"
 )
 
-// apply merges a payload sequence into a fresh dict the way the
-// aggregator would, returning decoded reports.
-func decodeAll(t *testing.T, payloads ...[]byte) []*Report {
+// exampleRegistry holds one series of each kind; its first report is
+// goldenBaseline.
+func exampleRegistry() (*obs.Registry, *obs.Counter, *obs.Gauge, *obs.Histogram) {
+	reg := obs.NewRegistry(true)
+	c := reg.Counter("reqs_total", "type", "hello")
+	g := reg.Gauge("queue_depth")
+	h := reg.Histogram("latency_s", []float64{0.1, 1})
+	c.Add(5)
+	g.Set(2.5)
+	h.Observe(0.05)
+	h.Observe(3)
+	return reg, c, g, h
+}
+
+// The wire form, pinned: a report is the changed rows of /metrics.json.
+const (
+	goldenBaseline  = `{"seq":1,"series":[{"name":"reqs_total","kind":"counter","labels":{"type":"hello"},"value":5},{"name":"queue_depth","kind":"gauge","value":2.5},{"name":"latency_s","kind":"histogram","count":2,"sum":3.05,"bounds":[0.1,1],"buckets":[1,0,1]}]}`
+	goldenHeartbeat = `{"seq":2,"series":[]}`
+	goldenChange    = `{"seq":3,"series":[{"name":"reqs_total","kind":"counter","labels":{"type":"hello"},"value":8},{"name":"latency_s","kind":"histogram","count":3,"sum":3.55,"bounds":[0.1,1],"buckets":[1,1,1]}]}`
+)
+
+func decodeAll(t *testing.T, payloads ...[]byte) []*obs.Doc {
 	t.Helper()
-	var dict []Desc
-	var out []*Report
+	var out []*obs.Doc
 	for i, p := range payloads {
-		rep, err := Decode(p, dict)
+		doc, err := decode(p)
 		if err != nil {
 			t.Fatalf("decode report %d: %v", i, err)
 		}
-		if rep.Baseline {
-			dict = nil
+		out = append(out, doc)
+	}
+	return out
+}
+
+// agentRollup returns the rollup's series for one agent with the agent
+// label stripped, keyed like the agent's own registry.
+func agentRollup(agg *Aggregator, agent uint32) map[string]obs.Sample {
+	out := map[string]obs.Sample{}
+	for _, s := range agg.Samples() {
+		if s.Labels["agent"] != strconv.FormatUint(uint64(agent), 10) || strings.HasPrefix(s.Name, "tinyleo_fleet_") {
+			continue
 		}
-		for id := len(dict); ; id++ {
-			d, ok := rep.NewDescs[id]
-			if !ok {
-				break
-			}
-			dict = append(dict, d)
+		delete(s.Labels, "agent")
+		if len(s.Labels) == 0 {
+			s.Labels = nil
 		}
-		out = append(out, rep)
+		out[s.Key()] = s
+	}
+	return out
+}
+
+// registryRows keys a registry's snapshot the same way.
+func registryRows(reg *obs.Registry) map[string]obs.Sample {
+	out := map[string]obs.Sample{}
+	for _, s := range obs.Snapshot(reg) {
+		out[s.Key()] = s
 	}
 	return out
 }
 
 func TestEncoderBaselineAndDeltas(t *testing.T) {
-	reg := obs.NewRegistry(true)
-	c := reg.Counter("reqs_total", "type", "hello")
-	g := reg.Gauge("queue_depth")
-	h := reg.Histogram("latency_s", []float64{0.1, 1})
-
-	c.Add(5)
-	g.Set(2.5)
-	h.Observe(0.05)
-	h.Observe(3)
-
+	reg, c, _, h := exampleRegistry()
 	enc := NewEncoder(reg)
 	p1, seq1 := enc.Encode()
-	if seq1 != 1 {
-		t.Fatalf("seq1 = %d, want 1", seq1)
-	}
-
 	// No changes: empty heartbeat report.
 	p2, seq2 := enc.Encode()
-	if seq2 != 2 {
-		t.Fatalf("seq2 = %d, want 2", seq2)
-	}
-
 	c.Add(3)
 	h.Observe(0.5)
-	p3, _ := enc.Encode()
-
-	reps := decodeAll(t, p1, p2, p3)
-	r1, r2, r3 := reps[0], reps[1], reps[2]
-
-	if !r1.Baseline || len(r1.Entries) != 3 || len(r1.NewDescs) != 3 {
-		t.Fatalf("baseline report: baseline=%v entries=%d descs=%d",
-			r1.Baseline, len(r1.Entries), len(r1.NewDescs))
+	p3, seq3 := enc.Encode()
+	if seq1 != 1 || seq2 != 2 || seq3 != 3 {
+		t.Fatalf("seqs = %d %d %d, want 1 2 3", seq1, seq2, seq3)
 	}
-	if d := r1.NewDescs[0]; d.Name != "reqs_total" || d.Kind != obs.KindCounter ||
-		len(d.Labels) != 2 || d.Labels[0] != "type" || d.Labels[1] != "hello" {
-		t.Fatalf("desc 0 = %+v", d)
+	for i, want := range []string{goldenBaseline, goldenHeartbeat, goldenChange} {
+		if got := string([][]byte{p1, p2, p3}[i]); got != want {
+			t.Errorf("report %d:\n got %s\nwant %s", i+1, got, want)
+		}
 	}
-	if r1.Entries[0].CounterDelta != 5 {
-		t.Fatalf("baseline counter = %d, want 5", r1.Entries[0].CounterDelta)
+	// The report is the /metrics.json document: the same rows, absolute.
+	var full strings.Builder
+	if err := obs.WriteJSON(&full, reg); err != nil {
+		t.Fatal(err)
 	}
-	if r1.Entries[1].GaugeValue != 2.5 {
-		t.Fatalf("baseline gauge = %v, want 2.5", r1.Entries[1].GaugeValue)
+	doc, err := obs.DecodeDoc([]byte(full.String()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	he := r1.Entries[2]
-	if he.CountDelta != 2 || he.SumDelta != 3.05 ||
-		len(he.BucketDeltas) != 3 || he.BucketDeltas[0] != 1 || he.BucketDeltas[2] != 1 {
-		t.Fatalf("baseline histogram = %+v", he)
-	}
-
-	if r2.Baseline || len(r2.Entries) != 0 {
-		t.Fatalf("heartbeat report: baseline=%v entries=%d", r2.Baseline, len(r2.Entries))
-	}
-	if len(p2) > 8 {
-		t.Fatalf("heartbeat report is %d bytes, want tiny", len(p2))
-	}
-
-	if r3.Baseline || len(r3.NewDescs) != 0 || len(r3.Entries) != 2 {
-		t.Fatalf("delta report: %+v", r3)
-	}
-	if r3.Entries[0].ID != 0 || r3.Entries[0].CounterDelta != 3 {
-		t.Fatalf("delta counter entry = %+v", r3.Entries[0])
-	}
-	if r3.Entries[1].ID != 2 || r3.Entries[1].CountDelta != 1 || r3.Entries[1].BucketDeltas[1] != 1 {
-		t.Fatalf("delta histogram entry = %+v", r3.Entries[1])
+	rep := decodeAll(t, p3)[0]
+	if !reflect.DeepEqual(rep.Series[0], doc.Series[0]) || !reflect.DeepEqual(rep.Series[1], doc.Series[2]) {
+		t.Fatalf("report rows %+v are not rows of /metrics.json %+v", rep.Series, doc.Series)
 	}
 }
 
@@ -118,52 +122,84 @@ func TestEncoderResetReshipsAbsolutes(t *testing.T) {
 		t.Fatalf("seq after reset = %d, want 2 (monotonic across resets)", seq)
 	}
 	rep := decodeAll(t, p)[0]
-	if !rep.Baseline || len(rep.Entries) != 1 || rep.Entries[0].CounterDelta != 9 {
+	if rep.Seq != 2 || len(rep.Series) != 1 || rep.Series[0].Value != 9 {
 		t.Fatalf("post-reset report = %+v", rep)
 	}
 }
 
 func TestEncoderNewSeriesMidSession(t *testing.T) {
+	now := time.Unix(1_700_000_000, 0)
+	agg := newTestAggregator(&now, &obs.Tracer{})
 	reg := obs.NewRegistry(true)
 	reg.Counter("a_total").Inc()
 	enc := NewEncoder(reg)
-	enc.Encode()
+	p1, _ := enc.Encode()
 	reg.Counter("b_total", "k", "v").Add(4)
-	p, _ := enc.Encode()
-	rep, err := Decode(p, []Desc{{Kind: obs.KindCounter, Name: "a_total"}})
-	if err != nil {
-		t.Fatal(err)
+	p2, _ := enc.Encode()
+	rep := decodeAll(t, p2)[0]
+	if len(rep.Series) != 1 || rep.Series[0].Name != "b_total" || rep.Series[0].Value != 4 {
+		t.Fatalf("mid-stream report = %+v, want only the new series", rep)
 	}
-	if rep.Baseline || len(rep.NewDescs) != 1 || rep.NewDescs[1].Name != "b_total" {
-		t.Fatalf("mid-session report = %+v", rep)
+	for _, p := range [][]byte{p1, p2} {
+		if err := agg.HandleReport(1, p); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if rep.Entries[0].ID != 1 || rep.Entries[0].CounterDelta != 4 {
-		t.Fatalf("mid-session entry = %+v", rep.Entries[0])
+	if got, want := agentRollup(agg, 1), registryRows(reg); !reflect.DeepEqual(got, want) {
+		t.Fatalf("rollup %+v, registry %+v", got, want)
+	}
+	if n := agg.Agents()[0].Series; n != 2 {
+		t.Fatalf("agent row counts %d series, want 2", n)
 	}
 }
 
 func TestDecodeRejectsMalformed(t *testing.T) {
-	reg := obs.NewRegistry(true)
-	reg.Counter("a_total").Inc()
-	enc := NewEncoder(reg)
-	p, _ := enc.Encode()
-
-	cases := map[string][]byte{
-		"empty":        {},
-		"bad version":  {99, 0, 1, 0},
-		"truncated":    p[:len(p)-1],
-		"trailing":     append(append([]byte{}, p...), 0xFF),
-		"unknown kind": {Version, flagBaseline, 1, 1, 0, 9, 1, 'x', 0, 1},
+	row := func(s string) string { return `{"seq":1,"series":[` + s + `]}` }
+	many := func(n int, elem string) string { return strings.TrimSuffix(strings.Repeat(elem+",", n), ",") }
+	cases := map[string]string{
+		"empty":            ``,
+		"not json":         "\x01\x00\x01\x00",
+		"truncated":        goldenBaseline[:len(goldenBaseline)-1],
+		"trailing":         goldenBaseline + "x",
+		"no seq":           `{"series":[]}`,
+		"wrong type":       `{"seq":"1","series":[]}`,
+		"unknown kind":     row(`{"name":"x","kind":"summary","value":1}`),
+		"no kind":          row(`{"name":"x","value":1}`),
+		"negative counter": row(`{"name":"x","kind":"counter","value":-1}`),
+		"fraction counter": row(`{"name":"x","kind":"counter","value":1.5}`),
+		"huge counter":     row(`{"name":"x","kind":"counter","value":1e19}`),
+		"infinite gauge":   row(`{"name":"x","kind":"gauge","value":1e999}`),
+		"bucket count":     row(`{"name":"x","kind":"histogram","count":1,"bounds":[1],"buckets":[1]}`),
+		"negative bucket":  row(`{"name":"x","kind":"histogram","count":1,"bounds":[1],"buckets":[2,-1]}`),
+		"unsorted bounds":  row(`{"name":"x","kind":"histogram","bounds":[2,1],"buckets":[0,0,0]}`),
+		"too many bounds":  row(`{"name":"x","kind":"histogram","bounds":[` + many(MaxBounds+1, "1") + `],"buckets":[` + many(MaxBounds+2, "0") + `]}`),
+		"too many series":  row(many(MaxReportSeries+1, `{"name":"x","kind":"gauge"}`)),
+		"long name":        row(`{"name":"` + strings.Repeat("n", MaxStringLen+1) + `","kind":"gauge"}`),
+		"long label":       row(`{"name":"x","kind":"gauge","labels":{"k":"` + strings.Repeat("v", MaxStringLen+1) + `"}}`),
+		"too many labels":  row(`{"name":"x","kind":"gauge","labels":{` + labelPairs(MaxLabels+1) + `}}`),
+		"over the budget":  `{"seq":1,"series":[]` + strings.Repeat(" ", MaxReportBytes) + `}`,
 	}
 	for name, buf := range cases {
-		if _, err := Decode(buf, nil); err == nil {
-			t.Errorf("%s: decode accepted malformed payload", name)
+		if _, err := decode([]byte(buf)); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: decode error = %v, want ErrMalformed", name, err)
 		}
 	}
-	// Non-baseline report referencing an unknown series ID.
-	if _, err := Decode([]byte{Version, 0, 2, 1, 5, 1}, nil); err == nil {
-		t.Error("unknown series id accepted")
+	// Every limit is inclusive.
+	ok := row(`{"name":"` + strings.Repeat("n", MaxStringLen) + `","kind":"gauge","labels":{` + labelPairs(MaxLabels) + `}}`)
+	if _, err := decode([]byte(ok)); err != nil {
+		t.Errorf("report at the limits rejected: %v", err)
 	}
+}
+
+func labelPairs(n int) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `"k%d":"v"`, i)
+	}
+	return b.String()
 }
 
 func newTestAggregator(now *time.Time, log *obs.Tracer) *Aggregator {
@@ -199,7 +235,7 @@ func TestAggregatorRollupEqualsAgentSums(t *testing.T) {
 	agents[1].c.Add(10)
 	agents[2].c.Add(20)
 	agents[3].c.Add(30)
-	agents[1].h.Observe(0.05)
+	agents[1].h.Observe(0.0625)
 	agents[2].h.Observe(0.5)
 	agents[3].h.Observe(5)
 
@@ -216,23 +252,11 @@ func TestAggregatorRollupEqualsAgentSums(t *testing.T) {
 	agents[2].h.Observe(0.5)
 	flush()
 
-	var gotC int64
-	var gotHC int64
-	for _, s := range agg.Samples() {
-		switch s.Name {
-		case "pkts_total":
-			gotC += int64(s.Value)
-		case "lat_s":
-			gotHC += s.Count
+	for id, a := range agents {
+		if got, want := agentRollup(agg, id), registryRows(a.reg); !reflect.DeepEqual(got, want) {
+			t.Fatalf("agent %d: rollup %+v, registry %+v", id, got, want)
 		}
 	}
-	if gotC != 61 {
-		t.Fatalf("rollup pkts_total sum = %d, want 61", gotC)
-	}
-	if gotHC != 4 {
-		t.Fatalf("rollup lat_s count = %d, want 4", gotHC)
-	}
-
 	for _, s := range agg.TotalsSamples() {
 		if s.Name == "pkts_total" {
 			if s.Labels["agent"] != "" {
@@ -262,7 +286,7 @@ func TestAggregatorBaselineReshipDoesNotDoubleCount(t *testing.T) {
 	if err := agg.HandleReport(7, p); err != nil {
 		t.Fatal(err)
 	}
-	// Send failure: encoder resets, next report re-ships absolutes.
+	// Send failure: the encoder forgets what it sent and re-ships it all.
 	c.Add(2)
 	h.Observe(2)
 	enc.Reset()
@@ -270,13 +294,8 @@ func TestAggregatorBaselineReshipDoesNotDoubleCount(t *testing.T) {
 	if err := agg.HandleReport(7, p); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range agg.Samples() {
-		if s.Name == "x_total" && int64(s.Value) != 7 {
-			t.Fatalf("x_total = %v, want 7 (no double count)", s.Value)
-		}
-		if s.Name == "h_s" && (s.Count != 2 || s.Buckets[0] != 1 || s.Buckets[1] != 1) {
-			t.Fatalf("h_s = %+v, want count 2", s)
-		}
+	if got, want := agentRollup(agg, 7), registryRows(reg); !reflect.DeepEqual(got, want) {
+		t.Fatalf("rollup %+v, registry %+v (x_total 7, h_s count 2: no double count)", got, want)
 	}
 }
 
@@ -317,7 +336,8 @@ func TestAggregatorStalenessTransitions(t *testing.T) {
 	if s := states(); s != StateSilent {
 		t.Fatalf("state after 10s = %s, want silent", s)
 	}
-	// A fresh report recovers the agent on the next tick.
+	// A fresh report — a heartbeat, nothing changed — recovers the agent on
+	// the next tick.
 	p, _ = enc.Encode()
 	if err := agg.HandleReport(4, p); err != nil {
 		t.Fatal(err)
@@ -328,13 +348,8 @@ func TestAggregatorStalenessTransitions(t *testing.T) {
 	}
 
 	want := []string{"healthy>lagging", "lagging>silent", "silent>healthy"}
-	if len(transitions) != len(want) {
+	if !reflect.DeepEqual(transitions, want) {
 		t.Fatalf("transitions = %v, want %v", transitions, want)
-	}
-	for i := range want {
-		if transitions[i] != want[i] {
-			t.Fatalf("transitions = %v, want %v", transitions, want)
-		}
 	}
 	var types []string
 	for _, ev := range log.Events() {
@@ -342,60 +357,276 @@ func TestAggregatorStalenessTransitions(t *testing.T) {
 			types = append(types, typ)
 		}
 	}
-	wantEv := []string{"agent_lagging", "agent_silent", "agent_recovered"}
-	if len(types) != len(wantEv) {
+	if wantEv := []string{"agent_lagging", "agent_silent", "agent_recovered"}; !reflect.DeepEqual(types, wantEv) {
 		t.Fatalf("events = %v, want %v", types, wantEv)
-	}
-	for i := range wantEv {
-		if types[i] != wantEv[i] {
-			t.Fatalf("events = %v, want %v", types, wantEv)
-		}
 	}
 }
 
+// A report that reached send but never HandleReport costs one gap and
+// nothing else that the agent touches again: the next row of a series is
+// its absolute value, whatever was lost before it. A series only the lost
+// report carried stays behind until its next change.
 func TestAggregatorSeqGapsAndStaleDrops(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	agg := newTestAggregator(&now, &obs.Tracer{})
 	reg := obs.NewRegistry(true)
-	c := reg.Counter("x_total")
+	a, b := reg.Counter("a_total"), reg.Counter("b_total")
+	h := reg.Histogram("h_s", []float64{1})
 	enc := NewEncoder(reg)
-
-	c.Inc()
-	p1, _ := enc.Encode()
-	c.Inc()
-	enc.Encode() // lost in transit
-	c.Inc()
-	p3, _ := enc.Encode()
-
-	if err := agg.HandleReport(9, p1); err != nil {
-		t.Fatal(err)
-	}
-	if err := agg.HandleReport(9, p3); err != nil {
-		t.Fatal(err)
-	}
-	av := agg.Agents()[0]
-	if av.Gaps != 1 || av.LastSeq != 3 {
-		t.Fatalf("gaps=%d lastSeq=%d, want 1/3", av.Gaps, av.LastSeq)
-	}
-	// Replaying an old seq must not re-apply deltas.
-	if err := agg.HandleReport(9, p3); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range agg.Samples() {
-		if s.Name == "x_total" && int64(s.Value) != 2 {
-			t.Fatalf("x_total = %v, want 2 (gap lost 1, dup ignored)", s.Value)
+	deliver := func(p []byte) {
+		t.Helper()
+		if err := agg.HandleReport(9, p); err != nil {
+			t.Fatal(err)
 		}
+	}
+
+	a.Inc()
+	b.Inc()
+	p1, _ := enc.Encode()
+	a.Add(2)
+	b.Add(3)
+	h.Observe(0.5)
+	enc.Encode() // report k: sent, lost in transit
+	a.Inc()
+	h.Observe(2)
+	reg.Counter("c_total").Add(4)
+	p3, _ := enc.Encode() // report k+1
+
+	deliver(p1)
+	deliver(p3)
+	av := agg.Agents()[0]
+	if av.Gaps != 1 || av.LastSeq != 3 || av.Reports != 2 {
+		t.Fatalf("gaps=%d lastSeq=%d reports=%d, want 1/3/2", av.Gaps, av.LastSeq, av.Reports)
+	}
+	got, want := agentRollup(agg, 9), registryRows(reg)
+	for _, key := range []string{"a_total", "h_s", "c_total"} {
+		if !reflect.DeepEqual(got[key], want[key]) {
+			t.Fatalf("%s touched by report k+1: rollup %+v, registry %+v", key, got[key], want[key])
+		}
+	}
+	if got["b_total"].Value != 1 {
+		t.Fatalf("b_total = %v, want 1 (only the lost report carried its change)", got["b_total"].Value)
+	}
+	// A duplicate delivery folds to nothing and is not a second report.
+	deliver(p3)
+	if av := agg.Agents()[0]; av.Reports != 2 || av.Bytes != uint64(len(p1)+len(p3)) || av.Gaps != 1 {
+		t.Fatalf("after duplicate: %+v", av)
+	}
+	b.Inc()
+	p4, _ := enc.Encode()
+	deliver(p4)
+	if got, want := agentRollup(agg, 9), registryRows(reg); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after b_total's next change: rollup %+v, registry %+v", got, want)
+	}
+}
+
+// A restarted agent counts from zero again: its rows go backwards, and
+// each contributes its full new value on top of what the old process
+// reported.
+func TestAggregatorAgentRestartKeepsOldCounts(t *testing.T) {
+	now := time.Unix(1_700_000_000, 0)
+	agg := newTestAggregator(&now, &obs.Tracer{})
+	flush := func(enc *Encoder) {
+		t.Helper()
+		p, _ := enc.Encode()
+		if err := agg.HandleReport(3, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := obs.NewRegistry(true)
+	old.Counter("x_total").Add(10)
+	oh := old.Histogram("h_s", []float64{1})
+	oh.Observe(0.5)
+	oh.Observe(0.5)
+	oh.Observe(2)
+	flush(NewEncoder(old))
+
+	reg := obs.NewRegistry(true) // the new process: seq and counters restart
+	c, h := reg.Counter("x_total"), reg.Histogram("h_s", []float64{1})
+	enc := NewEncoder(reg)
+	c.Add(2)
+	h.Observe(2)
+	flush(enc)
+	c.Add(3)
+	h.Observe(0.5)
+	flush(enc)
+
+	got := agentRollup(agg, 3)
+	if v := got["x_total"].Value; v != 15 {
+		t.Fatalf("x_total = %v, want 15 (10 from the old process + 5 from the new)", v)
+	}
+	if hs := got["h_s"]; hs.Count != 5 || hs.Sum != 5.5 || !reflect.DeepEqual(hs.Buckets, []int64{3, 2}) {
+		t.Fatalf("h_s = %+v, want count 5 sum 5.5 buckets [3 2]", hs)
+	}
+	if av := agg.Agents()[0]; av.Gaps != 0 || av.LastSeq != 2 {
+		t.Fatalf("restart counted as loss: %+v", av)
+	}
+}
+
+// TestAggregatorMatchesMapModel drives one agent through seeded
+// increments, encoder resets, process restarts and reports that are lost,
+// duplicated or corrupted, and checks the rollup after every step against
+// a plain map folding the delivered rows by the stated rule: row − last,
+// or the whole row when it went backwards.
+func TestAggregatorMatchesMapModel(t *testing.T) {
+	names := []string{"a_total", "b_total", "c_total", "d_total"}
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		now := time.Unix(1_700_000_000, 0)
+		agg := newTestAggregator(&now, &obs.Tracer{})
+		var reg *obs.Registry
+		var enc *Encoder
+		restart := func() { reg = obs.NewRegistry(true); enc = NewEncoder(reg) }
+		restart()
+		model, last := map[string]float64{}, map[string]float64{}
+		var lastSeq, gaps, reports uint64
+		var decodeErrs int64
+		for step := 0; step < 300; step++ {
+			switch rng.Intn(10) {
+			case 0:
+				restart()
+			case 1:
+				enc.Reset()
+			case 2:
+				bad := []string{"", "{", `{"seq":0}`, `{"seq":9,"series":[{"name":"a_total","kind":"counter","value":-4}]}`}
+				if err := agg.HandleReport(1, []byte(bad[rng.Intn(len(bad))])); err == nil {
+					t.Fatalf("seed %d step %d: malformed report accepted", seed, step)
+				}
+				decodeErrs++
+			default:
+				reg.Counter(names[rng.Intn(len(names))]).Add(int64(1 + rng.Intn(5)))
+			}
+			if rng.Intn(3) == 0 {
+				p, seq := enc.Encode()
+				for n := rng.Intn(3); n > 0; n-- { // lost, delivered, delivered twice
+					if err := agg.HandleReport(1, p); err != nil {
+						t.Fatalf("seed %d step %d: %v", seed, step, err)
+					}
+					if seq != lastSeq {
+						if lastSeq != 0 && seq > lastSeq+1 {
+							gaps += seq - lastSeq - 1
+						}
+						lastSeq = seq
+						reports++
+					}
+					for _, s := range decodeAll(t, p)[0].Series {
+						if s.Value < last[s.Name] {
+							last[s.Name] = 0
+						}
+						model[s.Name] += s.Value - last[s.Name]
+						last[s.Name] = s.Value
+					}
+				}
+			}
+			got := map[string]float64{}
+			for k, s := range agentRollup(agg, 1) {
+				got[k] = s.Value
+			}
+			if !reflect.DeepEqual(got, model) {
+				t.Fatalf("seed %d step %d: rollup %v, model %v", seed, step, got, model)
+			}
+			if v := agg.View(); v.DecodeErrors != decodeErrs || len(v.Agents) > 0 &&
+				(v.Agents[0].Gaps != gaps || v.Agents[0].Reports != reports || v.Agents[0].LastSeq != lastSeq) {
+				t.Fatalf("seed %d step %d: view %+v, want gaps %d reports %d seq %d decode errors %d",
+					seed, step, v.Agents, gaps, reports, lastSeq, decodeErrs)
+			}
+		}
+	}
+}
+
+// A registry too large for one report is shipped over several, none above
+// the budget, and converges; nothing wedges.
+func TestLargeRegistryShipsInBudgetedReports(t *testing.T) {
+	now := time.Unix(1_700_000_000, 0)
+	agg := newTestAggregator(&now, &obs.Tracer{})
+	reg := obs.NewRegistry(true)
+	for i := 0; i < 5000; i++ {
+		reg.Counter("tinyleo_dataplane_forwarded_packets_total", "cell", strconv.Itoa(i), "direction", "ascending").Add(int64(i + 1))
+	}
+	enc := NewEncoder(reg)
+	reports := 0
+	for {
+		p, _ := enc.Encode()
+		if len(p) > MaxReportBytes {
+			t.Fatalf("report %d is %d bytes, budget %d", reports+1, len(p), MaxReportBytes)
+		}
+		if err := agg.HandleReport(1, p); err != nil {
+			t.Fatal(err)
+		}
+		if len(decodeAll(t, p)[0].Series) == 0 {
+			break
+		}
+		if reports++; reports > 20 {
+			t.Fatal("encoder never drained the registry")
+		}
+	}
+	if reports < 3 {
+		t.Fatalf("5,000 series went in %d reports; want several", reports)
+	}
+	if got, want := agentRollup(agg, 1), registryRows(reg); !reflect.DeepEqual(got, want) {
+		t.Fatalf("rollup has %d series, registry %d, or values differ", len(got), len(want))
+	}
+}
+
+// A series with no JSON form (NaN gauge, ±Inf histogram sum) costs only
+// itself: the rest of the report ships, and the series follows once it is
+// finite.
+func TestNonFiniteSeriesCostsOnlyItself(t *testing.T) {
+	now := time.Unix(1_700_000_000, 0)
+	agg := newTestAggregator(&now, &obs.Tracer{})
+	reg := obs.NewRegistry(true)
+	reg.Counter("ok_total").Add(3)
+	g := reg.Gauge("ratio")
+	g.Set(math.NaN())
+	reg.Histogram("h_s", []float64{1}).Observe(math.Inf(1))
+	reg.Gauge("depth").Set(7)
+	enc := NewEncoder(reg)
+	p, _ := enc.Encode()
+	if err := agg.HandleReport(1, p); err != nil {
+		t.Fatalf("report with a NaN gauge beside it: %v", err)
+	}
+	got := agentRollup(agg, 1)
+	if len(got) != 2 || got["ok_total"].Value != 3 || got["depth"].Value != 7 {
+		t.Fatalf("rollup = %+v, want ok_total 3 and depth 7 only", got)
+	}
+	g.Set(0.5)
+	p, _ = enc.Encode()
+	if err := agg.HandleReport(1, p); err != nil {
+		t.Fatal(err)
+	}
+	if rep := decodeAll(t, p)[0]; len(rep.Series) != 1 || rep.Series[0].Name != "ratio" {
+		t.Fatalf("second report = %+v, want only the now-finite gauge", rep)
+	}
+	if v := agentRollup(agg, 1)["ratio"].Value; v != 0.5 {
+		t.Fatalf("ratio = %v, want 0.5", v)
 	}
 }
 
 func TestAggregatorMalformedCountsDecodeError(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	agg := newTestAggregator(&now, &obs.Tracer{})
-	if err := agg.HandleReport(1, []byte{99}); err == nil {
-		t.Fatal("malformed report accepted")
+	if err := agg.HandleReport(1, []byte(goldenBaseline)); err != nil {
+		t.Fatal(err)
 	}
-	if v := agg.View(); v.DecodeErrors != 1 {
-		t.Fatalf("decode_errors = %d, want 1", v.DecodeErrors)
+	before := agg.Samples()
+	// The first row is fine, the second is not: the report is dropped whole.
+	bad := `{"seq":2,"series":[{"name":"reqs_total","kind":"counter","labels":{"type":"hello"},"value":50},{"name":"latency_s","kind":"histogram","count":9,"bounds":[0.1,1],"buckets":[9]}]}`
+	for _, p := range []string{"\x63", bad} {
+		if err := agg.HandleReport(1, []byte(p)); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("HandleReport(%q) = %v, want ErrMalformed", p, err)
+		}
+	}
+	if v := agg.View(); v.DecodeErrors != 2 || v.Agents[0].Reports != 1 || v.Agents[0].LastSeq != 1 {
+		t.Fatalf("decode_errors = %d, agent row %+v; want 2 and one report", v.DecodeErrors, v.Agents[0])
+	}
+	after := agg.Samples()
+	for i := range after {
+		if after[i].Name == "tinyleo_fleet_decode_errors_total" {
+			after[i].Value = 0
+		}
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("a rejected report changed the rollup:\nbefore %+v\nafter  %+v", before, after)
 	}
 }
 
@@ -434,6 +665,41 @@ func TestFleetViewHTTP(t *testing.T) {
 	}
 }
 
+// The summary is one derivation from the agent rows, and its samples carry
+// the names the live rollup exports.
+func TestViewSummary(t *testing.T) {
+	now := time.Unix(1_700_000_000, 0)
+	agg := newTestAggregator(&now, &obs.Tracer{})
+	for _, id := range []uint32{5, 2, 8} {
+		if err := agg.HandleReport(id, []byte(goldenBaseline)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = agg.HandleReport(2, []byte(`{"seq":4,"series":[]}`)) // seq 2 and 3 lost
+	_ = agg.HandleReport(2, []byte("junk"))
+	now = now.Add(10 * time.Second)
+	_ = agg.HandleReport(5, []byte(goldenHeartbeat))
+	agg.Tick()
+	v := agg.View()
+	got := v.Summary()
+	want := Summary{
+		Agents: 3, Reports: 5, Bytes: uint64(3*len(goldenBaseline) + 2*len(goldenHeartbeat)), Gaps: 2,
+		States: map[string]int{"healthy": 1, "silent": 2}, Silent: []int{2, 8}, DecodeErrors: 1,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("summary = %+v, want %+v", got, want)
+	}
+	live := map[string]float64{}
+	for _, s := range v.Totals {
+		live[s.Name] = s.Value
+	}
+	for _, s := range got.Samples() {
+		if v, ok := live[s.Name]; ok != (s.Name != "tinyleo_fleet_gaps_total") || ok && v != s.Value {
+			t.Errorf("summary sample %s = %v, live rollup has %v (%v)", s.Name, s.Value, v, ok)
+		}
+	}
+}
+
 func TestReporterFlushAndReset(t *testing.T) {
 	reg := obs.NewRegistry(true)
 	c := reg.Counter("x_total")
@@ -466,7 +732,6 @@ func TestReporterFlushAndReset(t *testing.T) {
 	mu.Lock()
 	fail = false
 	mu.Unlock()
-	c.Add(1)
 	if _, err := rep.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -477,16 +742,13 @@ func TestReporterFlushAndReset(t *testing.T) {
 		t.Fatalf("sent %d reports, want 2", len(sent))
 	}
 	reps := decodeAll(t, sent...)
-	if !reps[0].Baseline || reps[0].Entries[0].CounterDelta != 4 {
+	if reps[0].Seq != 1 || reps[0].Series[0].Value != 4 {
 		t.Fatalf("first report = %+v", reps[0])
 	}
-	// After the failed send the session reset: the next delivered report
-	// is a baseline carrying the full absolute value — nothing lost.
-	if !reps[1].Baseline || reps[1].Entries[0].CounterDelta != 7 {
-		t.Fatalf("post-failure report = %+v", reps[1])
-	}
-	if reps[1].Seq != 3 {
-		t.Fatalf("post-failure seq = %d, want 3", reps[1].Seq)
+	// After the failed send the encoder reset: the next delivered report
+	// carries the series again though it did not move since — nothing lost.
+	if reps[1].Seq != 3 || len(reps[1].Series) != 1 || reps[1].Series[0].Value != 6 {
+		t.Fatalf("post-failure report = %+v, want seq 3 with x_total 6", reps[1])
 	}
 }
 
@@ -507,10 +769,8 @@ func TestReporterRunStop(t *testing.T) {
 	c.Add(5)
 	rep.Stop()
 	// Stop's final flush must have delivered everything.
-	for _, s := range agg.Samples() {
-		if s.Name == "x_total" && int64(s.Value) != 10 {
-			t.Fatalf("x_total = %v, want 10", s.Value)
-		}
+	if v := agentRollup(agg, 1)["x_total"].Value; v != 10 {
+		t.Fatalf("x_total = %v, want 10", v)
 	}
 	if agg.AgentSeq(1) != rep.Seq() {
 		t.Fatalf("aggregator seq %d != reporter seq %d", agg.AgentSeq(1), rep.Seq())
@@ -522,3 +782,64 @@ var errSendFailed = errSend{}
 type errSend struct{}
 
 func (errSend) Error() string { return "send failed" }
+
+// FuzzHandleReport feeds arbitrary bytes to an aggregator that already
+// holds one agent's baseline. It may reject them, but must not panic; a
+// rejected report changes nothing but the decode-error count; and an
+// accepted one, re-encoded by the shared encoder and fed to a second
+// aggregator, gives the same rollup. (A report declares no lengths — it is
+// JSON — so no allocation can outrun the MaxReportBytes the input is
+// held to.)
+func FuzzHandleReport(f *testing.F) {
+	for _, p := range []string{goldenBaseline, goldenHeartbeat, goldenChange,
+		`{"seq":1,"series":[{"name":"reqs_total","kind":"counter","labels":{"type":"hello"},"value":2}]}`,
+		`{"seq":7,"series":[{"name":"latency_s","kind":"histogram","count":1,"sum":9,"bounds":[5],"buckets":[0,1]}]}`,
+		`{"seq":2,"series":[{"name":"queue_depth","kind":"counter","labels":{"agent":"x"},"value":1}]}`,
+		`{"seq":2,"series":[{"name":"x","kind":"histogram","bounds":[2,1],"buckets":[0,0,0]}]}`,
+		"", "{", `{"seq":0}`,
+	} {
+		f.Add([]byte(p))
+	}
+	rollup := func(agg *Aggregator) []obs.Sample {
+		var out []obs.Sample
+		for _, s := range agg.Samples() {
+			// Byte counts differ between a report and its re-encoding.
+			if s.Name != "tinyleo_fleet_report_bytes_total" && s.Name != "tinyleo_fleet_decode_errors_total" {
+				out = append(out, s)
+			}
+		}
+		return out
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		now := time.Unix(1_700_000_000, 0)
+		a, b := newTestAggregator(&now, &obs.Tracer{}), newTestAggregator(&now, &obs.Tracer{})
+		for _, agg := range []*Aggregator{a, b} {
+			if err := agg.HandleReport(1, []byte(goldenBaseline)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := a.HandleReport(1, raw); err != nil {
+			if !errors.Is(err, ErrMalformed) || a.View().DecodeErrors != 1 {
+				t.Fatalf("rejection %v did not count one ErrMalformed", err)
+			}
+			if !reflect.DeepEqual(rollup(a), rollup(b)) {
+				t.Fatalf("rejected report %q changed the rollup", raw)
+			}
+			return
+		}
+		doc, err := obs.DecodeDoc(raw)
+		if err != nil {
+			t.Fatalf("accepted report does not decode: %v", err)
+		}
+		again, rows := obs.EncodeDoc(doc.Seq, doc.Series, 0)
+		if len(rows) != len(doc.Series) {
+			t.Fatalf("re-encoding kept %d of %d rows", len(rows), len(doc.Series))
+		}
+		if err := b.HandleReport(1, again); err != nil {
+			t.Fatalf("re-encoded report %q rejected: %v", again, err)
+		}
+		if !reflect.DeepEqual(rollup(a), rollup(b)) {
+			t.Fatalf("report %q and its re-encoding %q gave different rollups", raw, again)
+		}
+	})
+}

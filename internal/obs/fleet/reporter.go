@@ -7,10 +7,8 @@ import (
 
 // Reporter drives an Encoder at a bounded rate: a background loop flushes
 // one coalesced report per interval, whatever the underlying event rate.
-// Send failures reset the encoder session, so the first report after a
-// reconnect is a baseline and no increment is ever lost — the transport
-// (the southbound session) may drop a report, but the next one re-ships
-// absolutes.
+// A send failure resets the encoder, so the first report after a
+// reconnect carries every series again and no increment is ever lost.
 type Reporter struct {
 	enc  *Encoder
 	send func(payload []byte) error
@@ -31,8 +29,8 @@ func NewReporter(enc *Encoder, send func(payload []byte) error) *Reporter {
 }
 
 // Flush encodes and sends one report immediately, returning its sequence
-// number. On send failure the encoder session resets, so the next flush
-// re-ships absolute values (nothing is lost, only delayed).
+// number. On send failure the encoder resets, so the next flush re-ships
+// every series (nothing is lost, only delayed).
 func (r *Reporter) Flush() (uint64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -79,7 +77,7 @@ func (r *Reporter) Run(interval time.Duration) {
 }
 
 // Stop halts the background loop (if any) and sends one final flush so
-// the controller sees the last pre-shutdown deltas.
+// the controller sees the last pre-shutdown values.
 func (r *Reporter) Stop() {
 	r.mu.Lock()
 	if r.stopped {

@@ -46,45 +46,49 @@ func ReadViewFile(path string) (*View, error) {
 	return &v, nil
 }
 
-// MetaSamples derives fleet-health gauges and counters from the view's
-// per-agent rows, mirroring the tinyleo_fleet_* series a live aggregator
-// exports — so a snapshot read back from disk can be scored with the
-// same SLO rule names a live run uses.
-func (v *View) MetaSamples() []obs.Sample {
-	var reports, gaps uint64
-	silent := 0
-	for _, a := range v.Agents {
-		reports += a.Reports
-		gaps += a.Gaps
-		if a.State == StateSilent {
-			silent++
-		}
-	}
-	return []obs.Sample{
-		{Name: "tinyleo_fleet_agents", Kind: obs.KindGauge, Value: float64(len(v.Agents))},
-		{Name: "tinyleo_fleet_agents_silent", Kind: obs.KindGauge, Value: float64(silent)},
-		{Name: "tinyleo_fleet_reports_total", Kind: obs.KindCounter, Value: float64(reports)},
-		{Name: "tinyleo_fleet_gaps_total", Kind: obs.KindCounter, Value: float64(gaps)},
-		{Name: "tinyleo_fleet_decode_errors_total", Kind: obs.KindCounter, Value: float64(v.DecodeErrors)},
-	}
+// Summary is the fleet-wide accounting of a view's agent rows: the one
+// derivation chaos reports, testground reports and SLO scoring share.
+type Summary struct {
+	// Agents counts agents that reported at least once.
+	Agents int `json:"agents"`
+	// Reports / Bytes / Gaps are fleet-wide report accounting sums.
+	Reports uint64 `json:"reports"`
+	Bytes   uint64 `json:"bytes"`
+	Gaps    uint64 `json:"gaps"`
+	// States counts agents per health state.
+	States map[string]int `json:"states"`
+	// Silent lists the silent agents' IDs, ascending.
+	Silent []int `json:"silent,omitempty"`
+	// DecodeErrors counts reports dropped as malformed.
+	DecodeErrors int64 `json:"decode_errors"`
 }
 
-// SLOSamples is the sample set SLO rules are evaluated against when
-// scoring a snapshot: the fleet-wide totals plus whichever derived meta
-// series the totals don't already carry. A live aggregator exports the
-// tinyleo_fleet_* meta series in its rollup registry, so they usually
-// arrive via Totals; the derived copies only fill in for snapshots
-// assembled another way (never both, or counter sums would double).
-func (v *View) SLOSamples() []obs.Sample {
-	have := make(map[string]bool, len(v.Totals))
-	for _, s := range v.Totals {
-		have[s.Name] = true
-	}
-	out := append([]obs.Sample(nil), v.Totals...)
-	for _, s := range v.MetaSamples() {
-		if !have[s.Name] {
-			out = append(out, s)
+// Summary condenses the view's agent rows (sorted by ID, as Agents
+// returns them).
+func (v *View) Summary() Summary {
+	s := Summary{Agents: len(v.Agents), States: v.States, DecodeErrors: v.DecodeErrors}
+	for _, a := range v.Agents {
+		s.Reports += a.Reports
+		s.Bytes += a.Bytes
+		s.Gaps += a.Gaps
+		if a.State == StateSilent {
+			s.Silent = append(s.Silent, int(a.ID))
 		}
 	}
-	return out
+	return s
+}
+
+// Samples renders the summary as the tinyleo_fleet_* series a live
+// aggregator exports (plus the gap count, which it does not), so a
+// snapshot read back from disk is scored with the same SLO rule names a
+// live run uses.
+func (s Summary) Samples() []obs.Sample {
+	return []obs.Sample{
+		{Name: "tinyleo_fleet_agents", Kind: obs.KindGauge, Value: float64(s.Agents)},
+		{Name: "tinyleo_fleet_agents_silent", Kind: obs.KindGauge, Value: float64(len(s.Silent))},
+		{Name: "tinyleo_fleet_reports_total", Kind: obs.KindCounter, Value: float64(s.Reports)},
+		{Name: "tinyleo_fleet_report_bytes_total", Kind: obs.KindCounter, Value: float64(s.Bytes)},
+		{Name: "tinyleo_fleet_gaps_total", Kind: obs.KindCounter, Value: float64(s.Gaps)},
+		{Name: "tinyleo_fleet_decode_errors_total", Kind: obs.KindCounter, Value: float64(s.DecodeErrors)},
+	}
 }

@@ -1,8 +1,8 @@
 // Package obs is TinyLEO's runtime telemetry subsystem: a concurrency-safe
 // metrics registry (counters, gauges, fixed-bucket histograms), a tracer
 // whose one ring buffer holds spans and instant events on one clock, and
-// exposition in Prometheus text, JSON-snapshot, record JSONL (see Event),
-// and expvar formats.
+// exposition in Prometheus text, the JSON sample document (see Doc) and
+// record JSONL (see Event).
 //
 // Design goals, in order:
 //

@@ -143,30 +143,6 @@ func TestSpanContextPropagation(t *testing.T) {
 	}
 }
 
-func TestTraceparentRoundTrip(t *testing.T) {
-	tr := &Tracer{}
-	tr.Enable(4)
-	sp := tr.StartSpan("x")
-	sc := sp.Context()
-	tp := sc.Traceparent()
-	if len(tp) != 55 || !strings.HasPrefix(tp, "00-") || !strings.HasSuffix(tp, "-01") {
-		t.Fatalf("traceparent = %q", tp)
-	}
-	got, err := ParseTraceparent(tp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != sc {
-		t.Errorf("round trip: got %+v, want %+v", got, sc)
-	}
-	if _, err := ParseTraceparent("00-bogus"); err == nil {
-		t.Error("malformed traceparent accepted")
-	}
-	if _, err := ParseTraceparent("00-" + strings.Repeat("0", 32) + "-" + strings.Repeat("0", 16) + "-01"); err == nil {
-		t.Error("all-zero traceparent accepted")
-	}
-}
-
 func TestSpanContextWire(t *testing.T) {
 	tr := &Tracer{}
 	tr.Enable(4)

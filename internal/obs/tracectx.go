@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 )
 
 // TraceID identifies one causal tree of spans across processes (a command's
@@ -37,34 +36,6 @@ type SpanContext struct {
 
 // IsZero reports whether the context carries no trace.
 func (sc SpanContext) IsZero() bool { return sc.TraceID.IsZero() && sc.SpanID.IsZero() }
-
-// Traceparent renders the context in the W3C trace-context header form
-// "00-<32 hex trace-id>-<16 hex parent-id>-01" (version 00, sampled flag
-// set; this tracer records every span it is handed).
-func (sc SpanContext) Traceparent() string {
-	return "00-" + sc.TraceID.String() + "-" + sc.SpanID.String() + "-01"
-}
-
-// ParseTraceparent parses the W3C traceparent form produced by
-// Traceparent. Unknown versions are accepted as long as the field layout
-// matches (per the spec's forward-compatibility rule); trailing fields
-// beyond the flags are ignored.
-func ParseTraceparent(s string) (SpanContext, error) {
-	var sc SpanContext
-	if len(s) < 55 || s[2] != '-' || s[35] != '-' || s[52] != '-' {
-		return sc, fmt.Errorf("obs: malformed traceparent %q", s)
-	}
-	if _, err := hex.Decode(sc.TraceID[:], []byte(s[3:35])); err != nil {
-		return sc, fmt.Errorf("obs: traceparent trace-id: %w", err)
-	}
-	if _, err := hex.Decode(sc.SpanID[:], []byte(s[36:52])); err != nil {
-		return sc, fmt.Errorf("obs: traceparent parent-id: %w", err)
-	}
-	if sc.IsZero() {
-		return sc, fmt.Errorf("obs: traceparent %q has all-zero ids", s)
-	}
-	return sc, nil
-}
 
 // SpanContextWireSize is the binary encoding length of a SpanContext
 // (trace ID then span ID, no version byte — framing supplies one).

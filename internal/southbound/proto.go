@@ -41,8 +41,9 @@ const (
 	MsgFailureReport
 	// MsgAck acknowledges a command by Seq.
 	MsgAck
-	// MsgTelemetry carries an opaque fleet-telemetry report (see
-	// internal/obs/fleet) from agent to controller in the Payload trailer.
+	// MsgTelemetry carries a fleet-telemetry report — the changed rows of
+	// the agent's /metrics.json document, opaque at this layer (see
+	// internal/obs/fleet) — from agent to controller in the Payload trailer.
 	MsgTelemetry
 	// MsgSlotDelta carries one satellite's batch of ISL add/remove ops for
 	// a control slot (the delta enforcement path). The ops ride the
@@ -119,9 +120,10 @@ const (
 	// after the trace trailer (when present). Same compatibility story as
 	// traceMarker: old readers treat it as ignorable padding.
 	payloadMarker = 0x50 // 'P'
-	// MaxTelemetryPayload bounds the opaque payload trailer: large enough
-	// for a worst-case baseline fleet report, small enough that a corrupt
-	// length cannot balloon controller memory.
+	// MaxTelemetryPayload bounds the opaque payload trailer: the budget
+	// a fleet report is encoded to (a registry that needs more is shipped
+	// over several reports), small enough that a corrupt length cannot
+	// balloon controller memory.
 	MaxTelemetryPayload = 1 << 18
 	// payloadHeaderLen is marker + uint32 payload length.
 	payloadHeaderLen = 1 + 4

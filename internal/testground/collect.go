@@ -88,10 +88,8 @@ func (p *metricsPoller) pollOnce() {
 			if err != nil || resp.StatusCode != http.StatusOK {
 				return
 			}
-			var doc struct {
-				Series []obs.Sample `json:"series"`
-			}
-			if json.Unmarshal(body, &doc) != nil {
+			doc, err := obs.DecodeDoc(body)
+			if err != nil {
 				return
 			}
 			p.mu.Lock()

@@ -6,7 +6,6 @@ package testground
 // show the fault observed (a silent agent) and the SLO rules passing.
 
 import (
-	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -156,10 +155,8 @@ func TestRunExecKillsAgentOnSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatalf("controller metrics artifact: %v", err)
 	}
-	var doc struct {
-		Series []obs.Sample `json:"series"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
+	doc, err := obs.DecodeDoc(raw)
+	if err != nil {
 		t.Fatalf("controller metrics artifact: %v", err)
 	}
 	value := func(name string, labels ...string) float64 {

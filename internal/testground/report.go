@@ -4,9 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"sort"
 
-	"repro/internal/chaos"
 	"repro/internal/obs"
 	"repro/internal/obs/fleet"
 	"repro/internal/obs/flightrec"
@@ -154,35 +152,15 @@ func ReadReportFile(path string) (*RunReport, error) {
 	return &r, nil
 }
 
-// rollupFromView condenses an exec-mode /fleet document.
-func rollupFromView(v *fleet.View) *FleetRollup {
-	r := &FleetRollup{
-		Agents:       len(v.Agents),
-		States:       v.States,
-		DecodeErrors: v.DecodeErrors,
-	}
-	for _, a := range v.Agents {
-		r.Reports += a.Reports
-		r.Gaps += a.Gaps
-		if a.State == fleet.StateSilent {
-			r.Silent = append(r.Silent, int(a.ID))
-		}
-	}
-	sort.Ints(r.Silent)
-	return r
-}
-
-// rollupFromChaos condenses a virtual-mode campaign's fleet summary.
-func rollupFromChaos(fs *chaos.FleetSummary) *FleetRollup {
-	if fs == nil {
-		return nil
-	}
+// rollupFrom condenses a fleet summary — an exec-mode /fleet document's
+// or a virtual-mode campaign's — into the report's rollup.
+func rollupFrom(s fleet.Summary) *FleetRollup {
 	return &FleetRollup{
-		Agents:       fs.Agents,
-		States:       fs.States,
-		Silent:       fs.Silent,
-		Reports:      fs.Reports,
-		Gaps:         fs.Gaps,
-		DecodeErrors: fs.DecodeErrors,
+		Agents:       s.Agents,
+		States:       s.States,
+		Silent:       s.Silent,
+		Reports:      s.Reports,
+		Gaps:         s.Gaps,
+		DecodeErrors: s.DecodeErrors,
 	}
 }

@@ -224,7 +224,7 @@ func RunExec(m *Manifest, cfg ExecConfig) (*RunReport, error) {
 		fmt.Fprintf(cfg.Log, "%v\n", err)
 	}
 
-	run := &RunReport{Plan: *m, Faults: faults, Fleet: rollupFromView(view)}
+	run := &RunReport{Plan: *m, Faults: faults, Fleet: rollupFrom(view.Summary())}
 	if err := run.Score(scoreSamples(view, poller.Samples()), nil); err != nil {
 		return nil, err
 	}
@@ -281,20 +281,22 @@ func signalFault(p *proc, kind string) error {
 }
 
 // scoreSamples builds the exec-mode scoring sample set: the fleet
-// snapshot's derived health series and per-agent totals, plus the
-// controller's own series — minus rollup duplicates (series the fleet
-// totals already carry, and per-agent split series).
+// snapshot's summary series, then its fleet-wide totals, then the
+// controller's own series. A name an earlier source carries shadows the
+// later ones (the live rollup exports most summary series too, and counter
+// sums must not double), and per-agent split series are dropped.
 func scoreSamples(view *fleet.View, ctlSamples []obs.Sample) []obs.Sample {
-	out := view.SLOSamples()
-	have := make(map[string]bool, len(out))
-	for _, s := range out {
-		have[s.Name] = true
-	}
-	for _, s := range ctlSamples {
-		if have[s.Name] || s.Labels["agent"] != "" {
-			continue
+	out := view.Summary().Samples()
+	for _, src := range [][]obs.Sample{view.Totals, ctlSamples} {
+		have := make(map[string]bool, len(out))
+		for _, s := range out {
+			have[s.Name] = true
 		}
-		out = append(out, s)
+		for _, s := range src {
+			if !have[s.Name] && s.Labels["agent"] == "" {
+				out = append(out, s)
+			}
+		}
 	}
 	return out
 }

@@ -70,7 +70,7 @@ func RunVirtual(m *Manifest, dir string) (*RunReport, error) {
 		return nil, fmt.Errorf("testground: %s: %w", m.Name, err)
 	}
 
-	run := &RunReport{Plan: *m, Fleet: rollupFromChaos(rep.Fleet)}
+	run := &RunReport{Plan: *m, Fleet: rollupFrom(rep.Fleet.Summary)}
 	for _, rr := range rep.Rounds {
 		for _, f := range rr.Faults {
 			run.Faults = append(run.Faults, FaultRecord{AtS: float64(rr.Round), Kind: f})
