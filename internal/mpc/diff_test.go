@@ -1,7 +1,10 @@
 package mpc
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -78,6 +81,88 @@ func TestDiffLinksBatchBySatellite(t *testing.T) {
 				t.Fatalf("BatchBySatellite = %+v, want %+v", got, tc.batches)
 			}
 		})
+	}
+}
+
+// setDiff is DiffLinks as it was before the merge walk — two link sets and
+// a sort — kept as the reference the walk is tested against.
+func setDiff(prev, cur *Snapshot) (added, removed []Link) {
+	var ps map[Link]bool
+	if prev != nil {
+		ps = prev.LinkSet()
+	}
+	cs := cur.LinkSet()
+	for l := range cs {
+		if !ps[l] {
+			added = append(added, l)
+		}
+	}
+	for l := range ps {
+		if !cs[l] {
+			removed = append(removed, l)
+		}
+	}
+	slices.SortFunc(added, cmpLink)
+	slices.SortFunc(removed, cmpLink)
+	return
+}
+
+// TestDiffLinksMatchesSetDiff is the merge walk's property test: on seeded
+// snapshot pairs — sorted lists as compile produces them, shuffled lists
+// as hand-built snapshots carry, pairs listed twice in one list or once in
+// each, empty sides, nil prev — and on a compiled chain with a repaired
+// snapshot in it, DiffLinks returns what the set difference does.
+func TestDiffLinksMatchesSetDiff(t *testing.T) {
+	check := func(name string, prev, cur *Snapshot) {
+		t.Helper()
+		added, removed := DiffLinks(prev, cur)
+		wantAdded, wantRemoved := setDiff(prev, cur)
+		if !reflect.DeepEqual(added, wantAdded) || !reflect.DeepEqual(removed, wantRemoved) {
+			t.Fatalf("%s: DiffLinks = +%v −%v, set difference +%v −%v", name, added, removed, wantAdded, wantRemoved)
+		}
+	}
+	rng := rand.New(rand.NewSource(20))
+	links := func(n int, sorted bool) []Link {
+		var out []Link
+		for len(out) < n {
+			l := MakeLink(rng.Intn(12), 12+rng.Intn(12))
+			out = append(out, l)
+			if rng.Intn(8) == 0 {
+				out = append(out, l) // listed twice
+			}
+		}
+		if sorted {
+			slices.SortFunc(out, cmpLink)
+		}
+		return out
+	}
+	for trial := 0; trial < 500; trial++ {
+		sorted := trial%2 == 0
+		snap := func() *Snapshot {
+			return &Snapshot{InterLinks: links(rng.Intn(30), sorted), RingLinks: links(rng.Intn(30), sorted)}
+		}
+		prev, cur := snap(), snap()
+		if trial%5 == 0 {
+			prev = nil
+		}
+		check(fmt.Sprintf("seeded pair %d", trial), prev, cur)
+	}
+
+	c, _ := newController(t)
+	var prev *Snapshot
+	for s := 0; s < 8; s++ {
+		cur := c.DeltaCompile(prev, float64(s)*60)
+		check(fmt.Sprintf("compiled slot %d", s), prev, cur)
+		if s == 4 {
+			// A repaired snapshot can list one pair as inter-cell and ring
+			// link; make sure this one does.
+			cur, _ = c.Repair(cur, cur.InterLinks[:1], nil, 0)
+			cur.InterLinks = append(cur.InterLinks, cur.RingLinks[0])
+			slices.SortFunc(cur.InterLinks, cmpLink)
+			check("repaired slot against its plan", prev, cur)
+			check("repaired slot from nothing", nil, cur)
+		}
+		prev = cur
 	}
 }
 

@@ -13,10 +13,11 @@
 package mpc
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -173,8 +174,8 @@ func (s *Snapshot) LinkSet() map[Link]bool {
 // geometry flows through a concurrency-safe propagation cache.
 type Controller struct {
 	cfg Config
-	// geo memoizes orbit propagation, per-pair visibility runs and
-	// per-slot geometry across slots (and across Compile/Repair).
+	// geo holds the propagation inputs and memoizes per-slot geometry
+	// across slots (and across Compile/Repair).
 	geo *orbit.PropCache
 	// footprint[s] is satellite s's coverage angular radius, constant
 	// over time for circular orbits.
@@ -183,19 +184,22 @@ type Controller struct {
 	// alone, computed once because the config is read-only after New.
 	topo topoPlan
 	// deltaMu serializes DeltaCompile calls: the chain compiles every slot
-	// in the one scratch it keeps.
+	// in the one scratch it keeps, and the scratch's tables are indexed
+	// without a lock of their own because deltaMu's holder is their only
+	// user.
 	deltaMu sync.Mutex
 	//tinyleo:guardedby deltaMu
 	delta slotScratch
 }
 
-// slotScratch is the working memory of one slot compile: the slot's τ
-// table and the matching stages' buffers, none of which outlives the
-// compile. Compile allocates one per call; the DeltaCompile chain keeps
-// one and reuses it, so a warm slot allocates only what its snapshot and
-// the matchings' own results hold.
+// slotScratch is the working memory of one slot compile: the slot's
+// position, τ and visibility-run tables and the matching stages' buffers.
+// Compile allocates one per call; the DeltaCompile chain keeps one and
+// reuses it, so a warm slot allocates only what its snapshot holds, and
+// its lifetime walks skip the samples the previous slot's runs observed.
 type slotScratch struct {
 	life  orbit.LifeTable
+	match stablematch.Matcher
 	taken []bool // per satellite: already holds a gateway assignment
 	sats  []int  // the current cell's unassigned satellites
 	w, rw matrix // τ weights of the current matching, and their transpose
@@ -253,7 +257,7 @@ func newTopoPlan(topo *intent.Topology) topoPlan {
 		}
 		tp.order[ci] = ci
 	}
-	sort.SliceStable(tp.order, func(a, b int) bool { return total[tp.order[a]] > total[tp.order[b]] })
+	slices.SortStableFunc(tp.order, func(a, b int) int { return cmp.Compare(total[b], total[a]) })
 	return tp
 }
 
@@ -300,7 +304,6 @@ func (c *Controller) DeltaCompile(prev *Snapshot, t float64) *Snapshot {
 	if prev == nil {
 		return c.Compile(t)
 	}
-	c.geo.EnableWarmLifetimes()
 	c.deltaMu.Lock()
 	defer c.deltaMu.Unlock()
 	// prev's geometry stays for a Repair of prev; older slots are never
@@ -346,7 +349,7 @@ func (c *Controller) compile(t float64, sc *slotScratch, prev *Snapshot) *Snapsh
 	}
 	// Every τ the matching stages consult is between two satellites of
 	// these coverage lists, at this one slot time.
-	lt := &sc.life
+	lt, mt := &sc.life, &sc.match
 	lt.Reset(sg, cover)
 	if prev != nil {
 		prevCover := make([][]int, len(tp.cells))
@@ -391,8 +394,8 @@ func (c *Controller) compile(t float64, sc *slotScratch, prev *Snapshot) *Snapsh
 			}
 		}
 		matched++
-		rRank := stablematch.RanksFromPrefs(stablematch.PrefsFromWeights(rw, 0), len(sats))
-		_, assigned := stablematch.ManyToOne(stablematch.PrefsFromWeights(w, 0), rRank, caps)
+		rRank := mt.RanksFromPrefs(mt.PrefsFromWeights(rw, 0), len(sats))
+		_, assigned := mt.ManyToOne(mt.PrefsFromWeights(w, 0), rRank, caps)
 		for j, v := range neighbors {
 			gws := make([]int, 0, len(assigned[j]))
 			for _, i := range assigned[j] {
@@ -423,14 +426,14 @@ func (c *Controller) compile(t float64, sc *slotScratch, prev *Snapshot) *Snapsh
 				rw[j][i] = w[i][j]
 			}
 		}
-		rRank := stablematch.RanksFromPrefs(stablematch.PrefsFromWeights(rw, 0), len(gu))
-		for i, j := range stablematch.OneToOne(stablematch.PrefsFromWeights(w, 0), rRank) {
+		rRank := mt.RanksFromPrefs(mt.PrefsFromWeights(rw, 0), len(gu))
+		for i, j := range mt.OneToOne(mt.PrefsFromWeights(w, 0), rRank) {
 			if j >= 0 {
 				snap.InterLinks = append(snap.InterLinks, MakeLink(gu[i], gv[j]))
 			}
 		}
 	}
-	sort.Slice(snap.InterLinks, func(a, b int) bool { return lessLink(snap.InterLinks[a], snap.InterLinks[b]) })
+	slices.SortFunc(snap.InterLinks, cmpLink)
 	lt.Flush()
 
 	// Stage 3: intra-cell ring over each cell's gateway satellites.
@@ -478,12 +481,7 @@ func sortedDeficitKeys(m map[[2]int]int) [][2]int {
 	for key := range m {
 		keys = append(keys, key)
 	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a][0] != keys[b][0] {
-			return keys[a][0] < keys[b][0]
-		}
-		return keys[a][1] < keys[b][1]
-	})
+	slices.SortFunc(keys, func(a, b [2]int) int { return cmpLink(a, b) })
 	return keys
 }
 
@@ -521,11 +519,10 @@ func flightState(s *Snapshot, kind string) flightrec.SlotState {
 	return st
 }
 
-func lessLink(a, b Link) bool {
-	if a[0] != b[0] {
-		return a[0] < b[0]
-	}
-	return a[1] < b[1]
+// cmpLink orders links by lower endpoint, then higher: the canonical link
+// order of every list a snapshot carries.
+func cmpLink(a, b Link) int {
+	return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
 }
 
 // meanLifetime is τ_{s,v} = (1/n_v)·Σ_{s'∈v} τ_{s,s'}, each τ from the
@@ -543,30 +540,71 @@ func meanLifetime(lt *orbit.LifeTable, s int, vSats []int) float64 {
 
 // DiffLinks returns the ISLs added and removed between snapshots, each in
 // canonical link order: the reconfiguration the controller must enforce.
-// A nil prev is the bootstrap diff, where every link of cur is added. Both
-// sides go through LinkSet, so a pair a repaired snapshot lists as both an
-// inter-cell and a ring link is reported once.
+// A nil prev is the bootstrap diff, where every link of cur is added. Each
+// side is walked as the set of its links, so a pair a repaired snapshot
+// lists as both an inter-cell and a ring link is reported once.
 func DiffLinks(prev, cur *Snapshot) (added, removed []Link) {
-	var ps map[Link]bool
+	var p linkWalk
 	if prev != nil {
-		ps = prev.LinkSet()
+		p = walkLinks(prev)
 	}
-	cs := cur.LinkSet()
-	for l := range cs {
-		if !ps[l] {
-			added = append(added, l)
+	c := walkLinks(cur)
+	pl, pok := p.next()
+	cl, cok := c.next()
+	for pok || cok {
+		switch order := cmpLink(pl, cl); {
+		case !pok || (cok && order > 0):
+			added = append(added, cl)
+			cl, cok = c.next()
+		case !cok || order < 0:
+			removed = append(removed, pl)
+			pl, pok = p.next()
+		default:
+			pl, pok = p.next()
+			cl, cok = c.next()
 		}
 	}
-	for l := range ps {
-		if !cs[l] {
-			removed = append(removed, l)
-		}
-	}
-	sort.Slice(added, func(a, b int) bool { return lessLink(added[a], added[b]) })
-	sort.Slice(removed, func(a, b int) bool { return lessLink(removed[a], removed[b]) })
 	obsLinksAdded.Add(int64(len(added)))
 	obsLinksRemoved.Add(int64(len(removed)))
 	return
+}
+
+// linkWalk yields the union of a snapshot's two link lists in canonical
+// order, each link once, by merging them: compile, Repair and ringLinks
+// leave both lists sorted.
+type linkWalk struct{ inter, ring []Link }
+
+// walkLinks starts a walk over s's links. A list that is not in canonical
+// order (hand-built snapshots) is walked over a sorted copy, so the walk
+// never depends on input order.
+func walkLinks(s *Snapshot) linkWalk {
+	sorted := func(links []Link) []Link {
+		if !slices.IsSortedFunc(links, cmpLink) {
+			links = slices.Clone(links)
+			slices.SortFunc(links, cmpLink)
+		}
+		return links
+	}
+	return linkWalk{inter: sorted(s.InterLinks), ring: sorted(s.RingLinks)}
+}
+
+// next returns the walk's next link, or false at the end.
+func (w *linkWalk) next() (l Link, ok bool) {
+	switch {
+	case len(w.inter) == 0 && len(w.ring) == 0:
+		return Link{}, false
+	case len(w.ring) == 0 || (len(w.inter) > 0 && cmpLink(w.inter[0], w.ring[0]) <= 0):
+		l = w.inter[0]
+	default:
+		l = w.ring[0]
+	}
+	for len(w.inter) > 0 && w.inter[0] == l {
+		w.inter = w.inter[1:]
+	}
+	for len(w.ring) > 0 && w.ring[0] == l {
+		w.ring = w.ring[1:]
+	}
+	return l, true
 }
 
 // SatBatch is one satellite's share of a link diff: the peers to
@@ -606,7 +644,7 @@ func BatchBySatellite(added, removed []Link) []SatBatch {
 	for _, b := range bySat {
 		out = append(out, *b)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Sat < out[j].Sat })
+	slices.SortFunc(out, func(a, b SatBatch) int { return cmp.Compare(a.Sat, b.Sat) })
 	return out
 }
 
@@ -797,7 +835,7 @@ func (c *Controller) Repair(s *Snapshot, failedLinks []Link, failedSats []int, r
 			}
 		}
 	}
-	sort.Slice(out.InterLinks, func(a, b int) bool { return lessLink(out.InterLinks[a], out.InterLinks[b]) })
+	slices.SortFunc(out.InterLinks, cmpLink)
 	// Rebuild rings from the (possibly changed) gateway sets.
 	out.RingLinks = c.ringLinks(sg, out.Gateways, failSet)
 	// Ring links to establish are also instructions.
@@ -912,31 +950,22 @@ func (c *Controller) ringLinks(sg *orbit.SlotGeom, gateways map[[2]int][]int, fa
 			links = append(links, l)
 		}
 	}
+	var members []int // one cell's ring, reused from cell to cell
 	for ci, u := range c.topo.cells {
-		ringSet := map[int]bool{}
+		members = members[:0]
 		for _, v := range c.topo.neighbors[ci] {
-			for _, s := range gateways[[2]int{u, v}] {
-				ringSet[s] = true
-			}
+			members = append(members, gateways[[2]int{u, v}]...)
 		}
-		if len(ringSet) < 2 {
+		slices.SortFunc(members, func(a, b int) int {
+			pa, pb := sg.SubPoint(a), sg.SubPoint(b)
+			return cmp.Or(cmp.Compare(pa.Lon, pb.Lon), cmp.Compare(pa.Lat, pb.Lat), cmp.Compare(a, b))
+		})
+		// A repaired satellite can serve two edges of the cell; it joins
+		// the ring once.
+		members = slices.Compact(members)
+		if len(members) < 2 {
 			continue
 		}
-		members := make([]int, 0, len(ringSet))
-		for s := range ringSet {
-			members = append(members, s)
-		}
-		sort.Slice(members, func(a, b int) bool {
-			pa := sg.SubPoint(members[a])
-			pb := sg.SubPoint(members[b])
-			if pa.Lon != pb.Lon {
-				return pa.Lon < pb.Lon
-			}
-			if pa.Lat != pb.Lat {
-				return pa.Lat < pb.Lat
-			}
-			return members[a] < members[b]
-		})
 		if len(members) == 2 {
 			closeRing(members[0], members[1])
 			continue
@@ -945,7 +974,7 @@ func (c *Controller) ringLinks(sg *orbit.SlotGeom, gateways map[[2]int][]int, fa
 			closeRing(members[i], members[(i+1)%len(members)])
 		}
 	}
-	sort.Slice(links, func(a, b int) bool { return lessLink(links[a], links[b]) })
+	slices.SortFunc(links, cmpLink)
 	return links
 }
 

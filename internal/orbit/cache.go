@@ -10,88 +10,35 @@ import (
 
 // This file implements the propagation cache behind TinyLEO's slot
 // compile (paper §4.2: the MPC "precomputes each satellite's serving
-// cells" offline and only assembles topologies online). What it keeps is
-// what consecutive control slots share: ECI positions, which the lifetime
-// windows of neighbouring slots sample at bit-identical times, and each
-// pair's last visibility run. Both are pure functions of their key, so
-// neither changes a single output bit. Pair lifetimes τ are not kept
-// here: their key includes a slot time that never recurs, so one slot
-// compile holds them in a LifeTable and drops them with the slot.
+// cells" offline and only assembles topologies online). The cache itself
+// keeps what every compile on one controller shares: the satellites, the
+// ISL and lifetime-window parameters, the sample offsets of that window,
+// and the per-slot geometry. What one compile samples — ECI positions at
+// the window's sample times, pair lifetimes τ, and each pair's last
+// visibility run — is indexed, not hashed, and lives in the compile's own
+// LifeTable (lifetable.go).
 
-// cacheShards spreads the position and visibility-run maps over
-// independently locked shards: Compile, DeltaCompile and Repair may run
-// on one controller at the same time and should not meet on one mutex.
-const cacheShards = 64
-
-// maxShardEntries bounds each shard; a shard that grows past the bound is
-// reset wholesale (both maps are pure caches, so dropping entries only
-// costs recomputation). A slot samples each active satellite at up to
-// horizon/step new times, so without the bound the position map would
-// grow for as long as the controller runs.
-const maxShardEntries = 1 << 14
-
-// posKey identifies a memoized propagation: satellite index and the exact
-// time quantized to its float64 bit pattern. Keying on the bit pattern
-// makes cached positions bit-identical to direct propagation — equal
-// times share an entry, near-equal times do not alias.
-type posKey struct {
-	sat   int32
-	tbits uint64
-}
-
-type posShard struct {
-	mu sync.RWMutex
-	//tinyleo:guardedby mu
-	m map[posKey]geom.Vec3
-}
-
-// visRun records the outcome of one lifetime evaluation for a satellite
-// pair: which visibility samples the stepping loop observed and what they
-// were. A later evaluation of the same pair at a nearby establishment
-// time re-derives most of its samples from the record instead of calling
-// Visible — soundly, because a sample is only reused when its absolute
-// time is bit-identical to one the recorded run actually evaluated, and
-// visibility is a pure function of (pair, time).
-type visRun struct {
-	base    float64 // establishment time of the recorded run
-	lastVis float64 // latest sample time known visible (valid if visAny)
-	end     float64 // first sample time known invisible (valid if !capped)
-	visAny  bool    // at least one visible sample was observed
-	capped  bool    // the run reached the horizon without going invisible
-}
-
-type runShard struct {
-	mu sync.Mutex
-	//tinyleo:guardedby mu
-	m map[[2]int32]visRun
-}
-
-// PropCache memoizes orbit propagation for a fixed satellite set: ECI
-// positions keyed by (satellite, quantized time), each pair's last
-// visibility run, and per-slot geometry (sub-satellite points plus a
-// spatial pruning grid) keyed by slot time.
+// PropCache holds the propagation inputs of a fixed satellite set and
+// memoizes per-slot geometry (sub-satellite points plus a spatial pruning
+// grid) keyed by slot time.
 //
 // The ISL parameters and the lifetime prediction window (horizon, step)
 // are fixed at construction, matching their lifecycle in mpc.Config; a
 // controller that changes them needs a new cache.
 //
-// All methods are safe for concurrent use; cached values are
-// bit-identical to calling the underlying Elements/ISLParams methods
-// directly, so a cached compile path produces byte-identical topologies.
+// All methods are safe for concurrent use; every value is bit-identical
+// to calling the underlying Elements/ISLParams methods directly, so a
+// cached compile path produces byte-identical topologies.
 type PropCache struct {
 	sats    []Elements
 	isl     ISLParams
 	horizon float64 // lifetime prediction horizon (s)
 	step    float64 // lifetime prediction step (s)
 
-	pos [cacheShards]posShard
-
-	// warm gates the per-pair visibility-run reuse in computeLifetime;
-	// offs precomputes the stepping loop's accumulated sample offsets so
-	// a recorded sample's absolute time can be reproduced bit-exactly.
-	warm atomic.Bool
+	// offs[m] is the m-th sample offset of ISLLifetime's stepping loop,
+	// accumulated as the loop accumulates it: a lifetime established at t0
+	// samples exactly the times t0+offs[m], bit for bit.
 	offs []float64
-	runs [cacheShards]runShard
 
 	slotMu sync.Mutex
 	//tinyleo:guardedby slotMu
@@ -122,14 +69,8 @@ func NewPropCache(sats []Elements, isl ISLParams, lifetimeHorizon, lifetimeStep 
 		step:    lifetimeStep,
 		slots:   map[uint64]*slotEntry{},
 	}
-	for i := range pc.pos {
-		pc.pos[i].m = map[posKey]geom.Vec3{}
-	}
-	for i := range pc.runs {
-		pc.runs[i].m = map[[2]int32]visRun{}
-	}
-	// Mirror computeLifetime's accumulation (t += step) exactly so
-	// offs[m] reproduces the m-th sample offset bit for bit.
+	// Mirror ISLLifetime's accumulation (t += step) exactly so offs[m]
+	// reproduces the m-th sample offset bit for bit.
 	pc.offs = append(pc.offs, 0)
 	for t := pc.step; t <= pc.horizon; t += pc.step {
 		pc.offs = append(pc.offs, t)
@@ -137,148 +78,19 @@ func NewPropCache(sats []Elements, isl ISLParams, lifetimeHorizon, lifetimeStep 
 	return pc
 }
 
-// EnableWarmLifetimes turns on per-pair visibility-run reuse: lifetime
-// evaluations record which samples they observed, and later evaluations
-// of the same pair skip samples whose absolute time is bit-identical to
-// a recorded observation. Outputs stay bit-identical to the cold path —
-// only redundant Visible calls are elided. Safe to call at any time;
-// once on, it stays on for the cache's lifetime.
-func (pc *PropCache) EnableWarmLifetimes() { pc.warm.Store(true) }
-
 // NumSats returns the size of the cached satellite set.
 func (pc *PropCache) NumSats() int { return len(pc.sats) }
 
-// shardIndex mixes a key into a shard slot (Fibonacci hashing on the
-// time bits, offset by the satellite index so same-time lookups of
-// different satellites spread too).
-func shardIndex(a, b int32, tbits uint64) int {
-	h := tbits*0x9e3779b97f4a7c15 + uint64(a)*0x85ebca6b + uint64(b)*0xc2b2ae35
-	return int((h >> 32) % cacheShards)
-}
-
-// PositionECI returns satellite i's ECI position at time t, memoized.
-// The value is bit-identical to pc's Elements[i].PositionECI(t).
-func (pc *PropCache) PositionECI(i int, t float64) geom.Vec3 {
-	k := posKey{sat: int32(i), tbits: math.Float64bits(t)}
-	sh := &pc.pos[shardIndex(k.sat, 0, k.tbits)]
-	sh.mu.RLock()
-	v, ok := sh.m[k]
-	sh.mu.RUnlock()
-	if ok {
-		pc.posHits.Add(1)
-		return v
-	}
-	pc.posMisses.Add(1)
-	v = pc.sats[i].PositionECI(t)
-	sh.mu.Lock()
-	if len(sh.m) >= maxShardEntries {
-		sh.m = make(map[posKey]geom.Vec3, maxShardEntries/4)
-	}
-	sh.m[k] = v
-	sh.mu.Unlock()
-	return v
-}
-
 // Lifetime returns the predicted ISL lifetime τ between satellites i and
-// j established at time t0, computed on every call (a slot compile keeps
-// its τ in a LifeTable; Repair asks for too few to need one). It equals
-// ISLLifetime(sats[i], sats[j], t0, horizon, step, isl) bit for bit.
+// j established at time t0: ISLLifetime(sats[i], sats[j], t0, horizon,
+// step, isl), computed on every call (a slot compile keeps its τ in a
+// LifeTable; Repair asks for too few to need one).
 func (pc *PropCache) Lifetime(i, j int, t0 float64) float64 {
 	pc.lifeMisses.Add(1)
-	return pc.computeLifetime(i, j, t0)
-}
-
-// computeLifetime is ISLLifetime with memoized propagation. The loop
-// structure (t += dt accumulation, <= horizon bound) must stay identical
-// to ISLLifetime so both paths evaluate the same float64 times.
-func (pc *PropCache) computeLifetime(i, j int, t0 float64) float64 {
 	if i > j {
 		i, j = j, i
 	}
-	if pc.warm.Load() {
-		return pc.warmLifetime(i, j, t0)
-	}
-	if !pc.isl.Visible(pc.PositionECI(i, t0), pc.PositionECI(j, t0)) {
-		return 0
-	}
-	for t := pc.step; t <= pc.horizon; t += pc.step {
-		if !pc.isl.Visible(pc.PositionECI(i, t0+t), pc.PositionECI(j, t0+t)) {
-			return t
-		}
-	}
-	return pc.horizon
-}
-
-// warmLifetime is computeLifetime with per-pair visibility-run reuse: it
-// walks the identical sample sequence, but resolves any sample whose
-// absolute time bit-matches one the pair's previous run observed from
-// the record instead of calling Visible. Because visibility is a pure
-// function of (pair, time) and reuse requires bitwise time identity, the
-// returned τ is bit-identical to the cold path.
-func (pc *PropCache) warmLifetime(i, j int, t0 float64) float64 {
-	key := [2]int32{int32(i), int32(j)}
-	sh := &pc.runs[shardIndex(key[0], key[1], 0)]
-	sh.mu.Lock()
-	r, hasRun := sh.m[key]
-	sh.mu.Unlock()
-	// The run's sample grid and ours share the step, so the candidate
-	// record index of sample idx is idx plus a constant base shift —
-	// computed once here instead of a Round+divide per sample. lookup's
-	// bitwise time check still validates every candidate, so a wrong
-	// guess degrades to a real Visible call, never a wrong answer.
-	shift := 0
-	if hasRun {
-		shift = int(math.Round((t0 - r.base) / pc.step))
-	}
-	var samples, skips uint64
-	offs := pc.offs
-	// visible resolves one sample, preferring the recorded run. The fast
-	// path is inlined (no lookup call) because a warm delta compile walks
-	// it for nearly every sample of every pair evaluation.
-	visible := func(idx int, s float64) bool {
-		samples++
-		if hasRun {
-			if m := idx + shift; m >= 0 && m < len(offs) && r.base+offs[m] == s {
-				if r.visAny && s <= r.lastVis {
-					skips++
-					return true
-				}
-				if !r.capped && s == r.end {
-					skips++
-					return false
-				}
-			}
-		}
-		return pc.isl.Visible(pc.PositionECI(i, s), pc.PositionECI(j, s))
-	}
-	nr := visRun{base: t0}
-	tau := pc.horizon
-	if !visible(0, t0) {
-		tau = 0
-		nr.end = t0
-	} else {
-		nr.visAny, nr.lastVis, nr.capped = true, t0, true
-		idx := 1
-		for t := pc.step; t <= pc.horizon; t += pc.step {
-			s := t0 + t
-			if !visible(idx, s) {
-				tau = t
-				nr.end, nr.capped = s, false
-				break
-			}
-			nr.lastVis = s
-			idx++
-		}
-	}
-	sh.mu.Lock()
-	if len(sh.m) >= maxShardEntries {
-		sh.m = make(map[[2]int32]visRun, maxShardEntries/4)
-	}
-	sh.m[key] = nr
-	sh.mu.Unlock()
-	pc.warmSamples.Add(samples)
-	pc.warmSkips.Add(skips)
-	return tau
+	return ISLLifetime(pc.sats[i], pc.sats[j], t0, pc.horizon, pc.step, pc.isl)
 }
 
 // Slot returns the memoized per-slot geometry at time t, building it on
@@ -297,9 +109,9 @@ func (pc *PropCache) Slot(t float64) *SlotGeom {
 }
 
 // DropSlotsBefore evicts slot geometries older than t (long-running
-// controllers compile an unbounded slot sequence; the position and
-// visibility-run maps are already bounded by per-shard resets). A holder
-// of an evicted geometry keeps using it, and Slot rebuilds one on demand.
+// controllers compile an unbounded slot sequence, and this map is the one
+// thing the cache keeps per slot). A holder of an evicted geometry keeps
+// using it, and Slot rebuilds one on demand.
 func (pc *PropCache) DropSlotsBefore(t float64) {
 	pc.slotMu.Lock()
 	defer pc.slotMu.Unlock()
@@ -327,8 +139,9 @@ func (pc *PropCache) buildSlot(t float64) *SlotGeom {
 	}
 	rot := -GMST(t)
 	g.subU = make([]geom.Vec3, len(pc.sats))
+	pc.posMisses.Add(uint64(len(pc.sats)))
 	for i := range pc.sats {
-		p := pc.PositionECI(i, t)
+		p := pc.sats[i].PositionECI(t)
 		g.pos[i] = p
 		// Identical to Elements.SubSatellitePoint: ECEF = ECI·RotZ(−GMST).
 		g.sub[i] = geom.FromUnit(p.RotZ(rot))
@@ -363,12 +176,12 @@ func (pc *PropCache) Stats() CacheStats {
 	}
 }
 
-// CacheStats reports PropCache effectiveness: memo hits and misses for
-// positions and pair lifetimes (a lifetime hit is a τ served from a slot's
-// LifeTable, a miss one that was computed), candidate pairs the spatial
-// grid pruned without any propagation, and — when warm lifetimes are
-// enabled — how many visibility samples were evaluated and how many of
-// those were resolved from a prior run's record without calling Visible.
+// CacheStats reports how much propagation the slot tables saved: hits and
+// misses for positions and pair lifetimes (a hit is a value served from a
+// compile's LifeTable, a miss one that was computed), candidate pairs the
+// spatial grid pruned without any propagation, and how many visibility
+// samples the tables' lifetime walks resolved and how many of those came
+// from the pair's previous run without calling Visible.
 type CacheStats struct {
 	PosHits, PosMisses     uint64
 	LifeHits, LifeMisses   uint64
@@ -496,6 +309,18 @@ func intsEqual(a, b []int) bool {
 // adjacent grid cells on every axis, so differing by two or more cells
 // rejects without computing a distance.
 func (g *SlotGeom) InRange(i, j int) bool {
+	if !g.inRange(i, j) {
+		g.cache.pruned.Add(1)
+		return false
+	}
+	return true
+}
+
+// inRange is InRange without the pruned-pair count, which a LifeTable
+// keeps in a local and flushes once per compile.
+//
+//tinyleo:hotpath
+func (g *SlotGeom) inRange(i, j int) bool {
 	if g.maxRange <= 0 {
 		return true
 	}
@@ -503,14 +328,9 @@ func (g *SlotGeom) InRange(i, j int) bool {
 	if bi[0]-bj[0] > 1 || bj[0]-bi[0] > 1 ||
 		bi[1]-bj[1] > 1 || bj[1]-bi[1] > 1 ||
 		bi[2]-bj[2] > 1 || bj[2]-bi[2] > 1 {
-		g.cache.pruned.Add(1)
 		return false
 	}
-	if g.pos[i].DistSq(g.pos[j]) > g.maxRange*g.maxRange {
-		g.cache.pruned.Add(1)
-		return false
-	}
-	return true
+	return g.pos[i].DistSq(g.pos[j]) <= g.maxRange*g.maxRange
 }
 
 // Lifetime returns the predicted lifetime τ of an ISL between satellites

@@ -31,24 +31,27 @@ func newTestCache(planes, perPlane int) *PropCache {
 	return NewPropCache(cacheTestConstellation(planes, perPlane), DefaultISLParams, 1800, 60)
 }
 
-// TestPropCachePositionsMatchDirect is the cache's core contract: a
-// memoized position matches direct propagation within 1e-9 m (in fact
-// bit-exactly, since keys quantize time to its float64 bit pattern).
+// TestPropCachePositionsMatchDirect is the position table's core contract:
+// every position a slot table serves — propagated on first use or served
+// back from the table — equals Elements.PositionECI at the slot time plus
+// the sample offset, bit for bit, at arbitrary slot times.
 func TestPropCachePositionsMatchDirect(t *testing.T) {
 	pc := newTestCache(6, 6)
 	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 2000; trial++ {
-		i := rng.Intn(pc.NumSats())
-		tt := rng.Float64() * 86400
-		got := pc.PositionECI(i, tt)
-		want := pc.sats[i].PositionECI(tt)
-		if math.Abs(got.X-want.X) > 1e-9 || math.Abs(got.Y-want.Y) > 1e-9 || math.Abs(got.Z-want.Z) > 1e-9 {
-			t.Fatalf("sat %d t=%v: cached %v != direct %v", i, tt, got, want)
+	var lt LifeTable
+	for slot := 0; slot < 40; slot++ {
+		t0 := rng.Float64() * 86400
+		lt.Reset(pc.Slot(t0), allActive(pc))
+		for trial := 0; trial < 50; trial++ {
+			i, m := rng.Intn(pc.NumSats()), rng.Intn(len(pc.offs))
+			want := pc.sats[i].PositionECI(t0 + pc.offs[m])
+			for rep := 0; rep < 2; rep++ {
+				if got := lt.position(m, int(lt.local[i]), i); got != want {
+					t.Fatalf("sat %d t0=%v sample %d: table %v != direct %v", i, t0, m, got, want)
+				}
+			}
 		}
-		// Second lookup must come from the memo and stay identical.
-		if again := pc.PositionECI(i, tt); again != got {
-			t.Fatalf("sat %d t=%v: repeat lookup changed: %v != %v", i, tt, again, got)
-		}
+		lt.Flush()
 	}
 	st := pc.Stats()
 	if st.PosHits == 0 || st.PosMisses == 0 {
@@ -203,6 +206,7 @@ func TestSlotGeomInRangeConservative(t *testing.T) {
 			}
 		}
 	}
+	lt.Flush()
 	if st := pc.Stats(); st.PrunedPairs != 2*uint64(pruned) {
 		t.Errorf("pruned counter %d after the table pass, want %d", st.PrunedPairs, 2*pruned)
 	}
@@ -223,8 +227,9 @@ func TestSlotGeomUnlimitedRange(t *testing.T) {
 	}
 }
 
-// TestPropCacheConcurrent hammers the cache from many goroutines (run
-// under -race in CI) and checks every answer against direct propagation.
+// TestPropCacheConcurrent hammers the cache from many goroutines, each
+// with a slot table of its own as concurrent compiles have (run under
+// -race in CI), and checks every answer against direct propagation.
 func TestPropCacheConcurrent(t *testing.T) {
 	pc := newTestCache(5, 5)
 	var wg sync.WaitGroup
@@ -233,21 +238,28 @@ func TestPropCacheConcurrent(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
+			var lt LifeTable
 			for trial := 0; trial < 300; trial++ {
 				i, j := rng.Intn(pc.NumSats()), rng.Intn(pc.NumSats())
 				tt := float64(rng.Intn(10)) * 97
-				if got, want := pc.PositionECI(i, tt), pc.sats[i].PositionECI(tt); got != want {
+				sg := pc.Slot(tt)
+				if got, want := sg.Position(i), pc.sats[i].PositionECI(tt); got != want {
 					t.Errorf("concurrent position mismatch sat %d t=%v", i, tt)
 					return
 				}
 				if i != j {
 					want := ISLLifetime(pc.sats[i], pc.sats[j], tt, pc.horizon, pc.step, pc.isl)
+					lt.Reset(sg, [][]int{{i, j}})
 					if got := pc.Lifetime(i, j, tt); got != want {
 						t.Errorf("concurrent lifetime mismatch (%d,%d) t=%v", i, j, tt)
 						return
 					}
+					if got := lt.Lifetime(i, j); got != want {
+						t.Errorf("concurrent table lifetime mismatch (%d,%d) t=%v", i, j, tt)
+						return
+					}
+					lt.Flush()
 				}
-				sg := pc.Slot(tt)
 				if sg.SubPoint(i) != pc.sats[i].SubSatellitePoint(tt) {
 					t.Errorf("concurrent subpoint mismatch sat %d t=%v", i, tt)
 					return
@@ -283,19 +295,5 @@ func TestCacheStatsHitRatio(t *testing.T) {
 	s := CacheStats{PosHits: 3, PosMisses: 1, LifeHits: 2, LifeMisses: 2}
 	if r := s.HitRatio(); math.Abs(r-5.0/8.0) > 1e-15 {
 		t.Errorf("ratio = %v, want 0.625", r)
-	}
-}
-
-// TestPropCacheShardReset: overflowing a shard resets it without
-// corrupting results (memoization is transparent).
-func TestPropCacheShardReset(t *testing.T) {
-	pc := newTestCache(2, 2)
-	// Far more distinct times than maxShardEntries across 64 shards.
-	n := maxShardEntries/8 + 1024
-	for k := 0; k < n; k++ {
-		tt := float64(k) * 0.5
-		if got, want := pc.PositionECI(0, tt), pc.sats[0].PositionECI(tt); got != want {
-			t.Fatalf("t=%v: mismatch after heavy fill", tt)
-		}
 	}
 }

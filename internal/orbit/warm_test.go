@@ -8,63 +8,65 @@ import (
 	"repro/internal/geom"
 )
 
-// TestWarmLifetimeBitIdentical is the warm path's core contract: with
-// visibility-run reuse enabled, every τ is bit-identical to a cold
-// cache's, across slot-aligned chains of slot tables (where reuse
-// actually fires) and arbitrary random times (where the bitwise sample
-// guard must reject reuse rather than corrupt a result).
+// TestWarmLifetimeBitIdentical is the warm walk's core contract: a table
+// carried from slot to slot serves τ bit-identical to ISLLifetime, across
+// a slot-aligned chain (where run reuse actually fires) and a chain of
+// arbitrary random slot times (where the bitwise sample guard must reject
+// reuse and fall back to real Visible calls rather than corrupt a result).
 func TestWarmLifetimeBitIdentical(t *testing.T) {
-	warm := newTestCache(6, 6)
-	warm.EnableWarmLifetimes()
-	cold := newTestCache(6, 6)
+	pc := newTestCache(6, 6)
 	rng := rand.New(rand.NewSource(7))
-	n := warm.NumSats()
-	// Slot-aligned chain: consecutive establishment times one step
-	// apart, one table reset per slot — the delta compiler's access
-	// pattern.
-	var wt, ct LifeTable
-	for slot := 0; slot < 8; slot++ {
-		t0 := float64(slot) * 60
-		wt.Reset(warm.Slot(t0), allActive(warm))
-		ct.Reset(cold.Slot(t0), allActive(cold))
-		for trial := 0; trial < 200; trial++ {
+	n := pc.NumSats()
+	var wt LifeTable
+	slot := func(t0 float64, trials int) {
+		wt.Reset(pc.Slot(t0), allActive(pc))
+		for trial := 0; trial < trials; trial++ {
 			i, j := rng.Intn(n), rng.Intn(n)
-			if i == j {
-				continue
-			}
 			got := wt.Lifetime(i, j)
-			want := ct.Lifetime(i, j)
+			want := ISLLifetime(pc.sats[i], pc.sats[j], t0, pc.horizon, pc.step, pc.isl)
 			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("pair (%d,%d) t0=%v: warm %v != cold %v", i, j, t0, got, want)
+				t.Fatalf("pair (%d,%d) t0=%v: warm %v != direct %v", i, j, t0, got, want)
 			}
 		}
+		wt.Flush()
 	}
-	// Misaligned times: reuse cannot fire bit-exactly, results must
-	// still match.
-	for trial := 0; trial < 500; trial++ {
-		i, j := rng.Intn(n), rng.Intn(n)
-		if i == j {
-			continue
-		}
-		t0 := rng.Float64() * 3600
-		got := warm.Lifetime(i, j, t0)
-		want := cold.Lifetime(i, j, t0)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("pair (%d,%d) t0=%v: warm %v != cold %v", i, j, t0, got, want)
-		}
+	// Slot-aligned chain: consecutive establishment times one step apart,
+	// one table reset per slot — the delta compiler's access pattern.
+	for k := 0; k < 8; k++ {
+		slot(float64(k)*60, 200)
 	}
-	st := warm.Stats()
-	if st.WarmSamples == 0 {
-		t.Fatal("warm path evaluated no samples")
+	aligned := pc.Stats()
+	if aligned.WarmSamples == 0 {
+		t.Fatal("the walks evaluated no samples")
 	}
-	if st.WarmSkips == 0 {
-		t.Error("slot-aligned chain skipped no samples; warm reuse never fired")
+	if aligned.WarmSkips == 0 {
+		t.Error("slot-aligned chain skipped no samples; run reuse never fired")
 	}
-	if r := st.WarmHitRatio(); r < 0 || r > 1 {
+	if r := aligned.WarmHitRatio(); r < 0 || r > 1 {
 		t.Errorf("WarmHitRatio out of range: %v", r)
 	}
-	if cs := cold.Stats(); cs.WarmSamples != 0 || cs.WarmSkips != 0 {
-		t.Errorf("cold cache reported warm work: %+v", cs)
+	// Misaligned times: no sample time recurs bit-exactly, so every sample
+	// is a real Visible call and the results must still match.
+	for k := 0; k < 25; k++ {
+		slot(rng.Float64()*3600, 20)
+	}
+	if st := pc.Stats(); st.WarmSkips != aligned.WarmSkips {
+		t.Errorf("misaligned chain skipped %d samples; its runs match no sample time", st.WarmSkips-aligned.WarmSkips)
+	}
+	// A table with no previous slot has no run to reuse.
+	cold := newTestCache(6, 6)
+	for k := 0; k < 3; k++ {
+		var ct LifeTable
+		ct.Reset(cold.Slot(float64(k)*60), allActive(cold))
+		for i := 0; i < n; i++ {
+			for j := 0; j < i; j++ {
+				ct.Lifetime(i, j)
+			}
+		}
+		ct.Flush()
+	}
+	if cs := cold.Stats(); cs.WarmSamples == 0 || cs.WarmSkips != 0 {
+		t.Errorf("single-slot tables reported run reuse: %+v", cs)
 	}
 }
 

@@ -104,9 +104,10 @@ type Agent struct {
 	// rng drives backoff jitter; only the read loop touches it.
 	rng *rand.Rand
 	// seen / seenRing / seenHead implement the bounded dedup window; only
-	// the read loop touches them. seenRing is a fixed-size ring buffer —
-	// a slice that is appended to and re-sliced from the front grows its
-	// backing array without bound over a long session.
+	// the read loop touches them. seenRing grows to the window and is a
+	// ring buffer from then on — a slice that is appended to and re-sliced
+	// from the front grows its backing array without bound over a long
+	// session.
 	seen     map[uint32]struct{}
 	seenRing []uint32
 	seenHead int
@@ -180,19 +181,23 @@ func (a *Agent) dedupWindow() int {
 }
 
 // isDuplicate records seq in the dedup window and reports whether it was
-// already there. Read loop only. The window is a fixed ring buffer
-// allocated once: when full, the oldest remembered sequence number is
-// evicted in place, so memory stays constant no matter how many commands
-// a session sees.
+// already there. Read loop only. The window is a ring buffer that grows
+// on demand up to the window (most agents see a few dozen commands, and a
+// fleet of them should not each pin a full window): once full, the oldest
+// remembered sequence number is evicted in place, so memory stays bounded
+// by the window no matter how many commands a session sees.
 func (a *Agent) isDuplicate(seq uint32) bool {
 	if _, ok := a.seen[seq]; ok {
 		return true
 	}
 	a.seen[seq] = struct{}{}
-	if a.seenRing == nil {
-		a.seenRing = make([]uint32, 0, a.dedupWindow())
-	}
-	if len(a.seenRing) < cap(a.seenRing) {
+	if w := a.dedupWindow(); len(a.seenRing) < w {
+		if len(a.seenRing) == cap(a.seenRing) {
+			// Doubling like append, but never past the window.
+			grown := make([]uint32, len(a.seenRing), min(max(2*cap(a.seenRing), 16), w))
+			copy(grown, a.seenRing)
+			a.seenRing = grown
+		}
 		a.seenRing = append(a.seenRing, seq)
 		return false
 	}

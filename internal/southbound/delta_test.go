@@ -53,6 +53,52 @@ func TestSeenRingStableMemory(t *testing.T) {
 	}
 }
 
+// TestDedupWindowMatchesModel drives isDuplicate with seeded sequence
+// numbers that repeat inside and outside the window and checks every
+// answer against a plain set-plus-queue model, for a small window and the
+// default: the ring grows on demand, never past the window.
+func TestDedupWindowMatchesModel(t *testing.T) {
+	for _, window := range []int{8, DefaultDedupWindow} {
+		rng := rand.New(rand.NewSource(int64(window)))
+		a := &Agent{seen: map[uint32]struct{}{}}
+		if window != DefaultDedupWindow {
+			a.opts.DedupWindow = window
+		}
+		model, queue := map[uint32]bool{}, []uint32(nil)
+		for step, fresh := 0, uint32(0); step < 10_000; step++ {
+			var seq uint32
+			switch back := rng.Intn(3 * window); {
+			case rng.Intn(2) == 0 || fresh == 0:
+				fresh++
+				seq = fresh
+			case uint32(back) < fresh:
+				seq = fresh - uint32(back) // a repeat, inside or outside the window
+			default:
+				seq = 1
+			}
+			want := model[seq]
+			if !want {
+				model[seq] = true
+				queue = append(queue, seq)
+				if len(queue) > window {
+					delete(model, queue[0])
+					queue = queue[1:]
+				}
+			}
+			if got := a.isDuplicate(seq); got != want {
+				t.Fatalf("window %d step %d seq %d: duplicate = %v, model says %v", window, step, seq, got, want)
+			}
+			if cap(a.seenRing) > window || len(a.seen) != len(model) {
+				t.Fatalf("window %d step %d: ring cap %d, %d remembered, model holds %d",
+					window, step, cap(a.seenRing), len(a.seen), len(model))
+			}
+		}
+		if window == 8 && len(a.seenRing) != window {
+			t.Errorf("window %d: ring holds %d after 10,000 commands", window, len(a.seenRing))
+		}
+	}
+}
+
 // TestSlotDeltaCodecRoundTrip covers the delta/snapshot payload codecs,
 // including empty batches and corrupt inputs.
 func TestSlotDeltaCodecRoundTrip(t *testing.T) {
