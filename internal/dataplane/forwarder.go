@@ -1,7 +1,7 @@
 package dataplane
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 
 	"repro/internal/netem"
@@ -36,8 +36,8 @@ type Satellite struct {
 	Cell int // home geographic cell
 
 	net      *Network
-	links    map[int]*netem.Link
-	RingNext int // successor on the intra-cell gateway ring, -1 if none
+	nbrs     []neighbour // the ISLs, ascending by peer ID: a hop scans its 2–6 entries, hashing nothing
+	RingNext int         // successor on the intra-cell gateway ring, -1 if none
 
 	// Buffer holds packets waiting for control-plane repair (§4.3 worst
 	// case: the ring is disconnected).
@@ -50,6 +50,33 @@ type Satellite struct {
 	Buffered  int64
 	RingHops  int64 // forwards that used the ring fallback
 	Failovers int64 // forwards that bypassed a down/absent primary link
+}
+
+// neighbour is one ISL of a satellite. It holds the peer itself, not the
+// peer's cell: a satellite may be re-homed after its links were made.
+type neighbour struct {
+	id   int
+	sat  *Satellite
+	link *netem.Link
+}
+
+// setNeighbour files l as the ISL to peer, replacing an earlier one.
+func (s *Satellite) setNeighbour(peer *Satellite, l *netem.Link) {
+	i, found := slices.BinarySearchFunc(s.nbrs, peer.ID, func(nb neighbour, id int) int { return nb.id - id })
+	if !found {
+		s.nbrs = slices.Insert(s.nbrs, i, neighbour{})
+	}
+	s.nbrs[i] = neighbour{peer.ID, peer, l}
+}
+
+// link returns the ISL to peer, or nil.
+func (s *Satellite) link(peer int) *netem.Link {
+	for _, nb := range s.nbrs {
+		if nb.id == peer {
+			return nb.link
+		}
+	}
+	return nil
 }
 
 // Verb is what a Router decided to do with one packet at one satellite.
@@ -84,6 +111,9 @@ type Router interface {
 //
 //tinyleo:hotpath
 func (s *Satellite) Receive(p *Packet) {
+	if p.HopTrace == nil { // one allocation for most traces, not one per doubling
+		p.HopTrace = make([]int, 0, hopTraceCap)
+	}
 	p.HopTrace = append(p.HopTrace, s.ID)
 	s.forward(p)
 }
@@ -167,16 +197,17 @@ func (Anycast) Route(s *Satellite, p *Packet) Decision {
 		return Decision{Verb: Deliver}
 	}
 	// Primary: any up ISL to a gateway of the next cell works; pick the
-	// lowest peer ID, noting a failover if a down link was skipped.
+	// lowest peer ID (the first in table order), noting a failover if any
+	// ISL toward that cell is down.
 	d := Decision{Verb: Forward, Peer: -1, NextCell: g.CurrentSegment()}
-	for peer, l := range s.links {
-		if ps := s.net.Sats[peer]; ps == nil || ps.Cell != d.NextCell {
+	for _, nb := range s.nbrs {
+		if nb.sat.Cell != d.NextCell {
 			continue
 		}
-		if !l.IsUp() {
+		if !nb.link.IsUp() {
 			d.Failover = true
-		} else if d.Peer < 0 || peer < d.Peer {
-			d.Peer = peer
+		} else if d.Peer < 0 {
+			d.Peer = nb.id
 		}
 	}
 	if d.Peer >= 0 {
@@ -186,7 +217,7 @@ func (Anycast) Route(s *Satellite, p *Packet) Decision {
 	// has the ISL toward the next cell (§4.3 delivery guarantee). Back at the
 	// member where this segment's ring pass began, none has.
 	fresh := p.ringFrom == 0 || p.ringLeft != g.SegmentsLeft
-	if l := s.links[s.RingNext]; l != nil && l.IsUp() && (fresh || p.ringFrom != int32(s.ID+1)) {
+	if l := s.link(s.RingNext); l != nil && l.IsUp() && (fresh || p.ringFrom != int32(s.ID+1)) {
 		if fresh {
 			p.ringFrom, p.ringLeft = int32(s.ID+1), g.SegmentsLeft
 		}
@@ -204,7 +235,7 @@ func (Anycast) Route(s *Satellite, p *Packet) Decision {
 //
 //tinyleo:hotpath
 func (s *Satellite) send(peer int, p *Packet) {
-	l := s.links[peer]
+	l := s.link(peer)
 	if l == nil {
 		s.drop(p, "missing link")
 		return
@@ -248,10 +279,9 @@ func (s *Satellite) emitEvent(typ string, attrs ...string) {
 
 // Peers returns the satellite's ISL peers in ascending order.
 func (s *Satellite) Peers() []int {
-	out := make([]int, 0, len(s.links))
-	for p := range s.links {
-		out = append(out, p)
+	out := make([]int, len(s.nbrs))
+	for i, nb := range s.nbrs {
+		out[i] = nb.id
 	}
-	sort.Ints(out)
 	return out
 }

@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -271,5 +272,174 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	if n.Link(0, 2).TxPackets != 5 {
 		t.Errorf("link tx = %d", n.Link(0, 2).TxPackets)
+	}
+}
+
+// A steady-state hop — Link.Send, the event queue, the arrival, Receive,
+// Route, Link.Send — allocates nothing: the budget is 0 objects for a packet
+// forwarded over chainNet's three hops once its hop trace and the event queue
+// have their storage.
+func TestWarmHopAllocatesNothing(t *testing.T) {
+	n := chainNet()
+	delivered := 0
+	n.OnDeliver = func(s *Satellite, p *Packet) { delivered++ }
+	p, err := NewGeoPacket(99, []int{20, 30}, 1, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forward := func() {
+		rewind(p)
+		n.Inject(0, p)
+		n.Sim.Run(n.Sim.Now() + 1)
+	}
+	forward()
+	if got := testing.AllocsPerRun(100, forward); got != 0 {
+		t.Errorf("a warm packet's three hops allocate %v objects, budget 0", got)
+	}
+	if delivered != 102 || !slices.Equal(p.HopTrace, []int{0, 2, 4}) {
+		t.Errorf("delivered %d of 102 along %v", delivered, p.HopTrace)
+	}
+}
+
+// starNet is satellite 0 of cell 10 with ISLs, connected in no particular
+// order, to gateways 7, 3 and 5 of cell 20 and 9 of cell 30.
+func starNet() *Network {
+	n := NewNetwork()
+	n.AddSatellite(0, 10)
+	for _, id := range []int{7, 3, 9, 5} {
+		n.AddSatellite(id, 20)
+		n.Connect(0, id, 0.005)
+	}
+	n.Sats[9].Cell = 30
+	return n
+}
+
+func TestAnycastPicksLowestUpGatewayAndNotesAnyDownISL(t *testing.T) {
+	n := starNet()
+	route := func(cell int) Decision {
+		p, err := NewGeoPacket(99, []int{cell}, 1, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Anycast{}.Route(n.Sats[0], p)
+	}
+	if d := route(20); d.Verb != Forward || d.Peer != 3 || d.Failover || d.Ring {
+		t.Errorf("all ISLs up: %+v, want forward to 3 with no failover", d)
+	}
+	n.Link(0, 3).Down()
+	if d := route(20); d.Verb != Forward || d.Peer != 5 || !d.Failover {
+		t.Errorf("0-3 down: %+v, want forward to 5 with failover", d)
+	}
+	// A down ISL that sorts after the gateway picked is a failover too.
+	n.Link(0, 3).Up()
+	n.Link(0, 7).Down()
+	if d := route(20); d.Verb != Forward || d.Peer != 3 || !d.Failover {
+		t.Errorf("0-7 down: %+v, want forward to 3 with failover", d)
+	}
+	if d := route(30); d.Verb != Forward || d.Peer != 9 || d.Failover {
+		t.Errorf("toward cell 30: %+v, want forward to 9, the down ISL leads elsewhere", d)
+	}
+}
+
+func TestRehomedNeighbourIsRoutedByItsNewCell(t *testing.T) {
+	// chaos.Testbed re-homes a satellite's Cell on a live network; the
+	// neighbour table must read it through the satellite, not remember it.
+	n := starNet()
+	p20, _ := NewGeoPacket(99, []int{20}, 1, 0, nil)
+	p30, _ := NewGeoPacket(99, []int{30}, 1, 1, nil)
+	n.Sats[3].Cell = 30
+	if d := (Anycast{}).Route(n.Sats[0], p20); d.Peer != 5 {
+		t.Errorf("toward cell 20 after 3 moved to cell 30: %+v, want peer 5", d)
+	}
+	if d := (Anycast{}).Route(n.Sats[0], p30); d.Peer != 3 {
+		t.Errorf("toward cell 30 after 3 moved there: %+v, want peer 3", d)
+	}
+}
+
+func TestEnsureLinkKeepsNeighbourTableSorted(t *testing.T) {
+	n := starNet()
+	n.AddSatellite(4, 20)
+	l := n.EnsureLink(0, 4, 0.005)
+	if want := []int{3, 4, 5, 7, 9}; !slices.Equal(n.Sats[0].Peers(), want) {
+		t.Errorf("peers = %v, want %v", n.Sats[0].Peers(), want)
+	}
+	if n.Link(0, 4) != l || n.Link(4, 0) != l || !slices.Equal(n.Sats[4].Peers(), []int{0}) {
+		t.Errorf("the new ISL is not filed at both ends")
+	}
+	l.Down()
+	if again := n.EnsureLink(4, 0, 0.005); again != l || !l.IsUp() || len(n.Links()) != 5 {
+		t.Errorf("EnsureLink on an existing pair: same link %v, up %v, %d links", again == l, l.IsUp(), len(n.Links()))
+	}
+	for _, id := range []int{3, 4, 5, 7, 9} {
+		if got := n.Link(0, id); got == nil || got.Peer(0) != id {
+			t.Errorf("Link(0, %d) = %v", id, got)
+		}
+	}
+	if n.Link(0, 6) != nil || n.Link(6, 0) != nil {
+		t.Error("Link found an ISL that was never made")
+	}
+}
+
+// flushScenario builds a seeded failure and repair: gateways 1..8 of cell 10
+// each hold an ISL to satellite 20 of cell 20, which has the one slow ISL on
+// to cell 30. Every ISL out of cell 10 fails, a seeded number of equal-sized
+// packets is buffered at each gateway, the ISLs come back and the buffers are
+// flushed. The flushed packets reach satellite 20 at the same instant, so
+// the order they queue in on the shared ISL — and with a short queue, which
+// of them it drops — is the order FlushBuffers visited the gateways in.
+func flushScenario(t *testing.T, seed int64) (linkStats []int64, deliveredAt []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	n := NewNetwork()
+	n.ISLRateBps, n.QueueLimit = 1e6, 6
+	n.AddSatellite(20, 20)
+	n.AddSatellite(30, 30)
+	n.Connect(20, 30, 0.002)
+	for _, id := range rng.Perm(8) {
+		n.AddSatellite(id+1, 10)
+		n.Connect(id+1, 20, 0.005).Down()
+	}
+	var seq uint32
+	for id := 1; id <= 8; id++ {
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			p, err := NewGeoPacket(uint32(id), []int{20, 30}, 1, seq, make([]byte, 100))
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq++
+			n.Inject(id, p)
+		}
+	}
+	deliveredAt = make([]float64, seq)
+	n.OnDeliver = func(_ *Satellite, p *Packet) { deliveredAt[p.Base.Seq] = n.Sim.Now() }
+	for id := 1; id <= 8; id++ {
+		n.Link(id, 20).Up()
+	}
+	n.FlushBuffers()
+	n.Sim.Run(1)
+	for _, l := range n.Links() {
+		linkStats = append(linkStats, int64(l.A), int64(l.B), l.TxPackets, l.Drops)
+	}
+	return linkStats, deliveredAt
+}
+
+func TestFlushBuffersOrderIsDeterministic(t *testing.T) {
+	links, at := flushScenario(t, 5)
+	delivered := 0
+	for _, v := range at {
+		if v > 0 {
+			delivered++
+		}
+	}
+	if delivered == 0 || delivered == len(at) {
+		t.Fatalf("%d of %d delivered: the scenario needs both deliveries and queue drops", delivered, len(at))
+	}
+	for i := 0; i < 5; i++ {
+		links2, at2 := flushScenario(t, 5)
+		if !slices.Equal(links, links2) {
+			t.Errorf("build %d: per-link (A, B, tx, drops) differ:\n%v\n%v", i, links, links2)
+		}
+		if !slices.Equal(at, at2) {
+			t.Errorf("build %d: per-packet delivery times differ:\n%v\n%v", i, at, at2)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/netem"
 )
@@ -19,6 +20,7 @@ type Network struct {
 	// OnDrop fires when a packet is dropped (hop limit, no route, queue).
 	OnDrop func(sat *Satellite, p *Packet, reason string)
 
+	order []*Satellite // Sats by ascending ID: FlushBuffers' order, the same on every run
 	links []*netem.Link
 	// Defaults for new links.
 	ISLRateBps float64
@@ -41,8 +43,13 @@ func NewNetwork() *Network {
 
 // AddSatellite registers a satellite homed to cell.
 func (n *Network) AddSatellite(id, cell int) *Satellite {
-	s := &Satellite{ID: id, Cell: cell, net: n, links: map[int]*netem.Link{}, RingNext: -1}
+	s := &Satellite{ID: id, Cell: cell, net: n, RingNext: -1}
 	n.Sats[id] = s
+	i, found := slices.BinarySearchFunc(n.order, id, func(o *Satellite, id int) int { return o.ID - id })
+	if !found {
+		n.order = slices.Insert(n.order, i, s)
+	}
+	n.order[i] = s
 	return s
 }
 
@@ -53,9 +60,16 @@ func (n *Network) Connect(a, b int, delay float64) *netem.Link {
 	if sa == nil || sb == nil {
 		panic(fmt.Sprintf("dataplane: Connect unknown satellites %d-%d", a, b))
 	}
-	l := netem.NewLink(n.Sim, a, b, n.ISLRateBps, delay, n.QueueLimit, n.deliver)
-	sa.links[b] = l
-	sb.links[a] = l
+	// The receive hook holds both ends, so an arrival looks nothing up.
+	l := netem.NewLink(n.Sim, a, b, n.ISLRateBps, delay, n.QueueLimit, func(at, _ int, payload any) {
+		if at == a {
+			sa.Receive(payload.(*Packet))
+		} else {
+			sb.Receive(payload.(*Packet))
+		}
+	})
+	sa.setNeighbour(sb, l)
+	sb.setNeighbour(sa, l)
 	n.links = append(n.links, l)
 	return l
 }
@@ -77,21 +91,13 @@ func (n *Network) EnsureLink(a, b int, delay float64) *netem.Link {
 // Link returns the ISL between a and b, or nil.
 func (n *Network) Link(a, b int) *netem.Link {
 	if sa := n.Sats[a]; sa != nil {
-		return sa.links[b]
+		return sa.link(b)
 	}
 	return nil
 }
 
 // Links returns every ISL in creation order.
 func (n *Network) Links() []*netem.Link { return n.links }
-
-// deliver is the netem receive hook: hand the packet to the receiving
-// satellite's forwarder.
-func (n *Network) deliver(at, from int, payload any) {
-	if s := n.Sats[at]; s != nil {
-		s.Receive(payload.(*Packet))
-	}
-}
 
 // Inject starts a packet at satellite sat (e.g. received from a ground
 // terminal) and forwards it.
@@ -120,9 +126,10 @@ func (n *Network) SetRing(members []int) {
 
 // FlushBuffers re-runs the routing decision for every buffered packet
 // (called after the control plane repairs topology, §4.3's "buffered until
-// MPC repairs the ring"); the buffering satellite is already on its trace.
+// MPC repairs the ring"), satellite by satellite in ascending ID; the
+// buffering satellite is already on its trace.
 func (n *Network) FlushBuffers() {
-	for _, s := range n.Sats {
+	for _, s := range n.order {
 		buf := s.Buffer
 		s.Buffer = nil
 		for _, p := range buf {

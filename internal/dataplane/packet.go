@@ -124,7 +124,8 @@ func (g *GeoSegmentHeader) Marshal(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// Unmarshal decodes the header, returning the remaining bytes.
+// Unmarshal decodes the header, returning the remaining bytes. The list goes
+// into g.Segments' own storage when that has room, else into a new slice.
 func (g *GeoSegmentHeader) Unmarshal(b []byte) ([]byte, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("%w: geo segment header prefix", ErrTruncated)
@@ -138,11 +139,19 @@ func (g *GeoSegmentHeader) Unmarshal(b []byte) ([]byte, error) {
 	if int(g.SegmentsLeft) > n {
 		return nil, fmt.Errorf("dataplane: segments-left %d > %d segments", g.SegmentsLeft, n)
 	}
-	g.Segments = make([]uint16, n)
+	g.resize(n)
 	for i := 0; i < n; i++ {
 		g.Segments[i] = binary.BigEndian.Uint16(b[4+2*i:])
 	}
 	return b[4+2*n:], nil
+}
+
+// resize makes Segments n long and no roomier, in its own storage if that fits.
+func (g *GeoSegmentHeader) resize(n int) {
+	if cap(g.Segments) < n {
+		g.Segments = make([]uint16, n)
+	}
+	g.Segments = g.Segments[:n:n]
 }
 
 // CurrentSegment returns the cell the packet is currently heading to, or
@@ -175,11 +184,23 @@ type Packet struct {
 	HopTrace []int // satellite IDs traversed
 
 	// Anycast's ring-pass state: the member (ID+1, 0 = none) where the packet
-	// first fell back to the ring while ringLeft segments were left. Eight
-	// bytes, so that Packet stays in its 96-byte allocation class.
+	// first fell back to the ring while ringLeft segments were left.
 	ringFrom int32
 	ringLeft uint8
+
+	// What NewGeoPacket and Decode point Geo at, and a route's list up to
+	// inlineSegments cells: one allocation in all (so never copy a Packet).
+	geo  GeoSegmentHeader
+	segs [inlineSegments]uint16
 }
+
+const (
+	// inlineSegments covers every route the figures and the ledger forward
+	// (6 cells at most) within the 144-byte size class.
+	inlineSegments = 8
+	// hopTraceCap is HopTrace's first capacity (the ledger's mean is 7.6 hops).
+	hopTraceCap = 8
+)
 
 // Encode produces the full wire form.
 func (p *Packet) Encode() ([]byte, error) {
@@ -189,7 +210,7 @@ func (p *Packet) Encode() ([]byte, error) {
 	} else {
 		p.Base.NextHeader = NextHeaderPayload
 	}
-	out := p.Base.Marshal(nil)
+	out := p.Base.Marshal(make([]byte, 0, p.WireSize()))
 	if p.Geo != nil {
 		var err error
 		out, err = p.Geo.Marshal(out)
@@ -209,7 +230,7 @@ func Decode(b []byte) (*Packet, error) {
 	}
 	switch p.Base.NextHeader {
 	case NextHeaderGeoSegment:
-		p.Geo = &GeoSegmentHeader{}
+		p.Geo, p.geo.Segments = &p.geo, p.segs[:0]
 		rest, err = p.Geo.Unmarshal(rest)
 		if err != nil {
 			return nil, err
@@ -243,23 +264,25 @@ func NewGeoPacket(src uint32, route []int, flow, seq uint32, payload []byte) (*P
 	if len(route) > MaxSegments {
 		return nil, fmt.Errorf("dataplane: route of %d cells exceeds max %d", len(route), MaxSegments)
 	}
-	segs := make([]uint16, len(route))
-	for i, c := range route {
-		if c < 0 || c > 0xFFFF {
-			return nil, fmt.Errorf("dataplane: cell %d out of uint16 range", c)
-		}
-		segs[i] = uint16(c)
-	}
-	return &Packet{
+	p := &Packet{
 		Base: BaseHeader{
 			Ver:      Version,
 			HopLimit: 64,
 			SrcNode:  src,
-			DstCell:  segs[len(segs)-1],
+			DstCell:  uint16(route[len(route)-1]),
 			FlowID:   flow,
 			Seq:      seq,
 		},
-		Geo:     &GeoSegmentHeader{SegmentsLeft: uint8(len(segs)), Segments: segs},
 		Payload: payload,
-	}, nil
+	}
+	p.Geo, p.geo.Segments = &p.geo, p.segs[:0]
+	p.geo.SegmentsLeft = uint8(len(route))
+	p.geo.resize(len(route))
+	for i, c := range route {
+		if c < 0 || c > 0xFFFF {
+			return nil, fmt.Errorf("dataplane: cell %d out of uint16 range", c)
+		}
+		p.geo.Segments[i] = uint16(c)
+	}
+	return p, nil
 }

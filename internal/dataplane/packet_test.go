@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -184,6 +185,57 @@ func TestPacketRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// NewGeoPacket, Encode and Decode make one object each while the route fits
+// the packet's inline segment list, and stay correct one segment past it,
+// where the list is an allocation of its own.
+func TestPacketAllocationBudget(t *testing.T) {
+	for _, segs := range []int{1, inlineSegments, inlineSegments + 1} {
+		route := make([]int, segs)
+		want := make([]uint16, segs)
+		for i := range route {
+			route[i] = 100 + i
+			want[i] = uint16(100 + i)
+		}
+		payload := []byte("sixteen bytes...")
+		var p, q *Packet
+		var wire []byte
+		var err error
+		budget := 1.0
+		if segs > inlineSegments {
+			budget = 2
+		}
+		if got := testing.AllocsPerRun(100, func() { p, err = NewGeoPacket(1, route, 2, 3, payload) }); got != budget || err != nil {
+			t.Errorf("%d segments: NewGeoPacket allocates %v objects, budget %v (err %v)", segs, got, budget, err)
+		}
+		if got := testing.AllocsPerRun(100, func() { wire, err = p.Encode() }); got != 1 || err != nil {
+			t.Errorf("%d segments: Encode allocates %v objects, budget 1 (err %v)", segs, got, err)
+		}
+		if got := testing.AllocsPerRun(100, func() { q, err = Decode(wire) }); got != budget || err != nil {
+			t.Errorf("%d segments: Decode allocates %v objects, budget %v (err %v)", segs, got, budget, err)
+		}
+		if len(wire) != p.WireSize() || cap(wire) != len(wire) {
+			t.Errorf("%d segments: wire form of %d bytes (capacity %d), WireSize %d", segs, len(wire), cap(wire), p.WireSize())
+		}
+		if !slices.Equal(p.Geo.Segments, want) || !slices.Equal(q.Geo.Segments, want) ||
+			int(q.Geo.SegmentsLeft) != segs || !bytes.Equal(q.Payload, payload) {
+			t.Errorf("%d segments: built %v, decoded %v left %d payload %q", segs, p.Geo.Segments, q.Geo.Segments, q.Geo.SegmentsLeft, q.Payload)
+		}
+		// Two packets decoded from the same bytes own their segment lists.
+		q2, err := Decode(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q2.Geo.Segments[0] = 9
+		q2.Geo.Advance()
+		if q.Geo.Segments[0] != 100 || int(q.Geo.SegmentsLeft) != segs || p.Geo.Segments[0] != 100 {
+			t.Errorf("%d segments: writing one decoded packet's route changed another's", segs)
+		}
+		if again, err := q.Encode(); err != nil || !bytes.Equal(again, wire) {
+			t.Errorf("%d segments: re-encoded form differs (err %v)", segs, err)
+		}
 	}
 }
 

@@ -7,16 +7,13 @@
 // throughput, failover time) are identical.
 package netem
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // Sim is a discrete-event simulator clock.
 type Sim struct {
 	now    float64
 	seq    int64
-	events eventQueue
+	events []event // binary min-heap on (at, seq), by value: a warm queue allocates nothing
 }
 
 // NewSim creates a simulator at time 0.
@@ -25,29 +22,31 @@ func NewSim() *Sim { return &Sim{} }
 // Now returns the current simulation time in seconds.
 func (s *Sim) Now() float64 { return s.now }
 
-// Schedule runs fn after delay seconds (delay ≥ 0).
+// Schedule runs fn after delay seconds (delay ≥ 0): the entry for timers.
 func (s *Sim) Schedule(delay float64, fn func()) {
-	if delay < 0 {
-		panic("netem: negative delay")
-	}
-	s.seq++
-	heap.Push(&s.events, &event{at: s.now + delay, seq: s.seq, fn: fn})
+	s.push(delay, event{fn: fn})
 }
 
 // Step executes the next event; returns false when none remain.
+//
+//tinyleo:hotpath
 func (s *Sim) Step() bool {
-	if s.events.Len() == 0 {
+	if len(s.events) == 0 {
 		return false
 	}
-	ev := heap.Pop(&s.events).(*event)
+	ev := s.pop()
 	s.now = ev.at
-	ev.fn()
+	if ev.link != nil {
+		ev.link.arrive(ev.dir, ev.downEpoch, ev.payload)
+	} else {
+		ev.fn()
+	}
 	return true
 }
 
 // Run executes events until the queue is empty or the clock passes until.
 func (s *Sim) Run(until float64) {
-	for s.events.Len() > 0 {
+	for len(s.events) > 0 {
 		if s.events[0].at > until {
 			s.now = until
 			return
@@ -60,34 +59,65 @@ func (s *Sim) Run(until float64) {
 }
 
 // Pending returns the number of queued events.
-func (s *Sim) Pending() int { return s.events.Len() }
+func (s *Sim) Pending() int { return len(s.events) }
 
+// event is a timer (fn) or, when link is set, the arrival of payload at the
+// far end of link's direction dir, sent in the link's down-epoch downEpoch.
 type event struct {
-	at  float64
-	seq int64 // FIFO tie-break for simultaneous events
-	fn  func()
+	at        float64
+	seq       int64 // FIFO tie-break for simultaneous events
+	fn        func()
+	link      *Link
+	dir       int
+	downEpoch int64
+	payload   any
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	x := old[n-1]
+
+// push queues ev to run after delay seconds, stamping its time and sequence.
+func (s *Sim) push(delay float64, ev event) {
+	if delay < 0 {
+		panic("netem: negative delay")
+	}
+	s.seq++
+	ev.at, ev.seq = s.now+delay, s.seq
+	q := append(s.events, ev)
+	for i := len(q) - 1; i > 0 && q[i].before(&q[(i-1)/2]); i = (i - 1) / 2 {
+		q[i], q[(i-1)/2] = q[(i-1)/2], q[i]
+	}
+	s.events = q
+}
+
+// pop removes and returns the earliest event.
+func (s *Sim) pop() event {
+	q := s.events
+	n := len(q) - 1
+	top, last := q[0], q[n]
 	// Clear the vacated slot: the slice's spare capacity would otherwise
-	// keep the event — and whatever packet its closure captured — alive.
-	old[n-1] = nil
-	*q = old[:n-1]
-	return x
+	// keep the event's closure, link and packet alive.
+	q[n] = event{}
+	s.events = q[:n]
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && q[c+1].before(&q[c]) {
+			c++
+		}
+		if !q[c].before(&last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if n > 0 {
+		q[i] = last
+	}
+	return top
 }
 
 // Link is a bidirectional point-to-point link between two node IDs with a
@@ -110,7 +140,7 @@ type Link struct {
 	// so a flap entirely within a packet's flight still loses the packet.
 	downEpoch int64
 
-	dir [2]*direction
+	dir [2]direction
 	// Stats
 	TxPackets, RxPackets, Drops int64
 	TxBytes                     int64
@@ -131,7 +161,6 @@ func NewLink(sim *Sim, a, b int, rateBps, delay float64, queueLimit int, deliver
 	return &Link{
 		sim: sim, A: a, B: b, RateBps: rateBps, Delay: delay,
 		QueueLimit: queueLimit, up: true, deliver: deliver,
-		dir: [2]*direction{{}, {}},
 	}
 }
 
@@ -163,16 +192,18 @@ func (l *Link) Peer(id int) int {
 // Send transmits sizeBytes of payload from node `from` toward the peer.
 // It returns false if the link is down, from is not an endpoint, or the
 // queue is full (the packet is dropped and counted).
+//
+//tinyleo:hotpath
 func (l *Link) Send(from int, sizeBytes int, payload any) bool {
-	to := l.Peer(from)
-	if to < 0 {
+	if l.Peer(from) < 0 {
 		panic("netem: Send from non-endpoint")
 	}
 	if !l.up {
 		l.Drops++
 		return false
 	}
-	d := l.dir[l.dirIndex(from)]
+	di := l.dirIndex(from)
+	d := &l.dir[di]
 	if l.QueueLimit > 0 && d.queued >= l.QueueLimit {
 		l.Drops++
 		return false
@@ -188,23 +219,29 @@ func (l *Link) Send(from int, sizeBytes int, payload any) bool {
 	l.TxPackets++
 	l.TxBytes += int64(sizeBytes)
 	arrive := d.busyUntil + l.Delay
-	epoch := l.downEpoch
-	l.sim.Schedule(arrive-l.sim.now, func() {
-		d.queued--
-		if !l.up || l.downEpoch != epoch {
-			// The link went down at some point during this packet's
-			// flight (possibly flapping back up before arrival): the
-			// packet is lost per the Up/Down contract.
-			l.Drops++
-			l.LostInFlight++
-			return
-		}
-		l.RxPackets++
-		if l.deliver != nil {
-			l.deliver(to, from, payload)
-		}
-	})
+	l.sim.push(arrive-l.sim.now, event{link: l, dir: di, downEpoch: l.downEpoch, payload: payload})
 	return true
+}
+
+// arrive is the far end of Send: the packet sent in direction di while the
+// link's down-epoch was epoch reaches the peer, unless the link failed.
+//
+//tinyleo:hotpath
+func (l *Link) arrive(di int, epoch int64, payload any) {
+	l.dir[di].queued--
+	if !l.up || l.downEpoch != epoch {
+		// The link went down at some point during this packet's
+		// flight (possibly flapping back up before arrival): the
+		// packet is lost per the Up/Down contract.
+		l.Drops++
+		l.LostInFlight++
+		return
+	}
+	l.RxPackets++
+	if l.deliver != nil {
+		ends := [2]int{l.A, l.B} // direction di runs from ends[di]
+		l.deliver(ends[1-di], ends[di], payload)
+	}
 }
 
 func (l *Link) dirIndex(from int) int {

@@ -1,7 +1,10 @@
 package netem
 
 import (
+	"cmp"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -32,6 +35,75 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 		if v != i {
 			t.Fatalf("ties not FIFO: %v", order)
 		}
+	}
+}
+
+// The queue's contract is a total order: whatever mix of timers and link
+// arrivals is scheduled, from outside or from inside a running event, they
+// execute sorted by (time, scheduling sequence). Delays are multiples of
+// 0.25 s on infinite-rate links, so most events tie on time and only the
+// sequence separates them.
+func TestExecutionOrderIsTimeThenSequence(t *testing.T) {
+	type scheduled struct {
+		at  float64
+		seq int64
+		id  int
+	}
+	rng := rand.New(rand.NewSource(7))
+	s := NewSim()
+	var want []scheduled
+	var got []int
+	links := make([]*Link, 4)
+	for i := range links {
+		links[i] = NewLink(s, 0, 1, 0, 0.25*float64(i), 0, func(_, _ int, payload any) {
+			got = append(got, payload.(int))
+		})
+	}
+	var schedule func(depth int)
+	schedule = func(depth int) {
+		id := len(want)
+		if rng.Intn(2) == 0 {
+			delay := 0.25 * float64(rng.Intn(4))
+			s.Schedule(delay, func() {
+				got = append(got, id)
+				for k := rng.Intn(3); k > 0 && depth < 3; k-- {
+					schedule(depth + 1)
+				}
+			})
+			want = append(want, scheduled{s.Now() + delay, s.seq, id})
+		} else {
+			l := links[rng.Intn(len(links))]
+			if !l.Send(rng.Intn(2), 100, id) {
+				t.Fatal("send failed")
+			}
+			want = append(want, scheduled{s.Now() + l.Delay, s.seq, id})
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		schedule(0)
+	}
+	for s.Step() {
+	}
+	slices.SortFunc(want, func(a, b scheduled) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	if len(got) != len(want) || len(want) < 3000 {
+		t.Fatalf("executed %d of %d events, want all of >= 3000", len(got), len(want))
+	}
+	ties := 0
+	for i, w := range want {
+		if got[i] != w.id {
+			t.Fatalf("event %d executed was %d, reference order has %d (t=%v seq=%d)", i, got[i], w.id, w.at, w.seq)
+		}
+		if i > 0 && want[i-1].at == w.at {
+			ties++
+		}
+	}
+	if ties < len(want)/2 {
+		t.Errorf("only %d of %d events tied on time: the sequence tie-break is barely exercised", ties, len(want))
 	}
 }
 
@@ -67,28 +139,47 @@ func TestRunStopsAtHorizon(t *testing.T) {
 	}
 }
 
-// A drained queue must not pin its events: Pop used to shrink the slice
-// and leave the popped *event (and the packet its closure captured)
-// reachable through the backing array's spare capacity.
+// A popped or drained slot must not pin what its event carried: the queue
+// holds events by value and shrinks by reslicing, so a timer's closure or an
+// arrival's link and packet left in the backing array's spare capacity would
+// stay reachable for as long as the simulator does.
 func TestDrainedQueueReleasesEvents(t *testing.T) {
 	s := NewSim()
+	l := NewLink(s, 1, 2, 0, 0.5, 0, nil)
 	for i := 0; i < 64; i++ {
 		payload := make([]byte, 1200)
-		s.Schedule(float64(i%7), func() { _ = payload })
-	}
-	s.Run(10)
-	if s.events.Len() != 0 {
-		t.Fatalf("%d events left after Run", s.events.Len())
-	}
-	backing := s.events[:cap(s.events)]
-	if len(backing) < 64 {
-		t.Fatalf("backing array holds %d slots, want >= 64", len(backing))
-	}
-	for i, ev := range backing {
-		if ev != nil {
-			t.Errorf("slot %d of the drained queue still holds an event", i)
+		if i%2 == 0 {
+			s.Schedule(float64(i%7), func() { _ = payload })
+		} else {
+			s.Schedule(float64(i%7), func() { l.Send(1, len(payload), payload) })
 		}
 	}
+	spareIsClear := func(when string) {
+		t.Helper()
+		backing := s.events[:cap(s.events)]
+		if len(backing) < 64 {
+			t.Fatalf("backing array holds %d slots, want >= 64", len(backing))
+		}
+		for i, ev := range backing[len(s.events):] {
+			if ev.fn != nil || ev.link != nil || ev.payload != nil {
+				t.Errorf("%s: spare slot %d still holds fn=%v link=%v payload=%v",
+					when, len(s.events)+i, ev.fn != nil, ev.link != nil, ev.payload != nil)
+			}
+		}
+	}
+	s.Run(3) // timers and arrivals popped, others of both kinds still queued
+	if s.Pending() == 0 || s.Pending() >= 64 {
+		t.Fatalf("%d events pending mid-run, want some popped and some left", s.Pending())
+	}
+	spareIsClear("mid-run")
+	s.Run(10)
+	if s.Pending() != 0 {
+		t.Fatalf("%d events left after Run", s.Pending())
+	}
+	if l.RxPackets != 32 {
+		t.Fatalf("%d arrivals went through the queue, want 32", l.RxPackets)
+	}
+	spareIsClear("drained")
 }
 
 func TestNegativeDelayPanics(t *testing.T) {
@@ -351,5 +442,32 @@ func TestImpairmentDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Errorf("non-deterministic impairment: %d vs %d", a, b)
+	}
+}
+
+// BenchmarkSimStep is one arrival popped and one packet sent with ~10,000
+// events queued, the depth bench/'s forward-mix runs at: every arrival sends
+// the packet back the way it came.
+func BenchmarkSimStep(b *testing.B) {
+	const inFlight = 10000
+	s := NewSim()
+	links := make([]*Link, 100)
+	for i := range links {
+		var l *Link
+		l = NewLink(s, 0, 1, 200e9, 0.001*float64(1+i%7), 0, func(at, _ int, payload any) {
+			l.Send(at, 100, payload)
+		})
+		links[i] = l
+	}
+	for i := 0; i < inFlight; i++ {
+		links[i%len(links)].Send(i%2, 100, nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+	if s.Pending() != inFlight {
+		b.Fatalf("%d events queued after the run, want %d", s.Pending(), inFlight)
 	}
 }
