@@ -82,7 +82,7 @@ func main() {
 		}
 		*addr = resolved
 		fmt.Printf("sat %d resolved controller %s via sync service\n", *id, *addr)
-		if err := sc.Arrive(testground.BarrierAgentsReady, 0, 60*time.Second); err != nil {
+		if err := sc.Arrive(testground.BarrierAgentsReady, 60*time.Second); err != nil {
 			cli.Fatalf("tinyleo-sat: %v\n", err)
 		}
 	}

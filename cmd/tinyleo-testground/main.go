@@ -1,4 +1,4 @@
-// Command tinyleo-testground is the distributed campaign runner: it
+// Command tinyleo-testground is the real-process campaign runner: it
 // reads a declarative test-plan manifest (JSON), launches one real
 // tinyleo-ctl controller plus N real tinyleo-sat agent processes over the
 // real TCP southbound, coordinates startup through a sync service (HTTP
@@ -9,12 +9,8 @@
 //
 //	tinyleo-testground -plan plans/smoke.json -out runs/smoke
 //
-// Virtual-mode plans (mode = "virtual") drive the in-process chaos
-// engine on a virtual clock instead of real processes: the same
-// manifest and seed produce a byte-identical report.json, which is the
-// determinism contract CI diffs.
-//
-//	tinyleo-testground -plan plans/storm.json -out runs/storm
+// Seeded virtual-clock campaigns are internal/chaos, driven by
+// tinyleo-bench -run chaos; there is no in-process mode here.
 //
 // Exit status: 0 when the run passed its SLO rules, 1 on breach or
 // orchestration failure, 2 on usage errors. The scored report lands in
@@ -34,8 +30,8 @@ import (
 func main() {
 	plan := flag.String("plan", "", "test-plan manifest to run (.json; required)")
 	out := flag.String("out", "", "run directory for artifacts and the scored report (default testground-<name>)")
-	ctlBin := flag.String("ctl-bin", "tinyleo-ctl", "tinyleo-ctl binary to launch (exec mode)")
-	satBin := flag.String("sat-bin", "tinyleo-sat", "tinyleo-sat binary to launch (exec mode)")
+	ctlBin := flag.String("ctl-bin", "tinyleo-ctl", "tinyleo-ctl binary to launch")
+	satBin := flag.String("sat-bin", "tinyleo-sat", "tinyleo-sat binary to launch")
 	timeout := flag.Duration("timeout", 0, "abort the controller process after this long (0 = derived from the plan)")
 	verbose := flag.Bool("v", false, "stream orchestration progress to stderr")
 	flag.Parse()
@@ -63,15 +59,9 @@ func main() {
 		log = os.Stderr
 	}
 
-	var rep *testground.RunReport
-	switch m.Mode {
-	case testground.ModeVirtual:
-		rep, err = testground.RunVirtual(m, dir)
-	default:
-		rep, err = testground.RunExec(m, testground.ExecConfig{
-			CtlBin: *ctlBin, SatBin: *satBin, Dir: dir, Log: log, CtlTimeout: *timeout,
-		})
-	}
+	rep, err := testground.RunExec(m, testground.ExecConfig{
+		CtlBin: *ctlBin, SatBin: *satBin, Dir: dir, Log: log, CtlTimeout: *timeout,
+	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tinyleo-testground: %v\n", err)
 		os.Exit(1)
@@ -93,7 +83,7 @@ func printSummary(w io.Writer, m *testground.Manifest, rep *testground.RunReport
 	if !rep.Passed {
 		verdict = "FAIL"
 	}
-	fmt.Fprintf(w, "%s: plan %q (%s mode, seed %d): %s\n", verdict, m.Name, m.Mode, m.Seed, path)
+	fmt.Fprintf(w, "%s: plan %q: %s\n", verdict, m.Name, path)
 	if rep.Err != "" {
 		fmt.Fprintf(w, "  error: %s\n", rep.Err)
 	}

@@ -48,9 +48,10 @@ type Scenario struct {
 // gauge) under fault load.
 const DefaultSLO = "availability>=0.60,tinyleo_chaos_delivery_ratio>=0.50,tinyleo_chaos_recovery_p99_ms<=2000"
 
-// Scenarios returns the built-in scenario table, keyed by name.
-func Scenarios() map[string]Scenario {
-	list := []Scenario{
+// Scenarios returns the built-in scenario table, in the order campaigns
+// run and report them.
+func Scenarios() []Scenario {
+	return []Scenario{
 		{
 			Name:   "baseline",
 			Rounds: 3,
@@ -85,24 +86,16 @@ func Scenarios() map[string]Scenario {
 			SurgeFactor: 4,
 		},
 	}
-	out := make(map[string]Scenario, len(list))
-	for _, s := range list {
-		out[s.Name] = s
-	}
-	return out
 }
 
 // ScenarioByName resolves a built-in scenario.
 func ScenarioByName(name string) (Scenario, error) {
-	if s, ok := Scenarios()[name]; ok {
-		return s, nil
+	for _, s := range Scenarios() {
+		if s.Name == name {
+			return s, nil
+		}
 	}
 	return Scenario{}, fmt.Errorf("chaos: unknown scenario %q", name)
-}
-
-// ScenarioNames lists the built-in scenarios in a fixed order.
-func ScenarioNames() []string {
-	return []string{"baseline", "isl-storm", "agent-crash", "conn-flap", "surge", "mixed"}
 }
 
 // Event is one entry in the campaign's deterministic event log. Times are

@@ -28,7 +28,7 @@
 // its snapshot→network step on its own; Testbed.GatewayOf and
 // Testbed.ProbeDelivers are the injection point and the delivery probe.
 //
-// Scenarios / ScenarioByName / ScenarioNames enumerate the built-in
+// Scenarios (one ordered table) and ScenarioByName enumerate the built-in
 // fault compositions; Campaign configures one seeded run (scenario,
 // seed, testbed size, offered load, optional virtual-clock Tracer) and
 // Run executes it, returning a Report whose CanonicalJSON is
@@ -36,7 +36,6 @@
 // injectable virtual clock the southbound reliability layer and the
 // fleet aggregator run on during a campaign.
 //
-// The engine is driven by `tinyleo-bench -run chaos` and by
-// `tinyleo-testground` virtual-mode plans (internal/testground), which
-// map a declarative manifest onto a Campaign.
+// The engine is driven by `tinyleo-bench -run chaos`, the one
+// virtual-clock campaign runner; internal/testground runs real processes.
 package chaos

@@ -16,9 +16,13 @@ import (
 // each scenario's final fleet summary, keyed by scenario name — the
 // artifact tinyleo-bench -chaos-fleet-out dumps.
 func ChaosCampaign(scale Scale, scenarioName string, seed int64) ([]*metrics.Table, map[string]*chaos.FleetSummary, error) {
-	names := chaos.ScenarioNames()
+	scenarios := chaos.Scenarios()
 	if scenarioName != "" && scenarioName != "all" {
-		names = []string{scenarioName}
+		s, err := chaos.ScenarioByName(scenarioName)
+		if err != nil {
+			return nil, nil, err
+		}
+		scenarios = []chaos.Scenario{s}
 	}
 	summary := metrics.NewTable(
 		fmt.Sprintf("Chaos campaigns (seed %d, %s scale)", seed, scale.Name),
@@ -31,11 +35,8 @@ func ChaosCampaign(scale Scale, scenarioName string, seed int64) ([]*metrics.Tab
 	verdicts := metrics.NewTable("Chaos SLO verdicts (flight-recorder rules)",
 		"scenario", "rule", "value", "verdict")
 	fleets := map[string]*chaos.FleetSummary{}
-	for _, name := range names {
-		s, err := chaos.ScenarioByName(name)
-		if err != nil {
-			return nil, nil, err
-		}
+	for _, s := range scenarios {
+		name := s.Name
 		rep, err := chaos.Run(chaos.Campaign{Scenario: s, Seed: seed, Testbed: scale.testbedConfig()})
 		if err != nil {
 			return nil, nil, fmt.Errorf("experiments: chaos %s: %w", name, err)

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/southbound"
 )
 
 // exampleRegistry holds one series of each kind; its first report is
@@ -257,17 +259,85 @@ func TestAggregatorRollupEqualsAgentSums(t *testing.T) {
 			t.Fatalf("agent %d: rollup %+v, registry %+v", id, got, want)
 		}
 	}
-	for _, s := range agg.TotalsSamples() {
-		if s.Name == "pkts_total" {
-			if s.Labels["agent"] != "" {
-				t.Fatalf("totals kept agent label: %v", s.Labels)
-			}
-			if int64(s.Value) != 61 {
-				t.Fatalf("totals pkts_total = %v, want 61", s.Value)
+	totalPkts := func() int64 {
+		for _, s := range agg.TotalsSamples() {
+			if s.Name == "pkts_total" {
+				if s.Labels["agent"] != "" {
+					t.Fatalf("totals kept agent label: %v", s.Labels)
+				}
+				return int64(s.Value)
 			}
 		}
+		return -1
+	}
+	if got := totalPkts(); got != 61 {
+		t.Fatalf("totals pkts_total = %v, want 61", got)
+	}
+	for _, s := range agg.TotalsSamples() {
 		if s.Name == "lat_s" && (s.Count != 4 || s.Buckets[1] != 2) {
 			t.Fatalf("totals lat_s = %+v", s)
+		}
+	}
+
+	// The same equality with everything live: each agent streams over a real
+	// southbound session from a Reporter ticker while its counter is being
+	// incremented, until five ticker reports have landed; once the final
+	// flush lands too, the fleet total is the sum of the agents' own counters.
+	ctl, err := southbound.ListenController("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	ctl.OnTelemetry = func(sat uint32, payload []byte) {
+		if err := agg.HandleReport(sat, payload); err != nil {
+			t.Errorf("telemetry from agent %d: %v", sat, err)
+		}
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	var reporters []*Reporter
+	var wg sync.WaitGroup
+	for id, a := range agents {
+		conn, err := southbound.DialAgent(ctl.Addr(), id, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		rep := NewReporter(a.enc, conn.SendTelemetry)
+		rep.Run(time.Millisecond)
+		reporters = append(reporters, rep)
+		wg.Add(1)
+		go func(id uint32, c *obs.Counter, until uint64) {
+			defer wg.Done()
+			for agg.AgentSeq(id) < until {
+				c.Inc()
+				if time.Now().After(deadline) {
+					t.Errorf("agent %d: reports stopped landing at seq %d", id, agg.AgentSeq(id))
+					return
+				}
+				runtime.Gosched()
+			}
+		}(id, a.c, a.enc.Seq()+5)
+	}
+	wg.Wait()
+	for _, rep := range reporters {
+		rep.Stop()
+	}
+	want := int64(0)
+	for _, a := range agents {
+		want += a.c.Value()
+	}
+	if want <= 61 {
+		t.Fatalf("no agent incremented during the live phase (sum %d)", want)
+	}
+	for totalPkts() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("totals pkts_total = %d never reached the agents' own sum %d", totalPkts(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for id, a := range agents {
+		if got, want := agentRollup(agg, id), registryRows(a.reg); !reflect.DeepEqual(got, want) {
+			t.Fatalf("agent %d after the live phase: rollup %+v, registry %+v", id, got, want)
 		}
 	}
 }

@@ -88,14 +88,10 @@ func (c *Client) WaitParam(name string, timeout time.Duration) (string, error) {
 	}
 }
 
-// Arrive joins the named barrier (lazily defining it to release after n
-// arrivals when n > 0) and blocks until every participant has arrived
-// or the timeout expires.
-func (c *Client) Arrive(name string, n int, timeout time.Duration) error {
+// Arrive joins the named barrier, which the runner defined, and blocks
+// until every participant has arrived or the timeout expires.
+func (c *Client) Arrive(name string, timeout time.Duration) error {
 	u := fmt.Sprintf("%s/barrier/%s?timeout_s=%g", c.Base, url.PathEscape(name), timeout.Seconds())
-	if n > 0 {
-		u += fmt.Sprintf("&n=%d", n)
-	}
 	// The request blocks server-side until release; bound the client a
 	// little beyond the server's own timeout.
 	cl := *c.http()

@@ -1,29 +1,23 @@
-// Package testground is the distributed campaign runner: it turns a
+// Package testground is the real-process campaign runner: it turns a
 // declarative test-plan manifest into an orchestrated multi-process
 // run of the real binaries and a scored, archivable report — the
 // in-tree counterpart of running a TestGround-style testbed against
-// the TinyLEO control plane.
+// the TinyLEO control plane. (Seeded virtual-clock campaigns are
+// internal/chaos, driven by tinyleo-bench -run chaos.)
 //
 // A plan (Manifest, parsed from JSON by Load) declares what to
 // launch (agent count, control slots, constellation shape), what to
 // break when (a fault schedule), and what "good" means (a flight
-// recorder SLO rule spec). Two modes execute it:
-//
-//   - exec (RunExec): one real tinyleo-ctl and N real tinyleo-sat
-//     processes over the real TCP southbound. A small sync service
-//     (Sync: HTTP barriers + parameter distribution) coordinates
-//     startup — the controller publishes its :0-bound addresses, every
-//     agent resolves them and rendezvouses at the start barrier before
-//     dialing. Faults are delivered as process signals (kill, term,
-//     stop, cont) on schedule. Artifacts (fleet snapshot, one flight
-//     recording per process — the file both `tinyleo-ctl trace` and
-//     `tinyleo-ctl inspect` read — and process logs) are collected into
-//     a run directory and the run is scored over the final fleet
-//     snapshot.
-//
-//   - virtual (RunVirtual): the same plan drives the in-process chaos
-//     engine (internal/chaos) on a virtual clock. Same manifest + seed
-//     → byte-identical scored report, which is what CI diffs.
+// recorder SLO rule spec). RunExec executes it: one real tinyleo-ctl
+// and N real tinyleo-sat processes over the real TCP southbound. A
+// small sync service (Sync: one HTTP barrier + parameter distribution)
+// coordinates startup — the controller publishes its :0-bound
+// addresses, every agent resolves them and rendezvouses at the start
+// barrier before dialing. Faults are delivered as process signals
+// (kill, term, stop, cont) on schedule. Artifacts (fleet snapshot, one
+// flight recording per process — the file both `tinyleo-ctl trace` and
+// `tinyleo-ctl inspect` read — and process logs) are collected into a
+// run directory and the run is scored over the final fleet snapshot.
 //
 // The scored RunReport reuses the flight recorder's SLO engine
 // (internal/obs/flightrec): rules evaluate over the fleet snapshot's

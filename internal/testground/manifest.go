@@ -6,28 +6,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 
-	"repro/internal/chaos"
 	"repro/internal/obs/flightrec"
 )
 
-// Run modes.
-const (
-	// ModeExec launches one real tinyleo-ctl and N real tinyleo-sat
-	// processes over the real TCP southbound, coordinated through the
-	// sync service, with faults injected by signaling the processes.
-	ModeExec = "exec"
-	// ModeVirtual drives the same plan through the in-process chaos
-	// engine on a virtual clock: same manifest + seed → byte-identical
-	// scored report.
-	ModeVirtual = "virtual"
-)
-
-// Exec-mode fault kinds (process signals). Virtual-mode manifests use
-// the chaos engine's fault kinds (isl_down, flap_storm, sat_crash,
-// conn_drop, blackhole, demand_surge) instead.
+// Fault kinds: signals sent to a target agent process.
 const (
 	// FaultKill SIGKILLs the target agent process: no flush, no goodbye —
 	// the controller's staleness ladder is the only witness.
@@ -42,12 +27,12 @@ const (
 	FaultCont = "cont"
 )
 
-// DefaultExecSLO scores an exec-mode run that declares no slo: every
-// agent reported at least once and nothing on the wire was malformed.
+// DefaultExecSLO scores a run that declares no slo: every agent reported
+// at least once and nothing on the wire was malformed.
 const DefaultExecSLO = "tinyleo_fleet_reports_total>=1,tinyleo_fleet_decode_errors_total<=0"
 
 // Constellation sizes the Walker constellation the controller compiles
-// against (exec mode). Zero values take the defaults.
+// against. Zero values take the defaults.
 type Constellation struct {
 	// Planes / SatsPerPlane shape the Walker grid (default 16×16).
 	Planes       int `json:"planes,omitempty"`
@@ -62,14 +47,11 @@ type Constellation struct {
 // FaultSpec schedules one fault.
 type FaultSpec struct {
 	// AtS is when to inject, in seconds after every agent has passed the
-	// start barrier (exec mode only; the virtual-mode engine schedules
-	// its own rounds).
+	// start barrier.
 	AtS float64 `json:"at_s,omitempty"`
-	// Kind is the fault: an exec signal kind (kill, term, stop, cont) or
-	// a chaos fault kind in virtual mode.
+	// Kind is the signal: kill, term, stop or cont.
 	Kind string `json:"kind"`
-	// Agent is the target agent index (exec mode; ignored in virtual
-	// mode, where the engine draws targets from the seeded RNG).
+	// Agent is the target agent index.
 	Agent int `json:"agent,omitempty"`
 }
 
@@ -79,11 +61,6 @@ type FaultSpec struct {
 type Manifest struct {
 	// Name identifies the plan in reports and run directories (required).
 	Name string `json:"name"`
-	// Mode is ModeExec (default) or ModeVirtual.
-	Mode string `json:"mode,omitempty"`
-	// Seed drives every seeded choice. In virtual mode, same manifest +
-	// seed → byte-identical scored report.
-	Seed int64 `json:"seed,omitempty"`
 
 	// Agents is the satellite agent count (default 3).
 	Agents int `json:"agents,omitempty"`
@@ -94,8 +71,6 @@ type Manifest struct {
 	// (default 300).
 	SlotSeconds float64 `json:"slot_seconds,omitempty"`
 
-	// Exec-mode process knobs.
-	//
 	// RunForS is how long each agent process stays up if not signaled
 	// (default 120; the runner terminates survivors once the controller
 	// exits).
@@ -113,45 +88,19 @@ type Manifest struct {
 	FleetLagS    float64 `json:"fleet_lag_s,omitempty"`
 	FleetSilentS float64 `json:"fleet_silent_s,omitempty"`
 
-	// Constellation sizes the compiled Walker shell (exec mode).
+	// Constellation sizes the compiled Walker shell.
 	Constellation Constellation `json:"constellation,omitempty"`
 
-	// Faults is the fault schedule (exec) or the per-round fault pool
-	// (virtual, kinds only).
+	// Faults is the fault schedule.
 	Faults []FaultSpec `json:"faults,omitempty"`
-	// SLO is the flightrec rule spec the run is scored with (defaults:
-	// DefaultExecSLO in exec mode, the scenario's spec in virtual mode).
+	// SLO is the flightrec rule spec the run is scored with (default
+	// DefaultExecSLO).
 	SLO string `json:"slo,omitempty"`
-
-	// Virtual-mode campaign knobs.
-	//
-	// Scenario names a built-in chaos scenario; empty composes one from
-	// Faults (or "baseline" if no faults are listed).
-	Scenario string `json:"scenario,omitempty"`
-	// Rounds overrides the scenario's fault→measure→repair cycles.
-	Rounds int `json:"rounds,omitempty"`
-	// SurgeFactor multiplies per-flow load during demand surges (≥2).
-	SurgeFactor int `json:"surge_factor,omitempty"`
-	// Sats sizes the virtual testbed constellation (default 256).
-	Sats int `json:"sats,omitempty"`
-	// CellDeg is the virtual testbed's geographic cell size (default 10).
-	CellDeg float64 `json:"cell_deg,omitempty"`
-	// Flows / PacketsPerWindow / WindowS shape the measured load (chaos
-	// engine defaults: 4, 16, 2).
-	Flows            int     `json:"flows,omitempty"`
-	PacketsPerWindow int     `json:"packets_per_window,omitempty"`
-	WindowS          float64 `json:"window_s,omitempty"`
 }
 
 // FillDefaults returns a copy with every zero field defaulted. The
 // defaulting rules are part of the manifest contract and golden-tested.
 func (m Manifest) FillDefaults() Manifest {
-	if m.Mode == "" {
-		m.Mode = ModeExec
-	}
-	if m.Seed == 0 {
-		m.Seed = 42
-	}
 	if m.Agents == 0 {
 		m.Agents = 3
 	}
@@ -195,16 +144,8 @@ func (m Manifest) FillDefaults() Manifest {
 	if c.PhasingF == 0 {
 		c.PhasingF = 1
 	}
-	if m.SLO == "" && m.Mode == ModeExec {
+	if m.SLO == "" {
 		m.SLO = DefaultExecSLO
-	}
-	if m.Mode == ModeVirtual {
-		if m.Scenario == "" && len(m.Faults) == 0 {
-			m.Scenario = "baseline"
-		}
-		if m.Rounds == 0 && m.Scenario == "" {
-			m.Rounds = 3
-		}
 	}
 	return m
 }
@@ -221,39 +162,14 @@ func (m *Manifest) lastFaultAt() float64 {
 	return last
 }
 
-// execFaultKinds is the exec-mode signal vocabulary.
-var execFaultKinds = map[string]bool{
-	FaultKill: true, FaultTerm: true, FaultStop: true, FaultCont: true,
-}
-
-// virtualFaultKinds is the chaos engine's vocabulary.
-var virtualFaultKinds = map[string]bool{
-	string(chaos.FaultISLDown):     true,
-	string(chaos.FaultFlapStorm):   true,
-	string(chaos.FaultSatCrash):    true,
-	string(chaos.FaultConnDrop):    true,
-	string(chaos.FaultBlackhole):   true,
-	string(chaos.FaultDemandSurge): true,
-}
-
-// kindList renders a kind set for error messages, sorted.
-func kindList(kinds map[string]bool) string {
-	out := make([]string, 0, len(kinds))
-	for k := range kinds {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return strings.Join(out, ", ")
-}
+// faultKinds is the one fault vocabulary.
+var faultKinds = []string{FaultCont, FaultKill, FaultStop, FaultTerm}
 
 // Validate checks a defaulted manifest. Call FillDefaults first (Load
 // does both).
 func (m *Manifest) Validate() error {
 	if m.Name == "" {
 		return fmt.Errorf("testground: manifest needs a name")
-	}
-	if m.Mode != ModeExec && m.Mode != ModeVirtual {
-		return fmt.Errorf("testground: manifest %q: unknown mode %q (want %s or %s)", m.Name, m.Mode, ModeExec, ModeVirtual)
 	}
 	if m.Agents < 1 || m.Agents > 1024 {
 		return fmt.Errorf("testground: manifest %q: agents = %d out of range [1, 1024]", m.Name, m.Agents)
@@ -265,29 +181,16 @@ func (m *Manifest) Validate() error {
 		return fmt.Errorf("testground: manifest %q: slot_seconds = %g, want > 0", m.Name, m.SlotSeconds)
 	}
 	for i, f := range m.Faults {
-		switch m.Mode {
-		case ModeExec:
-			if !execFaultKinds[f.Kind] {
-				return fmt.Errorf("testground: manifest %q: fault %d: unknown exec fault kind %q (want %s)",
-					m.Name, i, f.Kind, kindList(execFaultKinds))
-			}
-			if f.AtS < 0 {
-				return fmt.Errorf("testground: manifest %q: fault %d: at_s = %g, want >= 0", m.Name, i, f.AtS)
-			}
-			if f.Agent < 0 || f.Agent >= m.Agents {
-				return fmt.Errorf("testground: manifest %q: fault %d: agent %d out of range [0, %d)",
-					m.Name, i, f.Agent, m.Agents)
-			}
-		case ModeVirtual:
-			if !virtualFaultKinds[f.Kind] {
-				return fmt.Errorf("testground: manifest %q: fault %d: unknown chaos fault kind %q (want %s)",
-					m.Name, i, f.Kind, kindList(virtualFaultKinds))
-			}
+		if !slices.Contains(faultKinds, f.Kind) {
+			return fmt.Errorf("testground: manifest %q: fault %d: unknown fault kind %q (want %s)",
+				m.Name, i, f.Kind, strings.Join(faultKinds, ", "))
 		}
-	}
-	if m.Mode == ModeVirtual && m.Scenario != "" {
-		if _, err := chaos.ScenarioByName(m.Scenario); err != nil {
-			return fmt.Errorf("testground: manifest %q: %v", m.Name, err)
+		if f.AtS < 0 {
+			return fmt.Errorf("testground: manifest %q: fault %d: at_s = %g, want >= 0", m.Name, i, f.AtS)
+		}
+		if f.Agent < 0 || f.Agent >= m.Agents {
+			return fmt.Errorf("testground: manifest %q: fault %d: agent %d out of range [0, %d)",
+				m.Name, i, f.Agent, m.Agents)
 		}
 	}
 	if m.SLO != "" {

@@ -13,8 +13,8 @@ func TestLoadGoldenValid(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if m.Name != "golden-exec" || m.Mode != ModeExec || m.Seed != 99 {
-		t.Errorf("identity fields: %q %q %d", m.Name, m.Mode, m.Seed)
+	if m.Name != "golden-exec" {
+		t.Errorf("name = %q", m.Name)
 	}
 	if m.Agents != 4 || m.Slots != 3 || m.SlotSeconds != 120 {
 		t.Errorf("shape fields: %d %d %g", m.Agents, m.Slots, m.SlotSeconds)
@@ -38,7 +38,10 @@ func TestLoadGoldenInvalid(t *testing.T) {
 		want string // substring of the error
 	}{
 		{"invalid-unknown-key.json", "unknown field"},
-		{"invalid-fault-kind.json", "unknown exec fault kind"},
+		{"invalid-fault-kind.json", "unknown fault kind"},
+		// The retired virtual mode's keys are unknown keys now.
+		{"invalid-mode-key.json", `unknown field "mode"`},
+		{"invalid-scenario-key.json", `unknown field "scenario"`},
 		{"invalid-agent-range.json", "out of range"},
 		{"invalid-slo.json", "slo"},
 	}
@@ -58,10 +61,7 @@ func TestLoadGoldenInvalid(t *testing.T) {
 // TestFillDefaults pins the documented defaulting rules.
 func TestFillDefaults(t *testing.T) {
 	m := Manifest{Name: "d"}.FillDefaults()
-	if m.Mode != ModeExec {
-		t.Errorf("mode = %q, want exec", m.Mode)
-	}
-	if m.Seed != 42 || m.Agents != 3 || m.Slots != 2 || m.SlotSeconds != 300 {
+	if m.Agents != 3 || m.Slots != 2 || m.SlotSeconds != 300 {
 		t.Errorf("core defaults: %+v", m)
 	}
 	if m.RunForS != 120 || m.FleetIntervalMS != 200 || m.FleetLagS != 2 || m.FleetSilentS != 5 {
@@ -94,26 +94,6 @@ func TestFillDefaultsHoldCoversFaults(t *testing.T) {
 	}
 }
 
-func TestFillDefaultsVirtual(t *testing.T) {
-	m := Manifest{Name: "v", Mode: ModeVirtual}.FillDefaults()
-	if m.Scenario != "baseline" {
-		t.Errorf("scenario with no faults = %q, want baseline", m.Scenario)
-	}
-	if m.SLO != "" {
-		t.Errorf("virtual slo default = %q, want empty (scenario's spec)", m.SLO)
-	}
-	custom := Manifest{
-		Name: "v2", Mode: ModeVirtual,
-		Faults: []FaultSpec{{Kind: "isl_down"}},
-	}.FillDefaults()
-	if custom.Scenario != "" || custom.Rounds != 3 {
-		t.Errorf("composed campaign: scenario=%q rounds=%d, want \"\"/3", custom.Scenario, custom.Rounds)
-	}
-	if err := custom.Validate(); err != nil {
-		t.Errorf("composed campaign must validate: %v", err)
-	}
-}
-
 func TestValidateRejects(t *testing.T) {
 	base := func() Manifest { return Manifest{Name: "x"}.FillDefaults() }
 	cases := []struct {
@@ -122,17 +102,12 @@ func TestValidateRejects(t *testing.T) {
 		want   string
 	}{
 		{"no name", func(m *Manifest) { m.Name = "" }, "needs a name"},
-		{"bad mode", func(m *Manifest) { m.Mode = "cloud" }, "unknown mode"},
 		{"agents low", func(m *Manifest) { m.Agents = 0 }, "agents"},
 		{"agents high", func(m *Manifest) { m.Agents = 5000 }, "agents"},
 		{"slots", func(m *Manifest) { m.Slots = 0 }, "slots"},
 		{"negative fault time", func(m *Manifest) {
 			m.Faults = []FaultSpec{{AtS: -1, Kind: FaultKill}}
 		}, "at_s"},
-		{"bad scenario", func(m *Manifest) {
-			m.Mode = ModeVirtual
-			m.Scenario = "nope"
-		}, "unknown scenario"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

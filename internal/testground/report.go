@@ -17,8 +17,7 @@ const ReportFile = "report.json"
 type Artifact struct {
 	// Name is the path relative to the run directory.
 	Name string `json:"name"`
-	// Bytes is the file size (zeroed in the canonical form: sizes of
-	// wall-clock-bearing artifacts differ run to run).
+	// Bytes is the file size.
 	Bytes int64 `json:"bytes,omitempty"`
 }
 
@@ -36,8 +35,7 @@ type FaultRecord struct {
 }
 
 // FleetRollup condenses the end-of-run constellation health view into
-// the scored report. In virtual mode every field is a function of
-// (manifest, seed); in exec mode it reflects the real processes.
+// the scored report.
 type FleetRollup struct {
 	// Agents counts agents that reported at least once.
 	Agents int `json:"agents"`
@@ -53,13 +51,11 @@ type FleetRollup struct {
 
 // RunReport is a campaign's scored outcome: the resolved plan, what was
 // broken when, the fleet health rollup, the SLO verdicts, and the
-// artifact inventory. CanonicalJSON strips everything wall-clock-shaped,
-// so a virtual-mode run is byte-identical for the same manifest + seed.
+// artifact inventory.
 type RunReport struct {
 	// Plan is the manifest after FillDefaults — the run's full input.
 	Plan Manifest `json:"plan"`
-	// Faults is the schedule as executed (exec mode) or the engine's
-	// per-round fault descriptions flattened (virtual mode).
+	// Faults is the schedule as executed.
 	Faults []FaultRecord `json:"faults,omitempty"`
 	// Fleet is the end-of-run constellation health rollup.
 	Fleet *FleetRollup `json:"fleet,omitempty"`
@@ -75,12 +71,10 @@ type RunReport struct {
 	// non-empty forces Passed false.
 	Err string `json:"err,omitempty"`
 
-	// Artifacts inventories the run directory (sizes zeroed in the
-	// canonical form).
+	// Artifacts inventories the run directory.
 	Artifacts []Artifact `json:"artifacts,omitempty"`
 
-	// WallElapsedMS is the run's wall-clock duration: excluded from the
-	// canonical form.
+	// WallElapsedMS is the run's wall-clock duration.
 	WallElapsedMS float64 `json:"wall_elapsed_ms,omitempty"`
 }
 
@@ -105,34 +99,10 @@ func (r *RunReport) Score(samples []obs.Sample, events []obs.Event) error {
 	return nil
 }
 
-// CanonicalJSON renders the deterministic portion of the report: wall
-// elapsed time and artifact byte sizes are zeroed. In virtual mode the
-// remainder is a pure function of (manifest, seed), so the canonical
-// bytes are run-to-run identical.
-func (r *RunReport) CanonicalJSON() ([]byte, error) {
-	shadow := *r
-	shadow.WallElapsedMS = 0
-	if len(r.Artifacts) > 0 {
-		arts := make([]Artifact, len(r.Artifacts))
-		for i, a := range r.Artifacts {
-			arts[i] = Artifact{Name: a.Name}
-		}
-		shadow.Artifacts = arts
-	}
-	return json.MarshalIndent(&shadow, "", "  ")
-}
-
-// WriteFile writes the scored report into dir: canonical bytes in
-// virtual mode (the determinism contract), the full form in exec mode.
+// WriteFile writes the scored report into dir.
 func (r *RunReport) WriteFile(dir string) (string, error) {
 	path := filepath.Join(dir, ReportFile)
-	var buf []byte
-	var err error
-	if r.Plan.Mode == ModeVirtual {
-		buf, err = r.CanonicalJSON()
-	} else {
-		buf, err = json.MarshalIndent(r, "", "  ")
-	}
+	buf, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return "", err
 	}
@@ -152,8 +122,8 @@ func ReadReportFile(path string) (*RunReport, error) {
 	return &r, nil
 }
 
-// rollupFrom condenses a fleet summary — an exec-mode /fleet document's
-// or a virtual-mode campaign's — into the report's rollup.
+// rollupFrom condenses the controller's /fleet summary into the report's
+// rollup.
 func rollupFrom(s fleet.Summary) *FleetRollup {
 	return &FleetRollup{
 		Agents:       s.Agents,

@@ -13,8 +13,8 @@ import (
 
 func TestScore(t *testing.T) {
 	r := &RunReport{Plan: Manifest{
-		Name: "s", Mode: ModeExec,
-		SLO: "tinyleo_fleet_reports_total>=10,tinyleo_fleet_agents_silent<=0",
+		Name: "s",
+		SLO:  "tinyleo_fleet_reports_total>=10,tinyleo_fleet_agents_silent<=0",
 	}}
 	samples := []obs.Sample{
 		{Name: "tinyleo_fleet_reports_total", Kind: obs.KindCounter, Value: 40},
@@ -36,34 +36,9 @@ func TestScore(t *testing.T) {
 	}
 }
 
-// TestCanonicalJSONStripsWallClock: the canonical form zeroes wall
-// elapsed time and artifact sizes but keeps names and verdicts.
-func TestCanonicalJSONStripsWallClock(t *testing.T) {
-	r := &RunReport{
-		Plan:          Manifest{Name: "c", Mode: ModeVirtual},
-		Artifacts:     []Artifact{{Name: "chaos-report.json", Bytes: 12345}},
-		WallElapsedMS: 98.7,
-		Passed:        true,
-	}
-	canon, err := r.CanonicalJSON()
-	if err != nil {
-		t.Fatalf("CanonicalJSON: %v", err)
-	}
-	if bytes.Contains(canon, []byte("12345")) || bytes.Contains(canon, []byte("wall_elapsed_ms")) {
-		t.Errorf("canonical form leaks wall-clock fields:\n%s", canon)
-	}
-	if !bytes.Contains(canon, []byte("chaos-report.json")) {
-		t.Errorf("canonical form lost the artifact name:\n%s", canon)
-	}
-	// The original is untouched.
-	if r.Artifacts[0].Bytes != 12345 || r.WallElapsedMS != 98.7 {
-		t.Errorf("CanonicalJSON mutated the report: %+v", r)
-	}
-}
-
 func TestWriteAndReadReport(t *testing.T) {
 	dir := t.TempDir()
-	r := &RunReport{Plan: Manifest{Name: "w", Mode: ModeExec}, Passed: true, WallElapsedMS: 5}
+	r := &RunReport{Plan: Manifest{Name: "w"}, Passed: true, WallElapsedMS: 5}
 	path, err := r.WriteFile(dir)
 	if err != nil {
 		t.Fatalf("WriteFile: %v", err)
@@ -116,7 +91,7 @@ func TestReportJSONShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{`"plan"`, `"slo"`, `"slo_breached"`, `"passed"`, `"name"`, `"mode"`} {
+	for _, key := range []string{`"plan"`, `"slo"`, `"slo_breached"`, `"passed"`, `"name"`, `"agents"`} {
 		if !bytes.Contains(buf, []byte(key)) {
 			t.Errorf("report JSON lacks %s:\n%s", key, buf)
 		}

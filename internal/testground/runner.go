@@ -14,7 +14,7 @@ import (
 	"repro/internal/obs/fleet"
 )
 
-// ExecConfig parameterizes an exec-mode run.
+// ExecConfig parameterizes a run.
 type ExecConfig struct {
 	// CtlBin / SatBin are the binaries to launch (default: resolved from
 	// PATH as "tinyleo-ctl" / "tinyleo-sat").
@@ -45,16 +45,13 @@ func (p *proc) exited() bool {
 	}
 }
 
-// RunExec executes an exec-mode plan: one real tinyleo-ctl, N real
+// RunExec executes a plan: one real tinyleo-ctl, N real
 // tinyleo-sat processes over the real TCP southbound, coordinated
 // through the sync service, faults injected by signaling the agent
 // processes on schedule, artifacts collected into cfg.Dir, and the run
 // scored with the plan's SLO rules over the final fleet snapshot plus
 // the controller's last telemetry sweep.
 func RunExec(m *Manifest, cfg ExecConfig) (*RunReport, error) {
-	if m.Mode != ModeExec {
-		return nil, fmt.Errorf("testground: RunExec on a %q-mode manifest", m.Mode)
-	}
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("testground: ExecConfig.Dir is required")
 	}
@@ -262,7 +259,7 @@ func launch(bin, dir, name string, args ...string) (*proc, error) {
 	return p, nil
 }
 
-// signalFault delivers one exec-mode fault to an agent process.
+// signalFault delivers one fault to an agent process.
 func signalFault(p *proc, kind string) error {
 	if p.exited() {
 		return fmt.Errorf("agent already exited")
@@ -280,7 +277,7 @@ func signalFault(p *proc, kind string) error {
 	return fmt.Errorf("unknown fault kind %q", kind)
 }
 
-// scoreSamples builds the exec-mode scoring sample set: the fleet
+// scoreSamples builds the scoring sample set: the fleet
 // snapshot's summary series, then its fleet-wide totals, then the
 // controller's own series. A name an earlier source carries shadows the
 // later ones (the live rollup exports most summary series too, and counter

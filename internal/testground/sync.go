@@ -1,7 +1,6 @@
 package testground
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -42,9 +41,8 @@ type barrier struct {
 //	GET  /healthz            liveness
 //	GET  /param/NAME         parameter value, 404 until published
 //	POST /param/NAME         publish (body = value)
-//	POST /barrier/NAME       arrive and block until released
-//	                         (?n=N lazily defines, ?timeout_s= bounds)
-//	GET  /barrier/NAME       {"need":N,"arrived":K,"released":bool}
+//	POST /barrier/NAME       arrive at a defined barrier and block until
+//	                         released (?timeout_s= bounds the wait)
 type Sync struct {
 	mu sync.Mutex
 	//tinyleo:guardedby mu
@@ -66,19 +64,14 @@ func NewSync() *Sync {
 func (s *Sync) Define(name string, need int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.defineLocked(name, need)
-}
-
-func (s *Sync) defineLocked(name string, need int) *barrier {
-	if b, ok := s.barriers[name]; ok {
-		return b
+	if _, ok := s.barriers[name]; ok {
+		return
 	}
 	b := &barrier{need: need, released: make(chan struct{})}
 	if need <= 0 {
 		close(b.released)
 	}
 	s.barriers[name] = b
-	return b
 }
 
 // SetParam publishes a parameter.
@@ -111,16 +104,14 @@ func (s *Sync) WaitParam(name string, timeout time.Duration) (string, error) {
 	}
 }
 
-// arrive records one arrival and returns the channel to wait on.
-func (s *Sync) arrive(name string, lazyNeed int) (*barrier, error) {
+// arrive records one arrival at a defined barrier and returns it to wait
+// on.
+func (s *Sync) arrive(name string) (*barrier, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.barriers[name]
 	if !ok {
-		if lazyNeed <= 0 {
-			return nil, fmt.Errorf("testground: unknown barrier %q (define it, or pass ?n=)", name)
-		}
-		b = s.defineLocked(name, lazyNeed)
+		return nil, fmt.Errorf("testground: unknown barrier %q", name)
 	}
 	select {
 	case <-b.released:
@@ -135,15 +126,6 @@ func (s *Sync) arrive(name string, lazyNeed int) (*barrier, error) {
 	return b, nil
 }
 
-// Arrive joins the barrier in-process and blocks until it releases.
-func (s *Sync) Arrive(name string, timeout time.Duration) error {
-	b, err := s.arrive(name, 0)
-	if err != nil {
-		return err
-	}
-	return waitReleased(b, name, timeout)
-}
-
 // WaitReleased blocks until the barrier releases without arriving at it
 // (the runner observes the fleet's start without being part of it).
 func (s *Sync) WaitReleased(name string, timeout time.Duration) error {
@@ -153,10 +135,6 @@ func (s *Sync) WaitReleased(name string, timeout time.Duration) error {
 	if !ok {
 		return fmt.Errorf("testground: unknown barrier %q", name)
 	}
-	return waitReleased(b, name, timeout)
-}
-
-func waitReleased(b *barrier, name string, timeout time.Duration) error {
 	select {
 	case <-b.released:
 		return nil
@@ -222,7 +200,7 @@ func (s *Sync) serveParam(w http.ResponseWriter, r *http.Request, name string) {
 			return
 		}
 		fmt.Fprint(w, v)
-	case http.MethodPost, http.MethodPut:
+	case http.MethodPost:
 		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<16))
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
@@ -240,62 +218,29 @@ func (s *Sync) serveBarrier(w http.ResponseWriter, r *http.Request, name string)
 		http.Error(w, "missing barrier name", http.StatusBadRequest)
 		return
 	}
-	switch r.Method {
-	case http.MethodGet:
-		s.mu.Lock()
-		b, ok := s.barriers[name]
-		var status struct {
-			Need     int  `json:"need"`
-			Arrived  int  `json:"arrived"`
-			Released bool `json:"released"`
-		}
-		if ok {
-			status.Need, status.Arrived = b.need, b.arrived
-			select {
-			case <-b.released:
-				status.Released = true
-			default:
-			}
-		}
-		s.mu.Unlock()
-		if !ok {
-			http.Error(w, "unknown barrier: "+name, http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(status)
-	case http.MethodPost:
-		lazyNeed := 0
-		if n := r.URL.Query().Get("n"); n != "" {
-			v, err := strconv.Atoi(n)
-			if err != nil || v < 1 {
-				http.Error(w, "bad n: "+n, http.StatusBadRequest)
-				return
-			}
-			lazyNeed = v
-		}
-		timeout := 120 * time.Second
-		if t := r.URL.Query().Get("timeout_s"); t != "" {
-			v, err := strconv.ParseFloat(t, 64)
-			if err != nil || v <= 0 {
-				http.Error(w, "bad timeout_s: "+t, http.StatusBadRequest)
-				return
-			}
-			timeout = time.Duration(v * float64(time.Second))
-		}
-		b, err := s.arrive(name, lazyNeed)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		select {
-		case <-b.released:
-			fmt.Fprintln(w, "released")
-		case <-time.After(timeout):
-			http.Error(w, "barrier timeout: "+name, http.StatusRequestTimeout)
-		case <-r.Context().Done():
-		}
-	default:
+	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		return
+	}
+	timeout := 120 * time.Second
+	if t := r.URL.Query().Get("timeout_s"); t != "" {
+		v, err := strconv.ParseFloat(t, 64)
+		if err != nil || v <= 0 {
+			http.Error(w, "bad timeout_s: "+t, http.StatusBadRequest)
+			return
+		}
+		timeout = time.Duration(v * float64(time.Second))
+	}
+	b, err := s.arrive(name)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusNotFound)
+		return
+	}
+	select {
+	case <-b.released:
+		fmt.Fprintln(w, "released")
+	case <-time.After(timeout):
+		http.Error(w, "barrier timeout: "+name, http.StatusRequestTimeout)
+	case <-r.Context().Done():
 	}
 }

@@ -1,9 +1,8 @@
 package testground
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -65,7 +64,7 @@ func TestSyncBarrier(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := c.Arrive(BarrierAgentsReady, 0, 5*time.Second); err != nil {
+			if err := c.Arrive(BarrierAgentsReady, 5*time.Second); err != nil {
 				t.Errorf("Arrive: %v", err)
 			}
 			mu.Lock()
@@ -79,12 +78,12 @@ func TestSyncBarrier(t *testing.T) {
 		t.Fatalf("%d arrivals released before the barrier filled", released)
 	}
 	mu.Unlock()
-	if err := c.Arrive(BarrierAgentsReady, 0, 5*time.Second); err != nil {
+	if err := c.Arrive(BarrierAgentsReady, 5*time.Second); err != nil {
 		t.Fatalf("final Arrive: %v", err)
 	}
 	wg.Wait()
 	// Late arrival at a released barrier passes straight through.
-	if err := c.Arrive(BarrierAgentsReady, 0, time.Second); err != nil {
+	if err := c.Arrive(BarrierAgentsReady, time.Second); err != nil {
 		t.Fatalf("late Arrive: %v", err)
 	}
 	// The runner observes the release without arriving.
@@ -93,50 +92,25 @@ func TestSyncBarrier(t *testing.T) {
 	}
 }
 
-func TestSyncBarrierLazyDefine(t *testing.T) {
-	s := startSync(t)
-	c := NewClient(s.URL())
-	// Unknown barrier without ?n= is an error.
-	if err := c.Arrive("nobody-defined", 0, time.Second); err == nil {
-		t.Fatal("arrive at an undefined barrier without n must fail")
-	}
-	// ?n=1 lazily defines and releases immediately.
-	if err := c.Arrive("lazy", 1, 5*time.Second); err != nil {
-		t.Fatalf("lazy Arrive: %v", err)
-	}
-}
-
+// TestSyncBarrierStatusAndTimeout: the HTTP statuses of the barrier
+// endpoint — an undefined barrier is a 404, a bad timeout_s a 400, and a
+// lone arrival times out.
 func TestSyncBarrierStatusAndTimeout(t *testing.T) {
 	s := startSync(t)
 	s.Define("b", 2)
-	errc := make(chan error, 1)
-	go func() { errc <- NewClient(s.URL()).Arrive("b", 0, 300*time.Millisecond) }()
-	time.Sleep(100 * time.Millisecond)
-
-	resp, err := http.Get(s.URL() + "/barrier/b")
+	c := NewClient(s.URL())
+	if err := c.Arrive("nobody-defined", time.Second); err == nil || !strings.Contains(err.Error(), "404") {
+		t.Fatalf("arrive at an undefined barrier = %v, want a 404", err)
+	}
+	resp, err := http.Post(s.URL()+"/barrier/b?timeout_s=-1", "text/plain", nil)
 	if err != nil {
-		t.Fatalf("GET status: %v", err)
+		t.Fatalf("POST: %v", err)
 	}
-	var status struct {
-		Need     int  `json:"need"`
-		Arrived  int  `json:"arrived"`
-		Released bool `json:"released"`
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("timeout_s=-1: status %s, want 400", resp.Status)
 	}
-	if err := jsonDecode(resp, &status); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if status.Need != 2 || status.Arrived != 1 || status.Released {
-		t.Fatalf("status = %+v", status)
-	}
-	if err := <-errc; err == nil {
+	if err := c.Arrive("b", 300*time.Millisecond); err == nil {
 		t.Fatal("lone arrival must time out")
 	}
-}
-
-func jsonDecode(resp *http.Response, v any) error {
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %s", resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
 }
