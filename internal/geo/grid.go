@@ -10,7 +10,9 @@ package geo
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/geom"
 )
@@ -26,7 +28,22 @@ type Grid struct {
 	rasterOnce sync.Once
 	units      []geom.Vec3
 	rowCos     []float64
+	// footprints is the per-radius part of AppendCellsWithin's work for the
+	// radii seen lately. A published slice is never written again: a miss
+	// publishes a longer copy, and one past maxFootprints starts over.
+	footprints atomic.Pointer[[]footprint]
 }
+
+// footprint is what AppendCellsWithin needs of a radius whatever the point: a
+// satellite's footprint radius is constant along its track, so the rasterizer
+// asks for the same few radii millions of times. halfCols[row] columns either
+// side of the center column can hold a cell of that row within radius.
+type footprint struct {
+	radius, cosR float64
+	halfCols     []int
+}
+
+const maxFootprints = 32
 
 // DefaultCellSizeDeg reproduces the paper's 4,050-cell partition.
 const DefaultCellSizeDeg = 4.0
@@ -145,49 +162,74 @@ func (g *Grid) CellsWithin(p geom.LatLon, radius float64) []int {
 // used to build coverage matrices, so it allocates nothing beyond dst's
 // growth and avoids scanning the whole grid: only latitude rows within the
 // radius are visited, and within each row only the longitude span that can
-// possibly be in range.
+// possibly be in range, from its westmost column eastwards across the
+// antimeridian.
 func (g *Grid) AppendCellsWithin(dst []int, p geom.LatLon, radius float64) []int {
 	g.rasterOnce.Do(g.fillRasterTables)
+	fp := g.footprint(radius)
 	radDeg := geom.Rad2Deg(radius)
-	rowLo := int((p.Lat - radDeg + 90) / g.cellDeg)
-	rowHi := int((p.Lat + radDeg + 90) / g.cellDeg)
-	if rowLo < 0 {
-		rowLo = 0
-	}
-	if rowHi >= g.nLat {
-		rowHi = g.nLat - 1
-	}
+	rowLo := max(int((p.Lat-radDeg+90)/g.cellDeg), 0)
+	rowHi := min(int((p.Lat+radDeg+90)/g.cellDeg), g.nLat-1)
 	pu := p.ToUnit()
-	cosR, sinR := math.Cos(radius), math.Sin(radius)
-	colC := int((geom.NormalizeLon(p.Lon) + 180) / g.cellDeg)
+	colC := g.CellID(0, int((geom.NormalizeLon(p.Lon)+180)/g.cellDeg))
 	for row := rowLo; row <= rowHi; row++ {
-		// Longitude half-span at this latitude band (degrees). The
-		// sin(radius)/cos(lat) bound only holds for radius ≤ π/2; larger
-		// radii (hemisphere-plus) scan the full circle. Guard the cos for
-		// near-polar rows where every longitude is in range.
-		spanDeg := 180.0
-		if cosLat := g.rowCos[row]; radius < math.Pi/2 && cosLat > 1e-6 {
-			if s := sinR / cosLat; s < 1 {
-				// A slightly inflated span to be safe; exact check below.
-				spanDeg = geom.Rad2Deg(math.Asin(s)) + g.cellDeg
-			}
+		// The row's span: n columns eastwards from column lo, or all of them.
+		lo, n := colC-fp.halfCols[row], 2*fp.halfCols[row]+1
+		if n > g.nLon {
+			lo, n = 0, g.nLon
+		} else if lo < 0 {
+			lo += g.nLon
 		}
-		halfCols := int(spanDeg/g.cellDeg) + 1
-		if halfCols*2 >= g.nLon {
-			for id := row * g.nLon; id < (row+1)*g.nLon; id++ {
-				if g.units[id].Dot(pu) >= cosR {
-					dst = append(dst, id)
-				}
-			}
-			continue
-		}
-		for dc := -halfCols; dc <= halfCols; dc++ {
-			if id := g.CellID(row, colC+dc); g.units[id].Dot(pu) >= cosR {
-				dst = append(dst, id)
-			}
+		base, first := row*g.nLon, min(n, g.nLon-lo)
+		dst = g.appendRun(dst, base+lo, base+lo+first, pu, fp.cosR)
+		dst = g.appendRun(dst, base, base+n-first, pu, fp.cosR)
+	}
+	return dst
+}
+
+// appendRun appends the cells of [lo, hi) whose centers lie within the
+// footprint: the exact check behind the row and column bounds.
+func (g *Grid) appendRun(dst []int, lo, hi int, pu geom.Vec3, cosR float64) []int {
+	for id := lo; id < hi; id++ {
+		if g.units[id].Dot(pu) >= cosR {
+			dst = append(dst, id)
 		}
 	}
 	return dst
+}
+
+// footprint returns the radius's table, computing and publishing it on a
+// miss. Of two goroutines missing at once the later publication stands; the
+// other's table is recomputed when next asked for.
+func (g *Grid) footprint(radius float64) footprint {
+	var known []footprint
+	if p := g.footprints.Load(); p != nil {
+		known = *p
+	}
+	for i := range known {
+		if known[i].radius == radius {
+			return known[i]
+		}
+	}
+	fp := footprint{radius: radius, cosR: math.Cos(radius), halfCols: make([]int, g.nLat)}
+	sinR := math.Sin(radius)
+	for row, cosLat := range g.rowCos {
+		// Longitude half-span at this latitude band (degrees), inflated by a
+		// cell to be safe: the check is exact. The sin(radius)/cos(lat) bound
+		// only holds for radius ≤ π/2 and away from the poles; elsewhere every
+		// longitude may be in range.
+		spanDeg := 180.0
+		if s := sinR / cosLat; radius < math.Pi/2 && cosLat > 1e-6 && s < 1 {
+			spanDeg = geom.Rad2Deg(math.Asin(s)) + g.cellDeg
+		}
+		fp.halfCols[row] = int(spanDeg/g.cellDeg) + 1
+	}
+	if len(known) >= maxFootprints {
+		known = nil
+	}
+	next := append(slices.Clip(known), fp)
+	g.footprints.Store(&next)
+	return fp
 }
 
 func (g *Grid) fillRasterTables() {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/geom"
@@ -131,12 +132,14 @@ func TestCellsWithinMatchesBruteForce(t *testing.T) {
 		p := geom.LatLon{Lat: rng.Float64()*170 - 85, Lon: rng.Float64()*360 - 180}
 		radius := geom.Deg2Rad(2 + rng.Float64()*15)
 		got := map[int]bool{}
-		for _, id := range g.CellsWithin(p, radius) {
+		ids := g.CellsWithin(p, radius)
+		for _, id := range ids {
 			if got[id] {
 				t.Fatalf("duplicate cell %d", id)
 			}
 			got[id] = true
 		}
+		assertFootprintOrder(t, g, ids)
 		for id := 0; id < g.NumCells(); id++ {
 			want := geom.CentralAngle(p, g.Center(id)) <= radius
 			if got[id] != want {
@@ -144,6 +147,48 @@ func TestCellsWithinMatchesBruteForce(t *testing.T) {
 					trial, id, got[id], want, p, geom.Rad2Deg(radius))
 			}
 		}
+	}
+}
+
+// assertFootprintOrder checks the order CellsWithin promises: rows south to
+// north, and within a row eastwards from the span's westmost column, across
+// the antimeridian at most once.
+func assertFootprintOrder(t *testing.T, g *Grid, ids []int) {
+	t.Helper()
+	for i := 0; i < len(ids); {
+		row, west := g.RowCol(ids[i])
+		if i > 0 && row <= ids[i-1]/g.nLon {
+			t.Fatalf("row %d does not follow row %d northwards in %v", row, ids[i-1]/g.nLon, ids)
+		}
+		east := -1 // columns east of west, modulo the row
+		for ; i < len(ids) && ids[i]/g.nLon == row; i++ {
+			step := (ids[i]%g.nLon - west + g.nLon) % g.nLon
+			if step <= east {
+				t.Fatalf("row %d is not one eastward sweep in %v", row, ids)
+			}
+			east = step
+		}
+	}
+}
+
+// TestCellsWithinPinnedOrder pins two footprints id by id as the parent of the
+// radius table (commit 835f84b) returned them: one across the antimeridian,
+// whose rows each start on the west side of it, and one over the south pole,
+// whose first row is scanned whole and whose second is a partial span.
+func TestCellsWithinPinnedOrder(t *testing.T) {
+	g := MustGrid(6)
+	dateline := []int{1257, 1258, 1259, 1200, 1201, 1317, 1318, 1319, 1260, 1261, 1377, 1378, 1379, 1320, 1321, 1438, 1439, 1380}
+	if got := g.CellsWithin(geom.LatLon{Lat: 40, Lon: 178}, geom.Deg2Rad(13)); !reflect.DeepEqual(got, dateline) {
+		t.Errorf("antimeridian footprint = %v, want %v", got, dateline)
+	}
+	var pole []int
+	for id := 0; id < 85; id++ {
+		if id != 60 && id != 61 {
+			pole = append(pole, id)
+		}
+	}
+	if got := g.CellsWithin(geom.LatLon{Lat: -84, Lon: -100}, geom.Deg2Rad(9)); !reflect.DeepEqual(got, pole) {
+		t.Errorf("polar footprint = %v, want %v", got, pole)
 	}
 }
 
@@ -243,7 +288,62 @@ func TestAppendCellsWithinMatchesCellsWithin(t *testing.T) {
 				if scratch[0] != -1 || scratch[1] != -2 || !reflect.DeepEqual(scratch[2:], want) {
 					t.Fatalf("%v° grid, p=%v r=%v: AppendCellsWithin = %v, reference %v after the prefix", deg, p, radius, scratch, want)
 				}
+				assertFootprintOrder(t, g, want)
 			}
 		}
+	}
+}
+
+// TestFootprintTableReuse drives the per-radius table past its bound and from
+// several goroutines at once: a radius met again after the table started over,
+// or published by a goroutine that lost the race, still gives the reference's
+// cells in the reference's order.
+func TestFootprintTableReuse(t *testing.T) {
+	g := MustGrid(6)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(23 + w)))
+			for i := 0; i < 3*maxFootprints; i++ {
+				// Every goroutine walks the same radii, each from its own offset.
+				radius := geom.Deg2Rad(1 + float64((i+w*7)%(maxFootprints+5)))
+				p := geom.LatLon{Lat: rng.Float64()*180 - 90, Lon: rng.Float64()*360 - 180}
+				if got, want := g.CellsWithin(p, radius), cellsWithinReference(g, p, radius); !reflect.DeepEqual(got, want) {
+					t.Errorf("p=%v r=%v: CellsWithin = %v, reference %v", p, radius, got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(*g.footprints.Load()); n == 0 || n > maxFootprints {
+		t.Errorf("%d radii remembered, bound %d", n, maxFootprints)
+	}
+}
+
+// BenchmarkAppendCellsWithin is one footprint of the ledger's planning grid
+// (6°, the highest Table 1 altitude's 12.7° radius) into a reused slice: at a
+// mid-latitude point, and at one whose span crosses the antimeridian.
+func BenchmarkAppendCellsWithin(b *testing.B) {
+	g := MustGrid(6)
+	radius := geom.Deg2Rad(12.7)
+	for _, bc := range []struct {
+		name string
+		p    geom.LatLon
+	}{
+		{"mid-latitude", geom.LatLon{Lat: 41.3, Lon: 17.9}},
+		{"dateline", geom.LatLon{Lat: -28.6, Lon: 179.2}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			dst := g.AppendCellsWithin(nil, bc.p, radius)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst = g.AppendCellsWithin(dst[:0], bc.p, radius)
+			}
+			b.ReportMetric(float64(len(dst)), "cells")
+		})
 	}
 }

@@ -101,7 +101,9 @@ type Agent struct {
 	wg   sync.WaitGroup
 	stop chan struct{}
 
-	// rng drives backoff jitter; only the read loop touches it.
+	// rng drives backoff jitter; only the read loop touches it. It is nil
+	// until the first reconnect draws a delay: a source is 4.9 KB, and most
+	// agents of a large fleet never lose their connection.
 	rng *rand.Rand
 	// seen / seenRing / seenHead implement the bounded dedup window; only
 	// the read loop touches them. seenRing grows to the window and is a
@@ -139,14 +141,9 @@ func DialAgentOptions(addr string, satID uint32, timeout time.Duration, opts Age
 	if err != nil {
 		return nil, err
 	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = int64(satID) + 1
-	}
 	a := &Agent{
 		SatID: satID, addr: addr, timeout: timeout, opts: opts,
 		conn: conn, stop: make(chan struct{}),
-		rng:  rand.New(rand.NewSource(seed)),
 		seen: map[uint32]struct{}{},
 
 		helloAck: make(chan struct{}),
@@ -266,13 +263,11 @@ func (a *Agent) readLoop() {
 	}
 }
 
-// reconnect re-dials the controller with exponential backoff and jitter
-// until it succeeds or the agent is closed. Returns false when the read
-// loop should exit (reconnect disabled or agent closed).
-func (a *Agent) reconnect() bool {
-	if !a.opts.Reconnect {
-		return false
-	}
+// backoffDelay returns the wait before reconnect attempt n (from 0):
+// min(BackoffBase·2ⁿ, BackoffMax) · (1 + Jitter·U[0,1)). The jitter source is
+// created at the first draw, seeded with opts.Seed or else SatID+1, and kept
+// across reconnects.
+func (a *Agent) backoffDelay(attempt int) time.Duration {
 	base := a.opts.BackoffBase
 	if base <= 0 {
 		base = DefaultBackoffBase
@@ -285,18 +280,40 @@ func (a *Agent) reconnect() bool {
 	if jitter == 0 {
 		jitter = 0.5
 	}
+	delay := base << uint(attempt)
+	if delay > max || delay <= 0 {
+		delay = max
+	}
+	if jitter > 0 {
+		if a.rng == nil {
+			seed := a.opts.Seed
+			if seed == 0 {
+				seed = int64(a.SatID) + 1
+			}
+			a.rng = rand.New(rand.NewSource(seed))
+		}
+		delay = time.Duration(float64(delay) * (1 + jitter*a.rng.Float64()))
+	}
+	return delay
+}
+
+// reconnect re-dials the controller with exponential backoff and jitter
+// until it succeeds or the agent is closed. Returns false when the read
+// loop should exit (reconnect disabled or agent closed).
+func (a *Agent) reconnect() bool {
+	if !a.opts.Reconnect {
+		return false
+	}
+	select {
+	case <-a.stop: // Close took the connection away: there is no delay to draw
+		return false
+	default:
+	}
 	for attempt := 0; ; attempt++ {
-		delay := base << uint(attempt)
-		if delay > max || delay <= 0 {
-			delay = max
-		}
-		if jitter > 0 {
-			delay = time.Duration(float64(delay) * (1 + jitter*a.rng.Float64()))
-		}
 		select {
 		case <-a.stop:
 			return false
-		case <-time.After(delay):
+		case <-time.After(a.backoffDelay(attempt)):
 		}
 		conn, err := net.DialTimeout("tcp", a.addr, a.timeout)
 		if err != nil {

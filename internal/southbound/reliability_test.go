@@ -1,6 +1,7 @@
 package southbound
 
 import (
+	"math/rand"
 	"net"
 	"sync"
 	"testing"
@@ -231,6 +232,47 @@ func TestAgentReconnectResendsPending(t *testing.T) {
 	defer mu.Unlock()
 	if appliedCount != 1 {
 		t.Fatalf("command applied %d times across reconnect, want 1", appliedCount)
+	}
+}
+
+// The jitter source exists from the first reconnect delay on, not from the
+// dial: an agent that served a session and never lost it holds none, and the
+// delays drawn afterwards are the ones a source made at dial time would have
+// given (Seed, else SatID+1), so two agents with one seed back off alike.
+func TestAgentJitterSourceIsLazy(t *testing.T) {
+	c, err := ListenController("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	dial := func(satID uint32, seed int64) *Agent {
+		a, err := DialAgentOptions(c.Addr(), satID, time.Second, AgentOptions{
+			Reconnect: true, BackoffBase: 10 * time.Millisecond, BackoffMax: 30 * time.Millisecond, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Send(&Message{Type: MsgSetRing, SatID: satID, Peer: 1}); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	agents := []*Agent{dial(40, 7), dial(41, 7), dial(42, 0)}
+	waitUntil(t, 5*time.Second, func() bool { return c.PendingAcks() == 0 }, "commands never acked")
+	for _, a := range agents {
+		a.Close() // the read loop, the source's only user, has exited
+		if a.rng != nil {
+			t.Errorf("sat %d never reconnected and holds a jitter source", a.SatID)
+		}
+	}
+	for i, seed := range []int64{7, 7, 43} {
+		ref := rand.New(rand.NewSource(seed))
+		for attempt, capped := range []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond} {
+			want := time.Duration(float64(capped) * (1 + 0.5*ref.Float64()))
+			if got := agents[i].backoffDelay(attempt); got != want {
+				t.Errorf("sat %d attempt %d: delay %v, want %v", agents[i].SatID, attempt, got, want)
+			}
+		}
 	}
 }
 

@@ -55,31 +55,34 @@ func (b *Builder) build(prune bool) *Matrix {
 	m := &Matrix{
 		rows:   b.rows,
 		cols:   b.cols,
-		rowPtr: make([]int64, b.rows+1),
+		colIdx: make([][]int32, b.rows),
+		vals:   make([][]float64, b.rows),
 	}
-	m.colIdx = make([]int32, 0, len(b.entries))
-	m.vals = make([]float64, 0, len(b.entries))
-	for k := 0; k < len(b.entries); {
-		e := b.entries[k]
-		v := e.val
-		k++
-		for k < len(b.entries) && b.entries[k].row == e.row && b.entries[k].col == e.col {
-			v += b.entries[k].val
+	// Both arrays have room for every entry, so the appends below never move
+	// them and a row's view stays valid once filed.
+	colIdx := make([]int32, 0, len(b.entries))
+	vals := make([]float64, 0, len(b.entries))
+	k := 0
+	for i := range m.colIdx {
+		lo := len(vals)
+		for k < len(b.entries) && int(b.entries[k].row) == i {
+			e := b.entries[k]
+			v := e.val
 			k++
+			for k < len(b.entries) && b.entries[k].row == e.row && b.entries[k].col == e.col {
+				v += b.entries[k].val
+				k++
+			}
+			if prune && v == 0 {
+				continue
+			}
+			colIdx = append(colIdx, e.col)
+			vals = append(vals, v)
 		}
-		if prune && v == 0 {
-			continue
-		}
-		m.colIdx = append(m.colIdx, e.col)
-		m.vals = append(m.vals, v)
-		m.rowPtr[e.row+1] = int64(len(m.vals))
+		hi := len(vals)
+		m.colIdx[i], m.vals[i] = colIdx[lo:hi:hi], vals[lo:hi:hi]
 	}
-	// Fill row pointers for empty rows.
-	for i := 1; i <= b.rows; i++ {
-		if m.rowPtr[i] < m.rowPtr[i-1] {
-			m.rowPtr[i] = m.rowPtr[i-1]
-		}
-	}
+	m.nnz = len(vals)
 	return m
 }
 

@@ -7,12 +7,14 @@ package sparse
 
 import "fmt"
 
-// Matrix is an immutable CSR sparse matrix of float64 values.
+// Matrix is an immutable CSR sparse matrix of float64 values. Its rows are
+// capacity-capped views: several rows may share one backing array (a whole
+// matrix from a Builder, a batch of tracks from the texture build), and
+// nothing else is stored per row.
 type Matrix struct {
-	rows, cols int
-	rowPtr     []int64   // len rows+1
-	colIdx     []int32   // len nnz
-	vals       []float64 // len nnz
+	rows, cols, nnz int
+	colIdx          [][]int32   // len rows; each strictly increasing
+	vals            [][]float64 // len rows; aligned with colIdx
 }
 
 // Rows returns the number of rows.
@@ -22,18 +24,17 @@ func (m *Matrix) Rows() int { return m.rows }
 func (m *Matrix) Cols() int { return m.cols }
 
 // NNZ returns the number of stored (non-zero) entries.
-func (m *Matrix) NNZ() int { return len(m.vals) }
+func (m *Matrix) NNZ() int { return m.nnz }
 
 // Row returns row i's stored entries as two aligned views into the matrix,
 // column indices in increasing order and their values. The caller must not
 // modify them.
 func (m *Matrix) Row(i int) (cols []int32, vals []float64) {
-	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-	return m.colIdx[lo:hi:hi], m.vals[lo:hi:hi]
+	return m.colIdx[i], m.vals[i]
 }
 
 // RowNNZ returns the number of stored entries in row i.
-func (m *Matrix) RowNNZ(i int) int { return int(m.rowPtr[i+1] - m.rowPtr[i]) }
+func (m *Matrix) RowNNZ(i int) int { return len(m.colIdx[i]) }
 
 // MulVec computes y = M·x into dst (allocated if nil) and returns it.
 func (m *Matrix) MulVec(x, dst []float64) []float64 {
@@ -43,10 +44,11 @@ func (m *Matrix) MulVec(x, dst []float64) []float64 {
 	if dst == nil {
 		dst = make([]float64, m.rows)
 	}
-	for i := 0; i < m.rows; i++ {
+	for i, cols := range m.colIdx {
+		vals := m.vals[i]
 		s := 0.0
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.vals[k] * x[m.colIdx[k]]
+		for k, c := range cols {
+			s += vals[k] * x[c]
 		}
 		dst[i] = s
 	}
@@ -66,45 +68,37 @@ func (m *Matrix) MulVecT(x, dst []float64) []float64 {
 			dst[i] = 0
 		}
 	}
-	for i := 0; i < m.rows; i++ {
+	for i, cols := range m.colIdx {
 		xi := x[i]
 		if xi == 0 {
 			continue
 		}
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			dst[m.colIdx[k]] += m.vals[k] * xi
+		vals := m.vals[i]
+		for k, c := range cols {
+			dst[c] += vals[k] * xi
 		}
 	}
 	return dst
 }
 
 // VStack stacks matrices vertically (all must share the column count). This
-// implements the paper's temporal unfolding Ã = [A₁; A₂; …; A_Tmax].
+// implements the paper's temporal unfolding Ã = [A₁; A₂; …; A_Tmax]. The
+// result shares its inputs' row storage.
 func VStack(ms ...*Matrix) *Matrix {
 	if len(ms) == 0 {
-		return &Matrix{rowPtr: []int64{0}}
+		return &Matrix{}
 	}
-	cols := ms[0].cols
-	rows, nnz := 0, 0
+	out := &Matrix{cols: ms[0].cols}
 	for _, m := range ms {
-		if m.cols != cols {
+		if m.cols != out.cols {
 			panic("sparse: VStack column mismatch")
 		}
-		rows += m.rows
-		nnz += m.NNZ()
+		out.rows += m.rows
+		out.nnz += m.nnz
 	}
-	out := &Matrix{
-		rows:   rows,
-		cols:   cols,
-		rowPtr: make([]int64, 1, rows+1),
-		colIdx: make([]int32, 0, nnz),
-		vals:   make([]float64, 0, nnz),
-	}
+	out.colIdx = make([][]int32, 0, out.rows)
+	out.vals = make([][]float64, 0, out.rows)
 	for _, m := range ms {
-		base := out.rowPtr[len(out.rowPtr)-1]
-		for i := 1; i <= m.rows; i++ {
-			out.rowPtr = append(out.rowPtr, base+m.rowPtr[i])
-		}
 		out.colIdx = append(out.colIdx, m.colIdx...)
 		out.vals = append(out.vals, m.vals...)
 	}

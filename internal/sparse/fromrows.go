@@ -2,27 +2,24 @@ package sparse
 
 import "fmt"
 
-// FromRows assembles a CSR matrix directly from per-row column index and
-// value slices. Each cols[i] must be strictly increasing and aligned with
-// vals[i]. This is the zero-copy-ish fast path used by the texture library,
-// whose coverage rows are produced already sorted.
+// FromRows makes a CSR matrix of per-row column index and value slices
+// without copying them: the matrix adopts colIdx, vals and every row in
+// them, capping each row's capacity at its length, and the caller must not
+// touch any of them afterwards. Each colIdx[i] must be strictly increasing
+// and aligned with vals[i]. The texture library's coverage rows, produced
+// already sorted, become its matrix this way.
 func FromRows(rows, cols int, colIdx [][]int32, vals [][]float64) *Matrix {
 	if len(colIdx) != rows || len(vals) != rows {
 		panic(fmt.Sprintf("sparse: FromRows got %d/%d rows, want %d", len(colIdx), len(vals), rows))
 	}
-	m := &Matrix{rows: rows, cols: cols, rowPtr: make([]int64, rows+1)}
-	nnz := 0
-	for i := range colIdx {
-		if len(colIdx[i]) != len(vals[i]) {
+	m := &Matrix{rows: rows, cols: cols, colIdx: colIdx, vals: vals}
+	for i, row := range colIdx {
+		n := len(row)
+		if n != len(vals[i]) {
 			panic("sparse: FromRows row length mismatch")
 		}
-		nnz += len(colIdx[i])
-	}
-	m.colIdx = make([]int32, 0, nnz)
-	m.vals = make([]float64, 0, nnz)
-	for i := range colIdx {
 		prev := int32(-1)
-		for k, c := range colIdx[i] {
+		for k, c := range row {
 			if c < 0 || int(c) >= cols {
 				panic(fmt.Sprintf("sparse: FromRows col %d out of range [0,%d)", c, cols))
 			}
@@ -31,9 +28,8 @@ func FromRows(rows, cols int, colIdx [][]int32, vals [][]float64) *Matrix {
 			}
 			prev = c
 		}
-		m.colIdx = append(m.colIdx, colIdx[i]...)
-		m.vals = append(m.vals, vals[i]...)
-		m.rowPtr[i+1] = int64(len(m.vals))
+		colIdx[i], vals[i] = row[:n:n], vals[i][:n:n]
+		m.nnz += n
 	}
 	return m
 }

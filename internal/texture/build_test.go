@@ -12,8 +12,8 @@ import (
 	"repro/internal/orbit"
 )
 
-// csrHash hashes the library's matrix as CSR: the row pointers, then the
-// column indices, then the bits of the values, each as little-endian uint64.
+// csrHash hashes the library's matrix as flat CSR: the running row ends, then
+// the column indices, then the bits of the values, each as little-endian uint64.
 func csrHash(lib *Library) string {
 	h := sha256.New()
 	var b [8]byte
@@ -72,10 +72,30 @@ func midConfig() Config {
 	}
 }
 
+// TestBuildGoldenMid pins the build at midConfig, whose 672 tracks put
+// footprints across the antimeridian and over both poles. The hash was
+// recorded from the build that copied every row twice (commit 835f84b),
+// before the matrix became views of the workers' batch arrays.
+func TestBuildGoldenMid(t *testing.T) {
+	const wantNNZ, want = 189336, "eefa0aac12fdaec8b12aa22988eedde1b18b8f9758837df5381e05cb9b941b55"
+	for _, workers := range []int{1, 3} {
+		cfg := midConfig()
+		cfg.Parallelism = workers
+		lib, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := csrHash(lib); lib.NNZ() != wantNNZ || got != want {
+			t.Errorf("%d workers: nnz %d, hash %s; want %d, %s", workers, lib.NNZ(), got, wantNNZ, want)
+		}
+	}
+}
+
 // TestBuildAllocationCeiling keeps the build's garbage from creeping back: a
-// build may allocate at most 2.5× what its matrix occupies (the matrix, one
-// exactly-sized copy of its rows, the workers' scratch) in at most four
-// allocations per track.
+// build may allocate at most 1.25× what its matrix occupies (the matrix, held
+// once, in arrays the allocator rounds up; each worker's scratch, a couple of
+// dozen rows; the track list) in at most one allocation per four tracks. A
+// second copy of the rows, however short-lived, does not fit.
 func TestBuildAllocationCeiling(t *testing.T) {
 	cfg := midConfig()
 	cfg.Parallelism = 2
@@ -89,13 +109,13 @@ func TestBuildAllocationCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// CSR: 4 B column index + 8 B value per entry, 8 B row pointer per track.
-	csr := uint64(12*lib.NNZ() + 8*(lib.NumTracks()+1))
-	if got := after.TotalAlloc - before.TotalAlloc; got > csr*5/2 {
-		t.Errorf("Build allocated %d B for a %d B matrix (%.2f×), ceiling 2.5×", got, csr, float64(got)/float64(csr))
+	// 4 B column index + 8 B value per entry, two slice headers per track.
+	csr := uint64(12*lib.NNZ() + 48*lib.NumTracks())
+	if got := after.TotalAlloc - before.TotalAlloc; got > csr*5/4 {
+		t.Errorf("Build allocated %d B for a %d B matrix (%.2f×), ceiling 1.25×", got, csr, float64(got)/float64(csr))
 	}
-	if got := after.Mallocs - before.Mallocs; got > uint64(4*lib.NumTracks()) {
-		t.Errorf("Build made %d allocations for %d tracks, ceiling 4 per track", got, lib.NumTracks())
+	if got := after.Mallocs - before.Mallocs; got > uint64(lib.NumTracks()/4) {
+		t.Errorf("Build made %d allocations for %d tracks, ceiling one per four tracks", got, lib.NumTracks())
 	}
 }
 

@@ -8,7 +8,6 @@ package texture
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -121,7 +120,7 @@ func Build(cfg Config) (*Library, error) {
 	if len(cfg.Specs) == 0 {
 		return nil, fmt.Errorf("texture: no repeat specs in configuration")
 	}
-	var tracks []Track
+	tracks := make([]Track, 0, len(cfg.Specs)*len(cfg.InclinationsDeg)*cfg.RAANs*cfg.Phases)
 	for _, spec := range cfg.Specs {
 		for _, incDeg := range cfg.InclinationsDeg {
 			for a := 0; a < cfg.RAANs; a++ {
@@ -148,9 +147,11 @@ func Build(cfg Config) (*Library, error) {
 		Coverage:    cfg.Coverage,
 	}
 
-	// A fixed pool of workers, each with its own rasterizer and row
-	// scratch, takes tracks off a shared counter; a finished row is copied
-	// out exactly sized, so the build's garbage is one copy of the matrix.
+	// A fixed pool of workers, each with its own rasterizer and row scratch,
+	// takes tracks off a shared counter and rasterizes them back to back into
+	// the scratch. Before the next row might not fit, the rows held there are
+	// copied out once, exactly sized, and filed as views of that copy, which
+	// the matrix adopts: the build's garbage is the workers' scratch.
 	m := cfg.Grid.NumCells()
 	rows := make([][]int32, len(tracks))
 	vals := make([][]float64, len(tracks))
@@ -158,28 +159,63 @@ func Build(cfg Config) (*Library, error) {
 	for ss := range offsets {
 		offsets[ss] = float64(ss) / float64(cfg.SubSamples)
 	}
+	workers := min(cfg.Parallelism, len(tracks))
 	var next atomic.Int64
+	next.Store(int64(workers))
 	var wg sync.WaitGroup
-	for w := 0; w < min(cfg.Parallelism, len(tracks)); w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			ras := NewRasterizer(cfg.Grid, cfg.SlotSeconds, offsets)
 			var cols []int32
 			var fracs []float64
-			for j := int(next.Add(1)) - 1; j < len(tracks); j = int(next.Add(1)) - 1 {
-				cols, fracs = appendCoverageRow(cols[:0], fracs[:0], ras, cfg, tracks[j].Elements, m)
-				rows[j] = append(make([]int32, 0, len(cols)), cols...)
-				vals[j] = append(make([]float64, 0, len(fracs)), fracs...)
+			var held []heldRow
+			flush := func() {
+				idx := append(make([]int32, 0, len(cols)), cols...)
+				frac := append(make([]float64, 0, len(fracs)), fracs...)
+				start := 0
+				for _, h := range held {
+					rows[h.track], vals[h.track] = idx[start:h.end], frac[start:h.end]
+					start = h.end
+				}
+				cols, fracs, held = cols[:0], fracs[:0], held[:0]
 			}
+			// Worker w starts on track w whenever it is scheduled, so the row
+			// that sizes its scratch does not depend on that.
+			for j := w; j < len(tracks); j = int(next.Add(1)) - 1 {
+				start := len(cols)
+				cols, fracs = appendCoverageRow(cols, fracs, ras, cfg, tracks[j].Elements, m)
+				held = append(held, heldRow{track: j, end: len(cols)})
+				n := len(cols) - start
+				if cap(cols) < minBatchRows*n {
+					// The first row, or one far larger than any before it:
+					// room for a batch of its like, made at once.
+					cols = append(make([]int32, 0, batchRows*n), cols...)
+					fracs = append(make([]float64, 0, batchRows*n), fracs...)
+				}
+				if cap(cols)-len(cols) < 2*n {
+					flush()
+				}
+			}
+			flush()
 		}()
 	}
 	wg.Wait()
 
-	// Assemble CSR directly; rows are already sorted by construction.
+	// The rows are sorted by construction; FromRows checks that and keeps them.
 	lib.mat = sparse.FromRows(len(tracks), cfg.Slots*m, rows, vals)
 	return lib, nil
 }
+
+// A worker's scratch is sized for batchRows rows like the one that made it
+// grow, and grows again only when it would hold fewer than minBatchRows: rows
+// enough to an array that a build allocates seldom, few enough that the
+// scratch is a small fraction of the matrix.
+const batchRows, minBatchRows = 24, 4
+
+// heldRow is a track's row in a worker's scratch, from the previous one's end.
+type heldRow struct{ track, end int }
 
 // appendCoverageRow appends one track's unfolded coverage to cols and fracs:
 // sorted column indices slot*m+cell with fractional values. Per the paper's
@@ -210,14 +246,16 @@ type Rasterizer struct {
 	slotSeconds float64
 	offsets     []float64
 	hits        []int32 // per cell, zero outside cells
-	cells       []int   // the cells the current slot's samples cover
+	cells       []int   // the cells the current slot's samples cover, ascending
 	within      []int   // one sample's footprint
 }
 
 // NewRasterizer returns a rasterizer over grid that samples slot s at
 // (s + offsets[i]) × slotSeconds.
 func NewRasterizer(grid *geo.Grid, slotSeconds float64, offsets []float64) *Rasterizer {
-	return &Rasterizer{grid: grid, slotSeconds: slotSeconds, offsets: offsets, hits: make([]int32, grid.NumCells())}
+	n := grid.NumCells()
+	return &Rasterizer{grid: grid, slotSeconds: slotSeconds, offsets: offsets,
+		hits: make([]int32, n), cells: make([]int, 0, n), within: make([]int, 0, n)}
 }
 
 // Slot samples the footprint (angular radius lam) of a satellite on el during
@@ -228,18 +266,23 @@ func (r *Rasterizer) Slot(el orbit.Elements, lam float64, s int) (cells []int, t
 		r.hits[c] = 0
 	}
 	r.cells = r.cells[:0]
+	lo, hi := len(r.hits), -1
 	for _, off := range r.offsets {
 		t := (float64(s) + off) * r.slotSeconds
 		r.within = r.grid.AppendCellsWithin(r.within[:0], el.SubSatellitePoint(t), lam)
 		for _, c := range r.within {
-			if r.hits[c] == 0 {
-				r.cells = append(r.cells, c)
-			}
 			r.hits[c]++
+			lo, hi = min(lo, c), max(hi, c)
 		}
 		total += len(r.within)
 	}
-	slices.Sort(r.cells)
+	// The samples' union in ascending order is one scan of the id range they
+	// touched, a slot's arc of grid rows: cheaper than sorting the union.
+	for c := lo; c <= hi; c++ {
+		if r.hits[c] != 0 {
+			r.cells = append(r.cells, c)
+		}
+	}
 	return r.cells, total
 }
 
