@@ -8,7 +8,7 @@ import "strings"
 // are forbidden. The list mirrors ARCHITECTURE.md's "Determinism
 // contract" section.
 var deterministicPkgs = []string{
-	"mpc", "orbit", "sparse", "stablematch", "chaos", "netem",
+	"mpc", "orbit", "texture", "stablematch", "chaos", "netem",
 	"routing", "experiments",
 }
 

@@ -69,12 +69,13 @@ func SolveILP(cfg ILPConfig) (*ILPResult, error) {
 	// Per-satellite satisfiable upper bound per track against the *full*
 	// demand: admissible for the lower bound at any node.
 	s.maxSat = 0
+	fracs := cfg.Library.Fractions()
 	for j := 0; j < cfg.Library.NumTracks(); j++ {
 		sat := 0.0
-		idx, fracs := cfg.Library.TrackRow(j)
+		idx, code := cfg.Library.TrackRow(j)
 		for i, k := range idx {
-			if y := cfg.Demand[k]; fracs[i] < y {
-				sat += fracs[i]
+			if y, frac := cfg.Demand[k], fracs[code[i]]; frac < y {
+				sat += frac
 			} else {
 				sat += y
 			}
@@ -133,13 +134,14 @@ func (s *ilpSolver) availability() float64 {
 func (s *ilpSolver) apply(j, add int) []undoEntry {
 	var undo []undoEntry
 	fx := float64(add)
-	idx, fracs := s.cfg.Library.TrackRow(j)
+	fracs := s.cfg.Library.Fractions()
+	idx, code := s.cfg.Library.TrackRow(j)
 	for i, k := range idx {
 		r := s.residual[k]
 		if r <= 0 {
 			continue
 		}
-		dec := fx * fracs[i]
+		dec := fx * fracs[code[i]]
 		if dec > r {
 			dec = r
 		}
@@ -186,18 +188,19 @@ func (s *ilpSolver) dfs(depth int) {
 	}
 	// Pick the unfixed track with max satisfiable residual.
 	bestJ, bestSatis, bestDot, bestNorm := -1, 0.0, 0.0, 0.0
+	fracs := s.cfg.Library.Fractions()
 	for j := 0; j < s.cfg.Library.NumTracks(); j++ {
 		if s.fixed[j] {
 			continue
 		}
 		satis, dot, norm := 0.0, 0.0, 0.0
-		idx, fracs := s.cfg.Library.TrackRow(j)
+		idx, code := s.cfg.Library.TrackRow(j)
 		for i, k := range idx {
 			r := s.residual[k]
 			if r <= 0 {
 				continue
 			}
-			frac := fracs[i]
+			frac := fracs[code[i]]
 			if frac < r {
 				satis += frac
 			} else {

@@ -142,18 +142,19 @@ func prune(p Problem, res *Result, floor []int) {
 		}
 	}
 	target := p.Epsilon * total
+	fracs := lib.Fractions()
 	// satisfiedDelta returns the satisfied-demand change from removing one
 	// satellite of track j.
 	satisfiedDelta := func(j int) float64 {
 		d := 0.0
-		idx, fracs := lib.TrackRow(j)
+		idx, code := lib.TrackRow(j)
 		for i, k := range idx {
 			y := p.Demand[k]
 			if y == 0 {
 				continue
 			}
 			before := supply[k]
-			after := before - fracs[i]
+			after := before - fracs[code[i]]
 			ob, oa := before, after
 			if ob > y {
 				ob = y
@@ -183,9 +184,9 @@ func prune(p Problem, res *Result, floor []int) {
 		res.Pruned++
 		obsPruned.Inc()
 		satisfied += bestDelta
-		idx, fracs := lib.TrackRow(bestJ)
+		idx, code := lib.TrackRow(bestJ)
 		for i, k := range idx {
-			supply[k] -= fracs[i]
+			supply[k] -= fracs[code[i]]
 		}
 	}
 	if total > 0 {
@@ -261,13 +262,14 @@ func newSolverState(p Problem) *solverState {
 // apply places x satellites on track j, decrementing the clamped residual.
 func (st *solverState) apply(j, x int) {
 	fx := float64(x)
-	idx, fracs := st.p.Library.TrackRow(j)
+	fracs := st.p.Library.Fractions()
+	idx, code := st.p.Library.TrackRow(j)
 	for i, k := range idx {
 		r := st.residual[k]
 		if r <= 0 {
 			continue
 		}
-		dec := fx * fracs[i]
+		dec := fx * fracs[code[i]]
 		if dec > r {
 			dec = r
 		}
@@ -290,13 +292,14 @@ type candidate struct {
 // ‖A_j‖² restricted to unsatisfied entries, used for the add count.
 func (st *solverState) score(j int) candidate {
 	c := candidate{j: j, applied: st.applied}
-	idx, fracs := st.p.Library.TrackRow(j)
+	fracs := st.p.Library.Fractions()
+	idx, code := st.p.Library.TrackRow(j)
 	for i, k := range idx {
 		r := st.residual[k]
 		if r <= 0 {
 			continue
 		}
-		frac := fracs[i]
+		frac := fracs[code[i]]
 		if frac < r {
 			c.satisfiable += frac
 		} else {

@@ -263,8 +263,8 @@ func TestFigure17(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := renderAll(t, tabs...)
-	if !strings.Contains(out, "TS-SDN") {
-		t.Error("missing TS-SDN rows")
+	if !strings.Contains(out, "TS-SDN") || !strings.Contains(out, "TinyLEO bytes") {
+		t.Error("missing TS-SDN rows or TinyLEO's framed bytes")
 	}
 }
 
@@ -285,8 +285,10 @@ func TestFigure18(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := renderAll(t, tab)
-	if !strings.Contains(out, "shortest path") {
-		t.Error("missing shortest-path policy")
+	for _, policy := range []string{"shortest path", "oceanic offloading", "multipath", "risk detour"} {
+		if !strings.Contains(out, policy) {
+			t.Errorf("missing the %s policy's row", policy)
+		}
 	}
 	if strings.Contains(out, "false") {
 		t.Error("some policy route failed to deliver")

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/mpc"
+	"repro/internal/southbound"
 	"repro/internal/tssdn"
 )
 
@@ -58,7 +59,7 @@ func Figure17(scale Scale) ([]*metrics.Table, error) {
 
 	perSlot := metrics.NewTable("Figure 17a-b: per-slot control-plane costs",
 		"minute", "TS-SDN route updates", "TS-SDN+RA route updates", "TinyLEO route updates",
-		"TS-SDN msgs", "TS-SDN+RA msgs", "TinyLEO msgs")
+		"TS-SDN msgs", "TS-SDN+RA msgs", "TinyLEO msgs", "TinyLEO bytes")
 	var totPlain, totRA, totTiny int64
 	var prev *mpc.Snapshot
 	for s := 0; s < scale.ControlSlots; s++ {
@@ -67,10 +68,10 @@ func Figure17(scale Scale) ([]*metrics.Table, error) {
 		rs := ra.Step(t)
 		snap := ctl.Compile(t)
 		added, removed := mpc.DiffLinks(prev, snap)
-		tinyMsgs := int64(2 * (len(added) + len(removed)))
+		tinyMsgs, tinyBytes := slotDeltaFrames(added, removed)
 		prev = snap
 		perSlot.AddRow(int(t/60), ps.RouteUpdates, rs.RouteUpdates, 0,
-			ps.Messages, rs.Messages, tinyMsgs)
+			ps.Messages, rs.Messages, tinyMsgs, tinyBytes)
 		totPlain += ps.Messages
 		totRA += rs.Messages
 		totTiny += tinyMsgs
@@ -87,6 +88,24 @@ func Figure17(scale Scale) ([]*metrics.Table, error) {
 	summary.AddRow("TS-SDN + RA", totRA, rel(totRA))
 	summary.AddRow("TinyLEO", totTiny, "1x")
 	return []*metrics.Table{perSlot, summary}, nil
+}
+
+// slotDeltaFrames counts what TinyLEO's enforcement sends for one slot's link
+// diff: one MsgSlotDelta frame per touched satellite, and their framed bytes.
+func slotDeltaFrames(added, removed []mpc.Link) (frames, bytes int64) {
+	for _, b := range mpc.BatchBySatellite(added, removed) {
+		ops := make([]southbound.SlotDeltaOp, 0, len(b.Del)+len(b.Add))
+		for _, p := range b.Del {
+			ops = append(ops, southbound.SlotDeltaOp{Peer: p})
+		}
+		for _, p := range b.Add {
+			ops = append(ops, southbound.SlotDeltaOp{Peer: p, Up: true})
+		}
+		m := southbound.Message{Type: southbound.MsgSlotDelta, SatID: uint32(b.Sat), Payload: southbound.EncodeSlotDelta(ops)}
+		frames++
+		bytes += int64(m.WireSize())
+	}
+	return frames, bytes
 }
 
 // Figure17d measures repair time for randomly injected link failures:

@@ -57,28 +57,33 @@ func Figure18(scale Scale) (*metrics.Table, error) {
 	tab := metrics.NewTable("Figure 18: enforcement of routing policies",
 		"policy", "route cells", "delivered", "sat hops", "delay (ms)", "stretch")
 
+	// A policy that yields no route keeps its row, with the reason.
 	type policyRoute struct {
 		name string
 		r    intent.Route
+		err  error
 	}
-	var routes []policyRoute
-	routes = append(routes, policyRoute{"shortest path", shortest})
-	if oce, err := tb.Topo.OceanicOffloadRoute(src, dst, 4); err == nil {
-		routes = append(routes, policyRoute{"oceanic offloading", oce})
-	}
-	if multi, err := tb.Topo.MultipathRoutes(src, dst, 2); err == nil {
+	routes := []policyRoute{{name: "shortest path", r: shortest}}
+	oce, err := tb.Topo.OceanicOffloadRoute(src, dst, 4)
+	routes = append(routes, policyRoute{"oceanic offloading", oce, err})
+	if multi, err := tb.Topo.MultipathRoutes(src, dst, 2); err != nil {
+		routes = append(routes, policyRoute{name: "multipath", err: err})
+	} else {
 		for i, r := range multi {
-			routes = append(routes, policyRoute{fmt.Sprintf("multipath #%d", i+1), r})
+			routes = append(routes, policyRoute{name: fmt.Sprintf("multipath #%d", i+1), r: r})
 		}
 	}
 	if mid := len(shortest.Cells) / 2; len(shortest.Cells) > 2 {
 		avoid := map[int]bool{shortest.Cells[mid]: true}
-		if det, err := tb.Topo.DetourRoute(src, dst, avoid); err == nil {
-			routes = append(routes, policyRoute{"risk detour", det})
-		}
+		det, err := tb.Topo.DetourRoute(src, dst, avoid)
+		routes = append(routes, policyRoute{"risk detour", det, err})
 	}
 
 	for _, pr := range routes {
+		if pr.err != nil {
+			tab.AddRow(pr.name, "-", fmt.Sprintf("no route: %v", pr.err), "-", "-", "-")
+			continue
+		}
 		if err := tb.Topo.VerifyRoute(pr.r); err != nil {
 			return nil, fmt.Errorf("experiments: %s route invalid: %w", pr.name, err)
 		}

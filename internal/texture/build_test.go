@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/geo"
@@ -13,7 +14,8 @@ import (
 )
 
 // csrHash hashes the library's matrix as flat CSR: the running row ends, then
-// the column indices, then the bits of the values, each as little-endian uint64.
+// the column indices, then the bits of the values the codes stand for, each as
+// little-endian uint64.
 func csrHash(lib *Library) string {
 	h := sha256.New()
 	var b [8]byte
@@ -33,10 +35,11 @@ func csrHash(lib *Library) string {
 			put(uint64(k))
 		}
 	}
+	fracs := lib.Fractions()
 	for j := range lib.Tracks {
-		_, fracs := lib.TrackRow(j)
-		for _, v := range fracs {
-			put(math.Float64bits(v))
+		_, code := lib.TrackRow(j)
+		for _, c := range code {
+			put(math.Float64bits(fracs[c]))
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -109,14 +112,107 @@ func TestBuildAllocationCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 B column index + 8 B value per entry, two slice headers per track.
-	csr := uint64(12*lib.NNZ() + 48*lib.NumTracks())
+	// 4 B column index + 2 B value code per entry, two slice headers per
+	// track, and the fraction table the codes index.
+	csr := uint64(6*lib.NNZ() + 48*lib.NumTracks() + 8*len(lib.Fractions()))
 	if got := after.TotalAlloc - before.TotalAlloc; got > csr*5/4 {
 		t.Errorf("Build allocated %d B for a %d B matrix (%.2f×), ceiling 1.25×", got, csr, float64(got)/float64(csr))
 	}
 	if got := after.Mallocs - before.Mallocs; got > uint64(lib.NumTracks()/4) {
 		t.Errorf("Build made %d allocations for %d tracks, ceiling one per four tracks", got, lib.NumTracks())
 	}
+}
+
+// TestBuildRejectsCodeOverflow: a slot whose footprints total so many cells
+// that a value code would pass 16 bits fails the build instead of wrapping
+// onto another fraction; the same library with fewer sub-samples builds.
+func TestBuildRejectsCodeOverflow(t *testing.T) {
+	cfg := Config{
+		Grid:            geo.MustGrid(10),
+		Specs:           []orbit.RepeatSpec{{P: 1, Q: 12}},
+		InclinationsDeg: []float64{53},
+		RAANs:           1, Phases: 1, Slots: 2, SubSamples: 8,
+		Coverage: orbit.CoverageParams{MinElevation: 1e-3}, // a horizon-wide footprint
+	}
+	lib, err := Build(cfg)
+	if err != nil {
+		t.Fatalf("%d sub-samples: %v", cfg.SubSamples, err)
+	}
+	if top := len(lib.Fractions()) - 1; top < 1<<12 {
+		t.Fatalf("largest code %d at %d sub-samples: footprint too small to reach 16 bits at 40", top, cfg.SubSamples)
+	}
+	cfg.SubSamples = 40 // codes grow with the square of the sub-samples
+	if lib, err := Build(cfg); err == nil || !strings.Contains(err.Error(), "16 bits") {
+		t.Fatalf("%d sub-samples: Build = %v, %v; want a 16-bit overflow error", cfg.SubSamples, lib, err)
+	}
+}
+
+// TestTrackRowViewsAreCapped: rows that share a worker's batch array are
+// handed out with no spare capacity, so an append to one reallocates and
+// cannot write into the next.
+func TestTrackRowViewsAreCapped(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Parallelism = 1 // every row in as few batch arrays as possible
+	lib, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := csrHash(lib)
+	for j := range lib.Tracks {
+		idx, code := lib.TrackRow(j)
+		if cap(idx) != len(idx) || cap(code) != len(code) {
+			t.Errorf("track %d: len %d, cap %d/%d", j, len(idx), cap(idx), cap(code))
+		}
+		_, _ = append(idx, 0), append(code, 1)
+	}
+	if csrHash(lib) != before {
+		t.Error("appending to row views changed the library")
+	}
+}
+
+// TestCheckRowsPanics: the build's row validation rejects every malformed
+// matrix and counts the entries of a well-formed one.
+func TestCheckRowsPanics(t *testing.T) {
+	check := func(name string, idx [][]int32, codes [][]uint16, cols, tableLen int) {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: expected panic", name)
+			}
+		}()
+		checkRows(idx, codes, cols, tableLen)
+	}
+	check("row count", [][]int32{{0}}, nil, 2, 1)
+	check("ragged", [][]int32{{0, 1}}, [][]uint16{{0}}, 2, 1)
+	check("unsorted", [][]int32{{2, 1}}, [][]uint16{{0, 0}}, 3, 1)
+	check("dup col", [][]int32{{1, 1}}, [][]uint16{{0, 0}}, 3, 1)
+	check("col range", [][]int32{{5}}, [][]uint16{{0}}, 2, 1)
+	check("negative col", [][]int32{{-1}}, [][]uint16{{0}}, 2, 1)
+	check("code range", [][]int32{{0, 1}}, [][]uint16{{0, 3}}, 2, 3)
+	if nnz := checkRows([][]int32{{0, 2}, nil, {1, 3}}, [][]uint16{{0, 2}, nil, {1, 1}}, 4, 3); nnz != 4 {
+		t.Errorf("nnz = %d, want 4", nnz)
+	}
+}
+
+var supplySink []float64
+
+// BenchmarkLibrarySupply is Library.Supply at midConfig with one satellite on
+// every track: one pass over all the library's entries through the fraction
+// table, the product core.Verify and the sparsifier's pruning start from.
+func BenchmarkLibrarySupply(b *testing.B) {
+	lib, err := Build(midConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := make([]int, lib.NumTracks())
+	for j := range x {
+		x[j] = 1
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		supplySink = lib.Supply(x)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(lib.NNZ()), "ns/nnz")
 }
 
 func BenchmarkBuild(b *testing.B) {

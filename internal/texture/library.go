@@ -7,14 +7,15 @@ package texture
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/geo"
 	"repro/internal/geom"
 	"repro/internal/orbit"
-	"repro/internal/sparse"
 )
 
 // Track is one candidate orbital slot: an Earth-repeat family plus a
@@ -109,9 +110,15 @@ type Library struct {
 	SlotSeconds float64
 	Coverage    orbit.CoverageParams
 
-	// mat is track-major: mat[j] is track j's coverage row over the
-	// unfolded index space slot*m + cell (i.e. Ãᵀ of the paper).
-	mat *sparse.Matrix
+	// The coverage matrix is track-major (Ãᵀ of the paper): idx[j] is track
+	// j's row over the unfolded index space slot*m + cell, ascending, and
+	// codes[j] its entries' values as indices into fracs. Every value is
+	// hits/total for a small hit count and a slot's footprint total, so a
+	// 2-byte code stands for it exactly.
+	idx   [][]int32
+	codes [][]uint16
+	fracs []float64
+	nnz   int
 }
 
 // Build enumerates candidates and computes their coverage in parallel.
@@ -150,16 +157,17 @@ func Build(cfg Config) (*Library, error) {
 	// A fixed pool of workers, each with its own rasterizer and row scratch,
 	// takes tracks off a shared counter and rasterizes them back to back into
 	// the scratch. Before the next row might not fit, the rows held there are
-	// copied out once, exactly sized, and filed as views of that copy, which
-	// the matrix adopts: the build's garbage is the workers' scratch.
+	// copied out once, exactly sized, and filed as capacity-capped views of
+	// that copy: the build's garbage is the workers' scratch.
 	m := cfg.Grid.NumCells()
-	rows := make([][]int32, len(tracks))
-	vals := make([][]float64, len(tracks))
+	lib.idx = make([][]int32, len(tracks))
+	lib.codes = make([][]uint16, len(tracks))
 	offsets := make([]float64, cfg.SubSamples)
 	for ss := range offsets {
 		offsets[ss] = float64(ss) / float64(cfg.SubSamples)
 	}
 	workers := min(cfg.Parallelism, len(tracks))
+	maxCode := make([]int, workers)
 	var next atomic.Int64
 	next.Store(int64(workers))
 	var wg sync.WaitGroup
@@ -169,30 +177,32 @@ func Build(cfg Config) (*Library, error) {
 			defer wg.Done()
 			ras := NewRasterizer(cfg.Grid, cfg.SlotSeconds, offsets)
 			var cols []int32
-			var fracs []float64
+			var codes []uint16
 			var held []heldRow
 			flush := func() {
 				idx := append(make([]int32, 0, len(cols)), cols...)
-				frac := append(make([]float64, 0, len(fracs)), fracs...)
+				code := append(make([]uint16, 0, len(codes)), codes...)
 				start := 0
 				for _, h := range held {
-					rows[h.track], vals[h.track] = idx[start:h.end], frac[start:h.end]
+					lib.idx[h.track], lib.codes[h.track] = idx[start:h.end:h.end], code[start:h.end:h.end]
 					start = h.end
 				}
-				cols, fracs, held = cols[:0], fracs[:0], held[:0]
+				cols, codes, held = cols[:0], codes[:0], held[:0]
 			}
 			// Worker w starts on track w whenever it is scheduled, so the row
 			// that sizes its scratch does not depend on that.
 			for j := w; j < len(tracks); j = int(next.Add(1)) - 1 {
 				start := len(cols)
-				cols, fracs = appendCoverageRow(cols, fracs, ras, cfg, tracks[j].Elements, m)
+				var top int
+				cols, codes, top = appendCoverageRow(cols, codes, ras, cfg, tracks[j].Elements, m)
+				maxCode[w] = max(maxCode[w], top)
 				held = append(held, heldRow{track: j, end: len(cols)})
 				n := len(cols) - start
 				if cap(cols) < minBatchRows*n {
 					// The first row, or one far larger than any before it:
 					// room for a batch of its like, made at once.
 					cols = append(make([]int32, 0, batchRows*n), cols...)
-					fracs = append(make([]float64, 0, batchRows*n), fracs...)
+					codes = append(make([]uint16, 0, batchRows*n), codes...)
 				}
 				if cap(cols)-len(cols) < 2*n {
 					flush()
@@ -203,9 +213,51 @@ func Build(cfg Config) (*Library, error) {
 	}
 	wg.Wait()
 
-	// The rows are sorted by construction; FromRows checks that and keeps them.
-	lib.mat = sparse.FromRows(len(tracks), cfg.Slots*m, rows, vals)
+	top := slices.Max(maxCode)
+	if top > math.MaxUint16 {
+		return nil, fmt.Errorf("texture: coverage code %d does not fit 16 bits: a slot's footprints total %d cells over %d sub-samples",
+			top, top/cfg.SubSamples, cfg.SubSamples)
+	}
+	// Code c = total*S + hits - 1 stands for hits/total: total = c/S and hits
+	// = c%S + 1, since hits ≤ S. No code is below S, as total ≥ hits ≥ 1.
+	sub := cfg.SubSamples
+	lib.fracs = make([]float64, top+1)
+	for c := sub; c <= top; c++ {
+		lib.fracs[c] = float64(c%sub+1) / float64(c/sub)
+	}
+	lib.nnz = checkRows(lib.idx, lib.codes, cfg.Slots*m, len(lib.fracs))
 	return lib, nil
+}
+
+// checkRows panics unless every row is strictly increasing inside [0, cols)
+// and aligned with its codes, and every code is inside a table of tableLen
+// values; it returns the number of entries. The rows are built this way, so
+// a failure is a bug in the build.
+func checkRows(idx [][]int32, codes [][]uint16, cols, tableLen int) int {
+	if len(idx) != len(codes) {
+		panic(fmt.Sprintf("texture: %d index rows but %d code rows", len(idx), len(codes)))
+	}
+	nnz := 0
+	for i, row := range idx {
+		if len(row) != len(codes[i]) {
+			panic(fmt.Sprintf("texture: row %d has %d columns but %d codes", i, len(row), len(codes[i])))
+		}
+		prev := int32(-1)
+		for k, c := range row {
+			if c < 0 || int(c) >= cols {
+				panic(fmt.Sprintf("texture: row %d col %d out of range [0,%d)", i, c, cols))
+			}
+			if c <= prev {
+				panic(fmt.Sprintf("texture: row %d not strictly increasing at %d", i, k))
+			}
+			prev = c
+			if int(codes[i][k]) >= tableLen {
+				panic(fmt.Sprintf("texture: row %d code %d outside a table of %d", i, codes[i][k], tableLen))
+			}
+		}
+		nnz += len(row)
+	}
+	return nnz
 }
 
 // A worker's scratch is sized for batchRows rows like the one that made it
@@ -217,22 +269,27 @@ const batchRows, minBatchRows = 24, 4
 // heldRow is a track's row in a worker's scratch, from the previous one's end.
 type heldRow struct{ track, end int }
 
-// appendCoverageRow appends one track's unfolded coverage to cols and fracs:
-// sorted column indices slot*m+cell with fractional values. Per the paper's
-// supply model, A_t(i,j) is the fraction of satellite j's radio-link capacity
-// over cell i, so each satellite's coverage sums to 1 per slot (its capacity
-// is one satellite unit regardless of footprint size): a wide footprint
-// spreads capacity thinner, it does not multiply it.
-func appendCoverageRow(cols []int32, fracs []float64, ras *Rasterizer, cfg Config, el orbit.Elements, m int) ([]int32, []float64) {
+// appendCoverageRow appends one track's unfolded coverage to cols and codes:
+// sorted column indices slot*m+cell, each with the code total*S + hits - 1 of
+// its fraction hits/total (S = cfg.SubSamples), and returns the largest code,
+// which the caller must check fits 16 bits before it keeps any. Per the
+// paper's supply model, A_t(i,j) is the fraction of satellite j's radio-link
+// capacity over cell i, so each satellite's coverage sums to 1 per slot (its
+// capacity is one satellite unit regardless of footprint size): a wide
+// footprint spreads capacity thinner, it does not multiply it.
+func appendCoverageRow(cols []int32, codes []uint16, ras *Rasterizer, cfg Config, el orbit.Elements, m int) ([]int32, []uint16, int) {
 	lam := cfg.Coverage.FootprintRadius(el.Altitude())
+	top := 0
 	for s := 0; s < cfg.Slots; s++ {
 		cells, total := ras.Slot(el, lam, s)
 		for _, c := range cells {
+			code := total*cfg.SubSamples + ras.Hits(c) - 1
+			top = max(top, code)
 			cols = append(cols, int32(s*m+c))
-			fracs = append(fracs, float64(ras.Hits(c))/float64(total))
+			codes = append(codes, uint16(code))
 		}
 	}
-	return cols, fracs
+	return cols, codes, top
 }
 
 // Rasterizer samples a satellite's radio footprint over the cell grid one
@@ -296,24 +353,19 @@ func (l *Library) NumTracks() int { return len(l.Tracks) }
 // UnfoldedLen returns slots × cells, the length of demand/residual vectors.
 func (l *Library) UnfoldedLen() int { return l.Slots * l.Grid.NumCells() }
 
-// TrackCoverage iterates track j's stored coverage entries as
-// (slot, cell, fraction) triples.
-func (l *Library) TrackCoverage(j int, f func(slot, cell int, frac float64)) {
-	m := l.Grid.NumCells()
-	idx, frac := l.mat.Row(j)
-	for i, k := range idx {
-		f(int(k)/m, int(k)%m, frac[i])
-	}
+// TrackRow returns track j's coverage over the flattened slot*m+cell space
+// as two aligned read-only views with no spare capacity: ascending indices
+// and the codes of their fractions, which Fractions maps to values.
+func (l *Library) TrackRow(j int) (idx []int32, code []uint16) {
+	return l.idx[j], l.codes[j]
 }
 
-// TrackRow returns track j's coverage over the flattened slot*m+cell space
-// as two aligned read-only views: ascending indices and their fractions.
-func (l *Library) TrackRow(j int) (idx []int32, frac []float64) {
-	return l.mat.Row(j)
-}
+// Fractions returns the read-only table of coverage fractions TrackRow's
+// codes index: entry i's fraction is Fractions()[code[i]].
+func (l *Library) Fractions() []float64 { return l.fracs }
 
 // TrackNNZ returns the number of (slot, cell) pairs track j covers.
-func (l *Library) TrackNNZ(j int) int { return l.mat.RowNNZ(j) }
+func (l *Library) TrackNNZ(j int) int { return len(l.idx[j]) }
 
 // Supply accumulates the unfolded network supply Ã·x for integer satellite
 // counts x (len NumTracks) into a dense vector of length UnfoldedLen.
@@ -327,16 +379,16 @@ func (l *Library) Supply(x []int) []float64 {
 			continue
 		}
 		fn := float64(n)
-		idx, frac := l.mat.Row(j)
-		for i, k := range idx {
-			out[k] += fn * frac[i]
+		code := l.codes[j]
+		for i, k := range l.idx[j] {
+			out[k] += fn * l.fracs[code[i]]
 		}
 	}
 	return out
 }
 
 // NNZ returns the total stored coverage entries across all tracks.
-func (l *Library) NNZ() int { return l.mat.NNZ() }
+func (l *Library) NNZ() int { return l.nnz }
 
 // Stats summarizes the library the way the paper's Table 1 does.
 type Stats struct {

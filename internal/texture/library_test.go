@@ -62,10 +62,11 @@ func TestCoverageValuesAreFractions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fracs := lib.Fractions()
 	for j := 0; j < lib.NumTracks(); j++ {
-		idx, fracs := lib.TrackRow(j)
-		for i, frac := range fracs {
-			if frac <= 0 || frac > 1+1e-12 {
+		idx, code := lib.TrackRow(j)
+		for i, c := range code {
+			if frac := fracs[c]; frac <= 0 || frac > 1+1e-12 {
 				t.Fatalf("track %d idx %d frac %v", j, idx[i], frac)
 			}
 		}
@@ -84,15 +85,16 @@ func TestCoverageMatchesGeometry(t *testing.T) {
 	j := 3
 	el := lib.Tracks[j].Elements
 	cov := lib.Coverage
-	n := 0
-	lib.TrackCoverage(j, func(slot, cell int, frac float64) {
-		n++
+	m := lib.Grid.NumCells()
+	idx, _ := lib.TrackRow(j)
+	for _, k := range idx {
+		slot, cell := int(k)/m, int(k)%m
 		tt := float64(slot) * cfg.SlotSeconds
 		if !cov.Covers(el, tt, lib.Grid.Center(cell)) {
 			t.Fatalf("slot %d cell %d claimed covered but geometry disagrees", slot, cell)
 		}
-	})
-	if n == 0 {
+	}
+	if len(idx) == 0 {
 		t.Fatal("track has empty coverage")
 	}
 }
@@ -142,6 +144,48 @@ func TestSupplyAdditive(t *testing.T) {
 	for k := range sc {
 		if math.Abs(sc[k]-sa[k]-sb[k]) > 1e-12 {
 			t.Fatalf("supply not additive at %d", k)
+		}
+	}
+}
+
+// TestSupplyMatchesRasterizerRecount: Supply read through the value codes is,
+// bit for bit, a dense recount of every placed track's slots from its own
+// Rasterizer with each fraction computed in place as hits/total.
+func TestSupplyMatchesRasterizerRecount(t *testing.T) {
+	cfg := midConfig()
+	lib, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]int, lib.NumTracks())
+	for j := range x {
+		x[j] = j % 4
+	}
+	got := lib.Supply(x)
+
+	offsets := make([]float64, cfg.SubSamples)
+	for i := range offsets {
+		offsets[i] = float64(i) / float64(cfg.SubSamples)
+	}
+	ras := NewRasterizer(lib.Grid, lib.SlotSeconds, offsets)
+	m := lib.Grid.NumCells()
+	want := make([]float64, lib.UnfoldedLen())
+	for j, n := range x {
+		if n == 0 {
+			continue
+		}
+		el := lib.Tracks[j].Elements
+		lam := lib.Coverage.FootprintRadius(el.Altitude())
+		for s := 0; s < lib.Slots; s++ {
+			cells, total := ras.Slot(el, lam, s)
+			for _, c := range cells {
+				want[s*m+c] += float64(n) * (float64(ras.Hits(c)) / float64(total))
+			}
+		}
+	}
+	for k := range want {
+		if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+			t.Fatalf("supply[%d] = %v, recount %v", k, got[k], want[k])
 		}
 	}
 }

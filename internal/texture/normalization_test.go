@@ -18,11 +18,12 @@ func TestCoverageCapacityNormalized(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := lib.Grid.NumCells()
+	fracs := lib.Fractions()
 	for j := 0; j < lib.NumTracks(); j++ {
 		perSlot := make([]float64, lib.Slots)
-		idx, fracs := lib.TrackRow(j)
+		idx, code := lib.TrackRow(j)
 		for i, k := range idx {
-			perSlot[int(k)/m] += fracs[i]
+			perSlot[int(k)/m] += fracs[code[i]]
 		}
 		for s, sum := range perSlot {
 			if sum == 0 {
@@ -63,9 +64,9 @@ func TestHighAltitudeDoesNotMultiplyCapacity(t *testing.T) {
 	}
 	sum := func(j int) float64 {
 		s := 0.0
-		_, fracs := lib.TrackRow(j)
-		for _, v := range fracs {
-			s += v
+		_, code := lib.TrackRow(j)
+		for _, c := range code {
+			s += lib.Fractions()[c]
 		}
 		return s
 	}
