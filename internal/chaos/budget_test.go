@@ -1,6 +1,9 @@
 package chaos
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // warmChain returns a function compiling the next slot of a DeltaCompile
 // chain at dt = 30 s on tb, already three slots in: the chain's tables have
@@ -19,19 +22,38 @@ func warmChain(tb *Testbed) (next func()) {
 
 // TestWarmSlotAllocationBudget is the exact work counter behind the
 // compile's allocation claim: a warm DeltaCompile slot on the 529-satellite
-// testbed allocates what it returns — the snapshot's maps and lists, the
-// coverage lists, the slot geometry — and nothing per pair, per sample or
-// per matching. Measured: 188 objects per slot (1,750 before the slot
-// tables and the reusable Matcher); the budget is that plus 10 %, so a map
-// or a per-row slice put back on the path fails here, not in a ledger run.
+// testbed allocates what it returns — the snapshot's maps and lists, with
+// its coverage lists as views of one exact-size array — and nothing per
+// pair, per sample or per matching, and no slot geometry (the chain
+// refills one it evicted). Measured: 81 objects and 14.5 KB per slot (188
+// objects and 63.6 KB while every slot built a geometry and grew its
+// coverage lists by append; 1,750 objects before the slot tables and the
+// reusable Matcher). The budgets are those plus 10 %: one geometry is
+// 529 × 76 B ≈ 40 KB, so a geometry put back on the path fails here, and
+// so do append-grown coverage lists or a map or per-row slice, not in a
+// ledger run.
 func TestWarmSlotAllocationBudget(t *testing.T) {
-	const budget = 206
+	const (
+		objects = 89
+		bytes   = 16_000
+		slots   = 50
+	)
 	tb, err := NewTestbed(TestbedConfig{Sats: 529})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if allocs := testing.AllocsPerRun(50, warmChain(tb)); allocs > budget {
-		t.Errorf("a warm slot allocates %.0f objects, budget %d", allocs, budget)
+	next := warmChain(tb)
+	if allocs := testing.AllocsPerRun(slots, next); allocs > objects {
+		t.Errorf("a warm slot allocates %.0f objects, budget %d", allocs, objects)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range slots {
+		next()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / slots; per > bytes {
+		t.Errorf("a warm slot allocates %d B, budget %d", per, bytes)
 	}
 }
 

@@ -242,3 +242,79 @@ func TestDeltaChainDropsOldSlotGeometry(t *testing.T) {
 	got, _ := c.Repair(first, fail, nil, 0)
 	compareSnaps(t, 0, want, got)
 }
+
+// TestChainSlotGeometryOutlivesTheChain: a geometry taken from the cache's
+// public Slot at a chain slot's time, and the one a Repair of that slot
+// uses, is never refilled by the chain, which recycles the memory of the
+// geometries only it received: five slots later the held geometry still
+// reads as its own slot time, and a Repair of the slot answers as it did
+// and as one of the same slot compiled from scratch.
+func TestChainSlotGeometryOutlivesTheChain(t *testing.T) {
+	c, _ := newController(t)
+	ref, _ := newController(t)
+	const dt, at = 60.0, 3
+	prev := c.Compile(0)
+	for s := 1; s <= at; s++ {
+		prev = c.DeltaCompile(prev, float64(s)*dt)
+	}
+	slot := prev
+	if len(slot.InterLinks) == 0 {
+		t.Fatal("no inter-links to fail over")
+	}
+	fail := []Link{slot.InterLinks[0]}
+	repaired, _ := c.Repair(slot, fail, nil, 0)
+	held := c.geo.Slot(slot.Time)
+	for s := at + 1; s <= at+5; s++ {
+		prev = c.DeltaCompile(prev, float64(s)*dt)
+	}
+	for i, e := range c.cfg.Sats {
+		if got, want := held.Position(i), e.PositionECI(slot.Time); got != want {
+			t.Fatalf("sat %d: held position %v != %v at t=%v", i, got, want, slot.Time)
+		}
+		if got, want := held.SubPoint(i), e.SubSatellitePoint(slot.Time); got != want {
+			t.Fatalf("sat %d: held subpoint %v != %v at t=%v", i, got, want, slot.Time)
+		}
+	}
+	again, _ := c.Repair(slot, fail, nil, 0)
+	compareSnaps(t, at, repaired, again)
+	want, _ := ref.Repair(ref.Compile(slot.Time), fail, nil, 0)
+	compareSnaps(t, at, want, again)
+}
+
+// TestRepairOfPrevDuringDeltaCompile repairs every chain snapshot on
+// another goroutine while the chain compiles the next slots from it — an
+// agent-reported failure overlapping the slot loop. Under -race a Repair
+// reading a geometry the chain refills is a reported race; each repair
+// must equal the same repair of the slot compiled from scratch.
+func TestRepairOfPrevDuringDeltaCompile(t *testing.T) {
+	c, _ := newController(t)
+	ref, _ := newController(t)
+	const slots, dt = 12, 60.0
+	snaps := make(chan *Snapshot, slots)
+	repaired := make([]*Snapshot, slots)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for s := range snaps {
+			if len(s.InterLinks) > 0 {
+				repaired[int(s.Time/dt)], _ = c.Repair(s, s.InterLinks[:1], nil, 0)
+			}
+		}
+	}()
+	prev := c.Compile(0)
+	for s := 1; s <= slots; s++ {
+		snaps <- prev
+		prev = c.DeltaCompile(prev, float64(s)*dt)
+	}
+	close(snaps)
+	wg.Wait()
+	for s, got := range repaired {
+		if got == nil {
+			t.Fatalf("slot %d: no inter-links to fail over", s)
+		}
+		scratch := ref.Compile(float64(s) * dt)
+		want, _ := ref.Repair(scratch, scratch.InterLinks[:1], nil, 0)
+		compareSnaps(t, s, want, got)
+	}
+}

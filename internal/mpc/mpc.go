@@ -193,16 +193,20 @@ type Controller struct {
 }
 
 // slotScratch is the working memory of one slot compile: the slot's
-// position, τ and visibility-run tables and the matching stages' buffers.
-// Compile allocates one per call; the DeltaCompile chain keeps one and
-// reuses it, so a warm slot allocates only what its snapshot holds, and
-// its lifetime walks skip the samples the previous slot's runs observed.
+// coverage buffers, its position, τ and visibility-run tables and the
+// matching stages' buffers. Compile allocates one per call; the
+// DeltaCompile chain keeps one and reuses it — with the slot geometry,
+// which orbit.PropCache.ChainSlot refills in place — so a warm slot
+// allocates only what its snapshot holds, and its lifetime walks skip the
+// samples the previous slot's runs observed.
 type slotScratch struct {
-	life  orbit.LifeTable
-	match stablematch.Matcher
-	taken []bool // per satellite: already holds a gateway assignment
-	sats  []int  // the current cell's unassigned satellites
-	w, rw matrix // τ weights of the current matching, and their transpose
+	cover    [][]int // per cell: the slot's coverage lists, views the snapshot keeps
+	coverBuf []int   // where SlotGeom.CoverageInto gathers them
+	life     orbit.LifeTable
+	match    stablematch.Matcher
+	taken    []bool // per satellite: already holds a gateway assignment
+	sats     []int  // the current cell's unassigned satellites
+	w, rw    matrix // τ weights of the current matching, and their transpose
 }
 
 // matrix is a weight matrix whose rows share one reusable backing slice.
@@ -295,8 +299,9 @@ func (c *Controller) Compile(t float64) *Snapshot {
 // DeltaCompile produces the snapshot Compile(t) would — byte for byte —
 // as one slot of a chain: pair-lifetime predictions skip visibility
 // samples the previous slots' evaluations already observed (the dominant
-// geometry cost), the slot's working memory is the chain's own, reused
-// from slot to slot, and slot geometries older than prev are dropped.
+// geometry cost), the slot's working memory and geometry are the chain's
+// own, reused from slot to slot, and slot geometries older than prev are
+// dropped.
 // prev anchors the changed-cell gauge; passing nil falls back to a full
 // compile. Calls are serialized per controller, while Compile and Repair
 // may still run concurrently.
@@ -307,7 +312,9 @@ func (c *Controller) DeltaCompile(prev *Snapshot, t float64) *Snapshot {
 	c.deltaMu.Lock()
 	defer c.deltaMu.Unlock()
 	// prev's geometry stays for a Repair of prev; older slots are never
-	// compiled again (Repair rebuilds one it still needs).
+	// compiled again (Repair rebuilds one it still needs), and deltaMu
+	// orders this eviction with the chain's ChainSlot calls, as the cache
+	// requires.
 	c.geo.DropSlotsBefore(math.Min(prev.Time, t))
 	snap := c.compile(t, &c.delta, prev)
 	obsDeltaCompiles.Inc()
@@ -339,25 +346,31 @@ func (c *Controller) compile(t float64, sc *slotScratch, prev *Snapshot) *Snapsh
 	// enforces the terminal budget by assigning each satellite to at most
 	// one cell's gateway duty. Slot geometry (positions, sub-satellite
 	// points, the ISL-range pruning grid) comes from the propagation
-	// cache and is shared with Repair at the same slot time.
-	sg := c.geo.Slot(t)
-	cover := sg.Coverage(tp.centers, c.footprint)
+	// cache, which shares it with Repair at the same slot time; the chain's
+	// own is refilled in the memory of one it evicted.
+	var sg *orbit.SlotGeom
+	if prev != nil {
+		sg = c.geo.ChainSlot(t)
+	} else {
+		sg = c.geo.Slot(t)
+	}
+	sc.cover, sc.coverBuf = sg.CoverageInto(sc.cover, sc.coverBuf, tp.centers, c.footprint)
+	cover, changed := sc.cover, 0
 	for ci, u := range tp.cells {
+		if prev != nil && !slices.Equal(prev.CellSats[u], cover[ci]) {
+			changed++
+		}
 		if len(cover[ci]) > 0 {
 			snap.CellSats[u] = cover[ci]
 		}
+	}
+	if prev != nil {
+		obsDeltaChangedCells.Set(float64(changed))
 	}
 	// Every τ the matching stages consult is between two satellites of
 	// these coverage lists, at this one slot time.
 	lt, mt := &sc.life, &sc.match
 	lt.Reset(sg, cover)
-	if prev != nil {
-		prevCover := make([][]int, len(tp.cells))
-		for ci, u := range tp.cells {
-			prevCover[ci] = prev.CellSats[u]
-		}
-		obsDeltaChangedCells.Set(float64(len(orbit.ChangedCells(prevCover, cover))))
-	}
 	matched := 0
 
 	// Stage 1: per-cell many-to-one gateway matching. Satellites already

@@ -2,6 +2,7 @@ package orbit
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -43,6 +44,10 @@ type PropCache struct {
 	slotMu sync.Mutex
 	//tinyleo:guardedby slotMu
 	slots map[uint64]*slotEntry
+	// free holds up to maxFree evicted geometries that only ChainSlot ever
+	// returned, for ChainSlot to refill instead of allocating.
+	//tinyleo:guardedby slotMu
+	free []*SlotGeom
 
 	posHits     atomic.Uint64
 	posMisses   atomic.Uint64
@@ -56,7 +61,15 @@ type PropCache struct {
 type slotEntry struct {
 	once sync.Once
 	g    *SlotGeom
+	// shared is set, under PropCache.slotMu, once Slot has handed g out:
+	// then some holder other than the chain may keep it, and it is never
+	// refilled.
+	shared bool
 }
+
+// maxFree bounds the free list: a chain evicts one geometry per slot and
+// refills one per slot, so two cover a chain whose prev lags a slot.
+const maxFree = 2
 
 // NewPropCache creates a propagation cache over sats with the given ISL
 // visibility constraints and lifetime prediction window (horizon and step
@@ -94,30 +107,76 @@ func (pc *PropCache) Lifetime(i, j int, t0 float64) float64 {
 }
 
 // Slot returns the memoized per-slot geometry at time t, building it on
-// first use. Concurrent callers for the same t share one build.
+// first use. Concurrent callers for the same t share one build. The
+// geometry stays valid for as long as its holder keeps it, eviction
+// included.
 func (pc *PropCache) Slot(t float64) *SlotGeom {
-	key := math.Float64bits(t)
 	pc.slotMu.Lock()
-	e, ok := pc.slots[key]
-	if !ok {
-		e = &slotEntry{}
-		pc.slots[key] = e
+	e, _ := pc.entryLocked(t)
+	e.shared = true
+	pc.slotMu.Unlock()
+	e.once.Do(func() {
+		e.g = pc.newSlot()
+		pc.fillSlot(e.g, t)
+	})
+	return e.g
+}
+
+// ChainSlot is Slot for the one caller that compiles a chain of slots,
+// one after another: a geometry at t that no Slot caller has received is
+// built in the memory of one DropSlotsBefore evicted, so a warm chain
+// allocates none. It is valid until the caller's next DropSlotsBefore
+// evicts it, and ChainSlot and DropSlotsBefore must be ordered with each
+// other (called from one goroutine, or under one lock); Slot, from any
+// goroutine, stays free to run alongside them.
+func (pc *PropCache) ChainSlot(t float64) *SlotGeom {
+	pc.slotMu.Lock()
+	e, created := pc.entryLocked(t)
+	var g *SlotGeom
+	if n := len(pc.free); created && n > 0 {
+		g = pc.free[n-1]
+		pc.free = pc.free[:n-1]
 	}
 	pc.slotMu.Unlock()
-	e.once.Do(func() { e.g = pc.buildSlot(t) })
+	e.once.Do(func() {
+		if g == nil {
+			g = pc.newSlot()
+		}
+		pc.fillSlot(g, t)
+		e.g = g
+	})
 	return e.g
+}
+
+// entryLocked returns the entry of slot t, adding an empty one (created)
+// if there is none.
+func (pc *PropCache) entryLocked(t float64) (e *slotEntry, created bool) {
+	key := math.Float64bits(t)
+	if e = pc.slots[key]; e == nil {
+		e, created = &slotEntry{}, true
+		pc.slots[key] = e
+	}
+	return e, created
 }
 
 // DropSlotsBefore evicts slot geometries older than t (long-running
 // controllers compile an unbounded slot sequence, and this map is the one
-// thing the cache keeps per slot). A holder of an evicted geometry keeps
-// using it, and Slot rebuilds one on demand.
+// thing the cache keeps per slot). A Slot caller holding an evicted
+// geometry keeps using it, and Slot rebuilds one on demand; a geometry
+// only ChainSlot returned goes to the free list ChainSlot refills from.
 func (pc *PropCache) DropSlotsBefore(t float64) {
 	pc.slotMu.Lock()
 	defer pc.slotMu.Unlock()
-	for key := range pc.slots {
-		if math.Float64frombits(key) < t {
-			delete(pc.slots, key)
+	for key, e := range pc.slots {
+		if math.Float64frombits(key) >= t {
+			continue
+		}
+		delete(pc.slots, key)
+		// An entry Slot never touched was filled by ChainSlot, which the
+		// caller orders with this call, so e.g is complete here.
+		if !e.shared && e.g != nil && len(pc.free) < maxFree {
+			//lint:tinyleo-ignore which evicted geometry is refilled first is unobservable: fillSlot overwrites every value
+			pc.free = append(pc.free, e.g)
 		}
 	}
 }
@@ -129,16 +188,26 @@ func (pc *PropCache) NumSlots() int {
 	return len(pc.slots)
 }
 
-func (pc *PropCache) buildSlot(t float64) *SlotGeom {
+// newSlot allocates an empty geometry for fillSlot.
+func (pc *PropCache) newSlot() *SlotGeom {
 	g := &SlotGeom{
 		cache:    pc,
-		Time:     t,
 		pos:      make([]geom.Vec3, len(pc.sats)),
 		sub:      make([]geom.LatLon, len(pc.sats)),
+		subU:     make([]geom.Vec3, len(pc.sats)),
 		maxRange: pc.isl.MaxRange,
 	}
+	if g.maxRange > 0 {
+		g.bucket = make([][3]int32, len(pc.sats))
+	}
+	return g
+}
+
+// fillSlot overwrites every per-satellite value of g with the geometry at
+// time t.
+func (pc *PropCache) fillSlot(g *SlotGeom, t float64) {
+	g.Time = t
 	rot := -GMST(t)
-	g.subU = make([]geom.Vec3, len(pc.sats))
 	pc.posMisses.Add(uint64(len(pc.sats)))
 	for i := range pc.sats {
 		p := pc.sats[i].PositionECI(t)
@@ -150,7 +219,6 @@ func (pc *PropCache) buildSlot(t float64) *SlotGeom {
 		g.subU[i] = g.sub[i].ToUnit()
 	}
 	if g.maxRange > 0 {
-		g.bucket = make([][3]int32, len(pc.sats))
 		inv := 1 / g.maxRange
 		for i, p := range g.pos {
 			g.bucket[i] = [3]int32{
@@ -160,7 +228,6 @@ func (pc *PropCache) buildSlot(t float64) *SlotGeom {
 			}
 		}
 	}
-	return g
 }
 
 // Stats returns cumulative cache counters (monotonic since construction).
@@ -214,9 +281,10 @@ func (s CacheStats) HitRatio() float64 {
 // SlotGeom is the geometry of one control slot: every satellite's ECI
 // position and sub-satellite point at the slot time, plus a uniform
 // spatial grid (cell edge = ISL max range) that prunes out-of-range ISL
-// candidate pairs before any lifetime prediction runs. Instances are
-// built by PropCache.Slot and are immutable afterwards, so they are safe
-// to share across goroutines.
+// candidate pairs before any lifetime prediction runs. Instances
+// PropCache.Slot returns are immutable afterwards, so they are safe to
+// share across goroutines; one PropCache.ChainSlot returned is refilled
+// for a later slot once the chain has evicted it.
 type SlotGeom struct {
 	cache *PropCache
 	// Time is the slot time (seconds since epoch) the geometry was
@@ -238,65 +306,45 @@ func (g *SlotGeom) SubPoint(i int) geom.LatLon { return g.sub[i] }
 
 // Coverage computes the slot's satellite→cell coverage: cover[ci] lists,
 // in ascending satellite order, every satellite whose footprint (angular
-// radius radius[s]) covers centers[ci]. This is the MPC's stage-0 query;
-// exposing it here lets the delta compiler diff consecutive slots'
-// coverage (ChangedCells) without re-deriving sub-satellite points.
+// radius radius[s]) covers centers[ci], and is nil if none does. This is
+// the MPC's stage-0 query.
 func (g *SlotGeom) Coverage(centers []geom.LatLon, radius []float64) [][]int {
-	cover := make([][]int, len(centers))
-	// CentralAngle(sub, c) is AngleTo over the two ToUnit vectors; both
-	// conversions are pure, so hoisting them out of the pair loop keeps
-	// every comparison bit-identical while doing the trig once per point
-	// instead of once per (satellite, cell) pair.
-	cu := make([]geom.Vec3, len(centers))
-	for ci, c := range centers {
-		cu[ci] = c.ToUnit()
-	}
-	for si := range g.sub {
-		su := g.subU[si]
-		lam := radius[si]
-		for ci := range centers {
-			if su.AngleTo(cu[ci]) <= lam {
-				cover[ci] = append(cover[ci], si)
-			}
-		}
-	}
+	cover, _ := g.CoverageInto(nil, nil, centers, radius)
 	return cover
 }
 
-// ChangedCells returns the indices whose coverage list differs between
-// two Coverage results (aligned by index). A nil prev marks every
-// non-empty cur cell changed.
-func ChangedCells(prev, cur [][]int) []int {
-	n := len(cur)
-	if len(prev) > n {
-		n = len(prev)
-	}
-	var changed []int
-	for ci := 0; ci < n; ci++ {
-		var p, c []int
-		if ci < len(prev) {
-			p = prev[ci]
+// CoverageInto is Coverage for a caller that computes one slot's coverage
+// after another, in working memory it keeps: the lists are gathered in buf
+// and then copied into one array of exactly their total size, and
+// cover[ci] is a capacity-capped view of it (appending to one list
+// reallocates it rather than overwrite the next). cover's backing array is
+// reused for the result; it and buf are returned, grown as needed, for the
+// next call. The lists of the previous result are not touched.
+func (g *SlotGeom) CoverageInto(cover [][]int, buf []int, centers []geom.LatLon, radius []float64) ([][]int, []int) {
+	cover, buf = slices.Grow(cover[:0], len(centers))[:len(centers)], buf[:0]
+	// CentralAngle(sub, c) is AngleTo over the two ToUnit vectors; both
+	// conversions are pure, so taking them once per point (the satellites'
+	// when the geometry is filled) keeps every comparison bit-identical
+	// while doing the trig once per point instead of once per pair.
+	for ci, c := range centers {
+		cu, start := c.ToUnit(), len(buf)
+		for si, su := range g.subU {
+			if su.AngleTo(cu) <= radius[si] {
+				buf = append(buf, si)
+			}
 		}
-		if ci < len(cur) {
-			c = cur[ci]
-		}
-		if !intsEqual(p, c) {
-			changed = append(changed, ci)
-		}
+		cover[ci] = buf[start:] // only its length is read below
 	}
-	return changed
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	all, start := make([]int, len(buf)), 0
+	copy(all, buf)
+	for ci, list := range cover {
+		if end := start + len(list); end > start {
+			cover[ci], start = all[start:end:end], end
+		} else {
+			cover[ci] = nil
 		}
 	}
-	return true
+	return cover, buf
 }
 
 // InRange reports whether satellites i and j are within ISL range at the

@@ -297,3 +297,75 @@ func TestCacheStatsHitRatio(t *testing.T) {
 		t.Errorf("ratio = %v, want 0.625", r)
 	}
 }
+
+// checkSlotGeom fails the test unless every position and sub-satellite
+// point of g equals direct propagation at time tt.
+func checkSlotGeom(t *testing.T, pc *PropCache, g *SlotGeom, tt float64) {
+	t.Helper()
+	for i := range pc.sats {
+		if got, want := g.Position(i), pc.sats[i].PositionECI(tt); got != want {
+			t.Fatalf("t=%v sat %d: position %v != %v", tt, i, got, want)
+		}
+		if got, want := g.SubPoint(i), pc.sats[i].SubSatellitePoint(tt); got != want {
+			t.Fatalf("t=%v sat %d: subpoint %v != %v", tt, i, got, want)
+		}
+	}
+}
+
+// TestChainSlotRefillsOnlyItsOwn drives a chain the way DeltaCompile does
+// — evict what is older than the previous slot, then take this slot's
+// geometry — and checks that the chain refills the memory of geometries it
+// evicted (bit-identical to a fresh build), that the free list never holds
+// more than two, and that a geometry Slot handed out is never refilled: it
+// still reads as its own slot time five slots after the chain passed it.
+func TestChainSlotRefillsOnlyItsOwn(t *testing.T) {
+	pc := newTestCache(4, 4)
+	const dt, held = 30.0, 4
+	var heldGeom *SlotGeom
+	seen := map[*SlotGeom]bool{}
+	recycled := 0
+	for k := 0; k <= held+5; k++ {
+		tt := float64(k) * dt
+		pc.DropSlotsBefore(tt - dt)
+		if free := pc.freeLen(); free > maxFree {
+			t.Fatalf("slot %d: free list holds %d geometries, want at most %d", k, free, maxFree)
+		}
+		g := pc.ChainSlot(tt)
+		if g == heldGeom {
+			t.Fatalf("slot %d: the chain refilled the geometry Slot handed out", k)
+		}
+		if seen[g] {
+			recycled++
+		}
+		seen[g] = true
+		checkSlotGeom(t, pc, g, tt)
+		if pc.ChainSlot(tt) != g {
+			t.Fatalf("slot %d: geometry not memoized", k)
+		}
+		if k == held {
+			if heldGeom = pc.Slot(tt); heldGeom != g {
+				t.Fatalf("slot %d: Slot and ChainSlot disagree on one slot time", k)
+			}
+		}
+	}
+	if recycled == 0 {
+		t.Error("the chain never refilled an evicted geometry")
+	}
+	checkSlotGeom(t, pc, heldGeom, held*dt)
+
+	// Evicting many chain geometries at once keeps two of them.
+	for k := 0; k < 6; k++ {
+		pc.ChainSlot(1e5 + float64(k)*dt)
+	}
+	pc.DropSlotsBefore(1e6)
+	if n := pc.freeLen(); n != maxFree {
+		t.Errorf("free list holds %d geometries after a mass eviction, want %d", n, maxFree)
+	}
+}
+
+// freeLen returns how many geometries the free list holds.
+func (pc *PropCache) freeLen() int {
+	pc.slotMu.Lock()
+	defer pc.slotMu.Unlock()
+	return len(pc.free)
+}

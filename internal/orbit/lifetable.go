@@ -30,6 +30,7 @@ import (
 // use: each compile owns one (the DeltaCompile chain keeps its own and
 // resets it every slot, so a warm slot allocates nothing here).
 type LifeTable struct {
+	pc    *PropCache // the cache whose satellites local and inSet index
 	g     *SlotGeom
 	local []int32     // satellite → number in the active set, -1 outside it
 	sat   []int32     // number → satellite, -1 while the number is free
@@ -58,7 +59,10 @@ type visRun struct {
 // forgets every τ and position of the previous slot. Runs survive for the
 // pairs whose satellites both stay active.
 func (lt *LifeTable) Reset(g *SlotGeom, cover [][]int) {
-	if lt.g == nil || lt.g.cache != g.cache {
+	// The previous slot's geometry is not read: the chain that owns this
+	// table may have refilled it for this slot.
+	if lt.pc != g.cache {
+		lt.pc = g.cache
 		lt.local = make([]int32, len(g.pos))
 		for i := range lt.local {
 			lt.local[i] = -1
@@ -228,7 +232,7 @@ func (lt *LifeTable) position(m, a, i int) geom.Vec3 {
 // CacheStats: a few atomic adds per compile, where the events themselves
 // number in the hundreds of thousands.
 func (lt *LifeTable) Flush() {
-	pc, st := lt.g.cache, lt.stats
+	pc, st := lt.pc, lt.stats
 	pc.posHits.Add(st.PosHits)
 	pc.posMisses.Add(st.PosMisses)
 	pc.lifeHits.Add(st.LifeHits)

@@ -3,6 +3,8 @@ package orbit
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -71,7 +73,10 @@ func TestWarmLifetimeBitIdentical(t *testing.T) {
 }
 
 // TestCoverageMatchesDirect checks SlotGeom.Coverage against the
-// straightforward per-satellite central-angle test it replaces.
+// straightforward per-satellite central-angle test it replaces, and
+// CoverageInto, run slot after slot in one scratch, against Coverage: the
+// same lists, nil for an empty cell, each capped at its own length, and
+// the previous slot's lists left as they were.
 func TestCoverageMatchesDirect(t *testing.T) {
 	pc := newTestCache(6, 6)
 	centers := []geom.LatLon{
@@ -79,10 +84,13 @@ func TestCoverageMatchesDirect(t *testing.T) {
 		{Lat: geom.Deg2Rad(20), Lon: geom.Deg2Rad(-40)},
 		{Lat: geom.Deg2Rad(-35), Lon: geom.Deg2Rad(120)},
 	}
-	radius := make([]float64, pc.NumSats())
+	radius, none := make([]float64, pc.NumSats()), make([]float64, pc.NumSats())
 	for i, e := range pc.sats {
-		radius[i] = DefaultCoverageParams.FootprintRadius(e.Altitude())
+		radius[i], none[i] = DefaultCoverageParams.FootprintRadius(e.Altitude()), -1
 	}
+	var scratch [][]int
+	var buf []int
+	var prev, prevCopy [][]int
 	for _, tt := range []float64{0, 300, 3600} {
 		g := pc.Slot(tt)
 		cover := g.Coverage(centers, radius)
@@ -93,26 +101,29 @@ func TestCoverageMatchesDirect(t *testing.T) {
 					want = append(want, si)
 				}
 			}
-			if !intsEqual(cover[ci], want) {
+			if !slices.Equal(cover[ci], want) {
 				t.Errorf("t=%v cell %d: Coverage %v != direct %v", tt, ci, cover[ci], want)
 			}
 		}
-	}
-}
-
-// TestChangedCells covers the diff used for changed-cell telemetry.
-func TestChangedCells(t *testing.T) {
-	prev := [][]int{{1, 2}, {3}, nil, {7}}
-	cur := [][]int{{1, 2}, {3, 4}, nil, nil, {9}}
-	got := ChangedCells(prev, cur)
-	want := []int{1, 3, 4}
-	if !intsEqual(got, want) {
-		t.Errorf("ChangedCells = %v, want %v", got, want)
-	}
-	if ch := ChangedCells(nil, [][]int{nil, {1}}); !intsEqual(ch, []int{1}) {
-		t.Errorf("nil prev: %v", ch)
-	}
-	if ch := ChangedCells(cur, cur); ch != nil {
-		t.Errorf("identical coverage reported changes: %v", ch)
+		if empty := g.Coverage(centers, none); !reflect.DeepEqual(empty, make([][]int, len(centers))) {
+			t.Errorf("t=%v: coverage by no footprint is %#v, want nil lists", tt, empty)
+		}
+		scratch, buf = g.CoverageInto(scratch, buf, centers, radius)
+		if !reflect.DeepEqual(scratch, cover) {
+			t.Errorf("t=%v: CoverageInto %v != Coverage %v", tt, scratch, cover)
+		}
+		for ci, list := range scratch {
+			if cap(list) != len(list) {
+				t.Errorf("t=%v cell %d: list of length %d has capacity %d", tt, ci, len(list), cap(list))
+			}
+		}
+		if !reflect.DeepEqual(prev, prevCopy) {
+			t.Errorf("t=%v: the previous slot's lists changed: %v, were %v", tt, prev, prevCopy)
+		}
+		prev, prevCopy = nil, nil
+		for _, list := range scratch {
+			prev = append(prev, list)
+			prevCopy = append(prevCopy, slices.Clone(list))
+		}
 	}
 }

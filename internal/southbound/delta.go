@@ -3,7 +3,7 @@ package southbound
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -276,7 +276,7 @@ func (e *DeltaEnforcer) Resync(emitted time.Time, trace obs.SpanContext) int {
 		}
 	}
 	e.mu.Unlock()
-	sort.Slice(sats, func(i, j int) bool { return sats[i] < sats[j] })
+	slices.Sort(sats)
 	n := 0
 	for _, sat := range sats {
 		if e.c.hasAgent(sat) && e.Push(sat, nil, nil, emitted, trace) == nil {
@@ -292,6 +292,6 @@ func sortedPeers(d map[uint32]struct{}) []uint32 {
 	for p := range d {
 		peers = append(peers, p)
 	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
+	slices.Sort(peers)
 	return peers
 }
