@@ -75,7 +75,6 @@ import (
 	"repro/internal/obs/flightrec"
 	"repro/internal/obs/tracemerge"
 	"repro/internal/southbound"
-	"repro/internal/testground"
 )
 
 func main() {
@@ -201,13 +200,7 @@ func runController() {
 	fleetLag := flag.Duration("fleet-lag", fleet.DefaultLagAfter, "mark an agent lagging after this long without a fleet report")
 	fleetSilent := flag.Duration("fleet-silent", fleet.DefaultSilentAfter, "mark an agent silent after this long without a fleet report")
 	fleetOut := flag.String("fleet-out", "", "write the final /fleet snapshot JSON to this file on exit")
-	syncURL := flag.String("sync", "", "testground sync service URL: publish the bound southbound and telemetry addresses as run parameters")
 	hold := flag.Duration("hold", 0, "stay alive this long after the last slot (lets the fleet staleness ladder observe late faults)")
-	planes := flag.Int("planes", 16, "Walker constellation planes")
-	satsPerPlane := flag.Int("sats-per-plane", 16, "satellites per plane")
-	inclination := flag.Float64("inclination", 53, "orbital inclination (degrees)")
-	altitudeKm := flag.Float64("altitude-km", 1200, "orbital altitude (km)")
-	phasing := flag.Int("phasing", 1, "Walker phasing factor F")
 	flag.Parse()
 
 	defer cli.Flush()
@@ -251,33 +244,18 @@ func runController() {
 			fmt.Printf("fleet: wrote snapshot to %s\n", out)
 		})
 	}
-	servedMetrics := cli.Telemetry{
+	cli.Telemetry{
 		Process: "tinyleo-ctl", MetricsAddr: *metricsAddr, RecordOut: *recordOut, SLO: *sloSpec, Pprof: *pprof,
 	}.Start(obs.Default(), ctl.Metrics(), agg.Registry())
-	if *syncURL != "" {
-		// Publish the actual bound addresses (both flags accept :0) so the
-		// testground runner and the agents can find this controller.
-		sc := testground.NewClient(*syncURL)
-		if err := sc.SetParam(testground.ParamControllerAddr, ctl.Addr()); err != nil {
-			cli.Fatalf("tinyleo-ctl: %v\n", err)
-		}
-		if servedMetrics != "" {
-			if err := sc.SetParam(testground.ParamMetricsAddr, servedMetrics); err != nil {
-				cli.Fatalf("tinyleo-ctl: %v\n", err)
-			}
-		}
-		fmt.Printf("published addresses to sync service %s\n", *syncURL)
-	}
-	fmt.Printf("controller listening on %s, waiting for %d agents...\n", ctl.Addr(), *agents)
+	fmt.Printf(cli.AnnounceController, ctl.Addr(), *agents)
 	if err := ctl.WaitForAgents(*agents, *wait); err != nil {
 		cli.Fatalf("tinyleo-ctl: %v\n", err)
 	}
-	fmt.Printf("%d agents registered\n", ctl.AgentCount())
+	fmt.Printf(cli.AnnounceRegistered, ctl.AgentCount())
 
 	// Demo constellation + chain intent (agents play the first N sats).
 	sats := baseline.WalkerConfig{
-		InclinationDeg: *inclination, AltitudeKm: *altitudeKm,
-		Planes: *planes, SatsPerPlane: *satsPerPlane, PhasingF: *phasing,
+		InclinationDeg: 53, AltitudeKm: 1200, Planes: 16, SatsPerPlane: 16, PhasingF: 1,
 	}.Satellites()
 	g := geo.MustGrid(10)
 	topo := intent.NewTopology(g)

@@ -43,7 +43,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/fleet"
 	"repro/internal/southbound"
-	"repro/internal/testground"
 )
 
 func main() {
@@ -56,7 +55,6 @@ func main() {
 	recordOut := flag.String("record-out", "", "write a flight recording to this file on exit (.gz = gzip)")
 	pprof := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on -metrics-addr")
 	fleetInterval := flag.Duration("fleet-interval", time.Second, "push fleet telemetry reports to the controller at this interval (0 = off)")
-	syncURL := flag.String("sync", "", "testground sync service URL: resolve the controller address from it and hold at the start barrier before dialing (overrides -controller)")
 	flag.Parse()
 
 	defer cli.Flush()
@@ -69,22 +67,6 @@ func main() {
 	if *fleetInterval > 0 {
 		// Fleet reporting snapshots the default registry, so it must record.
 		obs.Enable()
-	}
-
-	if *syncURL != "" {
-		// Testground coordination: learn the controller's bound address
-		// (every port in a plan may be :0), then rendezvous with the rest
-		// of the fleet so all agents register together.
-		sc := testground.NewClient(*syncURL)
-		resolved, err := sc.WaitParam(testground.ParamControllerAddr, 30*time.Second)
-		if err != nil {
-			cli.Fatalf("tinyleo-sat: %v\n", err)
-		}
-		*addr = resolved
-		fmt.Printf("sat %d resolved controller %s via sync service\n", *id, *addr)
-		if err := sc.Arrive(testground.BarrierAgentsReady, 60*time.Second); err != nil {
-			cli.Fatalf("tinyleo-sat: %v\n", err)
-		}
 	}
 
 	span := obs.StartSpan("sat.session", "id", fmt.Sprint(*id))

@@ -1,8 +1,8 @@
 // Command tinyleo-testground is the real-process campaign runner: it
 // reads a declarative test-plan manifest (JSON), launches one real
 // tinyleo-ctl controller plus N real tinyleo-sat agent processes over the
-// real TCP southbound, coordinates startup through a sync service (HTTP
-// barrier + parameter distribution), injects faults by signaling agent
+// real TCP southbound, coordinates startup by the addresses and the
+// registration line the controller prints, injects faults by signaling agent
 // processes on schedule, and collects per-run artifacts (fleet snapshot,
 // one flight recording per process, process logs) into a run directory
 // with a scored SLO report.

@@ -170,47 +170,6 @@ func TestAvailabilityAndWaste(t *testing.T) {
 	}
 }
 
-func TestMegaReduceShrinks(t *testing.T) {
-	cfg := supplyCfg()
-	d := demand.StarlinkCustomers(demand.ScenarioOptions{
-		Grid: cfg.Grid, Slots: cfg.Slots, SlotSeconds: cfg.SlotSeconds,
-		TotalSatUnits: 20,
-	})
-	start := WalkerConfig{53, 550, 10, 10, 1}
-	res, err := MegaReduce(MegaReduceConfig{
-		Supply: cfg, Demand: d.Y, Epsilon: 0.45, Start: start,
-		Inclinations: []float64{53, 70},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Satellites >= start.NumSatellites() {
-		t.Errorf("MegaReduce did not shrink: %d", res.Satellites)
-	}
-	if res.Availability < 0.45 {
-		t.Errorf("availability %v below target", res.Availability)
-	}
-	// Result must remain a uniform Walker layout.
-	if res.Config.Planes < 1 || res.Config.SatsPerPlane < 1 {
-		t.Errorf("degenerate config %+v", res.Config)
-	}
-}
-
-func TestMegaReduceInfeasibleStart(t *testing.T) {
-	cfg := supplyCfg()
-	d := demand.StarlinkCustomers(demand.ScenarioOptions{
-		Grid: cfg.Grid, Slots: cfg.Slots, SlotSeconds: cfg.SlotSeconds,
-		TotalSatUnits: 1e6,
-	})
-	_, err := MegaReduce(MegaReduceConfig{
-		Supply: cfg, Demand: d.Y, Epsilon: 0.99,
-		Start: WalkerConfig{53, 550, 2, 2, 1},
-	})
-	if err == nil {
-		t.Error("infeasible start accepted")
-	}
-}
-
 func tinyLibrary(t *testing.T) *texture.Library {
 	t.Helper()
 	lib, err := texture.Build(texture.Config{

@@ -1,8 +1,9 @@
 // Package cli holds shared plumbing for the tinyleo command-line
 // binaries: exit-time flush hooks that also run on SIGINT/SIGTERM, so a
 // -record-out file survives an interrupted run instead of being skipped
-// with the deferred writers, and the telemetry wiring behind the
-// -metrics-addr/-record-out/-slo/-pprof flags every binary defines.
+// with the deferred writers, the telemetry wiring behind the
+// -metrics-addr/-record-out/-slo/-pprof flags every binary defines, and
+// the stdout lines a process announces its bound addresses with.
 package cli
 
 import (
@@ -10,12 +11,46 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strings"
 	"sync"
 	"syscall"
 
 	"repro/internal/obs"
 	"repro/internal/obs/flightrec"
 )
+
+// Announcements are Printf formats of the lines a process prints on stdout
+// as it comes up. A harness that launched it with :0 ports reads the bound
+// addresses back from them with Announced (tinyleo-testground does).
+const (
+	// AnnounceTelemetry carries the bound -metrics-addr.
+	AnnounceTelemetry = "telemetry on http://%s/metrics\n"
+	// AnnounceController carries tinyleo-ctl's bound southbound address and
+	// the agent count it waits for.
+	AnnounceController = "controller listening on %s, waiting for %d agents...\n"
+	// AnnounceRegistered is tinyleo-ctl's line once the agents it waited
+	// for have registered, just before its first slot.
+	AnnounceRegistered = "%d agents registered\n"
+)
+
+// Announced reports whether line (without its newline) is the announcement
+// format and returns the value that stands where format's first verb does.
+// The line must begin with format's text before that verb, and the value —
+// one non-empty field without blanks — must be followed by format's text up
+// to its next verb or end.
+func Announced(format, line string) (string, bool) {
+	head, tail, _ := strings.Cut(strings.TrimSuffix(format, "\n"), "%")
+	tail, _, _ = strings.Cut(tail[1:], "%") // tail[0] is the verb
+	rest, ok := strings.CutPrefix(line, head)
+	if !ok {
+		return "", false
+	}
+	v, _, ok := strings.Cut(rest, tail)
+	if tail == "" {
+		v = rest
+	}
+	return v, ok && v != "" && !strings.ContainsAny(v, " \t")
+}
 
 var (
 	mu       sync.Mutex
@@ -158,6 +193,6 @@ func (t Telemetry) Start(regs ...*obs.Registry) string {
 		Fatalf("%s: %v\n", t.Process, err)
 	}
 	AtExit(func() { _ = srv.Close() })
-	fmt.Fprintf(out, "telemetry on http://%s/metrics\n", srv.Addr())
+	fmt.Fprintf(out, AnnounceTelemetry, srv.Addr())
 	return srv.Addr()
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"time"
 
@@ -103,26 +102,6 @@ func RunSparsification(scale Scale, lib *texture.Library) ([]*SparsifyOutcome, e
 		outs = append(outs, out)
 	}
 	return outs, nil
-}
-
-// feasibleWalkerStart searches for the smallest square-ish Walker layout
-// meeting the availability target, growing from the reference size.
-func feasibleWalkerStart(supCfg baseline.SupplyConfig, dem []float64, eps float64, refSats int) (baseline.WalkerConfig, bool) {
-	side := int(math.Ceil(math.Sqrt(float64(refSats))))
-	for grow := 0; grow < 6; grow++ {
-		// A 53° shell cannot reach polar demand, so also try higher
-		// inclinations at each size (MegaReduce's inclination fine-tuning).
-		for _, inc := range []float64{53, 70, 85} {
-			w := baseline.WalkerConfig{
-				InclinationDeg: inc, AltitudeKm: 550,
-				Planes: side + grow, SatsPerPlane: side + grow, PhasingF: 1,
-			}
-			if baseline.Availability(baseline.Supply(supCfg, w.Satellites()), dem) >= eps {
-				return w, true
-			}
-		}
-	}
-	return baseline.WalkerConfig{}, false
 }
 
 // Figure13 summarizes the three demand scenarios.

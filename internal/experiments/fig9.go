@@ -8,7 +8,6 @@ import (
 	"repro/internal/mpc"
 	"repro/internal/orbit"
 	"repro/internal/routing"
-	"repro/internal/tssdn"
 )
 
 // Figure9 reproduces Figure 9: the non-uniform (TinyLEO) network's
@@ -32,8 +31,8 @@ func Figure9(scale Scale, tinySats, uniformSats []orbit.Elements) []*metrics.Tab
 		uni := buildVisibilityGraph(uniformSats, t)
 		isls.AddRow(int(t/60), tiny.links, uni.links)
 		if prevTiny != nil {
-			tc := pathChange(prevTiny, tiny, pairs)
-			uc := pathChange(prevUni, uni, pairs)
+			tc := routing.PathChange(prevTiny.g, tiny.g, pairs)
+			uc := routing.PathChange(prevUni.g, uni.g, pairs)
 			churn.AddRow(int(t/60), tc, uc, len(pairs))
 		}
 		prevTiny, prevUni = tiny, uni
@@ -67,32 +66,6 @@ func buildVisibilityGraph(sats []orbit.Elements, t float64) *graphPair {
 	return &graphPair{g: g, links: links}
 }
 
-func pathChange(prev, cur *graphPair, pairs [][2]int) int {
-	changed := 0
-	for _, pr := range pairs {
-		p1, _, ok1 := prev.g.ShortestPath(pr[0], pr[1])
-		p2, _, ok2 := cur.g.ShortestPath(pr[0], pr[1])
-		if ok1 != ok2 {
-			changed++
-			continue
-		}
-		if !ok1 {
-			continue
-		}
-		if len(p1) != len(p2) {
-			changed++
-			continue
-		}
-		for i := range p1 {
-			if p1[i] != p2[i] {
-				changed++
-				break
-			}
-		}
-	}
-	return changed
-}
-
 func samplePairs(rng *rand.Rand, n, k int) [][2]int {
 	var pairs [][2]int
 	for len(pairs) < k && n >= 2 {
@@ -114,14 +87,4 @@ func ISLChurnSummary(snapshots []*mpc.Snapshot) (added, removed int) {
 		removed += len(r)
 	}
 	return
-}
-
-// tssdnTopologySize returns the ISL count the TS-SDN baseline would build
-// (used by tests to cross-check the visibility graph).
-func tssdnTopologySize(sats []orbit.Elements, t float64) int {
-	c, err := tssdn.New(tssdn.Config{Sats: sats})
-	if err != nil {
-		return 0
-	}
-	return len(c.Topology(t))
 }

@@ -59,16 +59,6 @@ func GreatCircleDist(p, q LatLon) float64 {
 	return EarthRadius * CentralAngle(p, q)
 }
 
-// InitialBearing returns the initial great-circle bearing from p toward q,
-// in radians clockwise from north, in [-π, π).
-func InitialBearing(p, q LatLon) float64 {
-	φ1, φ2 := Deg2Rad(p.Lat), Deg2Rad(q.Lat)
-	Δλ := Deg2Rad(q.Lon - p.Lon)
-	y := math.Sin(Δλ) * math.Cos(φ2)
-	x := math.Cos(φ1)*math.Sin(φ2) - math.Sin(φ1)*math.Cos(φ2)*math.Cos(Δλ)
-	return math.Atan2(y, x)
-}
-
 // Intermediate returns the point a fraction f ∈ [0,1] of the way along the
 // great circle from p to q (spherical linear interpolation).
 func Intermediate(p, q LatLon, f float64) LatLon {
@@ -95,17 +85,6 @@ func GreatCirclePoints(p, q LatLon, n int) []LatLon {
 	return pts
 }
 
-// ElevationAngle returns the elevation of a satellite at ECEF position sat
-// as seen from ground point g (on the surface), in radians. Negative values
-// mean the satellite is below the local horizon.
-func ElevationAngle(g LatLon, sat Vec3) float64 {
-	gp := g.ToECEF(0)
-	los := sat.Sub(gp)
-	// Angle between line-of-sight and local zenith (gp direction).
-	zen := gp.Unit()
-	return math.Pi/2 - zen.AngleTo(los.Unit())
-}
-
 // CoverageAngularRadius returns the maximum Earth-central angle λ (radians)
 // between a satellite's sub-satellite point and a ground point such that the
 // ground point sees the satellite above elevation el (radians), for a
@@ -117,13 +96,6 @@ func CoverageAngularRadius(alt, el float64) float64 {
 	sinEta := EarthRadius * math.Cos(el) / (EarthRadius + alt)
 	eta := math.Asin(clamp(sinEta, -1, 1))
 	return math.Pi/2 - el - eta
-}
-
-// SlantRange returns the distance (m) from a ground point to a satellite at
-// altitude alt whose sub-satellite point is a central angle λ away.
-func SlantRange(alt, lambda float64) float64 {
-	r := EarthRadius + alt
-	return math.Sqrt(EarthRadius*EarthRadius + r*r - 2*EarthRadius*r*math.Cos(lambda))
 }
 
 // LineOfSight reports whether two ECEF/ECI positions can see each other

@@ -115,16 +115,25 @@ func TestGreatCirclePointsMonotone(t *testing.T) {
 	}
 }
 
+// elevationAngle is the oracle TestCoverageElevationConsistency checks
+// CoverageAngularRadius against: the elevation of a satellite at ECEF
+// position sat as seen from ground point g, in radians (negative below the
+// local horizon).
+func elevationAngle(g LatLon, sat Vec3) float64 {
+	gp := g.ToECEF(0)
+	return math.Pi/2 - gp.Unit().AngleTo(sat.Sub(gp).Unit())
+}
+
 func TestElevationAngle(t *testing.T) {
 	g := LatLon{0, 0}
 	// Satellite directly overhead: elevation π/2.
 	sat := g.ToECEF(550e3)
-	if el := ElevationAngle(g, sat); !approx(el, math.Pi/2, 1e-9) {
+	if el := elevationAngle(g, sat); !approx(el, math.Pi/2, 1e-9) {
 		t.Errorf("overhead el = %v", el)
 	}
 	// Satellite on the horizon plane (90° away at same altitude): negative.
 	sat2 := LatLon{0, 90}.ToECEF(550e3)
-	if el := ElevationAngle(g, sat2); el > 0 {
+	if el := elevationAngle(g, sat2); el > 0 {
 		t.Errorf("far satellite visible: el=%v", el)
 	}
 }
@@ -154,18 +163,9 @@ func TestCoverageElevationConsistency(t *testing.T) {
 	g := LatLon{0, 0}
 	sub := LatLon{0, Rad2Deg(lam)}
 	sat := sub.ToECEF(alt)
-	got := ElevationAngle(g, sat)
+	got := elevationAngle(g, sat)
 	if !approx(got, el, 1e-9) {
 		t.Errorf("elevation at coverage edge = %v°, want %v°", Rad2Deg(got), Rad2Deg(el))
-	}
-}
-
-func TestSlantRange(t *testing.T) {
-	if d := SlantRange(550e3, 0); !approx(d, 550e3, 1e-6) {
-		t.Errorf("nadir slant = %v", d)
-	}
-	if SlantRange(550e3, Deg2Rad(10)) <= 550e3 {
-		t.Error("off-nadir slant should exceed altitude")
 	}
 }
 
@@ -183,18 +183,5 @@ func TestLineOfSight(t *testing.T) {
 	// Same point.
 	if !LineOfSight(a, a, 80e3) {
 		t.Error("coincident satellites above surface should have LOS")
-	}
-}
-
-func TestInitialBearing(t *testing.T) {
-	// Due east along the equator.
-	b := InitialBearing(LatLon{0, 0}, LatLon{0, 10})
-	if !approx(b, math.Pi/2, 1e-9) {
-		t.Errorf("east bearing = %v", b)
-	}
-	// Due north.
-	b = InitialBearing(LatLon{0, 0}, LatLon{10, 0})
-	if !approx(b, 0, 1e-9) {
-		t.Errorf("north bearing = %v", b)
 	}
 }

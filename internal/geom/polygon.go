@@ -42,24 +42,3 @@ func (poly Polygon) containsRaw(lat, lon float64) bool {
 	}
 	return inside
 }
-
-// BBox returns the polygon's bounding box (minLat, minLon, maxLat, maxLon).
-func (poly Polygon) BBox() (minLat, minLon, maxLat, maxLon float64) {
-	minLat, minLon = 91, 1e9
-	maxLat, maxLon = -91, -1e9
-	for _, v := range poly {
-		if v.Lat < minLat {
-			minLat = v.Lat
-		}
-		if v.Lat > maxLat {
-			maxLat = v.Lat
-		}
-		if v.Lon < minLon {
-			minLon = v.Lon
-		}
-		if v.Lon > maxLon {
-			maxLon = v.Lon
-		}
-	}
-	return
-}

@@ -63,11 +63,3 @@ func TestPolygonDegenerate(t *testing.T) {
 		t.Error("2-vertex polygon contains nothing")
 	}
 }
-
-func TestPolygonBBox(t *testing.T) {
-	poly := Polygon{{-10, 20}, {30, -40}, {5, 170}}
-	minLat, minLon, maxLat, maxLon := poly.BBox()
-	if minLat != -10 || maxLat != 30 || minLon != -40 || maxLon != 170 {
-		t.Errorf("bbox = %v %v %v %v", minLat, minLon, maxLat, maxLon)
-	}
-}

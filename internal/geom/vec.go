@@ -23,8 +23,6 @@ const (
 	// stars, in seconds. Earth-repeat ground tracks repeat after p sidereal
 	// days and q orbital revolutions.
 	SiderealDay = 86164.0905
-	// SolarDay is the mean solar day in seconds (the paper's "24h").
-	SolarDay = 86400.0
 	// C is the speed of light in vacuum (m/s), used for propagation delay.
 	C = 299792458.0
 )

@@ -79,9 +79,6 @@ type Config struct {
 	// 1800 s horizon, 30 s step.
 	LifetimeHorizon float64
 	LifetimeStep    float64
-	// MaxISLsPerSat is the satellite's laser terminal count (default 3:
-	// one inter-cell gateway link + two intra-cell ring links).
-	MaxISLsPerSat int
 }
 
 func (c *Config) fillDefaults() error {
@@ -102,9 +99,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.LifetimeStep <= 0 {
 		c.LifetimeStep = 30
-	}
-	if c.MaxISLsPerSat <= 0 {
-		c.MaxISLsPerSat = 3
 	}
 	return nil
 }
@@ -665,32 +659,9 @@ func BatchBySatellite(added, removed []Link) []SatBatch {
 // demand the snapshot satisfies (Figure 16's enforcement metric).
 func (c *Controller) EnforcementRatio(s *Snapshot) float64 {
 	totalDemand, satisfied := 0, 0
-	seen := map[[2]int]bool{}
 	for e, n := range c.cfg.Topo.Edges {
-		if seen[e] {
-			continue
-		}
-		seen[e] = true
 		totalDemand += n
-		// Count concrete links between the gateway sets of e.
-		gu := map[int]bool{}
-		for _, s2 := range s.Gateways[[2]int{e[0], e[1]}] {
-			gu[s2] = true
-		}
-		gv := map[int]bool{}
-		for _, s2 := range s.Gateways[[2]int{e[1], e[0]}] {
-			gv[s2] = true
-		}
-		links := 0
-		for _, l := range s.InterLinks {
-			if (gu[l[0]] && gv[l[1]]) || (gu[l[1]] && gv[l[0]]) {
-				links++
-			}
-		}
-		if links > n {
-			links = n
-		}
-		satisfied += links
+		satisfied += min(edgeLinks(s, e), n)
 	}
 	if totalDemand == 0 {
 		obsEnforcement.Set(1)
@@ -699,6 +670,19 @@ func (c *Controller) EnforcementRatio(s *Snapshot) float64 {
 	ratio := float64(satisfied) / float64(totalDemand)
 	obsEnforcement.Set(ratio)
 	return ratio
+}
+
+// edgeLinks counts the inter-cell links of s that serve intent edge e:
+// those between the satellites of e[0] and of e[1] gatewaying it.
+func edgeLinks(s *Snapshot, e [2]int) int {
+	gu, gv := s.Gateways[e], s.Gateways[[2]int{e[1], e[0]}]
+	n := 0
+	for _, l := range s.InterLinks {
+		if slices.Contains(gu, l[0]) && slices.Contains(gv, l[1]) || slices.Contains(gu, l[1]) && slices.Contains(gv, l[0]) {
+			n++
+		}
+	}
+	return n
 }
 
 // RepairStats summarizes one failure-repair round (Figure 17d).
@@ -792,26 +776,6 @@ func (c *Controller) Repair(s *Snapshot, failedLinks []Link, failedSats []int, r
 		out.InterLinks = append(out.InterLinks, l)
 		busy[l[0]], busy[l[1]] = true, true
 	}
-	// Re-match residual demand per edge, counting satisfied ISLs the same
-	// way EnforcementRatio does: concrete links between the two gateway
-	// sets of the edge.
-	countEdgeLinks := func(e [2]int) int {
-		gu := map[int]bool{}
-		for _, g := range out.Gateways[[2]int{e[0], e[1]}] {
-			gu[g] = true
-		}
-		gv := map[int]bool{}
-		for _, g := range out.Gateways[[2]int{e[1], e[0]}] {
-			gv[g] = true
-		}
-		n := 0
-		for _, l := range out.InterLinks {
-			if (gu[l[0]] && gv[l[1]]) || (gu[l[1]] && gv[l[0]]) {
-				n++
-			}
-		}
-		return n
-	}
 	// Reuse the compiled slot's cached geometry: Repair runs at the same
 	// slot time as the Compile that produced s (a geometry the delta chain
 	// has since evicted is rebuilt). The few candidate τ it needs are
@@ -821,9 +785,10 @@ func (c *Controller) Repair(s *Snapshot, failedLinks []Link, failedSats []int, r
 	// shared resource (the busy map), so map-order iteration would let the
 	// runtime's randomized order decide which edge wins a scarce satellite
 	// and produce different repaired topologies for identical inputs.
+	// Satisfied ISLs are counted as EnforcementRatio counts them.
 	for _, e := range c.topo.edges {
 		n := c.cfg.Topo.Edges[e]
-		have := countEdgeLinks(e)
+		have := edgeLinks(out, e)
 		for have < n {
 			a, b, ok := c.bestReplacement(sg, out, e, busy, failSet)
 			if !ok {

@@ -86,6 +86,10 @@ func TestCompileProducesLinks(t *testing.T) {
 	}
 }
 
+// terminalsPerSat is the laser terminal budget the compile is built
+// around: one inter-cell gateway link plus two intra-cell ring links.
+const terminalsPerSat = 1 + 2
+
 func TestCompileRespectsTerminalBudget(t *testing.T) {
 	c, _ := newController(t)
 	snap := c.Compile(0)
@@ -95,8 +99,8 @@ func TestCompileRespectsTerminalBudget(t *testing.T) {
 		degree[l[1]]++
 	}
 	for sat, d := range degree {
-		if d > c.cfg.MaxISLsPerSat {
-			t.Errorf("satellite %d uses %d ISL terminals (max %d)", sat, d, c.cfg.MaxISLsPerSat)
+		if d > terminalsPerSat {
+			t.Errorf("satellite %d uses %d ISL terminals (max %d)", sat, d, terminalsPerSat)
 		}
 	}
 }

@@ -16,13 +16,13 @@ import (
 	"net/http"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/obs"
 	"repro/internal/obs/fleet"
 	"repro/internal/southbound"
@@ -34,8 +34,6 @@ type satProc struct {
 	cmd     *exec.Cmd
 	metrics string // host:port of its telemetry surface
 }
-
-var telemetryLine = regexp.MustCompile(`telemetry on http://([^/]+)/metrics`)
 
 // startSat launches one tinyleo-sat and waits for its telemetry address.
 func startSat(t *testing.T, bin, ctlAddr string, id uint32) *satProc {
@@ -61,9 +59,9 @@ func startSat(t *testing.T, bin, ctlAddr string, id uint32) *satProc {
 	go func() {
 		sc := bufio.NewScanner(stdout)
 		for sc.Scan() {
-			if m := telemetryLine.FindStringSubmatch(sc.Text()); m != nil {
+			if a, ok := cli.Announced(cli.AnnounceTelemetry, sc.Text()); ok {
 				select {
-				case addr <- m[1]:
+				case addr <- a:
 				default:
 				}
 			}

@@ -2,7 +2,6 @@ package flightrec
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 )
 
@@ -30,8 +29,6 @@ type SlotState struct {
 	Gateways map[string][]int `json:"gateways,omitempty"`
 	// Deficits maps "u->v" to unfilled gateway slots.
 	Deficits map[string]int `json:"deficits,omitempty"`
-	// Routes holds installed routing intents (cell routes), if any.
-	Routes [][]int `json:"routes,omitempty"`
 	// Enforcement is the intent enforcement ratio after this slot, when
 	// known (NaN-free: omitted as 0 when unknown).
 	Enforcement float64 `json:"enforcement,omitempty"`
@@ -40,21 +37,6 @@ type SlotState struct {
 // EdgeKey renders a directed intent edge as the "u->v" map key used by
 // Gateways and Deficits.
 func EdgeKey(u, v int) string { return fmt.Sprintf("%d->%d", u, v) }
-
-// ParseEdgeKey inverts EdgeKey; ok is false on malformed keys.
-func ParseEdgeKey(key string) (u, v int, ok bool) {
-	a, b, found := strings.Cut(key, "->")
-	if !found {
-		return 0, 0, false
-	}
-	if _, err := fmt.Sscanf(a, "%d", &u); err != nil {
-		return 0, 0, false
-	}
-	if _, err := fmt.Sscanf(b, "%d", &v); err != nil {
-		return 0, 0, false
-	}
-	return u, v, true
-}
 
 // DeficitTotal sums the slot's unfilled gateway slots.
 func (s *SlotState) DeficitTotal() int {

@@ -77,11 +77,6 @@ func PropagationDelay(a, b geom.Vec3) float64 {
 	return a.Dist(b) / geom.C
 }
 
-// RevisitPeriod returns how often (seconds) a satellite on a repeat orbit
-// revisits the same geographic area: the full repeat cycle p·T⊕ for a
-// single pass, by construction of Earth-repeat orbits.
-func RevisitPeriod(r RepeatSpec) float64 { return r.RepeatCycle() }
-
 // OrbitalVelocity returns the circular orbital speed (m/s) at altitude alt.
 func OrbitalVelocity(alt float64) float64 {
 	return math.Sqrt(geom.EarthMu / (geom.EarthRadius + alt))

@@ -27,9 +27,6 @@ func NewGraph(n int) *Graph {
 	return &Graph{n: n, adj: make([][]Edge, n)}
 }
 
-// N returns the node count.
-func (g *Graph) N() int { return g.n }
-
 // AddEdge inserts a directed edge u→v with weight w (must be ≥ 0).
 func (g *Graph) AddEdge(u, v int, w float64) {
 	if w < 0 {
@@ -46,15 +43,6 @@ func (g *Graph) AddBiEdge(u, v int, w float64) {
 
 // Neighbors returns the outgoing edges of u (not a copy; do not mutate).
 func (g *Graph) Neighbors(u int) []Edge { return g.adj[u] }
-
-// NumEdges returns the number of directed edges.
-func (g *Graph) NumEdges() int {
-	n := 0
-	for _, a := range g.adj {
-		n += len(a)
-	}
-	return n
-}
 
 // item is a priority-queue entry for Dijkstra.
 type item struct {
@@ -129,12 +117,6 @@ func (g *Graph) ShortestPathAvoiding(src, dst int, skip func(int) bool) ([]int, 
 		path[len(rev)-1-i] = v
 	}
 	return path, dist[dst], true
-}
-
-// Reachable reports whether dst is reachable from src.
-func (g *Graph) Reachable(src, dst int) bool {
-	_, _, ok := g.ShortestPath(src, dst)
-	return ok
 }
 
 // ConnectedComponentSize returns the number of nodes reachable from src

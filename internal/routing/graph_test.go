@@ -36,12 +36,6 @@ func TestShortestPathUnreachable(t *testing.T) {
 	if _, _, ok := g.ShortestPath(0, 2); ok {
 		t.Error("disconnected node reachable")
 	}
-	if g.Reachable(0, 2) {
-		t.Error("Reachable wrong")
-	}
-	if !g.Reachable(0, 1) {
-		t.Error("Reachable wrong for connected")
-	}
 }
 
 func TestShortestPathAvoiding(t *testing.T) {
@@ -205,16 +199,6 @@ func TestPathChange(t *testing.T) {
 	c.AddBiEdge(2, 3, 1.5)
 	if n := PathChange(a, c, pairs); n != 2 {
 		t.Errorf("changed = %d, want 2", n)
-	}
-}
-
-func TestNumEdges(t *testing.T) {
-	g := diamond()
-	if g.NumEdges() != 8 {
-		t.Errorf("edges = %d", g.NumEdges())
-	}
-	if g.N() != 4 {
-		t.Errorf("n = %d", g.N())
 	}
 }
 

@@ -42,7 +42,8 @@ func init() {
 	agentMetrics.duplicates = obs.Default().Counter("tinyleo_southbound_agent_duplicates_total")
 }
 
-// Dedup and backoff defaults for AgentOptions zero values.
+// Dedup window, backoff defaults for AgentOptions zero values, and the
+// backoff jitter.
 const (
 	// DefaultDedupWindow is how many recent command sequence numbers an
 	// agent remembers for duplicate suppression.
@@ -50,6 +51,9 @@ const (
 	// DefaultBackoffBase / DefaultBackoffMax bound the reconnect backoff.
 	DefaultBackoffBase = 50 * time.Millisecond
 	DefaultBackoffMax  = 2 * time.Second
+	// backoffJitter is the uniform random fraction added on top of the
+	// backoff.
+	backoffJitter = 0.5
 )
 
 // AgentOptions tunes the agent's reliability behaviour.
@@ -60,17 +64,12 @@ type AgentOptions struct {
 	Reconnect bool
 	// BackoffBase and BackoffMax bound the reconnect backoff (zero = the
 	// Default* constants). The delay before attempt n is
-	// min(BackoffBase·2ⁿ, BackoffMax) · (1 + Jitter·U[0,1)).
+	// min(BackoffBase·2ⁿ, BackoffMax) · (1 + 0.5·U[0,1)).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// Jitter is the uniform random fraction added on top of the backoff
-	// (default 0.5; negative disables).
-	Jitter float64
 	// Seed seeds the jitter RNG (0 = a fixed default, keeping campaigns
 	// deterministic).
 	Seed int64
-	// DedupWindow sizes the duplicate-suppression ring (0 = the default).
-	DedupWindow int
 	// OnReconnect observes successful reconnections (attempt = dials
 	// needed, starting at 1).
 	OnReconnect func(attempt int)
@@ -154,9 +153,13 @@ func DialAgentOptions(addr string, satID uint32, timeout time.Duration, opts Age
 		a.Close()
 		return nil, err
 	}
+	// A stopped timer, not time.After: the wait is usually short, and an
+	// unfired timer would stay live for the whole timeout.
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	select {
 	case <-a.helloAck:
-	case <-time.After(timeout):
+	case <-timer.C:
 		a.Close()
 		return nil, fmt.Errorf("southbound: hello ack timeout for sat %d", satID)
 	}
@@ -170,13 +173,6 @@ func (a *Agent) tracer() *obs.Tracer {
 	return obs.Trace()
 }
 
-func (a *Agent) dedupWindow() int {
-	if a.opts.DedupWindow > 0 {
-		return a.opts.DedupWindow
-	}
-	return DefaultDedupWindow
-}
-
 // isDuplicate records seq in the dedup window and reports whether it was
 // already there. Read loop only. The window is a ring buffer that grows
 // on demand up to the window (most agents see a few dozen commands, and a
@@ -188,10 +184,10 @@ func (a *Agent) isDuplicate(seq uint32) bool {
 		return true
 	}
 	a.seen[seq] = struct{}{}
-	if w := a.dedupWindow(); len(a.seenRing) < w {
+	if len(a.seenRing) < DefaultDedupWindow {
 		if len(a.seenRing) == cap(a.seenRing) {
 			// Doubling like append, but never past the window.
-			grown := make([]uint32, len(a.seenRing), min(max(2*cap(a.seenRing), 16), w))
+			grown := make([]uint32, len(a.seenRing), min(max(2*cap(a.seenRing), 16), DefaultDedupWindow))
 			copy(grown, a.seenRing)
 			a.seenRing = grown
 		}
@@ -264,7 +260,7 @@ func (a *Agent) readLoop() {
 }
 
 // backoffDelay returns the wait before reconnect attempt n (from 0):
-// min(BackoffBase·2ⁿ, BackoffMax) · (1 + Jitter·U[0,1)). The jitter source is
+// min(BackoffBase·2ⁿ, BackoffMax) · (1 + 0.5·U[0,1)). The jitter source is
 // created at the first draw, seeded with opts.Seed or else SatID+1, and kept
 // across reconnects.
 func (a *Agent) backoffDelay(attempt int) time.Duration {
@@ -276,25 +272,18 @@ func (a *Agent) backoffDelay(attempt int) time.Duration {
 	if max <= 0 {
 		max = DefaultBackoffMax
 	}
-	jitter := a.opts.Jitter
-	if jitter == 0 {
-		jitter = 0.5
-	}
 	delay := base << uint(attempt)
 	if delay > max || delay <= 0 {
 		delay = max
 	}
-	if jitter > 0 {
-		if a.rng == nil {
-			seed := a.opts.Seed
-			if seed == 0 {
-				seed = int64(a.SatID) + 1
-			}
-			a.rng = rand.New(rand.NewSource(seed))
+	if a.rng == nil {
+		seed := a.opts.Seed
+		if seed == 0 {
+			seed = int64(a.SatID) + 1
 		}
-		delay = time.Duration(float64(delay) * (1 + jitter*a.rng.Float64()))
+		a.rng = rand.New(rand.NewSource(seed))
 	}
-	return delay
+	return time.Duration(float64(delay) * (1 + backoffJitter*a.rng.Float64()))
 }
 
 // reconnect re-dials the controller with exponential backoff and jitter
@@ -310,10 +299,13 @@ func (a *Agent) reconnect() bool {
 	default:
 	}
 	for attempt := 0; ; attempt++ {
+		// A stopped timer, for the reason DialAgentOptions gives.
+		timer := time.NewTimer(a.backoffDelay(attempt))
 		select {
 		case <-a.stop:
+			timer.Stop()
 			return false
-		case <-time.After(a.backoffDelay(attempt)):
+		case <-timer.C:
 		}
 		conn, err := net.DialTimeout("tcp", a.addr, a.timeout)
 		if err != nil {

@@ -18,8 +18,8 @@ import (
 // long session. The ring buffer must keep one fixed allocation while
 // still deduplicating within the window and evicting beyond it.
 func TestSeenRingStableMemory(t *testing.T) {
-	const window = 64
-	a := &Agent{seen: map[uint32]struct{}{}, opts: AgentOptions{DedupWindow: window}}
+	const window = DefaultDedupWindow
+	a := &Agent{seen: map[uint32]struct{}{}}
 	// Warm the ring to capacity, then remember its backing array.
 	for seq := uint32(1); seq <= window; seq++ {
 		if a.isDuplicate(seq) {
@@ -55,47 +55,43 @@ func TestSeenRingStableMemory(t *testing.T) {
 
 // TestDedupWindowMatchesModel drives isDuplicate with seeded sequence
 // numbers that repeat inside and outside the window and checks every
-// answer against a plain set-plus-queue model, for a small window and the
-// default: the ring grows on demand, never past the window.
+// answer against a plain set-plus-queue model: the ring grows on demand,
+// never past the window.
 func TestDedupWindowMatchesModel(t *testing.T) {
-	for _, window := range []int{8, DefaultDedupWindow} {
-		rng := rand.New(rand.NewSource(int64(window)))
-		a := &Agent{seen: map[uint32]struct{}{}}
-		if window != DefaultDedupWindow {
-			a.opts.DedupWindow = window
+	const window = DefaultDedupWindow
+	rng := rand.New(rand.NewSource(int64(window)))
+	a := &Agent{seen: map[uint32]struct{}{}}
+	model, queue := map[uint32]bool{}, []uint32(nil)
+	for step, fresh := 0, uint32(0); step < 10_000; step++ {
+		var seq uint32
+		switch back := rng.Intn(3 * window); {
+		case rng.Intn(2) == 0 || fresh == 0:
+			fresh++
+			seq = fresh
+		case uint32(back) < fresh:
+			seq = fresh - uint32(back) // a repeat, inside or outside the window
+		default:
+			seq = 1
 		}
-		model, queue := map[uint32]bool{}, []uint32(nil)
-		for step, fresh := 0, uint32(0); step < 10_000; step++ {
-			var seq uint32
-			switch back := rng.Intn(3 * window); {
-			case rng.Intn(2) == 0 || fresh == 0:
-				fresh++
-				seq = fresh
-			case uint32(back) < fresh:
-				seq = fresh - uint32(back) // a repeat, inside or outside the window
-			default:
-				seq = 1
-			}
-			want := model[seq]
-			if !want {
-				model[seq] = true
-				queue = append(queue, seq)
-				if len(queue) > window {
-					delete(model, queue[0])
-					queue = queue[1:]
-				}
-			}
-			if got := a.isDuplicate(seq); got != want {
-				t.Fatalf("window %d step %d seq %d: duplicate = %v, model says %v", window, step, seq, got, want)
-			}
-			if cap(a.seenRing) > window || len(a.seen) != len(model) {
-				t.Fatalf("window %d step %d: ring cap %d, %d remembered, model holds %d",
-					window, step, cap(a.seenRing), len(a.seen), len(model))
+		want := model[seq]
+		if !want {
+			model[seq] = true
+			queue = append(queue, seq)
+			if len(queue) > window {
+				delete(model, queue[0])
+				queue = queue[1:]
 			}
 		}
-		if window == 8 && len(a.seenRing) != window {
-			t.Errorf("window %d: ring holds %d after 10,000 commands", window, len(a.seenRing))
+		if got := a.isDuplicate(seq); got != want {
+			t.Fatalf("step %d seq %d: duplicate = %v, model says %v", step, seq, got, want)
 		}
+		if cap(a.seenRing) > window || len(a.seen) != len(model) {
+			t.Fatalf("step %d: ring cap %d, %d remembered, model holds %d",
+				step, cap(a.seenRing), len(a.seen), len(model))
+		}
+	}
+	if len(a.seenRing) != window {
+		t.Errorf("ring holds %d after 10,000 commands, want %d", len(a.seenRing), window)
 	}
 }
 

@@ -6,14 +6,14 @@
 // internal/chaos, driven by tinyleo-bench -run chaos.)
 //
 // A plan (Manifest, parsed from JSON by Load) declares what to
-// launch (agent count, control slots, constellation shape), what to
-// break when (a fault schedule), and what "good" means (a flight
-// recorder SLO rule spec). RunExec executes it: one real tinyleo-ctl
-// and N real tinyleo-sat processes over the real TCP southbound. A
-// small sync service (Sync: one HTTP barrier + parameter distribution)
-// coordinates startup — the controller publishes its :0-bound
-// addresses, every agent resolves them and rendezvouses at the start
-// barrier before dialing. Faults are delivered as process signals
+// launch (agent count, control slots), what to break when (a fault
+// schedule), and what "good" means (a flight recorder SLO rule spec).
+// RunExec executes it: one real tinyleo-ctl and N real tinyleo-sat
+// processes over the real TCP southbound. Startup follows the lines the
+// controller prints on stdout (declared in internal/cli): its :0-bound
+// southbound and telemetry addresses, which the agents are launched
+// with, then "N agents registered", which starts the fault clock.
+// Faults are delivered as process signals
 // (kill, term, stop, cont) on schedule. Artifacts (fleet snapshot, one
 // flight recording per process — the file both `tinyleo-ctl trace` and
 // `tinyleo-ctl inspect` read — and process logs) are collected into a

@@ -31,23 +31,10 @@ const (
 // at least once and nothing on the wire was malformed.
 const DefaultExecSLO = "tinyleo_fleet_reports_total>=1,tinyleo_fleet_decode_errors_total<=0"
 
-// Constellation sizes the Walker constellation the controller compiles
-// against. Zero values take the defaults.
-type Constellation struct {
-	// Planes / SatsPerPlane shape the Walker grid (default 16×16).
-	Planes       int `json:"planes,omitempty"`
-	SatsPerPlane int `json:"sats_per_plane,omitempty"`
-	// InclinationDeg / AltitudeKm set the shell (defaults 53°, 1200 km).
-	InclinationDeg float64 `json:"inclination_deg,omitempty"`
-	AltitudeKm     float64 `json:"altitude_km,omitempty"`
-	// PhasingF is the Walker phasing factor (default 1).
-	PhasingF int `json:"phasing_f,omitempty"`
-}
-
 // FaultSpec schedules one fault.
 type FaultSpec struct {
-	// AtS is when to inject, in seconds after every agent has passed the
-	// start barrier.
+	// AtS is when to inject, in seconds after the controller reported
+	// every agent registered.
 	AtS float64 `json:"at_s,omitempty"`
 	// Kind is the signal: kill, term, stop or cont.
 	Kind string `json:"kind"`
@@ -88,9 +75,6 @@ type Manifest struct {
 	FleetLagS    float64 `json:"fleet_lag_s,omitempty"`
 	FleetSilentS float64 `json:"fleet_silent_s,omitempty"`
 
-	// Constellation sizes the compiled Walker shell.
-	Constellation Constellation `json:"constellation,omitempty"`
-
 	// Faults is the fault schedule.
 	Faults []FaultSpec `json:"faults,omitempty"`
 	// SLO is the flightrec rule spec the run is scored with (default
@@ -127,22 +111,6 @@ func (m Manifest) FillDefaults() Manifest {
 		if last := m.lastFaultAt(); last >= 0 {
 			m.HoldS = last + m.FleetSilentS + 3
 		}
-	}
-	c := &m.Constellation
-	if c.Planes == 0 {
-		c.Planes = 16
-	}
-	if c.SatsPerPlane == 0 {
-		c.SatsPerPlane = 16
-	}
-	if c.InclinationDeg == 0 {
-		c.InclinationDeg = 53
-	}
-	if c.AltitudeKm == 0 {
-		c.AltitudeKm = 1200
-	}
-	if c.PhasingF == 0 {
-		c.PhasingF = 1
 	}
 	if m.SLO == "" {
 		m.SLO = DefaultExecSLO

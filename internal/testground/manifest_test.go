@@ -19,9 +19,6 @@ func TestLoadGoldenValid(t *testing.T) {
 	if m.Agents != 4 || m.Slots != 3 || m.SlotSeconds != 120 {
 		t.Errorf("shape fields: %d %d %g", m.Agents, m.Slots, m.SlotSeconds)
 	}
-	if m.Constellation.Planes != 8 || m.Constellation.AltitudeKm != 550 {
-		t.Errorf("constellation: %+v", m.Constellation)
-	}
 	want := []FaultSpec{
 		{AtS: 1, Kind: FaultStop, Agent: 2},
 		{AtS: 2.5, Kind: FaultCont, Agent: 2},
@@ -42,6 +39,8 @@ func TestLoadGoldenInvalid(t *testing.T) {
 		// The retired virtual mode's keys are unknown keys now.
 		{"invalid-mode-key.json", `unknown field "mode"`},
 		{"invalid-scenario-key.json", `unknown field "scenario"`},
+		// The controller's demo shell is fixed: there is no constellation.
+		{"invalid-constellation-key.json", `unknown field "constellation"`},
 		{"invalid-agent-range.json", "out of range"},
 		{"invalid-slo.json", "slo"},
 	}
@@ -72,10 +71,6 @@ func TestFillDefaults(t *testing.T) {
 	}
 	if m.SLO != DefaultExecSLO {
 		t.Errorf("slo = %q, want DefaultExecSLO", m.SLO)
-	}
-	c := m.Constellation
-	if c.Planes != 16 || c.SatsPerPlane != 16 || c.InclinationDeg != 53 || c.AltitudeKm != 1200 || c.PhasingF != 1 {
-		t.Errorf("constellation defaults: %+v", c)
 	}
 	if err := m.Validate(); err != nil {
 		t.Errorf("defaulted manifest must validate: %v", err)

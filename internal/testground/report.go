@@ -23,8 +23,8 @@ type Artifact struct {
 
 // FaultRecord is one injected fault as it actually happened.
 type FaultRecord struct {
-	// AtS is the scheduled injection time (seconds after the start
-	// barrier released).
+	// AtS is the scheduled injection time (seconds after the controller
+	// reported every agent registered).
 	AtS float64 `json:"at_s"`
 	// Kind / Agent echo the manifest's FaultSpec.
 	Kind  string `json:"kind"`

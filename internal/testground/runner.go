@@ -1,15 +1,20 @@
 package testground
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
 	"syscall"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/obs"
 	"repro/internal/obs/fleet"
 )
@@ -29,11 +34,14 @@ type ExecConfig struct {
 	CtlTimeout time.Duration
 }
 
-// proc is one launched agent process with its reaper.
+// proc is one launched process with its reaper and its output watcher.
 type proc struct {
-	cmd  *exec.Cmd
-	done chan error // closed by the reaper with Wait's result
-	log  *os.File
+	name  string
+	cmd   *exec.Cmd
+	done  chan struct{} // closed by the reaper once the process exited and its output is written
+	err   error         // Wait's result, set before done closes
+	log   *os.File
+	watch *lineWatch
 }
 
 func (p *proc) exited() bool {
@@ -45,12 +53,88 @@ func (p *proc) exited() bool {
 	}
 }
 
+// await returns the value of p's first line matching the announcement
+// format (one of watched). p exiting first, or timeout passing, is an
+// error that names p's log.
+func (p *proc) await(format string, timeout time.Duration) (string, error) {
+	i := slices.Index(watched[:], format)
+	line := strings.TrimSuffix(format, "\n")
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	select {
+	case <-p.watch.found[i]:
+	case <-p.done:
+		select {
+		case <-p.watch.found[i]: // printed on its way out
+		default:
+			return "", fmt.Errorf("testground: %s exited before printing %q (log: %s)", p.name, line, p.log.Name())
+		}
+	case <-timer.C:
+		return "", fmt.Errorf("testground: no %q line from %s within %s (log: %s)", line, p.name, timeout, p.log.Name())
+	}
+	return p.watch.value(i), nil
+}
+
+// watched are the announcements the runner reads from its processes'
+// output.
+var watched = [...]string{cli.AnnounceTelemetry, cli.AnnounceController, cli.AnnounceRegistered}
+
+// lineWatch is the second writer behind a process's log: it cuts the
+// output into lines and keeps the value of the first line that matches
+// each watched announcement.
+type lineWatch struct {
+	mu sync.Mutex
+	//tinyleo:guardedby mu
+	partial []byte // output after the last newline
+	//tinyleo:guardedby mu
+	values [len(watched)]string
+	found  [len(watched)]chan struct{} // found[i] closes once values[i] is set
+}
+
+func newLineWatch() *lineWatch {
+	w := &lineWatch{}
+	for i := range w.found {
+		w.found[i] = make(chan struct{})
+	}
+	return w
+}
+
+func (w *lineWatch) Write(b []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	rest := append(w.partial, b...)
+	for {
+		line, after, ok := bytes.Cut(rest, []byte{'\n'})
+		if !ok {
+			break
+		}
+		for i, format := range watched {
+			if w.values[i] != "" {
+				continue
+			}
+			if v, ok := cli.Announced(format, string(line)); ok {
+				w.values[i] = v
+				close(w.found[i])
+			}
+		}
+		rest = after
+	}
+	w.partial = append(w.partial[:0], rest...)
+	return len(b), nil
+}
+
+func (w *lineWatch) value(i int) string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.values[i]
+}
+
 // RunExec executes a plan: one real tinyleo-ctl, N real
-// tinyleo-sat processes over the real TCP southbound, coordinated
-// through the sync service, faults injected by signaling the agent
-// processes on schedule, artifacts collected into cfg.Dir, and the run
-// scored with the plan's SLO rules over the final fleet snapshot plus
-// the controller's last telemetry sweep.
+// tinyleo-sat processes over the real TCP southbound, started in the
+// order the controller's announcements on stdout allow, faults injected
+// by signaling the agent processes on schedule, artifacts collected into
+// cfg.Dir, and the run scored with the plan's SLO rules over the final
+// fleet snapshot plus the controller's last telemetry sweep.
 func RunExec(m *Manifest, cfg ExecConfig) (*RunReport, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("testground: ExecConfig.Dir is required")
@@ -69,21 +153,11 @@ func RunExec(m *Manifest, cfg ExecConfig) (*RunReport, error) {
 	}
 	start := time.Now()
 
-	// Sync service: the controller publishes its bound addresses, the
-	// agents rendezvous at the start barrier.
-	coord := NewSync()
-	coord.Define(BarrierAgentsReady, m.Agents)
-	if err := coord.Start("127.0.0.1:0"); err != nil {
-		return nil, err
-	}
-	defer coord.Close()
-	fmt.Fprintf(cfg.Log, "sync service on %s\n", coord.URL())
-
-	// Controller.
+	// Controller. Both its ports are :0; it announces the bound addresses
+	// on stdout.
 	ctl, err := launch(cfg.CtlBin, cfg.Dir, "ctl",
 		"-listen", "127.0.0.1:0",
 		"-metrics-addr", "127.0.0.1:0",
-		"-sync", coord.URL(),
 		"-agents", fmt.Sprint(m.Agents),
 		"-slots", fmt.Sprint(m.Slots),
 		"-dt", fmt.Sprint(m.SlotSeconds),
@@ -92,11 +166,6 @@ func RunExec(m *Manifest, cfg ExecConfig) (*RunReport, error) {
 		"-fleet-silent", fmt.Sprintf("%gs", m.FleetSilentS),
 		"-fleet-out", filepath.Join(cfg.Dir, "fleet.json"),
 		"-record-out", filepath.Join(cfg.Dir, "ctl-flight.jsonl.gz"),
-		"-planes", fmt.Sprint(m.Constellation.Planes),
-		"-sats-per-plane", fmt.Sprint(m.Constellation.SatsPerPlane),
-		"-inclination", fmt.Sprint(m.Constellation.InclinationDeg),
-		"-altitude-km", fmt.Sprint(m.Constellation.AltitudeKm),
-		"-phasing", fmt.Sprint(m.Constellation.PhasingF),
 	)
 	if err != nil {
 		return nil, err
@@ -112,21 +181,20 @@ func RunExec(m *Manifest, cfg ExecConfig) (*RunReport, error) {
 	}
 	defer kill(ctl)
 
-	ctlAddr, err := coord.WaitParam(ParamControllerAddr, 30*time.Second)
+	ctlAddr, err := ctl.await(cli.AnnounceController, 30*time.Second)
 	if err != nil {
-		return nil, fmt.Errorf("%w (controller log: %s)", err, ctl.log.Name())
+		return nil, err
 	}
-	metricsAddr, err := coord.WaitParam(ParamMetricsAddr, 30*time.Second)
+	metricsAddr, err := ctl.await(cli.AnnounceTelemetry, 30*time.Second)
 	if err != nil {
-		return nil, fmt.Errorf("%w (controller log: %s)", err, ctl.log.Name())
+		return nil, err
 	}
 	fmt.Fprintf(cfg.Log, "controller southbound %s, telemetry %s\n", ctlAddr, metricsAddr)
 	poller := newMetricsPoller(metricsAddr, 250*time.Millisecond)
 	defer poller.Stop()
 
-	// Agents. Each resolves the controller address through the sync
-	// service and blocks at the start barrier before dialing, so the
-	// whole fleet registers together.
+	// Agents. The controller starts its first slot, and the fault clock
+	// starts, once all of them have registered.
 	sats := make([]*proc, m.Agents)
 	defer func() {
 		for _, p := range sats {
@@ -138,7 +206,7 @@ func RunExec(m *Manifest, cfg ExecConfig) (*RunReport, error) {
 	}()
 	for i := 0; i < m.Agents; i++ {
 		sats[i], err = launch(cfg.SatBin, cfg.Dir, fmt.Sprintf("sat-%d", i),
-			"-sync", coord.URL(),
+			"-controller", ctlAddr,
 			"-id", fmt.Sprint(i),
 			"-run-for", fmt.Sprintf("%gs", m.RunForS),
 			"-fleet-interval", fmt.Sprintf("%dms", m.FleetIntervalMS),
@@ -148,14 +216,14 @@ func RunExec(m *Manifest, cfg ExecConfig) (*RunReport, error) {
 			return nil, err
 		}
 	}
-	if err := coord.WaitReleased(BarrierAgentsReady, 60*time.Second); err != nil {
-		return nil, fmt.Errorf("%w (controller log: %s)", err, ctl.log.Name())
+	if _, err := ctl.await(cli.AnnounceRegistered, 60*time.Second); err != nil {
+		return nil, err
 	}
 	t0 := time.Now()
-	fmt.Fprintf(cfg.Log, "%d agents through the start barrier\n", m.Agents)
+	fmt.Fprintf(cfg.Log, "%d agents registered\n", m.Agents)
 
-	// Fault schedule: sleep to each fault's offset from the start
-	// barrier and signal the target agent process.
+	// Fault schedule: sleep to each fault's offset from registration and
+	// signal the target agent process.
 	faultDone := make(chan []FaultRecord, 1)
 	//tinyleo:goroutine exits on its own after delivering the finite fault schedule and signalling faultDone
 	go func() {
@@ -177,9 +245,9 @@ func RunExec(m *Manifest, cfg ExecConfig) (*RunReport, error) {
 	// The controller owns the run's length: slots, then -hold.
 	var runErr error
 	select {
-	case err := <-ctl.done:
-		if err != nil {
-			runErr = fmt.Errorf("controller exited: %v (log: %s)", err, ctl.log.Name())
+	case <-ctl.done:
+		if ctl.err != nil {
+			runErr = fmt.Errorf("controller exited: %v (log: %s)", ctl.err, ctl.log.Name())
 		}
 	case <-time.After(cfg.CtlTimeout):
 		runErr = fmt.Errorf("controller still running after %s; killed (log: %s)", cfg.CtlTimeout, ctl.log.Name())
@@ -236,24 +304,24 @@ func RunExec(m *Manifest, cfg ExecConfig) (*RunReport, error) {
 	return run, nil
 }
 
-// launch starts one process with stdout+stderr teed into NAME.log in
-// the run directory and a reaper goroutine feeding its done channel.
+// launch starts one process with stdout+stderr written both to NAME.log
+// in the run directory and to its line watcher, and a reaper goroutine
+// closing its done channel.
 func launch(bin, dir, name string, args ...string) (*proc, error) {
 	logf, err := os.Create(filepath.Join(dir, name+".log"))
 	if err != nil {
 		return nil, err
 	}
-	cmd := exec.Command(bin, args...)
-	cmd.Stdout = logf
-	cmd.Stderr = logf
-	if err := cmd.Start(); err != nil {
+	p := &proc{name: name, cmd: exec.Command(bin, args...), done: make(chan struct{}), log: logf, watch: newLineWatch()}
+	out := io.MultiWriter(logf, p.watch)
+	p.cmd.Stdout, p.cmd.Stderr = out, out
+	if err := p.cmd.Start(); err != nil {
 		logf.Close()
 		return nil, fmt.Errorf("testground: launch %s: %w", name, err)
 	}
-	p := &proc{cmd: cmd, done: make(chan error, 1), log: logf}
 	//tinyleo:goroutine reaper exits as soon as the child process does
 	go func() {
-		p.done <- cmd.Wait()
+		p.err = p.cmd.Wait()
 		close(p.done)
 	}()
 	return p, nil

@@ -25,24 +25,17 @@ func makeLink(a, b int) Link {
 	return Link{a, b}
 }
 
+// maxISLsPerSat is the laser terminal budget (3 in §6.1). ISLs obey
+// orbit.DefaultISLParams.
+const maxISLsPerSat = 3
+
 // Config parameterizes the baseline controller.
 type Config struct {
 	Sats []orbit.Elements
-	ISL  orbit.ISLParams
-	// MaxISLsPerSat is the laser terminal budget (3 in §6.1).
-	MaxISLsPerSat int
 	// RouteAggregation enables the "+RA" variant of Figure 17: route
-	// entries are aggregated per destination group rather than per
-	// destination satellite.
+	// entries are aggregated per destination group (groupOf) rather than
+	// per destination satellite.
 	RouteAggregation bool
-	// GroupOf maps a destination satellite to its aggregation group when
-	// RouteAggregation is on (e.g. the geographic cell under it). When
-	// nil, groups of 8 consecutive indices are used.
-	GroupOf func(sat int, t float64) int
-	// Destinations samples which satellites routes are computed toward
-	// (nil = all satellites). Real TS-SDN computes all; sampling keeps
-	// experiments tractable while preserving per-slot ratios.
-	Destinations []int
 }
 
 // SlotStats is one control slot's accounting.
@@ -67,12 +60,6 @@ func New(cfg Config) (*Controller, error) {
 	if len(cfg.Sats) < 2 {
 		return nil, errors.New("tssdn: need at least two satellites")
 	}
-	if cfg.ISL.MaxRange == 0 && cfg.ISL.GrazingMargin == 0 {
-		cfg.ISL = orbit.DefaultISLParams
-	}
-	if cfg.MaxISLsPerSat <= 0 {
-		cfg.MaxISLsPerSat = 3
-	}
 	return &Controller{cfg: cfg, prevRoutes: map[[2]int]int{}}, nil
 }
 
@@ -92,7 +79,7 @@ func (c *Controller) Topology(t float64) []Link {
 	var cands []cand
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if c.cfg.ISL.Visible(pos[i], pos[j]) {
+			if orbit.DefaultISLParams.Visible(pos[i], pos[j]) {
 				cands = append(cands, cand{makeLink(i, j), pos[i].Dist(pos[j])})
 			}
 		}
@@ -106,7 +93,7 @@ func (c *Controller) Topology(t float64) []Link {
 	degree := make([]int, n)
 	var links []Link
 	for _, cd := range cands {
-		if degree[cd.l[0]] < c.cfg.MaxISLsPerSat && degree[cd.l[1]] < c.cfg.MaxISLsPerSat {
+		if degree[cd.l[0]] < maxISLsPerSat && degree[cd.l[1]] < maxISLsPerSat {
 			degree[cd.l[0]]++
 			degree[cd.l[1]]++
 			links = append(links, cd.l)
@@ -160,19 +147,12 @@ func (c *Controller) Step(t float64) SlotStats {
 	for _, l := range links {
 		g.AddBiEdge(l[0], l[1], pos[l[0]].Dist(pos[l[1]]))
 	}
-	dests := c.cfg.Destinations
-	if dests == nil {
-		dests = make([]int, n)
-		for i := range dests {
-			dests[i] = i
-		}
-	}
 	newRoutes := map[[2]int]int{}
-	for _, d := range dests {
+	for d := 0; d < n; d++ {
 		parent, _ := g.ShortestPathTree(d, nil)
 		key := d
 		if c.cfg.RouteAggregation {
-			key = c.groupOf(d, t)
+			key = groupOf(d)
 		}
 		for s := 0; s < n; s++ {
 			if s == d || parent[s] < 0 {
@@ -204,9 +184,6 @@ func (c *Controller) Step(t float64) SlotStats {
 	return stats
 }
 
-func (c *Controller) groupOf(d int, t float64) int {
-	if c.cfg.GroupOf != nil {
-		return c.cfg.GroupOf(d, t)
-	}
-	return d / 8
-}
+// groupOf maps a destination satellite to its route aggregation group:
+// 8 consecutive indices, a stable prefix-style group.
+func groupOf(d int) int { return d / 8 }

@@ -23,7 +23,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestTopologyRespectsBudgetAndVisibility(t *testing.T) {
-	c, err := New(Config{Sats: walkerSats(), MaxISLsPerSat: 3})
+	c, err := New(Config{Sats: walkerSats()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,12 +37,12 @@ func TestTopologyRespectsBudgetAndVisibility(t *testing.T) {
 		degree[l[1]]++
 		a := c.cfg.Sats[l[0]].PositionECI(0)
 		b := c.cfg.Sats[l[1]].PositionECI(0)
-		if !c.cfg.ISL.Visible(a, b) {
+		if !orbit.DefaultISLParams.Visible(a, b) {
 			t.Errorf("invisible pair linked: %v", l)
 		}
 	}
 	for s, d := range degree {
-		if d > 3 {
+		if d > maxISLsPerSat {
 			t.Errorf("sat %d degree %d", s, d)
 		}
 	}
@@ -80,7 +80,7 @@ func TestRouteAggregationReducesUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Stable prefix-style groups (the default GroupOf). Grouping by the
+	// Stable prefix-style groups (groupOf). Grouping by the
 	// destination's *geographic cell* would churn the aggregate keys as
 	// satellites move and can send MORE updates — the paper's observation
 	// that aggregation helps little under non-uniform motion.
@@ -101,28 +101,8 @@ func TestRouteAggregationReducesUpdates(t *testing.T) {
 	}
 }
 
-func TestDestinationSampling(t *testing.T) {
-	sats := walkerSats()
-	c, err := New(Config{Sats: sats, Destinations: []int{0, 1, 2, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := c.Step(0)
-	// With 4 destinations and 64 sats, at most 4×63 entries.
-	if st.RouteUpdates > 4*63 {
-		t.Errorf("route updates %d exceed sampled table size", st.RouteUpdates)
-	}
-	if st.RouteUpdates == 0 {
-		t.Error("no routes computed")
-	}
-}
-
 func TestDefaultGrouping(t *testing.T) {
-	c, err := New(Config{Sats: walkerSats(), RouteAggregation: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g := c.groupOf(17, 0); g != 2 {
+	if g := groupOf(17); g != 2 {
 		t.Errorf("default group of 17 = %d", g)
 	}
 }

@@ -313,8 +313,7 @@ func DialSouthbound(addr string, satID uint32, timeout time.Duration) (*Southbou
 }
 
 // SouthboundAgentOptions tunes an agent's reliability behaviour:
-// automatic reconnect with exponential backoff and jitter, and the
-// duplicate-command suppression window.
+// automatic reconnect with exponential backoff and jitter.
 type SouthboundAgentOptions = southbound.AgentOptions
 
 // DialSouthboundReliable connects and registers an agent with explicit
