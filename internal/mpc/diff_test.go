@@ -84,6 +84,20 @@ func TestDiffLinksBatchBySatellite(t *testing.T) {
 	}
 }
 
+// TestDiffLinksAllocatesExactLists: a diff with links on both sides
+// allocates its two lists and nothing else, each at exact size.
+func TestDiffLinksAllocatesExactLists(t *testing.T) {
+	prev := &Snapshot{InterLinks: []Link{{1, 2}, {2, 3}, {5, 9}}, RingLinks: []Link{{4, 5}}}
+	cur := &Snapshot{InterLinks: []Link{{2, 3}, {2, 4}, {6, 7}}, RingLinks: []Link{{4, 5}, {8, 9}}}
+	var added, removed []Link
+	if allocs := testing.AllocsPerRun(100, func() { added, removed = DiffLinks(prev, cur) }); allocs != 2 {
+		t.Errorf("DiffLinks allocates %.0f objects, want 2", allocs)
+	}
+	if len(added) != 3 || cap(added) != 3 || len(removed) != 2 || cap(removed) != 2 {
+		t.Errorf("added len/cap %d/%d, removed %d/%d; want 3/3 and 2/2", len(added), cap(added), len(removed), cap(removed))
+	}
+}
+
 // setDiff is DiffLinks as it was before the merge walk — two link sets and
 // a sort — kept as the reference the walk is tested against.
 func setDiff(prev, cur *Snapshot) (added, removed []Link) {

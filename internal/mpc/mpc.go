@@ -549,31 +549,58 @@ func meanLifetime(lt *orbit.LifeTable, s int, vSats []int) float64 {
 // canonical link order: the reconfiguration the controller must enforce.
 // A nil prev is the bootstrap diff, where every link of cur is added. Each
 // side is walked as the set of its links, so a pair a repaired snapshot
-// lists as both an inter-cell and a ring link is reported once.
+// lists as both an inter-cell and a ring link is reported once. One walk
+// counts the two lists, a second fills them at exact size (nil when empty).
 func DiffLinks(prev, cur *Snapshot) (added, removed []Link) {
 	var p linkWalk
 	if prev != nil {
 		p = walkLinks(prev)
 	}
 	c := walkLinks(cur)
+	nAdded, nRemoved := 0, 0
+	diffWalk(p, c, func(_ Link, add bool) {
+		if add {
+			nAdded++
+		} else {
+			nRemoved++
+		}
+	})
+	if nAdded > 0 {
+		added = make([]Link, 0, nAdded)
+	}
+	if nRemoved > 0 {
+		removed = make([]Link, 0, nRemoved)
+	}
+	diffWalk(p, c, func(l Link, add bool) {
+		if add {
+			added = append(added, l)
+		} else {
+			removed = append(removed, l)
+		}
+	})
+	obsLinksAdded.Add(int64(nAdded))
+	obsLinksRemoved.Add(int64(nRemoved))
+	return
+}
+
+// diffWalk merges the walks of two snapshots' links and visits, in
+// canonical order, each link only one side has: add when it is cur's.
+func diffWalk(p, c linkWalk, visit func(l Link, add bool)) {
 	pl, pok := p.next()
 	cl, cok := c.next()
 	for pok || cok {
 		switch order := cmpLink(pl, cl); {
 		case !pok || (cok && order > 0):
-			added = append(added, cl)
+			visit(cl, true)
 			cl, cok = c.next()
 		case !cok || order < 0:
-			removed = append(removed, pl)
+			visit(pl, false)
 			pl, pok = p.next()
 		default:
 			pl, pok = p.next()
 			cl, cok = c.next()
 		}
 	}
-	obsLinksAdded.Add(int64(len(added)))
-	obsLinksRemoved.Add(int64(len(removed)))
-	return
 }
 
 // linkWalk yields the union of a snapshot's two link lists in canonical

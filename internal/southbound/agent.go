@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -104,18 +105,20 @@ type Agent struct {
 	// until the first reconnect draws a delay: a source is 4.9 KB, and most
 	// agents of a large fleet never lose their connection.
 	rng *rand.Rand
-	// seen / seenRing / seenHead implement the bounded dedup window; only
-	// the read loop touches them. seenRing grows to the window and is a
-	// ring buffer from then on — a slice that is appended to and re-sliced
-	// from the front grows its backing array without bound over a long
-	// session.
-	seen     map[uint32]struct{}
+	// seenRing / seenHead / seenMax implement the bounded dedup window;
+	// only the read loop touches them. seenRing is the window: it grows to
+	// DefaultDedupWindow and is a ring buffer from then on — a slice that
+	// is appended to and re-sliced from the front grows its backing array
+	// without bound over a long session. seenMax bounds every sequence
+	// number the ring holds.
 	seenRing []uint32
 	seenHead int
+	seenMax  uint32
 
 	// OnCommand is invoked for every controller command (SlotDelta,
-	// SlotSnapshot, SetRing, InstallRoute), once per sequence number. The
-	// agent auto-acks after the callback returns.
+	// SlotSnapshot, SetRing, InstallRoute), once per sequence number, with
+	// a message the callback owns. The agent auto-acks after the callback
+	// returns.
 	OnCommand func(m *Message)
 
 	helloAck chan struct{}
@@ -143,8 +146,6 @@ func DialAgentOptions(addr string, satID uint32, timeout time.Duration, opts Age
 	a := &Agent{
 		SatID: satID, addr: addr, timeout: timeout, opts: opts,
 		conn: conn, stop: make(chan struct{}),
-		seen: map[uint32]struct{}{},
-
 		helloAck: make(chan struct{}),
 	}
 	a.wg.Add(1)
@@ -178,12 +179,14 @@ func (a *Agent) tracer() *obs.Tracer {
 // on demand up to the window (most agents see a few dozen commands, and a
 // fleet of them should not each pin a full window): once full, the oldest
 // remembered sequence number is evicted in place, so memory stays bounded
-// by the window no matter how many commands a session sees.
+// by the window no matter how many commands a session sees. The controller
+// numbers commands in increasing order, so a fresh command is above every
+// remembered one and skips the scan.
 func (a *Agent) isDuplicate(seq uint32) bool {
-	if _, ok := a.seen[seq]; ok {
+	if seq <= a.seenMax && slices.Contains(a.seenRing, seq) {
 		return true
 	}
-	a.seen[seq] = struct{}{}
+	a.seenMax = max(a.seenMax, seq)
 	if len(a.seenRing) < DefaultDedupWindow {
 		if len(a.seenRing) == cap(a.seenRing) {
 			// Doubling like append, but never past the window.
@@ -194,7 +197,6 @@ func (a *Agent) isDuplicate(seq uint32) bool {
 		a.seenRing = append(a.seenRing, seq)
 		return false
 	}
-	delete(a.seen, a.seenRing[a.seenHead])
 	a.seenRing[a.seenHead] = seq
 	a.seenHead = (a.seenHead + 1) % len(a.seenRing)
 	return false
@@ -205,11 +207,14 @@ func (a *Agent) isDuplicate(seq uint32) bool {
 //tinyleo:hotpath
 func (a *Agent) readLoop() {
 	defer a.wg.Done()
+	var fr frameReader
 	for {
 		a.mu.Lock()
-		conn := a.conn
+		fr.r = a.conn
 		a.mu.Unlock()
-		m, err := ReadMessage(conn)
+		// Hello-acks and duplicates are handled on the borrowed frame; a
+		// command is copied once, for OnCommand to keep.
+		m, err := fr.next()
 		if err != nil {
 			if !a.reconnect() {
 				return
@@ -237,6 +242,9 @@ func (a *Agent) readLoop() {
 				}
 				_ = a.write(&Message{Type: MsgAck, SatID: a.SatID, Seq: m.Seq})
 				continue
+			}
+			if a.OnCommand != nil {
+				m = m.clone()
 			}
 			// The apply span continues the controller's sb.send trace and
 			// covers the OnCommand callback; m.Trace is rewritten to it so
@@ -344,6 +352,9 @@ func (a *Agent) Reconnects() int64 {
 	return a.reconnects
 }
 
+// write sends one frame under the agent's lock.
+//
+//tinyleo:hotpath
 func (a *Agent) write(m *Message) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -35,3 +35,14 @@ func BenchmarkMessageRoundTripTraced(b *testing.B) {
 	benchRoundTrip(b, &Message{Type: MsgSetRing, SatID: 7, Seq: 42, Peer: 9,
 		Trace: obs.SpanContext{TraceID: obs.TraceID{1, 2}, SpanID: obs.SpanID{3, 4}}})
 }
+
+// A DeltaEnforcer.Push → agent apply → ack round trip over loopback TCP:
+// what a command costs end to end (TestCommandRoundTripAllocationBudget
+// gates its allocations).
+func BenchmarkCommandRoundTrip(b *testing.B) {
+	lb := newLoopback(b)
+	lb.roundTrips(b, 100)
+	b.ReportAllocs()
+	b.ResetTimer()
+	lb.roundTrips(b, b.N)
+}

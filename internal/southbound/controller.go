@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -63,7 +63,8 @@ const (
 )
 
 // pendingCmd tracks one unacknowledged command for RTT measurement and
-// at-least-once retransmission.
+// at-least-once retransmission. The pending table holds it by value: a
+// path that changes an entry writes it back.
 type pendingCmd struct {
 	msg       *Message
 	firstSent time.Time // original transmission (ack RTT epoch)
@@ -125,7 +126,7 @@ type Controller struct {
 	//tinyleo:guardedby mu
 	closed bool
 	//tinyleo:guardedby mu
-	pending map[uint32]*pendingCmd // command seq → pending state
+	pending map[uint32]pendingCmd // command seq → pending state, by value
 	//tinyleo:guardedby mu
 	lastSweep time.Time // last ack-timeout sweep
 
@@ -136,7 +137,10 @@ type Controller struct {
 	// OnFailure, if set, is invoked when an agent reports a failure and
 	// returns the repair commands to push (addressed by Message.SatID).
 	OnFailure func(report *Message) []*Message
-	// OnAck observes acknowledgements.
+	// OnAck observes acknowledgements. The message is borrowed from the
+	// connection's frame storage and valid only for the duration of the
+	// call: copy what must outlive it. (Every other hook receives data it
+	// owns.)
 	OnAck func(m *Message)
 	// OnCommandFailed observes commands abandoned after AckTimeout (called
 	// without internal locks held).
@@ -184,7 +188,7 @@ func ListenController(addr string) (*Controller, error) {
 		agents:      map[uint32]net.Conn{},
 		hellos:      map[uint32]uint64{},
 		unreachable: map[uint32]bool{},
-		pending:     map[uint32]*pendingCmd{},
+		pending:     map[uint32]pendingCmd{},
 		reg:         reg,
 		rxBytes:     reg.Counter(MetricBytes, "dir", "rx"),
 		txBytes:     reg.Counter(MetricBytes, "dir", "tx"),
@@ -283,8 +287,9 @@ func (c *Controller) serve(conn net.Conn) {
 			c.mu.Unlock()
 		}
 	}()
+	fr := frameReader{r: conn}
 	for {
-		m, err := ReadMessage(conn)
+		m, err := fr.next()
 		if err != nil {
 			return
 		}
@@ -316,6 +321,7 @@ func (c *Controller) serve(conn net.Conn) {
 				}
 				p.attempts++
 				p.lastSent = now
+				c.pending[seq] = p
 				c.retransmits.Inc()
 				resends = append(resends, resend{conn, p.msg, p.sc})
 			}
@@ -344,7 +350,7 @@ func (c *Controller) serve(conn net.Conn) {
 			}
 			var cmds []*Message
 			if c.OnFailure != nil {
-				cmds = c.OnFailure(m)
+				cmds = c.OnFailure(m.clone())
 			}
 			for _, cmd := range cmds {
 				if err := c.Send(cmd); err != nil {
@@ -391,7 +397,7 @@ func (c *Controller) serve(conn net.Conn) {
 			}
 		case MsgTelemetry:
 			if c.OnTelemetry != nil {
-				c.OnTelemetry(m.SatID, m.Payload)
+				c.OnTelemetry(m.SatID, append([]byte(nil), m.Payload...))
 			}
 		}
 	}
@@ -399,6 +405,8 @@ func (c *Controller) serve(conn net.Conn) {
 
 // writeTo writes one frame under the controller-wide write lock, so
 // concurrent Sends and retransmissions never interleave bytes.
+//
+//tinyleo:hotpath
 func (c *Controller) writeTo(conn net.Conn, m *Message) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -519,7 +527,7 @@ func (c *Controller) Send(m *Message) error {
 			m.Seq = c.seq
 		}
 		if len(c.pending) < maxPendingAcks {
-			c.pending[m.Seq] = &pendingCmd{msg: m, firstSent: now, lastSent: now, attempts: 1, sc: m.Trace}
+			c.pending[m.Seq] = pendingCmd{msg: m, firstSent: now, lastSent: now, attempts: 1, sc: m.Trace}
 			tracked = true
 		} else {
 			c.untracked.Inc()
@@ -614,6 +622,7 @@ func (c *Controller) sweepAckTimeoutsLocked(now time.Time) ([]resend, []*Message
 		}
 		p.attempts++
 		p.lastSent = now
+		c.pending[seq] = p
 		c.retransmits.Inc()
 		resends = append(resends, resend{conn, p.msg, p.sc})
 	}
@@ -629,7 +638,7 @@ func (c *Controller) pendingSeqsLocked() []uint32 {
 	for seq := range c.pending {
 		seqs = append(seqs, seq)
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	slices.Sort(seqs)
 	return seqs
 }
 
@@ -660,7 +669,7 @@ func (c *Controller) TakeUnreachable() []uint32 {
 	}
 	c.unreachable = map[uint32]bool{}
 	c.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -45,16 +45,18 @@ func EncodeSlotDelta(ops []SlotDeltaOp) []byte {
 	buf := make([]byte, 4, 4+slotDeltaOpLen*len(ops))
 	binary.BigEndian.PutUint32(buf, uint32(len(ops)))
 	for _, op := range ops {
-		b := byte(0)
-		if op.Up {
-			b = 1
-		}
-		var peer [4]byte
-		binary.BigEndian.PutUint32(peer[:], op.Peer)
-		buf = append(buf, b)
-		buf = append(buf, peer[:]...)
+		buf = appendSlotDeltaOp(buf, op)
 	}
 	return buf
+}
+
+// appendSlotDeltaOp appends one op's encoding to a slot-delta payload.
+func appendSlotDeltaOp(buf []byte, op SlotDeltaOp) []byte {
+	up := byte(0)
+	if op.Up {
+		up = 1
+	}
+	return binary.BigEndian.AppendUint32(append(buf, up), op.Peer)
 }
 
 // DecodeSlotDelta parses a MsgSlotDelta payload (see EncodeSlotDelta).
@@ -207,6 +209,8 @@ func (e *DeltaEnforcer) Desired(sat uint32) []uint32 {
 // layer's emit time and causal context onto the wire (zero values are
 // fine). On a send error the satellite is marked unsynced so the next
 // push re-syncs it.
+//
+//tinyleo:hotpath
 func (e *DeltaEnforcer) Push(sat uint32, add, del []uint32, emitted time.Time, trace obs.SpanContext) error {
 	e.mu.Lock()
 	d := e.desired[sat]
@@ -214,28 +218,43 @@ func (e *DeltaEnforcer) Push(sat uint32, add, del []uint32, emitted time.Time, t
 		d = map[uint32]struct{}{}
 		e.desired[sat] = d
 	}
-	ops := make([]SlotDeltaOp, 0, len(add)+len(del))
+	synced := e.synced[sat]
+	// A synced satellite's ops are encoded straight into its slot-delta
+	// payload (EncodeSlotDelta's bytes), allocated at the first op; the op
+	// count is patched in at the end.
+	var payload []byte
+	op := func(peer uint32, up bool) {
+		if !synced {
+			return
+		}
+		if payload == nil {
+			payload = make([]byte, 4, 4+slotDeltaOpLen*(len(add)+len(del)))
+		}
+		payload = appendSlotDeltaOp(payload, SlotDeltaOp{Peer: peer, Up: up})
+	}
 	for _, p := range del {
 		if _, ok := d[p]; ok {
 			delete(d, p)
-			ops = append(ops, SlotDeltaOp{Peer: p, Up: false})
+			op(p, false)
 		}
 	}
 	for _, p := range add {
 		if _, ok := d[p]; !ok {
 			d[p] = struct{}{}
-			ops = append(ops, SlotDeltaOp{Peer: p, Up: true})
+			op(p, true)
 		}
 	}
-	synced := e.synced[sat]
-	if synced && len(ops) == 0 {
+	if synced && payload == nil {
 		e.mu.Unlock()
 		return nil
 	}
 	m := &Message{SatID: sat, Emitted: emitted, Trace: trace}
+	nops := 0
 	if synced {
+		nops = (len(payload) - 4) / slotDeltaOpLen
+		binary.BigEndian.PutUint32(payload, uint32(nops))
 		m.Type = MsgSlotDelta
-		m.Payload = EncodeSlotDelta(ops)
+		m.Payload = payload
 	} else {
 		m.Type = MsgSlotSnapshot
 		m.Payload = EncodeSlotSnapshot(sortedPeers(d))
@@ -250,7 +269,7 @@ func (e *DeltaEnforcer) Push(sat uint32, add, del []uint32, emitted time.Time, t
 	// agent fails in Send and must not show up as traffic.
 	if synced {
 		e.deltaMsgs.Inc()
-		e.opsSent.Add(int64(len(ops)))
+		e.opsSent.Add(int64(nops))
 	} else {
 		e.snapMsgs.Inc()
 		e.resyncs.Inc()

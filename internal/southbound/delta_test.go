@@ -19,7 +19,7 @@ import (
 // still deduplicating within the window and evicting beyond it.
 func TestSeenRingStableMemory(t *testing.T) {
 	const window = DefaultDedupWindow
-	a := &Agent{seen: map[uint32]struct{}{}}
+	a := &Agent{}
 	// Warm the ring to capacity, then remember its backing array.
 	for seq := uint32(1); seq <= window; seq++ {
 		if a.isDuplicate(seq) {
@@ -38,8 +38,14 @@ func TestSeenRingStableMemory(t *testing.T) {
 	if cap(a.seenRing) != window || len(a.seenRing) != window {
 		t.Errorf("ring len/cap = %d/%d, want %d/%d", len(a.seenRing), cap(a.seenRing), window, window)
 	}
-	if len(a.seen) != window {
-		t.Errorf("seen set holds %d entries, want %d", len(a.seen), window)
+	// The ring is the whole window: exactly the newest window of
+	// sequence numbers, each once.
+	held := slices.Clone(a.seenRing)
+	slices.Sort(held)
+	for i, seq := range held {
+		if want := uint32(10_000 - window + 1 + i); seq != want {
+			t.Fatalf("window entry %d is %d, want %d", i, seq, want)
+		}
 	}
 	// The newest window of sequence numbers still deduplicates...
 	for seq := uint32(10_000 - window + 1); seq <= 10_000; seq++ {
@@ -60,7 +66,7 @@ func TestSeenRingStableMemory(t *testing.T) {
 func TestDedupWindowMatchesModel(t *testing.T) {
 	const window = DefaultDedupWindow
 	rng := rand.New(rand.NewSource(int64(window)))
-	a := &Agent{seen: map[uint32]struct{}{}}
+	a := &Agent{}
 	model, queue := map[uint32]bool{}, []uint32(nil)
 	for step, fresh := 0, uint32(0); step < 10_000; step++ {
 		var seq uint32
@@ -85,9 +91,9 @@ func TestDedupWindowMatchesModel(t *testing.T) {
 		if got := a.isDuplicate(seq); got != want {
 			t.Fatalf("step %d seq %d: duplicate = %v, model says %v", step, seq, got, want)
 		}
-		if cap(a.seenRing) > window || len(a.seen) != len(model) {
+		if cap(a.seenRing) > window || len(a.seenRing) != len(model) {
 			t.Fatalf("step %d: ring cap %d, %d remembered, model holds %d",
-				step, cap(a.seenRing), len(a.seen), len(model))
+				step, cap(a.seenRing), len(a.seenRing), len(model))
 		}
 	}
 	if len(a.seenRing) != window {

@@ -8,8 +8,8 @@ import (
 	"repro/internal/obs"
 )
 
-// frame is m's wire form.
-func frame(tb testing.TB, m *Message) []byte {
+// wire is m's framed form.
+func wire(tb testing.TB, m *Message) []byte {
 	var buf bytes.Buffer
 	if err := WriteMessage(&buf, m); err != nil {
 		tb.Fatal(err)
@@ -21,9 +21,13 @@ func frame(tb testing.TB, m *Message) []byte {
 // reject them, but must not panic, must not allocate past maxFrame on the
 // say-so of a length prefix, and whatever it accepts must survive
 // encode → decode unchanged (frame, trace trailer and payload trailer).
+// The second input is read back to back after the first through one
+// frameReader, which decodes it into the first frame's pooled storage: it
+// must decode exactly as ReadMessage decodes it alone, so nothing of the
+// first frame (cells, trace, payload) may bleed into it.
 func FuzzReadMessage(f *testing.F) {
 	trace := obs.SpanContext{TraceID: obs.TraceID{1}, SpanID: obs.SpanID{2}}
-	for _, m := range []*Message{
+	seeds := []*Message{
 		{Type: MsgHello, SatID: 7, Seq: 1},
 		{Type: MsgSetRing, SatID: 7, Seq: 4, Peer: 11},
 		{Type: MsgInstallRoute, SatID: 7, Seq: 5, Cells: []uint16{10, 20, 30, 4049}},
@@ -33,22 +37,38 @@ func FuzzReadMessage(f *testing.F) {
 		{Type: MsgSlotDelta, SatID: 7, Seq: 3, Trace: trace,
 			Payload: EncodeSlotDelta([]SlotDeltaOp{{Peer: 9}, {Peer: 0xFFFFFFFF}})},
 		{Type: MsgSlotSnapshot, SatID: 7, Seq: 6, Payload: EncodeSlotSnapshot([]uint32{3, 1, 4})},
-	} {
-		f.Add(frame(f, m))
 	}
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	f.Add(frame(f, &Message{Type: MsgHello, SatID: 1})[:20])
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		m, err := ReadMessage(bytes.NewReader(raw))
-		if err != nil {
-			return
+	for i, m := range seeds {
+		// Each seed follows its predecessor, so the traced and payload
+		// frames are followed by ones without the trailer.
+		f.Add(wire(f, seeds[(i+len(seeds)-1)%len(seeds)]), wire(f, m))
+	}
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF}, wire(f, seeds[0]))
+	f.Add(wire(f, seeds[6]), wire(f, &Message{Type: MsgHello, SatID: 1})[:20])
+	f.Fuzz(func(t *testing.T, first, second []byte) {
+		want, wantErr := ReadMessage(bytes.NewReader(second))
+		if wantErr == nil {
+			if n := want.WireSize(); n > 4+maxFrame || n > len(second) {
+				t.Fatalf("decoded a %d-byte message from %d input bytes (maxFrame %d)", n, len(second), maxFrame)
+			}
+			again, err := ReadMessage(bytes.NewReader(wire(t, want)))
+			if err != nil || !reflect.DeepEqual(again, want) {
+				t.Fatalf("decode → encode → decode changed the message: %+v → %+v (%v)", want, again, err)
+			}
 		}
-		if n := m.WireSize(); n > 4+maxFrame || n > len(raw) {
-			t.Fatalf("decoded a %d-byte message from %d input bytes (maxFrame %d)", n, len(raw), maxFrame)
+
+		stream := bytes.NewReader(append(append([]byte(nil), first...), second...))
+		fr := frameReader{r: stream}
+		if _, err := fr.next(); err != nil || stream.Len() != len(second) {
+			return // the first input is not exactly one frame
 		}
-		again, err := ReadMessage(bytes.NewReader(frame(t, m)))
-		if err != nil || !reflect.DeepEqual(again, m) {
-			t.Fatalf("decode → encode → decode changed the message: %+v → %+v (%v)", m, again, err)
+		got, err := fr.next()
+		defer fr.release()
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("after a frame, the reader says %v; alone, ReadMessage says %v", err, wantErr)
+		}
+		if err == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("after a frame, the reader decodes %+v; alone, ReadMessage decodes %+v", got, want)
 		}
 	})
 }

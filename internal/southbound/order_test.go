@@ -27,7 +27,7 @@ func TestSweepRetransmitsInSeqOrder(t *testing.T) {
 	now := vc.Now()
 	const n = 16
 	for seq := uint32(1); seq <= n; seq++ {
-		c.pending[seq] = &pendingCmd{
+		c.pending[seq] = pendingCmd{
 			msg:       &Message{Type: MsgSetRing, SatID: 9, Seq: seq},
 			firstSent: now, lastSent: now, attempts: 1,
 		}
@@ -40,9 +40,10 @@ func TestSweepRetransmitsInSeqOrder(t *testing.T) {
 		resends, failed := c.sweepAckTimeoutsLocked(vc.Now())
 		// Undo attempt and age accounting so every run retransmits the
 		// full set instead of aging out past AckTimeout.
-		for _, p := range c.pending {
+		for seq, p := range c.pending {
 			p.attempts = 1
 			p.firstSent = vc.Now()
+			c.pending[seq] = p
 		}
 		c.mu.Unlock()
 		if len(failed) != 0 {
@@ -74,7 +75,7 @@ func TestAckTimeoutFailuresInSeqOrder(t *testing.T) {
 	now := vc.Now()
 	const n = 16
 	for seq := uint32(1); seq <= n; seq++ {
-		c.pending[seq] = &pendingCmd{
+		c.pending[seq] = pendingCmd{
 			msg:       &Message{Type: MsgSetRing, SatID: 9, Seq: seq},
 			firstSent: now, lastSent: now, attempts: 1,
 		}

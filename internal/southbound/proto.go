@@ -14,6 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -149,97 +151,186 @@ func (m *Message) WireSize() int {
 
 // WriteMessage writes one framed message. A non-zero Trace context is
 // appended as a marker-tagged trailer after the cell list; pre-trailer
-// readers skip it (they only parse the declared cell count).
+// readers skip it (they only parse the declared cell count). The frame is
+// encoded into pooled storage, held only for the length of the write.
 func WriteMessage(w io.Writer, m *Message) error {
-	if len(m.Cells) > MaxCells {
-		return fmt.Errorf("southbound: %d cells exceed max %d", len(m.Cells), MaxCells)
+	f := framePool.Get().(*frame)
+	defer f.free()
+	var err error
+	if f.buf, err = appendMessage(f.buf[:0], m); err != nil {
+		return err
 	}
-	if len(m.Payload) > MaxTelemetryPayload {
-		return fmt.Errorf("southbound: %d payload bytes exceed max %d", len(m.Payload), MaxTelemetryPayload)
-	}
-	n := headerLen - 4 + 2*len(m.Cells)
-	if !m.Trace.IsZero() {
-		n += traceTrailerLen
-	}
-	if len(m.Payload) > 0 {
-		n += payloadHeaderLen + len(m.Payload)
-	}
-	buf := make([]byte, 4, 4+n)
-	binary.BigEndian.PutUint32(buf, uint32(n))
-	buf = buf[:4+headerLen-4+2*len(m.Cells)]
-	buf[4] = byte(m.Type)
-	binary.BigEndian.PutUint32(buf[5:], m.SatID)
-	binary.BigEndian.PutUint32(buf[9:], m.Seq)
-	binary.BigEndian.PutUint32(buf[13:], m.Peer)
-	binary.BigEndian.PutUint16(buf[18:], uint16(len(m.Cells)))
-	for i, c := range m.Cells {
-		binary.BigEndian.PutUint16(buf[20+2*i:], c)
-	}
-	if !m.Trace.IsZero() {
-		buf = append(buf, traceMarker)
-		buf = m.Trace.AppendWire(buf)
-	}
-	if len(m.Payload) > 0 {
-		buf = append(buf, payloadMarker)
-		var plen [4]byte
-		binary.BigEndian.PutUint32(plen[:], uint32(len(m.Payload)))
-		buf = append(buf, plen[:]...)
-		buf = append(buf, m.Payload...)
-	}
-	_, err := w.Write(buf)
+	_, err = w.Write(f.buf)
 	return err
 }
 
-// ReadMessage reads one framed message.
+// appendMessage appends m's frame, length prefix included, to dst: the
+// one encoder of the protocol.
+func appendMessage(dst []byte, m *Message) ([]byte, error) {
+	if len(m.Cells) > MaxCells {
+		return dst, fmt.Errorf("southbound: %d cells exceed max %d", len(m.Cells), MaxCells)
+	}
+	if len(m.Payload) > MaxTelemetryPayload {
+		return dst, fmt.Errorf("southbound: %d payload bytes exceed max %d", len(m.Payload), MaxTelemetryPayload)
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(m.WireSize()-4))
+	dst = append(dst, byte(m.Type))
+	dst = binary.BigEndian.AppendUint32(dst, m.SatID)
+	dst = binary.BigEndian.AppendUint32(dst, m.Seq)
+	dst = binary.BigEndian.AppendUint32(dst, m.Peer)
+	dst = append(dst, 0) // reserved
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(m.Cells)))
+	for _, c := range m.Cells {
+		dst = binary.BigEndian.AppendUint16(dst, c)
+	}
+	if !m.Trace.IsZero() {
+		dst = append(dst, traceMarker)
+		dst = m.Trace.AppendWire(dst)
+	}
+	if len(m.Payload) > 0 {
+		dst = append(dst, payloadMarker)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.Payload)))
+		dst = append(dst, m.Payload...)
+	}
+	return dst, nil
+}
+
+// ReadMessage reads one framed message. The message owns its storage.
 func ReadMessage(r io.Reader) (*Message, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	fr := frameReader{r: r}
+	m, err := fr.next()
+	if err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
+	defer fr.release()
+	return m.clone(), nil
+}
+
+// clone returns a copy of m that owns its storage: one Message plus
+// exact-size Cells and Payload (nil stays nil).
+func (m *Message) clone() *Message {
+	c := *m
+	if m.Cells != nil {
+		c.Cells = make([]uint16, len(m.Cells))
+		copy(c.Cells, m.Cells)
+	}
+	if m.Payload != nil {
+		c.Payload = make([]byte, len(m.Payload))
+		copy(c.Payload, m.Payload)
+	}
+	return &c
+}
+
+// maxPooledFrame caps the storage a frame returns to the pool with: a rare
+// large telemetry report is left to the garbage collector rather than
+// pinned for every later command and ack.
+const maxPooledFrame = 64 << 10
+
+// frame is pooled codec storage: a write borrows one for its encoded bytes,
+// a frameReader for one received frame, its decoded cells and the message
+// that aliases both.
+type frame struct {
+	buf   []byte
+	cells []uint16
+	msg   Message
+}
+
+var framePool = sync.Pool{New: func() any { return new(frame) }}
+
+// free returns f to the pool.
+func (f *frame) free() {
+	if cap(f.buf) > maxPooledFrame {
+		f.buf = nil
+	}
+	f.msg = Message{} // its Payload would still pin a dropped buffer
+	framePool.Put(f)
+}
+
+// frameReader is a connection's frame decoder. Between calls it holds only
+// the length prefix: next borrows a pooled frame once a prefix has arrived
+// and returns it to the pool on the following call, so an idle connection
+// pins no frame.
+type frameReader struct {
+	r      io.Reader
+	prefix [4]byte
+	cur    *frame // the frame the last next returned
+}
+
+// next reads and decodes one frame. The message, its Cells and its Payload
+// are borrowed: valid until the next call to next or release.
+func (fr *frameReader) next() (*Message, error) {
+	fr.release()
+	if _, err := io.ReadFull(fr.r, fr.prefix[:]); err != nil {
+		return nil, err
+	}
+	n := binary.BigEndian.Uint32(fr.prefix[:])
 	if n > maxFrame {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
 	if n < headerLen-4 {
 		return nil, fmt.Errorf("southbound: short frame %d", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	f := framePool.Get().(*frame)
+	f.buf = slices.Grow(f.buf[:0], int(n))[:n]
+	_, err := io.ReadFull(fr.r, f.buf)
+	if err == nil {
+		err = f.decode()
+	}
+	if err != nil {
+		f.free()
 		return nil, err
 	}
-	m := &Message{
+	fr.cur = f
+	return &f.msg, nil
+}
+
+// release returns the frame the last next call borrowed to the pool.
+func (fr *frameReader) release() {
+	if fr.cur != nil {
+		fr.cur.free()
+		fr.cur = nil
+	}
+}
+
+// decode parses the frame body in f.buf into f.msg, every field of it:
+// Cells alias f.cells and Payload aliases f.buf, and nothing of an earlier
+// frame survives.
+func (f *frame) decode() error {
+	buf := f.buf
+	count := int(binary.BigEndian.Uint16(buf[14:]))
+	if count > MaxCells {
+		return fmt.Errorf("southbound: %d cells exceed max %d", count, MaxCells)
+	}
+	if len(buf) < 16+2*count {
+		return fmt.Errorf("southbound: cell list truncated (%d cells, %d bytes)", count, len(buf))
+	}
+	f.msg = Message{
 		Type:  MsgType(buf[0]),
 		SatID: binary.BigEndian.Uint32(buf[1:]),
 		Seq:   binary.BigEndian.Uint32(buf[5:]),
 		Peer:  binary.BigEndian.Uint32(buf[9:]),
 	}
-	count := int(binary.BigEndian.Uint16(buf[14:]))
-	if count > MaxCells {
-		return nil, fmt.Errorf("southbound: %d cells exceed max %d", count, MaxCells)
-	}
-	if len(buf) < 16+2*count {
-		return nil, fmt.Errorf("southbound: cell list truncated (%d cells, %d bytes)", count, len(buf))
-	}
 	if count > 0 {
-		m.Cells = make([]uint16, count)
-		for i := range m.Cells {
-			m.Cells[i] = binary.BigEndian.Uint16(buf[16+2*i:])
+		f.cells = slices.Grow(f.cells[:0], count)[:count]
+		for i := range f.cells {
+			f.cells[i] = binary.BigEndian.Uint16(buf[16+2*i:])
 		}
+		f.msg.Cells = f.cells
 	}
 	off := 16 + 2*count
 	if len(buf) >= off+traceTrailerLen && buf[off] == traceMarker {
-		m.Trace, _ = obs.SpanContextFromWire(buf[off+1:])
+		f.msg.Trace, _ = obs.SpanContextFromWire(buf[off+1:])
 		off += traceTrailerLen
 	}
 	if len(buf) >= off+payloadHeaderLen && buf[off] == payloadMarker {
 		plen := int(binary.BigEndian.Uint32(buf[off+1:]))
 		off += payloadHeaderLen
 		if plen > MaxTelemetryPayload || len(buf) < off+plen {
-			return nil, fmt.Errorf("southbound: payload trailer truncated (%d bytes declared, %d present)", plen, len(buf)-off)
+			return fmt.Errorf("southbound: payload trailer truncated (%d bytes declared, %d present)", plen, len(buf)-off)
 		}
 		if plen > 0 {
-			m.Payload = append([]byte(nil), buf[off:off+plen]...)
+			f.msg.Payload = buf[off : off+plen : off+plen]
 		}
 	}
-	return m, nil
+	return nil
 }

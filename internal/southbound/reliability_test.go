@@ -104,7 +104,7 @@ func TestUntrackedCommandCounted(t *testing.T) {
 	c.mu.Lock()
 	for i := 0; i < maxPendingAcks; i++ {
 		seq := uint32(1_000_000 + i)
-		c.pending[seq] = &pendingCmd{
+		c.pending[seq] = pendingCmd{
 			msg:       &Message{Type: MsgSetRing, SatID: 99, Seq: seq},
 			firstSent: vc.Now(), lastSent: vc.Now(), attempts: 1,
 		}
@@ -350,7 +350,7 @@ func TestSweepRateLimit(t *testing.T) {
 	// One pending entry for a disconnected sat: scans run but never
 	// retransmit, so lastSweep is the only observable.
 	c.mu.Lock()
-	c.pending[99] = &pendingCmd{
+	c.pending[99] = pendingCmd{
 		msg:       &Message{Type: MsgSetRing, SatID: 1, Seq: 99},
 		firstSent: vc.Now(), lastSent: vc.Now(), attempts: 1,
 	}
