@@ -70,4 +70,32 @@ func BenchmarkGeoForwarding(b *testing.B) {
 			b.Fatalf("delivered %d of %d", delivered, b.N)
 		}
 	})
+	// The ledger's ingress past Encode: decode a terminal's bytes, then the
+	// same three hops; the network recycles the delivered packet.
+	b.Run("ingress", func(b *testing.B) {
+		n := chainNet()
+		delivered := 0
+		n.OnDeliver = func(s *Satellite, p *Packet) { delivered++ }
+		p, err := NewGeoPacket(99, []int{20, 30}, 1, 0, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		wire, err := p.Encode()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			q, err := Decode(wire)
+			if err != nil {
+				b.Fatal(err)
+			}
+			n.Inject(0, q)
+			n.Sim.Run(n.Sim.Now() + 1)
+		}
+		if delivered != b.N {
+			b.Fatalf("delivered %d of %d", delivered, b.N)
+		}
+	})
 }

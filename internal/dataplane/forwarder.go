@@ -133,6 +133,7 @@ func (s *Satellite) forward(p *Packet) {
 		if s.net.OnDeliver != nil {
 			s.net.OnDeliver(s, p)
 		}
+		p.release()
 		return
 	case Drop:
 		s.drop(p, d.Reason)
@@ -248,7 +249,7 @@ func (s *Satellite) send(peer int, p *Packet) {
 	dpForwarded.Inc()
 }
 
-// drop accounts a dropped packet and notifies hooks.
+// drop accounts a dropped packet, notifies hooks and releases it.
 //
 //tinyleo:hotpath
 func (s *Satellite) drop(p *Packet, reason string) {
@@ -266,6 +267,7 @@ func (s *Satellite) drop(p *Packet, reason string) {
 	if s.net.OnDrop != nil {
 		s.net.OnDrop(s, p, reason)
 	}
+	p.release()
 }
 
 // emitEvent records a flight-recorder event for this satellite. Call sites

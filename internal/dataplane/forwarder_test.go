@@ -1,7 +1,9 @@
 package dataplane
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -243,6 +245,41 @@ func TestNonGeoPacketIsDroppedNoRoute(t *testing.T) {
 	}
 }
 
+// A decoded packet is the network's after its delivery: injecting it again
+// is a caller's mistake, which shows as a "no route" drop (release cleared
+// its route), never puts the packet in the pool twice, and leaves nothing
+// of its hop in the next packet Decode hands out.
+func TestReinjectedDeliveredPacketIsDroppedNoRoute(t *testing.T) {
+	n := chainNet()
+	built, _ := NewGeoPacket(99, []int{20, 30}, 1, 1, []byte("hi"))
+	wire, _ := built.Encode()
+	p, err := Decode(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var traces [][]int
+	reason := ""
+	n.OnDeliver = func(s *Satellite, p *Packet) { traces = append(traces, slices.Clone(p.HopTrace)) }
+	n.OnDrop = func(s *Satellite, p *Packet, r string) { reason = r }
+	n.Inject(0, p)
+	n.Sim.Run(1)
+	n.Inject(0, p)
+	n.Sim.Run(2)
+	if len(traces) != 1 || reason != "no route" || p.pooled {
+		t.Errorf("%d delivered, second injection dropped for %q, pooled %v: want 1, \"no route\", false",
+			len(traces), reason, p.pooled)
+	}
+	next, err := Decode(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Inject(0, next)
+	n.Sim.Run(3)
+	if want := [][]int{{0, 2, 4}, {0, 2, 4}}; !reflect.DeepEqual(traces, want) {
+		t.Errorf("traces %v, want %v", traces, want)
+	}
+}
+
 func TestMultiSegmentRouteConsumesOwnCell(t *testing.T) {
 	// Route whose first segment is the injecting satellite's own cell.
 	n := chainNet()
@@ -441,5 +478,193 @@ func TestFlushBuffersOrderIsDeterministic(t *testing.T) {
 		if !slices.Equal(at, at2) {
 			t.Errorf("build %d: per-packet delivery times differ:\n%v\n%v", i, at, at2)
 		}
+	}
+}
+
+// outcome is what a hook saw of one packet, copied out of it: a delivery
+// when reason is empty, else a drop.
+type outcome struct {
+	sat         int
+	seq         uint32
+	reason      string
+	at, sentAt  float64
+	hops        []int
+	payload     string
+	segmentLeft uint8
+}
+
+func (o outcome) String() string {
+	return fmt.Sprintf("{sat %d seq %d %q at %v sent %v hops %v payload %q left %d}",
+		o.sat, o.seq, o.reason, o.at, o.sentAt, o.hops, o.payload, o.segmentLeft)
+}
+
+// recycleScenario is one of the networks above, faulted, with the repair
+// that lets its buffered packets go on (nil: none).
+type recycleScenario struct {
+	name   string
+	build  func() *Network
+	repair func(n *Network)
+}
+
+var recycleScenarios = []recycleScenario{
+	{name: "failover", build: func() *Network { // TestLocalFailoverOnLinkDown's
+		n := chainNet()
+		n.Link(0, 2).Down()
+		return n
+	}},
+	{name: "ring", build: func() *Network { // TestRingFallbackWhenNoDirectISL's
+		n := NewNetwork()
+		for id, c := range map[int]int{0: 10, 1: 10, 3: 20} {
+			n.AddSatellite(id, c)
+		}
+		n.Connect(1, 3, 0.005)
+		n.Connect(0, 1, 0.001)
+		n.SetRing([]int{0, 1})
+		return n
+	}},
+	{name: "buffer", build: func() *Network { // TestBufferWhenRingBroken's
+		n := chainNet()
+		n.Link(0, 2).Down()
+		n.Link(0, 1).Down()
+		return n
+	}, repair: func(n *Network) {
+		n.Link(0, 2).Up()
+		n.FlushBuffers()
+	}},
+}
+
+// runRecycleTraffic sends seeded bursts through sc's network and returns what
+// the hooks saw. With decode set, every packet is encoded and decoded at
+// ingress, so the network recycles it after its hook; it also returns how
+// many of those packets reused one delivered or dropped before.
+func runRecycleTraffic(t *testing.T, sc recycleScenario, seed int64, decode bool) (out []outcome, reused int) {
+	rng := rand.New(rand.NewSource(seed))
+	n := sc.build()
+	var cells []int
+	for _, s := range n.order {
+		if !slices.Contains(cells, s.Cell) {
+			cells = append(cells, s.Cell)
+		}
+	}
+	note := func(s *Satellite, p *Packet, reason string) {
+		out = append(out, outcome{s.ID, p.Base.Seq, reason, n.Sim.Now(), p.SentAt,
+			slices.Clone(p.HopTrace), string(p.Payload), p.Geo.SegmentsLeft})
+	}
+	n.OnDeliver = func(s *Satellite, p *Packet) { note(s, p, "") }
+	n.OnDrop = func(s *Satellite, p *Packet, reason string) { note(s, p, reason) }
+	seen := map[*Packet]bool{}
+	var seq uint32
+	for burst := 0; burst < 8; burst++ {
+		for k := 0; k < 16; k++ {
+			route := make([]int, 1+rng.Intn(3))
+			for i := range route {
+				route[i] = cells[rng.Intn(len(cells))]
+			}
+			payload := make([]byte, rng.Intn(3)*rng.Intn(100))
+			rng.Read(payload)
+			p, err := NewGeoPacket(7, route, 1, seq, payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq++
+			if rng.Intn(4) == 0 {
+				p.Base.HopLimit = uint8(rng.Intn(4))
+			}
+			if decode {
+				wire, err := p.Encode()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p, err = Decode(wire); err != nil {
+					t.Fatal(err)
+				}
+				if seen[p] {
+					reused++
+				}
+				seen[p] = true
+			}
+			n.Inject(n.order[rng.Intn(len(n.order))].ID, p)
+		}
+		n.Sim.Run(n.Sim.Now() + 0.05)
+	}
+	if sc.repair != nil {
+		sc.repair(n)
+	}
+	n.Sim.Run(n.Sim.Now() + 1)
+	return out, reused
+}
+
+// Recycling is invisible to the traffic: the same seeded bursts through the
+// failover, ring and buffer networks give the same deliveries and drops —
+// satellite, time, Seq, SentAt, hop trace, payload — whether the packets are
+// built by NewGeoPacket and kept by the caller, or decoded at ingress and
+// recycled by the network from one burst to the next.
+func TestDecodedPacketsForwardLikeBuiltOnes(t *testing.T) {
+	for _, sc := range recycleScenarios {
+		for seed := int64(1); seed <= 5; seed++ {
+			built, _ := runRecycleTraffic(t, sc, seed, false)
+			decoded, reused := runRecycleTraffic(t, sc, seed, true)
+			delivered, dropped := 0, 0
+			for _, o := range built {
+				if o.reason == "" {
+					delivered++
+				} else {
+					dropped++
+				}
+			}
+			if delivered == 0 || dropped == 0 {
+				t.Errorf("%s seed %d: %d delivered, %d dropped: the traffic needs both", sc.name, seed, delivered, dropped)
+			}
+			if !reflect.DeepEqual(built, decoded) {
+				i := 0
+				for i < min(len(built), len(decoded)) && reflect.DeepEqual(built[i], decoded[i]) {
+					i++
+				}
+				t.Errorf("%s seed %d: %d outcomes built, %d decoded, the first to differ is #%d:\nbuilt   %v\ndecoded %v",
+					sc.name, seed, len(built), len(decoded), i, built[i:min(i+1, len(built))], decoded[i:min(i+1, len(decoded))])
+			}
+			if reused == 0 && !raceEnabled {
+				t.Errorf("%s seed %d: no decoded packet reused a released one", sc.name, seed)
+			}
+		}
+	}
+}
+
+// TestIngressAllocationBudget: past Encode, the ledger's ingress — decode
+// the terminal's bytes, inject, forward over chainNet's three hops, deliver
+// — allocates nothing once warm. The delivered packet and its hop trace go
+// back to the pool Decode draws on.
+func TestIngressAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled packets on purpose")
+	}
+	n := chainNet()
+	delivered := 0
+	n.OnDeliver = func(s *Satellite, p *Packet) {
+		if s.ID == 4 && slices.Equal(p.HopTrace, []int{0, 2, 4}) && string(p.Payload) == "payload" {
+			delivered++
+		}
+	}
+	p, err := NewGeoPacket(99, []int{20, 30}, 1, 0, []byte("payload"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := p.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingress := func() {
+		q, err := Decode(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Inject(0, q)
+		n.Sim.Run(n.Sim.Now() + 1)
+	}
+	if got := testing.AllocsPerRun(100, ingress); got != 0 {
+		t.Errorf("a warm decode → inject → delivery allocates %v objects, budget 0", got)
+	}
+	if delivered != 101 {
+		t.Errorf("delivered %d of 101 along 0 → 2 → 4", delivered)
 	}
 }

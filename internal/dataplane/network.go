@@ -15,9 +15,11 @@ type Network struct {
 	// Router is the next-hop seam: Anycast, unless a baseline replaced it.
 	Router Router
 	// OnDeliver fires when a packet reaches a satellite covering its final
-	// segment cell (i.e. is handed to the ground segment).
+	// segment cell (i.e. is handed to the ground segment). A packet from
+	// Decode is recycled when the hook returns: the hook copies what it keeps.
 	OnDeliver func(sat *Satellite, p *Packet)
-	// OnDrop fires when a packet is dropped (hop limit, no route, queue).
+	// OnDrop fires when a packet is dropped (hop limit, no route, queue),
+	// under OnDeliver's rule for a packet from Decode.
 	OnDrop func(sat *Satellite, p *Packet, reason string)
 
 	order []*Satellite // Sats by ascending ID: FlushBuffers' order, the same on every run
@@ -100,7 +102,9 @@ func (n *Network) Link(a, b int) *netem.Link {
 func (n *Network) Links() []*netem.Link { return n.links }
 
 // Inject starts a packet at satellite sat (e.g. received from a ground
-// terminal) and forwards it.
+// terminal) and forwards it. A packet from Decode then belongs to the
+// network, which recycles it after delivery or a drop; one from NewGeoPacket
+// stays the caller's.
 func (n *Network) Inject(sat int, p *Packet) {
 	s := n.Sats[sat]
 	if s == nil {

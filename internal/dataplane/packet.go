@@ -18,6 +18,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"sync"
 )
 
 // Header type identifiers (the NextHeader byte).
@@ -174,6 +176,11 @@ func (g *GeoSegmentHeader) Advance() {
 // Packet is the in-memory form the emulator forwards (headers stay decoded
 // between hops; the wire form is exercised by Encode/Decode and used across
 // the southbound TCP path).
+//
+// A packet from NewGeoPacket belongs to its caller, who may read it after
+// delivery. A packet from Decode belongs to the network once injected: the
+// forwarder recycles it when its delivery or drop hook returns, so a hook
+// that keeps anything of it (HopTrace, Payload, the packet itself) copies it.
 type Packet struct {
 	Base    BaseHeader
 	Geo     *GeoSegmentHeader // nil when the wire form carried no segment list
@@ -187,6 +194,9 @@ type Packet struct {
 	// first fell back to the ring while ringLeft segments were left.
 	ringFrom int32
 	ringLeft uint8
+	// pooled marks a packet Decode drew from packetPool, for release. It sits
+	// in ringLeft's padding: a Packet stays in the 144-byte size class.
+	pooled bool
 
 	// What NewGeoPacket and Decode point Geo at, and a route's list up to
 	// inlineSegments cells: one allocation in all (so never copy a Packet).
@@ -200,10 +210,39 @@ const (
 	inlineSegments = 8
 	// hopTraceCap is HopTrace's first capacity (the ledger's mean is 7.6 hops).
 	hopTraceCap = 8
+	// maxPayload is the most PayloadLen can say.
+	maxPayload = math.MaxUint16
 )
+
+// packetPool holds the packets Decode hands out, reset by release.
+var packetPool = sync.Pool{New: func() any { return new(Packet) }}
+
+// release returns a packet Decode made to the pool, and is a no-op for any
+// other. Every field is reset, so the pool pins no frame and a packet
+// released twice is pooled once: a delivered packet injected again is
+// dropped for "no route". Only a hop trace of the first capacity is kept.
+func (p *Packet) release() {
+	if !p.pooled {
+		return
+	}
+	trace := p.HopTrace
+	if cap(trace) != hopTraceCap {
+		trace = nil
+	}
+	*p = Packet{HopTrace: trace[:0]}
+	packetPool.Put(p)
+}
+
+// errPayloadSize reports a payload PayloadLen cannot describe.
+func errPayloadSize(n int) error {
+	return fmt.Errorf("dataplane: payload of %d bytes exceeds max %d", n, maxPayload)
+}
 
 // Encode produces the full wire form.
 func (p *Packet) Encode() ([]byte, error) {
+	if len(p.Payload) > maxPayload {
+		return nil, errPayloadSize(len(p.Payload))
+	}
 	p.Base.PayloadLen = uint16(len(p.Payload))
 	if p.Geo != nil {
 		p.Base.NextHeader = NextHeaderGeoSegment
@@ -221,29 +260,44 @@ func (p *Packet) Encode() ([]byte, error) {
 	return append(out, p.Payload...), nil
 }
 
-// Decode parses a wire-form packet.
+// Decode parses a wire-form packet. Its Payload aliases b (nil when empty).
+// The packet is recycled: once injected it belongs to the network, and a
+// Network.OnDeliver or OnDrop hook reads it only for the length of the call.
 func Decode(b []byte) (*Packet, error) {
-	p := &Packet{}
+	p := packetPool.Get().(*Packet)
+	// release reset it, but a caller that wrongly injects a delivered packet
+	// again writes its hop trace while it is pooled.
+	*p = Packet{HopTrace: p.HopTrace[:0], pooled: true}
+	if err := p.decode(b); err != nil {
+		p.release()
+		return nil, err
+	}
+	return p, nil
+}
+
+// decode fills the reset packet p from b.
+func (p *Packet) decode(b []byte) error {
 	rest, err := p.Base.Unmarshal(b)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	switch p.Base.NextHeader {
 	case NextHeaderGeoSegment:
 		p.Geo, p.geo.Segments = &p.geo, p.segs[:0]
-		rest, err = p.Geo.Unmarshal(rest)
-		if err != nil {
-			return nil, err
+		if rest, err = p.Geo.Unmarshal(rest); err != nil {
+			return err
 		}
 	case NextHeaderPayload, NextHeaderNone:
 	default:
-		return nil, fmt.Errorf("dataplane: unknown next header 0x%02x", p.Base.NextHeader)
+		return fmt.Errorf("dataplane: unknown next header 0x%02x", p.Base.NextHeader)
 	}
 	if len(rest) < int(p.Base.PayloadLen) {
-		return nil, fmt.Errorf("%w: payload needs %d bytes, have %d", ErrTruncated, p.Base.PayloadLen, len(rest))
+		return fmt.Errorf("%w: payload needs %d bytes, have %d", ErrTruncated, p.Base.PayloadLen, len(rest))
 	}
-	p.Payload = rest[:p.Base.PayloadLen]
-	return p, nil
+	if p.Base.PayloadLen > 0 {
+		p.Payload = rest[:p.Base.PayloadLen]
+	}
+	return nil
 }
 
 // WireSize returns the encoded size without allocating.
@@ -263,6 +317,9 @@ func NewGeoPacket(src uint32, route []int, flow, seq uint32, payload []byte) (*P
 	}
 	if len(route) > MaxSegments {
 		return nil, fmt.Errorf("dataplane: route of %d cells exceeds max %d", len(route), MaxSegments)
+	}
+	if len(payload) > maxPayload {
+		return nil, errPayloadSize(len(payload))
 	}
 	p := &Packet{
 		Base: BaseHeader{

@@ -5,10 +5,16 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// raceEnabled is set by race_test.go: the race detector drops a share of
+// sync.Pool puts on purpose, so recycling budgets do not hold under it.
+var raceEnabled bool
 
 func TestBaseHeaderRoundTrip(t *testing.T) {
 	h := BaseHeader{
@@ -154,6 +160,83 @@ func TestNewGeoPacketValidation(t *testing.T) {
 	}
 }
 
+// PayloadLen is 16 bits: a longer payload is refused, not truncated on the
+// wire.
+func TestPayloadOverMaxIsRejected(t *testing.T) {
+	if _, err := NewGeoPacket(1, []int{5}, 0, 0, make([]byte, maxPayload+1)); err == nil {
+		t.Error("NewGeoPacket accepted a payload PayloadLen cannot describe")
+	}
+	p, err := NewGeoPacket(1, []int{5}, 0, 0, make([]byte, maxPayload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := p.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := Decode(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(q.Payload) != maxPayload {
+		t.Errorf("a %d-byte payload decoded to %d bytes", maxPayload, len(q.Payload))
+	}
+	p.Payload = make([]byte, 70000)
+	if wire, err := p.Encode(); err == nil {
+		t.Errorf("Encode of a 70000-byte payload gave %d wire bytes, want an error", len(wire))
+	}
+}
+
+// A released packet is as Decode needs it: every field zero but the hop
+// trace's storage, which is kept only at its first capacity. Releasing it
+// again, or releasing a packet NewGeoPacket made, pools nothing.
+func TestReleaseResetsThePacket(t *testing.T) {
+	if size := unsafe.Sizeof(Packet{}); size != 144 {
+		t.Errorf("a Packet is %d bytes, want 144 (its size class)", size)
+	}
+	p, _ := NewGeoPacket(1, []int{100, 200}, 2, 3, []byte("xyz"))
+	wire, _ := p.Encode()
+	for _, hops := range []int{3, hopTraceCap + 1} {
+		q, err := Decode(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.SentAt, q.ringFrom, q.ringLeft = 1.5, 4, 1
+		q.HopTrace = make([]int, 0, hopTraceCap)
+		for i := 0; i < hops; i++ {
+			q.HopTrace = append(q.HopTrace, i)
+		}
+		q.release()
+		trace := q.HopTrace
+		if len(trace) != 0 || (hops <= hopTraceCap) != (cap(trace) == hopTraceCap) {
+			t.Errorf("%d hops: released trace has length %d, capacity %d", hops, len(trace), cap(trace))
+		}
+		q.HopTrace = nil
+		if !reflect.DeepEqual(*q, Packet{}) {
+			t.Errorf("%d hops: released packet not reset: %+v", hops, *q)
+		}
+		q.HopTrace = trace
+		q.release()
+	}
+	p.release()
+	if p.Geo == nil || p.Base.Seq != 3 || string(p.Payload) != "xyz" {
+		t.Errorf("release reset a packet NewGeoPacket made: %+v", *p)
+	}
+}
+
+// An empty payload decodes to nil, so the packet does not pin its frame.
+func TestDecodeEmptyPayloadIsNil(t *testing.T) {
+	p, _ := NewGeoPacket(1, []int{5}, 0, 0, nil)
+	wire, _ := p.Encode()
+	q, err := Decode(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Payload != nil {
+		t.Errorf("empty payload decoded to %v, want nil", q.Payload)
+	}
+}
+
 func TestPacketRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	f := func(seed int64) bool {
@@ -190,8 +273,11 @@ func TestPacketRoundTripProperty(t *testing.T) {
 
 // NewGeoPacket, Encode and Decode make one object each while the route fits
 // the packet's inline segment list, and stay correct one segment past it,
-// where the list is an allocation of its own.
+// where the list is an allocation of its own. Decode draws on a pool that
+// the two collections empty, and its packets here are never released.
 func TestPacketAllocationBudget(t *testing.T) {
+	runtime.GC()
+	runtime.GC()
 	for _, segs := range []int{1, inlineSegments, inlineSegments + 1} {
 		route := make([]int, segs)
 		want := make([]uint16, segs)
@@ -298,8 +384,12 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode of re-encoded packet: %v", err)
 		}
+		// A recycled packet keeps its hop trace's storage.
+		p.HopTrace, q.HopTrace = nil, nil
 		if !reflect.DeepEqual(p, q) {
 			t.Fatalf("round trip changed the packet:\n%+v\n%+v", p, q)
 		}
+		p.release()
+		q.release()
 	})
 }

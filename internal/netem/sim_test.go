@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -142,8 +143,12 @@ func TestRunStopsAtHorizon(t *testing.T) {
 // A popped or drained slot must not pin what its event carried: the queue
 // holds events by value and shrinks by reslicing, so a timer's closure or an
 // arrival's link and packet left in the backing array's spare capacity would
-// stay reachable for as long as the simulator does.
+// stay reachable for as long as the simulator does. A timer's closure rides
+// in the payload word, which keeps an event at 48 bytes.
 func TestDrainedQueueReleasesEvents(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); size != 48 {
+		t.Errorf("an event is %d bytes, want 48", size)
+	}
 	s := NewSim()
 	l := NewLink(s, 1, 2, 0, 0.5, 0, nil)
 	for i := 0; i < 64; i++ {
@@ -161,9 +166,9 @@ func TestDrainedQueueReleasesEvents(t *testing.T) {
 			t.Fatalf("backing array holds %d slots, want >= 64", len(backing))
 		}
 		for i, ev := range backing[len(s.events):] {
-			if ev.fn != nil || ev.link != nil || ev.payload != nil {
-				t.Errorf("%s: spare slot %d still holds fn=%v link=%v payload=%v",
-					when, len(s.events)+i, ev.fn != nil, ev.link != nil, ev.payload != nil)
+			if ev.link != nil || ev.payload != nil {
+				t.Errorf("%s: spare slot %d still holds link=%v payload=%v",
+					when, len(s.events)+i, ev.link != nil, ev.payload != nil)
 			}
 		}
 	}
@@ -180,6 +185,29 @@ func TestDrainedQueueReleasesEvents(t *testing.T) {
 		t.Fatalf("%d arrivals went through the queue, want 32", l.RxPackets)
 	}
 	spareIsClear("drained")
+}
+
+// Run with a horizon behind the clock runs nothing and leaves the clock
+// where it is, whether or not an event is pending.
+func TestRunNeverMovesTheClockBack(t *testing.T) {
+	s := NewSim()
+	fired := 0
+	s.Schedule(5, func() { fired++ })
+	s.Schedule(10, func() { fired++ })
+	s.Run(5)
+	if s.Now() != 5 || fired != 1 {
+		t.Fatalf("after Run(5): clock %v, %d fired, want 5 and 1", s.Now(), fired)
+	}
+	s.Run(2)
+	if s.Now() != 5 || fired != 1 || s.Pending() != 1 {
+		t.Errorf("Run(2) at 5 with an event pending: clock %v, %d fired, %d pending, want 5, 1, 1",
+			s.Now(), fired, s.Pending())
+	}
+	s.Run(20)
+	s.Run(3)
+	if s.Now() != 20 || fired != 2 {
+		t.Errorf("Run(3) at 20 with nothing pending: clock %v, %d fired, want 20 and 2", s.Now(), fired)
+	}
 }
 
 func TestNegativeDelayPanics(t *testing.T) {
