@@ -228,7 +228,7 @@ func runController() {
 	agg.RegisterHTTP()
 	fleetTick := time.NewTicker(time.Second)
 	defer fleetTick.Stop()
-	//tinyleo:goroutine liveness ticker runs for the controller's whole process lifetime; reclaimed at exit
+	// Runs for the process lifetime: Stop does not close fleetTick.C.
 	go func() {
 		for range fleetTick.C {
 			agg.Tick()

@@ -1,4 +1,4 @@
-// Command tinyleo-lint runs TinyLEO's determinism, hot-path, and
+// Command tinyleo-lint runs TinyLEO's map-order, hot-path, and
 // concurrency-contract analyzers over the module and exits nonzero on
 // any finding. CI runs it blocking:
 //
@@ -6,9 +6,9 @@
 //
 // Flags:
 //
-//	-analyzers maporder,walltime   run a subset (default: all)
-//	-list                          print the suite and exit
-//	-json findings.json            also write findings as JSON
+//	-analyzers maporder,lockorder   run a subset (default: all)
+//	-list                           print the suite and exit
+//	-json findings.json             also write findings as JSON
 //
 // Patterns use the go tool's "./..." syntax relative to the module root;
 // with no patterns, ./... is assumed. Suppress individual findings with
@@ -26,23 +26,17 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/globalrand"
-	"repro/internal/analysis/goroutinelife"
 	"repro/internal/analysis/guardedby"
 	"repro/internal/analysis/hotpathalloc"
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/maporder"
-	"repro/internal/analysis/walltime"
 )
 
 var suite = []*analysis.Analyzer{
-	globalrand.Analyzer,
-	goroutinelife.Analyzer,
 	guardedby.Analyzer,
 	hotpathalloc.Analyzer,
 	lockorder.Analyzer,
 	maporder.Analyzer,
-	walltime.Analyzer,
 }
 
 func main() {
@@ -95,7 +89,8 @@ func run(args []string, stdout, stderr *os.File) int {
 
 	// Stale-suppression detection only makes sense against the full
 	// suite: a subset run cannot tell a stale directive from one aimed at
-	// an unselected analyzer.
+	// an unselected analyzer. selectAnalyzers returns distinct analyzers,
+	// so counting them counts the set.
 	opts := analysis.RunOptions{ReportStaleIgnores: len(analyzers) == len(suite)}
 	findings, err := analysis.RunWithOptions(analyzers, selected, opts)
 	if err != nil {
@@ -151,7 +146,8 @@ func writeJSON(path string, findings []analysis.Finding, stdout *os.File) error 
 	return os.WriteFile(path, data, 0o644)
 }
 
-// selectAnalyzers resolves the -analyzers flag against the suite.
+// selectAnalyzers resolves the -analyzers flag against the suite. A name
+// listed twice is run once.
 func selectAnalyzers(names string) ([]*analysis.Analyzer, error) {
 	if names == "" {
 		return suite, nil
@@ -161,8 +157,13 @@ func selectAnalyzers(names string) ([]*analysis.Analyzer, error) {
 		byName[a.Name] = a
 	}
 	var out []*analysis.Analyzer
+	seen := map[string]bool{}
 	for _, name := range strings.Split(names, ",") {
 		name = strings.TrimSpace(name)
+		if seen[name] {
+			continue
+		}
+		seen[name] = true
 		a, ok := byName[name]
 		if !ok {
 			known := make([]string, 0, len(byName))

@@ -8,8 +8,8 @@ import (
 )
 
 // writeModule lays out a minimal module under a temp dir and returns its
-// root. The package deliberately violates the walltime contract inside a
-// deterministic package path so the full suite produces one finding.
+// root. The package appends inside a map range and never sorts, so
+// maporder produces one finding; its ignore directive suppresses nothing.
 func writeModule(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -17,10 +17,12 @@ func writeModule(t *testing.T) string {
 		"go.mod": "module tmpmod\n\ngo 1.22\n",
 		"internal/mpc/mpc.go": `package mpc
 
-import "time"
-
-func Stamp() time.Time {
-	return time.Now()
+func Keys(m map[int]bool) []int {
+	var out []int
+	for k := range m {
+		out = append(out, k)
+	}
+	return out
 }
 
 func Clean() int {
@@ -71,10 +73,10 @@ func TestRunJSONFindings(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := string(data)
-	// The full suite surfaces both the walltime violation and the stale
+	// The full suite surfaces both the maporder violation and the stale
 	// suppression directive, in machine-readable form.
-	if !strings.Contains(s, `"walltime"`) || !strings.Contains(s, `"ignoredirective"`) {
-		t.Fatalf("JSON findings missing walltime + ignoredirective entries:\n%s", s)
+	if !strings.Contains(s, `"maporder"`) || !strings.Contains(s, `"ignoredirective"`) {
+		t.Fatalf("JSON findings missing maporder + ignoredirective entries:\n%s", s)
 	}
 	if !strings.Contains(s, `"line"`) || !strings.Contains(s, `"col"`) {
 		t.Fatalf("JSON findings missing position fields:\n%s", s)
@@ -84,9 +86,9 @@ func TestRunJSONFindings(t *testing.T) {
 func TestRunJSONEmptyOnSubset(t *testing.T) {
 	dir := writeModule(t)
 	jsonPath := filepath.Join(dir, "findings.json")
-	// maporder alone finds nothing here, and a subset run must not
-	// report the (walltime-directed) ignore directive as stale.
-	code, out := capture(t, []string{"-C", dir, "-analyzers", "maporder", "-json", jsonPath, "./..."})
+	// lockorder alone finds nothing here, and a subset run must not
+	// report the ignore directive as stale.
+	code, out := capture(t, []string{"-C", dir, "-analyzers", "lockorder", "-json", jsonPath, "./..."})
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0; output:\n%s", code, out)
 	}
@@ -109,7 +111,24 @@ func TestListNamesSuite(t *testing.T) {
 			t.Errorf("-list output missing %s", a.Name)
 		}
 	}
-	if len(suite) != 7 {
-		t.Errorf("suite has %d analyzers, want 7", len(suite))
+	if len(suite) != 4 {
+		t.Errorf("suite has %d analyzers, want 4", len(suite))
+	}
+}
+
+// A name listed twice runs once: every finding prints once, and a subset
+// padded with repeats to the suite's length is still a subset, so its run
+// reports no stale directive.
+func TestRepeatedAnalyzerNames(t *testing.T) {
+	dir := writeModule(t)
+	code, out := capture(t, []string{"-C", dir, "-analyzers", "maporder,maporder", "./..."})
+	if code != 1 || strings.Count(out, "maporder: append") != 1 {
+		t.Fatalf("maporder,maporder: exit %d, want 1 and one maporder finding; output:\n%s", code, out)
+	}
+	names := strings.TrimSuffix(strings.Repeat("maporder,", len(suite)), ",")
+	code, out = capture(t, []string{"-C", dir, "-analyzers", names, "./..."})
+	if code != 1 || strings.Contains(out, "ignoredirective") || strings.Count(out, "maporder: append") != 1 {
+		t.Fatalf("-analyzers %s: exit %d, want 1, one maporder finding and no stale directive; output:\n%s",
+			names, code, out)
 	}
 }

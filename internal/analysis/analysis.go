@@ -11,14 +11,13 @@
 // mirror x/tools so an analyzer written here ports to a multichecker
 // there by changing one import.
 //
-// The contract the suite enforces is the paper's reproducibility claim
-// (TSSDN-style centralized control): every slot compile, repair, and
-// chaos campaign must be a pure function of its inputs. Analyzers:
+// Analyzers, each kept because it caught something or has no test that
+// checks the same property:
 //
 //   - maporder:     map iteration order escaping into ordered output
-//   - walltime:     wall-clock reads inside deterministic packages
-//   - globalrand:   global math/rand sources inside deterministic packages
 //   - hotpathalloc: unguarded telemetry on //tinyleo:hotpath functions
+//   - guardedby:    //tinyleo:guardedby fields accessed without their mutex
+//   - lockorder:    cycles in a package's lock-acquisition graph
 //
 // Suppression: a comment "//lint:tinyleo-ignore <reason>" on the flagged
 // line (or the line above) silences diagnostics there. The reason is

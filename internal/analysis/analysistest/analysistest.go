@@ -4,10 +4,9 @@
 //
 // Layout: <testdata>/src/<path>/... holds ordinary Go packages, rooted
 // at module path "repro" — so a package under src/internal/mpc has
-// import path repro/internal/mpc, letting analyzers that key on package
-// paths (walltime, globalrand, hotpathalloc) see realistic paths, and
-// letting testdata provide stub repro/internal/obs packages for sink
-// resolution.
+// import path repro/internal/mpc, letting testdata provide stub
+// repro/internal/obs packages for the sinks maporder and hotpathalloc
+// resolve by path.
 //
 // Expectations: a comment "// want \"re1\" \"re2\"" (standalone or at
 // end of line) declares that the line produces one diagnostic matching

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"go/ast"
 	"go/token"
 	"sort"
 	"strings"
@@ -13,9 +12,9 @@ import (
 //
 // on the flagged line, or alone on the line above it, silences every
 // analyzer diagnostic anchored there. The reason is mandatory and should
-// say why the contract does not apply (e.g. "wall-clock telemetry only,
-// excluded from canonical output"); a reasonless directive is reported
-// by the pseudo-analyzer "ignoredirective".
+// say why the contract does not apply (e.g. "every connection is closed
+// unconditionally; close order is not observable"); a reasonless
+// directive is reported by the pseudo-analyzer "ignoredirective".
 const IgnoreDirective = "lint:tinyleo-ignore"
 
 // RunOptions tunes a driver Run.
@@ -163,13 +162,4 @@ func collectIgnores(pkg *Package) *ignores {
 		}
 	}
 	return ig
-}
-
-// Inspect walks every top-level declaration of every file in the pass,
-// calling fn for each node; fn returning false prunes the subtree. A
-// minimal stand-in for x/tools' inspect pass.
-func Inspect(pass *Pass, fn func(ast.Node) bool) {
-	for _, f := range pass.Files {
-		ast.Inspect(f, fn)
-	}
 }

@@ -39,14 +39,16 @@ var flagCalls = &analysis.Analyzer{
 	Name: "flagcalls",
 	Doc:  "reports every call to a function named flagged",
 	Run: func(pass *analysis.Pass) error {
-		analysis.Inspect(pass, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "flagged" {
-					pass.Reportf(call.Pos(), "call to flagged")
+		for _, f := range pass.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "flagged" {
+						pass.Reportf(call.Pos(), "call to flagged")
+					}
 				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 		return nil
 	},
 }

@@ -21,8 +21,8 @@ func (p *Pass) FuncDecls() []*ast.FuncDecl {
 }
 
 // FuncObjOf resolves a function declaration to its type-checker object,
-// keying the per-package call graph the lockorder and goroutinelife
-// analyzers build. Returns nil for unresolvable declarations.
+// keying the per-package call graph the lockorder analyzer builds.
+// Returns nil for unresolvable declarations.
 func (p *Pass) FuncObjOf(fn *ast.FuncDecl) *types.Func {
 	if obj, ok := p.TypesInfo.Defs[fn.Name]; ok {
 		if f, ok := obj.(*types.Func); ok {

@@ -187,7 +187,6 @@ func Run(c Campaign) (*Report, error) {
 		return nil, err
 	}
 	r.installHooks()
-	//lint:tinyleo-ignore WallElapsedMs is wall telemetry excluded from the canonical (seed-keyed) report fields
 	wallStart := time.Now()
 	for round := 0; round < c.Scenario.Rounds; round++ {
 		if err := r.runRound(round); err != nil {
@@ -432,10 +431,8 @@ func (r *runner) runRound(round int) error {
 	// round are handed to the controller as failed instead of erroring.
 	failedSats := append(append([]int{}, crashedNow...), r.prevUnreachable...)
 	sort.Ints(failedSats)
-	//lint:tinyleo-ignore WallRepairMs is wall telemetry excluded from the canonical (seed-keyed) report fields
 	wall := time.Now()
 	newSnap, rstats := r.tb.Ctl.Repair(r.snap, failedLinks, failedSats, campaignRepairRTT)
-	//lint:tinyleo-ignore WallRepairMs is wall telemetry excluded from the canonical (seed-keyed) report fields
 	r.report.WallRepairMs = append(r.report.WallRepairMs, float64(time.Since(wall).Microseconds())/1000)
 	added, removed := mpc.DiffLinks(r.snap, newSnap)
 	rr.LinksAdded, rr.LinksRemoved, rr.Unrepaired = len(added), len(removed), rstats.Unrepaired
@@ -811,7 +808,7 @@ func (r *runner) enforce(rr *RoundReport, added, removed []mpc.Link) (map[int]bo
 		for i := 0; i <= campaignMaxRetrans; i++ {
 			r.vc.Advance(campaignRetransmit)
 			r.ctl.SweepPending()
-			//lint:tinyleo-ignore real-IO settling pause; logical outcomes are gated on waitCond, not on this sleep
+			// Outcomes are gated on the flush barrier's waitCond, not on this pause.
 			time.Sleep(2 * time.Millisecond) // let retransmission writes land
 		}
 		r.vc.Advance(campaignAckTimeout)
@@ -893,7 +890,6 @@ func (r *runner) finish(wallStart time.Time) error {
 	if err := rep.score(r.c.Scenario.SLO); err != nil {
 		return err
 	}
-	//lint:tinyleo-ignore WallElapsedMs is wall telemetry excluded from the canonical (seed-keyed) report fields
 	rep.WallElapsedMs = float64(time.Since(wallStart).Microseconds()) / 1000
 	return nil
 }
@@ -915,14 +911,11 @@ func (r *runner) fleetSummary() *FleetSummary {
 // expires. Only logical state is read inside cond, so the poll cadence
 // never leaks into the report.
 func (r *runner) waitCond(cond func() bool, what string) error {
-	//lint:tinyleo-ignore real-time settle poll over real sockets; cond reads logical state only, so cadence cannot leak into the report
 	deadline := time.Now().Add(settleTimeout)
-	//lint:tinyleo-ignore real-time settle poll over real sockets; cond reads logical state only, so cadence cannot leak into the report
 	for time.Now().Before(deadline) {
 		if cond() {
 			return nil
 		}
-		//lint:tinyleo-ignore real-time settle poll over real sockets; cond reads logical state only, so cadence cannot leak into the report
 		time.Sleep(time.Millisecond)
 	}
 	return fmt.Errorf("chaos: timed out waiting for %s", what)

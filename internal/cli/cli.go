@@ -105,7 +105,6 @@ func TrapSignals() {
 	trapOnce.Do(func() {
 		ch := make(chan os.Signal, 1)
 		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-		//tinyleo:goroutine signal watcher lives for the process lifetime by design; it exits the process itself
 		go func() {
 			sig := <-ch
 			fmt.Fprintf(os.Stderr, "\ninterrupted (%v); flushing telemetry...\n", sig)

@@ -324,7 +324,6 @@ func (c *Controller) compile(t float64, sc *slotScratch, prev *Snapshot) *Snapsh
 		kind = "delta"
 	}
 	span := obs.StartSpan("mpc.compile", "t", strconv.FormatFloat(t, 'f', 0, 64), "kind", kind)
-	//lint:tinyleo-ignore wall-clock compile latency feeds telemetry only, never the snapshot
 	start := time.Now()
 	defer func() { span.End() }()
 	tp := &c.topo
@@ -446,7 +445,6 @@ func (c *Controller) compile(t float64, sc *slotScratch, prev *Snapshot) *Snapsh
 	// Stage 3: intra-cell ring over each cell's gateway satellites.
 	snap.RingLinks = c.ringLinks(sg, snap.Gateways, nil)
 	obsCompiles.Inc()
-	//lint:tinyleo-ignore wall-clock compile latency feeds telemetry only, never the snapshot
 	obsCompileSeconds.ObserveDuration(time.Since(start))
 	obsInterLinks.Set(float64(len(snap.InterLinks)))
 	obsRingLinks.Set(float64(len(snap.RingLinks)))
@@ -755,7 +753,7 @@ func (c *Controller) Repair(s *Snapshot, failedLinks []Link, failedSats []int, r
 				"t", strconv.FormatFloat(s.Time, 'f', 0, 64))
 		}
 	}
-	//lint:tinyleo-ignore RepairStats.ComputeTime reports measured wall latency; topology outputs do not depend on it
+	// ComputeTime is measured wall latency; the repaired topology does not depend on it.
 	start := time.Now()
 	stats := RepairStats{ReportRTT: rtt / 2, InstructRTT: rtt / 2}
 	stats.Messages = len(failedLinks) + len(failedSats)
@@ -846,7 +844,6 @@ func (c *Controller) Repair(s *Snapshot, failedLinks []Link, failedSats []int, r
 	// Ring links to establish are also instructions.
 	ringAdded, _ := DiffLinks(&Snapshot{InterLinks: s.RingLinks}, &Snapshot{InterLinks: out.RingLinks})
 	stats.Messages += 2 * len(ringAdded)
-	//lint:tinyleo-ignore RepairStats.ComputeTime reports measured wall latency; topology outputs do not depend on it
 	stats.ComputeTime = time.Since(start)
 	stats.observe()
 	if flightrec.Enabled() {

@@ -100,7 +100,7 @@ func Serve(addr string, regs ...*Registry) (*Server, error) {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
 	s := &Server{ln: ln, srv: &http.Server{Handler: NewHandler(regs...)}}
-	//tinyleo:goroutine Serve returns when Close shuts the listener down
+	// Serve returns once Close shuts the listener down.
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil
 }

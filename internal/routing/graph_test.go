@@ -246,3 +246,32 @@ func TestParallelEdgesTakeCheapest(t *testing.T) {
 		t.Errorf("PathWeight over parallel edges = %v", pw)
 	}
 }
+
+// TestKShortestRunTwiceIdentical asks twice for 12 of the 70 equal-weight
+// shortest corner-to-corner paths of a 5×5 unit-weight grid and requires
+// the same paths in the same order: a map-order dependency or a draw from
+// the randomly seeded global source would make the two runs differ.
+func TestKShortestRunTwiceIdentical(t *testing.T) {
+	const side = 5
+	solve := func() [][]int {
+		g := NewGraph(side * side)
+		for r := 0; r < side; r++ {
+			for c := 0; c < side; c++ {
+				if c+1 < side {
+					g.AddBiEdge(r*side+c, r*side+c+1, 1)
+				}
+				if r+1 < side {
+					g.AddBiEdge(r*side+c, (r+1)*side+c, 1)
+				}
+			}
+		}
+		return g.KShortestPaths(0, side*side-1, 12)
+	}
+	first, second := solve(), solve()
+	if len(first) != 12 {
+		t.Fatalf("got %d paths, want 12", len(first))
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("two runs on one graph differ:\n%v\n%v", first, second)
+	}
+}

@@ -200,3 +200,56 @@ func TestManyToOneNoBlockingPair(t *testing.T) {
 		}
 	}
 }
+
+// tiedInstance draws a seeded instance whose weights take three values
+// (0 is unacceptable), so preference lists are full of ties and only the
+// tie-break decides the order.
+func tiedInstance(seed int64, nP, nR int) (w, rw [][]float64, caps []int) {
+	rng := rand.New(rand.NewSource(seed))
+	w = make([][]float64, nP)
+	for i := range w {
+		w[i] = make([]float64, nR)
+		for j := range w[i] {
+			w[i][j] = float64(rng.Intn(3))
+		}
+	}
+	rw = make([][]float64, nR)
+	for j := range rw {
+		rw[j] = make([]float64, nP)
+		for i := range rw[j] {
+			rw[j][i] = float64(rng.Intn(3))
+		}
+	}
+	caps = make([]int, nR)
+	for j := range caps {
+		caps[j] = 1 + rng.Intn(3)
+	}
+	return w, rw, caps
+}
+
+// TestMatchingsRunTwiceIdentical solves the same tied instance twice, from
+// weights to matchings, and requires identical results: a map-order
+// dependency or a draw from the randomly seeded global source would make
+// the two runs differ.
+func TestMatchingsRunTwiceIdentical(t *testing.T) {
+	type result struct {
+		prefs, rPrefs [][]int
+		one           []int
+		many          []int
+		assigned      [][]int
+	}
+	solve := func() result {
+		w, rw, caps := tiedInstance(7, 40, 12)
+		var r result
+		r.prefs = PrefsFromWeights(w, 0)
+		r.rPrefs = PrefsFromWeights(rw, 0)
+		rRank := RanksFromPrefs(r.rPrefs, len(w))
+		r.one = OneToOne(r.prefs, rRank)
+		r.many, r.assigned = ManyToOne(r.prefs, rRank, caps)
+		return r
+	}
+	first, second := solve(), solve()
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("two runs on one instance differ:\n%+v\n%+v", first, second)
+	}
+}

@@ -225,7 +225,6 @@ func RunExec(m *Manifest, cfg ExecConfig) (*RunReport, error) {
 	// Fault schedule: sleep to each fault's offset from registration and
 	// signal the target agent process.
 	faultDone := make(chan []FaultRecord, 1)
-	//tinyleo:goroutine exits on its own after delivering the finite fault schedule and signalling faultDone
 	go func() {
 		faults := append([]FaultSpec(nil), m.Faults...)
 		sort.SliceStable(faults, func(i, j int) bool { return faults[i].AtS < faults[j].AtS })
@@ -319,7 +318,6 @@ func launch(bin, dir, name string, args ...string) (*proc, error) {
 		logf.Close()
 		return nil, fmt.Errorf("testground: launch %s: %w", name, err)
 	}
-	//tinyleo:goroutine reaper exits as soon as the child process does
 	go func() {
 		p.err = p.cmd.Wait()
 		close(p.done)
