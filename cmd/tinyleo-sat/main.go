@@ -5,7 +5,8 @@
 // enforces each control slot as one slot-delta batch per changed
 // satellite, and re-syncs an agent that (re)connects with a full snapshot
 // of its desired peer set; the agent applies both to a local data-plane
-// view.
+// view. When the connection drops the agent re-dials with backoff until
+// the controller takes it back.
 //
 //	tinyleo-sat -controller 127.0.0.1:7601 -id 3 -fail-peer 7 -fail-after 2s
 //
@@ -87,10 +88,10 @@ func main() {
 		defer reporter.Stop()
 	}
 
-	// Local data-plane view: each command actually lands somewhere (links
-	// raised/lowered, ring successor set), and the install is recorded as
-	// a span continuing the command's trace, so the merged timeline shows
-	// emit → send → apply → install end to end.
+	// Local data-plane view: every command is a slot delta or a snapshot
+	// of the satellite's ISL peers, and it lands on the view's links. The
+	// install is recorded as a span continuing the command's trace, so the
+	// merged timeline shows emit → send → apply → install end to end.
 	view := dataplane.NewNetwork()
 	self := view.AddSatellite(int(*id), 0)
 	var applied southbound.PeerSet // the ISL peers the controller has commanded
@@ -98,34 +99,26 @@ func main() {
 		sp := obs.StartSpanCtx(m.Trace, "dataplane.install",
 			"sat", fmt.Sprint(*id), "seq", fmt.Sprint(m.Seq), "type", m.Type.String())
 		defer sp.End()
-		switch m.Type {
-		case southbound.MsgSlotDelta, southbound.MsgSlotSnapshot:
-			if err := applied.Apply(m); err != nil {
-				fmt.Fprintf(os.Stderr, "tinyleo-sat: %s: %v\n", m.Type, err)
-				return
-			}
-			// The local links follow the set: raise what it holds, lower
-			// the rest.
-			want := map[int]bool{}
-			for _, p := range applied.Peers() {
-				want[int(p)] = true
-				if view.Sats[int(p)] == nil {
-					view.AddSatellite(int(p), 0)
-				}
-				view.EnsureLink(int(*id), int(p), 0.003)
-			}
-			for _, p := range self.Peers() {
-				if l := view.Link(int(*id), p); !want[p] && l.IsUp() {
-					l.Down()
-				}
-			}
-			fmt.Printf("sat %d: %s applied, %d ISLs up (seq %d)\n", *id, m.Type, len(want), m.Seq)
-		case southbound.MsgSetRing:
-			self.RingNext = int(m.Peer)
-			fmt.Printf("sat %d: ring successor -> %d (seq %d)\n", *id, m.Peer, m.Seq)
-		case southbound.MsgInstallRoute:
-			fmt.Printf("sat %d: route installed, %d segments (seq %d)\n", *id, len(m.Cells), m.Seq)
+		if err := applied.Apply(m); err != nil {
+			fmt.Fprintf(os.Stderr, "tinyleo-sat: %s: %v\n", m.Type, err)
+			return
 		}
+		// The local links follow the set: raise what it holds, lower the
+		// rest.
+		want := map[int]bool{}
+		for _, p := range applied.Peers() {
+			want[int(p)] = true
+			if view.Sats[int(p)] == nil {
+				view.AddSatellite(int(p), 0)
+			}
+			view.EnsureLink(int(*id), int(p), 0.003)
+		}
+		for _, p := range self.Peers() {
+			if l := view.Link(int(*id), p); !want[p] && l.IsUp() {
+				l.Down()
+			}
+		}
+		fmt.Printf("sat %d: %s applied, %d ISLs up (seq %d)\n", *id, m.Type, len(want), m.Seq)
 	}
 
 	if *failPeer >= 0 {

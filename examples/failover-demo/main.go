@@ -233,7 +233,6 @@ func southboundSession(ctl *tinyleo.SouthboundController) {
 	}
 	agent, err := tinyleo.DialSouthboundReliable(ctl.Addr(), 9, 2*time.Second,
 		tinyleo.SouthboundAgentOptions{
-			Reconnect:   true,
 			BackoffBase: 10 * time.Millisecond,
 			BackoffMax:  200 * time.Millisecond,
 		})

@@ -120,7 +120,7 @@ type runner struct {
 	//tinyleo:guardedby mu
 	acked map[uint32]bool // command seqs acknowledged
 	//tinyleo:guardedby mu
-	reconnects int64 // successful agent reconnections
+	crashedReconnects int64 // Agent.Reconnects of the agents crashed so far
 
 	// Fleet telemetry plane: one always-enabled private registry +
 	// reporter per agent feeding a virtual-clock aggregator, so the
@@ -267,16 +267,10 @@ func (r *runner) start() error {
 		peers := &southbound.PeerSet{}
 		a, err := southbound.DialAgentOptions(ctl.Addr(), uint32(id), 2*time.Second,
 			southbound.AgentOptions{
-				Reconnect:   true,
 				BackoffBase: campaignBackoffBase,
 				BackoffMax:  campaignBackoffMax,
 				Seed:        r.c.Seed + int64(id) + 1,
 				Tracer:      r.c.Tracer,
-				OnReconnect: func(int) {
-					r.mu.Lock()
-					r.reconnects++
-					r.mu.Unlock()
-				},
 			})
 		if err != nil {
 			return fmt.Errorf("chaos: dial agent %d: %w", id, err)
@@ -611,6 +605,9 @@ func (r *runner) injectFaults(rr *RoundReport) ([]mpc.Link, []int, error) {
 			delete(r.agents, id)
 			r.mu.Unlock()
 			a.Close()
+			r.mu.Lock()
+			r.crashedReconnects += a.Reconnects()
+			r.mu.Unlock()
 			for _, peer := range r.tb.Net.Sats[id].Peers() {
 				if nl := r.tb.Net.Link(id, peer); nl != nil && nl.IsUp() {
 					nl.Down()
@@ -832,12 +829,12 @@ func (r *runner) enforce(rr *RoundReport, added, removed []mpc.Link) (map[int]bo
 	r.mu.Unlock()
 	sort.Ints(released)
 
-	// Flush barrier: one inert probe per released agent. Its ack arriving
-	// implies every buffered retransmission before it was processed (the
-	// connection is FIFO and the controller serves it serially), so the
-	// acked set is settled before we read it.
+	// Flush barrier: one inert probe, an empty slot delta, per released
+	// agent. Its ack arriving implies every buffered retransmission before
+	// it was processed (the connection is FIFO and the controller serves it
+	// serially), so the acked set is settled before we read it.
 	for _, id := range released {
-		probe := &southbound.Message{Type: southbound.MsgSetRing, SatID: uint32(id), Peer: uint32(id)}
+		probe := &southbound.Message{Type: southbound.MsgSlotDelta, SatID: uint32(id), Payload: southbound.EncodeSlotDelta(nil)}
 		if err := r.ctl.Send(probe); err != nil {
 			continue // agent died mid-round; nothing buffered to flush
 		}
@@ -866,7 +863,10 @@ func (r *runner) finish(wallStart time.Time) error {
 	rep.Retransmits = reg.Counter(southbound.MetricRetransmits).Value()
 	rep.AckTimeouts = reg.Counter(southbound.MetricAckTimeouts).Value()
 	r.mu.Lock()
-	rep.Reconnects = r.reconnects
+	rep.Reconnects = r.crashedReconnects
+	for _, a := range r.agents {
+		rep.Reconnects += a.Reconnects()
+	}
 	r.mu.Unlock()
 	for _, l := range r.tb.Net.Links() {
 		rep.LinkDrops += l.Drops

@@ -23,6 +23,13 @@ func procTracer(name string, skew time.Duration) *obs.Tracer {
 	return tr
 }
 
+// raise is a traced slot-delta command raising sat's ISL toward peer.
+func raise(sat, peer uint32, trace obs.SpanContext) *southbound.Message {
+	return &southbound.Message{Type: southbound.MsgSlotDelta, SatID: sat,
+		Payload: southbound.EncodeSlotDelta([]southbound.SlotDeltaOp{{Peer: peer, Up: true}}),
+		Trace:   trace, Emitted: time.Now()}
+}
+
 func dumpOf(t *testing.T, tr *obs.Tracer) *flightrec.Recording {
 	t.Helper()
 	var buf bytes.Buffer
@@ -77,16 +84,14 @@ func TestMergeControllerTwoAgents(t *testing.T) {
 	defer b.Close()
 
 	emit := ctlTr.StartSpan("mpc.emit", "round", "0")
-	if err := c.Send(&southbound.Message{Type: southbound.MsgSetRing, SatID: 5, Peer: 6,
-		Trace: emit.Context(), Emitted: time.Now()}); err != nil {
+	if err := c.Send(raise(5, 6, emit.Context())); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Send(&southbound.Message{Type: southbound.MsgSetRing, SatID: 6, Peer: 5,
-		Trace: emit.Context(), Emitted: time.Now()}); err != nil {
+	if err := c.Send(raise(6, 5, emit.Context())); err != nil {
 		t.Fatal(err)
 	}
 	// Inside the mpc.emit root, on the controller's clock.
-	ctlTr.Emit("southbound.command_applied", "sat", "6", "type", "set-ring")
+	ctlTr.Emit("southbound.command_applied", "sat", "6", "type", "slot-delta")
 	emit.End()
 
 	// Force at least one retransmit of sat 5's command while it is held.
@@ -312,8 +317,7 @@ func TestMergeFourProcessesAsymmetricSkew(t *testing.T) {
 	emit := ctlTr.StartSpan("mpc.emit", "round", "0")
 	for i := 0; i < 3; i++ {
 		for _, id := range []uint32{7, 8, 9} {
-			if err := c.Send(&southbound.Message{Type: southbound.MsgSetRing, SatID: id,
-				Peer: id + 1, Trace: emit.Context(), Emitted: time.Now()}); err != nil {
+			if err := c.Send(raise(id, id+1, emit.Context())); err != nil {
 				t.Fatal(err)
 			}
 		}

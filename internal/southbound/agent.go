@@ -31,7 +31,7 @@ var agentMetrics = struct {
 
 func init() {
 	for t := MsgHello; t <= MsgSlotSnapshot; t++ {
-		if t == MsgTelemetry || t == msgRetired {
+		if t == MsgTelemetry {
 			continue
 		}
 		agentMetrics.rx[t] = obs.Default().Counter(
@@ -59,10 +59,6 @@ const (
 
 // AgentOptions tunes the agent's reliability behaviour.
 type AgentOptions struct {
-	// Reconnect enables automatic re-dial (with exponential backoff and
-	// jitter) when the controller connection drops. Off by default: a
-	// plain DialAgent session ends when its connection does.
-	Reconnect bool
 	// BackoffBase and BackoffMax bound the reconnect backoff (zero = the
 	// Default* constants). The delay before attempt n is
 	// min(BackoffBase·2ⁿ, BackoffMax) · (1 + 0.5·U[0,1)).
@@ -71,9 +67,6 @@ type AgentOptions struct {
 	// Seed seeds the jitter RNG (0 = a fixed default, keeping campaigns
 	// deterministic).
 	Seed int64
-	// OnReconnect observes successful reconnections (attempt = dials
-	// needed, starting at 1).
-	OnReconnect func(attempt int)
 	// Tracer records agent.apply spans continuing the trace context
 	// carried by incoming commands (nil = the process-wide obs.Trace()).
 	// Duplicate (retransmitted, already-applied) commands get no span:
@@ -84,6 +77,10 @@ type AgentOptions struct {
 // Agent is the per-satellite southbound endpoint: it registers with the
 // controller, receives topology commands, acknowledges them, and reports
 // failures (§5's "gRPC-based southbound API agent per satellite").
+//
+// When its connection drops the agent re-dials with exponential backoff and
+// jitter until it registers again or is closed; a DeltaEnforcer re-syncs a
+// re-registered agent with a MsgSlotSnapshot.
 //
 // Duplicate commands (the controller retransmits until acked) are
 // acknowledged but not re-applied: OnCommand runs at most once per
@@ -115,23 +112,22 @@ type Agent struct {
 	seenHead int
 	seenMax  uint32
 
-	// OnCommand is invoked for every controller command (SlotDelta,
-	// SlotSnapshot, SetRing, InstallRoute), once per sequence number, with
-	// a message the callback owns. The agent auto-acks after the callback
-	// returns.
+	// OnCommand is invoked for every controller command (MsgSlotDelta or
+	// MsgSlotSnapshot), once per sequence number, with a message the
+	// callback owns. The agent auto-acks after the callback returns.
 	OnCommand func(m *Message)
 
 	helloAck chan struct{}
-	acked    bool // helloAck already closed (read loop only)
+	acked    bool   // helloAck already closed (read loop only)
+	epoch    uint32 // controller epoch of the last hello-ack (read loop only)
 	//tinyleo:guardedby mu
 	closed bool
 
 	//tinyleo:guardedby mu
-	reconnects int64 // successful reconnections
+	reconnects int64 // sessions re-registered after a drop
 }
 
-// DialAgent connects and registers an agent with default options (no
-// automatic reconnect).
+// DialAgent connects and registers an agent with default options.
 func DialAgent(addr string, satID uint32, timeout time.Duration) (*Agent, error) {
 	return DialAgentOptions(addr, satID, timeout, AgentOptions{})
 }
@@ -226,11 +222,17 @@ func (a *Agent) readLoop() {
 		}
 		switch m.Type {
 		case MsgHelloAck:
+			if m.Peer != a.epoch {
+				// A new controller instance numbers its commands from 1
+				// again: the window would drop them as duplicates.
+				a.epoch = m.Peer
+				a.seenRing, a.seenHead, a.seenMax = a.seenRing[:0], 0, 0
+			}
 			if !a.acked {
 				a.acked = true
 				close(a.helloAck)
 			}
-		case MsgSetRing, MsgInstallRoute, MsgSlotDelta, MsgSlotSnapshot:
+		case MsgSlotDelta, MsgSlotSnapshot:
 			if a.isDuplicate(m.Seq) {
 				// Retransmission of a command already applied: re-ack so
 				// the controller stops resending, but do not re-apply.
@@ -295,12 +297,9 @@ func (a *Agent) backoffDelay(attempt int) time.Duration {
 }
 
 // reconnect re-dials the controller with exponential backoff and jitter
-// until it succeeds or the agent is closed. Returns false when the read
-// loop should exit (reconnect disabled or agent closed).
+// until a hello is written on a fresh connection or the agent is closed.
+// Returns false when the read loop should exit (agent closed).
 func (a *Agent) reconnect() bool {
-	if !a.opts.Reconnect {
-		return false
-	}
 	select {
 	case <-a.stop: // Close took the connection away: there is no delay to draw
 		return false
@@ -326,26 +325,27 @@ func (a *Agent) reconnect() bool {
 			return false
 		}
 		a.conn = conn
-		a.reconnects++
 		a.mu.Unlock()
 		if err := a.write(&Message{Type: MsgHello, SatID: a.SatID, Seq: 1}); err != nil {
+			conn.Close()
 			continue
 		}
+		a.mu.Lock()
+		a.reconnects++
+		a.mu.Unlock()
 		agentMetrics.reconnects.Inc()
 		if flightrec.Enabled() {
 			flightrec.Emit(flightrec.CompSouthbound, "agent_reconnect",
 				"sat", strconv.FormatUint(uint64(a.SatID), 10),
 				"attempt", strconv.Itoa(attempt+1))
 		}
-		if a.opts.OnReconnect != nil {
-			a.opts.OnReconnect(attempt + 1)
-		}
 		return true
 	}
 }
 
 // Reconnects returns how many times the agent re-established its
-// controller session.
+// controller session: dials whose hello was written, the same count as
+// tinyleo_southbound_agent_reconnects_total.
 func (a *Agent) Reconnects() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -385,8 +385,8 @@ func (a *Agent) ReportFailure(peer uint32) error {
 }
 
 // DropConn severs the agent's transport without closing the agent — a
-// chaos/test hook for southbound connection failures. With Reconnect
-// enabled the agent re-dials with backoff; without it the read loop ends.
+// chaos/test hook for southbound connection failures. The agent re-dials
+// with backoff.
 func (a *Agent) DropConn() {
 	a.mu.Lock()
 	conn := a.conn

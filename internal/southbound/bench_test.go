@@ -23,17 +23,19 @@ func benchRoundTrip(b *testing.B, m *Message) {
 	}
 }
 
-// Serialization cost of a typical command without trace context — the
-// pre-tracing wire format.
+// Serialization cost of a typical command without trace context: a
+// one-op slot delta.
 func BenchmarkMessageRoundTrip(b *testing.B) {
-	benchRoundTrip(b, &Message{Type: MsgSetRing, SatID: 7, Seq: 42, Peer: 9})
+	benchRoundTrip(b, &Message{Type: MsgSlotDelta, SatID: 7, Seq: 42,
+		Payload: EncodeSlotDelta([]SlotDeltaOp{{Peer: 9, Up: true}})})
 }
 
 // The same command carrying the 25-byte trace trailer: the regression
 // gate watches the ratio of these two.
 func BenchmarkMessageRoundTripTraced(b *testing.B) {
-	benchRoundTrip(b, &Message{Type: MsgSetRing, SatID: 7, Seq: 42, Peer: 9,
-		Trace: obs.SpanContext{TraceID: obs.TraceID{1, 2}, SpanID: obs.SpanID{3, 4}}})
+	benchRoundTrip(b, &Message{Type: MsgSlotDelta, SatID: 7, Seq: 42,
+		Payload: EncodeSlotDelta([]SlotDeltaOp{{Peer: 9, Up: true}}),
+		Trace:   obs.SpanContext{TraceID: obs.TraceID{1, 2}, SpanID: obs.SpanID{3, 4}}})
 }
 
 // A DeltaEnforcer.Push → agent apply → ack round trip over loopback TCP:

@@ -3,10 +3,10 @@ package southbound
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -96,6 +96,11 @@ type resend struct {
 // re-registers after a connection drop.
 type Controller struct {
 	ln net.Listener
+	// epoch names this controller instance in every hello-ack: an agent
+	// that re-registers with a different one forgets the command
+	// sequence numbers it has seen, since this controller numbers its
+	// commands afresh.
+	epoch uint32
 
 	// AckTimeout, RetransmitInterval, and MaxRetransmits tune the
 	// reliability layer (zero = the Default* constants). Set before the
@@ -160,8 +165,8 @@ type Controller struct {
 
 	// reg is the controller's always-enabled telemetry registry (the
 	// Figure 17 signaling accounting, plus wire bytes, the connected-agent
-	// gauge, and the ack RTT histogram). Read it via Count/TotalMessages/
-	// Metrics; serve it via obs.Serve.
+	// gauge, and the ack RTT histogram). Read it via TotalMessages/Metrics;
+	// serve it via obs.Serve.
 	reg         *obs.Registry
 	rx, tx      [MsgSlotSnapshot + 1]*obs.Counter // indexed by MsgType
 	rxBytes     *obs.Counter
@@ -185,6 +190,7 @@ func ListenController(addr string) (*Controller, error) {
 	reg := obs.NewRegistry(true)
 	c := &Controller{
 		ln:          ln,
+		epoch:       rand.Uint32() | 1,
 		agents:      map[uint32]net.Conn{},
 		hellos:      map[uint32]uint64{},
 		unreachable: map[uint32]bool{},
@@ -200,9 +206,6 @@ func ListenController(addr string) (*Controller, error) {
 		untracked:   reg.Counter(MetricUntracked),
 	}
 	for t := MsgHello; t <= MsgSlotSnapshot; t++ {
-		if t == msgRetired {
-			continue
-		}
 		c.rx[t] = reg.Counter(MetricMessages, "dir", "rx", "type", t.String())
 		c.tx[t] = reg.Counter(MetricMessages, "dir", "tx", "type", t.String())
 	}
@@ -298,6 +301,13 @@ func (c *Controller) serve(conn net.Conn) {
 		case MsgHello:
 			satID = m.SatID
 			c.mu.Lock()
+			if c.closed {
+				// Close has taken the connections it closes: an agent that
+				// re-dialed meanwhile is turned away, not registered and
+				// left for Close to wait on.
+				c.mu.Unlock()
+				return
+			}
 			c.agents[satID] = conn
 			c.hellos[satID]++
 			delete(c.unreachable, satID)
@@ -306,7 +316,7 @@ func (c *Controller) serve(conn net.Conn) {
 			// also sees both halves of its handshake in the message
 			// counters. An ack whose write then fails stays counted; the
 			// connection is dropped and the gauge falls back.
-			ack := &Message{Type: MsgHelloAck, SatID: satID, Seq: m.Seq}
+			ack := &Message{Type: MsgHelloAck, SatID: satID, Seq: m.Seq, Peer: c.epoch}
 			c.countTx(ack)
 			c.connected.Set(float64(len(c.agents)))
 			// At-least-once across reconnects: everything still pending
@@ -475,17 +485,6 @@ func (c *Controller) countTx(m *Message) {
 		c.reg.Counter(MetricMessages, "dir", "tx", "type", m.Type.String()).Inc()
 	}
 	c.txBytes.Add(int64(m.WireSize()))
-}
-
-// Count returns the number of messages recorded under key: "rx-" or "tx-"
-// followed by the message type name (e.g. "rx-failure-report",
-// "tx-slot-delta"), matching the telemetry series' {dir, type} labels.
-func (c *Controller) Count(key string) int64 {
-	dir, typ, ok := strings.Cut(key, "-")
-	if !ok {
-		return 0
-	}
-	return c.reg.Counter(MetricMessages, "dir", dir, "type", typ).Value()
 }
 
 // TotalMessages returns the total southbound messages sent and received.

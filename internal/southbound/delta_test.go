@@ -183,7 +183,7 @@ func TestDeltaEnforcerPush(t *testing.T) {
 	if got := view.Peers(); !reflect.DeepEqual(got, []uint32{3, 7}) {
 		t.Errorf("view after bootstrap = %v", got)
 	}
-	if n := c.Count("tx-slot-snapshot"); n != 1 {
+	if n := messages(c, "tx", MsgSlotSnapshot); n != 1 {
 		t.Errorf("bootstrap sent %d snapshots, want 1", n)
 	}
 
@@ -194,16 +194,16 @@ func TestDeltaEnforcerPush(t *testing.T) {
 	if got := view.Peers(); !reflect.DeepEqual(got, []uint32{7, 9}) {
 		t.Errorf("view after delta = %v", got)
 	}
-	if n := c.Count("tx-slot-delta"); n != 1 {
+	if n := messages(c, "tx", MsgSlotDelta); n != 1 {
 		t.Errorf("sent %d deltas, want 1", n)
 	}
 
 	// A no-change push to a synced satellite is silent.
-	before := c.Count("tx-slot-delta") + c.Count("tx-slot-snapshot")
+	before := messages(c, "tx", MsgSlotDelta) + messages(c, "tx", MsgSlotSnapshot)
 	if err := e.Push(42, []uint32{9}, []uint32{3}, time.Time{}, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
-	if after := c.Count("tx-slot-delta") + c.Count("tx-slot-snapshot"); after != before {
+	if after := messages(c, "tx", MsgSlotDelta) + messages(c, "tx", MsgSlotSnapshot); after != before {
 		t.Errorf("no-op push sent %d messages", after-before)
 	}
 	if got := e.Desired(42); !reflect.DeepEqual(got, []uint32{7, 9}) {
@@ -271,13 +271,13 @@ func TestDeltaPushCountsOnlySentMessages(t *testing.T) {
 	}
 }
 
-// TestDeltaResyncOnReconnect is the convergence half of the delta
+// TestDeltaResyncOnRestart is the convergence half of the delta
 // property test: a delta-enforced agent that restarts mid-horizon (fresh
 // process, empty dataplane view — the worst case for composing per-op
 // deltas) must converge to exactly the view a snapshot-only push
 // sequence produces, because re-registration forces a full-snapshot
 // re-sync before deltas resume.
-func TestDeltaResyncOnReconnect(t *testing.T) {
+func TestDeltaResyncOnRestart(t *testing.T) {
 	c := startController(t)
 	e := NewDeltaEnforcer(c)
 
@@ -303,8 +303,8 @@ func TestDeltaResyncOnReconnect(t *testing.T) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
 		for time.Now().Before(deadline) {
-			sent := c.Count("tx-slot-delta") + c.Count("tx-slot-snapshot")
-			if c.Count("rx-ack") >= sent {
+			sent := messages(c, "tx", MsgSlotDelta) + messages(c, "tx", MsgSlotSnapshot)
+			if messages(c, "rx", MsgAck) >= sent {
 				return
 			}
 			time.Sleep(2 * time.Millisecond)

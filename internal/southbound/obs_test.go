@@ -77,7 +77,7 @@ func TestObsCountersAndAckRTT(t *testing.T) {
 
 	const sends = 3
 	for i := 0; i < sends; i++ {
-		if err := c.Send(&Message{Type: MsgSetRing, SatID: 8, Peer: uint32(i)}); err != nil {
+		if err := c.Send(delta(8, uint32(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -89,8 +89,8 @@ func TestObsCountersAndAckRTT(t *testing.T) {
 		}
 	}
 
-	if got := reg.Counter(MetricMessages, "dir", "tx", "type", "set-ring").Value(); got != sends {
-		t.Errorf("tx set-ring = %d, want %d", got, sends)
+	if got := reg.Counter(MetricMessages, "dir", "tx", "type", "slot-delta").Value(); got != sends {
+		t.Errorf("tx slot-delta = %d, want %d", got, sends)
 	}
 	if got := reg.Counter(MetricMessages, "dir", "rx", "type", "ack").Value(); got != sends {
 		t.Errorf("rx ack = %d, want %d", got, sends)
@@ -103,10 +103,7 @@ func TestObsCountersAndAckRTT(t *testing.T) {
 		t.Errorf("ack RTT sum = %v, want > 0", rtt.Sum())
 	}
 
-	// The legacy string-keyed accessors stay consistent with the registry.
-	if c.Count("tx-set-ring") != sends {
-		t.Errorf("Count(tx-set-ring) = %d", c.Count("tx-set-ring"))
-	}
+	// TotalMessages stays consistent with the registry.
 	if c.TotalMessages() != obs.SumCounters(MetricMessages, reg) {
 		t.Error("TotalMessages diverges from registry sum")
 	}
@@ -117,7 +114,7 @@ func TestObsCountersAndAckRTT(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		`tinyleo_southbound_messages_total{dir="tx",type="set-ring"} 3`,
+		`tinyleo_southbound_messages_total{dir="tx",type="slot-delta"} 3`,
 		`tinyleo_southbound_connected_agents 1`,
 		`tinyleo_southbound_ack_rtt_seconds_count 3`,
 	} {

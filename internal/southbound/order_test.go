@@ -28,7 +28,7 @@ func TestSweepRetransmitsInSeqOrder(t *testing.T) {
 	const n = 16
 	for seq := uint32(1); seq <= n; seq++ {
 		c.pending[seq] = pendingCmd{
-			msg:       &Message{Type: MsgSetRing, SatID: 9, Seq: seq},
+			msg:       &Message{Type: MsgSlotDelta, SatID: 9, Seq: seq},
 			firstSent: now, lastSent: now, attempts: 1,
 		}
 	}
@@ -76,7 +76,7 @@ func TestAckTimeoutFailuresInSeqOrder(t *testing.T) {
 	const n = 16
 	for seq := uint32(1); seq <= n; seq++ {
 		c.pending[seq] = pendingCmd{
-			msg:       &Message{Type: MsgSetRing, SatID: 9, Seq: seq},
+			msg:       &Message{Type: MsgSlotDelta, SatID: 9, Seq: seq},
 			firstSent: now, lastSent: now, attempts: 1,
 		}
 	}

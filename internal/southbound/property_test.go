@@ -10,18 +10,15 @@ import (
 
 // TestPropertyMessageRoundTrip: any well-formed message survives the wire.
 func TestPropertyMessageRoundTrip(t *testing.T) {
-	f := func(typ uint8, sat, seq, peer uint32, nCells uint16, seed int64) bool {
+	f := func(typ uint8, sat, seq, peer uint32, nPayload uint16, seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := &Message{
 			Type:  MsgType(typ%7 + 1),
 			SatID: sat, Seq: seq, Peer: peer,
 		}
-		n := int(nCells) % 64
-		if n > 0 {
-			m.Cells = make([]uint16, n)
-			for i := range m.Cells {
-				m.Cells[i] = uint16(rng.Intn(1 << 16))
-			}
+		if n := int(nPayload) % 64; n > 0 {
+			m.Payload = make([]byte, n)
+			rng.Read(m.Payload)
 		}
 		var buf bytes.Buffer
 		if err := WriteMessage(&buf, m); err != nil {
@@ -69,7 +66,7 @@ func TestPropertyFrameStreamResync(t *testing.T) {
 				SatID: rng.Uint32(), Seq: rng.Uint32(), Peer: rng.Uint32(),
 			}
 			if rng.Intn(3) == 0 {
-				m.Cells = []uint16{uint16(rng.Intn(4050))}
+				m.Payload = []byte{byte(rng.Intn(256))}
 			}
 			msgs = append(msgs, m)
 			if err := WriteMessage(&buf, m); err != nil {

@@ -2,11 +2,13 @@
 // (paper §5: a per-satellite agent exchanges control commands and runtime
 // ISL/satellite status with the MPC controller; the paper uses gRPC, this
 // implementation uses a length-prefixed binary protocol over TCP with the
-// same message vocabulary). The controller pushes ISL/ring/route
-// configuration; agents report failures and acknowledge commands.
-// ISL configuration has one implementation per half: DeltaEnforcer frames
-// it (MsgSlotDelta batches, a MsgSlotSnapshot to re-sync an agent) and
-// PeerSet folds both into a satellite's applied peer set.
+// same message vocabulary). The controller pushes ISL configuration and
+// nothing else: a packet carries its own geographic segments (§4.3), so a
+// satellite holds no routes. Agents report failures and acknowledge
+// commands. ISL configuration has one implementation per half:
+// DeltaEnforcer frames it (MsgSlotDelta batches, a MsgSlotSnapshot to
+// re-sync an agent) and PeerSet folds both into a satellite's applied peer
+// set.
 package southbound
 
 import (
@@ -27,17 +29,9 @@ type MsgType uint8
 const (
 	// MsgHello registers an agent (SatID) with the controller.
 	MsgHello MsgType = iota + 1
-	// MsgHelloAck confirms registration.
+	// MsgHelloAck confirms registration; Peer is the controller's epoch,
+	// a number that differs between controller instances.
 	MsgHelloAck
-	// msgRetired (3) was the per-link ISL command, replaced by MsgSlotDelta
-	// and MsgSlotSnapshot; the number stays reserved so the rest keep theirs.
-	msgRetired
-	// MsgSetRing instructs a satellite that its intra-cell ring successor
-	// is Peer.
-	MsgSetRing
-	// MsgInstallRoute installs a geographic segment route (Cells) at a
-	// source satellite.
-	MsgInstallRoute
 	// MsgFailureReport notifies the controller that the link to Peer (or
 	// the satellite itself, Peer == 0xFFFFFFFF) failed.
 	MsgFailureReport
@@ -50,7 +44,7 @@ const (
 	// MsgSlotDelta carries one satellite's batch of ISL add/remove ops for
 	// a control slot (the delta enforcement path). The ops ride the
 	// Payload trailer (EncodeSlotDelta), so the frame layout is identical
-	// to every other message and pre-delta readers skip it cleanly.
+	// to every other message.
 	MsgSlotDelta
 	// MsgSlotSnapshot carries one satellite's full desired ISL peer set —
 	// the re-sync fallback when an agent reconnected or its ack state was
@@ -65,10 +59,6 @@ func (t MsgType) String() string {
 		return "hello"
 	case MsgHelloAck:
 		return "hello-ack"
-	case MsgSetRing:
-		return "set-ring"
-	case MsgInstallRoute:
-		return "install-route"
 	case MsgFailureReport:
 		return "failure-report"
 	case MsgAck:
@@ -88,18 +78,16 @@ type Message struct {
 	Type  MsgType
 	SatID uint32 // subject satellite
 	Seq   uint32 // command sequence / ack correlation
-	Peer  uint32 // peer satellite for ISL/ring messages
-	Cells []uint16
+	Peer  uint32 // a MsgFailureReport's failed peer, a MsgHelloAck's controller epoch
 
 	// Trace is the causal context of the span that produced this message.
 	// It rides the wire in an optional trailer (see WriteMessage): a zero
-	// context adds no bytes, and readers predating the trailer ignore it,
-	// so tracing is wire-compatible in both directions.
+	// context adds no bytes.
 	Trace obs.SpanContext
 
-	// Payload is an opaque byte blob (fleet telemetry reports). Like the
-	// trace context it rides an optional marker-tagged trailer, so old
-	// readers skip it and a nil payload adds no bytes.
+	// Payload is an opaque byte blob (slot-delta ops, snapshot peers,
+	// fleet telemetry reports). Like the trace context it rides an
+	// optional marker-tagged trailer, and a nil payload adds no bytes.
 	Payload []byte
 
 	// Emitted is the in-process time the command left the planning layer
@@ -109,18 +97,16 @@ type Message struct {
 }
 
 const (
-	headerLen = 4 + 1 + 4 + 4 + 4 + 1 + 2 // length prefix, type, sat, seq, peer, reserved zero byte, cell count
-	// MaxCells bounds route length on the wire.
-	MaxCells = 1024
-	// traceMarker tags the optional trace-context trailer after the cell
-	// list. Old readers treat the trailer as ignorable padding; new readers
-	// require the marker so untagged padding is not misread as a context.
+	headerLen = 4 + 1 + 4 + 4 + 4 // length prefix, type, sat, seq, peer
+	// traceMarker tags the optional trace-context trailer after the
+	// header. Readers require the marker so untagged bytes are not misread
+	// as a context.
 	traceMarker = 0x54 // 'T'
 	// traceTrailerLen is marker + binary SpanContext.
 	traceTrailerLen = 1 + obs.SpanContextWireSize
 	// payloadMarker tags the optional opaque-payload trailer, written
-	// after the trace trailer (when present). Same compatibility story as
-	// traceMarker: old readers treat it as ignorable padding.
+	// after the trace trailer (when present); like traceMarker, bytes
+	// without it are ignored.
 	payloadMarker = 0x50 // 'P'
 	// MaxTelemetryPayload bounds the opaque payload trailer: the budget
 	// a fleet report is encoded to (a registry that needs more is shipped
@@ -130,7 +116,7 @@ const (
 	// payloadHeaderLen is marker + uint32 payload length.
 	payloadHeaderLen = 1 + 4
 	// maxFrame guards against hostile/corrupt length prefixes.
-	maxFrame = headerLen + 2*MaxCells + traceTrailerLen + payloadHeaderLen + MaxTelemetryPayload
+	maxFrame = headerLen + traceTrailerLen + payloadHeaderLen + MaxTelemetryPayload
 )
 
 // ErrFrameTooLarge reports a length prefix beyond protocol limits.
@@ -139,7 +125,7 @@ var ErrFrameTooLarge = errors.New("southbound: frame too large")
 // WireSize returns the message's framed size in bytes (length prefix
 // included), used for signaling-byte accounting.
 func (m *Message) WireSize() int {
-	n := headerLen + 2*len(m.Cells)
+	n := headerLen
 	if !m.Trace.IsZero() {
 		n += traceTrailerLen
 	}
@@ -150,8 +136,7 @@ func (m *Message) WireSize() int {
 }
 
 // WriteMessage writes one framed message. A non-zero Trace context is
-// appended as a marker-tagged trailer after the cell list; pre-trailer
-// readers skip it (they only parse the declared cell count). The frame is
+// appended as a marker-tagged trailer after the header. The frame is
 // encoded into pooled storage, held only for the length of the write.
 func WriteMessage(w io.Writer, m *Message) error {
 	f := framePool.Get().(*frame)
@@ -167,9 +152,6 @@ func WriteMessage(w io.Writer, m *Message) error {
 // appendMessage appends m's frame, length prefix included, to dst: the
 // one encoder of the protocol.
 func appendMessage(dst []byte, m *Message) ([]byte, error) {
-	if len(m.Cells) > MaxCells {
-		return dst, fmt.Errorf("southbound: %d cells exceed max %d", len(m.Cells), MaxCells)
-	}
 	if len(m.Payload) > MaxTelemetryPayload {
 		return dst, fmt.Errorf("southbound: %d payload bytes exceed max %d", len(m.Payload), MaxTelemetryPayload)
 	}
@@ -178,11 +160,6 @@ func appendMessage(dst []byte, m *Message) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint32(dst, m.SatID)
 	dst = binary.BigEndian.AppendUint32(dst, m.Seq)
 	dst = binary.BigEndian.AppendUint32(dst, m.Peer)
-	dst = append(dst, 0) // reserved
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(m.Cells)))
-	for _, c := range m.Cells {
-		dst = binary.BigEndian.AppendUint16(dst, c)
-	}
 	if !m.Trace.IsZero() {
 		dst = append(dst, traceMarker)
 		dst = m.Trace.AppendWire(dst)
@@ -206,14 +183,10 @@ func ReadMessage(r io.Reader) (*Message, error) {
 	return m.clone(), nil
 }
 
-// clone returns a copy of m that owns its storage: one Message plus
-// exact-size Cells and Payload (nil stays nil).
+// clone returns a copy of m that owns its storage: one Message plus an
+// exact-size Payload (nil stays nil).
 func (m *Message) clone() *Message {
 	c := *m
-	if m.Cells != nil {
-		c.Cells = make([]uint16, len(m.Cells))
-		copy(c.Cells, m.Cells)
-	}
 	if m.Payload != nil {
 		c.Payload = make([]byte, len(m.Payload))
 		copy(c.Payload, m.Payload)
@@ -227,12 +200,10 @@ func (m *Message) clone() *Message {
 const maxPooledFrame = 64 << 10
 
 // frame is pooled codec storage: a write borrows one for its encoded bytes,
-// a frameReader for one received frame, its decoded cells and the message
-// that aliases both.
+// a frameReader for one received frame and the message that aliases it.
 type frame struct {
-	buf   []byte
-	cells []uint16
-	msg   Message
+	buf []byte
+	msg Message
 }
 
 var framePool = sync.Pool{New: func() any { return new(frame) }}
@@ -256,8 +227,8 @@ type frameReader struct {
 	cur    *frame // the frame the last next returned
 }
 
-// next reads and decodes one frame. The message, its Cells and its Payload
-// are borrowed: valid until the next call to next or release.
+// next reads and decodes one frame. The message and its Payload are
+// borrowed: valid until the next call to next or release.
 func (fr *frameReader) next() (*Message, error) {
 	fr.release()
 	if _, err := io.ReadFull(fr.r, fr.prefix[:]); err != nil {
@@ -293,31 +264,16 @@ func (fr *frameReader) release() {
 }
 
 // decode parses the frame body in f.buf into f.msg, every field of it:
-// Cells alias f.cells and Payload aliases f.buf, and nothing of an earlier
-// frame survives.
+// Payload aliases f.buf, and nothing of an earlier frame survives.
 func (f *frame) decode() error {
 	buf := f.buf
-	count := int(binary.BigEndian.Uint16(buf[14:]))
-	if count > MaxCells {
-		return fmt.Errorf("southbound: %d cells exceed max %d", count, MaxCells)
-	}
-	if len(buf) < 16+2*count {
-		return fmt.Errorf("southbound: cell list truncated (%d cells, %d bytes)", count, len(buf))
-	}
 	f.msg = Message{
 		Type:  MsgType(buf[0]),
 		SatID: binary.BigEndian.Uint32(buf[1:]),
 		Seq:   binary.BigEndian.Uint32(buf[5:]),
 		Peer:  binary.BigEndian.Uint32(buf[9:]),
 	}
-	if count > 0 {
-		f.cells = slices.Grow(f.cells[:0], count)[:count]
-		for i := range f.cells {
-			f.cells[i] = binary.BigEndian.Uint16(buf[16+2*i:])
-		}
-		f.msg.Cells = f.cells
-	}
-	off := 16 + 2*count
+	off := headerLen - 4
 	if len(buf) >= off+traceTrailerLen && buf[off] == traceMarker {
 		f.msg.Trace, _ = obs.SpanContextFromWire(buf[off+1:])
 		off += traceTrailerLen

@@ -61,7 +61,7 @@ func TestSendWriteErrorClearsPending(t *testing.T) {
 	c.agents[7] = server
 	c.mu.Unlock()
 
-	if err := c.Send(&Message{Type: MsgSetRing, SatID: 7, Peer: 8}); err == nil {
+	if err := c.Send(delta(7, 8)); err == nil {
 		t.Fatal("Send on closed conn succeeded")
 	}
 	if n := c.PendingAcks(); n != 0 {
@@ -105,13 +105,13 @@ func TestUntrackedCommandCounted(t *testing.T) {
 	for i := 0; i < maxPendingAcks; i++ {
 		seq := uint32(1_000_000 + i)
 		c.pending[seq] = pendingCmd{
-			msg:       &Message{Type: MsgSetRing, SatID: 99, Seq: seq},
+			msg:       &Message{Type: MsgSlotDelta, SatID: 99, Seq: seq},
 			firstSent: vc.Now(), lastSent: vc.Now(), attempts: 1,
 		}
 	}
 	c.mu.Unlock()
 
-	if err := c.Send(&Message{Type: MsgInstallRoute, SatID: 3, Cells: []uint16{1}}); err != nil {
+	if err := c.Send(delta(3, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if v := c.reg.Counter(MetricUntracked).Value(); v != 1 {
@@ -157,7 +157,7 @@ func TestRetransmitAndAgentDedup(t *testing.T) {
 		<-release
 	}
 
-	if err := c.Send(&Message{Type: MsgSetRing, SatID: 5, Cells: []uint16{4, 5, 6}}); err != nil {
+	if err := c.Send(delta(5, 4, 5, 6)); err != nil {
 		t.Fatal(err)
 	}
 	<-entered // agent is holding the command unacked
@@ -197,7 +197,6 @@ func TestAgentReconnectResendsPending(t *testing.T) {
 	var mu sync.Mutex
 	appliedCount := 0
 	a, err := DialAgentOptions(c.Addr(), 9, time.Second, AgentOptions{
-		Reconnect:   true,
 		BackoffBase: 5 * time.Millisecond,
 		BackoffMax:  50 * time.Millisecond,
 		Seed:        1,
@@ -214,7 +213,7 @@ func TestAgentReconnectResendsPending(t *testing.T) {
 		<-release
 	}
 
-	if err := c.Send(&Message{Type: MsgSetRing, SatID: 9, Peer: 10}); err != nil {
+	if err := c.Send(delta(9, 10)); err != nil {
 		t.Fatal(err)
 	}
 	<-entered
@@ -247,12 +246,12 @@ func TestAgentJitterSourceIsLazy(t *testing.T) {
 	defer c.Close()
 	dial := func(satID uint32, seed int64) *Agent {
 		a, err := DialAgentOptions(c.Addr(), satID, time.Second, AgentOptions{
-			Reconnect: true, BackoffBase: 10 * time.Millisecond, BackoffMax: 30 * time.Millisecond, Seed: seed,
+			BackoffBase: 10 * time.Millisecond, BackoffMax: 30 * time.Millisecond, Seed: seed,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Send(&Message{Type: MsgSetRing, SatID: satID, Peer: 1}); err != nil {
+		if err := c.Send(delta(satID, 1)); err != nil {
 			t.Fatal(err)
 		}
 		return a
@@ -310,7 +309,7 @@ func TestAckTimeoutMarksUnreachable(t *testing.T) {
 	waitUntil(t, 2*time.Second, func() bool { return c.AgentCount() == 1 },
 		"agent never registered")
 
-	if err := c.Send(&Message{Type: MsgInstallRoute, SatID: 11, Cells: []uint16{2}}); err != nil {
+	if err := c.Send(delta(11, 2)); err != nil {
 		t.Fatal(err)
 	}
 	vc.Advance(c.ackTimeout() + time.Second)
@@ -351,7 +350,7 @@ func TestSweepRateLimit(t *testing.T) {
 	// retransmit, so lastSweep is the only observable.
 	c.mu.Lock()
 	c.pending[99] = pendingCmd{
-		msg:       &Message{Type: MsgSetRing, SatID: 1, Seq: 99},
+		msg:       &Message{Type: MsgSlotDelta, SatID: 1, Seq: 99},
 		firstSent: vc.Now(), lastSent: vc.Now(), attempts: 1,
 	}
 	c.mu.Unlock()

@@ -102,7 +102,7 @@ func TestCommandRoundTripAllocationBudget(t *testing.T) {
 
 // TestReceivedMessagesOutliveTheirFrames: what OnCommand, OnFailure and
 // OnTelemetry receive is theirs. Each keeps its first message, 100 more
-// frames with other cells, payloads and traces follow through the same
+// frames with other payloads and traces follow through the same
 // connections (and so through the same pooled frames), and every kept
 // message still equals what was sent.
 func TestReceivedMessagesOutliveTheirFrames(t *testing.T) {
@@ -134,7 +134,7 @@ func TestReceivedMessagesOutliveTheirFrames(t *testing.T) {
 		mu.Unlock()
 	}
 	// The reports and telemetry come from a raw agent, which can put
-	// cells, traces and payloads on any frame.
+	// traces and payloads on any frame.
 	conn, err := net.DialTimeout("tcp", c.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -148,12 +148,11 @@ func TestReceivedMessagesOutliveTheirFrames(t *testing.T) {
 	}
 
 	// message i differs from every other in each field a frame carries;
-	// every third has no trace and every fifth no cells.
+	// every third has no trace and every fifth no payload.
 	message := func(typ MsgType, sat uint32, i int) *Message {
-		m := &Message{Type: typ, SatID: sat, Peer: uint32(1000 + i),
-			Payload: bytes.Repeat([]byte{byte(i)}, 1+i%7)}
+		m := &Message{Type: typ, SatID: sat, Peer: uint32(1000 + i)}
 		if i%5 != 0 {
-			m.Cells = []uint16{uint16(i), uint16(2 * i), 4049}
+			m.Payload = bytes.Repeat([]byte{byte(i)}, 1+i%7)
 		}
 		if i%3 != 0 {
 			m.Trace = obs.SpanContext{TraceID: obs.TraceID{byte(i), 1}, SpanID: obs.SpanID{byte(i), 2}}
@@ -165,7 +164,7 @@ func TestReceivedMessagesOutliveTheirFrames(t *testing.T) {
 	send := func(from, to int) {
 		t.Helper()
 		for i := from; i < to; i++ {
-			cmd := message(MsgInstallRoute, 4, i)
+			cmd := message(MsgSlotDelta, 4, i)
 			if err := c.Send(cmd); err != nil {
 				t.Fatal(err)
 			}

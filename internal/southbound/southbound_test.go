@@ -2,12 +2,15 @@ package southbound
 
 import (
 	"bytes"
-	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestMessageRoundTrip(t *testing.T) {
@@ -15,10 +18,10 @@ func TestMessageRoundTrip(t *testing.T) {
 		{Type: MsgHello, SatID: 7, Seq: 1},
 		{Type: MsgSlotDelta, SatID: 7, Seq: 2, Payload: EncodeSlotDelta([]SlotDeltaOp{{Peer: 9}})},
 		{Type: MsgSlotSnapshot, SatID: 7, Seq: 3, Payload: EncodeSlotSnapshot([]uint32{9})},
-		{Type: MsgSetRing, SatID: 7, Seq: 6, Peer: 9},
-		{Type: MsgSetRing, SatID: 7, Seq: 4, Peer: 11},
-		{Type: MsgInstallRoute, SatID: 7, Seq: 5, Cells: []uint16{10, 20, 30, 4049}},
+		{Type: MsgSlotDelta, SatID: 7, Seq: 6, Payload: EncodeSlotDelta(nil)},
+		{Type: MsgFailureReport, SatID: 7, Peer: 11},
 		{Type: MsgFailureReport, SatID: 7, Peer: 0xFFFFFFFF},
+		{Type: MsgTelemetry, SatID: 7, Payload: []byte("report")},
 		{Type: MsgAck, SatID: 7, Seq: 5},
 	}
 	var buf bytes.Buffer
@@ -38,26 +41,38 @@ func TestMessageRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMessageLimits(t *testing.T) {
-	big := &Message{Type: MsgInstallRoute, Cells: make([]uint16, MaxCells+1)}
-	var buf bytes.Buffer
-	if err := WriteMessage(&buf, big); err == nil {
-		t.Error("oversized route accepted")
+// TestSlotDeltaFrameGolden pins the frame of one slot delta carrying both
+// trailers, byte for byte: a 17-byte header (length prefix, type, sat, seq,
+// peer), the trace trailer, then the payload trailer.
+func TestSlotDeltaFrameGolden(t *testing.T) {
+	m := &Message{Type: MsgSlotDelta, SatID: 0x0102, Seq: 0x0304,
+		Trace:   obs.SpanContext{TraceID: obs.TraceID{0xA1, 0xA2}, SpanID: obs.SpanID{0xB1}},
+		Payload: EncodeSlotDelta([]SlotDeltaOp{{Peer: 7, Up: true}, {Peer: 9}})}
+	want := "00000039" + // length after the prefix: 13 + 25 + 5 + 14
+		"06" + "00000102" + "00000304" + "00000000" + // type, sat, seq, peer
+		"54" + "a1a2000000000000" + "0000000000000000" + "b100000000000000" + // trace trailer
+		"50" + "0000000e" + // payload trailer header
+		"00000002" + "0100000007" + "0000000009" // two ops: up 7, down 9
+	got := hex.EncodeToString(wire(t, m))
+	if got != want {
+		t.Errorf("frame\n got %s\nwant %s", got, want)
 	}
+	if m.WireSize() != len(want)/2 {
+		t.Errorf("WireSize = %d, frame is %d bytes", m.WireSize(), len(want)/2)
+	}
+}
+
+func TestMessageLimits(t *testing.T) {
 	// Hostile length prefix.
 	var hostile bytes.Buffer
 	hostile.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	if _, err := ReadMessage(&hostile); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("hostile frame: %v", err)
 	}
-	// A frame within maxFrame that declares more cells than a writer may
-	// send: the reader refuses what WriteMessage refuses.
-	long := make([]byte, 4+16+2*(MaxCells+1))
-	binary.BigEndian.PutUint32(long, uint32(len(long)-4))
-	long[4] = byte(MsgInstallRoute)
-	binary.BigEndian.PutUint16(long[18:], MaxCells+1)
-	if _, err := ReadMessage(bytes.NewReader(long)); err == nil {
-		t.Error("reader accepted a route longer than MaxCells")
+	// A length prefix shorter than the header.
+	short := []byte{0, 0, 0, headerLen - 5, byte(MsgHello), 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0}
+	if _, err := ReadMessage(bytes.NewReader(short)); err == nil {
+		t.Error("frame shorter than the header accepted")
 	}
 	// Truncated stream.
 	var trunc bytes.Buffer
@@ -69,9 +84,28 @@ func TestMessageLimits(t *testing.T) {
 }
 
 func TestMsgTypeString(t *testing.T) {
-	if MsgSlotDelta.String() != "slot-delta" || msgRetired.String() != "msgtype(3)" || MsgType(200).String() == "" {
+	for typ := MsgHello; typ <= MsgSlotSnapshot; typ++ {
+		if strings.HasPrefix(typ.String(), "msgtype(") {
+			t.Errorf("type %d has no name", typ)
+		}
+	}
+	if MsgSlotDelta.String() != "slot-delta" || MsgType(0).String() != "msgtype(0)" || MsgType(8).String() != "msgtype(8)" {
 		t.Error("String broken")
 	}
+}
+
+// messages reads c's MetricMessages counter for one direction and type.
+func messages(c *Controller, dir string, typ MsgType) int64 {
+	return c.reg.Counter(MetricMessages, "dir", dir, "type", typ.String()).Value()
+}
+
+// delta is a slot-delta command raising the given peers at sat.
+func delta(sat uint32, up ...uint32) *Message {
+	ops := make([]SlotDeltaOp, len(up))
+	for i, p := range up {
+		ops[i] = SlotDeltaOp{Peer: p, Up: true}
+	}
+	return &Message{Type: MsgSlotDelta, SatID: sat, Payload: EncodeSlotDelta(ops)}
 }
 
 func startController(t *testing.T) *Controller {
@@ -102,8 +136,8 @@ func TestAgentRegistration(t *testing.T) {
 	if err := c.WaitForAgents(3, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if c.Count("rx-hello") != 3 || c.Count("tx-hello-ack") != 3 {
-		t.Errorf("counters: rx-hello=%d", c.Count("rx-hello"))
+	if rx, tx := messages(c, "rx", MsgHello), messages(c, "tx", MsgHelloAck); rx != 3 || tx != 3 {
+		t.Errorf("counters: rx hello=%d, tx hello-ack=%d", rx, tx)
 	}
 }
 
@@ -124,7 +158,7 @@ func TestCommandDeliveryAndAck(t *testing.T) {
 	acked := make(chan uint32, 8)
 	c.OnAck = func(m *Message) { acked <- m.Seq }
 
-	cmd := &Message{Type: MsgSetRing, SatID: 42, Peer: 7}
+	cmd := delta(42, 7)
 	if err := c.Send(cmd); err != nil {
 		t.Fatal(err)
 	}
@@ -138,14 +172,14 @@ func TestCommandDeliveryAndAck(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(received) != 1 || received[0].Peer != 7 {
+	if len(received) != 1 || !reflect.DeepEqual(received[0].Payload, cmd.Payload) {
 		t.Errorf("received = %+v", received)
 	}
 }
 
 func TestSendToUnknownAgent(t *testing.T) {
 	c := startController(t)
-	err := c.Send(&Message{Type: MsgSetRing, SatID: 999})
+	err := c.Send(delta(999))
 	if !errors.Is(err, ErrUnknownAgent) {
 		t.Errorf("err = %v", err)
 	}
@@ -159,9 +193,7 @@ func TestFailureReportTriggersRepair(t *testing.T) {
 	repaired := make(chan *Message, 4)
 	c.OnFailure = func(report *Message) []*Message {
 		// Repair: tell the reporting satellite to re-link to peer+1.
-		return []*Message{{
-			Type: MsgSetRing, SatID: report.SatID, Peer: report.Peer + 1,
-		}}
+		return []*Message{delta(report.SatID, report.Peer+1)}
 	}
 	a, err := DialAgent(c.Addr(), 5, 2*time.Second)
 	if err != nil {
@@ -176,8 +208,9 @@ func TestFailureReportTriggersRepair(t *testing.T) {
 	}
 	select {
 	case m := <-repaired:
-		if m.Type != MsgSetRing || m.Peer != 78 {
-			t.Errorf("repair = %+v", m)
+		if ops, err := DecodeSlotDelta(m.Payload); m.Type != MsgSlotDelta || err != nil ||
+			!reflect.DeepEqual(ops, []SlotDeltaOp{{Peer: 78, Up: true}}) {
+			t.Errorf("repair = %+v (ops %v, %v)", m, ops, err)
 		}
 		if elapsed := time.Since(start); elapsed > time.Second {
 			t.Errorf("repair took %v", elapsed)
@@ -185,31 +218,8 @@ func TestFailureReportTriggersRepair(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("no repair command")
 	}
-	if c.Count("rx-failure-report") != 1 {
-		t.Errorf("counters: rx-hello=%d", c.Count("rx-hello"))
-	}
-}
-
-func TestInstallRouteCarriesCells(t *testing.T) {
-	c := startController(t)
-	got := make(chan *Message, 1)
-	a, err := DialAgent(c.Addr(), 2, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	a.OnCommand = func(m *Message) { got <- m }
-	route := []uint16{100, 200, 300}
-	if err := c.Send(&Message{Type: MsgInstallRoute, SatID: 2, Cells: route}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case m := <-got:
-		if !reflect.DeepEqual(m.Cells, route) {
-			t.Errorf("cells = %v", m.Cells)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("route not delivered")
+	if n := messages(c, "rx", MsgFailureReport); n != 1 {
+		t.Errorf("counters: rx failure-report=%d", n)
 	}
 }
 

@@ -5,14 +5,17 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestTelemetryPayloadRoundTrip(t *testing.T) {
 	msgs := []*Message{
 		{Type: MsgTelemetry, SatID: 3, Payload: []byte{1, 0, 1, 0}},
 		{Type: MsgTelemetry, SatID: 4, Payload: bytes.Repeat([]byte{0xAB}, 1000)},
-		// Payload combined with cells exercises trailer offsets.
-		{Type: MsgInstallRoute, SatID: 5, Seq: 9, Cells: []uint16{1, 2, 3}, Payload: []byte{7, 7}},
+		// Payload combined with the trace trailer exercises trailer offsets.
+		{Type: MsgSlotDelta, SatID: 5, Seq: 9, Payload: []byte{7, 7},
+			Trace: obs.SpanContext{TraceID: obs.TraceID{1}, SpanID: obs.SpanID{2}}},
 	}
 	var buf bytes.Buffer
 	for _, m := range msgs {
@@ -60,11 +63,9 @@ func TestTelemetryWireSize(t *testing.T) {
 	}
 }
 
-// Old readers (pre-payload-trailer) must still parse a frame carrying a
-// payload trailer: they read the declared cell count and ignore trailing
-// bytes. We simulate by checking the frame parses when the payload
-// trailer marker is unknown to the reader — i.e. a frame whose trailer
-// byte is not payloadMarker decodes to the same message minus payload.
+// Bytes after the header that do not start with a known marker are
+// ignored: a frame whose trailer byte is not payloadMarker decodes to the
+// same message minus payload.
 func TestTelemetryTrailerIgnoredWithoutMarker(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteMessage(&buf, &Message{Type: MsgTelemetry, SatID: 2, Payload: []byte{9, 9}}); err != nil {
@@ -110,11 +111,12 @@ func TestAgentSendTelemetryReachesController(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("telemetry never delivered")
 	}
+	rx := c.reg.Counter(MetricMessages, "dir", "rx", "type", "telemetry")
 	deadline := time.Now().Add(2 * time.Second)
-	for c.Count("rx-telemetry") != 1 && time.Now().Before(deadline) {
+	for rx.Value() != 1 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if n := c.Count("rx-telemetry"); n != 1 {
-		t.Errorf("rx-telemetry = %d, want 1", n)
+	if n := rx.Value(); n != 1 {
+		t.Errorf("rx telemetry = %d, want 1", n)
 	}
 }

@@ -32,7 +32,7 @@ func TestMessageTraceRoundTrip(t *testing.T) {
 	tr := newTestTracer(7)
 	sc := tr.StartSpan("x").Context()
 
-	m := &Message{Type: MsgInstallRoute, SatID: 4, Seq: 9, Cells: []uint16{1, 2, 3}, Trace: sc}
+	m := &Message{Type: MsgSlotDelta, SatID: 4, Seq: 9, Payload: []byte{1, 2, 3}, Trace: sc}
 	var buf bytes.Buffer
 	if err := WriteMessage(&buf, m); err != nil {
 		t.Fatal(err)
@@ -47,12 +47,12 @@ func TestMessageTraceRoundTrip(t *testing.T) {
 	if got.Trace != sc {
 		t.Errorf("trace context: got %+v, want %+v", got.Trace, sc)
 	}
-	if len(got.Cells) != 3 || got.Cells[2] != 3 {
-		t.Errorf("cells corrupted by trailer: %v", got.Cells)
+	if len(got.Payload) != 3 || got.Payload[2] != 3 {
+		t.Errorf("payload corrupted by the trace trailer: %v", got.Payload)
 	}
 
 	// No context → no trailer bytes.
-	bare := &Message{Type: MsgInstallRoute, SatID: 4, Seq: 9, Cells: []uint16{1, 2, 3}}
+	bare := &Message{Type: MsgSlotDelta, SatID: 4, Seq: 9, Payload: []byte{1, 2, 3}}
 	if d := m.WireSize() - bare.WireSize(); d != traceTrailerLen {
 		t.Errorf("trailer adds %d bytes, want %d", d, traceTrailerLen)
 	}
@@ -72,7 +72,7 @@ func TestMessageTraceRoundTrip(t *testing.T) {
 // A frame whose trailing bytes lack the trace marker (e.g. future protocol
 // extensions) must not be misread as a span context.
 func TestTraceTrailerRequiresMarker(t *testing.T) {
-	m := &Message{Type: MsgSetRing, SatID: 1, Seq: 2, Peer: 3,
+	m := &Message{Type: MsgSlotDelta, SatID: 1, Seq: 2,
 		Trace: obs.SpanContext{TraceID: obs.TraceID{1}, SpanID: obs.SpanID{2}}}
 	var buf bytes.Buffer
 	if err := WriteMessage(&buf, m); err != nil {
@@ -113,8 +113,8 @@ func TestCommandTraceCausalTree(t *testing.T) {
 	a.OnCommand = func(m *Message) { applied <- m.Trace }
 
 	root := ctlTr.StartSpan("mpc.emit")
-	m := &Message{Type: MsgSetRing, SatID: 5, Peer: 6,
-		Trace: root.Context(), Emitted: time.Now()}
+	m := delta(5, 6)
+	m.Trace, m.Emitted = root.Context(), time.Now()
 	if err := c.Send(m); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestCommandTraceCausalTree(t *testing.T) {
 	if send.Parent != root.Context().SpanID.String() {
 		t.Errorf("sb.send parent = %s, want mpc.emit span %s", send.Parent, root.Context().SpanID)
 	}
-	if send.Attrs["sat"] != "5" || send.Attrs["type"] != "set-ring" || send.Attrs["seq"] == "" {
+	if send.Attrs["sat"] != "5" || send.Attrs["type"] != "slot-delta" || send.Attrs["seq"] == "" {
 		t.Errorf("sb.send attrs = %v", send.Attrs)
 	}
 
@@ -207,7 +207,9 @@ func TestRetransmitTraceNoDuplicateChildren(t *testing.T) {
 	}
 
 	root := ctlTr.StartSpan("mpc.emit")
-	if err := c.Send(&Message{Type: MsgSetRing, SatID: 5, Cells: []uint16{4, 5}, Trace: root.Context()}); err != nil {
+	cmd := delta(5, 4, 5)
+	cmd.Trace = root.Context()
+	if err := c.Send(cmd); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
@@ -279,7 +281,9 @@ func TestReconnectResendLinksOriginalTrace(t *testing.T) {
 		"raw agent never registered")
 
 	root := ctlTr.StartSpan("mpc.emit")
-	if err := c.Send(&Message{Type: MsgSetRing, SatID: 9, Peer: 10, Trace: root.Context()}); err != nil {
+	cmd := delta(9, 10)
+	cmd.Trace = root.Context()
+	if err := c.Send(cmd); err != nil {
 		t.Fatal(err)
 	}
 	root.End()

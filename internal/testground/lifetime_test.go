@@ -53,7 +53,7 @@ func TestCloseAndStopReturnTheirGoroutines(t *testing.T) {
 	var agents []*southbound.Agent
 	for id := uint32(1); id <= 3; id++ {
 		a, err := southbound.DialAgentOptions(ctl.Addr(), id, 2*time.Second, southbound.AgentOptions{
-			Reconnect: true, BackoffBase: time.Millisecond, BackoffMax: 5 * time.Millisecond,
+			BackoffBase: time.Millisecond, BackoffMax: 5 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -64,7 +64,8 @@ func TestCloseAndStopReturnTheirGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, a := range agents {
-		if err := ctl.Send(&southbound.Message{Type: southbound.MsgSetRing, SatID: a.SatID, Peer: a.SatID}); err != nil {
+		cmd := &southbound.Message{Type: southbound.MsgSlotDelta, SatID: a.SatID, Payload: southbound.EncodeSlotDelta(nil)}
+		if err := ctl.Send(cmd); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -34,21 +34,6 @@ type FaultRecord struct {
 	Err string `json:"err,omitempty"`
 }
 
-// FleetRollup condenses the end-of-run constellation health view into
-// the scored report.
-type FleetRollup struct {
-	// Agents counts agents that reported at least once.
-	Agents int `json:"agents"`
-	// States counts agents per health state (healthy/lagging/silent).
-	States map[string]int `json:"states,omitempty"`
-	// Silent lists agent IDs silent at run end, ascending.
-	Silent []int `json:"silent,omitempty"`
-	// Reports / Gaps / DecodeErrors are fleet-wide report accounting.
-	Reports      uint64 `json:"reports"`
-	Gaps         uint64 `json:"gaps"`
-	DecodeErrors int64  `json:"decode_errors"`
-}
-
 // RunReport is a campaign's scored outcome: the resolved plan, what was
 // broken when, the fleet health rollup, the SLO verdicts, and the
 // artifact inventory.
@@ -57,8 +42,9 @@ type RunReport struct {
 	Plan Manifest `json:"plan"`
 	// Faults is the schedule as executed.
 	Faults []FaultRecord `json:"faults,omitempty"`
-	// Fleet is the end-of-run constellation health rollup.
-	Fleet *FleetRollup `json:"fleet,omitempty"`
+	// Fleet is the end-of-run constellation health rollup: the
+	// controller's /fleet summary.
+	Fleet *fleet.Summary `json:"fleet,omitempty"`
 
 	// SLO is the rule evaluation the run is scored with; Passed is
 	// SLOBreached == 0 and the run completing without orchestration
@@ -120,17 +106,4 @@ func ReadReportFile(path string) (*RunReport, error) {
 		return nil, err
 	}
 	return &r, nil
-}
-
-// rollupFrom condenses the controller's /fleet summary into the report's
-// rollup.
-func rollupFrom(s fleet.Summary) *FleetRollup {
-	return &FleetRollup{
-		Agents:       s.Agents,
-		States:       s.States,
-		Silent:       s.Silent,
-		Reports:      s.Reports,
-		Gaps:         s.Gaps,
-		DecodeErrors: s.DecodeErrors,
-	}
 }

@@ -288,7 +288,8 @@ func RunExec(m *Manifest, cfg ExecConfig) (*RunReport, error) {
 		fmt.Fprintf(cfg.Log, "%v\n", err)
 	}
 
-	run := &RunReport{Plan: *m, Faults: faults, Fleet: rollupFrom(view.Summary())}
+	summary := view.Summary()
+	run := &RunReport{Plan: *m, Faults: faults, Fleet: &summary}
 	if err := run.Score(scoreSamples(view, poller.Samples()), nil); err != nil {
 		return nil, err
 	}

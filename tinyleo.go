@@ -307,20 +307,22 @@ func ListenSouthbound(addr string) (*SouthboundController, error) {
 	return southbound.ListenController(addr)
 }
 
-// DialSouthbound connects and registers an agent.
+// DialSouthbound connects and registers an agent with default options. The
+// session survives transport loss: the agent re-dials with backoff and is
+// re-synced with a snapshot of its desired ISL peers.
 func DialSouthbound(addr string, satID uint32, timeout time.Duration) (*SouthboundAgent, error) {
 	return southbound.DialAgent(addr, satID, timeout)
 }
 
-// SouthboundAgentOptions tunes an agent's reliability behaviour:
-// automatic reconnect with exponential backoff and jitter.
+// SouthboundAgentOptions tunes an agent's reliability behaviour: the
+// backoff and jitter of its reconnects, and its tracer.
 type SouthboundAgentOptions = southbound.AgentOptions
 
 // DialSouthboundReliable connects and registers an agent with explicit
-// reliability options. With Reconnect set the session survives transport
-// loss: the agent re-dials with backoff, the controller resends pending
-// commands on the new connection, and the dedup window keeps redelivered
-// commands idempotent.
+// reliability options. Like every agent it survives transport loss: it
+// re-dials with backoff, the controller resends pending commands on the
+// new connection, and the dedup window keeps redelivered commands
+// idempotent.
 func DialSouthboundReliable(addr string, satID uint32, timeout time.Duration, opts SouthboundAgentOptions) (*SouthboundAgent, error) {
 	return southbound.DialAgentOptions(addr, satID, timeout, opts)
 }
