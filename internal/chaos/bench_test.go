@@ -1,15 +1,19 @@
 package chaos
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/mpc"
+)
 
 // BenchmarkDeltaCompileSteady measures the operator's steady-state slot at
 // the paper's control scale — bench/'s control-steady sizing: 1,764
 // satellites, a DeltaCompile chain at dt = 30 s, timed after three warm-up
 // slots. No slot time recurs, as in every production control loop.
-// Measured on a 2-vCPU VM, ten alternating runs of 100 slots: 10.6 ms
-// (quartiles 10.0–12.4), and 80,532 B and 229 allocs per slot — the
-// snapshot, its coverage lists one exact-size array, and nothing else:
-// the chain refills the slot geometry it evicted two slots earlier.
+// Measured on a 2-vCPU VM, ten runs of 100 slots: 12.3 ms (quartiles
+// 11.4–12.7), and 80,532 B and 229 allocs per slot — the snapshot, its
+// coverage lists one exact-size array, and nothing else: the chain refills
+// the slot geometry it evicted two slots earlier.
 func BenchmarkDeltaCompileSteady(b *testing.B) {
 	tb, err := NewTestbed(TestbedConfig{Sats: 1764, SlotSeconds: 150})
 	if err != nil {
@@ -19,5 +23,38 @@ func BenchmarkDeltaCompileSteady(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		next()
+	}
+}
+
+// BenchmarkDeltaCompileChurn measures bench/'s enforce-churn set-up chain:
+// one operation is a new controller on the 529-satellite testbed compiling
+// 100 slots at dt = 300 s by DeltaCompile, from the testbed's slot-0
+// snapshot. Five lifetime steps apart, slots take only 0.36 of their
+// visibility samples from the previous slot's runs, so the chain is
+// mostly the cold compile's work: coverage, propagation, the τ walks and
+// stage 1's sums. Measured on a 2-vCPU VM, ten runs: 75.1 ms (quartiles
+// 72.2–77.7), 1.74 MB and 8,191 allocs per chain.
+func BenchmarkDeltaCompileChurn(b *testing.B) {
+	const (
+		slots = 100
+		dt    = 300.0
+	)
+	tb, err := NewTestbed(TestbedConfig{Sats: 529})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := tb.Ctl.Config()
+	b.ReportAllocs()
+	for b.Loop() {
+		b.StopTimer()
+		ctl, err := mpc.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		snap := tb.Snap
+		for slot := 1; slot <= slots; slot++ {
+			snap = ctl.DeltaCompile(snap, float64(slot)*dt)
+		}
 	}
 }

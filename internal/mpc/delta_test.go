@@ -111,11 +111,11 @@ func TestMeanLifetimeEmptyCell(t *testing.T) {
 	c, _ := newController(t)
 	var lt orbit.LifeTable
 	lt.Reset(c.geo.Slot(0), nil)
-	if tau := meanLifetime(&lt, 0, nil); tau != 0 || math.IsNaN(tau) {
-		t.Errorf("meanLifetime over empty cell = %v, want 0", tau)
+	if tau := lt.MeanLifetime(0, nil); tau != 0 || math.IsNaN(tau) {
+		t.Errorf("MeanLifetime over empty cell = %v, want 0", tau)
 	}
-	if tau := meanLifetime(&lt, 0, []int{}); tau != 0 || math.IsNaN(tau) {
-		t.Errorf("meanLifetime over empty slice = %v, want 0", tau)
+	if tau := lt.MeanLifetime(0, []int{}); tau != 0 || math.IsNaN(tau) {
+		t.Errorf("MeanLifetime over empty slice = %v, want 0", tau)
 	}
 }
 

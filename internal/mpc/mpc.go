@@ -172,8 +172,9 @@ type Controller struct {
 	// across slots (and across Compile/Repair).
 	geo *orbit.PropCache
 	// footprint[s] is satellite s's coverage angular radius, constant
-	// over time for circular orbits.
-	footprint []float64
+	// over time for circular orbits, and footprintCos[s] its cosine, the
+	// threshold of the slot's coverage query.
+	footprint, footprintCos []float64
 	// topo is everything the slot pipeline needs that depends on cfg.Topo
 	// alone, computed once because the config is read-only after New.
 	topo topoPlan
@@ -265,13 +266,15 @@ func New(cfg Config) (*Controller, error) {
 		return nil, err
 	}
 	c := &Controller{
-		cfg:       cfg,
-		geo:       orbit.NewPropCache(cfg.Sats, cfg.ISL, cfg.LifetimeHorizon, cfg.LifetimeStep),
-		footprint: make([]float64, len(cfg.Sats)),
-		topo:      newTopoPlan(cfg.Topo),
+		cfg:          cfg,
+		geo:          orbit.NewPropCache(cfg.Sats, cfg.ISL, cfg.LifetimeHorizon, cfg.LifetimeStep),
+		footprint:    make([]float64, len(cfg.Sats)),
+		footprintCos: make([]float64, len(cfg.Sats)),
+		topo:         newTopoPlan(cfg.Topo),
 	}
 	for i, e := range cfg.Sats {
 		c.footprint[i] = cfg.Coverage.FootprintRadius(e.Altitude())
+		c.footprintCos[i] = math.Cos(c.footprint[i])
 	}
 	return c, nil
 }
@@ -347,7 +350,7 @@ func (c *Controller) compile(t float64, sc *slotScratch, prev *Snapshot) *Snapsh
 	} else {
 		sg = c.geo.Slot(t)
 	}
-	sc.cover, sc.coverBuf = sg.CoverageInto(sc.cover, sc.coverBuf, tp.centers, c.footprint)
+	sc.cover, sc.coverBuf = sg.CoverageInto(sc.cover, sc.coverBuf, tp.centers, c.footprint, c.footprintCos)
 	cover, changed := sc.cover, 0
 	for ci, u := range tp.cells {
 		if prev != nil && !slices.Equal(prev.CellSats[u], cover[ci]) {
@@ -390,12 +393,13 @@ func (c *Controller) compile(t float64, sc *slotScratch, prev *Snapshot) *Snapsh
 			continue
 		}
 		// Preference weights: τ_{s,v} = mean predicted ISL lifetime from s
-		// to the satellites currently homed in v (Equation in §4.2).
+		// to the satellites currently homed in v (Equation in §4.2), each τ
+		// from the slot's table (out-of-range pairs contribute exactly 0).
 		// Neighbor cells rank satellites by the same lifetime.
 		w, rw := sc.w.shape(len(sats), len(neighbors)), sc.rw.shape(len(neighbors), len(sats))
 		for i, s := range sats {
 			for j, v := range neighbors {
-				w[i][j] = meanLifetime(lt, s, snap.CellSats[v])
+				w[i][j] = lt.MeanLifetime(s, snap.CellSats[v])
 				rw[j][i] = w[i][j]
 			}
 		}
@@ -528,19 +532,6 @@ func flightState(s *Snapshot, kind string) flightrec.SlotState {
 // order of every list a snapshot carries.
 func cmpLink(a, b Link) int {
 	return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
-}
-
-// meanLifetime is τ_{s,v} = (1/n_v)·Σ_{s'∈v} τ_{s,s'}, each τ from the
-// slot's table (out-of-range pairs contribute exactly 0).
-func meanLifetime(lt *orbit.LifeTable, s int, vSats []int) float64 {
-	if len(vSats) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, s2 := range vSats {
-		sum += lt.Lifetime(s, s2)
-	}
-	return sum / float64(len(vSats))
 }
 
 // DiffLinks returns the ISLs added and removed between snapshots, each in

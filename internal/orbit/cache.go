@@ -31,7 +31,10 @@ import (
 // to calling the underlying Elements/ISLParams methods directly, so a
 // cached compile path produces byte-identical topologies.
 type PropCache struct {
-	sats    []Elements
+	sats []Elements
+	// orb[i] is satellite i's propagation constants, taken once here so a
+	// position costs one Sincos (position).
+	orb     []satConst
 	isl     ISLParams
 	horizon float64 // lifetime prediction horizon (s)
 	step    float64 // lifetime prediction step (s)
@@ -56,6 +59,15 @@ type PropCache struct {
 	pruned      atomic.Uint64
 	warmSamples atomic.Uint64
 	warmSkips   atomic.Uint64
+	coverExact  atomic.Uint64
+}
+
+// satConst is what propagating one satellite takes that time does not
+// change: its semi-major axis and phase, its mean motion, and the sine and
+// cosine of its inclination and RAAN.
+type satConst struct {
+	a, phase, n            float64
+	sinI, cosI, sinO, cosO float64
 }
 
 type slotEntry struct {
@@ -81,6 +93,13 @@ func NewPropCache(sats []Elements, isl ISLParams, lifetimeHorizon, lifetimeStep 
 		horizon: lifetimeHorizon,
 		step:    lifetimeStep,
 		slots:   map[uint64]*slotEntry{},
+		orb:     make([]satConst, len(sats)),
+	}
+	for i, e := range sats {
+		k := &pc.orb[i]
+		k.a, k.phase, k.n = e.SemiMajor, e.Phase, e.MeanMotion()
+		k.sinI, k.cosI = math.Sincos(e.Inclination)
+		k.sinO, k.cosO = math.Sincos(e.RAAN)
 	}
 	// Mirror ISLLifetime's accumulation (t += step) exactly so offs[m]
 	// reproduces the m-th sample offset bit for bit.
@@ -93,6 +112,20 @@ func NewPropCache(sats []Elements, isl ISLParams, lifetimeHorizon, lifetimeStep 
 
 // NumSats returns the size of the cached satellite set.
 func (pc *PropCache) NumSats() int { return len(pc.sats) }
+
+// position returns satellite i's ECI position at time t, bit-identical to
+// Elements.PositionECI: the same expressions over the same operands, with
+// the mean motion and the rotations' sines and cosines taken from orb.
+//
+//tinyleo:hotpath
+func (pc *PropCache) position(i int, t float64) geom.Vec3 {
+	k := &pc.orb[i]
+	s, c := math.Sincos(k.phase + k.n*t)
+	p := geom.Vec3{X: k.a * c, Y: k.a * s}
+	// p.RotX(Inclination).RotZ(RAAN), in geom.Vec3's expressions.
+	p = geom.Vec3{X: p.X, Y: k.cosI*p.Y - k.sinI*p.Z, Z: k.sinI*p.Y + k.cosI*p.Z}
+	return geom.Vec3{X: k.cosO*p.X - k.sinO*p.Y, Y: k.sinO*p.X + k.cosO*p.Y, Z: p.Z}
+}
 
 // Lifetime returns the predicted ISL lifetime τ between satellites i and
 // j established at time t0: ISLLifetime(sats[i], sats[j], t0, horizon,
@@ -204,19 +237,18 @@ func (pc *PropCache) newSlot() *SlotGeom {
 }
 
 // fillSlot overwrites every per-satellite value of g with the geometry at
-// time t.
+// time t: positions by PropCache.position, and sub-satellite points as
+// Elements.SubSatellitePoint takes them, ECEF = ECI·RotZ(−GMST(t)), with
+// the Earth rotation's sine and cosine taken once for every satellite.
 func (pc *PropCache) fillSlot(g *SlotGeom, t float64) {
 	g.Time = t
-	rot := -GMST(t)
+	sr, cr := math.Sincos(-GMST(t))
 	pc.posMisses.Add(uint64(len(pc.sats)))
 	for i := range pc.sats {
-		p := pc.sats[i].PositionECI(t)
+		p := pc.position(i, t)
 		g.pos[i] = p
-		// Identical to Elements.SubSatellitePoint: ECEF = ECI·RotZ(−GMST).
-		g.sub[i] = geom.FromUnit(p.RotZ(rot))
-		// Memoize the sub-point's unit vector (ToUnit is pure, so this is
-		// the exact vector CentralAngle would derive) for Coverage.
-		g.subU[i] = g.sub[i].ToUnit()
+		// p.RotZ(−GMST(t)), in geom.Vec3's expression.
+		g.setSub(i, geom.Vec3{X: cr*p.X - sr*p.Y, Y: sr*p.X + cr*p.Y, Z: p.Z})
 	}
 	if g.maxRange > 0 {
 		inv := 1 / g.maxRange
@@ -240,20 +272,24 @@ func (pc *PropCache) Stats() CacheStats {
 		PrunedPairs: pc.pruned.Load(),
 		WarmSamples: pc.warmSamples.Load(),
 		WarmSkips:   pc.warmSkips.Load(),
+		CoverExact:  pc.coverExact.Load(),
 	}
 }
 
 // CacheStats reports how much propagation the slot tables saved: hits and
 // misses for positions and pair lifetimes (a hit is a value served from a
 // compile's LifeTable, a miss one that was computed), candidate pairs the
-// spatial grid pruned without any propagation, and how many visibility
+// spatial grid pruned without any propagation, how many visibility
 // samples the tables' lifetime walks resolved and how many of those came
-// from the pair's previous run without calling Visible.
+// from the pair's previous run without calling Visible, and how many
+// satellite–cell pairs the coverage query decided by the exact angle
+// because the cosine test could not (SlotGeom.CoverageInto).
 type CacheStats struct {
 	PosHits, PosMisses     uint64
 	LifeHits, LifeMisses   uint64
 	PrunedPairs            uint64
 	WarmSamples, WarmSkips uint64
+	CoverExact             uint64
 }
 
 // WarmHitRatio returns the fraction of visibility samples resolved from
@@ -289,12 +325,20 @@ type SlotGeom struct {
 	cache *PropCache
 	// Time is the slot time (seconds since epoch) the geometry was
 	// propagated at.
-	Time     float64
-	pos      []geom.Vec3
-	sub      []geom.LatLon
-	subU     []geom.Vec3 // sub[i].ToUnit(), memoized for Coverage
+	Time float64
+	pos  []geom.Vec3
+	sub  []geom.LatLon
+	// subU[i] is the unit vector of satellite i's ECEF position, what
+	// CoverageInto's cosine test takes; a pair that test cannot decide
+	// goes to the exact angle from sub[i].ToUnit(), as CentralAngle takes it.
+	subU     []geom.Vec3
 	bucket   [][3]int32
 	maxRange float64
+}
+
+// setSub sets satellite i's sub-satellite point from its ECEF position.
+func (g *SlotGeom) setSub(i int, ecef geom.Vec3) {
+	g.sub[i], g.subU[i] = geom.FromUnit(ecef), ecef.Unit()
 }
 
 // Position returns satellite i's ECI position at the slot time.
@@ -309,9 +353,24 @@ func (g *SlotGeom) SubPoint(i int) geom.LatLon { return g.sub[i] }
 // radius radius[s]) covers centers[ci], and is nil if none does. This is
 // the MPC's stage-0 query.
 func (g *SlotGeom) Coverage(centers []geom.LatLon, radius []float64) [][]int {
-	cover, _ := g.CoverageInto(nil, nil, centers, radius)
+	cosRadius := make([]float64, len(radius))
+	for s, r := range radius {
+		cosRadius[s] = math.Cos(r)
+	}
+	cover, _ := g.CoverageInto(nil, nil, centers, radius, cosRadius)
 	return cover
 }
+
+// coverBand is the half-width, in cosine, of the band around a footprint's
+// threshold cos(r) inside which CoverageInto leaves a pair to the exact
+// angle. The exact test is AngleTo(v, cu) ≤ r for v = sub.ToUnit(); the
+// cosine test reads su·cu for su, the normalised ECEF vector sub was
+// converted from. su and v differ by a few ulp, except within a metre of a
+// pole, where asin's conditioning lets the round trip through latitude
+// move v by up to ~2e-8; the dot product, cos(r) and atan2 add a few ulp
+// more, and cos has slope at most 1, so outside the band the two tests
+// cannot disagree.
+const coverBand = 1e-7
 
 // CoverageInto is Coverage for a caller that computes one slot's coverage
 // after another, in working memory it keeps: the lists are gathered in buf
@@ -320,21 +379,36 @@ func (g *SlotGeom) Coverage(centers []geom.LatLon, radius []float64) [][]int {
 // reallocates it rather than overwrite the next). cover's backing array is
 // reused for the result; it and buf are returned, grown as needed, for the
 // next call. The lists of the previous result are not touched.
-func (g *SlotGeom) CoverageInto(cover [][]int, buf []int, centers []geom.LatLon, radius []float64) ([][]int, []int) {
+//
+// cosRadius[s] must be math.Cos(radius[s]), which the caller takes once for
+// every slot it queries. A pair is decided by comparing the cosine of its
+// angle with it, and by CentralAngle's exact angle only within coverBand
+// of it, so every list is the one the exact angle gives. A radius below 0
+// covers nothing and one of π or more covers everything.
+func (g *SlotGeom) CoverageInto(cover [][]int, buf []int, centers []geom.LatLon, radius, cosRadius []float64) ([][]int, []int) {
 	cover, buf = slices.Grow(cover[:0], len(centers))[:len(centers)], buf[:0]
-	// CentralAngle(sub, c) is AngleTo over the two ToUnit vectors; both
-	// conversions are pure, so taking them once per point (the satellites'
-	// when the geometry is filled) keeps every comparison bit-identical
-	// while doing the trig once per point instead of once per pair.
+	exact := 0
 	for ci, c := range centers {
 		cu, start := c.ToUnit(), len(buf)
 		for si, su := range g.subU {
-			if su.AngleTo(cu) <= radius[si] {
+			d, cr := su.Dot(cu), cosRadius[si]
+			if d < cr-coverBand && radius[si] < math.Pi {
+				continue // well outside: most pairs leave here
+			}
+			switch r := radius[si]; {
+			case r < 0: // covers nothing
+			case r >= math.Pi || d > cr+coverBand:
 				buf = append(buf, si)
+			default:
+				exact++
+				if g.sub[si].ToUnit().AngleTo(cu) <= r {
+					buf = append(buf, si)
+				}
 			}
 		}
 		cover[ci] = buf[start:] // only its length is read below
 	}
+	g.cache.coverExact.Add(uint64(exact))
 	all, start := make([]int, len(buf)), 0
 	copy(all, buf)
 	for ci, list := range cover {

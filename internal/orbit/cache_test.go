@@ -32,22 +32,28 @@ func newTestCache(planes, perPlane int) *PropCache {
 }
 
 // TestPropCachePositionsMatchDirect is the position table's core contract:
-// every position a slot table serves — propagated on first use or served
-// back from the table — equals Elements.PositionECI at the slot time plus
-// the sample offset, bit for bit, at arbitrary slot times.
+// every position a slot table serves — propagated on first use with the
+// cache's precomputed mean motion and rotations, or served back from the
+// table — equals Elements.PositionECI at the slot time plus the sample
+// offset, bit for bit, at every sample of the window, for orbits at the
+// edges of the rotations' domains and slot times from epoch to 1e9 s.
 func TestPropCachePositionsMatchDirect(t *testing.T) {
-	pc := newTestCache(6, 6)
+	pc := NewPropCache(trigTestSats(), DefaultISLParams, 1800, 60)
 	rng := rand.New(rand.NewSource(42))
+	slots := []float64{0, 86164.0905, 1e7 + 0.5, 1e9}
+	for range 20 {
+		slots = append(slots, rng.Float64()*86400)
+	}
 	var lt LifeTable
-	for slot := 0; slot < 40; slot++ {
-		t0 := rng.Float64() * 86400
+	for _, t0 := range slots {
 		lt.Reset(pc.Slot(t0), allActive(pc))
-		for trial := 0; trial < 50; trial++ {
-			i, m := rng.Intn(pc.NumSats()), rng.Intn(len(pc.offs))
-			want := pc.sats[i].PositionECI(t0 + pc.offs[m])
-			for rep := 0; rep < 2; rep++ {
-				if got := lt.position(m, int(lt.local[i]), i); got != want {
-					t.Fatalf("sat %d t0=%v sample %d: table %v != direct %v", i, t0, m, got, want)
+		for m := range pc.offs {
+			for i := range pc.sats {
+				want := pc.sats[i].PositionECI(t0 + pc.offs[m])
+				for rep := 0; rep < 2; rep++ {
+					if got := lt.position(m, int(lt.local[i]), i); !sameVec(got, want) {
+						t.Fatalf("sat %d t0=%v sample %d: table %v != direct %v", i, t0, m, got, want)
+					}
 				}
 			}
 		}
@@ -57,6 +63,29 @@ func TestPropCachePositionsMatchDirect(t *testing.T) {
 	if st.PosHits == 0 || st.PosMisses == 0 {
 		t.Errorf("expected both hits and misses, got %+v", st)
 	}
+}
+
+// trigTestSats are orbits at the edges of the rotations' domains: equatorial
+// prograde and retrograde (inclination 0 and π), polar, RAAN 0 and near 2π,
+// negative and large phases, and the testbed's 53° shell.
+func trigTestSats() []Elements {
+	a := geom.EarthRadius + 1200e3
+	sats := []Elements{
+		{SemiMajor: a},
+		{SemiMajor: a, Inclination: math.Pi},
+		{SemiMajor: a, Inclination: math.Pi / 2, RAAN: 0, Phase: -1},
+		{SemiMajor: a + 800e3, Inclination: math.Pi / 2, RAAN: 2*math.Pi - 1e-9, Phase: 1e6},
+		{SemiMajor: geom.EarthRadius + 550e3, Inclination: geom.Deg2Rad(97.6), RAAN: 3, Phase: 2},
+	}
+	return append(sats, cacheTestConstellation(3, 4)...)
+}
+
+// sameVec reports whether a and b are equal bit for bit, signed zeros
+// included.
+func sameVec(a, b geom.Vec3) bool {
+	return math.Float64bits(a.X) == math.Float64bits(b.X) &&
+		math.Float64bits(a.Y) == math.Float64bits(b.Y) &&
+		math.Float64bits(a.Z) == math.Float64bits(b.Z)
 }
 
 // allActive is a coverage list naming every satellite of pc, which makes
@@ -114,14 +143,28 @@ func TestPropCacheLifetimeMatchesDirect(t *testing.T) {
 // TestLifeTableOutsideActiveSet: a satellite no coverage list names has no
 // table entry; a pair with one is computed directly — same τ, never an
 // index out of range — and a table reused for a slot with another active
-// set serves that slot's τ, none of the previous one's.
+// set serves that slot's τ, none of the previous one's. MeanLifetime,
+// filling the table first, is the mean of the direct τ summed in the
+// list's order, bit for bit, whichever side is outside the active set.
 func TestLifeTableOutsideActiveSet(t *testing.T) {
 	pc := newTestCache(5, 5)
 	n := pc.NumSats()
+	all := allActive(pc)[0]
 	var lt LifeTable
 	for slot, cover := range [][][]int{{{0, 1, 2}, {2, 7}}, {{3}}, nil, {{n - 1, 0, 12}}} {
 		t0 := float64(slot) * 60
 		lt.Reset(pc.Slot(t0), cover)
+		for i := 0; i < n; i++ {
+			for _, js := range [][]int{all, {7, 2, 0, 2}, {n - 1, 3}} {
+				sum := 0.0
+				for _, j := range js {
+					sum += ISLLifetime(pc.sats[min(i, j)], pc.sats[max(i, j)], t0, pc.horizon, pc.step, pc.isl)
+				}
+				if got, want := lt.MeanLifetime(i, js), sum/float64(len(js)); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("slot %d: mean τ of %d over %v: table %v != direct %v", slot, i, js, got, want)
+				}
+			}
+		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				want := ISLLifetime(pc.sats[i], pc.sats[j], t0, pc.horizon, pc.step, pc.isl)
@@ -136,22 +179,16 @@ func TestLifeTableOutsideActiveSet(t *testing.T) {
 }
 
 // TestSlotGeomMatchesDirect: slot geometry reproduces the direct
-// per-satellite propagation and ground-track math exactly.
+// per-satellite propagation and ground-track math bit for bit, with the
+// Earth rotation's sine and cosine taken once per slot.
 func TestSlotGeomMatchesDirect(t *testing.T) {
-	pc := newTestCache(4, 4)
-	for _, tt := range []float64{0, 97, 300, 5400.5} {
+	pc := NewPropCache(trigTestSats(), DefaultISLParams, 1800, 60)
+	for _, tt := range []float64{0, 97, 300, 5400.5, 1e7 + 0.5, 1e9} {
 		sg := pc.Slot(tt)
 		if sg.Time != tt {
 			t.Fatalf("slot time %v != %v", sg.Time, tt)
 		}
-		for i := range pc.sats {
-			if got, want := sg.Position(i), pc.sats[i].PositionECI(tt); got != want {
-				t.Fatalf("t=%v sat %d: position %v != %v", tt, i, got, want)
-			}
-			if got, want := sg.SubPoint(i), pc.sats[i].SubSatellitePoint(tt); got != want {
-				t.Fatalf("t=%v sat %d: subpoint %v != %v", tt, i, got, want)
-			}
-		}
+		checkSlotGeom(t, pc, sg, tt)
 		if again := pc.Slot(tt); again != sg {
 			t.Fatalf("t=%v: slot geometry not memoized", tt)
 		}
@@ -299,14 +336,15 @@ func TestCacheStatsHitRatio(t *testing.T) {
 }
 
 // checkSlotGeom fails the test unless every position and sub-satellite
-// point of g equals direct propagation at time tt.
+// point of g equals direct propagation at time tt, bit for bit.
 func checkSlotGeom(t *testing.T, pc *PropCache, g *SlotGeom, tt float64) {
 	t.Helper()
 	for i := range pc.sats {
-		if got, want := g.Position(i), pc.sats[i].PositionECI(tt); got != want {
+		if got, want := g.Position(i), pc.sats[i].PositionECI(tt); !sameVec(got, want) {
 			t.Fatalf("t=%v sat %d: position %v != %v", tt, i, got, want)
 		}
-		if got, want := g.SubPoint(i), pc.sats[i].SubSatellitePoint(tt); got != want {
+		got, want := g.SubPoint(i), pc.sats[i].SubSatellitePoint(tt)
+		if math.Float64bits(got.Lat) != math.Float64bits(want.Lat) || math.Float64bits(got.Lon) != math.Float64bits(want.Lon) {
 			t.Fatalf("t=%v sat %d: subpoint %v != %v", tt, i, got, want)
 		}
 	}

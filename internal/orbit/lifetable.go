@@ -17,9 +17,16 @@ import (
 // active set, ~400 of 1,764) are numbered 0..n-1, τ and the runs live in
 // flat lower-triangular slices over those numbers, diagonal included (a
 // satellite covering two adjacent cells is asked for τ with itself), and
-// positions in a [sample][number] table, all filled on first use.
+// positions in a [sample][number] table, all filled on first use (a
+// position by PropCache.position, one Sincos).
 // Footprint per n(n+1)/2 pairs: 8 B of τ and 16 B of run, plus 24 B per
 // (sample, number) — 0.64 + 1.28 + 0.59 MB at n = 400 and 61 samples.
+//
+// Stage 1 asks for a satellite's mean τ over a neighbour cell's list,
+// ~716 k lookups a slot at 1,764 satellites: MeanLifetime takes them in
+// one pass, with the satellite's number held. τ is not memoised per
+// (satellite, cell) on top: a table the size of the active set times the
+// intent's cells costs megabytes a slot for a few percent.
 //
 // A table that has compiled a previous slot is warm: a satellite keeps its
 // number for as long as it stays active, so a pair's run stays where the
@@ -155,6 +162,42 @@ func (lt *LifeTable) Lifetime(i, j int) float64 {
 	return v
 }
 
+// MeanLifetime returns stage 1's preference weight τ_{i,v}: the mean of
+// Lifetime(i, j) over the satellites js of neighbour cell v, summed in js's
+// order, so bit-identical to adding up the lookups one by one; 0 for an
+// empty cell. i's number and triangular row are held across the walk, and
+// the table's hits are counted once per call.
+//
+//tinyleo:hotpath
+func (lt *LifeTable) MeanLifetime(i int, js []int) float64 {
+	if len(js) == 0 {
+		return 0
+	}
+	a := int(lt.local[i])
+	row, sum, hits := a*(a+1)/2, 0.0, 0
+	for _, j := range js {
+		b := int(lt.local[j])
+		if a < 0 || b < 0 {
+			sum += lt.g.Lifetime(i, j)
+			continue
+		}
+		k := row + b
+		if b > a {
+			k = b*(b+1)/2 + a
+		}
+		v := lt.tau[k]
+		if v >= 0 {
+			hits++
+		} else {
+			v = lt.walk(i, j, k)
+			lt.tau[k] = v
+		}
+		sum += v
+	}
+	lt.stats.LifeHits += uint64(hits)
+	return sum / float64(len(js))
+}
+
 // walk is ISLLifetime for the active pair (i, j) with triangular index k,
 // over the table's positions and the pair's previous run: it steps
 // through the identical sample sequence t0+offs[m], but takes any sample
@@ -224,7 +267,7 @@ func (lt *LifeTable) position(m, a, i int) geom.Vec3 {
 	}
 	lt.stats.PosMisses++
 	pc := lt.g.cache
-	*p = pc.sats[i].PositionECI(lt.g.Time + pc.offs[m])
+	*p = pc.position(i, lt.g.Time+pc.offs[m])
 	return *p
 }
 

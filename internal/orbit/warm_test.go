@@ -85,8 +85,10 @@ func TestCoverageMatchesDirect(t *testing.T) {
 		{Lat: geom.Deg2Rad(-35), Lon: geom.Deg2Rad(120)},
 	}
 	radius, none := make([]float64, pc.NumSats()), make([]float64, pc.NumSats())
+	cosRadius := make([]float64, pc.NumSats())
 	for i, e := range pc.sats {
 		radius[i], none[i] = DefaultCoverageParams.FootprintRadius(e.Altitude()), -1
+		cosRadius[i] = math.Cos(radius[i])
 	}
 	var scratch [][]int
 	var buf []int
@@ -108,7 +110,7 @@ func TestCoverageMatchesDirect(t *testing.T) {
 		if empty := g.Coverage(centers, none); !reflect.DeepEqual(empty, make([][]int, len(centers))) {
 			t.Errorf("t=%v: coverage by no footprint is %#v, want nil lists", tt, empty)
 		}
-		scratch, buf = g.CoverageInto(scratch, buf, centers, radius)
+		scratch, buf = g.CoverageInto(scratch, buf, centers, radius, cosRadius)
 		if !reflect.DeepEqual(scratch, cover) {
 			t.Errorf("t=%v: CoverageInto %v != Coverage %v", tt, scratch, cover)
 		}
@@ -125,5 +127,119 @@ func TestCoverageMatchesDirect(t *testing.T) {
 			prev = append(prev, list)
 			prevCopy = append(prevCopy, slices.Clone(list))
 		}
+	}
+}
+
+// coverGeom is a slot geometry whose sub-satellite points are those of the
+// given ECEF positions, derived as fillSlot derives them.
+func coverGeom(ecef []geom.Vec3) *SlotGeom {
+	pc := NewPropCache(make([]Elements, len(ecef)), ISLParams{}, 60, 30)
+	g := pc.newSlot()
+	for i, e := range ecef {
+		g.setSub(i, e)
+	}
+	return g
+}
+
+// pointAt returns the point at central angle a from p, along the bearing
+// that rotating p's unit vector towards w gives.
+func pointAt(p geom.LatLon, w geom.Vec3, a float64) geom.LatLon {
+	v := p.ToUnit()
+	w = w.Sub(v.Scale(w.Dot(v))).Unit()
+	return geom.FromUnit(v.Scale(math.Cos(a)).Add(w.Scale(math.Sin(a))))
+}
+
+// TestCoverageThresholdMatchesAngle: CoverageInto's cosine threshold, with
+// its exact fallback, decides every satellite–centre pair as
+// CentralAngle(sub, centre) ≤ radius does — on random pairs, and on pairs
+// built at the footprint's edge (radius ± a few ulp, ± 1e-10 and ± 1e-8
+// rad), at the
+// sub-point itself and at its antipode, for radii below 0, 0, near π and
+// from π on, with sub-points at and within a metre of the poles, where the
+// normalised ECEF vector and the sub-point's unit vector differ most.
+func TestCoverageThresholdMatchesAngle(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	r := geom.EarthRadius + 1200e3
+	// 0.14 m from the polar axis, the round trip through latitude moves the
+	// unit vector by ~1.8e-8.
+	sats := []struct {
+		ecef   geom.Vec3
+		radius float64
+	}{
+		{geom.Vec3{Z: r}, math.Pi / 2},
+		{geom.Vec3{Z: -r}, 0.35},
+		{geom.Vec3{X: 0.14, Z: r}, math.Pi / 2},
+		{geom.Vec3{Y: -0.14, Z: -r}, 1},
+		{geom.Vec3{X: 0.1, Y: -0.1, Z: r}, 0.35},
+		{geom.Vec3{X: r}, -1},
+		{geom.Vec3{Y: -r}, -1e-300},
+		{geom.Vec3{X: -r}, 0},
+		{geom.Vec3{Y: r}, 1e-12},
+		{geom.Vec3{X: r, Z: r}, math.Pi - 1e-12},
+		{geom.Vec3{X: -r, Z: -r}, math.Pi},
+		{geom.Vec3{Y: r, Z: -r}, 4},
+	}
+	for range 24 {
+		e := geom.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}.Scale(r)
+		sats = append(sats, struct {
+			ecef   geom.Vec3
+			radius float64
+		}{e, rng.Float64() * math.Pi})
+	}
+	ecef := make([]geom.Vec3, len(sats))
+	radius, cosRadius := make([]float64, len(sats)), make([]float64, len(sats))
+	for s, sat := range sats {
+		ecef[s], radius[s], cosRadius[s] = sat.ecef, sat.radius, math.Cos(sat.radius)
+	}
+	g := coverGeom(ecef)
+	check := func(what string, centers []geom.LatLon) (exact uint64) {
+		t.Helper()
+		before := g.cache.Stats().CoverExact
+		cover, _ := g.CoverageInto(nil, nil, centers, radius, cosRadius)
+		for ci, c := range centers {
+			in := make([]bool, len(ecef))
+			for _, s := range cover[ci] {
+				in[s] = true
+			}
+			for s := range ecef {
+				if want := geom.CentralAngle(g.SubPoint(s), c) <= radius[s]; in[s] != want {
+					t.Errorf("%s: sat %d (radius %v), centre %v: covered %v, exact angle says %v",
+						what, s, radius[s], c, in[s], want)
+				}
+			}
+		}
+		return g.cache.Stats().CoverExact - before
+	}
+
+	random := make([]geom.LatLon, 500)
+	for i := range random {
+		random[i] = geom.FromUnit(geom.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()})
+	}
+	if exact := check("random", random); exact != 0 {
+		t.Errorf("random pairs: %d decided by the exact angle, want none", exact)
+	}
+
+	var edge []geom.LatLon
+	for s := range ecef {
+		sub := g.SubPoint(s)
+		edge = append(edge, sub, geom.LatLon{Lat: -sub.Lat, Lon: geom.NormalizeLon(sub.Lon + 180)})
+		rs := radius[s]
+		if rs < 0 || rs > math.Pi {
+			continue
+		}
+		bearings := []geom.Vec3{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}, {X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}}
+		for _, w := range bearings {
+			for _, a := range []float64{
+				rs, math.Nextafter(rs, 0), math.Nextafter(rs, 4), rs - 3e-16*rs, rs + 3e-16*rs,
+				rs - 1e-10, rs + 1e-10, rs - 1e-8, rs + 1e-8,
+			} {
+				if a >= 0 && a <= math.Pi {
+					edge = append(edge, pointAt(sub, w, a))
+				}
+			}
+		}
+	}
+	if exact := check("edge", edge); exact == 0 {
+		t.Error("no edge pair reached the exact angle: the band is not exercised")
 	}
 }
