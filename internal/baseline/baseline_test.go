@@ -265,6 +265,13 @@ func TestILPValidation(t *testing.T) {
 	if _, err := SolveILP(ILPConfig{Library: lib, Demand: make([]float64, lib.UnfoldedLen()), Epsilon: 2}); err == nil {
 		t.Error("bad epsilon accepted")
 	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), -1} {
+		y := make([]float64, lib.UnfoldedLen())
+		y[3] = bad
+		if _, err := SolveILP(ILPConfig{Library: lib, Demand: y, Epsilon: 1}); err == nil {
+			t.Errorf("demand %v accepted", bad)
+		}
+	}
 }
 
 func TestMegaReduceShellsShrinksWithSlack(t *testing.T) {

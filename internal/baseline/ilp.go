@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"time"
 
@@ -43,6 +44,11 @@ func SolveILP(cfg ILPConfig) (*ILPResult, error) {
 	if len(cfg.Demand) != cfg.Library.UnfoldedLen() {
 		return nil, errors.New("baseline: ILP demand length mismatch")
 	}
+	for k, v := range cfg.Demand {
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return nil, fmt.Errorf("baseline: ILP demand %v at entry %d, want finite and ≥ 0", v, k)
+		}
+	}
 	if cfg.Epsilon <= 0 || cfg.Epsilon > 1 {
 		return nil, errors.New("baseline: ILP epsilon outside (0,1]")
 	}
@@ -72,9 +78,10 @@ func SolveILP(cfg ILPConfig) (*ILPResult, error) {
 	fracs := cfg.Library.Fractions()
 	for j := 0; j < cfg.Library.NumTracks(); j++ {
 		sat := 0.0
-		idx, code := cfg.Library.TrackRow(j)
-		for i, k := range idx {
-			if y, frac := cfg.Demand[k], fracs[code[i]]; frac < y {
+		k, row := cfg.Library.TrackEntries(j)
+		for _, e := range row {
+			k += e.Gap()
+			if y, frac := cfg.Demand[k], fracs[e.Code()]; frac < y {
 				sat += frac
 			} else {
 				sat += y
@@ -135,18 +142,19 @@ func (s *ilpSolver) apply(j, add int) []undoEntry {
 	var undo []undoEntry
 	fx := float64(add)
 	fracs := s.cfg.Library.Fractions()
-	idx, code := s.cfg.Library.TrackRow(j)
-	for i, k := range idx {
+	k, row := s.cfg.Library.TrackEntries(j)
+	for _, e := range row {
+		k += e.Gap()
 		r := s.residual[k]
 		if r <= 0 {
 			continue
 		}
-		dec := fx * fracs[code[i]]
+		dec := fx * fracs[e.Code()]
 		if dec > r {
 			dec = r
 		}
 		if dec != 0 {
-			undo = append(undo, undoEntry{int(k), dec})
+			undo = append(undo, undoEntry{k, dec})
 			s.residual[k] = r - dec
 			s.remain -= dec
 		}
@@ -194,13 +202,14 @@ func (s *ilpSolver) dfs(depth int) {
 			continue
 		}
 		satis, dot, norm := 0.0, 0.0, 0.0
-		idx, code := s.cfg.Library.TrackRow(j)
-		for i, k := range idx {
+		k, row := s.cfg.Library.TrackEntries(j)
+		for _, e := range row {
+			k += e.Gap()
 			r := s.residual[k]
 			if r <= 0 {
 				continue
 			}
-			frac := fracs[code[i]]
+			frac := fracs[e.Code()]
 			if frac < r {
 				satis += frac
 			} else {

@@ -167,9 +167,9 @@ func choseTiedTrack(lib *texture.Library, x []int) bool {
 		if n == 0 {
 			continue
 		}
-		a, _ := lib.TrackRow(j)
+		fa, a := lib.TrackEntries(j)
 		for k := range x {
-			if b, _ := lib.TrackRow(k); k != j && reflect.DeepEqual(a, b) {
+			if fb, b := lib.TrackEntries(k); k != j && fa == fb && reflect.DeepEqual(a, b) {
 				return true
 			}
 		}

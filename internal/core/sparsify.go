@@ -108,6 +108,9 @@ func Sparsify(p Problem) (*Result, error) {
 	if len(p.Demand) != p.Library.UnfoldedLen() {
 		return nil, fmt.Errorf("core: demand length %d, want %d", len(p.Demand), p.Library.UnfoldedLen())
 	}
+	if err := checkDemand("demand", p.Demand); err != nil {
+		return nil, err
+	}
 	if p.Epsilon <= 0 || p.Epsilon > 1 {
 		return nil, fmt.Errorf("core: epsilon %v outside (0,1]", p.Epsilon)
 	}
@@ -147,14 +150,15 @@ func prune(p Problem, res *Result, floor []int) {
 	// satellite of track j.
 	satisfiedDelta := func(j int) float64 {
 		d := 0.0
-		idx, code := lib.TrackRow(j)
-		for i, k := range idx {
+		k, row := lib.TrackEntries(j)
+		for _, e := range row {
+			k += e.Gap()
 			y := p.Demand[k]
 			if y == 0 {
 				continue
 			}
 			before := supply[k]
-			after := before - fracs[code[i]]
+			after := before - fracs[e.Code()]
 			ob, oa := before, after
 			if ob > y {
 				ob = y
@@ -184,9 +188,10 @@ func prune(p Problem, res *Result, floor []int) {
 		res.Pruned++
 		obsPruned.Inc()
 		satisfied += bestDelta
-		idx, code := lib.TrackRow(bestJ)
-		for i, k := range idx {
-			supply[k] -= fracs[code[i]]
+		k, row := lib.TrackEntries(bestJ)
+		for _, e := range row {
+			k += e.Gap()
+			supply[k] -= fracs[e.Code()]
 		}
 	}
 	if total > 0 {
@@ -202,6 +207,9 @@ func Expand(p Problem, prev *Result, extraDemand []float64) (*Result, error) {
 	if len(extraDemand) != p.Library.UnfoldedLen() {
 		return nil, fmt.Errorf("core: extra demand length %d, want %d", len(extraDemand), p.Library.UnfoldedLen())
 	}
+	if len(p.Demand) != len(extraDemand) {
+		return nil, fmt.Errorf("core: demand length %d, want %d", len(p.Demand), len(extraDemand))
+	}
 	if len(prev.X) != p.Library.NumTracks() {
 		return nil, errors.New("core: previous result does not match library")
 	}
@@ -210,6 +218,9 @@ func Expand(p Problem, prev *Result, extraDemand []float64) (*Result, error) {
 	combined := make([]float64, len(extraDemand))
 	for k := range combined {
 		combined[k] = p.Demand[k] + extraDemand[k]
+	}
+	if err := checkDemand("combined demand", combined); err != nil {
+		return nil, err
 	}
 	p2 := p
 	p2.Demand = combined
@@ -231,6 +242,18 @@ func Expand(p Problem, prev *Result, extraDemand []float64) (*Result, error) {
 	return res, nil
 }
 
+// checkDemand returns an error unless every entry of y is finite and ≥ 0: a
+// NaN or an infinity poisons every sum the solver takes, and a negative
+// demand is no covering constraint.
+func checkDemand(what string, y []float64) error {
+	for k, v := range y {
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("core: %s %v at entry %d, want finite and ≥ 0", what, v, k)
+		}
+	}
+	return nil
+}
+
 type solverState struct {
 	p        Problem
 	residual []float64 // clamped at ≥ 0
@@ -246,9 +269,6 @@ type solverState struct {
 func newSolverState(p Problem) *solverState {
 	st := &solverState{p: p, residual: append([]float64(nil), p.Demand...)}
 	for _, v := range p.Demand {
-		if v < 0 {
-			panic("core: negative demand")
-		}
 		st.total += v
 	}
 	st.remain = st.total
@@ -263,13 +283,14 @@ func newSolverState(p Problem) *solverState {
 func (st *solverState) apply(j, x int) {
 	fx := float64(x)
 	fracs := st.p.Library.Fractions()
-	idx, code := st.p.Library.TrackRow(j)
-	for i, k := range idx {
+	k, row := st.p.Library.TrackEntries(j)
+	for _, e := range row {
+		k += e.Gap()
 		r := st.residual[k]
 		if r <= 0 {
 			continue
 		}
-		dec := fx * fracs[code[i]]
+		dec := fx * fracs[e.Code()]
 		if dec > r {
 			dec = r
 		}
@@ -293,13 +314,14 @@ type candidate struct {
 func (st *solverState) score(j int) candidate {
 	c := candidate{j: j, applied: st.applied}
 	fracs := st.p.Library.Fractions()
-	idx, code := st.p.Library.TrackRow(j)
-	for i, k := range idx {
+	k, row := st.p.Library.TrackEntries(j)
+	for _, e := range row {
+		k += e.Gap()
 		r := st.residual[k]
 		if r <= 0 {
 			continue
 		}
-		frac := fracs[code[i]]
+		frac := fracs[e.Code()]
 		if frac < r {
 			c.satisfiable += frac
 		} else {

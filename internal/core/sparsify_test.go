@@ -137,6 +137,45 @@ func TestSparsifyValidation(t *testing.T) {
 	}
 }
 
+// TestSparsifyRejectsBadDemand: a NaN, an infinite or a negative demand
+// entry is an error from Sparsify and, in the combined demand, from Expand,
+// not a plan of 0 satellites, an availability of NaN or a panic.
+func TestSparsifyRejectsBadDemand(t *testing.T) {
+	lib := testLibrary(t)
+	good := make([]float64, lib.UnfoldedLen())
+	good[7] = 0.5
+	p := Problem{Library: lib, Demand: good, Epsilon: 1}
+	prev, err := Sparsify(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), -1} {
+		y := append([]float64(nil), good...)
+		y[3] = bad
+		if res, err := Sparsify(Problem{Library: lib, Demand: y, Epsilon: 1}); err == nil {
+			t.Errorf("Sparsify with demand %v: %d satellites, availability %v, no error", bad, res.Satellites, res.Availability)
+		}
+		if res, err := Expand(p, prev, y); err == nil {
+			t.Errorf("Expand with extra demand %v: %d satellites, availability %v, no error", bad, res.Satellites, res.Availability)
+		}
+	}
+	// Expand checks the demand it plans for: old plus extra.
+	extra := make([]float64, lib.UnfoldedLen())
+	extra[7] = -0.25
+	if _, err := Expand(p, prev, extra); err != nil {
+		t.Errorf("Expand with a combined demand of 0.25: %v", err)
+	}
+	extra[7] = -1
+	if _, err := Expand(p, prev, extra); err == nil {
+		t.Error("Expand with a combined demand of -0.5: no error")
+	}
+	short := p
+	short.Demand = good[:10]
+	if _, err := Expand(short, prev, make([]float64, lib.UnfoldedLen())); err == nil {
+		t.Error("Expand with a 10-entry base demand: no error")
+	}
+}
+
 func TestLowerEpsilonNeedsFewerSatellites(t *testing.T) {
 	// Figure 15c: relaxing the availability target shrinks the network.
 	lib := testLibrary(t)

@@ -30,16 +30,20 @@ func csrHash(lib *Library) string {
 		put(uint64(ptr))
 	}
 	for j := range lib.Tracks {
-		idx, _ := lib.TrackRow(j)
-		for _, k := range idx {
-			put(uint64(k))
+		k, row := lib.TrackEntries(j)
+		for _, e := range row {
+			if k += e.Gap(); e != filler {
+				put(uint64(k))
+			}
 		}
 	}
 	fracs := lib.Fractions()
 	for j := range lib.Tracks {
-		_, code := lib.TrackRow(j)
-		for _, c := range code {
-			put(math.Float64bits(fracs[c]))
+		_, row := lib.TrackEntries(j)
+		for _, e := range row {
+			if e != filler {
+				put(math.Float64bits(fracs[e.Code()]))
+			}
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -112,9 +116,10 @@ func TestBuildAllocationCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 B column index + 2 B value code per entry, two slice headers per
-	// track, and the fraction table the codes index.
-	csr := uint64(6*lib.NNZ() + 48*lib.NumTracks() + 8*len(lib.Fractions()))
+	// One 4 B packed entry per covered column (this grid needs no filler),
+	// a slice header and a first column per track, and the fraction table
+	// the codes index.
+	csr := uint64(4*lib.NNZ() + 28*lib.NumTracks() + 8*len(lib.Fractions()))
 	if got := after.TotalAlloc - before.TotalAlloc; got > csr*5/4 {
 		t.Errorf("Build allocated %d B for a %d B matrix (%.2f×), ceiling 1.25×", got, csr, float64(got)/float64(csr))
 	}
@@ -159,11 +164,11 @@ func TestTrackRowViewsAreCapped(t *testing.T) {
 	}
 	before := csrHash(lib)
 	for j := range lib.Tracks {
-		idx, code := lib.TrackRow(j)
-		if cap(idx) != len(idx) || cap(code) != len(code) {
-			t.Errorf("track %d: len %d, cap %d/%d", j, len(idx), cap(idx), cap(code))
+		_, row := lib.TrackEntries(j)
+		if cap(row) != len(row) {
+			t.Errorf("track %d: len %d, cap %d", j, len(row), cap(row))
 		}
-		_, _ = append(idx, 0), append(code, 1)
+		_ = append(row, newEntry(1, 1))
 	}
 	if csrHash(lib) != before {
 		t.Error("appending to row views changed the library")
@@ -171,26 +176,105 @@ func TestTrackRowViewsAreCapped(t *testing.T) {
 }
 
 // TestCheckRowsPanics: the build's row validation rejects every malformed
-// matrix and counts the entries of a well-formed one.
+// matrix and counts the real entries of a well-formed one.
 func TestCheckRowsPanics(t *testing.T) {
-	check := func(name string, idx [][]int32, codes [][]uint16, cols, tableLen int) {
+	e := newEntry
+	check := func(name string, first []int32, rows [][]Entry, cols, tableLen int) {
 		defer func() {
 			if recover() == nil {
 				t.Errorf("%s: expected panic", name)
 			}
 		}()
-		checkRows(idx, codes, cols, tableLen)
+		checkRows(first, rows, cols, tableLen)
 	}
-	check("row count", [][]int32{{0}}, nil, 2, 1)
-	check("ragged", [][]int32{{0, 1}}, [][]uint16{{0}}, 2, 1)
-	check("unsorted", [][]int32{{2, 1}}, [][]uint16{{0, 0}}, 3, 1)
-	check("dup col", [][]int32{{1, 1}}, [][]uint16{{0, 0}}, 3, 1)
-	check("col range", [][]int32{{5}}, [][]uint16{{0}}, 2, 1)
-	check("negative col", [][]int32{{-1}}, [][]uint16{{0}}, 2, 1)
-	check("code range", [][]int32{{0, 1}}, [][]uint16{{0, 3}}, 2, 3)
-	if nnz := checkRows([][]int32{{0, 2}, nil, {1, 3}}, [][]uint16{{0, 2}, nil, {1, 1}}, 4, 3); nnz != 4 {
+	check("row count", []int32{0}, nil, 2, 2)
+	check("opening gap", []int32{0}, [][]Entry{{e(1, 1)}}, 3, 2)
+	check("opening filler", []int32{0}, [][]Entry{{filler, e(1, 1)}}, 1<<17, 2)
+	check("dup col", []int32{1}, [][]Entry{{e(0, 1), e(0, 1)}}, 3, 2)
+	check("col range", []int32{5}, [][]Entry{{e(0, 1)}}, 2, 2)
+	check("negative col", []int32{-1}, [][]Entry{{e(0, 1)}}, 2, 2)
+	check("gap past the end", []int32{0}, [][]Entry{{e(0, 1), e(2, 1)}}, 2, 2)
+	check("code range", []int32{0}, [][]Entry{{e(0, 1), e(1, 3)}}, 2, 3)
+	check("short filler", []int32{0}, [][]Entry{{e(0, 1), e(7, 0), e(1, 1)}}, 16, 2)
+	check("trailing filler", []int32{0}, [][]Entry{{e(0, 1), filler}}, 1<<17, 2)
+	// Rows 0 and 2 hold two real entries each, row 2 across a filler.
+	rows := [][]Entry{{e(0, 1), e(2, 2)}, nil, {e(0, 1), filler, e(3, 1)}}
+	if nnz := checkRows([]int32{0, 0, 1}, rows, 1<<17, 3); nnz != 4 {
 		t.Errorf("nnz = %d, want 4", nnz)
 	}
+}
+
+// TestBuildFillsWideGaps: on a 0.5° grid a slot spans 259,200 columns, so
+// where a row passes from one slot to the next its consecutive columns lie
+// more than 16 bits apart. The gap is carried by fillers, which NNZ and
+// TrackNNZ do not count and which change no sum: the real entries are the
+// rasterizer's, and Supply is bit for bit its recount.
+func TestBuildFillsWideGaps(t *testing.T) {
+	cfg := Config{
+		Grid:            geo.MustGrid(0.5),
+		Specs:           []orbit.RepeatSpec{{P: 1, Q: 15}},
+		InclinationsDeg: []float64{53},
+		RAANs:           2, Phases: 1, Slots: 3, SubSamples: 2,
+	}
+	lib, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillers, trackNNZ := 0, 0
+	for j := range lib.Tracks {
+		_, row := lib.TrackEntries(j)
+		for _, e := range row {
+			if e == filler {
+				fillers++
+			}
+		}
+		trackNNZ += lib.TrackNNZ(j)
+	}
+	if fillers == 0 {
+		t.Fatal("no row stored a filler: the grid is not fine enough to test them")
+	}
+	x := make([]int, lib.NumTracks())
+	for j := range x {
+		x[j] = j + 1
+	}
+	want, nnz := recount(lib, cfg.SubSamples, x)
+	if lib.NNZ() != nnz || trackNNZ != nnz {
+		t.Errorf("NNZ %d, TrackNNZ summing to %d, with %d fillers; the rasterizer counts %d entries", lib.NNZ(), trackNNZ, fillers, nnz)
+	}
+	got := lib.Supply(x)
+	for k := range want {
+		if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+			t.Fatalf("supply[%d] = %v, recount %v", k, got[k], want[k])
+		}
+	}
+}
+
+// recount is Supply recomputed densely from a fresh Rasterizer, each fraction
+// computed in place as hits/total, together with the number of (slot, cell)
+// pairs the placed tracks cover.
+func recount(lib *Library, subSamples int, x []int) ([]float64, int) {
+	offsets := make([]float64, subSamples)
+	for i := range offsets {
+		offsets[i] = float64(i) / float64(subSamples)
+	}
+	ras := NewRasterizer(lib.Grid, lib.SlotSeconds, offsets)
+	m := lib.Grid.NumCells()
+	out, nnz := make([]float64, lib.UnfoldedLen()), 0
+	for j, n := range x {
+		if n == 0 {
+			continue
+		}
+		el := lib.Tracks[j].Elements
+		lam := lib.Coverage.FootprintRadius(el.Altitude())
+		for s := 0; s < lib.Slots; s++ {
+			cells, total := ras.Slot(el, lam, s)
+			for _, c := range cells {
+				out[s*m+c] += float64(n) * (float64(ras.Hits(c)) / float64(total))
+			}
+			nnz += len(cells)
+		}
+	}
+	return out, nnz
 }
 
 var supplySink []float64

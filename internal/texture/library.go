@@ -1,8 +1,9 @@
 // Package texture builds TinyLEO's Earth-repeat ground-track ("texture")
 // library (paper §4.1, Table 1): an over-complete set of candidate orbital
 // slots, each with its spatiotemporal coverage over the geographic cell
-// grid, stored track-major in CSR form so the synthesizer's matching
-// pursuit can scan candidate columns in parallel.
+// grid, stored track-major as one packed row per track — 4 B an entry, a
+// 16-bit gap to the previous column and a 16-bit code for the value — so the
+// synthesizer's matching pursuit can scan candidate columns in parallel.
 package texture
 
 import (
@@ -110,16 +111,40 @@ type Library struct {
 	SlotSeconds float64
 	Coverage    orbit.CoverageParams
 
-	// The coverage matrix is track-major (Ãᵀ of the paper): idx[j] is track
-	// j's row over the unfolded index space slot*m + cell, ascending, and
-	// codes[j] its entries' values as indices into fracs. Every value is
-	// hits/total for a small hit count and a slot's footprint total, so a
-	// 2-byte code stands for it exactly.
-	idx   [][]int32
-	codes [][]uint16
+	// The coverage matrix is track-major (Ãᵀ of the paper): rows[j] is track
+	// j's row over the unfolded index space slot*m + cell, one 4 B entry
+	// gap<<16 | code per covered column in ascending order, and first[j] the
+	// column of its first entry, whose gap is 0. Every value is hits/total
+	// for a small hit count and a slot's footprint total, so a 16-bit code
+	// into fracs stands for it exactly. A gap wider than 16 bits is bridged
+	// by fillers, entries of gap maxGap and code 0, and fracs[0] is 0: a
+	// filler adds exactly +0 to any sum over the row.
+	first []int32
+	rows  [][]Entry
 	fracs []float64
 	nnz   int
 }
+
+// Entry is one packed coverage entry of a library row: the number of columns
+// it sits after the entry before it in its high 16 bits, and the code of its
+// value, an index into Library.Fractions, in its low 16.
+type Entry uint32
+
+// Gap returns how many columns e sits after the entry before it; the first
+// entry of a row has gap 0.
+func (e Entry) Gap() int { return int(e >> 16) }
+
+// Code returns the index of e's value in Library.Fractions.
+func (e Entry) Code() uint16 { return uint16(e) }
+
+func newEntry(gap int, code uint16) Entry { return Entry(gap)<<16 | Entry(code) }
+
+// maxGap is the widest gap an entry holds, and filler the entry that bridges
+// a wider one: code 0, which no covered column has, of value 0.
+const (
+	maxGap       = 1<<16 - 1
+	filler Entry = maxGap << 16
+)
 
 // Build enumerates candidates and computes their coverage in parallel.
 func Build(cfg Config) (*Library, error) {
@@ -156,12 +181,13 @@ func Build(cfg Config) (*Library, error) {
 
 	// A fixed pool of workers, each with its own rasterizer and row scratch,
 	// takes tracks off a shared counter and rasterizes them back to back into
-	// the scratch. Before the next row might not fit, the rows held there are
-	// copied out once, exactly sized, and filed as capacity-capped views of
-	// that copy: the build's garbage is the workers' scratch.
+	// the scratch, packed as they are stored. Before the next row might not
+	// fit, the rows held there are copied out once, exactly sized, and filed
+	// as capacity-capped views of that copy: the build's garbage is the
+	// workers' scratch.
 	m := cfg.Grid.NumCells()
-	lib.idx = make([][]int32, len(tracks))
-	lib.codes = make([][]uint16, len(tracks))
+	lib.first = make([]int32, len(tracks))
+	lib.rows = make([][]Entry, len(tracks))
 	offsets := make([]float64, cfg.SubSamples)
 	for ss := range offsets {
 		offsets[ss] = float64(ss) / float64(cfg.SubSamples)
@@ -176,35 +202,32 @@ func Build(cfg Config) (*Library, error) {
 		go func() {
 			defer wg.Done()
 			ras := NewRasterizer(cfg.Grid, cfg.SlotSeconds, offsets)
-			var cols []int32
-			var codes []uint16
+			var entries []Entry
 			var held []heldRow
 			flush := func() {
-				idx := append(make([]int32, 0, len(cols)), cols...)
-				code := append(make([]uint16, 0, len(codes)), codes...)
+				rows := append(make([]Entry, 0, len(entries)), entries...)
 				start := 0
 				for _, h := range held {
-					lib.idx[h.track], lib.codes[h.track] = idx[start:h.end:h.end], code[start:h.end:h.end]
+					lib.rows[h.track] = rows[start:h.end:h.end]
 					start = h.end
 				}
-				cols, codes, held = cols[:0], codes[:0], held[:0]
+				entries, held = entries[:0], held[:0]
 			}
 			// Worker w starts on track w whenever it is scheduled, so the row
 			// that sizes its scratch does not depend on that.
 			for j := w; j < len(tracks); j = int(next.Add(1)) - 1 {
-				start := len(cols)
+				start := len(entries)
 				var top int
-				cols, codes, top = appendCoverageRow(cols, codes, ras, cfg, tracks[j].Elements, m)
+				entries, lib.first[j], top = appendCoverageRow(entries, ras, cfg, tracks[j].Elements, m)
 				maxCode[w] = max(maxCode[w], top)
-				held = append(held, heldRow{track: j, end: len(cols)})
-				n := len(cols) - start
-				if cap(cols) < minBatchRows*n {
+				held = append(held, heldRow{track: j, end: len(entries)})
+				n := len(entries) - start
+				if cap(entries) < minBatchRows*n {
 					// The first row, or one far larger than any before it:
 					// room for a batch of its like, made at once.
-					cols = append(make([]int32, 0, batchRows*n), cols...)
-					codes = append(make([]uint16, 0, batchRows*n), codes...)
+					entries = append(make([]Entry, 0, batchRows*n), entries...)
 				}
-				if cap(cols)-len(cols) < 2*n {
+				if cap(entries)-len(entries) < 2*n {
 					flush()
 				}
 			}
@@ -219,43 +242,48 @@ func Build(cfg Config) (*Library, error) {
 			top, top/cfg.SubSamples, cfg.SubSamples)
 	}
 	// Code c = total*S + hits - 1 stands for hits/total: total = c/S and hits
-	// = c%S + 1, since hits ≤ S. No code is below S, as total ≥ hits ≥ 1.
+	// = c%S + 1, since hits ≤ S. No code is below S, as total ≥ hits ≥ 1, so
+	// fracs[0], the fillers' code, is 0.
 	sub := cfg.SubSamples
 	lib.fracs = make([]float64, top+1)
 	for c := sub; c <= top; c++ {
 		lib.fracs[c] = float64(c%sub+1) / float64(c/sub)
 	}
-	lib.nnz = checkRows(lib.idx, lib.codes, cfg.Slots*m, len(lib.fracs))
+	lib.nnz = checkRows(lib.first, lib.rows, cfg.Slots*m, len(lib.fracs))
 	return lib, nil
 }
 
-// checkRows panics unless every row is strictly increasing inside [0, cols)
-// and aligned with its codes, and every code is inside a table of tableLen
-// values; it returns the number of entries. The rows are built this way, so
-// a failure is a bug in the build.
-func checkRows(idx [][]int32, codes [][]uint16, cols, tableLen int) int {
-	if len(idx) != len(codes) {
-		panic(fmt.Sprintf("texture: %d index rows but %d code rows", len(idx), len(codes)))
+// checkRows panics unless every row is well formed — its first entry real,
+// at first[i] with gap 0, every later gap at least 1, every column inside
+// [0, cols), every code inside a table of tableLen values, and every filler
+// carrying the widest gap and followed by another entry — and returns the
+// number of real entries. The rows are built this way, so a failure is a
+// bug in the build.
+func checkRows(first []int32, rows [][]Entry, cols, tableLen int) int {
+	if len(first) != len(rows) {
+		panic(fmt.Sprintf("texture: %d first columns but %d rows", len(first), len(rows)))
 	}
 	nnz := 0
-	for i, row := range idx {
-		if len(row) != len(codes[i]) {
-			panic(fmt.Sprintf("texture: row %d has %d columns but %d codes", i, len(row), len(codes[i])))
+	for i, row := range rows {
+		k := int(first[i])
+		for n, e := range row {
+			gap, code := e.Gap(), int(e.Code())
+			k += gap
+			switch {
+			case n == 0 && (gap != 0 || code == 0):
+				panic(fmt.Sprintf("texture: row %d opens with gap %d, code %d", i, gap, code))
+			case n > 0 && gap == 0:
+				panic(fmt.Sprintf("texture: row %d not strictly increasing at %d", i, n))
+			case k < 0 || k >= cols:
+				panic(fmt.Sprintf("texture: row %d col %d out of range [0,%d)", i, k, cols))
+			case code >= tableLen:
+				panic(fmt.Sprintf("texture: row %d code %d outside a table of %d", i, code, tableLen))
+			case code == 0 && (gap != maxGap || n == len(row)-1):
+				panic(fmt.Sprintf("texture: row %d has a filler of gap %d at %d of %d", i, gap, n, len(row)))
+			case code != 0:
+				nnz++
+			}
 		}
-		prev := int32(-1)
-		for k, c := range row {
-			if c < 0 || int(c) >= cols {
-				panic(fmt.Sprintf("texture: row %d col %d out of range [0,%d)", i, c, cols))
-			}
-			if c <= prev {
-				panic(fmt.Sprintf("texture: row %d not strictly increasing at %d", i, k))
-			}
-			prev = c
-			if int(codes[i][k]) >= tableLen {
-				panic(fmt.Sprintf("texture: row %d code %d outside a table of %d", i, codes[i][k], tableLen))
-			}
-		}
-		nnz += len(row)
 	}
 	return nnz
 }
@@ -269,27 +297,38 @@ const batchRows, minBatchRows = 24, 4
 // heldRow is a track's row in a worker's scratch, from the previous one's end.
 type heldRow struct{ track, end int }
 
-// appendCoverageRow appends one track's unfolded coverage to cols and codes:
-// sorted column indices slot*m+cell, each with the code total*S + hits - 1 of
-// its fraction hits/total (S = cfg.SubSamples), and returns the largest code,
-// which the caller must check fits 16 bits before it keeps any. Per the
-// paper's supply model, A_t(i,j) is the fraction of satellite j's radio-link
-// capacity over cell i, so each satellite's coverage sums to 1 per slot (its
-// capacity is one satellite unit regardless of footprint size): a wide
-// footprint spreads capacity thinner, it does not multiply it.
-func appendCoverageRow(cols []int32, codes []uint16, ras *Rasterizer, cfg Config, el orbit.Elements, m int) ([]int32, []uint16, int) {
+// appendCoverageRow appends one track's unfolded coverage to row, packed:
+// for each covered column slot*m+cell in ascending order, its gap from the
+// previous one (0 for the first, whose column it returns; fillers first when
+// the gap passes 16 bits) and the code total*S + hits - 1 of its fraction
+// hits/total (S = cfg.SubSamples). It returns the largest code, which the
+// caller must check fits 16 bits before it keeps any. Per the paper's supply
+// model, A_t(i,j) is the fraction of satellite j's radio-link capacity over
+// cell i, so each satellite's coverage sums to 1 per slot (its capacity is
+// one satellite unit regardless of footprint size): a wide footprint spreads
+// capacity thinner, it does not multiply it.
+func appendCoverageRow(row []Entry, ras *Rasterizer, cfg Config, el orbit.Elements, m int) ([]Entry, int32, int) {
 	lam := cfg.Coverage.FootprintRadius(el.Altitude())
-	top := 0
+	top, first, prev := 0, 0, -1
 	for s := 0; s < cfg.Slots; s++ {
 		cells, total := ras.Slot(el, lam, s)
 		for _, c := range cells {
 			code := total*cfg.SubSamples + ras.Hits(c) - 1
 			top = max(top, code)
-			cols = append(cols, int32(s*m+c))
-			codes = append(codes, uint16(code))
+			col, gap := s*m+c, 0
+			if prev < 0 {
+				first = col
+			} else {
+				gap = col - prev
+			}
+			for ; gap > maxGap; gap -= maxGap {
+				row = append(row, filler)
+			}
+			row = append(row, newEntry(gap, uint16(code)))
+			prev = col
 		}
 	}
-	return cols, codes, top
+	return row, int32(first), top
 }
 
 // Rasterizer samples a satellite's radio footprint over the cell grid one
@@ -353,19 +392,37 @@ func (l *Library) NumTracks() int { return len(l.Tracks) }
 // UnfoldedLen returns slots × cells, the length of demand/residual vectors.
 func (l *Library) UnfoldedLen() int { return l.Slots * l.Grid.NumCells() }
 
-// TrackRow returns track j's coverage over the flattened slot*m+cell space
-// as two aligned read-only views with no spare capacity: ascending indices
-// and the codes of their fractions, which Fractions maps to values.
-func (l *Library) TrackRow(j int) (idx []int32, code []uint16) {
-	return l.idx[j], l.codes[j]
+// TrackEntries returns track j's coverage over the flattened slot*m+cell
+// space: the column of its first entry and a read-only view, with no spare
+// capacity, of its packed entries in ascending column order. A scan decodes
+// the columns as it goes:
+//
+//	k, row := lib.TrackEntries(j)
+//	for _, e := range row {
+//		k += e.Gap()
+//		... fracs[e.Code()] at column k ...
+//	}
+//
+// Some entries may be fillers of value 0 that only carry a wide gap.
+func (l *Library) TrackEntries(j int) (first int, entries []Entry) {
+	return int(l.first[j]), l.rows[j]
 }
 
-// Fractions returns the read-only table of coverage fractions TrackRow's
-// codes index: entry i's fraction is Fractions()[code[i]].
+// Fractions returns the read-only table of coverage fractions that the codes
+// of TrackEntries' entries index. Its entry 0 is 0: a filler's value.
 func (l *Library) Fractions() []float64 { return l.fracs }
 
-// TrackNNZ returns the number of (slot, cell) pairs track j covers.
-func (l *Library) TrackNNZ(j int) int { return len(l.idx[j]) }
+// TrackNNZ returns the number of (slot, cell) pairs track j covers: its
+// entries but the fillers.
+func (l *Library) TrackNNZ(j int) int {
+	n := 0
+	for _, e := range l.rows[j] {
+		if e != filler {
+			n++
+		}
+	}
+	return n
+}
 
 // Supply accumulates the unfolded network supply Ã·x for integer satellite
 // counts x (len NumTracks) into a dense vector of length UnfoldedLen.
@@ -373,15 +430,16 @@ func (l *Library) Supply(x []int) []float64 {
 	if len(x) != len(l.Tracks) {
 		panic("texture: Supply dimension mismatch")
 	}
-	out := make([]float64, l.UnfoldedLen())
+	out, fracs := make([]float64, l.UnfoldedLen()), l.fracs
 	for j, n := range x {
 		if n == 0 {
 			continue
 		}
 		fn := float64(n)
-		code := l.codes[j]
-		for i, k := range l.idx[j] {
-			out[k] += fn * l.fracs[code[i]]
+		k, row := l.TrackEntries(j)
+		for _, e := range row {
+			k += e.Gap()
+			out[k] += fn * fracs[e.Code()]
 		}
 	}
 	return out

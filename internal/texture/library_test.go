@@ -64,10 +64,11 @@ func TestCoverageValuesAreFractions(t *testing.T) {
 	}
 	fracs := lib.Fractions()
 	for j := 0; j < lib.NumTracks(); j++ {
-		idx, code := lib.TrackRow(j)
-		for i, c := range code {
-			if frac := fracs[c]; frac <= 0 || frac > 1+1e-12 {
-				t.Fatalf("track %d idx %d frac %v", j, idx[i], frac)
+		k, row := lib.TrackEntries(j)
+		for _, e := range row {
+			k += e.Gap()
+			if frac := fracs[e.Code()]; frac <= 0 || frac > 1+1e-12 {
+				t.Fatalf("track %d idx %d frac %v", j, k, frac)
 			}
 		}
 	}
@@ -86,15 +87,16 @@ func TestCoverageMatchesGeometry(t *testing.T) {
 	el := lib.Tracks[j].Elements
 	cov := lib.Coverage
 	m := lib.Grid.NumCells()
-	idx, _ := lib.TrackRow(j)
-	for _, k := range idx {
-		slot, cell := int(k)/m, int(k)%m
+	k, row := lib.TrackEntries(j)
+	for _, e := range row {
+		k += e.Gap()
+		slot, cell := k/m, k%m
 		tt := float64(slot) * cfg.SlotSeconds
 		if !cov.Covers(el, tt, lib.Grid.Center(cell)) {
 			t.Fatalf("slot %d cell %d claimed covered but geometry disagrees", slot, cell)
 		}
 	}
-	if len(idx) == 0 {
+	if len(row) == 0 {
 		t.Fatal("track has empty coverage")
 	}
 }

@@ -21,9 +21,10 @@ func TestCoverageCapacityNormalized(t *testing.T) {
 	fracs := lib.Fractions()
 	for j := 0; j < lib.NumTracks(); j++ {
 		perSlot := make([]float64, lib.Slots)
-		idx, code := lib.TrackRow(j)
-		for i, k := range idx {
-			perSlot[int(k)/m] += fracs[code[i]]
+		k, row := lib.TrackEntries(j)
+		for _, e := range row {
+			k += e.Gap()
+			perSlot[k/m] += fracs[e.Code()]
 		}
 		for s, sum := range perSlot {
 			if sum == 0 {
@@ -64,9 +65,9 @@ func TestHighAltitudeDoesNotMultiplyCapacity(t *testing.T) {
 	}
 	sum := func(j int) float64 {
 		s := 0.0
-		_, code := lib.TrackRow(j)
-		for _, c := range code {
-			s += lib.Fractions()[c]
+		_, row := lib.TrackEntries(j)
+		for _, e := range row {
+			s += lib.Fractions()[e.Code()]
 		}
 		return s
 	}
