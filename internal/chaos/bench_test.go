@@ -10,8 +10,8 @@ import (
 // the paper's control scale — bench/'s control-steady sizing: 1,764
 // satellites, a DeltaCompile chain at dt = 30 s, timed after three warm-up
 // slots. No slot time recurs, as in every production control loop.
-// Measured on a 2-vCPU VM, ten runs of 100 slots: 12.3 ms (quartiles
-// 11.4–12.7), and 80,532 B and 229 allocs per slot — the snapshot, its
+// Measured on a 2-vCPU VM, ten runs of 100 slots: 10.9 ms (quartiles
+// 10.5–11.3), and 80,533 B and 229 allocs per slot — the snapshot, its
 // coverage lists one exact-size array, and nothing else: the chain refills
 // the slot geometry it evicted two slots earlier.
 func BenchmarkDeltaCompileSteady(b *testing.B) {
@@ -32,8 +32,8 @@ func BenchmarkDeltaCompileSteady(b *testing.B) {
 // snapshot. Five lifetime steps apart, slots take only 0.36 of their
 // visibility samples from the previous slot's runs, so the chain is
 // mostly the cold compile's work: coverage, propagation, the τ walks and
-// stage 1's sums. Measured on a 2-vCPU VM, ten runs: 75.1 ms (quartiles
-// 72.2–77.7), 1.74 MB and 8,191 allocs per chain.
+// stage 1's sums. Measured on a 2-vCPU VM, ten runs of 10 chains: 63.2 ms
+// (quartiles 61.1–65.9), 1.64 MB and 8,191 allocs per chain.
 func BenchmarkDeltaCompileChurn(b *testing.B) {
 	const (
 		slots = 100
@@ -45,7 +45,10 @@ func BenchmarkDeltaCompileChurn(b *testing.B) {
 	}
 	cfg := tb.Ctl.Config()
 	b.ReportAllocs()
-	for b.Loop() {
+	b.ResetTimer()
+	// A b.N loop, not b.Loop: under go1.24, stopping and restarting the
+	// timer inside b.Loop keeps a time-based -benchtime from ever ending.
+	for range b.N {
 		b.StopTimer()
 		ctl, err := mpc.New(cfg)
 		if err != nil {

@@ -75,6 +75,12 @@ type Testbed struct {
 // and materialized by BuildNetwork.
 func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 	cfg.fillDefaults()
+	// The controller's lifetime window, checked before the supply is built
+	// over the same slots.
+	horizon, step := 2*cfg.SlotSeconds, cfg.SlotSeconds/5
+	if _, err := orbit.WindowSamples(horizon, step); err != nil {
+		return nil, fmt.Errorf("chaos: %w", err)
+	}
 	side := max(2, int(math.Sqrt(float64(cfg.Sats))))
 	sats := baseline.WalkerConfig{
 		InclinationDeg: 53, AltitudeKm: 1200,
@@ -133,7 +139,7 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 
 	ctl, err := mpc.New(mpc.Config{
 		Topo: topo, Sats: sats, Coverage: cov,
-		LifetimeHorizon: 2 * cfg.SlotSeconds, LifetimeStep: cfg.SlotSeconds / 5,
+		LifetimeHorizon: horizon, LifetimeStep: step,
 	})
 	if err != nil {
 		return nil, err

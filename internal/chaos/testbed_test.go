@@ -124,6 +124,18 @@ func liveFingerprint(n *dataplane.Network, ids []int) string {
 	return b.String()
 }
 
+// TestTestbedRejectsBadSlotSeconds: a slot length that gives the
+// controller no finite lifetime window is refused with the window's error,
+// before any supply is built over it.
+func TestTestbedRejectsBadSlotSeconds(t *testing.T) {
+	for _, s := range []float64{math.NaN(), math.Inf(1)} {
+		_, err := NewTestbed(TestbedConfig{Sats: 256, SlotSeconds: s})
+		if err == nil || !strings.Contains(err.Error(), "lifetime horizon") {
+			t.Errorf("SlotSeconds %v: error %v, want the lifetime window's", s, err)
+		}
+	}
+}
+
 // Applying a repair's link diff to the live network the engine's way and
 // building a network from the repaired snapshot are two routes to one
 // state. Before the testbed owned the home-cell rule, the engine homed a

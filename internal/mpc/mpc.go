@@ -75,8 +75,10 @@ type Config struct {
 	Sats     []orbit.Elements
 	Coverage orbit.CoverageParams
 	ISL      orbit.ISLParams
-	// LifetimeHorizon/LifetimeStep bound the τ prediction (s). Defaults:
-	// 1800 s horizon, 30 s step.
+	// LifetimeHorizon/LifetimeStep bound the τ prediction (s). Defaults
+	// (for a value ≤ 0): 1800 s horizon, 30 s step. New rejects a NaN or
+	// infinite value and a window of more than orbit.MaxWindowSamples
+	// samples.
 	LifetimeHorizon float64
 	LifetimeStep    float64
 }
@@ -94,11 +96,19 @@ func (c *Config) fillDefaults() error {
 	if c.ISL.MaxRange == 0 && c.ISL.GrazingMargin == 0 {
 		c.ISL = orbit.DefaultISLParams
 	}
+	for _, v := range []float64{c.LifetimeHorizon, c.LifetimeStep} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("mpc: lifetime horizon %v and step %v must be finite", c.LifetimeHorizon, c.LifetimeStep)
+		}
+	}
 	if c.LifetimeHorizon <= 0 {
 		c.LifetimeHorizon = 1800
 	}
 	if c.LifetimeStep <= 0 {
 		c.LifetimeStep = 30
+	}
+	if _, err := orbit.WindowSamples(c.LifetimeHorizon, c.LifetimeStep); err != nil {
+		return fmt.Errorf("mpc: %w", err)
 	}
 	return nil
 }

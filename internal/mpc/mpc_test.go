@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -55,6 +56,39 @@ func TestNewValidation(t *testing.T) {
 	topo, _, _ := denseTestbed(t)
 	if _, err := New(Config{Topo: topo}); err == nil {
 		t.Error("empty satellite list accepted")
+	}
+}
+
+// TestNewRejectsBadLifetimeWindow: a NaN or infinite lifetime horizon or
+// step is an error, not a controller that compiles no inter-links or a
+// window that never stops growing, and so is a window whose sample count
+// the τ codes cannot hold; the largest window that fits is accepted.
+func TestNewRejectsBadLifetimeWindow(t *testing.T) {
+	topo, sats, _ := denseTestbed(t)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, w := range [][2]float64{
+		{nan, 30}, {inf, 30}, {-inf, 30},
+		{600, nan}, {600, inf}, {600, -inf},
+		{1e9, 1e-3},
+		{orbit.MaxWindowSamples, 1},
+	} {
+		if _, err := New(Config{Topo: topo, Sats: sats, LifetimeHorizon: w[0], LifetimeStep: w[1]}); err == nil {
+			t.Errorf("horizon %v, step %v accepted", w[0], w[1])
+		}
+	}
+	// Offsets 0, 1, …, MaxWindowSamples-1: exactly MaxWindowSamples samples.
+	c, err := New(Config{Topo: topo, Sats: sats, LifetimeHorizon: orbit.MaxWindowSamples - 1, LifetimeStep: 1})
+	if err != nil {
+		t.Fatalf("the largest window that fits was refused: %v", err)
+	}
+	if n, _ := orbit.WindowSamples(c.cfg.LifetimeHorizon, c.cfg.LifetimeStep); n != orbit.MaxWindowSamples {
+		t.Errorf("window of %d samples, want %d", n, orbit.MaxWindowSamples)
+	}
+	// ≤ 0 still takes the defaults.
+	if c, err := New(Config{Topo: topo, Sats: sats, LifetimeHorizon: -1}); err != nil {
+		t.Errorf("a negative horizon was refused: %v", err)
+	} else if c.cfg.LifetimeHorizon != 1800 || c.cfg.LifetimeStep != 30 {
+		t.Errorf("a negative horizon and a zero step gave %v and %v, want the defaults", c.cfg.LifetimeHorizon, c.cfg.LifetimeStep)
 	}
 }
 

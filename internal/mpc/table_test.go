@@ -68,6 +68,30 @@ func TestDeltaChainLifetimesMatchDirect(t *testing.T) {
 	}
 }
 
+// TestSlotTableFootprint: after a 30-slot DeltaCompile chain at
+// control-steady's sizing (1,764 satellites, dt = 30 s), the chain's τ
+// and run tables take at most 1.25 × 6 B for each of the n(n+1)/2 pairs
+// the active set spans: a 2-byte τ code and a 4-byte run, plus the growth
+// headroom of append. A τ entry back at 8 B or a run at 16 B exceeds it.
+func TestSlotTableFootprint(t *testing.T) {
+	tb, err := chaos.NewTestbed(chaos.TestbedConfig{Sats: 1764, SlotSeconds: 150})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := tb.Snap
+	for slot := 1; slot <= 30; slot++ {
+		snap = tb.Ctl.DeltaCompile(snap, float64(slot)*30)
+	}
+	tau, runs, pairs := tb.Ctl.DeltaLifeTable().Footprint()
+	if pairs < 50_000 {
+		t.Fatalf("the active set spans %d pairs; the chain should number ~400 satellites", pairs)
+	}
+	if limit := 6 * pairs * 5 / 4; tau+runs > limit {
+		t.Errorf("%d pairs take %d B of τ and %d B of runs, %d B together; bound %d B",
+			pairs, tau, runs, tau+runs, limit)
+	}
+}
+
 // activeSats is the union of a snapshot's coverage lists, ascending.
 func activeSats(s *mpc.Snapshot) []int {
 	seen := map[int]bool{}

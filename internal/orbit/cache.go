@@ -1,6 +1,7 @@
 package orbit
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -43,6 +44,9 @@ type PropCache struct {
 	// accumulated as the loop accumulates it: a lifetime established at t0
 	// samples exactly the times t0+offs[m], bit for bit.
 	offs []float64
+	// vals is every value τ can take, by the code a LifeTable stores: the
+	// offsets, then the horizon. offs is its prefix.
+	vals []float64
 
 	slotMu sync.Mutex
 	//tinyleo:guardedby slotMu
@@ -85,7 +89,8 @@ const maxFree = 2
 
 // NewPropCache creates a propagation cache over sats with the given ISL
 // visibility constraints and lifetime prediction window (horizon and step
-// in seconds, as in mpc.Config).
+// in seconds, as in mpc.Config). It panics on a window WindowSamples
+// rejects; mpc.New returns that error instead.
 func NewPropCache(sats []Elements, isl ISLParams, lifetimeHorizon, lifetimeStep float64) *PropCache {
 	pc := &PropCache{
 		sats:    sats,
@@ -101,13 +106,43 @@ func NewPropCache(sats []Elements, isl ISLParams, lifetimeHorizon, lifetimeStep 
 		k.sinI, k.cosI = math.Sincos(e.Inclination)
 		k.sinO, k.cosO = math.Sincos(e.RAAN)
 	}
+	samples, err := WindowSamples(lifetimeHorizon, lifetimeStep)
+	if err != nil {
+		panic(err)
+	}
 	// Mirror ISLLifetime's accumulation (t += step) exactly so offs[m]
 	// reproduces the m-th sample offset bit for bit.
-	pc.offs = append(pc.offs, 0)
+	pc.vals = make([]float64, 1, samples+1)
 	for t := pc.step; t <= pc.horizon; t += pc.step {
-		pc.offs = append(pc.offs, t)
+		pc.vals = append(pc.vals, t)
 	}
+	pc.offs = pc.vals
+	pc.vals = append(pc.vals, pc.horizon)
 	return pc
+}
+
+// MaxWindowSamples is the most samples a lifetime window may take: a
+// LifeTable keeps a pair's visible-sample count in 15 bits.
+const MaxWindowSamples = 1<<15 - 1
+
+// WindowSamples returns how many samples ISLLifetime takes over a window
+// of the given horizon and step (offsets 0, step, 2·step, … up to the
+// horizon, accumulated as its loop accumulates them). It fails for a
+// horizon or step that is not finite and positive, and for a window of
+// more than MaxWindowSamples samples.
+func WindowSamples(horizon, step float64) (int, error) {
+	for _, v := range []float64{horizon, step} {
+		if !(v > 0) || math.IsInf(v, 1) {
+			return 0, fmt.Errorf("orbit: lifetime horizon %v and step %v must be finite and positive", horizon, step)
+		}
+	}
+	n := 1
+	for t := step; t <= horizon; t += step {
+		if n++; n > MaxWindowSamples {
+			return 0, fmt.Errorf("orbit: lifetime horizon %v at step %v takes more than %d samples", horizon, step, MaxWindowSamples)
+		}
+	}
+	return n, nil
 }
 
 // NumSats returns the size of the cached satellite set.

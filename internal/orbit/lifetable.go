@@ -3,6 +3,7 @@ package orbit
 import (
 	"math"
 	"slices"
+	"unsafe"
 
 	"repro/internal/geom"
 )
@@ -19,8 +20,12 @@ import (
 // satellite covering two adjacent cells is asked for τ with itself), and
 // positions in a [sample][number] table, all filled on first use (a
 // position by PropCache.position, one Sincos).
-// Footprint per n(n+1)/2 pairs: 8 B of τ and 16 B of run, plus 24 B per
-// (sample, number) — 0.64 + 1.28 + 0.59 MB at n = 400 and 61 samples.
+//
+// τ can only be 0, one of the window's sample offsets or the horizon, so
+// the triangle holds a 2-byte code into PropCache.vals, and a run is one
+// 32-bit word whose base time is named by an epoch (visRun).
+// Footprint per n(n+1)/2 pairs: 2 B of τ and 4 B of run, plus 24 B per
+// (sample, number) — 0.16 + 0.32 + 0.59 MB at n = 400 and 61 samples.
 //
 // Stage 1 asks for a satellite's mean τ over a neighbour cell's list,
 // ~716 k lookups a slot at 1,764 satellites: MeanLifetime takes them in
@@ -42,11 +47,30 @@ type LifeTable struct {
 	local []int32     // satellite → number in the active set, -1 outside it
 	sat   []int32     // number → satellite, -1 while the number is free
 	inSet []bool      // Reset's scratch: the satellites of the new coverage lists
-	tau   []float64   // τ by triangular index; < 0 = not yet computed
+	tau   []uint16    // τ code (an index into pc.vals) by triangular index; tauUnknown = not yet computed
 	runs  []visRun    // last visibility run by triangular index, kept across slots
 	pos   []geom.Vec3 // pos[m*n+a]: number a at sample m; NaN X = not yet propagated
 	stats CacheStats  // counted since the last Flush
+
+	// epoch counts Resets, modulo 2^16; bases[e%runRing] is the slot time
+	// of the Reset that had epoch e, for the last runRing of them.
+	epoch uint16
+	bases [runRing]float64
 }
+
+const (
+	// tauUnknown is the τ code of a pair not yet computed this slot.
+	tauUnknown = 0xFFFF
+	// runRing is how many Resets back a run's base time is remembered: an
+	// older run counts as unknown, which costs its pair's next walk real
+	// Visible calls and never a wrong τ. A run is only ever reused within
+	// len(offs)·step of its base, which no chain in this repository spans
+	// in runRing slots.
+	runRing = 256
+	// runSweep is how often, in Resets, the runs runRing or more Resets
+	// old are cleared, so that a run's age modulo 2^16 is its age.
+	runSweep = 1 << 15
+)
 
 // visRun records the outcome of one lifetime walk for a satellite pair:
 // which visibility samples it observed and what they were. A later walk
@@ -55,16 +79,27 @@ type LifeTable struct {
 // a sample is only reused when its absolute time is bit-identical to
 // the recorded sample's, and visibility is a pure function of (pair,
 // time). The zero value records nothing.
-type visRun struct {
-	base  float64 // establishment time: sample m was taken at base+offs[m]
-	vis   int32   // samples [0, vis) were visible
-	ended bool    // sample vis was invisible (false: the walk reached the horizon)
-}
+//
+// The word packs, high to low: the 16-bit epoch of the Reset whose slot
+// time the walk established at (sample m was taken at that time plus
+// offs[m]), one bit set when sample vis was invisible (clear: the walk
+// reached the horizon), and 15 bits of vis — samples [0, vis) were
+// visible.
+type visRun uint32
+
+const (
+	runEnded = 1 << 15
+	runVis   = runEnded - 1
+)
+
+func (r visRun) epoch() uint16 { return uint16(r >> 16) }
+func (r visRun) vis() int      { return int(r & runVis) }
+func (r visRun) ended() bool   { return r&runEnded != 0 }
 
 // Reset scopes the table to slot geometry g with the satellites of the
 // coverage lists (SlotGeom.Coverage's result) as its active set, and
 // forgets every τ and position of the previous slot. Runs survive for the
-// pairs whose satellites both stay active.
+// pairs whose satellites both stay active, and serve for runRing Resets.
 func (lt *LifeTable) Reset(g *SlotGeom, cover [][]int) {
 	// The previous slot's geometry is not read: the chain that owns this
 	// table may have refilled it for this slot.
@@ -113,9 +148,14 @@ func (lt *LifeTable) Reset(g *SlotGeom, cover [][]int) {
 		lt.runs = slices.Grow(lt.runs, pairs-old)[:pairs]
 		clear(lt.runs[old:])
 	}
+	lt.epoch++
+	if lt.epoch%runSweep == 0 {
+		lt.dropStaleRuns()
+	}
+	lt.bases[lt.epoch%runRing] = g.Time
 	lt.tau = slices.Grow(lt.tau[:0], pairs)[:pairs]
 	for k := range lt.tau {
-		lt.tau[k] = -1
+		lt.tau[k] = tauUnknown
 	}
 	lt.pos = slices.Grow(lt.pos[:0], len(g.cache.offs)*n)[:len(g.cache.offs)*n]
 	for k := range lt.pos {
@@ -134,7 +174,16 @@ func (lt *LifeTable) dropRuns(a int) {
 	row := a * (a + 1) / 2
 	clear(lt.runs[row : row+a+1])
 	for b := a + 1; b < len(lt.sat); b++ {
-		lt.runs[b*(b+1)/2+a] = visRun{}
+		lt.runs[b*(b+1)/2+a] = 0
+	}
+}
+
+// dropStaleRuns forgets every run runRing or more Resets old.
+func (lt *LifeTable) dropStaleRuns() {
+	for k, r := range lt.runs {
+		if lt.epoch-r.epoch() >= runRing {
+			lt.runs[k] = 0
+		}
 	}
 }
 
@@ -153,13 +202,13 @@ func (lt *LifeTable) Lifetime(i, j int) float64 {
 		a, b = b, a
 	}
 	k := a*(a+1)/2 + b
-	if v := lt.tau[k]; v >= 0 {
+	if c := lt.tau[k]; c != tauUnknown {
 		lt.stats.LifeHits++
-		return v
+		return lt.pc.vals[c]
 	}
-	v := lt.walk(i, j, k)
-	lt.tau[k] = v
-	return v
+	c := lt.walk(i, j, k)
+	lt.tau[k] = c
+	return lt.pc.vals[c]
 }
 
 // MeanLifetime returns stage 1's preference weight τ_{i,v}: the mean of
@@ -175,6 +224,7 @@ func (lt *LifeTable) MeanLifetime(i int, js []int) float64 {
 	}
 	a := int(lt.local[i])
 	row, sum, hits := a*(a+1)/2, 0.0, 0
+	vals := lt.pc.vals
 	for _, j := range js {
 		b := int(lt.local[j])
 		if a < 0 || b < 0 {
@@ -185,28 +235,28 @@ func (lt *LifeTable) MeanLifetime(i int, js []int) float64 {
 		if b > a {
 			k = b*(b+1)/2 + a
 		}
-		v := lt.tau[k]
-		if v >= 0 {
+		c := lt.tau[k]
+		if c != tauUnknown {
 			hits++
 		} else {
-			v = lt.walk(i, j, k)
-			lt.tau[k] = v
+			c = lt.walk(i, j, k)
+			lt.tau[k] = c
 		}
-		sum += v
+		sum += vals[c]
 	}
 	lt.stats.LifeHits += uint64(hits)
 	return sum / float64(len(js))
 }
 
 // walk is ISLLifetime for the active pair (i, j) with triangular index k,
-// over the table's positions and the pair's previous run: it steps
-// through the identical sample sequence t0+offs[m], but takes any sample
-// whose absolute time bit-matches one the previous run observed from the
-// record instead of calling Visible. Visibility is a pure function of
-// (pair, time) and reuse requires bitwise time identity, so τ is
-// bit-identical to ISLLifetime's; a run recorded on another sample grid
-// matches nowhere and the walk degrades to real Visible calls.
-func (lt *LifeTable) walk(i, j, k int) float64 {
+// over the table's positions and the pair's previous run, and returns τ's
+// code: it steps through the identical sample sequence t0+offs[m], but
+// takes any sample whose absolute time bit-matches one the previous run
+// observed from the record instead of calling Visible. Visibility is a
+// pure function of (pair, time) and reuse requires bitwise time identity,
+// so τ is bit-identical to ISLLifetime's; a run recorded on another sample
+// grid matches nowhere and the walk degrades to real Visible calls.
+func (lt *LifeTable) walk(i, j, k int) uint16 {
 	g := lt.g
 	if !g.inRange(i, j) {
 		lt.stats.PrunedPairs++
@@ -219,21 +269,22 @@ func (lt *LifeTable) walk(i, j, k int) float64 {
 	pc := g.cache
 	a, b := int(lt.local[i]), int(lt.local[j])
 	r := lt.runs[k]
+	rvis, rended := r.vis(), r.ended()
 	// The run's sample grid and ours share the step, so the record index
 	// of sample m is m plus a constant shift, computed once. The bitwise
 	// time check below still validates every candidate, so a wrong guess
 	// costs a Visible call, never a wrong answer.
-	known, shift := r.vis > 0 || r.ended, 0
+	known, shift, base := (rvis > 0 || rended) && lt.epoch-r.epoch() < runRing, 0, 0.0
 	if known {
-		shift = int(math.Round((g.Time - r.base) / pc.step))
+		base = lt.bases[r.epoch()%runRing]
+		shift = int(math.Round((g.Time - base) / pc.step))
 	}
-	nr := visRun{base: g.Time}
-	tau := pc.horizon
+	vis, code := 0, len(pc.offs)
 	for m, off := range pc.offs {
 		visible, recorded := false, false
-		if q := m + shift; known && q >= 0 && q < len(pc.offs) && r.base+pc.offs[q] == g.Time+off {
-			visible = q < int(r.vis)
-			recorded = visible || (r.ended && q == int(r.vis))
+		if q := m + shift; known && q >= 0 && q < len(pc.offs) && base+pc.offs[q] == g.Time+off {
+			visible = q < rvis
+			recorded = visible || (rended && q == rvis)
 		}
 		if recorded {
 			lt.stats.WarmSkips++
@@ -241,17 +292,19 @@ func (lt *LifeTable) walk(i, j, k int) float64 {
 			visible = pc.isl.Visible(lt.position(m, a, i), lt.position(m, b, j))
 		}
 		if !visible {
-			tau, nr.ended = off, true
+			code = m
 			break
 		}
-		nr.vis++
+		vis++
 	}
-	lt.stats.WarmSamples += uint64(nr.vis)
-	if nr.ended {
+	nr := visRun(lt.epoch)<<16 | visRun(vis)
+	lt.stats.WarmSamples += uint64(vis)
+	if code < len(pc.offs) {
 		lt.stats.WarmSamples++
+		nr |= runEnded
 	}
 	lt.runs[k] = nr
-	return tau
+	return uint16(code)
 }
 
 // position returns satellite i's (number a's) ECI position at sample m,
@@ -269,6 +322,15 @@ func (lt *LifeTable) position(m, a, i int) geom.Vec3 {
 	pc := lt.g.cache
 	*p = pc.position(i, lt.g.Time+pc.offs[m])
 	return *p
+}
+
+// Footprint returns the bytes the τ and run tables take, their capacity
+// at their entry sizes, and the pairs each holds, n(n+1)/2 over the n
+// numbers the active set has needed so far.
+func (lt *LifeTable) Footprint() (tau, runs, pairs int) {
+	tau = cap(lt.tau) * int(unsafe.Sizeof(lt.tau[0]))
+	runs = cap(lt.runs) * int(unsafe.Sizeof(lt.runs[0]))
+	return tau, runs, len(lt.runs)
 }
 
 // Flush adds what the table counted since the last Flush to the cache's

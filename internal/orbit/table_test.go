@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // TestLifeTableChainsBitIdentical is the slot tables' property test: over
@@ -113,5 +114,125 @@ func TestLifeTableNumbersStayPut(t *testing.T) {
 		if int(lt.sat[a]) != s {
 			t.Errorf("number %d maps back to %d, not %d", a, lt.sat[a], s)
 		}
+	}
+}
+
+// TestLifeTableEntrySizes: a τ entry is a 2-byte code and a visibility run
+// one 4-byte word, and Footprint counts them at those sizes.
+func TestLifeTableEntrySizes(t *testing.T) {
+	var lt LifeTable
+	if s := unsafe.Sizeof(lt.tau[0]); s != 2 {
+		t.Errorf("a τ entry is %d B, want 2", s)
+	}
+	if s := unsafe.Sizeof(visRun(0)); s != 4 {
+		t.Errorf("a visibility run is %d B, want 4", s)
+	}
+	pc := newTestCache(5, 5)
+	lt.Reset(pc.Slot(0), allActive(pc))
+	tau, runs, pairs := lt.Footprint()
+	if pairs != 25*26/2 || tau != 2*cap(lt.tau) || runs != 4*cap(lt.runs) {
+		t.Errorf("Footprint %d B of τ and %d B of runs over %d pairs; capacities %d and %d",
+			tau, runs, pairs, cap(lt.tau), cap(lt.runs))
+	}
+}
+
+// stalePairs returns up to k pairs of pc's satellites that are in range
+// and visible at t0, so a walk of any of them records a visible sample.
+func stalePairs(t *testing.T, pc *PropCache, t0 float64, k int) [][2]int {
+	t.Helper()
+	var out [][2]int
+	for i := 0; i < pc.NumSats() && len(out) < k; i++ {
+		for j := 0; j < i && len(out) < k; j++ {
+			if ISLLifetime(pc.sats[i], pc.sats[j], t0, pc.horizon, pc.step, pc.isl) > 0 {
+				out = append(out, [2]int{i, j})
+			}
+		}
+	}
+	if len(out) < k {
+		t.Fatalf("only %d visible pairs at t=%v", len(out), t0)
+	}
+	return out
+}
+
+// TestStaleRunsWalkAgain: a run whose base time has left the table's ring
+// of Reset times — runRing or more Resets old — is not reused. Every Reset
+// below is at the same slot time, so the run would match every sample: its
+// pair is walked with real Visible calls only because the run is stale,
+// and τ still equals ISLLifetime. First on a table fewer than 2^16 Resets
+// old, then across the 16-bit epoch's wrap, after which an unswept run
+// would look a few Resets old.
+func TestStaleRunsWalkAgain(t *testing.T) {
+	pc := newTestCache(6, 6)
+	const t0 = 600.0
+	g := pc.Slot(t0)
+	var lt LifeTable
+	// walk returns τ of (i, j) and the samples its walk took from a run.
+	walk := func(p [2]int) (tau float64, skips uint64) {
+		before := lt.stats.WarmSkips
+		tau = lt.Lifetime(p[0], p[1])
+		if want := ISLLifetime(pc.sats[p[0]], pc.sats[p[1]], t0, pc.horizon, pc.step, pc.isl); math.Float64bits(tau) != math.Float64bits(want) {
+			t.Fatalf("pair %v: table τ %v != direct %v", p, tau, want)
+		}
+		return tau, lt.stats.WarmSkips - before
+	}
+
+	t.Run("older than the ring", func(t *testing.T) {
+		ps := stalePairs(t, pc, t0, 2)
+		fresh, stale := ps[0], ps[1]
+		lt = LifeTable{}
+		lt.Reset(g, allActive(pc))
+		walk(fresh)
+		walk(stale)
+		for range runRing - 1 {
+			lt.Reset(g, allActive(pc))
+		}
+		if _, skips := walk(fresh); skips == 0 {
+			t.Errorf("a run %d Resets old was not reused", runRing-1)
+		}
+		lt.Reset(g, allActive(pc))
+		if _, skips := walk(stale); skips != 0 {
+			t.Errorf("a run %d Resets old gave %d samples; want real Visible calls", runRing, skips)
+		}
+	})
+
+	t.Run("across the epoch wrap", func(t *testing.T) {
+		ps := stalePairs(t, pc, t0, 2)
+		kept, stale := ps[0], ps[1]
+		cover := [][]int{{kept[0], kept[1], stale[0], stale[1]}}
+		lt = LifeTable{}
+		lt.Reset(g, cover)
+		walk(stale)
+		const resets = 1<<16 + 10 // 10 modulo the epoch's 2^16
+		for r := range resets {
+			lt.Reset(g, cover)
+			if _, skips := walk(kept); r > 0 && skips == 0 {
+				t.Fatalf("Reset %d: the pair walked every slot reused nothing", r)
+			}
+		}
+		if _, skips := walk(stale); skips != 0 {
+			t.Errorf("a run %d Resets old gave %d samples; want real Visible calls", resets, skips)
+		}
+	})
+}
+
+// TestLifeTableLargestWindow: at the largest window the codes hold,
+// MaxWindowSamples samples, a pair visible throughout has τ = the horizon,
+// and its run — every sample visible — is reused by the next slot.
+func TestLifeTableLargestWindow(t *testing.T) {
+	sats := cacheTestConstellation(1, 2)
+	sats[1].Phase = sats[0].Phase + 0.1
+	pc := NewPropCache(sats, DefaultISLParams, MaxWindowSamples-1, 1)
+	if len(pc.offs) != MaxWindowSamples {
+		t.Fatalf("window of %d samples, want %d", len(pc.offs), MaxWindowSamples)
+	}
+	var lt LifeTable
+	for slot, t0 := range []float64{0, 1} {
+		lt.Reset(pc.Slot(t0), allActive(pc))
+		if got := lt.Lifetime(0, 1); got != pc.horizon {
+			t.Fatalf("slot %d: τ %v, want the horizon %v", slot, got, pc.horizon)
+		}
+	}
+	if want := uint64(MaxWindowSamples - 1); lt.stats.WarmSkips != want {
+		t.Errorf("the second slot took %d samples from the run, want %d", lt.stats.WarmSkips, want)
 	}
 }
