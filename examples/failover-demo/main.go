@@ -12,9 +12,8 @@
 //  3. The orbital MPC compiles a chain intent over a Walker
 //     constellation and repairs a synthetic ISL failure (§4.2).
 //
-//  4. The reliable southbound session rides out trouble over real TCP: a
-//     slow agent forces at-least-once retransmission (applied once thanks
-//     to the agent's dedup window), a severed transport heals through the
+//  4. The southbound session rides out trouble over real TCP: first
+//     contact is a snapshot, a severed transport heals through the
 //     agent's exponential-backoff reconnect and a snapshot re-sync, and a
 //     failure report is answered with a slot-delta repair.
 //
@@ -210,16 +209,14 @@ func emulatedFailover() {
 	run("legacy routing tables:", true)
 }
 
-// southboundSession drives one agent through the reliable southbound
-// session against main's controller (whose message counters main serves),
-// every ISL command framed by one DeltaEnforcer: a slow apply forces
-// at-least-once retransmission (the agent's dedup window applies it once),
-// a severed transport heals through the agent's backoff reconnect and is
+// southboundSession drives one agent through the southbound session
+// against main's controller (whose message counters main serves), every
+// ISL command framed by one DeltaEnforcer: first contact is a snapshot, a
+// severed transport heals through the agent's backoff reconnect and is
 // answered with a snapshot re-sync instead of trusting deltas to compose,
 // and a failure report is repaired with one slot-delta.
 func southboundSession(ctl *tinyleo.SouthboundController) {
-	fmt.Println("== southbound session: retransmission, re-sync, repair ==")
-	ctl.RetransmitInterval = 25 * time.Millisecond
+	fmt.Println("== southbound session: re-sync, repair ==")
 	enf := southbound.NewDeltaEnforcer(ctl)
 	push := func(add, del []uint32) {
 		if err := enf.Push(9, add, del, time.Now(), obs.SpanContext{}); err != nil {
@@ -242,39 +239,26 @@ func southboundSession(ctl *tinyleo.SouthboundController) {
 	defer agent.Close()
 	var applied southbound.PeerSet
 	commands := make(chan *tinyleo.SouthboundMessage, 4)
-	applies := 0
 	agent.OnCommand = func(m *tinyleo.SouthboundMessage) {
-		if applies++; applies == 1 {
-			// The first command applies slowly, so its ack misses several
-			// retransmit deadlines: the controller resends, the agent's
-			// dedup window re-acks the copies without re-applying.
-			time.Sleep(100 * time.Millisecond)
-		}
 		if err := applied.Apply(m); err != nil {
 			log.Fatal(err)
 		}
 		commands <- m
 	}
-	// next returns the next command the agent applied, driving
-	// retransmission while it waits.
+	// next returns the next command the agent applied.
 	next := func(stage string) *tinyleo.SouthboundMessage {
-		deadline := time.After(2 * time.Second)
-		for {
-			select {
-			case m := <-commands:
-				return m
-			case <-deadline:
-				log.Fatalf("%s: command never applied", stage)
-			case <-time.After(5 * time.Millisecond):
-				ctl.SweepPending()
-			}
+		select {
+		case m := <-commands:
+			return m
+		case <-time.After(2 * time.Second):
+			log.Fatalf("%s: command never applied", stage)
+			return nil
 		}
 	}
 
 	push([]uint32{17, 18}, nil)
-	m := next("slow apply")
-	fmt.Printf("slow agent: %s retransmitted %d times, applied %d time(s), ISLs %v\n",
-		m.Type, ctl.Metrics().Counter(southbound.MetricRetransmits).Value(), applies, applied.Peers())
+	m := next("first contact")
+	fmt.Printf("first contact: synced by a %s, ISLs %v\n", m.Type, applied.Peers())
 
 	regs := ctl.Registrations(9)
 	agent.DropConn()

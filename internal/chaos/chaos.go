@@ -16,11 +16,11 @@ const (
 	// southbound agent terminates (commands toward it fail fast).
 	FaultSatCrash FaultKind = "sat_crash"
 	// FaultConnDrop severs a southbound agent's TCP session; the agent
-	// reconnects with backoff and pending commands are resent.
+	// reconnects with backoff and is re-synced by a snapshot.
 	FaultConnDrop FaultKind = "conn_drop"
 	// FaultBlackhole wedges an agent: it stays connected but stops
-	// processing commands for a round, exercising retransmission, ack
-	// timeout, and the unreachable→failed-satellite degradation path.
+	// processing commands for a round, exercising ack timeout and the
+	// unreachable→failed-satellite degradation path.
 	FaultBlackhole FaultKind = "blackhole"
 	// FaultDemandSurge multiplies the round's offered load on a subset of
 	// flows (regional surge), stressing queues rather than topology.

@@ -7,9 +7,8 @@ import (
 
 // VClock is the campaign's virtual wall clock for the southbound
 // reliability layer: the engine injects VClock.Now as the controller's
-// Clock and advances it explicitly, so retransmission and ack-timeout
-// behaviour is a pure function of the campaign script rather than of
-// real scheduling latency.
+// Clock and advances it explicitly, so ack-timeout behaviour is a pure
+// function of the campaign script rather than of real scheduling latency.
 type VClock struct {
 	mu sync.Mutex
 	//tinyleo:guardedby mu

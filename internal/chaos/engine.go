@@ -19,8 +19,8 @@ import (
 
 // MetricAgentApplied is the per-agent counter campaigns publish over the
 // fleet telemetry plane: southbound commands the agent's OnCommand
-// callback applied (duplicates suppressed by the dedup window). It is
-// the series the campaign's rollup totals are checked against.
+// callback applied. It is the series the campaign's rollup totals are
+// checked against.
 const MetricAgentApplied = "tinyleo_chaos_agent_applied_total"
 
 // Campaign configures one seeded chaos run.
@@ -41,10 +41,10 @@ type Campaign struct {
 	// (default 2 s).
 	WindowSec float64
 	// Tracer, when non-nil, records the campaign's causal spans (mpc.emit
-	// roots, southbound send/retransmit/ack, agent applies). The engine
-	// re-enables it on the campaign's virtual clock and seeds its span IDs
-	// from Seed, so two runs of the same campaign produce identical span
-	// timestamps and a byte-identical canonical merged trace
+	// roots, southbound send/ack, agent applies). The engine re-enables
+	// it on the campaign's virtual clock and seeds its span IDs from Seed,
+	// so two runs of the same campaign produce identical span timestamps
+	// and a byte-identical canonical merged trace
 	// (tracemerge.WriteCanonical).
 	Tracer *obs.Tracer
 }
@@ -65,9 +65,12 @@ func (c *Campaign) fillDefaults() {
 // engine advances them explicitly) and a fast real-time reconnect backoff
 // so conn-drop rounds settle quickly.
 const (
-	campaignAckTimeout   = 5 * time.Second
-	campaignRetransmit   = time.Second
-	campaignMaxRetrans   = 2
+	campaignAckTimeout = 5 * time.Second
+	// campaignWedgeAdvance is the one step the virtual clock takes to
+	// carry a wedged agent's commands past campaignAckTimeout. Any step
+	// past it abandons them; 8 s keeps the campaign's virtual timeline,
+	// fleet ladder and trace timestamps at their pinned values.
+	campaignWedgeAdvance = 8 * time.Second
 	campaignBackoffBase  = 2 * time.Millisecond
 	campaignBackoffMax   = 20 * time.Millisecond
 	campaignRepairRTT    = 50 * time.Millisecond
@@ -220,8 +223,6 @@ func (r *runner) start() error {
 		ctl.Tracer = r.c.Tracer
 	}
 	ctl.AckTimeout = campaignAckTimeout
-	ctl.RetransmitInterval = campaignRetransmit
-	ctl.MaxRetransmits = campaignMaxRetrans
 	ctl.OnAck = func(m *southbound.Message) {
 		r.mu.Lock()
 		r.acked[m.Seq] = true
@@ -437,7 +438,7 @@ func (r *runner) runRound(round int) error {
 		"removed", fmt.Sprint(len(removed)),
 		"unrepaired", fmt.Sprint(rstats.Unrepaired))
 
-	// Phase 4: southbound enforcement with at-least-once delivery, then
+	// Phase 4: southbound enforcement (sent once, acked or abandoned), then
 	// the convergence invariant over what the agents applied.
 	acked, err := r.enforce(&rr, added, removed)
 	if err != nil {
@@ -739,14 +740,14 @@ func (r *runner) injectWindow(rr *RoundReport) {
 }
 
 // enforce pushes the repair diff southbound and settles it: healthy agents
-// ack over TCP; blackholed agents are driven through retransmission and
-// ack-timeout abandonment on the virtual clock; the unreachable set is
-// drained before gates release so late acknowledgements cannot leak into
-// the next round's failure input. It returns, for every satellite a message
+// ack over TCP; blackholed agents' commands are abandoned past AckTimeout
+// on the virtual clock; the unreachable set is drained before gates
+// release so late acknowledgements cannot leak into the next round's
+// failure input. It returns, for every satellite a message
 // was sent to, whether the satellite acknowledged it.
 func (r *runner) enforce(rr *RoundReport, added, removed []mpc.Link) (map[int]bool, error) {
 	// One mpc.emit root per round: every enforced command's causal tree
-	// (send → retransmits → apply → ack) hangs off it in the merged trace.
+	// (send → apply → ack) hangs off it in the merged trace.
 	var emit obs.Span
 	if r.c.Tracer != nil && r.c.Tracer.Enabled() {
 		emit = r.c.Tracer.StartSpanCtx(obs.SpanContext{}, "mpc.emit",
@@ -784,7 +785,7 @@ func (r *runner) enforce(rr *RoundReport, added, removed []mpc.Link) (map[int]bo
 	// Wedged agents must have reached their blocking callback before the
 	// virtual clock moves: their apply span starts (and the trace's
 	// determinism) depend on the command being read at this round's time,
-	// not mid-retransmit-sweep.
+	// not mid-sweep.
 	if len(gatedTargets) > 0 {
 		if err := r.waitCond(func() bool {
 			r.mu.Lock()
@@ -799,16 +800,10 @@ func (r *runner) enforce(rr *RoundReport, added, removed []mpc.Link) (map[int]bo
 			return nil, err
 		}
 	}
-	// Anything still pending targets a wedged agent: retransmit on the
-	// virtual clock up to the cap, then abandon past AckTimeout.
+	// Anything still pending targets a wedged agent: abandon it past
+	// AckTimeout on the virtual clock.
 	if r.ctl.PendingAcks() > 0 {
-		for i := 0; i <= campaignMaxRetrans; i++ {
-			r.vc.Advance(campaignRetransmit)
-			r.ctl.SweepPending()
-			// Outcomes are gated on the flush barrier's waitCond, not on this pause.
-			time.Sleep(2 * time.Millisecond) // let retransmission writes land
-		}
-		r.vc.Advance(campaignAckTimeout)
+		r.vc.Advance(campaignWedgeAdvance)
 		r.ctl.SweepPending()
 	}
 	unreachable := r.ctl.TakeUnreachable()
@@ -830,8 +825,8 @@ func (r *runner) enforce(rr *RoundReport, added, removed []mpc.Link) (map[int]bo
 	sort.Ints(released)
 
 	// Flush barrier: one inert probe, an empty slot delta, per released
-	// agent. Its ack arriving implies every buffered retransmission before
-	// it was processed (the connection is FIFO and the controller serves it
+	// agent. Its ack arriving implies every command queued before it was
+	// processed (the connection is FIFO and the controller serves it
 	// serially), so the acked set is settled before we read it.
 	for _, id := range released {
 		probe := &southbound.Message{Type: southbound.MsgSlotDelta, SatID: uint32(id), Payload: southbound.EncodeSlotDelta(nil)}
@@ -860,7 +855,6 @@ func (r *runner) enforce(rr *RoundReport, added, removed []mpc.Link) (map[int]bo
 func (r *runner) finish(wallStart time.Time) error {
 	rep := r.report
 	reg := r.ctl.Metrics()
-	rep.Retransmits = reg.Counter(southbound.MetricRetransmits).Value()
 	rep.AckTimeouts = reg.Counter(southbound.MetricAckTimeouts).Value()
 	r.mu.Lock()
 	rep.Reconnects = r.crashedReconnects

@@ -75,7 +75,6 @@ type Report struct {
 	RecoveryMsMax float64 `json:"recovery_ms_max"`
 	Unrecovered   int     `json:"unrecovered"`
 
-	Retransmits int64 `json:"retransmits"`
 	AckTimeouts int64 `json:"ack_timeouts"`
 	Reconnects  int64 `json:"reconnects"`
 
@@ -147,7 +146,6 @@ func (r *Report) score(spec string) error {
 	reg.Gauge("tinyleo_chaos_recovery_p50_ms").Set(r.RecoveryMsP50)
 	reg.Gauge("tinyleo_chaos_recovery_p99_ms").Set(r.RecoveryMsP99)
 	reg.Gauge("tinyleo_chaos_unrecovered").Set(float64(r.Unrecovered))
-	reg.Counter("tinyleo_southbound_retransmits_total").Add(r.Retransmits)
 	reg.Counter("tinyleo_southbound_ack_timeouts_total").Add(r.AckTimeouts)
 	// Fleet telemetry health, scoreable via the raw-metric rule kind
 	// (e.g. "tinyleo_fleet_agents_silent<=0").

@@ -27,7 +27,7 @@ func ChaosCampaign(scale Scale, scenarioName string, seed int64) ([]*metrics.Tab
 	summary := metrics.NewTable(
 		fmt.Sprintf("Chaos campaigns (seed %d, %s scale)", seed, scale.Name),
 		"scenario", "rounds", "faults", "delivery ratio", "recovery p50 (ms)",
-		"recovery p99 (ms)", "unrecovered", "retransmits", "ack timeouts",
+		"recovery p99 (ms)", "unrecovered", "ack timeouts",
 		"reconnects", "enforcement", "SLO")
 	fleetTab := metrics.NewTable("Chaos fleet telemetry (per-scenario health view)",
 		"scenario", "agents", "reports", "report bytes", "gaps", "silent",
@@ -53,7 +53,7 @@ func ChaosCampaign(scale Scale, scenarioName string, seed int64) ([]*metrics.Tab
 			fmt.Sprintf("%.3f", rep.DeliveryRatio),
 			fmt.Sprintf("%.1f", rep.RecoveryMsP50),
 			fmt.Sprintf("%.1f", rep.RecoveryMsP99),
-			rep.Unrecovered, rep.Retransmits, rep.AckTimeouts, rep.Reconnects,
+			rep.Unrecovered, rep.AckTimeouts, rep.Reconnects,
 			fmt.Sprintf("%.3f", rep.EnforcementRatio), slo)
 		if fs := rep.Fleet; fs != nil {
 			fleets[name] = fs

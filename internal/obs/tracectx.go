@@ -6,7 +6,7 @@ import (
 )
 
 // TraceID identifies one causal tree of spans across processes (a command's
-// whole life: MPC emit → controller send → retransmits → agent apply → ack).
+// whole life: MPC emit → controller send → agent apply → ack).
 // 128 bits, W3C trace-context sized.
 type TraceID [16]byte
 

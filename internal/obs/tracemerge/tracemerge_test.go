@@ -44,12 +44,12 @@ func dumpOf(t *testing.T, tr *obs.Tracer) *flightrec.Recording {
 }
 
 // End-to-end over real TCP: one controller, two agents with deliberately
-// skewed clocks (+10s and −7s), one command each, one retransmit. The
-// merged timeline must put every command in a single causal tree spanning
-// both processes, with apply timestamps pulled back inside the controller's
-// send→ack bracket by the skew correction — and each process's instant
-// events, which ride the same ring on the same clock, must stay inside the
-// spans they were emitted in.
+// skewed clocks (+10s and −7s), one command each, sat 5's held unacked
+// until sat 6's is acked. The merged timeline must put every command in a
+// single causal tree spanning both processes, with apply timestamps pulled
+// back inside the controller's send→ack bracket by the skew correction —
+// and each process's instant events, which ride the same ring on the same
+// clock, must stay inside the spans they were emitted in.
 func TestMergeControllerTwoAgents(t *testing.T) {
 	ctlTr := procTracer("ctl", 0)
 	aTr := procTracer("sat-5", 10*time.Second)
@@ -61,21 +61,23 @@ func TestMergeControllerTwoAgents(t *testing.T) {
 	}
 	defer c.Close()
 	c.Tracer = ctlTr
-	c.RetransmitInterval = 20 * time.Millisecond
 
-	var wg sync.WaitGroup
-	block := make(chan struct{})
+	held := make(chan struct{}, 1)
 	a, err := southbound.DialAgentOptions(c.Addr(), 5, time.Second, southbound.AgentOptions{Tracer: aTr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	wg.Add(1)
+	release := make(chan struct{})
+	// Deferred after Close, so it runs first: a failing test never leaves
+	// Close waiting on the held callback.
+	unhold := sync.OnceFunc(func() { close(release) })
+	defer unhold()
 	a.OnCommand = func(m *southbound.Message) {
-		defer wg.Done()
 		// Inside the agent.apply span, on the agent's (+10s) clock.
 		aTr.Emit("southbound.agent_reconnect", "sat", "5", "attempt", "1")
-		<-block // hold the first command unacked long enough to retransmit
+		held <- struct{}{}
+		<-release // hold the command unacked until sat 6's is acked
 	}
 	b, err := southbound.DialAgentOptions(c.Addr(), 6, time.Second, southbound.AgentOptions{Tracer: bTr})
 	if err != nil {
@@ -94,17 +96,20 @@ func TestMergeControllerTwoAgents(t *testing.T) {
 	ctlTr.Emit("southbound.command_applied", "sat", "6", "type", "slot-delta")
 	emit.End()
 
-	// Force at least one retransmit of sat 5's command while it is held.
-	deadline := time.Now().Add(2 * time.Second)
-	for c.Metrics().Counter(southbound.MetricRetransmits).Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no retransmit observed")
-		}
-		time.Sleep(25 * time.Millisecond)
-		c.SweepPending()
+	// Sat 5's command is held inside its apply until sat 6's is acked:
+	// only the held one is still pending.
+	select {
+	case <-held:
+	case <-time.After(2 * time.Second):
+		t.Fatal("sat 5 never started applying its command")
 	}
-	close(block)
-	wg.Wait()
+	for deadline := time.Now().Add(2 * time.Second); c.PendingAcks() > 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("sat 6's command never acked")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	unhold()
 	for deadline := time.Now().Add(2 * time.Second); c.PendingAcks() > 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("commands never acked")
@@ -140,7 +145,6 @@ func TestMergeControllerTwoAgents(t *testing.T) {
 	if len(perCmd) != 2 {
 		t.Fatalf("merged commands = %d, want 2", len(perCmd))
 	}
-	sawRetransmit := false
 	for key, spans := range perCmd {
 		var send, apply, ack *Span
 		procs := map[string]bool{}
@@ -154,12 +158,10 @@ func TestMergeControllerTwoAgents(t *testing.T) {
 				apply = s
 			case "sb.ack":
 				ack = s
-			case "sb.retransmit":
-				sawRetransmit = true
 			}
 		}
-		if send == nil || apply == nil || ack == nil {
-			t.Fatalf("command %s incomplete: %+v", key, spans)
+		if send == nil || apply == nil || ack == nil || len(spans) != 3 {
+			t.Fatalf("command %s is not one send, apply and ack: %+v", key, spans)
 		}
 		if len(procs) < 2 {
 			t.Errorf("command %s spans only %v, want 2 processes", key, procs)
@@ -183,10 +185,6 @@ func TestMergeControllerTwoAgents(t *testing.T) {
 				key, apply.StartUS, apply.StartUS+apply.DurUS, send.StartUS, ack.StartUS+ack.DurUS)
 		}
 	}
-	if !sawRetransmit {
-		t.Error("merged trace has no sb.retransmit span")
-	}
-
 	// One timeline: after correction every event still lies inside the
 	// span of its own process that enclosed it when it was emitted — the
 	// agent's inside its apply (pulled back 10 s with it), the
@@ -281,10 +279,12 @@ func TestMergeControllerTwoAgents(t *testing.T) {
 // Four processes over real TCP: one controller and three agents whose
 // clocks are skewed asymmetrically (far ahead, far behind, slightly
 // ahead). Multiple commands per agent give the NTP-style estimator
-// several samples to take the median of. The merge must recover every
-// skew independently, keep each command's causal tree intact, and order
-// the skew-corrected applies consistently with the real send order even
-// though the raw agent clocks disagree by over a minute.
+// several samples to take the median of; sat 7 holds its last command
+// unacked until every other agent has acked, so one of its samples has a
+// long apply that the median must outvote. The merge must recover every skew independently, keep each
+// command's causal tree intact, and order the skew-corrected applies
+// consistently with the real send order even though the raw agent clocks
+// disagree by over a minute.
 func TestMergeFourProcessesAsymmetricSkew(t *testing.T) {
 	ctlTr := procTracer("ctl", 0)
 	skews := map[uint32]time.Duration{
@@ -301,6 +301,9 @@ func TestMergeFourProcessesAsymmetricSkew(t *testing.T) {
 	defer c.Close()
 	c.Tracer = ctlTr
 
+	held := make(chan struct{}, 1)
+	release := make(chan struct{})
+	unhold := sync.OnceFunc(func() { close(release) })
 	for _, id := range []uint32{7, 8, 9} {
 		tr := procTracer("sat-"+string(rune('0'+id)), skews[id])
 		trs[id] = tr
@@ -309,8 +312,17 @@ func TestMergeFourProcessesAsymmetricSkew(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer a.Close()
-		a.OnCommand = func(m *southbound.Message) {}
+		applies := 0 // read loop only
+		a.OnCommand = func(m *southbound.Message) {
+			if applies++; id == 7 && applies == 3 {
+				held <- struct{}{}
+				<-release
+			}
+		}
 	}
+	// Deferred after every Close, so it runs first: a failing test never
+	// leaves Close waiting on the held callback.
+	defer unhold()
 
 	// Three commands per agent, interleaved round-robin so every agent's
 	// offset comes from samples spread across the run.
@@ -323,6 +335,18 @@ func TestMergeFourProcessesAsymmetricSkew(t *testing.T) {
 		}
 	}
 	emit.End()
+	select {
+	case <-held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("sat 7 never started applying its last command")
+	}
+	for deadline := time.Now().Add(5 * time.Second); c.PendingAcks() > 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("sats 8 and 9 never acked their commands")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	unhold()
 	for deadline := time.Now().Add(5 * time.Second); c.PendingAcks() > 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("commands never acked")
@@ -377,8 +401,8 @@ func TestMergeFourProcessesAsymmetricSkew(t *testing.T) {
 				ack = s
 			}
 		}
-		if send == nil || apply == nil || ack == nil {
-			t.Fatalf("command %s incomplete: %+v", key, spans)
+		if send == nil || apply == nil || ack == nil || len(spans) != 3 {
+			t.Fatalf("command %s is not one send, apply and ack: %+v", key, spans)
 		}
 		if apply.Proc == send.Proc {
 			t.Errorf("command %s: apply did not cross a process boundary", key)

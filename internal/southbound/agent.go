@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -26,7 +25,6 @@ import (
 var agentMetrics = struct {
 	rx, tx     [MsgSlotSnapshot + 1]*obs.Counter
 	reconnects *obs.Counter
-	duplicates *obs.Counter
 }{}
 
 func init() {
@@ -40,15 +38,10 @@ func init() {
 			"tinyleo_southbound_agent_messages_total", "dir", "tx", "type", t.String())
 	}
 	agentMetrics.reconnects = obs.Default().Counter("tinyleo_southbound_agent_reconnects_total")
-	agentMetrics.duplicates = obs.Default().Counter("tinyleo_southbound_agent_duplicates_total")
 }
 
-// Dedup window, backoff defaults for AgentOptions zero values, and the
-// backoff jitter.
+// Backoff defaults for AgentOptions zero values, and the backoff jitter.
 const (
-	// DefaultDedupWindow is how many recent command sequence numbers an
-	// agent remembers for duplicate suppression.
-	DefaultDedupWindow = 4096
 	// DefaultBackoffBase / DefaultBackoffMax bound the reconnect backoff.
 	DefaultBackoffBase = 50 * time.Millisecond
 	DefaultBackoffMax  = 2 * time.Second
@@ -69,8 +62,6 @@ type AgentOptions struct {
 	Seed int64
 	// Tracer records agent.apply spans continuing the trace context
 	// carried by incoming commands (nil = the process-wide obs.Trace()).
-	// Duplicate (retransmitted, already-applied) commands get no span:
-	// the causal tree has exactly one apply per command.
 	Tracer *obs.Tracer
 }
 
@@ -78,13 +69,12 @@ type AgentOptions struct {
 // controller, receives topology commands, acknowledges them, and reports
 // failures (§5's "gRPC-based southbound API agent per satellite").
 //
-// When its connection drops the agent re-dials with exponential backoff and
-// jitter until it registers again or is closed; a DeltaEnforcer re-syncs a
-// re-registered agent with a MsgSlotSnapshot.
-//
-// Duplicate commands (the controller retransmits until acked) are
-// acknowledged but not re-applied: OnCommand runs at most once per
-// sequence number within the dedup window.
+// Delivery is TCP's: the controller sends each command once, so every
+// command that arrives is applied and acknowledged. When its connection
+// drops the agent re-dials with exponential backoff and jitter until it
+// registers again or is closed; a command lost with the old session is
+// superseded by the MsgSlotSnapshot with which a DeltaEnforcer re-syncs
+// the re-registered agent.
 type Agent struct {
 	SatID uint32
 
@@ -102,24 +92,14 @@ type Agent struct {
 	// until the first reconnect draws a delay: a source is 4.9 KB, and most
 	// agents of a large fleet never lose their connection.
 	rng *rand.Rand
-	// seenRing / seenHead / seenMax implement the bounded dedup window;
-	// only the read loop touches them. seenRing is the window: it grows to
-	// DefaultDedupWindow and is a ring buffer from then on — a slice that
-	// is appended to and re-sliced from the front grows its backing array
-	// without bound over a long session. seenMax bounds every sequence
-	// number the ring holds.
-	seenRing []uint32
-	seenHead int
-	seenMax  uint32
 
 	// OnCommand is invoked for every controller command (MsgSlotDelta or
-	// MsgSlotSnapshot), once per sequence number, with a message the
-	// callback owns. The agent auto-acks after the callback returns.
+	// MsgSlotSnapshot) with a message the callback owns. The agent
+	// auto-acks after the callback returns.
 	OnCommand func(m *Message)
 
 	helloAck chan struct{}
-	acked    bool   // helloAck already closed (read loop only)
-	epoch    uint32 // controller epoch of the last hello-ack (read loop only)
+	acked    bool // helloAck already closed (read loop only)
 	//tinyleo:guardedby mu
 	closed bool
 
@@ -170,34 +150,6 @@ func (a *Agent) tracer() *obs.Tracer {
 	return obs.Trace()
 }
 
-// isDuplicate records seq in the dedup window and reports whether it was
-// already there. Read loop only. The window is a ring buffer that grows
-// on demand up to the window (most agents see a few dozen commands, and a
-// fleet of them should not each pin a full window): once full, the oldest
-// remembered sequence number is evicted in place, so memory stays bounded
-// by the window no matter how many commands a session sees. The controller
-// numbers commands in increasing order, so a fresh command is above every
-// remembered one and skips the scan.
-func (a *Agent) isDuplicate(seq uint32) bool {
-	if seq <= a.seenMax && slices.Contains(a.seenRing, seq) {
-		return true
-	}
-	a.seenMax = max(a.seenMax, seq)
-	if len(a.seenRing) < DefaultDedupWindow {
-		if len(a.seenRing) == cap(a.seenRing) {
-			// Doubling like append, but never past the window.
-			grown := make([]uint32, len(a.seenRing), min(max(2*cap(a.seenRing), 16), DefaultDedupWindow))
-			copy(grown, a.seenRing)
-			a.seenRing = grown
-		}
-		a.seenRing = append(a.seenRing, seq)
-		return false
-	}
-	a.seenRing[a.seenHead] = seq
-	a.seenHead = (a.seenHead + 1) % len(a.seenRing)
-	return false
-}
-
 // readLoop is the agent's per-command receive loop.
 //
 //tinyleo:hotpath
@@ -208,8 +160,8 @@ func (a *Agent) readLoop() {
 		a.mu.Lock()
 		fr.r = a.conn
 		a.mu.Unlock()
-		// Hello-acks and duplicates are handled on the borrowed frame; a
-		// command is copied once, for OnCommand to keep.
+		// Hello-acks are handled on the borrowed frame; a command is
+		// copied once, for OnCommand to keep.
 		m, err := fr.next()
 		if err != nil {
 			if !a.reconnect() {
@@ -222,29 +174,11 @@ func (a *Agent) readLoop() {
 		}
 		switch m.Type {
 		case MsgHelloAck:
-			if m.Peer != a.epoch {
-				// A new controller instance numbers its commands from 1
-				// again: the window would drop them as duplicates.
-				a.epoch = m.Peer
-				a.seenRing, a.seenHead, a.seenMax = a.seenRing[:0], 0, 0
-			}
 			if !a.acked {
 				a.acked = true
 				close(a.helloAck)
 			}
 		case MsgSlotDelta, MsgSlotSnapshot:
-			if a.isDuplicate(m.Seq) {
-				// Retransmission of a command already applied: re-ack so
-				// the controller stops resending, but do not re-apply.
-				agentMetrics.duplicates.Inc()
-				if flightrec.Enabled() {
-					flightrec.Emit(flightrec.CompSouthbound, "duplicate_command",
-						"sat", strconv.FormatUint(uint64(a.SatID), 10),
-						"seq", strconv.FormatUint(uint64(m.Seq), 10))
-				}
-				_ = a.write(&Message{Type: MsgAck, SatID: a.SatID, Seq: m.Seq})
-				continue
-			}
 			if a.OnCommand != nil {
 				m = m.clone()
 			}
@@ -372,9 +306,9 @@ func (a *Agent) write(m *Message) error {
 
 // SendTelemetry pushes one opaque fleet-telemetry report (an
 // internal/obs/fleet wire payload) to the controller. Telemetry rides
-// the same session as control traffic but is fire-and-forget: no ack,
-// no retransmit — a lost report is healed by the encoder's next
-// baseline. See the agentMetrics doc for why it is not self-metered.
+// the same session as control traffic but is fire-and-forget: no ack —
+// a lost report is healed by the encoder's next baseline. See the
+// agentMetrics doc for why it is not self-metered.
 func (a *Agent) SendTelemetry(payload []byte) error {
 	return a.write(&Message{Type: MsgTelemetry, SatID: a.SatID, Payload: payload})
 }

@@ -3,7 +3,6 @@ package southbound
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"slices"
 	"strconv"
@@ -25,98 +24,70 @@ const (
 	// MetricAckRTT is the command→ack round-trip histogram (seconds).
 	MetricAckRTT = "tinyleo_southbound_ack_rtt_seconds"
 	// MetricAckTimeouts counts commands abandoned unacknowledged after
-	// AckTimeout (retransmissions included).
+	// AckTimeout.
 	MetricAckTimeouts = "tinyleo_southbound_ack_timeouts_total"
-	// MetricRetransmits counts command retransmissions.
+	// MetricRetransmits names a series no Controller registers: commands
+	// are sent once. The name stays because the bench/ ledger still reads
+	// it (and so reads 0).
 	MetricRetransmits = "tinyleo_southbound_retransmits_total"
 	// MetricUntracked counts commands sent while the pending-ack table was
-	// full: they are written to the wire but get no timeout, retransmit,
-	// or RTT accounting.
+	// full: they are written to the wire but get no timeout or RTT
+	// accounting.
 	MetricUntracked = "tinyleo_southbound_untracked_total"
 	// MetricCmdE2E is the emit-to-applied latency histogram (seconds):
 	// from Message.Emitted (set by the planning layer when the command was
 	// produced) to the acknowledgement that confirms the agent applied it.
-	// Unlike MetricAckRTT this includes queueing, retransmissions, and
-	// reconnect resends — the latency the paper's reconfiguration deadline
+	// Unlike MetricAckRTT this includes the time the command queued before
+	// it was sent — the latency the paper's reconfiguration deadline
 	// actually cares about.
 	MetricCmdE2E = "tinyleo_southbound_cmd_e2e_seconds"
 )
 
 // maxPendingAcks bounds the seq→pending-command map used for ack RTT
-// measurement and retransmission; beyond it new sends are written but not
+// measurement and ack timeouts; beyond it new sends are written but not
 // tracked (counted by MetricUntracked and an untracked_command event).
 const maxPendingAcks = 4096
 
-// Reliability defaults, used when the corresponding Controller field is
-// zero.
-const (
-	// DefaultAckTimeout is how long a command may sit unacknowledged
-	// (across retransmissions) before the controller abandons it and marks
-	// the satellite unreachable.
-	DefaultAckTimeout = 5 * time.Second
-	// DefaultRetransmitInterval is the at-least-once resend cadence for
-	// unacknowledged commands.
-	DefaultRetransmitInterval = time.Second
-	// DefaultMaxRetransmits bounds resends per command (beyond the
-	// original transmission).
-	DefaultMaxRetransmits = 3
-)
+// DefaultAckTimeout is how long a command may sit unacknowledged before
+// the controller abandons it and marks the satellite unreachable, used
+// when Controller.AckTimeout is zero.
+const DefaultAckTimeout = 5 * time.Second
 
 // pendingCmd tracks one unacknowledged command for RTT measurement and
-// at-least-once retransmission. The pending table holds it by value: a
-// path that changes an entry writes it back.
+// its ack timeout.
 type pendingCmd struct {
-	msg       *Message
-	firstSent time.Time // original transmission (ack RTT epoch)
-	lastSent  time.Time // latest (re)transmission
-	attempts  int       // transmissions so far (1 = original send)
-	// sc is the sb.send span of the original transmission: retransmit and
-	// ack spans parent to it so a command's whole reliability history is
-	// one causal subtree, however many resends it took.
-	sc obs.SpanContext
-}
-
-// resend is a retransmission decided under c.mu, written after unlock.
-type resend struct {
-	conn net.Conn
 	msg  *Message
-	sc   obs.SpanContext // original send span (retransmit span parent)
+	sent time.Time // transmission (ack RTT epoch)
+	// sc is the command's sb.send span: the ack span parents to it.
+	sc obs.SpanContext
 }
 
 // Controller is the terrestrial MPC endpoint of the southbound API: it
 // accepts agent registrations and pushes topology commands.
 //
-// Reliability: commands are tracked until acknowledged. Unacked commands
-// are retransmitted every RetransmitInterval up to MaxRetransmits times
-// (the agent deduplicates by Seq, so delivery is at-least-once with
-// idempotent application), then abandoned after AckTimeout with the
-// satellite marked unreachable (TakeUnreachable / OnCommandFailed) so the
-// control loop can keep compiling and route around it instead of erroring.
-// Pending commands for a satellite are also resent immediately when it
-// re-registers after a connection drop.
+// Delivery is TCP's: each command is written once, on the satellite's
+// session, and tracked until acknowledged. A command lost with its
+// session is superseded by the snapshot re-sync: a hello retires the
+// satellite's pending commands, and the DeltaEnforcer answers the
+// registration with a full MsgSlotSnapshot. A command left unacked past
+// AckTimeout on a live session is abandoned and the satellite marked
+// unreachable (TakeUnreachable / OnCommandFailed), so the control loop can
+// keep compiling and route around it instead of erroring.
 type Controller struct {
 	ln net.Listener
-	// epoch names this controller instance in every hello-ack: an agent
-	// that re-registers with a different one forgets the command
-	// sequence numbers it has seen, since this controller numbers its
-	// commands afresh.
-	epoch uint32
 
-	// AckTimeout, RetransmitInterval, and MaxRetransmits tune the
-	// reliability layer (zero = the Default* constants). Set before the
-	// first Send.
-	AckTimeout         time.Duration
-	RetransmitInterval time.Duration
-	MaxRetransmits     int
+	// AckTimeout is how long a command may go unacknowledged before it
+	// is abandoned (zero = DefaultAckTimeout). Set before the first Send.
+	AckTimeout time.Duration
 	// Clock, when non-nil, replaces time.Now for all pending-ack
-	// accounting (tests and the chaos engine drive retransmission
+	// accounting (tests and the chaos engine drive ack timeouts
 	// deterministically through it). Set before any agent connects.
 	Clock func() time.Time
-	// Tracer records sb.send/sb.retransmit/sb.ack spans for each tracked
-	// command (nil = the process-wide obs.Trace()). The sb.send span's
-	// context replaces Message.Trace on the wire, so agent-side apply
-	// spans parent to the controller's send — one causal tree per command
-	// across both processes. Set before the first Send.
+	// Tracer records sb.send/sb.ack spans for each tracked command (nil =
+	// the process-wide obs.Trace()). The sb.send span's context replaces
+	// Message.Trace on the wire, so agent-side apply spans parent to the
+	// controller's send — one causal tree per command across both
+	// processes. Set before the first Send.
 	Tracer *obs.Tracer
 
 	mu sync.Mutex
@@ -135,8 +106,9 @@ type Controller struct {
 	//tinyleo:guardedby mu
 	lastSweep time.Time // last ack-timeout sweep
 
-	// wmu serializes frame writes so a retransmission and a Send to the
-	// same agent cannot interleave bytes on the connection.
+	// wmu serializes frame writes so two Sends (or a Send and a
+	// hello-ack) to the same agent cannot interleave bytes on the
+	// connection.
 	wmu sync.Mutex
 
 	// OnFailure, if set, is invoked when an agent reports a failure and
@@ -175,7 +147,6 @@ type Controller struct {
 	ackRTT      *obs.Histogram
 	cmdE2E      *obs.Histogram
 	ackTimeouts *obs.Counter
-	retransmits *obs.Counter
 	untracked   *obs.Counter
 
 	wg sync.WaitGroup
@@ -190,7 +161,6 @@ func ListenController(addr string) (*Controller, error) {
 	reg := obs.NewRegistry(true)
 	c := &Controller{
 		ln:          ln,
-		epoch:       rand.Uint32() | 1,
 		agents:      map[uint32]net.Conn{},
 		hellos:      map[uint32]uint64{},
 		unreachable: map[uint32]bool{},
@@ -202,7 +172,6 @@ func ListenController(addr string) (*Controller, error) {
 		ackRTT:      reg.Histogram(MetricAckRTT, obs.DefBuckets),
 		cmdE2E:      reg.Histogram(MetricCmdE2E, obs.DefBuckets),
 		ackTimeouts: reg.Counter(MetricAckTimeouts),
-		retransmits: reg.Counter(MetricRetransmits),
 		untracked:   reg.Counter(MetricUntracked),
 	}
 	for t := MsgHello; t <= MsgSlotSnapshot; t++ {
@@ -240,20 +209,6 @@ func (c *Controller) ackTimeout() time.Duration {
 		return c.AckTimeout
 	}
 	return DefaultAckTimeout
-}
-
-func (c *Controller) retransmitInterval() time.Duration {
-	if c.RetransmitInterval > 0 {
-		return c.RetransmitInterval
-	}
-	return DefaultRetransmitInterval
-}
-
-func (c *Controller) maxRetransmits() int {
-	if c.MaxRetransmits > 0 {
-		return c.MaxRetransmits
-	}
-	return DefaultMaxRetransmits
 }
 
 func (c *Controller) acceptLoop() {
@@ -311,30 +266,23 @@ func (c *Controller) serve(conn net.Conn) {
 			c.agents[satID] = conn
 			c.hellos[satID]++
 			delete(c.unreachable, satID)
+			// Commands still pending for this satellite went out on a
+			// session that is gone: they are retired here, neither
+			// abandoned nor resent, and the snapshot re-sync that
+			// OnRegister schedules supersedes them.
+			for seq, p := range c.pending {
+				if p.msg.SatID == satID {
+					delete(c.pending, seq)
+				}
+			}
 			// The hello-ack is counted with the registration, not after
 			// its write below: whoever sees the gauge include this agent
 			// also sees both halves of its handshake in the message
 			// counters. An ack whose write then fails stays counted; the
 			// connection is dropped and the gauge falls back.
-			ack := &Message{Type: MsgHelloAck, SatID: satID, Seq: m.Seq, Peer: c.epoch}
+			ack := &Message{Type: MsgHelloAck, SatID: satID, Seq: m.Seq}
 			c.countTx(ack)
 			c.connected.Set(float64(len(c.agents)))
-			// At-least-once across reconnects: everything still pending
-			// for this satellite goes out again on the fresh connection.
-			var resends []resend
-			now := c.now()
-			// Sorted by seq: the agent sees retransmits in send order.
-			for _, seq := range c.pendingSeqsLocked() {
-				p := c.pending[seq]
-				if p.msg.SatID != satID {
-					continue
-				}
-				p.attempts++
-				p.lastSent = now
-				c.pending[seq] = p
-				c.retransmits.Inc()
-				resends = append(resends, resend{conn, p.msg, p.sc})
-			}
 			c.mu.Unlock()
 			registered = true
 			if flightrec.Enabled() {
@@ -351,7 +299,6 @@ func (c *Controller) serve(conn net.Conn) {
 			if err := c.writeTo(conn, ack); err != nil {
 				return
 			}
-			c.deliverResends(resends)
 		case MsgFailureReport:
 			if flightrec.Enabled() {
 				flightrec.Emit(flightrec.CompSouthbound, "failure_report",
@@ -371,7 +318,7 @@ func (c *Controller) serve(conn net.Conn) {
 			now := c.now()
 			c.mu.Lock()
 			if p, tracked := c.pending[m.Seq]; tracked {
-				c.ackRTT.ObserveDuration(now.Sub(p.firstSent))
+				c.ackRTT.ObserveDuration(now.Sub(p.sent))
 				if !p.msg.Emitted.IsZero() {
 					c.cmdE2E.ObserveDuration(now.Sub(p.msg.Emitted))
 				}
@@ -382,16 +329,14 @@ func (c *Controller) serve(conn net.Conn) {
 				if tr := c.tracer(); tr.Enabled() && !p.sc.IsZero() {
 					sp := tr.StartSpanCtx(p.sc, "sb.ack",
 						"sat", strconv.FormatUint(uint64(m.SatID), 10),
-						"seq", strconv.FormatUint(uint64(m.Seq), 10),
-						"attempts", strconv.Itoa(p.attempts))
+						"seq", strconv.FormatUint(uint64(m.Seq), 10))
 					sp.End()
 				}
 				if flightrec.Enabled() {
 					attrs := []string{
 						"sat", strconv.FormatUint(uint64(m.SatID), 10),
 						"seq", strconv.FormatUint(uint64(m.Seq), 10),
-						"attempts", strconv.Itoa(p.attempts),
-						"rtt_us", strconv.FormatInt(now.Sub(p.firstSent).Microseconds(), 10),
+						"rtt_us", strconv.FormatInt(now.Sub(p.sent).Microseconds(), 10),
 					}
 					if !p.msg.Emitted.IsZero() {
 						attrs = append(attrs, "e2e_us", strconv.FormatInt(now.Sub(p.msg.Emitted).Microseconds(), 10))
@@ -414,39 +359,13 @@ func (c *Controller) serve(conn net.Conn) {
 }
 
 // writeTo writes one frame under the controller-wide write lock, so
-// concurrent Sends and retransmissions never interleave bytes.
+// concurrent Sends never interleave bytes.
 //
 //tinyleo:hotpath
 func (c *Controller) writeTo(conn net.Conn, m *Message) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	return WriteMessage(conn, m)
-}
-
-// deliverResends writes retransmissions decided during a sweep (or a
-// re-registration) and counts them as tx traffic. Write errors are
-// ignored: the pending entry stays tracked and either a later sweep or
-// the agent's next reconnect retries it, or AckTimeout abandons it.
-//
-//tinyleo:hotpath
-func (c *Controller) deliverResends(resends []resend) {
-	for _, r := range resends {
-		if err := c.writeTo(r.conn, r.msg); err != nil {
-			continue
-		}
-		c.countTx(r.msg)
-		if tr := c.tracer(); tr.Enabled() && !r.sc.IsZero() {
-			sp := tr.StartSpanCtx(r.sc, "sb.retransmit",
-				"sat", strconv.FormatUint(uint64(r.msg.SatID), 10),
-				"seq", strconv.FormatUint(uint64(r.msg.Seq), 10))
-			sp.End()
-		}
-		if flightrec.Enabled() {
-			flightrec.Emit(flightrec.CompSouthbound, "retransmit",
-				"sat", strconv.FormatUint(uint64(r.msg.SatID), 10),
-				"seq", strconv.FormatUint(uint64(r.msg.Seq), 10))
-		}
-	}
 }
 
 // notifyFailed reports abandoned commands to OnCommandFailed outside any
@@ -496,10 +415,10 @@ func (c *Controller) TotalMessages() int64 {
 var ErrUnknownAgent = errors.New("southbound: unknown agent")
 
 // Send pushes a command to the agent identified by m.SatID, assigning a
-// sequence number if unset. The command is tracked for acknowledgement:
-// if no ack arrives it is retransmitted (see the Controller doc) and
-// eventually abandoned. A synchronous write error is returned once and
-// the command is NOT left in the pending table (it would otherwise be
+// sequence number if unset. The command is written once and tracked for
+// acknowledgement: if no ack arrives it is abandoned after AckTimeout (see
+// the Controller doc). A synchronous write error is returned once and the
+// command is NOT left in the pending table (it would otherwise be
 // double-reported as an ack timeout later).
 //
 //tinyleo:hotpath
@@ -517,7 +436,7 @@ func (c *Controller) Send(m *Message) error {
 		}
 	}
 	c.mu.Lock()
-	resends, failed := c.sweepAckTimeoutsLocked(now)
+	failed := c.sweepAckTimeoutsLocked(now)
 	conn, ok := c.agents[m.SatID]
 	tracked := false
 	if ok {
@@ -526,7 +445,7 @@ func (c *Controller) Send(m *Message) error {
 			m.Seq = c.seq
 		}
 		if len(c.pending) < maxPendingAcks {
-			c.pending[m.Seq] = pendingCmd{msg: m, firstSent: now, lastSent: now, attempts: 1, sc: m.Trace}
+			c.pending[m.Seq] = pendingCmd{msg: m, sent: now, sc: m.Trace}
 			tracked = true
 		} else {
 			c.untracked.Inc()
@@ -544,7 +463,6 @@ func (c *Controller) Send(m *Message) error {
 		sendSpan.Attr("seq", strconv.FormatUint(uint64(m.Seq), 10))
 		sendSpan.Attr("type", m.Type.String())
 	}
-	c.deliverResends(resends)
 	c.notifyFailed(failed)
 	if !ok {
 		sendSpan.Attr("err", "unknown-agent")
@@ -567,71 +485,55 @@ func (c *Controller) Send(m *Message) error {
 }
 
 // SweepPending runs one pending-ack sweep immediately (subject to the
-// rate limit): retransmitting overdue commands and abandoning those past
-// AckTimeout. Send sweeps lazily; callers with long idle gaps (or a
-// virtual clock) use this to drive the reliability layer explicitly.
+// rate limit), abandoning commands past AckTimeout. Send sweeps lazily;
+// callers with long idle gaps (or a virtual clock) use this to drive ack
+// timeouts explicitly.
 func (c *Controller) SweepPending() {
 	now := c.now()
 	c.mu.Lock()
-	resends, failed := c.sweepAckTimeoutsLocked(now)
+	failed := c.sweepAckTimeoutsLocked(now)
 	c.mu.Unlock()
-	c.deliverResends(resends)
 	c.notifyFailed(failed)
 }
 
-// sweepAckTimeoutsLocked scans the pending table: commands unacked past
-// RetransmitInterval are scheduled for retransmission (returned for the
-// caller to write after unlock), and commands older than AckTimeout are
-// abandoned — counted as ack timeouts, flagged in the unreachable set,
-// and returned for OnCommandFailed. Called with c.mu held; rate-limited
-// to one scan per RetransmitInterval/2 so Send stays O(1) amortized.
+// sweepAckTimeoutsLocked abandons the commands older than AckTimeout —
+// counted as ack timeouts, flagged in the unreachable set, and returned
+// for OnCommandFailed. Called with c.mu held; rate-limited to one scan per
+// AckTimeout/10 so Send stays O(1) amortized.
 //
 //tinyleo:hotpath
-func (c *Controller) sweepAckTimeoutsLocked(now time.Time) ([]resend, []*Message) {
-	if len(c.pending) == 0 || now.Sub(c.lastSweep) < c.retransmitInterval()/2 {
-		return nil, nil
+func (c *Controller) sweepAckTimeoutsLocked(now time.Time) []*Message {
+	if len(c.pending) == 0 || now.Sub(c.lastSweep) < c.ackTimeout()/10 {
+		return nil
 	}
 	c.lastSweep = now
-	var resends []resend
 	var failed []*Message
-	// Sorted by seq so retransmit order, failure order, and the emitted
-	// ack_timeout events are reproducible run-to-run.
+	// Sorted by seq so failure order and the emitted ack_timeout events
+	// are reproducible run-to-run.
 	for _, seq := range c.pendingSeqsLocked() {
 		p := c.pending[seq]
-		if age := now.Sub(p.firstSent); age > c.ackTimeout() {
-			delete(c.pending, seq)
-			c.ackTimeouts.Inc()
-			c.unreachable[p.msg.SatID] = true
-			failed = append(failed, p.msg)
-			if flightrec.Enabled() {
-				flightrec.Emit(flightrec.CompSouthbound, "ack_timeout",
-					"sat", strconv.FormatUint(uint64(p.msg.SatID), 10),
-					"seq", strconv.FormatUint(uint64(seq), 10),
-					"attempts", strconv.Itoa(p.attempts),
-					"age_ms", strconv.FormatInt(age.Milliseconds(), 10))
-			}
+		age := now.Sub(p.sent)
+		if age <= c.ackTimeout() {
 			continue
 		}
-		if now.Sub(p.lastSent) < c.retransmitInterval() || p.attempts > c.maxRetransmits() {
-			continue
+		delete(c.pending, seq)
+		c.ackTimeouts.Inc()
+		c.unreachable[p.msg.SatID] = true
+		failed = append(failed, p.msg)
+		if flightrec.Enabled() {
+			flightrec.Emit(flightrec.CompSouthbound, "ack_timeout",
+				"sat", strconv.FormatUint(uint64(p.msg.SatID), 10),
+				"seq", strconv.FormatUint(uint64(seq), 10),
+				"age_ms", strconv.FormatInt(age.Milliseconds(), 10))
 		}
-		conn, ok := c.agents[p.msg.SatID]
-		if !ok {
-			continue // disconnected; re-registration resends
-		}
-		p.attempts++
-		p.lastSent = now
-		c.pending[seq] = p
-		c.retransmits.Inc()
-		resends = append(resends, resend{conn, p.msg, p.sc})
 	}
-	return resends, failed
+	return failed
 }
 
 // pendingSeqsLocked returns the pending command sequence numbers in
-// ascending order. Retransmit paths iterate this instead of the pending
-// map directly: resend order is wire-visible, so map iteration order
-// would leak into agent-observed behavior. Called with c.mu held.
+// ascending order. The sweep iterates this instead of the pending map
+// directly: abandonment order is observable (OnCommandFailed, events), so
+// map iteration order would leak into it. Called with c.mu held.
 func (c *Controller) pendingSeqsLocked() []uint32 {
 	seqs := make([]uint32, 0, len(c.pending))
 	for seq := range c.pending {

@@ -12,95 +12,6 @@ import (
 	"repro/internal/obs"
 )
 
-// TestSeenRingStableMemory is the regression test for the dedup-window
-// leak: the old implementation re-sliced its FIFO from the front
-// (seenQ = seenQ[1:]), so the backing array grew without bound over a
-// long session. The ring buffer must keep one fixed allocation while
-// still deduplicating within the window and evicting beyond it.
-func TestSeenRingStableMemory(t *testing.T) {
-	const window = DefaultDedupWindow
-	a := &Agent{}
-	// Warm the ring to capacity, then remember its backing array.
-	for seq := uint32(1); seq <= window; seq++ {
-		if a.isDuplicate(seq) {
-			t.Fatalf("fresh seq %d reported duplicate", seq)
-		}
-	}
-	base := &a.seenRing[0]
-	for seq := uint32(window + 1); seq <= 10_000; seq++ {
-		if a.isDuplicate(seq) {
-			t.Fatalf("fresh seq %d reported duplicate", seq)
-		}
-	}
-	if &a.seenRing[0] != base {
-		t.Error("ring backing array was reallocated")
-	}
-	if cap(a.seenRing) != window || len(a.seenRing) != window {
-		t.Errorf("ring len/cap = %d/%d, want %d/%d", len(a.seenRing), cap(a.seenRing), window, window)
-	}
-	// The ring is the whole window: exactly the newest window of
-	// sequence numbers, each once.
-	held := slices.Clone(a.seenRing)
-	slices.Sort(held)
-	for i, seq := range held {
-		if want := uint32(10_000 - window + 1 + i); seq != want {
-			t.Fatalf("window entry %d is %d, want %d", i, seq, want)
-		}
-	}
-	// The newest window of sequence numbers still deduplicates...
-	for seq := uint32(10_000 - window + 1); seq <= 10_000; seq++ {
-		if !a.isDuplicate(seq) {
-			t.Fatalf("in-window seq %d not deduplicated", seq)
-		}
-	}
-	// ...and an evicted one does not (it was forgotten, as designed).
-	if a.isDuplicate(1) {
-		t.Error("evicted seq 1 still remembered")
-	}
-}
-
-// TestDedupWindowMatchesModel drives isDuplicate with seeded sequence
-// numbers that repeat inside and outside the window and checks every
-// answer against a plain set-plus-queue model: the ring grows on demand,
-// never past the window.
-func TestDedupWindowMatchesModel(t *testing.T) {
-	const window = DefaultDedupWindow
-	rng := rand.New(rand.NewSource(int64(window)))
-	a := &Agent{}
-	model, queue := map[uint32]bool{}, []uint32(nil)
-	for step, fresh := 0, uint32(0); step < 10_000; step++ {
-		var seq uint32
-		switch back := rng.Intn(3 * window); {
-		case rng.Intn(2) == 0 || fresh == 0:
-			fresh++
-			seq = fresh
-		case uint32(back) < fresh:
-			seq = fresh - uint32(back) // a repeat, inside or outside the window
-		default:
-			seq = 1
-		}
-		want := model[seq]
-		if !want {
-			model[seq] = true
-			queue = append(queue, seq)
-			if len(queue) > window {
-				delete(model, queue[0])
-				queue = queue[1:]
-			}
-		}
-		if got := a.isDuplicate(seq); got != want {
-			t.Fatalf("step %d seq %d: duplicate = %v, model says %v", step, seq, got, want)
-		}
-		if cap(a.seenRing) > window || len(a.seenRing) != len(model) {
-			t.Fatalf("step %d: ring cap %d, %d remembered, model holds %d",
-				step, cap(a.seenRing), len(a.seenRing), len(model))
-		}
-	}
-	if len(a.seenRing) != window {
-		t.Errorf("ring holds %d after 10,000 commands, want %d", len(a.seenRing), window)
-	}
-}
-
 // TestSlotDeltaCodecRoundTrip covers the delta/snapshot payload codecs,
 // including empty batches and corrupt inputs.
 func TestSlotDeltaCodecRoundTrip(t *testing.T) {
@@ -297,8 +208,8 @@ func TestDeltaResyncOnRestart(t *testing.T) {
 	defer func() { deltaAgent.Close(); snapAgent.Close() }()
 
 	// waitAcked blocks until every delta/snapshot push so far has been
-	// acknowledged, so a restart cannot race pending-command resends
-	// against the fresh agent's OnCommand installation.
+	// acknowledged, so the restart lands between slots rather than
+	// mid-apply.
 	waitAcked := func() {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)

@@ -237,9 +237,8 @@ func TestDialAgentReconnectsAndResyncs(t *testing.T) {
 
 // TestAgentAppliesRestartedControllersCommands: a controller restarted on
 // the same address numbers its commands from 1 again. The agent re-dials
-// it, and the new epoch in its hello-ack empties the agent's dedup window,
-// so the new controller's first snapshot is applied, not re-acked as a
-// duplicate of the old controller's command with the same sequence number.
+// it, and the new controller's first snapshot is applied even though it
+// carries the sequence number of the old controller's command.
 func TestAgentAppliesRestartedControllersCommands(t *testing.T) {
 	snapshots := make(chan []uint32, 4)
 	var seqs []uint32 // what each controller's first push was numbered

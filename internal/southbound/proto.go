@@ -29,8 +29,7 @@ type MsgType uint8
 const (
 	// MsgHello registers an agent (SatID) with the controller.
 	MsgHello MsgType = iota + 1
-	// MsgHelloAck confirms registration; Peer is the controller's epoch,
-	// a number that differs between controller instances.
+	// MsgHelloAck confirms registration.
 	MsgHelloAck
 	// MsgFailureReport notifies the controller that the link to Peer (or
 	// the satellite itself, Peer == 0xFFFFFFFF) failed.
@@ -78,7 +77,7 @@ type Message struct {
 	Type  MsgType
 	SatID uint32 // subject satellite
 	Seq   uint32 // command sequence / ack correlation
-	Peer  uint32 // a MsgFailureReport's failed peer, a MsgHelloAck's controller epoch
+	Peer  uint32 // a MsgFailureReport's failed peer
 
 	// Trace is the causal context of the span that produced this message.
 	// It rides the wire in an optional trailer (see WriteMessage): a zero

@@ -3,9 +3,13 @@ package southbound
 import (
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // vclock is an injectable wall clock for deterministic reliability tests.
@@ -105,8 +109,8 @@ func TestUntrackedCommandCounted(t *testing.T) {
 	for i := 0; i < maxPendingAcks; i++ {
 		seq := uint32(1_000_000 + i)
 		c.pending[seq] = pendingCmd{
-			msg:       &Message{Type: MsgSlotDelta, SatID: 99, Seq: seq},
-			firstSent: vc.Now(), lastSent: vc.Now(), attempts: 1,
+			msg:  &Message{Type: MsgSlotDelta, SatID: 99, Seq: seq},
+			sent: vc.Now(),
 		}
 	}
 	c.mu.Unlock()
@@ -128,10 +132,12 @@ func TestUntrackedCommandCounted(t *testing.T) {
 	}
 }
 
-// At-least-once delivery: unacked commands are retransmitted up to
-// MaxRetransmits, the agent deduplicates by Seq, and the command is
-// applied exactly once.
-func TestRetransmitAndAgentDedup(t *testing.T) {
+// Delivery is TCP's and recovery is the snapshot re-sync: a command
+// wedged on a session that then drops is retired by the satellite's next
+// hello — not resent, not abandoned as an ack timeout, not a reason to
+// call the satellite unreachable — and the enforcer's re-sync snapshot
+// supersedes it.
+func TestReregistrationRetiresPending(t *testing.T) {
 	c, err := ListenController("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -139,63 +145,8 @@ func TestRetransmitAndAgentDedup(t *testing.T) {
 	defer c.Close()
 	vc := newVclock()
 	c.Clock = vc.Now
+	enf := NewDeltaEnforcer(c)
 
-	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
-	var mu sync.Mutex
-	appliedCount := 0
-	a, err := DialAgent(c.Addr(), 5, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	a.OnCommand = func(m *Message) {
-		mu.Lock()
-		appliedCount++
-		mu.Unlock()
-		entered <- struct{}{}
-		<-release
-	}
-
-	if err := c.Send(delta(5, 4, 5, 6)); err != nil {
-		t.Fatal(err)
-	}
-	<-entered // agent is holding the command unacked
-
-	// Three sweeps, one retransmit interval apart → MaxRetransmits
-	// resends; the fourth sweep must not resend (cap reached).
-	for i := 0; i < c.maxRetransmits()+1; i++ {
-		vc.Advance(c.retransmitInterval())
-		c.SweepPending()
-	}
-	waitUntil(t, 2*time.Second, func() bool {
-		return c.reg.Counter(MetricRetransmits).Value() == int64(c.maxRetransmits())
-	}, "retransmit count never reached cap")
-	close(release) // agent acks the original, then dedup-acks the copies
-
-	waitUntil(t, 2*time.Second, func() bool { return c.PendingAcks() == 0 },
-		"pending command never acked")
-	mu.Lock()
-	defer mu.Unlock()
-	if appliedCount != 1 {
-		t.Fatalf("command applied %d times, want 1 (dedup)", appliedCount)
-	}
-}
-
-// Agent reconnect with backoff plus resend-on-reregistration: a command
-// in flight across a connection drop is retransmitted on the new session
-// and still applied exactly once.
-func TestAgentReconnectResendsPending(t *testing.T) {
-	c, err := ListenController("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
-	var mu sync.Mutex
-	appliedCount := 0
 	a, err := DialAgentOptions(c.Addr(), 9, time.Second, AgentOptions{
 		BackoffBase: 5 * time.Millisecond,
 		BackoffMax:  50 * time.Millisecond,
@@ -205,32 +156,73 @@ func TestAgentReconnectResendsPending(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
+	wedged := make(chan struct{}, 1)
+	release := make(chan struct{})
+	// Deferred after Close, so it runs first: a failing test never leaves
+	// Close waiting on a callback that is still wedged.
+	unwedge := sync.OnceFunc(func() { close(release) })
+	defer unwedge()
+	view := &PeerSet{}
+	var wedge atomic.Bool
 	a.OnCommand = func(m *Message) {
-		mu.Lock()
-		appliedCount++
-		mu.Unlock()
-		entered <- struct{}{}
-		<-release
+		if wedge.Load() {
+			// The apply dies with the session: held until the
+			// connection drops, then never applied.
+			wedged <- struct{}{}
+			<-release
+			return
+		}
+		if err := view.Apply(m); err != nil {
+			t.Errorf("apply %s: %v", m.Type, err)
+		}
 	}
 
-	if err := c.Send(delta(9, 10)); err != nil {
+	if err := enf.Push(9, []uint32{17, 18}, nil, time.Time{}, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
-	<-entered
-	a.DropConn() // sever the session while the command is unacked
-	close(release)
-
-	waitUntil(t, 5*time.Second, func() bool { return c.Registrations(9) >= 2 },
-		"agent never re-registered")
 	waitUntil(t, 5*time.Second, func() bool { return c.PendingAcks() == 0 },
-		"pending command never acked after reconnect")
-	if a.Reconnects() < 1 {
-		t.Fatalf("agent reconnects = %d, want ≥1", a.Reconnects())
+		"first snapshot never acked")
+	wedge.Store(true)
+	if err := enf.Push(9, nil, []uint32{17}, time.Time{}, obs.SpanContext{}); err != nil {
+		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if appliedCount != 1 {
-		t.Fatalf("command applied %d times across reconnect, want 1", appliedCount)
+	select {
+	case <-wedged:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the delta never reached the agent")
+	}
+	if n := c.PendingAcks(); n != 1 {
+		t.Fatalf("pending with the delta wedged = %d, want 1", n)
+	}
+	wedge.Store(false)
+	regs := c.Registrations(9)
+	a.DropConn()
+	unwedge()
+	waitUntil(t, 5*time.Second, func() bool { return c.Registrations(9) > regs },
+		"agent never re-registered")
+
+	vc.Advance(c.ackTimeout() + time.Second)
+	c.SweepPending()
+	if v := c.reg.Counter(MetricAckTimeouts).Value(); v != 0 {
+		t.Errorf("ack_timeouts = %d, want 0 (a retired command is not abandoned)", v)
+	}
+	if got := c.TakeUnreachable(); len(got) != 0 {
+		t.Errorf("TakeUnreachable = %v, want none", got)
+	}
+	if n := c.PendingAcks(); n != 0 {
+		t.Fatalf("pending after re-registration = %d, want 0", n)
+	}
+	if got := view.Peers(); !slices.Equal(got, []uint32{17, 18}) {
+		t.Fatalf("agent applied %v before the re-sync, want the first snapshot [17 18]", got)
+	}
+
+	if n := enf.Resync(time.Time{}, obs.SpanContext{}); n != 1 {
+		t.Fatalf("Resync sent %d snapshots, want 1", n)
+	}
+	waitUntil(t, 5*time.Second, func() bool { return c.PendingAcks() == 0 },
+		"re-sync snapshot never acked")
+	if got, want := view.Peers(), enf.Desired(9); !slices.Equal(got, want) {
+		t.Fatalf("agent applied %v after the re-sync, enforcer desires %v", got, want)
 	}
 }
 
@@ -335,8 +327,8 @@ func TestAckTimeoutMarksUnreachable(t *testing.T) {
 	}
 }
 
-// The pending-ack sweep is rate-limited to one scan per
-// RetransmitInterval/2, and lastSweep only advances when a scan runs.
+// The pending-ack sweep is rate-limited to one scan per AckTimeout/10,
+// and lastSweep only advances when a scan runs.
 func TestSweepRateLimit(t *testing.T) {
 	c, err := ListenController("127.0.0.1:0")
 	if err != nil {
@@ -346,12 +338,12 @@ func TestSweepRateLimit(t *testing.T) {
 	vc := newVclock()
 	c.Clock = vc.Now
 
-	// One pending entry for a disconnected sat: scans run but never
-	// retransmit, so lastSweep is the only observable.
+	// One pending entry that never ages past AckTimeout here: scans run
+	// but abandon nothing, so lastSweep is the only observable.
 	c.mu.Lock()
 	c.pending[99] = pendingCmd{
-		msg:       &Message{Type: MsgSlotDelta, SatID: 1, Seq: 99},
-		firstSent: vc.Now(), lastSent: vc.Now(), attempts: 1,
+		msg:  &Message{Type: MsgSlotDelta, SatID: 1, Seq: 99},
+		sent: vc.Now(),
 	}
 	c.mu.Unlock()
 	lastSweep := func() time.Time {
@@ -366,17 +358,17 @@ func TestSweepRateLimit(t *testing.T) {
 		t.Fatalf("first sweep did not run: lastSweep=%v", t0)
 	}
 
-	half := c.retransmitInterval() / 2
-	vc.Advance(half - time.Millisecond)
+	tenth := c.ackTimeout() / 10
+	vc.Advance(tenth - time.Millisecond)
 	c.SweepPending()
 	if got := lastSweep(); !got.Equal(t0) {
 		t.Fatalf("sweep ran inside the rate-limit window: lastSweep advanced to %v", got)
 	}
 
-	vc.Advance(time.Millisecond) // exactly interval/2 since t0
+	vc.Advance(time.Millisecond) // exactly AckTimeout/10 since t0
 	c.SweepPending()
 	if got := lastSweep(); !got.Equal(vc.Now()) {
-		t.Fatalf("sweep did not run at interval/2: lastSweep=%v now=%v", got, vc.Now())
+		t.Fatalf("sweep did not run at AckTimeout/10: lastSweep=%v now=%v", got, vc.Now())
 	}
 
 	// An empty pending table short-circuits without touching lastSweep.
@@ -384,7 +376,7 @@ func TestSweepRateLimit(t *testing.T) {
 	delete(c.pending, 99)
 	c.mu.Unlock()
 	t1 := lastSweep()
-	vc.Advance(10 * c.retransmitInterval())
+	vc.Advance(10 * c.ackTimeout())
 	c.SweepPending()
 	if got := lastSweep(); !got.Equal(t1) {
 		t.Fatalf("empty sweep advanced lastSweep to %v", got)

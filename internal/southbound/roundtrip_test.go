@@ -71,7 +71,7 @@ func (lb *loopback) roundTrips(tb testing.TB, n int) {
 
 // TestCommandRoundTripAllocationBudget: a Push → agent apply → ack round
 // trip allocates what is kept — the pushed Message and its payload, which
-// the pending table holds for retransmission, and the copy the agent hands
+// the pending table holds until the ack, and the copy the agent hands
 // OnCommand — and no frame, prefix or pending entry. Measured: 4.00 objects
 // and 272 B (13 objects and 677 B while both ends read into per-message
 // frames, encoded into per-write buffers and the pending table held

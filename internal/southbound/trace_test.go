@@ -2,7 +2,6 @@ package southbound
 
 import (
 	"bytes"
-	"net"
 	"testing"
 	"time"
 
@@ -169,168 +168,8 @@ func TestCommandTraceCausalTree(t *testing.T) {
 		t.Errorf("sb.ack trace/parent = %s/%s, want child of sb.send %s/%s",
 			acks[0].Trace, acks[0].Parent, send.Trace, send.Span)
 	}
-	if acks[0].Attrs["attempts"] != "1" {
-		t.Errorf("sb.ack attempts = %q, want 1", acks[0].Attrs["attempts"])
-	}
 
 	if n := c.reg.Histogram(MetricCmdE2E, obs.DefBuckets).Count(); n != 1 {
 		t.Errorf("cmd e2e observations = %d, want 1", n)
-	}
-}
-
-// Retransmissions of an unacked command produce sb.retransmit spans
-// parented to the ORIGINAL sb.send — and the agent's dedup means exactly
-// one agent.apply child regardless of how many copies arrived.
-func TestRetransmitTraceNoDuplicateChildren(t *testing.T) {
-	ctlTr := newTestTracer(3)
-	agentTr := newTestTracer(4)
-
-	c, err := ListenController("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.Tracer = ctlTr
-	vc := newVclock()
-	c.Clock = vc.Now
-
-	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
-	a, err := DialAgentOptions(c.Addr(), 5, time.Second, AgentOptions{Tracer: agentTr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	a.OnCommand = func(m *Message) {
-		entered <- struct{}{}
-		<-release
-	}
-
-	root := ctlTr.StartSpan("mpc.emit")
-	cmd := delta(5, 4, 5)
-	cmd.Trace = root.Context()
-	if err := c.Send(cmd); err != nil {
-		t.Fatal(err)
-	}
-	root.End()
-	<-entered // agent holds the command unacked
-
-	for i := 0; i < c.maxRetransmits()+1; i++ {
-		vc.Advance(c.retransmitInterval())
-		c.SweepPending()
-	}
-	waitUntil(t, 2*time.Second, func() bool {
-		return c.reg.Counter(MetricRetransmits).Value() == int64(c.maxRetransmits())
-	}, "retransmit count never reached cap")
-	close(release)
-	waitUntil(t, 2*time.Second, func() bool { return c.PendingAcks() == 0 },
-		"pending command never acked")
-
-	ctlEvents := eventsByName(ctlTr)
-	sends := ctlEvents["sb.send"]
-	if len(sends) != 1 {
-		t.Fatalf("sb.send spans = %d, want 1 (retransmits must not re-send-span)", len(sends))
-	}
-	retrans := ctlEvents["sb.retransmit"]
-	if len(retrans) != c.maxRetransmits() {
-		t.Fatalf("sb.retransmit spans = %d, want %d", len(retrans), c.maxRetransmits())
-	}
-	for _, r := range retrans {
-		if r.Trace != sends[0].Trace || r.Parent != sends[0].Span {
-			t.Errorf("retransmit span %s/%s not a child of the original send %s/%s",
-				r.Trace, r.Parent, sends[0].Trace, sends[0].Span)
-		}
-	}
-	// The agent saw 1 + maxRetransmits copies but applied (and traced) once.
-	applies := eventsByName(agentTr)["agent.apply"]
-	if len(applies) != 1 {
-		t.Fatalf("agent.apply spans = %d, want 1 (dedup must not duplicate children)", len(applies))
-	}
-	if applies[0].Parent != sends[0].Span {
-		t.Errorf("apply parent = %s, want %s", applies[0].Parent, sends[0].Span)
-	}
-}
-
-// A resend triggered by agent re-registration (connection drop) links to
-// the original command's trace: the new apply on the fresh session is a
-// child of the original sb.send.
-func TestReconnectResendLinksOriginalTrace(t *testing.T) {
-	ctlTr := newTestTracer(5)
-	agentTr := newTestTracer(6)
-
-	c, err := ListenController("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.Tracer = ctlTr
-
-	// First session: a raw socket registers sat 9, receives the command,
-	// and dies without acking — the command stays pending.
-	conn, err := net.DialTimeout("tcp", c.Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteMessage(conn, &Message{Type: MsgHello, SatID: 9, Seq: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadMessage(conn); err != nil { // hello-ack
-		t.Fatal(err)
-	}
-	waitUntil(t, 2*time.Second, func() bool { return c.AgentCount() == 1 },
-		"raw agent never registered")
-
-	root := ctlTr.StartSpan("mpc.emit")
-	cmd := delta(9, 10)
-	cmd.Trace = root.Context()
-	if err := c.Send(cmd); err != nil {
-		t.Fatal(err)
-	}
-	root.End()
-	delivered, err := ReadMessage(conn) // first copy, never acked
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn.Close()
-
-	// Second session: a real traced agent re-registers sat 9; the
-	// controller resends the pending command on the fresh connection and
-	// this time it is applied and acked.
-	a, err := DialAgentOptions(c.Addr(), 9, time.Second, AgentOptions{Tracer: agentTr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	waitUntil(t, 5*time.Second, func() bool { return c.Registrations(9) >= 2 },
-		"agent never re-registered")
-	waitUntil(t, 5*time.Second, func() bool { return c.PendingAcks() == 0 },
-		"pending command never acked after reconnect")
-
-	ctlEvents := eventsByName(ctlTr)
-	sends := ctlEvents["sb.send"]
-	if len(sends) != 1 {
-		t.Fatalf("sb.send spans = %d, want 1", len(sends))
-	}
-	// The resend-on-reregistration is traced as a retransmit child of the
-	// original send.
-	retrans := ctlEvents["sb.retransmit"]
-	if len(retrans) != 1 {
-		t.Fatalf("sb.retransmit spans = %d, want 1 (reconnect resend)", len(retrans))
-	}
-	if retrans[0].Parent != sends[0].Span {
-		t.Errorf("reconnect resend parent = %s, want original sb.send %s",
-			retrans[0].Parent, sends[0].Span)
-	}
-	applies := eventsByName(agentTr)["agent.apply"]
-	if len(applies) != 1 {
-		t.Fatalf("agent.apply spans = %d, want 1", len(applies))
-	}
-	if applies[0].Trace != sends[0].Trace || applies[0].Trace != delivered.Trace.TraceID.String() {
-		t.Errorf("apply after reconnect on trace %s, original command trace %s (wire %s)",
-			applies[0].Trace, sends[0].Trace, delivered.Trace.TraceID)
-	}
-	if applies[0].Parent != sends[0].Span {
-		t.Errorf("apply after reconnect parent = %s, want original sb.send %s",
-			applies[0].Parent, sends[0].Span)
 	}
 }

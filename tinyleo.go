@@ -320,9 +320,9 @@ type SouthboundAgentOptions = southbound.AgentOptions
 
 // DialSouthboundReliable connects and registers an agent with explicit
 // reliability options. Like every agent it survives transport loss: it
-// re-dials with backoff, the controller resends pending commands on the
-// new connection, and the dedup window keeps redelivered commands
-// idempotent.
+// re-dials with backoff. Delivery is TCP's; a command lost with its
+// session is superseded by the snapshot re-sync the controller's
+// DeltaEnforcer sends the re-registered agent.
 func DialSouthboundReliable(addr string, satID uint32, timeout time.Duration, opts SouthboundAgentOptions) (*SouthboundAgent, error) {
 	return southbound.DialAgentOptions(addr, satID, timeout, opts)
 }
