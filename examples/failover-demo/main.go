@@ -243,7 +243,7 @@ func southboundSession(ctl *tinyleo.SouthboundController) {
 		if err := applied.Apply(m); err != nil {
 			log.Fatal(err)
 		}
-		commands <- m
+		commands <- m.Clone() // m is borrowed for the call; the queue keeps a copy
 	}
 	// next returns the next command the agent applied.
 	next := func(stage string) *tinyleo.SouthboundMessage {

@@ -94,8 +94,10 @@ type Agent struct {
 	rng *rand.Rand
 
 	// OnCommand is invoked for every controller command (MsgSlotDelta or
-	// MsgSlotSnapshot) with a message the callback owns. The agent
-	// auto-acks after the callback returns.
+	// MsgSlotSnapshot). The message is borrowed from the connection's frame
+	// storage and valid only for the duration of the call, as
+	// Controller.OnAck's is: fold it (PeerSet.Apply) or Clone what must
+	// outlive it. The agent auto-acks after the callback returns.
 	OnCommand func(m *Message)
 
 	helloAck chan struct{}
@@ -160,8 +162,8 @@ func (a *Agent) readLoop() {
 		a.mu.Lock()
 		fr.r = a.conn
 		a.mu.Unlock()
-		// Hello-acks are handled on the borrowed frame; a command is
-		// copied once, for OnCommand to keep.
+		// Every message is handled on the borrowed frame: OnCommand
+		// borrows it too.
 		m, err := fr.next()
 		if err != nil {
 			if !a.reconnect() {
@@ -179,9 +181,6 @@ func (a *Agent) readLoop() {
 				close(a.helloAck)
 			}
 		case MsgSlotDelta, MsgSlotSnapshot:
-			if a.OnCommand != nil {
-				m = m.clone()
-			}
 			// The apply span continues the controller's sb.send trace and
 			// covers the OnCommand callback; m.Trace is rewritten to it so
 			// callback-side work (dataplane install) parents to the apply.

@@ -54,12 +54,21 @@ const maxPendingAcks = 4096
 const DefaultAckTimeout = 5 * time.Second
 
 // pendingCmd tracks one unacknowledged command for RTT measurement and
-// its ack timeout.
+// its ack timeout. It holds the command's bookkeeping by value and nothing
+// of the Message, which Send does not keep.
 type pendingCmd struct {
-	msg  *Message
-	sent time.Time // transmission (ack RTT epoch)
+	typ     MsgType
+	sat     uint32
+	emitted time.Time // Message.Emitted (emit-to-applied epoch)
+	sent    time.Time // transmission (ack RTT epoch)
 	// sc is the command's sb.send span: the ack span parents to it.
 	sc obs.SpanContext
+}
+
+// header rebuilds the command's header-only message for OnCommandFailed:
+// Type, SatID, Seq, Emitted and Trace, no payload.
+func (p pendingCmd) header(seq uint32) *Message {
+	return &Message{Type: p.typ, SatID: p.sat, Seq: seq, Emitted: p.emitted, Trace: p.sc}
 }
 
 // Controller is the terrestrial MPC endpoint of the southbound API: it
@@ -116,11 +125,15 @@ type Controller struct {
 	OnFailure func(report *Message) []*Message
 	// OnAck observes acknowledgements. The message is borrowed from the
 	// connection's frame storage and valid only for the duration of the
-	// call: copy what must outlive it. (Every other hook receives data it
-	// owns.)
+	// call: Clone what must outlive it. Every hook on the command path
+	// (Agent.OnCommand, DeltaEnforcer.OnSent, OnAck) borrows its message;
+	// the rare OnFailure, OnCommandFailed and OnTelemetry receive data they
+	// own.
 	OnAck func(m *Message)
 	// OnCommandFailed observes commands abandoned after AckTimeout (called
-	// without internal locks held).
+	// without internal locks held). The controller keeps no copy of a
+	// command, so the message is its header only — Type, SatID, Seq,
+	// Emitted and Trace, with no Payload — and the callback owns it.
 	OnCommandFailed func(m *Message)
 	// OnTelemetry receives fleet telemetry payloads pushed by agents
 	// (typically (*fleet.Aggregator).HandleReport). Called from the
@@ -271,7 +284,7 @@ func (c *Controller) serve(conn net.Conn) {
 			// abandoned nor resent, and the snapshot re-sync that
 			// OnRegister schedules supersedes them.
 			for seq, p := range c.pending {
-				if p.msg.SatID == satID {
+				if p.sat == satID {
 					delete(c.pending, seq)
 				}
 			}
@@ -307,7 +320,7 @@ func (c *Controller) serve(conn net.Conn) {
 			}
 			var cmds []*Message
 			if c.OnFailure != nil {
-				cmds = c.OnFailure(m.clone())
+				cmds = c.OnFailure(m.Clone())
 			}
 			for _, cmd := range cmds {
 				if err := c.Send(cmd); err != nil {
@@ -319,8 +332,8 @@ func (c *Controller) serve(conn net.Conn) {
 			c.mu.Lock()
 			if p, tracked := c.pending[m.Seq]; tracked {
 				c.ackRTT.ObserveDuration(now.Sub(p.sent))
-				if !p.msg.Emitted.IsZero() {
-					c.cmdE2E.ObserveDuration(now.Sub(p.msg.Emitted))
+				if !p.emitted.IsZero() {
+					c.cmdE2E.ObserveDuration(now.Sub(p.emitted))
 				}
 				// The ack's span and event are recorded before the entry
 				// leaves the pending table (both under c.mu): whoever sees
@@ -338,8 +351,8 @@ func (c *Controller) serve(conn net.Conn) {
 						"seq", strconv.FormatUint(uint64(m.Seq), 10),
 						"rtt_us", strconv.FormatInt(now.Sub(p.sent).Microseconds(), 10),
 					}
-					if !p.msg.Emitted.IsZero() {
-						attrs = append(attrs, "e2e_us", strconv.FormatInt(now.Sub(p.msg.Emitted).Microseconds(), 10))
+					if !p.emitted.IsZero() {
+						attrs = append(attrs, "e2e_us", strconv.FormatInt(now.Sub(p.emitted).Microseconds(), 10))
 					}
 					flightrec.Emit(flightrec.CompSouthbound, "command_applied", attrs...)
 				}
@@ -415,11 +428,14 @@ func (c *Controller) TotalMessages() int64 {
 var ErrUnknownAgent = errors.New("southbound: unknown agent")
 
 // Send pushes a command to the agent identified by m.SatID, assigning a
-// sequence number if unset. The command is written once and tracked for
-// acknowledgement: if no ack arrives it is abandoned after AckTimeout (see
-// the Controller doc). A synchronous write error is returned once and the
-// command is NOT left in the pending table (it would otherwise be
-// double-reported as an ack timeout later).
+// sequence number if unset and, with tracing on, replacing m.Trace with
+// the sb.send span's context. The command is written once and tracked for
+// acknowledgement by its bookkeeping alone: Send keeps nothing of m after
+// it returns, so the caller may reuse m and its Payload. If no ack arrives
+// the command is abandoned after AckTimeout (see the Controller doc). A
+// synchronous write error is returned once and the command is NOT left in
+// the pending table (it would otherwise be double-reported as an ack
+// timeout later).
 //
 //tinyleo:hotpath
 func (c *Controller) Send(m *Message) error {
@@ -445,7 +461,7 @@ func (c *Controller) Send(m *Message) error {
 			m.Seq = c.seq
 		}
 		if len(c.pending) < maxPendingAcks {
-			c.pending[m.Seq] = pendingCmd{msg: m, sent: now, sc: m.Trace}
+			c.pending[m.Seq] = pendingCmd{typ: m.Type, sat: m.SatID, emitted: m.Emitted, sent: now, sc: m.Trace}
 			tracked = true
 		} else {
 			c.untracked.Inc()
@@ -498,8 +514,8 @@ func (c *Controller) SweepPending() {
 
 // sweepAckTimeoutsLocked abandons the commands older than AckTimeout —
 // counted as ack timeouts, flagged in the unreachable set, and returned
-// for OnCommandFailed. Called with c.mu held; rate-limited to one scan per
-// AckTimeout/10 so Send stays O(1) amortized.
+// as header-only messages for OnCommandFailed. Called with c.mu held;
+// rate-limited to one scan per AckTimeout/10 so Send stays O(1) amortized.
 //
 //tinyleo:hotpath
 func (c *Controller) sweepAckTimeoutsLocked(now time.Time) []*Message {
@@ -518,11 +534,11 @@ func (c *Controller) sweepAckTimeoutsLocked(now time.Time) []*Message {
 		}
 		delete(c.pending, seq)
 		c.ackTimeouts.Inc()
-		c.unreachable[p.msg.SatID] = true
-		failed = append(failed, p.msg)
+		c.unreachable[p.sat] = true
+		failed = append(failed, p.header(seq))
 		if flightrec.Enabled() {
 			flightrec.Emit(flightrec.CompSouthbound, "ack_timeout",
-				"sat", strconv.FormatUint(uint64(p.msg.SatID), 10),
+				"sat", strconv.FormatUint(uint64(p.sat), 10),
 				"seq", strconv.FormatUint(uint64(seq), 10),
 				"age_ms", strconv.FormatInt(age.Milliseconds(), 10))
 		}

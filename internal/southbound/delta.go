@@ -61,36 +61,56 @@ func appendSlotDeltaOp(buf []byte, op SlotDeltaOp) []byte {
 
 // DecodeSlotDelta parses a MsgSlotDelta payload (see EncodeSlotDelta).
 func DecodeSlotDelta(p []byte) ([]SlotDeltaOp, error) {
-	if len(p) < 4 {
-		return nil, fmt.Errorf("southbound: slot-delta payload too short (%d bytes)", len(p))
-	}
-	count := int(binary.BigEndian.Uint32(p))
-	if len(p) != 4+slotDeltaOpLen*count {
-		return nil, fmt.Errorf("southbound: slot-delta payload declares %d ops, has %d bytes", count, len(p))
-	}
-	if count == 0 {
-		return nil, nil
+	count, err := slotDeltaCount(p)
+	if err != nil || count == 0 {
+		return nil, err
 	}
 	ops := make([]SlotDeltaOp, count)
 	for i := range ops {
-		off := 4 + slotDeltaOpLen*i
-		ops[i] = SlotDeltaOp{Up: p[off] == 1, Peer: binary.BigEndian.Uint32(p[off+1:])}
+		ops[i] = slotDeltaOpAt(p, i)
 	}
 	return ops, nil
+}
+
+// slotDeltaCount validates a whole MsgSlotDelta payload — its length
+// against the declared op count, and every op's direction byte, which must
+// be 0 (down) or 1 (up) — and returns the op count.
+func slotDeltaCount(p []byte) (int, error) {
+	if len(p) < 4 {
+		return 0, fmt.Errorf("southbound: slot-delta payload too short (%d bytes)", len(p))
+	}
+	count := int(binary.BigEndian.Uint32(p))
+	if len(p) != 4+slotDeltaOpLen*count {
+		return 0, fmt.Errorf("southbound: slot-delta payload declares %d ops, has %d bytes", count, len(p))
+	}
+	for i := range count {
+		if dir := p[4+slotDeltaOpLen*i]; dir > 1 {
+			return 0, fmt.Errorf("southbound: slot-delta op %d has direction byte %d", i, dir)
+		}
+	}
+	return count, nil
+}
+
+// slotDeltaOpAt returns op i of a payload slotDeltaCount accepted.
+func slotDeltaOpAt(p []byte, i int) SlotDeltaOp {
+	off := 4 + slotDeltaOpLen*i
+	return SlotDeltaOp{Up: p[off] == 1, Peer: binary.BigEndian.Uint32(p[off+1:])}
 }
 
 // EncodeSlotSnapshot serializes a satellite's full desired ISL peer set
 // for the Payload trailer of a MsgSlotSnapshot message: a uint32 count
 // followed by the peers in the given order.
 func EncodeSlotSnapshot(peers []uint32) []byte {
-	buf := make([]byte, 4, 4+4*len(peers))
-	binary.BigEndian.PutUint32(buf, uint32(len(peers)))
+	return appendSlotSnapshot(make([]byte, 0, 4+4*len(peers)), peers)
+}
+
+// appendSlotSnapshot appends EncodeSlotSnapshot's bytes to dst.
+func appendSlotSnapshot(dst []byte, peers []uint32) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(peers)))
 	for _, peer := range peers {
-		var b [4]byte
-		binary.BigEndian.PutUint32(b[:], peer)
-		buf = append(buf, b[:]...)
+		dst = binary.BigEndian.AppendUint32(dst, peer)
 	}
-	return buf
+	return dst
 }
 
 // DecodeSlotSnapshot parses a MsgSlotSnapshot payload (see
@@ -132,8 +152,10 @@ type DeltaEnforcer struct {
 	c *Controller
 
 	// OnSent observes every message the enforcer sent, after the send
-	// succeeded (so Seq is assigned), on the goroutine that pushed it. Set
-	// before the first Push.
+	// succeeded (so Seq is assigned), on the goroutine that pushed it. The
+	// message and its Payload are the push's pooled scratch, borrowed for
+	// the duration of the call: Clone what must outlive it. Set before the
+	// first Push.
 	OnSent func(m *Message)
 
 	mu sync.Mutex
@@ -197,7 +219,29 @@ func (e *DeltaEnforcer) Desired(sat uint32) []uint32 {
 	if e.desired[sat] == nil {
 		return nil
 	}
-	return sortedPeers(e.desired[sat])
+	return sortedPeers(make([]uint32, 0, len(e.desired[sat])), e.desired[sat])
+}
+
+// pushScratch is the storage one Push builds its command in: the Message,
+// its payload and a snapshot's sorted peers. Send keeps nothing of the
+// message and OnSent borrows it, so Push returns the scratch to pushPool
+// once both have returned.
+type pushScratch struct {
+	msg   Message
+	buf   []byte
+	peers []uint32
+}
+
+var pushPool = sync.Pool{New: func() any { return new(pushScratch) }}
+
+// free returns s to the pool; like a frame, a rare outsized payload is
+// left to the garbage collector.
+func (s *pushScratch) free() {
+	if cap(s.buf) > maxPooledFrame {
+		s.buf, s.peers = nil, nil
+	}
+	s.msg = Message{}
+	pushPool.Put(s)
 }
 
 // Push applies one slot's link changes for sat — peers in del torn
@@ -212,6 +256,8 @@ func (e *DeltaEnforcer) Desired(sat uint32) []uint32 {
 //
 //tinyleo:hotpath
 func (e *DeltaEnforcer) Push(sat uint32, add, del []uint32, emitted time.Time, trace obs.SpanContext) error {
+	s := pushPool.Get().(*pushScratch)
+	defer s.free()
 	e.mu.Lock()
 	d := e.desired[sat]
 	if d == nil {
@@ -220,46 +266,43 @@ func (e *DeltaEnforcer) Push(sat uint32, add, del []uint32, emitted time.Time, t
 	}
 	synced := e.synced[sat]
 	// A synced satellite's ops are encoded straight into its slot-delta
-	// payload (EncodeSlotDelta's bytes), allocated at the first op; the op
-	// count is patched in at the end.
-	var payload []byte
-	op := func(peer uint32, up bool) {
-		if !synced {
-			return
-		}
-		if payload == nil {
-			payload = make([]byte, 4, 4+slotDeltaOpLen*(len(add)+len(del)))
-		}
-		payload = appendSlotDeltaOp(payload, SlotDeltaOp{Peer: peer, Up: up})
-	}
+	// payload (EncodeSlotDelta's bytes) in the scratch; the op count is
+	// patched in at the end.
+	payload := append(s.buf[:0], 0, 0, 0, 0)
 	for _, p := range del {
 		if _, ok := d[p]; ok {
 			delete(d, p)
-			op(p, false)
+			if synced {
+				payload = appendSlotDeltaOp(payload, SlotDeltaOp{Peer: p})
+			}
 		}
 	}
 	for _, p := range add {
 		if _, ok := d[p]; !ok {
 			d[p] = struct{}{}
-			op(p, true)
+			if synced {
+				payload = appendSlotDeltaOp(payload, SlotDeltaOp{Peer: p, Up: true})
+			}
 		}
 	}
-	if synced && payload == nil {
+	nops := (len(payload) - 4) / slotDeltaOpLen
+	if synced && nops == 0 {
 		e.mu.Unlock()
 		return nil
 	}
-	m := &Message{SatID: sat, Emitted: emitted, Trace: trace}
-	nops := 0
+	m := &s.msg
+	*m = Message{SatID: sat, Emitted: emitted, Trace: trace}
 	if synced {
-		nops = (len(payload) - 4) / slotDeltaOpLen
 		binary.BigEndian.PutUint32(payload, uint32(nops))
 		m.Type = MsgSlotDelta
-		m.Payload = payload
 	} else {
+		s.peers = sortedPeers(s.peers, d)
+		payload = appendSlotSnapshot(payload[:0], s.peers)
 		m.Type = MsgSlotSnapshot
-		m.Payload = EncodeSlotSnapshot(sortedPeers(d))
 		e.synced[sat] = true
 	}
+	m.Payload = payload
+	s.buf = payload
 	e.mu.Unlock()
 	if err := e.c.Send(m); err != nil {
 		e.MarkUnsynced(sat)
@@ -305,9 +348,9 @@ func (e *DeltaEnforcer) Resync(emitted time.Time, trace obs.SpanContext) int {
 	return n
 }
 
-// sortedPeers flattens a peer set in ascending order.
-func sortedPeers(d map[uint32]struct{}) []uint32 {
-	peers := make([]uint32, 0, len(d))
+// sortedPeers flattens a peer set in ascending order into buf's storage.
+func sortedPeers(buf []uint32, d map[uint32]struct{}) []uint32 {
+	peers := buf[:0]
 	for p := range d {
 		peers = append(peers, p)
 	}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,7 +31,10 @@ func TestSlotDeltaCodecRoundTrip(t *testing.T) {
 	if got, err := DecodeSlotSnapshot(EncodeSlotSnapshot(nil)); err != nil || got != nil {
 		t.Errorf("empty snapshot roundtrip = %v, %v", got, err)
 	}
-	for _, corrupt := range [][]byte{nil, {1, 2}, {0, 0, 0, 5, 1}, {0xFF, 0xFF, 0xFF, 0xFF}} {
+	for _, corrupt := range [][]byte{
+		nil, {1, 2}, {0, 0, 0, 5, 1}, {0xFF, 0xFF, 0xFF, 0xFF},
+		{0, 0, 0, 1, 2, 0, 0, 0, 9}, // one op whose direction byte is neither down (0) nor up (1)
+	} {
 		if _, err := DecodeSlotDelta(corrupt); err == nil {
 			t.Errorf("DecodeSlotDelta(%v) accepted corrupt payload", corrupt)
 		}
@@ -337,5 +341,77 @@ func TestFailureTeardownThroughEnforcer(t *testing.T) {
 	}
 	if got := view.Peers(); !reflect.DeepEqual(got, []uint32{3, 9}) {
 		t.Errorf("agent applied %v, enforcer desires %v", got, want)
+	}
+}
+
+// TestConcurrentPushesKeepTheirPayloads: pushes to different satellites run
+// at once — the churn bench's OnFailure repair push does, beside the driver
+// — and each builds its command in its own pooled scratch. Eight goroutines
+// push distinct op batches, over disjoint peer ranges and of different
+// sizes, to eight agents; every agent's PeerSet must end as its own pushes
+// set it, and so must the enforcer's desired set.
+func TestConcurrentPushesKeepTheirPayloads(t *testing.T) {
+	const (
+		sats   = 8
+		pushes = 200
+	)
+	c := startController(t)
+	e := NewDeltaEnforcer(c)
+	views := make([]*PeerSet, sats)
+	for i := range views {
+		a, err := DialAgent(c.Addr(), uint32(100+i), 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
+		views[i] = &PeerSet{}
+		applyTo(t, a, views[i])
+	}
+	want := make([][]uint32, sats)
+	var wg sync.WaitGroup
+	for i := range sats {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(i + 1)))
+			sat, base := uint32(100+i), uint32(1000*(i+1))
+			model := map[uint32]bool{}
+			for n := 0; n < pushes; n++ {
+				var add, del []uint32
+				for k := rng.Intn(i + 2); k >= 0; k-- {
+					p := base + uint32(rng.Intn(4*(i+1)))
+					if rng.Intn(2) == 0 {
+						add = append(add, p)
+					} else {
+						del = append(del, p)
+					}
+				}
+				for _, p := range del {
+					delete(model, p)
+				}
+				for _, p := range add {
+					model[p] = true
+				}
+				if err := e.Push(sat, add, del, time.Time{}, obs.SpanContext{}); err != nil {
+					t.Errorf("sat %d push %d: %v", sat, n, err)
+					return
+				}
+			}
+			for p := range model {
+				want[i] = append(want[i], p)
+			}
+			slices.Sort(want[i])
+		}()
+	}
+	wg.Wait()
+	waitUntil(t, 10*time.Second, func() bool { return c.PendingAcks() == 0 }, "pushes never all acked")
+	for i, view := range views {
+		sat := uint32(100 + i)
+		if got := view.Peers(); !slices.Equal(got, want[i]) {
+			t.Errorf("sat %d applied %v, its pushes set %v", sat, got, want[i])
+		}
+		if got := e.Desired(sat); !slices.Equal(got, want[i]) {
+			t.Errorf("enforcer desires %v for sat %d, its pushes set %v", got, sat, want[i])
+		}
 	}
 }

@@ -20,10 +20,7 @@ func TestAckTimeoutFailuresInSeqOrder(t *testing.T) {
 	now := vc.Now()
 	const n = 16
 	for seq := uint32(1); seq <= n; seq++ {
-		c.pending[seq] = pendingCmd{
-			msg:  &Message{Type: MsgSlotDelta, SatID: 9, Seq: seq},
-			sent: now,
-		}
+		c.pending[seq] = pendingCmd{typ: MsgSlotDelta, sat: 9, sent: now}
 	}
 	c.mu.Unlock()
 

@@ -13,13 +13,16 @@ type PeerSet struct {
 }
 
 // Apply folds one command into the set: a MsgSlotDelta's ops are applied
-// in batch order, a MsgSlotSnapshot replaces the set. A payload that does
-// not decode is rejected and leaves the set as it was; any other message
-// type is not an ISL command and leaves it unchanged.
+// in batch order, straight from the payload, a MsgSlotSnapshot replaces
+// the set. A payload is validated whole before anything is applied: one
+// that does not decode is rejected and leaves the set as it was. Any other
+// message type is not an ISL command and leaves it unchanged. Apply keeps
+// nothing of m, so it suits a borrowed Agent.OnCommand message; a delta on
+// a warm set allocates nothing.
 func (s *PeerSet) Apply(m *Message) error {
 	switch m.Type {
 	case MsgSlotDelta:
-		ops, err := DecodeSlotDelta(m.Payload)
+		n, err := slotDeltaCount(m.Payload)
 		if err != nil {
 			return err
 		}
@@ -28,8 +31,8 @@ func (s *PeerSet) Apply(m *Message) error {
 		if s.peers == nil {
 			s.peers = map[uint32]struct{}{}
 		}
-		for _, op := range ops {
-			if op.Up {
+		for i := range n {
+			if op := slotDeltaOpAt(m.Payload, i); op.Up {
 				s.peers[op.Peer] = struct{}{}
 			} else {
 				delete(s.peers, op.Peer)
@@ -55,5 +58,5 @@ func (s *PeerSet) Apply(m *Message) error {
 func (s *PeerSet) Peers() []uint32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return sortedPeers(s.peers)
+	return sortedPeers(make([]uint32, 0, len(s.peers)), s.peers)
 }

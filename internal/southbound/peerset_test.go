@@ -74,6 +74,33 @@ func TestPeerSetMatchesMapModel(t *testing.T) {
 	}
 }
 
+// TestPeerSetDeltaApplyAllocatesNothing: a slot delta is folded straight
+// from its payload, so applying one to a warm set — every peer it raises
+// was in the set before — makes no allocation.
+func TestPeerSetDeltaApplyAllocatesNothing(t *testing.T) {
+	var set PeerSet
+	if err := set.Apply(&Message{Type: MsgSlotSnapshot, Payload: EncodeSlotSnapshot([]uint32{1, 2, 3, 4})}); err != nil {
+		t.Fatal(err)
+	}
+	swap := []*Message{
+		{Type: MsgSlotDelta, Payload: EncodeSlotDelta([]SlotDeltaOp{{Peer: 2}, {Peer: 4}, {Peer: 5, Up: true}})},
+		{Type: MsgSlotDelta, Payload: EncodeSlotDelta([]SlotDeltaOp{{Peer: 5}, {Peer: 2, Up: true}, {Peer: 4, Up: true}})},
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		for _, m := range swap {
+			if err := set.Apply(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("two delta Applys on a warm set allocate %.2f objects, want 0", allocs)
+	}
+	if got := set.Peers(); !reflect.DeepEqual(got, []uint32{1, 2, 3, 4}) {
+		t.Errorf("set after the swaps = %v, want [1 2 3 4]", got)
+	}
+}
+
 // TestPeerSetConcurrentApplyAndPeers is for the race detector: an agent's
 // read loop applies while another goroutine (the chaos engine's invariant,
 // a status page) reads.
@@ -113,7 +140,7 @@ func TestResyncAfterReconnect(t *testing.T) {
 	c := startController(t)
 	e := NewDeltaEnforcer(c)
 	var sent []*Message
-	e.OnSent = func(m *Message) { sent = append(sent, m) }
+	e.OnSent = func(m *Message) { sent = append(sent, m.Clone()) } // m is borrowed
 	view := &PeerSet{}
 	a, err := DialAgentOptions(c.Addr(), 42, 2*time.Second, AgentOptions{
 		BackoffBase: time.Millisecond, BackoffMax: 5 * time.Millisecond,

@@ -179,12 +179,13 @@ func ReadMessage(r io.Reader) (*Message, error) {
 		return nil, err
 	}
 	defer fr.release()
-	return m.clone(), nil
+	return m.Clone(), nil
 }
 
-// clone returns a copy of m that owns its storage: one Message plus an
-// exact-size Payload (nil stays nil).
-func (m *Message) clone() *Message {
+// Clone returns a copy of m that owns its storage: one Message plus an
+// exact-size Payload (nil stays nil). A hook that borrows its message
+// (OnCommand, OnSent, OnAck) clones what it keeps past the call.
+func (m *Message) Clone() *Message {
 	c := *m
 	if m.Payload != nil {
 		c.Payload = make([]byte, len(m.Payload))

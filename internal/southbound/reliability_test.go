@@ -108,10 +108,7 @@ func TestUntrackedCommandCounted(t *testing.T) {
 	c.mu.Lock()
 	for i := 0; i < maxPendingAcks; i++ {
 		seq := uint32(1_000_000 + i)
-		c.pending[seq] = pendingCmd{
-			msg:  &Message{Type: MsgSlotDelta, SatID: 99, Seq: seq},
-			sent: vc.Now(),
-		}
+		c.pending[seq] = pendingCmd{typ: MsgSlotDelta, sat: 99, sent: vc.Now()}
 	}
 	c.mu.Unlock()
 
@@ -341,10 +338,7 @@ func TestSweepRateLimit(t *testing.T) {
 	// One pending entry that never ages past AckTimeout here: scans run
 	// but abandon nothing, so lastSweep is the only observable.
 	c.mu.Lock()
-	c.pending[99] = pendingCmd{
-		msg:  &Message{Type: MsgSlotDelta, SatID: 1, Seq: 99},
-		sent: vc.Now(),
-	}
+	c.pending[99] = pendingCmd{typ: MsgSlotDelta, sat: 1, sent: vc.Now()}
 	c.mu.Unlock()
 	lastSweep := func() time.Time {
 		c.mu.Lock()

@@ -152,7 +152,7 @@ func TestCommandDeliveryAndAck(t *testing.T) {
 	defer a.Close()
 	a.OnCommand = func(m *Message) {
 		mu.Lock()
-		received = append(received, m)
+		received = append(received, m.Clone()) // m is borrowed
 		mu.Unlock()
 	}
 	acked := make(chan uint32, 8)
@@ -200,7 +200,7 @@ func TestFailureReportTriggersRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	a.OnCommand = func(m *Message) { repaired <- m }
+	a.OnCommand = func(m *Message) { repaired <- m.Clone() } // m is borrowed
 
 	start := time.Now()
 	if err := a.ReportFailure(77); err != nil {
