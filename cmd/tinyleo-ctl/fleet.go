@@ -1,13 +1,13 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -16,29 +16,39 @@ import (
 	"repro/internal/obs/flightrec"
 )
 
-// writeFleetSnapshot dumps the aggregator's /fleet view as indented JSON
-// — the per-run artifact `tinyleo-ctl fleet snapshot` also produces from
-// a live controller.
-func writeFleetSnapshot(path string, agg *fleet.Aggregator) error {
-	return agg.WriteSnapshotFile(path)
+// writeMetricsFile writes the registries' /metrics.json document to path:
+// the -metrics-out file.
+func writeMetricsFile(path string, regs ...*obs.Registry) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := obs.WriteJSON(f, regs...); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
-// fetchFleet GETs the /fleet document from a controller telemetry
-// address.
-func fetchFleet(addr string) (*fleet.View, error) {
-	resp, err := http.Get("http://" + addr + "/fleet")
+// fetchSamples GETs a controller's /metrics.json document.
+func fetchSamples(addr string) ([]obs.Sample, error) {
+	resp, err := http.Get("http://" + addr + "/metrics.json")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET /fleet: %s", resp.Status)
+		return nil, fmt.Errorf("GET /metrics.json: %s", resp.Status)
 	}
-	var v fleet.View
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		return nil, err
 	}
-	return &v, nil
+	doc, err := obs.DecodeDoc(body)
+	if err != nil {
+		return nil, err
+	}
+	return doc.Series, nil
 }
 
 // fetchEventsSince tails the controller's record ring incrementally via
@@ -63,46 +73,9 @@ func fetchEventsSince(addr string, since uint64) ([]obs.Event, uint64, error) {
 	return rec.Events(), since, nil
 }
 
-// runFleet implements `tinyleo-ctl fleet snapshot`: fetch the live /fleet
-// document and write it as a per-run artifact.
-func runFleet(args []string) {
-	if len(args) == 0 || args[0] != "snapshot" {
-		fmt.Fprintln(os.Stderr, "usage: tinyleo-ctl fleet snapshot [-addr host:port] [-o fleet.json]")
-		os.Exit(2)
-	}
-	fs := flag.NewFlagSet("tinyleo-ctl fleet snapshot", flag.ExitOnError)
-	addr := fs.String("addr", "127.0.0.1:9100", "controller telemetry address (the -metrics-addr of a running tinyleo-ctl)")
-	out := fs.String("o", "", "output file (default stdout)")
-	fs.Parse(args[1:])
-	v, err := fetchFleet(*addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tinyleo-ctl fleet snapshot: %v\n", err)
-		os.Exit(1)
-	}
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tinyleo-ctl fleet snapshot: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		fmt.Fprintf(os.Stderr, "tinyleo-ctl fleet snapshot: %v\n", err)
-		os.Exit(1)
-	}
-	if *out != "" {
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
-	}
-}
-
 // runTop implements `tinyleo-ctl top`: a live refreshing terminal view of
-// per-agent health rows plus fleet aggregates, polling /fleet and tailing
-// /trace?since= incrementally.
+// per-agent health rows plus fleet aggregates, polling /metrics.json and
+// tailing /trace?since= incrementally.
 func runTop(args []string) {
 	fs := flag.NewFlagSet("tinyleo-ctl top", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:9100", "controller telemetry address (the -metrics-addr of a running tinyleo-ctl)")
@@ -115,7 +88,7 @@ func runTop(args []string) {
 	var lastEventSeq uint64
 	var recent []obs.Event
 	frame := func() error {
-		v, err := fetchFleet(*addr)
+		samples, err := fetchSamples(*addr)
 		if err != nil {
 			return err
 		}
@@ -135,7 +108,7 @@ func runTop(args []string) {
 		if !*once {
 			fmt.Print("\x1b[H\x1b[2J") // cursor home + clear screen
 		}
-		renderTop(os.Stdout, *addr, v, recent, *maxSeries)
+		renderTop(os.Stdout, *addr, samples, recent, *maxSeries)
 		return nil
 	}
 	if err := frame(); err != nil {
@@ -152,34 +125,87 @@ func runTop(args []string) {
 	}
 }
 
-// renderTop writes one `tinyleo-ctl top` frame: a fleet summary line,
-// per-agent health rows, the top fleet aggregates, and recent events.
-func renderTop(w io.Writer, addr string, v *fleet.View, events []obs.Event, maxSeries int) {
-	states := make([]string, 0, len(v.States))
-	for s := range v.States {
+// agentRow is one agent's line in a `tinyleo-ctl top` frame.
+type agentRow struct {
+	id                            int
+	state                         fleet.State
+	reports, bytes, gaps, silence float64
+	series                        int
+}
+
+// agentRows groups the agent-labeled series of a rollup document by
+// agent, in ID order. Series counts the agent's own series, not the
+// aggregator's tinyleo_fleet_* rows about it.
+func agentRows(samples []obs.Sample) []*agentRow {
+	byID := map[int]*agentRow{}
+	var rows []*agentRow
+	for i := range samples {
+		s := &samples[i]
+		id, err := strconv.Atoi(s.Labels["agent"])
+		if err != nil {
+			continue
+		}
+		r := byID[id]
+		if r == nil {
+			r = &agentRow{id: id}
+			byID[id] = r
+			rows = append(rows, r)
+		}
+		switch s.Name {
+		case fleet.MetricAgentState:
+			r.state = fleet.State(s.Value)
+		case fleet.MetricReports:
+			r.reports = s.Value
+		case fleet.MetricReportBytes:
+			r.bytes = s.Value
+		case fleet.MetricGaps:
+			r.gaps = s.Value
+		case fleet.MetricAgentSilence:
+			r.silence = s.Value
+		default:
+			r.series++
+		}
+	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i].id < rows[j].id })
+	return rows
+}
+
+// renderTop writes one `tinyleo-ctl top` frame from the controller's
+// /metrics.json document: a fleet summary line, per-agent health rows,
+// the top fleet aggregates, and recent events.
+func renderTop(w io.Writer, addr string, samples []obs.Sample, events []obs.Event, maxSeries int) {
+	sum := fleet.Summarize(samples)
+	states := make([]string, 0, len(sum.States))
+	for s := range sum.States {
 		states = append(states, s)
 	}
 	sort.Strings(states)
 	var sb strings.Builder
 	for _, s := range states {
-		fmt.Fprintf(&sb, " %d %s", v.States[s], s)
+		fmt.Fprintf(&sb, " %d %s", sum.States[s], s)
 	}
 	fmt.Fprintf(w, "tinyleo fleet @ %s · %d agents%s · %d decode errors\n\n",
-		addr, len(v.Agents), sb.String(), v.DecodeErrors)
+		addr, sum.Agents, sb.String(), sum.DecodeErrors)
 
-	fmt.Fprintf(w, "%6s  %-8s %8s %8s %10s %5s %9s %7s\n",
-		"AGENT", "STATE", "SEQ", "REPORTS", "BYTES", "GAPS", "SILENCE", "SERIES")
-	for _, a := range v.Agents {
-		fmt.Fprintf(w, "%6d  %-8s %8d %8d %10s %5d %8.1fs %7d\n",
-			a.ID, a.State, a.LastSeq, a.Reports, sizeOf(a.Bytes), a.Gaps,
-			float64(a.SilenceMS)/1000, a.Series)
+	fmt.Fprintf(w, "%6s  %-8s %8s %10s %5s %9s %7s\n",
+		"AGENT", "STATE", "REPORTS", "BYTES", "GAPS", "SILENCE", "SERIES")
+	for _, a := range agentRows(samples) {
+		fmt.Fprintf(w, "%6d  %-8s %8.0f %10s %5.0f %8.1fs %7d\n",
+			a.id, a.state, a.reports, sizeOf(uint64(a.bytes)), a.gaps, a.silence, a.series)
 	}
 
-	fmt.Fprintf(w, "\nfleet totals (top %d of %d series)\n", min(maxSeries, len(v.Totals)), len(v.Totals))
+	var perAgent []obs.Sample
+	for _, s := range samples {
+		if _, ok := s.Labels["agent"]; ok {
+			perAgent = append(perAgent, s)
+		}
+	}
+	totals := fleet.Totals(perAgent)
+	fmt.Fprintf(w, "\nfleet totals (top %d of %d series)\n", min(maxSeries, len(totals)), len(totals))
 	shown := 0
-	for _, s := range v.Totals {
+	for _, s := range totals {
 		if shown >= maxSeries {
-			fmt.Fprintf(w, "  ... %d more\n", len(v.Totals)-shown)
+			fmt.Fprintf(w, "  ... %d more\n", len(totals)-shown)
 			break
 		}
 		shown++

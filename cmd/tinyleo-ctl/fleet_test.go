@@ -9,25 +9,50 @@ import (
 )
 
 func TestRenderTop(t *testing.T) {
-	v := &fleet.View{
-		Agents: []fleet.AgentView{
-			{ID: 1, State: fleet.StateHealthy, LastSeq: 12, Reports: 12, Bytes: 2048, SilenceMS: 300, Series: 9},
-			{ID: 2, State: fleet.StateSilent, LastSeq: 4, Reports: 4, Bytes: 512, Gaps: 1, SilenceMS: 12000, Series: 9},
-		},
-		States:       map[string]int{"healthy": 1, "silent": 1},
-		DecodeErrors: 0,
-		Totals: []obs.Sample{
-			{Name: "lat_s", Kind: obs.KindHistogram, Count: 10, Sum: 2.5},
-			{Name: "pkts_total", Kind: obs.KindCounter, Value: 61,
-				Labels: map[string]string{"dir": "rx"}},
-		},
+	agent := func(id string, name string, kind obs.Kind, v float64, kvs ...string) obs.Sample {
+		labels := map[string]string{"agent": id}
+		for i := 0; i < len(kvs); i += 2 {
+			labels[kvs[i]] = kvs[i+1]
+		}
+		return obs.Sample{Name: name, Kind: kind, Labels: labels, Value: v}
+	}
+	hist := func(id string, count int64, sum float64) obs.Sample {
+		return obs.Sample{Name: "lat_s", Kind: obs.KindHistogram, Labels: map[string]string{"agent": id},
+			Count: count, Sum: sum, Bounds: []float64{1}, Buckets: []int64{count, 0}}
+	}
+	// A /metrics.json document: the controller's own series, then the
+	// rollup's, agent 2 silent.
+	samples := []obs.Sample{
+		{Name: "tinyleo_southbound_agents_connected", Kind: obs.KindGauge, Value: 1},
+		{Name: fleet.MetricDecodeErrors, Kind: obs.KindCounter},
+		{Name: fleet.MetricAgents, Kind: obs.KindGauge, Value: 2},
+		{Name: fleet.MetricAgentsSilent, Kind: obs.KindGauge, Value: 1},
+	}
+	for _, a := range []struct {
+		id                                   string
+		state, reports, bytes, gaps, silence float64
+		pkts                                 float64
+		count                                int64
+		sum                                  float64
+	}{
+		{"1", 0, 12, 2048, 0, 0.3, 40, 6, 1.5},
+		{"2", 2, 4, 512, 1, 12, 21, 4, 1},
+	} {
+		samples = append(samples,
+			agent(a.id, fleet.MetricReports, obs.KindCounter, a.reports),
+			agent(a.id, fleet.MetricReportBytes, obs.KindCounter, a.bytes),
+			agent(a.id, fleet.MetricGaps, obs.KindCounter, a.gaps),
+			agent(a.id, fleet.MetricAgentState, obs.KindGauge, a.state),
+			agent(a.id, fleet.MetricAgentSilence, obs.KindGauge, a.silence),
+			agent(a.id, "pkts_total", obs.KindCounter, a.pkts, "dir", "rx"),
+			hist(a.id, a.count, a.sum))
 	}
 	events := []obs.Event{
 		{Seq: 3, StartUS: 1_500_000, Name: "fleet.agent_silent", Instant: true,
 			Attrs: map[string]string{"agent": "2", "from": "lagging", "to": "silent"}},
 	}
 	var sb strings.Builder
-	renderTop(&sb, "127.0.0.1:9100", v, events, 10)
+	renderTop(&sb, "127.0.0.1:9100", samples, events, 10)
 	out := sb.String()
 
 	for _, want := range []string{
@@ -39,11 +64,22 @@ func TestRenderTop(t *testing.T) {
 		"count=10 mean=0.25",
 		"agent_silent",
 		"agent=2",
-		"2.0K", // agent 1's byte column
+		"2.0K",        // agent 1's byte column
+		"12.0s",       // agent 2's silence
+		"of 5 series", // per-agent series summed, the controller's left out
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("renderTop output missing %q:\n%s", want, out)
 		}
+	}
+	for _, absent := range []string{"SEQ", "agents_connected", fleet.MetricAgentState} {
+		if strings.Contains(out, absent) {
+			t.Errorf("renderTop output has %q:\n%s", absent, out)
+		}
+	}
+	// SERIES counts each agent's own series (pkts_total, lat_s).
+	if rows := agentRows(samples); len(rows) != 2 || rows[0].series != 2 || rows[1].gaps != 1 {
+		t.Errorf("agent rows = %+v", rows)
 	}
 	// Agent rows appear in ID order.
 	if strings.Index(out, "healthy") > strings.Index(out, "silent ") {

@@ -45,13 +45,15 @@
 //
 // Fleet telemetry: agents running with -fleet-interval push the changed
 // rows of their /metrics.json over the southbound session; the controller
-// aggregates them into a rollup registry (served on /metrics and /fleet)
-// and tracks per-agent staleness. The top subcommand renders the live
-// constellation health view, and fleet snapshot dumps the /fleet document
-// as a per-run artifact (-fleet-out does the same automatically on exit):
+// aggregates them into a rollup registry, per-agent health included
+// (tinyleo_fleet_agent_state, _silence_seconds, _gaps_total, labeled
+// agent=<id>), served on /metrics and /metrics.json with the rest. The
+// top subcommand renders the live constellation health view from
+// /metrics.json, and -metrics-out writes that same document to a file on
+// exit, the per-run artifact:
 //
 //	tinyleo-ctl top -addr 127.0.0.1:9100
-//	tinyleo-ctl fleet snapshot -addr 127.0.0.1:9100 -o fleet.json
+//	tinyleo-ctl -agents 3 -metrics-out ctl-metrics.json
 //
 // -pprof additionally serves net/http/pprof profiles (CPU, heap, mutex,
 // block) under /debug/pprof/ on the -metrics-addr listener.
@@ -88,9 +90,6 @@ func main() {
 			return
 		case "top":
 			runTop(os.Args[2:])
-			return
-		case "fleet":
-			runFleet(os.Args[2:])
 			return
 		}
 	}
@@ -199,7 +198,7 @@ func runController() {
 	pprof := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on -metrics-addr")
 	fleetLag := flag.Duration("fleet-lag", fleet.DefaultLagAfter, "mark an agent lagging after this long without a fleet report")
 	fleetSilent := flag.Duration("fleet-silent", fleet.DefaultSilentAfter, "mark an agent silent after this long without a fleet report")
-	fleetOut := flag.String("fleet-out", "", "write the final /fleet snapshot JSON to this file on exit")
+	metricsOut := flag.String("metrics-out", "", "write the final /metrics.json document (fleet rollup included) to this file on exit")
 	hold := flag.Duration("hold", 0, "stay alive this long after the last slot (lets the fleet staleness ladder observe late faults)")
 	flag.Parse()
 
@@ -217,15 +216,14 @@ func runController() {
 	enf := southbound.NewDeltaEnforcer(ctl)
 
 	// Fleet aggregation is always on: agents that never push telemetry
-	// cost nothing, and the /fleet view plus the rollup registry are what
-	// `tinyleo-ctl top` and the SLO engine aggregate over.
+	// cost nothing, and the rollup registry is what `tinyleo-ctl top`, the
+	// SLO engine and -metrics-out read.
 	agg := fleet.NewAggregator(fleet.Options{LagAfter: *fleetLag, SilentAfter: *fleetSilent})
 	ctl.OnTelemetry = func(satID uint32, payload []byte) {
 		if err := agg.HandleReport(satID, payload); err != nil {
 			fmt.Fprintf(os.Stderr, "tinyleo-ctl: %v\n", err)
 		}
 	}
-	agg.RegisterHTTP()
 	fleetTick := time.NewTicker(time.Second)
 	defer fleetTick.Stop()
 	// Runs for the process lifetime: Stop does not close fleetTick.C.
@@ -234,19 +232,20 @@ func runController() {
 			agg.Tick()
 		}
 	}()
-	if *fleetOut != "" {
-		out := *fleetOut
+	regs := []*obs.Registry{obs.Default(), ctl.Metrics(), agg.Registry()}
+	if *metricsOut != "" {
+		out := *metricsOut
 		cli.AtExit(func() {
-			if err := writeFleetSnapshot(out, agg); err != nil {
-				fmt.Fprintf(os.Stderr, "tinyleo-ctl: fleet snapshot: %v\n", err)
+			if err := writeMetricsFile(out, regs...); err != nil {
+				fmt.Fprintf(os.Stderr, "tinyleo-ctl: -metrics-out: %v\n", err)
 				return
 			}
-			fmt.Printf("fleet: wrote snapshot to %s\n", out)
+			fmt.Printf("metrics: wrote %s\n", out)
 		})
 	}
 	cli.Telemetry{
 		Process: "tinyleo-ctl", MetricsAddr: *metricsAddr, RecordOut: *recordOut, SLO: *sloSpec, Pprof: *pprof,
-	}.Start(obs.Default(), ctl.Metrics(), agg.Registry())
+	}.Start(regs...)
 	fmt.Printf(cli.AnnounceController, ctl.Addr(), *agents)
 	if err := ctl.WaitForAgents(*agents, *wait); err != nil {
 		cli.Fatalf("tinyleo-ctl: %v\n", err)
@@ -316,7 +315,7 @@ func runController() {
 	fmt.Printf("totals: %d southbound messages\n", ctl.TotalMessages())
 	if *hold > 0 {
 		// Keep the southbound and telemetry surfaces up so the staleness
-		// ladder can walk killed agents to silent before the exit snapshot.
+		// ladder can walk killed agents to silent before the exit document.
 		fmt.Printf("holding for %s\n", *hold)
 		time.Sleep(*hold)
 	}

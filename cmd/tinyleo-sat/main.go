@@ -22,8 +22,8 @@
 //
 // Fleet telemetry: unless -fleet-interval is 0, the agent pushes the rows
 // of its /metrics.json that changed, once per interval, to the controller
-// over the southbound session, feeding the controller's /fleet rollup and
-// `tinyleo-ctl top`.
+// over the southbound session, feeding the controller's fleet rollup (its
+// /metrics.json, read by `tinyleo-ctl top`).
 //
 // Commands carry the controller's trace context over the wire; the agent
 // applies each one to a local data-plane view and records the install as

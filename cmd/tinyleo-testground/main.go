@@ -3,9 +3,9 @@
 // tinyleo-ctl controller plus N real tinyleo-sat agent processes over the
 // real TCP southbound, coordinates startup by the addresses and the
 // registration line the controller prints, injects faults by signaling agent
-// processes on schedule, and collects per-run artifacts (fleet snapshot,
-// one flight recording per process, process logs) into a run directory
-// with a scored SLO report.
+// processes on schedule, and collects per-run artifacts (the controller's
+// metrics document, one flight recording per process, process logs) into
+// a run directory with a scored SLO report.
 //
 //	tinyleo-testground -plan plans/smoke.json -out runs/smoke
 //

@@ -243,11 +243,11 @@ func (r *runner) start() error {
 		SilentAfter: campaignFleetSilent,
 		Tracer:      new(obs.Tracer),
 		OnTransition: func(agent uint32, from, to fleet.State) {
-			typ := "agent_" + string(to)
+			typ := "agent_" + to.String()
 			if to == fleet.StateHealthy {
 				typ = "agent_recovered"
 			}
-			r.event(typ, "sat", fmt.Sprint(agent), "from", string(from), "to", string(to))
+			r.event(typ, "sat", fmt.Sprint(agent), "from", from.String(), "to", to.String())
 		},
 	})
 	ctl.OnTelemetry = func(sat uint32, payload []byte) {
@@ -893,8 +893,8 @@ func (r *runner) finish(wallStart time.Time) error {
 // settled by the last flushFleet, so the summary is deterministic and
 // belongs in CanonicalJSON.
 func (r *runner) fleetSummary() *FleetSummary {
-	v := r.agg.View()
-	fs := &FleetSummary{Summary: v.Summary(), Totals: v.Totals}
+	samples := obs.Snapshot(r.agg.Registry())
+	fs := &FleetSummary{Summary: fleet.Summarize(samples), Totals: fleet.Totals(samples)}
 	for _, applied := range r.fleetApplied {
 		fs.AppliedTotal += applied.Value()
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/obs/fleet"
 )
 
 // fleetCrashScenario crashes one satellite per round: the round-0 victim
@@ -62,6 +63,14 @@ func TestCampaignFleetSummary(t *testing.T) {
 	}
 	if rolled.Value != float64(fs.AppliedTotal) {
 		t.Fatalf("rollup %s = %v, ground truth %d", MetricAgentApplied, rolled.Value, fs.AppliedTotal)
+	}
+	// The summary and the totals are read from the same rollup rows.
+	for _, s := range fs.Totals {
+		if s.Name == fleet.MetricAgentState || s.Name == fleet.MetricAgentSilence ||
+			s.Name == fleet.MetricReports && s.Value != float64(fs.Reports) ||
+			s.Name == fleet.MetricGaps && s.Value != float64(fs.Gaps) {
+			t.Fatalf("totals row %+v disagrees with summary %+v", s, fs.Summary)
+		}
 	}
 	if fs.States["healthy"] != fs.Agents {
 		t.Fatalf("crash-free campaign ended with states %v, want all %d healthy", fs.States, fs.Agents)

@@ -49,8 +49,8 @@ type FleetSummary struct {
 	// agents' own registries — the ground truth the telemetry rollup is
 	// compared against.
 	AppliedTotal int64 `json:"applied_total"`
-	// Totals are the rollup registry's fleet-wide aggregates (agent label
-	// stripped), sorted by series identity.
+	// Totals are the rollup registry's fleet-wide aggregates
+	// (fleet.Totals: agent label stripped), sorted by series identity.
 	Totals []obs.Sample `json:"totals"`
 }
 
@@ -88,8 +88,8 @@ type Report struct {
 	// telemetry plane at campaign end.
 	Fleet *FleetSummary `json:"fleet,omitempty"`
 
-	// SLO is the flight-recorder rule evaluation over the campaign's
-	// private registry (EvalUS zeroed for reproducibility).
+	// SLO is the flight-recorder verdicts over the campaign's aggregates
+	// and fleet totals (flightrec.Score: a rule it cannot observe fails).
 	SLO         []flightrec.RuleStatus `json:"slo"`
 	SLOBreached int                    `json:"slo_breached"`
 
@@ -123,9 +123,9 @@ func percentile(sorted []float64, p float64) float64 {
 	return sorted[rank-1]
 }
 
-// score evaluates the scenario's SLO spec with the flight recorder's
-// engine over a private registry fed only engine-computed campaign
-// values, so the verdicts are deterministic for a given seed.
+// score judges the campaign with flightrec.Score over samples of its own
+// aggregates and the fleet totals, so the verdicts are deterministic for
+// a given seed.
 func (r *Report) score(spec string) error {
 	if spec == "" {
 		spec = DefaultSLO
@@ -134,42 +134,31 @@ func (r *Report) score(spec string) error {
 	if err != nil {
 		return err
 	}
-	reg := obs.NewRegistry(true)
-	// The built-in SLO kinds read the standard series names; feed them the
-	// campaign aggregates.
-	reg.Gauge("tinyleo_mpc_enforcement_ratio").Set(r.EnforcementRatio)
-	reg.Counter("tinyleo_dataplane_delivered_total").Add(int64(r.PacketsDelivered))
-	reg.Counter("tinyleo_dataplane_dropped_total").Add(int64(r.PacketsDropped))
-	reg.Counter("tinyleo_dataplane_forwarded_total").Add(int64(r.PacketsSent))
-	// Chaos-specific indicators, referenced via the raw-metric rule kind.
-	reg.Gauge("tinyleo_chaos_delivery_ratio").Set(r.DeliveryRatio)
-	reg.Gauge("tinyleo_chaos_recovery_p50_ms").Set(r.RecoveryMsP50)
-	reg.Gauge("tinyleo_chaos_recovery_p99_ms").Set(r.RecoveryMsP99)
-	reg.Gauge("tinyleo_chaos_unrecovered").Set(float64(r.Unrecovered))
-	reg.Counter("tinyleo_southbound_ack_timeouts_total").Add(r.AckTimeouts)
+	gauge := func(name string, v float64) obs.Sample {
+		return obs.Sample{Name: name, Kind: obs.KindGauge, Value: v}
+	}
+	counter := func(name string, v int64) obs.Sample {
+		return obs.Sample{Name: name, Kind: obs.KindCounter, Value: float64(v)}
+	}
+	samples := []obs.Sample{
+		// The built-in SLO kinds read the standard series names.
+		gauge("tinyleo_mpc_enforcement_ratio", r.EnforcementRatio),
+		counter("tinyleo_dataplane_delivered_total", int64(r.PacketsDelivered)),
+		counter("tinyleo_dataplane_dropped_total", int64(r.PacketsDropped)),
+		counter("tinyleo_dataplane_forwarded_total", int64(r.PacketsSent)),
+		// Chaos-specific indicators, referenced via the raw-metric rule kind.
+		gauge("tinyleo_chaos_delivery_ratio", r.DeliveryRatio),
+		gauge("tinyleo_chaos_recovery_p50_ms", r.RecoveryMsP50),
+		gauge("tinyleo_chaos_recovery_p99_ms", r.RecoveryMsP99),
+		gauge("tinyleo_chaos_unrecovered", float64(r.Unrecovered)),
+		counter("tinyleo_southbound_ack_timeouts_total", r.AckTimeouts),
+	}
 	// Fleet telemetry health, scoreable via the raw-metric rule kind
 	// (e.g. "tinyleo_fleet_agents_silent<=0").
 	if r.Fleet != nil {
-		for _, s := range r.Fleet.Samples() {
-			if s.Kind == obs.KindGauge {
-				reg.Gauge(s.Name).Set(s.Value)
-			} else {
-				reg.Counter(s.Name).Add(int64(s.Value))
-			}
-		}
+		samples = append(samples, r.Fleet.Totals...)
 	}
-
-	eng := flightrec.NewEngine(nil, rules...)
-	eng.SetRegistries(reg)
-	status := eng.Eval()
-	r.SLOBreached = 0
-	for i := range status {
-		status[i].EvalUS = 0 // wall-clock: excluded from the canonical form
-		if status[i].Breached {
-			r.SLOBreached++
-		}
-	}
-	r.SLO = status
+	r.SLO, r.SLOBreached = flightrec.Score(rules, samples, nil)
 	return nil
 }
 

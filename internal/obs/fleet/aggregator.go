@@ -1,13 +1,12 @@
 package fleet
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -15,14 +14,41 @@ import (
 	"repro/internal/obs/flightrec"
 )
 
-// State is an agent's report-staleness health state.
-type State string
+// State is an agent's report-staleness health state. Its value is the
+// agent's MetricAgentState gauge.
+type State int
 
 // Staleness states, ordered healthy → lagging → silent.
 const (
-	StateHealthy State = "healthy"
-	StateLagging State = "lagging"
-	StateSilent  State = "silent"
+	StateHealthy State = iota
+	StateLagging
+	StateSilent
+)
+
+// String names the state ("unknown" outside them, as a gauge read back
+// from a file may be).
+func (s State) String() string {
+	if s < StateHealthy || s > StateSilent {
+		return "unknown"
+	}
+	return [...]string{"healthy", "lagging", "silent"}[s]
+}
+
+// The rollup series the aggregator sets itself, the tinyleo_fleet_
+// namespace (an agent's series there is not folded). The per-agent ones,
+// labeled agent=<id>, are its reports (a duplicate delivery is not a
+// second report), their bytes, the sequence numbers it skipped (reports
+// lost in transit), and, as of the last Tick, its State (0 healthy, 1
+// lagging, 2 silent) and the age of its last report.
+const (
+	MetricAgents       = "tinyleo_fleet_agents"
+	MetricAgentsSilent = "tinyleo_fleet_agents_silent"
+	MetricDecodeErrors = "tinyleo_fleet_decode_errors_total"
+	MetricReports      = "tinyleo_fleet_reports_total"
+	MetricReportBytes  = "tinyleo_fleet_report_bytes_total"
+	MetricGaps         = "tinyleo_fleet_gaps_total"
+	MetricAgentState   = "tinyleo_fleet_agent_state"
+	MetricAgentSilence = "tinyleo_fleet_agent_silence_seconds"
 )
 
 // Default staleness thresholds (interactive use; chaos campaigns inject
@@ -70,21 +96,20 @@ type agentState struct {
 	// series is keyed by obs.Sample.Key.
 	series map[string]*seriesState
 
-	state      State
 	lastReport time.Time
 	lastSeq    uint64
-	gaps       uint64
-	// reports and bytes are the agent's rollup meta series.
-	reports *obs.Counter
-	bytes   *obs.Counter
+	// The agent's rollup meta series; stateG holds its State.
+	reports, bytes, gaps *obs.Counter
+	stateG, silenceG     *obs.Gauge
 }
 
 // Aggregator merges per-agent fleet reports into one always-enabled
 // rollup registry (every series relabeled with agent=<id>) and tracks
-// per-agent report staleness. HandleReport is called from southbound
-// connection goroutines; Tick from a single clock goroutine — all state
-// transitions happen in Tick, in agent-ID order, so campaigns driving a
-// virtual clock get deterministic event sequences.
+// per-agent report staleness there too, as the Metric* series.
+// HandleReport is called from southbound connection goroutines; Tick from
+// a single clock goroutine — all state transitions happen in Tick, in
+// agent-ID order, so campaigns driving a virtual clock get deterministic
+// event sequences.
 type Aggregator struct {
 	clock        func() time.Time
 	lagAfter     time.Duration
@@ -98,8 +123,7 @@ type Aggregator struct {
 	//tinyleo:guardedby mu
 	agents map[uint32]*agentState
 	//tinyleo:guardedby mu
-	kinds map[string]obs.Kind // rollup name → kind, guards kind clashes
-	// decodeErrs counts reports dropped as malformed.
+	kinds      map[string]obs.Kind // rollup name → kind, guards kind clashes
 	decodeErrs *obs.Counter
 	agentsG    *obs.Gauge
 	silentG    *obs.Gauge
@@ -132,19 +156,15 @@ func NewAggregator(o Options) *Aggregator {
 		agents:       map[uint32]*agentState{},
 		kinds:        map[string]obs.Kind{},
 	}
-	a.decodeErrs = a.rollup.Counter("tinyleo_fleet_decode_errors_total")
-	a.agentsG = a.rollup.Gauge("tinyleo_fleet_agents")
-	a.silentG = a.rollup.Gauge("tinyleo_fleet_agents_silent")
-	a.kinds["tinyleo_fleet_decode_errors_total"] = obs.KindCounter
-	a.kinds["tinyleo_fleet_agents"] = obs.KindGauge
-	a.kinds["tinyleo_fleet_agents_silent"] = obs.KindGauge
-	a.kinds["tinyleo_fleet_reports_total"] = obs.KindCounter
-	a.kinds["tinyleo_fleet_report_bytes_total"] = obs.KindCounter
+	a.decodeErrs = a.rollup.Counter(MetricDecodeErrors)
+	a.agentsG = a.rollup.Gauge(MetricAgents)
+	a.silentG = a.rollup.Gauge(MetricAgentsSilent)
 	return a
 }
 
-// Registry returns the rollup registry (always enabled), for merging into
-// the controller's telemetry surface and SLO engine.
+// Registry returns the rollup registry (always enabled): the fleet's one
+// document, merged into the controller's telemetry surface, its SLO
+// engine and its -metrics-out file.
 func (a *Aggregator) Registry() *obs.Registry { return a.rollup }
 
 // decode parses a report and checks it against the report limits. The
@@ -192,11 +212,12 @@ func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // resolveLocked binds an agent series to its rollup instrument, labeled
 // agent=<id> (the label is the rollup's; an agent's own is dropped). A
-// series whose kind clashes with the rollup's series of that name gets
+// series whose kind clashes with the rollup's series of that name, or
+// whose name is in the aggregator's own tinyleo_fleet_ namespace, gets
 // none (its rows are then skipped, not fatal). Callers hold a.mu.
 func (a *Aggregator) resolveLocked(id uint32, s *obs.Sample) *seriesState {
 	ss := &seriesState{}
-	if k, ok := a.kinds[s.Name]; ok && k != s.Kind {
+	if k, ok := a.kinds[s.Name]; ok && k != s.Kind || strings.HasPrefix(s.Name, "tinyleo_fleet_") {
 		return ss
 	}
 	a.kinds[s.Name] = s.Kind
@@ -269,17 +290,19 @@ func (a *Aggregator) HandleReport(agent uint32, payload []byte) error {
 	if st == nil {
 		agl := strconv.FormatUint(uint64(agent), 10)
 		st = &agentState{
-			state:   StateHealthy,
-			series:  map[string]*seriesState{},
-			reports: a.rollup.Counter("tinyleo_fleet_reports_total", "agent", agl),
-			bytes:   a.rollup.Counter("tinyleo_fleet_report_bytes_total", "agent", agl),
+			series:   map[string]*seriesState{},
+			reports:  a.rollup.Counter(MetricReports, "agent", agl),
+			bytes:    a.rollup.Counter(MetricReportBytes, "agent", agl),
+			gaps:     a.rollup.Counter(MetricGaps, "agent", agl),
+			stateG:   a.rollup.Gauge(MetricAgentState, "agent", agl),
+			silenceG: a.rollup.Gauge(MetricAgentSilence, "agent", agl),
 		}
 		a.agents[agent] = st
 	}
 	st.lastReport = a.clock()
 	if doc.Seq != st.lastSeq { // a duplicate delivery is not a second report
 		if st.lastSeq != 0 && doc.Seq > st.lastSeq+1 {
-			st.gaps += doc.Seq - st.lastSeq - 1
+			st.gaps.Add(int64(doc.Seq - st.lastSeq - 1))
 		}
 		st.lastSeq = doc.Seq
 		st.reports.Inc()
@@ -298,23 +321,11 @@ func (a *Aggregator) HandleReport(agent uint32, payload []byte) error {
 	return nil
 }
 
-// stateFor maps a silence duration to a health state.
-func (a *Aggregator) stateFor(silence time.Duration) State {
-	switch {
-	case silence >= a.silentAfter:
-		return StateSilent
-	case silence >= a.lagAfter:
-		return StateLagging
-	default:
-		return StateHealthy
-	}
-}
-
 // Tick advances staleness tracking to the current clock reading: every
 // agent's state is recomputed from its last report age, transitions fire
 // flight events and the OnTransition hook in agent-ID order, and the
-// fleet gauges refresh. Call it from exactly one goroutine (a ticker, or
-// the chaos engine loop).
+// fleet and per-agent gauges refresh. Call it from exactly one goroutine
+// (a ticker, or the chaos engine loop).
 func (a *Aggregator) Tick() {
 	now := a.clock()
 	type transition struct {
@@ -331,12 +342,19 @@ func (a *Aggregator) Tick() {
 	silent := 0
 	for _, id := range ids {
 		st := a.agents[id]
-		next := a.stateFor(now.Sub(st.lastReport))
-		if next != st.state {
-			trans = append(trans, transition{id: id, from: st.state, to: next})
-			st.state = next
+		silence, next := now.Sub(st.lastReport), StateHealthy
+		switch {
+		case silence >= a.silentAfter:
+			next = StateSilent
+		case silence >= a.lagAfter:
+			next = StateLagging
 		}
-		if st.state == StateSilent {
+		if prev := State(st.stateG.Value()); next != prev {
+			trans = append(trans, transition{id: id, from: prev, to: next})
+		}
+		st.stateG.Set(float64(next))
+		st.silenceG.Set(silence.Seconds())
+		if next == StateSilent {
 			silent++
 		}
 	}
@@ -344,14 +362,14 @@ func (a *Aggregator) Tick() {
 	a.silentG.Set(float64(silent))
 	a.mu.Unlock()
 	for _, t := range trans {
-		typ := "agent_" + string(t.to)
+		typ := "agent_" + t.to.String()
 		if t.to == StateHealthy {
 			typ = "agent_recovered"
 		}
 		if a.tracer.Enabled() {
 			a.tracer.Emit(flightrec.EventName(flightrec.CompFleet, typ),
 				"agent", strconv.FormatUint(uint64(t.id), 10),
-				"from", string(t.from), "to", string(t.to))
+				"from", t.from.String(), "to", t.to.String())
 		}
 		if a.onTransition != nil {
 			a.onTransition(t.id, t.from, t.to)
@@ -368,127 +386,4 @@ func (a *Aggregator) AgentSeq(agent uint32) uint64 {
 		return st.lastSeq
 	}
 	return 0
-}
-
-// AgentView is one agent's health row in the /fleet view.
-type AgentView struct {
-	ID      uint32 `json:"id"`
-	State   State  `json:"state"`
-	LastSeq uint64 `json:"last_seq"`
-	Reports uint64 `json:"reports"`
-	Bytes   uint64 `json:"bytes"`
-	Gaps    uint64 `json:"gaps"`
-	// SilenceMS is how long ago the last report arrived.
-	SilenceMS int64 `json:"silence_ms"`
-	Series    int   `json:"series"`
-}
-
-// View is the /fleet JSON document.
-type View struct {
-	Agents       []AgentView    `json:"agents"`
-	States       map[string]int `json:"states"`
-	DecodeErrors int64          `json:"decode_errors"`
-	// Totals are the fleet-wide aggregates: rollup series summed across
-	// agents (the agent label stripped), sorted by name then labels.
-	Totals []obs.Sample `json:"totals"`
-}
-
-// Agents returns per-agent health rows sorted by agent ID.
-func (a *Aggregator) Agents() []AgentView {
-	now := a.clock()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]AgentView, 0, len(a.agents))
-	for id, st := range a.agents {
-		out = append(out, AgentView{
-			ID:        id,
-			State:     st.state,
-			LastSeq:   st.lastSeq,
-			Reports:   uint64(st.reports.Value()),
-			Bytes:     uint64(st.bytes.Value()),
-			Gaps:      st.gaps,
-			SilenceMS: now.Sub(st.lastReport).Milliseconds(),
-			Series:    len(st.series),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// Samples returns the rollup registry's series (per-agent labels intact)
-// sorted by name then labels — a deterministic snapshot independent of
-// report arrival order.
-func (a *Aggregator) Samples() []obs.Sample {
-	out := obs.Snapshot(a.rollup)
-	sortSamples(out)
-	return out
-}
-
-// TotalsSamples sums the rollup across agents: the agent label is
-// stripped and equal series merged (counters and gauges add; histograms
-// add count/sum/buckets when bounds match). Sorted by name then labels.
-func (a *Aggregator) TotalsSamples() []obs.Sample {
-	idx := map[string]int{}
-	var out []obs.Sample
-	for _, s := range obs.Snapshot(a.rollup) { // label maps and buckets are the snapshot's own
-		delete(s.Labels, "agent")
-		if len(s.Labels) == 0 {
-			s.Labels = nil
-		}
-		key := s.Key()
-		i, ok := idx[key]
-		if !ok {
-			idx[key] = len(out)
-			out = append(out, s)
-			continue
-		}
-		dst := &out[i]
-		switch s.Kind {
-		case obs.KindCounter, obs.KindGauge:
-			dst.Value += s.Value
-		case obs.KindHistogram:
-			if len(dst.Buckets) != len(s.Buckets) {
-				continue
-			}
-			dst.Count += s.Count
-			dst.Sum += s.Sum
-			for j, b := range s.Buckets {
-				dst.Buckets[j] += b
-			}
-		}
-	}
-	sortSamples(out)
-	return out
-}
-
-// View assembles the full /fleet document.
-func (a *Aggregator) View() View {
-	v := View{
-		Agents:       a.Agents(),
-		States:       map[string]int{},
-		DecodeErrors: a.decodeErrs.Value(),
-		Totals:       a.TotalsSamples(),
-	}
-	for _, ag := range v.Agents {
-		v.States[string(ag.State)]++
-	}
-	return v
-}
-
-// ServeHTTP serves the /fleet JSON document.
-func (a *Aggregator) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(a.View())
-}
-
-// RegisterHTTP mounts this aggregator at /fleet on the obs telemetry
-// surface (replacing any previous aggregator).
-func (a *Aggregator) RegisterHTTP() {
-	obs.RegisterHandler("/fleet", a)
-}
-
-func sortSamples(ss []obs.Sample) {
-	sort.SliceStable(ss, func(i, j int) bool {
-		return ss[i].Key() < ss[j].Key()
-	})
 }

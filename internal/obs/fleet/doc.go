@@ -3,9 +3,9 @@
 // absolute values plus a report sequence number — to the controller over
 // the southbound session as Telemetry messages; the controller-side
 // Aggregator folds every agent's rows into one rollup registry keyed by
-// series with per-agent labels, tracks report staleness through
-// healthy → lagging → silent states, and serves the combined view as
-// /fleet JSON on the obs mux.
+// series with per-agent labels and tracks report staleness through
+// healthy → lagging → silent states in that same registry: the fleet's
+// one document, which the controller serves on /metrics.json.
 //
 // Design constraints, in order:
 //
@@ -24,9 +24,9 @@
 //     and everything else here is validation of the decoded document.
 //  3. Bounded: a report never exceeds southbound.MaxTelemetryPayload or
 //     MaxReportSeries rows; what does not fit rides the next report.
-//  4. Determinism: encoding snapshots series in registration order and
-//     the aggregator exposes sorted views, so chaos campaigns aggregating
-//     over a virtual clock stay byte-reproducible.
+//  4. Determinism: encoding snapshots series in registration order, Tick
+//     walks agents in ID order and Totals sorts, so chaos campaigns
+//     aggregating over a virtual clock stay byte-reproducible.
 //
 // # Surfaces
 //
@@ -34,12 +34,9 @@
 // reports through a send function at a bounded rate (Reporter.Run /
 // Reporter.Stop). Controller side: NewAggregator validates and folds
 // reports (HandleReport), sweeps staleness (Tick), and exposes the rollup
-// as a Registry, per-agent rows (Agents), fleet-wide totals
-// (TotalsSamples), and the /fleet document (View, RegisterHTTP).
-//
-// Artifacts: View.WriteFile / Aggregator.WriteSnapshotFile persist the
-// /fleet document; ReadViewFile loads it back, and View.Summary condenses
-// its agent rows into the accounting chaos and testground reports carry
-// and (Summary.Samples) the flightrec SLO engine scores — how a
-// testground run is judged after its processes have exited.
+// (Registry), the agents' own series beside the Metric* series. Readers
+// work on its samples, live (obs.Snapshot) or decoded from /metrics.json
+// or a -metrics-out file: Summarize condenses them into the accounting
+// chaos and testground reports carry, Totals sums the agents' series
+// across agents, and the flightrec SLO rules score them by series name.
 package fleet

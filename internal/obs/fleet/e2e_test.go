@@ -3,19 +3,23 @@ package fleet_test
 // End-to-end fleet telemetry: three real tinyleo-sat processes stream the
 // changed rows of their registries over real TCP into an in-test
 // controller+aggregator. The rollup must converge to EXACT equality with
-// the satellites' own /metrics.json documents, and killing one process
-// must end with it silent, the matching flight events recorded, and the
-// survivors untouched. (The healthy → lagging → silent ladder itself is
+// the satellites' own /metrics.json documents, killing one process must
+// end with it silent, the matching flight events recorded, and the
+// survivors untouched, and the controller's metrics document must read
+// back into the same accounting the test kept of every report. (The healthy → lagging → silent ladder itself is
 // checked on a virtual clock by TestAggregatorStalenessTransitions and
 // chaos's TestCampaignCrashDrivesAgentSilent.)
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -127,7 +131,7 @@ func sumSeries(all [][]obs.Sample) map[string]obs.Sample {
 // (tinyleo_fleet_*) are skipped.
 func rollupMatches(agg *fleet.Aggregator, want map[string]obs.Sample) (bool, string) {
 	got := 0
-	for _, s := range agg.TotalsSamples() {
+	for _, s := range fleet.Totals(obs.Snapshot(agg.Registry())) {
 		if strings.HasPrefix(s.Name, "tinyleo_fleet_") {
 			continue
 		}
@@ -185,14 +189,40 @@ func TestFleetEndToEndThreeProcesses(t *testing.T) {
 			mu.Unlock()
 		},
 	})
+	// The test's own accounting of every report it hands the aggregator,
+	// updated under the same lock as the hand-off.
+	type account struct{ seq, reports, bytes, gaps uint64 }
+	var acctMu sync.Mutex
+	accounts := map[uint32]*account{}
+	var decodeErrs int64
 	ctl.OnTelemetry = func(sat uint32, payload []byte) {
+		acctMu.Lock()
+		defer acctMu.Unlock()
 		if err := agg.HandleReport(sat, payload); err != nil {
+			decodeErrs++
 			t.Errorf("telemetry from sat %d: %v", sat, err)
+			return
+		}
+		doc, _ := obs.DecodeDoc(payload)
+		a := accounts[sat]
+		if a == nil {
+			a = &account{}
+			accounts[sat] = a
+		}
+		if doc.Seq != a.seq {
+			if a.seq != 0 && doc.Seq > a.seq+1 {
+				a.gaps += doc.Seq - a.seq - 1
+			}
+			a.seq = doc.Seq
+			a.reports++
+			a.bytes += uint64(len(payload))
 		}
 	}
-	stopTick := make(chan struct{})
-	defer close(stopTick)
+	stopTick, tickDone := make(chan struct{}), make(chan struct{})
+	stopTicking := sync.OnceFunc(func() { close(stopTick); <-tickDone })
+	defer stopTicking()
 	go func() {
+		defer close(tickDone)
 		tick := time.NewTicker(50 * time.Millisecond)
 		defer tick.Stop()
 		for {
@@ -232,12 +262,12 @@ func TestFleetEndToEndThreeProcesses(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 
-	for _, av := range agg.Agents() {
-		if av.State != fleet.StateHealthy {
-			t.Fatalf("agent %d is %s before any fault", av.ID, av.State)
-		}
-		if av.Reports == 0 || av.LastSeq == 0 {
-			t.Fatalf("agent %d converged without reports: %+v", av.ID, av)
+	if sum := summary(agg); sum.Agents != 3 || sum.States["healthy"] != 3 || sum.Reports < 3 {
+		t.Fatalf("converged fleet before any fault: %+v", sum)
+	}
+	for _, s := range sats {
+		if agg.AgentSeq(s.id) == 0 {
+			t.Fatalf("agent %d converged without reports", s.id)
 		}
 	}
 
@@ -262,7 +292,7 @@ func TestFleetEndToEndThreeProcesses(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("killed sat %d never went silent: transitions %v, agents %+v", victim.id, ladder, agg.Agents())
+			t.Fatalf("killed sat %d never went silent: transitions %v, fleet %+v", victim.id, ladder, summary(agg))
 		}
 	}
 	// A tick that ran late may skip lagging; nothing else may appear.
@@ -270,22 +300,63 @@ func TestFleetEndToEndThreeProcesses(t *testing.T) {
 		t.Fatalf("victim transitions = %v, want [lagging silent] or [silent]", ladder)
 	}
 	// The flight recorder saw the same ladder as typed events.
-	var types []fleet.State
+	var types []string
 	for _, ev := range log.Events() {
 		if typ, ok := strings.CutPrefix(ev.Name, "fleet.agent_"); ok && ev.Attrs["agent"] == strconv.FormatUint(uint64(victim.id), 10) {
-			types = append(types, fleet.State(typ))
+			types = append(types, typ)
 		}
 	}
 	if fmt.Sprint(types) != fmt.Sprint(ladder) {
 		t.Fatalf("flight events for victim = %v, transitions %v", types, ladder)
 	}
-	for _, av := range agg.Agents() {
-		want := fleet.StateHealthy
-		if av.ID == victim.id {
-			want = fleet.StateSilent
-		}
-		if av.State != want {
-			t.Fatalf("agent %d is %s, want %s", av.ID, av.State, want)
-		}
+	if sum := summary(agg); !reflect.DeepEqual(sum.Silent, []int{int(victim.id)}) || sum.States["healthy"] != 2 {
+		t.Fatalf("after the kill: %+v, want sat %d alone silent", sum, victim.id)
 	}
+
+	t.Run("MetricsOutSummarizesToTheAccounting", func(t *testing.T) {
+		// With the ticker stopped every state is settled; under the report
+		// lock, what -metrics-out writes (obs.WriteJSON over the controller's
+		// registries) must read back into exactly the accounting above.
+		stopTicking()
+		acctMu.Lock()
+		var buf bytes.Buffer
+		err := obs.WriteJSON(&buf, obs.Default(), ctl.Metrics(), agg.Registry())
+		want := fleet.Summary{States: map[string]int{}, DecodeErrors: decodeErrs}
+		mu.Lock()
+		for id, a := range accounts {
+			if a.seq != agg.AgentSeq(id) {
+				t.Errorf("agent %d: aggregator at seq %d, accounting at %d", id, agg.AgentSeq(id), a.seq)
+			}
+			want.Agents++
+			want.Reports += a.reports
+			want.Bytes += a.bytes
+			want.Gaps += a.gaps
+			state := fleet.StateHealthy
+			if ladder := transitions[id]; len(ladder) > 0 {
+				state = ladder[len(ladder)-1]
+			}
+			want.States[state.String()]++
+			if state == fleet.StateSilent {
+				want.Silent = append(want.Silent, int(id))
+			}
+		}
+		mu.Unlock()
+		acctMu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.Ints(want.Silent)
+		doc, err := obs.DecodeDoc(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fleet.Summarize(doc.Series); !reflect.DeepEqual(got, want) {
+			t.Fatalf("metrics document summarizes to %+v, accounting says %+v", got, want)
+		}
+	})
+}
+
+// summary is the aggregator's live fleet accounting.
+func summary(agg *fleet.Aggregator) fleet.Summary {
+	return fleet.Summarize(obs.Snapshot(agg.Registry()))
 }

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -9,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -53,11 +53,48 @@ func decodeAll(t *testing.T, payloads ...[]byte) []*obs.Doc {
 	return out
 }
 
+// rollupSamples is the aggregator's registry snapshot, sorted by series
+// identity.
+func rollupSamples(agg *Aggregator) []obs.Sample {
+	out := obs.Snapshot(agg.Registry())
+	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	return out
+}
+
+// agentHealth is one agent's Metric* rows in the rollup.
+type agentHealth struct {
+	state                State
+	reports, bytes, gaps uint64
+	silence              float64
+}
+
+func health(agg *Aggregator, agent uint32) agentHealth {
+	var h agentHealth
+	for _, s := range obs.Snapshot(agg.Registry()) {
+		if s.Labels["agent"] != strconv.FormatUint(uint64(agent), 10) {
+			continue
+		}
+		switch s.Name {
+		case MetricAgentState:
+			h.state = State(s.Value)
+		case MetricReports:
+			h.reports = uint64(s.Value)
+		case MetricReportBytes:
+			h.bytes = uint64(s.Value)
+		case MetricGaps:
+			h.gaps = uint64(s.Value)
+		case MetricAgentSilence:
+			h.silence = s.Value
+		}
+	}
+	return h
+}
+
 // agentRollup returns the rollup's series for one agent with the agent
 // label stripped, keyed like the agent's own registry.
 func agentRollup(agg *Aggregator, agent uint32) map[string]obs.Sample {
 	out := map[string]obs.Sample{}
-	for _, s := range agg.Samples() {
+	for _, s := range rollupSamples(agg) {
 		if s.Labels["agent"] != strconv.FormatUint(uint64(agent), 10) || strings.HasPrefix(s.Name, "tinyleo_fleet_") {
 			continue
 		}
@@ -150,8 +187,8 @@ func TestEncoderNewSeriesMidSession(t *testing.T) {
 	if got, want := agentRollup(agg, 1), registryRows(reg); !reflect.DeepEqual(got, want) {
 		t.Fatalf("rollup %+v, registry %+v", got, want)
 	}
-	if n := agg.Agents()[0].Series; n != 2 {
-		t.Fatalf("agent row counts %d series, want 2", n)
+	if n := len(agentRollup(agg, 1)); n != 2 {
+		t.Fatalf("agent 1 has %d series of its own in the rollup, want 2", n)
 	}
 }
 
@@ -260,7 +297,7 @@ func TestAggregatorRollupEqualsAgentSums(t *testing.T) {
 		}
 	}
 	totalPkts := func() int64 {
-		for _, s := range agg.TotalsSamples() {
+		for _, s := range Totals(obs.Snapshot(agg.Registry())) {
 			if s.Name == "pkts_total" {
 				if s.Labels["agent"] != "" {
 					t.Fatalf("totals kept agent label: %v", s.Labels)
@@ -273,7 +310,7 @@ func TestAggregatorRollupEqualsAgentSums(t *testing.T) {
 	if got := totalPkts(); got != 61 {
 		t.Fatalf("totals pkts_total = %v, want 61", got)
 	}
-	for _, s := range agg.TotalsSamples() {
+	for _, s := range Totals(obs.Snapshot(agg.Registry())) {
 		if s.Name == "lat_s" && (s.Count != 4 || s.Buckets[1] != 2) {
 			t.Fatalf("totals lat_s = %+v", s)
 		}
@@ -380,7 +417,7 @@ func TestAggregatorStalenessTransitions(t *testing.T) {
 		SilentAfter: 9 * time.Second,
 		Tracer:      &log,
 		OnTransition: func(agent uint32, from, to State) {
-			transitions = append(transitions, string(from)+">"+string(to))
+			transitions = append(transitions, from.String()+">"+to.String())
 		},
 	})
 	reg := obs.NewRegistry(true)
@@ -391,15 +428,15 @@ func TestAggregatorStalenessTransitions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	states := func() State { return agg.Agents()[0].State }
+	states := func() State { return health(agg, 4).state }
 	agg.Tick()
 	if s := states(); s != StateHealthy {
 		t.Fatalf("state = %s, want healthy", s)
 	}
 	now = now.Add(4 * time.Second)
 	agg.Tick()
-	if s := states(); s != StateLagging {
-		t.Fatalf("state after 4s = %s, want lagging", s)
+	if h := health(agg, 4); h.state != StateLagging || h.silence != 4 {
+		t.Fatalf("after 4s: state %s, silence %vs; want lagging, 4s", h.state, h.silence)
 	}
 	now = now.Add(6 * time.Second)
 	agg.Tick()
@@ -464,9 +501,8 @@ func TestAggregatorSeqGapsAndStaleDrops(t *testing.T) {
 
 	deliver(p1)
 	deliver(p3)
-	av := agg.Agents()[0]
-	if av.Gaps != 1 || av.LastSeq != 3 || av.Reports != 2 {
-		t.Fatalf("gaps=%d lastSeq=%d reports=%d, want 1/3/2", av.Gaps, av.LastSeq, av.Reports)
+	if h := health(agg, 9); h.gaps != 1 || agg.AgentSeq(9) != 3 || h.reports != 2 {
+		t.Fatalf("gaps=%d lastSeq=%d reports=%d, want 1/3/2", h.gaps, agg.AgentSeq(9), h.reports)
 	}
 	got, want := agentRollup(agg, 9), registryRows(reg)
 	for _, key := range []string{"a_total", "h_s", "c_total"} {
@@ -479,8 +515,8 @@ func TestAggregatorSeqGapsAndStaleDrops(t *testing.T) {
 	}
 	// A duplicate delivery folds to nothing and is not a second report.
 	deliver(p3)
-	if av := agg.Agents()[0]; av.Reports != 2 || av.Bytes != uint64(len(p1)+len(p3)) || av.Gaps != 1 {
-		t.Fatalf("after duplicate: %+v", av)
+	if h := health(agg, 9); h.reports != 2 || h.bytes != uint64(len(p1)+len(p3)) || h.gaps != 1 {
+		t.Fatalf("after duplicate: %+v", h)
 	}
 	b.Inc()
 	p4, _ := enc.Encode()
@@ -528,8 +564,8 @@ func TestAggregatorAgentRestartKeepsOldCounts(t *testing.T) {
 	if hs := got["h_s"]; hs.Count != 5 || hs.Sum != 5.5 || !reflect.DeepEqual(hs.Buckets, []int64{3, 2}) {
 		t.Fatalf("h_s = %+v, want count 5 sum 5.5 buckets [3 2]", hs)
 	}
-	if av := agg.Agents()[0]; av.Gaps != 0 || av.LastSeq != 2 {
-		t.Fatalf("restart counted as loss: %+v", av)
+	if h := health(agg, 3); h.gaps != 0 || agg.AgentSeq(3) != 2 {
+		t.Fatalf("restart counted as loss: %+v, seq %d", h, agg.AgentSeq(3))
 	}
 }
 
@@ -595,10 +631,10 @@ func TestAggregatorMatchesMapModel(t *testing.T) {
 			if !reflect.DeepEqual(got, model) {
 				t.Fatalf("seed %d step %d: rollup %v, model %v", seed, step, got, model)
 			}
-			if v := agg.View(); v.DecodeErrors != decodeErrs || len(v.Agents) > 0 &&
-				(v.Agents[0].Gaps != gaps || v.Agents[0].Reports != reports || v.Agents[0].LastSeq != lastSeq) {
-				t.Fatalf("seed %d step %d: view %+v, want gaps %d reports %d seq %d decode errors %d",
-					seed, step, v.Agents, gaps, reports, lastSeq, decodeErrs)
+			if sum, h := Summarize(rollupSamples(agg)), health(agg, 1); sum.DecodeErrors != decodeErrs ||
+				h.gaps != gaps || h.reports != reports || agg.AgentSeq(1) != lastSeq {
+				t.Fatalf("seed %d step %d: %+v, seq %d, decode errors %d; want gaps %d reports %d seq %d decode errors %d",
+					seed, step, h, agg.AgentSeq(1), sum.DecodeErrors, gaps, reports, lastSeq, decodeErrs)
 			}
 		}
 	}
@@ -678,7 +714,7 @@ func TestAggregatorMalformedCountsDecodeError(t *testing.T) {
 	if err := agg.HandleReport(1, []byte(goldenBaseline)); err != nil {
 		t.Fatal(err)
 	}
-	before := agg.Samples()
+	before := rollupSamples(agg)
 	// The first row is fine, the second is not: the report is dropped whole.
 	bad := `{"seq":2,"series":[{"name":"reqs_total","kind":"counter","labels":{"type":"hello"},"value":50},{"name":"latency_s","kind":"histogram","count":9,"bounds":[0.1,1],"buckets":[9]}]}`
 	for _, p := range []string{"\x63", bad} {
@@ -686,10 +722,10 @@ func TestAggregatorMalformedCountsDecodeError(t *testing.T) {
 			t.Fatalf("HandleReport(%q) = %v, want ErrMalformed", p, err)
 		}
 	}
-	if v := agg.View(); v.DecodeErrors != 2 || v.Agents[0].Reports != 1 || v.Agents[0].LastSeq != 1 {
-		t.Fatalf("decode_errors = %d, agent row %+v; want 2 and one report", v.DecodeErrors, v.Agents[0])
+	if sum := Summarize(rollupSamples(agg)); sum.DecodeErrors != 2 || sum.Reports != 1 || agg.AgentSeq(1) != 1 {
+		t.Fatalf("summary %+v, seq %d; want 2 decode errors and one report", sum, agg.AgentSeq(1))
 	}
-	after := agg.Samples()
+	after := rollupSamples(agg)
 	for i := range after {
 		if after[i].Name == "tinyleo_fleet_decode_errors_total" {
 			after[i].Value = 0
@@ -700,7 +736,9 @@ func TestAggregatorMalformedCountsDecodeError(t *testing.T) {
 	}
 }
 
-func TestFleetViewHTTP(t *testing.T) {
+// Agent health is served with everything else on /metrics.json: the
+// document reads back into the summary and the fleet totals.
+func TestAgentHealthOnMetricsJSON(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	agg := newTestAggregator(&now, &obs.Tracer{})
 	reg := obs.NewRegistry(true)
@@ -710,34 +748,50 @@ func TestFleetViewHTTP(t *testing.T) {
 	if err := agg.HandleReport(2, p); err != nil {
 		t.Fatal(err)
 	}
+	now = now.Add(1500 * time.Millisecond)
 	agg.Tick()
 
 	rec := httptest.NewRecorder()
-	agg.ServeHTTP(rec, httptest.NewRequest("GET", "/fleet", nil))
-	var v View
-	if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
-		t.Fatalf("unmarshal /fleet: %v", err)
+	obs.NewHandler(agg.Registry()).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics.json", nil))
+	doc, err := obs.DecodeDoc(rec.Body.Bytes())
+	if err != nil {
+		t.Fatalf("decode /metrics.json: %v", err)
 	}
-	if len(v.Agents) != 1 || v.Agents[0].ID != 2 || v.Agents[0].State != StateHealthy {
-		t.Fatalf("agents = %+v", v.Agents)
+	want := map[string]float64{
+		MetricAgentState: 0, MetricAgentSilence: 1.5, MetricReports: 1, MetricReportBytes: float64(len(p)), MetricGaps: 0,
 	}
-	if v.States["healthy"] != 1 {
-		t.Fatalf("states = %v", v.States)
+	for _, s := range doc.Series {
+		if v, ok := want[s.Name]; ok && s.Labels["agent"] == "2" {
+			if s.Value != v {
+				t.Errorf("%s{agent=2} = %v, want %v", s.Name, s.Value, v)
+			}
+			delete(want, s.Name)
+		}
+	}
+	if len(want) != 0 {
+		t.Fatalf("/metrics.json lacks agent 2's %v", want)
+	}
+	if sum := Summarize(doc.Series); sum.Agents != 1 || sum.States["healthy"] != 1 || sum.Reports != 1 {
+		t.Fatalf("summary = %+v", sum)
 	}
 	found := false
-	for _, s := range v.Totals {
+	for _, s := range Totals(doc.Series) {
+		if s.Name == MetricAgentState || s.Name == MetricAgentSilence {
+			t.Errorf("totals sum the per-agent %s", s.Name)
+		}
 		if s.Name == "x_total" && int64(s.Value) == 3 {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("totals missing x_total=3: %+v", v.Totals)
+		t.Fatalf("totals missing x_total=3: %+v", doc.Series)
 	}
 }
 
-// The summary is one derivation from the agent rows, and its samples carry
-// the names the live rollup exports.
-func TestViewSummary(t *testing.T) {
+// The summary is one derivation from the rollup's Metric* rows, and each
+// of its counts is the fleet-wide total of the series it comes from, so a
+// plan scores the same names a live rollup exports.
+func TestSummarize(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	agg := newTestAggregator(&now, &obs.Tracer{})
 	for _, id := range []uint32{5, 2, 8} {
@@ -750,8 +804,8 @@ func TestViewSummary(t *testing.T) {
 	now = now.Add(10 * time.Second)
 	_ = agg.HandleReport(5, []byte(goldenHeartbeat))
 	agg.Tick()
-	v := agg.View()
-	got := v.Summary()
+	samples := rollupSamples(agg)
+	got := Summarize(samples)
 	want := Summary{
 		Agents: 3, Reports: 5, Bytes: uint64(3*len(goldenBaseline) + 2*len(goldenHeartbeat)), Gaps: 2,
 		States: map[string]int{"healthy": 1, "silent": 2}, Silent: []int{2, 8}, DecodeErrors: 1,
@@ -759,14 +813,43 @@ func TestViewSummary(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("summary = %+v, want %+v", got, want)
 	}
-	live := map[string]float64{}
-	for _, s := range v.Totals {
-		live[s.Name] = s.Value
+	totals := map[string]float64{}
+	for _, s := range Totals(samples) {
+		totals[s.Name] = s.Value
 	}
-	for _, s := range got.Samples() {
-		if v, ok := live[s.Name]; ok != (s.Name != "tinyleo_fleet_gaps_total") || ok && v != s.Value {
-			t.Errorf("summary sample %s = %v, live rollup has %v (%v)", s.Name, s.Value, v, ok)
+	for name, v := range map[string]float64{
+		MetricAgents: float64(got.Agents), MetricAgentsSilent: float64(len(got.Silent)), MetricReports: float64(got.Reports),
+		MetricReportBytes: float64(got.Bytes), MetricGaps: float64(got.Gaps), MetricDecodeErrors: float64(got.DecodeErrors),
+	} {
+		if tv, ok := totals[name]; !ok || tv != v {
+			t.Errorf("totals %s = %v (%v), summary says %v", name, tv, ok, v)
 		}
+	}
+	if empty := Summarize(nil); empty.Agents != 0 || empty.States == nil {
+		t.Errorf("empty summary = %+v, want no agents and an empty state map", empty)
+	}
+}
+
+// The tinyleo_fleet_ namespace is the aggregator's: an agent series named
+// like one of its per-agent rows would otherwise fold into that very
+// instrument. It is skipped; the agent's other series fold as usual.
+func TestAgentSeriesInTheFleetNamespaceAreNotFolded(t *testing.T) {
+	now := time.Unix(1_700_000_000, 0)
+	agg := newTestAggregator(&now, &obs.Tracer{})
+	reg := obs.NewRegistry(true)
+	reg.Counter(MetricReports).Add(1000)
+	reg.Gauge(MetricAgentState).Set(2)
+	reg.Counter("x_total").Add(3)
+	p, _ := NewEncoder(reg).Encode()
+	if err := agg.HandleReport(6, p); err != nil {
+		t.Fatal(err)
+	}
+	agg.Tick()
+	if h := health(agg, 6); h.reports != 1 || h.state != StateHealthy {
+		t.Fatalf("agent rows %+v, want one report and healthy", h)
+	}
+	if got := agentRollup(agg, 6); len(got) != 1 || got["x_total"].Value != 3 {
+		t.Fatalf("agent's own series = %+v, want x_total 3 alone", got)
 	}
 }
 
@@ -872,7 +955,7 @@ func FuzzHandleReport(f *testing.F) {
 	}
 	rollup := func(agg *Aggregator) []obs.Sample {
 		var out []obs.Sample
-		for _, s := range agg.Samples() {
+		for _, s := range rollupSamples(agg) {
 			// Byte counts differ between a report and its re-encoding.
 			if s.Name != "tinyleo_fleet_report_bytes_total" && s.Name != "tinyleo_fleet_decode_errors_total" {
 				out = append(out, s)
@@ -889,7 +972,7 @@ func FuzzHandleReport(f *testing.F) {
 			}
 		}
 		if err := a.HandleReport(1, raw); err != nil {
-			if !errors.Is(err, ErrMalformed) || a.View().DecodeErrors != 1 {
+			if !errors.Is(err, ErrMalformed) || Summarize(rollupSamples(a)).DecodeErrors != 1 {
 				t.Fatalf("rejection %v did not count one ErrMalformed", err)
 			}
 			if !reflect.DeepEqual(rollup(a), rollup(b)) {

@@ -118,7 +118,7 @@ type Options struct {
 	Rules []Rule
 	// Registries are the metric registries the SLO engine reads
 	// (default: obs.Default() alone).
-	Registries []RegistrySource
+	Registries []*obs.Registry
 }
 
 // Enable turns on the process-wide flight recorder — events into the
@@ -129,8 +129,7 @@ type Options struct {
 func Enable(o Options) {
 	obs.EnableTracing(RingCapacity)
 	defaultSnapshotter.enable()
-	eng := NewEngine(obs.Trace(), o.Rules...)
-	eng.SetRegistries(o.Registries...)
+	eng := NewEngine(obs.Trace(), o.Registries, o.Rules...)
 	engineMu.Lock()
 	defaultEngine = eng
 	engineMu.Unlock()
@@ -148,14 +147,6 @@ func DefaultSLOEngine() *Engine {
 	engineMu.RLock()
 	defer engineMu.RUnlock()
 	return defaultEngine
-}
-
-// AddSLORegistries appends metric registries for the default SLO engine
-// to read (e.g. a southbound controller's private registry).
-func AddSLORegistries(regs ...RegistrySource) {
-	if eng := DefaultSLOEngine(); eng != nil {
-		eng.AddRegistries(regs...)
-	}
 }
 
 // RecordSlot appends one slot state to the process-wide snapshotter and

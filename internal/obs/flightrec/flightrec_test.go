@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -251,9 +252,14 @@ func TestParseRules(t *testing.T) {
 	if rules[3].Expr() != "tinyleo_mpc_compile_total>=3" {
 		t.Fatalf("Expr() = %q", rules[3].Expr())
 	}
-	for _, bad := range []string{"availability=0.9", "repair_p99<=abc"} {
-		if _, err := ParseRules(bad); err == nil {
-			t.Fatalf("ParseRules(%q) should fail", bad)
+	// Each bad rule is refused with an error that names it. The last four
+	// would parse into rules that never breach: a series named "" reads
+	// NaN forever, and no value compares past a NaN threshold.
+	for _, bad := range []string{"availability=0.9", "repair_p99<=abc", ">=1", " <=0",
+		"availability>=NaN", "tinyleo_fleet_agents<=+Inf"} {
+		_, err := ParseRules("deficit_ratio<=0.1," + bad)
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(strings.TrimSpace(bad))) {
+			t.Errorf("ParseRules(%q) = %v, want an error naming the rule", bad, err)
 		}
 	}
 	if rules, err := ParseRules(" , "); err != nil || len(rules) != 0 {
@@ -266,8 +272,7 @@ func TestEngineBreachAndRecoveryTransitions(t *testing.T) {
 	avail := reg.Gauge("tinyleo_mpc_enforcement_ratio")
 	var log obs.Tracer
 	log.Enable(64)
-	eng := NewEngine(&log, Rule{Name: "availability", Kind: SLOAvailability, Op: ">=", Threshold: 0.95})
-	eng.SetRegistries(reg)
+	eng := NewEngine(&log, []*obs.Registry{reg}, Rule{Name: "availability", Kind: SLOAvailability, Op: ">=", Threshold: 0.95})
 
 	avail.Set(0.80)
 	st := eng.Eval()
@@ -298,8 +303,7 @@ func TestEngineHistogramQuantileIndicator(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Observe(0.05) // all repairs at 50 ms
 	}
-	eng := NewEngine(nil, Rule{Name: "repair_p99", Kind: SLORepairP99, Op: "<=", Threshold: 0.2})
-	eng.SetRegistries(reg)
+	eng := NewEngine(nil, []*obs.Registry{reg}, Rule{Name: "repair_p99", Kind: SLORepairP99, Op: "<=", Threshold: 0.2})
 	st := eng.Eval()
 	if st[0].Breached {
 		t.Fatalf("50 ms p99 breaches 200 ms threshold: %+v", st[0])
@@ -308,8 +312,7 @@ func TestEngineHistogramQuantileIndicator(t *testing.T) {
 		t.Fatalf("p99 = %v, want in (0, 0.2]", st[0].Value)
 	}
 	// Tighten below the observed latency: must breach.
-	eng2 := NewEngine(nil, Rule{Name: "repair_p99", Kind: SLORepairP99, Op: "<=", Threshold: 0.001})
-	eng2.SetRegistries(reg)
+	eng2 := NewEngine(nil, []*obs.Registry{reg}, Rule{Name: "repair_p99", Kind: SLORepairP99, Op: "<=", Threshold: 0.001})
 	if st := eng2.Eval(); !st[0].Breached {
 		t.Fatalf("50 ms p99 should breach 1 ms threshold: %+v", st[0])
 	}
@@ -317,11 +320,15 @@ func TestEngineHistogramQuantileIndicator(t *testing.T) {
 
 func TestEngineUnknownIndicatorIsNaNNotBreach(t *testing.T) {
 	reg := newTestRegistry(t)
-	eng := NewEngine(nil, Rule{Name: "ghost", Kind: SLOMetric, Metric: "no_such_series", Op: ">=", Threshold: 1})
-	eng.SetRegistries(reg)
+	ghost := Rule{Name: "ghost", Kind: SLOMetric, Metric: "no_such_series", Op: ">=", Threshold: 1}
+	eng := NewEngine(nil, []*obs.Registry{reg}, ghost)
 	st := eng.Eval()
 	if !math.IsNaN(st[0].Value) || st[0].Breached {
 		t.Fatalf("missing series should be NaN and healthy: %+v", st[0])
+	}
+	// A finished run will never observe it: Score fails the rule.
+	if st, n := Score([]Rule{ghost}, obs.Snapshot(reg), nil); n != 1 || !st[0].Breached || !math.IsNaN(st[0].Value) {
+		t.Fatalf("Score of an unobservable rule: %d breached, %+v", n, st)
 	}
 }
 

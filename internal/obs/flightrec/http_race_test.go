@@ -26,7 +26,7 @@ func TestSLOAndEventsEndpointsUnderConcurrentWrites(t *testing.T) {
 			{Name: "availability", Kind: SLOAvailability, Op: ">=", Threshold: 0.95},
 			{Name: "failure_events", Kind: SLOFailureEvents, Op: "<=", Threshold: 1e9},
 		},
-		Registries: []RegistrySource{reg},
+		Registries: []*obs.Registry{reg},
 	})
 	defer Disable()
 	defer obs.Trace().Disable()

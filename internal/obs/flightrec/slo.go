@@ -12,9 +12,6 @@ import (
 	"repro/internal/obs"
 )
 
-// RegistrySource is a metric registry the SLO engine reads.
-type RegistrySource = *obs.Registry
-
 // Rule kinds: the built-in service-level indicators (the paper's headline
 // SLOs) plus a generic raw-metric selector.
 const (
@@ -70,7 +67,8 @@ func (r Rule) Expr() string {
 type RuleStatus struct {
 	Rule
 	// Value is the indicator's current value (NaN when not yet
-	// observable, e.g. a quantile of an empty histogram; never a breach).
+	// observable, e.g. a quantile of an empty histogram: no breach live,
+	// a breach in Score).
 	Value float64 `json:"value"`
 	// Breached reports whether the current value violates the threshold.
 	Breached bool `json:"breached"`
@@ -81,46 +79,37 @@ type RuleStatus struct {
 	EvalUS int64 `json:"eval_us"`
 }
 
-// MarshalJSON flattens the embedded rule and renders NaN values as null
-// (JSON has no NaN).
+// statusJSON is RuleStatus's JSON form: the rule flattened beside its
+// spec string, and a NaN value as null (JSON has no NaN).
+type statusJSON struct {
+	Name     string   `json:"name"`
+	Expr     string   `json:"expr"`
+	Kind     string   `json:"kind"`
+	Metric   string   `json:"metric,omitempty"`
+	Op       string   `json:"op"`
+	Thresh   float64  `json:"threshold"`
+	Value    *float64 `json:"value"`
+	Breached bool     `json:"breached"`
+	Breaches int64    `json:"breaches_total"`
+	EvalUS   int64    `json:"eval_us"`
+}
+
+// MarshalJSON writes the statusJSON form.
 func (s RuleStatus) MarshalJSON() ([]byte, error) {
-	type alias struct {
-		Name     string   `json:"name"`
-		Expr     string   `json:"expr"`
-		Kind     string   `json:"kind"`
-		Metric   string   `json:"metric,omitempty"`
-		Op       string   `json:"op"`
-		Thresh   float64  `json:"threshold"`
-		Value    *float64 `json:"value"`
-		Breached bool     `json:"breached"`
-		Breaches int64    `json:"breaches_total"`
-		EvalUS   int64    `json:"eval_us"`
-	}
-	a := alias{
+	a := statusJSON{
 		Name: s.Name, Expr: s.Rule.Expr(), Kind: s.Kind, Metric: s.Metric,
 		Op: s.Op, Thresh: s.Threshold,
 		Breached: s.Breached, Breaches: s.Breaches, EvalUS: s.EvalUS,
 	}
 	if !math.IsNaN(s.Value) {
-		v := s.Value
-		a.Value = &v
+		a.Value = &s.Value
 	}
 	return json.Marshal(a)
 }
 
-// UnmarshalJSON is the inverse of MarshalJSON (nil value → NaN).
+// UnmarshalJSON is the inverse of MarshalJSON (null value → NaN).
 func (s *RuleStatus) UnmarshalJSON(b []byte) error {
-	var a struct {
-		Name     string   `json:"name"`
-		Kind     string   `json:"kind"`
-		Metric   string   `json:"metric"`
-		Op       string   `json:"op"`
-		Thresh   float64  `json:"threshold"`
-		Value    *float64 `json:"value"`
-		Breached bool     `json:"breached"`
-		Breaches int64    `json:"breaches_total"`
-		EvalUS   int64    `json:"eval_us"`
-	}
+	var a statusJSON
 	if err := json.Unmarshal(b, &a); err != nil {
 		return err
 	}
@@ -169,8 +158,11 @@ func ParseRules(spec string) ([]Rule, error) {
 		}
 		name := strings.TrimSpace(part[:i])
 		thr, err := strconv.ParseFloat(strings.TrimSpace(part[i+len(op):]), 64)
-		if err != nil {
-			return nil, fmt.Errorf("flightrec: SLO rule %q: bad threshold: %v", part, err)
+		switch {
+		case name == "":
+			return nil, fmt.Errorf("flightrec: SLO rule %q: no indicator or series name", part)
+		case err != nil || math.IsNaN(thr) || math.IsInf(thr, 0):
+			return nil, fmt.Errorf("flightrec: SLO rule %q: threshold is not a finite number", part)
 		}
 		r := Rule{Name: name, Op: op, Threshold: thr}
 		switch name {
@@ -191,99 +183,64 @@ func ParseRules(spec string) ([]Rule, error) {
 // transitions, and serves /slo. All methods are safe for concurrent use.
 type Engine struct {
 	tracer *obs.Tracer
+	regs   []*obs.Registry
+	rules  []Rule
+	events bool // a rule reads the tracer's events
 
 	mu sync.Mutex
-	//tinyleo:guardedby mu
-	regs []RegistrySource
 	//tinyleo:guardedby mu
 	status []RuleStatus
 }
 
 // NewEngine builds an engine over the given tracer — the stream it reads
-// failure events from and writes transitions to; nil for neither — and
-// rules (empty rules = DefaultRules). Registries default to
-// obs.Default(); add more with AddRegistries.
-func NewEngine(tracer *obs.Tracer, rules ...Rule) *Engine {
+// failure events from and writes transitions to; nil for neither — the
+// registries it reads metrics from (none = obs.Default()), and rules
+// (empty rules = DefaultRules).
+func NewEngine(tracer *obs.Tracer, regs []*obs.Registry, rules ...Rule) *Engine {
+	if len(regs) == 0 {
+		regs = []*obs.Registry{obs.Default()}
+	}
 	if len(rules) == 0 {
 		rules = DefaultRules()
 	}
-	e := &Engine{tracer: tracer, regs: []RegistrySource{obs.Default()}}
-	e.status = make([]RuleStatus, len(rules))
+	e := &Engine{tracer: tracer, regs: regs, rules: rules, status: make([]RuleStatus, len(rules))}
 	for i, r := range rules {
 		e.status[i] = RuleStatus{Rule: r, Value: math.NaN()}
+		e.events = e.events || r.Kind == SLOFailureEvents
 	}
 	return e
 }
 
-// SetRegistries replaces the metric sources (empty = obs.Default()).
-func (e *Engine) SetRegistries(regs ...RegistrySource) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(regs) == 0 {
-		regs = []RegistrySource{obs.Default()}
-	}
-	e.regs = append([]RegistrySource(nil), regs...)
-}
-
-// AddRegistries appends metric sources.
-func (e *Engine) AddRegistries(regs ...RegistrySource) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.regs = append(e.regs, regs...)
-}
-
-// Eval evaluates every rule against the current metric and event state,
-// records transitions, and returns the statuses.
+// Eval evaluates every rule against the current metric and event state
+// with EvalRules (NaN, not yet observable, is no breach), records
+// transitions, and returns the statuses.
 func (e *Engine) Eval() []RuleStatus {
-	e.mu.Lock()
-	regs := append([]RegistrySource(nil), e.regs...)
-	e.mu.Unlock()
-	samples := obs.Snapshot(regs...)
+	var events []obs.Event
 	now := int64(0)
 	if e.tracer != nil {
+		if e.events {
+			events = instants(e.tracer.Events())
+		}
 		now = e.tracer.NowUS()
 	}
+	next := EvalRules(e.rules, obs.Snapshot(e.regs...), events)
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var events []obs.Event // read from the ring by the first rule that needs them
-	for i := range e.status {
-		st := &e.status[i]
-		v := math.NaN()
-		switch {
-		case st.Kind != SLOFailureEvents:
-			v = evalIndicator(st.Rule, samples, nil)
-		case e.tracer != nil:
-			if events == nil {
-				events = instants(e.tracer.Events())
-			}
-			v = evalIndicator(st.Rule, samples, events)
-		}
-		wasBreached := st.Breached
-		breached := false
-		if !math.IsNaN(v) {
-			switch st.Op {
-			case ">=":
-				breached = v < st.Threshold
-			default: // "<="
-				breached = v > st.Threshold
-			}
-		}
-		st.Value, st.Breached, st.EvalUS = v, breached, now
-		if breached && !wasBreached {
+	for i := range next {
+		st, was := &next[i], e.status[i]
+		st.Breaches, st.EvalUS = was.Breaches, now
+		v := strconv.FormatFloat(st.Value, 'g', 6, 64)
+		if st.Breached && !was.Breached {
 			st.Breaches++
 			obs.Default().Counter("tinyleo_slo_breaches_total", "rule", st.Name).Inc()
-			e.emit("slo_breach",
-				"rule", st.Name,
-				"expr", st.Rule.Expr(),
-				"value", strconv.FormatFloat(v, 'g', 6, 64))
-		} else if !breached && wasBreached {
-			e.emit("slo_recovered",
-				"rule", st.Name,
-				"value", strconv.FormatFloat(v, 'g', 6, 64))
+			e.emit("slo_breach", "rule", st.Name, "expr", st.Rule.Expr(), "value", v)
+		} else if !st.Breached && was.Breached {
+			e.emit("slo_recovered", "rule", st.Name, "value", v)
 		}
 	}
-	return append([]RuleStatus(nil), e.status...)
+	e.status = next
+	return append([]RuleStatus(nil), next...)
 }
 
 func (e *Engine) emit(typ string, attrs ...string) {
@@ -292,35 +249,44 @@ func (e *Engine) emit(typ string, attrs ...string) {
 	}
 }
 
-// Status returns the latest evaluation without re-evaluating.
-func (e *Engine) Status() []RuleStatus {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]RuleStatus(nil), e.status...)
-}
-
 // EvalRules evaluates rules against a static sample snapshot (plus
-// optional instant events for the event-window kinds), without engine state:
-// no breach transitions are tracked, no events are emitted, and EvalUS
-// stays zero. It is the scoring path for artifacts — a fleet snapshot or
-// a collected metrics dump can be judged long after the run ended — and
-// is what the testground report scorer uses.
+// optional instant events for the event-window kinds), without engine
+// state: no breach transitions are tracked, no events are emitted, and
+// EvalUS stays zero. A rule whose value is NaN (not yet observable) is not
+// breached. Engine.Eval and Score both judge with it.
 func EvalRules(rules []Rule, samples []obs.Sample, events []obs.Event) []RuleStatus {
 	out := make([]RuleStatus, len(rules))
 	for i, r := range rules {
 		v := evalIndicator(r, samples, events)
 		breached := false
-		if !math.IsNaN(v) {
-			switch r.Op {
-			case ">=":
-				breached = v < r.Threshold
-			default: // "<="
-				breached = v > r.Threshold
-			}
+		switch {
+		case math.IsNaN(v):
+		case r.Op == ">=":
+			breached = v < r.Threshold
+		default: // "<="
+			breached = v > r.Threshold
 		}
 		out[i] = RuleStatus{Rule: r, Value: v, Breached: breached}
 	}
 	return out
+}
+
+// Score judges a finished run (a chaos campaign, a testground run's
+// metrics file) and returns the verdicts and how many are breached. It is
+// EvalRules, except that a NaN value is a breach: a run that has ended
+// will never observe a series it lacks.
+func Score(rules []Rule, samples []obs.Sample, events []obs.Event) ([]RuleStatus, int) {
+	status := EvalRules(rules, samples, events)
+	breached := 0
+	for i := range status {
+		if math.IsNaN(status[i].Value) {
+			status[i].Breached = true
+		}
+		if status[i].Breached {
+			breached++
+		}
+	}
+	return status, breached
 }
 
 // evalIndicator computes one rule's current value from the metric samples

@@ -1,7 +1,6 @@
 package testground
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/fleet"
 )
 
 // inventory walks the run directory and returns its artifact listing,
@@ -38,11 +36,11 @@ func inventory(dir string) ([]Artifact, error) {
 	return out, err
 }
 
-// metricsPoller snapshots a controller's /metrics.json and /fleet
-// surfaces periodically, keeping the last successful responses. The
-// controller exits on its own schedule; whatever the poller holds at
-// that point is the run's final telemetry view if the controller's own
-// exit-time artifacts are missing.
+// metricsPoller snapshots a controller's /metrics.json periodically,
+// keeping the last body that decodes. The controller exits on its own
+// schedule and writes the same document to its -metrics-out file; the
+// poller's copy stands in for that file only if the controller died
+// before writing it.
 type metricsPoller struct {
 	addr string
 	stop chan struct{}
@@ -50,11 +48,7 @@ type metricsPoller struct {
 
 	mu sync.Mutex
 	//tinyleo:guardedby mu
-	rawMetrics []byte
-	//tinyleo:guardedby mu
-	samples []obs.Sample
-	//tinyleo:guardedby mu
-	view *fleet.View
+	raw []byte
 }
 
 // newMetricsPoller starts polling the telemetry address at the
@@ -81,37 +75,21 @@ func (p *metricsPoller) loop(interval time.Duration) {
 
 func (p *metricsPoller) pollOnce() {
 	cl := &http.Client{Timeout: 2 * time.Second}
-	if resp, err := cl.Get("http://" + p.addr + "/metrics.json"); err == nil {
-		func() {
-			defer resp.Body.Close()
-			body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-			if err != nil || resp.StatusCode != http.StatusOK {
-				return
-			}
-			doc, err := obs.DecodeDoc(body)
-			if err != nil {
-				return
-			}
-			p.mu.Lock()
-			p.rawMetrics, p.samples = body, doc.Series
-			p.mu.Unlock()
-		}()
+	resp, err := cl.Get("http://" + p.addr + "/metrics.json")
+	if err != nil {
+		return
 	}
-	if resp, err := cl.Get("http://" + p.addr + "/fleet"); err == nil {
-		func() {
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return
-			}
-			var v fleet.View
-			if json.NewDecoder(resp.Body).Decode(&v) != nil {
-				return
-			}
-			p.mu.Lock()
-			p.view = &v
-			p.mu.Unlock()
-		}()
+	defer resp.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+	if err != nil || resp.StatusCode != http.StatusOK {
+		return
 	}
+	if _, err := obs.DecodeDoc(body); err != nil {
+		return
+	}
+	p.mu.Lock()
+	p.raw = body
+	p.mu.Unlock()
 }
 
 // Stop halts polling after one final sweep.
@@ -124,28 +102,26 @@ func (p *metricsPoller) Stop() {
 	<-p.done
 }
 
-// Samples returns the last /metrics.json series set (nil if the
-// controller was never reachable).
-func (p *metricsPoller) Samples() []obs.Sample {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.samples
-}
-
-// View returns the last /fleet document, or nil.
-func (p *metricsPoller) View() *fleet.View {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.view
-}
-
-// WriteRaw dumps the last raw /metrics.json body as an artifact.
+// WriteRaw writes the last /metrics.json body to path.
 func (p *metricsPoller) WriteRaw(path string) error {
 	p.mu.Lock()
-	raw := p.rawMetrics
+	raw := p.raw
 	p.mu.Unlock()
 	if raw == nil {
 		return fmt.Errorf("testground: no metrics snapshot collected from %s", p.addr)
 	}
 	return os.WriteFile(path, raw, 0o644)
+}
+
+// readSamples loads a /metrics.json document from a file.
+func readSamples(path string) ([]obs.Sample, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	doc, err := obs.DecodeDoc(raw)
+	if err != nil {
+		return nil, err
+	}
+	return doc.Series, nil
 }

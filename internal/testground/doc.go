@@ -14,14 +14,16 @@
 // southbound and telemetry addresses, which the agents are launched
 // with, then "N agents registered", which starts the fault clock.
 // Faults are delivered as process signals
-// (kill, term, stop, cont) on schedule. Artifacts (fleet snapshot, one
-// flight recording per process — the file both `tinyleo-ctl trace` and
-// `tinyleo-ctl inspect` read — and process logs) are collected into a
-// run directory and the run is scored over the final fleet snapshot.
+// (kill, term, stop, cont) on schedule. Artifacts (the controller's
+// exit-time /metrics.json document, one flight recording per process —
+// the file both `tinyleo-ctl trace` and `tinyleo-ctl inspect` read — and
+// process logs) are collected into a run directory, and the run is
+// scored over that metrics document.
 //
-// The scored RunReport reuses the flight recorder's SLO engine
-// (internal/obs/flightrec): rules evaluate over the fleet snapshot's
-// derived health series plus the controller's own telemetry, and the
-// report records every verdict alongside the executed fault schedule
-// and the artifact inventory.
+// The scored RunReport reuses the flight recorder's SLO rules
+// (internal/obs/flightrec.Score): they evaluate over the controller's
+// series, fleet rollup included, a rule whose series is absent failing;
+// its fleet block is fleet.Summarize over the same document, and the
+// report records every verdict alongside the executed fault schedule and
+// the artifact inventory.
 package testground

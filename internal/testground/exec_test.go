@@ -9,10 +9,10 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/obs/fleet"
 	"repro/internal/obs/flightrec"
 	"repro/internal/obs/tracemerge"
@@ -66,23 +66,24 @@ func TestRunExecKillsAgentOnSchedule(t *testing.T) {
 	if rep.Fleet == nil || rep.Fleet.Agents != 3 {
 		t.Fatalf("fleet rollup: %+v", rep.Fleet)
 	}
-	if got := rep.Fleet.States[string(fleet.StateSilent)]; got != 1 {
+	if got := rep.Fleet.States[fleet.StateSilent.String()]; got != 1 {
 		t.Errorf("silent agents = %d, want 1 (the killed one): %+v", got, rep.Fleet)
 	}
 	if len(rep.Fleet.Silent) != 1 || rep.Fleet.Silent[0] != 1 {
 		t.Errorf("silent IDs = %v, want [1]", rep.Fleet.Silent)
 	}
 
-	// The run directory holds the promised artifacts.
-	view, err := fleet.ReadViewFile(filepath.Join(dir, "fleet.json"))
+	// The run directory holds the promised artifacts; the report's fleet
+	// block is the metrics document's summary.
+	samples, err := readSamples(filepath.Join(dir, MetricsFile))
 	if err != nil {
-		t.Fatalf("fleet snapshot artifact: %v", err)
+		t.Fatalf("controller metrics artifact: %v", err)
 	}
-	if len(view.Agents) != 3 {
-		t.Errorf("snapshot agents = %d", len(view.Agents))
+	if sum := fleet.Summarize(samples); !reflect.DeepEqual(&sum, rep.Fleet) {
+		t.Errorf("%s summarizes to %+v, the report carries %+v", MetricsFile, sum, rep.Fleet)
 	}
 	wantArtifacts := map[string]bool{
-		"fleet.json": false, "ctl.log": false, "ctl-flight.jsonl.gz": false,
+		MetricsFile: false, "ctl.log": false, "ctl-flight.jsonl.gz": false,
 		"sat-0-flight.jsonl.gz": false, "sat-2-flight.jsonl.gz": false,
 	}
 	for _, a := range rep.Artifacts {
@@ -151,17 +152,9 @@ func TestRunExecKillsAgentOnSchedule(t *testing.T) {
 	// The real process pair enforced by slot-delta: the agents' first
 	// contact was a full-snapshot re-sync and at least one snapshot reached
 	// the wire (there is no other ISL command to send).
-	raw, err := os.ReadFile(filepath.Join(dir, "ctl-metrics.json"))
-	if err != nil {
-		t.Fatalf("controller metrics artifact: %v", err)
-	}
-	doc, err := obs.DecodeDoc(raw)
-	if err != nil {
-		t.Fatalf("controller metrics artifact: %v", err)
-	}
 	value := func(name string, labels ...string) float64 {
 	next:
-		for _, s := range doc.Series {
+		for _, s := range samples {
 			if s.Name != name {
 				continue
 			}

@@ -1,6 +1,7 @@
 package testground
 
 import (
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -88,8 +89,8 @@ func TestCloseAndStopReturnTheirGoroutines(t *testing.T) {
 	// The poller sweeps once before it first looks at its stop channel.
 	poller := newMetricsPoller(srv.Addr(), time.Millisecond)
 	poller.Stop()
-	if poller.Samples() == nil {
-		t.Error("the metrics poller collected nothing from the telemetry server")
+	if err := poller.WriteRaw(filepath.Join(t.TempDir(), MetricsFile)); err != nil {
+		t.Errorf("the metrics poller collected nothing from the telemetry server: %v", err)
 	}
 	rep.Stop()
 	if err := srv.Close(); err != nil {

@@ -103,6 +103,9 @@ func TestValidateRejects(t *testing.T) {
 		{"negative fault time", func(m *Manifest) {
 			m.Faults = []FaultSpec{{AtS: -1, Kind: FaultKill}}
 		}, "at_s"},
+		// A rule that could never breach: no series name, NaN threshold.
+		{"slo without a name", func(m *Manifest) { m.SLO = ">=1" }, `">=1"`},
+		{"slo NaN threshold", func(m *Manifest) { m.SLO = "availability>=NaN" }, "not a finite number"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -13,6 +13,11 @@ import (
 // ReportFile is the scored report's file name inside a run directory.
 const ReportFile = "report.json"
 
+// MetricsFile is the controller's /metrics.json document, fleet rollup
+// included, as it stood when the controller exited (its -metrics-out):
+// what a run is scored from.
+const MetricsFile = "ctl-metrics.json"
+
 // Artifact is one collected per-run file.
 type Artifact struct {
 	// Name is the path relative to the run directory.
@@ -42,8 +47,8 @@ type RunReport struct {
 	Plan Manifest `json:"plan"`
 	// Faults is the schedule as executed.
 	Faults []FaultRecord `json:"faults,omitempty"`
-	// Fleet is the end-of-run constellation health rollup: the
-	// controller's /fleet summary.
+	// Fleet is the end-of-run constellation health rollup:
+	// fleet.Summarize over MetricsFile.
 	Fleet *fleet.Summary `json:"fleet,omitempty"`
 
 	// SLO is the rule evaluation the run is scored with; Passed is
@@ -53,7 +58,7 @@ type RunReport struct {
 	SLOBreached int                    `json:"slo_breached"`
 	Passed      bool                   `json:"passed"`
 	// Err records an orchestration failure the run survived well enough
-	// to still produce a report (controller crash, missing snapshot);
+	// to still produce a report (controller crash, missing metrics);
 	// non-empty forces Passed false.
 	Err string `json:"err,omitempty"`
 
@@ -64,23 +69,15 @@ type RunReport struct {
 	WallElapsedMS float64 `json:"wall_elapsed_ms,omitempty"`
 }
 
-// Score evaluates the plan's SLO rules over the given samples and
-// events, filling SLO, SLOBreached, and Passed. EvalUS is zeroed so
-// verdict rows carry no wall clock.
+// Score judges the plan's SLO rules over the given samples and events
+// with flightrec.Score, filling SLO, SLOBreached, and Passed: a rule whose
+// series the run never produced fails.
 func (r *RunReport) Score(samples []obs.Sample, events []obs.Event) error {
 	rules, err := flightrec.ParseRules(r.Plan.SLO)
 	if err != nil {
 		return err
 	}
-	status := flightrec.EvalRules(rules, samples, events)
-	r.SLOBreached = 0
-	for i := range status {
-		status[i].EvalUS = 0
-		if status[i].Breached {
-			r.SLOBreached++
-		}
-	}
-	r.SLO = status
+	r.SLO, r.SLOBreached = flightrec.Score(rules, samples, events)
 	r.Passed = r.SLOBreached == 0
 	return nil
 }

@@ -3,6 +3,7 @@ package testground
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -36,6 +37,24 @@ func TestScore(t *testing.T) {
 	}
 }
 
+// A finished run is judged on what it produced: a rule on a series the
+// samples do not hold (here a misspelling) cannot be observed, so it fails
+// the report instead of passing it silently.
+func TestScoreFailsARuleItCannotObserve(t *testing.T) {
+	r := &RunReport{Plan: Manifest{Name: "typo", SLO: "tinyleo_fleet_agents>=3,tinyleo_fleet_agent_silent<=1"}}
+	samples := []obs.Sample{
+		{Name: "tinyleo_fleet_agents", Kind: obs.KindGauge, Value: 3},
+		{Name: "tinyleo_fleet_agents_silent", Kind: obs.KindGauge, Value: 0},
+	}
+	if err := r.Score(samples, nil); err != nil {
+		t.Fatalf("Score: %v", err)
+	}
+	if r.Passed || r.SLOBreached != 1 || r.SLO[0].Breached || !r.SLO[1].Breached || !math.IsNaN(r.SLO[1].Value) {
+		t.Fatalf("verdicts: passed=%v breached=%d slo=%+v; want the misspelled rule alone breached at NaN",
+			r.Passed, r.SLOBreached, r.SLO)
+	}
+}
+
 func TestWriteAndReadReport(t *testing.T) {
 	dir := t.TempDir()
 	r := &RunReport{Plan: Manifest{Name: "w"}, Passed: true, WallElapsedMS: 5}
@@ -59,7 +78,7 @@ func TestWriteAndReadReport(t *testing.T) {
 // the report itself.
 func TestInventory(t *testing.T) {
 	dir := t.TempDir()
-	for _, f := range []string{"fleet.json", "ctl.log", ReportFile} {
+	for _, f := range []string{MetricsFile, "ctl.log", ReportFile} {
 		if err := os.WriteFile(filepath.Join(dir, f), []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +94,7 @@ func TestInventory(t *testing.T) {
 			t.Errorf("%s: bytes = %d", a.Name, a.Bytes)
 		}
 	}
-	if got := strings.Join(names, ","); got != "ctl.log,fleet.json" {
+	if got := strings.Join(names, ","); got != "ctl-metrics.json,ctl.log" {
 		t.Errorf("inventory = %s", got)
 	}
 }

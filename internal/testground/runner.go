@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/cli"
-	"repro/internal/obs"
 	"repro/internal/obs/fleet"
 )
 
@@ -133,8 +132,9 @@ func (w *lineWatch) value(i int) string {
 // tinyleo-sat processes over the real TCP southbound, started in the
 // order the controller's announcements on stdout allow, faults injected
 // by signaling the agent processes on schedule, artifacts collected into
-// cfg.Dir, and the run scored with the plan's SLO rules over the final
-// fleet snapshot plus the controller's last telemetry sweep.
+// cfg.Dir, and the run scored with the plan's SLO rules over the
+// controller's exit-time metrics document (MetricsFile), fleet rollup
+// included.
 func RunExec(m *Manifest, cfg ExecConfig) (*RunReport, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("testground: ExecConfig.Dir is required")
@@ -164,7 +164,7 @@ func RunExec(m *Manifest, cfg ExecConfig) (*RunReport, error) {
 		"-hold", fmt.Sprintf("%gs", m.HoldS),
 		"-fleet-lag", fmt.Sprintf("%gs", m.FleetLagS),
 		"-fleet-silent", fmt.Sprintf("%gs", m.FleetSilentS),
-		"-fleet-out", filepath.Join(cfg.Dir, "fleet.json"),
+		"-metrics-out", filepath.Join(cfg.Dir, MetricsFile),
 		"-record-out", filepath.Join(cfg.Dir, "ctl-flight.jsonl.gz"),
 	)
 	if err != nil {
@@ -271,26 +271,22 @@ func RunExec(m *Manifest, cfg ExecConfig) (*RunReport, error) {
 		}
 	}
 
-	// Fleet snapshot: the controller's exit-time artifact, falling back
-	// to the poller's last /fleet sweep if the controller died badly.
-	view, err := fleet.ReadViewFile(filepath.Join(cfg.Dir, "fleet.json"))
-	if err != nil {
-		if view = poller.View(); view == nil {
-			if runErr == nil {
-				runErr = fmt.Errorf("no fleet snapshot: %v", err)
-			}
-			view = &fleet.View{}
-		} else if werr := view.WriteFile(filepath.Join(cfg.Dir, "fleet.json")); werr != nil {
-			return nil, werr
+	// The controller's exit-time metrics document, or the poller's last
+	// sweep in its place if the controller died before writing it.
+	metricsPath := filepath.Join(cfg.Dir, MetricsFile)
+	if _, err := os.Stat(metricsPath); err != nil {
+		if err := poller.WriteRaw(metricsPath); err != nil {
+			fmt.Fprintf(cfg.Log, "%v\n", err)
 		}
 	}
-	if err := poller.WriteRaw(filepath.Join(cfg.Dir, "ctl-metrics.json")); err != nil {
-		fmt.Fprintf(cfg.Log, "%v\n", err)
+	samples, err := readSamples(metricsPath)
+	if err != nil && runErr == nil {
+		runErr = fmt.Errorf("no controller metrics: %v", err)
 	}
 
-	summary := view.Summary()
+	summary := fleet.Summarize(samples)
 	run := &RunReport{Plan: *m, Faults: faults, Fleet: &summary}
-	if err := run.Score(scoreSamples(view, poller.Samples()), nil); err != nil {
+	if err := run.Score(samples, nil); err != nil {
 		return nil, err
 	}
 	if runErr != nil {
@@ -342,25 +338,4 @@ func signalFault(p *proc, kind string) error {
 		return p.cmd.Process.Signal(syscall.SIGCONT)
 	}
 	return fmt.Errorf("unknown fault kind %q", kind)
-}
-
-// scoreSamples builds the scoring sample set: the fleet
-// snapshot's summary series, then its fleet-wide totals, then the
-// controller's own series. A name an earlier source carries shadows the
-// later ones (the live rollup exports most summary series too, and counter
-// sums must not double), and per-agent split series are dropped.
-func scoreSamples(view *fleet.View, ctlSamples []obs.Sample) []obs.Sample {
-	out := view.Summary().Samples()
-	for _, src := range [][]obs.Sample{view.Totals, ctlSamples} {
-		have := make(map[string]bool, len(out))
-		for _, s := range out {
-			have[s.Name] = true
-		}
-		for _, s := range src {
-			if !have[s.Name] && s.Labels["agent"] == "" {
-				out = append(out, s)
-			}
-		}
-	}
-	return out
 }

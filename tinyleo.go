@@ -116,10 +116,6 @@ func ParseSLORules(spec string) ([]SLORule, error) { return flightrec.ParseRules
 // DefaultSLORules returns the paper-derived default objectives.
 func DefaultSLORules() []SLORule { return flightrec.DefaultRules() }
 
-// AddSLORegistries points the SLO engine at additional metric registries
-// (e.g. a SouthboundController's Metrics()).
-func AddSLORegistries(regs ...*TelemetryRegistry) { flightrec.AddSLORegistries(regs...) }
-
 // ---- Geography ----
 
 // LatLon is a geodetic coordinate in degrees.
