@@ -98,4 +98,40 @@ func BenchmarkGeoForwarding(b *testing.B) {
 			b.Fatalf("delivered %d of %d", delivered, b.N)
 		}
 	})
+	// The ledger's whole per-packet path, its payloads alternating 0 and
+	// 1,200 B as forward-mix's do: build the packet, encode it at the
+	// terminal, decode it at the gateway, then the same three hops; the
+	// network hands the frame back at delivery for the next Encode.
+	b.Run("terminal", func(b *testing.B) {
+		n := chainNet()
+		delivered := 0
+		n.OnDeliver = func(s *Satellite, p *Packet) { delivered++ }
+		large := make([]byte, 1200)
+		route := []int{20, 30}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var payload []byte
+			if i%2 == 1 {
+				payload = large
+			}
+			p, err := NewGeoPacket(99, route, 1, uint32(i), payload)
+			if err != nil {
+				b.Fatal(err)
+			}
+			wire, err := p.Encode()
+			if err != nil {
+				b.Fatal(err)
+			}
+			q, err := Decode(wire)
+			if err != nil {
+				b.Fatal(err)
+			}
+			n.Inject(0, q)
+			n.Sim.Run(n.Sim.Now() + 1)
+		}
+		if delivered != b.N {
+			b.Fatalf("delivered %d of %d", delivered, b.N)
+		}
+	})
 }

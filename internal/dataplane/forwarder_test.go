@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -663,6 +664,48 @@ func TestIngressAllocationBudget(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(100, ingress); got != 0 {
 		t.Errorf("a warm decode → inject → delivery allocates %v objects, budget 0", got)
+	}
+	if delivered != 101 {
+		t.Errorf("delivered %d of 101 along 0 → 2 → 4", delivered)
+	}
+}
+
+// TestTerminalAllocationBudget: the ledger's whole per-packet path once warm
+// — NewGeoPacket, Encode, Decode, inject, forward over chainNet's three hops,
+// deliver — allocates one object, NewGeoPacket's packet. Encode fills the
+// frame the last delivery gave back, Decode takes that frame over and draws
+// its packet from the pool.
+func TestTerminalAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled packets on purpose")
+	}
+	n := chainNet()
+	payload := make([]byte, 1200)
+	delivered := 0
+	n.OnDeliver = func(s *Satellite, p *Packet) {
+		if s.ID == 4 && slices.Equal(p.HopTrace, []int{0, 2, 4}) && bytes.Equal(p.Payload, payload) {
+			delivered++
+		}
+	}
+	route := []int{20, 30}
+	terminal := func() {
+		p, err := NewGeoPacket(99, route, 1, 0, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire, err := p.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := Decode(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Inject(0, q)
+		n.Sim.Run(n.Sim.Now() + 1)
+	}
+	if got := testing.AllocsPerRun(100, terminal); got != 1 {
+		t.Errorf("a warm NewGeoPacket → Encode → Decode → inject → delivery allocates %v objects, budget 1", got)
 	}
 	if delivered != 101 {
 		t.Errorf("delivered %d of 101 along 0 → 2 → 4", delivered)

@@ -16,7 +16,8 @@ type Network struct {
 	Router Router
 	// OnDeliver fires when a packet reaches a satellite covering its final
 	// segment cell (i.e. is handed to the ground segment). A packet from
-	// Decode is recycled when the hook returns: the hook copies what it keeps.
+	// Decode is recycled, with its payload's frame, when the hook returns:
+	// the hook copies what it keeps.
 	OnDeliver func(sat *Satellite, p *Packet)
 	// OnDrop fires when a packet is dropped (hop limit, no route, queue),
 	// under OnDeliver's rule for a packet from Decode.
@@ -103,8 +104,9 @@ func (n *Network) Links() []*netem.Link { return n.links }
 
 // Inject starts a packet at satellite sat (e.g. received from a ground
 // terminal) and forwards it. A packet from Decode then belongs to the
-// network, which recycles it after delivery or a drop; one from NewGeoPacket
-// stays the caller's.
+// network, which recycles it after delivery or a drop and hands the frame
+// its payload lies in back for a later Encode; one from NewGeoPacket stays
+// the caller's.
 func (n *Network) Inject(sat int, p *Packet) {
 	s := n.Sats[sat]
 	if s == nil {

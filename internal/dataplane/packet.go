@@ -111,11 +111,8 @@ func (g *GeoSegmentHeader) EncodedLen() int { return 4 + 2*len(g.Segments) }
 
 // Marshal appends the encoded header to dst.
 func (g *GeoSegmentHeader) Marshal(dst []byte) ([]byte, error) {
-	if len(g.Segments) > MaxSegments {
-		return nil, fmt.Errorf("dataplane: %d segments exceed max %d", len(g.Segments), MaxSegments)
-	}
-	if int(g.SegmentsLeft) > len(g.Segments) {
-		return nil, fmt.Errorf("dataplane: segments-left %d > %d segments", g.SegmentsLeft, len(g.Segments))
+	if err := g.check(); err != nil {
+		return nil, err
 	}
 	dst = append(dst, g.NextHeader, g.SegmentsLeft, uint8(len(g.Segments)), 0)
 	var b [2]byte
@@ -124,6 +121,17 @@ func (g *GeoSegmentHeader) Marshal(dst []byte) ([]byte, error) {
 		dst = append(dst, b[0], b[1])
 	}
 	return dst, nil
+}
+
+// check reports a header Marshal cannot encode.
+func (g *GeoSegmentHeader) check() error {
+	if len(g.Segments) > MaxSegments {
+		return fmt.Errorf("dataplane: %d segments exceed max %d", len(g.Segments), MaxSegments)
+	}
+	if int(g.SegmentsLeft) > len(g.Segments) {
+		return fmt.Errorf("dataplane: segments-left %d > %d segments", g.SegmentsLeft, len(g.Segments))
+	}
+	return nil
 }
 
 // Unmarshal decodes the header, returning the remaining bytes. The list goes
@@ -179,8 +187,9 @@ func (g *GeoSegmentHeader) Advance() {
 //
 // A packet from NewGeoPacket belongs to its caller, who may read it after
 // delivery. A packet from Decode belongs to the network once injected: the
-// forwarder recycles it when its delivery or drop hook returns, so a hook
-// that keeps anything of it (HopTrace, Payload, the packet itself) copies it.
+// forwarder recycles it, and the frame its Payload lies in, when its delivery
+// or drop hook returns, so a hook that keeps anything of it (HopTrace,
+// Payload, the packet itself) copies it.
 type Packet struct {
 	Base    BaseHeader
 	Geo     *GeoSegmentHeader // nil when the wire form carried no segment list
@@ -194,9 +203,11 @@ type Packet struct {
 	// first fell back to the ring while ringLeft segments were left.
 	ringFrom int32
 	ringLeft uint8
-	// pooled marks a packet Decode drew from packetPool, for release. It sits
+	// pooled marks a packet Decode drew from packetPool, for release, and
+	// frame names the registry frame its Payload lies in (0 = none). They sit
 	// in ringLeft's padding: a Packet stays in the 144-byte size class.
 	pooled bool
+	frame  frameNo
 
 	// What NewGeoPacket and Decode point Geo at, and a route's list up to
 	// inlineSegments cells: one allocation in all (so never copy a Packet).
@@ -217,13 +228,17 @@ const (
 // packetPool holds the packets Decode hands out, reset by release.
 var packetPool = sync.Pool{New: func() any { return new(Packet) }}
 
-// release returns a packet Decode made to the pool, and is a no-op for any
-// other. Every field is reset, so the pool pins no frame and a packet
-// released twice is pooled once: a delivered packet injected again is
-// dropped for "no route". Only a hop trace of the first capacity is kept.
+// release returns a packet Decode made, and its frame, to their free lists,
+// and is a no-op for any other packet. Every field is reset, so the pool pins
+// no frame and a packet released twice returns its packet and frame once: a
+// delivered packet injected again is dropped for "no route". Only a hop trace
+// of the first capacity is kept.
 func (p *Packet) release() {
 	if !p.pooled {
 		return
+	}
+	if p.frame != 0 {
+		frames.put(p)
 	}
 	trace := p.HopTrace
 	if cap(trace) != hopTraceCap {
@@ -238,10 +253,19 @@ func errPayloadSize(n int) error {
 	return fmt.Errorf("dataplane: payload of %d bytes exceeds max %d", n, maxPayload)
 }
 
-// Encode produces the full wire form.
+// Encode produces the full wire form, in a recycled frame. The bytes are the
+// caller's until it passes them to Decode, which takes the frame over; after
+// that they belong to the network, which reuses the frame once the decoded
+// packet is delivered or dropped.
 func (p *Packet) Encode() ([]byte, error) {
 	if len(p.Payload) > maxPayload {
 		return nil, errPayloadSize(len(p.Payload))
+	}
+	if p.Geo != nil {
+		// Before the frame is taken: a longer list would outgrow every size.
+		if err := p.Geo.check(); err != nil {
+			return nil, err
+		}
 	}
 	p.Base.PayloadLen = uint16(len(p.Payload))
 	if p.Geo != nil {
@@ -249,20 +273,20 @@ func (p *Packet) Encode() ([]byte, error) {
 	} else {
 		p.Base.NextHeader = NextHeaderPayload
 	}
-	out := p.Base.Marshal(make([]byte, 0, p.WireSize()))
+	n := p.WireSize()
+	out := p.Base.Marshal(frames.pend(n)[:0])
 	if p.Geo != nil {
-		var err error
-		out, err = p.Geo.Marshal(out)
-		if err != nil {
-			return nil, err
-		}
+		out, _ = p.Geo.Marshal(out) // check passed above
 	}
-	return append(out, p.Payload...), nil
+	return append(out, p.Payload...)[:n:n], nil
 }
 
-// Decode parses a wire-form packet. Its Payload aliases b (nil when empty).
-// The packet is recycled: once injected it belongs to the network, and a
-// Network.OnDeliver or OnDrop hook reads it only for the length of the call.
+// Decode parses a wire-form packet into a recycled one. If b is the frame
+// Encode returned last, the packet takes it over and its Payload lies in b;
+// any other bytes are copied, so the packet shares no storage with bytes it
+// does not own. An empty payload decodes to nil. Once injected the packet
+// belongs to the network, and a Network.OnDeliver or OnDrop hook reads it
+// only for the length of the call.
 func Decode(b []byte) (*Packet, error) {
 	p := packetPool.Get().(*Packet)
 	// release reset it, but a caller that wrongly injects a delivered packet
@@ -272,6 +296,7 @@ func Decode(b []byte) (*Packet, error) {
 		p.release()
 		return nil, err
 	}
+	frames.own(p, b)
 	return p, nil
 }
 

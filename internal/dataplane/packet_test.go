@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -185,6 +186,13 @@ func TestPayloadOverMaxIsRejected(t *testing.T) {
 	if wire, err := p.Encode(); err == nil {
 		t.Errorf("Encode of a 70000-byte payload gave %d wire bytes, want an error", len(wire))
 	}
+	// The segment count is 8 bits too: a longer list, with the largest
+	// payload, is refused before it outgrows every frame size.
+	p.Payload = make([]byte, maxPayload)
+	p.Geo.Segments = make([]uint16, 10000)
+	if wire, err := p.Encode(); err == nil {
+		t.Errorf("Encode of %d segments gave %d wire bytes, want an error", len(p.Geo.Segments), len(wire))
+	}
 }
 
 // A released packet is as Decode needs it: every field zero but the hop
@@ -224,7 +232,9 @@ func TestReleaseResetsThePacket(t *testing.T) {
 	}
 }
 
-// An empty payload decodes to nil, so the packet does not pin its frame.
+// An empty payload decodes to nil, so the packet does not pin its frame: the
+// frame goes back to the free list at once, and the next Encode of that size
+// fills it again.
 func TestDecodeEmptyPayloadIsNil(t *testing.T) {
 	p, _ := NewGeoPacket(1, []int{5}, 0, 0, nil)
 	wire, _ := p.Encode()
@@ -232,9 +242,266 @@ func TestDecodeEmptyPayloadIsNil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Payload != nil {
-		t.Errorf("empty payload decoded to %v, want nil", q.Payload)
+	if q.Payload != nil || q.frame != 0 {
+		t.Errorf("empty payload decoded to %v in frame %d, want nil in none", q.Payload, q.frame)
 	}
+	if again, _ := p.Encode(); unsafe.SliceData(again) != unsafe.SliceData(wire) {
+		t.Error("the next Encode did not reuse the frame of a packet with no payload")
+	}
+}
+
+// within reports whether s starts inside frame's storage.
+func within(s, frame []byte) bool {
+	at := uintptr(unsafe.Pointer(unsafe.SliceData(s))) - uintptr(unsafe.Pointer(unsafe.SliceData(frame)))
+	return s != nil && at < uintptr(cap(frame))
+}
+
+// Bytes decoded twice: the first packet takes the frame over and the second
+// copies it, so the frame going back to the free list at the first delivery,
+// and an Encode filling it again, leave the second packet's payload as it was.
+func TestDecodeTwiceThenReuseKeepsTheSecondPayload(t *testing.T) {
+	n := chainNet()
+	delivered := 0
+	n.OnDeliver = func(*Satellite, *Packet) { delivered++ }
+	payloadA := bytes.Repeat([]byte("a"), 100)
+	a, _ := NewGeoPacket(99, []int{20, 30}, 1, 1, payloadA)
+	wire, err := a.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := Decode(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := Decode(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !within(first.Payload, wire) || within(second.Payload, wire) {
+		t.Fatalf("first packet's payload in the frame %v, second's %v: want true, false",
+			within(first.Payload, wire), within(second.Payload, wire))
+	}
+	n.Inject(0, first)
+	n.Sim.Run(1)
+	if delivered != 1 {
+		t.Fatalf("delivered %d of 1", delivered)
+	}
+	b, _ := NewGeoPacket(99, []int{20, 30}, 1, 2, bytes.Repeat([]byte("b"), 100))
+	again, err := b.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unsafe.SliceData(again) != unsafe.SliceData(wire) {
+		t.Fatal("Encode did not reuse the delivered packet's frame")
+	}
+	if !bytes.Equal(second.Payload, payloadA) {
+		t.Errorf("the second packet's payload changed to %q", second.Payload)
+	}
+	second.release()
+}
+
+// Only the frame Encode returned last is taken over: an earlier one is
+// copied, so writing it afterwards leaves the decoded packet as it was.
+func TestDecodeCopiesAnEarlierFrame(t *testing.T) {
+	a, _ := NewGeoPacket(1, []int{5}, 0, 1, []byte("payload A"))
+	b, _ := NewGeoPacket(1, []int{5}, 0, 2, []byte("payload B"))
+	wireA, _ := a.Encode()
+	wireB, _ := b.Encode()
+	q, err := Decode(wireA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if within(q.Payload, wireA) {
+		t.Error("Decode took over a frame Encode no longer held")
+	}
+	clear(wireA)
+	if string(q.Payload) != "payload A" || q.Base.Seq != 1 {
+		t.Errorf("overwriting the earlier frame changed the packet: seq %d payload %q", q.Base.Seq, q.Payload)
+	}
+	r, err := Decode(wireB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !within(r.Payload, wireB) {
+		t.Error("Decode copied the frame Encode returned last")
+	}
+	q.release()
+	r.release()
+}
+
+// deliverDecoded sends count packets with payloads through chainNet the
+// ledger's way — Encode, Decode, Inject — and checks they are all delivered.
+func deliverDecoded(t *testing.T, count int) {
+	n := chainNet()
+	delivered := 0
+	n.OnDeliver = func(*Satellite, *Packet) { delivered++ }
+	for i := 0; i < count; i++ {
+		p, _ := NewGeoPacket(99, []int{20, 30}, 1, uint32(i), make([]byte, 50+100*(i%4)))
+		wire, err := p.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := Decode(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Inject(0, q)
+	}
+	n.Sim.Run(1)
+	if delivered != count {
+		t.Fatalf("delivered %d of %d", delivered, count)
+	}
+}
+
+// idleFrames counts the frames on the free lists, and those of them the
+// collector has not reclaimed.
+func idleFrames() (listed, live int) {
+	frames.mu.Lock()
+	defer frames.mu.Unlock()
+	for _, idle := range frames.idle {
+		for _, no := range idle {
+			listed++
+			if frames.slots[no-1].ptr.Value() != nil {
+				live++
+			}
+		}
+	}
+	return listed, live
+}
+
+// The free lists hold idle frames weakly: once the packets are delivered, a
+// collection reclaims every frame on them.
+func TestIdleFramesAreCollectable(t *testing.T) {
+	deliverDecoded(t, 40)
+	if _, live := idleFrames(); live == 0 {
+		t.Fatal("no idle frame after 40 deliveries")
+	}
+	runtime.GC()
+	if listed, live := idleFrames(); live != 0 {
+		t.Errorf("%d of %d idle frames still reachable through the free lists after a collection", live, listed)
+	}
+}
+
+// Four goroutines encode, decode and release at once, two of them in the
+// same size class, while one also runs the collector: every packet keeps its
+// own payload until its release. Run it with -race.
+func TestConcurrentCodecKeepsPayloads(t *testing.T) {
+	const workers, rounds = 4, 400
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			payload := make([]byte, 100+300*(w%2))
+			for i := 0; i < rounds; i++ {
+				for j := range payload {
+					payload[j] = byte(31*w + i + j)
+				}
+				p, err := NewGeoPacket(uint32(w), []int{1, 2}, uint32(w), uint32(i), payload)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				wire, err := p.Encode()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				q, err := Decode(wire)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if w == 0 && i%100 == 0 {
+					runtime.GC()
+				}
+				runtime.Gosched()
+				if !bytes.Equal(q.Payload, payload) || q.Base.FlowID != uint32(w) || q.Base.Seq != uint32(i) {
+					t.Errorf("worker %d round %d: decoded flow %d seq %d, payload changed %v",
+						w, i, q.Base.FlowID, q.Base.Seq, !bytes.Equal(q.Payload, payload))
+					return
+				}
+				q.release()
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// A frame costs what make would charge for its length: the frame sizes are
+// Go's own size classes (from 16 B), then whole pages, up to the largest
+// wire form.
+func TestFrameSizesAreGoSizeClasses(t *testing.T) {
+	prev := 8 // Go's smallest class, which frames skip
+	for c, size := range frameSizes {
+		for _, n := range []int{prev + 1, int(size)} {
+			if got := cap(append([]byte(nil), make([]byte, n)...)); got != int(size) {
+				t.Errorf("%d bytes: Go allocates %d, frame size %d", n, got, size)
+			}
+			if got := frameClass(n); got != c {
+				t.Errorf("%d bytes: frame class %d, want %d", n, got, c)
+			}
+		}
+		prev = int(size)
+	}
+	if largest := BaseHeaderLen + 4 + 2*MaxSegments + maxPayload; frameClass(largest) >= len(frameSizes) {
+		t.Errorf("a %d-byte wire form fits no frame size", largest)
+	}
+}
+
+// A registry whose every number went with frames it never got back (decoded
+// packets nobody released) makes unnumbered frames while those live, and
+// numbers new frames again once the collector has reclaimed them. A packet
+// whose Payload was replaced, so that its frame was reclaimed with the rest,
+// does not give back the frame its number names by then.
+func TestFullRegistryReclaimsLostFrames(t *testing.T) {
+	var r frameRegistry
+	lost := make([][]byte, 0, maxFrames)
+	var p, q Packet
+	r.mu.Lock()
+	for len(lost) < maxFrames {
+		f, no := r.frameLocked(16)
+		if no == 0 {
+			r.mu.Unlock()
+			t.Fatalf("frame %d of %d unnumbered", len(lost)+1, maxFrames)
+		}
+		lost = append(lost, f)
+	}
+	r.holdLocked(&p, maxFrames)
+	f, no := r.frameLocked(16)
+	r.mu.Unlock()
+	if no != 0 || len(f) != 16 {
+		t.Fatalf("a full registry gave a %d-byte frame numbered %d, want 16 unnumbered", len(f), no)
+	}
+	runtime.GC()
+	r.mu.Lock()
+	_, no = r.frameLocked(16)
+	r.mu.Unlock()
+	if no != 0 {
+		t.Fatalf("numbered frame %d while all %d numbered frames live", no, maxFrames)
+	}
+	runtime.KeepAlive(lost) // from here on the lost frames are unreachable
+	runtime.GC()
+	r.mu.Lock()
+	f, no = r.frameLocked(16)
+	vacant := len(r.vacant)
+	if no == maxFrames {
+		r.holdLocked(&q, no)
+	}
+	r.mu.Unlock()
+	if no != maxFrames || len(f) != 16 || vacant != maxFrames-1 {
+		t.Fatalf("after the collection: frame %d of %d bytes, %d numbers vacant, want frame %d and %d vacant",
+			no, len(f), vacant, maxFrames, maxFrames-1)
+	}
+	r.put(&p)
+	if idle := len(r.idle[frameClass(16)]); idle != 0 {
+		t.Errorf("releasing a packet whose number was reassigned made %d frames idle", idle)
+	}
+	r.put(&q)
+	if idle := r.idle[frameClass(16)]; !slices.Equal(idle, []frameNo{maxFrames}) {
+		t.Errorf("releasing the number's packet left idle frames %v, want [%d]", idle, maxFrames)
+	}
+	runtime.KeepAlive(f)
 }
 
 func TestPacketRoundTripProperty(t *testing.T) {
@@ -271,10 +538,15 @@ func TestPacketRoundTripProperty(t *testing.T) {
 	}
 }
 
-// NewGeoPacket, Encode and Decode make one object each while the route fits
-// the packet's inline segment list, and stay correct one segment past it,
-// where the list is an allocation of its own. Decode draws on a pool that
-// the two collections empty, and its packets here are never released.
+// NewGeoPacket makes one object while the route fits the packet's inline
+// segment list, and stays correct one segment past it, where the list is an
+// allocation of its own. With the free lists cold — the two collections
+// empty the packet pool and reclaim every idle frame, and Decode's packets
+// here are never released — Encode makes its frame, which its caller keeps,
+// and Decode of bytes Encode no longer holds makes the packet, a frame for
+// its payload and that frame's weak pointer (and the list past the inline
+// one). Warm, Encode → Decode → release allocates nothing: Encode fills the
+// frame release gave back and Decode takes it over.
 func TestPacketAllocationBudget(t *testing.T) {
 	runtime.GC()
 	runtime.GC()
@@ -289,18 +561,18 @@ func TestPacketAllocationBudget(t *testing.T) {
 		var p, q *Packet
 		var wire []byte
 		var err error
-		budget := 1.0
+		list := 0.0
 		if segs > inlineSegments {
-			budget = 2
+			list = 1
 		}
-		if got := testing.AllocsPerRun(100, func() { p, err = NewGeoPacket(1, route, 2, 3, payload) }); got != budget || err != nil {
-			t.Errorf("%d segments: NewGeoPacket allocates %v objects, budget %v (err %v)", segs, got, budget, err)
+		if got := testing.AllocsPerRun(100, func() { p, err = NewGeoPacket(1, route, 2, 3, payload) }); got != 1+list || err != nil {
+			t.Errorf("%d segments: NewGeoPacket allocates %v objects, budget %v (err %v)", segs, got, 1+list, err)
 		}
 		if got := testing.AllocsPerRun(100, func() { wire, err = p.Encode() }); got != 1 || err != nil {
-			t.Errorf("%d segments: Encode allocates %v objects, budget 1 (err %v)", segs, got, err)
+			t.Errorf("%d segments: a cold Encode allocates %v objects, budget 1 (err %v)", segs, got, err)
 		}
-		if got := testing.AllocsPerRun(100, func() { q, err = Decode(wire) }); got != budget || err != nil {
-			t.Errorf("%d segments: Decode allocates %v objects, budget %v (err %v)", segs, got, budget, err)
+		if got := testing.AllocsPerRun(100, func() { q, err = Decode(wire) }); got != 3+list || err != nil {
+			t.Errorf("%d segments: a cold copying Decode allocates %v objects, budget %v (err %v)", segs, got, 3+list, err)
 		}
 		if len(wire) != p.WireSize() || cap(wire) != len(wire) {
 			t.Errorf("%d segments: wire form of %d bytes (capacity %d), WireSize %d", segs, len(wire), cap(wire), p.WireSize())
@@ -321,6 +593,19 @@ func TestPacketAllocationBudget(t *testing.T) {
 		}
 		if again, err := q.Encode(); err != nil || !bytes.Equal(again, wire) {
 			t.Errorf("%d segments: re-encoded form differs (err %v)", segs, err)
+		}
+		if raceEnabled {
+			continue
+		}
+		warm := func() {
+			if wire, err = p.Encode(); err == nil {
+				if q, err = Decode(wire); err == nil {
+					q.release()
+				}
+			}
+		}
+		if got := testing.AllocsPerRun(100, warm); got != list || err != nil {
+			t.Errorf("%d segments: a warm Encode → Decode → release allocates %v objects, budget %v (err %v)", segs, got, list, err)
 		}
 	}
 }
@@ -350,8 +635,9 @@ func TestDecodeGarbageNeverPanics(t *testing.T) {
 // FuzzDecode feeds the packet codec arbitrary bytes, as a socket would. It
 // must not panic; what it decodes must fit inside the input (the segment
 // list and payload are sized by length fields, which must never promise
-// more than the bytes present); and Decode→Encode→Decode must be a fixed
-// point.
+// more than the bytes present) and must not share the input's storage
+// (overwriting the input leaves the payload as it was); and
+// Decode→Encode→Decode must be a fixed point.
 func FuzzDecode(f *testing.F) {
 	geo, _ := NewGeoPacket(42, []int{100, 200, 300}, 7, 1, []byte("payload!"))
 	wire, _ := geo.Encode()
@@ -365,7 +651,8 @@ func FuzzDecode(f *testing.F) {
 	for _, b := range garbageVectors(64) {
 		f.Add(b)
 	}
-	f.Fuzz(func(t *testing.T, b []byte) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		b := bytes.Clone(in) // the engine's input is not ours to overwrite
 		p, err := Decode(b)
 		if err != nil {
 			return
@@ -376,6 +663,13 @@ func FuzzDecode(f *testing.F) {
 		if p.Geo != nil && cap(p.Geo.Segments) > (len(b)-BaseHeaderLen-4)/2 {
 			t.Fatalf("segment list of capacity %d from a %d-byte input", cap(p.Geo.Segments), len(b))
 		}
+		payload := bytes.Clone(p.Payload)
+		for i := range b {
+			b[i] = ^b[i]
+		}
+		if !bytes.Equal(p.Payload, payload) {
+			t.Fatalf("overwriting the input changed the decoded payload from %q to %q", payload, p.Payload)
+		}
 		again, err := p.Encode()
 		if err != nil {
 			t.Fatalf("re-encode: %v", err)
@@ -384,11 +678,15 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode of re-encoded packet: %v", err)
 		}
-		// A recycled packet keeps its hop trace's storage.
+		// A recycled packet keeps its hop trace's storage, and its payload
+		// lies in a frame of its own.
 		p.HopTrace, q.HopTrace = nil, nil
+		pf, qf := p.frame, q.frame
+		p.frame, q.frame = 0, 0
 		if !reflect.DeepEqual(p, q) {
 			t.Fatalf("round trip changed the packet:\n%+v\n%+v", p, q)
 		}
+		p.frame, q.frame = pf, qf
 		p.release()
 		q.release()
 	})
