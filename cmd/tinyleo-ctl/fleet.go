@@ -84,6 +84,11 @@ func runTop(args []string) {
 	maxEvents := fs.Int("max-events", 8, "recent fleet events to keep on screen")
 	once := fs.Bool("once", false, "print a single frame and exit (no screen clearing)")
 	fs.Parse(args)
+	if *interval <= 0 || *maxEvents < 0 || *maxSeries < 0 {
+		fmt.Fprintln(os.Stderr, "tinyleo-ctl top: -interval must be positive, -max-events and -max-series not negative")
+		fs.Usage()
+		os.Exit(2)
+	}
 
 	var lastEventSeq uint64
 	var recent []obs.Event

@@ -1,8 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"errors"
+	"io"
+	"net/http/httptest"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/obs/fleet"
@@ -95,6 +103,36 @@ func TestSeriesLabelAndSize(t *testing.T) {
 	for n, want := range map[uint64]string{5: "5", 2048: "2.0K", 3 << 20: "3.0M"} {
 		if got := sizeOf(n); got != want {
 			t.Errorf("sizeOf(%d) = %q, want %q", n, got, want)
+		}
+	}
+}
+
+// TestTopRejectsLimitsItCannotHonour: `tinyleo-ctl top` with a non-positive
+// -interval (time.Tick's nil channel: one frame, then a hang forever) or a
+// negative -max-events (a slice past the end of the event list) or
+// -max-series exits 2 with its usage before the first frame, even against a
+// controller that answers. The test runs runTop in a child process, because
+// it exits.
+func TestTopRejectsLimitsItCannotHonour(t *testing.T) {
+	if args := os.Getenv("TINYLEO_CTL_TOP_ARGS"); args != "" {
+		runTop(strings.Fields(args))
+		return
+	}
+	srv := httptest.NewServer(obs.NewHandler(obs.NewRegistry(true)))
+	defer srv.Close()
+	addr := strings.TrimPrefix(srv.URL, "http://")
+	for _, limits := range []string{"-interval 0", "-interval -1s", "-max-events -1", "-max-series -1"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestTopRejectsLimitsItCannotHonour$")
+		cmd.Env = append(os.Environ(), "TINYLEO_CTL_TOP_ARGS=-addr "+addr+" "+limits)
+		var stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = io.Discard, &stderr
+		err := cmd.Run()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 ||
+			!strings.Contains(stderr.String(), "-max-events") || strings.Contains(stderr.String(), "panic") {
+			t.Errorf("top %s: %v, want exit 2 with the usage; stderr:\n%s", limits, err, stderr.String())
 		}
 	}
 }

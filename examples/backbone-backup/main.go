@@ -11,36 +11,41 @@ import (
 	"fmt"
 	"log"
 
-	tinyleo "repro"
-
+	"repro/internal/baseline"
+	"repro/internal/core"
+	"repro/internal/demand"
+	"repro/internal/geo"
 	"repro/internal/geom"
+	"repro/internal/intent"
+	"repro/internal/mpc"
 	"repro/internal/orbit"
+	"repro/internal/texture"
 )
 
 func main() {
-	grid, err := tinyleo.NewGrid(10)
+	grid, err := geo.NewGrid(10)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// 1. Backbone demand: inter-regional O-D capacities routed along great
 	// circles onto cells (satellite units per cell).
-	dem := tinyleo.InternetBackboneDemand(tinyleo.ScenarioOptions{
+	dem := demand.InternetBackbone(demand.ScenarioOptions{
 		Grid: grid, Slots: 8, SlotSeconds: 900,
 	})
 	fmt.Printf("backbone demand: %s\n", dem)
 
 	// 2. Sparsify against an Earth-repeat library.
-	lib, err := tinyleo.BuildLibrary(tinyleo.LibraryConfig{
+	lib, err := texture.Build(texture.Config{
 		Grid:            grid,
-		Specs:           tinyleo.EnumerateRepeatSpecs(1, 500e3, 1873e3),
+		Specs:           orbit.EnumerateRepeatSpecs(1, 500e3, 1873e3),
 		InclinationsDeg: []float64{30, 53, 70, -53},
 		RAANs:           8, Phases: 3, Slots: 8, SlotSeconds: 900,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	plan, err := tinyleo.Sparsify(tinyleo.SparsifyProblem{
+	plan, err := core.Sparsify(core.Problem{
 		Library: lib, Demand: dem.Y, Epsilon: 0.9,
 	})
 	if err != nil {
@@ -50,14 +55,14 @@ func main() {
 		plan.Satellites, plan.Availability)
 
 	// 3. A trans-Atlantic backbone intent: NY ↔ London ↔ Frankfurt.
-	endpoints := map[string]tinyleo.LatLon{
+	endpoints := map[string]geom.LatLon{
 		"new-york":  {Lat: 40.7, Lon: -74},
 		"london":    {Lat: 51.5, Lon: 0},
 		"frankfurt": {Lat: 50.1, Lon: 8.7},
 	}
-	topo, anchors := tinyleo.BackboneIntent(grid, endpoints,
+	topo, anchors := intent.BackboneIntent(grid, endpoints,
 		[][2]string{{"new-york", "london"}, {"london", "frankfurt"}}, 3, 1)
-	if errs := topo.Verify(tinyleo.DefaultVerifyConfig); len(errs) > 0 {
+	if errs := topo.Verify(intent.DefaultVerifyConfig); len(errs) > 0 {
 		log.Fatalf("intent rejected: %v", errs)
 	}
 	fmt.Printf("backbone intent: %d cells, %d edges, connected=%v\n",
@@ -66,10 +71,10 @@ func main() {
 	// 4. Compile the intent over a dense operator constellation with the
 	// orbital MPC, at three control slots: the intent stays fixed while the
 	// satellite topology evolves.
-	sats := tinyleo.WalkerConfig{
+	sats := baseline.WalkerConfig{
 		InclinationDeg: 53, AltitudeKm: 1200, Planes: 20, SatsPerPlane: 20, PhasingF: 1,
 	}.Satellites()
-	ctl, err := tinyleo.NewController(tinyleo.MPCConfig{
+	ctl, err := mpc.New(mpc.Config{
 		Topo: topo, Sats: sats,
 		Coverage: orbit.CoverageParams{MinElevation: geom.Deg2Rad(15)},
 	})

@@ -45,10 +45,12 @@ import (
 	"log"
 	"time"
 
-	tinyleo "repro"
-
 	"repro/internal/baseline"
 	"repro/internal/cli"
+	"repro/internal/dataplane"
+	"repro/internal/geo"
+	"repro/internal/geom"
+	"repro/internal/intent"
 	"repro/internal/mpc"
 	"repro/internal/obs"
 	"repro/internal/southbound"
@@ -70,14 +72,14 @@ func main() {
 
 	// The repair loop's controller is created first, so that its registry is
 	// served, and read by the SLO engine, beside the process-wide one.
-	ctl, err := tinyleo.ListenSouthbound("127.0.0.1:0")
+	ctl, err := southbound.ListenController("127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer ctl.Close()
 	served := cli.Telemetry{
 		Process: "failover-demo", MetricsAddr: *metricsAddr, RecordOut: *recordOut, SLO: *sloSpec,
-	}.Start(tinyleo.Telemetry(), ctl.Metrics())
+	}.Start(obs.Default(), ctl.Metrics())
 
 	emulatedFailover()
 	mpcCompileRepair()
@@ -97,30 +99,30 @@ func main() {
 // so the MPC's compile/repair telemetry series move.
 func mpcCompileRepair() {
 	fmt.Println("== orbital MPC compile + repair ==")
-	sats := tinyleo.WalkerConfig{
+	sats := baseline.WalkerConfig{
 		InclinationDeg: 53, AltitudeKm: 1200, Planes: 16, SatsPerPlane: 16, PhasingF: 1,
 	}.Satellites()
-	g, err := tinyleo.NewGrid(10)
+	g, err := geo.NewGrid(10)
 	if err != nil {
 		log.Fatal(err)
 	}
-	topo := tinyleo.NewTopology(g)
+	topo := intent.NewTopology(g)
 	var cells []int
 	for i := 0; i < 4; i++ {
-		id := g.CellOf(tinyleo.LatLon{Lat: 5, Lon: float64(-15 + i*10)})
+		id := g.CellOf(geom.LatLon{Lat: 5, Lon: float64(-15 + i*10)})
 		topo.AddCell(id, 3)
 		cells = append(cells, id)
 	}
 	for i := 1; i < len(cells); i++ {
 		topo.Connect(cells[i-1], cells[i], 1)
 	}
-	ctrl, err := tinyleo.NewController(tinyleo.MPCConfig{Topo: topo, Sats: sats})
+	ctrl, err := mpc.New(mpc.Config{Topo: topo, Sats: sats})
 	if err != nil {
 		log.Fatal(err)
 	}
 	// The second slot warm-starts from the first (DeltaCompile's output is
 	// identical to a cold Compile of the same time).
-	var prev *tinyleo.Snapshot
+	var prev *mpc.Snapshot
 	for slot := 0; slot < 2; slot++ {
 		snap := ctrl.DeltaCompile(prev, float64(slot)*300)
 		added, removed := mpc.DiffLinks(prev, snap)
@@ -141,8 +143,8 @@ func mpcCompileRepair() {
 // kills the primary ISL mid-flow.
 func emulatedFailover() {
 	fmt.Println("== emulated data-plane failover ==")
-	build := func() *tinyleo.Network {
-		n := tinyleo.NewNetwork()
+	build := func() *dataplane.Network {
+		n := dataplane.NewNetwork()
 		// cells: 10 (sats 0,1) -> 20 (sats 2,3) -> 30 (sats 4,5)
 		for id, cell := range []int{10, 10, 20, 20, 30, 30} {
 			n.AddSatellite(id, cell)
@@ -168,7 +170,7 @@ func emulatedFailover() {
 			tables.InstallPath([]int{0, 2, 4})
 		}
 		var deliveries []float64
-		n.OnDeliver = func(s *tinyleo.Satellite, p *tinyleo.Packet) {
+		n.OnDeliver = func(s *dataplane.Satellite, p *dataplane.Packet) {
 			deliveries = append(deliveries, n.Sim.Now())
 		}
 		// Primary ISL 0-2 dies at t=50 ms.
@@ -188,7 +190,7 @@ func emulatedFailover() {
 					n.Inject(0, baseline.TablePacket(4, nil))
 					return
 				}
-				p, err := tinyleo.NewGeoPacket(0, []int{20, 30}, 1, uint32(i), nil)
+				p, err := dataplane.NewGeoPacket(0, []int{20, 30}, 1, uint32(i), nil)
 				if err != nil {
 					log.Fatal(err)
 				}
@@ -215,7 +217,7 @@ func emulatedFailover() {
 // severed transport heals through the agent's backoff reconnect and is
 // answered with a snapshot re-sync instead of trusting deltas to compose,
 // and a failure report is repaired with one slot-delta.
-func southboundSession(ctl *tinyleo.SouthboundController) {
+func southboundSession(ctl *southbound.Controller) {
 	fmt.Println("== southbound session: re-sync, repair ==")
 	enf := southbound.NewDeltaEnforcer(ctl)
 	push := func(add, del []uint32) {
@@ -223,13 +225,13 @@ func southboundSession(ctl *tinyleo.SouthboundController) {
 			log.Fatal(err)
 		}
 	}
-	ctl.OnFailure = func(report *tinyleo.SouthboundMessage) []*tinyleo.SouthboundMessage {
+	ctl.OnFailure = func(report *southbound.Message) []*southbound.Message {
 		// Repair policy: tear down the dead ISL, bring up a spare.
 		push([]uint32{report.Peer + 1}, []uint32{report.Peer})
 		return nil
 	}
-	agent, err := tinyleo.DialSouthboundReliable(ctl.Addr(), 9, 2*time.Second,
-		tinyleo.SouthboundAgentOptions{
+	agent, err := southbound.DialAgentOptions(ctl.Addr(), 9, 2*time.Second,
+		southbound.AgentOptions{
 			BackoffBase: 10 * time.Millisecond,
 			BackoffMax:  200 * time.Millisecond,
 		})
@@ -238,15 +240,15 @@ func southboundSession(ctl *tinyleo.SouthboundController) {
 	}
 	defer agent.Close()
 	var applied southbound.PeerSet
-	commands := make(chan *tinyleo.SouthboundMessage, 4)
-	agent.OnCommand = func(m *tinyleo.SouthboundMessage) {
+	commands := make(chan *southbound.Message, 4)
+	agent.OnCommand = func(m *southbound.Message) {
 		if err := applied.Apply(m); err != nil {
 			log.Fatal(err)
 		}
 		commands <- m.Clone() // m is borrowed for the call; the queue keeps a copy
 	}
 	// next returns the next command the agent applied.
-	next := func(stage string) *tinyleo.SouthboundMessage {
+	next := func(stage string) *southbound.Message {
 		select {
 		case m := <-commands:
 			return m

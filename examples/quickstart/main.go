@@ -9,18 +9,24 @@ import (
 	"fmt"
 	"log"
 
-	tinyleo "repro"
+	"repro/internal/core"
+	"repro/internal/dataplane"
+	"repro/internal/demand"
+	"repro/internal/geo"
+	"repro/internal/geom"
+	"repro/internal/orbit"
+	"repro/internal/texture"
 )
 
 func main() {
 	// 1. A coarse grid (10° cells) and a small Earth-repeat track library.
-	grid, err := tinyleo.NewGrid(10)
+	grid, err := geo.NewGrid(10)
 	if err != nil {
 		log.Fatal(err)
 	}
-	lib, err := tinyleo.BuildLibrary(tinyleo.LibraryConfig{
+	lib, err := texture.Build(texture.Config{
 		Grid:            grid,
-		Specs:           tinyleo.EnumerateRepeatSpecs(1, 500e3, 1600e3),
+		Specs:           orbit.EnumerateRepeatSpecs(1, 500e3, 1600e3),
 		InclinationsDeg: []float64{30, 53, 85, -53},
 		RAANs:           8,
 		Phases:          3,
@@ -37,7 +43,7 @@ func main() {
 	// Note the gap between demand and the resulting plan size below: a
 	// LEO satellite spends most of its orbit over oceans, which is the
 	// paper's waste insight and exactly what the sparsifier minimizes.
-	dem := tinyleo.StarlinkCustomersDemand(tinyleo.ScenarioOptions{
+	dem := demand.StarlinkCustomers(demand.ScenarioOptions{
 		Grid: grid, Slots: 12, SlotSeconds: 900, TotalSatUnits: 50,
 	})
 	fmt.Printf("demand: %s\n", dem)
@@ -45,7 +51,7 @@ func main() {
 		100*dem.SpatialConcentration(0.7))
 
 	// 3. Sparsify: the compressed-sensing matching pursuit of §4.1.
-	plan, err := tinyleo.Sparsify(tinyleo.SparsifyProblem{
+	plan, err := core.Sparsify(core.Problem{
 		Library: lib, Demand: dem.Y, Epsilon: 0.95,
 	})
 	if err != nil {
@@ -66,20 +72,20 @@ func main() {
 	}
 
 	// 4. Data plane: geographic segment anycast across three cells.
-	cellA := grid.CellOf(tinyleo.LatLon{Lat: 40, Lon: -74}) // New York
-	cellB := grid.CellOf(tinyleo.LatLon{Lat: 45, Lon: -40}) // mid-Atlantic
-	cellC := grid.CellOf(tinyleo.LatLon{Lat: 50, Lon: 0})   // London
-	net := tinyleo.NewNetwork()
+	cellA := grid.CellOf(geom.LatLon{Lat: 40, Lon: -74}) // New York
+	cellB := grid.CellOf(geom.LatLon{Lat: 45, Lon: -40}) // mid-Atlantic
+	cellC := grid.CellOf(geom.LatLon{Lat: 50, Lon: 0})   // London
+	net := dataplane.NewNetwork()
 	net.AddSatellite(0, cellA)
 	net.AddSatellite(1, cellB)
 	net.AddSatellite(2, cellC)
 	net.Connect(0, 1, 0.009) // ~2,700 km of laser light
 	net.Connect(1, 2, 0.009)
-	net.OnDeliver = func(s *tinyleo.Satellite, p *tinyleo.Packet) {
+	net.OnDeliver = func(s *dataplane.Satellite, p *dataplane.Packet) {
 		fmt.Printf("delivered at satellite %d over cell %d after %.1f ms (hops: %v)\n",
 			s.ID, s.Cell, 1e3*(net.Sim.Now()-p.SentAt), p.HopTrace)
 	}
-	pkt, err := tinyleo.NewGeoPacket(0, []int{cellB, cellC}, 1, 1, []byte("hello from NYC"))
+	pkt, err := dataplane.NewGeoPacket(0, []int{cellB, cellC}, 1, 1, []byte("hello from NYC"))
 	if err != nil {
 		log.Fatal(err)
 	}

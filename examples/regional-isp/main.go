@@ -10,17 +10,21 @@ import (
 	"fmt"
 	"log"
 
-	tinyleo "repro"
+	"repro/internal/core"
+	"repro/internal/demand"
+	"repro/internal/geo"
+	"repro/internal/orbit"
+	"repro/internal/texture"
 )
 
 func main() {
-	grid, err := tinyleo.NewGrid(10)
+	grid, err := geo.NewGrid(10)
 	if err != nil {
 		log.Fatal(err)
 	}
-	lib, err := tinyleo.BuildLibrary(tinyleo.LibraryConfig{
+	lib, err := texture.Build(texture.Config{
 		Grid:            grid,
-		Specs:           tinyleo.EnumerateRepeatSpecs(1, 500e3, 1873e3),
+		Specs:           orbit.EnumerateRepeatSpecs(1, 500e3, 1873e3),
 		InclinationsDeg: []float64{30, 53, -30, -53},
 		RAANs:           10, Phases: 3, Slots: 10, SlotSeconds: 900,
 	})
@@ -29,12 +33,12 @@ func main() {
 	}
 
 	// Phase 1: serve today's regional customers.
-	initial := tinyleo.LatinAmericaDemand(tinyleo.ScenarioOptions{
+	initial := demand.LatinAmerica(demand.ScenarioOptions{
 		Grid: grid, Slots: 10, SlotSeconds: 900, TotalSatUnits: 400,
 	})
 	fmt.Printf("phase 1 demand: %s\n", initial)
-	problem := tinyleo.SparsifyProblem{Library: lib, Demand: initial.Y, Epsilon: 0.95}
-	plan, err := tinyleo.Sparsify(problem)
+	problem := core.Problem{Library: lib, Demand: initial.Y, Epsilon: 0.95}
+	plan, err := core.Sparsify(problem)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +62,7 @@ func main() {
 	// Phase 2: the ISP lands a contract doubling demand. Expand the
 	// existing constellation without touching launched satellites.
 	extra := initial.Clone().Scale(1.0) // same field again = double demand
-	grown, err := tinyleo.Expand(problem, plan, extra.Y)
+	grown, err := core.Expand(problem, plan, extra.Y)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,7 +78,7 @@ func main() {
 
 	// Compare with planning from scratch for the doubled demand.
 	combined := initial.Clone().Scale(2)
-	fresh, err := tinyleo.Sparsify(tinyleo.SparsifyProblem{
+	fresh, err := core.Sparsify(core.Problem{
 		Library: lib, Demand: combined.Y, Epsilon: 0.95,
 	})
 	if err != nil {

@@ -262,8 +262,10 @@ func TestILPValidation(t *testing.T) {
 	if _, err := SolveILP(ILPConfig{Library: lib, Demand: []float64{1}, Epsilon: 1}); err == nil {
 		t.Error("bad demand accepted")
 	}
-	if _, err := SolveILP(ILPConfig{Library: lib, Demand: make([]float64, lib.UnfoldedLen()), Epsilon: 2}); err == nil {
-		t.Error("bad epsilon accepted")
+	for _, eps := range []float64{2, math.NaN()} {
+		if _, err := SolveILP(ILPConfig{Library: lib, Demand: make([]float64, lib.UnfoldedLen()), Epsilon: eps}); err == nil {
+			t.Errorf("epsilon %v accepted", eps)
+		}
 	}
 	for _, bad := range []float64{math.NaN(), math.Inf(1), -1} {
 		y := make([]float64, lib.UnfoldedLen())
@@ -329,6 +331,12 @@ func TestMegaReduceShellsInfeasibleStart(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("infeasible start accepted")
+	}
+	if _, err := MegaReduceShells(ShellReduceConfig{
+		Supply: cfg, Demand: dem.Y, Epsilon: math.NaN(),
+		Shells: []Shell{{"a", WalkerConfig{53, 550, 2, 2, 1}}},
+	}); err == nil {
+		t.Error("epsilon NaN accepted")
 	}
 }
 

@@ -49,7 +49,7 @@ func SolveILP(cfg ILPConfig) (*ILPResult, error) {
 			return nil, fmt.Errorf("baseline: ILP demand %v at entry %d, want finite and ≥ 0", v, k)
 		}
 	}
-	if cfg.Epsilon <= 0 || cfg.Epsilon > 1 {
+	if !(cfg.Epsilon > 0 && cfg.Epsilon <= 1) {
 		return nil, errors.New("baseline: ILP epsilon outside (0,1]")
 	}
 	if cfg.Budget <= 0 {

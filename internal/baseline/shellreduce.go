@@ -43,7 +43,7 @@ var ErrShellStartInfeasible = errors.New("baseline: starting shells miss availab
 // row so every candidate move is evaluated as a sparse delta rather than a
 // full constellation re-simulation.
 func MegaReduceShells(cfg ShellReduceConfig) (*ShellReduceResult, error) {
-	if cfg.Epsilon <= 0 || cfg.Epsilon > 1 {
+	if !(cfg.Epsilon > 0 && cfg.Epsilon <= 1) {
 		return nil, fmt.Errorf("baseline: epsilon %v outside (0,1]", cfg.Epsilon)
 	}
 	maxSteps := cfg.MaxSteps

@@ -158,7 +158,7 @@ func (r *Report) score(spec string) error {
 	if r.Fleet != nil {
 		samples = append(samples, r.Fleet.Totals...)
 	}
-	r.SLO, r.SLOBreached = flightrec.Score(rules, samples, nil)
+	r.SLO, r.SLOBreached = flightrec.Score(rules, samples)
 	return nil
 }
 

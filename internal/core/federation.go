@@ -71,7 +71,7 @@ func Federate(p Problem, operators []Operator) (*FederationResult, error) {
 			return nil, fmt.Errorf("core: operator %q demand length %d, want %d",
 				op.Name, len(op.Demand), p.Library.UnfoldedLen())
 		}
-		if op.Epsilon <= 0 || op.Epsilon > 1 {
+		if !(op.Epsilon > 0 && op.Epsilon <= 1) {
 			return nil, fmt.Errorf("core: operator %q epsilon %v outside (0,1]", op.Name, op.Epsilon)
 		}
 		// What does the existing federation already give this operator?

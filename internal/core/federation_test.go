@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/demand"
@@ -89,6 +90,10 @@ func TestFederateValidation(t *testing.T) {
 	bad := []Operator{{Name: "x", Demand: []float64{1}, Epsilon: 0.9}}
 	if _, err := Federate(Problem{Library: lib}, bad); err == nil {
 		t.Error("bad demand length accepted")
+	}
+	nan := []Operator{{Name: "x", Demand: make([]float64, lib.UnfoldedLen()), Epsilon: math.NaN()}}
+	if _, err := Federate(Problem{Library: lib}, nan); err == nil {
+		t.Error("epsilon NaN accepted")
 	}
 	w := wrap{lib.Grid, lib.Slots, lib.SlotSeconds}
 	d := regionalDemand(w, 20, -40, 55, -130, -30)

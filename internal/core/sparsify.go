@@ -111,8 +111,8 @@ func Sparsify(p Problem) (*Result, error) {
 	if err := checkDemand("demand", p.Demand); err != nil {
 		return nil, err
 	}
-	if p.Epsilon <= 0 || p.Epsilon > 1 {
-		return nil, fmt.Errorf("core: epsilon %v outside (0,1]", p.Epsilon)
+	if err := checkEpsilon(p.Epsilon); err != nil {
+		return nil, err
 	}
 	st := newSolverState(p)
 	res := &Result{X: make([]int, n)}
@@ -213,6 +213,9 @@ func Expand(p Problem, prev *Result, extraDemand []float64) (*Result, error) {
 	if len(prev.X) != p.Library.NumTracks() {
 		return nil, errors.New("core: previous result does not match library")
 	}
+	if err := checkEpsilon(p.Epsilon); err != nil {
+		return nil, err
+	}
 	// New problem: total demand is old + extra; the residual starts from
 	// the existing supply.
 	combined := make([]float64, len(extraDemand))
@@ -240,6 +243,15 @@ func Expand(p Problem, prev *Result, extraDemand []float64) (*Result, error) {
 		prune(p2, res, prev.X) // launched satellites are a hard floor
 	}
 	return res, nil
+}
+
+// checkEpsilon returns an error unless ε is in (0, 1]; the comparison is
+// written so that NaN fails it.
+func checkEpsilon(eps float64) error {
+	if !(eps > 0 && eps <= 1) {
+		return fmt.Errorf("core: epsilon %v outside (0,1]", eps)
+	}
+	return nil
 }
 
 // checkDemand returns an error unless every entry of y is finite and ≥ 0: a

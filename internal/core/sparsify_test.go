@@ -138,8 +138,9 @@ func TestSparsifyValidation(t *testing.T) {
 }
 
 // TestSparsifyRejectsBadDemand: a NaN, an infinite or a negative demand
-// entry is an error from Sparsify and, in the combined demand, from Expand,
-// not a plan of 0 satellites, an availability of NaN or a panic.
+// entry, or an ε that is NaN or outside (0, 1], is an error from Sparsify
+// and from Expand, not a plan of 0 satellites, an availability of NaN or a
+// panic.
 func TestSparsifyRejectsBadDemand(t *testing.T) {
 	lib := testLibrary(t)
 	good := make([]float64, lib.UnfoldedLen())
@@ -168,6 +169,16 @@ func TestSparsifyRejectsBadDemand(t *testing.T) {
 	extra[7] = -1
 	if _, err := Expand(p, prev, extra); err == nil {
 		t.Error("Expand with a combined demand of -0.5: no error")
+	}
+	for _, eps := range []float64{math.NaN(), 0, 2} {
+		q := p
+		q.Epsilon = eps
+		if res, err := Sparsify(q); err == nil {
+			t.Errorf("Sparsify with epsilon %v: %d satellites, availability %v, no error", eps, res.Satellites, res.Availability)
+		}
+		if res, err := Expand(q, prev, make([]float64, lib.UnfoldedLen())); err == nil {
+			t.Errorf("Expand with epsilon %v: %d satellites, availability %v, no error", eps, res.Satellites, res.Availability)
+		}
 	}
 	short := p
 	short.Demand = good[:10]

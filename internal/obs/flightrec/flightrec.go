@@ -62,7 +62,7 @@ func SplitEventName(name string) (component, typ string) {
 }
 
 // isFailure reports whether ev is one of the injected-failure events the
-// failure sequences and the failure_events SLO count.
+// failure sequences start from.
 func isFailure(ev *obs.Event) bool {
 	switch _, typ := SplitEventName(ev.Name); typ {
 	case "isl_fail", "sat_fail", "failure_report":

@@ -327,7 +327,7 @@ func TestEngineUnknownIndicatorIsNaNNotBreach(t *testing.T) {
 		t.Fatalf("missing series should be NaN and healthy: %+v", st[0])
 	}
 	// A finished run will never observe it: Score fails the rule.
-	if st, n := Score([]Rule{ghost}, obs.Snapshot(reg), nil); n != 1 || !st[0].Breached || !math.IsNaN(st[0].Value) {
+	if st, n := Score([]Rule{ghost}, obs.Snapshot(reg)); n != 1 || !st[0].Breached || !math.IsNaN(st[0].Value) {
 		t.Fatalf("Score of an unobservable rule: %d breached, %+v", n, st)
 	}
 }

@@ -21,10 +21,11 @@ func TestSLOAndEventsEndpointsUnderConcurrentWrites(t *testing.T) {
 	reg := obs.NewRegistry(true)
 	avail := reg.Gauge("tinyleo_mpc_enforcement_ratio")
 	avail.Set(1)
+	compiles := reg.Counter("tinyleo_mpc_compile_total")
 	Enable(Options{
 		Rules: []Rule{
 			{Name: "availability", Kind: SLOAvailability, Op: ">=", Threshold: 0.95},
-			{Name: "failure_events", Kind: SLOFailureEvents, Op: "<=", Threshold: 1e9},
+			{Name: "tinyleo_mpc_compile_total", Kind: SLOMetric, Metric: "tinyleo_mpc_compile_total", Op: "<=", Threshold: 1e9},
 		},
 		Registries: []*obs.Registry{reg},
 	})
@@ -43,6 +44,7 @@ func TestSLOAndEventsEndpointsUnderConcurrentWrites(t *testing.T) {
 				Emit(CompDataplane, "drop", "sat", strconv.Itoa(w), "reason", "race")
 				Emit(CompMPC, "isl_fail", "a", strconv.Itoa(i), "b", strconv.Itoa(i+1))
 				avail.Set(float64(i % 2)) // toggle across the threshold
+				compiles.Inc()
 				RecordSlot(SlotState{Time: float64(i), Kind: "compile",
 					InterLinks: [][2]int{{w, i}}})
 			}

@@ -13,28 +13,22 @@ import (
 )
 
 // Rule kinds: the built-in service-level indicators (the paper's headline
-// SLOs) plus a generic raw-metric selector.
+// SLOs, which DefaultRules uses, and the drop ratio) plus a generic
+// raw-metric selector for any other series.
 const (
 	// SLOAvailability is the intent enforcement ratio
 	// (tinyleo_mpc_enforcement_ratio), the paper's availability SLO.
 	SLOAvailability = "availability"
-	// SLODeficitSlots is the current gateway-deficit slot count.
-	SLODeficitSlots = "deficit_slots"
 	// SLODeficitRatio is deficit / (deficit + compiled inter-cell ISLs):
 	// the paper's deficit-slot ratio.
 	SLODeficitRatio = "deficit_ratio"
-	// SLORepairP99 / SLOCompileP99 / SLOAckRTTP99 are p99 latencies (s)
-	// from the matching histograms.
-	SLORepairP99  = "repair_p99"
-	SLOCompileP99 = "compile_p99"
-	SLOAckRTTP99  = "ack_rtt_p99"
+	// SLORepairP99 is the p99 end-to-end repair latency (s), the
+	// stage="total" series of tinyleo_mpc_repair_stage_seconds.
+	SLORepairP99 = "repair_p99"
 	// SLODropRatio is dropped / (forwarded + delivered) packets.
 	SLODropRatio = "drop_ratio"
-	// SLOFailureEvents counts isl_fail/sat_fail/failure_report events in
-	// the rolling window (default 60 s).
-	SLOFailureEvents = "failure_events"
 	// SLOMetric compares a raw series by name (counters summed across
-	// label sets, gauges read directly).
+	// label sets, gauges read directly, histograms at p99).
 	SLOMetric = "metric"
 )
 
@@ -50,8 +44,6 @@ type Rule struct {
 	Op string `json:"op"`
 	// Threshold is the SLO boundary.
 	Threshold float64 `json:"threshold"`
-	// WindowSeconds bounds event-window indicators (0 = 60 s).
-	WindowSeconds float64 `json:"window_s,omitempty"`
 }
 
 // Expr renders the rule as its spec string.
@@ -166,8 +158,7 @@ func ParseRules(spec string) ([]Rule, error) {
 		}
 		r := Rule{Name: name, Op: op, Threshold: thr}
 		switch name {
-		case SLOAvailability, SLODeficitSlots, SLODeficitRatio,
-			SLORepairP99, SLOCompileP99, SLOAckRTTP99, SLODropRatio, SLOFailureEvents:
+		case SLOAvailability, SLODeficitRatio, SLORepairP99, SLODropRatio:
 			r.Kind = name
 		default:
 			r.Kind = SLOMetric
@@ -178,24 +169,22 @@ func ParseRules(spec string) ([]Rule, error) {
 	return out, nil
 }
 
-// Engine evaluates SLO rules against rolling registry metrics and the
-// tracer's events, emits slo.slo_breach/slo.slo_recovered events on
-// transitions, and serves /slo. All methods are safe for concurrent use.
+// Engine evaluates SLO rules against rolling registry metrics, emits
+// slo.slo_breach/slo.slo_recovered events on transitions, and serves /slo.
+// All methods are safe for concurrent use.
 type Engine struct {
 	tracer *obs.Tracer
 	regs   []*obs.Registry
 	rules  []Rule
-	events bool // a rule reads the tracer's events
 
 	mu sync.Mutex
 	//tinyleo:guardedby mu
 	status []RuleStatus
 }
 
-// NewEngine builds an engine over the given tracer — the stream it reads
-// failure events from and writes transitions to; nil for neither — the
-// registries it reads metrics from (none = obs.Default()), and rules
-// (empty rules = DefaultRules).
+// NewEngine builds an engine over the given tracer — the stream it writes
+// transitions to; nil for none — the registries it reads metrics from
+// (none = obs.Default()), and rules (empty rules = DefaultRules).
 func NewEngine(tracer *obs.Tracer, regs []*obs.Registry, rules ...Rule) *Engine {
 	if len(regs) == 0 {
 		regs = []*obs.Registry{obs.Default()}
@@ -206,24 +195,19 @@ func NewEngine(tracer *obs.Tracer, regs []*obs.Registry, rules ...Rule) *Engine 
 	e := &Engine{tracer: tracer, regs: regs, rules: rules, status: make([]RuleStatus, len(rules))}
 	for i, r := range rules {
 		e.status[i] = RuleStatus{Rule: r, Value: math.NaN()}
-		e.events = e.events || r.Kind == SLOFailureEvents
 	}
 	return e
 }
 
-// Eval evaluates every rule against the current metric and event state
-// with EvalRules (NaN, not yet observable, is no breach), records
-// transitions, and returns the statuses.
+// Eval evaluates every rule against the current metric state with
+// EvalRules (NaN, not yet observable, is no breach), records transitions,
+// and returns the statuses.
 func (e *Engine) Eval() []RuleStatus {
-	var events []obs.Event
 	now := int64(0)
 	if e.tracer != nil {
-		if e.events {
-			events = instants(e.tracer.Events())
-		}
 		now = e.tracer.NowUS()
 	}
-	next := EvalRules(e.rules, obs.Snapshot(e.regs...), events)
+	next := EvalRules(e.rules, obs.Snapshot(e.regs...))
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -249,15 +233,14 @@ func (e *Engine) emit(typ string, attrs ...string) {
 	}
 }
 
-// EvalRules evaluates rules against a static sample snapshot (plus
-// optional instant events for the event-window kinds), without engine
-// state: no breach transitions are tracked, no events are emitted, and
-// EvalUS stays zero. A rule whose value is NaN (not yet observable) is not
-// breached. Engine.Eval and Score both judge with it.
-func EvalRules(rules []Rule, samples []obs.Sample, events []obs.Event) []RuleStatus {
+// EvalRules evaluates rules against a static sample snapshot, without
+// engine state: no breach transitions are tracked, no events are emitted,
+// and EvalUS stays zero. A rule whose value is NaN (not yet observable) is
+// not breached. Engine.Eval and Score both judge with it.
+func EvalRules(rules []Rule, samples []obs.Sample) []RuleStatus {
 	out := make([]RuleStatus, len(rules))
 	for i, r := range rules {
-		v := evalIndicator(r, samples, events)
+		v := evalIndicator(r, samples)
 		breached := false
 		switch {
 		case math.IsNaN(v):
@@ -275,8 +258,8 @@ func EvalRules(rules []Rule, samples []obs.Sample, events []obs.Event) []RuleSta
 // metrics file) and returns the verdicts and how many are breached. It is
 // EvalRules, except that a NaN value is a breach: a run that has ended
 // will never observe a series it lacks.
-func Score(rules []Rule, samples []obs.Sample, events []obs.Event) ([]RuleStatus, int) {
-	status := EvalRules(rules, samples, events)
+func Score(rules []Rule, samples []obs.Sample) ([]RuleStatus, int) {
+	status := EvalRules(rules, samples)
 	breached := 0
 	for i := range status {
 		if math.IsNaN(status[i].Value) {
@@ -289,15 +272,13 @@ func Score(rules []Rule, samples []obs.Sample, events []obs.Event) ([]RuleStatus
 	return status, breached
 }
 
-// evalIndicator computes one rule's current value from the metric samples
-// (and, for event-window kinds, the instant events). NaN means "not yet
-// observable". Engine.Eval and EvalRules share it.
-func evalIndicator(r Rule, samples []obs.Sample, events []obs.Event) float64 {
+// evalIndicator computes one rule's current value from the metric
+// samples. NaN means "not yet observable". Engine.Eval and EvalRules share
+// it.
+func evalIndicator(r Rule, samples []obs.Sample) float64 {
 	switch r.Kind {
 	case SLOAvailability:
 		return gaugeValue(samples, "tinyleo_mpc_enforcement_ratio")
-	case SLODeficitSlots:
-		return gaugeValue(samples, "tinyleo_mpc_gateway_deficit_slots")
 	case SLODeficitRatio:
 		def := gaugeValue(samples, "tinyleo_mpc_gateway_deficit_slots")
 		inter := gaugeValue(samples, "tinyleo_mpc_inter_links")
@@ -308,10 +289,6 @@ func evalIndicator(r Rule, samples []obs.Sample, events []obs.Event) float64 {
 	case SLORepairP99:
 		return histQuantile(samples, "tinyleo_mpc_repair_stage_seconds",
 			map[string]string{"stage": "total"}, 0.99)
-	case SLOCompileP99:
-		return histQuantile(samples, "tinyleo_mpc_compile_seconds", nil, 0.99)
-	case SLOAckRTTP99:
-		return histQuantile(samples, "tinyleo_southbound_ack_rtt_seconds", nil, 0.99)
 	case SLODropRatio:
 		dropped := counterSum(samples, "tinyleo_dataplane_dropped_total")
 		ok := counterSum(samples, "tinyleo_dataplane_forwarded_total") +
@@ -320,22 +297,6 @@ func evalIndicator(r Rule, samples []obs.Sample, events []obs.Event) float64 {
 			return math.NaN()
 		}
 		return dropped / (dropped + ok)
-	case SLOFailureEvents:
-		window := r.WindowSeconds
-		if window <= 0 {
-			window = 60
-		}
-		if len(events) == 0 {
-			return 0
-		}
-		cutoff := events[len(events)-1].StartUS - int64(window*1e6)
-		n := 0
-		for i := range events {
-			if events[i].StartUS >= cutoff && isFailure(&events[i]) {
-				n++
-			}
-		}
-		return float64(n)
 	default: // SLOMetric
 		for _, s := range samples {
 			if s.Name != r.Metric {

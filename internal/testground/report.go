@@ -69,15 +69,15 @@ type RunReport struct {
 	WallElapsedMS float64 `json:"wall_elapsed_ms,omitempty"`
 }
 
-// Score judges the plan's SLO rules over the given samples and events
-// with flightrec.Score, filling SLO, SLOBreached, and Passed: a rule whose
+// Score judges the plan's SLO rules over the given samples with
+// flightrec.Score, filling SLO, SLOBreached, and Passed: a rule whose
 // series the run never produced fails.
-func (r *RunReport) Score(samples []obs.Sample, events []obs.Event) error {
+func (r *RunReport) Score(samples []obs.Sample) error {
 	rules, err := flightrec.ParseRules(r.Plan.SLO)
 	if err != nil {
 		return err
 	}
-	r.SLO, r.SLOBreached = flightrec.Score(rules, samples, events)
+	r.SLO, r.SLOBreached = flightrec.Score(rules, samples)
 	r.Passed = r.SLOBreached == 0
 	return nil
 }

@@ -21,7 +21,7 @@ func TestScore(t *testing.T) {
 		{Name: "tinyleo_fleet_reports_total", Kind: obs.KindCounter, Value: 40},
 		{Name: "tinyleo_fleet_agents_silent", Kind: obs.KindGauge, Value: 1},
 	}
-	if err := r.Score(samples, nil); err != nil {
+	if err := r.Score(samples); err != nil {
 		t.Fatalf("Score: %v", err)
 	}
 	if len(r.SLO) != 2 || r.SLOBreached != 1 || r.Passed {
@@ -46,7 +46,7 @@ func TestScoreFailsARuleItCannotObserve(t *testing.T) {
 		{Name: "tinyleo_fleet_agents", Kind: obs.KindGauge, Value: 3},
 		{Name: "tinyleo_fleet_agents_silent", Kind: obs.KindGauge, Value: 0},
 	}
-	if err := r.Score(samples, nil); err != nil {
+	if err := r.Score(samples); err != nil {
 		t.Fatalf("Score: %v", err)
 	}
 	if r.Passed || r.SLOBreached != 1 || r.SLO[0].Breached || !r.SLO[1].Breached || !math.IsNaN(r.SLO[1].Value) {
@@ -103,7 +103,7 @@ func TestInventory(t *testing.T) {
 // contract EXPERIMENTS.md documents and CI extracts.
 func TestReportJSONShape(t *testing.T) {
 	r := &RunReport{Plan: Manifest{Name: "shape"}.FillDefaults()}
-	if err := r.Score(nil, nil); err != nil {
+	if err := r.Score(nil); err != nil {
 		t.Fatalf("Score: %v", err)
 	}
 	buf, err := json.Marshal(r)

@@ -286,7 +286,7 @@ func RunExec(m *Manifest, cfg ExecConfig) (*RunReport, error) {
 
 	summary := fleet.Summarize(samples)
 	run := &RunReport{Plan: *m, Faults: faults, Fleet: &summary}
-	if err := run.Score(samples, nil); err != nil {
+	if err := run.Score(samples); err != nil {
 		return nil, err
 	}
 	if runErr != nil {
