@@ -123,8 +123,7 @@ var experimentTable = []experiment{
 		return nil
 	}},
 	{name: "fig16", run: func(e *env) error {
-		tabs, _, err := experiments.Figure16(e.scale)
-		return e.emitAll(tabs, err)
+		return e.emitAll(experiments.Figure16(e.scale))
 	}},
 	{name: "fig17", run: func(e *env) error {
 		return e.emitAll(experiments.Figure17(e.scale))

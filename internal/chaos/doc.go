@@ -24,9 +24,12 @@
 // NewTestbed builds the system under test — constellation, mesh intent,
 // controller, slot-0 snapshot, emulated network — and is the only place
 // this repository builds it: the figures of internal/experiments and the
-// bench/ ledger run on the same Testbed the campaigns do. BuildNetwork is
-// its snapshot→network step on its own; Testbed.GatewayOf and
-// Testbed.ProbeDelivers are the injection point and the delivery probe.
+// bench/ ledger run on the same Testbed the campaigns do. One step builds
+// a network from a snapshot (BuildNetwork) and moves a live one to the
+// next: Testbed.Advance compiles a later slot and applies its diff, link
+// delays following the clock, and Testbed.Snap is always the current
+// snapshot. Testbed.GatewayOf and Testbed.Probe are the injection point
+// and the delivery probe.
 //
 // Scenarios (one ordered table) and ScenarioByName enumerate the built-in
 // fault compositions; Campaign configures one seeded run (scenario,

@@ -137,7 +137,6 @@ type runner struct {
 	applied      map[int]*southbound.PeerSet
 
 	flows   []flow
-	snap    *mpc.Snapshot
 	impair  map[*netem.Link]*netem.Impairment
 	crashed map[int]bool
 	// prevUnreachable feeds last round's abandoned-command satellites into
@@ -179,7 +178,6 @@ func Run(c Campaign) (*Report, error) {
 		applied:       map[int]*southbound.PeerSet{},
 		impair:        map[*netem.Link]*netem.Impairment{},
 		crashed:       map[int]bool{},
-		snap:          tb.Snap,
 		report:        &Report{Scenario: c.Scenario.Name, Seed: c.Seed},
 	}
 	defer r.shutdown()
@@ -354,10 +352,12 @@ func (r *runner) pickFlows() error {
 				continue
 			}
 			gw, ok := r.tb.GatewayOf(src)
-			if !ok || !r.tb.ProbeDelivers(gw, route.Cells) {
+			if !ok {
 				continue
 			}
-			r.flows = append(r.flows, flow{src: src, dst: dst, route: route.Cells, gw: gw})
+			if p, _ := r.tb.Probe(gw, route.Cells); p != nil {
+				r.flows = append(r.flows, flow{src: src, dst: dst, route: route.Cells, gw: gw})
+			}
 		}
 	}
 	if len(r.flows) == 0 {
@@ -427,9 +427,9 @@ func (r *runner) runRound(round int) error {
 	failedSats := append(append([]int{}, crashedNow...), r.prevUnreachable...)
 	sort.Ints(failedSats)
 	wall := time.Now()
-	newSnap, rstats := r.tb.Ctl.Repair(r.snap, failedLinks, failedSats, campaignRepairRTT)
+	newSnap, rstats := r.tb.Ctl.Repair(r.tb.Snap, failedLinks, failedSats, campaignRepairRTT)
 	r.report.WallRepairMs = append(r.report.WallRepairMs, float64(time.Since(wall).Microseconds())/1000)
-	added, removed := mpc.DiffLinks(r.snap, newSnap)
+	added, removed := mpc.DiffLinks(r.tb.Snap, newSnap)
 	rr.LinksAdded, rr.LinksRemoved, rr.Unrepaired = len(added), len(removed), rstats.Unrepaired
 	r.event("repair",
 		"failed_links", fmt.Sprint(len(failedLinks)),
@@ -447,7 +447,6 @@ func (r *runner) runRound(round int) error {
 	if err := r.checkConverged(); err != nil {
 		return err
 	}
-	r.snap = newSnap
 
 	// Phase 5: apply acknowledged changes to the live network and flush
 	// §4.3's repair buffers.
@@ -522,7 +521,7 @@ func (r *runner) flushFleet() error {
 // network, in deterministic order: the isl_down / flap_storm target pool.
 func (r *runner) upInterLinks() []mpc.Link {
 	var out []mpc.Link
-	for _, l := range r.snap.InterLinks {
+	for _, l := range r.tb.Snap.InterLinks {
 		if nl := r.tb.Net.Link(l[0], l[1]); nl != nil && nl.IsUp() {
 			out = append(out, l)
 		}

@@ -104,7 +104,8 @@ func TestTestbedIsPinned(t *testing.T) {
 }
 
 // liveFingerprint renders the part of a live network a fresh build can be
-// compared on: the given satellites' home cell, ring successor and up peers.
+// compared on: the given satellites' home cell, ring successor, and up peers
+// with the bits of each up link's delay.
 func liveFingerprint(n *dataplane.Network, ids []int) string {
 	var b strings.Builder
 	for _, id := range ids {
@@ -113,10 +114,10 @@ func liveFingerprint(n *dataplane.Network, ids []int) string {
 			fmt.Fprintf(&b, "sat %d missing\n", id)
 			continue
 		}
-		var up []int
+		var up []string
 		for _, p := range s.Peers() {
-			if n.Link(id, p).IsUp() {
-				up = append(up, p)
+			if l := n.Link(id, p); l.IsUp() {
+				up = append(up, fmt.Sprintf("%d:%x", p, math.Float64bits(l.Delay)))
 			}
 		}
 		fmt.Fprintf(&b, "sat %d cell %d ring %d up %v\n", id, s.Cell, s.RingNext, up)
@@ -136,12 +137,15 @@ func TestTestbedRejectsBadSlotSeconds(t *testing.T) {
 	}
 }
 
-// Applying a repair's link diff to the live network the engine's way and
-// building a network from the repaired snapshot are two routes to one
-// state. Before the testbed owned the home-cell rule, the engine homed a
-// repair-introduced gateway to its lowest-numbered covered cell (13 of 14
-// replacements at 256 satellites), so anycast never used the replacement
-// link the campaign then scored.
+// Applying a repair's link diff to the live network the engine's way,
+// advancing the testbed to a later slot, and building a network from the
+// resulting snapshot are routes to one state: the same up links with the
+// same delays, gateway homes and ring pointers. Before the testbed owned the
+// home-cell rule, the engine homed a repair-introduced gateway to its
+// lowest-numbered covered cell (13 of 14 replacements at 256 satellites), so
+// anycast never used the replacement link the campaign then scored; before
+// one step built and changed the network, a link kept the delay of the slot
+// that created it.
 func TestIncrementalApplyMatchesFullBuild(t *testing.T) {
 	for _, sats := range []int{256, 529} {
 		tb, err := NewTestbed(TestbedConfig{Sats: sats})
@@ -149,33 +153,16 @@ func TestIncrementalApplyMatchesFullBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(int64(sats)))
-		snap := tb.Snap
-		introduced, rehomed := 0, 0
-		for round := 0; round < 20; round++ {
-			var failed []mpc.Link
-			for _, i := range rng.Perm(len(snap.InterLinks))[:max(1, len(snap.InterLinks)/10)] {
-				l := snap.InterLinks[i]
-				tb.Net.Link(l[0], l[1]).Down()
-				failed = append(failed, l)
-			}
-			next, _ := tb.Ctl.Repair(snap, failed, nil, 0)
-			added, removed := mpc.DiffLinks(snap, next)
-			// Both-endpoint addressing, every agent alive and acknowledging.
-			acked := map[int]bool{}
-			for _, b := range mpc.BatchBySatellite(added, removed) {
-				acked[b.Sat] = true
-			}
-			before := map[int]int{}
-			for id, s := range tb.Net.Sats {
-				before[id] = s.Cell
-			}
-			tb.apply(next, added, removed, acked)
-
-			fresh := BuildNetwork(next, tb.Sats, tb.Cfg.ISLRateBps, tb.Cfg.QueueLimit)
+		introduced, rehomed, advanced := 0, 0, 0
+		// check compares the live network with a fresh build of tb.Snap;
+		// before holds every satellite's home cell ahead of the change.
+		check := func(what string, before map[int]int) {
+			t.Helper()
+			fresh := BuildNetwork(tb.Snap, tb.Sats, tb.Cfg.ISLRateBps, tb.Cfg.QueueLimit)
 			ids := sortedSats(fresh)
 			if got, want := liveFingerprint(tb.Net, ids), liveFingerprint(fresh, ids); got != want {
-				t.Fatalf("%d satellites, round %d: live network differs from a fresh build\n--- live\n%s--- fresh\n%s",
-					sats, round, got, want)
+				t.Fatalf("%d satellites, %s: live network differs from a fresh build\n--- live\n%s--- fresh\n%s",
+					sats, what, got, want)
 			}
 			for _, id := range sortedSats(tb.Net) {
 				s := tb.Net.Sats[id]
@@ -190,15 +177,51 @@ func TestIncrementalApplyMatchesFullBuild(t *testing.T) {
 				// A satellite the snapshot no longer lists holds no duty: no
 				// up link, no ring pointer.
 				if fp := liveFingerprint(tb.Net, []int{id}); !strings.HasSuffix(fp, "ring -1 up []\n") {
-					t.Fatalf("%d satellites, round %d: retired gateway still wired: %s", sats, round, fp)
+					t.Fatalf("%d satellites, %s: retired gateway still wired: %s", sats, what, fp)
 				}
 			}
-			snap = next
 		}
-		if introduced == 0 {
-			t.Errorf("%d satellites: no repair introduced a gateway; the property was not exercised", sats)
+		homes := func() map[int]int {
+			before := map[int]int{}
+			for id, s := range tb.Net.Sats {
+				before[id] = s.Cell
+			}
+			return before
 		}
-		t.Logf("%d satellites: %d gateways introduced, %d re-homed over 20 repairs", sats, introduced, rehomed)
+		for round := 0; round < 20; round++ {
+			snap := tb.Snap
+			var failed []mpc.Link
+			for _, i := range rng.Perm(len(snap.InterLinks))[:max(1, len(snap.InterLinks)/10)] {
+				l := snap.InterLinks[i]
+				tb.Net.Link(l[0], l[1]).Down()
+				failed = append(failed, l)
+			}
+			next, _ := tb.Ctl.Repair(snap, failed, nil, 0)
+			added, removed := mpc.DiffLinks(snap, next)
+			// Both-endpoint addressing, every agent alive and acknowledging.
+			acked := map[int]bool{}
+			for _, b := range mpc.BatchBySatellite(added, removed) {
+				acked[b.Sat] = true
+			}
+			before := homes()
+			tb.apply(next, added, removed, acked)
+			check(fmt.Sprintf("repair %d", round), before)
+
+			// Every other round the clock moves one slot: links come and go,
+			// and every link that stays up changes its delay.
+			if round%2 == 1 {
+				before := homes()
+				added, removed := tb.Advance(tb.Snap.Time + tb.Cfg.SlotSeconds)
+				advanced += len(added) + len(removed)
+				check(fmt.Sprintf("slot at t=%g s", tb.Snap.Time), before)
+			}
+		}
+		if introduced == 0 || advanced == 0 {
+			t.Errorf("%d satellites: %d gateways introduced, %d links changed by Advance; the property was not exercised",
+				sats, introduced, advanced)
+		}
+		t.Logf("%d satellites: %d gateways introduced, %d re-homed, %d links changed over 20 repairs and 10 slots",
+			sats, introduced, rehomed, advanced)
 	}
 }
 

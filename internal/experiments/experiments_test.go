@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -243,16 +245,29 @@ func TestFigure15e(t *testing.T) {
 }
 
 func TestFigure16(t *testing.T) {
-	tabs, snaps, err := Figure16(Small)
+	tabs, err := Figure16(Small)
 	if err != nil {
 		t.Fatal(err)
 	}
 	renderAll(t, tabs...)
-	if len(snaps) != Small.ControlSlots {
-		t.Errorf("snapshots = %d", len(snaps))
+	tab := tabs[1]
+	if tab.NumRows() != Small.ControlSlots {
+		t.Errorf("rows = %d, want one per slot (%d)", tab.NumRows(), Small.ControlSlots)
 	}
-	added, removed := ISLChurnSummary(snaps)
-	if added+removed == 0 {
+	// Minute 0 counts the whole snapshot; every later row is one slot's diff.
+	var sb strings.Builder
+	tab.RenderCSV(&sb)
+	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
+	col := slices.Index(strings.Split(lines[0], ","), "ISL changes vs prev")
+	churn := 0
+	for _, ln := range lines[2:] {
+		n, err := strconv.Atoi(strings.Split(ln, ",")[col])
+		if err != nil {
+			t.Fatalf("row %q: %v", ln, err)
+		}
+		churn += n
+	}
+	if churn == 0 {
 		t.Error("topology never changed across slots; LEO dynamics missing")
 	}
 }

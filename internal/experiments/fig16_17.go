@@ -13,30 +13,31 @@ import (
 
 // Figure16 demonstrates dynamic enforcement of a fixed geographic intent:
 // the intent never changes while the compiled satellite topology evolves.
-func Figure16(scale Scale) ([]*metrics.Table, []*mpc.Snapshot, error) {
+// Minute 0 counts every link of the testbed's snapshot as a change; each
+// later slot is one Testbed.Advance.
+func Figure16(scale Scale) ([]*metrics.Table, error) {
 	tb, err := newTestbed(scale)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	ctl := tb.Ctl
 	tab := metrics.NewTable("Figure 16: dynamic enforcement of a fixed geographic intent",
 		"minute", "inter-cell ISLs", "ring ISLs", "enforcement", "ISL changes vs prev")
-	var snaps []*mpc.Snapshot
-	var prev *mpc.Snapshot
 	for s := 0; s < scale.ControlSlots; s++ {
 		t := float64(s) * scale.ControlDt
-		snap := ctl.Compile(t)
-		added, removed := mpc.DiffLinks(prev, snap)
-		tab.AddRow(int(t/60), len(snap.InterLinks), len(snap.RingLinks),
-			fmt.Sprintf("%.3f", ctl.EnforcementRatio(snap)), len(added)+len(removed))
-		snaps = append(snaps, snap)
-		prev = snap
+		var added, removed []mpc.Link
+		if s == 0 {
+			added, removed = mpc.DiffLinks(nil, tb.Snap)
+		} else {
+			added, removed = tb.Advance(t)
+		}
+		tab.AddRow(int(t/60), len(tb.Snap.InterLinks), len(tb.Snap.RingLinks),
+			fmt.Sprintf("%.3f", tb.Ctl.EnforcementRatio(tb.Snap)), len(added)+len(removed))
 	}
 	meta := metrics.NewTable("Figure 16 (context)", "metric", "value")
 	meta.AddRow("intent cells (fixed over the run)", len(tb.Topo.Cells()))
 	meta.AddRow("intent edges (fixed over the run)", len(tb.Topo.Edges))
 	meta.AddRow("satellites", len(tb.Sats))
-	return []*metrics.Table{meta, tab}, snaps, nil
+	return []*metrics.Table{meta, tab}, nil
 }
 
 // Figure17 compares control-plane signaling: TinyLEO's MPC (topology-only
@@ -47,12 +48,11 @@ func Figure17(scale Scale) ([]*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	sats, ctl := tb.Sats, tb.Ctl
-	plain, err := tssdn.New(tssdn.Config{Sats: sats})
+	plain, err := tssdn.New(tssdn.Config{Sats: tb.Sats})
 	if err != nil {
 		return nil, err
 	}
-	ra, err := tssdn.New(tssdn.Config{Sats: sats, RouteAggregation: true})
+	ra, err := tssdn.New(tssdn.Config{Sats: tb.Sats, RouteAggregation: true})
 	if err != nil {
 		return nil, err
 	}
@@ -61,15 +61,17 @@ func Figure17(scale Scale) ([]*metrics.Table, error) {
 		"minute", "TS-SDN route updates", "TS-SDN+RA route updates", "TinyLEO route updates",
 		"TS-SDN msgs", "TS-SDN+RA msgs", "TinyLEO msgs", "TinyLEO bytes")
 	var totPlain, totRA, totTiny int64
-	var prev *mpc.Snapshot
 	for s := 0; s < scale.ControlSlots; s++ {
 		t := float64(s) * scale.ControlDt
 		ps := plain.Step(t)
 		rs := ra.Step(t)
-		snap := ctl.Compile(t)
-		added, removed := mpc.DiffLinks(prev, snap)
+		var added, removed []mpc.Link
+		if s == 0 {
+			added, removed = mpc.DiffLinks(nil, tb.Snap)
+		} else {
+			added, removed = tb.Advance(t)
+		}
 		tinyMsgs, tinyBytes := slotDeltaFrames(added, removed)
-		prev = snap
 		perSlot.AddRow(int(t/60), ps.RouteUpdates, rs.RouteUpdates, 0,
 			ps.Messages, rs.Messages, tinyMsgs, tinyBytes)
 		totPlain += ps.Messages

@@ -34,7 +34,7 @@ func findWorkingRoute(tb *chaos.Testbed, minHops int) (int, int, intent.Route, b
 				continue
 			}
 			if !found || len(r.Cells) > len(best.r.Cells) {
-				if gw, ok := tb.GatewayOf(src); ok && tb.ProbeDelivers(gw, r.Cells) {
+				if p, _ := sendOnce(tb, src, r); p != nil {
 					best = candidate{src, dst, r}
 					found = true
 				}
@@ -131,26 +131,14 @@ func routeEnforced(tb *chaos.Testbed, r intent.Route) bool {
 	return true
 }
 
-// sendOnce injects one 256 B geo-segment packet along r at srcCell's
-// gateway and returns it with its one-way delay, or nil if undelivered.
+// sendOnce probes r from srcCell's gateway (Testbed.Probe): the delivered
+// packet and its one-way delay, or nil.
 func sendOnce(tb *chaos.Testbed, srcCell int, r intent.Route) (*dataplane.Packet, float64) {
 	gw, ok := tb.GatewayOf(srcCell)
 	if !ok {
 		return nil, 0
 	}
-	p, err := dataplane.NewGeoPacket(uint32(gw), r.Cells, 1, 1, make([]byte, 256))
-	if err != nil {
-		return nil, 0
-	}
-	var got *dataplane.Packet
-	var delay float64
-	tb.Net.OnDeliver = func(_ *dataplane.Satellite, q *dataplane.Packet) {
-		got, delay = q, tb.Net.Sim.Now()-q.SentAt
-	}
-	tb.Net.Inject(gw, p)
-	tb.Net.Sim.Run(tb.Net.Sim.Now() + 5)
-	tb.Net.OnDeliver = nil
-	return got, delay
+	return tb.Probe(gw, r.Cells)
 }
 
 // Figure19a compares routing stretch: TinyLEO's sparse network versus a
@@ -284,7 +272,7 @@ func Figure19bcd(scale Scale) ([]*metrics.Table, error) {
 		return nil, fmt.Errorf("experiments: no deliverable route")
 	}
 
-	// --- 19b: ping RTT over 100 s (modeled as 2× one-way delay, SRv6
+	// --- 19b: ping RTT over 20 s (modeled as 2× one-way delay, SRv6
 	// geo packets vs legacy IPv6 routing tables over the same path).
 	rttTab := metrics.NewTable("Figure 19b: end-to-end RTT over the route",
 		"second", "TinyLEO SRv6 RTT (ms)", "legacy IPv6 RTT (ms)")
@@ -408,32 +396,20 @@ func figure19d(scale Scale) (*metrics.Table, error) {
 		if legacy {
 			legacyDst = installLegacyRoute(tb2, src, route)
 		}
+		// The probe finds the first-hop link the flow uses; its failure is
+		// scheduled below.
+		probe, _ := tb2.Probe(gw2, route.Cells)
+		if probe == nil || len(probe.HopTrace) < 2 {
+			return 0, fmt.Errorf("experiments: 19d probe (legacy=%v) not delivered", legacy)
+		}
+		link := tb2.Net.Link(probe.HopTrace[0], probe.HopTrace[1])
 		var deliveries []float64
 		tb2.Net.OnDeliver = func(s *dataplane.Satellite, p *dataplane.Packet) {
 			deliveries = append(deliveries, tb2.Net.Sim.Now())
 		}
-		// Find the first-hop link the flow uses and schedule its failure.
-		probe, _ := dataplane.NewGeoPacket(uint32(gw2), route.Cells, 5, 0, nil)
-		var firstHop [2]int
-		tb2.Net.OnDrop = nil
-		saveDeliver := tb2.Net.OnDeliver
-		tb2.Net.OnDeliver = func(s *dataplane.Satellite, p *dataplane.Packet) {
-			if len(p.HopTrace) >= 2 {
-				firstHop = [2]int{p.HopTrace[0], p.HopTrace[1]}
-			}
-			saveDeliver(s, p)
-		}
-		tb2.Net.Inject(gw2, probe)
-		tb2.Net.Sim.Run(tb2.Net.Sim.Now() + 5)
-		deliveries = nil
-		tb2.Net.OnDeliver = saveDeliver
 
 		start := tb2.Net.Sim.Now()
 		failAt := start + 0.050
-		link := tb2.Net.Link(firstHop[0], firstHop[1])
-		if link == nil {
-			return 0, fmt.Errorf("experiments: first-hop link not found")
-		}
 		tb2.Net.Sim.Schedule(failAt-start, func() { link.Down() })
 		if legacy {
 			// Control-plane repair: after the Figure-17d RTT the table is

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/metrics"
-	"repro/internal/mpc"
 	"repro/internal/orbit"
 	"repro/internal/routing"
 )
@@ -75,16 +74,4 @@ func samplePairs(rng *rand.Rand, n, k int) [][2]int {
 		}
 	}
 	return pairs
-}
-
-// ISLChurnSummary compares per-slot ISL-set stability between a
-// non-uniform MPC-compiled topology and a uniform-network topology
-// (supporting data for Figure 9/17 discussion).
-func ISLChurnSummary(snapshots []*mpc.Snapshot) (added, removed int) {
-	for i := 1; i < len(snapshots); i++ {
-		a, r := mpc.DiffLinks(snapshots[i-1], snapshots[i])
-		added += len(a)
-		removed += len(r)
-	}
-	return
 }
