@@ -405,8 +405,14 @@ func TestEnsureLinkKeepsNeighbourTableSorted(t *testing.T) {
 		t.Errorf("the new ISL is not filed at both ends")
 	}
 	l.Down()
-	if again := n.EnsureLink(4, 0, 0.005); again != l || !l.IsUp() || len(n.Links()) != 5 {
+	if again := n.EnsureLink(4, 0, 0.007); again != l || !l.IsUp() || len(n.Links()) != 5 {
 		t.Errorf("EnsureLink on an existing pair: same link %v, up %v, %d links", again == l, l.IsUp(), len(n.Links()))
+	}
+	if l.Delay != 0.007 {
+		t.Errorf("a re-raised link keeps delay %v, want the new 0.007", l.Delay)
+	}
+	if n.EnsureLink(0, 4, 0.009); l.Delay != 0.007 {
+		t.Errorf("EnsureLink changed an up link's delay to %v", l.Delay)
 	}
 	for _, id := range []int{3, 4, 5, 7, 9} {
 		if got := n.Link(0, id); got == nil || got.Peer(0) != id {

@@ -77,13 +77,16 @@ func (n *Network) Connect(a, b int, delay float64) *netem.Link {
 	return l
 }
 
-// EnsureLink returns the ISL between a and b, creating it (with the given
-// propagation delay) if absent and re-raising it if administratively down.
-// Control-plane repair uses it to apply topology diffs onto a live network
-// without rebuilding it (which would reset link statistics).
+// EnsureLink returns the ISL between a and b, creating it with the given
+// propagation delay if absent and re-raising it with that delay if
+// administratively down (the delay it went down with is stale). An up link
+// keeps its delay. Control-plane repair uses it to apply topology diffs
+// onto a live network without rebuilding it (which would reset link
+// statistics).
 func (n *Network) EnsureLink(a, b int, delay float64) *netem.Link {
 	if l := n.Link(a, b); l != nil {
 		if !l.IsUp() {
+			l.Delay = delay
 			l.Up()
 		}
 		return l
