@@ -17,15 +17,22 @@
 //  3. an ordered mutation of outer state (Add*/Set*/Push*/Insert*/
 //     Register*/Enqueue*/Connect* methods on an object declared outside
 //     the loop) with arguments derived from the iteration — first-wins
-//     and last-wins registrations depend on encounter order.
+//     and last-wins registrations depend on encounter order;
+//  4. a floating-point `+=` or `-=` into a variable declared outside the
+//     loop, of a value derived from the iteration: float addition is not
+//     associative, so the sum's last bits — and any comparison or tie
+//     they decide — follow the iteration order (per-key accumulators like
+//     sum[k] += v are exempt, as in rule 1).
 //
 // Fix by sorting: collect the keys, sort them, then iterate the sorted
-// slice. Where order provably cannot matter, annotate the line with
+// slice (or keep the values in a slice to begin with). Where order
+// provably cannot matter, annotate the line with
 // //lint:tinyleo-ignore <reason>.
 package maporder
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 
@@ -111,6 +118,10 @@ func hasNamedVar(rng *ast.RangeStmt) bool {
 func checkMapRange(pass *analysis.Pass, fn *ast.FuncDecl, rng *ast.RangeStmt) {
 	rangeLine := pass.Fset.Position(rng.Pos()).Line
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
+		if as, ok := n.(*ast.AssignStmt); ok {
+			checkFloatAccumulate(pass, as, rng, rangeLine)
+			return true
+		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -174,6 +185,32 @@ func checkMapRange(pass *analysis.Pass, fn *ast.FuncDecl, rng *ast.RangeStmt) {
 		}
 		return true
 	})
+}
+
+// checkFloatAccumulate applies rule 4 to one assignment inside the range.
+func checkFloatAccumulate(pass *analysis.Pass, as *ast.AssignStmt, rng *ast.RangeStmt, rangeLine int) {
+	if (as.Tok != token.ADD_ASSIGN && as.Tok != token.SUB_ASSIGN) || len(as.Lhs) != 1 {
+		return
+	}
+	target := as.Lhs[0]
+	tv, ok := pass.TypesInfo.Types[target]
+	if !ok || tv.Type == nil {
+		return
+	}
+	if b, ok := tv.Type.Underlying().(*types.Basic); !ok || b.Info()&types.IsFloat == 0 {
+		return
+	}
+	root := rootIdent(target)
+	if root == nil || !declaredOutside(pass, root, rng) || indexedByLoopVar(pass, target, rng) {
+		return
+	}
+	if !derivesFromLoop(pass, as.Rhs[0], rng) {
+		return
+	}
+	pass.Reportf(as.Pos(),
+		"float %s into %q inside map range (line %d): the sum's last bits follow iteration order; "+
+			"sum over sorted keys or a slice instead",
+		as.Tok, exprString(target), rangeLine)
 }
 
 // isBuiltinAppend reports whether call invokes the append builtin.

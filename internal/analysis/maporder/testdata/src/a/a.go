@@ -66,6 +66,27 @@ func mutate(r *registry, m map[int]int) {
 	}
 }
 
+func floatSum(m map[int]float64) float64 {
+	sum := 0.0
+	for _, v := range m {
+		sum += v // want `float \+= into "sum" inside map range`
+	}
+	return sum
+}
+
+func floatSumsPerKeyOrInts(m map[int]float64, n map[int]int) (map[int]float64, int) {
+	out := map[int]float64{}
+	for k, v := range m {
+		out[k] += v
+		out[k] -= v / 2
+	}
+	total := 0
+	for _, v := range n {
+		total += v
+	}
+	return out, total
+}
+
 func ignored(m map[int]int) []int {
 	var out []int
 	for k := range m {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -316,6 +317,46 @@ func TestMegaReduceShellsShrinksWithSlack(t *testing.T) {
 	// Independent availability check of the surviving constellation.
 	if a := Availability(Supply(cfg, res.Remaining), dem.Y); a < 0.8-1e-9 {
 		t.Errorf("independent availability %v below target", a)
+	}
+}
+
+// MegaReduceShells gives the same result on every run. It used to sum a
+// move's effect in map order, so the last bits of a candidate's satisfied
+// demand, and with them a tie between planes, could change from run to run.
+// Shell "a2" repeats "a", so each of its planes ties exactly with one of a's.
+func TestMegaReduceShellsIsDeterministic(t *testing.T) {
+	cfg := SupplyConfig{Grid: geo.MustGrid(10), Slots: 4, SlotSeconds: 900, SubSamples: 3}
+	cfg.fillDefaults()
+	shells := []Shell{
+		{"a", WalkerConfig{53, 550, 6, 6, 1}},
+		{"b", WalkerConfig{85, 560, 3, 4, 1}},
+		{"a2", WalkerConfig{53, 550, 6, 6, 1}},
+	}
+	sup := Supply(cfg, ShellSatellites(shells))
+	y := make([]float64, len(sup))
+	for i := range y {
+		y[i] = 0.6 * sup[i]
+	}
+	run := func() *ShellReduceResult {
+		res, err := MegaReduceShells(ShellReduceConfig{Supply: cfg, Demand: y, Epsilon: 0.9, Shells: shells})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	first := run()
+	if first.Steps == 0 {
+		t.Fatal("no move accepted: the test needs some")
+	}
+	for i := 1; i < 5; i++ {
+		got := run()
+		if got.Satellites != first.Satellites || got.Steps != first.Steps ||
+			math.Float64bits(got.Availability) != math.Float64bits(first.Availability) ||
+			!slices.Equal(got.PerShell, first.PerShell) {
+			t.Fatalf("run %d: %d satellites %v after %d steps at availability %v; run 0: %d %v after %d at %v",
+				i, got.Satellites, got.PerShell, got.Steps, got.Availability,
+				first.Satellites, first.PerShell, first.Steps, first.Availability)
+		}
 	}
 }
 

@@ -112,22 +112,29 @@ func MegaReduceShells(cfg ShellReduceConfig) (*ShellReduceResult, error) {
 	aliveCount := len(sats)
 
 	// satisfiedAfterRemoval computes the satisfied demand if `group` were
-	// removed, without mutating state.
+	// removed, without mutating state. It sums over the indices in the order
+	// the group first touches them, so the result is the same on every run.
+	// A zero share can list an index twice; its second visit adds 0.
+	delta := make([]float64, len(cfg.Demand))
+	var touched []int32
 	satisfiedAfterRemoval := func(group []int) float64 {
 		// Aggregate the group's removal per index first (group members can
 		// overlap in coverage).
-		delta := map[int]float64{}
 		for _, s := range group {
 			r := rows[s]
 			for i, idx := range r.idx {
-				delta[int(idx)] += r.val[i]
+				if delta[idx] == 0 {
+					touched = append(touched, idx)
+				}
+				delta[idx] += r.val[i]
 			}
 		}
 		sat := curSat
-		for idx, d := range delta {
+		for _, idx := range touched {
 			y := cfg.Demand[idx]
 			before := supply[idx]
-			after := before - d
+			after := before - delta[idx]
+			delta[idx] = 0
 			ob, oa := before, after
 			if ob > y {
 				ob = y
@@ -137,6 +144,7 @@ func MegaReduceShells(cfg ShellReduceConfig) (*ShellReduceResult, error) {
 			}
 			sat += oa - ob
 		}
+		touched = touched[:0]
 		return sat
 	}
 	remove := func(group []int) {
@@ -153,13 +161,28 @@ func MegaReduceShells(cfg ShellReduceConfig) (*ShellReduceResult, error) {
 		}
 		curSat = satisfied()
 	}
-	planeMembers := func(shell, plane int) []int {
-		var g []int
-		for s, m := range meta {
-			if alive[s] && m.shell == shell && m.plane == plane {
+	// planes[first[si]+p] lists the satellites of shell si's plane p in
+	// index order; planeMembers drops the removed ones from it as it goes.
+	first := make([]int, len(cfg.Shells)+1)
+	for si, sh := range cfg.Shells {
+		first[si+1] = first[si] + sh.Config.Planes
+	}
+	planes := make([][]int, first[len(cfg.Shells)])
+	for s, m := range meta {
+		k := first[m.shell] + m.plane
+		planes[k] = append(planes[k], s)
+	}
+	// planeMembers returns the alive satellites of shell si's plane p. The
+	// slice is valid until the next remove.
+	planeMembers := func(si, p int) []int {
+		k := first[si] + p
+		g := planes[k][:0]
+		for _, s := range planes[k] {
+			if alive[s] {
 				g = append(g, s)
 			}
 		}
+		planes[k] = g
 		return g
 	}
 

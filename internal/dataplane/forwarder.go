@@ -111,8 +111,8 @@ type Router interface {
 //
 //tinyleo:hotpath
 func (s *Satellite) Receive(p *Packet) {
-	if p.HopTrace == nil { // one allocation for most traces, not one per doubling
-		p.HopTrace = make([]int, 0, hopTraceCap)
+	if len(p.HopTrace) == cap(p.HopTrace) {
+		s.net.traces.grow(p)
 	}
 	p.HopTrace = append(p.HopTrace, s.ID)
 	s.forward(p)
@@ -133,7 +133,7 @@ func (s *Satellite) forward(p *Packet) {
 		if s.net.OnDeliver != nil {
 			s.net.OnDeliver(s, p)
 		}
-		p.release()
+		s.net.recycle(p)
 		return
 	case Drop:
 		s.drop(p, d.Reason)
@@ -249,7 +249,7 @@ func (s *Satellite) send(peer int, p *Packet) {
 	dpForwarded.Inc()
 }
 
-// drop accounts a dropped packet, notifies hooks and releases it.
+// drop accounts a dropped packet, notifies hooks and recycles it.
 //
 //tinyleo:hotpath
 func (s *Satellite) drop(p *Packet, reason string) {
@@ -267,7 +267,7 @@ func (s *Satellite) drop(p *Packet, reason string) {
 	if s.net.OnDrop != nil {
 		s.net.OnDrop(s, p, reason)
 	}
-	p.release()
+	s.net.recycle(p)
 }
 
 // emitEvent records a flight-recorder event for this satellite. Call sites

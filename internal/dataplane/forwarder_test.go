@@ -678,9 +678,10 @@ func TestIngressAllocationBudget(t *testing.T) {
 
 // TestTerminalAllocationBudget: the ledger's whole per-packet path once warm
 // — NewGeoPacket, Encode, Decode, inject, forward over chainNet's three hops,
-// deliver — allocates one object, NewGeoPacket's packet. Encode fills the
-// frame the last delivery gave back, Decode takes that frame over and draws
-// its packet from the pool.
+// deliver — allocates one 48-byte object, the segment box of NewGeoPacket's
+// packet. The packet itself stays on terminal's stack; Encode fills the frame
+// the last delivery gave back, Decode takes that frame over and draws its
+// packet from the pool.
 func TestTerminalAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled packets on purpose")
@@ -710,10 +711,81 @@ func TestTerminalAllocationBudget(t *testing.T) {
 		n.Inject(0, q)
 		n.Sim.Run(n.Sim.Now() + 1)
 	}
-	if got := testing.AllocsPerRun(100, terminal); got != 1 {
-		t.Errorf("a warm NewGeoPacket → Encode → Decode → inject → delivery allocates %v objects, budget 1", got)
+	if objects, bytes := allocsPerRun(100, terminal); objects > 1 || bytes > 48 {
+		t.Errorf("a warm NewGeoPacket → Encode → Decode → inject → delivery allocates %v objects, %v B, budget 1, 48 B", objects, bytes)
 	}
 	if delivered != 101 {
 		t.Errorf("delivered %d of 101 along 0 → 2 → 4", delivered)
+	}
+}
+
+// ringNet is cell 10's gateway ring 0 → 1 → … → 10 → 0, of which only
+// satellite 10 holds an ISL to cell 20 (satellite 11): a route of one segment
+// takes twelve hops, past a hop trace's first capacity.
+func ringNet() *Network {
+	n := NewNetwork()
+	ring := make([]int, 11)
+	for id := range ring {
+		ring[id] = id
+		n.AddSatellite(id, 10)
+	}
+	n.AddSatellite(11, 20)
+	for id := range ring {
+		n.Connect(id, (id+1)%len(ring), 0.001)
+	}
+	n.Connect(10, 11, 0.005)
+	n.SetRing(ring)
+	return n
+}
+
+// TestLongRouteAllocatesNothing: a decoded packet whose hop trace outgrows
+// its first capacity — delivered after twelve hops, or dropped at its hop
+// limit after ten — allocates nothing once warm: its trace grows into
+// storage from the network's free lists, and its delivery or drop returns it.
+func TestLongRouteAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled packets on purpose")
+	}
+	for _, tc := range []struct {
+		name     string
+		hopLimit uint8
+		trace    int
+		reason   string
+	}{
+		{"delivery", 64, 12, ""},
+		{"hop-limit drop", 9, 10, "hop limit"},
+	} {
+		n := ringNet()
+		var outcomes []string
+		note := func(s *Satellite, p *Packet, reason string) {
+			if want := tc.trace; len(p.HopTrace) != want || p.HopTrace[want-1] != s.ID || reason != tc.reason {
+				outcomes = append(outcomes, fmt.Sprintf("at %d for %q along %v", s.ID, reason, p.HopTrace))
+			}
+		}
+		n.OnDeliver = func(s *Satellite, p *Packet) { note(s, p, "") }
+		n.OnDrop = note
+		p, err := NewGeoPacket(99, []int{20}, 1, 0, []byte("payload"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Base.HopLimit = tc.hopLimit
+		wire, err := p.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ingress := func() {
+			q, err := Decode(wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.Inject(0, q)
+			n.Sim.Run(n.Sim.Now() + 1)
+		}
+		if got := testing.AllocsPerRun(100, ingress); got != 0 {
+			t.Errorf("%s: a warm decoded packet's %d hops allocate %v objects, budget 0", tc.name, tc.trace, got)
+		}
+		if len(outcomes) > 0 {
+			t.Errorf("%s: %d packets ended otherwise, the first %s", tc.name, len(outcomes), outcomes[0])
+		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"unsafe"
 )
 
 // Header type identifiers (the NextHeader byte).
@@ -187,9 +188,9 @@ func (g *GeoSegmentHeader) Advance() {
 //
 // A packet from NewGeoPacket belongs to its caller, who may read it after
 // delivery. A packet from Decode belongs to the network once injected: the
-// forwarder recycles it, and the frame its Payload lies in, when its delivery
-// or drop hook returns, so a hook that keeps anything of it (HopTrace,
-// Payload, the packet itself) copies it.
+// forwarder recycles it, its hop trace and the frame its Payload lies in when
+// its delivery or drop hook returns, so a hook that keeps anything of it
+// (HopTrace, Payload, the packet itself) copies it.
 type Packet struct {
 	Base    BaseHeader
 	Geo     *GeoSegmentHeader // nil when the wire form carried no segment list
@@ -205,19 +206,14 @@ type Packet struct {
 	ringLeft uint8
 	// pooled marks a packet Decode drew from packetPool, for release, and
 	// frame names the registry frame its Payload lies in (0 = none). They sit
-	// in ringLeft's padding: a Packet stays in the 144-byte size class.
+	// in ringLeft's padding: a Packet stays in the 96-byte size class.
 	pooled bool
 	frame  frameNo
-
-	// What NewGeoPacket and Decode point Geo at, and a route's list up to
-	// inlineSegments cells: one allocation in all (so never copy a Packet).
-	geo  GeoSegmentHeader
-	segs [inlineSegments]uint16
 }
 
 const (
 	// inlineSegments covers every route the figures and the ledger forward
-	// (6 cells at most) within the 144-byte size class.
+	// (6 cells at most) within a 48-byte geoBox.
 	inlineSegments = 8
 	// hopTraceCap is HopTrace's first capacity (the ledger's mean is 7.6 hops).
 	hopTraceCap = 8
@@ -225,14 +221,38 @@ const (
 	maxPayload = math.MaxUint16
 )
 
+// geoBox is what a packet's Geo points to: the segment header and a route's
+// list up to inlineSegments cells, one 48-byte object outside the packet. A
+// packet that points into itself always lives on the heap; one that points
+// here stays on its builder's stack when the builder does not keep it.
+type geoBox struct {
+	hdr  GeoSegmentHeader
+	segs [inlineSegments]uint16
+}
+
+// header returns the box's header, reset, with the box's list storage.
+func (b *geoBox) header() *GeoSegmentHeader {
+	b.hdr = GeoSegmentHeader{Segments: b.segs[:0]}
+	return &b.hdr
+}
+
+// pooledPacket is what packetPool holds: a packet Decode hands out and the box
+// it decodes the packet's segment list into, kept together across reuse.
+type pooledPacket struct {
+	Packet
+	box geoBox
+}
+
 // packetPool holds the packets Decode hands out, reset by release.
-var packetPool = sync.Pool{New: func() any { return new(Packet) }}
+var packetPool = sync.Pool{New: func() any { return new(pooledPacket) }}
 
 // release returns a packet Decode made, and its frame, to their free lists,
 // and is a no-op for any other packet. Every field is reset, so the pool pins
 // no frame and a packet released twice returns its packet and frame once: a
 // delivered packet injected again is dropped for "no route". Only a hop trace
-// of the first capacity is kept.
+// of the first capacity is kept. A packet goes back to the pool only while
+// its Geo points at its own box: a copy of a decoded packet, or one whose
+// Geo was replaced or carried no segment list, is left to the collector.
 func (p *Packet) release() {
 	if !p.pooled {
 		return
@@ -244,8 +264,13 @@ func (p *Packet) release() {
 	if cap(trace) != hopTraceCap {
 		trace = nil
 	}
+	// Integers, not pointers: p is known to be a pooledPacket's only once
+	// they match.
+	own := uintptr(unsafe.Pointer(p.Geo)) == uintptr(unsafe.Pointer(p))+unsafe.Offsetof(pooledPacket{}.box)
 	*p = Packet{HopTrace: trace[:0]}
-	packetPool.Put(p)
+	if own {
+		packetPool.Put((*pooledPacket)(unsafe.Pointer(p)))
+	}
 }
 
 // errPayloadSize reports a payload PayloadLen cannot describe.
@@ -288,27 +313,29 @@ func (p *Packet) Encode() ([]byte, error) {
 // belongs to the network, and a Network.OnDeliver or OnDrop hook reads it
 // only for the length of the call.
 func Decode(b []byte) (*Packet, error) {
-	p := packetPool.Get().(*Packet)
-	// release reset it, but a caller that wrongly injects a delivered packet
-	// again writes its hop trace while it is pooled.
-	*p = Packet{HopTrace: p.HopTrace[:0], pooled: true}
-	if err := p.decode(b); err != nil {
-		p.release()
+	pp := packetPool.Get().(*pooledPacket)
+	if err := pp.decode(b); err != nil {
+		pp.Packet = Packet{HopTrace: pp.HopTrace[:0]}
+		packetPool.Put(pp)
 		return nil, err
 	}
-	frames.own(p, b)
-	return p, nil
+	frames.own(&pp.Packet, b)
+	return &pp.Packet, nil
 }
 
-// decode fills the reset packet p from b.
-func (p *Packet) decode(b []byte) error {
+// decode resets pp's packet and fills it from b, its segment list in pp's box.
+func (pp *pooledPacket) decode(b []byte) error {
+	// release reset the packet, but a caller that wrongly injects a delivered
+	// packet again writes its hop trace while it is pooled.
+	p := &pp.Packet
+	*p = Packet{HopTrace: p.HopTrace[:0], pooled: true}
 	rest, err := p.Base.Unmarshal(b)
 	if err != nil {
 		return err
 	}
 	switch p.Base.NextHeader {
 	case NextHeaderGeoSegment:
-		p.Geo, p.geo.Segments = &p.geo, p.segs[:0]
+		p.Geo = pp.box.header()
 		if rest, err = p.Geo.Unmarshal(rest); err != nil {
 			return err
 		}
@@ -335,8 +362,16 @@ func (p *Packet) WireSize() int {
 }
 
 // NewGeoPacket builds a geo-segment packet following route (cell IDs,
-// including the destination cell as the last segment).
+// including the destination cell as the last segment). It inlines, and its
+// packet does not point into itself, so a caller that builds, encodes and
+// drops a packet keeps it on its stack; only the segment box is allocated.
 func NewGeoPacket(src uint32, route []int, flow, seq uint32, payload []byte) (*Packet, error) {
+	return new(Packet).initGeo(src, route, flow, seq, payload)
+}
+
+// initGeo fills NewGeoPacket's zero packet p and returns it, or nil and the
+// error. It is too large to inline, which keeps NewGeoPacket small enough to.
+func (p *Packet) initGeo(src uint32, route []int, flow, seq uint32, payload []byte) (*Packet, error) {
 	if len(route) == 0 {
 		return nil, errors.New("dataplane: empty route")
 	}
@@ -346,25 +381,23 @@ func NewGeoPacket(src uint32, route []int, flow, seq uint32, payload []byte) (*P
 	if len(payload) > maxPayload {
 		return nil, errPayloadSize(len(payload))
 	}
-	p := &Packet{
-		Base: BaseHeader{
-			Ver:      Version,
-			HopLimit: 64,
-			SrcNode:  src,
-			DstCell:  uint16(route[len(route)-1]),
-			FlowID:   flow,
-			Seq:      seq,
-		},
-		Payload: payload,
-	}
-	p.Geo, p.geo.Segments = &p.geo, p.segs[:0]
-	p.geo.SegmentsLeft = uint8(len(route))
-	p.geo.resize(len(route))
+	g := new(geoBox).header()
+	g.SegmentsLeft = uint8(len(route))
+	g.resize(len(route))
 	for i, c := range route {
 		if c < 0 || c > 0xFFFF {
 			return nil, fmt.Errorf("dataplane: cell %d out of uint16 range", c)
 		}
-		p.geo.Segments[i] = uint16(c)
+		g.Segments[i] = uint16(c)
 	}
+	p.Base = BaseHeader{
+		Ver:      Version,
+		HopLimit: 64,
+		SrcNode:  src,
+		DstCell:  uint16(route[len(route)-1]),
+		FlowID:   flow,
+		Seq:      seq,
+	}
+	p.Geo, p.Payload = g, payload
 	return p, nil
 }

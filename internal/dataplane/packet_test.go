@@ -199,8 +199,14 @@ func TestPayloadOverMaxIsRejected(t *testing.T) {
 // trace's storage, which is kept only at its first capacity. Releasing it
 // again, or releasing a packet NewGeoPacket made, pools nothing.
 func TestReleaseResetsThePacket(t *testing.T) {
-	if size := unsafe.Sizeof(Packet{}); size != 144 {
-		t.Errorf("a Packet is %d bytes, want 144 (its size class)", size)
+	if size := unsafe.Sizeof(Packet{}); size != 96 {
+		t.Errorf("a Packet is %d bytes, want 96 (its size class)", size)
+	}
+	if size := unsafe.Sizeof(geoBox{}); size != 48 {
+		t.Errorf("a geoBox is %d bytes, want 48 (its size class)", size)
+	}
+	if size := unsafe.Sizeof(pooledPacket{}); size != 144 {
+		t.Errorf("a pooledPacket is %d bytes, want 144 (its size class)", size)
 	}
 	p, _ := NewGeoPacket(1, []int{100, 200}, 2, 3, []byte("xyz"))
 	wire, _ := p.Encode()
@@ -538,15 +544,31 @@ func TestPacketRoundTripProperty(t *testing.T) {
 	}
 }
 
-// NewGeoPacket makes one object while the route fits the packet's inline
-// segment list, and stays correct one segment past it, where the list is an
-// allocation of its own. With the free lists cold — the two collections
-// empty the packet pool and reclaim every idle frame, and Decode's packets
-// here are never released — Encode makes its frame, which its caller keeps,
-// and Decode of bytes Encode no longer holds makes the packet, a frame for
-// its payload and that frame's weak pointer (and the list past the inline
-// one). Warm, Encode → Decode → release allocates nothing: Encode fills the
-// frame release gave back and Decode takes it over.
+// allocsPerRun is testing.AllocsPerRun with bytes as well: the mean number
+// of objects and of bytes f allocates over runs calls, after one warm-up call.
+// Bytes are size classes, as the allocator charges them.
+func allocsPerRun(runs int, f func()) (objects, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// A packet NewGeoPacket makes and its caller keeps costs 144 bytes while the
+// route fits the inline segment list — the 96-byte packet and its 48-byte
+// segment box — and stays correct one segment past it, where the list is a
+// 24-byte allocation of its own. With the free lists cold — the two
+// collections empty the packet pool and reclaim every idle frame, and
+// Decode's packets here are never released — Encode makes its frame, which
+// its caller keeps, and Decode of bytes Encode no longer holds makes the
+// packet, a frame for its payload and that frame's weak pointer (and the
+// list past the inline one). Warm, Encode → Decode → release allocates
+// nothing: Encode fills the frame release gave back and Decode takes it over.
 func TestPacketAllocationBudget(t *testing.T) {
 	runtime.GC()
 	runtime.GC()
@@ -565,8 +587,9 @@ func TestPacketAllocationBudget(t *testing.T) {
 		if segs > inlineSegments {
 			list = 1
 		}
-		if got := testing.AllocsPerRun(100, func() { p, err = NewGeoPacket(1, route, 2, 3, payload) }); got != 1+list || err != nil {
-			t.Errorf("%d segments: NewGeoPacket allocates %v objects, budget %v (err %v)", segs, got, 1+list, err)
+		if objects, bytes := allocsPerRun(100, func() { p, err = NewGeoPacket(1, route, 2, 3, payload) }); objects != 2+list || bytes != 144+24*list || err != nil {
+			t.Errorf("%d segments: a kept NewGeoPacket allocates %v objects, %v B, budget %v, %v B (err %v)",
+				segs, objects, bytes, 2+list, 144+24*list, err)
 		}
 		if got := testing.AllocsPerRun(100, func() { wire, err = p.Encode() }); got != 1 || err != nil {
 			t.Errorf("%d segments: a cold Encode allocates %v objects, budget 1 (err %v)", segs, got, err)
@@ -637,24 +660,28 @@ func TestDecodeGarbageNeverPanics(t *testing.T) {
 // list and payload are sized by length fields, which must never promise
 // more than the bytes present) and must not share the input's storage
 // (overwriting the input leaves the payload as it was); and
-// Decode→Encode→Decode must be a fixed point.
+// Decode→Encode→Decode must be a fixed point. A packet released and decoded
+// again keeps nothing of its last life: after a and then b, it is what a
+// fresh packet decodes b to.
 func FuzzDecode(f *testing.F) {
 	geo, _ := NewGeoPacket(42, []int{100, 200, 300}, 7, 1, []byte("payload!"))
 	wire, _ := geo.Encode()
-	f.Add(wire)
-	f.Add(wire[:len(wire)-1])
-	f.Add(wire[:BaseHeaderLen+3])
+	long, _ := NewGeoPacket(42, []int{1, 2, 3, 4, 5, 6, 7, 8, 9}, 7, 2, nil)
+	wireLong, _ := long.Encode()
+	seeds := [][]byte{wire, wire[:len(wire)-1], wire[:BaseHeaderLen+3], wireLong}
 	for _, nh := range []uint8{NextHeaderPayload, NextHeaderNone, 0x77} {
 		h := BaseHeader{Ver: Version, NextHeader: nh, HopLimit: 16, PayloadLen: 2}
-		f.Add(append(h.Marshal(nil), "hi"...))
+		seeds = append(seeds, append(h.Marshal(nil), "hi"...))
 	}
-	for _, b := range garbageVectors(64) {
-		f.Add(b)
+	seeds = append(seeds, garbageVectors(64)...)
+	for i, a := range seeds {
+		f.Add(a, seeds[(i+1)%len(seeds)])
 	}
-	f.Fuzz(func(t *testing.T, in []byte) {
-		b := bytes.Clone(in) // the engine's input is not ours to overwrite
+	f.Fuzz(func(t *testing.T, inA, inB []byte) {
+		b := bytes.Clone(inA) // the engine's input is not ours to overwrite
 		p, err := Decode(b)
 		if err != nil {
+			checkRecycledDecode(t, inB)
 			return
 		}
 		if p.WireSize() > len(b) {
@@ -687,7 +714,46 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("round trip changed the packet:\n%+v\n%+v", p, q)
 		}
 		p.frame, q.frame = pf, qf
+		// Fill a hop trace past its first capacity, as a long route does.
+		for i := 0; i <= hopTraceCap; i++ {
+			p.HopTrace = append(p.HopTrace, i)
+		}
+		p.ringFrom, p.ringLeft = 7, 1
 		p.release()
 		q.release()
+		checkRecycledDecode(t, inB)
 	})
+}
+
+// checkRecycledDecode decodes in with Decode, which reuses a released packet
+// when the pool has one, and into a packet never used before, and fails t
+// unless the two agree in every field: segments, SegmentsLeft, ring state,
+// whether the payload lies in a frame, and an empty hop trace.
+func checkRecycledDecode(t *testing.T, in []byte) {
+	t.Helper()
+	fresh := new(pooledPacket)
+	freshErr := fresh.decode(bytes.Clone(in))
+	got, err := Decode(bytes.Clone(in))
+	if (err != nil) != (freshErr != nil) {
+		t.Fatalf("a recycled packet decodes with error %v, a fresh one with %v", err, freshErr)
+	}
+	if err != nil {
+		return
+	}
+	frames.own(&fresh.Packet, in)
+	if len(got.HopTrace) != 0 {
+		t.Fatalf("a recycled packet starts with hop trace %v", got.HopTrace)
+	}
+	want, trace, frame := fresh.Packet, got.HopTrace, got.frame
+	got.HopTrace, want.HopTrace = nil, nil
+	if (got.frame != 0) != (want.frame != 0) {
+		t.Fatalf("a recycled packet's payload in frame %d, a fresh one's in %d", got.frame, want.frame)
+	}
+	got.frame, want.frame = 0, 0
+	if !reflect.DeepEqual(*got, want) {
+		t.Fatalf("a recycled packet decodes to\n%+v, a fresh one to\n%+v", *got, want)
+	}
+	got.HopTrace, got.frame = trace, frame
+	got.release()
+	fresh.release()
 }
