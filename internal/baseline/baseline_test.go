@@ -350,7 +350,7 @@ func TestMegaReduceShellsIsDeterministic(t *testing.T) {
 	}
 	for i := 1; i < 5; i++ {
 		got := run()
-		if got.Satellites != first.Satellites || got.Steps != first.Steps ||
+		if got.Satellites != first.Satellites || got.Steps != first.Steps || got.EntriesVisited != first.EntriesVisited ||
 			math.Float64bits(got.Availability) != math.Float64bits(first.Availability) ||
 			!slices.Equal(got.PerShell, first.PerShell) {
 			t.Fatalf("run %d: %d satellites %v after %d steps at availability %v; run 0: %d %v after %d at %v",
@@ -405,15 +405,22 @@ func TestSupplyIsDeterministic(t *testing.T) {
 			t.Fatalf("run %d (%d workers) computed a different supply", run, cfg.Parallelism)
 		}
 	}
-	// The per-satellite rows MegaReduceShells caches are the same numbers.
+	// The per-satellite rows MegaReduceShells caches are the same numbers,
+	// in either supply semantics.
 	cfg.fillDefaults()
-	sum := make([]float64, len(first)/8)
-	for _, r := range perSatSupplyRows(cfg, sats) {
-		for i, k := range r.idx {
-			sum[k] += r.val[i]
+	for _, count := range []bool{false, true} {
+		cfg.CountSatellites = count
+		want := supplyBytes(Supply(cfg, sats))
+		rows, table, err := perSatSupplyRows(cfg, sats)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !bytes.Equal(supplyBytes(sum), first) {
-		t.Error("per-satellite rows do not add up to Supply, bit for bit")
+		sum := make([]float64, len(first)/8)
+		for _, r := range rows {
+			texture.AddRow(sum, r, table, 1)
+		}
+		if !bytes.Equal(supplyBytes(sum), want) {
+			t.Errorf("CountSatellites %v: per-satellite rows do not add up to Supply, bit for bit", count)
+		}
 	}
 }

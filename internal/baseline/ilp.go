@@ -78,14 +78,19 @@ func SolveILP(cfg ILPConfig) (*ILPResult, error) {
 	fracs := cfg.Library.Fractions()
 	for j := 0; j < cfg.Library.NumTracks(); j++ {
 		sat := 0.0
-		k, row := cfg.Library.TrackEntries(j)
-		for _, e := range row {
-			k += e.Gap()
-			if y, frac := cfg.Demand[k], fracs[e.Code()]; frac < y {
-				sat += frac
-			} else {
-				sat += y
+		row := cfg.Library.TrackRow(j)
+		ents := row.Entries
+		for _, sg := range row.Segs {
+			k, vals, n := int(sg.Col), sg.Values(fracs), sg.Len()
+			for _, e := range ents[:n] {
+				k += e.Gap()
+				if y, frac := cfg.Demand[k], vals.Of(e); frac < y {
+					sat += frac
+				} else {
+					sat += y
+				}
 			}
+			ents = ents[n:]
 		}
 		if sat > s.maxSat {
 			s.maxSat = sat
@@ -141,23 +146,27 @@ func (s *ilpSolver) availability() float64 {
 func (s *ilpSolver) apply(j, add int) []undoEntry {
 	var undo []undoEntry
 	fx := float64(add)
-	fracs := s.cfg.Library.Fractions()
-	k, row := s.cfg.Library.TrackEntries(j)
-	for _, e := range row {
-		k += e.Gap()
-		r := s.residual[k]
-		if r <= 0 {
-			continue
+	row, fracs := s.cfg.Library.TrackRow(j), s.cfg.Library.Fractions()
+	ents := row.Entries
+	for _, sg := range row.Segs {
+		k, vals, n := int(sg.Col), sg.Values(fracs), sg.Len()
+		for _, e := range ents[:n] {
+			k += e.Gap()
+			r := s.residual[k]
+			if r <= 0 {
+				continue
+			}
+			dec := fx * vals.Of(e)
+			if dec > r {
+				dec = r
+			}
+			if dec != 0 {
+				undo = append(undo, undoEntry{k, dec})
+				s.residual[k] = r - dec
+				s.remain -= dec
+			}
 		}
-		dec := fx * fracs[e.Code()]
-		if dec > r {
-			dec = r
-		}
-		if dec != 0 {
-			undo = append(undo, undoEntry{k, dec})
-			s.residual[k] = r - dec
-			s.remain -= dec
-		}
+		ents = ents[n:]
 	}
 	return undo
 }
@@ -201,23 +210,7 @@ func (s *ilpSolver) dfs(depth int) {
 		if s.fixed[j] {
 			continue
 		}
-		satis, dot, norm := 0.0, 0.0, 0.0
-		k, row := s.cfg.Library.TrackEntries(j)
-		for _, e := range row {
-			k += e.Gap()
-			r := s.residual[k]
-			if r <= 0 {
-				continue
-			}
-			frac := fracs[e.Code()]
-			if frac < r {
-				satis += frac
-			} else {
-				satis += r
-			}
-			dot += frac * r
-			norm += frac * frac
-		}
+		satis, dot, norm := texture.Score(s.cfg.Library.TrackRow(j), fracs, s.residual)
 		if satis > bestSatis {
 			bestJ, bestSatis, bestDot, bestNorm = j, satis, dot, norm
 		}

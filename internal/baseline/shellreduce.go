@@ -3,8 +3,10 @@ package baseline
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/orbit"
+	"repro/internal/texture"
 )
 
 // ShellReduceConfig drives the multi-shell MegaReduce variant used in the
@@ -34,6 +36,10 @@ type ShellReduceResult struct {
 	Remaining []orbit.Elements
 	// PerShell counts survivors per input shell.
 	PerShell []int
+	// EntriesVisited counts the coverage entries the run read: every
+	// satellite's row once for the starting supply, then one row per
+	// satellite of each candidate move and of each accepted one.
+	EntriesVisited int
 }
 
 // ErrShellStartInfeasible reports that the starting shells miss the target.
@@ -70,14 +76,17 @@ func MegaReduceShells(cfg ShellReduceConfig) (*ShellReduceResult, error) {
 	}
 
 	// Per-satellite coverage rows.
-	rows := perSatSupplyRows(sup, sats)
+	rows, table, err := perSatSupplyRows(sup, sats)
+	if err != nil {
+		return nil, err
+	}
+	res := &ShellReduceResult{}
 
 	// Dense running supply and demand bookkeeping.
 	supply := make([]float64, len(cfg.Demand))
 	for _, r := range rows {
-		for i, idx := range r.idx {
-			supply[idx] += r.val[i]
-		}
+		texture.AddRow(supply, r, table, 1)
+		res.EntriesVisited += len(r.Entries)
 	}
 	totalDemand := 0.0
 	for _, y := range cfg.Demand {
@@ -122,12 +131,18 @@ func MegaReduceShells(cfg ShellReduceConfig) (*ShellReduceResult, error) {
 		// overlap in coverage).
 		for _, s := range group {
 			r := rows[s]
-			for i, idx := range r.idx {
-				if delta[idx] == 0 {
-					touched = append(touched, idx)
+			ents := r.Entries
+			for _, sg := range r.Segs {
+				k, vals, n := int(sg.Col), sg.Values(table), sg.Len()
+				for _, e := range ents[:n] {
+					if k += e.Gap(); delta[k] == 0 {
+						touched = append(touched, int32(k))
+					}
+					delta[k] += vals.Of(e)
 				}
-				delta[idx] += r.val[i]
+				ents = ents[n:]
 			}
+			res.EntriesVisited += len(r.Entries)
 		}
 		sat := curSat
 		for _, idx := range touched {
@@ -154,10 +169,8 @@ func MegaReduceShells(cfg ShellReduceConfig) (*ShellReduceResult, error) {
 			}
 			alive[s] = false
 			aliveCount--
-			r := rows[s]
-			for i, idx := range r.idx {
-				supply[idx] -= r.val[i]
-			}
+			texture.AddRow(supply, rows[s], table, -1)
+			res.EntriesVisited += len(rows[s].Entries)
 		}
 		curSat = satisfied()
 	}
@@ -186,7 +199,6 @@ func MegaReduceShells(cfg ShellReduceConfig) (*ShellReduceResult, error) {
 		return g
 	}
 
-	res := &ShellReduceResult{}
 	// Phase 1: remove whole planes while feasible.
 	for res.Steps < maxSteps {
 		bestSat, bestSize := -1.0, 0
@@ -263,27 +275,27 @@ func MegaReduceShells(cfg ShellReduceConfig) (*ShellReduceResult, error) {
 	return res, nil
 }
 
-// satRow is one satellite's sparse coverage over the unfolded space.
-type satRow struct {
-	idx []int32
-	val []float64
-}
-
-// perSatSupplyRows computes each satellite's coverage contribution.
-func perSatSupplyRows(cfg SupplyConfig, sats []orbit.Elements) []satRow {
-	rows := make([]satRow, len(sats))
-	m := cfg.Grid.NumCells()
-	ras, lam := cfg.newRasterizer(), cfg.footprintRadii(sats)
-	for si, el := range sats {
-		var r satRow
-		for s := 0; s < cfg.Slots; s++ {
-			cells, total := ras.Slot(el, lam[si], s)
-			for _, c := range cells {
-				r.idx = append(r.idx, int32(s*m+c))
-				r.val = append(r.val, cfg.share(ras.Hits(c), total))
-			}
-		}
-		rows[si] = r
+// perSatSupplyRows packs each satellite's coverage into a row as the texture
+// library does, and returns the rows with the value table they index: entry
+// total·S + hits − 1 is cfg.share(hits, total), in either CountSatellites
+// mode. Each row is appended to one reused scratch row and copied out at its
+// exact size, so the only garbage is the scratch.
+func perSatSupplyRows(cfg SupplyConfig, sats []orbit.Elements) ([]texture.Row, []float64, error) {
+	if cfg.SubSamples > texture.MaxSubSamples {
+		return nil, nil, fmt.Errorf("baseline: %d sub-samples a slot, a packed row counts at most %d", cfg.SubSamples, texture.MaxSubSamples)
 	}
-	return rows
+	ras, lam := cfg.newRasterizer(), cfg.footprintRadii(sats)
+	rows := make([]texture.Row, len(sats))
+	var scratch texture.Row
+	top := 0
+	for si, el := range sats {
+		var t int
+		scratch, t = texture.AppendRow(texture.Row{Segs: scratch.Segs[:0], Entries: scratch.Entries[:0]}, ras, el, lam[si], cfg.Slots)
+		top = max(top, t)
+		rows[si] = texture.Row{Segs: slices.Clone(scratch.Segs), Entries: slices.Clone(scratch.Entries)}
+	}
+	if top > texture.MaxBase {
+		return nil, nil, fmt.Errorf("baseline: segment base %d does not fit a packed row's %d", top, texture.MaxBase)
+	}
+	return rows, texture.ValueTable(top, cfg.SubSamples, cfg.share), nil
 }

@@ -167,9 +167,9 @@ func choseTiedTrack(lib *texture.Library, x []int) bool {
 		if n == 0 {
 			continue
 		}
-		fa, a := lib.TrackEntries(j)
+		a := lib.TrackRow(j)
 		for k := range x {
-			if fb, b := lib.TrackEntries(k); k != j && fa == fb && reflect.DeepEqual(a, b) {
+			if k != j && reflect.DeepEqual(a, lib.TrackRow(k)) {
 				return true
 			}
 		}

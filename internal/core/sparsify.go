@@ -150,23 +150,28 @@ func prune(p Problem, res *Result, floor []int) {
 	// satellite of track j.
 	satisfiedDelta := func(j int) float64 {
 		d := 0.0
-		k, row := lib.TrackEntries(j)
-		for _, e := range row {
-			k += e.Gap()
-			y := p.Demand[k]
-			if y == 0 {
-				continue
+		row := lib.TrackRow(j)
+		ents := row.Entries
+		for _, sg := range row.Segs {
+			k, vals, n := int(sg.Col), sg.Values(fracs), sg.Len()
+			for _, e := range ents[:n] {
+				k += e.Gap()
+				y := p.Demand[k]
+				if y == 0 {
+					continue
+				}
+				before := supply[k]
+				after := before - vals.Of(e)
+				ob, oa := before, after
+				if ob > y {
+					ob = y
+				}
+				if oa > y {
+					oa = y
+				}
+				d += oa - ob // ≤ 0
 			}
-			before := supply[k]
-			after := before - fracs[e.Code()]
-			ob, oa := before, after
-			if ob > y {
-				ob = y
-			}
-			if oa > y {
-				oa = y
-			}
-			d += oa - ob // ≤ 0
+			ents = ents[n:]
 		}
 		return d
 	}
@@ -188,11 +193,7 @@ func prune(p Problem, res *Result, floor []int) {
 		res.Pruned++
 		obsPruned.Inc()
 		satisfied += bestDelta
-		k, row := lib.TrackEntries(bestJ)
-		for _, e := range row {
-			k += e.Gap()
-			supply[k] -= fracs[e.Code()]
-		}
+		texture.AddRow(supply, lib.TrackRow(bestJ), fracs, -1)
 	}
 	if total > 0 {
 		res.Availability = satisfied / total
@@ -294,20 +295,24 @@ func newSolverState(p Problem) *solverState {
 // apply places x satellites on track j, decrementing the clamped residual.
 func (st *solverState) apply(j, x int) {
 	fx := float64(x)
-	fracs := st.p.Library.Fractions()
-	k, row := st.p.Library.TrackEntries(j)
-	for _, e := range row {
-		k += e.Gap()
-		r := st.residual[k]
-		if r <= 0 {
-			continue
+	row, fracs := st.p.Library.TrackRow(j), st.p.Library.Fractions()
+	ents := row.Entries
+	for _, sg := range row.Segs {
+		k, vals, n := int(sg.Col), sg.Values(fracs), sg.Len()
+		for _, e := range ents[:n] {
+			k += e.Gap()
+			r := st.residual[k]
+			if r <= 0 {
+				continue
+			}
+			dec := fx * vals.Of(e)
+			if dec > r {
+				dec = r
+			}
+			st.residual[k] = r - dec
+			st.remain -= dec
 		}
-		dec := fx * fracs[e.Code()]
-		if dec > r {
-			dec = r
-		}
-		st.residual[k] = r - dec
-		st.remain -= dec
+		ents = ents[n:]
 	}
 	st.applied++
 }
@@ -324,25 +329,8 @@ type candidate struct {
 // satisfy (Σ_k min(A_jk, r_k)) together with the raw dot product A_jᵀr and
 // ‖A_j‖² restricted to unsatisfied entries, used for the add count.
 func (st *solverState) score(j int) candidate {
-	c := candidate{j: j, applied: st.applied}
-	fracs := st.p.Library.Fractions()
-	k, row := st.p.Library.TrackEntries(j)
-	for _, e := range row {
-		k += e.Gap()
-		r := st.residual[k]
-		if r <= 0 {
-			continue
-		}
-		frac := fracs[e.Code()]
-		if frac < r {
-			c.satisfiable += frac
-		} else {
-			c.satisfiable += r
-		}
-		c.dot += frac * r
-		c.norm2 += frac * frac
-	}
-	return c
+	satisfiable, dot, norm2 := texture.Score(st.p.Library.TrackRow(j), st.p.Library.Fractions(), st.residual)
+	return candidate{j: j, satisfiable: satisfiable, dot: dot, norm2: norm2, applied: st.applied}
 }
 
 func (st *solverState) run(res *Result) error {

@@ -42,6 +42,7 @@ type Satellite struct {
 	// Buffer holds packets waiting for control-plane repair (§4.3 worst
 	// case: the ring is disconnected).
 	Buffer []*Packet
+	spare  []*Packet // empty storage FlushBuffers swaps Buffer with
 
 	// Stats
 	Forwarded int64 // packets sent onward

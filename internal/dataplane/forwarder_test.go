@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -787,5 +788,107 @@ func TestLongRouteAllocatesNothing(t *testing.T) {
 		if len(outcomes) > 0 {
 			t.Errorf("%s: %d packets ended otherwise, the first %s", tc.name, len(outcomes), outcomes[0])
 		}
+	}
+
+	// Bursts of decoded packets, one in four on the twelve-hop route and the
+	// rest entering at satellite 10, two hops from delivery, with the packet
+	// pool emptied between bursts as a collection empties it: once the first
+	// burst has filled the free lists, the traces that grow past the first
+	// capacity make no storage. Each packet's first capacity comes with it.
+	n := ringNet()
+	delivered := 0
+	n.OnDeliver = func(*Satellite, *Packet) { delivered++ }
+	n.OnDrop = func(s *Satellite, p *Packet, reason string) { t.Errorf("dropped at %d: %s", s.ID, reason) }
+	burst := func() {
+		for i := 0; i < 64; i++ {
+			p, err := NewGeoPacket(99, []int{20}, 1, uint32(i), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wire, err := p.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, err := Decode(wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i%4 == 0 {
+				n.Inject(0, q)
+			} else {
+				n.Inject(10, q)
+			}
+		}
+		n.Sim.Run(n.Sim.Now() + 1)
+		runtime.GC()
+		runtime.GC()
+	}
+	burst()
+	warm := n.traces.made
+	for range 5 {
+		burst()
+	}
+	if n.traces.made != warm || delivered != 6*64 {
+		t.Errorf("five warm bursts made %d traces (%d in the first), delivered %d of %d", n.traces.made-warm, warm, delivered, 6*64)
+	}
+}
+
+// TestFlushBuffersRebuffersEachPacketOnce: a flush while satellite 0 is still
+// cut off buffers each of its packets there again, exactly once and in order,
+// though it appends to the buffer it is flushing; the repair's flush then
+// delivers each exactly once.
+func TestFlushBuffersRebuffersEachPacketOnce(t *testing.T) {
+	n := chainNet()
+	n.Link(0, 2).Down()
+	n.Link(0, 1).Down()
+	delivered := map[uint32]int{}
+	n.OnDeliver = func(_ *Satellite, p *Packet) { delivered[p.Base.Seq]++ }
+	var sent []*Packet
+	for seq := range uint32(5) {
+		p, err := NewGeoPacket(99, []int{20, 30}, 1, seq, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Inject(0, p)
+		sent = append(sent, p)
+	}
+	s := n.Sats[0]
+	n.FlushBuffers()
+	if !slices.Equal(s.Buffer, sent) || s.Buffered != 10 {
+		t.Fatalf("after a flush without repair: buffer %v, %d buffered in all; want the 5 packets in order, 10", s.Buffer, s.Buffered)
+	}
+	n.Link(0, 2).Up()
+	n.FlushBuffers()
+	n.Sim.Run(1)
+	if len(s.Buffer) != 0 || len(delivered) != 5 {
+		t.Fatalf("after the repair: %d still buffered, %d of 5 delivered", len(s.Buffer), len(delivered))
+	}
+	for seq, k := range delivered {
+		if k != 1 {
+			t.Errorf("packet %d delivered %d times", seq, k)
+		}
+	}
+}
+
+// TestWarmFlushAllocatesNothing: a flush that buffers every packet again
+// reuses the satellite's buffer storage, swapping it with the spare.
+func TestWarmFlushAllocatesNothing(t *testing.T) {
+	n := chainNet()
+	n.Link(0, 2).Down()
+	n.Link(0, 1).Down()
+	for seq := range uint32(20) {
+		p, err := NewGeoPacket(99, []int{20, 30}, 1, seq, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Base.HopLimit = 255
+		n.Inject(0, p)
+	}
+	n.FlushBuffers()
+	if got := testing.AllocsPerRun(100, n.FlushBuffers); got != 0 {
+		t.Errorf("a warm flush round allocates %v objects, budget 0", got)
+	}
+	if s := n.Sats[0]; len(s.Buffer) != 20 {
+		t.Errorf("%d packets buffered after the flushes, want 20", len(s.Buffer))
 	}
 }

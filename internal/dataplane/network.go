@@ -46,39 +46,51 @@ func NewNetwork() *Network {
 	}
 }
 
-// traceLists are a network's free lists of hop-trace storage, by capacity:
-// list k holds up to traceListCap empty traces of capacity hopTraceCap<<k.
-// Decoded packets fill them when delivered or dropped, or when their trace
-// outgrows its storage; every trace Receive starts or grows draws on them.
-// Only the network's own forwarding touches them, so they need no lock.
-type traceLists [traceClasses][][]int
+// traceLists are a network's free lists of hop-trace storage past the first
+// capacity: list k holds up to traceListCap empty traces of capacity
+// hopTraceCap<<(k+1). Decoded packets fill them when delivered or dropped, or
+// when their trace outgrows its storage; every trace Receive grows past the
+// first capacity draws on them. The first capacity has one owner: a decoded
+// packet's is part of the packet (pooledPacket.trace), a caller's packet's
+// is the caller's. Only the network's own forwarding touches the lists, so
+// they need no lock.
+type traceLists struct {
+	free [traceClasses][][]int
+	made int // storage grow made because its list was empty
+}
 
 const (
-	// traceClasses covers capacities 8 to 256: a trace of a packet with the
+	// traceClasses covers capacities 16 to 256: a trace of a packet with the
 	// largest hop limit fits the last.
-	traceClasses = 6
-	// traceListCap bounds each list. The ledger's forward-mix injects 1,000
-	// packets a burst: in 6 s of it the first-capacity list dropped 268 k
-	// traces at a cap of 256 and 114 k at 1,024.
+	traceClasses = 5
+	// traceListCap bounds each list at a little more than one burst of the
+	// ledger's forward-mix, which injects 1,000 packets a burst.
 	traceListCap = 1024
 )
 
 // grow moves p's full hop trace into storage of the next capacity, from the
 // free list when it has one. The old storage of a decoded packet goes to its
-// list; a caller's packet keeps none of the network's, so its old storage
-// stays the caller's. Past the last capacity, append grows the trace.
+// list, unless it is the packet's own first capacity; a caller's packet keeps
+// none of the network's, so its old storage stays the caller's, and its first
+// trace is made for it. Past the last capacity, append grows the trace.
 func (t *traceLists) grow(p *Packet) {
-	k := bits.Len(uint(cap(p.HopTrace) / hopTraceCap))
+	c := cap(p.HopTrace)
+	if c < hopTraceCap {
+		p.HopTrace = append(make([]int, 0, hopTraceCap), p.HopTrace...)
+		return
+	}
+	k := bits.Len(uint(c/hopTraceCap)) - 1
 	if k >= traceClasses {
 		return
 	}
 	var next []int
-	if l := t[k]; len(l) > 0 {
+	if l := t.free[k]; len(l) > 0 {
 		next = l[len(l)-1]
 		l[len(l)-1] = nil
-		t[k] = l[:len(l)-1]
+		t.free[k] = l[:len(l)-1]
 	} else {
-		next = make([]int, 0, hopTraceCap<<k)
+		next = make([]int, 0, hopTraceCap<<(k+1))
+		t.made++
 	}
 	next = append(next, p.HopTrace...)
 	if p.pooled {
@@ -88,22 +100,21 @@ func (t *traceLists) grow(p *Packet) {
 }
 
 // put files trace's storage, emptied, on the list of its capacity, unless
-// that is no list's or the list is full.
+// that is no list's (the first capacity is none) or the list is full.
 func (t *traceLists) put(trace []int) {
-	k := bits.TrailingZeros(uint(cap(trace) / hopTraceCap))
-	if k >= traceClasses || cap(trace) != hopTraceCap<<k || len(t[k]) == traceListCap {
+	k := bits.TrailingZeros(uint(cap(trace)/hopTraceCap)) - 1
+	if k < 0 || k >= traceClasses || cap(trace) != hopTraceCap<<(k+1) || len(t.free[k]) == traceListCap {
 		return
 	}
-	t[k] = append(t[k], trace[:0])
+	t.free[k] = append(t.free[k], trace[:0])
 }
 
 // recycle returns a decoded packet, delivered or dropped, to the pool (see
-// release), and its hop trace to the free lists unless it is of the first
-// capacity, which the pooled packet keeps. A caller's packet keeps its trace.
+// release), and its hop trace, if it outgrew the packet's own, to the free
+// lists. A caller's packet keeps its trace.
 func (n *Network) recycle(p *Packet) {
-	if p.pooled && cap(p.HopTrace) != hopTraceCap {
+	if p.pooled {
 		n.traces.put(p.HopTrace)
-		p.HopTrace = nil
 	}
 	p.release()
 }
@@ -201,12 +212,22 @@ func (n *Network) SetRing(members []int) {
 // (called after the control plane repairs topology, §4.3's "buffered until
 // MPC repairs the ring"), satellite by satellite in ascending ID; the
 // buffering satellite is already on its trace.
+//
+// A satellite's buffer storage is kept from flush to flush: a packet the
+// flush buffers again goes into the satellite's spare storage, not into the
+// buffer being flushed, whose later packets are not sent yet; the flushed
+// storage, its pointers cleared, is the next spare.
 func (n *Network) FlushBuffers() {
 	for _, s := range n.order {
 		buf := s.Buffer
-		s.Buffer = nil
+		if len(buf) == 0 {
+			continue
+		}
+		s.Buffer, s.spare = s.spare[:0], nil
 		for _, p := range buf {
 			s.forward(p)
 		}
+		clear(buf)
+		s.spare = buf[:0]
 	}
 }

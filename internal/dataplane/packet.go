@@ -236,11 +236,13 @@ func (b *geoBox) header() *GeoSegmentHeader {
 	return &b.hdr
 }
 
-// pooledPacket is what packetPool holds: a packet Decode hands out and the box
-// it decodes the packet's segment list into, kept together across reuse.
+// pooledPacket is what packetPool holds: a packet Decode hands out, the box
+// it decodes the packet's segment list into and the hop trace's storage of
+// the first capacity, kept together across reuse.
 type pooledPacket struct {
 	Packet
-	box geoBox
+	box   geoBox
+	trace [hopTraceCap]int
 }
 
 // packetPool holds the packets Decode hands out, reset by release.
@@ -249,10 +251,11 @@ var packetPool = sync.Pool{New: func() any { return new(pooledPacket) }}
 // release returns a packet Decode made, and its frame, to their free lists,
 // and is a no-op for any other packet. Every field is reset, so the pool pins
 // no frame and a packet released twice returns its packet and frame once: a
-// delivered packet injected again is dropped for "no route". Only a hop trace
-// of the first capacity is kept. A packet goes back to the pool only while
-// its Geo points at its own box: a copy of a decoded packet, or one whose
-// Geo was replaced or carried no segment list, is left to the collector.
+// delivered packet injected again is dropped for "no route". The hop trace
+// is dropped too: the next decode starts it in the packet's own storage. A
+// packet goes back to the pool only while its Geo points at its own box: a
+// copy of a decoded packet, or one whose Geo was replaced or carried no
+// segment list, is left to the collector.
 func (p *Packet) release() {
 	if !p.pooled {
 		return
@@ -260,14 +263,10 @@ func (p *Packet) release() {
 	if p.frame != 0 {
 		frames.put(p)
 	}
-	trace := p.HopTrace
-	if cap(trace) != hopTraceCap {
-		trace = nil
-	}
 	// Integers, not pointers: p is known to be a pooledPacket's only once
 	// they match.
 	own := uintptr(unsafe.Pointer(p.Geo)) == uintptr(unsafe.Pointer(p))+unsafe.Offsetof(pooledPacket{}.box)
-	*p = Packet{HopTrace: trace[:0]}
+	*p = Packet{}
 	if own {
 		packetPool.Put((*pooledPacket)(unsafe.Pointer(p)))
 	}
@@ -315,7 +314,7 @@ func (p *Packet) Encode() ([]byte, error) {
 func Decode(b []byte) (*Packet, error) {
 	pp := packetPool.Get().(*pooledPacket)
 	if err := pp.decode(b); err != nil {
-		pp.Packet = Packet{HopTrace: pp.HopTrace[:0]}
+		pp.Packet = Packet{}
 		packetPool.Put(pp)
 		return nil, err
 	}
@@ -328,7 +327,7 @@ func (pp *pooledPacket) decode(b []byte) error {
 	// release reset the packet, but a caller that wrongly injects a delivered
 	// packet again writes its hop trace while it is pooled.
 	p := &pp.Packet
-	*p = Packet{HopTrace: p.HopTrace[:0], pooled: true}
+	*p = Packet{HopTrace: pp.trace[:0], pooled: true}
 	rest, err := p.Base.Unmarshal(b)
 	if err != nil {
 		return err

@@ -195,9 +195,10 @@ func TestPayloadOverMaxIsRejected(t *testing.T) {
 	}
 }
 
-// A released packet is as Decode needs it: every field zero but the hop
-// trace's storage, which is kept only at its first capacity. Releasing it
-// again, or releasing a packet NewGeoPacket made, pools nothing.
+// A decoded packet starts its hop trace in its own storage of the first
+// capacity, and a released one is as Decode needs it: every field zero, its
+// trace included, whatever the trace had grown to. Releasing it again, or
+// releasing a packet NewGeoPacket made, pools nothing.
 func TestReleaseResetsThePacket(t *testing.T) {
 	if size := unsafe.Sizeof(Packet{}); size != 96 {
 		t.Errorf("a Packet is %d bytes, want 96 (its size class)", size)
@@ -205,8 +206,8 @@ func TestReleaseResetsThePacket(t *testing.T) {
 	if size := unsafe.Sizeof(geoBox{}); size != 48 {
 		t.Errorf("a geoBox is %d bytes, want 48 (its size class)", size)
 	}
-	if size := unsafe.Sizeof(pooledPacket{}); size != 144 {
-		t.Errorf("a pooledPacket is %d bytes, want 144 (its size class)", size)
+	if size := unsafe.Sizeof(pooledPacket{}); size != 208 {
+		t.Errorf("a pooledPacket is %d bytes, want 208 (its size class)", size)
 	}
 	p, _ := NewGeoPacket(1, []int{100, 200}, 2, 3, []byte("xyz"))
 	wire, _ := p.Encode()
@@ -215,21 +216,18 @@ func TestReleaseResetsThePacket(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		own := &(*pooledPacket)(unsafe.Pointer(q)).trace
+		if len(q.HopTrace) != 0 || cap(q.HopTrace) != hopTraceCap || unsafe.SliceData(q.HopTrace) != &own[0] {
+			t.Errorf("%d hops: decoded trace of length %d, capacity %d, not the packet's own", hops, len(q.HopTrace), cap(q.HopTrace))
+		}
 		q.SentAt, q.ringFrom, q.ringLeft = 1.5, 4, 1
-		q.HopTrace = make([]int, 0, hopTraceCap)
 		for i := 0; i < hops; i++ {
 			q.HopTrace = append(q.HopTrace, i)
 		}
 		q.release()
-		trace := q.HopTrace
-		if len(trace) != 0 || (hops <= hopTraceCap) != (cap(trace) == hopTraceCap) {
-			t.Errorf("%d hops: released trace has length %d, capacity %d", hops, len(trace), cap(trace))
-		}
-		q.HopTrace = nil
 		if !reflect.DeepEqual(*q, Packet{}) {
 			t.Errorf("%d hops: released packet not reset: %+v", hops, *q)
 		}
-		q.HopTrace = trace
 		q.release()
 	}
 	p.release()

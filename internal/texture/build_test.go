@@ -6,16 +6,18 @@ import (
 	"encoding/hex"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/geo"
 	"repro/internal/orbit"
 )
 
 // csrHash hashes the library's matrix as flat CSR: the running row ends, then
-// the column indices, then the bits of the values the codes stand for, each as
-// little-endian uint64.
+// the column indices, then the bits of the values, each as little-endian
+// uint64.
 func csrHash(lib *Library) string {
 	h := sha256.New()
 	var b [8]byte
@@ -30,21 +32,10 @@ func csrHash(lib *Library) string {
 		put(uint64(ptr))
 	}
 	for j := range lib.Tracks {
-		k, row := lib.TrackEntries(j)
-		for _, e := range row {
-			if k += e.Gap(); e != filler {
-				put(uint64(k))
-			}
-		}
+		eachEntry(lib, j, func(k int, _ float64) { put(uint64(k)) })
 	}
-	fracs := lib.Fractions()
 	for j := range lib.Tracks {
-		_, row := lib.TrackEntries(j)
-		for _, e := range row {
-			if e != filler {
-				put(math.Float64bits(fracs[e.Code()]))
-			}
-		}
+		eachEntry(lib, j, func(_ int, v float64) { put(math.Float64bits(v)) })
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -98,11 +89,22 @@ func TestBuildGoldenMid(t *testing.T) {
 	}
 }
 
+// rowBytes is what the library's rows hold: 2 B an entry, 8 B a segment, two
+// slice headers a track, and the value table.
+func rowBytes(lib *Library) uint64 {
+	n := uint64(2*lib.NNZ() + 8*len(lib.Fractions()))
+	for j := range lib.Tracks {
+		n += 8*uint64(len(lib.TrackRow(j).Segs)) + 2*uint64(unsafe.Sizeof([]Entry(nil)))
+	}
+	return n
+}
+
 // TestBuildAllocationCeiling keeps the build's garbage from creeping back: a
-// build may allocate at most 1.25× what its matrix occupies (the matrix, held
-// once, in arrays the allocator rounds up; each worker's scratch, a couple of
-// dozen rows; the track list) in at most one allocation per four tracks. A
-// second copy of the rows, however short-lived, does not fit.
+// build may allocate at most 1.25× what the library holds — its rows, held
+// once, in arrays the allocator rounds up, and its track list — the rest
+// being each worker's scratch, a couple of dozen rows, and its rasterizer, in
+// at most one allocation per four tracks. A second copy of the rows, however
+// short-lived, does not fit.
 func TestBuildAllocationCeiling(t *testing.T) {
 	cfg := midConfig()
 	cfg.Parallelism = 2
@@ -116,43 +118,67 @@ func TestBuildAllocationCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One 4 B packed entry per covered column (this grid needs no filler),
-	// a slice header and a first column per track, and the fraction table
-	// the codes index.
-	csr := uint64(4*lib.NNZ() + 28*lib.NumTracks() + 8*len(lib.Fractions()))
-	if got := after.TotalAlloc - before.TotalAlloc; got > csr*5/4 {
-		t.Errorf("Build allocated %d B for a %d B matrix (%.2f×), ceiling 1.25×", got, csr, float64(got)/float64(csr))
+	held := rowBytes(lib) + uint64(lib.NumTracks())*uint64(unsafe.Sizeof(Track{}))
+	if got := after.TotalAlloc - before.TotalAlloc; got > held*5/4 {
+		t.Errorf("Build allocated %d B for a %d B library (%.2f×), ceiling 1.25×", got, held, float64(got)/float64(held))
 	}
 	if got := after.Mallocs - before.Mallocs; got > uint64(lib.NumTracks()/4) {
 		t.Errorf("Build made %d allocations for %d tracks, ceiling one per four tracks", got, lib.NumTracks())
 	}
 }
 
-// TestBuildRejectsCodeOverflow: a slot whose footprints total so many cells
-// that a value code would pass 16 bits fails the build instead of wrapping
-// onto another fraction; the same library with fewer sub-samples builds.
-func TestBuildRejectsCodeOverflow(t *testing.T) {
+// TestLoopPlanBytesPerColumn: at the bench/ ledger's loop-plan sizing (a 6°
+// grid, 24 slots, 2,688 tracks, 4.27 M entries) the rows hold at most 2.2 B
+// per covered column, segments, row headers and value table included.
+func TestLoopPlanBytesPerColumn(t *testing.T) {
+	lib, err := Build(Config{
+		Grid: geo.MustGrid(6), Slots: 24, RAANs: 12, Phases: 4,
+		Specs: orbit.EnumerateRepeatSpecs(2, 423e3, 1873e3),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lib.NNZ() != 4268160 {
+		t.Fatalf("%d entries, the ledger's loop-plan has 4,268,160", lib.NNZ())
+	}
+	per := float64(rowBytes(lib)) / float64(lib.NNZ())
+	if per > 2.2 {
+		t.Errorf("%d B of rows for %d entries: %.3f B a column, ceiling 2.2", rowBytes(lib), lib.NNZ(), per)
+	}
+	t.Logf("%d B of rows for %d entries: %.3f B a column", rowBytes(lib), lib.NNZ(), per)
+}
+
+// TestBuildRejectsLayoutOverflow: the layout's two limits fail the build
+// instead of wrapping onto another value. An entry counts at most
+// MaxSubSamples hits; a segment's base total·S − 1 must fit 20 bits, which a
+// horizon-wide footprint on a 0.5° grid passes at 16 sub-samples but not at
+// 4.
+func TestBuildRejectsLayoutOverflow(t *testing.T) {
 	cfg := Config{
-		Grid:            geo.MustGrid(10),
+		Grid:            geo.MustGrid(0.5),
 		Specs:           []orbit.RepeatSpec{{P: 1, Q: 12}},
 		InclinationsDeg: []float64{53},
-		RAANs:           1, Phases: 1, Slots: 2, SubSamples: 8,
+		RAANs:           1, Phases: 1, Slots: 1, SubSamples: 4,
 		Coverage: orbit.CoverageParams{MinElevation: 1e-3}, // a horizon-wide footprint
 	}
 	lib, err := Build(cfg)
 	if err != nil {
 		t.Fatalf("%d sub-samples: %v", cfg.SubSamples, err)
 	}
-	if top := len(lib.Fractions()) - 1; top < 1<<12 {
-		t.Fatalf("largest code %d at %d sub-samples: footprint too small to reach 16 bits at 40", top, cfg.SubSamples)
+	if top := len(lib.Fractions()) - 1 - MaxSubSamples; top < MaxBase/16 {
+		t.Fatalf("largest base %d at %d sub-samples: footprint too small to pass 20 bits at 16", top, cfg.SubSamples)
 	}
-	cfg.SubSamples = 40 // codes grow with the square of the sub-samples
-	if lib, err := Build(cfg); err == nil || !strings.Contains(err.Error(), "16 bits") {
-		t.Fatalf("%d sub-samples: Build = %v, %v; want a 16-bit overflow error", cfg.SubSamples, lib, err)
+	cfg.SubSamples = MaxSubSamples // bases grow with the square of the sub-samples
+	if lib, err := Build(cfg); err == nil || !strings.Contains(err.Error(), "20 bits") {
+		t.Fatalf("%d sub-samples: Build = %v, %v; want a 20-bit base overflow error", cfg.SubSamples, lib, err)
+	}
+	cfg.SubSamples = MaxSubSamples + 1
+	if lib, err := Build(cfg); err == nil || !strings.Contains(err.Error(), "4-bit") {
+		t.Fatalf("%d sub-samples: Build = %v, %v; want a 4-bit hits overflow error", cfg.SubSamples, lib, err)
 	}
 }
 
-// TestTrackRowViewsAreCapped: rows that share a worker's batch array are
+// TestTrackRowViewsAreCapped: rows that share a worker's batch arrays are
 // handed out with no spare capacity, so an append to one reallocates and
 // cannot write into the next.
 func TestTrackRowViewsAreCapped(t *testing.T) {
@@ -164,11 +190,13 @@ func TestTrackRowViewsAreCapped(t *testing.T) {
 	}
 	before := csrHash(lib)
 	for j := range lib.Tracks {
-		_, row := lib.TrackEntries(j)
-		if cap(row) != len(row) {
-			t.Errorf("track %d: len %d, cap %d", j, len(row), cap(row))
+		row := lib.TrackRow(j)
+		if cap(row.Segs) != len(row.Segs) || cap(row.Entries) != len(row.Entries) {
+			t.Errorf("track %d: segments len %d cap %d, entries len %d cap %d",
+				j, len(row.Segs), cap(row.Segs), len(row.Entries), cap(row.Entries))
 		}
-		_ = append(row, newEntry(1, 1))
+		_ = append(row.Segs, newSegment(1, 1, 1))
+		_ = append(row.Entries, newEntry(1, 1))
 	}
 	if csrHash(lib) != before {
 		t.Error("appending to row views changed the library")
@@ -176,40 +204,47 @@ func TestTrackRowViewsAreCapped(t *testing.T) {
 }
 
 // TestCheckRowsPanics: the build's row validation rejects every malformed
-// matrix and counts the real entries of a well-formed one.
+// matrix and counts the entries of a well-formed one.
 func TestCheckRowsPanics(t *testing.T) {
 	e := newEntry
-	check := func(name string, first []int32, rows [][]Entry, cols, tableLen int) {
+	seg := func(col, n int) Segment { return newSegment(col, 1, n) }
+	const table = 2 + MaxSubSamples // base 1's window, for 2 sub-samples
+	check := func(name string, row Row, cols int) {
 		defer func() {
 			if recover() == nil {
 				t.Errorf("%s: expected panic", name)
 			}
 		}()
-		checkRows(first, rows, cols, tableLen)
+		checkRows([]Row{row}, cols, 2, table)
 	}
-	check("row count", []int32{0}, nil, 2, 2)
-	check("opening gap", []int32{0}, [][]Entry{{e(1, 1)}}, 3, 2)
-	check("opening filler", []int32{0}, [][]Entry{{filler, e(1, 1)}}, 1<<17, 2)
-	check("dup col", []int32{1}, [][]Entry{{e(0, 1), e(0, 1)}}, 3, 2)
-	check("col range", []int32{5}, [][]Entry{{e(0, 1)}}, 2, 2)
-	check("negative col", []int32{-1}, [][]Entry{{e(0, 1)}}, 2, 2)
-	check("gap past the end", []int32{0}, [][]Entry{{e(0, 1), e(2, 1)}}, 2, 2)
-	check("code range", []int32{0}, [][]Entry{{e(0, 1), e(1, 3)}}, 2, 3)
-	check("short filler", []int32{0}, [][]Entry{{e(0, 1), e(7, 0), e(1, 1)}}, 16, 2)
-	check("trailing filler", []int32{0}, [][]Entry{{e(0, 1), filler}}, 1<<17, 2)
-	// Rows 0 and 2 hold two real entries each, row 2 across a filler.
-	rows := [][]Entry{{e(0, 1), e(2, 2)}, nil, {e(0, 1), filler, e(3, 1)}}
-	if nnz := checkRows([]int32{0, 0, 1}, rows, 1<<17, 3); nnz != 4 {
+	check("segment without entries", Row{Segs: []Segment{seg(0, 1)}}, 3)
+	check("segment past the entries", Row{Segs: []Segment{seg(0, 2)}, Entries: []Entry{e(0, 1)}}, 3)
+	check("entries past the segments", Row{Segs: []Segment{seg(0, 1)}, Entries: []Entry{e(0, 1), e(1, 1)}}, 3)
+	check("opening gap", Row{Segs: []Segment{seg(0, 1)}, Entries: []Entry{e(1, 1)}}, 3)
+	check("dup col", Row{Segs: []Segment{seg(1, 2)}, Entries: []Entry{e(0, 1), e(0, 1)}}, 3)
+	check("segment not past the last", Row{Segs: []Segment{seg(0, 2), seg(1, 1)}, Entries: []Entry{e(0, 1), e(1, 1), e(0, 1)}}, 3)
+	check("col range", Row{Segs: []Segment{seg(5, 1)}, Entries: []Entry{e(0, 1)}}, 2)
+	check("negative col", Row{Segs: []Segment{seg(-1, 1)}, Entries: []Entry{e(0, 1)}}, 2)
+	check("gap past the end", Row{Segs: []Segment{seg(0, 2)}, Entries: []Entry{e(0, 1), e(2, 1)}}, 2)
+	check("hits past the sub-samples", Row{Segs: []Segment{seg(0, 1)}, Entries: []Entry{e(0, 3)}}, 2)
+	check("base past the table", Row{Segs: []Segment{newSegment(0, 2, 1)}, Entries: []Entry{e(0, 1)}}, 2)
+	// Rows 0 and 2 hold two entries each, row 2 in two segments.
+	rows := []Row{
+		{Segs: []Segment{seg(0, 2)}, Entries: []Entry{e(0, 1), e(2, 2)}},
+		{},
+		{Segs: []Segment{seg(1, 1), seg(9000, 1)}, Entries: []Entry{e(0, 1), e(0, 2)}},
+	}
+	if nnz := checkRows(rows, 1<<17, 2, table); nnz != 4 {
 		t.Errorf("nnz = %d, want 4", nnz)
 	}
 }
 
-// TestBuildFillsWideGaps: on a 0.5° grid a slot spans 259,200 columns, so
-// where a row passes from one slot to the next its consecutive columns lie
-// more than 16 bits apart. The gap is carried by fillers, which NNZ and
-// TrackNNZ do not count and which change no sum: the real entries are the
-// rasterizer's, and Supply is bit for bit its recount.
-func TestBuildFillsWideGaps(t *testing.T) {
+// TestBuildSplitsWideGaps: on a 0.5° grid a grid row is 720 cells, so the
+// footprints of one slot's two sub-samples, some 27° apart along the track,
+// leave a gap wider than an entry's 12 bits between them. A second segment of
+// the slot carries it: NNZ and TrackNNZ count the rasterizer's cells, and
+// Supply is bit for bit its recount.
+func TestBuildSplitsWideGaps(t *testing.T) {
 	cfg := Config{
 		Grid:            geo.MustGrid(0.5),
 		Specs:           []orbit.RepeatSpec{{P: 1, Q: 15}},
@@ -220,18 +255,19 @@ func TestBuildFillsWideGaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fillers, trackNNZ := 0, 0
+	m := lib.Grid.NumCells()
+	splits, trackNNZ := 0, 0
 	for j := range lib.Tracks {
-		_, row := lib.TrackEntries(j)
-		for _, e := range row {
-			if e == filler {
-				fillers++
+		segs := lib.TrackRow(j).Segs
+		for i := 1; i < len(segs); i++ {
+			if int(segs[i].Col)/m == int(segs[i-1].Col)/m {
+				splits++
 			}
 		}
 		trackNNZ += lib.TrackNNZ(j)
 	}
-	if fillers == 0 {
-		t.Fatal("no row stored a filler: the grid is not fine enough to test them")
+	if splits == 0 {
+		t.Fatal("no slot needed a second segment: the grid is not fine enough to test them")
 	}
 	x := make([]int, lib.NumTracks())
 	for j := range x {
@@ -239,12 +275,62 @@ func TestBuildFillsWideGaps(t *testing.T) {
 	}
 	want, nnz := recount(lib, cfg.SubSamples, x)
 	if lib.NNZ() != nnz || trackNNZ != nnz {
-		t.Errorf("NNZ %d, TrackNNZ summing to %d, with %d fillers; the rasterizer counts %d entries", lib.NNZ(), trackNNZ, fillers, nnz)
+		t.Errorf("NNZ %d, TrackNNZ summing to %d, with %d split slots; the rasterizer counts %d entries", lib.NNZ(), trackNNZ, splits, nnz)
 	}
 	got := lib.Supply(x)
 	for k := range want {
 		if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
 			t.Fatalf("supply[%d] = %v, recount %v", k, got[k], want[k])
+		}
+	}
+}
+
+// TestRowsRoundTripTheRasterizer: decoding every row gives back, column for
+// column and bit for bit, the (slot·m + cell, hits/total) pairs a fresh
+// Rasterizer produces for the track — on the 10° and 6° grids, on the 0.5°
+// grid whose slots split into several segments, and at 1, 2, 3 and 8
+// sub-samples.
+func TestRowsRoundTripTheRasterizer(t *testing.T) {
+	type pair struct {
+		k int
+		v uint64
+	}
+	for _, deg := range []float64{10, 6, 0.5} {
+		for _, sub := range []int{1, 2, 3, 8} {
+			cfg := Config{
+				Grid:            geo.MustGrid(deg),
+				Specs:           []orbit.RepeatSpec{{P: 1, Q: 15}, {P: 1, Q: 12}},
+				InclinationsDeg: []float64{53, 85},
+				RAANs:           2, Phases: 2, Slots: 6, SubSamples: sub,
+			}
+			if deg < 1 {
+				cfg.Specs, cfg.InclinationsDeg, cfg.Phases, cfg.Slots = cfg.Specs[:1], cfg.InclinationsDeg[:1], 1, 3
+			}
+			lib, err := Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			offsets := make([]float64, sub)
+			for i := range offsets {
+				offsets[i] = float64(i) / float64(sub)
+			}
+			ras := NewRasterizer(lib.Grid, lib.SlotSeconds, offsets)
+			m := lib.Grid.NumCells()
+			for j, tr := range lib.Tracks {
+				var got, want []pair
+				eachEntry(lib, j, func(k int, v float64) { got = append(got, pair{k, math.Float64bits(v)}) })
+				lam := lib.Coverage.FootprintRadius(tr.Elements.Altitude())
+				for s := 0; s < lib.Slots; s++ {
+					cells, total := ras.Slot(tr.Elements, lam, s)
+					for _, c := range cells {
+						want = append(want, pair{s*m + c, math.Float64bits(float64(ras.Hits(c)) / float64(total))})
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%v° grid, %d sub-samples, track %d: %d decoded entries differ from the rasterizer's %d",
+						deg, sub, j, len(got), len(want))
+				}
+			}
 		}
 	}
 }

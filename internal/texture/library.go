@@ -1,8 +1,9 @@
 // Package texture builds TinyLEO's Earth-repeat ground-track ("texture")
 // library (paper §4.1, Table 1): an over-complete set of candidate orbital
 // slots, each with its spatiotemporal coverage over the geographic cell
-// grid, stored track-major as one packed row per track — 4 B an entry, a
-// 16-bit gap to the previous column and a 16-bit code for the value — so the
+// grid, stored track-major as one packed row per track — 2 B an entry, a
+// 12-bit gap to the previous column and the 4-bit hit count that, with its
+// (track, slot) segment's footprint total, gives the value — so the
 // synthesizer's matching pursuit can scan candidate columns in parallel.
 package texture
 
@@ -55,9 +56,10 @@ type Config struct {
 	// unfolding). The paper samples demand at 15-minute intervals.
 	Slots       int
 	SlotSeconds float64
-	// SubSamples is the number of instants sampled inside each slot;
-	// A(i,j) is the fraction of sampled instants at which track j covers
-	// cell i, realizing the paper's fractional coverage A_t(i,j) ∈ [0,1].
+	// SubSamples is the number of instants sampled inside each slot, at
+	// most MaxSubSamples; A(i,j) is the fraction of sampled instants at
+	// which track j covers cell i, realizing the paper's fractional coverage
+	// A_t(i,j) ∈ [0,1].
 	SubSamples int
 	// Coverage sets the radio footprint geometry.
 	Coverage orbit.CoverageParams
@@ -112,45 +114,159 @@ type Library struct {
 	Coverage    orbit.CoverageParams
 
 	// The coverage matrix is track-major (Ãᵀ of the paper): rows[j] is track
-	// j's row over the unfolded index space slot*m + cell, one 4 B entry
-	// gap<<16 | code per covered column in ascending order, and first[j] the
-	// column of its first entry, whose gap is 0. Every value is hits/total
-	// for a small hit count and a slot's footprint total, so a 16-bit code
-	// into fracs stands for it exactly. A gap wider than 16 bits is bridged
-	// by fillers, entries of gap maxGap and code 0, and fracs[0] is 0: a
-	// filler adds exactly +0 to any sum over the row.
-	first []int32
-	rows  [][]Entry
+	// j's row over the unfolded index space slot*m + cell, packed (see Row).
+	// Every value is hits/total for a hit count of at most SubSamples and a
+	// slot's footprint total, so fracs, indexed by a segment's base plus an
+	// entry's hits, stands for it exactly.
+	rows  []Row
 	fracs []float64
 	nnz   int
 }
 
-// Entry is one packed coverage entry of a library row: the number of columns
-// it sits after the entry before it in its high 16 bits, and the code of its
-// value, an index into Library.Fractions, in its low 16.
-type Entry uint32
+// Row is one track's (or satellite's) coverage over the unfolded index space
+// slot*m + cell, packed: its covered columns in ascending order, cut into
+// segments. A segment is a run of columns of one slot, all of whose values
+// share the slot's base; an entry is one column, 2 B. A segment holds at
+// most 4,096 entries, and a gap wider than an entry holds opens a new one.
+// A scan walks segments, then their entries:
+//
+//	ents := row.Entries
+//	for _, sg := range row.Segs {
+//		k, vals, n := int(sg.Col), sg.Values(table), sg.Len()
+//		for _, e := range ents[:n] {
+//			k += e.Gap()
+//			... vals.Of(e) at column k ...
+//		}
+//		ents = ents[n:]
+//	}
+//
+// where table is the value table the rows were built for (for a Library,
+// Fractions).
+type Row struct {
+	Segs    []Segment
+	Entries []Entry
+}
 
-// Gap returns how many columns e sits after the entry before it; the first
-// entry of a row has gap 0.
-func (e Entry) Gap() int { return int(e >> 16) }
+// Segment is a run of a row's entries within one slot, 8 B: the column of
+// its first entry, whose gap is 0, and one word holding its base in the high
+// 20 bits and its number of entries less one in the low 12.
+type Segment struct {
+	Col  int32
+	word uint32
+}
 
-// Code returns the index of e's value in Library.Fractions.
-func (e Entry) Code() uint16 { return uint16(e) }
+// Entry is one covered column of a segment, 2 B: its gap from the column
+// before it in the segment (0 for the segment's first) in the high 12 bits,
+// and its hit count less one in the low 4.
+type Entry uint16
 
-func newEntry(gap int, code uint16) Entry { return Entry(gap)<<16 | Entry(code) }
-
-// maxGap is the widest gap an entry holds, and filler the entry that bridges
-// a wider one: code 0, which no covered column has, of value 0.
 const (
-	maxGap       = 1<<16 - 1
-	filler Entry = maxGap << 16
+	// hitsBits is an entry's field for the hit count less one, and
+	// MaxSubSamples the most sub-samples a slot that field can count.
+	hitsBits      = 4
+	hitsMask      = 1<<hitsBits - 1
+	MaxSubSamples = 1 << hitsBits
+	// maxGap is the widest gap an entry holds.
+	maxGap = 1<<(16-hitsBits) - 1
+	// lenBits is a segment's field for its entries less one, maxSegEntries
+	// the most entries it counts, and MaxBase the largest base the rest of
+	// its word holds.
+	lenBits       = 12
+	maxSegEntries = 1 << lenBits
+	MaxBase       = 1<<(32-lenBits) - 1
 )
+
+func newSegment(col, base, n int) Segment {
+	return Segment{Col: int32(col), word: uint32(base)<<lenBits | uint32(n-1)}
+}
+
+// Base returns total·S − 1, S the sub-samples a slot and total its
+// footprints' cell count: the value of an entry e is table[Base + e.Hits()].
+func (s Segment) Base() int { return int(s.word >> lenBits) }
+
+// Len returns the segment's number of entries, at least 1.
+func (s Segment) Len() int { return int(s.word&(maxSegEntries-1)) + 1 }
+
+// Gap returns how many columns e sits after the entry before it in its
+// segment; a segment's first entry has gap 0.
+func (e Entry) Gap() int { return int(e) >> hitsBits }
+
+// Hits returns at how many of its slot's sample instants e's column was
+// covered, 1 to MaxSubSamples.
+func (e Entry) Hits() int { return int(e)&hitsMask + 1 }
+
+func newEntry(gap, hits int) Entry { return Entry(gap<<hitsBits | (hits - 1)) }
+
+// Values is a segment's window on a value table: v[h-1] is the value of its
+// entries with h hits.
+type Values [MaxSubSamples]float64
+
+// Of returns the value of e, an entry of the segment v was taken for.
+func (v *Values) Of(e Entry) float64 { return v[int(e)&hitsMask] }
+
+// Values returns the window on table that the segment's entries index. The
+// table ends MaxSubSamples past its last base (see ValueTable), so the
+// window is a view, not a copy.
+func (s Segment) Values(table []float64) *Values {
+	b := s.Base() + 1
+	return (*Values)(table[b : b+MaxSubSamples])
+}
+
+// ValueTable returns the value table of rows whose segments' bases reach top,
+// for sub sub-samples a slot: entry total·sub + hits − 1 is value(hits,
+// total) for 1 ≤ hits ≤ sub, every other entry 0, and the table runs
+// MaxSubSamples past top so that every segment's Values is a view of it.
+func ValueTable(top, sub int, value func(hits, total int) float64) []float64 {
+	t := make([]float64, top+1+MaxSubSamples)
+	for c := sub; c <= top+sub; c++ {
+		t[c] = value(c%sub+1, c/sub)
+	}
+	return t
+}
+
+// AppendRow appends to r the coverage of a satellite on el, of footprint
+// radius lam, over slots [0, slots) as ras samples it, and returns r with the
+// largest base it computed, which the caller checks against MaxBase before it
+// keeps any entry. ras's sub-samples must be at most MaxSubSamples.
+func AppendRow(r Row, ras *Rasterizer, el orbit.Elements, lam float64, slots int) (Row, int) {
+	sub := len(ras.offsets)
+	if sub > MaxSubSamples {
+		panic(fmt.Sprintf("texture: %d sub-samples, an entry counts %d", sub, MaxSubSamples))
+	}
+	m, top := ras.grid.NumCells(), 0
+	for s := 0; s < slots; s++ {
+		cells, total := ras.Slot(el, lam, s)
+		base := total*sub - 1
+		top = max(top, base)
+		prev := -1 - maxGap // too far from any column: the slot's first opens a segment
+		for _, c := range cells {
+			col := s*m + c
+			if gap := col - prev; gap <= maxGap && r.Segs[len(r.Segs)-1].Len() < maxSegEntries {
+				r.Segs[len(r.Segs)-1].word++ // one entry more
+				r.Entries = append(r.Entries, newEntry(gap, ras.Hits(c)))
+			} else {
+				r.Segs = append(r.Segs, newSegment(col, base, 1))
+				r.Entries = append(r.Entries, newEntry(0, ras.Hits(c)))
+			}
+			prev = col
+		}
+	}
+	return r, top
+}
 
 // Build enumerates candidates and computes their coverage in parallel.
 func Build(cfg Config) (*Library, error) {
 	cfg.fillDefaults()
 	if len(cfg.Specs) == 0 {
 		return nil, fmt.Errorf("texture: no repeat specs in configuration")
+	}
+	if cfg.SubSamples > MaxSubSamples {
+		return nil, fmt.Errorf("texture: %d sub-samples a slot, but an entry's 4-bit field counts at most %d hits",
+			cfg.SubSamples, MaxSubSamples)
+	}
+	m := cfg.Grid.NumCells()
+	if cols := cfg.Slots * m; cols > math.MaxInt32 {
+		return nil, fmt.Errorf("texture: %d slots of %d cells pass a segment's 32-bit column", cfg.Slots, m)
 	}
 	tracks := make([]Track, 0, len(cfg.Specs)*len(cfg.InclinationsDeg)*cfg.RAANs*cfg.Phases)
 	for _, spec := range cfg.Specs {
@@ -185,15 +301,13 @@ func Build(cfg Config) (*Library, error) {
 	// fit, the rows held there are copied out once, exactly sized, and filed
 	// as capacity-capped views of that copy: the build's garbage is the
 	// workers' scratch.
-	m := cfg.Grid.NumCells()
-	lib.first = make([]int32, len(tracks))
-	lib.rows = make([][]Entry, len(tracks))
+	lib.rows = make([]Row, len(tracks))
 	offsets := make([]float64, cfg.SubSamples)
 	for ss := range offsets {
 		offsets[ss] = float64(ss) / float64(cfg.SubSamples)
 	}
 	workers := min(cfg.Parallelism, len(tracks))
-	maxCode := make([]int, workers)
+	maxBase := make([]int, workers)
 	var next atomic.Int64
 	next.Store(int64(workers))
 	var wg sync.WaitGroup
@@ -202,32 +316,31 @@ func Build(cfg Config) (*Library, error) {
 		go func() {
 			defer wg.Done()
 			ras := NewRasterizer(cfg.Grid, cfg.SlotSeconds, offsets)
-			var entries []Entry
+			var scratch Row
 			var held []heldRow
 			flush := func() {
-				rows := append(make([]Entry, 0, len(entries)), entries...)
-				start := 0
+				segs := append(make([]Segment, 0, len(scratch.Segs)), scratch.Segs...)
+				ents := append(make([]Entry, 0, len(scratch.Entries)), scratch.Entries...)
+				var s0, e0 int
 				for _, h := range held {
-					lib.rows[h.track] = rows[start:h.end:h.end]
-					start = h.end
+					lib.rows[h.track] = Row{Segs: segs[s0:h.segs:h.segs], Entries: ents[e0:h.ents:h.ents]}
+					s0, e0 = h.segs, h.ents
 				}
-				entries, held = entries[:0], held[:0]
+				scratch, held = Row{Segs: scratch.Segs[:0], Entries: scratch.Entries[:0]}, held[:0]
 			}
 			// Worker w starts on track w whenever it is scheduled, so the row
 			// that sizes its scratch does not depend on that.
 			for j := w; j < len(tracks); j = int(next.Add(1)) - 1 {
-				start := len(entries)
+				s0, e0 := len(scratch.Segs), len(scratch.Entries)
+				el := tracks[j].Elements
 				var top int
-				entries, lib.first[j], top = appendCoverageRow(entries, ras, cfg, tracks[j].Elements, m)
-				maxCode[w] = max(maxCode[w], top)
-				held = append(held, heldRow{track: j, end: len(entries)})
-				n := len(entries) - start
-				if cap(entries) < minBatchRows*n {
-					// The first row, or one far larger than any before it:
-					// room for a batch of its like, made at once.
-					entries = append(make([]Entry, 0, batchRows*n), entries...)
-				}
-				if cap(entries)-len(entries) < 2*n {
+				scratch, top = AppendRow(scratch, ras, el, cfg.Coverage.FootprintRadius(el.Altitude()), cfg.Slots)
+				maxBase[w] = max(maxBase[w], top)
+				held = append(held, heldRow{track: j, segs: len(scratch.Segs), ents: len(scratch.Entries)})
+				scratch.Segs = reserve(scratch.Segs, len(scratch.Segs)-s0)
+				scratch.Entries = reserve(scratch.Entries, len(scratch.Entries)-e0)
+				if cap(scratch.Segs)-len(scratch.Segs) < 2*(len(scratch.Segs)-s0) ||
+					cap(scratch.Entries)-len(scratch.Entries) < 2*(len(scratch.Entries)-e0) {
 					flush()
 				}
 			}
@@ -236,53 +349,70 @@ func Build(cfg Config) (*Library, error) {
 	}
 	wg.Wait()
 
-	top := slices.Max(maxCode)
-	if top > math.MaxUint16 {
-		return nil, fmt.Errorf("texture: coverage code %d does not fit 16 bits: a slot's footprints total %d cells over %d sub-samples",
-			top, top/cfg.SubSamples, cfg.SubSamples)
+	top := slices.Max(maxBase)
+	if top > MaxBase {
+		return nil, fmt.Errorf("texture: segment base %d does not fit 20 bits: a slot's footprints total %d cells over %d sub-samples",
+			top, (top+1)/cfg.SubSamples, cfg.SubSamples)
 	}
-	// Code c = total*S + hits - 1 stands for hits/total: total = c/S and hits
-	// = c%S + 1, since hits ≤ S. No code is below S, as total ≥ hits ≥ 1, so
-	// fracs[0], the fillers' code, is 0.
-	sub := cfg.SubSamples
-	lib.fracs = make([]float64, top+1)
-	for c := sub; c <= top; c++ {
-		lib.fracs[c] = float64(c%sub+1) / float64(c/sub)
-	}
-	lib.nnz = checkRows(lib.first, lib.rows, cfg.Slots*m, len(lib.fracs))
+	// Per the paper's supply model, A_t(i,j) is the fraction of satellite j's
+	// radio-link capacity over cell i, so each satellite's coverage sums to 1
+	// per slot (its capacity is one satellite unit regardless of footprint
+	// size): a wide footprint spreads capacity thinner, it does not multiply
+	// it.
+	lib.fracs = ValueTable(top, cfg.SubSamples, func(hits, total int) float64 { return float64(hits) / float64(total) })
+	lib.nnz = checkRows(lib.rows, cfg.Slots*m, cfg.SubSamples, len(lib.fracs))
 	return lib, nil
 }
 
-// checkRows panics unless every row is well formed — its first entry real,
-// at first[i] with gap 0, every later gap at least 1, every column inside
-// [0, cols), every code inside a table of tableLen values, and every filler
-// carrying the widest gap and followed by another entry — and returns the
-// number of real entries. The rows are built this way, so a failure is a
-// bug in the build.
-func checkRows(first []int32, rows [][]Entry, cols, tableLen int) int {
-	if len(first) != len(rows) {
-		panic(fmt.Sprintf("texture: %d first columns but %d rows", len(first), len(rows)))
+// reserve returns s, moved to an array with room for batchRows rows of n
+// elements when it has room for fewer than minBatchRows: the first row, or
+// one far larger than any before it.
+func reserve[T any](s []T, n int) []T {
+	if cap(s) < minBatchRows*n {
+		return append(make([]T, 0, batchRows*n), s...)
 	}
+	return s
+}
+
+// checkRows panics unless every row is well formed — its segments' entry
+// counts adding up to its entries, each segment's first
+// entry of gap 0 past the previous segment's last column, every later gap
+// at least 1, every column inside [0, cols), every hit count at most sub,
+// and every segment's Values inside a table of tableLen values — and returns
+// the number of entries. The rows are built this way, so a failure is a bug
+// in the build.
+func checkRows(rows []Row, cols, sub, tableLen int) int {
 	nnz := 0
 	for i, row := range rows {
-		k := int(first[i])
-		for n, e := range row {
-			gap, code := e.Gap(), int(e.Code())
-			k += gap
+		ents, k := row.Entries, -1
+		for n, sg := range row.Segs {
 			switch {
-			case n == 0 && (gap != 0 || code == 0):
-				panic(fmt.Sprintf("texture: row %d opens with gap %d, code %d", i, gap, code))
-			case n > 0 && gap == 0:
-				panic(fmt.Sprintf("texture: row %d not strictly increasing at %d", i, n))
-			case k < 0 || k >= cols:
-				panic(fmt.Sprintf("texture: row %d col %d out of range [0,%d)", i, k, cols))
-			case code >= tableLen:
-				panic(fmt.Sprintf("texture: row %d code %d outside a table of %d", i, code, tableLen))
-			case code == 0 && (gap != maxGap || n == len(row)-1):
-				panic(fmt.Sprintf("texture: row %d has a filler of gap %d at %d of %d", i, gap, n, len(row)))
-			case code != 0:
-				nnz++
+			case sg.Len() > len(ents):
+				panic(fmt.Sprintf("texture: row %d segment %d counts %d of %d entries left", i, n, sg.Len(), len(ents)))
+			case int(sg.Col) <= k:
+				panic(fmt.Sprintf("texture: row %d segment %d opens at col %d, not past %d", i, n, sg.Col, k))
+			case sg.Base()+1+MaxSubSamples > tableLen:
+				panic(fmt.Sprintf("texture: row %d segment %d base %d outside a table of %d", i, n, sg.Base(), tableLen))
 			}
+			k = int(sg.Col)
+			for x, e := range ents[:sg.Len()] {
+				k += e.Gap()
+				switch {
+				case x == 0 && e.Gap() != 0:
+					panic(fmt.Sprintf("texture: row %d segment %d opens with gap %d", i, n, e.Gap()))
+				case x > 0 && e.Gap() == 0:
+					panic(fmt.Sprintf("texture: row %d not strictly increasing in segment %d", i, n))
+				case k < 0 || k >= cols:
+					panic(fmt.Sprintf("texture: row %d col %d out of range [0,%d)", i, k, cols))
+				case e.Hits() > sub:
+					panic(fmt.Sprintf("texture: row %d col %d has %d hits of %d sub-samples", i, k, e.Hits(), sub))
+				}
+			}
+			ents = ents[sg.Len():]
+			nnz += sg.Len()
+		}
+		if len(ents) != 0 {
+			panic(fmt.Sprintf("texture: row %d has %d entries past its segments", i, len(ents)))
 		}
 	}
 	return nnz
@@ -294,42 +424,9 @@ func checkRows(first []int32, rows [][]Entry, cols, tableLen int) int {
 // scratch is a small fraction of the matrix.
 const batchRows, minBatchRows = 24, 4
 
-// heldRow is a track's row in a worker's scratch, from the previous one's end.
-type heldRow struct{ track, end int }
-
-// appendCoverageRow appends one track's unfolded coverage to row, packed:
-// for each covered column slot*m+cell in ascending order, its gap from the
-// previous one (0 for the first, whose column it returns; fillers first when
-// the gap passes 16 bits) and the code total*S + hits - 1 of its fraction
-// hits/total (S = cfg.SubSamples). It returns the largest code, which the
-// caller must check fits 16 bits before it keeps any. Per the paper's supply
-// model, A_t(i,j) is the fraction of satellite j's radio-link capacity over
-// cell i, so each satellite's coverage sums to 1 per slot (its capacity is
-// one satellite unit regardless of footprint size): a wide footprint spreads
-// capacity thinner, it does not multiply it.
-func appendCoverageRow(row []Entry, ras *Rasterizer, cfg Config, el orbit.Elements, m int) ([]Entry, int32, int) {
-	lam := cfg.Coverage.FootprintRadius(el.Altitude())
-	top, first, prev := 0, 0, -1
-	for s := 0; s < cfg.Slots; s++ {
-		cells, total := ras.Slot(el, lam, s)
-		for _, c := range cells {
-			code := total*cfg.SubSamples + ras.Hits(c) - 1
-			top = max(top, code)
-			col, gap := s*m+c, 0
-			if prev < 0 {
-				first = col
-			} else {
-				gap = col - prev
-			}
-			for ; gap > maxGap; gap -= maxGap {
-				row = append(row, filler)
-			}
-			row = append(row, newEntry(gap, uint16(code)))
-			prev = col
-		}
-	}
-	return row, int32(first), top
-}
+// heldRow is a track's row in a worker's scratch: where its segments and its
+// entries end, from the previous one's.
+type heldRow struct{ track, segs, ents int }
 
 // Rasterizer samples a satellite's radio footprint over the cell grid one
 // slot at a time: which cells the footprint covers at the slot's sub-sample
@@ -392,37 +489,17 @@ func (l *Library) NumTracks() int { return len(l.Tracks) }
 // UnfoldedLen returns slots × cells, the length of demand/residual vectors.
 func (l *Library) UnfoldedLen() int { return l.Slots * l.Grid.NumCells() }
 
-// TrackEntries returns track j's coverage over the flattened slot*m+cell
-// space: the column of its first entry and a read-only view, with no spare
-// capacity, of its packed entries in ascending column order. A scan decodes
-// the columns as it goes:
-//
-//	k, row := lib.TrackEntries(j)
-//	for _, e := range row {
-//		k += e.Gap()
-//		... fracs[e.Code()] at column k ...
-//	}
-//
-// Some entries may be fillers of value 0 that only carry a wide gap.
-func (l *Library) TrackEntries(j int) (first int, entries []Entry) {
-	return int(l.first[j]), l.rows[j]
-}
+// TrackRow returns track j's packed coverage over the flattened slot*m+cell
+// space (see Row for how to scan it), read-only views with no spare
+// capacity. Its values index Fractions.
+func (l *Library) TrackRow(j int) Row { return l.rows[j] }
 
-// Fractions returns the read-only table of coverage fractions that the codes
-// of TrackEntries' entries index. Its entry 0 is 0: a filler's value.
+// Fractions returns the read-only value table of TrackRow's segments: entry
+// base + hits is hits/total (see ValueTable).
 func (l *Library) Fractions() []float64 { return l.fracs }
 
-// TrackNNZ returns the number of (slot, cell) pairs track j covers: its
-// entries but the fillers.
-func (l *Library) TrackNNZ(j int) int {
-	n := 0
-	for _, e := range l.rows[j] {
-		if e != filler {
-			n++
-		}
-	}
-	return n
-}
+// TrackNNZ returns the number of (slot, cell) pairs track j covers.
+func (l *Library) TrackNNZ(j int) int { return len(l.rows[j].Entries) }
 
 // Supply accumulates the unfolded network supply Ã·x for integer satellite
 // counts x (len NumTracks) into a dense vector of length UnfoldedLen.
@@ -431,18 +508,59 @@ func (l *Library) Supply(x []int) []float64 {
 		panic("texture: Supply dimension mismatch")
 	}
 	out, fracs := make([]float64, l.UnfoldedLen()), l.fracs
-	for j, n := range x {
-		if n == 0 {
+	for j, xj := range x {
+		if xj == 0 {
 			continue
 		}
-		fn := float64(n)
-		k, row := l.TrackEntries(j)
-		for _, e := range row {
-			k += e.Gap()
-			out[k] += fn * fracs[e.Code()]
-		}
+		AddRow(out, l.rows[j], fracs, float64(xj))
 	}
 	return out
+}
+
+// AddRow adds w times row's values, read from table, to out at their
+// columns (w = −1 subtracts them exactly). It is a function of its own so
+// that the segment and entry loops have the registers to themselves.
+func AddRow(out []float64, row Row, table []float64, w float64) {
+	ents := row.Entries
+	for _, sg := range row.Segs {
+		k, vals, n := int(sg.Col), sg.Values(table), sg.Len()
+		for _, e := range ents[:n] {
+			k += e.Gap()
+			out[k] += w * vals.Of(e)
+		}
+		ents = ents[n:]
+	}
+}
+
+// Score returns how much of residual one satellite on row would satisfy,
+// Σ min(v_k, r_k), together with Σ v_k·r_k and Σ v_k², each taken over the
+// columns k whose residual r_k is positive and summed in column order, v_k
+// the row's values read from table: the sparsifier's score of a track and
+// the exact solver's branching rule. It is a function of its own so that the
+// segment and entry loops have the registers to themselves; written into its
+// caller, they spill and the scan is ~10 % slower.
+func Score(row Row, table, residual []float64) (satisfiable, dot, norm2 float64) {
+	ents := row.Entries
+	for _, sg := range row.Segs {
+		k, vals, n := int(sg.Col), sg.Values(table), sg.Len()
+		for _, e := range ents[:n] {
+			k += e.Gap()
+			r := residual[k]
+			if r <= 0 {
+				continue
+			}
+			v := vals.Of(e)
+			if v < r {
+				satisfiable += v
+			} else {
+				satisfiable += r
+			}
+			dot += v * r
+			norm2 += v * v
+		}
+		ents = ents[n:]
+	}
+	return satisfiable, dot, norm2
 }
 
 // NNZ returns the total stored coverage entries across all tracks.

@@ -23,6 +23,21 @@ func smallConfig() Config {
 	}
 }
 
+// eachEntry calls f with each column track j covers, in ascending order,
+// and its value: a scan of the track's row as Row describes it.
+func eachEntry(lib *Library, j int, f func(k int, v float64)) {
+	row, fracs := lib.TrackRow(j), lib.Fractions()
+	ents := row.Entries
+	for _, sg := range row.Segs {
+		k, vals, n := int(sg.Col), sg.Values(fracs), sg.Len()
+		for _, e := range ents[:n] {
+			k += e.Gap()
+			f(k, vals.Of(e))
+		}
+		ents = ents[n:]
+	}
+}
+
 func TestBuildEnumeratesExpectedCount(t *testing.T) {
 	lib, err := Build(smallConfig())
 	if err != nil {
@@ -62,15 +77,12 @@ func TestCoverageValuesAreFractions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fracs := lib.Fractions()
 	for j := 0; j < lib.NumTracks(); j++ {
-		k, row := lib.TrackEntries(j)
-		for _, e := range row {
-			k += e.Gap()
-			if frac := fracs[e.Code()]; frac <= 0 || frac > 1+1e-12 {
+		eachEntry(lib, j, func(k int, frac float64) {
+			if frac <= 0 || frac > 1+1e-12 {
 				t.Fatalf("track %d idx %d frac %v", j, k, frac)
 			}
-		}
+		})
 	}
 }
 
@@ -87,16 +99,14 @@ func TestCoverageMatchesGeometry(t *testing.T) {
 	el := lib.Tracks[j].Elements
 	cov := lib.Coverage
 	m := lib.Grid.NumCells()
-	k, row := lib.TrackEntries(j)
-	for _, e := range row {
-		k += e.Gap()
+	eachEntry(lib, j, func(k int, _ float64) {
 		slot, cell := k/m, k%m
 		tt := float64(slot) * cfg.SlotSeconds
 		if !cov.Covers(el, tt, lib.Grid.Center(cell)) {
 			t.Fatalf("slot %d cell %d claimed covered but geometry disagrees", slot, cell)
 		}
-	}
-	if len(row) == 0 {
+	})
+	if lib.TrackNNZ(j) == 0 {
 		t.Fatal("track has empty coverage")
 	}
 }

@@ -18,14 +18,9 @@ func TestCoverageCapacityNormalized(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := lib.Grid.NumCells()
-	fracs := lib.Fractions()
 	for j := 0; j < lib.NumTracks(); j++ {
 		perSlot := make([]float64, lib.Slots)
-		k, row := lib.TrackEntries(j)
-		for _, e := range row {
-			k += e.Gap()
-			perSlot[k/m] += fracs[e.Code()]
-		}
+		eachEntry(lib, j, func(k int, v float64) { perSlot[k/m] += v })
 		for s, sum := range perSlot {
 			if sum == 0 {
 				continue // footprint missed every cell center this slot
@@ -65,10 +60,7 @@ func TestHighAltitudeDoesNotMultiplyCapacity(t *testing.T) {
 	}
 	sum := func(j int) float64 {
 		s := 0.0
-		_, row := lib.TrackEntries(j)
-		for _, e := range row {
-			s += lib.Fractions()[e.Code()]
-		}
+		eachEntry(lib, j, func(_ int, v float64) { s += v })
 		return s
 	}
 	// Total capacity over the horizon differs by at most the number of
