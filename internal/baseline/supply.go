@@ -102,7 +102,7 @@ func Supply(cfg SupplyConfig, sats []orbit.Elements) []float64 {
 				for i, el := range sats {
 					cells, total := ras.Slot(el, lam[i], s)
 					for _, c := range cells {
-						out[s*m+c] += cfg.share(ras.Hits(c), total)
+						out[s*m+int(c)] += cfg.share(ras.Hits(c), total)
 					}
 				}
 			}

@@ -154,17 +154,21 @@ func (g *Grid) Neighbors4(id int) []int {
 // CellsWithin returns the IDs of every cell whose center lies within the
 // great-circle angular radius (radians) of p.
 func (g *Grid) CellsWithin(p geom.LatLon, radius float64) []int {
-	return g.AppendCellsWithin([]int{}, p, radius)
+	return appendCellsWithin(g, []int{}, p, radius)
 }
 
 // AppendCellsWithin appends to dst what CellsWithin returns, in the same
-// order, and returns the extended slice. This is the footprint rasterizer
-// used to build coverage matrices, so it allocates nothing beyond dst's
-// growth and avoids scanning the whole grid: only latitude rows within the
-// radius are visited, and within each row only the longitude span that can
-// possibly be in range, from its westmost column eastwards across the
+// order, as int32 ids, and returns the extended slice. This is the footprint
+// rasterizer used to build coverage matrices, so it allocates nothing beyond
+// dst's growth and avoids scanning the whole grid: only latitude rows within
+// the radius are visited, and within each row only the longitude span that
+// can possibly be in range, from its westmost column eastwards across the
 // antimeridian.
-func (g *Grid) AppendCellsWithin(dst []int, p geom.LatLon, radius float64) []int {
+func (g *Grid) AppendCellsWithin(dst []int32, p geom.LatLon, radius float64) []int32 {
+	return appendCellsWithin(g, dst, p, radius)
+}
+
+func appendCellsWithin[T int | int32](g *Grid, dst []T, p geom.LatLon, radius float64) []T {
 	g.rasterOnce.Do(g.fillRasterTables)
 	fp := g.footprint(radius)
 	radDeg := geom.Rad2Deg(radius)
@@ -181,18 +185,18 @@ func (g *Grid) AppendCellsWithin(dst []int, p geom.LatLon, radius float64) []int
 			lo += g.nLon
 		}
 		base, first := row*g.nLon, min(n, g.nLon-lo)
-		dst = g.appendRun(dst, base+lo, base+lo+first, pu, fp.cosR)
-		dst = g.appendRun(dst, base, base+n-first, pu, fp.cosR)
+		dst = appendRun(g, dst, base+lo, base+lo+first, pu, fp.cosR)
+		dst = appendRun(g, dst, base, base+n-first, pu, fp.cosR)
 	}
 	return dst
 }
 
 // appendRun appends the cells of [lo, hi) whose centers lie within the
 // footprint: the exact check behind the row and column bounds.
-func (g *Grid) appendRun(dst []int, lo, hi int, pu geom.Vec3, cosR float64) []int {
+func appendRun[T int | int32](g *Grid, dst []T, lo, hi int, pu geom.Vec3, cosR float64) []T {
 	for id := lo; id < hi; id++ {
 		if g.units[id].Dot(pu) >= cosR {
-			dst = append(dst, id)
+			dst = append(dst, T(id))
 		}
 	}
 	return dst

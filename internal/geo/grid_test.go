@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -277,7 +278,7 @@ func TestAppendCellsWithinMatchesCellsWithin(t *testing.T) {
 		}
 		radii := []float64{0, geom.Deg2Rad(1), geom.Deg2Rad(8.5), geom.Deg2Rad(25), geom.Deg2Rad(70),
 			math.Pi/2 - 1e-9, math.Pi / 2, math.Pi/2 + 0.1, 2.5, math.Pi}
-		scratch := []int{-1, -2}
+		scratch := []int32{-1, -2}
 		for _, p := range points {
 			for _, radius := range radii {
 				want := cellsWithinReference(g, p, radius)
@@ -285,13 +286,22 @@ func TestAppendCellsWithinMatchesCellsWithin(t *testing.T) {
 					t.Fatalf("%v° grid, p=%v r=%v: CellsWithin = %v, reference %v", deg, p, radius, got, want)
 				}
 				scratch = g.AppendCellsWithin(scratch[:2], p, radius)
-				if scratch[0] != -1 || scratch[1] != -2 || !reflect.DeepEqual(scratch[2:], want) {
+				if scratch[0] != -1 || scratch[1] != -2 || !slices.Equal(widen(scratch[2:]), want) {
 					t.Fatalf("%v° grid, p=%v r=%v: AppendCellsWithin = %v, reference %v after the prefix", deg, p, radius, scratch, want)
 				}
 				assertFootprintOrder(t, g, want)
 			}
 		}
 	}
+}
+
+// widen returns ids as ints.
+func widen(ids []int32) []int {
+	out := make([]int, len(ids))
+	for i, id := range ids {
+		out[i] = int(id)
+	}
+	return out
 }
 
 // TestFootprintTableReuse drives the per-radius table past its bound and from

@@ -55,9 +55,9 @@ func TestRasterizerSlotIsSortedUnion(t *testing.T) {
 						sawDateline++
 					}
 				}
-				want := make([]int, 0, len(count))
+				want := make([]int32, 0, len(count))
 				for c := range count {
-					want = append(want, c)
+					want = append(want, int32(c))
 				}
 				slices.Sort(want)
 
@@ -66,10 +66,10 @@ func TestRasterizerSlotIsSortedUnion(t *testing.T) {
 					t.Fatalf("%v° grid, inc %v°, %v, lam %.3f, slot %d: Slot = %v total %d, want %v total %d",
 						deg, incDeg, spec, lam, s, cells, total, want, wantTotal)
 				}
-				for c := 0; c < g.NumCells(); c++ {
-					if ras.Hits(c) != count[c] {
+				for c := range int32(g.NumCells()) {
+					if ras.Hits(c) != count[int(c)] {
 						t.Fatalf("%v° grid, inc %v°, %v, lam %.3f, slot %d: Hits(%d) = %d, recount %d",
-							deg, incDeg, spec, lam, s, c, ras.Hits(c), count[c])
+							deg, incDeg, spec, lam, s, c, ras.Hits(c), count[int(c)])
 					}
 				}
 			}
