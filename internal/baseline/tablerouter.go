@@ -44,7 +44,7 @@ func TablePacket(dst int, payload []byte) *dataplane.Packet {
 
 // Route implements dataplane.Router.
 func (r *TableRouter) Route(s *dataplane.Satellite, p *dataplane.Packet) dataplane.Decision {
-	if p.Geo != nil {
+	if p.Geo() != nil {
 		return r.geo.Route(s, p)
 	}
 	dst := p.Base.FlowID

@@ -32,7 +32,7 @@ func BenchmarkPacketDecode(b *testing.B) {
 // storage of its hop trace, so that a loop forwards without constructing.
 func rewind(p *Packet) {
 	p.Base.HopLimit = 64
-	p.Geo.SegmentsLeft = uint8(len(p.Geo.Segments))
+	p.Geo().SegmentsLeft = uint8(len(p.Geo().Segments()))
 	p.HopTrace = p.HopTrace[:0]
 }
 

@@ -186,7 +186,7 @@ type Anycast struct{}
 //
 //tinyleo:hotpath
 func (Anycast) Route(s *Satellite, p *Packet) Decision {
-	g := p.Geo
+	g := p.Geo()
 	if g == nil { // Decode legitimately yields a packet with no segment list
 		return Decision{Verb: Drop, Reason: "no route"}
 	}

@@ -56,7 +56,7 @@ func TestGeoForwardingDelivers(t *testing.T) {
 	if len(deliveredPkt.HopTrace) == 0 || deliveredPkt.HopTrace[0] != 0 {
 		t.Errorf("trace = %v", deliveredPkt.HopTrace)
 	}
-	if deliveredPkt.Geo.SegmentsLeft != 0 {
+	if deliveredPkt.Geo().SegmentsLeft != 0 {
 		t.Error("segments not consumed")
 	}
 }
@@ -222,7 +222,7 @@ func TestRingPassStopsAfterOneCircle(t *testing.T) {
 }
 
 func TestNonGeoPacketIsDroppedNoRoute(t *testing.T) {
-	// Decode legitimately yields Geo == nil for a packet whose base header
+	// Decode legitimately yields a nil Geo() for a packet whose base header
 	// chains straight to the payload (or to nothing); the production router
 	// has nothing to route it by and must say so, not dereference it.
 	for _, nh := range []uint8{NextHeaderPayload, NextHeaderNone} {
@@ -231,7 +231,7 @@ func TestNonGeoPacketIsDroppedNoRoute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Geo != nil {
+		if p.Geo() != nil {
 			t.Fatalf("next header 0x%02x decoded a segment list", nh)
 		}
 		n := chainNet()
@@ -267,8 +267,8 @@ func TestReinjectedDeliveredPacketIsDroppedNoRoute(t *testing.T) {
 	n.Sim.Run(1)
 	n.Inject(0, p)
 	n.Sim.Run(2)
-	if len(traces) != 1 || reason != "no route" || p.pooled {
-		t.Errorf("%d delivered, second injection dropped for %q, pooled %v: want 1, \"no route\", false",
+	if len(traces) != 1 || reason != "no route" || p.pooled != nil {
+		t.Errorf("%d delivered, second injection dropped for %q, pooled %p: want 1, \"no route\", nil",
 			len(traces), reason, p.pooled)
 	}
 	next, err := Decode(wire)
@@ -279,6 +279,48 @@ func TestReinjectedDeliveredPacketIsDroppedNoRoute(t *testing.T) {
 	n.Sim.Run(3)
 	if want := [][]int{{0, 2, 4}, {0, 2, 4}}; !reflect.DeepEqual(traces, want) {
 		t.Errorf("traces %v, want %v", traces, want)
+	}
+}
+
+// A copy of a decoded packet is not the pool's: delivering or dropping it
+// pools nothing, so no later Decode hands out the copy, or the packet it
+// copies while that is still in flight, and the packet itself still goes back
+// to the pool at its own delivery.
+func TestReleasedCopyNeverEntersThePool(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one pool shard: a put is the next get
+	n := chainNet()
+	built, _ := NewGeoPacket(99, []int{20, 30}, 1, 1, []byte("hi"))
+	wire, _ := built.Encode()
+	q, err := Decode(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped := bytes.Clone(wire)
+	dropped[2] = 0 // HopLimit: dropped at its first forward
+	for _, in := range [][]byte{bytes.Clone(wire), dropped} {
+		p, err := Decode(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := *p
+		n.Inject(0, &c)
+		n.Sim.Run(n.Sim.Now() + 1)
+		for i := 0; i < 4; i++ {
+			if d, err := Decode(wire); err != nil || d == &c || d == q || d == p {
+				t.Fatalf("after a copy's release, Decode handed out %p (err %v): copy %p, in flight %p, %p", d, err, &c, q, p)
+			}
+		}
+	}
+	if s := n.Sats[0]; s.Dropped != 1 || n.Sats[4].Delivered != 1 {
+		t.Fatalf("copies: %d dropped at 0, %d delivered at 4, want 1 and 1", s.Dropped, n.Sats[4].Delivered)
+	}
+	n.Inject(0, q)
+	n.Sim.Run(n.Sim.Now() + 1)
+	if q.pooled != nil {
+		t.Fatal("the packet a copy was made of was not released at its delivery")
+	}
+	if next, err := Decode(wire); !raceEnabled && (err != nil || next != q) {
+		t.Errorf("Decode after the packet's delivery handed out %p (err %v), want the packet %p back", next, err, q)
 	}
 }
 
@@ -556,7 +598,7 @@ func runRecycleTraffic(t *testing.T, sc recycleScenario, seed int64, decode bool
 	}
 	note := func(s *Satellite, p *Packet, reason string) {
 		out = append(out, outcome{s.ID, p.Base.Seq, reason, n.Sim.Now(), p.SentAt,
-			slices.Clone(p.HopTrace), string(p.Payload), p.Geo.SegmentsLeft})
+			slices.Clone(p.HopTrace), string(p.Payload), p.Geo().SegmentsLeft})
 	}
 	n.OnDeliver = func(s *Satellite, p *Packet) { note(s, p, "") }
 	n.OnDrop = func(s *Satellite, p *Packet, reason string) { note(s, p, reason) }
@@ -679,10 +721,9 @@ func TestIngressAllocationBudget(t *testing.T) {
 
 // TestTerminalAllocationBudget: the ledger's whole per-packet path once warm
 // — NewGeoPacket, Encode, Decode, inject, forward over chainNet's three hops,
-// deliver — allocates one 48-byte object, the segment box of NewGeoPacket's
-// packet. The packet itself stays on terminal's stack; Encode fills the frame
-// the last delivery gave back, Decode takes that frame over and draws its
-// packet from the pool.
+// deliver — allocates nothing: NewGeoPacket's packet, segment list and all,
+// stays on terminal's stack; Encode fills the frame the last delivery gave
+// back, Decode takes that frame over and draws its packet from the pool.
 func TestTerminalAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled packets on purpose")
@@ -712,8 +753,8 @@ func TestTerminalAllocationBudget(t *testing.T) {
 		n.Inject(0, q)
 		n.Sim.Run(n.Sim.Now() + 1)
 	}
-	if objects, bytes := allocsPerRun(100, terminal); objects > 1 || bytes > 48 {
-		t.Errorf("a warm NewGeoPacket → Encode → Decode → inject → delivery allocates %v objects, %v B, budget 1, 48 B", objects, bytes)
+	if objects, bytes := allocsPerRun(100, terminal); objects != 0 || bytes != 0 {
+		t.Errorf("a warm NewGeoPacket → Encode → Decode → inject → delivery allocates %v objects, %v B, budget 0, 0 B", objects, bytes)
 	}
 	if delivered != 101 {
 		t.Errorf("delivered %d of 101 along 0 → 2 → 4", delivered)

@@ -29,8 +29,9 @@ func frameClass(n int) int {
 	return c
 }
 
-// frameNo names a frame the registry made, from 1; 0 is no frame. Two bytes
-// fit the padding after a Packet's own fields, which keeps it 144 bytes.
+// frameNo names a frame the registry made, from 1; 0 is no frame. Its two
+// bytes sit in the padding after a Packet's ringLeft, so a Packet stays 144
+// bytes, its size class, and a pooledPacket 208.
 type frameNo uint16
 
 // maxFrames is how many frames the registry can name at once. Past it, a
@@ -85,6 +86,8 @@ var frames frameRegistry
 // pend returns an n-byte frame for Encode to fill and makes it the pending
 // frame, the one Decode adopts. The frame it displaces stays with whoever
 // holds it and leaves the registry.
+//
+//tinyleo:hotpath
 func (r *frameRegistry) pend(n int) []byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -102,6 +105,8 @@ func (r *frameRegistry) pend(n int) []byte {
 // frame, p takes it over (or, with no payload, it goes idle at once);
 // otherwise the payload is copied into a frame of the registry's, so p shares
 // no storage with b.
+//
+//tinyleo:hotpath
 func (r *frameRegistry) own(p *Packet, b []byte) {
 	n := len(p.Payload)
 	r.mu.Lock()
@@ -143,6 +148,8 @@ func (r *frameRegistry) holdLocked(p *Packet, no frameNo) {
 // put makes the frame of the packet p idle, provided p still holds its
 // number: after a sweep reclaimed the frame of a packet whose Payload was
 // replaced, the number may name another packet's frame.
+//
+//tinyleo:hotpath
 func (r *frameRegistry) put(p *Packet) {
 	no := p.frame
 	r.mu.Lock()

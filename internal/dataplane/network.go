@@ -93,7 +93,7 @@ func (t *traceLists) grow(p *Packet) {
 		t.made++
 	}
 	next = append(next, p.HopTrace...)
-	if p.pooled {
+	if p.decoded() {
 		t.put(p.HopTrace)
 	}
 	p.HopTrace = next
@@ -113,7 +113,7 @@ func (t *traceLists) put(trace []int) {
 // release), and its hop trace, if it outgrew the packet's own, to the free
 // lists. A caller's packet keeps its trace.
 func (n *Network) recycle(p *Packet) {
-	if p.pooled {
+	if p.decoded() {
 		n.traces.put(p.HopTrace)
 	}
 	p.release()

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"unsafe"
 )
 
 // Header type identifiers (the NextHeader byte).
@@ -97,27 +96,41 @@ func (h *BaseHeader) Unmarshal(b []byte) ([]byte, error) {
 // GeoSegmentHeader is the geographic segment routing header (§4.3): the
 // ordered list of geographic cells the packet must traverse, with
 // SegmentsLeft counting down like SRv6's segments-left field. Segments are
-// stored in travel order (segment 0 is the first hop cell).
+// stored in travel order (segment 0 is the first hop cell), in the header
+// itself up to inlineSegments cells, else in a slice of exactly their number.
 type GeoSegmentHeader struct {
 	NextHeader   uint8
 	SegmentsLeft uint8
-	Segments     []uint16
+	n            uint8 // the list's length; 0 only in a packet without the header
+	inline       [inlineSegments]uint16
+	long         []uint16 // the list, when it is longer than inline
 }
 
 // MaxSegments bounds the segment list (fits the uint8 count field).
 const MaxSegments = 255
 
+// errNoSegments reports a segment list of no cells, which no packet can follow.
+var errNoSegments = errors.New("dataplane: empty segment list")
+
+// Segments returns the segment list, in the header's own storage.
+func (g *GeoSegmentHeader) Segments() []uint16 {
+	if g.n > inlineSegments {
+		return g.long
+	}
+	return g.inline[:g.n:g.n]
+}
+
 // EncodedLen returns the header's wire size.
-func (g *GeoSegmentHeader) EncodedLen() int { return 4 + 2*len(g.Segments) }
+func (g *GeoSegmentHeader) EncodedLen() int { return 4 + 2*int(g.n) }
 
 // Marshal appends the encoded header to dst.
 func (g *GeoSegmentHeader) Marshal(dst []byte) ([]byte, error) {
 	if err := g.check(); err != nil {
 		return nil, err
 	}
-	dst = append(dst, g.NextHeader, g.SegmentsLeft, uint8(len(g.Segments)), 0)
+	dst = append(dst, g.NextHeader, g.SegmentsLeft, g.n, 0)
 	var b [2]byte
-	for _, s := range g.Segments {
+	for _, s := range g.Segments() {
 		binary.BigEndian.PutUint16(b[:], s)
 		dst = append(dst, b[0], b[1])
 	}
@@ -126,17 +139,16 @@ func (g *GeoSegmentHeader) Marshal(dst []byte) ([]byte, error) {
 
 // check reports a header Marshal cannot encode.
 func (g *GeoSegmentHeader) check() error {
-	if len(g.Segments) > MaxSegments {
-		return fmt.Errorf("dataplane: %d segments exceed max %d", len(g.Segments), MaxSegments)
+	if g.n == 0 {
+		return errNoSegments
 	}
-	if int(g.SegmentsLeft) > len(g.Segments) {
-		return fmt.Errorf("dataplane: segments-left %d > %d segments", g.SegmentsLeft, len(g.Segments))
+	if g.SegmentsLeft > g.n {
+		return fmt.Errorf("dataplane: segments-left %d > %d segments", g.SegmentsLeft, g.n)
 	}
 	return nil
 }
 
-// Unmarshal decodes the header, returning the remaining bytes. The list goes
-// into g.Segments' own storage when that has room, else into a new slice.
+// Unmarshal decodes the header, returning the remaining bytes.
 func (g *GeoSegmentHeader) Unmarshal(b []byte) ([]byte, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("%w: geo segment header prefix", ErrTruncated)
@@ -144,25 +156,29 @@ func (g *GeoSegmentHeader) Unmarshal(b []byte) ([]byte, error) {
 	g.NextHeader = b[0]
 	g.SegmentsLeft = b[1]
 	n := int(b[2])
+	if n == 0 {
+		return nil, errNoSegments
+	}
 	if len(b) < 4+2*n {
 		return nil, fmt.Errorf("%w: %d segments need %d bytes, have %d", ErrTruncated, n, 4+2*n, len(b))
 	}
 	if int(g.SegmentsLeft) > n {
 		return nil, fmt.Errorf("dataplane: segments-left %d > %d segments", g.SegmentsLeft, n)
 	}
-	g.resize(n)
-	for i := 0; i < n; i++ {
-		g.Segments[i] = binary.BigEndian.Uint16(b[4+2*i:])
+	segs := g.resize(n)
+	for i := range segs {
+		segs[i] = binary.BigEndian.Uint16(b[4+2*i:])
 	}
 	return b[4+2*n:], nil
 }
 
-// resize makes Segments n long and no roomier, in its own storage if that fits.
-func (g *GeoSegmentHeader) resize(n int) {
-	if cap(g.Segments) < n {
-		g.Segments = make([]uint16, n)
+// resize makes the list n cells long, 0 < n <= MaxSegments, for its caller to fill.
+func (g *GeoSegmentHeader) resize(n int) []uint16 {
+	g.n, g.long = uint8(n), nil
+	if n > inlineSegments {
+		g.long = make([]uint16, n)
 	}
-	g.Segments = g.Segments[:n:n]
+	return g.Segments()
 }
 
 // CurrentSegment returns the cell the packet is currently heading to, or
@@ -171,8 +187,7 @@ func (g *GeoSegmentHeader) CurrentSegment() int {
 	if g.SegmentsLeft == 0 {
 		return -1
 	}
-	idx := len(g.Segments) - int(g.SegmentsLeft)
-	return int(g.Segments[idx])
+	return int(g.Segments()[g.n-g.SegmentsLeft])
 }
 
 // Advance consumes the current segment (after the packet reaches its cell).
@@ -193,7 +208,7 @@ func (g *GeoSegmentHeader) Advance() {
 // (HopTrace, Payload, the packet itself) copies it.
 type Packet struct {
 	Base    BaseHeader
-	Geo     *GeoSegmentHeader // nil when the wire form carried no segment list
+	geo     GeoSegmentHeader // read through Geo
 	Payload []byte
 
 	// Emulation metadata (not on the wire).
@@ -204,16 +219,24 @@ type Packet struct {
 	// first fell back to the ring while ringLeft segments were left.
 	ringFrom int32
 	ringLeft uint8
-	// pooled marks a packet Decode drew from packetPool, for release, and
-	// frame names the registry frame its Payload lies in (0 = none). They sit
-	// in ringLeft's padding: a Packet stays in the 96-byte size class.
-	pooled bool
-	frame  frameNo
+	// frame names the registry frame Payload lies in (0 = none).
+	frame frameNo
+	// pooled is the pooledPacket Decode drew the packet from; a copy points at
+	// its original, which the pointer keeps alive, so only that is pooled.
+	pooled *pooledPacket
+}
+
+// Geo returns the packet's segment header, or nil when the packet has none.
+func (p *Packet) Geo() *GeoSegmentHeader {
+	if p.geo.n == 0 {
+		return nil
+	}
+	return &p.geo
 }
 
 const (
 	// inlineSegments covers every route the figures and the ledger forward
-	// (6 cells at most) within a 48-byte geoBox.
+	// (6 cells at most) inside the packet.
 	inlineSegments = 8
 	// hopTraceCap is HopTrace's first capacity (the ledger's mean is 7.6 hops).
 	hopTraceCap = 8
@@ -221,27 +244,10 @@ const (
 	maxPayload = math.MaxUint16
 )
 
-// geoBox is what a packet's Geo points to: the segment header and a route's
-// list up to inlineSegments cells, one 48-byte object outside the packet. A
-// packet that points into itself always lives on the heap; one that points
-// here stays on its builder's stack when the builder does not keep it.
-type geoBox struct {
-	hdr  GeoSegmentHeader
-	segs [inlineSegments]uint16
-}
-
-// header returns the box's header, reset, with the box's list storage.
-func (b *geoBox) header() *GeoSegmentHeader {
-	b.hdr = GeoSegmentHeader{Segments: b.segs[:0]}
-	return &b.hdr
-}
-
-// pooledPacket is what packetPool holds: a packet Decode hands out, the box
-// it decodes the packet's segment list into and the hop trace's storage of
-// the first capacity, kept together across reuse.
+// pooledPacket is what packetPool holds: a packet Decode hands out and the
+// hop trace's storage of the first capacity, kept together across reuse.
 type pooledPacket struct {
 	Packet
-	box   geoBox
 	trace [hopTraceCap]int
 }
 
@@ -249,28 +255,27 @@ type pooledPacket struct {
 var packetPool = sync.Pool{New: func() any { return new(pooledPacket) }}
 
 // release returns a packet Decode made, and its frame, to their free lists,
-// and is a no-op for any other packet. Every field is reset, so the pool pins
-// no frame and a packet released twice returns its packet and frame once: a
-// delivered packet injected again is dropped for "no route". The hop trace
-// is dropped too: the next decode starts it in the packet's own storage. A
-// packet goes back to the pool only while its Geo points at its own box: a
-// copy of a decoded packet, or one whose Geo was replaced or carried no
-// segment list, is left to the collector.
+// and is a no-op for any other packet, a copy of a decoded one included.
+// Every field is reset, so the pool pins no frame and a packet released twice
+// returns its packet and frame once: a delivered packet injected again is
+// dropped for "no route". The hop trace is dropped too: the next decode
+// starts it in the packet's own storage.
+//
+//tinyleo:hotpath
 func (p *Packet) release() {
-	if !p.pooled {
+	if !p.decoded() {
 		return
 	}
+	pp := p.pooled
 	if p.frame != 0 {
 		frames.put(p)
 	}
-	// Integers, not pointers: p is known to be a pooledPacket's only once
-	// they match.
-	own := uintptr(unsafe.Pointer(p.Geo)) == uintptr(unsafe.Pointer(p))+unsafe.Offsetof(pooledPacket{}.box)
 	*p = Packet{}
-	if own {
-		packetPool.Put((*pooledPacket)(unsafe.Pointer(p)))
-	}
+	packetPool.Put(pp)
 }
+
+// decoded reports whether Decode made p: not a copy, not a caller's packet.
+func (p *Packet) decoded() bool { return p.pooled != nil && &p.pooled.Packet == p }
 
 // errPayloadSize reports a payload PayloadLen cannot describe.
 func errPayloadSize(n int) error {
@@ -281,26 +286,29 @@ func errPayloadSize(n int) error {
 // caller's until it passes them to Decode, which takes the frame over; after
 // that they belong to the network, which reuses the frame once the decoded
 // packet is delivered or dropped.
+//
+//tinyleo:hotpath
 func (p *Packet) Encode() ([]byte, error) {
 	if len(p.Payload) > maxPayload {
 		return nil, errPayloadSize(len(p.Payload))
 	}
-	if p.Geo != nil {
-		// Before the frame is taken: a longer list would outgrow every size.
-		if err := p.Geo.check(); err != nil {
+	g := p.Geo()
+	if g != nil {
+		// Before the frame is taken: a refused packet displaces no frame.
+		if err := g.check(); err != nil {
 			return nil, err
 		}
 	}
 	p.Base.PayloadLen = uint16(len(p.Payload))
-	if p.Geo != nil {
+	if g != nil {
 		p.Base.NextHeader = NextHeaderGeoSegment
 	} else {
 		p.Base.NextHeader = NextHeaderPayload
 	}
 	n := p.WireSize()
 	out := p.Base.Marshal(frames.pend(n)[:0])
-	if p.Geo != nil {
-		out, _ = p.Geo.Marshal(out) // check passed above
+	if g != nil {
+		out, _ = g.Marshal(out) // check passed above
 	}
 	return append(out, p.Payload...)[:n:n], nil
 }
@@ -311,6 +319,8 @@ func (p *Packet) Encode() ([]byte, error) {
 // does not own. An empty payload decodes to nil. Once injected the packet
 // belongs to the network, and a Network.OnDeliver or OnDrop hook reads it
 // only for the length of the call.
+//
+//tinyleo:hotpath
 func Decode(b []byte) (*Packet, error) {
 	pp := packetPool.Get().(*pooledPacket)
 	if err := pp.decode(b); err != nil {
@@ -322,20 +332,19 @@ func Decode(b []byte) (*Packet, error) {
 	return &pp.Packet, nil
 }
 
-// decode resets pp's packet and fills it from b, its segment list in pp's box.
+// decode resets pp's packet and fills it from b.
 func (pp *pooledPacket) decode(b []byte) error {
 	// release reset the packet, but a caller that wrongly injects a delivered
 	// packet again writes its hop trace while it is pooled.
 	p := &pp.Packet
-	*p = Packet{HopTrace: pp.trace[:0], pooled: true}
+	*p = Packet{HopTrace: pp.trace[:0], pooled: pp}
 	rest, err := p.Base.Unmarshal(b)
 	if err != nil {
 		return err
 	}
 	switch p.Base.NextHeader {
 	case NextHeaderGeoSegment:
-		p.Geo = pp.box.header()
-		if rest, err = p.Geo.Unmarshal(rest); err != nil {
+		if rest, err = p.geo.Unmarshal(rest); err != nil {
 			return err
 		}
 	case NextHeaderPayload, NextHeaderNone:
@@ -354,25 +363,29 @@ func (pp *pooledPacket) decode(b []byte) error {
 // WireSize returns the encoded size without allocating.
 func (p *Packet) WireSize() int {
 	n := BaseHeaderLen + len(p.Payload)
-	if p.Geo != nil {
-		n += p.Geo.EncodedLen()
+	if g := p.Geo(); g != nil {
+		n += g.EncodedLen()
 	}
 	return n
 }
 
 // NewGeoPacket builds a geo-segment packet following route (cell IDs,
-// including the destination cell as the last segment). It inlines, and its
-// packet does not point into itself, so a caller that builds, encodes and
-// drops a packet keeps it on its stack; only the segment box is allocated.
+// including the destination cell as the last segment). It inlines, and the
+// packet holds its segment list, so a caller that builds, encodes and drops a
+// packet keeps it on its stack and allocates nothing for a route of up to
+// inlineSegments cells.
 func NewGeoPacket(src uint32, route []int, flow, seq uint32, payload []byte) (*Packet, error) {
 	return new(Packet).initGeo(src, route, flow, seq, payload)
 }
 
 // initGeo fills NewGeoPacket's zero packet p and returns it, or nil and the
-// error. It is too large to inline, which keeps NewGeoPacket small enough to.
+// error. Too large to inline, it keeps NewGeoPacket small enough to, and as
+// it stores no pointer to p, p does not escape.
+//
+//tinyleo:hotpath
 func (p *Packet) initGeo(src uint32, route []int, flow, seq uint32, payload []byte) (*Packet, error) {
 	if len(route) == 0 {
-		return nil, errors.New("dataplane: empty route")
+		return nil, errNoSegments
 	}
 	if len(route) > MaxSegments {
 		return nil, fmt.Errorf("dataplane: route of %d cells exceeds max %d", len(route), MaxSegments)
@@ -380,15 +393,14 @@ func (p *Packet) initGeo(src uint32, route []int, flow, seq uint32, payload []by
 	if len(payload) > maxPayload {
 		return nil, errPayloadSize(len(payload))
 	}
-	g := new(geoBox).header()
-	g.SegmentsLeft = uint8(len(route))
-	g.resize(len(route))
+	segs := p.geo.resize(len(route))
 	for i, c := range route {
 		if c < 0 || c > 0xFFFF {
 			return nil, fmt.Errorf("dataplane: cell %d out of uint16 range", c)
 		}
-		g.Segments[i] = uint16(c)
+		segs[i] = uint16(c)
 	}
+	p.geo.SegmentsLeft = uint8(len(route))
 	p.Base = BaseHeader{
 		Ver:      Version,
 		HopLimit: 64,
@@ -397,6 +409,6 @@ func (p *Packet) initGeo(src uint32, route []int, flow, seq uint32, payload []by
 		FlowID:   flow,
 		Seq:      seq,
 	}
-	p.Geo, p.Payload = g, payload
+	p.Payload = payload
 	return p, nil
 }

@@ -50,8 +50,17 @@ func TestBaseHeaderErrors(t *testing.T) {
 	}
 }
 
+// geoHeader returns a header whose list is segs, left of them still to go.
+func geoHeader(left uint8, segs ...uint16) GeoSegmentHeader {
+	var g GeoSegmentHeader
+	copy(g.resize(len(segs)), segs)
+	g.SegmentsLeft = left
+	return g
+}
+
 func TestGeoSegmentRoundTrip(t *testing.T) {
-	g := GeoSegmentHeader{NextHeader: NextHeaderPayload, SegmentsLeft: 3, Segments: []uint16{10, 20, 30}}
+	g := geoHeader(3, 10, 20, 30)
+	g.NextHeader = NextHeaderPayload
 	b, err := g.Marshal(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -70,9 +79,12 @@ func TestGeoSegmentRoundTrip(t *testing.T) {
 }
 
 func TestGeoSegmentValidation(t *testing.T) {
-	over := GeoSegmentHeader{SegmentsLeft: 5, Segments: []uint16{1, 2}}
+	over := geoHeader(5, 1, 2)
 	if _, err := over.Marshal(nil); err == nil {
 		t.Error("segments-left overflow accepted at marshal")
+	}
+	if _, err := new(GeoSegmentHeader).Marshal(nil); !errors.Is(err, errNoSegments) {
+		t.Errorf("empty segment list at marshal: %v", err)
 	}
 	// Craft a wire image with segments-left > count.
 	raw := []byte{0, 3, 1, 0, 0, 1}
@@ -86,10 +98,13 @@ func TestGeoSegmentValidation(t *testing.T) {
 	if _, err := g.Unmarshal([]byte{0, 1, 4, 0, 0, 1}); !errors.Is(err, ErrTruncated) {
 		t.Error("truncated segment list accepted")
 	}
+	if _, err := g.Unmarshal([]byte{0, 0, 0, 0}); !errors.Is(err, errNoSegments) {
+		t.Errorf("empty segment list at unmarshal: %v", err)
+	}
 }
 
 func TestSegmentCursor(t *testing.T) {
-	g := GeoSegmentHeader{SegmentsLeft: 3, Segments: []uint16{10, 20, 30}}
+	g := geoHeader(3, 10, 20, 30)
 	if g.CurrentSegment() != 10 {
 		t.Errorf("current = %d", g.CurrentSegment())
 	}
@@ -127,8 +142,8 @@ func TestPacketEncodeDecode(t *testing.T) {
 	if got.Base.SrcNode != 42 || got.Base.DstCell != 300 {
 		t.Errorf("base = %+v", got.Base)
 	}
-	if !reflect.DeepEqual(got.Geo.Segments, []uint16{100, 200, 300}) {
-		t.Errorf("segments = %v", got.Geo.Segments)
+	if !reflect.DeepEqual(got.Geo().Segments(), []uint16{100, 200, 300}) {
+		t.Errorf("segments = %v", got.Geo().Segments())
 	}
 	if !bytes.Equal(got.Payload, []byte("payload!")) {
 		t.Errorf("payload = %q", got.Payload)
@@ -145,6 +160,12 @@ func TestPacketDecodeErrors(t *testing.T) {
 	h := BaseHeader{Ver: Version, NextHeader: 0x77}
 	if _, err := Decode(h.Marshal(nil)); err == nil {
 		t.Error("unknown next header accepted")
+	}
+	// A segment list of no cells: forwarded, it would be delivered wherever
+	// it was injected.
+	h = BaseHeader{Ver: Version, NextHeader: NextHeaderGeoSegment, HopLimit: 16, DstCell: 30}
+	if _, err := Decode(append(h.Marshal(nil), NextHeaderPayload, 0, 0, 0)); !errors.Is(err, errNoSegments) {
+		t.Errorf("empty segment list: %v", err)
 	}
 }
 
@@ -186,13 +207,6 @@ func TestPayloadOverMaxIsRejected(t *testing.T) {
 	if wire, err := p.Encode(); err == nil {
 		t.Errorf("Encode of a 70000-byte payload gave %d wire bytes, want an error", len(wire))
 	}
-	// The segment count is 8 bits too: a longer list, with the largest
-	// payload, is refused before it outgrows every frame size.
-	p.Payload = make([]byte, maxPayload)
-	p.Geo.Segments = make([]uint16, 10000)
-	if wire, err := p.Encode(); err == nil {
-		t.Errorf("Encode of %d segments gave %d wire bytes, want an error", len(p.Geo.Segments), len(wire))
-	}
 }
 
 // A decoded packet starts its hop trace in its own storage of the first
@@ -200,11 +214,8 @@ func TestPayloadOverMaxIsRejected(t *testing.T) {
 // trace included, whatever the trace had grown to. Releasing it again, or
 // releasing a packet NewGeoPacket made, pools nothing.
 func TestReleaseResetsThePacket(t *testing.T) {
-	if size := unsafe.Sizeof(Packet{}); size != 96 {
-		t.Errorf("a Packet is %d bytes, want 96 (its size class)", size)
-	}
-	if size := unsafe.Sizeof(geoBox{}); size != 48 {
-		t.Errorf("a geoBox is %d bytes, want 48 (its size class)", size)
+	if size := unsafe.Sizeof(Packet{}); size != 144 {
+		t.Errorf("a Packet is %d bytes, want 144 (its size class)", size)
 	}
 	if size := unsafe.Sizeof(pooledPacket{}); size != 208 {
 		t.Errorf("a pooledPacket is %d bytes, want 208 (its size class)", size)
@@ -216,7 +227,10 @@ func TestReleaseResetsThePacket(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		own := &(*pooledPacket)(unsafe.Pointer(q)).trace
+		if !q.decoded() {
+			t.Fatalf("%d hops: a decoded packet does not name itself as pooled", hops)
+		}
+		own := &q.pooled.trace
 		if len(q.HopTrace) != 0 || cap(q.HopTrace) != hopTraceCap || unsafe.SliceData(q.HopTrace) != &own[0] {
 			t.Errorf("%d hops: decoded trace of length %d, capacity %d, not the packet's own", hops, len(q.HopTrace), cap(q.HopTrace))
 		}
@@ -231,7 +245,7 @@ func TestReleaseResetsThePacket(t *testing.T) {
 		q.release()
 	}
 	p.release()
-	if p.Geo == nil || p.Base.Seq != 3 || string(p.Payload) != "xyz" {
+	if p.Geo() == nil || p.Base.Seq != 3 || string(p.Payload) != "xyz" {
 		t.Errorf("release reset a packet NewGeoPacket made: %+v", *p)
 	}
 }
@@ -557,10 +571,9 @@ func allocsPerRun(runs int, f func()) (objects, bytes float64) {
 	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
-// A packet NewGeoPacket makes and its caller keeps costs 144 bytes while the
-// route fits the inline segment list — the 96-byte packet and its 48-byte
-// segment box — and stays correct one segment past it, where the list is a
-// 24-byte allocation of its own. With the free lists cold — the two
+// A packet NewGeoPacket makes and its caller keeps is one 144-byte object
+// while the route fits the inline segment list, and stays correct one segment
+// past it, where the list is a 24-byte allocation of its own. With the free lists cold — the two
 // collections empty the packet pool and reclaim every idle frame, and
 // Decode's packets here are never released — Encode makes its frame, which
 // its caller keeps, and Decode of bytes Encode no longer holds makes the
@@ -585,9 +598,9 @@ func TestPacketAllocationBudget(t *testing.T) {
 		if segs > inlineSegments {
 			list = 1
 		}
-		if objects, bytes := allocsPerRun(100, func() { p, err = NewGeoPacket(1, route, 2, 3, payload) }); objects != 2+list || bytes != 144+24*list || err != nil {
+		if objects, bytes := allocsPerRun(100, func() { p, err = NewGeoPacket(1, route, 2, 3, payload) }); objects != 1+list || bytes != 144+24*list || err != nil {
 			t.Errorf("%d segments: a kept NewGeoPacket allocates %v objects, %v B, budget %v, %v B (err %v)",
-				segs, objects, bytes, 2+list, 144+24*list, err)
+				segs, objects, bytes, 1+list, 144+24*list, err)
 		}
 		if got := testing.AllocsPerRun(100, func() { wire, err = p.Encode() }); got != 1 || err != nil {
 			t.Errorf("%d segments: a cold Encode allocates %v objects, budget 1 (err %v)", segs, got, err)
@@ -598,18 +611,18 @@ func TestPacketAllocationBudget(t *testing.T) {
 		if len(wire) != p.WireSize() || cap(wire) != len(wire) {
 			t.Errorf("%d segments: wire form of %d bytes (capacity %d), WireSize %d", segs, len(wire), cap(wire), p.WireSize())
 		}
-		if !slices.Equal(p.Geo.Segments, want) || !slices.Equal(q.Geo.Segments, want) ||
-			int(q.Geo.SegmentsLeft) != segs || !bytes.Equal(q.Payload, payload) {
-			t.Errorf("%d segments: built %v, decoded %v left %d payload %q", segs, p.Geo.Segments, q.Geo.Segments, q.Geo.SegmentsLeft, q.Payload)
+		if !slices.Equal(p.Geo().Segments(), want) || !slices.Equal(q.Geo().Segments(), want) ||
+			int(q.Geo().SegmentsLeft) != segs || !bytes.Equal(q.Payload, payload) {
+			t.Errorf("%d segments: built %v, decoded %v left %d payload %q", segs, p.Geo().Segments(), q.Geo().Segments(), q.Geo().SegmentsLeft, q.Payload)
 		}
 		// Two packets decoded from the same bytes own their segment lists.
 		q2, err := Decode(wire)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q2.Geo.Segments[0] = 9
-		q2.Geo.Advance()
-		if q.Geo.Segments[0] != 100 || int(q.Geo.SegmentsLeft) != segs || p.Geo.Segments[0] != 100 {
+		q2.Geo().Segments()[0] = 9
+		q2.Geo().Advance()
+		if q.Geo().Segments()[0] != 100 || int(q.Geo().SegmentsLeft) != segs || p.Geo().Segments()[0] != 100 {
 			t.Errorf("%d segments: writing one decoded packet's route changed another's", segs)
 		}
 		if again, err := q.Encode(); err != nil || !bytes.Equal(again, wire) {
@@ -656,8 +669,10 @@ func TestDecodeGarbageNeverPanics(t *testing.T) {
 // FuzzDecode feeds the packet codec arbitrary bytes, as a socket would. It
 // must not panic; what it decodes must fit inside the input (the segment
 // list and payload are sized by length fields, which must never promise
-// more than the bytes present) and must not share the input's storage
-// (overwriting the input leaves the payload as it was); and
+// more than the bytes present, and a list of up to inlineSegments cells lies
+// in the packet, a longer one in a slice of exactly its length) and must not
+// share the input's storage (overwriting the input leaves the payload as it
+// was); and
 // Decode→Encode→Decode must be a fixed point. A packet released and decoded
 // again keeps nothing of its last life: after a and then b, it is what a
 // fresh packet decodes b to.
@@ -685,8 +700,15 @@ func FuzzDecode(f *testing.F) {
 		if p.WireSize() > len(b) {
 			t.Fatalf("decoded %d wire bytes from a %d-byte input", p.WireSize(), len(b))
 		}
-		if p.Geo != nil && cap(p.Geo.Segments) > (len(b)-BaseHeaderLen-4)/2 {
-			t.Fatalf("segment list of capacity %d from a %d-byte input", cap(p.Geo.Segments), len(b))
+		if g := p.Geo(); g != nil {
+			segs := g.Segments()
+			if cap(segs) > (len(b)-BaseHeaderLen-4)/2 {
+				t.Fatalf("segment list of capacity %d from a %d-byte input", cap(segs), len(b))
+			}
+			inline := unsafe.SliceData(segs) == &g.inline[0] && g.long == nil
+			if n := len(segs); n == 0 || inline != (n <= inlineSegments) || cap(segs) != n {
+				t.Fatalf("a list of %d segments (capacity %d) lies inline: %v", n, cap(segs), inline)
+			}
 		}
 		payload := bytes.Clone(p.Payload)
 		for i := range b {
@@ -703,15 +725,15 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode of re-encoded packet: %v", err)
 		}
-		// A recycled packet keeps its hop trace's storage, and its payload
-		// lies in a frame of its own.
+		// A recycled packet keeps its hop trace's storage, its payload lies
+		// in a frame of its own, and it names itself as pooled.
 		p.HopTrace, q.HopTrace = nil, nil
-		pf, qf := p.frame, q.frame
-		p.frame, q.frame = 0, 0
+		pf, qf, pw, qw := p.frame, q.frame, p.pooled, q.pooled
+		p.frame, q.frame, p.pooled, q.pooled = 0, 0, nil, nil
 		if !reflect.DeepEqual(p, q) {
 			t.Fatalf("round trip changed the packet:\n%+v\n%+v", p, q)
 		}
-		p.frame, q.frame = pf, qf
+		p.frame, q.frame, p.pooled, q.pooled = pf, qf, pw, qw
 		// Fill a hop trace past its first capacity, as a long route does.
 		for i := 0; i <= hopTraceCap; i++ {
 			p.HopTrace = append(p.HopTrace, i)
@@ -742,16 +764,20 @@ func checkRecycledDecode(t *testing.T, in []byte) {
 	if len(got.HopTrace) != 0 {
 		t.Fatalf("a recycled packet starts with hop trace %v", got.HopTrace)
 	}
-	want, trace, frame := fresh.Packet, got.HopTrace, got.frame
+	if !got.decoded() || !fresh.decoded() {
+		t.Fatalf("a recycled packet names itself as pooled: %v, a fresh one: %v", got.decoded(), fresh.decoded())
+	}
+	want, trace, frame, witness := fresh.Packet, got.HopTrace, got.frame, got.pooled
 	got.HopTrace, want.HopTrace = nil, nil
 	if (got.frame != 0) != (want.frame != 0) {
 		t.Fatalf("a recycled packet's payload in frame %d, a fresh one's in %d", got.frame, want.frame)
 	}
 	got.frame, want.frame = 0, 0
+	got.pooled, want.pooled = nil, nil
 	if !reflect.DeepEqual(*got, want) {
 		t.Fatalf("a recycled packet decodes to\n%+v, a fresh one to\n%+v", *got, want)
 	}
-	got.HopTrace, got.frame = trace, frame
+	got.HopTrace, got.frame, got.pooled = trace, frame, witness
 	got.release()
 	fresh.release()
 }

@@ -286,7 +286,7 @@ func Figure19bcd(scale Scale) ([]*metrics.Table, error) {
 		var srvDelay, legDelay float64
 		delivered := 0
 		tb.Net.OnDeliver = func(s *dataplane.Satellite, p *dataplane.Packet) {
-			if p.Geo != nil {
+			if p.Geo() != nil {
 				srvDelay = tb.Net.Sim.Now() - p.SentAt
 			} else {
 				legDelay = tb.Net.Sim.Now() - p.SentAt

@@ -21,7 +21,7 @@ type segmentWatch struct {
 
 func (w *segmentWatch) Route(s *dataplane.Satellite, p *dataplane.Packet) dataplane.Decision {
 	d := w.inner.Route(s, p)
-	idx := len(p.Geo.Segments) - int(p.Geo.SegmentsLeft)
+	idx := len(p.Geo().Segments()) - int(p.Geo().SegmentsLeft)
 	if idx < w.last[p] {
 		w.regressed++
 	}
