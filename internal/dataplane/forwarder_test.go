@@ -324,6 +324,61 @@ func TestReleasedCopyNeverEntersThePool(t *testing.T) {
 	}
 }
 
+// A decoded packet lost on an ISL that went down under it goes back to the
+// network exactly once, with its frame: the link counts the loss, and the
+// satellites count no drop.
+func TestPacketLostInFlightIsReleasedOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one pool shard: a put is the next get
+	n := chainNet()
+	n.OnDeliver = func(*Satellite, *Packet) { t.Error("a packet lost in flight was delivered") }
+	n.OnDrop = func(_ *Satellite, _ *Packet, r string) { t.Errorf("a packet lost in flight was dropped for %q", r) }
+	built, _ := NewGeoPacket(99, []int{20, 30}, 1, 1, []byte("hi"))
+	wire, _ := built.Encode()
+	p, err := Decode(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	no := p.frame
+	n.Inject(0, p) // on its way to satellite 2, 5 ms away
+	l := n.Link(0, 2)
+	l.Down()
+	n.Sim.Run(1)
+	dropped := int64(0)
+	for _, s := range n.Sats {
+		dropped += s.Dropped
+	}
+	if dropped != 0 || l.LostInFlight != 1 {
+		t.Fatalf("%d dropped, %d lost in flight, want 0 and 1", dropped, l.LostInFlight)
+	}
+	if p.pooled != nil {
+		t.Fatal("the packet lost in flight was not released")
+	}
+	listed := 0
+	frames.mu.Lock()
+	for _, idle := range frames.idle {
+		for _, f := range idle {
+			if f == no {
+				listed++
+			}
+		}
+	}
+	frames.mu.Unlock()
+	if no != 0 && listed != 1 {
+		t.Errorf("frame %d is on the free lists %d times, want once", no, listed)
+	}
+	first, err1 := Decode(wire)
+	second, err2 := Decode(wire)
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	if first == second {
+		t.Fatalf("two decodes handed out the same packet %p: it was released twice", first)
+	}
+	if !raceEnabled && first != p {
+		t.Errorf("Decode after the loss handed out %p, want the lost packet %p back", first, p)
+	}
+}
+
 func TestMultiSegmentRouteConsumesOwnCell(t *testing.T) {
 	// Route whose first segment is the injecting satellite's own cell.
 	n := chainNet()

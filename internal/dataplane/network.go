@@ -37,13 +37,17 @@ const ISLRateBpsDefault = 200e9
 
 // NewNetwork creates an empty network on a fresh simulator.
 func NewNetwork() *Network {
-	return &Network{
+	n := &Network{
 		Sim:        netem.NewSim(),
 		Sats:       map[int]*Satellite{},
 		Router:     Anycast{},
 		ISLRateBps: ISLRateBpsDefault,
 		QueueLimit: 4096,
 	}
+	// A packet lost in flight is counted by its link (LostInFlight), not as
+	// a drop: it only goes back to the network.
+	n.Sim.OnLost = func(payload any) { n.recycle(payload.(*Packet)) }
+	return n
 }
 
 // traceLists are a network's free lists of hop-trace storage past the first

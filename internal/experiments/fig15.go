@@ -94,7 +94,8 @@ func RunSparsification(scale Scale, lib *texture.Library) ([]*SparsifyOutcome, e
 		// Truncated exact ILP (the Gurobi stand-in).
 		out.ILP, err = baseline.SolveILP(baseline.ILPConfig{
 			Library: lib, Demand: dem.Y, Epsilon: scale.Epsilon,
-			Budget: time.Duration(scale.ILPBudgetSeconds * float64(time.Second)),
+			MaxNodes: scale.ILPMaxNodes,
+			Budget:   time.Duration(scale.ILPBudgetSeconds * float64(time.Second)),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("ilp %s: %w", dem.Name, err)

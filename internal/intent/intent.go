@@ -10,11 +10,12 @@ package intent
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/geo"
 	"repro/internal/geom"
-	"repro/internal/routing"
 )
 
 // Topology is the geographic topology intent G(V, E, N).
@@ -26,6 +27,15 @@ type Topology struct {
 	// Edges[{u,v}] (u < v) is n_{u,v}: the required ISL count between
 	// connected cells.
 	Edges map[[2]int]int
+
+	// view is the indexed form of the two maps that every query reads:
+	// built by the first query after a change (under viewMu, so once),
+	// dropped by AddCell and Connect, the only writers of the maps.
+	view   atomic.Pointer[view]
+	viewMu sync.Mutex
+	// graphBuilds and treeBuilds count the route graphs and Dijkstra trees
+	// the queries built.
+	graphBuilds, treeBuilds atomic.Int64
 }
 
 // NewTopology creates an empty intent over a grid.
@@ -34,7 +44,10 @@ func NewTopology(g *geo.Grid) *Topology {
 }
 
 // AddCell declares cell u with guaranteed satellite count n.
-func (t *Topology) AddCell(u, n int) { t.MinSats[u] = n }
+func (t *Topology) AddCell(u, n int) {
+	t.MinSats[u] = n
+	t.view.Store(nil)
+}
 
 // Connect requires n ISLs between cells u and v.
 func (t *Topology) Connect(u, v, n int) {
@@ -42,6 +55,7 @@ func (t *Topology) Connect(u, v, n int) {
 		panic("intent: self edge")
 	}
 	t.Edges[edgeKey(u, v)] = n
+	t.view.Store(nil)
 }
 
 func edgeKey(u, v int) [2]int {
@@ -54,63 +68,19 @@ func edgeKey(u, v int) [2]int {
 // EdgeDemand returns n_{u,v} (0 if unconnected).
 func (t *Topology) EdgeDemand(u, v int) int { return t.Edges[edgeKey(u, v)] }
 
-// Cells returns the declared cell IDs in ascending order.
-func (t *Topology) Cells() []int {
-	out := make([]int, 0, len(t.MinSats))
-	for u := range t.MinSats {
-		out = append(out, u)
-	}
-	sort.Ints(out)
-	return out
-}
+// Cells returns the declared cell IDs in ascending order. The slice is
+// shared by every caller until the next AddCell or Connect: do not modify it.
+func (t *Topology) Cells() []int { return slices.Clip(t.indexed().cells) }
 
-// Neighbors returns the cells connected to u, ascending.
-func (t *Topology) Neighbors(u int) []int {
-	var out []int
-	for e := range t.Edges {
-		if e[0] == u {
-			out = append(out, e[1])
-		} else if e[1] == u {
-			out = append(out, e[0])
-		}
-	}
-	sort.Ints(out)
-	return out
-}
+// Neighbors returns the cells connected to declared cell u, ascending, in a
+// slice shared like Cells'.
+func (t *Topology) Neighbors(u int) []int { return t.indexed().neighbors(u) }
 
-// EdgeList returns the intent edges sorted lexicographically. Graph
-// construction and verification iterate this instead of the Edges map so
-// adjacency order — and with it equal-cost route tie-breaking and error
-// ordering — is identical across runs.
-func (t *Topology) EdgeList() [][2]int {
-	out := make([][2]int, 0, len(t.Edges))
-	for e := range t.Edges {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
-}
-
-// CellGraph projects the intent onto a routing.Graph whose node IDs are
-// *grid cell IDs* compressed via the index map returned alongside; edge
-// weights are great-circle distances between cell centers.
-func (t *Topology) CellGraph() (*routing.Graph, map[int]int, []int) {
-	cells := t.Cells()
-	idx := make(map[int]int, len(cells))
-	for i, c := range cells {
-		idx[c] = i
-	}
-	g := routing.NewGraph(len(cells))
-	for _, e := range t.EdgeList() {
-		g.AddBiEdge(idx[e[0]], idx[e[1]], t.Grid.CenterDistance(e[0], e[1]))
-	}
-	return g, idx, cells
-}
+// EdgeList returns the intent edges sorted lexicographically, in a slice
+// shared like Cells'. Graph construction and verification iterate this
+// instead of the Edges map so adjacency order — and with it equal-cost route
+// tie-breaking and error ordering — is identical across runs.
+func (t *Topology) EdgeList() [][2]int { return slices.Clip(t.indexed().edges) }
 
 // VerifyConfig bounds the physical feasibility checks.
 type VerifyConfig struct {
@@ -169,26 +139,38 @@ func (t *Topology) Verify(cfg VerifyConfig) []error {
 // over its declared edges (isolated declared cells are allowed only if the
 // topology has no edges at all).
 func (t *Topology) Connected() bool {
-	cells := t.Cells()
-	if len(cells) == 0 {
+	v := t.indexed()
+	if len(v.cells) == 0 {
 		return true
 	}
-	g, idx, _ := t.CellGraph()
-	// Start from any cell that has an edge.
-	start := -1
-	for e := range t.Edges {
-		start = idx[e[0]]
-		break
+	if len(v.edges) == 0 {
+		return len(v.cells) <= 1
 	}
-	if start == -1 {
-		return len(cells) <= 1
+	// Every cell with an edge must be reachable from the first one.
+	seen := make([]bool, len(v.cells))
+	var stack []int
+	withEdges := 0
+	for i := range v.cells {
+		if len(v.at(i)) > 0 {
+			withEdges++
+			if stack == nil {
+				stack, seen[i] = []int{i}, true
+			}
+		}
 	}
-	withEdges := map[int]bool{}
-	for e := range t.Edges {
-		withEdges[idx[e[0]]] = true
-		withEdges[idx[e[1]]] = true
+	reached := 0
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		reached++
+		for _, w := range v.at(i) {
+			if j, ok := v.index(w); ok && !seen[j] {
+				seen[j] = true
+				stack = append(stack, j)
+			}
+		}
 	}
-	return g.ConnectedComponentSize(start) >= len(withEdges)
+	return reached == withEdges
 }
 
 // Route is a geographic segment route: the ordered cell list u→w₁→…→v that

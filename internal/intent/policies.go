@@ -14,37 +14,40 @@ import (
 // segment anycast without further control-plane involvement.
 
 // ShortestPathRoute returns the minimum-distance cell route from src to dst
-// over the intent topology.
+// over the intent topology. It keeps the Dijkstra tree of the last source it
+// was asked about, so a loop over destinations per source runs one Dijkstra a
+// source.
 func (t *Topology) ShortestPathRoute(src, dst int) (Route, error) {
-	g, idx, cells := t.CellGraph()
-	si, ok1 := idx[src]
-	di, ok2 := idx[dst]
+	v := t.indexed()
+	si, ok1 := v.index(src)
+	di, ok2 := v.index(dst)
 	if !ok1 || !ok2 {
 		return Route{}, fmt.Errorf("intent: endpoint not declared (src ok=%v dst ok=%v)", ok1, ok2)
 	}
-	p, _, ok := g.ShortestPath(si, di)
+	tr := t.shortestTree(v, si)
+	p, _, ok := routing.TreePath(tr.parent, tr.dist, si, di)
 	if !ok {
 		return Route{}, fmt.Errorf("intent: %d unreachable from %d", dst, src)
 	}
-	return Route{Cells: remap(p, cells)}, nil
+	return Route{Cells: remap(p, v.cells)}, nil
 }
 
 // MultipathRoutes returns up to k loopless routes from src to dst in
 // increasing length order (the multipath load-balancing policy [39]).
 func (t *Topology) MultipathRoutes(src, dst, k int) ([]Route, error) {
-	g, idx, cells := t.CellGraph()
-	si, ok1 := idx[src]
-	di, ok2 := idx[dst]
+	v := t.indexed()
+	si, ok1 := v.index(src)
+	di, ok2 := v.index(dst)
 	if !ok1 || !ok2 {
 		return nil, fmt.Errorf("intent: endpoint not declared")
 	}
-	paths := g.KShortestPaths(si, di, k)
+	paths := t.routes(v).KShortestPaths(si, di, k)
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("intent: %d unreachable from %d", dst, src)
 	}
 	out := make([]Route, len(paths))
 	for i, p := range paths {
-		out[i] = Route{Cells: remap(p, cells)}
+		out[i] = Route{Cells: remap(p, v.cells)}
 	}
 	return out, nil
 }
@@ -53,20 +56,20 @@ func (t *Topology) MultipathRoutes(src, dst, k int) ([]Route, error) {
 // given cells (the risk-detour policy [40, 41], e.g. routing around areas
 // under solar-storm risk or political constraints).
 func (t *Topology) DetourRoute(src, dst int, avoid map[int]bool) (Route, error) {
-	g, idx, cells := t.CellGraph()
-	si, ok1 := idx[src]
-	di, ok2 := idx[dst]
+	v := t.indexed()
+	si, ok1 := v.index(src)
+	di, ok2 := v.index(dst)
 	if !ok1 || !ok2 {
 		return Route{}, fmt.Errorf("intent: endpoint not declared")
 	}
 	if avoid[src] || avoid[dst] {
 		return Route{}, fmt.Errorf("intent: endpoint inside avoided area")
 	}
-	p, _, ok := g.ShortestPathAvoiding(si, di, func(n int) bool { return avoid[cells[n]] })
+	p, _, ok := t.routes(v).ShortestPathAvoiding(si, di, func(n int) bool { return avoid[v.cells[n]] })
 	if !ok {
 		return Route{}, fmt.Errorf("intent: no route avoiding %d cells", len(avoid))
 	}
-	return Route{Cells: remap(p, cells)}, nil
+	return Route{Cells: remap(p, v.cells)}, nil
 }
 
 // OceanicOffloadRoute returns the route from src to dst that prefers ocean
@@ -77,20 +80,16 @@ func (t *Topology) OceanicOffloadRoute(src, dst int, landPenalty float64) (Route
 	if landPenalty < 1 {
 		landPenalty = 1
 	}
-	cells := t.Cells()
-	idx := make(map[int]int, len(cells))
-	for i, c := range cells {
-		idx[c] = i
-	}
+	v := t.indexed()
 	mask := geo.NewLandMask(t.Grid)
-	g := newWeightedCellGraph(t, cells, idx, func(u, v int) float64 {
-		w := t.Grid.CenterDistance(u, v)
+	g := v.weighted(func(u, w int) float64 {
+		d := t.Grid.CenterDistance(u, w)
 		// Penalize hops by the land fraction at their endpoints.
-		lf := (mask.LandFraction(u) + mask.LandFraction(v)) / 2
-		return w * (1 + (landPenalty-1)*lf)
+		lf := (mask.LandFraction(u) + mask.LandFraction(w)) / 2
+		return d * (1 + (landPenalty-1)*lf)
 	})
-	si, ok1 := idx[src]
-	di, ok2 := idx[dst]
+	si, ok1 := v.index(src)
+	di, ok2 := v.index(dst)
 	if !ok1 || !ok2 {
 		return Route{}, fmt.Errorf("intent: endpoint not declared")
 	}
@@ -98,21 +97,14 @@ func (t *Topology) OceanicOffloadRoute(src, dst int, landPenalty float64) (Route
 	if !ok {
 		return Route{}, fmt.Errorf("intent: %d unreachable from %d", dst, src)
 	}
-	return Route{Cells: remap(p, cells)}, nil
+	return Route{Cells: remap(p, v.cells)}, nil
 }
 
-func newWeightedCellGraph(t *Topology, cells []int, idx map[int]int, weight func(u, v int) float64) *routing.Graph {
-	g := routing.NewGraph(len(cells))
-	for _, e := range t.EdgeList() {
-		g.AddBiEdge(idx[e[0]], idx[e[1]], weight(e[0], e[1]))
-	}
-	return g
-}
-
+// remap turns a path of graph nodes into its cells, in place: every path the
+// routing package returns is the caller's own.
 func remap(path []int, cells []int) []int {
-	out := make([]int, len(path))
 	for i, p := range path {
-		out[i] = cells[p]
+		path[i] = cells[p]
 	}
-	return out
+	return path
 }

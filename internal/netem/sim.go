@@ -14,6 +14,11 @@ type Sim struct {
 	now    float64
 	seq    int64
 	events []event // binary min-heap on (at, seq), by value: a warm queue allocates nothing
+	// OnLost, if set, receives the payload of each packet a link lost in
+	// flight, so its owner can reclaim it; the link alone counts the loss
+	// (Drops, LostInFlight). One hook serves every link: a per-link one
+	// would grow each Link past its 160 B size class.
+	OnLost func(payload any)
 }
 
 // NewSim creates a simulator at time 0.
@@ -232,6 +237,9 @@ func (l *Link) arrive(di int, epoch int64, payload any) {
 		// packet is lost per the Up/Down contract.
 		l.Drops++
 		l.LostInFlight++
+		if l.sim.OnLost != nil {
+			l.sim.OnLost(payload)
+		}
 		return
 	}
 	l.RxPackets++

@@ -316,6 +316,24 @@ func TestLinkDown(t *testing.T) {
 	}
 }
 
+// A payload lost in flight goes to the simulator's OnLost, once; one that
+// Send refused stays the caller's.
+func TestLostPayloadGoesToOnLost(t *testing.T) {
+	s := NewSim()
+	var lost []any
+	s.OnLost = func(payload any) { lost = append(lost, payload) }
+	l := NewLink(s, 1, 2, 0, 0.05, 0, func(at, from int, payload any) { t.Errorf("%v delivered", payload) })
+	l.Send(1, 100, "in flight")
+	s.Schedule(0.01, func() {
+		l.Down()
+		l.Send(2, 100, "refused")
+	})
+	s.Run(1)
+	if len(lost) != 1 || lost[0] != "in flight" || l.LostInFlight != 1 || l.Drops != 2 {
+		t.Errorf("lost %v, %d in flight, %d drops: want [in flight], 1, 2", lost, l.LostInFlight, l.Drops)
+	}
+}
+
 func TestLinkDownMidFlightThenUp(t *testing.T) {
 	// Regression: the Up/Down contract says packets in flight when the
 	// link goes down are lost. A flap that completes before the arrival

@@ -102,19 +102,23 @@ func (g *Graph) ShortestPath(src, dst int) ([]int, float64, bool) {
 // ShortestPathAvoiding is ShortestPath with nodes removed by skip.
 func (g *Graph) ShortestPathAvoiding(src, dst int, skip func(int) bool) ([]int, float64, bool) {
 	parent, dist := g.ShortestPathTree(src, skip)
+	return TreePath(parent, dist, src, dst)
+}
+
+// TreePath reads the path from src to dst (inclusive of both), its total
+// weight, and whether dst is reachable off the ShortestPathTree rooted at
+// src. One tree answers every destination of its source.
+func TreePath(parent []int, dist []float64, src, dst int) ([]int, float64, bool) {
 	if math.IsInf(dist[dst], 1) {
 		return nil, math.Inf(1), false
 	}
-	var rev []int
-	for at := dst; ; at = parent[at] {
-		rev = append(rev, at)
-		if at == src {
-			break
-		}
+	n := 1
+	for at := dst; at != src; at = parent[at] {
+		n++
 	}
-	path := make([]int, len(rev))
-	for i, v := range rev {
-		path[len(rev)-1-i] = v
+	path := make([]int, n)
+	for at, i := dst, n-1; i >= 0; at, i = parent[at], i-1 {
+		path[i] = at
 	}
 	return path, dist[dst], true
 }
