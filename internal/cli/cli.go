@@ -118,8 +118,9 @@ func TrapSignals() {
 }
 
 // Telemetry holds the parsed values of the telemetry flags. The flag
-// definitions stay in each main (tinyleo-docscheck reads them per binary
-// from there); a binary without one of the flags leaves its field zero.
+// definitions stay in each main (the repo root's docs test reads them per
+// binary from there); a binary without one of the flags leaves its field
+// zero.
 type Telemetry struct {
 	// Process names the binary in messages and the process in the record
 	// stream ("tinyleo-ctl", "tinyleo-sat-3").

@@ -4,10 +4,7 @@
 // accounting (Figure 9).
 package routing
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // Graph is a directed weighted graph over nodes 0..n-1. Use AddBiEdge for
 // the undirected satellite/cell graphs.
@@ -50,13 +47,51 @@ type item struct {
 	dist float64
 }
 
+// pq is a binary min-heap of items by dist. push and pop sift exactly as
+// container/heap's Push and Pop do, so the pop order, and with it every
+// tie between equal distances, is the one the heap package gives; they
+// take items by value, where container/heap boxes each one in an any.
+// Both return the queue rather than write through a pointer, so a queue
+// that never leaves its caller's frame can start in it.
 type pq []item
 
-func (q pq) Len() int           { return len(q) }
-func (q pq) Less(i, j int) bool { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x any)        { *q = append(*q, x.(item)) }
-func (q *pq) Pop() any          { old := *q; n := len(old); x := old[n-1]; *q = old[:n-1]; return x }
+// queueInFrame is the capacity ShortestPathTree's queue starts with, on its
+// own stack frame; a larger frontier grows it on the heap.
+const queueInFrame = 32
+
+func (q pq) push(it item) pq {
+	q = append(q, it)
+	for j := len(q) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+	return q
+}
+
+func (q pq) pop() (item, pq) {
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && q[j2].dist < q[j1].dist {
+			j = j2 // right child
+		}
+		if !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	return q[n], q[:n]
+}
 
 // ShortestPathTree runs Dijkstra from src, returning parent pointers
 // (parent[src] = src, parent[unreachable] = -1) and distances (+Inf if
@@ -73,9 +108,10 @@ func (g *Graph) ShortestPathTree(src int, skip func(node int) bool) (parent []in
 	}
 	dist[src] = 0
 	parent[src] = src
-	q := &pq{{src, 0}}
-	for q.Len() > 0 {
-		it := heap.Pop(q).(item)
+	q := append(make(pq, 0, queueInFrame), item{src, 0})
+	for len(q) > 0 {
+		var it item
+		it, q = q.pop()
 		if it.dist > dist[it.node] {
 			continue
 		}
@@ -86,7 +122,7 @@ func (g *Graph) ShortestPathTree(src int, skip func(node int) bool) (parent []in
 			if nd := it.dist + e.W; nd < dist[e.To] {
 				dist[e.To] = nd
 				parent[e.To] = it.node
-				heap.Push(q, item{e.To, nd})
+				q = q.push(item{e.To, nd})
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"container/heap"
 	"math"
 	"math/rand"
 	"reflect"
@@ -273,5 +274,67 @@ func TestKShortestRunTwiceIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("two runs on one graph differ:\n%v\n%v", first, second)
+	}
+}
+
+// heapQueue is pq seen through container/heap, the queue ShortestPathTree
+// used before pq sifted items itself.
+type heapQueue []item
+
+func (q heapQueue) Len() int           { return len(q) }
+func (q heapQueue) Less(i, j int) bool { return q[i].dist < q[j].dist }
+func (q heapQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *heapQueue) Push(x any)        { *q = append(*q, x.(item)) }
+func (q *heapQueue) Pop() any {
+	old := *q
+	x := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return x
+}
+
+// TestQueuePopsLikeContainerHeap: pq pops what container/heap pops, ties
+// included, so every tree, and with it every route, is the one the heap
+// package gave.
+func TestQueuePopsLikeContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var q pq
+	ref := &heapQueue{}
+	for step := 0; step < 20000; step++ {
+		if len(q) == 0 || (step < 15000 && rng.Intn(3) > 0) {
+			it := item{step, float64(rng.Intn(16))} // many equal distances
+			q = q.push(it)
+			heap.Push(ref, it)
+			continue
+		}
+		var got item
+		got, q = q.pop()
+		if want := heap.Pop(ref).(item); got != want {
+			t.Fatalf("step %d: popped %+v, container/heap pops %+v", step, got, want)
+		}
+	}
+}
+
+// TestShortestPathTreeAllocations: a tree allocates its parent and dist
+// slices and the queue's backing array, and nothing per queue entry. The
+// queue starts in the caller's frame, so a frontier of up to queueInFrame
+// entries allocates no queue at all.
+func TestShortestPathTreeAllocations(t *testing.T) {
+	for _, c := range []struct {
+		side   int
+		allocs float64
+	}{
+		{8, 2},  // from the centre of an 8×8 grid the frontier fits in the frame
+		{20, 3}, // of a 20×20 grid, it outgrows the frame once
+	} {
+		g := NewGraph(c.side * c.side)
+		for r := 0; r < c.side; r++ {
+			for k := 0; k+1 < c.side; k++ {
+				g.AddBiEdge(r*c.side+k, r*c.side+k+1, 1)   // along row r
+				g.AddBiEdge(k*c.side+r, (k+1)*c.side+r, 1) // down column r
+			}
+		}
+		if a := testing.AllocsPerRun(20, func() { g.ShortestPathTree(c.side/2*(c.side+1), nil) }); a != c.allocs {
+			t.Errorf("%d×%d grid: ShortestPathTree allocated %v times, want %v", c.side, c.side, a, c.allocs)
+		}
 	}
 }
