@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/mpc"
 	"repro/internal/orbit"
 )
 
@@ -23,39 +24,89 @@ func warmChain(tb *Testbed) (next func()) {
 }
 
 // TestWarmSlotAllocationBudget is the exact work counter behind the
-// compile's allocation claim: a warm DeltaCompile slot on the 529-satellite
-// testbed allocates what it returns — the snapshot's maps and lists, with
-// its coverage lists as views of one exact-size array — and nothing per
-// pair, per sample or per matching, and no slot geometry (the chain
-// refills one it evicted). Measured: 81 objects and 14.5 KB per slot (188
-// objects and 63.6 KB while every slot built a geometry and grew its
-// coverage lists by append; 1,750 objects before the slot tables and the
-// reusable Matcher). The budgets are those plus 10 %: one geometry is
-// 529 × 76 B ≈ 40 KB, so a geometry put back on the path fails here, and
-// so do append-grown coverage lists or a map or per-row slice, not in a
-// ledger run.
+// compile's allocation claim: a warm DeltaCompile slot allocates what it
+// returns — the snapshot and its three maps, each made at its final size,
+// its coverage lists and its gateway lists each as views of one
+// exact-size array, and its two link lists at their exact lengths — and
+// nothing per pair, per sample or per matching, and no slot geometry (the
+// chain refills one it evicted). Measured: 18 objects a slot at both
+// sizes, 9,007 B at 529 satellites and 59,800 B at 1,764 (81 objects and
+// 14,967 B, and 229 and 80,533 B, while the maps grew from empty and every
+// gateway and link list by append; 1,750 objects at 529 before the slot
+// tables and the reusable Matcher). The budgets are those plus 10 %: one
+// geometry is 76 B a satellite (40 KB at 529), so a geometry put back on
+// the path fails here, and so do lists grown by append or a map grown from
+// empty, not in a ledger run.
 func TestWarmSlotAllocationBudget(t *testing.T) {
-	const (
-		objects = 89
-		bytes   = 16_000
-		slots   = 50
-	)
+	const slots = 50
+	for _, c := range []struct {
+		cfg            TestbedConfig
+		objects, bytes uint64
+	}{
+		{TestbedConfig{Sats: 529}, 20, 9_900},
+		{TestbedConfig{Sats: 1764, SlotSeconds: 150}, 20, 65_800},
+	} {
+		tb, err := NewTestbed(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := warmChain(tb)
+		if allocs := testing.AllocsPerRun(slots, next); allocs > float64(c.objects) {
+			t.Errorf("%d satellites: a warm slot allocates %.0f objects, budget %d", c.cfg.Sats, allocs, c.objects)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range slots {
+			next()
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / slots; per > c.bytes {
+			t.Errorf("%d satellites: a warm slot allocates %d B, budget %d", c.cfg.Sats, per, c.bytes)
+		}
+	}
+}
+
+// TestColdChainAllocationBudget holds a chain's start to one set of
+// tables: a fresh controller on the 529-satellite testbed compiles
+// DeltaCompile(nil, 0) in the chain's own memory, then 7 slots at
+// dt = 30 s. Measured: 255 objects and 227,427 B (800 objects and
+// 379,969 B while the cold slot compiled in a throwaway scratch, the
+// chain's tables were sized at slot 1 and regrown as its active set gained
+// numbers, and every snapshot's maps and lists grew by append). The
+// budgets are those plus 10 %: a second LifeTable, or a regrowth of its
+// tables, fails here.
+func TestColdChainAllocationBudget(t *testing.T) {
+	const objectsBudget, bytesBudget = 281, 250_000
 	tb, err := NewTestbed(TestbedConfig{Sats: 529})
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := warmChain(tb)
-	if allocs := testing.AllocsPerRun(slots, next); allocs > objects {
-		t.Errorf("a warm slot allocates %.0f objects, budget %d", allocs, objects)
+	cfg := tb.Ctl.Config()
+	const chains = 5
+	var objects, bytes uint64
+	for range chains {
+		ctl, err := mpc.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		coldChain(ctl)
+		runtime.ReadMemStats(&after)
+		objects += (after.Mallocs - before.Mallocs) / chains
+		bytes += (after.TotalAlloc - before.TotalAlloc) / chains
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range slots {
-		next()
+	if objects > objectsBudget || bytes > bytesBudget {
+		t.Errorf("a cold chain allocates %d objects and %d B, budgets %d and %d", objects, bytes, objectsBudget, bytesBudget)
 	}
-	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / slots; per > bytes {
-		t.Errorf("a warm slot allocates %d B, budget %d", per, bytes)
+}
+
+// coldChain compiles the cold 8-slot chain of TestColdChainAllocationBudget
+// and BenchmarkDeltaCompileColdChain on a fresh controller.
+func coldChain(ctl *mpc.Controller) {
+	var snap *mpc.Snapshot
+	for slot := range 8 {
+		snap = ctl.DeltaCompile(snap, float64(slot)*30)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"strconv"
@@ -198,12 +199,13 @@ type Controller struct {
 }
 
 // slotScratch is the working memory of one slot compile: the slot's
-// coverage buffers, its position, τ and visibility-run tables and the
-// matching stages' buffers. Compile allocates one per call; the
-// DeltaCompile chain keeps one and reuses it — with the slot geometry,
-// which orbit.PropCache.ChainSlot refills in place — so a warm slot
-// allocates only what its snapshot holds, and its lifetime walks skip the
-// samples the previous slot's runs observed.
+// coverage buffers, its position, τ and visibility-run tables, the
+// matching stages' buffers and the lists each stage gathers before the
+// snapshot takes them at their exact size. Compile allocates one per call;
+// the DeltaCompile chain keeps one from its first slot on and reuses it —
+// with the slot geometry, which orbit.PropCache.ChainSlot refills in place
+// — so a warm slot allocates only what its snapshot holds, and its
+// lifetime walks skip the samples the previous slot's runs observed.
 type slotScratch struct {
 	cover    [][]int // per cell: the slot's coverage lists, views the snapshot keeps
 	coverBuf []int   // where SlotGeom.CoverageInto gathers them
@@ -212,6 +214,56 @@ type slotScratch struct {
 	taken    []bool // per satellite: already holds a gateway assignment
 	sats     []int  // the current cell's unassigned satellites
 	w, rw    matrix // τ weights of the current matching, and their transpose
+	gateways gatewayLists
+	deficits []deficit
+	ls       linkScratch
+	chain    bool // the DeltaCompile chain's: it takes the chain's slot geometry
+}
+
+// deficit is the count of one edge's unfilled gateway slots.
+type deficit struct {
+	edge  [2]int
+	slots int
+}
+
+// gatewayLists gathers stage 1's gateway lists one edge after another in
+// memory the scratch keeps, and builds the map a snapshot holds at its
+// final size: each list is a capacity-capped view of one array of exactly
+// their total length, so appending to one reallocates it rather than
+// overwrite the next.
+type gatewayLists struct {
+	edges [][2]int
+	ends  []int // ends[i]: where edge i's list ends in sats
+	sats  []int // the lists' satellites: append an edge's, then close it
+}
+
+func (g *gatewayLists) reset() { g.edges, g.ends, g.sats = g.edges[:0], g.ends[:0], g.sats[:0] }
+
+// close ends the list of edge e: the satellites appended since the last
+// close.
+func (g *gatewayLists) close(e [2]int) {
+	g.edges = append(g.edges, e)
+	g.ends = append(g.ends, len(g.sats))
+}
+
+// build returns the gathered lists as a map. An empty list is non-nil.
+func (g *gatewayLists) build() map[[2]int][]int {
+	all := make([]int, len(g.sats))
+	copy(all, g.sats)
+	out := make(map[[2]int][]int, len(g.edges))
+	start := 0
+	for i, e := range g.edges {
+		end := g.ends[i]
+		out[e], start = all[start:end:end], end
+	}
+	return out
+}
+
+// linkScratch is where a snapshot's link lists are gathered before the
+// snapshot takes them at their exact length.
+type linkScratch struct {
+	links   []Link
+	members []int // one cell's ring
 }
 
 // matrix is a weight matrix whose rows share one reusable backing slice.
@@ -281,6 +333,7 @@ func New(cfg Config) (*Controller, error) {
 		footprint:    make([]float64, len(cfg.Sats)),
 		footprintCos: make([]float64, len(cfg.Sats)),
 		topo:         newTopoPlan(cfg.Topo),
+		delta:        slotScratch{chain: true},
 	}
 	for i, e := range cfg.Sats {
 		c.footprint[i] = cfg.Coverage.FootprintRadius(e.Altitude())
@@ -298,7 +351,7 @@ func (c *Controller) Config() Config { return c.cfg }
 func (c *Controller) CacheStats() orbit.CacheStats { return c.geo.Stats() }
 
 // Compile produces the satellite topology snapshot enforcing the intent at
-// time t.
+// time t, in working memory of its own.
 func (c *Controller) Compile(t float64) *Snapshot {
 	return c.compile(t, &slotScratch{}, nil)
 }
@@ -309,15 +362,16 @@ func (c *Controller) Compile(t float64) *Snapshot {
 // geometry cost), the slot's working memory and geometry are the chain's
 // own, reused from slot to slot, and slot geometries older than prev are
 // dropped.
-// prev anchors the changed-cell gauge; passing nil falls back to a full
-// compile. Calls are serialized per controller, while Compile and Repair
+// prev anchors the changed-cell gauge; passing nil starts a chain: the
+// slot is compiled cold, but in the chain's memory, so the next slot is a
+// warm one. Calls are serialized per controller, while Compile and Repair
 // may still run concurrently.
 func (c *Controller) DeltaCompile(prev *Snapshot, t float64) *Snapshot {
-	if prev == nil {
-		return c.Compile(t)
-	}
 	c.deltaMu.Lock()
 	defer c.deltaMu.Unlock()
+	if prev == nil {
+		return c.compile(t, &c.delta, nil)
+	}
 	// prev's geometry stays for a Repair of prev; older slots are never
 	// compiled again (Repair rebuilds one it still needs), and deltaMu
 	// orders this eviction with the chain's ChainSlot calls, as the cache
@@ -329,7 +383,7 @@ func (c *Controller) DeltaCompile(prev *Snapshot, t float64) *Snapshot {
 }
 
 // compile is the three-stage pipeline behind Compile and DeltaCompile,
-// run in scratch sc. A non-nil prev marks a slot of the delta chain: it
+// run in scratch sc. A non-nil prev marks a warm slot of the chain: it
 // changes the telemetry, never the snapshot.
 func (c *Controller) compile(t float64, sc *slotScratch, prev *Snapshot) *Snapshot {
 	kind := "compile"
@@ -340,12 +394,7 @@ func (c *Controller) compile(t float64, sc *slotScratch, prev *Snapshot) *Snapsh
 	start := time.Now()
 	defer func() { span.End() }()
 	tp := &c.topo
-	snap := &Snapshot{
-		Time:     t,
-		CellSats: map[int][]int{},
-		Gateways: map[[2]int][]int{},
-		Deficits: map[[2]int]int{},
-	}
+	snap := &Snapshot{Time: t}
 	// Stage 0: predict satellite→cell coverage (§4.2 "it first predicts
 	// which satellites cover it"). A satellite belongs to every declared
 	// cell whose center its footprint covers; the gateway matching below
@@ -355,17 +404,23 @@ func (c *Controller) compile(t float64, sc *slotScratch, prev *Snapshot) *Snapsh
 	// cache, which shares it with Repair at the same slot time; the chain's
 	// own is refilled in the memory of one it evicted.
 	var sg *orbit.SlotGeom
-	if prev != nil {
+	if sc.chain {
 		sg = c.geo.ChainSlot(t)
 	} else {
 		sg = c.geo.Slot(t)
 	}
 	sc.cover, sc.coverBuf = sg.CoverageInto(sc.cover, sc.coverBuf, tp.centers, c.footprint, c.footprintCos)
-	cover, changed := sc.cover, 0
+	cover, changed, homed := sc.cover, 0, 0
 	for ci, u := range tp.cells {
 		if prev != nil && !slices.Equal(prev.CellSats[u], cover[ci]) {
 			changed++
 		}
+		if len(cover[ci]) > 0 {
+			homed++
+		}
+	}
+	snap.CellSats = make(map[int][]int, homed)
+	for ci, u := range tp.cells {
 		if len(cover[ci]) > 0 {
 			snap.CellSats[u] = cover[ci]
 		}
@@ -382,11 +437,15 @@ func (c *Controller) compile(t float64, sc *slotScratch, prev *Snapshot) *Snapsh
 	// Stage 1: per-cell many-to-one gateway matching. Satellites already
 	// holding a gateway assignment from an earlier cell are excluded, so
 	// each satellite spends at most one terminal on gateway duty (plus two
-	// on its home cell's ring). Cells are matched in topoPlan.order.
+	// on its home cell's ring). Cells are matched in topoPlan.order. The
+	// gateway lists and deficits are gathered in the scratch: each edge
+	// {u, v} is written by cell u's turn alone.
 	if len(sc.taken) != len(c.cfg.Sats) {
 		sc.taken = make([]bool, len(c.cfg.Sats))
 	}
 	clear(sc.taken)
+	gw, deficits := &sc.gateways, sc.deficits[:0]
+	gw.reset()
 	for _, ci := range tp.order {
 		u, neighbors, caps := tp.cells[ci], tp.neighbors[ci], tp.demand[ci]
 		sats := sc.sats[:0]
@@ -398,7 +457,7 @@ func (c *Controller) compile(t float64, sc *slotScratch, prev *Snapshot) *Snapsh
 		sc.sats = sats
 		if len(sats) == 0 || len(neighbors) == 0 {
 			for j, v := range neighbors {
-				snap.Deficits[[2]int{u, v}] += caps[j]
+				deficits = append(deficits, deficit{[2]int{u, v}, caps[j]})
 			}
 			continue
 		}
@@ -417,22 +476,28 @@ func (c *Controller) compile(t float64, sc *slotScratch, prev *Snapshot) *Snapsh
 		rRank := mt.RanksFromPrefs(mt.PrefsFromWeights(rw, 0), len(sats))
 		_, assigned := mt.ManyToOne(mt.PrefsFromWeights(w, 0), rRank, caps)
 		for j, v := range neighbors {
-			gws := make([]int, 0, len(assigned[j]))
 			for _, i := range assigned[j] {
-				gws = append(gws, sats[i])
+				gw.sats = append(gw.sats, sats[i])
 				sc.taken[sats[i]] = true
 			}
-			snap.Gateways[[2]int{u, v}] = gws
-			if d := caps[j] - len(gws); d > 0 {
-				snap.Deficits[[2]int{u, v}] += d
+			gw.close([2]int{u, v})
+			if d := caps[j] - len(assigned[j]); d > 0 {
+				deficits = append(deficits, deficit{[2]int{u, v}, d})
 			}
 		}
+	}
+	sc.deficits = deficits
+	snap.Gateways = gw.build()
+	snap.Deficits = make(map[[2]int]int, len(deficits))
+	for _, d := range deficits {
+		snap.Deficits[d.edge] = d.slots
 	}
 	if prev != nil {
 		obsDeltaCellsMatched.Add(int64(matched))
 	}
 
 	// Stage 2: one-to-one matching of gateway sets across each edge.
+	inter := sc.ls.links[:0]
 	for _, e := range tp.edges {
 		gu := snap.Gateways[[2]int{e[0], e[1]}]
 		gv := snap.Gateways[[2]int{e[1], e[0]}]
@@ -449,15 +514,16 @@ func (c *Controller) compile(t float64, sc *slotScratch, prev *Snapshot) *Snapsh
 		rRank := mt.RanksFromPrefs(mt.PrefsFromWeights(rw, 0), len(gu))
 		for i, j := range mt.OneToOne(mt.PrefsFromWeights(w, 0), rRank) {
 			if j >= 0 {
-				snap.InterLinks = append(snap.InterLinks, MakeLink(gu[i], gv[j]))
+				inter = append(inter, MakeLink(gu[i], gv[j]))
 			}
 		}
 	}
-	slices.SortFunc(snap.InterLinks, cmpLink)
+	slices.SortFunc(inter, cmpLink)
+	snap.InterLinks, sc.ls.links = exactLinks(inter), inter
 	lt.Flush()
 
 	// Stage 3: intra-cell ring over each cell's gateway satellites.
-	snap.RingLinks = c.ringLinks(sg, snap.Gateways, nil)
+	snap.RingLinks = c.ringLinks(sg, snap.Gateways, nil, &sc.ls)
 	obsCompiles.Inc()
 	obsCompileSeconds.ObserveDuration(time.Since(start))
 	obsInterLinks.Set(float64(len(snap.InterLinks)))
@@ -768,40 +834,27 @@ func (c *Controller) Repair(s *Snapshot, failedLinks []Link, failedSats []int, r
 	}
 	out := &Snapshot{
 		Time:     s.Time,
-		CellSats: map[int][]int{},
-		Gateways: map[[2]int][]int{},
-		Deficits: map[[2]int]int{},
-	}
-	for u, sats := range s.CellSats {
-		for _, sat := range sats {
-			if !dead[sat] {
-				out.CellSats[u] = append(out.CellSats[u], sat)
-			}
-		}
+		CellSats: filterLists(s.CellSats, dead, false),
+		Deficits: make(map[[2]int]int, len(s.Deficits)),
 	}
 	for k, d := range s.Deficits {
 		out.Deficits[k] = d
 	}
-	// Remaining healthy inter-links and their gateway assignments.
-	busy := map[int]bool{} // satellites already serving a gateway link
-	for key, gws := range s.Gateways {
-		var kept []int
-		for _, g := range gws {
-			if !dead[g] {
-				kept = append(kept, g)
-			}
-		}
-		out.Gateways[key] = kept
-	}
+	// Remaining healthy inter-links and their gateway assignments. A
+	// failed link's edge loses one ISL and its endpoints' gateway slots
+	// reopen: each satellite holds at most one gateway duty, so dropping
+	// the endpoints from every list is exact.
+	busy := make([]bool, len(c.cfg.Sats)) // satellites already serving a gateway link
+	gone := maps.Clone(dead)              // satellites that leave every gateway list
 	for _, l := range s.InterLinks {
 		if failSet[l] || dead[l[0]] || dead[l[1]] {
-			// Edge loses one ISL; gateway slots reopen.
-			c.dropGateway(out, l)
+			gone[l[0]], gone[l[1]] = true, true
 			continue
 		}
 		out.InterLinks = append(out.InterLinks, l)
 		busy[l[0]], busy[l[1]] = true, true
 	}
+	out.Gateways = filterLists(s.Gateways, gone, true)
 	// Reuse the compiled slot's cached geometry: Repair runs at the same
 	// slot time as the Compile that produced s (a geometry the delta chain
 	// has since evicted is rebuilt). The few candidate τ it needs are
@@ -841,7 +894,7 @@ func (c *Controller) Repair(s *Snapshot, failedLinks []Link, failedSats []int, r
 	}
 	slices.SortFunc(out.InterLinks, cmpLink)
 	// Rebuild rings from the (possibly changed) gateway sets.
-	out.RingLinks = c.ringLinks(sg, out.Gateways, failSet)
+	out.RingLinks = c.ringLinks(sg, out.Gateways, failSet, &linkScratch{})
 	// Ring links to establish are also instructions.
 	ringAdded, _ := DiffLinks(&Snapshot{InterLinks: s.RingLinks}, &Snapshot{InterLinks: out.RingLinks})
 	stats.Messages += 2 * len(ringAdded)
@@ -882,19 +935,41 @@ func (r RepairStats) observe() {
 	obsRepairFailed.Add(int64(r.Unrepaired))
 }
 
-// dropGateway releases the gateway assignments of a failed link's
-// endpoints (each satellite holds at most one gateway duty, so removing
-// the endpoints from every list is exact).
-func (c *Controller) dropGateway(s *Snapshot, l Link) {
-	for key, gws := range s.Gateways {
-		var kept []int
-		for _, g := range gws {
-			if g != l[0] && g != l[1] {
-				kept = append(kept, g)
+// filterLists returns m's lists without the satellites in gone, in a map
+// made at its exact size whose lists are capacity-capped views of one
+// array of exactly the satellites kept, as a compiled snapshot's are. A
+// list left empty is nil, or absent unless keepEmpty.
+func filterLists[K comparable](m map[K][]int, gone map[int]bool, keepEmpty bool) map[K][]int {
+	total, lists := 0, 0
+	for _, list := range m {
+		kept := 0
+		for _, x := range list {
+			if !gone[x] {
+				kept++
 			}
 		}
-		s.Gateways[key] = kept
+		total += kept
+		if kept > 0 || keepEmpty {
+			lists++
+		}
 	}
+	all, out := make([]int, 0, total), make(map[K][]int, lists)
+	for k, list := range m {
+		start := len(all)
+		for _, x := range list {
+			if !gone[x] {
+				//lint:tinyleo-ignore where a list lands in the shared array is unobservable: each key gets the same values in the same order
+				all = append(all, x)
+			}
+		}
+		switch end := len(all); {
+		case end > start:
+			out[k] = all[start:end:end]
+		case keepEmpty:
+			out[k] = nil
+		}
+	}
+	return out
 }
 
 // linkServesEdge reports whether a link's endpoints cover the edge's two
@@ -915,7 +990,7 @@ func (c *Controller) linkServesEdge(s *Snapshot, l Link, e [2]int) bool {
 // edge e whose link is not itself failed. Returned as (satellite in e[0],
 // satellite in e[1]). Candidate pairs out of ISL range are pruned by the
 // slot's spatial grid before any lifetime prediction runs.
-func (c *Controller) bestReplacement(sg *orbit.SlotGeom, s *Snapshot, e [2]int, busy map[int]bool, failSet map[Link]bool) (int, int, bool) {
+func (c *Controller) bestReplacement(sg *orbit.SlotGeom, s *Snapshot, e [2]int, busy []bool, failSet map[Link]bool) (int, int, bool) {
 	bestTau := 0.0
 	var bestA, bestB int
 	found := false
@@ -946,14 +1021,14 @@ func (c *Controller) bestReplacement(sg *orbit.SlotGeom, s *Snapshot, e [2]int, 
 // hops. A pair in failed is left open (the ring degrades to a chain): the
 // two ends of a failed inter-cell link can come back as neighbours on one
 // cell's ring, and a repair must not instruct the link it was told is gone.
-func (c *Controller) ringLinks(sg *orbit.SlotGeom, gateways map[[2]int][]int, failed map[Link]bool) []Link {
-	var links []Link
+// The links are gathered in ls and returned at their exact length.
+func (c *Controller) ringLinks(sg *orbit.SlotGeom, gateways map[[2]int][]int, failed map[Link]bool, ls *linkScratch) []Link {
+	links, members := ls.links[:0], ls.members
 	closeRing := func(a, b int) {
 		if l := MakeLink(a, b); !failed[l] {
 			links = append(links, l)
 		}
 	}
-	var members []int // one cell's ring, reused from cell to cell
 	for ci, u := range c.topo.cells {
 		members = members[:0]
 		for _, v := range c.topo.neighbors[ci] {
@@ -978,7 +1053,17 @@ func (c *Controller) ringLinks(sg *orbit.SlotGeom, gateways map[[2]int][]int, fa
 		}
 	}
 	slices.SortFunc(links, cmpLink)
-	return links
+	ls.links, ls.members = links, members
+	return exactLinks(links)
+}
+
+// exactLinks copies a gathered link list at its exact length, nil when it
+// is empty.
+func exactLinks(links []Link) []Link {
+	if len(links) == 0 {
+		return nil
+	}
+	return append(make([]Link, 0, len(links)), links...)
 }
 
 func appendUnique(list []int, v int) []int {

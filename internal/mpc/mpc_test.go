@@ -1,7 +1,9 @@
 package mpc
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -267,6 +269,44 @@ func TestRepairSurvivesSatelliteFailure(t *testing.T) {
 	}
 }
 
+// TestRepairListShapes: Repair builds its lists as a compile does, each a
+// capacity-capped view, so appending to one cannot overwrite another, and
+// leaves its input alone; a gateway list that empties stays in the map as
+// nil, and a cell left with no satellite drops out of CellSats. With every
+// homed satellite dead nothing can be replaced: every list empties.
+func TestRepairListShapes(t *testing.T) {
+	c, _ := newController(t)
+	snap := c.Compile(0)
+	before := fmt.Sprintf("%#v", *snap)
+	victim := snap.InterLinks[0]
+	repaired, _ := c.Repair(snap, []Link{victim}, nil, 0)
+	for cell, sats := range repaired.CellSats {
+		if len(sats) == 0 || cap(sats) != len(sats) {
+			t.Errorf("cell %d lists %v at capacity %d", cell, sats, cap(sats))
+		}
+	}
+	for edge, gws := range repaired.Gateways {
+		if len(gws) == 0 && gws != nil {
+			t.Errorf("gateway list %v is empty but not nil", edge)
+		}
+	}
+	var dead []int
+	for _, sats := range snap.CellSats {
+		dead = append(dead, sats...)
+	}
+	gone, _ := c.Repair(snap, nil, dead, 0)
+	want := &Snapshot{Time: snap.Time, CellSats: map[int][]int{}, Gateways: map[[2]int][]int{}, Deficits: snap.Deficits}
+	for edge := range snap.Gateways {
+		want.Gateways[edge] = nil
+	}
+	if !reflect.DeepEqual(gone, want) {
+		t.Errorf("with every satellite dead, Repair gives %v, want %v", gone, want)
+	}
+	if after := fmt.Sprintf("%#v", *snap); after != before {
+		t.Errorf("Repair changed its input snapshot:\nbefore %s\nafter  %s", before, after)
+	}
+}
+
 func TestRepairTimeDominatedByRTT(t *testing.T) {
 	// Figure 17d: 83.5 of 83.8 ms is RTT; compute is sub-millisecond at
 	// this scale.
@@ -329,13 +369,13 @@ func TestRingLinksLeaveAFailedPairOpen(t *testing.T) {
 		{u, nb[1]}: snap.CellSats[u][2:4],
 	}
 	sg := c.geo.Slot(0)
-	ring := c.ringLinks(sg, gateways, nil)
+	ring := c.ringLinks(sg, gateways, nil, &linkScratch{})
 	if len(ring) != 4 {
 		t.Fatalf("ring over 4 gateways has %d links: %v", len(ring), ring)
 	}
 	for i, gone := range ring {
 		want := append(append([]Link(nil), ring[:i]...), ring[i+1:]...)
-		got := c.ringLinks(sg, gateways, map[Link]bool{gone: true})
+		got := c.ringLinks(sg, gateways, map[Link]bool{gone: true}, &linkScratch{})
 		if len(got) != len(want) {
 			t.Fatalf("with %v failed the ring is %v, want %v", gone, got, want)
 		}

@@ -107,3 +107,50 @@ func activeSats(s *mpc.Snapshot) []int {
 	sort.Ints(out)
 	return out
 }
+
+// TestColdStartedChainMatchesCompile: a chain started by DeltaCompile(nil,
+// 0), which compiles its cold slot in the chain's own memory, equals slot
+// for slot a chain started from Compile(0)'s snapshot and a fresh
+// controller's Compile, on the 100-satellite testbed, where the matching
+// leaves a gateway list empty: the empty list stays a non-nil one.
+func TestColdStartedChainMatchesCompile(t *testing.T) {
+	tb, err := chaos.NewTestbed(chaos.TestbedConfig{Sats: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := tb.Ctl.Config()
+	newCtl := func() *mpc.Controller {
+		c, err := mpc.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	cold, fromNil, fromCompile := newCtl(), newCtl(), newCtl()
+	var a, b *mpc.Snapshot
+	empty := 0
+	for slot := range 8 {
+		t0 := float64(slot) * 30
+		a = fromNil.DeltaCompile(a, t0)
+		if slot == 0 {
+			b = fromCompile.Compile(t0)
+		} else {
+			b = fromCompile.DeltaCompile(b, t0)
+		}
+		want := cold.Compile(t0)
+		if !reflect.DeepEqual(a, want) || !reflect.DeepEqual(b, want) {
+			t.Fatalf("slot %d: the chains started by DeltaCompile(nil, 0) and by Compile(0) differ from a cold compile", slot)
+		}
+		for edge, gws := range a.Gateways {
+			if len(gws) == 0 {
+				empty++
+				if gws == nil {
+					t.Errorf("slot %d: the empty gateway list of %v is nil", slot, edge)
+				}
+			}
+		}
+	}
+	if empty == 0 {
+		t.Error("no slot left a gateway list empty; the test needs one")
+	}
+}

@@ -2,7 +2,6 @@ package orbit
 
 import (
 	"math"
-	"slices"
 	"unsafe"
 
 	"repro/internal/geom"
@@ -40,7 +39,10 @@ import (
 //
 // The zero value is ready for Reset. A table is not safe for concurrent
 // use: each compile owns one (the DeltaCompile chain keeps its own and
-// resets it every slot, so a warm slot allocates nothing here).
+// resets it every slot, so a warm slot allocates nothing here). A table is
+// made with a quarter more room than the slot that sizes it needs, never
+// more than the whole constellation can take, so a chain whose active set
+// gains a few numbers over its first slots sizes its tables once.
 type LifeTable struct {
 	pc    *PropCache // the cache whose satellites local and inSet index
 	g     *SlotGeom
@@ -113,9 +115,13 @@ func (lt *LifeTable) Reset(g *SlotGeom, cover [][]int) {
 		lt.sat, lt.runs = lt.sat[:0], lt.runs[:0]
 	}
 	lt.g = g
+	active := 0
 	for _, sats := range cover {
 		for _, s := range sats {
-			lt.inSet[s] = true
+			if !lt.inSet[s] {
+				lt.inSet[s] = true
+				active++
+			}
 		}
 	}
 	// A satellite that left frees its number, and the runs filed under the
@@ -126,6 +132,15 @@ func (lt *LifeTable) Reset(g *SlotGeom, cover [][]int) {
 			lt.dropRuns(a)
 		}
 	}
+	// Every active satellite holds one number, the newcomers the lowest
+	// free ones, so the numbers run up to the larger of the old count and
+	// the active set's size.
+	all := len(g.pos)
+	old := len(lt.sat)
+	lt.sat = grow(lt.sat, max(old, active), all)
+	for a := old; a < len(lt.sat); a++ {
+		lt.sat[a] = -1
+	}
 	free := 0
 	for _, sats := range cover {
 		for _, s := range sats {
@@ -133,31 +148,28 @@ func (lt *LifeTable) Reset(g *SlotGeom, cover [][]int) {
 			if lt.local[s] >= 0 {
 				continue
 			}
-			for free < len(lt.sat) && lt.sat[free] >= 0 {
+			for lt.sat[free] >= 0 {
 				free++
-			}
-			if free == len(lt.sat) {
-				lt.sat = append(lt.sat, -1)
 			}
 			lt.local[s], lt.sat[free] = int32(free), int32(s)
 		}
 	}
 	n := len(lt.sat)
-	pairs := n * (n + 1) / 2
-	if old := len(lt.runs); old < pairs {
-		lt.runs = slices.Grow(lt.runs, pairs-old)[:pairs]
-		clear(lt.runs[old:])
-	}
+	pairs, maxPairs := n*(n+1)/2, all*(all+1)/2
+	old = len(lt.runs)
+	lt.runs = grow(lt.runs, pairs, maxPairs)
+	clear(lt.runs[old:])
 	lt.epoch++
 	if lt.epoch%runSweep == 0 {
 		lt.dropStaleRuns()
 	}
 	lt.bases[lt.epoch%runRing] = g.Time
-	lt.tau = slices.Grow(lt.tau[:0], pairs)[:pairs]
+	lt.tau = grow(lt.tau[:0], pairs, maxPairs)
 	for k := range lt.tau {
 		lt.tau[k] = tauUnknown
 	}
-	lt.pos = slices.Grow(lt.pos[:0], len(g.cache.offs)*n)[:len(g.cache.offs)*n]
+	samples := len(g.cache.offs)
+	lt.pos = grow(lt.pos[:0], samples*n, samples*all)
 	for k := range lt.pos {
 		lt.pos[k].X = math.NaN()
 	}
@@ -167,6 +179,20 @@ func (lt *LifeTable) Reset(g *SlotGeom, cover [][]int) {
 			lt.pos[a] = g.pos[s]
 		}
 	}
+}
+
+// grow returns s at length need, its contents kept. A slice too small is
+// made anew with a quarter more room than need, the step by which append
+// regrows a large slice, so a table sized once is not sized again as the
+// active set gains a few numbers; the room never passes limit, the length
+// at which every satellite holds a number.
+func grow[E any](s []E, need, limit int) []E {
+	if need <= cap(s) {
+		return s[:need]
+	}
+	t := make([]E, need, min(need+need/4, limit))
+	copy(t, s)
+	return t
 }
 
 // dropRuns forgets the runs of every pair that includes number a.
