@@ -40,9 +40,11 @@ type Satellite struct {
 	RingNext int         // successor on the intra-cell gateway ring, -1 if none
 
 	// Buffer holds packets waiting for control-plane repair (§4.3 worst
-	// case: the ring is disconnected).
+	// case: the ring is disconnected), in order of arrival. Its storage is
+	// the network's: it comes from the network's free lists and goes back
+	// to them when the buffer outgrows it or FlushBuffers empties it. A
+	// caller may read it, or set it to nil to discard its packets.
 	Buffer []*Packet
-	spare  []*Packet // empty storage FlushBuffers swaps Buffer with
 
 	// Stats
 	Forwarded int64 // packets sent onward
@@ -113,7 +115,7 @@ type Router interface {
 //tinyleo:hotpath
 func (s *Satellite) Receive(p *Packet) {
 	if len(p.HopTrace) == cap(p.HopTrace) {
-		s.net.traces.grow(p)
+		s.net.growTrace(p)
 	}
 	p.HopTrace = append(p.HopTrace, s.ID)
 	s.forward(p)
@@ -161,6 +163,12 @@ func (s *Satellite) forward(p *Packet) {
 		dpBuffered.Inc()
 		if flightrec.Enabled() {
 			s.emitEvent("buffered", "next_cell", strconv.Itoa(d.NextCell))
+		}
+		if len(s.Buffer) == cap(s.Buffer) {
+			full := s.Buffer
+			s.Buffer = s.net.bufs.grow(full)
+			clear(full)
+			s.net.bufs.put(full)
 		}
 		s.Buffer = append(s.Buffer, p)
 		return

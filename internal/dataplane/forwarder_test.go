@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // chainNet builds a 3-cell chain with 2 gateways per cell:
@@ -967,7 +968,8 @@ func TestFlushBuffersRebuffersEachPacketOnce(t *testing.T) {
 }
 
 // TestWarmFlushAllocatesNothing: a flush that buffers every packet again
-// reuses the satellite's buffer storage, swapping it with the spare.
+// takes the satellite's new buffer storage from the network's free lists,
+// where the flushed buffer goes back.
 func TestWarmFlushAllocatesNothing(t *testing.T) {
 	n := chainNet()
 	n.Link(0, 2).Down()
@@ -986,5 +988,106 @@ func TestWarmFlushAllocatesNothing(t *testing.T) {
 	}
 	if s := n.Sats[0]; len(s.Buffer) != 20 {
 		t.Errorf("%d packets buffered after the flushes, want 20", len(s.Buffer))
+	}
+}
+
+// TestWarmFaultRoundMakesNothing runs one fault round twice on one network,
+// as the ledger's forward-mix does: a 40-member ring in cell 10 whose only
+// gateway to cell 20, member 0, loses its ISL mid-flow; every packet still
+// on the ring walks a full circle and buffers where it entered, a repair
+// link from member 20 lands and the flush sends them on, each round the ring
+// once more, then the topology is put back and flushed again. The repair's
+// flush hands back far more than 1,024 traces of 64 and 128 entries at once;
+// the second round takes all its traces and buffers from what the first
+// handed back.
+func TestWarmFaultRoundMakesNothing(t *testing.T) {
+	const members, packets, gw = 40, 2000, 40
+	n := NewNetwork()
+	ring := make([]int, members)
+	for id := range ring {
+		ring[id] = id
+		n.AddSatellite(id, 10)
+	}
+	n.AddSatellite(gw, 20)
+	for id := range ring {
+		n.Connect(id, (id+1)%members, 0.001)
+	}
+	n.SetRing(ring)
+	n.Connect(0, gw, 0.005)
+
+	var delivered, grown, longest int
+	n.OnDeliver = func(_ *Satellite, p *Packet) {
+		delivered++
+		if len(p.HopTrace) > listBase {
+			grown++
+		}
+		longest = max(longest, len(p.HopTrace))
+	}
+	n.OnDrop = func(s *Satellite, _ *Packet, reason string) { t.Errorf("dropped at %d: %s", s.ID, reason) }
+	run := func() { n.Sim.Run(n.Sim.Now() + 1) }
+	round := func() (flushed int) {
+		for i := range packets {
+			p, err := NewGeoPacket(99, []int{20}, 1, uint32(i), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Base.HopLimit = 255
+			wire, err := p.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, err := Decode(wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.Inject(i%members, q)
+		}
+		n.Sim.Run(n.Sim.Now() + 0.01)
+		n.Link(0, gw).Down()
+		run()
+		arrays := map[**Packet]int{}
+		for _, s := range n.order {
+			if cap(s.Buffer) == 0 {
+				continue
+			}
+			a := unsafe.SliceData(s.Buffer[:cap(s.Buffer)])
+			if other, ok := arrays[a]; ok {
+				t.Fatalf("satellites %d and %d buffer in one array", other, s.ID)
+			}
+			arrays[a] = s.ID
+		}
+		if len(arrays) < members/2 {
+			t.Fatalf("%d satellites buffer, want most of the ring's %d", len(arrays), members)
+		}
+		n.EnsureLink(20, gw, 0.005)
+		before := grown
+		n.FlushBuffers()
+		run()
+		flushed = grown - before
+		n.Link(20, gw).Down()
+		n.Link(0, gw).Up()
+		n.FlushBuffers()
+		run()
+		return flushed
+	}
+
+	flushed := round()
+	traces, bufs := n.traces.made, n.bufs.made
+	if flushed <= 1024 || longest <= 2*listBase {
+		t.Fatalf("the repair's flush handed back %d grown traces, the longest %d entries; want over 1,024 and over %d", flushed, longest, 2*listBase)
+	}
+	round()
+	if made := n.traces.made - traces; made != 0 {
+		t.Errorf("the warm round made %d traces (%d in the first)", made, traces)
+	}
+	if made := n.bufs.made - bufs; made != 0 {
+		t.Errorf("the warm round made %d buffer arrays (%d in the first)", made, bufs)
+	}
+	var lost int64
+	for _, l := range n.links {
+		lost += l.LostInFlight
+	}
+	if int64(delivered)+lost != 2*packets {
+		t.Errorf("%d delivered and %d lost in flight of %d", delivered, lost, 2*packets)
 	}
 }

@@ -26,7 +26,8 @@ type Network struct {
 
 	order  []*Satellite // Sats by ascending ID: FlushBuffers' order, the same on every run
 	links  []*netem.Link
-	traces traceLists
+	traces freeLists[int]     // hop traces past the first capacity
+	bufs   freeLists[*Packet] // Satellite.Buffer storage
 	// Defaults for new links.
 	ISLRateBps float64
 	QueueLimit int
@@ -50,67 +51,68 @@ func NewNetwork() *Network {
 	return n
 }
 
-// traceLists are a network's free lists of hop-trace storage past the first
-// capacity: list k holds up to traceListCap empty traces of capacity
-// hopTraceCap<<(k+1). Decoded packets fill them when delivered or dropped, or
-// when their trace outgrows its storage; every trace Receive grows past the
-// first capacity draws on them. The first capacity has one owner: a decoded
-// packet's is part of the packet (pooledPacket.trace), a caller's packet's
-// is the caller's. Only the network's own forwarding touches the lists, so
+// freeLists are a network's free lists of forwarding storage, kept at their
+// high-water mark as netem.Sim keeps its event heap: list k holds every
+// emptied slice of capacity listBase<<k handed back, so it never holds more
+// than were in use at once, and a repeat of traffic it has seen takes all its
+// storage from them. Only the network's own forwarding touches the lists, so
 // they need no lock.
-type traceLists struct {
-	free [traceClasses][][]int
+type freeLists[T any] struct {
+	free [storageClasses][][]T
 	made int // storage grow made because its list was empty
 }
 
 const (
-	// traceClasses covers capacities 16 to 256: a trace of a packet with the
-	// largest hop limit fits the last.
-	traceClasses = 5
-	// traceListCap bounds each list at a little more than one burst of the
-	// ledger's forward-mix, which injects 1,000 packets a burst.
-	traceListCap = 1024
+	// listBase is the first listed capacity, twice a trace's first.
+	listBase = 2 * hopTraceCap
+	// storageClasses covers capacities 16 to 2^27: past the last, storage
+	// grows by append and goes on no list.
+	storageClasses = 24
 )
 
-// grow moves p's full hop trace into storage of the next capacity, from the
-// free list when it has one. The old storage of a decoded packet goes to its
-// list, unless it is the packet's own first capacity; a caller's packet keeps
-// none of the network's, so its old storage stays the caller's, and its first
-// trace is made for it. Past the last capacity, append grows the trace.
-func (t *traceLists) grow(p *Packet) {
-	c := cap(p.HopTrace)
-	if c < hopTraceCap {
+// grow returns s's contents in storage of the next capacity, from its list
+// when it has one; s's storage stays the caller's.
+func (f *freeLists[T]) grow(s []T) []T {
+	k := bits.Len(uint(cap(s) / listBase))
+	if k >= storageClasses {
+		return slices.Grow(s, 1)
+	}
+	var next []T
+	if l := f.free[k]; len(l) > 0 {
+		next, l[len(l)-1] = l[len(l)-1], nil
+		f.free[k] = l[:len(l)-1]
+	} else {
+		next = make([]T, 0, listBase<<k)
+		f.made++
+	}
+	return append(next, s...)
+}
+
+// put files s's storage, emptied, on the list of its capacity, unless that
+// is no list's. The caller clears what s must not keep alive.
+func (f *freeLists[T]) put(s []T) {
+	k := bits.TrailingZeros(uint(cap(s) / listBase))
+	if k >= storageClasses || cap(s) != listBase<<k {
+		return
+	}
+	f.free[k] = append(f.free[k], s[:0])
+}
+
+// growTrace moves p's full hop trace into storage of the next capacity. A
+// trace's first capacity is on no list: a decoded packet's is part of the
+// packet (pooledPacket.trace), and a caller's packet gets its own made. A
+// decoded packet's outgrown storage goes back on the lists; a caller's packet
+// keeps what it outgrows.
+func (n *Network) growTrace(p *Packet) {
+	if cap(p.HopTrace) < hopTraceCap {
 		p.HopTrace = append(make([]int, 0, hopTraceCap), p.HopTrace...)
 		return
 	}
-	k := bits.Len(uint(c/hopTraceCap)) - 1
-	if k >= traceClasses {
-		return
-	}
-	var next []int
-	if l := t.free[k]; len(l) > 0 {
-		next = l[len(l)-1]
-		l[len(l)-1] = nil
-		t.free[k] = l[:len(l)-1]
-	} else {
-		next = make([]int, 0, hopTraceCap<<(k+1))
-		t.made++
-	}
-	next = append(next, p.HopTrace...)
+	next := n.traces.grow(p.HopTrace)
 	if p.decoded() {
-		t.put(p.HopTrace)
+		n.traces.put(p.HopTrace)
 	}
 	p.HopTrace = next
-}
-
-// put files trace's storage, emptied, on the list of its capacity, unless
-// that is no list's (the first capacity is none) or the list is full.
-func (t *traceLists) put(trace []int) {
-	k := bits.TrailingZeros(uint(cap(trace)/hopTraceCap)) - 1
-	if k < 0 || k >= traceClasses || cap(trace) != hopTraceCap<<(k+1) || len(t.free[k]) == traceListCap {
-		return
-	}
-	t.free[k] = append(t.free[k], trace[:0])
 }
 
 // recycle returns a decoded packet, delivered or dropped, to the pool (see
@@ -217,21 +219,21 @@ func (n *Network) SetRing(members []int) {
 // MPC repairs the ring"), satellite by satellite in ascending ID; the
 // buffering satellite is already on its trace.
 //
-// A satellite's buffer storage is kept from flush to flush: a packet the
-// flush buffers again goes into the satellite's spare storage, not into the
-// buffer being flushed, whose later packets are not sent yet; the flushed
-// storage, its pointers cleared, is the next spare.
+// Buffer storage is the network's: a flushed satellite's buffer, its pointers
+// cleared, goes back on the network's free lists, and a packet the flush
+// buffers again goes into storage the satellite takes from them, not into the
+// buffer being flushed, whose later packets are not sent yet.
 func (n *Network) FlushBuffers() {
 	for _, s := range n.order {
 		buf := s.Buffer
 		if len(buf) == 0 {
 			continue
 		}
-		s.Buffer, s.spare = s.spare[:0], nil
+		s.Buffer = nil
 		for _, p := range buf {
 			s.forward(p)
 		}
 		clear(buf)
-		s.spare = buf[:0]
+		n.bufs.put(buf)
 	}
 }

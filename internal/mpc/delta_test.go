@@ -110,12 +110,44 @@ func TestDeltaCompileNilPrev(t *testing.T) {
 func TestMeanLifetimeEmptyCell(t *testing.T) {
 	c, _ := newController(t)
 	var lt orbit.LifeTable
-	lt.Reset(c.geo.Slot(0), nil)
+	lt.Reset(c.geo.Slot(0), nil, true)
 	if tau := lt.MeanLifetime(0, nil); tau != 0 || math.IsNaN(tau) {
 		t.Errorf("MeanLifetime over empty cell = %v, want 0", tau)
 	}
 	if tau := lt.MeanLifetime(0, []int{}); tau != 0 || math.IsNaN(tau) {
 		t.Errorf("MeanLifetime over empty slice = %v, want 0", tau)
+	}
+}
+
+// TestOneShotCompileSizesItsTableExactly: a Compile's LifeTable is thrown
+// away with its scratch, so every one of its slices is made at the length
+// the slot needs, while the DeltaCompile chain's keeps a quarter more room
+// for the slots after its first.
+func TestOneShotCompileSizesItsTableExactly(t *testing.T) {
+	c, _ := newController(t)
+	sc := &slotScratch{}
+	c.compile(0, sc, nil)
+	c.DeltaCompile(nil, 0)
+	once, chain := reflect.ValueOf(sc.life), reflect.ValueOf(c.delta.life)
+	roomy := 0
+	for i := range once.NumField() {
+		f := once.Field(i)
+		if f.Kind() != reflect.Slice {
+			continue
+		}
+		name := once.Type().Field(i).Name
+		if f.Len() == 0 {
+			t.Errorf("one-shot table: %s is empty", name)
+		}
+		if f.Cap() != f.Len() {
+			t.Errorf("one-shot table: %s has length %d and capacity %d", name, f.Len(), f.Cap())
+		}
+		if g := chain.Field(i); g.Cap() > g.Len() {
+			roomy++
+		}
+	}
+	if roomy == 0 {
+		t.Error("the chain's table has no room past its first slot")
 	}
 }
 

@@ -431,7 +431,7 @@ func (c *Controller) compile(t float64, sc *slotScratch, prev *Snapshot) *Snapsh
 	// Every τ the matching stages consult is between two satellites of
 	// these coverage lists, at this one slot time.
 	lt, mt := &sc.life, &sc.match
-	lt.Reset(sg, cover)
+	lt.Reset(sg, cover, sc.chain)
 	matched := 0
 
 	// Stage 1: per-cell many-to-one gateway matching. Satellites already

@@ -46,7 +46,7 @@ func TestPropCachePositionsMatchDirect(t *testing.T) {
 	}
 	var lt LifeTable
 	for _, t0 := range slots {
-		lt.Reset(pc.Slot(t0), allActive(pc))
+		lt.Reset(pc.Slot(t0), allActive(pc), true)
 		for m := range pc.offs {
 			for i := range pc.sats {
 				want := pc.sats[i].PositionECI(t0 + pc.offs[m])
@@ -109,7 +109,7 @@ func TestPropCacheLifetimeMatchesDirect(t *testing.T) {
 	var lookups, computed uint64
 	for slot := 0; slot < 20; slot++ {
 		t0 := float64(slot) * 150
-		lt.Reset(pc.Slot(t0), allActive(pc))
+		lt.Reset(pc.Slot(t0), allActive(pc), true)
 		seen := map[[2]int]bool{}
 		for trial := 0; trial < 40; trial++ {
 			i, j := rng.Intn(pc.NumSats()), rng.Intn(pc.NumSats())
@@ -153,7 +153,7 @@ func TestLifeTableOutsideActiveSet(t *testing.T) {
 	var lt LifeTable
 	for slot, cover := range [][][]int{{{0, 1, 2}, {2, 7}}, {{3}}, nil, {{n - 1, 0, 12}}} {
 		t0 := float64(slot) * 60
-		lt.Reset(pc.Slot(t0), cover)
+		lt.Reset(pc.Slot(t0), cover, true)
 		for i := 0; i < n; i++ {
 			for _, js := range [][]int{all, {7, 2, 0, 2}, {n - 1, 3}} {
 				sum := 0.0
@@ -233,7 +233,7 @@ func TestSlotGeomInRangeConservative(t *testing.T) {
 	// A slot table asks the grid once per pair, however often the pair is
 	// looked up: the counter moves by the rejected pairs, not the lookups.
 	var lt LifeTable
-	lt.Reset(sg, allActive(pc))
+	lt.Reset(sg, allActive(pc), true)
 	for rep := 0; rep < 3; rep++ {
 		for i := 0; i < pc.NumSats(); i++ {
 			for j := i + 1; j < pc.NumSats(); j++ {
@@ -286,7 +286,7 @@ func TestPropCacheConcurrent(t *testing.T) {
 				}
 				if i != j {
 					want := ISLLifetime(pc.sats[i], pc.sats[j], tt, pc.horizon, pc.step, pc.isl)
-					lt.Reset(sg, [][]int{{i, j}})
+					lt.Reset(sg, [][]int{{i, j}}, true)
 					if got := pc.Lifetime(i, j, tt); got != want {
 						t.Errorf("concurrent lifetime mismatch (%d,%d) t=%v", i, j, tt)
 						return

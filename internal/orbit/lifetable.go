@@ -39,10 +39,11 @@ import (
 //
 // The zero value is ready for Reset. A table is not safe for concurrent
 // use: each compile owns one (the DeltaCompile chain keeps its own and
-// resets it every slot, so a warm slot allocates nothing here). A table is
-// made with a quarter more room than the slot that sizes it needs, never
-// more than the whole constellation can take, so a chain whose active set
-// gains a few numbers over its first slots sizes its tables once.
+// resets it every slot, so a warm slot allocates nothing here). A chain's
+// table is made with a quarter more room than the slot that sizes it needs,
+// never more than the whole constellation can take, so a chain whose active
+// set gains a few numbers over its first slots sizes its tables once; a
+// one-shot compile's is made at its exact size.
 type LifeTable struct {
 	pc    *PropCache // the cache whose satellites local and inSet index
 	g     *SlotGeom
@@ -102,7 +103,9 @@ func (r visRun) ended() bool   { return r&runEnded != 0 }
 // coverage lists (SlotGeom.Coverage's result) as its active set, and
 // forgets every τ and position of the previous slot. Runs survive for the
 // pairs whose satellites both stay active, and serve for runRing Resets.
-func (lt *LifeTable) Reset(g *SlotGeom, cover [][]int) {
+// chain says the table will be Reset for later slots, and so gets room to
+// grow into.
+func (lt *LifeTable) Reset(g *SlotGeom, cover [][]int, chain bool) {
 	// The previous slot's geometry is not read: the chain that owns this
 	// table may have refilled it for this slot.
 	if lt.pc != g.cache {
@@ -137,7 +140,7 @@ func (lt *LifeTable) Reset(g *SlotGeom, cover [][]int) {
 	// the active set's size.
 	all := len(g.pos)
 	old := len(lt.sat)
-	lt.sat = grow(lt.sat, max(old, active), all)
+	lt.sat = grow(lt.sat, max(old, active), all, chain)
 	for a := old; a < len(lt.sat); a++ {
 		lt.sat[a] = -1
 	}
@@ -157,19 +160,19 @@ func (lt *LifeTable) Reset(g *SlotGeom, cover [][]int) {
 	n := len(lt.sat)
 	pairs, maxPairs := n*(n+1)/2, all*(all+1)/2
 	old = len(lt.runs)
-	lt.runs = grow(lt.runs, pairs, maxPairs)
+	lt.runs = grow(lt.runs, pairs, maxPairs, chain)
 	clear(lt.runs[old:])
 	lt.epoch++
 	if lt.epoch%runSweep == 0 {
 		lt.dropStaleRuns()
 	}
 	lt.bases[lt.epoch%runRing] = g.Time
-	lt.tau = grow(lt.tau[:0], pairs, maxPairs)
+	lt.tau = grow(lt.tau[:0], pairs, maxPairs, chain)
 	for k := range lt.tau {
 		lt.tau[k] = tauUnknown
 	}
 	samples := len(g.cache.offs)
-	lt.pos = grow(lt.pos[:0], samples*n, samples*all)
+	lt.pos = grow(lt.pos[:0], samples*n, samples*all, chain)
 	for k := range lt.pos {
 		lt.pos[k].X = math.NaN()
 	}
@@ -182,13 +185,17 @@ func (lt *LifeTable) Reset(g *SlotGeom, cover [][]int) {
 }
 
 // grow returns s at length need, its contents kept. A slice too small is
-// made anew with a quarter more room than need, the step by which append
-// regrows a large slice, so a table sized once is not sized again as the
-// active set gains a few numbers; the room never passes limit, the length
-// at which every satellite holds a number.
-func grow[E any](s []E, need, limit int) []E {
+// made anew at capacity need, or, when room is asked for, with a quarter
+// more than need, the step by which append regrows a large slice, so a
+// chain's table sized once is not sized again as the active set gains a few
+// numbers; the room never passes limit, the length at which every satellite
+// holds a number.
+func grow[E any](s []E, need, limit int, room bool) []E {
 	if need <= cap(s) {
 		return s[:need]
+	}
+	if !room {
+		limit = need
 	}
 	t := make([]E, need, min(need+need/4, limit))
 	copy(t, s)

@@ -47,7 +47,7 @@ func TestLifeTableChainsBitIdentical(t *testing.T) {
 						active[s] = true
 					}
 				}
-				lt.Reset(pc.Slot(t0), cover)
+				lt.Reset(pc.Slot(t0), cover, true)
 				for i := 0; i < n; i++ {
 					for j := 0; j < n; j++ {
 						if !active[i] && !active[j] && rng.Intn(8) != 0 {
@@ -89,10 +89,10 @@ func TestLifeTableChainsBitIdentical(t *testing.T) {
 func TestLifeTableNumbersStayPut(t *testing.T) {
 	pc := newTestCache(5, 5)
 	var lt LifeTable
-	lt.Reset(pc.Slot(0), [][]int{{3, 4, 5}, {5, 9}})
+	lt.Reset(pc.Slot(0), [][]int{{3, 4, 5}, {5, 9}}, true)
 	num := func(s int) int32 { return lt.local[s] }
 	n3, n5, n9 := num(3), num(5), num(9)
-	lt.Reset(pc.Slot(60), [][]int{{9, 3}, {7, 5}})
+	lt.Reset(pc.Slot(60), [][]int{{9, 3}, {7, 5}}, true)
 	if num(3) != n3 || num(5) != n5 || num(9) != n9 {
 		t.Errorf("numbers moved: 3:%d→%d 5:%d→%d 9:%d→%d", n3, num(3), n5, num(5), n9, num(9))
 	}
@@ -128,7 +128,7 @@ func TestLifeTableEntrySizes(t *testing.T) {
 		t.Errorf("a visibility run is %d B, want 4", s)
 	}
 	pc := newTestCache(5, 5)
-	lt.Reset(pc.Slot(0), allActive(pc))
+	lt.Reset(pc.Slot(0), allActive(pc), true)
 	tau, runs, pairs := lt.Footprint()
 	if pairs != 25*26/2 || tau != 2*cap(lt.tau) || runs != 4*cap(lt.runs) {
 		t.Errorf("Footprint %d B of τ and %d B of runs over %d pairs; capacities %d and %d",
@@ -180,16 +180,16 @@ func TestStaleRunsWalkAgain(t *testing.T) {
 		ps := stalePairs(t, pc, t0, 2)
 		fresh, stale := ps[0], ps[1]
 		lt = LifeTable{}
-		lt.Reset(g, allActive(pc))
+		lt.Reset(g, allActive(pc), true)
 		walk(fresh)
 		walk(stale)
 		for range runRing - 1 {
-			lt.Reset(g, allActive(pc))
+			lt.Reset(g, allActive(pc), true)
 		}
 		if _, skips := walk(fresh); skips == 0 {
 			t.Errorf("a run %d Resets old was not reused", runRing-1)
 		}
-		lt.Reset(g, allActive(pc))
+		lt.Reset(g, allActive(pc), true)
 		if _, skips := walk(stale); skips != 0 {
 			t.Errorf("a run %d Resets old gave %d samples; want real Visible calls", runRing, skips)
 		}
@@ -200,11 +200,11 @@ func TestStaleRunsWalkAgain(t *testing.T) {
 		kept, stale := ps[0], ps[1]
 		cover := [][]int{{kept[0], kept[1], stale[0], stale[1]}}
 		lt = LifeTable{}
-		lt.Reset(g, cover)
+		lt.Reset(g, cover, true)
 		walk(stale)
 		const resets = 1<<16 + 10 // 10 modulo the epoch's 2^16
 		for r := range resets {
-			lt.Reset(g, cover)
+			lt.Reset(g, cover, true)
 			if _, skips := walk(kept); r > 0 && skips == 0 {
 				t.Fatalf("Reset %d: the pair walked every slot reused nothing", r)
 			}
@@ -227,7 +227,7 @@ func TestLifeTableLargestWindow(t *testing.T) {
 	}
 	var lt LifeTable
 	for slot, t0 := range []float64{0, 1} {
-		lt.Reset(pc.Slot(t0), allActive(pc))
+		lt.Reset(pc.Slot(t0), allActive(pc), true)
 		if got := lt.Lifetime(0, 1); got != pc.horizon {
 			t.Fatalf("slot %d: τ %v, want the horizon %v", slot, got, pc.horizon)
 		}

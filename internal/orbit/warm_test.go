@@ -21,7 +21,7 @@ func TestWarmLifetimeBitIdentical(t *testing.T) {
 	n := pc.NumSats()
 	var wt LifeTable
 	slot := func(t0 float64, trials int) {
-		wt.Reset(pc.Slot(t0), allActive(pc))
+		wt.Reset(pc.Slot(t0), allActive(pc), true)
 		for trial := 0; trial < trials; trial++ {
 			i, j := rng.Intn(n), rng.Intn(n)
 			got := wt.Lifetime(i, j)
@@ -59,7 +59,7 @@ func TestWarmLifetimeBitIdentical(t *testing.T) {
 	cold := newTestCache(6, 6)
 	for k := 0; k < 3; k++ {
 		var ct LifeTable
-		ct.Reset(cold.Slot(float64(k)*60), allActive(cold))
+		ct.Reset(cold.Slot(float64(k)*60), allActive(cold), true)
 		for i := 0; i < n; i++ {
 			for j := 0; j < i; j++ {
 				ct.Lifetime(i, j)
