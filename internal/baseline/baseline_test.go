@@ -156,14 +156,14 @@ func TestSupplyUniformConstellationFavorsNoLongitude(t *testing.T) {
 func TestAvailabilityAndWaste(t *testing.T) {
 	sup := []float64{2, 0, 1}
 	dem := []float64{1, 1, 1}
-	if a := Availability(sup, dem); math.Abs(a-2.0/3) > 1e-12 {
+	if a := texture.Availability(sup, dem); math.Abs(a-2.0/3) > 1e-12 {
 		t.Errorf("availability = %v", a)
 	}
 	// satisfied = 2, supplied = 3 ⇒ waste = 0.5.
 	if w := WasteRatio(sup, dem); math.Abs(w-0.5) > 1e-12 {
 		t.Errorf("waste = %v", w)
 	}
-	if a := Availability([]float64{0}, []float64{0}); a != 1 {
+	if a := texture.Availability([]float64{0}, []float64{0}); a != 1 {
 		t.Errorf("zero-demand availability = %v", a)
 	}
 	if w := WasteRatio([]float64{5}, []float64{0}); w < 1e8 {
@@ -277,6 +277,71 @@ func TestILPValidation(t *testing.T) {
 	}
 }
 
+// TestILPUncoverableDemand: demand no track covers is an error, as it is
+// for core.Sparsify, not an empty incumbent. The bound it would divide by is
+// 0, and ⌈+Inf⌉ as an int is left to the implementation.
+func TestILPUncoverableDemand(t *testing.T) {
+	lib, err := texture.Build(texture.Config{
+		Grid:            geo.MustGrid(10),
+		Specs:           []orbit.RepeatSpec{{P: 1, Q: 15}},
+		InclinationsDeg: []float64{10},
+		RAANs:           4, Phases: 2, Slots: 4, SlotSeconds: 900, SubSamples: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	y := make([]float64, lib.UnfoldedLen())
+	m := lib.Grid.NumCells()
+	for i := 0; i < m; i++ {
+		if math.Abs(lib.Grid.Center(i).Lat) > 50 {
+			for s := 0; s < lib.Slots; s++ {
+				y[s*m+i] = 1
+			}
+		}
+	}
+	if res, err := SolveILP(ILPConfig{Library: lib, Demand: y, Epsilon: 0.5, Budget: time.Hour}); err == nil {
+		t.Errorf("uncoverable demand: %d satellites, availability %v, %d nodes, no error", res.Satellites, res.Availability, res.Nodes)
+	}
+}
+
+// TestMegaReduceShellsRejectsBadDemand: a demand that is not Slots × cells
+// long, or has an entry that is not finite and ≥ 0, is an error, not a panic,
+// an availability of NaN or a constellation shrunk to nothing.
+func TestMegaReduceShellsRejectsBadDemand(t *testing.T) {
+	cfg := SupplyConfig{Grid: geo.MustGrid(10), Slots: 4, SlotSeconds: 900, SubSamples: 1}
+	shells := []Shell{{"a", WalkerConfig{53, 550, 6, 6, 1}}}
+	n := cfg.Slots * cfg.Grid.NumCells()
+	with := func(k int, v float64) []float64 {
+		y := make([]float64, n)
+		y[k] = v
+		return y
+	}
+	for _, c := range []struct {
+		name string
+		y    []float64
+	}{
+		{"half length", make([]float64, n/2)},
+		{"NaN entry", with(3, math.NaN())},
+		{"negative entry", with(3, -5)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var res *ShellReduceResult
+			var err error
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("panic: %v", p)
+					}
+				}()
+				res, err = MegaReduceShells(ShellReduceConfig{Supply: cfg, Demand: c.y, Epsilon: 0.5, Shells: shells})
+			}()
+			if err == nil {
+				t.Errorf("no error: %d satellites, availability %v", res.Satellites, res.Availability)
+			}
+		})
+	}
+}
+
 func TestMegaReduceShellsShrinksWithSlack(t *testing.T) {
 	cfg := SupplyConfig{Grid: geo.MustGrid(10), Slots: 4, SlotSeconds: 900, SubSamples: 1}
 	cfg.fillDefaults()
@@ -315,7 +380,7 @@ func TestMegaReduceShellsShrinksWithSlack(t *testing.T) {
 		t.Errorf("per-shell sum %d != %d", sum, res.Satellites)
 	}
 	// Independent availability check of the surviving constellation.
-	if a := Availability(Supply(cfg, res.Remaining), dem.Y); a < 0.8-1e-9 {
+	if a := texture.Availability(Supply(cfg, res.Remaining), dem.Y); a < 0.8-1e-9 {
 		t.Errorf("independent availability %v below target", a)
 	}
 }

@@ -36,7 +36,8 @@ type ILPResult struct {
 // SolveILP runs best-incumbent depth-first branch and bound. Branching
 // picks the track with maximum satisfiable residual demand and tries
 // satellite counts from the greedy value down to zero, so the first leaf
-// reached is the greedy solution and pruning tightens from there.
+// reached is the greedy solution and pruning tightens from there. Demand
+// that no track covers is an error, as it is for core.Sparsify.
 func SolveILP(cfg ILPConfig) (*ILPResult, error) {
 	if cfg.Library == nil {
 		return nil, errors.New("baseline: nil library")
@@ -44,10 +45,8 @@ func SolveILP(cfg ILPConfig) (*ILPResult, error) {
 	if len(cfg.Demand) != cfg.Library.UnfoldedLen() {
 		return nil, errors.New("baseline: ILP demand length mismatch")
 	}
-	for k, v := range cfg.Demand {
-		if !(v >= 0) || math.IsInf(v, 1) {
-			return nil, fmt.Errorf("baseline: ILP demand %v at entry %d, want finite and ≥ 0", v, k)
-		}
+	if err := texture.CheckDemand(cfg.Demand); err != nil {
+		return nil, fmt.Errorf("baseline: ILP %w", err)
 	}
 	if !(cfg.Epsilon > 0 && cfg.Epsilon <= 1) {
 		return nil, errors.New("baseline: ILP epsilon outside (0,1]")
@@ -61,38 +60,20 @@ func SolveILP(cfg ILPConfig) (*ILPResult, error) {
 	s := &ilpSolver{
 		cfg:      cfg,
 		deadline: time.Now().Add(cfg.Budget),
-		residual: append([]float64(nil), cfg.Demand...),
+		r:        texture.NewResidual(cfg.Demand),
 		fixed:    make([]bool, cfg.Library.NumTracks()),
 		x:        make([]int, cfg.Library.NumTracks()),
-		bestX:    nil,
 		bestSats: math.MaxInt32,
 	}
-	for _, v := range cfg.Demand {
-		s.total += v
-	}
-	s.remain = s.total
-	s.target = (1 - cfg.Epsilon) * s.total
+	s.target = (1 - cfg.Epsilon) * s.r.Total
 	// Per-satellite satisfiable upper bound per track against the *full*
 	// demand: admissible for the lower bound at any node.
-	s.maxSat = 0
-	fracs := cfg.Library.Fractions()
 	for j := 0; j < cfg.Library.NumTracks(); j++ {
-		sat := 0.0
-		w := cfg.Library.TrackView(j).Walk(fracs)
-		for w.Next() {
-			k, vals := w.Start, w.Vals
-			for _, e := range w.Entries {
-				k += e.Gap()
-				if y, frac := cfg.Demand[k], vals.Of(e); frac < y {
-					sat += frac
-				} else {
-					sat += y
-				}
-			}
-		}
-		if sat > s.maxSat {
-			s.maxSat = sat
-		}
+		sat, _, _ := texture.Score(cfg.Library.TrackView(j), cfg.Library.Fractions(), cfg.Demand)
+		s.maxSat = max(s.maxSat, sat)
+	}
+	if s.maxSat == 0 && s.r.Total > 0 {
+		return nil, errors.New("baseline: ILP demand not coverable by any candidate track")
 	}
 	s.dfs(0)
 	res := &ILPResult{Nodes: s.nodes, Truncated: s.truncated}
@@ -101,7 +82,7 @@ func SolveILP(cfg ILPConfig) (*ILPResult, error) {
 		// report the empty incumbent.
 		res.X = make([]int, cfg.Library.NumTracks())
 		res.Availability = 0
-		if s.total == 0 {
+		if s.r.Total == 0 {
 			res.Availability = 1
 		}
 		return res, nil
@@ -117,12 +98,10 @@ func SolveILP(cfg ILPConfig) (*ILPResult, error) {
 type ilpSolver struct {
 	cfg       ILPConfig
 	deadline  time.Time
-	residual  []float64
+	r         texture.Residual
 	fixed     []bool
 	x         []int
 	sats      int
-	total     float64
-	remain    float64
 	target    float64
 	maxSat    float64
 	nodes     int
@@ -132,70 +111,23 @@ type ilpSolver struct {
 	bestAvail float64
 }
 
-func (s *ilpSolver) availability() float64 {
-	if s.total == 0 {
-		return 1
-	}
-	return 1 - s.remain/s.total
-}
-
-// apply places (or removes, for negative add) satellites on track j,
-// updating the clamped residual, and returns the residual delta for undo.
-func (s *ilpSolver) apply(j, add int) []undoEntry {
-	var undo []undoEntry
-	fx := float64(add)
-	w := s.cfg.Library.TrackView(j).Walk(s.cfg.Library.Fractions())
-	for w.Next() {
-		k, vals := w.Start, w.Vals
-		for _, e := range w.Entries {
-			k += e.Gap()
-			r := s.residual[k]
-			if r <= 0 {
-				continue
-			}
-			dec := fx * vals.Of(e)
-			if dec > r {
-				dec = r
-			}
-			if dec != 0 {
-				undo = append(undo, undoEntry{k, dec})
-				s.residual[k] = r - dec
-				s.remain -= dec
-			}
-		}
-	}
-	return undo
-}
-
-type undoEntry struct {
-	k   int
-	dec float64
-}
-
-func (s *ilpSolver) revert(undo []undoEntry) {
-	for _, u := range undo {
-		s.residual[u.k] += u.dec
-		s.remain += u.dec
-	}
-}
-
 func (s *ilpSolver) dfs(depth int) {
 	s.nodes++
 	if s.nodes >= s.cfg.MaxNodes || time.Now().After(s.deadline) {
 		s.truncated = true
 		return
 	}
-	if s.remain <= s.target+1e-9 {
+	if s.r.Remain <= s.target+1e-9 {
 		if s.sats < s.bestSats {
 			s.bestSats = s.sats
 			s.bestX = append([]int(nil), s.x...)
-			s.bestAvail = s.availability()
+			s.bestAvail = s.r.Availability()
 		}
 		return
 	}
 	// Lower bound: satellites needed even if every further satellite
 	// satisfied the global per-satellite maximum.
-	lb := s.sats + int(math.Ceil((s.remain-s.target)/s.maxSat))
+	lb := s.sats + int(math.Ceil((s.r.Remain-s.target)/s.maxSat))
 	if lb >= s.bestSats {
 		return
 	}
@@ -206,7 +138,7 @@ func (s *ilpSolver) dfs(depth int) {
 		if s.fixed[j] {
 			continue
 		}
-		satis, dot, norm := texture.Score(s.cfg.Library.TrackView(j), fracs, s.residual)
+		satis, dot, norm := texture.Score(s.cfg.Library.TrackView(j), fracs, s.r.R)
 		if satis > bestSatis {
 			bestJ, bestSatis, bestDot, bestNorm = j, satis, dot, norm
 		}
@@ -219,7 +151,7 @@ func (s *ilpSolver) dfs(depth int) {
 	if greedy < 1 {
 		greedy = 1
 	}
-	if cap := int(math.Ceil((s.remain - s.target) / bestSatis)); greedy > cap {
+	if cap := int(math.Ceil((s.r.Remain - s.target) / bestSatis)); greedy > cap {
 		greedy = cap
 	}
 	s.fixed[bestJ] = true
@@ -227,18 +159,16 @@ func (s *ilpSolver) dfs(depth int) {
 		if s.sats+v >= s.bestSats {
 			continue
 		}
-		var undo []undoEntry
+		var undo []texture.Decrement
 		if v > 0 {
-			undo = s.apply(bestJ, v)
+			s.r.Apply(s.cfg.Library.TrackView(bestJ), fracs, v, &undo)
 		}
 		s.x[bestJ] = v
 		s.sats += v
 		s.dfs(depth + 1)
 		s.sats -= v
 		s.x[bestJ] = 0
-		if v > 0 {
-			s.revert(undo)
-		}
+		s.r.Revert(undo)
 	}
 	s.fixed[bestJ] = false
 }

@@ -16,7 +16,9 @@ import (
 // granularity — MegaReduce's defining constraint — which is why it cannot
 // approach TinyLEO's savings on longitudinally uneven demand.
 type ShellReduceConfig struct {
-	Supply  SupplyConfig
+	Supply SupplyConfig
+	// Demand is the unfolded demand, Supply.Slots × cells long, every
+	// entry finite and ≥ 0.
 	Demand  []float64
 	Epsilon float64
 	Shells  []Shell
@@ -58,6 +60,12 @@ func MegaReduceShells(cfg ShellReduceConfig) (*ShellReduceResult, error) {
 	}
 	sup := cfg.Supply
 	sup.fillDefaults()
+	if n := sup.Slots * sup.Grid.NumCells(); len(cfg.Demand) != n {
+		return nil, fmt.Errorf("baseline: demand length %d, want %d slots × %d cells", len(cfg.Demand), sup.Slots, sup.Grid.NumCells())
+	}
+	if err := texture.CheckDemand(cfg.Demand); err != nil {
+		return nil, fmt.Errorf("baseline: %w", err)
+	}
 
 	// Expand shells, remembering (shell, plane) of every satellite.
 	type satMeta struct{ shell, plane int }
@@ -88,28 +96,13 @@ func MegaReduceShells(cfg ShellReduceConfig) (*ShellReduceResult, error) {
 		texture.AddRow(supply, r, table, 1)
 		res.EntriesVisited += len(r.Entries)
 	}
-	totalDemand := 0.0
-	for _, y := range cfg.Demand {
-		totalDemand += y
-	}
-	satisfied := func() float64 {
-		s := 0.0
-		for k, y := range cfg.Demand {
-			if v := supply[k]; v < y {
-				s += v
-			} else {
-				s += y
-			}
-		}
-		return s
-	}
+	curSat, totalDemand := texture.Satisfied(supply, cfg.Demand)
 	avail := func(sat float64) float64 {
 		if totalDemand == 0 {
 			return 1
 		}
 		return sat / totalDemand
 	}
-	curSat := satisfied()
 	if avail(curSat) < cfg.Epsilon {
 		return nil, fmt.Errorf("%w: availability %.4f < %.4f", ErrShellStartInfeasible, avail(curSat), cfg.Epsilon)
 	}
@@ -146,18 +139,8 @@ func MegaReduceShells(cfg ShellReduceConfig) (*ShellReduceResult, error) {
 		}
 		sat := curSat
 		for _, idx := range touched {
-			y := cfg.Demand[idx]
-			before := supply[idx]
-			after := before - delta[idx]
+			sat += texture.RemovalDelta(supply[idx], delta[idx], cfg.Demand[idx])
 			delta[idx] = 0
-			ob, oa := before, after
-			if ob > y {
-				ob = y
-			}
-			if oa > y {
-				oa = y
-			}
-			sat += oa - ob
 		}
 		touched = touched[:0]
 		return sat
@@ -172,7 +155,7 @@ func MegaReduceShells(cfg ShellReduceConfig) (*ShellReduceResult, error) {
 			texture.AddRow(supply, rows[s], table, -1)
 			res.EntriesVisited += len(rows[s].Entries)
 		}
-		curSat = satisfied()
+		curSat, _ = texture.Satisfied(supply, cfg.Demand)
 	}
 	// planes[first[si]+p] lists the satellites of shell si's plane p in
 	// index order; planeMembers drops the removed ones from it as it goes.

@@ -112,41 +112,15 @@ func Supply(cfg SupplyConfig, sats []orbit.Elements) []float64 {
 	return out
 }
 
-// Availability returns the fraction of demand satisfied by supply
-// (Σ min(supply, demand) / Σ demand); both vectors are unfolded.
-func Availability(supply, demand []float64) float64 {
-	if len(supply) != len(demand) {
-		panic("baseline: availability dimension mismatch")
-	}
-	tot, sat := 0.0, 0.0
-	for k, y := range demand {
-		tot += y
-		if s := supply[k]; s < y {
-			sat += s
-		} else {
-			sat += y
-		}
-	}
-	if tot == 0 {
-		return 1
-	}
-	return sat / tot
-}
-
 // WasteRatio returns the paper's Figure 4 statistic per satellite-slot:
 // (supply − satisfied demand) / satisfied demand aggregated over the whole
 // horizon, i.e. how much of the deployed capacity is wasted relative to
 // what serves users.
 func WasteRatio(supply, demand []float64) float64 {
-	totSup, totSat := 0.0, 0.0
-	for k, s := range supply {
+	totSat, _ := texture.Satisfied(supply, demand)
+	totSup := 0.0
+	for _, s := range supply {
 		totSup += s
-		y := demand[k]
-		if s < y {
-			totSat += s
-		} else {
-			totSat += y
-		}
 	}
 	if totSat == 0 {
 		if totSup == 0 {

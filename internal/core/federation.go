@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+
+	"repro/internal/texture"
 )
 
 // This file implements the paper's §7 "LEO network decentralization"
@@ -76,16 +78,11 @@ func Federate(p Problem, operators []Operator) (*FederationResult, error) {
 		}
 		// What does the existing federation already give this operator?
 		supply := p.Library.Supply(res.Combined)
-		totalOp, satisfiedOp := 0.0, 0.0
+		satisfiedOp, totalOp := texture.Satisfied(supply, op.Demand)
 		residual := make([]float64, len(op.Demand))
 		for k, y := range op.Demand {
-			totalOp += y
-			s := supply[k]
-			if s < y {
-				satisfiedOp += s
+			if s := supply[k]; s < y {
 				residual[k] = y - s
-			} else {
-				satisfiedOp += y
 			}
 		}
 		contrib := make([]int, n)

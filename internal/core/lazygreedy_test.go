@@ -35,15 +35,15 @@ func oracleRun(st *solverState, res *Result) error {
 		maxIter = 10 * p.Library.NumTracks()
 	}
 	maxAdd := max(p.MaxAddPerIteration, 1)
-	target := (1 - p.Epsilon) * st.total
-	for res.Iterations < maxIter && st.remain > target+1e-9 {
+	target := (1 - p.Epsilon) * st.r.Total
+	for res.Iterations < maxIter && st.r.Remain > target+1e-9 {
 		best := fullScanArgmax(st)
 		if best.satisfiable <= 1e-12 {
-			res.Availability = st.availability()
+			res.Availability = st.r.Availability()
 			return fmt.Errorf("%w: %.4f of demand satisfied", ErrNoProgress, res.Availability)
 		}
 		add := min(max(int(math.Ceil(best.dot/best.norm2)), 1), maxAdd)
-		add = min(add, int(math.Ceil((st.remain-target)/best.satisfiable)))
+		add = min(add, int(math.Ceil((st.r.Remain-target)/best.satisfiable)))
 		if p.MaxSatellites > 0 && res.Satellites+add > p.MaxSatellites {
 			if add = p.MaxSatellites - res.Satellites; add <= 0 {
 				break
@@ -55,10 +55,10 @@ func oracleRun(st *solverState, res *Result) error {
 		res.Iterations++
 		res.Trace = append(res.Trace, IterationStat{
 			Iteration: res.Iterations, Track: best.j, Added: add,
-			Satellites: res.Satellites, Availability: st.availability(),
+			Satellites: res.Satellites, Availability: st.r.Availability(),
 		})
 	}
-	res.Availability = st.availability()
+	res.Availability = st.r.Availability()
 	return nil
 }
 

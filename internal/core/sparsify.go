@@ -108,8 +108,8 @@ func Sparsify(p Problem) (*Result, error) {
 	if len(p.Demand) != p.Library.UnfoldedLen() {
 		return nil, fmt.Errorf("core: demand length %d, want %d", len(p.Demand), p.Library.UnfoldedLen())
 	}
-	if err := checkDemand("demand", p.Demand); err != nil {
-		return nil, err
+	if err := texture.CheckDemand(p.Demand); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	if err := checkEpsilon(p.Epsilon); err != nil {
 		return nil, err
@@ -135,15 +135,7 @@ func Sparsify(p Problem) (*Result, error) {
 func prune(p Problem, res *Result, floor []int) {
 	lib := p.Library
 	supply := lib.Supply(res.X)
-	total, satisfied := 0.0, 0.0
-	for k, y := range p.Demand {
-		total += y
-		if s := supply[k]; s < y {
-			satisfied += s
-		} else {
-			satisfied += y
-		}
-	}
+	satisfied, total := texture.Satisfied(supply, p.Demand)
 	target := p.Epsilon * total
 	fracs := lib.Fractions()
 	// satisfiedDelta returns the satisfied-demand change from removing one
@@ -155,20 +147,9 @@ func prune(p Problem, res *Result, floor []int) {
 			k, vals := w.Start, w.Vals
 			for _, e := range w.Entries {
 				k += e.Gap()
-				y := p.Demand[k]
-				if y == 0 {
-					continue
+				if y := p.Demand[k]; y != 0 {
+					d += texture.RemovalDelta(supply[k], vals.Of(e), y)
 				}
-				before := supply[k]
-				after := before - vals.Of(e)
-				ob, oa := before, after
-				if ob > y {
-					ob = y
-				}
-				if oa > y {
-					oa = y
-				}
-				d += oa - ob // ≤ 0
 			}
 		}
 		return d
@@ -221,8 +202,8 @@ func Expand(p Problem, prev *Result, extraDemand []float64) (*Result, error) {
 	for k := range combined {
 		combined[k] = p.Demand[k] + extraDemand[k]
 	}
-	if err := checkDemand("combined demand", combined); err != nil {
-		return nil, err
+	if err := texture.CheckDemand(combined); err != nil {
+		return nil, fmt.Errorf("core: combined %w", err)
 	}
 	p2 := p
 	p2.Demand = combined
@@ -253,24 +234,10 @@ func checkEpsilon(eps float64) error {
 	return nil
 }
 
-// checkDemand returns an error unless every entry of y is finite and ≥ 0: a
-// NaN or an infinity poisons every sum the solver takes, and a negative
-// demand is no covering constraint.
-func checkDemand(what string, y []float64) error {
-	for k, v := range y {
-		if !(v >= 0) || math.IsInf(v, 1) {
-			return fmt.Errorf("core: %s %v at entry %d, want finite and ≥ 0", what, v, k)
-		}
-	}
-	return nil
-}
-
 type solverState struct {
-	p        Problem
-	residual []float64 // clamped at ≥ 0
-	total    float64   // ‖ỹ‖₁
-	remain   float64   // ‖r‖₁
-	workers  int
+	p       Problem
+	r       texture.Residual // of p.Demand
+	workers int
 	// applied counts apply calls; a candidate scored at the current count
 	// is fresh. queue is nil until the first argmax.
 	applied int
@@ -278,11 +245,7 @@ type solverState struct {
 }
 
 func newSolverState(p Problem) *solverState {
-	st := &solverState{p: p, residual: append([]float64(nil), p.Demand...)}
-	for _, v := range p.Demand {
-		st.total += v
-	}
-	st.remain = st.total
+	st := &solverState{p: p, r: texture.NewResidual(p.Demand)}
 	st.workers = p.Parallelism
 	if st.workers <= 0 {
 		st.workers = runtime.NumCPU()
@@ -292,24 +255,7 @@ func newSolverState(p Problem) *solverState {
 
 // apply places x satellites on track j, decrementing the clamped residual.
 func (st *solverState) apply(j, x int) {
-	fx := float64(x)
-	w := st.p.Library.TrackView(j).Walk(st.p.Library.Fractions())
-	for w.Next() {
-		k, vals := w.Start, w.Vals
-		for _, e := range w.Entries {
-			k += e.Gap()
-			r := st.residual[k]
-			if r <= 0 {
-				continue
-			}
-			dec := fx * vals.Of(e)
-			if dec > r {
-				dec = r
-			}
-			st.residual[k] = r - dec
-			st.remain -= dec
-		}
-	}
+	st.r.Apply(st.p.Library.TrackView(j), st.p.Library.Fractions(), x, nil)
 	st.applied++
 }
 
@@ -325,7 +271,7 @@ type candidate struct {
 // satisfy (Σ_k min(A_jk, r_k)) together with the raw dot product A_jᵀr and
 // ‖A_j‖² restricted to unsatisfied entries, used for the add count.
 func (st *solverState) score(j int) candidate {
-	satisfiable, dot, norm2 := texture.Score(st.p.Library.TrackView(j), st.p.Library.Fractions(), st.residual)
+	satisfiable, dot, norm2 := texture.Score(st.p.Library.TrackView(j), st.p.Library.Fractions(), st.r.R)
 	return candidate{j: j, satisfiable: satisfiable, dot: dot, norm2: norm2, applied: st.applied}
 }
 
@@ -340,16 +286,16 @@ func (st *solverState) run(res *Result) error {
 	if maxAdd <= 0 {
 		maxAdd = 1
 	}
-	target := (1 - p.Epsilon) * st.total
+	target := (1 - p.Epsilon) * st.r.Total
 
 	span := obs.StartSpan("core.sparsify", "tracks", strconv.Itoa(n))
 	defer span.End()
-	for res.Iterations < maxIter && st.remain > target+1e-9 {
+	for res.Iterations < maxIter && st.r.Remain > target+1e-9 {
 		iterStart := time.Now()
 		best := st.argmax()
 		j, satisfiable := best.j, best.satisfiable
 		if satisfiable <= 1e-12 {
-			res.Availability = st.availability()
+			res.Availability = st.r.Availability()
 			return fmt.Errorf("%w: %.4f of demand satisfied", ErrNoProgress, res.Availability)
 		}
 		// Least-squares coefficient, clamped to [1, maxAdd]; never add more
@@ -361,7 +307,7 @@ func (st *solverState) run(res *Result) error {
 		if add > maxAdd {
 			add = maxAdd
 		}
-		if gap := int(math.Ceil((st.remain - target) / satisfiable)); add > gap {
+		if gap := int(math.Ceil((st.r.Remain - target) / satisfiable)); add > gap {
 			add = gap
 		}
 		if p.MaxSatellites > 0 && res.Satellites+add > p.MaxSatellites {
@@ -379,7 +325,7 @@ func (st *solverState) run(res *Result) error {
 			Track:        j,
 			Added:        add,
 			Satellites:   res.Satellites,
-			Availability: st.availability(),
+			Availability: st.r.Availability(),
 		}
 		res.Trace = append(res.Trace, stat)
 		obsIterations.Inc()
@@ -399,15 +345,8 @@ func (st *solverState) run(res *Result) error {
 			p.OnIteration(stat)
 		}
 	}
-	res.Availability = st.availability()
+	res.Availability = st.r.Availability()
 	return nil
-}
-
-func (st *solverState) availability() float64 {
-	if st.total == 0 {
-		return 1
-	}
-	return 1 - st.remain/st.total
 }
 
 // argmax returns the track whose single satellite satisfies the most
@@ -499,23 +438,11 @@ func (q candidateHeap) down(i int) {
 }
 
 // Verify recomputes availability of a result against a demand vector from
-// scratch (independent of solver state), for tests and experiments.
+// scratch (independent of solver state), for tests and experiments. It
+// panics unless demand has UnfoldedLen() entries, as Library.Supply does
+// unless x has NumTracks().
 func Verify(lib *texture.Library, x []int, demand []float64) float64 {
-	supply := lib.Supply(x)
-	tot, sat := 0.0, 0.0
-	for k, y := range demand {
-		tot += y
-		s := supply[k]
-		if s < y {
-			sat += s
-		} else {
-			sat += y
-		}
-	}
-	if tot == 0 {
-		return 1
-	}
-	return sat / tot
+	return texture.Availability(lib.Supply(x), demand)
 }
 
 // ChosenTracks returns the indices of tracks with x > 0.

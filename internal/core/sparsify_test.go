@@ -322,3 +322,22 @@ func TestSolverDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifyRejectsShortDemand: Verify panics on a demand that is not
+// UnfoldedLen() long, as Library.Supply does on an x that is not NumTracks()
+// long, rather than scoring only the demand's prefix.
+func TestVerifyRejectsShortDemand(t *testing.T) {
+	lib := testLibrary(t)
+	x := make([]int, lib.NumTracks())
+	x[0] = 1
+	for _, n := range []int{lib.UnfoldedLen() / 2, lib.UnfoldedLen() + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Verify with %d of %d demand entries did not panic", n, lib.UnfoldedLen())
+				}
+			}()
+			Verify(lib, x, make([]float64, n))
+		}()
+	}
+}

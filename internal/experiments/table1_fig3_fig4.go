@@ -103,7 +103,7 @@ func Figure4(scale Scale) []*metrics.Table {
 	tab.AddRow("overall waste ratio (supply-demand)/demand",
 		fmt.Sprintf("%.1f", waste), "up to ~1000x in idle areas")
 	tab.AddRow("availability after calibration",
-		fmt.Sprintf("%.3f", baseline.Availability(supply, dem.Y)), ">= ε")
+		fmt.Sprintf("%.3f", texture.Availability(supply, dem.Y)), ">= ε")
 
 	// Per-cell waste distribution (Fig. 4 left CDF).
 	m := dem.Grid.NumCells()
