@@ -1,18 +1,18 @@
-// Failover demo: shows the two recovery paths of §4.3 side by side on an
-// emulated network, then exercises the orbital MPC and the real
-// southbound TCP repair loop.
+// Failover demo: shows the two recovery paths of §4.3 side by side on the
+// one system under test (chaos.NewTestbed), then exercises the orbital MPC
+// and the real southbound TCP repair loop.
 //
-//  1. TinyLEO's data plane reroutes locally (anycast + gateway ring) in
-//     milliseconds when an ISL dies mid-flow.
+//  1. Fig. 19d, the same block `tinyleo-bench -run fig19bcd` prints: when
+//     the flow's first-hop ISL dies mid-flow, TinyLEO's data plane reroutes
+//     locally (anycast + gateway ring) in milliseconds, while the
+//     routing-table baseline (internal/baseline, plugged into the
+//     network's next-hop seam) buffers and waits ~84 ms for the remote
+//     control plane (Figure 17d).
 //
-//  2. The routing-table baseline (internal/baseline, plugged into the
-//     network's next-hop seam) must buffer and wait ~84 ms for the remote
-//     control plane (Figure 17d/19d).
+//  2. The orbital MPC compiles the testbed's mesh intent for a second
+//     slot and repairs a failed inter-cell ISL (§4.2).
 //
-//  3. The orbital MPC compiles a chain intent over a Walker
-//     constellation and repairs a synthetic ISL failure (§4.2).
-//
-//  4. The southbound session rides out trouble over real TCP: first
+//  3. The southbound session rides out trouble over real TCP: first
 //     contact is a snapshot, a severed transport heals through the
 //     agent's exponential-backoff reconnect and a snapshot re-sync, and a
 //     failure report is answered with a slot-delta repair.
@@ -43,15 +43,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"time"
 
-	"repro/internal/baseline"
+	"repro/internal/chaos"
 	"repro/internal/cli"
-	"repro/internal/dataplane"
-	"repro/internal/geo"
-	"repro/internal/geom"
-	"repro/internal/intent"
-	"repro/internal/mpc"
+	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/southbound"
 )
@@ -81,7 +78,12 @@ func main() {
 		Process: "failover-demo", MetricsAddr: *metricsAddr, RecordOut: *recordOut, SLO: *sloSpec,
 	}.Start(obs.Default(), ctl.Metrics())
 
-	emulatedFailover()
+	fig19d, err := experiments.Figure19d(experiments.Small)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fig19d.Render(os.Stdout)
+	fmt.Println()
 	mpcCompileRepair()
 	southboundSession(ctl)
 	if *recordOut != "" {
@@ -94,121 +96,27 @@ func main() {
 	}
 }
 
-// mpcCompileRepair compiles a 4-cell chain intent over a Walker
-// constellation for two control slots and repairs a synthetic ISL failure,
-// so the MPC's compile/repair telemetry series move.
+// mpcCompileRepair flies the system under test (chaos.NewTestbed at its
+// defaults: 256 satellites, 10° cells): slot 0 is the testbed's compile,
+// slot 1 its Advance, and the repair replaces the first inter-cell ISL
+// after the paper's 83.8 ms control round trip, so the MPC's compile/repair
+// telemetry series move.
 func mpcCompileRepair() {
 	fmt.Println("== orbital MPC compile + repair ==")
-	sats := baseline.WalkerConfig{
-		InclinationDeg: 53, AltitudeKm: 1200, Planes: 16, SatsPerPlane: 16, PhasingF: 1,
-	}.Satellites()
-	g, err := geo.NewGrid(10)
+	tb, err := chaos.NewTestbed(chaos.TestbedConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	topo := intent.NewTopology(g)
-	var cells []int
-	for i := 0; i < 4; i++ {
-		id := g.CellOf(geom.LatLon{Lat: 5, Lon: float64(-15 + i*10)})
-		topo.AddCell(id, 3)
-		cells = append(cells, id)
-	}
-	for i := 1; i < len(cells); i++ {
-		topo.Connect(cells[i-1], cells[i], 1)
-	}
-	ctrl, err := mpc.New(mpc.Config{Topo: topo, Sats: sats})
-	if err != nil {
-		log.Fatal(err)
-	}
-	// The second slot warm-starts from the first (DeltaCompile's output is
-	// identical to a cold Compile of the same time).
-	var prev *mpc.Snapshot
-	for slot := 0; slot < 2; slot++ {
-		snap := ctrl.DeltaCompile(prev, float64(slot)*300)
-		added, removed := mpc.DiffLinks(prev, snap)
-		prev = snap
-		fmt.Printf("slot %d: %d inter-cell ISLs, %d ring ISLs, %d changes, enforcement %.2f\n",
-			slot, len(snap.InterLinks), len(snap.RingLinks), len(added)+len(removed),
-			ctrl.EnforcementRatio(snap))
-	}
-	if len(prev.InterLinks) > 0 {
-		repaired, stats := ctrl.Repair(prev, prev.InterLinks[:1], nil, 83800*time.Microsecond)
-		fmt.Printf("repair: %d new ISLs, %d messages, %v end-to-end (enforcement %.2f)\n",
-			len(stats.NewLinks), stats.Messages, stats.Total().Round(time.Millisecond),
-			ctrl.EnforcementRatio(repaired))
-	}
-}
-
-// emulatedFailover builds a 3-cell chain with two gateways per cell and
-// kills the primary ISL mid-flow.
-func emulatedFailover() {
-	fmt.Println("== emulated data-plane failover ==")
-	build := func() *dataplane.Network {
-		n := dataplane.NewNetwork()
-		// cells: 10 (sats 0,1) -> 20 (sats 2,3) -> 30 (sats 4,5)
-		for id, cell := range []int{10, 10, 20, 20, 30, 30} {
-			n.AddSatellite(id, cell)
-		}
-		n.Connect(0, 2, 0.005)
-		n.Connect(1, 3, 0.005)
-		n.Connect(2, 4, 0.005)
-		n.Connect(3, 5, 0.005)
-		n.Connect(0, 1, 0.001)
-		n.Connect(2, 3, 0.001)
-		n.Connect(4, 5, 0.001)
-		n.SetRing([]int{0, 1})
-		n.SetRing([]int{2, 3})
-		n.SetRing([]int{4, 5})
-		return n
-	}
-
-	run := func(name string, legacy bool) {
-		n := build()
-		var tables *baseline.TableRouter
-		if legacy {
-			tables = baseline.RouteByTables(n)
-			tables.InstallPath([]int{0, 2, 4})
-		}
-		var deliveries []float64
-		n.OnDeliver = func(s *dataplane.Satellite, p *dataplane.Packet) {
-			deliveries = append(deliveries, n.Sim.Now())
-		}
-		// Primary ISL 0-2 dies at t=50 ms.
-		n.Sim.Schedule(0.050, func() { n.Link(0, 2).Down() })
-		if legacy {
-			// Remote control plane repairs after the paper's 83.8 ms.
-			n.Sim.Schedule(0.050+0.0838, func() {
-				tables.InstallPath([]int{0, 1, 3, 5, 4})
-				n.FlushBuffers()
-			})
-		}
-		// 10 ms cadence flow for 200 ms.
-		for i := 0; i < 20; i++ {
-			i := i
-			n.Sim.Schedule(float64(i)*0.010, func() {
-				if legacy {
-					n.Inject(0, baseline.TablePacket(4, nil))
-					return
-				}
-				p, err := dataplane.NewGeoPacket(0, []int{20, 30}, 1, uint32(i), nil)
-				if err != nil {
-					log.Fatal(err)
-				}
-				n.Inject(0, p)
-			})
-		}
-		n.Sim.Run(1)
-		gap := 0.0
-		for i := 1; i < len(deliveries); i++ {
-			if d := deliveries[i] - deliveries[i-1]; d > gap {
-				gap = d
-			}
-		}
-		fmt.Printf("%-28s delivered %2d/20, max delivery gap %5.1f ms, failovers=%d\n",
-			name, len(deliveries), gap*1e3, n.Sats[0].Failovers)
-	}
-	run("TinyLEO geo anycast:", false)
-	run("legacy routing tables:", true)
+	fmt.Printf("slot 0: %d inter-cell ISLs, %d ring ISLs, enforcement %.2f\n",
+		len(tb.Snap.InterLinks), len(tb.Snap.RingLinks), tb.Ctl.EnforcementRatio(tb.Snap))
+	added, removed := tb.Advance(tb.Cfg.SlotSeconds)
+	fmt.Printf("slot 1: %d inter-cell ISLs, %d ring ISLs, %d changes, enforcement %.2f\n",
+		len(tb.Snap.InterLinks), len(tb.Snap.RingLinks), len(added)+len(removed),
+		tb.Ctl.EnforcementRatio(tb.Snap))
+	repaired, stats := tb.Ctl.Repair(tb.Snap, tb.Snap.InterLinks[:1], nil, 83800*time.Microsecond)
+	fmt.Printf("repair: %d new ISLs, %d messages, %v end-to-end (enforcement %.2f)\n",
+		len(stats.NewLinks), stats.Messages, stats.Total().Round(time.Millisecond),
+		tb.Ctl.EnforcementRatio(repaired))
 }
 
 // southboundSession drives one agent through the southbound session

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/geom"
+	"repro/internal/texture"
 )
 
 // ScenarioOptions configures scenario generation.
@@ -209,22 +210,11 @@ func LatinAmerica(opt ScenarioOptions) *Demand {
 // CalibrateToSupply rescales the demand (in place) to the largest multiple
 // at which `availability` of its total is still satisfiable by the given
 // unfolded supply vector — i.e. the "same demand" anchor used to compare
-// constellations of different shapes. Returns the scale factor applied.
+// constellations of different shapes. Returns the scale factor applied. It
+// panics unless supply and the demand have one length.
 func (d *Demand) CalibrateToSupply(supply []float64, availability float64) float64 {
-	if len(supply) != len(d.Y) {
-		panic("demand: calibration dimension mismatch")
-	}
 	satisfied := func(scale float64) float64 {
-		tot, sat := 0.0, 0.0
-		for k, y := range d.Y {
-			y *= scale
-			tot += y
-			if s := supply[k]; s < y {
-				sat += s
-			} else {
-				sat += y
-			}
-		}
+		sat, tot := texture.SatisfiedScaled(supply, d.Y, scale)
 		if tot == 0 {
 			return 1
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -208,6 +209,34 @@ func TestRunSparsificationShapes(t *testing.T) {
 	if cr(regional) <= cr(backbone) {
 		t.Errorf("regional compression (%.1fx) should exceed backbone (%.1fx)",
 			cr(regional), cr(backbone))
+	}
+}
+
+// TestCalibrationScalesPinned pins, bit for bit, the scale factor
+// CalibrateToSupply returns for Small's three Fig. 15 scenarios against the
+// supply RunSparsification anchors them to: the slimmed Starlink layout over
+// Small's planning grid. Figure4 calibrates the customer demand against that
+// same supply, so its factor is the customer row. The factors were recorded
+// while the calibration still summed Σ min(s, y·scale) in its own loop.
+func TestCalibrationScalesPinned(t *testing.T) {
+	sup := baseline.Supply(baseline.SupplyConfig{
+		Grid: Small.Grid(), Slots: Small.Slots, SlotSeconds: Small.SlotSeconds,
+		SubSamples: Small.SubSamples, Parallelism: Small.Parallelism,
+	}, scaledShellSatellites(baseline.StarlinkShells(), Small))
+	want := map[string]uint64{
+		"starlink-customers": 0x3f8a4f8e12c80000, // 0.012847051571043266
+		"internet-backbone":  0x3fc47adeb3858000, // 0.1599996925897358
+		"latin-america":      0x3f955305538c0000, // 0.020824511741921015
+	}
+	dems := Scenarios(Small)
+	if len(dems) != len(want) {
+		t.Fatalf("%d scenarios, %d pinned", len(dems), len(want))
+	}
+	for _, dem := range dems {
+		got := dem.CalibrateToSupply(sup, Small.Epsilon)
+		if w, ok := want[dem.Name]; !ok || math.Float64bits(got) != w {
+			t.Errorf("%s: scale %v (bits %#x), pinned %#x", dem.Name, got, math.Float64bits(got), w)
+		}
 	}
 }
 

@@ -84,10 +84,18 @@ func (r *Residual) Availability() float64 {
 // total demand Σ y_k, both summed in column order. It panics unless the two
 // vectors have one length.
 func Satisfied(supply, demand []float64) (satisfied, total float64) {
+	return SatisfiedScaled(supply, demand, 1)
+}
+
+// SatisfiedScaled is Satisfied for the demand scaled by scale: Σ min(s_k,
+// y_k·scale) and Σ y_k·scale, each y_k·scale rounded once before it is
+// compared and summed. A scale of 1 leaves every y_k exact.
+func SatisfiedScaled(supply, demand []float64, scale float64) (satisfied, total float64) {
 	if len(supply) != len(demand) {
 		panic(fmt.Sprintf("texture: supply of length %d against demand of length %d", len(supply), len(demand)))
 	}
 	for k, y := range demand {
+		y *= scale
 		total += y
 		if s := supply[k]; s < y {
 			satisfied += s
