@@ -45,7 +45,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/chaos"
 	"repro/internal/cli"
 	"repro/internal/experiments"
@@ -92,14 +91,7 @@ var experimentTable = []experiment{
 	}},
 	{name: "fig9", outs: true, run: func(e *env) error {
 		tiny := experiments.RealizeConstellation(e.outs[0].Lib, e.outs[0].TinyLEO)
-		side := 1
-		for side*side < len(tiny) {
-			side++
-		}
-		uniform := baseline.WalkerConfig{
-			InclinationDeg: 53, AltitudeKm: 550, Planes: side, SatsPerPlane: side, PhasingF: 1,
-		}.Satellites()
-		e.emit(experiments.Figure9(e.scale, tiny, uniform)...)
+		e.emit(experiments.Figure9(e.scale, tiny)...)
 		return nil
 	}},
 	{name: "fig13", outs: true, run: func(e *env) error {

@@ -1,11 +1,13 @@
 // Command tinyleo-ctl is the terrestrial TinyLEO controller: it serves
-// the southbound API over TCP, compiles a geographic intent with the
-// orbital MPC every control slot, pushes ISL/ring configuration to the
-// connected satellite agents, and repairs reported failures (§4.2, §5).
+// the southbound API over TCP, flies the system under test
+// (chaos.NewTestbed, -dt its slot length), pushes its ISL configuration to
+// the connected satellite agents every control slot, and repairs reported
+// failures (§4.2, §5). Agent k plays the k-th satellite of the slot-0
+// network in ascending order, and the mapping is printed once.
 //
-// The control loop has one path: each slot is compiled warm from the
-// previous one (mpc.DeltaCompile, byte-identical to a cold Compile), diffed
-// against it, and the diff is pushed as one slot-delta batch per changed
+// The control loop has one path: slot 0 pushes the testbed's snapshot,
+// each later slot the diff of one Testbed.Advance (a warm mpc.DeltaCompile,
+// byte-identical to a cold Compile), as one slot-delta batch per changed
 // satellite; an agent that (re)connects or loses a command is re-synced
 // with a full snapshot of its desired peer set.
 //
@@ -62,15 +64,15 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
-	"repro/internal/baseline"
+	"repro/internal/chaos"
 	"repro/internal/cli"
-	"repro/internal/geo"
-	"repro/internal/geom"
-	"repro/internal/intent"
 	"repro/internal/mpc"
 	"repro/internal/obs"
 	"repro/internal/obs/fleet"
@@ -252,24 +254,22 @@ func runController() {
 	}
 	fmt.Printf(cli.AnnounceRegistered, ctl.AgentCount())
 
-	// Demo constellation + chain intent (agents play the first N sats).
-	sats := baseline.WalkerConfig{
-		InclinationDeg: 53, AltitudeKm: 1200, Planes: 16, SatsPerPlane: 16, PhasingF: 1,
-	}.Satellites()
-	g := geo.MustGrid(10)
-	topo := intent.NewTopology(g)
-	var cells []int
-	for i := 0; i < 4; i++ {
-		id := g.CellOf(geom.LatLon{Lat: 5, Lon: float64(-15 + i*10)})
-		topo.AddCell(id, 3)
-		cells = append(cells, id)
-	}
-	for i := 1; i < len(cells); i++ {
-		topo.Connect(cells[i-1], cells[i], 1)
-	}
-	compiler, err := mpc.New(mpc.Config{Topo: topo, Sats: sats})
+	// Agents past the last network satellite play none; commands name
+	// peers by satellite number.
+	tb, err := chaos.NewTestbed(chaos.TestbedConfig{SlotSeconds: *dt})
 	if err != nil {
 		cli.Fatalf("tinyleo-ctl: %v\n", err)
+	}
+	sats := slices.Sorted(maps.Keys(tb.Net.Sats))
+	agentOf := map[int]uint32{}
+	var plays []string
+	for k := 0; k < *agents && k < len(sats); k++ {
+		agentOf[sats[k]] = uint32(k)
+		plays = append(plays, fmt.Sprintf("%d→sat %d", k, sats[k]))
+	}
+	fmt.Printf("agents play satellites: %s\n", strings.Join(plays, ", "))
+	if *agents > len(sats) {
+		fmt.Printf("agents %d…%d play no satellite\n", len(sats), *agents-1)
 	}
 
 	// Failure hook: tear the reported link down on the reporter, through the
@@ -282,27 +282,28 @@ func runController() {
 		return nil
 	}
 
-	// Each slot warm-starts from the previous snapshot and is enforced as
-	// one slot-delta batch per changed satellite.
-	var prev *mpc.Snapshot
 	for s := 0; s < *slots; s++ {
-		t := float64(s) * *dt
-		snap := compiler.DeltaCompile(prev, t)
-		added, removed := mpc.DiffLinks(prev, snap)
-		prev = snap
+		t := float64(s) * tb.Cfg.SlotSeconds
+		var added, removed []mpc.Link
+		if s == 0 {
+			added, removed = mpc.DiffLinks(nil, tb.Snap)
+		} else {
+			added, removed = tb.Advance(t)
+		}
 		fmt.Printf("slot %d (t=%.0fs): %d inter-cell ISLs, %d ring ISLs, %d changes, enforcement %.2f\n",
-			s, t, len(snap.InterLinks), len(snap.RingLinks), len(added)+len(removed),
-			compiler.EnforcementRatio(snap))
-		// Push changes to the agents that are connected (agent IDs are
-		// satellite indices). Every command in this slot descends from one
-		// mpc.emit root span, so the merged cross-process trace shows the
-		// whole enforcement round as a single causal tree.
+			s, t, len(tb.Snap.InterLinks), len(tb.Snap.RingLinks), len(added)+len(removed),
+			tb.Ctl.EnforcementRatio(tb.Snap))
+		// Push each satellite's batch to the agent that plays it; a
+		// satellite with no agent is skipped. Every command in this slot
+		// descends from one mpc.emit root span, so the merged cross-process
+		// trace shows the whole enforcement round as a single causal tree.
 		emit := obs.StartSpan("mpc.emit",
 			"slot", fmt.Sprint(s), "t", fmt.Sprintf("%.0f", t))
 		emitted := time.Now()
 		pushed := 0
 		for _, b := range mpc.BatchBySatellite(added, removed) {
-			if err := enf.Push(uint32(b.Sat), b.Add, b.Del, emitted, emit.Context()); err == nil {
+			agent, ok := agentOf[b.Sat]
+			if ok && enf.Push(agent, b.Add, b.Del, emitted, emit.Context()) == nil {
 				pushed++
 			}
 		}

@@ -4,11 +4,13 @@
 // loop (§4.2's "repairing unpredictable failures"). The controller
 // enforces each control slot as one slot-delta batch per changed
 // satellite, and re-syncs an agent that (re)connects with a full snapshot
-// of its desired peer set; the agent applies both to a local data-plane
-// view. When the connection drops the agent re-dials with backoff until
-// the controller takes it back.
+// of its desired peer set; the agent applies both to the peer set it holds
+// and prints that set. Peers are satellite numbers of the controller's
+// testbed, so -fail-peer takes one from the printed list. When the
+// connection drops the agent re-dials with backoff until the controller
+// takes it back.
 //
-//	tinyleo-sat -controller 127.0.0.1:7601 -id 3 -fail-peer 7 -fail-after 2s
+//	tinyleo-sat -controller 127.0.0.1:7601 -id 0 -fail-peer P -fail-after 2s
 //
 // Telemetry: -metrics-addr serves live Prometheus text on /metrics (plus
 // /metrics.json, /healthz, /trace) for the duration of the run;
@@ -26,11 +28,10 @@
 // /metrics.json, read by `tinyleo-ctl top`).
 //
 // Commands carry the controller's trace context over the wire; the agent
-// applies each one to a local data-plane view and records the install as
-// a span continuing that trace, so `tinyleo-ctl trace` can merge the
-// controller's and agents' recordings into one cross-process timeline. -pprof
-// serves net/http/pprof under /debug/pprof/ on the -metrics-addr
-// listener.
+// records each one's install as a span continuing that trace, so
+// `tinyleo-ctl trace` can merge the controller's and agents' recordings
+// into one cross-process timeline. -pprof serves net/http/pprof under
+// /debug/pprof/ on the -metrics-addr listener.
 package main
 
 import (
@@ -40,7 +41,6 @@ import (
 	"time"
 
 	"repro/internal/cli"
-	"repro/internal/dataplane"
 	"repro/internal/obs"
 	"repro/internal/obs/fleet"
 	"repro/internal/southbound"
@@ -88,12 +88,9 @@ func main() {
 		defer reporter.Stop()
 	}
 
-	// Local data-plane view: every command is a slot delta or a snapshot
-	// of the satellite's ISL peers, and it lands on the view's links. The
-	// install is recorded as a span continuing the command's trace, so the
+	// Every command is a slot delta or a snapshot of the satellite's ISL
+	// peers; its install is a span continuing the command's trace, so the
 	// merged timeline shows emit → send → apply → install end to end.
-	view := dataplane.NewNetwork()
-	self := view.AddSatellite(int(*id), 0)
 	var applied southbound.PeerSet // the ISL peers the controller has commanded
 	agent.OnCommand = func(m *southbound.Message) {
 		sp := obs.StartSpanCtx(m.Trace, "dataplane.install",
@@ -103,22 +100,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "tinyleo-sat: %s: %v\n", m.Type, err)
 			return
 		}
-		// The local links follow the set: raise what it holds, lower the
-		// rest.
-		want := map[int]bool{}
-		for _, p := range applied.Peers() {
-			want[int(p)] = true
-			if view.Sats[int(p)] == nil {
-				view.AddSatellite(int(p), 0)
-			}
-			view.EnsureLink(int(*id), int(p), 0.003)
-		}
-		for _, p := range self.Peers() {
-			if l := view.Link(int(*id), p); !want[p] && l.IsUp() {
-				l.Down()
-			}
-		}
-		fmt.Printf("sat %d: %s applied, %d ISLs up (seq %d)\n", *id, m.Type, len(want), m.Seq)
+		fmt.Printf("sat %d: %s applied, ISL peers %v (seq %d)\n", *id, m.Type, applied.Peers(), m.Seq)
 	}
 
 	if *failPeer >= 0 {

@@ -24,12 +24,9 @@
 // NewTestbed builds the system under test — constellation, mesh intent,
 // controller, slot-0 snapshot, emulated network — and is the only place
 // this repository builds it: the figures of internal/experiments,
-// examples/failover-demo and the bench/ ledger run on the same Testbed the
-// campaigns do. The one exception is tinyleo-ctl's equatorial chain intent
-// over its own 16×16 Walker shell: its agents play satellites 0…N−1, while
-// the lowest-numbered of the default testbed's 17 slot-0 network
-// satellites is number 9, so the chain stays until agents can be mapped
-// onto satellites. One step builds a network from a snapshot
+// examples/failover-demo, tinyleo-ctl (whose agent k plays the k-th
+// satellite of the slot-0 network) and the bench/ ledger run on the same
+// Testbed the campaigns do. One step builds a network from a snapshot
 // (BuildNetwork) and moves a live one to the next: Testbed.Advance
 // compiles a later slot and applies its diff, link delays following the
 // clock, and Testbed.Snap is always the current snapshot. Testbed.GatewayOf

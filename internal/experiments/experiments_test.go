@@ -140,12 +140,7 @@ func TestFigure4(t *testing.T) {
 
 func TestFigure9(t *testing.T) {
 	outs := smallOuts(t)
-	tiny := RealizeConstellation(outs[0].Lib, outs[0].TinyLEO)
-	uniform := baseline.WalkerConfig{
-		InclinationDeg: 53, AltitudeKm: 550,
-		Planes: isqrt(len(tiny)), SatsPerPlane: isqrt(len(tiny)), PhasingF: 1,
-	}.Satellites()
-	tabs := Figure9(Small, tiny, uniform)
+	tabs := Figure9(Small, RealizeConstellation(outs[0].Lib, outs[0].TinyLEO))
 	renderAll(t, tabs...)
 	if tabs[0].NumRows() != Small.ControlSlots {
 		t.Errorf("fig9a rows = %d", tabs[0].NumRows())
@@ -153,14 +148,6 @@ func TestFigure9(t *testing.T) {
 	if tabs[1].NumRows() != Small.ControlSlots-1 {
 		t.Errorf("fig9b rows = %d", tabs[1].NumRows())
 	}
-}
-
-func isqrt(n int) int {
-	i := 1
-	for i*i < n {
-		i++
-	}
-	return i
 }
 
 func TestRunSparsificationShapes(t *testing.T) {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"math/rand"
 
+	"repro/internal/baseline"
 	"repro/internal/geom"
 	"repro/internal/metrics"
 	"repro/internal/orbit"
@@ -12,8 +13,16 @@ import (
 // Figure9 reproduces Figure 9: the non-uniform (TinyLEO) network's
 // physical dynamics versus a uniform Walker network of the same size —
 // establishable ISLs (9a) and shortest-path churn among satellites (9b)
-// over time.
-func Figure9(scale Scale, tinySats, uniformSats []orbit.Elements) []*metrics.Table {
+// over time. The uniform network is the smallest square Walker shell (53°,
+// 550 km) with at least as many satellites as tinySats.
+func Figure9(scale Scale, tinySats []orbit.Elements) []*metrics.Table {
+	side := 1
+	for side*side < len(tinySats) {
+		side++
+	}
+	uniformSats := baseline.WalkerConfig{
+		InclinationDeg: 53, AltitudeKm: 550, Planes: side, SatsPerPlane: side, PhasingF: 1,
+	}.Satellites()
 	isls := metrics.NewTable("Figure 9a: establishable ISLs over time",
 		"minute", "non-uniform", "uniform")
 	churn := metrics.NewTable("Figure 9b: shortest-path changes among satellites",

@@ -124,7 +124,10 @@ func TestRunExecKillsAgentOnSchedule(t *testing.T) {
 	for _, s := range merged.Spans {
 		spanNames[s.Proc+"/"+s.Name]++
 	}
-	if spanNames["tinyleo-ctl/mpc.emit"] != m.Slots || spanNames["tinyleo-ctl/sb.send"] == 0 || spanNames["tinyleo-sat-0/agent.apply"] == 0 {
+	// Agent k plays the controller's k-th network satellite, so each
+	// surviving agent, 2 as well as 0, is enforced on.
+	if spanNames["tinyleo-ctl/mpc.emit"] != m.Slots || spanNames["tinyleo-ctl/sb.send"] == 0 ||
+		spanNames["tinyleo-sat-0/agent.apply"] == 0 || spanNames["tinyleo-sat-2/agent.apply"] == 0 {
 		t.Errorf("merged spans: %v", spanNames)
 	}
 	if anchor, _ := merged.Offsets(); anchor != "tinyleo-ctl" {

@@ -39,7 +39,7 @@ func TestLoadGoldenInvalid(t *testing.T) {
 		// The retired virtual mode's keys are unknown keys now.
 		{"invalid-mode-key.json", `unknown field "mode"`},
 		{"invalid-scenario-key.json", `unknown field "scenario"`},
-		// The controller's demo shell is fixed: there is no constellation.
+		// The controller flies the one testbed: there is no constellation.
 		{"invalid-constellation-key.json", `unknown field "constellation"`},
 		{"invalid-agent-range.json", "out of range"},
 		{"invalid-slo.json", "slo"},
